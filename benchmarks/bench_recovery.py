@@ -8,7 +8,7 @@ measures what the supervision layer actually buys:
   detecting the failure on the next scatter, respawning the process and
   re-seeding the worker's TIB + monitor state from the local mirrors;
 * **re-seed cost**: the pool-measured milliseconds spent respawning and
-  replaying state (``PoolStats.reseed_ms``), per restart;
+  replaying state (``GroupPoolStats.reseed_ms``), per restart;
 * **queries failed during restart**: with ``retries=0`` the scatter that
   detects the death is partial (exactly one failed query per kill - the
   restart completes behind it); with ``retries=1`` the executor's retry

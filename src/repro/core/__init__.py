@@ -27,8 +27,7 @@ from repro.core.executor import (ExecWarning, GatherResult, LoopbackTransport,
                                  PlanNode, ScatterGatherExecutor, Transport,
                                  TransportError)
 from repro.core import wire
-from repro.core.agentserver import (AgentServerError, AgentServerPool,
-                                    PoolStats, ProcessTransport)
+from repro.core.agentserver import AgentServerError
 from repro.core.groupserver import (GroupAgentPool, GroupPoolStats,
                                     SocketTransport, TRANSPORT_PIPE,
                                     TRANSPORT_TCP, TRANSPORT_UNIX,
@@ -57,9 +56,9 @@ __all__ = [
     "GatherResult", "LoopbackTransport", "MODE_CONCURRENT", "MODE_SERIAL",
     "MODE_PROCESS", "MODE_SOCKET", "ModelTransport", "PlanNode",
     "ScatterGatherExecutor", "Transport", "TransportError",
-    "AgentServerError", "AgentServerPool", "PoolStats", "ProcessTransport",
-    "GroupAgentPool", "GroupPoolStats", "SocketTransport", "TRANSPORT_PIPE",
-    "TRANSPORT_TCP", "TRANSPORT_UNIX", "shard_hosts", "ChaosPolicy",
+    "AgentServerError", "GroupAgentPool", "GroupPoolStats",
+    "SocketTransport", "TRANSPORT_PIPE", "TRANSPORT_TCP", "TRANSPORT_UNIX",
+    "shard_hosts", "ChaosPolicy",
     "GroupSeed", "RestartEvent", "RestartPolicy", "Supervisor", "WorkerSeed",
     "wire", "AggregationTree", "DistributedQueryResult", "MECHANISM_DIRECT",
     "MECHANISM_MULTILEVEL", "QueryCluster", "PathDumpController",

@@ -30,14 +30,15 @@ to the flow-level simulator), and maps both query mechanisms onto the
 The cluster defaults to the executor's deterministic *serial* mode so the
 figure benchmarks are reproducible run to run; pass ``mode="concurrent"``
 (or call :meth:`QueryCluster.configure_executor`) for real thread-pool
-fan-out, or ``mode="process"`` to move every host's TIB into its own
-agent-server worker process (:mod:`repro.core.agentserver`): ingest streams
-encoded record batches over a pipe, queries travel as encoded
-query+subtree-spec frames, and CPU-bound scatters escape the GIL.  All
-modes merge in the same canonical order, so they produce byte-identical
-query payloads.
+fan-out, or a worker mode to move every host's TIB into an agent-server
+worker process (:mod:`repro.core.groupserver`): ingest streams encoded
+record batches over the worker's connection, queries travel as encoded
+query+subtree-spec frames, and CPU-bound scatters escape the GIL.
+``mode="socket"`` shards the hosts into worker groups; ``mode="process"``
+is the same plane with one host per group over pipes.  All modes merge in
+the same canonical order, so they produce byte-identical query payloads.
 
-Process mode also carries the paper's *event plane* (Sections 3.2 and 4):
+The worker modes also carry the paper's *event plane* (Sections 3.2 and 4):
 transfer observations stream to the workers alongside record batches (the
 monitor's ``observation_sink`` mirror), :meth:`QueryCluster.run_monitors`
 scatters monitor-tick frames whose replies are alarm batches, and alarms
@@ -50,22 +51,21 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import wire
 from repro.core.agent import PathDumpAgent
 from repro.core.aggregation import PAPER_TREE_FANOUT, AggregationTree, TreeNode
-from repro.core.agentserver import (AgentServerError, AgentServerPool,
-                                    PoolStats, ProcessTransport,
-                                    SERVED_QUERIES)
+from repro.core.agentserver import AgentServerError, SERVED_QUERIES
 from repro.core.alarms import Alarm, AlarmBus, POOR_PERF
 from repro.core.executor import (ExecWarning, GatherResult, MODE_CONCURRENT,
                                  MODE_SERIAL, ModelTransport, PlanNode,
                                  ScatterGatherExecutor, Transport,
                                  W_CIRCUIT_OPEN, W_MIRROR_DETACHED,
                                  W_WORKER_RESTARTED)
-from repro.core.groupserver import (GroupAgentPool, SocketTransport,
-                                    TRANSPORT_UNIX)
+from repro.core.groupserver import (DEFAULT_GROUP_COUNT, GroupAgentPool,
+                                    GroupPoolStats, SocketTransport,
+                                    TRANSPORT_PIPE, TRANSPORT_UNIX)
 from repro.core.supervisor import (ChaosPolicy, EVENT_CIRCUIT_OPEN,
                                    EVENT_RESTARTED, GroupSeed, Supervisor,
                                    WorkerSeed)
@@ -86,9 +86,11 @@ from repro.transport.tcp import TcpTransferResult
 MECHANISM_DIRECT = "direct"
 MECHANISM_MULTILEVEL = "multilevel"
 
-#: Cluster execution mode: per-host work runs in agent-server worker
-#: processes (the executor itself fans out on threads that merely block on
-#: the workers' pipes).  See :mod:`repro.core.agentserver`.
+#: Cluster execution mode: one agent-server worker process per host over
+#: a dedicated pipe (the executor itself fans out on threads that merely
+#: block on the workers' pipes).  An alias for the :data:`MODE_SOCKET`
+#: plane with one host per group over the pipe transport, resolved in
+#: :meth:`QueryCluster._worker_shape`.
 MODE_PROCESS = "process"
 
 #: Cluster execution mode: hosts are sharded into worker groups, each
@@ -115,16 +117,25 @@ class DistributedQueryResult:
         mechanism: ``"direct"`` or ``"multilevel"``.
         payload: the fully aggregated result.
         response_time_s: modelled end-to-end response time.
-        traffic_bytes: total bytes moved over the management network.
+        traffic_bytes: total bytes moved over the management network.  In
+            the worker modes a direct query's legs are the measured
+            ``MSG_GROUP_BATCH`` envelope lengths (one request and one
+            reply envelope per worker group - per host under
+            ``"process"``); multi-level legs are the per-edge frames.
         host_count: number of hosts the query was scattered to.
         breakdown: named components of the response time (for reports).
         partial: whether one or more hosts' partial results are missing.
-        hosts_failed: the hosts whose results are missing.
-        warnings: structured warnings describing failures/hedges/retries.
+        hosts_failed: the hosts whose results are missing (always host
+            names: a failed worker group expands to its member hosts).
+        warnings: structured warnings describing failures/hedges/retries;
+            worker-plane warnings (a failed direct-scatter leaf, restarts,
+            open circuits) name the worker's group key (``group-N``) in
+            their ``host`` field.
         wall_clock_s: *measured* end-to-end duration of the scatter-gather
             (the real number, as opposed to the modelled
             ``response_time_s``).
-        mode: cluster mode the query ran under (serial/concurrent/process).
+        mode: cluster mode the query ran under - the mode string the
+            caller asked for (serial/concurrent/process/socket).
         duplicate_traffic_bytes: bytes moved by non-winning duplicate
             attempts (hedge twins that lost the race, retries whose work
             failed) - overhead, deliberately kept out of ``traffic_bytes``.
@@ -154,18 +165,21 @@ class MonitorSweep(list):
 
     A plain ``list`` of :class:`~repro.core.alarms.Alarm` (so existing
     callers iterate it unchanged), annotated with the scatter's outcome in
-    process mode - a worker that dies mid-tick surfaces here exactly like a
-    dead agent does on a query:
+    the worker modes - a worker that dies mid-tick surfaces here exactly
+    like a dead agent does on a query:
 
     Attributes:
-        mode: cluster mode the sweep ran under.
+        mode: cluster mode the sweep ran under (the string the caller
+            asked for).
         partial: whether one or more hosts' ticks are missing.
-        hosts_failed: the hosts whose ticks failed.
-        warnings: structured :class:`~repro.core.executor.ExecWarning`\\ s.
-        traffic_bytes: measured wire bytes moved by the tick scatter
-            (encoded tick frames out, encoded alarm-batch replies back);
-            zero for in-process sweeps, which need no wire.
-        wall_clock_s: measured duration of the scatter (process mode).
+        hosts_failed: the hosts whose ticks failed (a dead worker group
+            expands to its member hosts).
+        warnings: structured :class:`~repro.core.executor.ExecWarning`\\ s
+            (worker failures name the group key in ``host``).
+        traffic_bytes: measured wire bytes moved by the tick scatter (one
+            tick envelope out and one alarm-batch envelope back per worker
+            group); zero for in-process sweeps, which need no wire.
+        wall_clock_s: measured duration of the scatter (worker modes).
     """
 
     def __init__(self, alarms: Iterable[Alarm] = (), *,
@@ -187,8 +201,8 @@ class _AlarmCollector:
     """Parks worker-raised alarms during a scatter, dispatches them into
     the controller's bus in canonical host order afterwards.
 
-    The agent -> controller alert channel is asynchronous while the pipe
-    protocol is strict request/reply, so alarms ride reply frames that the
+    The agent -> controller alert channel is asynchronous while the wire
+    protocol is request/reply, so alarms ride reply frames that the
     executor may *discard* (per-host timeout fired, a hedge twin won, the
     reply landed after the gather returned).  The worker has already
     latched its flows by then - a dropped reply would lose its alarms
@@ -267,12 +281,14 @@ class QueryCluster:
             :class:`ModelTransport` over ``rpc``.
         mode: execution mode - ``"serial"`` (deterministic, the default, so
             figures reproduce), ``"concurrent"`` (real thread-pool
-            fan-out), ``"process"`` (per-host agent-server worker
-            processes speaking the binary wire protocol; CPU-bound
-            scatters run genuinely in parallel) or ``"socket"`` (hosts
-            sharded into worker groups, one multiplexed stream connection
-            per group, monitor ticks and direct-query scatters coalesced
-            into one ``MSG_GROUP_BATCH`` envelope per group).  All modes
+            fan-out), ``"socket"`` (hosts sharded into agent-server
+            worker groups speaking the binary wire protocol, one
+            multiplexed stream connection per group, monitor ticks and
+            direct-query scatters coalesced into one ``MSG_GROUP_BATCH``
+            envelope per group; CPU-bound scatters run genuinely in
+            parallel) or ``"process"`` (the same plane with one host per
+            group over pipes, i.e. a worker process per host;
+            ``group_count``/``socket_transport`` are ignored).  All modes
             produce byte-identical query payloads.
         max_workers: worker-pool cap for concurrent/process/socket mode.
         group_count: socket mode only - number of worker groups the hosts
@@ -286,18 +302,20 @@ class QueryCluster:
         hedge_after_s: straggler-hedging threshold (concurrent mode).
         retries: bounded per-host retry budget for transport errors.
         retention: optional hot-tier bounds applied to every agent's TIB
-            (two-tier mode: bounded hot memory, cold archive); in process
-            mode the same cap is shipped to the agent-server workers over
+            (two-tier mode: bounded hot memory, cold archive); in the
+            worker modes the same cap is shipped to the workers over
             the wire so they age records host-side identically.
         supervisor: optional :class:`~repro.core.supervisor.Supervisor`
-            attached to the worker pool when process mode starts; the
+            attached to the worker pool when a worker mode starts; the
             cluster wires its ``seed_source`` to the local dual-write
             mirrors (so restarted workers answer byte-identically) and
             re-attaches the ingest mirrors after every restart.
+            Supervision is keyed by group key (``group-N``) in every
+            worker mode.
         chaos: optional :class:`~repro.core.supervisor.ChaosPolicy`
             injected into the worker pool (gray-failure testing).
         reply_timeout_s: default worker reply deadline for the pool
-            (see :class:`AgentServerPool`).
+            (see :class:`~repro.core.groupserver.GroupAgentPool`).
     """
 
     def __init__(self, topo: Topology,
@@ -333,8 +351,7 @@ class QueryCluster:
         self.socket_transport = socket_transport
         self._pending_warnings: List[ExecWarning] = []  # guarded-by: _warning_lock
         self._warning_lock = threading.Lock()
-        self._process_pool: Optional[Union[AgentServerPool,
-                                           GroupAgentPool]] = None
+        self._process_pool: Optional[GroupAgentPool] = None
         self.transport: Transport = transport or ModelTransport(self.rpc)
         self._adopt_transport(self.transport)
         self.executor = ScatterGatherExecutor(
@@ -381,11 +398,11 @@ class QueryCluster:
         """Rebuild the query executor with new settings (``None`` keeps the
         current value; ``transport`` replaces the delivery protocol).
 
-        ``mode="process"`` starts the agent-server workers (if not already
-        running) and installs a :class:`ProcessTransport`; ``mode="socket"``
-        starts the group worker pool behind a :class:`SocketTransport`.
-        Switching between the two worker modes replaces the running pool
-        (the fresh one re-syncs from the local mirrors); switching back to
+        A worker mode (``"process"``/``"socket"``) starts the worker pool
+        (if not already running) behind a :class:`SocketTransport`.
+        Switching to a worker mode that wants a different pool shape
+        (:meth:`_worker_shape`) replaces the running pool (the fresh one
+        re-syncs from the local mirrors); switching back to
         ``"serial"``/``"concurrent"`` keeps the workers alive and in sync
         (ingest mirrors to them), so modes can be flipped per experiment.
         """
@@ -396,10 +413,10 @@ class QueryCluster:
             self.mode = mode
             if mode in _WORKER_MODES:
                 pool = self._process_pool
-                wants_groups = mode == MODE_SOCKET
                 if pool is not None and \
-                        isinstance(pool, GroupAgentPool) != wants_groups:
-                    # The running pool speaks the wrong plane; replace it
+                        (pool.group_count, pool.transport) != \
+                        self._worker_shape():
+                    # The running pool has the wrong shape; replace it
                     # (the restart re-syncs the fresh pool from the local
                     # mirrors, so answers stay byte-identical).
                     self._detach_mirrors()
@@ -420,9 +437,23 @@ class QueryCluster:
             retries=retries if retries is not None else current.retries)
 
     def _executor_mode(self) -> str:
-        """The executor-level mode implementing the cluster mode (process
-        mode fans out on threads that block on the workers' pipes)."""
+        """The executor-level mode implementing the cluster mode (worker
+        modes fan out on threads that block on the workers' replies)."""
         return MODE_SERIAL if self.mode == MODE_SERIAL else MODE_CONCURRENT
+
+    def _worker_shape(self) -> Tuple[int, str]:
+        """``(group count, transport)`` of the worker pool the current mode
+        wants - the one place the worker-mode strings are resolved.
+
+        ``"socket"`` is the configured ``group_count`` (clamped to the host
+        count, as the pool's sharding does) over ``socket_transport``;
+        anything else - ``"process"``, or workers started by hand under an
+        in-process mode - is one host per group over pipes.
+        """
+        if self.mode == MODE_SOCKET:
+            return (min(self.group_count or DEFAULT_GROUP_COUNT,
+                        len(self.hosts)), self.socket_transport)
+        return len(self.hosts), TRANSPORT_PIPE
 
     def _adopt_transport(self, transport: Transport) -> None:
         """Install ``transport`` and keep ``self.rpc`` pointing at the
@@ -432,10 +463,9 @@ class QueryCluster:
         if isinstance(transport, ModelTransport):
             self.rpc = transport.channel
 
-    # ----------------------------------------------------------- process mode
+    # ----------------------------------------------------------- worker modes
     @property
-    def agent_servers(self) -> Optional[Union[AgentServerPool,
-                                              GroupAgentPool]]:
+    def agent_servers(self) -> Optional[GroupAgentPool]:
         """The agent-server worker pool (``None`` until a worker mode is
         enabled)."""
         return self._process_pool
@@ -444,10 +474,11 @@ class QueryCluster:
                             reply_timeout_s: Optional[float] = None,
                             supervisor: Optional[Supervisor] = None,
                             chaos: Optional[ChaosPolicy] = None
-                            ) -> Union[AgentServerPool, GroupAgentPool]:
-        """Spawn one agent-server worker per host and bring it in sync.
+                            ) -> GroupAgentPool:
+        """Spawn the agent-server worker pool and bring it in sync.
 
-        Each worker receives a snapshot of its host's current TIB as
+        The pool's shape is :meth:`_worker_shape`.  Each worker receives,
+        per host it serves, a snapshot of the host's current TIB as
         encoded record batches and of its monitor as an encoded state
         frame; afterwards every agent's TIB writes are mirrored to its
         worker through ``record_sink`` and every monitor observation
@@ -472,27 +503,16 @@ class QueryCluster:
         chaos = chaos if chaos is not None else self.chaos
         if reply_timeout_s is None:
             reply_timeout_s = self.reply_timeout_s
-        group_mode = self.mode == MODE_SOCKET
         if supervisor is not None:
             self.supervisor = supervisor
-            wanted_seed = self._group_seed if group_mode else self._worker_seed
-            if supervisor.seed_source is None or supervisor.seed_source in \
-                    (self._worker_seed, self._group_seed):
-                # Unset, or wired by us for the other worker mode (a mode
-                # flip reuses the supervisor): point it at the seed builder
-                # matching the pool's keying (host vs group).
-                supervisor.seed_source = wanted_seed
+            if supervisor.seed_source is None:
+                supervisor.seed_source = self._group_seed
             supervisor.subscribe(self._on_supervisor_event)
-        if group_mode:
-            pool: Union[AgentServerPool, GroupAgentPool] = GroupAgentPool(
-                self.hosts, group_count=self.group_count,
-                transport=self.socket_transport, context=context,
-                reply_timeout_s=reply_timeout_s,
-                supervisor=supervisor, chaos=chaos)
-        else:
-            pool = AgentServerPool(self.hosts, context=context,
-                                   reply_timeout_s=reply_timeout_s,
-                                   supervisor=supervisor, chaos=chaos)
+        group_count, transport = self._worker_shape()
+        pool = GroupAgentPool(self.hosts, group_count=group_count,
+                              transport=transport, context=context,
+                              reply_timeout_s=reply_timeout_s,
+                              supervisor=supervisor, chaos=chaos)
         try:
             synced = []
             for host in self.hosts:
@@ -501,7 +521,7 @@ class QueryCluster:
                     continue
                 retention = agent.tib.retention
                 if retention.bounded:
-                    # Cap first (pipe FIFO): the worker ages records into
+                    # Cap first (FIFO): the worker ages records into
                     # its own cold archive while the snapshot streams in,
                     # so its hot tier never exceeds the bound either.
                     pool.set_retention(host, retention.max_records,
@@ -517,24 +537,18 @@ class QueryCluster:
                 if snapshot:
                     pool.add_records(host, snapshot)
                 pool.seed_monitor(host, agent.monitor.snapshot())
-                agent.record_sink = self._make_record_sink(pool, host)
-                agent.monitor.observation_sink = \
-                    self._make_observation_sink(pool, host)
+                self._attach_mirrors(pool, host)
                 synced.append((host, len(snapshot),
                                len(agent.monitor.flows)))
             # Barrier: a ping round-trip drains each worker's ingest queue
             # (FIFO ordering), so callers - and benchmarks - start from
             # workers that are actually in sync instead of racing their
-            # background ingest.  Group pools answer one coalesced
-            # ping envelope per group (one round-trip per worker process
-            # instead of one per host - at 1024 hosts that matters).
-            if isinstance(pool, GroupAgentPool):
-                states: Dict[str, Tuple[int, int]] = {}
-                for key in pool.group_keys():
-                    states.update(pool.group_ping_state(key))
-            else:
-                states = {host: pool.ping_state(host)
-                          for host, _count, _flows in synced}
+            # background ingest.  Each group answers one coalesced ping
+            # envelope (one round-trip per worker process instead of one
+            # per host - at 1024 hosts that matters).
+            states: Dict[str, Tuple[int, int]] = {}
+            for key in pool.group_keys():
+                states.update(pool.group_ping_state(key))
             for host, count, flows in synced:
                 applied, monitor_flows = states.get(host, (0, 0))
                 if applied < count:
@@ -552,16 +566,14 @@ class QueryCluster:
             pool.shutdown()
             raise
         self._process_pool = pool
-        if isinstance(pool, GroupAgentPool):
-            self.process_transport: ModelTransport = \
-                SocketTransport(pool, self.rpc)
-        else:
-            self.process_transport = ProcessTransport(pool, self.rpc)
+        self.process_transport = SocketTransport(pool, self.rpc)
         self._adopt_transport(self.process_transport)
         return pool
 
-    def _make_record_sink(self, pool: AgentServerPool, host: str):
-        """An ingest mirror for ``host`` that degrades instead of raising.
+    def _attach_mirrors(self, pool: GroupAgentPool, host: str) -> None:
+        """Install ``host``'s ingest mirrors: every TIB write and monitor
+        observation is streamed on to the host's worker, degrading instead
+        of raising.
 
         A dead worker must not break the *local* ingest path (the query
         path already reports it as ``partial`` + ``W_HOST_FAILED``).  On a
@@ -574,49 +586,34 @@ class QueryCluster:
           (re-sending would double-count the upsert);
         * no recovery (unsupervised, restart budget exhausted, restart
           failed): the mirror detaches itself so the simulator keeps
-          running against the local TIB, counts the detach in
-          ``PoolStats`` and leaves a ``W_MIRROR_DETACHED`` warning for
+          running against the local TIB (or monitor), counts the detach in
+          ``GroupPoolStats`` and leaves a ``W_MIRROR_DETACHED`` warning for
           the next result - callers can tell "degraded" from "healthy".
         """
-        def sink(records) -> None:
-            try:
-                pool.add_records(host, records)
-            except AgentServerError as error:
-                if pool.healthy(host):
-                    return  # recovered; the re-seed covered this batch
-                agent = self.agents.get(host)
-                if agent is not None and agent.record_sink is sink:
-                    agent.record_sink = None
-                    pool.note_mirror_detach(host)
-                    self._note_warning(
-                        W_MIRROR_DETACHED, host,
-                        f"record mirror detached after delivery failure "
-                        f"({error}); worker state is stale")
-        return sink
+        agent = self.agents[host]
 
-    def _make_observation_sink(self, pool: AgentServerPool, host: str):
-        """The observation mirror for ``host``; degrades like the record
-        sink (a dead worker detaches the mirror instead of breaking the
-        local monitor, a supervised recovery keeps it attached)."""
-        def sink(observations) -> None:
-            try:
-                pool.add_observations(host, observations)
-            except AgentServerError as error:
-                if pool.healthy(host):
-                    return  # recovered; the re-seed covered this batch
-                agent = self.agents.get(host)
-                if agent is not None and \
-                        agent.monitor.observation_sink is sink:
-                    agent.monitor.observation_sink = None
-                    pool.note_mirror_detach(host)
-                    self._note_warning(
-                        W_MIRROR_DETACHED, host,
-                        f"observation mirror detached after delivery "
-                        f"failure ({error}); worker state is stale")
-        return sink
+        def mirror(what: str, deliver, owner, slot: str):
+            def sink(batch) -> None:
+                try:
+                    deliver(host, batch)
+                except AgentServerError as error:
+                    if pool.healthy(host):
+                        return  # recovered; the re-seed covered this batch
+                    if getattr(owner, slot) is sink:
+                        setattr(owner, slot, None)
+                        pool.note_mirror_detach(host)
+                        self._note_warning(
+                            W_MIRROR_DETACHED, host,
+                            f"{what} mirror detached after delivery "
+                            f"failure ({error}); worker state is stale")
+            setattr(owner, slot, sink)
+
+        mirror("record", pool.add_records, agent, "record_sink")
+        mirror("observation", pool.add_observations, agent.monitor,
+               "observation_sink")
 
     def _worker_seed(self, host: str) -> WorkerSeed:
-        """Build a restart seed for ``host`` from the local dual-write
+        """Build ``host``'s part of a restart seed from the local dual-write
         mirrors - the same snapshot (and the same order of parts) the
         startup sync ships, so a re-seeded worker answers later queries
         byte-identically to one that never died."""
@@ -635,39 +632,35 @@ class QueryCluster:
                           monitor=agent.monitor.snapshot())
 
     def _group_seed(self, key: str) -> GroupSeed:
-        """Build a restart seed for a whole worker group (socket mode):
-        one :class:`WorkerSeed` per member host, from the same local
-        mirrors :meth:`_worker_seed` reads, so a re-seeded group answers
-        byte-identically to one that never died."""
+        """The supervisor's ``seed_source``: a restart seed for worker
+        group ``key``, one :class:`WorkerSeed` per member host, so a
+        re-seeded group answers byte-identically to one that never died.
+        (A failure during the startup sync, before the pool is adopted,
+        restarts the group empty; the sync's own barrier then reports the
+        short count.)"""
         pool = self._process_pool
-        members = (pool.group_hosts(key)
-                   if isinstance(pool, GroupAgentPool) else (key,))
+        members = pool.group_hosts(key) if pool is not None else ()
         return GroupSeed(seeds={host: self._worker_seed(host)
                                 for host in members})
 
-    def _on_supervisor_event(self, pool, host: str, event) -> None:
+    def _on_supervisor_event(self, pool: GroupAgentPool, key: str,
+                             event) -> None:
         """Supervisor callback: re-attach the ingest mirrors of a restarted
-        worker (they may have detached while it was dead, and their
-        closures bind the pool) and surface restart / circuit-open events
-        as warnings on the next query result or monitor sweep.  On a group
-        pool ``host`` is a group key; the mirrors of every member host are
-        re-attached."""
+        group's member hosts (they may have detached while it was dead,
+        and their closures bind the pool) and surface restart /
+        circuit-open events as warnings - named by group key - on the next
+        query result or monitor sweep."""
         if event.kind == EVENT_RESTARTED:
-            expand = getattr(pool, "expand_key", None)
-            members = expand(host) if expand is not None else (host,)
-            for member in members:
-                agent = self.agents.get(member)
-                if agent is not None:
-                    agent.record_sink = self._make_record_sink(pool, member)
-                    agent.monitor.observation_sink = \
-                        self._make_observation_sink(pool, member)
+            for member in pool.group_hosts(key):
+                if member in self.agents:
+                    self._attach_mirrors(pool, member)
             self._note_warning(
-                W_WORKER_RESTARTED, host,
+                W_WORKER_RESTARTED, key,
                 f"worker restarted (attempt {event.attempt}) and re-seeded "
                 f"{event.records} records / {event.monitor_flows} monitor "
                 f"flows in {event.reseed_ms:.1f}ms after: {event.reason}")
         elif event.kind == EVENT_CIRCUIT_OPEN:
-            self._note_warning(W_CIRCUIT_OPEN, host,
+            self._note_warning(W_CIRCUIT_OPEN, key,
                                event.detail or "restart budget exhausted")
 
     def _note_warning(self, code: str, host: str, detail: str) -> None:
@@ -759,7 +752,7 @@ class QueryCluster:
                             max_bytes: Optional[int] = None) -> None:
         """(Re)configure the hot-tier bounds on every agent's TIB.
 
-        In process mode the same cap travels to each agent-server worker
+        In the worker modes the same cap travels to each host's worker
         as an encoded retention frame, so both sides of the ingest mirror
         age records identically.
         """
@@ -782,7 +775,7 @@ class QueryCluster:
         agent's archive (segment-parallel for any executor mode, inline
         for ``"serial"``).
 
-        Local agents only: process-mode workers keep the serial scan -
+        Local agents only: agent-server workers keep the serial scan -
         results are identical by construction, and the identity tests pin
         parallel-local scans against serial worker answers byte for byte.
         Agents whose TIB has no archive yet (unbounded retention) are
@@ -794,7 +787,7 @@ class QueryCluster:
     def tier_report(self, from_workers: bool = False) -> Dict[str, int]:
         """Aggregate two-tier stats across the cluster.
 
-        ``from_workers=True`` (process mode) reads each worker's tier
+        ``from_workers=True`` (worker modes) reads each worker's tier
         stats off a liveness probe instead of the local mirrors - the
         measured worker-side counterpart for cap-verification.
         """
@@ -815,28 +808,26 @@ class QueryCluster:
         """Run one monitoring check on every host; returns raised alarms.
 
         In serial/concurrent mode the in-process monitors run directly and
-        raise into the alarm bus as they go.  In process mode this is a
-        *scatter of monitor-tick frames*: every worker runs the check
+        raise into the alarm bus as they go.  In the worker modes this is
+        a *scatter of monitor-tick frames*: every worker runs the check
         host-side, replies with an encoded alarm batch, and the decoded
         alarms are dispatched into the bus in canonical host order - the
         same order the serial loop produces, so alarm streams are identical
         across modes.  A worker that dies mid-tick surfaces on the returned
         :class:`MonitorSweep` exactly like a dead agent does on a query
         (``partial`` / ``hosts_failed`` / a ``W_HOST_FAILED`` warning).
-        In socket mode the scatter is coalesced: one ``MSG_GROUP_BATCH``
-        envelope per worker group carries every member host's tick, and a
-        dead group surfaces as *all* of its hosts failed.
+        The scatter is coalesced: one ``MSG_GROUP_BATCH`` envelope per
+        worker group carries every member host's tick, and a dead group
+        surfaces as *all* of its hosts failed.
         """
         if self.mode in _WORKER_MODES and self._process_pool is not None:
-            if isinstance(self._process_pool, GroupAgentPool):
-                return self._run_monitors_group(now, threshold)
-            return self._run_monitors_process(now, threshold)
+            return self._run_monitors_group(now, threshold)
         alarms: List[Alarm] = []
         for agent in self.agents.values():
             alarms.extend(agent.run_monitor(now, threshold))
         if alarms and self._process_pool is not None:
             # Workers alive but the sweep ran locally (mode flipped off
-            # process): push the freshly latched state to the workers so a
+            # the workers): push the freshly latched state to them so a
             # later wire tick cannot re-raise alarms the bus already has.
             self._seed_worker_monitors()
         return MonitorSweep(alarms, mode=self.mode,
@@ -851,45 +842,11 @@ class QueryCluster:
             except AgentServerError:
                 pass  # dead worker: the query path reports it already
 
-    def _run_monitors_process(self, now: float,
-                              threshold: Optional[int]) -> MonitorSweep:
-        """Scatter tick frames to the workers and gather their alarms."""
-        pool = self._process_pool
-        tick_bytes = len(wire.encode_monitor_tick(now, threshold))
-        plan = PlanNode(host=None, children=[
-            PlanNode(host=host, request_parts=(tick_bytes,))
-            for host in self.hosts])
-        sink = _AlarmCollector(self, latch=True)
-
-        def work(host: str):
-            result = pool.monitor_tick(host, now, threshold)
-            # Hand the alarms over as soon as the reply lands: the worker
-            # already latched its flows, so even if the executor discards
-            # this reply (per-host timeout fired, hedge twin won, reply
-            # arrived after the gather returned) they must still reach the
-            # bus - the alert channel is asynchronous, the query is not.
-            sink.park(host, result[0])
-            return result
-
-        def merge(acc, value):
-            return acc[0] + value[0], acc[1] + value[1]
-
-        gather = self.executor.run(plan, work, merge,
-                                   response_bytes=lambda value: value[1])
-        alarms = sink.dispatch(self.hosts)
-        return MonitorSweep(alarms, mode=self.mode, partial=gather.partial,
-                            hosts_failed=gather.hosts_failed,
-                            warnings=(tuple(gather.warnings)
-                                      + self._drain_warnings()),
-                            traffic_bytes=gather.traffic_bytes,
-                            wall_clock_s=gather.wall_s)
-
     def _run_monitors_group(self, now: float,
                             threshold: Optional[int]) -> MonitorSweep:
         """Scatter one coalesced tick envelope per worker group.
 
-        The frame-coalescing twin of :meth:`_run_monitors_process`: each
-        leaf of the plan is a *group*, its request is one
+        Each leaf of the plan is a *group*, its request is one
         ``MSG_GROUP_BATCH`` envelope carrying every member host's tick
         frame, and its reply envelope carries every member's alarm batch.
         Alarms still dispatch in canonical host order, so the alarm
@@ -910,9 +867,12 @@ class QueryCluster:
                 key, now, threshold)
             count = 0
             for host, alarms in per_host:
-                # Same hand-over-on-landing rule as the per-host path: the
-                # workers already latched, so a discarded reply must still
-                # surrender its alarms.
+                # Hand the alarms over as soon as the reply lands: the
+                # workers already latched their flows, so even if the
+                # executor discards this reply (per-leaf timeout fired,
+                # hedge twin won, reply arrived after the gather returned)
+                # they must still reach the bus - the alert channel is
+                # asynchronous, the query is not.
                 sink.park(host, alarms)
                 count += len(alarms)
             return count, reply_bytes
@@ -938,21 +898,21 @@ class QueryCluster:
                        ) -> DistributedQueryResult:
         """Direct query: every host answers the controller directly.
 
-        In socket mode the scatter is coalesced - one request envelope
-        per worker group instead of one frame per host - and the group's
-        partials are folded in canonical order before the root merge, so
-        the aggregate stays byte-identical to the serial fold.
+        In the worker modes the scatter is coalesced - one request
+        envelope per worker group instead of one frame per host - and the
+        group's partials are folded in canonical order before the root
+        merge, so the aggregate stays byte-identical to the serial fold.
         """
         targets = list(hosts) if hosts is not None else list(self.hosts)
-        pool = self._process_pool
-        if self._uses_agent_servers(query) and \
-                isinstance(pool, GroupAgentPool):
-            return self._execute_direct_group(query, targets, pool)
-        request_len = query.request_bytes()  # one encode for all hosts
-        plan = PlanNode(host=None, children=[
-            PlanNode(host=host, request_parts=(request_len,))
-            for host in targets])
-        gather = self._gather(plan, query)
+        if self._uses_agent_servers(query):
+            gather = self._gather_direct_groups(query, targets,
+                                                self._process_pool)
+        else:
+            request_len = query.request_bytes()  # one encode for all hosts
+            plan = PlanNode(host=None, children=[
+                PlanNode(host=host, request_parts=(request_len,))
+                for host in targets])
+            gather = self._gather(plan, query)
         merged = self._finalise(query, gather)
         network = max(
             (report.request_latency_s + report.respond_latency_s
@@ -964,10 +924,9 @@ class QueryCluster:
                        "host_execution": gather.max_exec_s,
                        "controller_aggregation": gather.root_merge_s})
 
-    def _execute_direct_group(self, query: Query, targets: List[str],
-                              pool: GroupAgentPool
-                              ) -> DistributedQueryResult:
-        """Direct query over coalesced group envelopes (socket mode).
+    def _gather_direct_groups(self, query: Query, targets: List[str],
+                              pool: GroupAgentPool) -> GatherResult:
+        """Direct scatter over coalesced group envelopes (worker modes).
 
         The plan's leaves are *runs* of consecutive same-group targets
         (for the canonical full-host scatter that is exactly one leaf per
@@ -1004,6 +963,9 @@ class QueryCluster:
 
         def work(label: str) -> QueryResult:
             key, run_hosts = labels[label]
+            for host in run_hosts:
+                if host not in self.agents:
+                    raise KeyError(f"no agent running on {host}")
             results, reply_bytes, _sent = pool.group_query(
                 key, query, hosts=run_hosts)
             folded: Optional[QueryResult] = None
@@ -1019,31 +981,12 @@ class QueryCluster:
             folded.wire_bytes = reply_bytes
             return folded
 
-        def merge(acc: QueryResult, value: QueryResult) -> QueryResult:
-            return self.engine.merge(query, (acc, value),
-                                     measure_wire=False)
-
-        def response_bytes(result: QueryResult) -> int:
-            if not result.wire_bytes:  # an unmeasured merge accumulator
-                result.wire_bytes = measured_result_wire_bytes(result)
-            return result.wire_bytes
-
-        gather = self.executor.run(plan, work, merge,
-                                   response_bytes=response_bytes)
+        gather = self._run_plan(plan, query, work)
         sink.dispatch(targets)
         gather.hosts_failed = [
             host for label in gather.hosts_failed
             for host in labels.get(label, (label, [label]))[1]]
-        merged = self._finalise(query, gather)
-        network = max(
-            (report.request_latency_s + report.respond_latency_s
-             for report in gather.reports.values() if report.ok),
-            default=0.0)
-        return self._distributed_result(
-            query, MECHANISM_DIRECT, merged, gather, len(targets),
-            breakdown={"network": network,
-                       "host_execution": gather.max_exec_s,
-                       "controller_aggregation": gather.root_merge_s})
+        return gather
 
     def execute_multilevel(self, query: Query,
                            hosts: Optional[Sequence[str]] = None,
@@ -1081,12 +1024,12 @@ class QueryCluster:
         Every non-root edge batches the query and the child's subtree
         description into one request message; the part sizes are measured
         so that their sum is exactly the length of the combined
-        ``encode_query_request(query, spec)`` frame that process mode
-        actually ships (the spec part is its frame body - the batched
+        ``encode_query_request(query, spec)`` frame that the worker modes
+        actually ship (the spec part is its frame body - the batched
         message pays the fixed header once).  ``request_len`` carries the
         query frame's length down the recursion (one encode per plan, not
         one per host); ``specs`` (when given) collects each host's subtree
-        description so process mode can ship the real thing.
+        description so the worker modes can ship the real thing.
         """
         if request_len is None:
             request_len = query.request_bytes()
@@ -1163,6 +1106,14 @@ class QueryCluster:
                     raise KeyError(f"no agent running on {host}")
                 return agent.execute_query(query)
 
+        gather = self._run_plan(plan, query, work)
+        if alarm_sink is not None:
+            alarm_sink.dispatch(self._plan_hosts(plan))
+        return gather
+
+    def _run_plan(self, plan: PlanNode, query: Query, work) -> GatherResult:
+        """Run a scatter plan whose leaves ``work`` answers, folding the
+        partial results with the query's streaming merge."""
         def merge(acc: QueryResult, value: QueryResult) -> QueryResult:
             # Intermediate pairwise merges are not sized (that would
             # re-encode a growing payload per merge - quadratic); only a
@@ -1175,11 +1126,8 @@ class QueryCluster:
                 result.wire_bytes = measured_result_wire_bytes(result)
             return result.wire_bytes
 
-        gather = self.executor.run(plan, work, merge,
-                                   response_bytes=response_bytes)
-        if alarm_sink is not None:
-            alarm_sink.dispatch(self._plan_hosts(plan))
-        return gather
+        return self.executor.run(plan, work, merge,
+                                 response_bytes=response_bytes)
 
     def _finalise(self, query: Query, gather: GatherResult) -> QueryResult:
         """Normalise the gathered accumulator into one aggregate result."""
@@ -1244,15 +1192,15 @@ class QueryCluster:
     def recovery_report(self) -> Dict[str, object]:
         """Self-healing counters of the worker plane.
 
-        Mirrors :class:`~repro.core.agentserver.PoolStats`: completed
+        Mirrors :class:`~repro.core.groupserver.GroupPoolStats`: completed
         restarts and their total re-seed cost, circuits opened (restart
         budget exhausted -> dead-agent semantics), ingest mirrors that
-        detached, and undecodable replies - plus which hosts are
-        currently degraded.  All zeros for a healthy (or serial-mode)
-        cluster.
+        detached, and undecodable replies - plus which worker groups
+        (``open_circuits``, by group key) are currently degraded.  All
+        zeros for a healthy (or serial-mode) cluster.
         """
         pool = self._process_pool
-        stats = pool.stats if pool is not None else PoolStats()
+        stats = pool.stats if pool is not None else GroupPoolStats()
         supervisor = pool.supervisor if pool is not None else self.supervisor
         return {
             "supervised": supervisor is not None,
@@ -1274,7 +1222,7 @@ class QueryCluster:
         storage-engine counters (document-store full-scan / index-rebuild /
         compaction counts) and each monitor's alert counters/latches, so
         repeated runs against the same cluster can't double-count and a new
-        measurement interval re-alerts still-poor flows.  In process mode
+        measurement interval re-alerts still-poor flows.  In a worker mode
         the reset monitor state is re-seeded to the workers, keeping both
         sides of the mirror identical.  Call once per experiment.
         """

@@ -1,10 +1,13 @@
-"""Group-sharded agent servers behind one multiplexed stream connection.
+"""The worker plane: group-sharded agent servers behind one multiplexed
+stream connection each.
 
-Process mode (:mod:`~repro.core.agentserver`) runs one worker process *per
-host* over a dedicated pipe - fine for an 8-host testbed, hopeless at the
-paper's deployment scale: a 1000-host fat-tree would need a thousand
-processes, and the event-plane bench shows most of the wire cost is
-per-frame overhead anyway.  This module is the scale-out plane:
+Every worker mode of the cluster runs on this one pool.  One worker
+process per host over a dedicated pipe (``mode="process"``) is simply the
+shape ``group_count=len(hosts)`` over the pipe transport - fine for an
+8-host testbed, hopeless at the paper's deployment scale (a 1000-host
+fat-tree would need a thousand processes, and the event-plane bench shows
+most of the wire cost is per-frame overhead anyway); ``mode="socket"``
+picks fewer, larger groups:
 
 * **Worker groups.** Hosts are sharded into deterministic contiguous
   groups (:func:`shard_hosts`, ``WORKER_GROUP_ID``/``WORKER_GROUP_COUNT``
@@ -25,15 +28,19 @@ per-frame overhead anyway.  This module is the scale-out plane:
   The inner frames are opaque here, so generic ``MSG_PLAN_REQUEST``/
   ``MSG_PLAN_RESULT`` plan frames coalesce exactly like legacy query
   frames - no group-transport change per new question, ever.
-* **Same failure semantics.** A dead/hung/undecodable group connection
-  surfaces as :class:`~repro.core.agentserver.AgentServerError` exactly
-  like a dead pipe worker; with a
+* **Dead-agent failure semantics.** A dead/hung/undecodable group
+  connection surfaces as :class:`~repro.core.agentserver.AgentServerError`,
+  which the executor reports like a dead in-thread agent - for every host
+  of the shard, the connection being the failure domain; with a
   :class:`~repro.core.supervisor.Supervisor` attached the group is
   respawned and re-seeded *over a fresh reconnect* (the socket accept
   loop hands the new connection to the same rendezvous as at startup),
   and :class:`~repro.core.supervisor.ChaosPolicy` injects
   connection-level faults (torn mid-frame close, stalled socket) keyed
   by group.
+* :class:`SocketTransport` - a
+  :class:`~repro.core.executor.ModelTransport` bound to a pool, so one
+  ``reset_stats()`` zeroes the channel model and the pool's counters.
 
 Stream framing is length-delimited (:func:`~repro.core.wire.stream_frame`
 / :class:`~repro.core.wire.StreamFrameReader`); pipe transport keeps the
@@ -54,14 +61,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import wire
-from repro.core.agentserver import (AgentServerError, _HostServer,
-                                    AgentServerPool)
+from repro.core.agentserver import AgentServerError, _HostServer
 from repro.core.alarms import Alarm
 from repro.core.executor import ModelTransport
 from repro.core.monitor import MonitorSnapshot, TransferObservation
 from repro.core.query import QueryResult
 from repro.core.rpc import RpcChannel
-from repro.core.supervisor import WorkerSeed
+from repro.core.supervisor import GroupSeed, WorkerSeed
 from repro.storage.records import PathFlowRecord
 
 #: Stream transports for :class:`GroupAgentPool`.
@@ -74,9 +80,11 @@ GROUP_TRANSPORTS = (TRANSPORT_UNIX, TRANSPORT_TCP, TRANSPORT_PIPE)
 #: Deterministic (not derived from the machine) so sweeps reproduce.
 DEFAULT_GROUP_COUNT = 8
 
-#: Records per coalesced ingest envelope during re-seed (matches the pipe
-#: pool's per-frame chunking so no single envelope monopolises the stream).
-INGEST_CHUNK_RECORDS = AgentServerPool.INGEST_CHUNK_RECORDS
+#: Records per ingest frame, and per coalesced envelope during re-seed:
+#: large batches are split so no single envelope monopolises the stream
+#: (the worker interleaves consuming them with serving queries queued
+#: behind).
+INGEST_CHUNK_RECORDS = 4096
 
 #: Distinguishes "use the pool's reply timeout" from an explicit ``None``.
 _UNSET = object()
@@ -286,13 +294,19 @@ class GroupPoolStats:
     """Frame/byte/envelope counters and self-healing telemetry of one
     group pool.
 
-    ``frames_*`` count *logical* per-host frames (comparable with the
-    pipe pool's counters); ``envelopes_*`` count the physical transport
-    messages that carried them, so ``frames_sent / envelopes_sent`` is
-    the measured coalescing factor.  The supervision counters mirror
-    :class:`~repro.core.agentserver.PoolStats`, keyed per *group* worker;
-    ``reconnects`` counts fresh connections accepted after the initial
-    spawn (each supervised respawn reconnects once).
+    ``frames_*`` count *logical* per-host frames; ``envelopes_*`` count
+    the physical transport messages that carried them, so
+    ``frames_sent / envelopes_sent`` is the measured coalescing factor.
+    The supervision counters, keyed per *group* worker, let callers tell
+    "healthy" from "degraded" at a glance: ``restarts``/``reseed_ms`` say
+    how often (and how expensively) workers were recovered,
+    ``circuit_open`` how many groups exhausted their restart budget and
+    fell back to dead-agent semantics, ``mirror_detaches`` how many
+    ingest mirrors gave up on an unrecoverable worker, and
+    ``decode_errors`` how many replies were corrupt (each one also counts
+    as a worker failure).  ``reconnects`` counts fresh connections
+    accepted after the initial spawn (each supervised respawn reconnects
+    once).
     """
 
     frames_sent: int = 0
@@ -344,7 +358,9 @@ class _PipeEndpoint:
     def recv(self) -> bytes:
         try:
             return self._conn.recv_bytes()
-        except (EOFError, OSError) as error:
+        except (EOFError, OSError, TypeError) as error:
+            # TypeError: the connection was closed under a read in
+            # progress (its handle is None by the time the read resumes).
             raise _EndpointClosed(
                 f"{type(error).__name__}: {error}") from error
 
@@ -364,8 +380,10 @@ class _SocketEndpoint:
     ``recv`` raises :class:`~repro.core.wire.WireDecodeError` for a
     malformed stream (oversized/truncated frames, garbage after a valid
     envelope - including the chaos harness's torn close, which leaves the
-    reader mid-frame at EOF) and :class:`_EndpointClosed` for a clean
-    EOF/closed descriptor.
+    reader mid-frame when the stream ends) and :class:`_EndpointClosed`
+    for a close on a frame boundary.  The stream ends either with EOF or,
+    when the peer closed with unread inbound bytes, with its last bytes
+    followed by ``ECONNRESET``; both run the reader's mid-frame check.
     """
 
     def __init__(self, sock: socket.socket,
@@ -380,6 +398,7 @@ class _SocketEndpoint:
             try:
                 data = self._sock.recv(1 << 16)
             except OSError as error:
+                self._reader.eof()  # raises WireDecodeError mid-frame
                 raise _EndpointClosed(
                     f"{type(error).__name__}: {error}") from error
             if not data:
@@ -459,23 +478,40 @@ class _GroupConn:
             self._pending.pop(cid, None)
 
     def send(self, frame: bytes) -> None:
-        """Write one frame; raises ``OSError``-family on a dead stream."""
-        with self._send_lock:
-            self.endpoint.send(frame)
+        """Write one frame; raises ``OSError``-family on a dead stream.
+
+        A failed write means the peer closed its end, so the reader is
+        about to run out of stream too.  It gets a moment to consume what
+        the peer left behind before the failure is reported (and the
+        connection discarded), so a stream torn mid-frame is counted as
+        the decode error it is whichever thread noticed first.
+        """
+        try:
+            with self._send_lock:
+                self.endpoint.send(frame)
+        except (OSError, ValueError):
+            self._reader.join(1.0)
+            raise
 
     def close(self, detail: str = "connection closed") -> None:
         self._fail(detail)
 
     def _fail(self, detail: str) -> None:
         with self._lock:
-            if self.dead is None:
+            first = self.dead is None
+            if first:
                 self.dead = detail
             pending = list(self._pending.values())
             self._pending.clear()
         for waiter in pending:
             waiter.error = detail
             waiter.event.set()
-        self.endpoint.close()
+        if first:
+            # Exactly once: the reader (stream ended) and a caller
+            # (timeout, discard, shutdown) can both get here, and a second
+            # close could hit a descriptor number the process has already
+            # handed to someone else.
+            self.endpoint.close()
 
     def _read_loop(self) -> None:
         pool = self._pool
@@ -515,12 +551,12 @@ class _GroupConn:
 
 
 class GroupAgentPool:
-    """N group-worker processes x M hosts each, behind one socket apiece.
+    """N group-worker processes x M hosts each, behind one connection
+    apiece.
 
-    The scale-out counterpart of
-    :class:`~repro.core.agentserver.AgentServerPool`: the same per-host
-    client API (``add_records``/``query``/``monitor_tick``/...) so the
-    cluster's mirrors and the executor's scatters work unchanged, plus
+    The controller-side handle of the worker plane: a per-host client
+    API (``add_records``/``query``/``monitor_tick``/...) for the
+    cluster's ingest mirrors and the executor's tree-edge scatters, plus
     the coalesced group API (``group_monitor_tick``/``group_query``/
     ``group_ping_state``) that packs one envelope per *group* instead of
     one frame per *host*.
@@ -532,9 +568,8 @@ class GroupAgentPool:
             sharding is :func:`shard_hosts`.
         transport: :data:`TRANSPORT_UNIX` (default - a listener in a
             private tempdir), :data:`TRANSPORT_TCP` (localhost, ephemeral
-            port) or :data:`TRANSPORT_PIPE` (the coalesced envelopes over
-            plain pipes: process mode's transport with socket mode's
-            batching).
+            port) or :data:`TRANSPORT_PIPE` (the same coalesced envelopes
+            over plain :mod:`multiprocessing` pipes; no listener).
         context: a :mod:`multiprocessing` context or start-method name.
         reply_timeout_s: optional deadline for a group's reply envelope;
             a timed-out group worker is killed (the multiplexed stream
@@ -799,16 +834,11 @@ class GroupAgentPool:
     def query(self, host: str, query,
               spec: Optional[wire.SubtreeSpec] = None) -> QueryResult:
         """Run ``query`` on ``host`` via its group's multiplexed
-        connection; returns the host's partial result (alarms piggyback
-        on ``result.alarms``, as in process mode)."""
-        key = self._key_for(host)
-        frame = wire.encode_query_request(query, spec)
-        replies, _reply_bytes, _sent = self._request(key, [(host, frame)])
-        reply = self._reply_for(key, replies, host)
-        kind = self._checked_decode(key, reply, wire.frame_type)
-        if kind == wire.MSG_ERROR:
-            detail = self._checked_decode(key, reply, wire.decode_error)
-            raise AgentServerError(f"agent server on {host}: {detail}")
+        connection; returns the host's partial result, its
+        ``wire_bytes`` the measured inner reply frame length.  Alarms the
+        worker had pending ride the reply on ``result.alarms`` - the
+        caller is responsible for dispatching them to the alarm bus."""
+        key, reply = self._ask(host, wire.encode_query_request(query, spec))
         return self._checked_decode(key, reply, wire.decode_result, query)
 
     def monitor_tick(self, host: str, now: float,
@@ -817,27 +847,13 @@ class GroupAgentPool:
         """Run one monitor check on ``host`` alone (the *naive* per-host
         path; :meth:`group_monitor_tick` is the coalesced one).  Returns
         ``(alarms, inner reply frame bytes)``."""
-        key = self._key_for(host)
-        frame = wire.encode_monitor_tick(now, threshold)
-        replies, _reply_bytes, _sent = self._request(key, [(host, frame)])
-        reply = self._reply_for(key, replies, host)
-        kind = self._checked_decode(key, reply, wire.frame_type)
-        if kind == wire.MSG_ERROR:
-            detail = self._checked_decode(key, reply, wire.decode_error)
-            raise AgentServerError(f"agent server on {host}: {detail}")
+        key, reply = self._ask(host, wire.encode_monitor_tick(now, threshold))
         return (self._checked_decode(key, reply, wire.decode_alarm_batch),
                 len(reply))
 
     def monitor_state(self, host: str) -> MonitorSnapshot:
         """Pull ``host``'s worker monitor-state snapshot."""
-        key = self._key_for(host)
-        replies, _reply_bytes, _sent = self._request(
-            key, [(host, wire.encode_monitor_pull())])
-        reply = self._reply_for(key, replies, host)
-        kind = self._checked_decode(key, reply, wire.frame_type)
-        if kind == wire.MSG_ERROR:
-            detail = self._checked_decode(key, reply, wire.decode_error)
-            raise AgentServerError(f"agent server on {host}: {detail}")
+        key, reply = self._ask(host, wire.encode_monitor_pull())
         return self._checked_decode(key, reply, wire.decode_monitor_state)
 
     def ping(self, host: str) -> int:
@@ -846,18 +862,12 @@ class GroupAgentPool:
 
     def ping_state(self, host: str) -> Tuple[int, int]:
         """Probe ``host``'s worker: ``(TIB records, monitor flows)``."""
-        key = self._key_for(host)
-        replies, _reply_bytes, _sent = self._request(
-            key, [(host, wire.encode_ping())])
-        reply = self._reply_for(key, replies, host)
+        key, reply = self._ask(host, wire.encode_ping())
         return self._checked_decode(key, reply, wire.decode_pong_state)
 
     def tier_stats(self, host: str) -> Dict[str, int]:
         """Pull ``host``'s two-tier stats off a liveness probe."""
-        key = self._key_for(host)
-        replies, _reply_bytes, _sent = self._request(
-            key, [(host, wire.encode_ping())])
-        reply = self._reply_for(key, replies, host)
+        key, reply = self._ask(host, wire.encode_ping())
         (total, monitor_flows, hot_records, hot_bytes, cold_records,
          cold_bytes) = self._checked_decode(key, reply,
                                             wire.decode_pong_tiers)
@@ -910,18 +920,11 @@ class GroupAgentPool:
         key = self._key_for(key)
         hosts = self.group_hosts(key)
         tick = wire.encode_monitor_tick(now, threshold)
-        entries = [(host, tick) for host in hosts]
-        replies, reply_bytes, sent = self._request(key, entries)
-        per_host: List[Tuple[str, List[Alarm]]] = []
-        for (host, _frame), (reply_host, reply) in zip(entries, replies):
-            if reply_host != host:
-                raise self._desynced(key, host, reply_host)
-            kind = self._checked_decode(key, reply, wire.frame_type)
-            if kind == wire.MSG_ERROR:
-                detail = self._checked_decode(key, reply, wire.decode_error)
-                raise AgentServerError(f"agent server on {host}: {detail}")
-            per_host.append((host, self._checked_decode(
-                key, reply, wire.decode_alarm_batch)))
+        replies, reply_bytes, sent = self._ask_group(
+            key, [(host, tick) for host in hosts])
+        per_host = [
+            (host, self._checked_decode(key, reply, wire.decode_alarm_batch))
+            for host, reply in zip(hosts, replies)]
         return per_host, reply_bytes, sent
 
     def group_query(self, key: str, query,
@@ -939,18 +942,11 @@ class GroupAgentPool:
         key = self._key_for(key)
         targets = tuple(hosts) if hosts is not None else self.group_hosts(key)
         frame = wire.encode_query_request(query, None)
-        entries = [(host, frame) for host in targets]
-        replies, reply_bytes, sent = self._request(key, entries)
-        results: List[Tuple[str, QueryResult]] = []
-        for (host, _frame), (reply_host, reply) in zip(entries, replies):
-            if reply_host != host:
-                raise self._desynced(key, host, reply_host)
-            kind = self._checked_decode(key, reply, wire.frame_type)
-            if kind == wire.MSG_ERROR:
-                detail = self._checked_decode(key, reply, wire.decode_error)
-                raise AgentServerError(f"agent server on {host}: {detail}")
-            results.append((host, self._checked_decode(
-                key, reply, wire.decode_result, query)))
+        replies, reply_bytes, sent = self._ask_group(
+            key, [(host, frame) for host in targets])
+        results = [
+            (host, self._checked_decode(key, reply, wire.decode_result, query))
+            for host, reply in zip(targets, replies)]
         return results, reply_bytes, sent
 
     def group_ping_state(self, key: str) -> Dict[str, Tuple[int, int]]:
@@ -958,15 +954,11 @@ class GroupAgentPool:
         host of ``key``; returns ``{host: (records, monitor flows)}``."""
         key = self._key_for(key)
         hosts = self.group_hosts(key)
-        entries = [(host, wire.encode_ping()) for host in hosts]
-        replies, _reply_bytes, _sent = self._request(key, entries)
-        states: Dict[str, Tuple[int, int]] = {}
-        for (host, _frame), (reply_host, reply) in zip(entries, replies):
-            if reply_host != host:
-                raise self._desynced(key, host, reply_host)
-            states[host] = self._checked_decode(key, reply,
-                                                wire.decode_pong_state)
-        return states
+        ping = wire.encode_ping()
+        replies, _reply_bytes, _sent = self._ask_group(
+            key, [(host, ping) for host in hosts])
+        return {host: self._checked_decode(key, reply, wire.decode_pong_state)
+                for host, reply in zip(hosts, replies)}
 
     # ----------------------------------------------------------- stats hooks
     def note_restart(self, reseed_ms: float) -> None:
@@ -1117,8 +1109,8 @@ class GroupAgentPool:
         if not waiter.event.wait(timeout):
             # The reply would still arrive eventually and desynchronise
             # nothing (it carries its cid) - but a wedged worker holds M
-            # hosts hostage; declare the whole group dead like a timed-out
-            # pipe worker.
+            # hosts hostage; declare the whole group dead: kill it and
+            # close the connection so every later exchange fails loudly.
             conn.discard(waiter.cid)
             self._kill_group_process(key)
             conn.close(f"group worker {key} timed out")
@@ -1141,12 +1133,31 @@ class GroupAgentPool:
                 supervise=supervise)
         return waiter.replies, waiter.reply_bytes, len(envelope)
 
-    def _reply_for(self, key: str, replies: List[Tuple[str, bytes]],
-                   host: str) -> bytes:
-        reply_host, reply = replies[0]
-        if reply_host != host:
-            raise self._desynced(key, host, reply_host)
-        return reply
+    def _ask_group(self, key: str, entries: Sequence[Tuple[str, bytes]]
+                   ) -> Tuple[List[bytes], int, int]:
+        """One correlated exchange whose every entry must be answered by
+        the host it addressed, and not with an error frame (a host-level
+        error fails the whole exchange - the group is the failure domain).
+        Returns ``(reply frames in entry order, reply envelope bytes,
+        request envelope bytes)``."""
+        replies, reply_bytes, sent = self._request(key, entries)
+        frames: List[bytes] = []
+        for (host, _frame), (reply_host, reply) in zip(entries, replies):
+            if reply_host != host:
+                raise self._desynced(key, host, reply_host)
+            kind = self._checked_decode(key, reply, wire.frame_type)
+            if kind == wire.MSG_ERROR:
+                detail = self._checked_decode(key, reply, wire.decode_error)
+                raise AgentServerError(f"agent server on {host}: {detail}")
+            frames.append(reply)
+        return frames, reply_bytes, sent
+
+    def _ask(self, host: str, frame: bytes) -> Tuple[str, bytes]:
+        """A single-entry exchange with ``host``'s worker; returns
+        ``(group key, reply frame)``."""
+        key = self._key_for(host)
+        replies, _reply_bytes, _sent = self._ask_group(key, [(host, frame)])
+        return key, replies[0]
 
     def _desynced(self, key: str, host: str,
                   reply_host: str) -> AgentServerError:
@@ -1216,25 +1227,29 @@ class GroupAgentPool:
                 process.kill()
             process.join(5.0)
 
-    def _reseed(self, key: str, seed, timeout_s: float = 30.0) -> None:
-        """Supervisor hook: replay ``seed`` (a
-        :class:`~repro.core.supervisor.GroupSeed`, or anything without a
-        ``seeds`` dict to restart the group empty) into ``key``'s fresh
-        worker over the new connection, then barrier on a coalesced ping.
+    def _reseed(self, key: str, seed: GroupSeed,
+                timeout_s: float = 30.0) -> None:
+        """Supervisor hook: replay ``seed`` (an empty one restarts the
+        group empty) into ``key``'s fresh worker over the new connection,
+        then barrier on a coalesced ping.
 
-        Per-host replay order matches the pipe pool exactly - retention
-        cap, record batches, monitor state, ping - but coalesced:
-        retention caps for the whole group ride one envelope, record
-        chunks batch across hosts up to the ingest chunk size, and one
-        ping envelope barriers every host at once.  A short count on any
-        host is a barrier miss failing the whole attempt.
+        Per-host replay order matches the startup sync exactly - retention
+        cap first (FIFO puts it in force before the snapshot streams in,
+        so the worker ages records into its own cold archive), record
+        batches, monitor state with its alerted latches, ping - but
+        coalesced: retention caps for the whole group ride one envelope,
+        record chunks batch across hosts up to the ingest chunk size, and
+        one ping envelope barriers every host at once.  A short count on
+        any host is a **ping-barrier miss** failing the whole attempt.
+        Failures here do not recurse into supervision
+        (``supervise=False``); the supervisor counts them against the
+        restart budget.
         """
         key = self._key_for(key)
         if self.chaos is not None:
             self.chaos.begin_reseed(key)
         hosts = self.group_hosts(key)
-        seeds: Dict[str, WorkerSeed] = dict(getattr(seed, "seeds", None)
-                                            or {})
+        seeds = seed.seeds
         retention = [(host, wire.encode_retention(*seeds[host].retention))
                      for host in hosts
                      if host in seeds and seeds[host].retention is not None]
@@ -1288,14 +1303,13 @@ class GroupAgentPool:
 class SocketTransport(ModelTransport):
     """The model transport bound to a group agent pool.
 
-    The socket-mode twin of
-    :class:`~repro.core.agentserver.ProcessTransport`: the executor's
-    request/response legs are priced by the same
-    :class:`~repro.core.rpc.RpcChannel` model (so modelled response times
-    stay comparable across modes), the *sizes* are the real encoded
-    envelope lengths the cluster measured, and the per-leaf work is the
-    real multiplexed socket exchange - its cost shows up in the measured
-    ``exec_s``/``wall_s``, not the model.
+    The executor's request/response legs are priced by the same
+    :class:`~repro.core.rpc.RpcChannel` model as :class:`ModelTransport`
+    (so modelled response times stay comparable across modes), the
+    *sizes* are the real encoded frame and envelope lengths the cluster
+    measured, and the per-leaf work is the real multiplexed exchange with
+    the worker - its cost shows up in the measured ``exec_s``/``wall_s``,
+    not the model.
     """
 
     def __init__(self, pool: GroupAgentPool,

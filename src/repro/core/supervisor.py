@@ -4,19 +4,19 @@ The paper's debugger only earns its keep when the fabric is misbehaving,
 so the agent plane itself must tolerate misbehaviour: before this module a
 worker that died (or merely hung) was killed once and every later query
 reported that host failed forever.  The :class:`Supervisor` closes that
-gap - it is attached to an :class:`~repro.core.agentserver.AgentServerPool`
-and, whenever an exchange with a worker fails (reply timeout, EOF,
+gap - it is attached to a :class:`~repro.core.groupserver.GroupAgentPool`
+and, whenever an exchange with a group worker fails (reply timeout, EOF,
 undecodable reply, ping-barrier miss during re-seed), it
 
 1. respawns the worker process with exponential backoff
    (:class:`RestartPolicy`),
-2. **re-seeds** the fresh worker from the local dual-write mirrors - the
-   retention cap, the TIB snapshot as record batches and the monitor state
-   including the at-most-once alerted latches, in exactly the startup-sync
-   order - and barriers on a ping before the worker serves anything, so a
-   restarted host answers later queries byte-identically to one that never
-   died;
-3. gives up once the per-host restart budget is exhausted: the circuit
+2. **re-seeds** the fresh worker from the local dual-write mirrors - per
+   host of the group, the retention cap, the TIB snapshot as record
+   batches and the monitor state including the at-most-once alerted
+   latches, in exactly the startup-sync order - and barriers on a ping
+   before the worker serves anything, so a restarted group answers later
+   queries byte-identically to one that never died;
+3. gives up once the per-group restart budget is exhausted: the circuit
    opens and the pool degrades to the pre-supervision dead-agent semantics
    (``partial`` / ``hosts_failed`` / ``W_HOST_FAILED``), surfaced through
    a ``W_CIRCUIT_OPEN`` warning and the pool's ``circuit_open`` counter.
@@ -40,8 +40,12 @@ the pool it kills workers at the Nth frame (also mid-re-seed), makes them
 hang *without* an EOF (the reply-timeout path), slows replies without
 killing anything, and truncates/garbage-fills/bit-flips reply frames to
 exercise the :class:`~repro.core.wire.WireDecodeError` path.  All choices
-are deterministic (seeded RNG, per-host frame counters) so chaos tests
+are deterministic (seeded RNG, per-group frame counters) so chaos tests
 reproduce run to run.
+
+Workers are keyed by the pool's *group key* (``group-N``) throughout -
+budgets, circuits, events, chaos schedules - in every worker mode
+(``mode="process"`` is groups of one host).
 """
 
 from __future__ import annotations
@@ -102,7 +106,8 @@ class RestartPolicy:
 
 @dataclass
 class WorkerSeed:
-    """State replayed into a fresh worker before it serves requests.
+    """One host's state replayed into a fresh worker before it serves
+    requests.
 
     Built from the *local* side of the dual-write mirrors (the cluster's
     ``seed_source``); because every ingest path writes locally before it
@@ -111,7 +116,7 @@ class WorkerSeed:
 
     Attributes:
         retention: ``(max_records, max_bytes)`` hot-tier bounds, or
-            ``None`` for an unbounded TIB.  Shipped first (pipe FIFO) so
+            ``None`` for an unbounded TIB.  Shipped first (FIFO) so
             the worker ages the snapshot into its own cold archive while
             it streams in.
         records: the TIB snapshot (both tiers, canonical id order).
@@ -128,29 +133,21 @@ class WorkerSeed:
 class GroupSeed:
     """Seeds for every host of a group worker, keyed by host.
 
-    The group pool's ``seed_source`` returns one of these; the supervisor
-    treats seeds as opaque (the pool's ``_reseed`` knows how to replay
-    them) and only counts records/flows for the restart event.
+    A ``seed_source`` returns one of these (hosts without an entry restart
+    empty); the pool's ``_reseed`` replays it, the supervisor only counts
+    records/flows for the restart event.
     """
 
     seeds: Dict[str, WorkerSeed] = field(default_factory=dict)
 
+    def record_count(self) -> int:
+        """TIB records across every host's seed."""
+        return sum(len(ws.records or ()) for ws in self.seeds.values())
 
-def _seed_record_count(seed) -> int:
-    """Records in a :class:`WorkerSeed` or :class:`GroupSeed`."""
-    seeds = getattr(seed, "seeds", None)
-    if seeds is not None:
-        return sum(len(ws.records or ()) for ws in seeds.values())
-    return len(seed.records or ())
-
-
-def _seed_flow_count(seed) -> int:
-    """Monitor flows in a :class:`WorkerSeed` or :class:`GroupSeed`."""
-    seeds = getattr(seed, "seeds", None)
-    if seeds is not None:
-        return sum(len(ws.monitor.flows) for ws in seeds.values()
+    def flow_count(self) -> int:
+        """Monitor flows across every host's seed."""
+        return sum(len(ws.monitor.flows) for ws in self.seeds.values()
                    if ws.monitor is not None)
-    return len(seed.monitor.flows) if seed.monitor is not None else 0
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,7 @@ class RestartEvent:
     """One supervision decision, kept on :attr:`Supervisor.events`.
 
     Attributes:
-        host: the worker's host.
+        host: the worker's group key (``group-N``).
         kind: one of the ``EVENT_*`` constants.
         reason: the failure that triggered supervision (exception text).
         attempt: which restart attempt this was (0 for a circuit that
@@ -183,24 +180,25 @@ class RestartEvent:
 class Supervisor:
     """Restart-with-recovery for agent-server workers.
 
-    Attach one to a pool (``AgentServerPool(..., supervisor=...)`` or
+    Attach one to a pool (``GroupAgentPool(..., supervisor=...)`` or
     ``QueryCluster(..., supervisor=...)``); the pool calls
-    :meth:`handle_failure` from its failure paths.  The supervisor is
-    deliberately pool-agnostic: it drives the pool through its
+    :meth:`handle_failure` from its failure paths.  The supervisor drives
+    the pool through its
     ``_respawn``/``_reseed``/``note_restart``/``note_circuit_open``
     surface and sources seeds through the injectable ``seed_source``
-    callable (the cluster wires this to its local agents).
+    callable (the cluster wires this to its local agents).  Every
+    ``host`` argument below is the worker's group key.
 
     Args:
         policy: restart budget and backoff (defaults to
             :class:`RestartPolicy`).
-        seed_source: ``host -> WorkerSeed`` used to rebuild a fresh
+        seed_source: ``group key -> GroupSeed`` used to rebuild a fresh
             worker's state; ``None`` restarts workers empty (standalone
             pools with no local mirror).
     """
 
     def __init__(self, policy: Optional[RestartPolicy] = None,
-                 seed_source: Optional[Callable[[str], WorkerSeed]] = None
+                 seed_source: Optional[Callable[[str], GroupSeed]] = None
                  ) -> None:
         self.policy = policy or RestartPolicy()
         self.seed_source = seed_source
@@ -280,7 +278,7 @@ class Supervisor:
             try:
                 pool._respawn(host)
                 source = self.seed_source
-                seed = source(host) if source is not None else WorkerSeed()
+                seed = source(host) if source is not None else GroupSeed()
                 pool._reseed(host, seed,
                              timeout_s=self.policy.reseed_timeout_s)
             except Exception as error:
@@ -298,8 +296,8 @@ class Supervisor:
             self._record(pool, host, RestartEvent(
                 host=host, kind=EVENT_RESTARTED, reason=reason,
                 attempt=attempt, reseed_ms=reseed_ms,
-                records=_seed_record_count(seed),
-                monitor_flows=_seed_flow_count(seed)))
+                records=seed.record_count(),
+                monitor_flows=seed.flow_count()))
             return True
 
     def _record(self, pool, host: str, event: RestartEvent) -> None:
@@ -335,8 +333,8 @@ def corrupt_frame(frame: bytes, mode: str, rng: random.Random) -> bytes:
 class ChaosPolicy:
     """Deterministic gray-failure injection for the agent-server plane.
 
-    Injected into a pool (``AgentServerPool(..., chaos=...)``) it sits on
-    the send/receive paths:
+    Injected into a pool (``GroupAgentPool(..., chaos=...)``) it sits on
+    the send/receive paths; ``host`` keys are group keys (``group-N``):
 
     * ``kill_at_frame={host: n}`` - kill the worker right before its
       ``n``-th outbound frame (crash mid-ingest, mid-scatter, ...);
@@ -362,14 +360,15 @@ class ChaosPolicy:
       frame - a length prefix promising more bytes than it sends - and
       close the connection, so the controller's
       :class:`~repro.core.wire.StreamFrameReader` sees a mid-frame
-      truncation (``WireDecodeError``) rather than a clean EOF.  On group
-      pools the key is the group key (``group-N``); the stalled-socket
-      twin is ``hang_at_frame`` + a pool reply timeout.  Fires once per
-      entry.
+      truncation (``WireDecodeError``) rather than a clean EOF.  The
+      stalled-socket twin is ``hang_at_frame`` + a pool reply timeout.
+      Fires once per entry.
 
-    Frame counters are per host and only protocol frames count (injected
-    fault frames do not), so scripts are deterministic.  ``injected``
-    records every action taken, for assertions.
+    Frame counters are per group and count the group's envelopes (one
+    "frame" on its connection, however many host frames it coalesces);
+    only protocol frames count (injected fault frames do not), so scripts
+    are deterministic.  ``injected`` records every action taken, for
+    assertions.
     """
 
     def __init__(self, kill_at_frame: Optional[Dict[str, int]] = None,

@@ -34,26 +34,31 @@ DEFAULT_CACHE_ENTRIES = 4096
 
 
 class TrajectoryCache:
-    """An LRU cache mapping ``(src_host, link IDs)`` to a constructed path.
+    """An LRU cache mapping ``(src_host, dst_host, link IDs)`` to a
+    constructed path.
 
     The cache exists because many flows from the same source traverse the
     same sampled links; hitting the cache avoids re-running the topology
     search for every evicted record.  Its effectiveness is quantified by the
-    cache ablation benchmark.
+    cache ablation benchmark.  The paper's per-host cache is keyed by
+    ``(srcIP, link IDs)`` because the destination is the host itself; the
+    destination is part of the key here so one cache can be shared by
+    several agents (two hosts under one ToR see the same source and
+    sampled links, but their paths end at different hosts).
     """
 
     def __init__(self, capacity: int = DEFAULT_CACHE_ENTRIES) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[str, Tuple[int, ...]], Tuple[str, ...]]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[str, str, Tuple[int, ...]], Tuple[str, ...]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def get(self, src_host: str,
+    def get(self, src_host: str, dst_host: str,
             link_ids: Sequence[int]) -> Optional[Tuple[str, ...]]:
         """Look up a cached path; updates hit/miss counters."""
-        key = (src_host, tuple(link_ids))
+        key = (src_host, dst_host, tuple(link_ids))
         path = self._entries.get(key)
         if path is None:
             self.misses += 1
@@ -62,10 +67,10 @@ class TrajectoryCache:
         self.hits += 1
         return path
 
-    def put(self, src_host: str, link_ids: Sequence[int],
+    def put(self, src_host: str, dst_host: str, link_ids: Sequence[int],
             path: Sequence[str]) -> None:
         """Insert a constructed path."""
-        key = (src_host, tuple(link_ids))
+        key = (src_host, dst_host, tuple(link_ids))
         self._entries[key] = tuple(path)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
@@ -83,8 +88,8 @@ class TrajectoryCache:
     def estimated_bytes(self) -> int:
         """Rough memory footprint of the cache."""
         total = 0
-        for (src, link_ids), path in self._entries.items():
-            total += len(src) + 8 * len(link_ids)
+        for (src, dst, link_ids), path in self._entries.items():
+            total += len(src) + len(dst) + 8 * len(link_ids)
             total += sum(len(node) + 2 for node in path)
         return total
 
@@ -244,7 +249,7 @@ class TrajectoryConstructor:
         """
         src = record.flow_id.src_ip
         dst = record.flow_id.dst_ip
-        path = self.cache.get(src, record.link_ids)
+        path = self.cache.get(src, dst, record.link_ids)
         if path is None:
             try:
                 reconstructed = self.reconstructor.reconstruct(
@@ -255,7 +260,7 @@ class TrajectoryConstructor:
                     self.on_invalid(record, error)
                 return None
             path = tuple(reconstructed.path)
-            self.cache.put(src, record.link_ids, path)
+            self.cache.put(src, dst, record.link_ids, path)
         self.constructed += 1
         return PathFlowRecord(
             flow_id=record.flow_id, path=tuple(path), stime=record.stime,

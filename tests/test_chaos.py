@@ -5,29 +5,28 @@ frame (including mid-re-seed), hang without EOF, slow-but-alive replies,
 corrupted reply frames - and these tests assert the supervised cluster
 recovers to *byte-identical* answers: queries, monitor sweeps and
 retention config all survive a worker dying mid-scatter, across serial /
-thread / process modes.
+thread / process modes.  Chaos schedules are keyed by group key; under
+``mode="process"`` (one host per group) ``server-N`` is ``group-N``.
 """
 
 import time
 
 import pytest
 
-from repro.core import (AgentServerError, AgentServerPool, MODE_CONCURRENT,
-                        MODE_PROCESS, MODE_SERIAL, Q_GET_FLOWS,
-                        Q_POOR_TCP_FLOWS, Q_TOP_K_FLOWS, Query, QueryCluster,
-                        wire)
+from repro.core import (AgentServerError, MODE_CONCURRENT, MODE_PROCESS,
+                        MODE_SERIAL, Q_GET_FLOWS, Q_POOR_TCP_FLOWS,
+                        Q_TOP_K_FLOWS, Query, QueryCluster, wire)
 from repro.core.supervisor import (CORRUPT_BITFLIP, CORRUPT_GARBAGE,
                                    CORRUPT_TRUNCATE, ChaosPolicy,
-                                   RestartPolicy, Supervisor, WorkerSeed,
-                                   corrupt_frame)
+                                   Supervisor, corrupt_frame)
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
-from test_supervisor import (FAST, kill_and_wait, populate, sample_records,
-                             small_topology)
+from test_supervisor import (FAST, kill_and_wait, pool_of, populate,
+                             sample_records, seed_of, small_topology)
 
-#: Frames the startup sync ships per (unbounded) host: one record batch,
-#: the monitor seed, and the barrier ping.  The first query lands at
-#: STARTUP_FRAMES + 1.
+#: Envelopes the startup sync ships to a one-host (unbounded) group: one
+#: record batch, the monitor seed, and the barrier ping.  The first query
+#: lands at STARTUP_FRAMES + 1.
 STARTUP_FRAMES = 3
 
 
@@ -43,7 +42,7 @@ class TestKillMidScatter:
     def test_retry_makes_the_failing_scatter_succeed(self):
         """With one executor retry, even the scatter whose worker dies
         mid-flight returns a full, byte-identical payload."""
-        chaos = ChaosPolicy(kill_at_frame={"server-1": STARTUP_FRAMES + 1})
+        chaos = ChaosPolicy(kill_at_frame={"group-1": STARTUP_FRAMES + 1})
         with supervised_cluster(chaos=chaos) as cluster:
             reference = wire.encode_value(
                 cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 1000})).payload)
@@ -58,7 +57,7 @@ class TestKillMidScatter:
         """The acceptance property: after a mid-scatter kill and recovery,
         a repeat of the same query matches a never-killed run in every
         execution mode."""
-        chaos = ChaosPolicy(kill_at_frame={"server-2": STARTUP_FRAMES + 1})
+        chaos = ChaosPolicy(kill_at_frame={"group-2": STARTUP_FRAMES + 1})
         query = Query(Q_GET_FLOWS, {})
         with QueryCluster(small_topology()) as pristine:
             populate(pristine)
@@ -101,7 +100,7 @@ class TestKillMidScatter:
         """A worker killed while an ingest batch is being mirrored: the
         local write already happened, the restart re-seeds it, and the
         mirror stays attached without double-counting."""
-        chaos = ChaosPolicy(kill_at_frame={"server-0": STARTUP_FRAMES + 1})
+        chaos = ChaosPolicy(kill_at_frame={"group-0": STARTUP_FRAMES + 1})
         with supervised_cluster(chaos=chaos, records_per_host=5) as cluster:
             cluster.configure_executor(mode=MODE_PROCESS)
             victim = "server-0"
@@ -122,7 +121,7 @@ class TestRetentionSurvival:
         """A worker killed while the retention cap is being shipped: the
         restart replays the (already locally applied) cap, so worker and
         local tiers stay identical."""
-        chaos = ChaosPolicy(kill_at_frame={"server-3": STARTUP_FRAMES + 1})
+        chaos = ChaosPolicy(kill_at_frame={"group-3": STARTUP_FRAMES + 1})
         with supervised_cluster(chaos=chaos) as cluster:
             cluster.configure_executor(mode=MODE_PROCESS)
             cluster.configure_retention(max_records=10)
@@ -148,7 +147,7 @@ class TestRetentionSurvival:
         """A fresh worker killed *mid-re-seed* (here: at the retention
         frame of the replay) fails that attempt; the next attempt
         completes and the worker still honors the cap."""
-        chaos = ChaosPolicy(kill_at_reseed_frame={"server-1": 1})
+        chaos = ChaosPolicy(kill_at_reseed_frame={"group-1": 1})
         with supervised_cluster(chaos=chaos) as cluster:
             cluster.configure_retention(max_records=10)  # before start
             cluster.configure_executor(mode=MODE_PROCESS)
@@ -158,9 +157,10 @@ class TestRetentionSurvival:
             with pytest.raises(AgentServerError):
                 pool.ping(victim)
             supervisor = cluster.supervisor
-            kinds = [e.kind for e in supervisor.events if e.host == victim]
+            kinds = [e.kind for e in supervisor.events
+                     if e.host == "group-1"]
             assert kinds == ["restart_failed", "restarted"]
-            assert supervisor.restart_count(victim) == 2
+            assert supervisor.restart_count("group-1") == 2
             stats = pool.tier_stats(victim)
             assert stats["hot_records"] == 10
             assert stats["total_records"] == \
@@ -172,12 +172,11 @@ class TestGrayWorkerFaults:
         """The canonical gray failure: the worker is alive but wedged.  No
         EOF ever comes - only the reply timeout detects it, and the
         supervisor replaces the worker."""
-        chaos = ChaosPolicy(hang_at_frame={"a": 2}, hang_s=30.0)
+        chaos = ChaosPolicy(hang_at_frame={"group-0": 2}, hang_s=30.0)
         supervisor = Supervisor(
-            policy=FAST, seed_source=lambda host: WorkerSeed(
-                records=sample_records(host)))
-        with AgentServerPool(["a"], reply_timeout_s=0.2, supervisor=supervisor,
-                             chaos=chaos) as pool:
+            policy=FAST, seed_source=seed_of({"a": sample_records("a")}))
+        with pool_of(["a"], reply_timeout_s=0.2, supervisor=supervisor,
+                     chaos=chaos) as pool:
             assert pool.ping("a") == 0  # frame 1
             started = time.monotonic()
             with pytest.raises(AgentServerError, match="did not reply"):
@@ -204,11 +203,11 @@ class TestGrayWorkerFaults:
         """A corrupt reply frame means protocol desync: the worker is
         killed like a timed-out one, counted, and (supervised) replaced."""
         records = sample_records("a")
-        chaos = ChaosPolicy(corrupt_reply_at={"a": 2}, corrupt_mode=mode)
-        supervisor = Supervisor(
-            policy=FAST, seed_source=lambda host: WorkerSeed(records=records))
-        with AgentServerPool(["a"], supervisor=supervisor,
-                             chaos=chaos) as pool:
+        chaos = ChaosPolicy(corrupt_reply_at={"group-0": 2},
+                            corrupt_mode=mode)
+        supervisor = Supervisor(policy=FAST,
+                                seed_source=seed_of({"a": records}))
+        with pool_of(["a"], supervisor=supervisor, chaos=chaos) as pool:
             pool.add_records("a", records)
             assert pool.ping("a") == 5  # reply 1
             with pytest.raises(AgentServerError, match="undecodable reply"):
@@ -221,11 +220,12 @@ class TestGrayWorkerFaults:
     def test_bitflip_reply_decodes_or_raises_agent_error(self):
         """A single flipped bit may or may not break the decode; the
         contract is it surfaces as a result or AgentServerError - never a
-        raw struct/index error."""
+        raw struct/index error.  (A flip in the envelope's correlation id
+        orphans the reply; the reply deadline is what reports that one.)"""
         for seed in range(8):
-            chaos = ChaosPolicy(corrupt_reply_at={"a": 1},
+            chaos = ChaosPolicy(corrupt_reply_at={"group-0": 1},
                                 corrupt_mode=CORRUPT_BITFLIP, seed=seed)
-            with AgentServerPool(["a"], chaos=chaos) as pool:
+            with pool_of(["a"], chaos=chaos, reply_timeout_s=0.5) as pool:
                 try:
                     pool.query("a", Query(Q_GET_FLOWS, {}))
                 except AgentServerError:
@@ -264,7 +264,7 @@ class TestUnsupervisedDegradation:
 
     def test_poor_tcp_flows_recovers_with_supervision(self):
         """The monitor-backed query that is permanently partial on an
-        unsupervised pool (see test_process_mode) heals here."""
+        unsupervised pool (see test_worker_plane) heals here."""
         with supervised_cluster() as cluster:
             cluster.configure_executor(mode=MODE_PROCESS)
             victim = cluster.hosts[0]

@@ -21,9 +21,8 @@ from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import ColdArchive, PathFlowRecord, RetentionPolicy, ScanSpec
 from repro.storage.records import flow_key
 from test_chaos import STARTUP_FRAMES
-from test_supervisor import FAST
-from test_two_tier_tib import (HOT_CAP, make_record, populate, record_values,
-                               small_topology)
+from test_supervisor import FAST, small_topology
+from test_two_tier_tib import HOT_CAP, make_record, populate, record_values
 
 
 class TestScanSpec:
@@ -357,7 +356,7 @@ class TestClusterParallelIdentity:
             reference = wire.encode_value(plain.execute(query).payload)
         # retention adds one startup frame per host; the kill lands on the
         # first mirrored ingest batch after the pool is up.
-        chaos = ChaosPolicy(kill_at_frame={"server-1": STARTUP_FRAMES + 2})
+        chaos = ChaosPolicy(kill_at_frame={"group-1": STARTUP_FRAMES + 2})
         cluster = QueryCluster(small_topology(), supervisor=Supervisor(FAST),
                                chaos=chaos,
                                retention=RetentionPolicy(max_records=8))

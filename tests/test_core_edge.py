@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import (ActiveMonitor, Alarm, AlarmBus, EdgeVSwitch,
-                        POOR_PERF, TrajectoryCache, TrajectoryConstructor,
-                        TrajectoryMemory)
+                        POOR_PERF, QueryCluster, TrajectoryCache,
+                        TrajectoryConstructor, TrajectoryMemory)
 from repro.network.packet import FlowId, PROTO_TCP, make_tcp_packet
 from repro.storage.records import TrajectoryMemoryRecord
 from repro.tracing import PathReconstructor
@@ -49,12 +49,12 @@ class TestTrajectoryMemory:
 class TestTrajectoryCache:
     def test_lru_eviction_and_hit_ratio(self):
         cache = TrajectoryCache(capacity=2)
-        cache.put("h1", [1], ["a", "b"])
-        cache.put("h1", [2], ["a", "c"])
-        assert cache.get("h1", [1]) == ("a", "b")
-        cache.put("h1", [3], ["a", "d"])  # evicts [2] (LRU)
-        assert cache.get("h1", [2]) is None
-        assert cache.get("h1", [1]) is not None
+        cache.put("h1", "b", [1], ["a", "b"])
+        cache.put("h1", "c", [2], ["a", "c"])
+        assert cache.get("h1", "b", [1]) == ("a", "b")
+        cache.put("h1", "d", [3], ["a", "d"])  # evicts [2] (LRU)
+        assert cache.get("h1", "c", [2]) is None
+        assert cache.get("h1", "b", [1]) is not None
         assert 0 < cache.hit_ratio < 1
         assert cache.estimated_bytes() > 0
 
@@ -77,6 +77,23 @@ class TestTrajectoryConstructor:
         # Second construction hits the cache.
         constructor.construct(memory_record)
         assert constructor.cache.hits == 1
+
+    def test_shared_cache_keeps_destinations_apart(self, fattree4,
+                                                   fattree4_assignment):
+        """Two destinations under one ToR see the same source and sampled
+        links; sharing a cache (``QueryCluster(shared_cache=True)``) must
+        not hand one host the other's path."""
+        destinations = ("h-2-0-0", "h-2-0-1")
+        cluster = QueryCluster(fattree4, fattree4_assignment,
+                               hosts=destinations, shared_cache=True)
+        first, second = (cluster.agent(dst).constructor
+                         for dst in destinations)
+        assert first.cache is second.cache
+        link_id = fattree4_assignment.lookup("agg-0-0", "core-0-0")
+        for constructor, dst in zip((first, second), destinations):
+            record = constructor.construct(TrajectoryMemoryRecord(
+                _flow(dst=dst), (link_id,), 0.0, 1.0, 500, 5))
+            assert record.path[0] == "h-0-0-0" and record.path[-1] == dst
 
     def test_invalid_samples_reported(self, fattree4, fattree4_assignment):
         invalid = []

@@ -25,24 +25,10 @@ from repro.core.executor import W_HOST_FAILED
 from repro.core.monitor import ActiveMonitor
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
-from repro.topology.graph import ROLE_AGGREGATE, ROLE_EDGE, Topology
+from test_supervisor import kill_and_wait, small_topology
 
 NUM_HOSTS = 4
 ALL_MODES = (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS)
-
-
-def small_topology(num_hosts=NUM_HOSTS):
-    topo = Topology(name=f"mini-{num_hosts}")
-    topo.add_switch("spine-0", ROLE_AGGREGATE, index=0)
-    tors = (num_hosts + 1) // 2
-    for t in range(tors):
-        topo.add_switch(f"leaf-{t}", ROLE_EDGE, pod=t, index=t)
-        topo.add_link(f"leaf-{t}", "spine-0")
-    for h in range(num_hosts):
-        host = f"server-{h}"
-        topo.add_host(host, pod=h // 2, index=h)
-        topo.add_link(host, f"leaf-{h // 2}")
-    return topo
 
 
 def _flow(src, dst, port):
@@ -213,11 +199,7 @@ class TestObservationMirror:
     def test_dead_worker_detaches_observation_mirror(self, process_cluster):
         host = process_cluster.hosts[0]
         agent = process_cluster.agent(host)
-        pool = process_cluster.agent_servers
-        pool.kill(host)
-        deadline = time.monotonic() + 2.0
-        while pool.alive(host) and time.monotonic() < deadline:
-            time.sleep(0.01)
+        kill_and_wait(process_cluster.agent_servers, host)
         for _ in range(3):  # first sends may still land in the OS buffer
             agent.monitor.observe_flow(_flow(host, "x", 1),
                                        retransmissions=9, consecutive=9)
@@ -232,14 +214,11 @@ class TestAlarmStreamIdentity:
         streams = {}
         buses = {}
         for mode in ALL_MODES:
-            cluster = make_cluster(mode)
-            try:
+            with make_cluster(mode) as cluster:
                 sweep = cluster.run_monitors(7.5)
                 assert not sweep.partial
                 streams[mode] = alarm_stream_bytes(sweep)
                 buses[mode] = alarm_stream_bytes(cluster.alarm_bus.alarms)
-            finally:
-                cluster.close()
         assert streams[MODE_SERIAL] == streams[MODE_CONCURRENT]
         assert streams[MODE_SERIAL] == streams[MODE_PROCESS]
         assert buses[MODE_SERIAL] == buses[MODE_PROCESS]
@@ -253,14 +232,11 @@ class TestAlarmStreamIdentity:
         and still returns byte-identical payloads."""
         payloads = {}
         for mode in ALL_MODES:
-            cluster = make_cluster(mode)
-            try:
+            with make_cluster(mode) as cluster:
                 result = cluster.execute(Query(Q_POOR_TCP_FLOWS, {}),
                                          mechanism=mechanism)
                 assert not result.partial
                 payloads[mode] = wire.encode_value(result.payload)
-            finally:
-                cluster.close()
         assert payloads[MODE_SERIAL] == payloads[MODE_CONCURRENT]
         assert payloads[MODE_SERIAL] == payloads[MODE_PROCESS]
         assert payloads[MODE_SERIAL] != wire.encode_value([])
@@ -271,16 +247,13 @@ class TestAlarmStreamIdentity:
         serial in-process run produces."""
         streams = {}
         for mode in (MODE_SERIAL, MODE_PROCESS):
-            cluster = make_cluster(mode)
-            try:
+            with make_cluster(mode) as cluster:
                 result = cluster.execute(Query(Q_PATH_CONFORMANCE,
                                                {"max_hops": 0}),
                                          mechanism=MECHANISM_MULTILEVEL)
                 assert result.payload and not result.partial
                 streams[mode] = alarm_stream_bytes(
                     cluster.alarm_bus.by_reason(PC_FAIL))
-            finally:
-                cluster.close()
         assert streams[MODE_SERIAL] == streams[MODE_PROCESS]
         assert streams[MODE_SERIAL] != wire.encode_alarm_batch([])
 
@@ -305,16 +278,20 @@ class TestAlarmStreamIdentity:
 
 
 class TestMeasuredAlarmTraffic:
-    def test_sweep_traffic_is_sum_of_encoded_frames(self, process_cluster):
-        """A monitor sweep's traffic is exactly: one encoded tick frame per
-        host out, plus each host's measured alarm-batch reply."""
+    def test_sweep_traffic_is_sum_of_encoded_envelopes(self,
+                                                       process_cluster):
+        """A monitor sweep's traffic is exactly: one tick envelope per
+        worker out, plus each worker's measured alarm-batch reply envelope
+        (process mode: one single-entry envelope per host each way)."""
         sweep = process_cluster.run_monitors(4.0)
         assert not sweep.partial
-        tick = len(wire.encode_monitor_tick(4.0, None))
+        tick = wire.encode_monitor_tick(4.0, None)
         expected = 0
         for host in process_cluster.hosts:
             host_alarms = [a for a in sweep if a.host == host]
-            expected += tick + len(wire.encode_alarm_batch(host_alarms))
+            reply = wire.encode_alarm_batch(host_alarms)
+            expected += len(wire.encode_group_batch(1, [(host, tick)]))
+            expected += len(wire.encode_group_batch(1, [(host, reply)]))
         assert sweep.traffic_bytes == expected
         assert sweep.mode == MODE_PROCESS
 
@@ -364,7 +341,7 @@ class TestWorkerFailureMidTick:
         assert sweep.partial
         assert sweep.hosts_failed == [victim]
         warning = next(w for w in sweep.warnings if w.code == W_HOST_FAILED)
-        assert warning.host == victim
+        assert warning.host == "group-2"  # the victim's worker
         assert "AgentServerError" in warning.detail
         # Survivors' alarms all arrived; the victim contributed none.
         hosts_alerting = {a.host for a in sweep}
@@ -401,11 +378,7 @@ class TestWorkerFailureMidTick:
     def test_dead_worker_tick_then_recovery_not_required(self,
                                                          process_cluster):
         victim = process_cluster.hosts[0]
-        pool = process_cluster.agent_servers
-        pool.kill(victim)
-        deadline = time.monotonic() + 2.0
-        while pool.alive(victim) and time.monotonic() < deadline:
-            time.sleep(0.01)
+        kill_and_wait(process_cluster.agent_servers, victim)
         sweep = process_cluster.run_monitors(1.0)
         assert sweep.partial and victim in sweep.hosts_failed
         assert sweep  # everyone else still alerted

@@ -18,13 +18,12 @@ from repro.core import (MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
                         MODE_CONCURRENT, MODE_PROCESS, MODE_SERIAL,
                         MODE_SOCKET, Q_GET_COUNT, Q_GET_COUNT_LEGACY,
                         Q_PLAN, Q_TOP_K_FLOWS, Q_TOP_K_FLOWS_LEGACY, Query,
-                        QueryCluster, wire)
+                        wire)
 from repro.core import plan as planlib
 from repro.core.executor import W_HOST_FAILED
 from repro.core.plan import Aggregate, Filter, Plan, TopK
 from repro.network.packet import FlowId, PROTO_TCP
-from test_process_mode import populate, small_topology
-from test_socket_mode import NUM_HOSTS, socket_cluster
+from test_worker_plane import NUM_HOSTS, worker_cluster
 
 #: A flow ``populate`` actually installs (src is the next host around the
 #: ring, sport counts up from 30_000), plus a link on its path.
@@ -59,20 +58,11 @@ RAW_PLANS = [
 def run_all_modes(query, mechanism):
     """Execute ``query`` in all four modes; return {mode: result}."""
     results = {}
-    for mode in (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS):
-        cluster = QueryCluster(small_topology(NUM_HOSTS), mode=MODE_SERIAL)
-        populate(cluster)
-        cluster.configure_executor(mode=mode)
-        try:
+    for mode in (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS, MODE_SOCKET):
+        with worker_cluster(mode) as cluster:
             result = cluster.execute(query, mechanism=mechanism)
             assert not result.partial
             results[mode] = result
-        finally:
-            cluster.close()
-    with socket_cluster() as cluster:
-        result = cluster.execute(query, mechanism=mechanism)
-        assert not result.partial
-        results[MODE_SOCKET] = result
     return results
 
 
@@ -113,45 +103,32 @@ class TestRawPlansAcrossModes:
         """The distributed merge of a keyed plan equals merging each
         host's local execution with the plan's own merge operator."""
         plan = RAW_PLANS[2]
-        cluster = QueryCluster(small_topology(NUM_HOSTS))
-        populate(cluster)
-        try:
+        with worker_cluster(MODE_SERIAL) as cluster:
             outcome = cluster.execute(Query(Q_PLAN, {"plan": plan}))
             payloads = [planlib.execute_plan(cluster.agent(host).tib,
                                              plan).payload
                         for host in cluster.hosts]
             assert wire.encode_value(outcome.payload) == \
                 wire.encode_value(planlib.merge_payloads(plan, payloads))
-        finally:
-            cluster.close()
 
 
 class TestScanStatsSurface:
     def test_process_mode_result_carries_summed_scan_stats(self):
         """Per-host pushdown counters cross the worker pipe inside
         MSG_PLAN_RESULT and sum on the distributed result."""
-        cluster = QueryCluster(small_topology(NUM_HOSTS))
-        populate(cluster)
-        cluster.configure_executor(mode=MODE_PROCESS)
-        try:
+        with worker_cluster(MODE_PROCESS) as cluster:
             plan = Plan(ops=(Filter(start=2.0, end=20.0),
                              Aggregate(func="count")))
             outcome = cluster.execute(Query(Q_PLAN, {"plan": plan}))
             assert outcome.scan_stats["hot_time_routed"] == NUM_HOSTS
             assert outcome.scan_stats["hot_full_scans"] == 0
-        finally:
-            cluster.close()
 
     def test_legacy_builtins_carry_no_scan_stats(self):
         """The rebased built-ins keep their ancestors' result shape -
         scan statistics are a Q_PLAN-only surface."""
-        cluster = QueryCluster(small_topology(NUM_HOSTS))
-        populate(cluster)
-        try:
+        with worker_cluster(MODE_SERIAL) as cluster:
             outcome = cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 5}))
             assert outcome.scan_stats == {}
-        finally:
-            cluster.close()
 
 
 class TestWorkerFailureMidPlan:
@@ -159,10 +136,7 @@ class TestWorkerFailureMidPlan:
         """A worker killed with a plan in flight surfaces exactly like a
         dead in-thread agent: partial=True, the host in hosts_failed, a
         W_HOST_FAILED warning - and the survivors' groups intact."""
-        cluster = QueryCluster(small_topology(NUM_HOSTS))
-        populate(cluster)
-        cluster.configure_executor(mode=MODE_PROCESS)
-        try:
+        with worker_cluster(MODE_PROCESS) as cluster:
             victim = cluster.hosts[2]
             pool = cluster.agent_servers
             pool.stall(victim, 5.0)
@@ -180,9 +154,7 @@ class TestWorkerFailureMidPlan:
             assert result.hosts_failed == [victim]
             warning = next(w for w in result.warnings
                            if w.code == W_HOST_FAILED)
-            assert warning.host == victim
+            assert warning.host == "group-2"  # the victim's worker
             # Survivors' flows all present, the victim's missing.
             keys = {key for _, key in result.payload}
             assert keys and not any(f"|{victim}:" in key for key in keys)
-        finally:
-            cluster.close()

@@ -137,7 +137,7 @@ class TestCacheProperties:
     def test_cache_never_exceeds_capacity(self, operations, capacity):
         cache = TrajectoryCache(capacity=capacity)
         for src, link in operations:
-            cache.put(f"h{src}", [link], [f"n{link}"])
+            cache.put(f"h{src}", "dst", [link], [f"n{link}"])
             assert len(cache) <= capacity
 
 

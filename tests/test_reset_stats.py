@@ -3,7 +3,7 @@
 Each test pins one counter family surfaced by the static analyzer's
 reset-completeness audit: the PR 5/7 two-tier counters (write-behind,
 decode cache, pruning) travelling through ``tier_stats``, the PR 6
-supervision counters on ``PoolStats``, the chaos harness's injection
+supervision counters on ``GroupPoolStats``, the chaos harness's injection
 counters (which had *no* reset path before the audit), and the
 introspective contract that every numeric field of a stats dataclass is
 re-zeroed - so adding a counter without extending ``reset()`` fails here
@@ -13,7 +13,7 @@ before it silently poisons a measurement interval.
 import dataclasses
 
 from repro.core import Tib
-from repro.core.agentserver import PoolStats
+from repro.core.groupserver import GroupPoolStats
 from repro.core.rpc import RpcStats
 from repro.core.supervisor import ChaosPolicy
 from repro.storage import RetentionPolicy
@@ -36,10 +36,10 @@ def _assert_dataclass_reset_zeroes_everything(stats) -> None:
 
 class TestStatsDataclasses:
     def test_pool_stats_reset_covers_every_field(self):
-        # Introspective: a counter added to PoolStats without a matching
-        # line in reset() (restarts/reseed_ms/... were added in PR 6)
-        # fails here by construction.
-        _assert_dataclass_reset_zeroes_everything(PoolStats())
+        # Introspective: a counter added to GroupPoolStats without a
+        # matching line in reset() (restarts/reseed_ms/... were added in
+        # PR 6) fails here by construction.
+        _assert_dataclass_reset_zeroes_everything(GroupPoolStats())
 
     def test_rpc_stats_reset_covers_every_field(self):
         _assert_dataclass_reset_zeroes_everything(RpcStats())

@@ -5,18 +5,22 @@ a killed worker, restart budgets and the circuit breaker, the budget-0
 regression lock (a supervised pool with no budget behaves byte-for-byte
 like an unsupervised one), reply-timeout-triggered recovery, idempotent
 pool teardown, and the cluster-level recovery surface (warnings, counters,
-``recovery_report``).
+``recovery_report``).  Supervision is keyed by the pool's group key; the
+pools here are one pipe worker per host (the ``mode="process"`` shape), so
+``server-N``/the N-th host is ``group-N``.
 """
 
 import time
 
 import pytest
 
-from repro.core import (AgentServerError, AgentServerPool, MODE_PROCESS,
-                        Q_GET_FLOWS, Query, QueryCluster, wire)
+from repro.core import (AgentServerError, GroupAgentPool, MODE_PROCESS,
+                        Q_GET_FLOWS, Query, QueryCluster, TRANSPORT_PIPE,
+                        wire)
 from repro.core.executor import W_WORKER_RESTARTED, W_CIRCUIT_OPEN
 from repro.core.supervisor import (EVENT_CIRCUIT_OPEN, EVENT_RESTARTED,
-                                   RestartPolicy, Supervisor, WorkerSeed)
+                                   GroupSeed, RestartPolicy, Supervisor,
+                                   WorkerSeed)
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
 from repro.topology.graph import ROLE_AGGREGATE, ROLE_EDGE, Topology
@@ -58,6 +62,25 @@ def sample_records(host, count=5):
             for i in range(count)]
 
 
+def pool_of(hosts, **kwargs):
+    """A standalone pool of one pipe worker per host."""
+    return GroupAgentPool(hosts, group_count=len(hosts),
+                          transport=TRANSPORT_PIPE, **kwargs)
+
+
+def group_key(pool, host):
+    """The supervision/chaos key of the worker serving ``host``."""
+    return next(key for key in pool.group_keys()
+                if host in pool.group_hosts(key))
+
+
+def seed_of(records_by_host):
+    """A ``seed_source`` replaying ``{host: records}`` into any group."""
+    return lambda key: GroupSeed(seeds={
+        host: WorkerSeed(records=records)
+        for host, records in records_by_host.items()})
+
+
 def kill_and_wait(pool, host, timeout=2.0):
     pool.kill(host)
     deadline = time.monotonic() + timeout
@@ -84,14 +107,14 @@ class TestRestartPolicy:
 
     def test_budget_zero_means_no_recovery(self):
         supervisor = Supervisor(policy=RestartPolicy(max_restarts=0))
-        with AgentServerPool(["a"], supervisor=supervisor) as pool:
+        with pool_of(["a"], supervisor=supervisor) as pool:
             kill_and_wait(pool, "a")
             with pytest.raises(AgentServerError):
                 for _ in range(3):  # first send may hit the OS buffer
                     pool.ping("a")
                     time.sleep(0.05)
-            assert supervisor.circuit_open("a")
-            assert supervisor.restart_count("a") == 0
+            assert supervisor.circuit_open("group-0")
+            assert supervisor.restart_count("group-0") == 0
             assert pool.stats.restarts == 0
             assert pool.stats.circuit_open == 1
 
@@ -99,9 +122,9 @@ class TestRestartPolicy:
 class TestStandaloneRecovery:
     def test_killed_worker_is_restarted_and_reseeded(self):
         records = sample_records("a")
-        supervisor = Supervisor(
-            policy=FAST, seed_source=lambda host: WorkerSeed(records=records))
-        with AgentServerPool(["a"], supervisor=supervisor) as pool:
+        supervisor = Supervisor(policy=FAST,
+                                seed_source=seed_of({"a": records}))
+        with pool_of(["a"], supervisor=supervisor) as pool:
             pool.add_records("a", records)
             assert pool.ping("a") == len(records)
             kill_and_wait(pool, "a")
@@ -114,14 +137,15 @@ class TestStandaloneRecovery:
             assert pool.healthy("a")
             assert pool.stats.restarts == 1
             assert pool.stats.reseed_ms > 0.0
-            assert supervisor.restart_count("a") == 1
+            assert supervisor.restart_count("group-0") == 1
             event = supervisor.events[-1]
             assert event.kind == EVENT_RESTARTED
+            assert event.host == "group-0"
             assert event.records == len(records)
 
     def test_restart_without_seed_source_starts_empty(self):
         supervisor = Supervisor(policy=FAST)
-        with AgentServerPool(["a"], supervisor=supervisor) as pool:
+        with pool_of(["a"], supervisor=supervisor) as pool:
             pool.add_records("a", sample_records("a"))
             assert pool.ping("a") == 5
             kill_and_wait(pool, "a")
@@ -131,7 +155,7 @@ class TestStandaloneRecovery:
 
     def test_reply_timeout_triggers_recovery(self):
         supervisor = Supervisor(policy=FAST)
-        with AgentServerPool(["a"], reply_timeout_s=0.1,
+        with pool_of(["a"], reply_timeout_s=0.1,
                              supervisor=supervisor) as pool:
             pool.stall("a", 5.0)
             with pytest.raises(AgentServerError, match="did not reply"):
@@ -151,13 +175,13 @@ class TestStandaloneRecovery:
         supervisor = Supervisor(policy=RestartPolicy(
             max_restarts=2, backoff_base_s=0.01, backoff_max_s=0.02),
             seed_source=bad_seed)
-        with AgentServerPool(["a"], supervisor=supervisor) as pool:
+        with pool_of(["a"], supervisor=supervisor) as pool:
             kill_and_wait(pool, "a")
             with pytest.raises(AgentServerError):
                 pool.ping("a")
-            assert supervisor.circuit_open("a")
-            assert supervisor.open_circuits() == ["a"]
-            assert supervisor.restart_count("a") == 2
+            assert supervisor.circuit_open("group-0")
+            assert supervisor.open_circuits() == ["group-0"]
+            assert supervisor.restart_count("group-0") == 2
             assert not pool.healthy("a")
             assert pool.stats.circuit_open == 1
             kinds = [e.kind for e in supervisor.events]
@@ -166,13 +190,14 @@ class TestStandaloneRecovery:
             # Further failures degrade immediately, without new attempts.
             with pytest.raises(AgentServerError):
                 pool.ping("a")
-            assert supervisor.restart_count("a") == 2
+            assert supervisor.restart_count("group-0") == 2
 
     def test_budget_zero_error_text_matches_unsupervised(self):
         """Regression lock: with the budget at 0, the supervised pool's
         failure is *textually identical* to the unsupervised one."""
         def failure_text(pool):
             kill_and_wait(pool, "a")
+            time.sleep(0.05)  # let the connection's reader see the EOF
             last = None
             for _ in range(5):  # the first sends may hit the OS buffer
                 try:
@@ -184,31 +209,31 @@ class TestStandaloneRecovery:
             assert last is not None
             return last
 
-        with AgentServerPool(["a"]) as plain:
+        with pool_of(["a"]) as plain:
             baseline = failure_text(plain)
         supervisor = Supervisor(policy=RestartPolicy(max_restarts=0))
-        with AgentServerPool(["a"], supervisor=supervisor) as locked:
+        with pool_of(["a"], supervisor=supervisor) as locked:
             degraded = failure_text(locked)
         assert degraded == baseline
 
     def test_supervisor_reset_closes_circuits(self):
         supervisor = Supervisor(policy=RestartPolicy(max_restarts=0))
-        with AgentServerPool(["a"], supervisor=supervisor) as pool:
+        with pool_of(["a"], supervisor=supervisor) as pool:
             kill_and_wait(pool, "a")
             with pytest.raises(AgentServerError):
                 pool.ping("a")
-            assert supervisor.circuit_open("a")
+            assert supervisor.circuit_open("group-0")
             supervisor.reset()
-            assert not supervisor.circuit_open("a")
+            assert not supervisor.circuit_open("group-0")
             assert supervisor.events == []
-            assert supervisor.restart_count("a") == 0
+            assert supervisor.restart_count("group-0") == 0
 
     def test_observers_see_every_event(self):
         seen = []
         supervisor = Supervisor(policy=FAST)
         supervisor.subscribe(lambda pool, host, event: seen.append(event))
         supervisor.subscribe(lambda pool, host, event: None)
-        with AgentServerPool(["a"], supervisor=supervisor) as pool:
+        with pool_of(["a"], supervisor=supervisor) as pool:
             kill_and_wait(pool, "a")
             with pytest.raises(AgentServerError):
                 pool.ping("a")
@@ -216,7 +241,7 @@ class TestStandaloneRecovery:
 
     def test_shutdown_is_idempotent_and_stops_supervision(self):
         supervisor = Supervisor(policy=FAST)
-        pool = AgentServerPool(["a", "b"], supervisor=supervisor)
+        pool = pool_of(["a", "b"], supervisor=supervisor)
         pool.shutdown()
         pool.shutdown()  # double shutdown: no-op
         pool.kill("a")   # kill after shutdown: no-op (already dead)
@@ -225,10 +250,10 @@ class TestStandaloneRecovery:
         with pytest.raises(AgentServerError):
             pool.ping("a")
         assert pool.stats.restarts == 0
-        assert supervisor.restart_count("a") == 0
+        assert supervisor.restart_count("group-0") == 0
 
     def test_double_kill_is_idempotent(self):
-        with AgentServerPool(["a"]) as pool:
+        with pool_of(["a"]) as pool:
             kill_and_wait(pool, "a")
             pool.kill("a")  # second kill of a dead worker: no-op
             assert not pool.alive("a")
@@ -255,7 +280,8 @@ class TestClusterRecovery:
             warnings = first.warnings + repeat.warnings
             restarted = [w for w in warnings
                          if w.code == W_WORKER_RESTARTED]
-            assert restarted and restarted[0].host == victim
+            assert restarted and \
+                restarted[0].host == group_key(pool, victim)
             assert "re-seeded" in restarted[0].detail
 
     def test_recovery_report_counts(self):
@@ -289,7 +315,8 @@ class TestClusterRecovery:
             result = cluster.execute(Query(Q_GET_FLOWS, {}))
             assert result.partial and victim in result.hosts_failed
             opened = [w for w in result.warnings if w.code == W_CIRCUIT_OPEN]
-            assert opened and opened[0].host == victim
+            key = group_key(cluster.agent_servers, victim)
+            assert opened and opened[0].host == key
             assert "budget" in opened[0].detail
             # Degraded exactly like before supervision existed: every later
             # query keeps reporting the host failed, and no worker returns.
@@ -297,7 +324,7 @@ class TestClusterRecovery:
             assert again.partial and victim in again.hosts_failed
             report = cluster.recovery_report()
             assert report["circuit_open"] == 1
-            assert report["open_circuits"] == [victim]
+            assert report["open_circuits"] == [key]
 
     def test_restarted_worker_keeps_mirror_attached(self):
         """Ingest after a supervised restart reaches the fresh worker: the

@@ -21,7 +21,7 @@ from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import ColdArchive, PathFlowRecord, RetentionPolicy
 from repro.storage.archive import ArchiveKey  # noqa: F401  (public name)
 from repro.storage.records import ScanSpec, flow_key
-from repro.topology.graph import ROLE_AGGREGATE, ROLE_EDGE, Topology
+from test_supervisor import small_topology
 
 SWITCHES = ("s0", "s1", "s2")
 
@@ -308,20 +308,6 @@ class TestColdArchiveUnit:
                 if record_id == 7] == [(7, 99)]
         _, got = archive.take(key)
         assert got.bytes == 99
-
-
-def small_topology(num_hosts=4):
-    topo = Topology(name=f"mini-{num_hosts}")
-    topo.add_switch("spine-0", ROLE_AGGREGATE, index=0)
-    tors = (num_hosts + 1) // 2
-    for t in range(tors):
-        topo.add_switch(f"leaf-{t}", ROLE_EDGE, pod=t, index=t)
-        topo.add_link(f"leaf-{t}", "spine-0")
-    for h in range(num_hosts):
-        host = f"server-{h}"
-        topo.add_host(host, pod=h // 2, index=h)
-        topo.add_link(host, f"leaf-{h // 2}")
-    return topo
 
 
 HOT_CAP = 12

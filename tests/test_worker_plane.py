@@ -1,0 +1,852 @@
+"""Tests for the worker plane: agent-server worker groups behind one pool.
+
+Every worker mode runs on :class:`GroupAgentPool`; ``mode="process"`` is the
+shape "one host per group over pipes", ``mode="socket"`` whatever
+``group_count``/``socket_transport`` say.  The identity, traffic and
+alarm-stream checks run over every pool shape in :data:`SHAPES`; the
+failure, recovery and chaos checks on the shapes that exercise them.
+
+Covers: host sharding, byte-identical payloads and alarm streams across
+serial / thread / worker execution, measured traffic reconciled against
+envelope lengths, frame coalescing, the ingest mirror (also across mode
+flips), a dead worker surfacing like a dead agent for its whole shard,
+the local fallback for queries the workers cannot serve, supervised
+restart over a *reconnect*, connection-level chaos (torn close, stalled
+socket), and the standalone pool lifecycle over all three transports.
+"""
+
+import socket
+import threading
+import time
+
+import pytest
+
+from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
+                        MECHANISM_MULTILEVEL, MODE_CONCURRENT, MODE_PROCESS,
+                        MODE_SERIAL, MODE_SOCKET, Q_FLOW_SIZE_DISTRIBUTION,
+                        Q_GET_FLOWS, Q_PATH_CONFORMANCE, Q_PLAN,
+                        Q_POOR_TCP_FLOWS, Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX,
+                        Query, QueryCluster, SocketTransport, Supervisor,
+                        TRANSPORT_PIPE, TRANSPORT_TCP, TRANSPORT_UNIX,
+                        shard_hosts, wire)
+from repro.core.aggregation import AggregationTree
+from repro.core.alarms import PC_FAIL
+from repro.core.executor import W_HOST_FAILED, W_WORKER_RESTARTED
+from repro.core.groupserver import (_EndpointClosed, _SocketEndpoint,
+                                    shard_for)
+from repro.core.plan import Aggregate, Filter, Plan, TopK
+from repro.core.supervisor import ChaosPolicy
+from repro.network.packet import FlowId, PROTO_TCP
+from repro.storage import PathFlowRecord
+from test_event_plane import feed_workload
+from test_supervisor import (FAST, group_key, kill_and_wait, pool_of,
+                             populate, small_topology)
+
+NUM_HOSTS = 6
+GROUPS = 2  # the default socket shape here: 2 shards of 3 hosts
+
+#: (mode, group_count, socket_transport) - every pool shape the identity
+#: checks run over.  The last two are the mode strings with the cluster's
+#: default arguments: "process" ignores them (one pipe worker per host),
+#: "socket" takes the default group count (clamped to the 6 hosts) over a
+#: unix socket.
+SHAPES = [
+    pytest.param((MODE_SOCKET, count, transport), id=f"{count}x{transport}")
+    for count in (1, GROUPS, NUM_HOSTS)
+    for transport in (TRANSPORT_PIPE, TRANSPORT_UNIX)
+] + [
+    pytest.param((MODE_PROCESS, None, TRANSPORT_UNIX), id="process-alias"),
+    pytest.param((MODE_SOCKET, None, TRANSPORT_UNIX), id="socket-alias"),
+]
+
+#: The two shapes the failure-semantics checks run on: groups of one over
+#: pipes, and real groups over a socket.
+FAILURE_SHAPES = [
+    pytest.param((MODE_PROCESS, None, TRANSPORT_UNIX), id="process-alias"),
+    pytest.param((MODE_SOCKET, GROUPS, TRANSPORT_UNIX), id="2xunix"),
+]
+
+QUERIES = [
+    (Q_TOP_K_FLOWS, {"k": 30}),
+    (Q_FLOW_SIZE_DISTRIBUTION, {"links": [None], "binsize": 4000}),
+    (Q_GET_FLOWS, {}),
+    (Q_TRAFFIC_MATRIX, {}),
+    (Q_PLAN, {"plan": Plan(ops=(
+        Filter(), Aggregate(func="sum", fields=("bytes",), by=("flow",)),
+        TopK(k=12)))}),
+]
+
+
+def group_startup_frames(hosts_per_group):
+    """Envelopes the startup sync posts to one (unbounded) group: one
+    record batch and one monitor seed per host, then the coalesced barrier
+    ping.  The first post-startup envelope lands at this + 1."""
+    return 2 * hosts_per_group + 1
+
+
+def worker_cluster(mode=MODE_SOCKET, group_count=GROUPS,
+                   transport=TRANSPORT_UNIX, supervisor=None, chaos=None,
+                   records_per_host=25, feed=populate, **kwargs):
+    """A populated cluster flipped into a worker mode (populate-first, so
+    the startup sync - not the ingest mirror - ships the records)."""
+    cluster = QueryCluster(small_topology(NUM_HOSTS), group_count=group_count,
+                           socket_transport=transport, supervisor=supervisor,
+                           chaos=chaos, **kwargs)
+    if feed is populate:
+        feed(cluster, records_per_host=records_per_host)
+    else:
+        feed(cluster)
+    cluster.configure_executor(mode=mode)
+    return cluster
+
+
+def reference_payload(query, mechanism=MECHANISM_DIRECT, feed=populate):
+    with QueryCluster(small_topology(NUM_HOSTS)) as cluster:
+        feed(cluster)
+        return wire.encode_value(
+            cluster.execute(query, mechanism=mechanism).payload)
+
+
+@pytest.fixture(scope="module", params=SHAPES)
+def shaped_cluster(request):
+    """One healthy populated worker cluster per pool shape, shared by the
+    read-only checks (tests must not kill its workers)."""
+    mode, group_count, transport = request.param
+    cluster = worker_cluster(mode, group_count, transport)
+    cluster.worker_mode = mode
+    yield cluster
+    cluster.close()
+
+
+@pytest.fixture(params=FAILURE_SHAPES)
+def fresh_cluster(request):
+    """A private worker cluster for tests that break or reconfigure it."""
+    mode, group_count, transport = request.param
+    cluster = worker_cluster(mode, group_count, transport)
+    yield cluster
+    cluster.close()
+
+
+class TestSharding:
+    def test_contiguous_balanced_deterministic(self):
+        hosts = [f"h-{i}" for i in range(10)]
+        shards = shard_hosts(hosts, 4)
+        assert [len(s) for s in shards] == [3, 3, 2, 2]
+        # contiguity: concatenating the shards restores the host order
+        assert [h for shard in shards for h in shard] == hosts
+        assert shard_hosts(hosts, 4) == shards  # deterministic
+
+    def test_shard_for_matches_shard_hosts(self):
+        hosts = [f"h-{i}" for i in range(7)]
+        for gid in range(3):
+            assert shard_for(hosts, gid, 3) == shard_hosts(hosts, 3)[gid]
+
+    def test_group_count_clamped_to_hosts(self):
+        assert len(shard_hosts(["a", "b"], 8)) == 2
+
+    def test_bad_group_count_rejected(self):
+        with pytest.raises(ValueError):
+            shard_hosts(["a"], 0)
+
+
+class TestModeAliases:
+    @pytest.mark.parametrize("mode,groups", [(MODE_PROCESS, NUM_HOSTS),
+                                             (MODE_SOCKET, GROUPS)])
+    def test_mode_strings_resolve_to_pool_shapes(self, mode, groups):
+        """``"socket"`` takes ``group_count``/``socket_transport``;
+        ``"process"`` is groups of one over pipes whatever they say."""
+        with worker_cluster(mode, group_count=GROUPS,
+                            transport=TRANSPORT_TCP) as cluster:
+            pool = cluster.agent_servers
+            assert pool.transport == (TRANSPORT_PIPE if mode == MODE_PROCESS
+                                      else TRANSPORT_TCP)
+            assert pool.groups == shard_hosts(cluster.hosts, groups)
+            assert cluster.execute(Query(Q_GET_FLOWS, {})).mode == mode
+
+    def test_flip_replaces_the_pool_only_when_the_shape_changes(self):
+        with worker_cluster(MODE_SOCKET) as cluster:
+            grouped = cluster.agent_servers
+            cluster.configure_executor(mode=MODE_SERIAL)
+            cluster.configure_executor(mode=MODE_SOCKET)
+            assert cluster.agent_servers is grouped  # kept alive, in sync
+            cluster.configure_executor(mode=MODE_PROCESS)
+            per_host = cluster.agent_servers
+            assert per_host is not grouped and not grouped.alive("group-0")
+            assert per_host.group_count == NUM_HOSTS
+            # the fresh pool re-synced from the local mirrors
+            for host in cluster.hosts:
+                assert per_host.ping(host) == \
+                    cluster.agent(host).tib.record_count()
+        # the same shape under the other mode string: nothing to replace
+        with worker_cluster(MODE_SOCKET, group_count=NUM_HOSTS,
+                            transport=TRANSPORT_PIPE) as cluster:
+            pool = cluster.agent_servers
+            cluster.configure_executor(mode=MODE_PROCESS)
+            assert cluster.agent_servers is pool
+            assert cluster.execute(Query(Q_GET_FLOWS, {})).mode == \
+                MODE_PROCESS
+
+    def test_ingest_under_an_in_process_mode_still_reaches_workers(self):
+        """Flipping back to serial keeps the workers alive and mirrored, so
+        a later flip to the worker mode answers with the new records."""
+        with worker_cluster(MODE_PROCESS) as cluster:
+            cluster.configure_executor(mode=MODE_SERIAL)
+            host = cluster.hosts[0]
+            flow = FlowId("newcomer", host, 5555, 80, PROTO_TCP)
+            cluster.agent(host).ingest_path_record(PathFlowRecord(
+                flow, ("newcomer", "leaf-0", host), 100.0, 100.5, 4242, 3))
+            serial = cluster.execute(Query(Q_GET_FLOWS, {}))
+            cluster.configure_executor(mode=MODE_PROCESS)
+            worker = cluster.execute(Query(Q_GET_FLOWS, {}))
+            assert any(flow_id == flow for flow_id, _ in worker.payload)
+            assert wire.encode_value(worker.payload) == \
+                wire.encode_value(serial.payload)
+
+
+class TestPayloadIdentity:
+    @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
+                                           MECHANISM_MULTILEVEL])
+    @pytest.mark.parametrize("name,params", QUERIES)
+    def test_modes_byte_identical(self, shaped_cluster, mechanism, name,
+                                  params):
+        """Serial, thread and worker runs of the same query return
+        byte-identical payloads; the result reports the mode string the
+        caller asked for."""
+        query = Query(name, dict(params))
+        worker_mode = shaped_cluster.worker_mode
+        results = {}
+        for mode in (MODE_SERIAL, MODE_CONCURRENT, worker_mode):
+            shaped_cluster.configure_executor(mode=mode)
+            results[mode] = shaped_cluster.execute(query,
+                                                   mechanism=mechanism)
+        encoded = {mode: wire.encode_value(result.payload)
+                   for mode, result in results.items()}
+        assert encoded[MODE_SERIAL] == encoded[MODE_CONCURRENT]
+        assert encoded[MODE_SERIAL] == encoded[worker_mode]
+        assert encoded[MODE_SERIAL] != wire.encode_value(None)
+        assert results[worker_mode].mode == worker_mode
+        assert not results[worker_mode].partial
+        if mechanism == MECHANISM_MULTILEVEL:
+            # Tree edges ship the same per-host frames in every mode.
+            assert results[MODE_SERIAL].traffic_bytes == \
+                results[worker_mode].traffic_bytes
+
+    def test_workers_hold_the_same_records(self, shaped_cluster):
+        pool = shaped_cluster.agent_servers
+        for host in shaped_cluster.hosts:
+            local = shaped_cluster.agent(host).tib.record_count()
+            assert pool.ping(host) == local
+
+    def test_tcp_transport_byte_identical(self):
+        """The coalesced envelopes speak the same protocol over TCP."""
+        query = Query(Q_TOP_K_FLOWS, {"k": 40})
+        want = reference_payload(query)
+        with worker_cluster(transport=TRANSPORT_TCP) as cluster:
+            result = cluster.execute(query)
+            assert not result.partial
+            assert wire.encode_value(result.payload) == want
+
+    @pytest.mark.parametrize("shape", FAILURE_SHAPES)
+    def test_monitor_backed_query_identical(self, shape):
+        query = Query(Q_POOR_TCP_FLOWS, {})
+        want = reference_payload(query, feed=feed_workload)
+        with worker_cluster(*shape, feed=feed_workload) as cluster:
+            result = cluster.execute(query)
+            assert not result.partial
+            assert wire.encode_value(result.payload) == want
+            assert want != wire.encode_value([])
+
+
+class TestMeasuredTraffic:
+    def test_direct_traffic_is_sum_of_envelope_lengths(self, shaped_cluster):
+        """Reported traffic is exactly: one request envelope per worker
+        group carrying every member's query frame, plus that group's reply
+        envelope carrying every member's measured result frame (no
+        estimates anywhere).  Under ``"process"`` that is one single-entry
+        envelope per host each way."""
+        cluster = shaped_cluster
+        pool = cluster.agent_servers
+        query = Query(Q_TOP_K_FLOWS, {"k": 10})
+        request = wire.encode_query_request(query, None)
+        expected = 0
+        for key in pool.group_keys():
+            hosts = pool.group_hosts(key)
+            replies = [(host, wire.encode_result(
+                cluster.agent(host).execute_query(query))) for host in hosts]
+            expected += len(wire.encode_group_batch(
+                1, [(host, request) for host in hosts]))
+            expected += len(wire.encode_group_batch(1, replies))
+        # The root's response leg is free (it is the controller); direct
+        # plans only move group requests and group responses.
+        cluster.configure_executor(mode=cluster.worker_mode)
+        outcome = cluster.execute(query, mechanism=MECHANISM_DIRECT)
+        assert outcome.traffic_bytes == expected
+        assert outcome.duplicate_traffic_bytes == 0
+
+    def test_direct_traffic_reconciles_with_pool_counters(self):
+        with worker_cluster() as cluster:
+            pool = cluster.agent_servers
+            pool.reset_stats()
+            result = cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 10}))
+            assert result.traffic_bytes == \
+                pool.stats.bytes_sent + pool.stats.bytes_received > 0
+            assert result.wall_clock_s > 0
+
+    def test_multilevel_edge_parts_sum_to_the_combined_frame(
+            self, shaped_cluster):
+        """An edge's (query, spec) part sizes reconcile exactly with the
+        batched request frame the worker modes actually ship."""
+        query = Query(Q_TOP_K_FLOWS, {"k": 3})
+        specs = {}
+        tree = AggregationTree(shaped_cluster.hosts, fanout=(2, 2))
+        plan = shaped_cluster._plan_from_tree(tree.root, query, specs)
+        stack = [plan]
+        checked = 0
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            if node.host is None:
+                continue
+            frame = wire.encode_query_request(query, specs[node.host])
+            assert sum(node.request_parts) == len(frame)
+            checked += 1
+        assert checked == len(shaped_cluster.hosts)
+
+    def test_result_wire_bytes_is_the_inner_reply_frame(self,
+                                                        shaped_cluster):
+        pool = shaped_cluster.agent_servers
+        host = shaped_cluster.hosts[0]
+        query = Query(Q_GET_FLOWS, {})
+        remote = pool.query(host, query)
+        local = shaped_cluster.agent(host).execute_query(query)
+        assert remote.wire_bytes == local.wire_bytes == \
+            len(wire.encode_result(local))
+        assert wire.encode_value(remote.payload) == \
+            wire.encode_value(local.payload)
+
+    @pytest.mark.parametrize("transport", [TRANSPORT_PIPE, TRANSPORT_UNIX])
+    def test_reply_timeout_fails_worker_instead_of_desyncing(self,
+                                                             transport):
+        """A timed-out reply must not be read by the *next* request: the
+        worker is declared dead, so later exchanges raise instead of
+        returning stale payloads."""
+        with GroupAgentPool(["a"], transport=transport,
+                            reply_timeout_s=0.1) as pool:
+            record = PathFlowRecord(FlowId("x", "a", 1, 2, PROTO_TCP),
+                                    ("x", "sw", "a"), 0.0, 1.0, 10, 1)
+            pool.add_records("a", [record])
+            pool.stall("a", 0.6)
+            with pytest.raises(AgentServerError, match="did not reply"):
+                pool.query("a", Query(Q_GET_FLOWS, {}))
+            # The stale reply is never served to a later request.
+            with pytest.raises(AgentServerError):
+                pool.query("a", Query(Q_TOP_K_FLOWS, {"k": 3}))
+            deadline = time.monotonic() + 2.0
+            while pool.alive("a") and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not pool.alive("a")
+
+
+class TestFrameCoalescing:
+    def test_fewer_envelopes_than_frames(self):
+        """The point of grouping: logical per-host frames outnumber the
+        physical envelopes that carried them."""
+        with worker_cluster() as cluster:
+            pool = cluster.agent_servers
+            pool.reset_stats()
+            cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 10}))
+            cluster.run_monitors(1.0)
+            stats = pool.stats
+            assert stats.frames_sent > stats.envelopes_sent > 0
+            assert stats.frames_received > stats.envelopes_received > 0
+            # 3 hosts per group -> exactly 3 logical frames per envelope
+            # on these all-host scatters
+            assert stats.frames_sent == \
+                NUM_HOSTS // GROUPS * stats.envelopes_sent
+
+    def test_process_alias_ships_one_envelope_per_host(self):
+        """Groups of one still speak envelopes - one per host, no special
+        bare-frame path."""
+        with worker_cluster(MODE_PROCESS) as cluster:
+            pool = cluster.agent_servers
+            pool.reset_stats()
+            cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 10}))
+            cluster.run_monitors(1.0)
+            assert pool.stats.envelopes_sent == 2 * NUM_HOSTS
+            assert pool.stats.frames_sent == pool.stats.envelopes_sent
+
+    def test_sweep_coalesces_one_envelope_per_group(self):
+        with worker_cluster(feed=feed_workload) as cluster:
+            pool = cluster.agent_servers
+            pool.reset_stats()
+            sweep = cluster.run_monitors(1.0)
+            assert sweep  # feed_workload makes poor flows alert
+            assert pool.stats.envelopes_sent == GROUPS
+            assert pool.stats.frames_sent == NUM_HOSTS
+            assert sweep.traffic_bytes > 0
+
+
+@pytest.fixture(scope="module")
+def serial_alarm_streams():
+    """The serial reference: (sweep alarm stream, PC_FAIL stream raised by
+    a direct path-conformance query) over ``feed_workload``."""
+    with QueryCluster(small_topology(NUM_HOSTS)) as serial:
+        feed_workload(serial)
+        sweep = wire.encode_alarm_batch(list(serial.run_monitors(1.0)))
+        serial.execute(Query(Q_PATH_CONFORMANCE, {"max_hops": 0}),
+                       mechanism=MECHANISM_DIRECT)
+        piggybacked = wire.encode_alarm_batch(
+            list(serial.alarm_bus.by_reason(PC_FAIL)))
+    assert sweep != wire.encode_alarm_batch([])
+    assert piggybacked != wire.encode_alarm_batch([])
+    return sweep, piggybacked
+
+
+class TestAlarmStreamIdentity:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_alarm_streams_identical_to_serial(self, shape,
+                                               serial_alarm_streams):
+        """Sweep alarms, and PC_FAIL alarms raised host-side that ride the
+        coalesced reply envelopes, land on the bus in canonical host order
+        - byte-identical to the serial streams - and at most once."""
+        want_sweep, want_piggybacked = serial_alarm_streams
+        with worker_cluster(*shape, feed=feed_workload) as cluster:
+            sweep = cluster.run_monitors(1.0)
+            assert sweep.mode == shape[0] and not sweep.partial
+            assert wire.encode_alarm_batch(list(sweep)) == want_sweep
+            assert cluster.run_monitors(2.0) == []  # all latched
+            cluster.execute(Query(Q_PATH_CONFORMANCE, {"max_hops": 0}),
+                            mechanism=MECHANISM_DIRECT)
+            assert wire.encode_alarm_batch(
+                list(cluster.alarm_bus.by_reason(PC_FAIL))) == \
+                want_piggybacked
+
+
+class TestIngestMirror:
+    def test_ingest_after_start_reaches_workers(self, fresh_cluster):
+        host = fresh_cluster.hosts[0]
+        agent = fresh_cluster.agent(host)
+        before = fresh_cluster.agent_servers.ping(host)
+        flow = FlowId("newcomer", host, 5555, 80, PROTO_TCP)
+        agent.ingest_path_record(PathFlowRecord(
+            flow, ("newcomer", "leaf-0", host), 100.0, 100.5, 4242, 3))
+        assert fresh_cluster.agent_servers.ping(host) == before + 1
+        result = fresh_cluster.execute(Query(Q_GET_FLOWS, {}), hosts=[host])
+        assert any(flow_id == flow for flow_id, _ in result.payload)
+        assert result.mode in (MODE_PROCESS, MODE_SOCKET)
+
+    def test_mirror_detached_after_stop(self, fresh_cluster):
+        host = fresh_cluster.hosts[0]
+        fresh_cluster.stop_agent_servers()
+        assert fresh_cluster.agent(host).record_sink is None
+        assert fresh_cluster.agent_servers is None
+        assert fresh_cluster.mode == MODE_CONCURRENT
+        # Queries still work (local agents kept everything via dual-write).
+        result = fresh_cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 5}))
+        assert result.payload
+
+    def test_ingest_survives_dead_worker(self, fresh_cluster):
+        """A dead worker must not break the *local* ingest path: the
+        mirror detaches itself and the simulator keeps running (queries
+        report the dead host as partial, as elsewhere)."""
+        host = fresh_cluster.hosts[0]
+        agent = fresh_cluster.agent(host)
+        kill_and_wait(fresh_cluster.agent_servers, host)
+        before = agent.tib.record_count()
+        flow = FlowId("late", host, 777, 80, PROTO_TCP)
+        record = PathFlowRecord(flow, ("late", "leaf-0", host),
+                                50.0, 50.5, 10, 1)
+        for _ in range(3):  # first sends may still land in the OS buffer
+            agent.ingest_path_record(record)  # must not raise
+        assert agent.tib.record_count() == before + 1
+        assert agent.record_sink is None  # mirror detached itself
+
+
+class TestLocalFallback:
+    def test_monitor_backed_query_runs_in_workers(self, fresh_cluster):
+        """poor_tcp_flows is served host-side: a dead worker makes the
+        query partial instead of silently falling back to the local
+        agent."""
+        result = fresh_cluster.execute(Query(Q_POOR_TCP_FLOWS, {}))
+        assert not result.partial
+        victim = fresh_cluster.hosts[0]
+        kill_and_wait(fresh_cluster.agent_servers, victim)
+        result = fresh_cluster.execute(Query(Q_POOR_TCP_FLOWS, {}))
+        assert result.partial and victim in result.hosts_failed
+
+    def test_alarm_raising_query_reaches_alarm_bus(self, fresh_cluster):
+        # Path conformance raises PC_FAIL alarms via the worker's agent;
+        # they ride the encoded reply frames and are dispatched into the
+        # controller's alarm bus on receipt.
+        query = Query(Q_PATH_CONFORMANCE, {"max_hops": 0})
+        result = fresh_cluster.execute(query)
+        assert not result.partial
+        assert result.payload  # every flow violates max_hops=0
+        assert fresh_cluster.alarm_bus.alarms
+        # And they really did travel: every PC_FAIL alarm names a worker
+        # host, and none were raised by the in-process agents.
+        assert all(a.host in fresh_cluster.hosts
+                   for a in fresh_cluster.alarm_bus.alarms)
+        assert all(not agent.alarms_raised
+                   for agent in fresh_cluster.agents.values())
+
+    def test_custom_handler_with_unencodable_payload(self, fresh_cluster):
+        """A custom handler may return a payload outside the codec's value
+        set; its size estimate stands in instead of killing the query."""
+        class Opaque:
+            pass
+
+        token = Opaque()
+        for agent in fresh_cluster.agents.values():
+            agent.engine.register("opaque", lambda a, p: ([token], 42, 0))
+        fresh_cluster.engine.register(
+            "opaque", lambda a, p: ([token], 42, 0))  # default concat merge
+        result = fresh_cluster.execute(Query("opaque", {}))
+        assert not result.partial
+        assert len(result.payload) == len(fresh_cluster.hosts)
+        assert all(item is token for item in result.payload)
+
+    def test_custom_handler_runs_locally(self, fresh_cluster):
+        for agent in fresh_cluster.agents.values():
+            agent.engine.register(
+                "record_count",
+                lambda agent, params: (agent.tib.record_count(), 8, 0))
+        fresh_cluster.engine.register(
+            "record_count", lambda agent, params: (0, 8, 0),
+            merger=lambda query, payloads: (sum(payloads), 8))
+        result = fresh_cluster.execute(Query("record_count", {}))
+        assert result.payload == sum(
+            a.tib.record_count() for a in fresh_cluster.agents.values())
+
+
+class TestWorkerFailures:
+    def test_kill_mid_scatter_matches_thread_failure_path(
+            self, fresh_cluster):
+        """A worker killed while its query is in flight surfaces exactly
+        like dead in-thread agents: partial=True, its shard in
+        hosts_failed, a W_HOST_FAILED warning naming the worker - and
+        everyone else's results intact."""
+        victim = fresh_cluster.hosts[2]
+        pool = fresh_cluster.agent_servers
+        key = group_key(pool, victim)
+        shard = list(pool.group_hosts(key))
+        # Stall the victim so its query is genuinely in flight when the
+        # process dies (the connection read is interrupted by the kill).
+        pool.stall(victim, 5.0)
+        killer = threading.Timer(0.15, pool.kill, args=(victim,))
+        killer.start()
+        try:
+            started = time.perf_counter()
+            result = fresh_cluster.execute(Query(Q_TOP_K_FLOWS,
+                                                 {"k": 1000}))
+            elapsed = time.perf_counter() - started
+        finally:
+            killer.cancel()
+        assert elapsed < 4.0  # the kill, not the stall, ended the wait
+        assert result.partial
+        assert result.hosts_failed == shard
+        warning = next(w for w in result.warnings
+                       if w.code == W_HOST_FAILED)
+        assert warning.host == key
+        assert "AgentServerError" in warning.detail
+        # The survivors' flows are all present, the dead shard's missing.
+        keys = {flow_key for _, flow_key in result.payload}
+        assert keys and not any(f"|{host}:" in flow_key
+                                for flow_key in keys for host in shard)
+        assert len(result.payload) == 25 * (NUM_HOSTS - len(shard))
+
+    def test_dead_worker_before_scatter(self, fresh_cluster):
+        victim = fresh_cluster.hosts[1]
+        kill_and_wait(fresh_cluster.agent_servers, victim)
+        result = fresh_cluster.execute(Query(Q_GET_FLOWS, {}),
+                                       mechanism=MECHANISM_MULTILEVEL)
+        assert result.partial and victim in result.hosts_failed
+        assert result.payload  # everyone else still answered
+
+    def test_pool_query_raises_agent_server_error(self, fresh_cluster):
+        victim = fresh_cluster.hosts[0]
+        pool = fresh_cluster.agent_servers
+        pool.kill(victim)
+        with pytest.raises(AgentServerError):
+            for _ in range(3):  # first send may still hit the OS buffer
+                pool.query(victim, Query(Q_GET_FLOWS, {}))
+                time.sleep(0.05)
+
+    def test_worker_reports_unknown_query(self, fresh_cluster):
+        pool = fresh_cluster.agent_servers
+        with pytest.raises(AgentServerError, match="unknown query"):
+            pool.query(fresh_cluster.hosts[0], Query("no_such_query", {}))
+
+    def test_missing_agent_still_fails_host(self, fresh_cluster):
+        gone = fresh_cluster.hosts[3]
+        del fresh_cluster.agents[gone]
+        result = fresh_cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 10}))
+        assert result.partial and gone in result.hosts_failed
+
+
+class TestFailureDomain:
+    def test_dead_connection_fails_the_whole_shard(self):
+        """A group worker killed mid-life: the next scatter reports every
+        host of that shard failed - dead-agent semantics, at group
+        granularity."""
+        with worker_cluster() as cluster:
+            pool = cluster.agent_servers
+            victim_shard = set(pool.group_hosts("group-1"))
+            kill_and_wait(pool, "group-1")
+            result = cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 10}))
+            assert result.partial
+            assert set(result.hosts_failed) == victim_shard
+            assert any(w.code == W_HOST_FAILED for w in result.warnings)
+            for host in victim_shard:
+                assert not pool.healthy(host)
+            # unsupervised: stays dead
+            again = cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 10}))
+            assert set(again.hosts_failed) == victim_shard
+
+    def test_sweep_expands_dead_group_to_hosts(self):
+        with worker_cluster() as cluster:
+            pool = cluster.agent_servers
+            victim_shard = set(pool.group_hosts("group-1"))
+            kill_and_wait(pool, "group-1")
+            sweep = cluster.run_monitors(1.0)
+            assert sweep.partial
+            assert set(sweep.hosts_failed) == victim_shard
+
+    def test_surviving_groups_answer_correctly(self):
+        """The partial aggregate equals a serial run over the surviving
+        hosts only."""
+        with worker_cluster() as cluster:
+            pool = cluster.agent_servers
+            dead = set(pool.group_hosts("group-0"))
+            kill_and_wait(pool, "group-0")
+            result = cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 100}))
+            survivors = [h for h in cluster.hosts if h not in dead]
+            with worker_cluster(MODE_SERIAL) as serial:
+                want = serial.execute(Query(Q_TOP_K_FLOWS, {"k": 100}),
+                                      hosts=survivors)
+            assert wire.encode_value(result.payload) == \
+                wire.encode_value(want.payload)
+
+
+class TestSupervisedRecovery:
+    @pytest.mark.parametrize("transport", [TRANSPORT_PIPE, TRANSPORT_UNIX,
+                                           TRANSPORT_TCP])
+    def test_restart_over_reconnect_byte_identical(self, transport):
+        """Kill a group worker; the supervisor respawns it, the fresh
+        process reconnects (socket transports) and is re-seeded from the
+        local mirrors, and the next query answers byte-identically."""
+        query = Query(Q_TOP_K_FLOWS, {"k": 50})
+        want = reference_payload(query)
+        with worker_cluster(transport=transport,
+                            supervisor=Supervisor(FAST)) as cluster:
+            pool = cluster.agent_servers
+            kill_and_wait(pool, "group-1")
+            first = cluster.execute(query)   # detects the death, restarts
+            assert first.partial
+            second = cluster.execute(query)  # fully recovered
+            assert not second.partial
+            assert wire.encode_value(second.payload) == want
+            assert pool.stats.restarts == 1
+            assert pool.stats.reconnects == 1
+            restarted = [w for w in first.warnings + second.warnings
+                         if w.code == W_WORKER_RESTARTED]
+            assert restarted and restarted[0].host == "group-1"
+
+    def test_reseed_counts_whole_shard(self):
+        """The restart event's re-seed accounting covers every member
+        host's records, not just one worker's."""
+        records_per_host = 10
+        supervisor = Supervisor(FAST)
+        with worker_cluster(supervisor=supervisor,
+                            records_per_host=records_per_host) as cluster:
+            pool = cluster.agent_servers
+            shard = pool.group_hosts("group-0")
+            kill_and_wait(pool, "group-0")
+            cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 5}))
+            restarted = [e for e in supervisor.events
+                         if e.kind == "restarted"]
+            assert restarted
+            assert restarted[-1].records == records_per_host * len(shard)
+
+    def test_monitor_state_recovers_too(self):
+        """At-most-once alerting survives a group restart: the re-seeded
+        monitor carries the latches."""
+        with worker_cluster(feed=feed_workload,
+                            supervisor=Supervisor(FAST)) as cluster:
+            pool = cluster.agent_servers
+            assert cluster.run_monitors(1.0)   # alerts, latches both sides
+            kill_and_wait(pool, "group-1")
+            cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 1}))  # heal
+            assert cluster.run_monitors(2.0) == []  # latches survived
+
+
+class TestConnectionChaos:
+    @pytest.mark.parametrize("transport", [TRANSPORT_UNIX, TRANSPORT_PIPE])
+    def test_torn_close_mid_frame(self, transport):
+        """A worker closing its connection mid-stream-frame (length prefix
+        promising more bytes than arrive) surfaces as a decode error,
+        kills the worker, and the supervisor recovers byte-identically."""
+        query = Query(Q_TOP_K_FLOWS, {"k": 30})
+        want = reference_payload(query)
+        fault_at = group_startup_frames(NUM_HOSTS // GROUPS) + 1
+        chaos = ChaosPolicy(close_torn_at_frame={"group-1": fault_at})
+        with worker_cluster(transport=transport, chaos=chaos,
+                            supervisor=Supervisor(FAST)) as cluster:
+            pool = cluster.agent_servers
+            cluster.execute(query)   # fault fires on this scatter
+            second = cluster.execute(query)
+            assert chaos.injected
+            assert pool.stats.decode_errors >= 1
+            assert pool.stats.restarts >= 1
+            assert not second.partial
+            assert wire.encode_value(second.payload) == want
+
+    @pytest.mark.parametrize("torn", [True, False])
+    def test_close_with_unread_inbound_bytes(self, torn):
+        """A unix-socket peer that closes while holding unread inbound
+        bytes delivers its last bytes and then ECONNRESET, not EOF: a
+        stream torn mid-frame must still be a decode error then, and one
+        reset on a frame boundary a plain close."""
+        controller, worker = socket.socketpair()
+        endpoint = _SocketEndpoint(controller)
+        try:
+            endpoint.send(wire.encode_ping())  # the worker never reads it
+            last = wire.stream_frame(wire.encode_ping())
+            worker.sendall(last[:wire.STREAM_PREFIX_BYTES + 2] if torn
+                           else last)
+            worker.close()
+            if not torn:
+                assert endpoint.recv() == wire.encode_ping()
+            with pytest.raises(wire.WireDecodeError if torn
+                               else _EndpointClosed):
+                endpoint.recv()
+        finally:
+            endpoint.close()
+
+    def test_stalled_socket(self):
+        """The gray failure: the connection is open but nothing moves.
+        Only the reply deadline detects it; the worker is replaced."""
+        query = Query(Q_TOP_K_FLOWS, {"k": 30})
+        want = reference_payload(query)
+        fault_at = group_startup_frames(NUM_HOSTS // GROUPS) + 1
+        chaos = ChaosPolicy(hang_at_frame={"group-0": fault_at},
+                            hang_s=30.0)
+        with worker_cluster(chaos=chaos, supervisor=Supervisor(FAST),
+                            reply_timeout_s=0.3) as cluster:
+            pool = cluster.agent_servers
+            start = time.perf_counter()
+            first = cluster.execute(query)
+            assert first.partial          # the stalled group timed out
+            assert time.perf_counter() - start < 10.0  # deadline, not hang
+            second = cluster.execute(query)
+            assert chaos.injected
+            assert pool.stats.restarts >= 1
+            assert not second.partial
+            assert wire.encode_value(second.payload) == want
+
+
+class TestPoolLifecycle:
+    @pytest.mark.parametrize("transport", [TRANSPORT_PIPE, TRANSPORT_UNIX,
+                                           TRANSPORT_TCP])
+    def test_lifecycle(self, transport):
+        hosts = [f"h-{i}" for i in range(5)]
+        with GroupAgentPool(hosts, group_count=2,
+                            transport=transport) as pool:
+            assert pool.group_keys() == ["group-0", "group-1"]
+            assert pool.hosts == hosts
+            assert pool.ping("h-0") == 0
+            for host in hosts:
+                assert pool.alive(host) and pool.healthy(host)
+            states = pool.group_ping_state("group-0")
+            assert set(states) == set(pool.group_hosts("group-0"))
+        pool.shutdown()  # idempotent
+
+    def test_standalone_pool_roundtrip(self):
+        with pool_of(["a", "b"]) as pool:
+            record = PathFlowRecord(FlowId("x", "a", 1, 2, PROTO_TCP),
+                                    ("x", "sw", "a"), 0.0, 1.0, 10, 1)
+            pool.add_records("a", [record])
+            assert pool.ping("a") == 1
+            assert pool.ping("b") == 0
+            pool.reset("a")
+            assert pool.ping("a") == 0
+            assert pool.stats.frames_sent >= 4
+
+    def test_reset_clears_latched_ingest_error(self):
+        """A reset wipes a latched ingest error: the first query after a
+        reset must answer from the clean TIB, not replay the old error."""
+        with pool_of(["a"]) as pool:
+            pool._post("group-0", [("a", b"garbage-frame")])  # latches
+            pool.reset("a")
+            result = pool.query("a", Query(Q_GET_FLOWS, {}))
+            assert result.payload == []
+
+    def test_unknown_host_rejected(self):
+        with pool_of(["a", "b"]) as pool:
+            with pytest.raises(AgentServerError, match="no agent server"):
+                pool.query("nope", Query(Q_GET_FLOWS, {}))
+
+    def test_garbage_handshake_rejected(self):
+        """A stranger connecting to the listener with a garbage hello is
+        dropped; the real workers keep serving."""
+        with GroupAgentPool(["a", "b"], group_count=1,
+                            transport=TRANSPORT_TCP) as pool:
+            stranger = socket.create_connection(pool._address, timeout=5.0)
+            try:
+                stranger.sendall(b"GET / HTTP/1.0\r\n\r\n")
+                stranger.settimeout(2.0)
+                # the controller closes the stranger without handing it
+                # a worker's connection
+                assert stranger.recv(64) == b""
+            finally:
+                stranger.close()
+            assert pool.ping("a") == 0  # pool unharmed
+
+    def test_wrong_shard_hello_rejected(self):
+        """A hello claiming hosts that disagree with the controller's
+        computed shard is refused (split-brain guard)."""
+        with GroupAgentPool(["a", "b"], group_count=1,
+                            transport=TRANSPORT_TCP) as pool:
+            liar = socket.create_connection(pool._address, timeout=5.0)
+            try:
+                hello = wire.encode_group_hello(0, ("x", "y"))
+                liar.sendall(wire.stream_frame(hello))
+                liar.settimeout(2.0)
+                assert liar.recv(64) == b""
+            finally:
+                liar.close()
+            assert pool.ping("b") == 0
+
+    @pytest.mark.parametrize("mode", [MODE_PROCESS, MODE_SOCKET])
+    def test_constructor_mode_wires_executor_transport(self, mode):
+        cluster = QueryCluster(small_topology(), mode=mode)
+        assert cluster.agent_servers is not None
+        assert isinstance(cluster.transport, SocketTransport)
+        assert cluster.executor.transport is cluster.transport
+        cluster.close()
+        cluster.close()  # idempotent
+        assert cluster.agent_servers is None
+
+    def test_transport_resets_pool_stats(self, fresh_cluster):
+        transport = fresh_cluster.transport
+        fresh_cluster.execute(Query(Q_GET_FLOWS, {}))
+        assert transport.pool.stats.frames_sent > 0
+        assert fresh_cluster.rpc.stats.messages > 0
+        fresh_cluster.reset_stats()
+        assert transport.pool.stats.frames_sent == 0
+        assert fresh_cluster.rpc.stats.messages == 0
+
+    def test_failed_startup_sync_does_not_leak_workers(self, monkeypatch):
+        cluster = QueryCluster(small_topology())
+        populate(cluster, records_per_host=3)
+        monkeypatch.setattr(
+            GroupAgentPool, "group_ping_state",
+            lambda self, key: (_ for _ in ()).throw(
+                AgentServerError("sync probe failed")))
+        with pytest.raises(AgentServerError):
+            cluster.start_agent_servers()
+        assert cluster.agent_servers is None
+        assert all(a.record_sink is None for a in cluster.agents.values())
+        assert all(a.monitor.observation_sink is None
+                   for a in cluster.agents.values())
+        cluster.close()  # no-op; nothing left behind
