@@ -63,9 +63,9 @@ from repro.core.executor import (ExecWarning, GatherResult, MODE_CONCURRENT,
                                  ScatterGatherExecutor, Transport,
                                  W_CIRCUIT_OPEN, W_MIRROR_DETACHED,
                                  W_WORKER_RESTARTED)
-from repro.core.groupserver import (DEFAULT_GROUP_COUNT, GroupAgentPool,
-                                    GroupPoolStats, SocketTransport,
-                                    TRANSPORT_PIPE, TRANSPORT_UNIX)
+from repro.core.groupserver import (GroupAgentPool, GroupPoolStats,
+                                    SocketTransport, TRANSPORT_PIPE,
+                                    TRANSPORT_UNIX)
 from repro.core.supervisor import (ChaosPolicy, EVENT_CIRCUIT_OPEN,
                                    EVENT_RESTARTED, GroupSeed, Supervisor,
                                    WorkerSeed)
@@ -352,6 +352,8 @@ class QueryCluster:
         self._pending_warnings: List[ExecWarning] = []  # guarded-by: _warning_lock
         self._warning_lock = threading.Lock()
         self._process_pool: Optional[GroupAgentPool] = None
+        #: The shape the running pool was asked for (``_worker_shape``).
+        self._pool_shape: Optional[Tuple[Optional[int], str]] = None
         self.transport: Transport = transport or ModelTransport(self.rpc)
         self._adopt_transport(self.transport)
         self.executor = ScatterGatherExecutor(
@@ -414,10 +416,9 @@ class QueryCluster:
             if mode in _WORKER_MODES:
                 pool = self._process_pool
                 if pool is not None and \
-                        (pool.group_count, pool.transport) != \
-                        self._worker_shape():
-                    # The running pool has the wrong shape; replace it
-                    # (the restart re-syncs the fresh pool from the local
+                        self._pool_shape != self._worker_shape():
+                    # The running pool was asked for another shape; replace
+                    # it (the restart re-syncs the fresh pool from the local
                     # mirrors, so answers stay byte-identical).
                     self._detach_mirrors()
                     pool.shutdown()
@@ -441,18 +442,18 @@ class QueryCluster:
         modes fan out on threads that block on the workers' replies)."""
         return MODE_SERIAL if self.mode == MODE_SERIAL else MODE_CONCURRENT
 
-    def _worker_shape(self) -> Tuple[int, str]:
-        """``(group count, transport)`` of the worker pool the current mode
-        wants - the one place the worker-mode strings are resolved.
+    def _worker_shape(self) -> Tuple[Optional[int], str]:
+        """``(group_count, transport)`` to ask the worker pool for under the
+        current mode - the one place the worker-mode strings are resolved.
 
-        ``"socket"`` is the configured ``group_count`` (clamped to the host
-        count, as the pool's sharding does) over ``socket_transport``;
-        anything else - ``"process"``, or workers started by hand under an
-        in-process mode - is one host per group over pipes.
+        ``"socket"`` is the configured ``group_count`` (``None``: the pool's
+        default; the pool clamps it to the host count) over
+        ``socket_transport``; anything else - ``"process"``, or workers
+        started by hand under an in-process mode - is one host per group
+        over pipes.
         """
         if self.mode == MODE_SOCKET:
-            return (min(self.group_count or DEFAULT_GROUP_COUNT,
-                        len(self.hosts)), self.socket_transport)
+            return self.group_count, self.socket_transport
         return len(self.hosts), TRANSPORT_PIPE
 
     def _adopt_transport(self, transport: Transport) -> None:
@@ -508,7 +509,7 @@ class QueryCluster:
             if supervisor.seed_source is None:
                 supervisor.seed_source = self._group_seed
             supervisor.subscribe(self._on_supervisor_event)
-        group_count, transport = self._worker_shape()
+        shape = group_count, transport = self._worker_shape()
         pool = GroupAgentPool(self.hosts, group_count=group_count,
                               transport=transport, context=context,
                               reply_timeout_s=reply_timeout_s,
@@ -516,30 +517,21 @@ class QueryCluster:
         try:
             synced = []
             for host in self.hosts:
-                agent = self.agents.get(host)
-                if agent is None:
+                if host not in self.agents:
                     continue
-                retention = agent.tib.retention
-                if retention.bounded:
+                # The same parts, in the same order, as a restart seed.
+                seed = self._worker_seed(host)
+                if seed.retention is not None:
                     # Cap first (FIFO): the worker ages records into
                     # its own cold archive while the snapshot streams in,
                     # so its hot tier never exceeds the bound either.
-                    pool.set_retention(host, retention.max_records,
-                                       retention.max_bytes)
-                if agent.tib.archive is not None and \
-                        agent.tib.archive.dead_ratio > 0:
-                    # The worker rebuilds its archive from the snapshot,
-                    # which never replays tombstoned log garbage; compact
-                    # the local log too so both sides' measured
-                    # archive_bytes stay directly comparable.
-                    agent.tib.archive.compact()
-                snapshot = agent.tib.records()
-                if snapshot:
-                    pool.add_records(host, snapshot)
-                pool.seed_monitor(host, agent.monitor.snapshot())
+                    pool.set_retention(host, *seed.retention)
+                if seed.records:
+                    pool.add_records(host, seed.records)
+                pool.seed_monitor(host, seed.monitor)
                 self._attach_mirrors(pool, host)
-                synced.append((host, len(snapshot),
-                               len(agent.monitor.flows)))
+                synced.append((host, len(seed.records),
+                               len(seed.monitor.flows)))
             # Barrier: a ping round-trip drains each worker's ingest queue
             # (FIFO ordering), so callers - and benchmarks - start from
             # workers that are actually in sync instead of racing their
@@ -565,15 +557,21 @@ class QueryCluster:
             self._detach_mirrors()
             pool.shutdown()
             raise
-        self._process_pool = pool
+        self._process_pool, self._pool_shape = pool, shape
         self.process_transport = SocketTransport(pool, self.rpc)
         self._adopt_transport(self.process_transport)
         return pool
 
     def _attach_mirrors(self, pool: GroupAgentPool, host: str) -> None:
         """Install ``host``'s ingest mirrors: every TIB write and monitor
-        observation is streamed on to the host's worker, degrading instead
-        of raising.
+        observation is streamed on to the host's worker."""
+        agent = self.agents[host]
+        agent.record_sink = self._make_record_sink(pool, host)
+        agent.monitor.observation_sink = \
+            self._make_observation_sink(pool, host)
+
+    def _make_record_sink(self, pool: GroupAgentPool, host: str):
+        """An ingest mirror for ``host`` that degrades instead of raising.
 
         A dead worker must not break the *local* ingest path (the query
         path already reports it as ``partial`` + ``W_HOST_FAILED``).  On a
@@ -586,31 +584,46 @@ class QueryCluster:
           (re-sending would double-count the upsert);
         * no recovery (unsupervised, restart budget exhausted, restart
           failed): the mirror detaches itself so the simulator keeps
-          running against the local TIB (or monitor), counts the detach in
+          running against the local TIB, counts the detach in
           ``GroupPoolStats`` and leaves a ``W_MIRROR_DETACHED`` warning for
           the next result - callers can tell "degraded" from "healthy".
         """
-        agent = self.agents[host]
+        def sink(records) -> None:
+            try:
+                pool.add_records(host, records)
+            except AgentServerError as error:
+                if pool.healthy(host):
+                    return  # recovered; the re-seed covered this batch
+                agent = self.agents.get(host)
+                if agent is not None and agent.record_sink is sink:
+                    agent.record_sink = None
+                    pool.note_mirror_detach(host)
+                    self._note_warning(
+                        W_MIRROR_DETACHED, host,
+                        f"record mirror detached after delivery failure "
+                        f"({error}); worker state is stale")
+        return sink
 
-        def mirror(what: str, deliver, owner, slot: str):
-            def sink(batch) -> None:
-                try:
-                    deliver(host, batch)
-                except AgentServerError as error:
-                    if pool.healthy(host):
-                        return  # recovered; the re-seed covered this batch
-                    if getattr(owner, slot) is sink:
-                        setattr(owner, slot, None)
-                        pool.note_mirror_detach(host)
-                        self._note_warning(
-                            W_MIRROR_DETACHED, host,
-                            f"{what} mirror detached after delivery "
-                            f"failure ({error}); worker state is stale")
-            setattr(owner, slot, sink)
-
-        mirror("record", pool.add_records, agent, "record_sink")
-        mirror("observation", pool.add_observations, agent.monitor,
-               "observation_sink")
+    def _make_observation_sink(self, pool: GroupAgentPool, host: str):
+        """The observation mirror for ``host``; degrades like the record
+        sink (a dead worker detaches the mirror instead of breaking the
+        local monitor, a supervised recovery keeps it attached)."""
+        def sink(observations) -> None:
+            try:
+                pool.add_observations(host, observations)
+            except AgentServerError as error:
+                if pool.healthy(host):
+                    return  # recovered; the re-seed covered this batch
+                agent = self.agents.get(host)
+                if agent is not None and \
+                        agent.monitor.observation_sink is sink:
+                    agent.monitor.observation_sink = None
+                    pool.note_mirror_detach(host)
+                    self._note_warning(
+                        W_MIRROR_DETACHED, host,
+                        f"observation mirror detached after delivery "
+                        f"failure ({error}); worker state is stale")
+        return sink
 
     def _worker_seed(self, host: str) -> WorkerSeed:
         """Build ``host``'s part of a restart seed from the local dual-write
@@ -884,7 +897,7 @@ class QueryCluster:
                                    response_bytes=lambda value: value[1])
         alarms = sink.dispatch(self.hosts)
         hosts_failed = [host for key in gather.hosts_failed
-                        for host in pool.expand_key(key)]
+                        for host in pool.group_hosts(key)]
         return MonitorSweep(alarms, mode=self.mode, partial=gather.partial,
                             hosts_failed=hosts_failed,
                             warnings=(tuple(gather.warnings)
@@ -936,11 +949,15 @@ class QueryCluster:
         merge - the same order the per-host fold visits them, so the
         aggregate payload is byte-identical.  A failed leaf expands to
         all of its run's hosts in ``hosts_failed`` (the group connection
-        is the failure domain).
+        is the failure domain); a target no worker serves is a leaf of
+        its own that fails like any dead agent.
         """
         runs: List[Tuple[str, List[str]]] = []
         for host in targets:
-            key = pool._key_for(host)
+            try:
+                key = pool._key_for(host)
+            except AgentServerError:
+                key = host  # unroutable: fails in ``work``, not out of here
             if runs and runs[-1][0] == key:
                 runs[-1][1].append(host)
             else:

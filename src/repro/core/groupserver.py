@@ -443,9 +443,9 @@ class _GroupConn:
     sends serialise on ``_send_lock`` (envelopes must not interleave
     bytes); FIFO delivery plus the worker's in-order serving preserves
     the ingest-before-query ordering fire-and-forget envelopes rely on.
-    Any stream failure - EOF, an undecodable stream or envelope - marks
-    the connection dead and fails every pending waiter, so no request
-    thread ever hangs on a lost reply.
+    Any stream failure - EOF, an undecodable stream or envelope, a reply
+    for an exchange nobody waits on - marks the connection dead and fails
+    every pending waiter, so no request thread ever hangs on a lost reply.
     """
 
     def __init__(self, pool: "GroupAgentPool", key: str, endpoint) -> None:
@@ -457,6 +457,7 @@ class _GroupConn:
         self._send_lock = threading.Lock()
         self._pending: Dict[int, _Waiter] = {}  # guarded-by: _lock
         self._next_cid = 1  # guarded-by: _lock
+        self._ended = threading.Event()  # set once ``dead`` is
         self._reader = threading.Thread(
             target=self._read_loop, name=f"pathdump-mux-{key}", daemon=True)
         self._reader.start()
@@ -472,25 +473,23 @@ class _GroupConn:
             self._pending[cid] = waiter
         return waiter
 
-    def discard(self, cid: int) -> None:
-        """Forget a waiter (timed out / failed before the reply)."""
-        with self._lock:
-            self._pending.pop(cid, None)
-
     def send(self, frame: bytes) -> None:
         """Write one frame; raises ``OSError``-family on a dead stream.
 
-        A failed write means the peer closed its end, so the reader is
-        about to run out of stream too.  It gets a moment to consume what
-        the peer left behind before the failure is reported (and the
-        connection discarded), so a stream torn mid-frame is counted as
-        the decode error it is whichever thread noticed first.
+        A write fails only once the stream is gone - the peer closed its
+        end, or :meth:`_fail` closed ours - so the reader is at, or about
+        to reach, the end of it too.  The failure is reported after the
+        reader's verdict (under the same deadline as any reply): the
+        reader alone classifies how a stream ended, so one torn mid-frame
+        is counted as the decode error it is whichever thread noticed
+        first.  (The ``_fail`` here only matters past that deadline.)
         """
         try:
             with self._send_lock:
                 self.endpoint.send(frame)
-        except (OSError, ValueError):
-            self._reader.join(1.0)
+        except (OSError, ValueError) as error:
+            self._ended.wait(self._pool.reply_timeout_s)
+            self._fail(f"group worker {self.key} unreachable: {error}")
             raise
 
     def close(self, detail: str = "connection closed") -> None:
@@ -506,6 +505,7 @@ class _GroupConn:
         for waiter in pending:
             waiter.error = detail
             waiter.event.set()
+        self._ended.set()
         if first:
             # Exactly once: the reader (stream ended) and a caller
             # (timeout, discard, shutdown) can both get here, and a second
@@ -540,14 +540,24 @@ class _GroupConn:
                 pool._kill_group_process(self.key)
                 return
             pool._count_frames_received(len(entries))
-            if cid == 0:
-                continue  # unsolicited fire-and-forget; not in the protocol
             with self._lock:
                 waiter = self._pending.pop(cid, None)
-            if waiter is not None:
-                waiter.replies = entries
-                waiter.reply_bytes = len(frame)
-                waiter.event.set()
+                closed = self.dead is not None
+            if closed:
+                return  # a caller gave the connection up with this in flight
+            if waiter is None:
+                # A reply nobody is waiting for (a worker never sends id 0,
+                # and giving up on an exchange closes the connection): the
+                # id was corrupted in flight, and the exchange it belonged
+                # to would wait forever.
+                pool._count_decode_error()
+                self._fail(f"group worker {self.key} answered unknown "
+                           f"exchange {cid}; worker killed")
+                pool._kill_group_process(self.key)
+                return
+            waiter.replies = entries
+            waiter.reply_bytes = len(frame)
+            waiter.event.set()
 
 
 class GroupAgentPool:
@@ -771,13 +781,6 @@ class GroupAgentPool:
             return self.groups[self._keys.index(key)]
         except ValueError:
             raise AgentServerError(f"no agent server group {key}") from None
-
-    def expand_key(self, name: str) -> List[str]:
-        """Hosts behind ``name``: a group key expands to its shard, a
-        plain host to itself (for failure attribution in sweeps)."""
-        if name in self._group_of:
-            return [name]
-        return list(self.group_hosts(name))
 
     def _key_for(self, name: str) -> str:
         """The group key serving ``name`` (a host or a group key)."""
@@ -1096,7 +1099,6 @@ class GroupAgentPool:
         try:
             conn.send(envelope)
         except (OSError, ValueError) as error:
-            conn.discard(waiter.cid)
             raise self._worker_failed(
                 key, epoch,
                 f"agent server group {key} unreachable: "
@@ -1111,7 +1113,6 @@ class GroupAgentPool:
             # nothing (it carries its cid) - but a wedged worker holds M
             # hosts hostage; declare the whole group dead: kill it and
             # close the connection so every later exchange fails loudly.
-            conn.discard(waiter.cid)
             self._kill_group_process(key)
             conn.close(f"group worker {key} timed out")
             raise self._worker_failed(

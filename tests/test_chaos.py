@@ -220,12 +220,13 @@ class TestGrayWorkerFaults:
     def test_bitflip_reply_decodes_or_raises_agent_error(self):
         """A single flipped bit may or may not break the decode; the
         contract is it surfaces as a result or AgentServerError - never a
-        raw struct/index error.  (A flip in the envelope's correlation id
-        orphans the reply; the reply deadline is what reports that one.)"""
+        raw struct/index error, and never a hang: a flip in the envelope's
+        correlation id leaves a reply nobody waits for, which is a desync
+        like any other (no reply deadline is set here)."""
         for seed in range(8):
             chaos = ChaosPolicy(corrupt_reply_at={"group-0": 1},
                                 corrupt_mode=CORRUPT_BITFLIP, seed=seed)
-            with pool_of(["a"], chaos=chaos, reply_timeout_s=0.5) as pool:
+            with pool_of(["a"], chaos=chaos) as pool:
                 try:
                     pool.query("a", Query(Q_GET_FLOWS, {}))
                 except AgentServerError:

@@ -231,6 +231,22 @@ class TestPayloadIdentity:
             assert results[MODE_SERIAL].traffic_bytes == \
                 results[worker_mode].traffic_bytes
 
+    def test_unroutable_target_fails_like_a_dead_agent(self, shaped_cluster):
+        """A target no worker serves lands in ``hosts_failed`` (it does not
+        raise out of the scatter); the runs either side of it still answer."""
+        hosts = shaped_cluster.hosts
+        results = []
+        for mode in (MODE_SERIAL, shaped_cluster.worker_mode):
+            shaped_cluster.configure_executor(mode=mode)
+            results.append(shaped_cluster.execute_direct(
+                Query(Q_GET_FLOWS, {}), hosts=hosts[:3] + ["nope"] + hosts[3:]))
+        for result in results:
+            assert result.partial and result.hosts_failed == ["nope"]
+            assert [(w.code, w.host) for w in result.warnings] == \
+                [(W_HOST_FAILED, "nope")]
+        assert results[0].payload and wire.encode_value(results[0].payload) \
+            == wire.encode_value(results[1].payload)
+
     def test_workers_hold_the_same_records(self, shaped_cluster):
         pool = shaped_cluster.agent_servers
         for host in shaped_cluster.hosts:
@@ -602,15 +618,8 @@ class TestFailureDomain:
             # unsupervised: stays dead
             again = cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 10}))
             assert set(again.hosts_failed) == victim_shard
-
-    def test_sweep_expands_dead_group_to_hosts(self):
-        with worker_cluster() as cluster:
-            pool = cluster.agent_servers
-            victim_shard = set(pool.group_hosts("group-1"))
-            kill_and_wait(pool, "group-1")
-            sweep = cluster.run_monitors(1.0)
-            assert sweep.partial
-            assert set(sweep.hosts_failed) == victim_shard
+            sweep = cluster.run_monitors(1.0)  # expands the group too
+            assert sweep.partial and set(sweep.hosts_failed) == victim_shard
 
     def test_surviving_groups_answer_correctly(self):
         """The partial aggregate equals a serial run over the surviving
@@ -771,6 +780,8 @@ class TestPoolLifecycle:
             pool.reset("a")
             assert pool.ping("a") == 0
             assert pool.stats.frames_sent >= 4
+            with pytest.raises(AgentServerError, match="no agent server"):
+                pool.query("nope", Query(Q_GET_FLOWS, {}))
 
     def test_reset_clears_latched_ingest_error(self):
         """A reset wipes a latched ingest error: the first query after a
@@ -780,11 +791,6 @@ class TestPoolLifecycle:
             pool.reset("a")
             result = pool.query("a", Query(Q_GET_FLOWS, {}))
             assert result.payload == []
-
-    def test_unknown_host_rejected(self):
-        with pool_of(["a", "b"]) as pool:
-            with pytest.raises(AgentServerError, match="no agent server"):
-                pool.query("nope", Query(Q_GET_FLOWS, {}))
 
     def test_garbage_handshake_rejected(self):
         """A stranger connecting to the listener with a garbage hello is
