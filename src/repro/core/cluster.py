@@ -49,6 +49,7 @@ applications run unchanged in every mode and see identical alarm streams.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -61,8 +62,8 @@ from repro.core.alarms import Alarm, AlarmBus, POOR_PERF
 from repro.core.executor import (ExecWarning, GatherResult, MODE_CONCURRENT,
                                  MODE_SERIAL, ModelTransport, PlanNode,
                                  ScatterGatherExecutor, Transport,
-                                 W_CIRCUIT_OPEN, W_MIRROR_DETACHED,
-                                 W_WORKER_RESTARTED)
+                                 W_CIRCUIT_OPEN, W_HOST_FAILED,
+                                 W_MIRROR_DETACHED, W_WORKER_RESTARTED)
 from repro.core.groupserver import (GroupAgentPool, GroupPoolStats,
                                     SocketTransport, TRANSPORT_PIPE,
                                     TRANSPORT_UNIX)
@@ -96,7 +97,7 @@ MODE_PROCESS = "process"
 #: Cluster execution mode: hosts are sharded into worker groups, each
 #: group's TIBs live in one worker process behind a single multiplexed
 #: stream connection (Unix/TCP socket, or a pipe carrying the same
-#: coalesced envelopes), and monitor sweeps / direct queries pack one
+#: coalesced envelopes), and monitor sweeps and query scatters pack one
 #: ``MSG_GROUP_BATCH`` envelope per group instead of one frame per host.
 #: See :mod:`repro.core.groupserver`.
 MODE_SOCKET = "socket"
@@ -121,14 +122,15 @@ class DistributedQueryResult:
             the worker modes a direct query's legs are the measured
             ``MSG_GROUP_BATCH`` envelope lengths (one request and one
             reply envelope per worker group - per host under
-            ``"process"``); multi-level legs are the per-edge frames.
+            ``"process"``); multi-level legs are the modelled tree edges,
+            priced with the measured per-edge frame lengths as in serial.
         host_count: number of hosts the query was scattered to.
         breakdown: named components of the response time (for reports).
         partial: whether one or more hosts' partial results are missing.
         hosts_failed: the hosts whose results are missing (always host
             names: a failed worker group expands to its member hosts).
         warnings: structured warnings describing failures/hedges/retries;
-            worker-plane warnings (a failed direct-scatter leaf, restarts,
+            worker-plane warnings (a failed query-scatter leaf, restarts,
             open circuits) name the worker's group key (``group-N``) in
             their ``host`` field.
         wall_clock_s: *measured* end-to-end duration of the scatter-gather
@@ -284,7 +286,7 @@ class QueryCluster:
             fan-out), ``"socket"`` (hosts sharded into agent-server
             worker groups speaking the binary wire protocol, one
             multiplexed stream connection per group, monitor ticks and
-            direct-query scatters coalesced into one ``MSG_GROUP_BATCH``
+            query scatters coalesced into one ``MSG_GROUP_BATCH``
             envelope per group; CPU-bound scatters run genuinely in
             parallel) or ``"process"`` (the same plane with one host per
             group over pipes, i.e. a worker process per host;
@@ -913,17 +915,22 @@ class QueryCluster:
 
         In the worker modes the scatter is coalesced - one request
         envelope per worker group instead of one frame per host - and the
-        group's partials are folded in canonical order before the root
-        merge, so the aggregate stays byte-identical to the serial fold.
+        group's partials are folded left-to-right in request order before
+        the root merge, the same order the per-host fold visits them, so
+        the aggregate stays byte-identical to the serial fold.
         """
         targets = list(hosts) if hosts is not None else list(self.hosts)
+        request = wire.encode_query_request(query, None)  # once, all hosts
         if self._uses_agent_servers(query):
-            gather = self._gather_direct_groups(query, targets,
-                                                self._process_pool)
+            merge = self._merger(query)
+            gather = self._gather_groups(
+                query, targets, dict.fromkeys(targets, request), targets,
+                leaf=lambda results: functools.reduce(
+                    merge, (result for _host, result in results)),
+                merge=merge)
         else:
-            request_len = query.request_bytes()  # one encode for all hosts
             plan = PlanNode(host=None, children=[
-                PlanNode(host=host, request_parts=(request_len,))
+                PlanNode(host=host, request_parts=(len(request),))
                 for host in targets])
             gather = self._gather(plan, query)
         merged = self._finalise(query, gather)
@@ -937,91 +944,141 @@ class QueryCluster:
                        "host_execution": gather.max_exec_s,
                        "controller_aggregation": gather.root_merge_s})
 
-    def _gather_direct_groups(self, query: Query, targets: List[str],
-                              pool: GroupAgentPool) -> GatherResult:
-        """Direct scatter over coalesced group envelopes (worker modes).
+    def _gather_groups(self, query: Query, targets: List[str],
+                       frames: Dict[str, bytes], alarm_order: Sequence[str],
+                       leaf, merge) -> GatherResult:
+        """Fetch every target's partial over coalesced group envelopes -
+        the one scatter both mechanisms run in the worker modes.
 
-        The plan's leaves are *runs* of consecutive same-group targets
-        (for the canonical full-host scatter that is exactly one leaf per
-        group, since shards are contiguous): each leaf ships one
-        ``MSG_GROUP_BATCH`` request envelope for its run and folds the
-        per-host partials left-to-right in request order before the root
-        merge - the same order the per-host fold visits them, so the
-        aggregate payload is byte-identical.  A failed leaf expands to
-        all of its run's hosts in ``hosts_failed`` (the group connection
-        is the failure domain); a target no worker serves is a leaf of
-        its own that fails like any dead agent.
+        The plan's leaves are the pool's runs of consecutive same-group
+        targets (:meth:`GroupAgentPool.runs`).  Each leaf ships one
+        ``MSG_GROUP_BATCH`` envelope carrying ``frames[host]`` for its run
+        and hands the decoded ``(host, result)`` list, in request order,
+        to ``leaf``; leaf values meet at the root through ``merge``; both
+        legs are priced with the measured envelope lengths.  It runs on
+        the configured executor, so timeouts, hedging, retries and
+        supervision act per group: a failed leaf yields one
+        ``W_HOST_FAILED`` naming the group key and expands to all of its
+        run's hosts in ``hosts_failed`` (the group connection is the
+        failure domain).  Piggybacked host alarms are dispatched
+        afterwards in ``alarm_order``, so the alarm stream is identical to
+        the serial one whichever worker replied first - and a reply the
+        executor discards still surrenders its alarms.
         """
-        runs: List[Tuple[str, List[str]]] = []
-        for host in targets:
-            try:
-                key = pool._key_for(host)
-            except AgentServerError:
-                key = host  # unroutable: fails in ``work``, not out of here
-            if runs and runs[-1][0] == key:
-                runs[-1][1].append(host)
-            else:
-                runs.append((key, [host]))
-        request_frame = wire.encode_query_request(query, None)
+        pool = self._process_pool
         labels: Dict[str, Tuple[str, List[str]]] = {}
         children = []
-        for index, (key, run_hosts) in enumerate(runs):
+        for index, (key, run_hosts) in enumerate(pool.runs(targets)):
             label = key if key not in labels else f"{key}#{index}"
             labels[label] = (key, run_hosts)
             # Sized with a small correlation id; the live envelope's id
             # varint may grow a byte on long-lived pools - noise next to
             # the coalesced payload.
             envelope_len = len(wire.encode_group_batch(
-                1, [(host, request_frame) for host in run_hosts]))
+                1, [(host, frames[host]) for host in run_hosts]))
             children.append(PlanNode(host=label,
                                      request_parts=(envelope_len,)))
-        plan = PlanNode(host=None, children=children)
         sink = _AlarmCollector(self, latch=False)
 
-        def work(label: str) -> QueryResult:
+        def work(label: str):
             key, run_hosts = labels[label]
             for host in run_hosts:
                 if host not in self.agents:
                     raise KeyError(f"no agent running on {host}")
             results, reply_bytes, _sent = pool.group_query(
-                key, query, hosts=run_hosts)
-            folded: Optional[QueryResult] = None
+                key, query, run_hosts, frames)
             for host, result in results:
                 if result.alarms:
                     sink.park(host, result.alarms)
                     result.alarms = ()
-                folded = (result if folded is None
-                          else self.engine.merge(query, (folded, result),
-                                                 measure_wire=False))
-            # What travelled back is the reply envelope, not the folded
-            # accumulator; price the response leg with the real bytes.
-            folded.wire_bytes = reply_bytes
-            return folded
+            # What travels back is the reply envelope, whatever the leaf
+            # makes of it; the response leg is priced with the real bytes.
+            return leaf(results), reply_bytes
 
-        gather = self._run_plan(plan, query, work)
-        sink.dispatch(targets)
-        gather.hosts_failed = [
-            host for label in gather.hosts_failed
-            for host in labels.get(label, (label, [label]))[1]]
+        gather = self.executor.run(
+            PlanNode(host=None, children=children), work,
+            lambda acc, value: (merge(acc[0], value[0]), 0),
+            response_bytes=lambda value: value[1])
+        sink.dispatch(alarm_order)
+        if gather.value is not None:
+            gather.value = gather.value[0]
+        gather.hosts_failed = [host for label in gather.hosts_failed
+                               for host in labels[label][1]]
         return gather
 
     def execute_multilevel(self, query: Query,
                            hosts: Optional[Sequence[str]] = None,
                            fanout: Sequence[int] = PAPER_TREE_FANOUT
                            ) -> DistributedQueryResult:
-        """Multi-level query along an aggregation tree."""
+        """Multi-level query along an aggregation tree.
+
+        In the worker modes the tree is folded over partials fetched
+        with one envelope per worker group (:meth:`_gather_tree_groups`);
+        ``payload`` and ``traffic_bytes`` are byte-identical to the serial
+        walk and ``wall_clock_s`` is the measured wall of both phases.
+        """
         targets = list(hosts) if hosts is not None else list(self.hosts)
         tree = AggregationTree(targets, fanout=fanout)
-        specs: Dict[str, wire.SubtreeSpec] = {}
-        plan = self._plan_from_tree(tree.root, query, specs,
-                                    request_len=query.request_bytes())
-        gather = self._gather(plan, query, specs)
+        frames: Dict[str, bytes] = {}
+        plan = self._plan_from_tree(
+            tree.root, wire.encode_query_request(query, None), frames)
+        if self._uses_agent_servers(query):
+            gather = self._gather_tree_groups(query, targets, frames, plan)
+        else:
+            gather = self._gather(plan, query)
         merged = self._finalise(query, gather)
         return self._distributed_result(
             query, MECHANISM_MULTILEVEL, merged, gather, len(targets),
             breakdown={"tree_depth": float(tree.depth()),
+                       "host_execution": gather.max_exec_s,
                        "merge_total": gather.merge_s_total,
                        "controller_aggregation": gather.root_merge_s})
+
+    def _gather_tree_groups(self, query: Query, targets: List[str],
+                            frames: Dict[str, bytes], plan: PlanNode
+                            ) -> GatherResult:
+        """Multi-level scatter in the worker modes: fetch, then fold.
+
+        *Fetch* is :meth:`_gather_groups` over the tree edges' real
+        query+spec ``frames``: every worker still receives the request its
+        edge carries, one envelope per group instead of one round trip per
+        host.  *Fold* runs ``plan`` through a serial executor on the
+        calling thread whose per-host work is a lookup of the fetched
+        partial, so slot order, merges, ``request_parts`` and response
+        sizes - hence ``payload`` and ``traffic_bytes`` (the modelled tree
+        edges, priced with measured frame lengths) - are byte-identical to
+        the serial walk.  The fetch envelopes are charged to the channel
+        model too but stay out of ``traffic_bytes``.
+
+        A group lost in the fetch keeps its one ``W_HOST_FAILED`` naming
+        the group key; the fold misses exactly its member hosts, which
+        land in ``hosts_failed`` in canonical plan order without a warning
+        each, and survivors' subtrees still aggregate.
+
+        Returns the fold's gather completed with the fetch: ``wall_s`` is
+        the measured wall of both phases and ``max_exec_s`` the slowest
+        group exchange, which the modelled time adds to the tree model
+        (the fold's own per-host execution is a lookup, and no partial
+        exists before its group answered).
+        """
+        fetched = self._gather_groups(
+            query, targets, frames, self._plan_hosts(plan), leaf=dict,
+            merge=lambda acc, value: acc.update(value) or acc)
+        partials: Dict[str, QueryResult] = fetched.value or {}
+        fold = self._run_plan(
+            plan, query, partials.__getitem__,
+            ScatterGatherExecutor(self.transport, mode=MODE_SERIAL))
+        lost = set(fetched.hosts_failed)
+        fold.warnings = sorted(
+            fetched.warnings + [w for w in fold.warnings
+                                if w.code != W_HOST_FAILED
+                                or w.host not in lost],
+            key=lambda w: (w.host, w.code))
+        fold.wall_s += fetched.wall_s
+        fold.max_exec_s = fetched.max_exec_s
+        fold.model_time_s += fetched.max_exec_s
+        fold.duplicate_traffic_bytes += fetched.duplicate_traffic_bytes
+        return fold
 
     def execute(self, query: Query, hosts: Optional[Sequence[str]] = None,
                 mechanism: str = MECHANISM_DIRECT) -> DistributedQueryResult:
@@ -1033,33 +1090,27 @@ class QueryCluster:
         raise ValueError(f"unknown query mechanism {mechanism!r}")
 
     # ------------------------------------------------------------- internals
-    def _plan_from_tree(self, node: TreeNode, query: Query,
-                        specs: Optional[Dict[str, wire.SubtreeSpec]] = None,
-                        request_len: Optional[int] = None) -> PlanNode:
+    def _plan_from_tree(self, node: TreeNode, request: bytes,
+                        frames: Dict[str, bytes]) -> PlanNode:
         """Map an aggregation (sub)tree onto a scatter plan.
 
         Every non-root edge batches the query and the child's subtree
-        description into one request message; the part sizes are measured
-        so that their sum is exactly the length of the combined
-        ``encode_query_request(query, spec)`` frame that the worker modes
-        actually ship (the spec part is its frame body - the batched
-        message pays the fixed header once).  ``request_len`` carries the
-        query frame's length down the recursion (one encode per plan, not
-        one per host); ``specs`` (when given) collects each host's subtree
-        description so the worker modes can ship the real thing.
+        description into one request message.  ``request`` is the bare
+        query frame, encoded once per query; each host's combined
+        ``encode_query_request(query, spec)`` frame is spliced from it
+        into ``frames`` - the bytes the worker modes ship - and the edge's
+        part sizes are read off that frame (the query part is the bare
+        frame's length, the spec part the rest), so they sum to exactly
+        what travels.
         """
-        if request_len is None:
-            request_len = query.request_bytes()
         parts: Tuple[int, ...] = ()
         if node.host is not None:
-            spec = node.subtree_spec()
-            if specs is not None:
-                specs[node.host] = spec
-            parts = (request_len,
-                     len(wire.encode_subtree_spec(spec)) - wire.HEADER_BYTES)
+            frame = frames[node.host] = wire.request_with_spec(
+                request, node.subtree_spec())
+            parts = (len(request), len(frame) - len(request))
         return PlanNode(
             host=node.host, request_parts=parts,
-            children=[self._plan_from_tree(child, query, specs, request_len)
+            children=[self._plan_from_tree(child, request, frames)
                       for child in node.children])
 
     def _uses_agent_servers(self, query: Query) -> bool:
@@ -1089,62 +1140,39 @@ class QueryCluster:
         walk(plan)
         return hosts
 
-    def _gather(self, plan: PlanNode, query: Query,
-                specs: Optional[Dict[str, wire.SubtreeSpec]] = None
-                ) -> GatherResult:
-        """Run a scatter plan: per-host query execution + streaming merge."""
-        agents = self.agents
-        alarm_sink: Optional[_AlarmCollector] = None
+    def _gather(self, plan: PlanNode, query: Query) -> GatherResult:
+        """Run a scatter plan on the in-process agents: per-host query
+        execution + streaming merge.  (The worker modes fetch through
+        :meth:`_gather_groups` instead.)"""
+        def work(host: str) -> QueryResult:
+            agent = self.agents.get(host)
+            if agent is None:
+                raise KeyError(f"no agent running on {host}")
+            return agent.execute_query(query)
 
-        if self._uses_agent_servers(query):
-            pool = self._process_pool
-            spec_map = specs or {}
-            alarm_sink = _AlarmCollector(self, latch=False)
-            sink = alarm_sink
+        return self._run_plan(plan, query, work, self.executor)
 
-            def work(host: str) -> QueryResult:
-                if host not in agents:
-                    raise KeyError(f"no agent running on {host}")
-                result = pool.query(host, query, spec_map.get(host))
-                if result.alarms:
-                    # Piggybacked host alarms: parked here and dispatched
-                    # after the gather in canonical host order, so the
-                    # controller's alarm stream is deterministic (identical
-                    # to the serial in-process stream) regardless of which
-                    # worker replied first - and a reply the executor
-                    # discards still surrenders its alarms.
-                    sink.park(host, result.alarms)
-                    result.alarms = ()
-                return result
-        else:
-            def work(host: str) -> QueryResult:
-                agent = agents.get(host)
-                if agent is None:
-                    raise KeyError(f"no agent running on {host}")
-                return agent.execute_query(query)
-
-        gather = self._run_plan(plan, query, work)
-        if alarm_sink is not None:
-            alarm_sink.dispatch(self._plan_hosts(plan))
-        return gather
-
-    def _run_plan(self, plan: PlanNode, query: Query, work) -> GatherResult:
-        """Run a scatter plan whose leaves ``work`` answers, folding the
-        partial results with the query's streaming merge."""
+    def _merger(self, query: Query):
+        """The query's pairwise streaming merge."""
         def merge(acc: QueryResult, value: QueryResult) -> QueryResult:
             # Intermediate pairwise merges are not sized (that would
             # re-encode a growing payload per merge - quadratic); only a
             # node's final accumulator is measured, in response_bytes.
             return self.engine.merge(query, (acc, value),
                                      measure_wire=False)
+        return merge
 
+    def _run_plan(self, plan: PlanNode, query: Query, work,
+                  executor: ScatterGatherExecutor) -> GatherResult:
+        """Run a scatter plan whose hosts ``work`` answers on ``executor``,
+        folding the partial results with the query's streaming merge."""
         def response_bytes(result: QueryResult) -> int:
             if not result.wire_bytes:  # an unmeasured merge accumulator
                 result.wire_bytes = measured_result_wire_bytes(result)
             return result.wire_bytes
 
-        return self.executor.run(plan, work, merge,
-                                 response_bytes=response_bytes)
+        return executor.run(plan, work, self._merger(query),
+                            response_bytes=response_bytes)
 
     def _finalise(self, query: Query, gather: GatherResult) -> QueryResult:
         """Normalise the gathered accumulator into one aggregate result."""

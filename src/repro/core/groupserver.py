@@ -566,10 +566,11 @@ class GroupAgentPool:
 
     The controller-side handle of the worker plane: a per-host client
     API (``add_records``/``query``/``monitor_tick``/...) for the
-    cluster's ingest mirrors and the executor's tree-edge scatters, plus
-    the coalesced group API (``group_monitor_tick``/``group_query``/
+    cluster's ingest mirrors and single-host probes, plus the coalesced
+    group API (``group_monitor_tick``/``group_query``/
     ``group_ping_state``) that packs one envelope per *group* instead of
-    one frame per *host*.
+    one frame per *host* - every query scatter, direct or multi-level,
+    goes through ``group_query``.
 
     Args:
         hosts: hosts to serve, in canonical (scatter) order.
@@ -791,6 +792,21 @@ class GroupAgentPool:
             return name
         raise AgentServerError(f"no agent server for {name}")
 
+    def runs(self, targets: Sequence[str]) -> List[Tuple[str, List[str]]]:
+        """``targets`` as ``(group key, hosts)`` runs of consecutive
+        same-group hosts - the leaves of a coalesced scatter (shards are
+        contiguous: one run per group for the canonical host order).  A
+        target no worker serves is a run of its own under its own name,
+        which fails when asked, like any dead agent."""
+        runs: List[Tuple[str, List[str]]] = []
+        for host in targets:
+            key = self._group_of.get(host, host)
+            if runs and runs[-1][0] == key:
+                runs[-1][1].append(host)
+            else:
+                runs.append((key, [host]))
+        return runs
+
     # ------------------------------------------------------- per-host client
     def add_records(self, host: str,
                     records: Sequence[PathFlowRecord]) -> int:
@@ -836,8 +852,9 @@ class GroupAgentPool:
 
     def query(self, host: str, query,
               spec: Optional[wire.SubtreeSpec] = None) -> QueryResult:
-        """Run ``query`` on ``host`` via its group's multiplexed
-        connection; returns the host's partial result, its
+        """Run ``query`` on ``host`` alone via its group's multiplexed
+        connection (a single-host probe; scatters use
+        :meth:`group_query`); returns the host's partial result, its
         ``wire_bytes`` the measured inner reply frame length.  Alarms the
         worker had pending ride the reply on ``result.alarms`` - the
         caller is responsible for dispatching them to the alarm bus."""
@@ -931,22 +948,29 @@ class GroupAgentPool:
         return per_host, reply_bytes, sent
 
     def group_query(self, key: str, query,
-                    hosts: Optional[Sequence[str]] = None
+                    hosts: Optional[Sequence[str]] = None,
+                    frames: Optional[Dict[str, bytes]] = None
                     ) -> Tuple[List[Tuple[str, QueryResult]], int, int]:
         """Run ``query`` on every host of ``key`` (or the given subset)
         through one coalesced envelope.
 
-        Returns ``(per-host (host, result) in request order, reply
-        envelope bytes, request envelope bytes)``; each result's
-        ``wire_bytes`` is its measured inner reply frame length.  A
-        host-level error reply fails the whole group exchange (the group
-        is the failure domain in coalesced scatters).
+        ``frames`` maps each target to its pre-encoded request frame
+        (``encode_query_request(query, spec)`` - a multi-level scatter
+        ships every tree edge's real query+spec frame, coalesced); without
+        it every target gets the bare query frame, encoded once.  Returns
+        ``(per-host (host, result) in request order, reply envelope bytes,
+        request envelope bytes)``; each result's ``wire_bytes`` is its
+        measured inner reply frame length.  A host-level error reply fails
+        the whole group exchange (the group is the failure domain in
+        coalesced scatters).
         """
         key = self._key_for(key)
         targets = tuple(hosts) if hosts is not None else self.group_hosts(key)
-        frame = wire.encode_query_request(query, None)
+        if frames is None:
+            frames = dict.fromkeys(targets,
+                                   wire.encode_query_request(query, None))
         replies, reply_bytes, sent = self._ask_group(
-            key, [(host, frame) for host in targets])
+            key, [(host, frames[host]) for host in targets])
         results = [
             (host, self._checked_decode(key, reply, wire.decode_result, query))
             for host, reply in zip(targets, replies)]

@@ -559,6 +559,22 @@ def encode_query_request(query, spec: Optional[SubtreeSpec]) -> bytes:
     return _frame(MSG_QUERY_REQUEST, bytes(body))
 
 
+def request_with_spec(request: bytes, spec: SubtreeSpec) -> bytes:
+    """``encode_query_request(query, spec)`` built from the bare frame
+    ``encode_query_request(query, None)``, byte for byte.
+
+    Both request layouts end in the optional-spec tail, so a multi-level
+    scatter encodes its query once and splices each tree edge's subtree
+    description in instead of re-encoding the query per host.
+    """
+    if request[-1:] != b"\x00":
+        raise WireError("not a bare query request frame")
+    body = bytearray(request[:-1])
+    body.append(1)
+    _w_spec(body, spec)
+    return bytes(body)
+
+
 @_guarded
 def decode_query_request(data: bytes):
     """Decode a query request; returns ``(Query, Optional[SubtreeSpec])``.

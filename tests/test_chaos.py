@@ -13,7 +13,8 @@ import time
 
 import pytest
 
-from repro.core import (AgentServerError, MODE_CONCURRENT, MODE_PROCESS,
+from repro.core import (AgentServerError, MECHANISM_DIRECT,
+                        MECHANISM_MULTILEVEL, MODE_CONCURRENT, MODE_PROCESS,
                         MODE_SERIAL, Q_GET_FLOWS, Q_POOR_TCP_FLOWS,
                         Q_TOP_K_FLOWS, Query, QueryCluster, wire)
 from repro.core.supervisor import (CORRUPT_BITFLIP, CORRUPT_GARBAGE,
@@ -39,17 +40,21 @@ def supervised_cluster(chaos=None, policy=FAST, records_per_host=25,
 
 
 class TestKillMidScatter:
-    def test_retry_makes_the_failing_scatter_succeed(self):
+    @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
+                                           MECHANISM_MULTILEVEL])
+    def test_retry_makes_the_failing_scatter_succeed(self, mechanism):
         """With one executor retry, even the scatter whose worker dies
-        mid-flight returns a full, byte-identical payload."""
+        mid-flight returns a full, byte-identical payload - direct, or
+        multi-level (where the retry re-runs the group fetch)."""
         chaos = ChaosPolicy(kill_at_frame={"group-1": STARTUP_FRAMES + 1})
+        query = Query(Q_TOP_K_FLOWS, {"k": 1000})
         with supervised_cluster(chaos=chaos) as cluster:
             reference = wire.encode_value(
-                cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 1000})).payload)
+                cluster.execute(query, mechanism=mechanism).payload)
             cluster.configure_executor(mode=MODE_PROCESS, retries=1)
-            result = cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 1000}))
+            result = cluster.execute(query, mechanism=mechanism)
             assert chaos.injected  # the kill really fired
-            assert not result.partial
+            assert not result.partial and result.hosts_failed == []
             assert wire.encode_value(result.payload) == reference
             assert cluster.agent_servers.stats.restarts == 1
 

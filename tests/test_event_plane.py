@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import (AlarmBus, MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
                         MODE_CONCURRENT, MODE_PROCESS, MODE_SERIAL,
-                        Q_PATH_CONFORMANCE, Q_POOR_TCP_FLOWS, Query,
+                        MODE_SOCKET, Q_PATH_CONFORMANCE, Q_POOR_TCP_FLOWS, Query,
                         QueryCluster, wire)
 from repro.core.alarms import Alarm, PC_FAIL, POOR_PERF
 from repro.core.cluster import MonitorSweep
@@ -58,8 +58,8 @@ def feed_workload(cluster, poor_per_host=3, healthy_per_host=2):
                                        consecutive=1, when=float(n))
 
 
-def make_cluster(mode):
-    cluster = QueryCluster(small_topology(), mode=mode)
+def make_cluster(mode, **kwargs):
+    cluster = QueryCluster(small_topology(), mode=mode, **kwargs)
     feed_workload(cluster)
     return cluster
 
@@ -241,21 +241,26 @@ class TestAlarmStreamIdentity:
         assert payloads[MODE_SERIAL] == payloads[MODE_PROCESS]
         assert payloads[MODE_SERIAL] != wire.encode_value([])
 
-    def test_query_raised_alarms_identical_serial_vs_process(self):
-        """path_conformance's PC_FAIL alarms ride the reply frames in
-        process mode and land on the bus in the same canonical order the
-        serial in-process run produces."""
+    def test_query_raised_alarms_identical_serial_vs_workers(self):
+        """path_conformance's PC_FAIL alarms ride the reply frames in the
+        worker modes - the coalesced group envelopes of a multi-level
+        fetch included - and land on the bus in the same canonical
+        (tree-walk) order the serial in-process run produces."""
         streams = {}
-        for mode in (MODE_SERIAL, MODE_PROCESS):
-            with make_cluster(mode) as cluster:
-                result = cluster.execute(Query(Q_PATH_CONFORMANCE,
-                                               {"max_hops": 0}),
-                                         mechanism=MECHANISM_MULTILEVEL)
+        for mode in (MODE_SERIAL, MODE_PROCESS, MODE_SOCKET):
+            with make_cluster(mode, group_count=2) as cluster:
+                # (2, 2): server-0 aggregates server-2/3, so the walk
+                # order differs from the host (and shard) order.
+                result = cluster.execute_multilevel(
+                    Query(Q_PATH_CONFORMANCE, {"max_hops": 0}),
+                    fanout=(2, 2))
                 assert result.payload and not result.partial
-                streams[mode] = alarm_stream_bytes(
-                    cluster.alarm_bus.by_reason(PC_FAIL))
+                alarms = cluster.alarm_bus.by_reason(PC_FAIL)
+                streams[mode] = alarm_stream_bytes(alarms)
+        assert list(dict.fromkeys(alarm.host for alarm in alarms)) == \
+            ["server-0", "server-2", "server-3", "server-1"]
         assert streams[MODE_SERIAL] == streams[MODE_PROCESS]
-        assert streams[MODE_SERIAL] != wire.encode_alarm_batch([])
+        assert streams[MODE_SERIAL] == streams[MODE_SOCKET]
 
     def test_at_most_once_across_wire_ticks(self, process_cluster):
         first = process_cluster.run_monitors(1.0)

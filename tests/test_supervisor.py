@@ -14,9 +14,9 @@ import time
 
 import pytest
 
-from repro.core import (AgentServerError, GroupAgentPool, MODE_PROCESS,
-                        Q_GET_FLOWS, Query, QueryCluster, TRANSPORT_PIPE,
-                        wire)
+from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
+                        MECHANISM_MULTILEVEL, MODE_PROCESS, Q_GET_FLOWS,
+                        Query, QueryCluster, TRANSPORT_PIPE, wire)
 from repro.core.executor import W_WORKER_RESTARTED, W_CIRCUIT_OPEN
 from repro.core.supervisor import (EVENT_CIRCUIT_OPEN, EVENT_RESTARTED,
                                    GroupSeed, RestartPolicy, Supervisor,
@@ -260,21 +260,26 @@ class TestStandaloneRecovery:
 
 
 class TestClusterRecovery:
-    def test_restart_surfaces_warning_and_identical_payloads(self):
+    @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
+                                           MECHANISM_MULTILEVEL])
+    def test_restart_surfaces_warning_and_identical_payloads(self,
+                                                             mechanism):
         supervisor = Supervisor(policy=FAST)
         with QueryCluster(small_topology(), supervisor=supervisor) as cluster:
             populate(cluster)
             cluster.configure_executor(mode=MODE_PROCESS)
-            reference = wire.encode_value(
-                cluster.execute(Query(Q_GET_FLOWS, {})).payload)
+            reference = wire.encode_value(cluster.execute(
+                Query(Q_GET_FLOWS, {}), mechanism=mechanism).payload)
             victim = cluster.hosts[0]
             pool = cluster.agent_servers
             kill_and_wait(pool, victim)
-            first = cluster.execute(Query(Q_GET_FLOWS, {}))
+            first = cluster.execute(Query(Q_GET_FLOWS, {}),
+                                    mechanism=mechanism)
             # No retries configured: the failing scatter is partial, but
             # the restart already happened behind it.
             assert first.partial and victim in first.hosts_failed
-            repeat = cluster.execute(Query(Q_GET_FLOWS, {}))
+            repeat = cluster.execute(Query(Q_GET_FLOWS, {}),
+                                     mechanism=mechanism)
             assert not repeat.partial
             assert wire.encode_value(repeat.payload) == reference
             warnings = first.warnings + repeat.warnings

@@ -311,11 +311,15 @@ class TestMeasuredTraffic:
     def test_multilevel_edge_parts_sum_to_the_combined_frame(
             self, shaped_cluster):
         """An edge's (query, spec) part sizes reconcile exactly with the
-        batched request frame the worker modes actually ship."""
+        batched request frame the worker modes actually ship, and that
+        frame - spliced from the query's one bare encode - is the real
+        encoder's, byte for byte."""
         query = Query(Q_TOP_K_FLOWS, {"k": 3})
-        specs = {}
+        frames = {}
         tree = AggregationTree(shaped_cluster.hosts, fanout=(2, 2))
-        plan = shaped_cluster._plan_from_tree(tree.root, query, specs)
+        plan = shaped_cluster._plan_from_tree(
+            tree.root, wire.encode_query_request(query, None), frames)
+        specs = {node.host: node.subtree_spec() for node in tree.host_nodes()}
         stack = [plan]
         checked = 0
         while stack:
@@ -324,6 +328,7 @@ class TestMeasuredTraffic:
             if node.host is None:
                 continue
             frame = wire.encode_query_request(query, specs[node.host])
+            assert frames[node.host] == frame
             assert sum(node.request_parts) == len(frame)
             checked += 1
         assert checked == len(shaped_cluster.hosts)
@@ -382,14 +387,37 @@ class TestFrameCoalescing:
 
     def test_process_alias_ships_one_envelope_per_host(self):
         """Groups of one still speak envelopes - one per host, no special
-        bare-frame path."""
+        bare-frame path - for sweeps and both query mechanisms."""
         with worker_cluster(MODE_PROCESS) as cluster:
             pool = cluster.agent_servers
             pool.reset_stats()
             cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 10}))
             cluster.run_monitors(1.0)
-            assert pool.stats.envelopes_sent == 2 * NUM_HOSTS
+            cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 10}),
+                            mechanism=MECHANISM_MULTILEVEL)
+            assert pool.stats.envelopes_sent == 3 * NUM_HOSTS
             assert pool.stats.frames_sent == pool.stats.envelopes_sent
+
+    def test_multilevel_ships_one_envelope_per_group(self):
+        """A multi-level query costs one request envelope per group
+        touched, not one round trip per host - and what the envelopes
+        carry is still every tree edge's real query+spec frame."""
+        query = Query(Q_TOP_K_FLOWS, {"k": 10})
+        with worker_cluster() as cluster:
+            pool = cluster.agent_servers
+            specs = {node.host: node.subtree_spec()
+                     for node in AggregationTree(cluster.hosts).host_nodes()}
+            expected = sum(
+                len(wire.encode_group_batch(1, [
+                    (host, wire.encode_query_request(query, specs[host]))
+                    for host in pool.group_hosts(key)]))
+                for key in pool.group_keys())
+            pool.reset_stats()
+            result = cluster.execute(query, mechanism=MECHANISM_MULTILEVEL)
+            assert not result.partial
+            assert pool.stats.envelopes_sent == GROUPS
+            assert pool.stats.frames_sent == NUM_HOSTS
+            assert pool.stats.bytes_sent == expected
 
     def test_sweep_coalesces_one_envelope_per_group(self):
         with worker_cluster(feed=feed_workload) as cluster:
@@ -635,6 +663,91 @@ class TestFailureDomain:
                                       hosts=survivors)
             assert wire.encode_value(result.payload) == \
                 wire.encode_value(want.payload)
+
+
+#: Deep enough on 6 hosts for interior nodes: server-0 aggregates
+#: server-2/3, server-1 aggregates server-4/5.
+TREE_FANOUT = (2, 2)
+
+
+class TestMultilevelFailureSemantics:
+    """A multi-level query fetches per group and folds the tree at the
+    controller, so a dead group fails like a direct scatter's leaf - once,
+    under its group key - while the fold treats its members as failed
+    hosts of the serial walk."""
+
+    @pytest.mark.parametrize("during", [False, True],
+                             ids=["killed-before", "killed-during"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_dead_group_is_one_failed_leaf_and_survivors_aggregate(
+            self, shape, during):
+        query = Query(Q_TOP_K_FLOWS, {"k": 1000})
+        with worker_cluster(*shape) as cluster:
+            pool = cluster.agent_servers
+            key = pool.group_keys()[0]  # holds interior node server-0
+            members = pool.group_hosts(key)
+            if during:
+                # In flight when the process dies: the stall keeps the
+                # envelope unanswered until the kill ends the wait.
+                pool.stall(members[0], 5.0)
+                killer = threading.Timer(0.15, pool.kill, args=(key,))
+                killer.start()
+            else:
+                kill_and_wait(pool, key)
+            try:
+                started = time.perf_counter()
+                result = cluster.execute_multilevel(query,
+                                                    fanout=TREE_FANOUT)
+                elapsed = time.perf_counter() - started
+            finally:
+                if during:
+                    killer.cancel()
+            direct = cluster.execute_direct(query)
+        assert elapsed < 4.0  # the kill, not the stall, ended the wait
+        failed = [(w.host, w.attempts) for w in result.warnings
+                  if w.code == W_HOST_FAILED]
+        # One warning for the group - the same one direct gives - and
+        # none per member from the fold.
+        assert failed == [(key, 1)]
+        assert failed == [(w.host, w.attempts) for w in direct.warnings
+                          if w.code == W_HOST_FAILED]
+        plan_order = AggregationTree(
+            cluster.hosts, fanout=TREE_FANOUT).root.subtree_hosts()
+        assert result.partial
+        assert result.hosts_failed == [host for host in plan_order
+                                       if host in members]
+        # Survivors aggregate exactly as in a serial walk that lost the
+        # same hosts: an interior node loses only its own partial.
+        with worker_cluster(MODE_SERIAL) as serial:
+            for host in members:
+                del serial.agents[host]
+            want = serial.execute_multilevel(query, fanout=TREE_FANOUT)
+        assert result.hosts_failed == want.hosts_failed
+        assert wire.encode_value(result.payload) == \
+            wire.encode_value(want.payload)
+        assert result.traffic_bytes == want.traffic_bytes
+        assert len(result.payload) == 25 * (NUM_HOSTS - len(members))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_supervised_retry_hides_the_death(self, shape):
+        """With a supervisor and one executor retry the fetch restarts the
+        dead group behind the failing leaf: zero failed hosts, and the
+        answer byte-identical to serial."""
+        query = Query(Q_TOP_K_FLOWS, {"k": 1000})
+        with worker_cluster(MODE_SERIAL) as serial:
+            want = serial.execute_multilevel(query, fanout=TREE_FANOUT)
+        with worker_cluster(*shape, supervisor=Supervisor(FAST),
+                            retries=1) as cluster:
+            pool = cluster.agent_servers
+            key = pool.group_keys()[0]
+            kill_and_wait(pool, key)
+            result = cluster.execute_multilevel(query, fanout=TREE_FANOUT)
+        assert not result.partial and result.hosts_failed == []
+        assert wire.encode_value(result.payload) == \
+            wire.encode_value(want.payload)
+        assert result.traffic_bytes == want.traffic_bytes
+        assert [w.host for w in result.warnings
+                if w.code == W_WORKER_RESTARTED] == [key]
 
 
 class TestSupervisedRecovery:
