@@ -24,6 +24,11 @@ four cluster modes:
   idle-tick cost is below the committed process-mode baseline in
   ``BENCH_storage.json`` (both rows run the same pool code now, so a
   same-run comparison would only measure the shape).
+* **Mirrored ingest**: records/s of one-record ``ingest_path_record``
+  calls, as the caller sees them and with the workers drained.  In the
+  worker modes every call also feeds the worker mirror - queued on the
+  connection's outbox and shipped as a few coalesced envelopes - so the
+  gap to the in-process rows is the mirror's whole cost.
 
 Alarm streams must be byte-identical across all four modes (asserted),
 so the latency/overhead columns compare like with like.  The summary is
@@ -53,6 +58,9 @@ FLOWS_PER_HOST = 50 if QUICK else 400
 POOR_FRACTION = 0.25
 #: Measurement rounds per mode (each round re-opens alerting).
 ROUNDS = 2 if QUICK else 5
+
+#: One-record merge-upserts per host for the mirrored-ingest figure.
+INGEST_PER_HOST = 50 if QUICK else 500
 
 #: Worker groups for the coalesced (socket-over-pipe) measurement: the
 #: same worker plane, NUM_HOSTS/GROUP_COUNT tick frames per envelope.
@@ -126,6 +134,35 @@ def measure_mode(cluster, rounds=ROUNDS):
     }
 
 
+def measure_ingest(cluster):
+    """Mirrored-ingest rate: INGEST_PER_HOST one-record merge-upserts per
+    host onto populated keys, hosts interleaved.  ``ingest_records_per_s``
+    stops the clock when the last call returns (the worker copy may still
+    be in an outbox); ``ingest_drained_records_per_s`` adds a ping barrier
+    per worker group, so both copies hold every write (the same number
+    in-process, where there is nothing to drain)."""
+    work = []
+    for n in range(INGEST_PER_HOST):
+        for index, host in enumerate(cluster.hosts):
+            dst = cluster.hosts[(index + 1) % len(cluster.hosts)]
+            flow = FlowId(host, dst, 20_000 + n % FLOWS_PER_HOST, 80,
+                          PROTO_TCP)
+            work.append((cluster.agent(host).ingest_path_record,
+                         PathFlowRecord(flow, (host, "leaf-0", dst),
+                                        float(n), n + 0.1, 1460, 1)))
+    started = time.perf_counter()
+    for ingest, record in work:
+        ingest(record)
+    called = time.perf_counter() - started
+    pool = cluster.agent_servers
+    if pool is not None:
+        for key in pool.group_keys():
+            pool.group_ping_state(key)
+    drained = time.perf_counter() - started
+    return {"ingest_records_per_s": round(len(work) / called),
+            "ingest_drained_records_per_s": round(len(work) / drained)}
+
+
 def fold_into_bench_json(summary):
     data = {}
     if BENCH_JSON.exists():
@@ -155,6 +192,8 @@ def test_event_plane_latency(benchmark, report_writer):
             group_stats.envelopes_sent * (NUM_HOSTS // GROUP_COUNT)
         per_host_stats = clusters[MODE_PROCESS].agent_servers.stats
         assert per_host_stats.frames_sent == per_host_stats.envelopes_sent
+        for mode in ALL_MODES:  # after the counters above were read
+            results[mode].update(measure_ingest(clusters[mode]))
     finally:
         for cluster in clusters.values():
             cluster.close()
@@ -167,18 +206,23 @@ def test_event_plane_latency(benchmark, report_writer):
 
     table = [[mode, row["alarms_per_sweep"],
               f"{row['alarm_delivery_ms']:.3f}",
-              f"{row['idle_tick_ms']:.3f}", row["tick_traffic_bytes"]]
+              f"{row['idle_tick_ms']:.3f}", row["tick_traffic_bytes"],
+              row["ingest_records_per_s"],
+              row["ingest_drained_records_per_s"]]
              for mode, row in results.items()]
     report_writer("event_plane", format_table(
         ["mode", "alarms/sweep", "delivery latency (ms, median)",
-         "idle tick (ms, median)", "tick traffic (B, measured)"], table,
+         "idle tick (ms, median)", "tick traffic (B, measured)",
+         "mirrored ingest (records/s)", "... workers drained"], table,
         title=f"Event plane: {NUM_HOSTS}-host monitor sweep, "
               f"{FLOWS_PER_HOST} monitored flows/host "
               f"({POOR_FRACTION:.0%} poor), median over {ROUNDS} rounds "
               "(measured wall clock; alarm streams byte-identical across "
               "modes; worker-mode traffic is len(encoded) of the "
               "tick/alarm frames; socket = grouped workers over pipes, "
-              f"{GROUP_COUNT} coalesced envelopes per sweep)"))
+              f"{GROUP_COUNT} coalesced envelopes per sweep; ingest = "
+              f"{INGEST_PER_HOST} one-record upserts/host, hosts "
+              "interleaved, mirrored through the connection outbox)"))
 
     fold_into_bench_json({
         "hosts": NUM_HOSTS,

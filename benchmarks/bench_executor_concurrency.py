@@ -26,6 +26,8 @@ process-mode results losslessly.
 import os
 import time
 
+import pytest
+
 from repro.analysis import format_table
 from repro.core import (LoopbackTransport, MECHANISM_DIRECT, MODE_CONCURRENT,
                         MODE_PROCESS, MODE_SERIAL, Query, wire)
@@ -103,6 +105,11 @@ def test_executor_concurrency_speedup(benchmark, report_writer):
     assert rows[-1][3] <= rows[1][3]
 
 
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 4,
+    reason="asserts process < thread, which needs cores for the 8 worker "
+           "processes to overlap on; below 4 cores they time-slice with the "
+           "controller and the comparison measures the scheduler")
 def test_process_vs_thread_cpu_bound(benchmark, report_writer):
     """CPU-bound 8-host scatter: agent-server processes vs GIL-bound threads.
 

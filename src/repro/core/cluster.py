@@ -493,6 +493,12 @@ class QueryCluster:
         only before starting the workers.  Idempotent: an already-running
         pool is returned as is.
 
+        The mirror is *deferred*: a write queues on its worker
+        connection's outbox and leaves, coalesced, ahead of the next
+        query, tick or probe on that connection (or once the outbox fills,
+        or at ``reset_stats``).  The guarantee is read-your-writes: a
+        query or tick issued after an ingest call returned observes it.
+
         ``supervisor``/``chaos``/``reply_timeout_s`` fall back to the
         values given at construction.  An attached supervisor makes the
         pool self-healing: its ``seed_source`` (wired here to the local
@@ -516,21 +522,14 @@ class QueryCluster:
                               transport=transport, context=context,
                               reply_timeout_s=reply_timeout_s,
                               supervisor=supervisor, chaos=chaos)
+        pool.mirror_lost = functools.partial(self._mirror_lost, pool)
         try:
             synced = []
             for host in self.hosts:
                 if host not in self.agents:
                     continue
-                # The same parts, in the same order, as a restart seed.
                 seed = self._worker_seed(host)
-                if seed.retention is not None:
-                    # Cap first (FIFO): the worker ages records into
-                    # its own cold archive while the snapshot streams in,
-                    # so its hot tier never exceeds the bound either.
-                    pool.set_retention(host, *seed.retention)
-                if seed.records:
-                    pool.add_records(host, seed.records)
-                pool.seed_monitor(host, seed.monitor)
+                pool.seed_host(host, seed)
                 self._attach_mirrors(pool, host)
                 synced.append((host, len(seed.records),
                                len(seed.monitor.flows)))
@@ -568,16 +567,22 @@ class QueryCluster:
         """Install ``host``'s ingest mirrors: every TIB write and monitor
         observation is streamed on to the host's worker."""
         agent = self.agents[host]
-        agent.record_sink = self._make_record_sink(pool, host)
-        agent.monitor.observation_sink = \
-            self._make_observation_sink(pool, host)
+        agent.record_sink = self._make_sink(pool, host, pool.add_records)
+        agent.monitor.observation_sink = self._make_sink(
+            pool, host, pool.add_observations)
 
-    def _make_record_sink(self, pool: GroupAgentPool, host: str):
-        """An ingest mirror for ``host`` that degrades instead of raising.
+    def _make_sink(self, pool: GroupAgentPool, host: str, add):
+        """An ingest mirror for ``host`` (``add`` is the pool's
+        ``add_records`` or ``add_observations``) that degrades instead of
+        raising.
 
         A dead worker must not break the *local* ingest path (the query
-        path already reports it as ``partial`` + ``W_HOST_FAILED``).  On a
-        delivery failure there are two cases:
+        path already reports it as ``partial`` + ``W_HOST_FAILED``).
+        Mirroring is deferred (the pool's outbox), so a failure shows up
+        on the ingest call when the connection is already known dead
+        (handled here), else at the flush inside a later query or tick,
+        where the pool reports the hosts whose buffered writes were lost
+        to :meth:`_mirror_lost`.  Either way there are two cases:
 
         * the pool's supervisor recovered the worker (``healthy`` again):
           the restart re-seeded it from local state, which - every ingest
@@ -585,47 +590,37 @@ class QueryCluster:
           very batch, so nothing is lost and the mirror stays attached
           (re-sending would double-count the upsert);
         * no recovery (unsupervised, restart budget exhausted, restart
-          failed): the mirror detaches itself so the simulator keeps
-          running against the local TIB, counts the detach in
-          ``GroupPoolStats`` and leaves a ``W_MIRROR_DETACHED`` warning for
-          the next result - callers can tell "degraded" from "healthy".
+          failed): the host's mirrors detach (:meth:`_mirror_lost`) so the
+          simulator keeps running against the local TIB.
         """
-        def sink(records) -> None:
+        def sink(batch) -> None:
             try:
-                pool.add_records(host, records)
+                add(host, batch)
             except AgentServerError as error:
-                if pool.healthy(host):
-                    return  # recovered; the re-seed covered this batch
-                agent = self.agents.get(host)
-                if agent is not None and agent.record_sink is sink:
-                    agent.record_sink = None
-                    pool.note_mirror_detach(host)
-                    self._note_warning(
-                        W_MIRROR_DETACHED, host,
-                        f"record mirror detached after delivery failure "
-                        f"({error}); worker state is stale")
+                if not pool.healthy(host):
+                    self._mirror_lost(pool, host, str(error))
         return sink
 
-    def _make_observation_sink(self, pool: GroupAgentPool, host: str):
-        """The observation mirror for ``host``; degrades like the record
-        sink (a dead worker detaches the mirror instead of breaking the
-        local monitor, a supervised recovery keeps it attached)."""
-        def sink(observations) -> None:
-            try:
-                pool.add_observations(host, observations)
-            except AgentServerError as error:
-                if pool.healthy(host):
-                    return  # recovered; the re-seed covered this batch
-                agent = self.agents.get(host)
-                if agent is not None and \
-                        agent.monitor.observation_sink is sink:
-                    agent.monitor.observation_sink = None
-                    pool.note_mirror_detach(host)
-                    self._note_warning(
-                        W_MIRROR_DETACHED, host,
-                        f"observation mirror detached after delivery "
-                        f"failure ({error}); worker state is stale")
-        return sink
+    def _mirror_lost(self, pool: GroupAgentPool, host: str,
+                     detail: str) -> None:
+        """Detach ``host``'s ingest mirrors from the running ``pool`` -
+        once: counted in ``GroupPoolStats.mirror_detaches``, and a
+        ``W_MIRROR_DETACHED`` warning rides the next result, so callers
+        can tell "degraded" from "healthy".  Also the pool's
+        ``mirror_lost`` hook.  (A replaced pool's straggler is ignored.)"""
+        agent = self.agents.get(host)
+        with self._warning_lock:
+            if agent is None or pool is not self._process_pool or (
+                    agent.record_sink is None
+                    and agent.monitor.observation_sink is None):
+                return
+            agent.record_sink = None
+            agent.monitor.observation_sink = None
+            self._pending_warnings.append(ExecWarning(
+                code=W_MIRROR_DETACHED, host=host,
+                detail=f"ingest mirror detached after delivery failure "
+                       f"({detail}); worker state is stale"))
+        pool.note_mirror_detach(host)
 
     def _worker_seed(self, host: str) -> WorkerSeed:
         """Build ``host``'s part of a restart seed from the local dual-write
@@ -849,11 +844,17 @@ class QueryCluster:
                             warnings=self._drain_warnings())
 
     def _seed_worker_monitors(self) -> None:
-        """Push every agent's current monitor state to its worker."""
-        for host, agent in self.agents.items():
+        """Push every agent's current monitor state to its worker: one
+        envelope per group, flushed as soon as the group is complete so
+        its worker applies the seeds while the next group's are encoded."""
+        pool = self._process_pool
+        for key in pool.group_keys():
             try:
-                self._process_pool.seed_monitor(host,
-                                                agent.monitor.snapshot())
+                for host in pool.group_hosts(key):
+                    agent = self.agents.get(host)
+                    if agent is not None:
+                        pool.seed_monitor(host, agent.monitor.snapshot())
+                pool.flush(key)
             except AgentServerError:
                 pass  # dead worker: the query path reports it already
 
@@ -1274,8 +1275,9 @@ class QueryCluster:
         for agent in self.agents.values():
             agent.reset_stats()
         if self._process_pool is not None:
-            # Re-seed before zeroing the traffic counters: the sync frames
-            # are reset bookkeeping, not part of the next experiment.
+            # Re-seed (and flush) before zeroing the traffic counters: the
+            # sync frames are reset bookkeeping, not part of the next
+            # experiment.
             self._seed_worker_monitors()
         self.rpc.reset()
         reset_transport = getattr(self.transport, "reset_stats", None)

@@ -25,6 +25,9 @@ picks fewer, larger groups:
   single ``MSG_GROUP_BATCH`` envelope (``group_monitor_tick``,
   ``group_query``, ...), amortizing the per-message cost: the envelope
   costs one transport message where naive per-host send pays it M times.
+  Fire-and-forget frames (ingest, retention, monitor seeds) wait in the
+  connection's *outbox* and leave as one envelope ahead of the next
+  request on that connection (:class:`_GroupConn`).
   The inner frames are opaque here, so generic ``MSG_PLAN_REQUEST``/
   ``MSG_PLAN_RESULT`` plan frames coalesce exactly like legacy query
   frames - no group-transport change per new question, ever.
@@ -58,7 +61,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import wire
 from repro.core.agentserver import AgentServerError, _HostServer
@@ -80,11 +83,11 @@ GROUP_TRANSPORTS = (TRANSPORT_UNIX, TRANSPORT_TCP, TRANSPORT_PIPE)
 #: Deterministic (not derived from the machine) so sweeps reproduce.
 DEFAULT_GROUP_COUNT = 8
 
-#: Records per ingest frame, and per coalesced envelope during re-seed:
-#: large batches are split so no single envelope monopolises the stream
-#: (the worker interleaves consuming them with serving queries queued
-#: behind).
-INGEST_CHUNK_RECORDS = 4096
+#: Pending outbox bytes that flush without waiting for a request: small
+#: enough that the worker applies a burst while the controller is still
+#: ingesting it (the next query waits for the tail, not the whole burst)
+#: and that no envelope comes near :data:`~repro.core.wire.MAX_FRAME_BYTES`.
+OUTBOX_FLUSH_BYTES = 32 << 10
 
 #: Distinguishes "use the pool's reply timeout" from an explicit ``None``.
 _UNSET = object()
@@ -434,18 +437,46 @@ class _Waiter:
         self.error: Optional[str] = None
 
 
+@dataclass(slots=True)
+class _Pending:
+    """One outbox entry for ``host``: a finished frame (``kind`` is
+    ``None``, ``body`` the frame), or an open record/observation batch
+    still taking bodies - ``count`` of them concatenated in ``body``,
+    framed by :func:`~repro.core.wire.finish_batch` at flush."""
+
+    host: str
+    kind: Optional[int]
+    count: int
+    body: Union[bytes, bytearray]
+
+
 class _GroupConn:
     """One multiplexed connection to a group worker.
 
     A dedicated reader thread demultiplexes reply envelopes to waiting
     request threads by correlation id, so concurrent exchanges on
     different hosts of one group interleave on a single stream.  All
-    sends serialise on ``_send_lock`` (envelopes must not interleave
-    bytes); FIFO delivery plus the worker's in-order serving preserves
-    the ingest-before-query ordering fire-and-forget envelopes rely on.
-    Any stream failure - EOF, an undecodable stream or envelope, a reply
-    for an exchange nobody waits on - marks the connection dead and fails
-    every pending waiter, so no request thread ever hangs on a lost reply.
+    writes serialise on ``_send_lock`` (envelopes must not interleave
+    bytes).  Any stream failure - EOF, an undecodable stream or envelope,
+    a reply for an exchange nobody waits on - marks the connection dead
+    and fails every pending waiter, so no request thread ever hangs on a
+    lost reply.
+
+    **The outbox.**  Fire-and-forget entries (:meth:`post`) queue, in
+    order, on the connection's outbox; an ingest batch whose host's newest
+    entry is an open batch of the same kind appends its bodies to it.  The
+    outbox is written as *one* id-0 envelope ahead of every correlated
+    request (:meth:`send`: drain, flush envelope and request go out under
+    one hold of ``_send_lock``, so no thread's request can overtake an
+    entry whose ``post`` had returned), by itself once it holds
+    :data:`OUTBOX_FLUSH_BYTES`, and on a ``send`` with no request
+    (``reset_stats``).  FIFO delivery plus the worker's in-order serving
+    then give read-your-writes: an exchange issued after a ``post``
+    returned is served after that entry was applied.  The outbox dies
+    with its connection: ``post`` onto a dead one fails at once, and what
+    it still held is dropped, never re-sent (:meth:`drop_outbox`) - a
+    supervised restart re-seeds from the local TIB, which already holds
+    every buffered write.
     """
 
     def __init__(self, pool: "GroupAgentPool", key: str, endpoint) -> None:
@@ -455,6 +486,10 @@ class _GroupConn:
         self.dead: Optional[str] = None  # guarded-by: _lock
         self._lock = threading.Lock()
         self._send_lock = threading.Lock()
+        self._outbox: List[_Pending] = []  # guarded-by: _send_lock
+        self._outbox_bytes = 0  # guarded-by: _send_lock
+        #: Each host's newest outbox entry - the one a batch combines into.
+        self._newest: Dict[str, _Pending] = {}  # guarded-by: _send_lock
         self._pending: Dict[int, _Waiter] = {}  # guarded-by: _lock
         self._next_cid = 1  # guarded-by: _lock
         self._ended = threading.Event()  # set once ``dead`` is
@@ -473,24 +508,107 @@ class _GroupConn:
             self._pending[cid] = waiter
         return waiter
 
-    def send(self, frame: bytes) -> None:
-        """Write one frame; raises ``OSError``-family on a dead stream.
+    def post(self, host: str, kind: Optional[int], count: int, body,
+             reseed: bool = False) -> None:
+        """Queue one entry (:class:`_Pending`; the outbox keeps an open
+        batch's ``bytearray``).  Fails at once - a field read, not a
+        syscall - when the reader already marked the connection dead."""
+        try:
+            with self._send_lock:
+                with self._lock:
+                    dead = self.dead
+                if dead is not None:
+                    raise AgentServerError(dead)
+                newest = self._newest.get(host)
+                if kind is not None and newest is not None \
+                        and newest.kind == kind:
+                    newest.count += count
+                    newest.body += body
+                else:
+                    self._newest[host] = entry = _Pending(host, kind, count,
+                                                          body)
+                    self._outbox.append(entry)
+                self._outbox_bytes += len(body)
+                if self._outbox_bytes >= OUTBOX_FLUSH_BYTES:
+                    self._flush(reseed)
+        except (OSError, ValueError) as error:
+            raise self._unreachable(error) from error
 
-        A write fails only once the stream is gone - the peer closed its
-        end, or :meth:`_fail` closed ours - so the reader is at, or about
-        to reach, the end of it too.  The failure is reported after the
+    def send(self, envelope: Optional[bytes] = None, frames: int = 0,
+             reseed: bool = False) -> None:
+        """Write the outbox and then ``envelope`` (a correlated request of
+        ``frames`` entries; ``None`` just flushes) under one hold of the
+        send lock.  Raises :class:`AgentServerError` on a dead stream."""
+        try:
+            with self._send_lock:
+                self._flush(reseed)
+                if envelope is not None:
+                    self._write(envelope, frames, reseed)
+        except (OSError, ValueError) as error:
+            raise self._unreachable(error) from error
+
+    def hang_up(self) -> None:
+        """Ask the worker to exit (best effort; the outbox is abandoned)."""
+        try:
+            with self._send_lock:
+                self.endpoint.send(wire.encode_shutdown())
+        except (OSError, ValueError):
+            pass
+
+    def drop_outbox(self) -> List[str]:
+        """Discard whatever the outbox holds; returns the hosts that had
+        entries in it, in first-entry order."""
+        with self._send_lock:
+            hosts = list(self._newest)
+            self._clear_outbox()
+        return hosts
+
+    def _clear_outbox(self) -> None:  # holds: _send_lock
+        self._outbox.clear()
+        self._newest.clear()
+        self._outbox_bytes = 0
+
+    def _flush(self, reseed: bool) -> None:  # holds: _send_lock
+        """Write the whole outbox as one id-0 envelope (kept if the write
+        fails, so the failure path can tell whose writes were lost)."""
+        if not self._outbox:
+            return
+        entries = [(entry.host, entry.body if entry.kind is None else
+                    wire.finish_batch(entry.kind, entry.count, entry.body))
+                   for entry in self._outbox]
+        self._write(wire.encode_group_batch(0, entries), len(entries), reseed)
+        self._clear_outbox()
+
+    def _write(self, envelope: bytes, frames: int,
+               reseed: bool) -> None:  # holds: _send_lock
+        """One protocol envelope onto the stream: the chaos hook first
+        (it may kill the worker or inject fault frames ahead), then the
+        bytes, then the pool's counters."""
+        pool = self._pool
+        if pool.chaos is not None:
+            for extra in pool.chaos.before_send(pool, self.key, envelope,
+                                                reseed=reseed):
+                try:
+                    self.endpoint.send(extra)
+                except (OSError, ValueError):
+                    pass  # injected fault frames are best-effort
+        self.endpoint.send(envelope)
+        pool._count_sent(frames, len(envelope))
+
+    def _unreachable(self, error: Exception) -> AgentServerError:
+        """A write failed (called with the send lock released), which
+        happens only once the stream is gone - the peer closed its end, or
+        :meth:`_fail` closed ours - so the reader is at, or about to
+        reach, the end of it too.  The failure is reported after the
         reader's verdict (under the same deadline as any reply): the
         reader alone classifies how a stream ended, so one torn mid-frame
         is counted as the decode error it is whichever thread noticed
-        first.  (The ``_fail`` here only matters past that deadline.)
-        """
-        try:
-            with self._send_lock:
-                self.endpoint.send(frame)
-        except (OSError, ValueError) as error:
-            self._ended.wait(self._pool.reply_timeout_s)
-            self._fail(f"group worker {self.key} unreachable: {error}")
-            raise
+        first.  (The ``_fail`` here only matters past that deadline.)"""
+        detail = (f"agent server group {self.key} unreachable: "
+                  f"{type(error).__name__}: {error}")
+        self._ended.wait(self._pool.reply_timeout_s)
+        self._fail(detail)
+        return AgentServerError(detail)
 
     def close(self, detail: str = "connection closed") -> None:
         self._fail(detail)
@@ -595,8 +713,6 @@ class GroupAgentPool:
             arrive on the accept loop.
     """
 
-    INGEST_CHUNK_RECORDS = INGEST_CHUNK_RECORDS
-
     def __init__(self, hosts: Sequence[str],
                  group_count: Optional[int] = None,
                  transport: str = TRANSPORT_UNIX,
@@ -619,6 +735,9 @@ class GroupAgentPool:
         self.connect_timeout_s = connect_timeout_s
         self.stats = GroupPoolStats()  # guarded-by: _stats_lock
         self._stats_lock = threading.Lock()
+        #: Cluster hook ``(host, detail)``: writes for ``host`` were still
+        #: in the outbox of a connection that died and was not recovered.
+        self.mirror_lost = None
         self._closed = False
         self.groups = shard_hosts(list(hosts), group_count
                                   or DEFAULT_GROUP_COUNT)
@@ -630,12 +749,12 @@ class GroupAgentPool:
                 self._group_of[host] = key
         # Per-group supervision lock: serialises restart-with-recovery so
         # concurrent failed exchanges on one group produce one restart
-        # (the epoch check below), not one per failure.
+        # (the connection-identity check in _worker_failed), not one per
+        # failure.
         self._locks: Dict[str, threading.Lock] = {
             key: threading.Lock() for key in self._keys}
         self._conns: Dict[str, _GroupConn] = {}  # guarded-by: _locks[key]
         self._procs: Dict[str, object] = {}  # guarded-by: _locks[key]
-        self._epochs: Dict[str, int] = {key: 0 for key in self._keys}
         self._listener: Optional[socket.socket] = None
         self._sockdir: Optional[str] = None
         self._address = None
@@ -763,7 +882,6 @@ class GroupAgentPool:
                 raise
         self._conns[key] = _GroupConn(self, key, endpoint)
         self._procs[key] = process
-        self._epochs[key] += 1
 
     # ------------------------------------------------------------------- API
     @property
@@ -810,45 +928,60 @@ class GroupAgentPool:
     # ------------------------------------------------------- per-host client
     def add_records(self, host: str,
                     records: Sequence[PathFlowRecord]) -> int:
-        """Stream a record batch to ``host``'s group worker; returns the
-        envelope bytes sent.  Fire-and-forget (FIFO delivery plus the
-        worker's in-order serving puts it before any later query)."""
-        if not records:
-            return 0
-        key = self._key_for(host)
-        total = 0
-        chunk = self.INGEST_CHUNK_RECORDS
-        for start in range(0, len(records), chunk):
-            frame = wire.encode_record_batch(records[start:start + chunk])
-            total += self._post(key, [(host, frame)])
-        return total
+        """Mirror a record batch to ``host``'s group worker: encoded now
+        (the caller may mutate its records afterwards), queued on the
+        group connection's outbox, written ahead of the next request on
+        that connection or when the outbox fills (:class:`_GroupConn`).
+        What "returned" guarantees: every query, tick or probe issued
+        after this call returned is served after these records were
+        applied.  Returns the encoded bytes queued; raises
+        :class:`AgentServerError` when the connection is already known
+        dead (or a triggered flush fails)."""
+        return self._post_batch(host, records, wire.MSG_RECORD_BATCH,
+                                wire.append_record)
 
     def add_observations(self, host: str,
                          observations: Sequence[TransferObservation]) -> int:
-        """Stream a transfer-observation batch to ``host``'s group worker
-        (fire-and-forget); returns the envelope bytes sent."""
-        if not observations:
-            return 0
-        key = self._key_for(host)
-        total = 0
-        chunk = self.INGEST_CHUNK_RECORDS
-        for start in range(0, len(observations), chunk):
-            frame = wire.encode_observation_batch(
-                observations[start:start + chunk])
-            total += self._post(key, [(host, frame)])
-        return total
+        """Mirror a transfer-observation batch to ``host``'s group worker;
+        deferred and combined exactly like :meth:`add_records`."""
+        return self._post_batch(host, observations,
+                                wire.MSG_OBSERVATION_BATCH,
+                                wire.append_observation)
 
     def set_retention(self, host: str, max_records: Optional[int],
-                      max_bytes: Optional[int]) -> int:
-        """Configure ``host``'s hot-tier bounds (fire-and-forget; FIFO
-        ordering puts the cap in force before later ingest)."""
-        frame = wire.encode_retention(max_records, max_bytes)
-        return self._post(self._key_for(host), [(host, frame)])
+                      max_bytes: Optional[int]) -> None:
+        """Configure ``host``'s hot-tier bounds (fire-and-forget; outbox
+        and stream are FIFO, so the cap is in force before later ingest)."""
+        self._post(host, wire.encode_retention(max_records, max_bytes))
 
-    def seed_monitor(self, host: str, snapshot: MonitorSnapshot) -> int:
+    def seed_monitor(self, host: str, snapshot: MonitorSnapshot) -> None:
         """Replace ``host``'s worker monitor state (fire-and-forget)."""
-        frame = wire.encode_monitor_state(snapshot)
-        return self._post(self._key_for(host), [(host, frame)])
+        self._post(host, wire.encode_monitor_state(snapshot))
+
+    def seed_host(self, host: str, seed: WorkerSeed,
+                  reseed: bool = False) -> None:
+        """Queue ``host``'s state the way the startup sync and a restart
+        re-seed both ship it: retention cap first (in force before the
+        snapshot streams in, so the worker ages records into its own cold
+        archive), records, monitor state."""
+        if seed.retention is not None:
+            self._post(host, wire.encode_retention(*seed.retention),
+                       reseed=reseed)
+        self._post_batch(host, seed.records or (), wire.MSG_RECORD_BATCH,
+                         wire.append_record, reseed)
+        if seed.monitor is not None:
+            self._post(host, wire.encode_monitor_state(seed.monitor),
+                       reseed=reseed)
+
+    def flush(self, key: str) -> None:
+        """Write group ``key``'s outbox now (monitor re-seeds: the worker
+        starts applying them at once, and ``reset_stats`` charges them to
+        the interval that ends, not the one that starts)."""
+        conn = self._conn_for(self._key_for(key))
+        try:
+            conn.send()
+        except AgentServerError as error:
+            raise self._worker_failed(conn, str(error)) from error
 
     def query(self, host: str, query,
               spec: Optional[wire.SubtreeSpec] = None) -> QueryResult:
@@ -897,13 +1030,13 @@ class GroupAgentPool:
 
     def reset(self, host: str) -> None:
         """Clear ``host``'s worker state (TIB, monitor, pending alarms)."""
-        self._post(self._key_for(host), [(host, wire.encode_reset())])
+        self._post(host, wire.encode_reset())
 
     def stall(self, host: str, seconds: float) -> None:
         """Make ``host``'s *group worker* sleep before serving its next
         entry (debug/test) - the whole connection stalls, which is the
         point: this is the stalled-socket fault."""
-        self._post(self._key_for(host), [(host, wire.encode_sleep(seconds))])
+        self._post(host, wire.encode_sleep(seconds))
 
     def kill(self, name: str) -> None:
         """Hard-kill the group worker serving ``name`` (failure
@@ -1004,6 +1137,12 @@ class GroupAgentPool:
         with self._stats_lock:
             self.stats.mirror_detaches += 1
 
+    def _count_sent(self, frames: int, nbytes: int) -> None:
+        with self._stats_lock:
+            self.stats.envelopes_sent += 1
+            self.stats.frames_sent += frames
+            self.stats.bytes_sent += nbytes
+
     def _count_envelope_received(self, nbytes: int) -> None:
         with self._stats_lock:
             self.stats.envelopes_received += 1
@@ -1029,13 +1168,13 @@ class GroupAgentPool:
         *first* so a concurrent failure cannot trigger a supervised
         restart of a worker being torn down."""
         self._closed = True
+        # The accept thread outlives this call by up to its poll interval;
+        # it must not keep the cluster behind the hook alive with it.
+        self.mirror_lost = None
         # _closed (set above) keeps supervision from respawning workers
         # underneath the teardown, so the unlocked iteration is safe.
-        for key, conn in self._conns.items():  # lint: disable=R3 -- teardown runs after _closed is latched
-            try:
-                conn.send(wire.encode_shutdown())
-            except (OSError, ValueError):
-                pass
+        for conn in self._conns.values():  # lint: disable=R3 -- teardown runs after _closed is latched
+            conn.hang_up()
         for key, process in self._procs.items():  # lint: disable=R3 -- teardown runs after _closed is latched
             process.join(join_timeout_s)
             if process.is_alive():
@@ -1066,72 +1205,61 @@ class GroupAgentPool:
         self.shutdown()
 
     # ------------------------------------------------------------- internals
-    def _conn_for(self, key: str) -> Tuple[_GroupConn, int]:
+    def _conn_for(self, key: str) -> _GroupConn:
         conn = self._conns.get(key)  # lint: disable=R3 -- value swap is atomic; stale conns fail loudly on use
         if conn is None:
             raise AgentServerError(f"no agent server for {key}")
-        return conn, self._epochs[key]
+        return conn
 
-    def _chaos_send(self, key: str, conn: _GroupConn,
-                    envelope: bytes, reseed: bool) -> None:
-        if self.chaos is not None:
-            for extra in self.chaos.before_send(self, key, envelope,
-                                                reseed=reseed):
-                try:
-                    conn.send(extra)
-                except (OSError, ValueError):
-                    pass  # injected fault frames are best-effort
-
-    def _post(self, key: str, entries: Sequence[Tuple[str, bytes]],
-              supervise: bool = True, reseed: bool = False) -> int:
-        """Send one fire-and-forget envelope (correlation id 0)."""
-        conn, epoch = self._conn_for(key)
-        envelope = wire.encode_group_batch(0, list(entries))
-        self._chaos_send(key, conn, envelope, reseed)
+    def _post(self, host: str, body, kind: Optional[int] = None,
+              count: int = 1, reseed: bool = False) -> None:
+        """Queue one fire-and-forget entry for ``host`` on its group's
+        outbox: a finished frame, or (``kind`` given) ``count`` batch
+        bodies to combine (:meth:`_GroupConn.post`)."""
+        conn = self._conn_for(self._key_for(host))
         try:
-            conn.send(envelope)
-        except (OSError, ValueError) as error:
-            raise self._worker_failed(
-                key, epoch,
-                f"agent server group {key} unreachable: "
-                f"{type(error).__name__}: {error}",
-                supervise=supervise) from error
-        with self._stats_lock:
-            self.stats.envelopes_sent += 1
-            self.stats.frames_sent += len(entries)
-            self.stats.bytes_sent += len(envelope)
-        return len(envelope)
+            conn.post(host, kind, count, body, reseed)
+        except AgentServerError as error:
+            raise self._worker_failed(conn, str(error), reseed) from error
+
+    def _post_batch(self, host: str, items: Sequence, kind: int, append,
+                    reseed: bool = False) -> int:
+        """Encode ``items`` and queue their bodies, a flush bound's worth
+        per entry at most: a snapshot of any size leaves as bounded
+        envelopes the worker consumes while the rest is encoded.  Returns
+        the encoded bytes queued."""
+        body = bytearray()
+        count = queued = 0
+        for item in items:
+            append(body, item)
+            count += 1
+            if len(body) >= OUTBOX_FLUSH_BYTES:
+                self._post(host, body, kind, count, reseed)
+                queued += len(body)
+                body = bytearray()
+                count = 0
+        if count:
+            self._post(host, body, kind, count, reseed)
+        return queued + len(body)
 
     def _request(self, key: str, entries: Sequence[Tuple[str, bytes]],
-                 timeout_s=_UNSET, supervise: bool = True,
-                 reseed: bool = False
+                 timeout_s=_UNSET, reseed: bool = False
                  ) -> Tuple[List[Tuple[str, bytes]], int, int]:
-        """One correlated envelope exchange; returns
-        ``(replies, reply envelope bytes, request envelope bytes)``."""
-        conn, epoch = self._conn_for(key)
+        """One correlated envelope exchange, the outbox flushed ahead of
+        it; returns ``(replies, reply envelope bytes, request envelope
+        bytes)``.  ``reseed`` marks the supervisor's own re-seed traffic:
+        its failures do not recurse into supervision."""
+        conn = self._conn_for(key)
         timeout = self.reply_timeout_s if timeout_s is _UNSET else timeout_s
         try:
+            # Registering fails when the connection already died (EOF
+            # noticed by the reader with no exchange in flight); surfaced
+            # like a fresh failure so supervision still kicks in.
             waiter = conn.register()
+            envelope = wire.encode_group_batch(waiter.cid, list(entries))
+            conn.send(envelope, len(entries), reseed)
         except AgentServerError as error:
-            # The connection already died (EOF noticed by the reader with
-            # no exchange in flight); surface it like a fresh failure so
-            # supervision still kicks in.
-            raise self._worker_failed(key, epoch, str(error),
-                                      supervise=supervise) from error
-        envelope = wire.encode_group_batch(waiter.cid, list(entries))
-        self._chaos_send(key, conn, envelope, reseed)
-        try:
-            conn.send(envelope)
-        except (OSError, ValueError) as error:
-            raise self._worker_failed(
-                key, epoch,
-                f"agent server group {key} unreachable: "
-                f"{type(error).__name__}: {error}",
-                supervise=supervise) from error
-        with self._stats_lock:
-            self.stats.envelopes_sent += 1
-            self.stats.frames_sent += len(entries)
-            self.stats.bytes_sent += len(envelope)
+            raise self._worker_failed(conn, str(error), reseed) from error
         if not waiter.event.wait(timeout):
             # The reply would still arrive eventually and desynchronise
             # nothing (it carries its cid) - but a wedged worker holds M
@@ -1140,22 +1268,19 @@ class GroupAgentPool:
             self._kill_group_process(key)
             conn.close(f"group worker {key} timed out")
             raise self._worker_failed(
-                key, epoch,
-                f"agent server group {key} did not reply within "
-                f"{timeout}s; worker killed", supervise=supervise)
+                conn, f"agent server group {key} did not reply within "
+                f"{timeout}s; worker killed", reseed)
         if waiter.error is not None:
             self._kill_group_process(key)
-            raise self._worker_failed(key, epoch, waiter.error,
-                                      supervise=supervise)
+            raise self._worker_failed(conn, waiter.error, reseed)
         assert waiter.replies is not None
         if len(waiter.replies) != len(entries):
             self._kill_group_process(key)
             conn.close(f"group worker {key} reply cardinality mismatch")
             raise self._worker_failed(
-                key, epoch,
-                f"agent server group {key} answered {len(waiter.replies)} "
-                f"of {len(entries)} entries; worker killed",
-                supervise=supervise)
+                conn, f"agent server group {key} answered "
+                f"{len(waiter.replies)} of {len(entries)} entries; "
+                f"worker killed", reseed)
         return waiter.replies, waiter.reply_bytes, len(envelope)
 
     def _ask_group(self, key: str, entries: Sequence[Tuple[str, bytes]]
@@ -1188,7 +1313,7 @@ class GroupAgentPool:
                   reply_host: str) -> AgentServerError:
         self._kill_group_process(key)
         return self._worker_failed(
-            key, self._epochs[key],
+            self._conn_for(key),
             f"agent server group {key} answered for {reply_host} where "
             f"{host} was asked; worker killed")
 
@@ -1197,21 +1322,34 @@ class GroupAgentPool:
         if process is not None and process.is_alive():
             process.kill()
 
-    def _worker_failed(self, key: str, epoch: int, detail: str,
-                       supervise: bool = True) -> AgentServerError:
-        """Handle a failed group exchange: hand the *group* to the
+    def _worker_failed(self, conn: _GroupConn, detail: str,
+                       reseed: bool = False) -> AgentServerError:
+        """Handle a failed exchange on ``conn``: hand its *group* to the
         supervisor (if any) and return the error for the caller to raise.
 
         Concurrent exchanges multiplex on one connection, so one dead
-        worker fails many threads at once; the epoch compare under the
+        worker fails many threads at once; the identity compare under the
         group lock makes the first of them drive the restart and the
         rest just report their lost exchange (the restarted worker would
         otherwise be killed and re-seeded once per failed request).
+
+        What ``conn``'s outbox still held is dropped, never re-sent: a
+        restart re-seeded it from the local TIBs (written first on every
+        ingest path); without one (the group's connection is still a dead
+        one) each host with entries in it goes to ``mirror_lost``.
         """
-        if supervise and self.supervisor is not None and not self._closed:
+        if reseed or self._closed:
+            return AgentServerError(detail)
+        key = conn.key
+        if self.supervisor is not None:
             with self._locks[key]:
-                if self._epochs[key] == epoch:
+                if self._conn_for(key) is conn:
                     self.supervisor.handle_failure(self, key, detail)
+        lost = conn.drop_outbox()
+        if self.mirror_lost is not None and \
+                self._conn_for(key).dead is not None:
+            for host in lost:
+                self.mirror_lost(host, detail)
         return AgentServerError(detail)
 
     def _checked_decode(self, key: str, reply: bytes, decoder, *args):
@@ -1223,13 +1361,11 @@ class GroupAgentPool:
         except wire.WireError as error:
             self._count_decode_error()
             self._kill_group_process(key)
-            conn = self._conns.get(key)  # lint: disable=R3 -- teardown of a worker already being killed
-            if conn is not None:
-                conn.close(f"group worker {key} sent an undecodable reply")
+            conn = self._conn_for(key)
+            conn.close(f"group worker {key} sent an undecodable reply")
             raise self._worker_failed(
-                key, self._epochs[key],
-                f"agent server group {key} sent an undecodable reply; "
-                f"worker killed: {error}") from error
+                conn, f"agent server group {key} sent an undecodable "
+                f"reply; worker killed: {error}") from error
 
     # ------------------------------------------------------ supervisor hooks
     def _respawn(self, key: str) -> None:  # holds: _locks[key]
@@ -1258,51 +1394,25 @@ class GroupAgentPool:
         group empty) into ``key``'s fresh worker over the new connection,
         then barrier on a coalesced ping.
 
-        Per-host replay order matches the startup sync exactly - retention
-        cap first (FIFO puts it in force before the snapshot streams in,
-        so the worker ages records into its own cold archive), record
-        batches, monitor state with its alerted latches, ping - but
-        coalesced: retention caps for the whole group ride one envelope,
-        record chunks batch across hosts up to the ingest chunk size, and
-        one ping envelope barriers every host at once.  A short count on
-        any host is a **ping-barrier miss** failing the whole attempt.
-        Failures here do not recurse into supervision
-        (``supervise=False``); the supervisor counts them against the
-        restart budget.
+        The replay is the startup sync's (:meth:`seed_host` per host,
+        alerted latches included) on the same outbox: flush-bound-sized
+        envelopes, the last one ahead of the one ping envelope that
+        barriers every host.  A short count on any host is a
+        **ping-barrier miss** failing the whole attempt.  Failures here do
+        not recurse into supervision (``reseed=True``); the supervisor
+        counts them against the restart budget.
         """
         key = self._key_for(key)
         if self.chaos is not None:
             self.chaos.begin_reseed(key)
         hosts = self.group_hosts(key)
         seeds = seed.seeds
-        retention = [(host, wire.encode_retention(*seeds[host].retention))
-                     for host in hosts
-                     if host in seeds and seeds[host].retention is not None]
-        if retention:
-            self._post(key, retention, supervise=False, reseed=True)
-        pending: List[Tuple[str, bytes]] = []
-        pending_records = 0
-        chunk = self.INGEST_CHUNK_RECORDS
         for host in hosts:
-            worker_seed = seeds.get(host)
-            if worker_seed is None:
-                continue
-            records = worker_seed.records or ()
-            for start in range(0, len(records), chunk):
-                batch = records[start:start + chunk]
-                pending.append((host, wire.encode_record_batch(batch)))
-                pending_records += len(batch)
-                if pending_records >= chunk:
-                    self._post(key, pending, supervise=False, reseed=True)
-                    pending, pending_records = [], 0
-            if worker_seed.monitor is not None:
-                pending.append(
-                    (host, wire.encode_monitor_state(worker_seed.monitor)))
-        if pending:
-            self._post(key, pending, supervise=False, reseed=True)
+            if host in seeds:
+                self.seed_host(host, seeds[host], reseed=True)
         entries = [(host, wire.encode_ping()) for host in hosts]
         replies, _reply_bytes, _sent = self._request(
-            key, entries, timeout_s=timeout_s, supervise=False, reseed=True)
+            key, entries, timeout_s=timeout_s, reseed=True)
         for (host, _frame), (reply_host, reply) in zip(entries, replies):
             if reply_host != host:
                 raise AgentServerError(

@@ -340,9 +340,10 @@ class ChaosPolicy:
       ``n``-th outbound frame (crash mid-ingest, mid-scatter, ...);
       fires once per entry.
     * ``kill_at_reseed_frame={host: n}`` - kill the *fresh* worker at the
-      ``n``-th frame of a supervised re-seed (frame 1 is the retention
-      cap when one is configured, then the snapshot batches, the monitor
-      state and the ping barrier), exercising restart-during-recovery.
+      ``n``-th frame of a supervised re-seed (the outbox flushes carrying
+      retention caps, snapshot batches and monitor states - one, for a
+      seed under the flush bound - then the ping barrier), exercising
+      restart-during-recovery.
     * ``hang_at_frame={host: n}`` - make the worker sleep ``hang_s``
       before serving its ``n``-th frame *without* dying: no EOF, the
       failure only surfaces through the pool's reply timeout (the
@@ -365,10 +366,12 @@ class ChaosPolicy:
       Fires once per entry.
 
     Frame counters are per group and count the group's envelopes (one
-    "frame" on its connection, however many host frames it coalesces);
-    only protocol frames count (injected fault frames do not), so scripts
-    are deterministic.  ``injected`` records every action taken, for
-    assertions.
+    "frame" on its connection, however many host frames it coalesces) -
+    requests and the outbox flushes that precede them alike: mirrored
+    ingest is not a frame of its own, the flush ahead of the next request
+    is.  Only protocol frames count (injected fault frames do not), so
+    scripts are deterministic.  ``injected`` records every action taken,
+    for assertions.
     """
 
     def __init__(self, kill_at_frame: Optional[Dict[str, int]] = None,

@@ -50,7 +50,7 @@ import functools
 import struct
 import zlib
 from typing import (Any, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 from repro.core.alarms import Alarm
 from repro.core.monitor import (MonitorSnapshot, TcpFlowStats,
@@ -793,13 +793,27 @@ def record_wire_bytes(record: PathFlowRecord) -> int:
     return len(buf)
 
 
+#: Append one record's batch-body bytes: with :func:`finish_batch`, the
+#: incremental form of :func:`encode_record_batch` (the worker plane's
+#: outbox encodes bodies as records arrive and frames them once).
+append_record = _w_record
+
+
+def finish_batch(msg_type: int, count: int,
+                 bodies: Union[bytes, bytearray]) -> bytes:
+    """Frame ``count`` already-encoded batch bodies (``bodies`` is their
+    concatenation) as one ``MSG_RECORD_BATCH``/``MSG_OBSERVATION_BATCH``."""
+    head = bytearray()
+    _w_uvarint(head, count)
+    return _frame(msg_type, bytes(head) + bodies)
+
+
 def encode_record_batch(records: Sequence[PathFlowRecord]) -> bytes:
     """Encode a record batch (the simulator -> agent-server ingest frame)."""
     body = bytearray()
-    _w_uvarint(body, len(records))
     for record in records:
         _w_record(body, record)
-    return _frame(MSG_RECORD_BATCH, bytes(body))
+    return finish_batch(MSG_RECORD_BATCH, len(records), body)
 
 
 @_guarded
@@ -1226,15 +1240,18 @@ def decode_alarm_batch(data: bytes) -> List[Alarm]:
     return [reader.alarm() for _ in range(reader.uvarint())]
 
 
+#: Append one observation's batch-body bytes (see :data:`append_record`).
+append_observation = _w_observation
+
+
 def encode_observation_batch(observations: Sequence[TransferObservation]
                              ) -> bytes:
     """Encode a transfer-observation batch (the monitor ingest stream,
     batched like record batches)."""
     body = bytearray()
-    _w_uvarint(body, len(observations))
     for obs in observations:
         _w_observation(body, obs)
-    return _frame(MSG_OBSERVATION_BATCH, bytes(body))
+    return finish_batch(MSG_OBSERVATION_BATCH, len(observations), body)
 
 
 @_guarded

@@ -55,9 +55,9 @@ def traced_fabric():
     return topo, assignment, routing, fabric, tagger
 
 
-@pytest.fixture()
-def pathdump_deployment():
-    """A full PathDump deployment on a fresh 4-ary fat-tree.
+def build_pathdump_deployment(**cluster_kwargs):
+    """A full PathDump deployment on a fresh 4-ary fat-tree (same fabric
+    seed every time: the same packets take the same paths).
 
     Returns ``(topo, routing, fabric, cluster, controller)``.
     """
@@ -66,6 +66,19 @@ def pathdump_deployment():
     apply_assignment(topo, assignment)
     routing = RoutingFabric(topo)
     fabric = Fabric(topo, routing, seed=11)
-    cluster = QueryCluster(topo, assignment, fabric=fabric)
+    cluster = QueryCluster(topo, assignment, fabric=fabric, **cluster_kwargs)
     controller = PathDumpController(cluster, fabric)
     return topo, routing, fabric, cluster, controller
+
+
+@pytest.fixture()
+def pathdump_deployment():
+    """:func:`build_pathdump_deployment` with the default cluster."""
+    return build_pathdump_deployment()
+
+
+@pytest.fixture()
+def make_pathdump_deployment():
+    """:func:`build_pathdump_deployment` itself, for tests that need
+    several deployments or ``QueryCluster`` keyword arguments."""
+    return build_pathdump_deployment

@@ -22,13 +22,9 @@ from repro.core.supervisor import (CORRUPT_BITFLIP, CORRUPT_GARBAGE,
                                    Supervisor, corrupt_frame)
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
-from test_supervisor import (FAST, kill_and_wait, pool_of, populate,
-                             sample_records, seed_of, small_topology)
-
-#: Envelopes the startup sync ships to a one-host (unbounded) group: one
-#: record batch, the monitor seed, and the barrier ping.  The first query
-#: lands at STARTUP_FRAMES + 1.
-STARTUP_FRAMES = 3
+from test_supervisor import (FAST, STARTUP_FRAMES, kill_and_wait, pool_of,
+                             populate, sample_records, seed_of,
+                             small_topology)
 
 
 def supervised_cluster(chaos=None, policy=FAST, records_per_host=25,
@@ -102,9 +98,11 @@ class TestKillMidScatter:
                         if a.flow_id == flow]) == 1
 
     def test_kill_during_mirror_ingest_keeps_both_sides_identical(self):
-        """A worker killed while an ingest batch is being mirrored: the
-        local write already happened, the restart re-seeds it, and the
-        mirror stays attached without double-counting."""
+        """A worker killed at the flush that carries a mirrored ingest
+        batch: the local write already happened and the ingest call had
+        long returned; the dead connection's outbox is dropped, the
+        restart re-seeds the batch from the local TIB, and the mirror
+        stays attached without double-counting."""
         chaos = ChaosPolicy(kill_at_frame={"group-0": STARTUP_FRAMES + 1})
         with supervised_cluster(chaos=chaos, records_per_host=5) as cluster:
             cluster.configure_executor(mode=MODE_PROCESS)
@@ -114,23 +112,28 @@ class TestKillMidScatter:
             agent.ingest_path_record(PathFlowRecord(
                 flow, ("late", "leaf-0", victim), 50.0, 50.5, 10, 1))
             pool = cluster.agent_servers
+            assert not chaos.injected  # buffered: nothing was sent yet
+            with pytest.raises(AgentServerError):
+                pool.ping(victim)  # the flush ahead of it is the killed frame
             assert chaos.injected and pool.stats.restarts == 1
             assert pool.stats.mirror_detaches == 0
             assert agent.record_sink is not None
-            # The in-flight batch is in the worker exactly once.
+            # The buffered batch is in the worker exactly once.
             assert pool.ping(victim) == agent.tib.record_count() == 6
 
 
 class TestRetentionSurvival:
     def test_kill_during_retention_config(self):
-        """A worker killed while the retention cap is being shipped: the
-        restart replays the (already locally applied) cap, so worker and
-        local tiers stay identical."""
+        """A worker killed while the retention cap is being shipped (at
+        the flush that carries it): the restart replays the (already
+        locally applied) cap, so worker and local tiers stay identical."""
         chaos = ChaosPolicy(kill_at_frame={"group-3": STARTUP_FRAMES + 1})
         with supervised_cluster(chaos=chaos) as cluster:
             cluster.configure_executor(mode=MODE_PROCESS)
             cluster.configure_retention(max_records=10)
             pool = cluster.agent_servers
+            with pytest.raises(AgentServerError):
+                pool.ping("server-3")  # flushes the cap: the killed frame
             assert chaos.injected and pool.stats.restarts == 1
             for host in cluster.hosts:
                 local = cluster.agent(host).tib.tier_stats()
@@ -240,9 +243,11 @@ class TestGrayWorkerFaults:
 
 class TestUnsupervisedDegradation:
     def test_mirror_detach_is_counted_and_warned(self):
-        """Without a supervisor a dead worker's mirror detaches once; the
-        detach is counted and a W_MIRROR_DETACHED warning rides the next
-        result, so callers can tell degraded from healthy."""
+        """Without a supervisor a dead worker's mirror detaches once - on
+        the ingest call if the death was already known, else when the
+        next query's flush fails; the detach is counted and a
+        W_MIRROR_DETACHED warning rides that result, so callers can tell
+        degraded from healthy."""
         from repro.core.executor import W_MIRROR_DETACHED
         with QueryCluster(small_topology()) as cluster:
             populate(cluster, records_per_host=3)
@@ -254,14 +259,14 @@ class TestUnsupervisedDegradation:
             record = PathFlowRecord(
                 FlowId("late", victim, 777, 80, PROTO_TCP),
                 ("late", "leaf-0", victim), 50.0, 50.5, 10, 1)
-            for _ in range(3):  # first sends may land in the OS buffer
+            for _ in range(3):  # queued, or refused at once: never raised
                 agent.ingest_path_record(record)
+            result = cluster.execute(Query(Q_GET_FLOWS, {}))
             assert agent.record_sink is None
             assert pool.stats.mirror_detaches == 1
-            result = cluster.execute(Query(Q_GET_FLOWS, {}))
             detached = [w for w in result.warnings
                         if w.code == W_MIRROR_DETACHED]
-            assert detached and detached[0].host == victim
+            assert [w.host for w in detached] == [victim]
             assert "stale" in detached[0].detail
             # The warning is drained exactly once.
             again = cluster.execute(Query(Q_GET_FLOWS, {}))

@@ -13,15 +13,14 @@ import random
 
 import pytest
 
-from repro.core import (MODE_CONCURRENT, MODE_PROCESS, MODE_SERIAL,
-                        PathDumpController, Q_GET_FLOWS, Q_TOP_K_FLOWS,
-                        Query, QueryCluster, Tib, wire)
+from repro.core import (AgentServerError, MODE_CONCURRENT, MODE_PROCESS,
+                        MODE_SERIAL, PathDumpController, Q_GET_FLOWS,
+                        Q_TOP_K_FLOWS, Query, QueryCluster, Tib, wire)
 from repro.core.supervisor import ChaosPolicy, Supervisor
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import ColdArchive, PathFlowRecord, RetentionPolicy, ScanSpec
 from repro.storage.records import flow_key
-from test_chaos import STARTUP_FRAMES
-from test_supervisor import FAST, small_topology
+from test_supervisor import FAST, STARTUP_FRAMES, small_topology
 from test_two_tier_tib import HOT_CAP, make_record, populate, record_values
 
 
@@ -346,17 +345,19 @@ class TestClusterParallelIdentity:
             capped.close()
 
     def test_kill_with_staged_evictions_in_flight(self):
-        """A worker killed right after mirrored ingest staged evictions in
-        its write-behind buffer: the restart re-seeds, the flush barrier
-        settles both sides, and answers stay byte-identical."""
+        """A worker killed with mirrored ingest - staged evictions
+        included - still in the outbox: the envelope that would have
+        carried it is dropped, the restart re-seeds from the local TIB,
+        the flush barrier settles both sides, and answers stay
+        byte-identical."""
         query = Query(Q_GET_FLOWS, {})
         with QueryCluster(small_topology(),
                           retention=RetentionPolicy(max_records=8)) as plain:
             populate(plain, records_per_host=25)
             reference = wire.encode_value(plain.execute(query).payload)
-        # retention adds one startup frame per host; the kill lands on the
-        # first mirrored ingest batch after the pool is up.
-        chaos = ChaosPolicy(kill_at_frame={"group-1": STARTUP_FRAMES + 2})
+        # The kill lands on the first envelope after the pool is up: the
+        # outbox flush ahead of the first probe.
+        chaos = ChaosPolicy(kill_at_frame={"group-1": STARTUP_FRAMES + 1})
         cluster = QueryCluster(small_topology(), supervisor=Supervisor(FAST),
                                chaos=chaos,
                                retention=RetentionPolicy(max_records=8))
@@ -367,7 +368,7 @@ class TestClusterParallelIdentity:
             agent = cluster.agent(host)
             index = cluster.hosts.index(host)
             src = cluster.hosts[(index + 1) % len(cluster.hosts)]
-            for flow in range(20, 25):  # mirrored; the kill fires here
+            for flow in range(20, 25):  # mirrored: queued on the outbox
                 record = PathFlowRecord(
                     FlowId(src, host, 30_000 + flow, 80, PROTO_TCP),
                     (src, f"leaf-{index // 2}", host), float(flow),
@@ -385,8 +386,13 @@ class TestClusterParallelIdentity:
                         (other_src, f"leaf-{other_index // 2}", other),
                         float(flow), flow + 0.5, 1000 * (flow + 1),
                         flow + 1))
+            pool = cluster.agent_servers
+            assert not chaos.injected  # nothing has left the controller
+            with pytest.raises(AgentServerError):
+                pool.ping(host)  # its flush is the killed frame
             assert chaos.injected
-            assert cluster.agent_servers.stats.restarts == 1
+            assert pool.stats.restarts == 1
+            assert pool.stats.mirror_detaches == 0
             # the pong flush barrier settles the worker's cold tier too
             local = cluster.tier_report()
             remote = cluster.tier_report(from_workers=True)

@@ -137,10 +137,10 @@ class TestRecordBatches:
             wire.record_wire_bytes(record)
         assert record.wire_bytes() == wire.record_wire_bytes(record)
 
-    def test_fuzz_batch_round_trip(self):
-        rng = random.Random(7)
+    @staticmethod
+    def _random_records(rng, count=100):
         records = []
-        for i in range(100):
+        for i in range(count):
             flow = FlowId(f"src-{rng.randrange(16)}", UNICODE_HOST,
                           rng.randrange(1 << 16), 80, PROTO_TCP)
             path = tuple(f"sw{j}" for j in range(rng.randrange(7)))
@@ -148,10 +148,39 @@ class TestRecordBatches:
                 flow, path, rng.uniform(0, 1e6), rng.uniform(1e6, 2e6),
                 rng.randrange(1 << rng.randrange(1, 77)),
                 rng.randrange(1 << 20)))
+        return records
+
+    def test_fuzz_batch_round_trip(self):
+        records = self._random_records(random.Random(7))
         decoded = wire.decode_record_batch(
             wire.encode_record_batch(records))
         assert [(r.flow_id, r.path, r.bytes, r.pkts) for r in decoded] == \
             [(r.flow_id, r.path, r.bytes, r.pkts) for r in records]
+
+    @pytest.mark.parametrize("pieces", [1, 3, 100])
+    def test_incremental_batch_is_the_one_shot_frame(self, pieces):
+        """Bodies appended as records arrive - one at a time, or in
+        separately encoded pieces concatenated later, as the worker
+        plane's outbox combines them - and framed once build exactly
+        ``encode_record_batch(all of them)``; same for observations."""
+        rng = random.Random(pieces)
+        for items, kind, append, encode, decode in (
+                (self._random_records(rng), wire.MSG_RECORD_BATCH,
+                 wire.append_record, wire.encode_record_batch,
+                 wire.decode_record_batch),
+                ([_random_observation(rng) for _ in range(100)],
+                 wire.MSG_OBSERVATION_BATCH, wire.append_observation,
+                 wire.encode_observation_batch,
+                 wire.decode_observation_batch)):
+            body = bytearray()
+            for start in range(0, len(items), len(items) // pieces):
+                piece = bytearray()
+                for item in items[start:start + len(items) // pieces]:
+                    append(piece, item)
+                body += piece
+            frame = wire.finish_batch(kind, len(items), body)
+            assert frame == encode(items)
+            assert decode(frame) == items
 
 
 class TestQueryFrames:

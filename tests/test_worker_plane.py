@@ -16,6 +16,7 @@ socket), and the standalone pool lifecycle over all three transports.
 """
 
 import socket
+import sys
 import threading
 import time
 
@@ -31,16 +32,20 @@ from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
                         shard_hosts, wire)
 from repro.core.aggregation import AggregationTree
 from repro.core.alarms import PC_FAIL
-from repro.core.executor import W_HOST_FAILED, W_WORKER_RESTARTED
-from repro.core.groupserver import (_EndpointClosed, _SocketEndpoint,
-                                    shard_for)
+from repro.core.executor import (W_HOST_FAILED, W_MIRROR_DETACHED,
+                                 W_WORKER_RESTARTED)
+from repro.core.groupserver import (OUTBOX_FLUSH_BYTES, _EndpointClosed,
+                                    _SocketEndpoint, shard_for)
+from repro.core.monitor import MonitorSnapshot
 from repro.core.plan import Aggregate, Filter, Plan, TopK
-from repro.core.supervisor import ChaosPolicy
+from repro.core.supervisor import ChaosPolicy, WorkerSeed
+from repro.network import make_tcp_packet
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
 from test_event_plane import feed_workload
-from test_supervisor import (FAST, group_key, kill_and_wait, pool_of,
-                             populate, small_topology)
+from test_supervisor import (FAST, STARTUP_FRAMES, group_key, kill_and_wait,
+                             pool_of, populate, sample_records,
+                             small_topology)
 
 NUM_HOSTS = 6
 GROUPS = 2  # the default socket shape here: 2 shards of 3 hosts
@@ -77,11 +82,6 @@ QUERIES = [
 ]
 
 
-def group_startup_frames(hosts_per_group):
-    """Envelopes the startup sync posts to one (unbounded) group: one
-    record batch and one monitor seed per host, then the coalesced barrier
-    ping.  The first post-startup envelope lands at this + 1."""
-    return 2 * hosts_per_group + 1
 
 
 def worker_cluster(mode=MODE_SOCKET, group_count=GROUPS,
@@ -169,6 +169,9 @@ class TestModeAliases:
             cluster.configure_executor(mode=MODE_SERIAL)
             cluster.configure_executor(mode=MODE_SOCKET)
             assert cluster.agent_servers is grouped  # kept alive, in sync
+            # a write still in the old pool's outbox dies with that pool
+            cluster.agent(cluster.hosts[0]).ingest_path_record(
+                late_record(cluster.hosts[0]))
             cluster.configure_executor(mode=MODE_PROCESS)
             per_host = cluster.agent_servers
             assert per_host is not grouped and not grouped.alive("group-0")
@@ -491,19 +494,299 @@ class TestIngestMirror:
 
     def test_ingest_survives_dead_worker(self, fresh_cluster):
         """A dead worker must not break the *local* ingest path: the
-        mirror detaches itself and the simulator keeps running (queries
-        report the dead host as partial, as elsewhere)."""
+        simulator keeps running and the mirror detaches - on the ingest
+        call when the connection is already known dead, else at the next
+        flush point (queries report the dead host as partial, as
+        elsewhere)."""
         host = fresh_cluster.hosts[0]
         agent = fresh_cluster.agent(host)
         kill_and_wait(fresh_cluster.agent_servers, host)
         before = agent.tib.record_count()
-        flow = FlowId("late", host, 777, 80, PROTO_TCP)
-        record = PathFlowRecord(flow, ("late", "leaf-0", host),
-                                50.0, 50.5, 10, 1)
-        for _ in range(3):  # first sends may still land in the OS buffer
-            agent.ingest_path_record(record)  # must not raise
+        record = late_record(host)
+        for _ in range(3):  # queued, or refused at once: never raised
+            agent.ingest_path_record(record)
         assert agent.tib.record_count() == before + 1
+        result = fresh_cluster.execute(Query(Q_GET_FLOWS, {}))  # flushes
+        assert result.partial and host in result.hosts_failed
         assert agent.record_sink is None  # mirror detached itself
+        agent.ingest_path_record(record)  # and ingest goes on locally
+
+
+def late_record(host, port=777, nbytes=10):
+    return PathFlowRecord(FlowId("late", host, port, 80, PROTO_TCP),
+                          ("late", "leaf-0", host), 50.0, 50.5, nbytes, 1)
+
+
+class TestOutbox:
+    """The deferred mirror: fire-and-forget frames wait in their
+    connection's outbox, write-combined, and leave ahead of the next
+    request - observably nothing but fewer envelopes."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_read_your_writes_without_a_barrier(self, shape,
+                                                make_pathdump_deployment):
+        """Every kind of ingest, interleaved across hosts with queries and
+        ticks and never an explicit barrier: after every step payloads and
+        the alarm stream are byte-identical to a serial twin fed the same
+        ops.  (A flip to serial and back leaves a non-empty outbox on the
+        live connections - pathbench's ``verify`` does that every run.)"""
+        mode, group_count, transport = shape
+        _, _, serial_fabric, serial, _ = make_pathdump_deployment()
+        _, _, worker_fabric, worker, _ = make_pathdump_deployment(
+            group_count=group_count, socket_transport=transport)
+        queries = [(Query(Q_GET_FLOWS, {}), MECHANISM_DIRECT),
+                   (Query(Q_TOP_K_FLOWS, {"k": 50}), MECHANISM_MULTILEVEL),
+                   (Query(Q_POOR_TCP_FLOWS, {}), MECHANISM_DIRECT)]
+        clock = [0.0]
+
+        def check(step):
+            for query, mechanism in queries:
+                got = worker.execute(query, mechanism=mechanism)
+                want = serial.execute(query, mechanism=mechanism)
+                assert not got.partial and not got.warnings, step
+                assert wire.encode_value(got.payload) == \
+                    wire.encode_value(want.payload), (step, query.name)
+            clock[0] += 1.0
+            assert wire.encode_alarm_batch(
+                list(worker.run_monitors(clock[0]))) == \
+                wire.encode_alarm_batch(
+                    list(serial.run_monitors(clock[0]))), step
+
+        def both(op):
+            op(serial, serial_fabric)
+            op(worker, worker_fabric)
+
+        try:
+            worker.configure_executor(mode=mode)
+            hosts = worker.hosts
+            a, b, c, d = hosts[0], hosts[5], hosts[10], hosts[15]
+
+            def records(cluster, fabric):
+                for n, host in enumerate((a, b, a, c, a)):
+                    record = late_record(host, port=700 + n)
+                    cluster.agent(host).ingest_path_record(record)
+                    record.bytes += 1_000_000  # the caller's to mutate
+            both(records)
+            check("records")
+
+            def observations(cluster, fabric):
+                for n, host in enumerate((a, d, a)):
+                    cluster.agent(host).monitor.observe_flow(
+                        FlowId(host, b, 41_000 + n, 80, PROTO_TCP),
+                        retransmissions=6, consecutive=4, when=float(n))
+            both(observations)
+            check("observations")  # the tick raises their alarms
+
+            def packets(cluster, fabric):
+                for seq in range(3):  # the FIN evicts inline
+                    fabric.inject(make_tcp_packet(a, d, seq=seq,
+                                                  fin=seq == 2))
+                for seq in range(2):  # these idle out at the flush
+                    fabric.inject(make_tcp_packet(b, c, seq=seq))
+                cluster.agent(c).flush()
+            both(packets)
+            check("packets")
+
+            def mixed(cluster, fabric):
+                # record / observation / record on one host: three kinds
+                # in a row, nothing to combine, order kept
+                agent = cluster.agent(a)
+                agent.ingest_path_record(late_record(a, port=800))
+                agent.monitor.observe_flow(
+                    FlowId(a, c, 42_000, 80, PROTO_TCP),
+                    retransmissions=9, consecutive=9, when=9.0)
+                agent.ingest_path_record(late_record(a, port=800))
+                cluster.reset_stats()  # re-opens alerting: seeds + flush
+            both(mixed)
+            check("mixed")
+
+            worker.configure_executor(mode=MODE_SERIAL)
+            both(records)  # mirrored while the workers idle
+            worker.run_monitors(50.0), serial.run_monitors(50.0)
+            worker.configure_executor(mode=mode)
+            check("after the mode flips")
+            for host in hosts:
+                assert worker.agent_servers.ping(host) == \
+                    serial.agent(host).tib.record_count()
+            assert worker.agent_servers.stats.decode_errors == 0
+        finally:
+            serial.close()
+            worker.close()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_burst_costs_one_flush_envelope(self, shape):
+        """K ingests over the M hosts of one group, then one query on that
+        group: two envelopes (flush + request), M + |targets| frames."""
+        with worker_cluster(*shape) as cluster:
+            pool = cluster.agent_servers
+            members = list(pool.group_hosts("group-0"))
+            pool.reset_stats()
+            for round_ in range(3):
+                for host in members:
+                    cluster.agent(host).ingest_path_record(
+                        late_record(host, port=900 + round_))
+            assert pool.stats.envelopes_sent == 0  # all of it deferred
+            result = cluster.execute(Query(Q_GET_FLOWS, {}), hosts=members)
+            assert not result.partial
+            assert pool.stats.envelopes_sent == 2
+            assert pool.stats.frames_sent == 2 * len(members)
+            assert sum(flow.src_ip == "late" for flow, _ in result.payload) \
+                == 3 * len(members)
+            # the flush is mirror traffic, not the query's
+            assert result.traffic_bytes < \
+                pool.stats.bytes_sent + pool.stats.bytes_received
+
+    def test_the_byte_bound_flushes_without_a_request(self):
+        with pool_of(["a", "b"]) as pool:
+            records = sample_records("a", count=1)
+            size = wire.record_wire_bytes(records[0])
+            sent = 0
+            while pool.stats.envelopes_sent == 0:
+                pool.add_records("a", records)
+                sent += 1
+            assert (sent - 1) * size < OUTBOX_FLUSH_BYTES <= sent * size
+            assert pool.stats.frames_sent == 1  # one combined batch
+            assert OUTBOX_FLUSH_BYTES <= pool.stats.bytes_sent < \
+                OUTBOX_FLUSH_BYTES + 256
+            pool.add_records("a", records)  # starts the next outbox
+            assert pool.stats.envelopes_sent == 1
+            assert pool.ping("a") == 1  # all upserts of one flow key
+
+    def test_a_paper_scale_seed_stays_in_small_envelopes(self):
+        """1,024 hosts x 40 records (and one fat host) through one
+        connection: every envelope stays within a few flush bounds,
+        nowhere near ``MAX_FRAME_BYTES``."""
+        sizes = []
+
+        class Recorder(ChaosPolicy):
+            def before_send(self, pool, host, frame, reseed=False):
+                sizes.append(len(frame))
+                return []
+
+        hosts = [f"h-{n}" for n in range(1024)]
+        with GroupAgentPool(hosts, group_count=1, chaos=Recorder()) as pool:
+            for host in hosts[1:]:
+                pool.seed_host(host, WorkerSeed(
+                    retention=(30, None), records=sample_records(host, 40),
+                    monitor=MonitorSnapshot(host, 1.0, 3, 0, ())))
+            pool.seed_host(hosts[0], WorkerSeed(
+                records=sample_records(hosts[0], 5_000)))
+            states = pool.group_ping_state("group-0")
+            assert states[hosts[0]][0] == 5_000
+            assert all(states[host][0] == 40 for host in hosts[1:])
+        assert len(sizes) > 20
+        assert max(sizes) < 3 * OUTBOX_FLUSH_BYTES < wire.MAX_FRAME_BYTES
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ingest_thread_against_query_threads(self, shape):
+        """One thread ingests while others query and tick: envelopes never
+        interleave, and at quiescence the workers hold what the local TIBs
+        hold."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        errors = []
+        with worker_cluster(*shape) as cluster:
+            pool = cluster.agent_servers
+            stop = threading.Event()
+
+            def ingest():
+                for n in range(400):
+                    host = cluster.hosts[n % NUM_HOSTS]
+                    cluster.agent(host).ingest_path_record(
+                        late_record(host, port=1_000 + n % 97, nbytes=n))
+                stop.set()
+
+            def ask():
+                try:
+                    while not stop.is_set():
+                        result = cluster.execute(Query(Q_GET_FLOWS, {}))
+                        assert not result.partial and not result.warnings
+                        cluster.run_monitors(1.0)
+                except Exception as error:  # surfaced below
+                    errors.append(error)
+                    stop.set()
+
+            threads = [threading.Thread(target=ingest)] + \
+                [threading.Thread(target=ask) for _ in range(3)]
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors
+            for host in cluster.hosts:
+                assert pool.ping(host) == \
+                    cluster.agent(host).tib.record_count()
+            serial = wire.encode_value(
+                cluster.execute(Query(Q_GET_FLOWS, {})).payload)
+            cluster.configure_executor(mode=MODE_SERIAL)
+            assert wire.encode_value(
+                cluster.execute(Query(Q_GET_FLOWS, {})).payload) == serial
+            assert pool.stats.decode_errors == 0
+
+    @pytest.mark.parametrize("shape", FAILURE_SHAPES)
+    def test_kill_with_a_full_outbox_unsupervised(self, shape):
+        """Writes still in the outbox of a connection that dies are lost
+        to that worker for good: each host that had any detaches once -
+        on the ingest call if the death was already known, else at the
+        failed flush - counted and warned; local ingest never raises."""
+        with worker_cluster(*shape) as cluster:
+            pool = cluster.agent_servers
+            members = list(pool.group_hosts("group-0"))
+            survivor = pool.group_hosts("group-1")[0]
+            for host in members + [survivor]:
+                cluster.agent(host).ingest_path_record(late_record(host))
+            kill_and_wait(pool, "group-0")
+            for host in members:  # dead or not yet known dead: no raise
+                cluster.agent(host).ingest_path_record(
+                    late_record(host, port=778))
+            result = cluster.execute(Query(Q_GET_FLOWS, {}))
+            assert sorted(result.hosts_failed) == sorted(members)
+            detached = [w.host for w in result.warnings
+                        if w.code == W_MIRROR_DETACHED]
+            assert sorted(detached) == sorted(members)
+            assert pool.stats.mirror_detaches == len(members)
+            for host in members:
+                agent = cluster.agent(host)
+                assert agent.record_sink is None
+                assert agent.monitor.observation_sink is None
+                agent.ingest_path_record(late_record(host, port=779))
+            assert cluster.agent(survivor).record_sink is not None
+            assert pool.ping(survivor) == \
+                cluster.agent(survivor).tib.record_count()
+            again = cluster.execute(Query(Q_GET_FLOWS, {}))
+            assert not [w for w in again.warnings
+                        if w.code == W_MIRROR_DETACHED]
+            assert pool.stats.mirror_detaches == len(members)
+
+    @pytest.mark.parametrize("shape", FAILURE_SHAPES)
+    def test_kill_with_a_full_outbox_supervised(self, shape):
+        """Supervised, the dead connection's outbox is dropped, never
+        re-sent: the restart re-seeds from the local TIBs, which already
+        hold every buffered write - no loss, no double count."""
+        with worker_cluster(*shape, supervisor=Supervisor(FAST)) as cluster:
+            cluster.configure_executor(retries=1)
+            pool = cluster.agent_servers
+            members = list(pool.group_hosts("group-0"))
+            for host in members:
+                cluster.agent(host).ingest_path_record(late_record(host))
+            kill_and_wait(pool, "group-0")
+            for host in members:
+                cluster.agent(host).ingest_path_record(late_record(host))
+            result = cluster.execute(Query(Q_GET_FLOWS, {}))
+            assert not result.partial
+            assert pool.stats.restarts == 1
+            assert pool.stats.mirror_detaches == 0
+            for host in members:
+                agent = cluster.agent(host)
+                assert agent.record_sink is not None
+                assert pool.ping(host) == agent.tib.record_count()
+            cluster.configure_executor(mode=MODE_SERIAL)
+            assert wire.encode_value(result.payload) == wire.encode_value(
+                cluster.execute(Query(Q_GET_FLOWS, {})).payload)
 
 
 class TestLocalFallback:
@@ -810,7 +1093,7 @@ class TestConnectionChaos:
         kills the worker, and the supervisor recovers byte-identically."""
         query = Query(Q_TOP_K_FLOWS, {"k": 30})
         want = reference_payload(query)
-        fault_at = group_startup_frames(NUM_HOSTS // GROUPS) + 1
+        fault_at = STARTUP_FRAMES + 1
         chaos = ChaosPolicy(close_torn_at_frame={"group-1": fault_at})
         with worker_cluster(transport=transport, chaos=chaos,
                             supervisor=Supervisor(FAST)) as cluster:
@@ -850,7 +1133,7 @@ class TestConnectionChaos:
         Only the reply deadline detects it; the worker is replaced."""
         query = Query(Q_TOP_K_FLOWS, {"k": 30})
         want = reference_payload(query)
-        fault_at = group_startup_frames(NUM_HOSTS // GROUPS) + 1
+        fault_at = STARTUP_FRAMES + 1
         chaos = ChaosPolicy(hang_at_frame={"group-0": fault_at},
                             hang_s=30.0)
         with worker_cluster(chaos=chaos, supervisor=Supervisor(FAST),
@@ -900,7 +1183,7 @@ class TestPoolLifecycle:
         """A reset wipes a latched ingest error: the first query after a
         reset must answer from the clean TIB, not replay the old error."""
         with pool_of(["a"]) as pool:
-            pool._post("group-0", [("a", b"garbage-frame")])  # latches
+            pool._post("a", b"garbage-frame")  # latches
             pool.reset("a")
             result = pool.query("a", Query(Q_GET_FLOWS, {}))
             assert result.payload == []
