@@ -18,7 +18,9 @@ into ``BENCH_storage.json`` under ``"two_tier_tib"``.
 """
 
 import json
+import os
 import pathlib
+import subprocess
 import time
 
 from repro.analysis import format_table
@@ -81,7 +83,13 @@ def fold_into_bench_json(summary):
     data = {}
     if BENCH_JSON.exists():
         data = json.loads(BENCH_JSON.read_text())
-    data["two_tier_tib"] = summary
+    # What the row was measured on: the checked-out commit ("-dirty" when
+    # the tree carried uncommitted changes on top of it) and the cores.
+    described = subprocess.run(
+        ["git", "-C", str(BENCH_JSON.parent), "describe", "--always",
+         "--dirty"], capture_output=True, text=True)
+    data["two_tier_tib"] = {"commit": described.stdout.strip() or None,
+                            "nproc": os.cpu_count(), **summary}
     BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
@@ -133,21 +141,35 @@ def test_two_tier_tib(benchmark, report_writer):
     plain_window_s, plain_link_s, plain_full_s = _time_queries(
         plain, windows, link)
 
-    # The cold-tier query engine's bounds.  Zone-map/bloom pruning plus the
-    # decoded-entry cache keep spanning link queries within an order of
-    # magnitude of hot-only (measured ~5x), and admission control plus the
-    # write-behind buffer keep aging's ingest cost well under the old ~5x
-    # (measured ~1.6-2x; the bound leaves room for shared-runner noise).
+    # The cold-tier query engine's bounds.  Zone-map/bloom pruning plus
+    # column predicates (the link test runs once per distinct path of a
+    # segment) keep spanning link queries within an order of magnitude of
+    # hot-only: measured ~5.5x with every scan materialising its matches
+    # afresh, so 2x headroom keeps the bound at 10x (the ~3.8x once
+    # committed here was the decoded-entry cache's best case - this very
+    # loop, one link query repeated from a warm cache).  Admission control
+    # plus the write-behind buffer keep aging's ingest cost well under the
+    # old ~5x (measured ~1.5-2x; the bound leaves room for shared-runner
+    # noise).
     assert capped_link_s <= 10.0 * plain_link_s, \
         f"spanning link query {capped_link_s / plain_link_s:.1f}x hot-only"
     assert capped_ingest_s <= 2.5 * plain_ingest_s, \
         f"capped ingest {capped_ingest_s / plain_ingest_s:.2f}x uncapped"
+    # Reading a cold record back costs a fraction of what writing it did:
+    # a same-run ratio, so the box's speed cancels.  (The row log decoded
+    # at ~18 us a record against ~22 us ingested, 0.8; column-major
+    # segments materialise at ~1-2 us.)
+    cold_records = stats["cold_records"]
+    full_us_per_cold_record = capped_full_s / cold_records * 1e6
+    ingest_us_per_record = capped_ingest_s / RECORD_COUNT * 1e6
+    assert full_us_per_cold_record <= 0.25 * ingest_us_per_record, \
+        f"full spanning scan {full_us_per_cold_record:.1f} us per cold " \
+        f"record vs {ingest_us_per_record:.1f} us per ingested record"
 
-    # Pruning did the work: the repeated scans must have skipped segments
-    # and served repeats from the decoded-entry cache, not brute-decoded.
+    # Pruning did the work: the repeated scans must have skipped segments,
+    # not read every one.
     scan_stats = capped.tier_stats()
     assert scan_stats["segments_skipped"] > 0
-    assert scan_stats["decode_cache_hits"] > 0
 
     hot_bytes = capped.estimated_bytes()
     cold_bytes = capped.archive_bytes()
@@ -178,13 +200,16 @@ def test_two_tier_tib(benchmark, report_writer):
         ["full scan (hot only)", f"{plain_full_s * 1e3:.3f} ms", ""],
         ["full scan (hot+cold)", f"{capped_full_s * 1e3:.3f} ms",
          f"{capped_full_s / max(plain_full_s, 1e-9):.1f}x"],
-        ["cold segments pruned / decoded",
+        ["full scan per cold record",
+         f"{full_us_per_cold_record:.2f} us",
+         f"{full_us_per_cold_record / ingest_us_per_record:.2f}x the "
+         f"{ingest_us_per_record:.1f} us a record cost to ingest"],
+        ["cold segments pruned / opened",
          f"{scan_stats['segments_skipped']} / "
          f"{scan_stats['segment_decodes']}", "zone maps + blooms"],
-        ["cold entries skipped / decoded",
+        ["cold rows passed over / materialised",
          f"{scan_stats['entries_skipped']} / "
-         f"{scan_stats['entries_decoded']}",
-         f"{scan_stats['decode_cache_hits']} cache hits"],
+         f"{scan_stats['entries_decoded']}", "column predicates"],
         ["write-behind flushes",
          f"{scan_stats['write_behind_flushes']} "
          f"({scan_stats['write_behind_records']} records)", ""],
@@ -219,6 +244,8 @@ def test_two_tier_tib(benchmark, report_writer):
             "full_spanning": round(capped_full_s * 1e3, 4),
         },
         "ingest_slowdown": round(capped_ingest_s / plain_ingest_s, 2),
+        "full_scan_us_per_cold_record": round(full_us_per_cold_record, 2),
+        "ingest_us_per_record": round(ingest_us_per_record, 2),
         "link_spanning_ratio": round(
             capped_link_s / max(plain_link_s, 1e-9), 2),
         "scan": {
@@ -226,7 +253,6 @@ def test_two_tier_tib(benchmark, report_writer):
             "segment_decodes": scan_stats["segment_decodes"],
             "entries_skipped": scan_stats["entries_skipped"],
             "entries_decoded": scan_stats["entries_decoded"],
-            "decode_cache_hits": scan_stats["decode_cache_hits"],
             "write_behind_flushes": scan_stats["write_behind_flushes"],
             "write_behind_records": scan_stats["write_behind_records"],
         },

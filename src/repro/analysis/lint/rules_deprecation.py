@@ -1,17 +1,17 @@
 """R6 - deprecation: no internal caller of DeprecationWarning-marked APIs.
 
-PR 7 kept ``ColdArchive.search()`` alive as a deprecated wrapper over the
-``ScanSpec``/``scan()`` surface so external users get a migration window -
-but internal code keeping the old spelling alive defeats the point and
-hides the day the wrapper can be deleted.  The rule finds every function
-or method that itself issues a ``DeprecationWarning`` (the repo's marker
-for a deprecated API) and flags calls to those names from ``src/``,
-``benchmarks/`` and ``examples/``.  Tests are exempt: the deprecation
-contract itself is tested there (``pytest.warns(DeprecationWarning)``),
-which requires calling the deprecated API on purpose.
+A deprecated wrapper kept alive for a migration window gives external
+users time to move - but internal code keeping the old spelling alive
+defeats the point and hides the day the wrapper can be deleted.  The rule
+finds every function or method that itself issues a ``DeprecationWarning``
+(the repo's marker for a deprecated API) and flags calls to those names
+from ``src/``, ``benchmarks/`` and ``examples/``.  Tests are exempt: the
+deprecation contract itself is tested there
+(``pytest.warns(DeprecationWarning)``), which requires calling the
+deprecated API on purpose.
 
 Receivers named ``re``/``regex``/``pattern`` are ignored for method-name
-collisions (``re.search`` is not ``ColdArchive.search``).
+collisions (``re.search`` is not a deprecated ``search`` method).
 """
 
 from __future__ import annotations

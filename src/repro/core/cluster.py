@@ -779,21 +779,6 @@ class QueryCluster:
                 except AgentServerError:
                     pass  # dead worker: the query path reports it already
 
-    def configure_cold_scan(self, mode: str = "serial",
-                            max_workers: Optional[int] = None) -> None:
-        """Select the cold tier's spanning-scan strategy on every local
-        agent's archive (segment-parallel for any executor mode, inline
-        for ``"serial"``).
-
-        Local agents only: agent-server workers keep the serial scan -
-        results are identical by construction, and the identity tests pin
-        parallel-local scans against serial worker answers byte for byte.
-        Agents whose TIB has no archive yet (unbounded retention) are
-        skipped; configure retention first.
-        """
-        for agent in self.agents.values():
-            agent.tib.configure_cold_scan(mode, max_workers)
-
     def tier_report(self, from_workers: bool = False) -> Dict[str, int]:
         """Aggregate two-tier stats across the cluster.
 

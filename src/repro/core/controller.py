@@ -184,12 +184,6 @@ class PathDumpController:
         self.cluster.configure_retention(max_records=max_records,
                                          max_bytes=max_bytes)
 
-    def configure_cold_scan(self, mode: str = "serial",
-                            max_workers: Optional[int] = None) -> None:
-        """Operator knob: the cold tier's spanning-scan strategy (see
-        :meth:`repro.core.cluster.QueryCluster.configure_cold_scan`)."""
-        self.cluster.configure_cold_scan(mode, max_workers)
-
     def report(self, sections: Optional[Sequence[str]] = None,
                from_workers: bool = False) -> Dict[str, Dict]:
         """The operator's one consolidated deployment report.

@@ -413,33 +413,6 @@ class ScatterGatherExecutor:
         run = _Run(self, plan, work, merge, response_bytes)
         return run.execute()
 
-    def map_local(self, labels: Sequence[str],
-                  work: Callable[[str], Any]) -> List[Any]:
-        """Run independent local work units as one flat scatter; returns
-        their results in label order.
-
-        A convenience for compute-only fan-out - e.g. the cold archive's
-        segment-parallel scans: each label becomes a leaf of a flat plan
-        with no request payload (no transport request leg is modelled),
-        ``work(label)`` runs under the executor's normal scheduling, and
-        the merged value is the list of per-label results in canonical
-        slot order - identical across serial and concurrent modes by
-        construction.  Partial results would silently drop data, so any
-        failed unit fails the whole map.
-        """
-        if not labels:
-            return []
-        plan = PlanNode(host=None,
-                        children=[PlanNode(host=label) for label in labels])
-        gather = self.run(plan, lambda label: [work(label)],
-                          lambda acc, value: acc + value)
-        if gather.partial or gather.value is None \
-                or len(gather.value) != len(labels):
-            failed = ", ".join(gather.hosts_failed) or "unknown unit"
-            raise TransportError(f"local map lost work units: {failed}")
-        return gather.value
-
-
 class _Run:
     """One scatter-gather execution (state shared by all worker threads)."""
 

@@ -70,9 +70,10 @@ id-ordered matches, so a capped TIB returns **byte-identical payloads** to
 an uncapped one, in the same deterministic order.  Writes stay
 upsert-correct across tiers: a record arriving for an archived
 ``(flow, path)`` key *promotes* the archived entry back into the hot tier
-(same id) and merges into it, tombstoning the log entry.  The per-flow
-byte/packet aggregates deliberately span both tiers, so the unconstrained
-``getCount`` / top-k fast paths never touch the archive.
+(same id) and merges into it, leaving its log row behind as garbage for
+compaction.  The per-flow byte/packet aggregates deliberately span both
+tiers, so the unconstrained ``getCount`` / top-k fast paths never touch the
+archive.
 
 ``record_count()`` / ``estimated_bytes()`` report the **hot tier only**
 (they are the quantities the retention bound is enforced on);
@@ -488,8 +489,8 @@ class Tib:
         # against the cache when stale entries exist, and the next rebuild
         # drops them.
         self._stale_time_entries += 2
-        # Write-behind: the eviction fast path pays a dict insert, not an
-        # encode - the archive batches the appends and every read path
+        # Write-behind: the eviction fast path pays a dict insert, not a
+        # log append - the archive batches the appends and every read path
         # flushes first (see ColdArchive.stage).
         self.archive.stage(record_id, record, key)
         self.evictions += 1
@@ -599,7 +600,7 @@ class Tib:
         record-id order, so a capped TIB answers identically to an uncapped
         one.  The returned hot-tier :class:`PathFlowRecord` objects are the
         TIB's own memoized instances - treat them as read-only (archived
-        matches are freshly decoded copies).
+        matches are freshly materialised objects).
         """
         start, end = normalise_time_range(time_range)
         return self.spec_records(self._as_spec(flow_id, link, start, end))
@@ -920,15 +921,6 @@ class Tib:
         """
         if self.archive is not None:
             self.archive.flush()
-
-    def configure_cold_scan(self, mode: str = "serial",
-                            max_workers: Optional[int] = None) -> None:
-        """Select the cold tier's spanning-scan strategy (see
-        :meth:`ColdArchive.configure_scan
-        <repro.storage.archive.ColdArchive.configure_scan>`); a no-op when
-        no archive exists yet."""
-        if self.archive is not None:
-            self.archive.configure_scan(mode, max_workers)
 
     def archive_bytes(self) -> int:
         """Measured size of the cold archive's log (0 when single-tier);

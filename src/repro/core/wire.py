@@ -48,26 +48,27 @@ from __future__ import annotations
 
 import functools
 import struct
-import zlib
-from typing import (Any, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from array import array
+from itertools import accumulate
+from operator import itemgetter
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, TypeVar, Union, cast)
 
 from repro.core.alarms import Alarm
 from repro.core.monitor import (MonitorSnapshot, TcpFlowStats,
                                 TransferObservation)
 from repro.core import plan as _plan
 from repro.network.packet import FlowId
-from repro.storage.records import PathFlowRecord, parse_flow_key
+from repro.storage.records import PathFlowRecord
 
 #: Frame magic + codec version (bump on any incompatible layout change).
 #: Version 2: result frames carry a piggybacked alarm batch, pongs carry
 #: the worker's monitor flow count, and the event-plane frame kinds exist.
 #: Version 3: pongs carry the worker TIB's two-tier stats (hot/cold record
 #: counts and bytes) and the retention-config frame kind exists.
-#: Version 4: archive log entries use the field-offset layout (fixed
-#: ``stime/etime/link-bloom`` header at known offsets + a body-length
-#: prefix) so cold-tier predicates evaluate on encoded bytes and full
-#: records decode lazily.
+#: Version 4: archive log entries moved to a field-offset row layout (since
+#: replaced by the column-major segment codec below; segment blobs never
+#: travel, so that replacement did not move the version).
 #: Version 5: the group transport exists - hello frames, correlated
 #: ``MSG_GROUP_BATCH`` envelopes that coalesce per-host frames for a whole
 #: worker group, the torn-close debug command, and the length-delimited
@@ -144,11 +145,14 @@ class WireDecodeError(WireError):
     """
 
 
-def _guarded(decoder):
+_Decoder = TypeVar("_Decoder", bound=Callable[..., Any])
+
+
+def _guarded(decoder: _Decoder) -> _Decoder:
     """Wrap a decode entry point so unexpected corruption surfaces as
     :class:`WireDecodeError` instead of a raw internal exception."""
     @functools.wraps(decoder)
-    def decode(*args, **kwargs):
+    def decode(*args: Any, **kwargs: Any) -> Any:
         try:
             return decoder(*args, **kwargs)
         except WireError:
@@ -156,7 +160,7 @@ def _guarded(decoder):
         except Exception as error:
             raise WireDecodeError(
                 f"corrupt frame: {type(error).__name__}: {error}") from error
-    return decode
+    return cast(_Decoder, decode)
 
 
 class SubtreeSpec(NamedTuple):
@@ -823,211 +827,307 @@ def decode_record_batch(data: bytes) -> List[PathFlowRecord]:
     return [reader.record() for _ in range(reader.uvarint())]
 
 
-# The cold archive's log-entry layout (:mod:`repro.storage.archive`)::
+# ----------------------------------------------------------- cold segments
+# A sealed segment of the cold archive (:mod:`repro.storage.archive`) is one
+# immutable ``bytes`` blob laid out column-major::
 #
-#     uvarint(record id) + uvarint(body length) + body
-#     body = stime f64 | etime f64 | link bloom u64 | flow id | path |
-#            varint(bytes) | varint(pkts)
+#     +--------+------+----------------+-----------------+
+#     | "PDSG" | rows | 15 type codes  | 15 byte sizes   |  header
+#     +--------+------+----------------+-----------------+
+#     | id | stime | etime | bytes | pkts |                  one value per row
+#     | src_port | dst_port | protocol |
+#     | src | dst | path |                                   one index per row
+#     +--------------------------------------------------+
+#     | path_ends | path_nodes |                             path table
+#     | name_ends | name_text  |                             name dictionary
+#     +--------------------------------------------------+
 #
-# The body leads with a fixed-offset header (two IEEE doubles and a 64-bit
-# per-entry link bloom) so a cold scan evaluates time and link predicates
-# with one ``unpack_from`` per entry, and the body-length prefix lets it
-# step over rejected entries without decoding them; only survivors pay the
-# full record decode.  The flow id sits at a fixed body offset too: varints
-# and length-prefixed strings are prefix-free, so a flow-key predicate is an
-# exact byte comparison of the encoded flow id (no bloom, no false
-# positives).  Archive sizes stay *measured* codec bytes, directly
-# comparable with the record-batch accounting.
+# ``src``/``dst`` index the segment's name dictionary and ``path`` its path
+# table: path ``p`` is the names at ``path_nodes[path_ends[p-1]:
+# path_ends[p]]``, name ``i`` the characters ``[name_ends[i-1]:
+# name_ends[i])`` of the UTF-8 ``name_text``.  Both dictionaries are in
+# first-appearance order, so equal row streams pack to equal bytes in every
+# process.  Every numeric section is a fixed-width array in native byte
+# order (segment blobs never travel) whose width is chosen per segment from
+# the values present - ports cost two bytes, not eight - and reads back
+# through ``memoryview.cast``: zero-copy, no parse loop.  The integer
+# domain is all of ``int``: a column holding a value that no 64-bit width
+# fits is stored as zigzag varints (type code ``V``), losslessly.  The two
+# time columns are IEEE doubles.
 
-#: The fixed body header: ``stime, etime`` doubles + ``u64`` link bloom.
-ENTRY_FIXED = struct.Struct("<ddQ")
-#: Body offset of the encoded flow id (the flow-key probe target).
-ENTRY_FLOWID_OFFSET = ENTRY_FIXED.size
+#: The per-row columns in blob order; the ``SEG_*`` constants index them.
+SEGMENT_COLUMNS = ("id", "stime", "etime", "bytes", "pkts", "src_port",
+                   "dst_port", "protocol", "src", "dst", "path")
+(SEG_ID, SEG_STIME, SEG_ETIME, SEG_BYTES, SEG_PKTS, SEG_SRC_PORT,
+ SEG_DST_PORT, SEG_PROTOCOL, SEG_SRC, SEG_DST, SEG_PATH) = range(11)
+_SEG_PATH_ENDS, _SEG_PATH_NODES, _SEG_NAME_ENDS, _SEG_NAME_TEXT = range(11, 15)
 
-#: crc32 salts of the per-entry 64-bit link bloom (k=2 bits per key).
-#: Python's ``hash()`` is per-process randomized and therefore unusable:
-#: blooms baked into encoded entries must mean the same thing in every
-#: worker process.
-_ENTRY_BLOOM_SALTS = (0x00000000, 0x9E3779B9)
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def link_bloom_mask(a: str, b: str) -> int:
-    """Bloom mask of one concrete (undirected) link ``a``-``b``."""
-    if b < a:
-        a, b = b, a
-    key = (a + "\x00" + b).encode("utf-8")
-    mask = 0
-    for salt in _ENTRY_BLOOM_SALTS:
-        mask |= 1 << (zlib.crc32(key, salt) & 63)
-    return mask
+_SEGMENT_MAGIC = b"PDSG"
+_SEGMENT_HEAD = struct.Struct("=4sI15s15I")
+_CODE_WIDE, _CODE_TEXT = "V", "U"
+#: Fixed-width cell codecs per type code (``=``: native order, unpadded).
+_CELLS = {code: struct.Struct("=" + code) for code in "BHIQbhiqd"}
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def node_bloom_mask(node: str) -> int:
-    """Bloom mask of one path node (wildcard-endpoint link queries).
-
-    Node keys live in their own namespace (``\\x01`` prefix, which cannot
-    start a link key's ``name\\x00name`` form) so a node never aliases a
-    link.
-    """
-    key = ("\x01" + node).encode("utf-8")
-    mask = 0
-    for salt in _ENTRY_BLOOM_SALTS:
-        mask |= 1 << (zlib.crc32(key, salt) & 63)
-    return mask
-
-
-@functools.lru_cache(maxsize=1 << 14)
-def entry_link_bloom(path: Tuple[str, ...]) -> int:
-    """The 64-bit per-entry bloom over a path's links and nodes.
-
-    Zero for degenerate (< 2 hop) paths, which traverse no link - matching
-    the TIB's link semantics, where such records never match any link
-    constraint.  Memoized per path tuple: the datacenter topology yields a
-    small closed set of paths, so eviction-time bloom computation is a dict
-    hit, not |path| crc32 calls.
-    """
-    if len(path) < 2:
-        return 0
-    bloom = 0
-    for a, b in zip(path, path[1:]):
-        bloom |= link_bloom_mask(a, b)
-    for node in set(path):
-        bloom |= node_bloom_mask(node)
-    return bloom
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def flow_key_probe(fkey: str) -> bytes:
-    """The exact encoded-byte probe for one canonical flow key.
-
-    Returns the codec encoding of the parsed flow id; an entry matches the
-    flow key iff its body bytes at :data:`ENTRY_FLOWID_OFFSET` equal this
-    probe (prefix-freeness of the flow-id encoding makes the slice
-    comparison equivalent to flow-id equality).
-    """
+def _pack_ints(values: Sequence[int]) -> Tuple[str, bytes]:
+    """One integer column as ``(type code, bytes)`` at the narrowest width
+    that holds every value present - unsigned widths first, then signed,
+    then the varint escape for values no 64-bit width fits."""
+    for code in "BHIQbhiq":
+        try:
+            return code, array(code, values).tobytes()
+        except OverflowError:
+            continue
     buf = bytearray()
-    _w_flow_id(buf, parse_flow_key(fkey))
-    return bytes(buf)
+    for value in values:
+        _w_varint(buf, value)
+    return _CODE_WIDE, bytes(buf)
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _entry_key_bytes(flow_id: FlowId, path: Tuple[str, ...]) -> bytes:
-    """Encoded flow-id + path section of an entry body, memoized per
-    (flow, path) - the tier key.  Records for one key are re-encoded every
-    time they age out again after a promotion, and this whole section is
-    immutable per key, so churn pays two tail varints instead of a field-
-    by-field re-encode."""
-    buf = bytearray()
-    _w_flow_id(buf, flow_id)
-    _w_uvarint(buf, len(path))
-    for node in path:
-        _w_str(buf, node)
-    return bytes(buf)
+def _select(values: Sequence[Any], rows: Sequence[int]) -> Sequence[Any]:
+    """``values[row]`` for every row of a non-empty ``rows``, at C speed."""
+    picked = itemgetter(*rows)(values)
+    return picked if len(rows) > 1 else (picked,)
 
 
-def append_record_entry(buf: bytearray, record_id: int,
-                        record: PathFlowRecord) -> int:
-    """Append one archive log entry to ``buf``; returns the body's offset
-    within ``buf`` (the lazy-decode / predicate-probe anchor the archive
-    indexes per entry)."""
-    body = bytearray(ENTRY_FIXED.pack(record.stime, record.etime,
-                                      entry_link_bloom(record.path)))
-    body += _entry_key_bytes(record.flow_id, record.path)
-    _w_varint(body, record.bytes)
-    _w_varint(body, record.pkts)
-    _w_uvarint(buf, record_id)
-    _w_uvarint(buf, len(body))
-    body_offset = len(buf)
-    buf += body
-    return body_offset
+class _SegmentRows:
+    """The read surface sealed and unsealed rows share: columns by
+    ``SEG_*`` index plus the two dictionaries, and record materialisation
+    written once on top of them."""
+
+    __slots__ = ()
+
+    def column(self, index: int) -> Sequence[Any]:
+        """Column ``index`` (a ``SEG_*`` constant), one value per row."""
+        raise NotImplementedError
+
+    def cell(self, index: int, row: int) -> Any:
+        """One value of column ``index`` (the point-read half)."""
+        raise NotImplementedError
+
+    def names(self) -> Sequence[str]:
+        """The name dictionary, in index order."""
+        raise NotImplementedError
+
+    def paths(self) -> Sequence[Tuple[str, ...]]:
+        """The path table, in index order."""
+        raise NotImplementedError
+
+    def records(self, rows: Optional[Sequence[int]] = None
+                ) -> List[Tuple[int, PathFlowRecord]]:
+        """Materialise ``rows`` (every row when ``None``) as ``(record id,
+        record)`` pairs: dictionary lookups and two constructors a row.
+        Every record is a fresh object - promotions merge into records in
+        place, so nothing handed out here may alias a later one."""
+        columns = [self.column(index)
+                   for index in range(len(SEGMENT_COLUMNS))]
+        if rows is not None:
+            if not rows:
+                return []
+            columns = [_select(column, rows) for column in columns]
+        names = self.names()
+        paths = self.paths()
+        return [(record_id, PathFlowRecord(
+                    FlowId(names[src], names[dst], src_port, dst_port,
+                           protocol),
+                    paths[path], stime, etime, nbytes, pkts))
+                for (record_id, stime, etime, nbytes, pkts, src_port,
+                     dst_port, protocol, src, dst, path) in zip(*columns)]
 
 
-def record_entry_bytes(record_id: int, record: PathFlowRecord) -> int:
-    """Measured size of one archive log entry (id + length prefix + body)."""
-    buf = bytearray()
-    append_record_entry(buf, record_id, record)
-    return len(buf)
+class SegmentBuilder(_SegmentRows):
+    """Unsealed rows: one Python list per column plus the dictionaries
+    under construction.  Appending encodes nothing; :meth:`pack` turns the
+    lists into a segment blob at C speed."""
+
+    __slots__ = ("columns", "name_index", "path_index")
+
+    def __init__(self) -> None:
+        self.columns: Tuple[List[Any], ...] = tuple(
+            [] for _ in SEGMENT_COLUMNS)
+        self.name_index: Dict[str, int] = {}
+        self.path_index: Dict[Tuple[str, ...], int] = {}
+
+    @property
+    def count(self) -> int:
+        """Rows appended so far."""
+        return len(self.columns[SEG_ID])
+
+    def column(self, index: int) -> Sequence[Any]:
+        return self.columns[index]
+
+    def cell(self, index: int, row: int) -> Any:
+        return self.columns[index][row]
+
+    def names(self) -> List[str]:
+        return list(self.name_index)
+
+    def paths(self) -> List[Tuple[str, ...]]:
+        return list(self.path_index)
+
+    def _path(self, path: Tuple[str, ...]) -> int:
+        index = self.path_index.get(path)
+        if index is None:
+            index = self.path_index[path] = len(self.path_index)
+            names = self.name_index
+            for node in path:
+                names.setdefault(node, len(names))
+        return index
+
+    def append(self, record_id: int, record: PathFlowRecord) -> int:
+        """Append one row; returns its row number."""
+        names = self.name_index
+        flow_id = record.flow_id
+        (ids, stimes, etimes, nbytes, pkts, src_ports, dst_ports, protocols,
+         srcs, dsts, paths) = self.columns
+        ids.append(record_id)
+        stimes.append(float(record.stime))
+        etimes.append(float(record.etime))
+        nbytes.append(record.bytes)
+        pkts.append(record.pkts)
+        src_ports.append(flow_id.src_port)
+        dst_ports.append(flow_id.dst_port)
+        protocols.append(flow_id.protocol)
+        srcs.append(names.setdefault(flow_id.src_ip, len(names)))
+        dsts.append(names.setdefault(flow_id.dst_ip, len(names)))
+        paths.append(self._path(record.path))
+        return len(ids) - 1
+
+    def extend(self, source: _SegmentRows, rows: Sequence[int]) -> None:
+        """Splice the non-empty ``rows`` of ``source`` in column by column
+        (compaction), re-mapping its dictionary indexes onto this
+        builder's."""
+        names = self.name_index
+        source_names = source.names()
+        source_paths = source.paths()
+        for index, column in enumerate(self.columns):
+            moved = _select(source.column(index), rows)
+            if index in (SEG_SRC, SEG_DST):
+                mapping = {value: names.setdefault(source_names[value],
+                                                   len(names))
+                           for value in dict.fromkeys(moved)}
+                moved = [mapping[value] for value in moved]
+            elif index == SEG_PATH:
+                mapping = {value: self._path(source_paths[value])
+                           for value in dict.fromkeys(moved)}
+                moved = [mapping[value] for value in moved]
+            column += moved
+
+    def pack(self) -> bytes:
+        """The rows as one segment blob (what sealing stores, and whose
+        length is the size an unsealed tail is accounted at)."""
+        names = self.name_index
+        sections = [("d", array("d", values).tobytes())
+                    if index in (SEG_STIME, SEG_ETIME) else _pack_ints(values)
+                    for index, values in enumerate(self.columns)]
+        sections += [
+            _pack_ints(list(accumulate(map(len, self.path_index)))),
+            _pack_ints([names[node] for path in self.path_index
+                        for node in path]),
+            _pack_ints(list(accumulate(map(len, names)))),
+            (_CODE_TEXT, "".join(names).encode("utf-8"))]
+        head = _SEGMENT_HEAD.pack(
+            _SEGMENT_MAGIC, self.count,
+            "".join(code for code, _ in sections).encode("ascii"),
+            *(len(data) for _, data in sections))
+        return head + b"".join(data for _, data in sections)
+
+    def seal(self) -> "Segment":
+        """The rows as an opened :class:`Segment` that keeps this builder's
+        dictionaries beside the blob, so reading it never decodes one."""
+        return Segment(self.pack(), self.names(), self.paths())
 
 
-@_guarded
-def read_entry_record(data: bytes, body_offset: int) -> PathFlowRecord:
-    """Decode the full record of the entry whose body starts at
-    ``body_offset`` - the lazy half of the scan path, paid only by entries
-    that survived the encoded-byte predicates."""
-    stime, etime, _bloom = ENTRY_FIXED.unpack_from(data, body_offset)
-    reader = _Reader(data, body_offset + ENTRY_FIXED.size)
-    flow_id = reader.flow_id()
-    count = reader.uvarint()
-    path = tuple(reader.str_() for _ in range(count))
-    nbytes = reader.varint()
-    pkts = reader.varint()
-    return PathFlowRecord(flow_id=flow_id, path=path, stime=stime,
-                          etime=etime, bytes=nbytes, pkts=pkts)
+class Segment(_SegmentRows):
+    """An opened segment blob.
 
-
-@_guarded
-def read_entry_tail(data: bytes, entry_start: int, flow_id: FlowId,
-                    path: Tuple[str, ...]) -> PathFlowRecord:
-    """Decode the entry at ``entry_start`` whose flow id and path the
-    caller already knows.
-
-    The archive's promotion path resolves entries through its key index -
-    ``(flow key, path) -> record id`` - so by the time the entry bytes are
-    read, the very fields that dominate decode cost (the flow id and the
-    path strings) are in hand.  The entry was encoded from that exact key,
-    so the key section is skipped wholesale (its memoized encoded length)
-    and only the fixed header and the two tail varints are read.
+    Opening parses and checks the header only; each column is a view made
+    when asked for and each dictionary is decoded on first use (then kept
+    for the life of this object), so a windowed scan that rejects every
+    row on the two time columns pays for nothing else.  Whatever a
+    truncated or bit-flipped blob provokes surfaces as
+    :class:`WireDecodeError`.
     """
-    reader = _Reader(data, entry_start)
-    reader.uvarint()  # record id
-    reader.uvarint()  # body length; the tail below self-delimits
-    body_offset = reader.pos
-    stime, etime, _bloom = ENTRY_FIXED.unpack_from(data, body_offset)
-    reader.pos = body_offset + ENTRY_FIXED.size + \
-        len(_entry_key_bytes(flow_id, path))
-    nbytes = reader.varint()
-    pkts = reader.varint()
-    return PathFlowRecord(flow_id=flow_id, path=path, stime=stime,
-                          etime=etime, bytes=nbytes, pkts=pkts)
 
+    __slots__ = ("data", "count", "_codes", "_offsets", "_names", "_paths")
 
-def iter_entry_headers(data: bytes) -> Iterable[Tuple[int, int, int]]:
-    """Walk a log blob without decoding records.
+    def __init__(self, data: bytes, names: Optional[List[str]] = None,
+                 paths: Optional[List[Tuple[str, ...]]] = None) -> None:
+        try:
+            magic, count, codes, *sizes = _SEGMENT_HEAD.unpack_from(data)
+        except struct.error as error:
+            raise WireDecodeError(f"corrupt segment: {error}") from None
+        offsets = list(accumulate(sizes, initial=_SEGMENT_HEAD.size))
+        if magic != _SEGMENT_MAGIC or offsets[-1] != len(data):
+            raise WireDecodeError("corrupt segment: bad magic or length")
+        self.data = data
+        self.count: int = count
+        self._codes: str = codes.decode("latin-1")
+        self._offsets = offsets
+        self._names = names
+        self._paths = paths
 
-    Yields ``(record id, body offset, body length)`` per entry - the
-    archive builds its per-segment entry arrays from this shape, and the
-    pruning-soundness tests use it for brute-force comparison scans.
-    """
-    reader = _Reader(data)
-    length = len(data)
-    while reader.pos < length:
-        record_id = reader.uvarint()
-        body_len = reader.uvarint()
-        yield record_id, reader.pos, body_len
-        reader.pos += body_len
+    def _section(self, index: int) -> Sequence[Any]:
+        code = self._codes[index]
+        start, end = self._offsets[index], self._offsets[index + 1]
+        cell = _CELLS.get(code)
+        if cell is not None and not (end - start) % cell.size:
+            view: Any = memoryview(self.data)[start:end]
+            return view.cast(code)
+        if code != _CODE_WIDE:
+            raise WireDecodeError(f"corrupt segment: section {index}")
+        reader = _Reader(self.data[start:end])
+        values = []
+        while reader.pos < end - start:
+            values.append(reader.varint())
+        return values
 
+    def column(self, index: int) -> Sequence[Any]:
+        """A zero-copy typed view of the blob (a list for a wide-int
+        column)."""
+        values = self._section(index)
+        if len(values) != self.count:
+            raise WireDecodeError(
+                f"corrupt segment: column {SEGMENT_COLUMNS[index]!r} does "
+                f"not hold {self.count} rows")
+        return values
 
-def iter_record_entries(data: bytes
-                        ) -> Iterable[Tuple[int, PathFlowRecord]]:
-    """Decode a blob of :func:`append_record_entry` log entries in order."""
-    for record_id, body_offset, _body_len in iter_entry_headers(data):
-        yield record_id, read_entry_record(data, body_offset)
+    def cell(self, index: int, row: int) -> Any:
+        """Read at the value's computed offset - no column is opened."""
+        cell = _CELLS.get(self._codes[index])
+        if cell is None:
+            return self.column(index)[row]
+        offset = self._offsets[index] + row * cell.size
+        if not self._offsets[index] <= offset <= \
+                self._offsets[index + 1] - cell.size:
+            raise WireDecodeError(f"segment has no row {row}")
+        return cell.unpack_from(self.data, offset)[0]
 
+    @_guarded
+    def names(self) -> Sequence[str]:
+        names = self._names
+        if names is None:
+            text = self.data[self._offsets[_SEG_NAME_TEXT]:].decode("utf-8")
+            ends = list(self._section(_SEG_NAME_ENDS))
+            names = self._names = [
+                text[start:end] for start, end in zip([0] + ends, ends)]
+        return names
 
-@_guarded
-def read_record_entry(data: bytes, offset: int
-                      ) -> Tuple[int, PathFlowRecord]:
-    """Decode the single log entry starting at ``offset`` in ``data``.
+    @_guarded
+    def paths(self) -> Sequence[Tuple[str, ...]]:
+        paths = self._paths
+        if paths is None:
+            # Every hop resolved to its name in one C-level pass; a path
+            # is then one slice of that list.
+            hops = list(map(self.names().__getitem__,
+                            self._section(_SEG_PATH_NODES)))
+            ends = list(self._section(_SEG_PATH_ENDS))
+            paths = self._paths = [tuple(hops[start:end])
+                                   for start, end in zip([0] + ends, ends)]
+        return paths
 
-    This is the point-lookup half of the archive's per-segment offset
-    index: one entry is decoded, not the whole segment.
-    """
-    reader = _Reader(data, offset)
-    record_id = reader.uvarint()
-    reader.uvarint()  # body length; the record decode below self-delimits
-    return record_id, read_entry_record(data, reader.pos)
+    #: A corrupt index column must surface as a decode error too.
+    records = _guarded(_SegmentRows.records)
 
 
 # ------------------------------------------------------------------ results

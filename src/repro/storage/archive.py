@@ -3,74 +3,99 @@
 PathDump keeps only *recent* flow entries in each end host's in-memory TIB
 and ages older entries out to persistent storage; queries span both tiers.
 This module is the cold tier of that design: an append-only, log-structured
-store of encoded :class:`~repro.storage.records.PathFlowRecord` entries,
-modelling the on-disk half of the paper's MongoDB-backed TIB.
+store of :class:`~repro.storage.records.PathFlowRecord` rows laid out
+**column-major**, modelling the on-disk half of the paper's MongoDB-backed
+TIB.
 
 Layout
 ------
 
 Evicted records land in a **write-behind buffer** first (:meth:`stage` - an
-O(1) dict insert, keeping the hot tier's eviction path off the encoder),
-then a batched :meth:`flush` appends them to an **active log buffer**.  Once
-the buffer holds :attr:`ColdArchive.segment_records` entries it is
-**sealed** into an immutable segment: a single ``bytes`` blob of
-field-offset log entries (``uvarint(id) + uvarint(body len) + body``, the
-body leading with a fixed ``stime/etime/link-bloom`` header - see the entry
-layout notes in :mod:`repro.core.wire`), plus the segment's pruning
-metadata:
+O(1) dict insert), then a batched :meth:`flush` appends them to the
+**unsealed tail**: one Python list per column plus a name dictionary and a
+path table in first-appearance order - nothing is encoded on flush.  Once
+the tail holds :attr:`ColdArchive.segment_records` rows it is **sealed**
+into an immutable segment, a single ``bytes`` blob::
 
-* a **zone map** - the ``[min stime, max etime]`` time envelope, the
-  ``[min id, max id]`` range and the exact set of path nodes it holds;
+    header | id stime etime bytes pkts src_port dst_port protocol   (values)
+           | src dst path                                          (indexes)
+           | path table | name dictionary
+
+``src``/``dst`` index the segment's name dictionary, ``path`` its path
+table (whose hops index the same dictionary); the exact layout and the
+per-segment column widths are the segment codec's - see
+:mod:`repro.core.wire`.  The blob is complete by itself, but a sealed
+segment also keeps the two dictionaries it was sealed from beside it (a
+list of names and a list of path tuples - objects the rest of the process
+already shares), so reading one never decodes a dictionary.  Each segment
+carries its pruning metadata:
+
+* a **zone map** - the ``[min stime, max etime]`` time envelope and the
+  exact set of path nodes it holds;
 * a **link bloom** and a **flow-key bloom** (crc32-salted, so they mean the
   same thing in every worker process).
 
 :meth:`scan` - the cold half of the tiers' shared
 :class:`~repro.storage.records.ScanSpec` read surface - prunes whole
-segments on that metadata, evaluates time/link/flow-key predicates on the
-encoded bytes of the surviving segments' entries (one ``unpack_from`` and a
-bloom AND per entry), and decodes full records *lazily*, only for entries
-that pass every encoded-byte predicate.  Blooms can produce false
-positives, never false negatives; every decoded candidate is re-verified
-against the spec's exact predicate.  Surviving segments are independent,
-so scans optionally scatter across them through the scatter-gather
-executor (:meth:`configure_scan`).
+segments on that metadata and then filters the survivors *on columns*: the
+time window on the two time columns alone (nothing else of the segment is
+touched when no row survives), link constraints once per distinct path of
+the segment, flow keys on the five flow-id columns after one dictionary
+lookup per key.  Every column predicate is exact, so only results are
+materialised - two dictionary lookups and two constructors a row - and the
+unsealed tail is scanned the same way over its lists.  There is no
+decoded-record cache: a sequential scan larger than any bounded LRU never
+hits it, and materialising a row costs less than the bookkeeping did.
+There is no scan-mode option either: threads under the interpreter lock
+never won on array-speed work.
+
+:meth:`archive_bytes` is *measured*: the ``len`` of every sealed blob plus
+the tail at the size it would seal to (computed by packing it).  Two
+archives fed the same operations hold byte-equal blobs; after a re-seed
+from a snapshot the rows may group into segments differently, and with
+them the dictionary bytes.  Integer fields may hold any ``int``: the codec
+picks each column's width per segment from the values present and falls
+back to varints for a column holding a value no 64-bit width fits, so
+nothing is truncated and nothing raises at a later flush or read.
 
 Every read path flushes the write-behind buffer first (the **flush
 barrier**), so a scan, snapshot or byte count never observes a torn tier.
 
-Two mutations exist besides append:
+The archive keeps two indexes over its live entries: the **key index**
+``(flow key, path) -> record id`` (staged entries included), so the hot
+tier's upsert path detects in O(1) that an incoming record must merge into
+an archived one, and the **locator** ``record id -> (segment, row)`` of the
+id's one live row.  A row is live iff the locator points at it, which is
+the whole tombstone / latest-entry-wins rule.  Two mutations exist besides
+append:
 
 * :meth:`ColdArchive.take` removes one entry (the hot tier *promotes* a
   record back when a new write merges into an archived key).  A still-
   staged entry is simply popped from the write-behind buffer; a logged
-  entry's bytes stay in place and its id joins a tombstone set that reads
-  skip.
-* :meth:`ColdArchive.compact` rewrites every segment without the
-  tombstoned entries (triggered automatically once the dead fraction
-  crosses :attr:`ColdArchive.compact_dead_ratio`), reclaiming their bytes.
-
-The archive also keeps a **key index** ``(flow key, path) -> record id``
-over its live entries (staged ones included) - the structure a real
-log-structured store carries as bloom filters / sparse key indexes - so the
-hot tier's upsert path can detect in O(1) that an incoming record must
-merge into an archived one.
+  row is found through the locator, read at computed offsets and left in
+  place as garbage.
+* :meth:`ColdArchive.compact` rewrites the log without its garbage rows
+  (triggered automatically once the garbage fraction crosses
+  :attr:`ColdArchive.compact_dead_ratio`), splicing kept rows column by
+  column and recomputing each rewritten segment's pruning metadata
+  exactly.
 
 Nothing in this module imports the wire codec at import time (the codec
-lives in :mod:`repro.core`, which imports this package); the record
-encoder is bound lazily on first use, mirroring
+lives in :mod:`repro.core`, which imports this package); it is bound lazily
+on first use, mirroring
 :meth:`repro.storage.records.PathFlowRecord.wire_bytes`.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.network.packet import FlowId
 from repro.storage.records import (PathFlowRecord, ScanSpec, flow_key,
                                    parse_flow_key)
 
@@ -129,7 +154,6 @@ def _seg_path_link_bloom(path: Tuple[str, ...]) -> int:
     return bloom
 
 
-@lru_cache(maxsize=1 << 14)
 def _seg_fkey_mask(fkey: str) -> int:
     """Segment-bloom mask of one canonical flow key."""
     key = fkey.encode("utf-8")
@@ -137,6 +161,16 @@ def _seg_fkey_mask(fkey: str) -> int:
     for salt in _SEG_FKEY_SALTS:
         mask |= 1 << (zlib.crc32(key, salt) % SEG_FKEY_BLOOM_BITS)
     return mask
+
+
+@lru_cache(maxsize=1 << 16)
+def _seg_flow_mask(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
+                   protocol: int) -> int:
+    """:func:`_seg_fkey_mask` of a flow given as its raw fields - what a
+    segment's columns hold; memoized on them, so sealing a row whose flow
+    was sealed before is one cache probe."""
+    return _seg_fkey_mask(flow_key(
+        FlowId(src_ip, dst_ip, src_port, dst_port, protocol)))
 
 
 @dataclass(frozen=True)
@@ -173,42 +207,59 @@ class RetentionPolicy:
         return self.max_bytes is not None and nbytes > self.max_bytes
 
 
+#: Row bits of a locator position ``segment number << _ROW_BITS | row``.
+_ROW_BITS = 32
+
+
+def _path_matches(path: Tuple[str, ...], links) -> bool:
+    """:meth:`ScanSpec.matches`'s link conjunction for one path - the scan
+    evaluates it once per distinct path of a segment, not once per row."""
+    if len(path) < 2:
+        return False  # traverses no link
+    for a, b in links:
+        if a is None or b is None:
+            if (a if b is None else b) not in path:
+                return False
+        elif a not in path or b not in path:
+            return False
+        else:
+            hops = tuple(zip(path, path[1:]))
+            if (a, b) not in hops and (b, a) not in hops:
+                return False
+    return True
+
+
 class _Segment:
-    """One sealed, immutable log segment plus its pruning metadata.
+    """One sealed segment - the immutable blob, opened, with the two
+    dictionaries it was sealed from kept beside it - plus its pruning
+    metadata."""
 
-    ``offsets`` maps record id -> byte offset of the id's *latest* entry
-    in ``data`` (the point-lookup index a real log-structured store keeps
-    per SSTable); promotion reads decode exactly one entry through it.
-    ``entry_ids``/``entry_starts``/``body_offsets`` are the scan-side
-    parallel arrays: one slot per log entry in append order, so a header
-    scan walks encoded bytes without re-parsing the entry framing, and
-    compaction can splice whole entries (``data[start:next start]``)
-    without decoding them.
-    """
+    __slots__ = ("rows", "min_stime", "max_etime", "nodes", "link_bloom",
+                 "fkey_bloom")
 
-    __slots__ = ("data", "count", "min_stime", "max_etime", "min_id",
-                 "max_id", "nodes", "link_bloom", "fkey_bloom", "entry_ids",
-                 "entry_starts", "body_offsets", "offsets")
-
-    def __init__(self, data: bytes, count: int, min_stime: float,
-                 max_etime: float, min_id: int, max_id: int,
-                 nodes: FrozenSet[str], link_bloom: int, fkey_bloom: int,
-                 entry_ids: Tuple[int, ...], entry_starts: Tuple[int, ...],
-                 body_offsets: Tuple[int, ...],
-                 offsets: Dict[int, int]) -> None:
-        self.data = data
-        self.count = count
-        self.min_stime = min_stime
-        self.max_etime = max_etime
-        self.min_id = min_id
-        self.max_id = max_id
-        self.nodes = nodes
-        self.link_bloom = link_bloom
-        self.fkey_bloom = fkey_bloom
-        self.entry_ids = entry_ids
-        self.entry_starts = entry_starts
-        self.body_offsets = body_offsets
-        self.offsets = offsets
+    def __init__(self, builder) -> None:
+        """Seal a segment builder's rows: pack the blob and compute the
+        zone map and blooms exactly from its columns."""
+        wire = _codec()
+        rows = self.rows = builder.seal()
+        self.min_stime: float = min(rows.column(wire.SEG_STIME))
+        self.max_etime: float = max(rows.column(wire.SEG_ETIME))
+        nodes: Set[str] = set()
+        self.link_bloom = 0
+        for path in rows.paths():
+            if len(path) >= 2:
+                nodes.update(path)
+            self.link_bloom |= _seg_path_link_bloom(path)
+        self.nodes: FrozenSet[str] = frozenset(nodes)
+        name = rows.names().__getitem__
+        self.fkey_bloom = 0
+        for mask in map(_seg_flow_mask,
+                        map(name, rows.column(wire.SEG_SRC)),
+                        map(name, rows.column(wire.SEG_DST)),
+                        *map(rows.column, (wire.SEG_SRC_PORT,
+                                           wire.SEG_DST_PORT,
+                                           wire.SEG_PROTOCOL))):
+            self.fkey_bloom |= mask
 
     def may_match(self, start: Optional[float], end: Optional[float],
                   link_tests: List[Tuple[Optional[str], int]],
@@ -222,7 +273,7 @@ class _Segment:
         ``fkey_masks`` is the flow-key disjunction against the flow-key
         bloom.  False negatives are impossible: a pruned segment provably
         holds no matching entry (the pruning-soundness fuzz test asserts
-        exactly this against brute-force decode).
+        exactly this against a brute-force read of every row).
         """
         if start is not None and self.max_etime < start:
             return False
@@ -245,27 +296,25 @@ class ColdArchive:
     """The log-structured cold tier of one host's TIB.
 
     Args:
-        segment_records: entries per sealed segment (the log granularity).
-        compact_dead_ratio: dead-entry fraction above which a
+        segment_records: rows per sealed segment (the log granularity).
+        compact_dead_ratio: garbage-row fraction above which a
             :meth:`take` triggers an automatic :meth:`compact`; ``None``
             disables auto-compaction.
         write_behind_records: staged evictions that force an inline
             :meth:`flush` (the write-behind buffer's bound).
     """
 
-    #: Default entries per sealed segment.
+    #: Default rows per sealed segment.
     SEGMENT_RECORDS = 256
-    #: Default dead fraction that triggers compaction.
+    #: Default garbage fraction that triggers compaction.
     COMPACT_DEAD_RATIO = 0.3
-    #: Minimum total entries before auto-compaction is considered.
+    #: Minimum total rows before auto-compaction is considered.
     COMPACT_MIN_RECORDS = 64
     #: Default bound on the write-behind buffer.  Sized well above the
     #: segment granularity: evictions that merge again while still staged
-    #: are folded as live objects (no decode, no dead entry), so a deeper
+    #: are folded as live objects (no log row, no garbage), so a deeper
     #: buffer directly cheapens churn-heavy ingest.
     WRITE_BEHIND_RECORDS = 1024
-    #: Bound on the decoded-entry cache serving repeated scans.
-    DECODE_CACHE_ENTRIES = 4096
 
     def __init__(self, segment_records: int = SEGMENT_RECORDS,
                  compact_dead_ratio: Optional[float] = COMPACT_DEAD_RATIO,
@@ -277,49 +326,32 @@ class ColdArchive:
         self.segment_records = segment_records
         self.compact_dead_ratio = compact_dead_ratio
         self.write_behind_records = write_behind_records
-        self._segments: List[_Segment] = []
-        # Active (unsealed) log buffer plus its index-in-progress.
-        self._active = bytearray()
-        self._active_count = 0
-        self._active_min_stime = _INF
-        self._active_max_etime = -_INF
-        self._active_min_id = 0
-        self._active_max_id = 0
-        self._active_nodes: Set[str] = set()
-        self._active_link_bloom = 0
-        self._active_fkey_bloom = 0
-        self._active_entry_ids: List[int] = []
-        self._active_entry_starts: List[int] = []
-        self._active_body_offsets: List[int] = []
-        self._active_offsets: Dict[int, int] = {}
-        # Write-behind buffer: evictions staged here (insertion order =
-        # eviction order) until a batched flush encodes them.
-        self._staged: Dict[int, Tuple[PathFlowRecord, ArchiveKey]] = {}
         self._flush_lock = threading.Lock()
-        # Live-entry key index + tombstones (see the module docstring).
-        self._key_index: Dict[ArchiveKey, int] = {}
-        self._dead: Set[int] = set()
-        # Entries superseded by a re-archival of the same id: their bytes
-        # are garbage like tombstones, but the id itself is live again, so
-        # they are counted instead of kept in the dead set.
-        self._superseded = 0
-        self._total_records = 0
-        # Optional segment-parallel scan executor (see configure_scan).
-        self._scan_executor = None
-        # Bounded LRU of decoded entries serving the scan path, keyed by
-        # (blob identity, body offset).  The value pins the blob, so the
-        # id() half of the key can never be reused while the entry lives.
-        # Promotion decodes bypass it entirely: promoted records are
-        # merged *in place* by the hot tier, and a mutated object must
-        # never be what a later scan returns.
-        self._decode_cache: "OrderedDict[Tuple[int, int], Tuple[bytes, PathFlowRecord]]" = OrderedDict()
         #: Instrumentation: how often the expensive operations happen and
-        #: how much work pruning avoided.
+        #: how much work pruning avoided.  ``entries_decoded`` counts rows
+        #: materialised; ``decode_cache_hits`` stays 0 (no cache survives).
         self.stats = {"appends": 0, "takes": 0, "segments_sealed": 0,
                       "compactions": 0, "segment_decodes": 0,
                       "segments_skipped": 0, "entries_decoded": 0,
                       "entries_skipped": 0, "decode_cache_hits": 0,
                       "flushes": 0, "flushed_records": 0}
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every segment, the buffers and all indexes."""
+        # The log: sealed segments by segment number, then the unsealed
+        # tail, which will seal under the number ``_tail_no``.
+        self._segments: Dict[int, _Segment] = {}
+        self._tail = _codec().SegmentBuilder()
+        self._tail_no = 0
+        # Write-behind buffer: evictions staged here (insertion order =
+        # eviction order) until a batched flush appends them to the log.
+        self._staged: Dict[int, Tuple[PathFlowRecord, ArchiveKey]] = {}
+        # Live-entry indexes (see the module docstring).
+        self._key_index: Dict[ArchiveKey, int] = {}
+        self._locator: Dict[int, int] = {}
+        #: Rows in the log, garbage included.
+        self._total_rows = 0
 
     # ------------------------------------------------------------------ writes
     def append(self, record_id: int, record: PathFlowRecord,
@@ -329,16 +361,15 @@ class ColdArchive:
         ``key`` is the TIB's primary key for the record (derived when
         omitted).  The caller must not hold two live entries for the same
         key - the hot tier promotes before re-archiving.  Re-archiving an
-        id that was promoted earlier is fine: the tombstone is lifted and
-        the *latest* log entry for an id is authoritative everywhere.
-        (The eviction fast path uses :meth:`stage` instead, deferring the
-        encode to a batched flush.)
+        id that was promoted earlier is fine: the id's *latest* row is the
+        live one everywhere.  (The eviction fast path uses :meth:`stage`
+        instead, deferring the log append to a batched flush.)
         """
         if key is None:
             key = (flow_key(record.flow_id), record.path)
         if key in self._key_index:
             raise ValueError(f"archive already holds a live entry for {key}")
-        self._append_entry(record_id, record, key)
+        self._append_row(record_id, record, key)
         self._maybe_compact()
 
     def stage(self, record_id: int, record: PathFlowRecord,
@@ -346,11 +377,11 @@ class ColdArchive:
         """Write-behind append - the eviction fast path.
 
         The entry becomes *live* immediately (``lookup``, ``take`` and
-        ``live_count`` all see it) but the encode is deferred to a batched
-        :meth:`flush` off the hot tier's eviction path.  Every read path
-        flushes first - the flush barrier - so scans and snapshots never
-        observe a torn tier.  Promoting a still-staged entry back is a
-        dict pop: no log bytes, no tombstone, no compaction pressure.
+        ``live_count`` all see it) but the log append is deferred to a
+        batched :meth:`flush` off the hot tier's eviction path.  Every read
+        path flushes first - the flush barrier - so scans and snapshots
+        never observe a torn tier.  Promoting a still-staged entry back is
+        a dict pop: no log row, no garbage, no compaction pressure.
         """
         if key is None:
             key = (flow_key(record.flow_id), record.path)
@@ -379,96 +410,64 @@ class ColdArchive:
             return
         self._staged = {}
         for record_id, (record, key) in staged.items():
-            self._append_entry(record_id, record, key)
+            self._append_row(record_id, record, key)
         self.stats["flushes"] += 1
         self.stats["flushed_records"] += len(staged)
 
-    def _append_entry(self, record_id: int, record: PathFlowRecord,
-                      key: ArchiveKey) -> None:
-        """Encode one entry into the active buffer and index it (shared by
-        direct appends, write-behind flushes and compaction rewrites)."""
-        wire = _codec()
-        if record_id in self._dead:
-            # Re-archival of a promoted id: the tombstoned entry becomes a
-            # *superseded* duplicate - still garbage bytes, but the id is
-            # live again, so track it by count for the compaction trigger.
-            self._dead.discard(record_id)
-            self._superseded += 1
-        if not self._active_count:
-            self._active_min_id = record_id
-        start = len(self._active)
-        self._active_offsets[record_id] = start
-        body_offset = wire.append_record_entry(self._active, record_id,
-                                               record)
-        self._active_entry_ids.append(record_id)
-        self._active_entry_starts.append(start)
-        self._active_body_offsets.append(body_offset)
-        self._active_count += 1
-        self._active_max_id = max(self._active_max_id, record_id)
-        self._active_min_id = min(self._active_min_id, record_id)
-        if record.stime < self._active_min_stime:
-            self._active_min_stime = record.stime
-        if record.etime > self._active_max_etime:
-            self._active_max_etime = record.etime
-        if len(record.path) >= 2:
-            self._active_nodes.update(record.path)
-        self._active_link_bloom |= _seg_path_link_bloom(record.path)
-        self._active_fkey_bloom |= _seg_fkey_mask(key[0])
+    def _append_row(self, record_id: int, record: PathFlowRecord,
+                    key: ArchiveKey) -> None:
+        """Append one row to the tail and index it (shared by direct
+        appends and write-behind flushes).  An earlier row of a re-archived
+        id stops being live here: the locator moves off it."""
+        row = self._tail.append(record_id, record)
+        self._locator[record_id] = self._tail_no << _ROW_BITS | row
         self._key_index[key] = record_id
-        self._total_records += 1
+        self._total_rows += 1
         self.stats["appends"] += 1
-        if self._active_count >= self.segment_records:
-            self._seal_active()
+        if row + 1 >= self.segment_records:
+            self._seal_tail()
 
-    def _seal_active(self) -> None:
-        """Freeze the active buffer into an immutable segment."""
-        if not self._active_count:
+    def _seal_tail(self) -> None:
+        """Freeze the tail into an immutable segment under its number."""
+        if not self._tail.count:
             return
-        self._segments.append(_Segment(
-            bytes(self._active), self._active_count,
-            self._active_min_stime, self._active_max_etime,
-            self._active_min_id, self._active_max_id,
-            frozenset(self._active_nodes), self._active_link_bloom,
-            self._active_fkey_bloom, tuple(self._active_entry_ids),
-            tuple(self._active_entry_starts),
-            tuple(self._active_body_offsets), self._active_offsets))
+        self._segments[self._tail_no] = _Segment(self._tail)
         self.stats["segments_sealed"] += 1
-        self._reset_active()
+        self._tail = _codec().SegmentBuilder()
+        self._tail_no += 1
 
-    def _reset_active(self) -> None:
-        self._active = bytearray()
-        self._active_count = 0
-        self._active_min_stime = _INF
-        self._active_max_etime = -_INF
-        self._active_min_id = 0
-        self._active_max_id = 0
-        self._active_nodes = set()
-        self._active_link_bloom = 0
-        self._active_fkey_bloom = 0
-        self._active_entry_ids = []
-        self._active_entry_starts = []
-        self._active_body_offsets = []
-        self._active_offsets = {}
+    def _rows(self, segment_no: int):
+        """The readable rows of one log position: the tail's lists or a
+        sealed segment's opened blob."""
+        if segment_no == self._tail_no:
+            return self._tail
+        return self._segments[segment_no].rows
 
     def take(self, key: ArchiveKey) -> Tuple[int, PathFlowRecord]:
         """Remove and return the live entry for ``key`` (promotion path).
 
         Returns ``(record id, record)``.  A still-staged entry is popped
-        straight out of the write-behind buffer; a logged entry's bytes
-        are tombstoned in place and compaction reclaims them once enough
-        pile up.  Raises :class:`KeyError` when the archive holds no live
-        entry for ``key``.
+        straight out of the write-behind buffer; a logged row is resolved
+        through the locator and its four mutable fields read at computed
+        offsets (the caller's key supplies the flow id and path outright).
+        The row stays in place as garbage until compaction reclaims it.
+        The record is a fresh mutable object: the hot tier merges into
+        promoted records in place.  Raises :class:`KeyError` when the
+        archive holds no live entry for ``key``.
         """
         record_id = self._key_index.pop(key)  # KeyError propagates
+        self.stats["takes"] += 1
         staged = self._staged.pop(record_id, None)
         if staged is not None:
-            self.stats["takes"] += 1
             return record_id, staged[0]
-        record = self._find_entry(record_id, key)
-        if record is None:  # pragma: no cover - index/log desync guard
-            raise KeyError(f"archive log lost entry {record_id} for {key}")
-        self._dead.add(record_id)
-        self.stats["takes"] += 1
+        wire = _codec()
+        position = self._locator.pop(record_id)
+        rows = self._rows(position >> _ROW_BITS)
+        row = position & (1 << _ROW_BITS) - 1
+        record = PathFlowRecord(
+            parse_flow_key(key[0]), key[1],
+            rows.cell(wire.SEG_STIME, row), rows.cell(wire.SEG_ETIME, row),
+            rows.cell(wire.SEG_BYTES, row), rows.cell(wire.SEG_PKTS, row))
         self._maybe_compact()
         return record_id, record
 
@@ -476,356 +475,180 @@ class ColdArchive:
         """The live entry id archived under ``key``, or ``None``."""
         return self._key_index.get(key)
 
-    def _find_entry(self, record_id: int,
-                    key: ArchiveKey) -> Optional[PathFlowRecord]:
-        """Decode the entry ``record_id`` via the per-segment offset index.
-
-        The log may hold several entries for one id (a promoted record
-        re-archived later); the *latest* one is authoritative, so the
-        active buffer is consulted first, then the sealed segments newest
-        to oldest.  Exactly one entry is read - no segment scan - and the
-        caller's key supplies the flow id and path outright, so the read
-        skips the entry's key bytes and decodes only the time header and
-        tail counters (see :func:`repro.core.wire.read_entry_tail`).  The
-        decoded record is a fresh mutable object, never shared with the
-        scan path's cache: the hot tier merges into promoted records in
-        place.
-        """
-        wire = _codec()
-        flow_id = parse_flow_key(key[0])
-        entry_start = self._active_offsets.get(record_id)
-        if entry_start is not None:
-            # The reader indexes/slices the bytearray directly - no copy
-            # of the whole active buffer for a point lookup.
-            return wire.read_entry_tail(self._active, entry_start,
-                                        flow_id, key[1])
-        for segment in reversed(self._segments):
-            entry_start = segment.offsets.get(record_id)
-            if entry_start is not None:
-                return wire.read_entry_tail(segment.data, entry_start,
-                                            flow_id, key[1])
-        return None
-
     # --------------------------------------------------------------- compaction
     def _maybe_compact(self) -> None:
         ratio = self.compact_dead_ratio
         if ratio is None:
             return
-        if self._total_records >= self.COMPACT_MIN_RECORDS and \
+        if self._total_rows >= self.COMPACT_MIN_RECORDS and \
                 self.dead_ratio >= ratio:
             self.compact()
 
     @property
     def dead_ratio(self) -> float:
-        """Fraction of log entries holding garbage bytes: tombstoned ids
-        plus entries superseded by a re-archival of their id."""
-        total = self._total_records
-        return (len(self._dead) + self._superseded) / total if total else 0.0
+        """Fraction of log rows holding garbage: rows of promoted ids and
+        rows superseded by a re-archival of their id - every row the
+        locator no longer points at."""
+        total = self._total_rows
+        return (total - len(self._locator)) / total if total else 0.0
+
+    def _live_rows(self, rows, segment_no: int,
+                   candidates: Sequence[int]) -> Sequence[int]:
+        """The ``candidates`` of one log position the locator points at."""
+        if self._total_rows == len(self._locator):
+            return candidates  # no garbage anywhere in the log
+        ids = rows.column(_codec().SEG_ID)
+        base = segment_no << _ROW_BITS
+        locate = self._locator.get
+        return [row for row in candidates if locate(ids[row]) == base + row]
 
     def compact(self) -> None:
-        """Splice-rewrite the log without its garbage entries - no decode.
+        """Rewrite the log without its garbage rows - no record objects.
 
-        Each kept entry's bytes are copied verbatim (``data[entry start :
-        next entry start]``) using the per-blob parallel arrays; an entry
-        is kept iff its id is not tombstoned *and* it is the id's globally
-        latest entry (resolved from the per-blob offset indexes alone, so
-        superseded duplicates drop too).  Each rewritten blob inherits its
-        source blob's pruning metadata - a conservative superset of what
-        remains, so pruning stays false-negative-free - and neighbouring
-        rewritten blobs merge (metadata union) while they fit the segment
-        granularity, keeping the segment count from fragmenting under
-        repeated compactions.  Write-behind entries are untouched - they
-        hold no log bytes yet, so there is nothing to reclaim for them.
+        The log is walked in order.  Kept rows are spliced column by
+        column into a fresh tail (dictionary indexes re-mapped, see the
+        codec's ``SegmentBuilder.extend``) that seals every
+        ``segment_records`` rows, so rewritten neighbours merge into full
+        segments and each new segment's zone map and blooms are recomputed
+        exactly from the rows it holds; what is left over stays the
+        unsealed tail.  A leading run of garbage-free segments is kept as
+        it is.  Write-behind entries are untouched - they hold no log rows
+        yet, so there is nothing to reclaim for them.
         """
         self.stats["compactions"] += 1
-        blobs: List[Tuple] = [
-            (s.data, s.entry_ids, s.entry_starts, s.body_offsets,
-             s.offsets, s.min_stime, s.max_etime, s.nodes, s.link_bloom,
-             s.fkey_bloom)
-            for s in self._segments]
-        if self._active_count:
-            blobs.append((
-                self._active, tuple(self._active_entry_ids),
-                tuple(self._active_entry_starts),
-                tuple(self._active_body_offsets), self._active_offsets,
-                self._active_min_stime, self._active_max_etime,
-                frozenset(self._active_nodes), self._active_link_bloom,
-                self._active_fkey_bloom))
-        # Globally latest entry per id: each blob's offset index already
-        # holds the id's latest entry *within* the blob, and blob order is
-        # log order, so a forward fold resolves duplicates with no decode.
-        latest: Dict[int, Tuple[int, int]] = {}
-        for blob_no, blob in enumerate(blobs):
-            for record_id, entry_start in blob[4].items():
-                latest[record_id] = (blob_no, entry_start)
-        dead = self._dead
-        pieces: List[List] = []
-        for blob_no, (data, entry_ids, entry_starts, body_offsets, _off,
-                      min_stime, max_etime, nodes, link_bloom,
-                      fkey_bloom) in enumerate(blobs):
-            out = bytearray()
-            new_ids: List[int] = []
-            new_starts: List[int] = []
-            new_bodies: List[int] = []
-            new_offsets: Dict[int, int] = {}
-            blob_len = len(data)
-            entries = len(entry_ids)
-            for index, record_id in enumerate(entry_ids):
-                start = entry_starts[index]
-                if record_id in dead or \
-                        latest[record_id] != (blob_no, start):
-                    continue
-                end = entry_starts[index + 1] if index + 1 < entries \
-                    else blob_len
-                new_start = len(out)
-                new_offsets[record_id] = new_start
-                new_ids.append(record_id)
-                new_starts.append(new_start)
-                new_bodies.append(body_offsets[index] - start + new_start)
-                out += data[start:end]
-            if new_ids:
-                pieces.append([out, new_ids, new_starts, new_bodies,
-                               new_offsets, min_stime, max_etime,
-                               set(nodes), link_bloom, fkey_bloom])
-        merged: List[List] = []
-        for piece in pieces:
-            if merged and len(merged[-1][1]) + len(piece[1]) <= \
-                    self.segment_records:
-                dst = merged[-1]
-                base = len(dst[0])
-                dst[0] += piece[0]
-                dst[1].extend(piece[1])
-                dst[2].extend(s + base for s in piece[2])
-                dst[3].extend(b + base for b in piece[3])
-                for record_id, entry_start in piece[4].items():
-                    dst[4][record_id] = entry_start + base
-                dst[5] = min(dst[5], piece[5])
-                dst[6] = max(dst[6], piece[6])
-                dst[7] |= piece[7]
-                dst[8] |= piece[8]
-                dst[9] |= piece[9]
-            else:
-                merged.append(piece)
-        self._segments = []
-        self._reset_active()
-        total = 0
-        for (out, ids, starts, bodies, offsets, min_stime, max_etime,
-             nodes, link_bloom, fkey_bloom) in merged:
-            total += len(ids)
-            self._segments.append(_Segment(
-                bytes(out), len(ids), min_stime, max_etime, min(ids),
-                max(ids), frozenset(nodes), link_bloom, fkey_bloom,
-                tuple(ids), tuple(starts), tuple(bodies), offsets))
-        self._dead = set()
-        self._superseded = 0
-        self._total_records = total
-        # Every blob was replaced; the cached decodes can never be served
-        # again (new object identities), so release the pinned blobs.
-        self._decode_cache.clear()
+        wire = _codec()
+        locator = self._locator
+        log = [(number, segment, segment.rows)
+               for number, segment in self._segments.items()]
+        log.append((self._tail_no, None, self._tail))
+        self._segments = {}
+        self._tail = wire.SegmentBuilder()
+        self._tail_no += 1
+        for number, segment, rows in log:
+            live = self._live_rows(rows, number, range(rows.count))
+            if segment is not None and len(live) == rows.count and \
+                    not self._tail.count:
+                self._segments[number] = segment
+                continue
+            ids = rows.column(wire.SEG_ID)
+            while live:
+                room = self.segment_records - self._tail.count
+                moved, live = live[:room], live[room:]
+                position = self._tail_no << _ROW_BITS | self._tail.count
+                self._tail.extend(rows, moved)
+                for row in moved:
+                    locator[ids[row]] = position
+                    position += 1
+                if len(moved) == room:
+                    self._seal_tail()
+        self._total_rows = len(locator)
 
     # ------------------------------------------------------------------- reads
-    def configure_scan(self, mode: str = "serial",
-                       max_workers: Optional[int] = None) -> None:
-        """Select the spanning-scan strategy.
-
-        ``mode="serial"`` (the default) scans surviving segments inline;
-        any executor mode (e.g. ``"concurrent"``) scatters them across the
-        scatter-gather executor - segments are independent, so per-segment
-        header scans run in parallel and the executor's canonical slot
-        order makes the merged result identical to the serial scan by
-        construction.  The lazy import mirrors :func:`_codec` (the
-        executor lives above this package).
-        """
-        if mode == "serial":
-            self._scan_executor = None
-            return
-        from repro.core.executor import (LoopbackTransport,
-                                         ScatterGatherExecutor)
-        self._scan_executor = ScatterGatherExecutor(
-            LoopbackTransport(), mode=mode, max_workers=max_workers)
-
     def scan(self, spec: ScanSpec) -> List[Tuple[int, PathFlowRecord]]:
         """Live entries matching ``spec``, as id-ordered ``(id, record)``
         pairs - the cold half of the tiers' shared read surface.
 
-        The pruned read path: the write-behind buffer flushes first (the
-        flush barrier), whole segments are skipped on zone maps + blooms,
-        surviving segments are header-scanned on encoded bytes, and only
-        entries passing every encoded-byte predicate pay a full record
-        decode (once per surviving id).  Each decoded record is re-checked
-        against the spec's exact predicate, so bloom false positives never
-        surface.
+        The write-behind buffer flushes first (the flush barrier), whole
+        segments are skipped on zone maps + blooms, and the surviving
+        segments and the tail are filtered on columns
+        (:meth:`_matching_rows`): every predicate is exact -
+        :meth:`ScanSpec.matches` holds for precisely the rows selected -
+        so only results are ever materialised, each as a fresh object.
 
-        When the log holds several entries for one id (promotion then
-        re-archival), the latest is authoritative.  Pruning stays safe
-        across duplicates because an id is permanently bound to one
-        ``(flow key, path)`` and a record's ``stime`` only ever decreases
-        / ``etime`` only ever increases: whenever a stale duplicate
-        matches, the authoritative entry matches too and its segment
-        survives pruning, so the log-order fold always lands on it.
+        When the log holds several rows for one id (promotion then
+        re-archival), only the latest is live.  Pruning stays safe across
+        duplicates because a stale row is simply not live: the locator
+        points at the authoritative row and only that row's segment needs
+        to survive pruning.
         """
         self.flush()
-        wire = _codec()
         stats = self.stats
-        # Compile the spec once into segment-level and entry-level filters.
+        # Compile the spec once into segment-level and row-level filters.
         link_tests: List[Tuple[Optional[str], int]] = []
-        entry_masks: List[int] = []
         for a, b in spec.links:
             if a is None or b is None:
-                node = a if b is None else b
-                link_tests.append((node, 0))
-                entry_masks.append(wire.node_bloom_mask(node))
+                link_tests.append((a if b is None else b, 0))
             else:
                 link_tests.append((None, _seg_link_mask(a, b)))
-                entry_masks.append(wire.link_bloom_mask(a, b))
-        probes: Optional[List[bytes]] = None
+        flows: Optional[Set[FlowId]] = None
         fkey_masks: Optional[List[int]] = None
         if spec.flow_keys is not None:
-            flow_keys = sorted(spec.flow_keys)
-            probes = [wire.flow_key_probe(fkey) for fkey in flow_keys]
-            fkey_masks = [_seg_fkey_mask(fkey) for fkey in flow_keys]
-        candidates: List[_Segment] = []
-        for segment in self._segments:
+            flows = set()
+            for fkey in spec.flow_keys:
+                try:
+                    flow = parse_flow_key(fkey)
+                except ValueError:
+                    continue  # not a flow key: matches no record
+                if flow_key(flow) == fkey:  # else: not canonical, ditto
+                    flows.add(flow)
+            fkey_masks = [_seg_fkey_mask(fkey) for fkey in spec.flow_keys]
+        candidates = []
+        for number, segment in self._segments.items():
             if segment.may_match(spec.start, spec.end, link_tests,
                                  fkey_masks):
-                candidates.append(segment)
+                candidates.append(number)
             else:
                 stats["segments_skipped"] += 1
-        executor = self._scan_executor
-        if executor is not None and len(candidates) > 1:
-            def scan_segment(label: str):
-                segment = candidates[int(label.rsplit("-", 1)[1])]
-                return self._scan_blob(segment.data, segment.entry_ids,
-                                       segment.body_offsets, spec,
-                                       entry_masks, probes)
-            labels = [f"segment-{i}" for i in range(len(candidates))]
-            streams = executor.map_local(labels, scan_segment)
-        else:
-            streams = [self._scan_blob(segment.data, segment.entry_ids,
-                                       segment.body_offsets, spec,
-                                       entry_masks, probes)
-                       for segment in candidates]
         stats["segment_decodes"] += len(candidates)
-        # Fold the per-segment survivor streams in log order (latest entry
-        # per id wins), then the active buffer on top.
-        hits: Dict[int, Tuple[bytes, int]] = {}
-        skipped = 0
-        for segment, (survivors, blob_skipped) in zip(candidates, streams):
-            skipped += blob_skipped
-            data = segment.data
-            for record_id, body_offset in survivors:
-                hits[record_id] = (data, body_offset)
-        if self._active_count:
-            survivors, blob_skipped = self._scan_blob(
-                self._active, self._active_entry_ids,
-                self._active_body_offsets, spec, entry_masks, probes)
-            skipped += blob_skipped
-            for record_id, body_offset in survivors:
-                hits[record_id] = (self._active, body_offset)
-        stats["entries_skipped"] += skipped
-        # Lazy decode of the survivors only, plus the exact re-check.
-        # Repeated scans over a stable tier hit the bounded decoded-entry
-        # cache instead of re-decoding (callers treat the returned records
-        # as read-only, so sharing the decoded objects is safe; the hot
-        # tier's promotion path decodes its own mutable copies).
-        read = wire.read_entry_record
-        cache = self._decode_cache
-        cache_bound = self.DECODE_CACHE_ENTRIES
-        decoded = 0
-        cache_hits = 0
-        results = []
-        for record_id, (data, body_offset) in hits.items():
-            cache_key = (id(data), body_offset)
-            entry = cache.get(cache_key)
-            if entry is not None:
-                record = entry[1]
-                cache.move_to_end(cache_key)
-                cache_hits += 1
-            else:
-                record = read(data, body_offset)
-                decoded += 1
-                cache[cache_key] = (data, record)
-                if len(cache) > cache_bound:
-                    cache.popitem(last=False)
-            if spec.matches(record):
-                results.append((record_id, record))
-        stats["entries_decoded"] += decoded
-        stats["decode_cache_hits"] += cache_hits
-        results.sort(key=lambda pair: pair[0])
+        if self._tail.count:
+            candidates.append(self._tail_no)
+        results: List[Tuple[int, PathFlowRecord]] = []
+        examined = 0
+        for number in candidates:
+            rows = self._rows(number)
+            examined += rows.count
+            matching = self._matching_rows(rows, number, spec, flows)
+            results += rows.records(
+                None if len(matching) == rows.count else matching)
+        stats["entries_decoded"] += len(results)
+        stats["entries_skipped"] += examined - len(results)
+        results.sort(key=itemgetter(0))
         if spec.limit is not None:
             del results[spec.limit:]
         return results
 
-    def _scan_blob(self, data: bytes, entry_ids, body_offsets,
-                   spec: ScanSpec, entry_masks: List[int],
-                   probes: Optional[List[bytes]]
-                   ) -> Tuple[List[Tuple[int, int]], int]:
-        """Header-scan one blob on encoded bytes only.
-
-        Returns ``(survivors, skipped)`` where survivors are ``(record id,
-        body offset)`` pairs in log order; nothing is decoded.  Pure with
-        respect to the archive (stats fold in the caller's thread), so
-        segment-parallel scans can run it concurrently.
-        """
+    def _matching_rows(self, rows, segment_no: int, spec: ScanSpec,
+                       flows: Optional[Set[FlowId]]) -> Sequence[int]:
+        """Row numbers of one log position that are live and match
+        ``spec``, evaluated column by column; a column or dictionary is
+        opened only when a row that survived so far needs it."""
         wire = _codec()
-        unpack = wire.ENTRY_FIXED.unpack_from
-        flowid_offset = wire.ENTRY_FLOWID_OFFSET
-        dead = self._dead
-        start = spec.start
-        end = spec.end
-        survivors: List[Tuple[int, int]] = []
-        skipped = 0
-        for index, record_id in enumerate(entry_ids):
-            if record_id in dead:
-                continue
-            body_offset = body_offsets[index]
-            stime, etime, bloom = unpack(data, body_offset)
-            if start is not None and etime < start:
-                skipped += 1
-                continue
-            if end is not None and stime > end:
-                skipped += 1
-                continue
-            rejected = False
-            for mask in entry_masks:
-                if bloom & mask != mask:
-                    rejected = True
-                    break
-            if not rejected and probes is not None:
-                base = body_offset + flowid_offset
-                for probe in probes:
-                    if data[base:base + len(probe)] == probe:
-                        break
-                else:
-                    rejected = True
-            if rejected:
-                skipped += 1
-                continue
-            survivors.append((record_id, body_offset))
-        return survivors, skipped
-
-    def search(self, fkey: Optional[str] = None,
-               start: Optional[float] = None,
-               end: Optional[float] = None
-               ) -> List[Tuple[int, PathFlowRecord]]:
-        """Deprecated pre-:class:`ScanSpec` read surface (thin wrapper).
-
-        Kept for callers of the original cold-tier API; equivalent to
-        ``scan(ScanSpec(start=start, end=end, flow_keys={fkey}))`` and
-        returns exactly what :meth:`scan` returns.
-        """
-        warnings.warn(
-            "ColdArchive.search() is deprecated; build a ScanSpec and call "
-            "scan(spec) instead", DeprecationWarning, stacklevel=2)
-        flow_keys = None if fkey is None else frozenset((fkey,))
-        return self.scan(ScanSpec(start=start, end=end,
-                                  flow_keys=flow_keys))
+        matching: Sequence[int] = range(rows.count)
+        start, end = spec.start, spec.end
+        if start is not None or end is not None:
+            low = -_INF if start is None else start
+            high = _INF if end is None else end
+            # Negated comparisons, exactly like ScanSpec.matches rejects.
+            matching = [row for row, (stime, etime) in enumerate(zip(
+                            rows.column(wire.SEG_STIME),
+                            rows.column(wire.SEG_ETIME)))
+                        if not etime < low and not stime > high]
+        if spec.links and matching:
+            indexes = rows.column(wire.SEG_PATH)
+            paths = rows.paths()
+            wanted = {index
+                      for index in set(map(indexes.__getitem__, matching))
+                      if _path_matches(paths[index], spec.links)}
+            matching = [row for row in matching if indexes[row] in wanted]
+        if flows is not None and matching:
+            names = rows.names()
+            probes = {(names.index(flow.src_ip), names.index(flow.dst_ip),
+                       flow.src_port, flow.dst_port, flow.protocol)
+                      for flow in flows
+                      if flow.src_ip in names and flow.dst_ip in names}
+            srcs, dsts, src_ports, dst_ports, protocols = map(
+                rows.column, (wire.SEG_SRC, wire.SEG_DST, wire.SEG_SRC_PORT,
+                              wire.SEG_DST_PORT, wire.SEG_PROTOCOL))
+            matching = [row for row in matching
+                        if (srcs[row], dsts[row], src_ports[row],
+                            dst_ports[row], protocols[row]) in probes]
+        return self._live_rows(rows, segment_no, matching)
 
     # -------------------------------------------------------------- accounting
     @property
     def live_count(self) -> int:
-        """Number of live (non-tombstoned) archived records, staged
-        write-behind entries included."""
+        """Number of live archived records, staged write-behind entries
+        included."""
         return len(self._key_index)
 
     @property
@@ -839,38 +662,16 @@ class ColdArchive:
         return len(self._segments)
 
     def archive_bytes(self) -> int:
-        """*Measured* size of the log: the encoded bytes actually held
-        (sealed segments plus the active buffer, tombstones included until
-        compaction reclaims them).  Callers that must account staged
-        entries too flush first (the TIB's tier accounting does)."""
-        return sum(len(s.data) for s in self._segments) + len(self._active)
-
-    def index_bytes(self) -> int:
-        """Rough footprint of the archive-side index structures (the key
-        index, tombstone set and per-segment pruning metadata)."""
-        total = 0
-        for (fkey, path), _ in self._key_index.items():
-            total += len(fkey) + sum(len(node) + 2 for node in path) + 8
-        total += 8 * len(self._dead)
-        for segment in self._segments:
-            total += 48 + sum(len(node) for node in segment.nodes)
-            total += (SEG_LINK_BLOOM_BITS + SEG_FKEY_BLOOM_BITS) // 8
-            total += 16 * len(segment.offsets)
-            total += 20 * len(segment.entry_ids)
-        total += 16 * len(self._active_offsets)
-        total += 20 * len(self._active_entry_ids)
+        """*Measured* size of the log: the bytes of every sealed blob plus
+        the unsealed tail at the size it would seal to (garbage rows
+        included until compaction reclaims them).  Callers that must
+        account staged entries too flush first (the TIB's tier accounting
+        does)."""
+        total = sum(len(segment.rows.data)
+                    for segment in self._segments.values())
+        if self._tail.count:
+            total += len(self._tail.pack())
         return total
-
-    def clear(self) -> None:
-        """Drop every segment, the buffers and all indexes."""
-        self._segments = []
-        self._reset_active()
-        self._staged = {}
-        self._key_index = {}
-        self._dead = set()
-        self._superseded = 0
-        self._total_records = 0
-        self._decode_cache.clear()
 
     def reset_stats(self) -> None:
         """Zero the instrumentation counters (data stays intact)."""

@@ -227,8 +227,7 @@ class ScanSpec:
     ``Tib.scan`` (hot) and ``ColdArchive.scan`` (cold) both take a spec and
     return id-ordered ``(record id, record)`` pairs, so the tier-spanning
     merge and the built-in query handlers are written once against a single
-    surface instead of the old divergent ``_hot_pairs`` /
-    ``search(fkey=, start=, end=)`` pair.
+    surface.
 
     Attributes:
         start: inclusive window start, or ``None`` for open-ended.  A record

@@ -2,11 +2,14 @@
 
 Covers: ScanSpec normalisation and its exact match predicate, the
 write-behind buffer and its flush barrier, pruning soundness (seeded fuzz
-comparing the pruned scan against brute-force segment decode - a pruned
-segment must never hide a matching entry), segment-parallel scans being
-byte-identical to serial ones (archive-level and whole-cluster across
-serial / thread / process modes, including a kill while staged evictions
-are in flight), and the consolidated ``controller.report(sections=...)``.
+comparing the column-filtered scan against a brute-force read of every row
+of every opened segment - a pruned segment or a column predicate must never
+hide a matching entry), compaction round-trips with tight rewritten zone
+maps, scan results never aliasing promoted records, byte-equal segment
+blobs for equal streams, capped answers byte-identical to uncapped ones
+across serial / thread / process executors (including a kill while staged
+evictions are in flight), and the consolidated
+``controller.report(sections=...)``.
 """
 
 import random
@@ -159,19 +162,29 @@ class TestWriteBehind:
         assert tib.archive.staged_count == 0
 
 
-def brute_force(archive, spec):
-    """Reference scan: decode *every* log entry, fold latest-per-id, filter
-    with the spec's exact predicate.  No pruning, no lazy decode."""
+def every_row(archive):
+    """``(segment number, row, id, record)`` of every log row - each sealed
+    blob re-opened from its bytes alone, then the tail - with no predicate
+    pushdown and no pruning."""
     archive.flush()
-    latest = {}
-    blobs = [segment.data for segment in archive._segments]
-    blobs.append(archive._active)
-    for data in blobs:
-        for record_id, record in wire.iter_record_entries(data):
-            latest[record_id] = record
-    return sorted((record_id, record)
-                  for record_id, record in latest.items()
-                  if record_id not in archive._dead and spec.matches(record))
+    sources = [(number, wire.Segment(segment.rows.data))
+               for number, segment in archive._segments.items()]
+    sources.append((archive._tail_no, archive._tail))
+    for number, rows in sources:
+        for row, (record_id, record) in enumerate(rows.records()):
+            yield number, row, record_id, record
+
+
+def brute_force(archive, spec):
+    """Reference scan: materialise *every* log row, keep the live ones,
+    filter with the spec's exact predicate.  Shares none of the fast
+    path's filtering."""
+    return sorted(
+        ((record_id, record)
+         for number, row, record_id, record in every_row(archive)
+         if archive._locator.get(record_id) == number << 32 | row
+         and spec.matches(record)),
+        key=lambda pair: pair[0])
 
 
 def fuzz_specs(rng, records):
@@ -204,49 +217,105 @@ def fuzz_specs(rng, records):
     ]
 
 
+def fuzz_archive(seed, **kwargs):
+    """A churned archive and the records it was fed.  Beside the regular
+    stream it holds pairs of rows whose paths differ only in direction or
+    in one hop (same flow endpoints, same times - only the per-distinct-
+    path link test can tell them apart) and degenerate 1-hop / 0-hop
+    paths that traverse no switch link at all."""
+    rng = random.Random(seed)
+    archive = ColdArchive(segment_records=16, compact_dead_ratio=None,
+                          **kwargs)
+    records = [make_record(i, rng=rng) for i in range(240)]
+    for i in range(0, 240, 12):
+        twin = records[i]
+        src, a, b, dst = twin.path
+        for offset, path in enumerate(((src, b, a, dst),
+                                       (src, a, "s9", dst)), start=1):
+            flow_id = twin.flow_id._replace(src_port=40_000 + 2 * i + offset)
+            records.append(PathFlowRecord(flow_id, path, twin.stime,
+                                          twin.etime, twin.bytes, twin.pkts))
+    rng.shuffle(records)
+    for i, record in enumerate(records):
+        archive.append(i, record)
+    for i, path in enumerate((("host-a0", "host-b"), ("host-b",), ())):
+        archive.append(1000 + i, PathFlowRecord(
+            FlowId("host-a0", "host-b", 50_000 + i, 80, PROTO_TCP), path,
+            5.0, 6.0, 10, 1))
+    # churn: promote a slice and re-archive half of it (garbage rows and
+    # superseded duplicates must not confuse pruning or liveness)
+    for i in rng.sample(range(len(records)), 40):
+        record = records[i]
+        key = (flow_key(record.flow_id), record.path)
+        taken_id, taken = archive.take(key)
+        if rng.random() < 0.5:
+            merged = PathFlowRecord(taken.flow_id, taken.path,
+                                    taken.stime - rng.uniform(0.0, 5.0),
+                                    taken.etime + rng.uniform(0.0, 5.0),
+                                    taken.bytes + 1, taken.pkts + 1)
+            archive.append(taken_id, merged)
+    return rng, archive, records
+
+
+def assert_scan_is_brute_force(archive, spec):
+    want = brute_force(archive, spec)
+    if spec.limit is not None:
+        want = want[:spec.limit]
+    got = archive.scan(spec)
+    assert record_values(r for _, r in got) == \
+        record_values(r for _, r in want), spec
+    assert [i for i, _ in got] == [i for i, _ in want], spec
+    return got
+
+
 class TestPruningSoundnessFuzz:
-    """The acceptance property of zone-map/bloom pruning: a pruned segment
-    must never contain a matching entry.  Equality with the brute-force
-    decode proves exactly that - any unsound prune would lose a hit."""
+    """The acceptance property of zone-map/bloom pruning and of the column
+    predicates: neither may ever hide a matching entry.  Equality with the
+    brute-force read proves exactly that - any unsound prune or inexact
+    column test would lose (or invent) a hit."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_pruned_scan_matches_brute_force(self, seed):
-        rng = random.Random(seed)
-        archive = ColdArchive(segment_records=16,
-                              compact_dead_ratio=None)
-        records = []
-        for i in range(240):
-            record = make_record(i, rng=rng)
-            records.append(record)
-            archive.append(i, record)
-        # churn: promote a slice and re-archive half of it (tombstones +
-        # superseded duplicates must not confuse pruning)
-        for i in rng.sample(range(240), 40):
-            record = records[i]
-            key = (flow_key(record.flow_id), record.path)
-            if archive.lookup(key) is None:
-                continue
-            taken_id, taken = archive.take(key)
-            if rng.random() < 0.5:
-                merged = PathFlowRecord(taken.flow_id, taken.path,
-                                        taken.stime - rng.uniform(0.0, 5.0),
-                                        taken.etime + rng.uniform(0.0, 5.0),
-                                        taken.bytes + 1, taken.pkts + 1)
-                archive.append(taken_id, merged)
+        rng, archive, records = fuzz_archive(seed)
         archive.reset_stats()
         for round_ in range(6):
             for spec in fuzz_specs(rng, records):
-                want = brute_force(archive, spec)
-                if spec.limit is not None:
-                    want = want[:spec.limit]
-                got = archive.scan(spec)
-                assert record_values(r for _, r in got) == \
-                    record_values(r for _, r in want), spec
-                assert [i for i, _ in got] == [i for i, _ in want], spec
-        # the test is not vacuous: pruning fired and decode work was saved
+                assert_scan_is_brute_force(archive, spec)
+        # the test is not vacuous: pruning fired and rows were passed over
         assert archive.stats["segments_skipped"] > 0
         assert archive.stats["entries_skipped"] > 0
         assert archive.stats["entries_decoded"] > 0
+        assert archive.stats["decode_cache_hits"] == 0  # no cache survives
+
+    def test_direction_and_one_hop_twins_are_told_apart(self):
+        """Two rows that differ only in path direction both traverse the
+        (undirected) link; a row that differs in one hop does not."""
+        _, archive, records = fuzz_archive(5)
+        twin = next(r for r in records if r.path[2] == "s9")
+        src, a, _, dst = twin.path
+        siblings = [r for r in records if r.stime == twin.stime
+                    and r.flow_id.dst_port == twin.flow_id.dst_port
+                    and r.path[0] == src and r.bytes == twin.bytes]
+        b = next(r.path[2] for r in siblings if r.path[1] == a
+                 and r.path[2] != "s9")
+        for spec, hops in [
+                (ScanSpec(links=((a, b),)), {(a, b), (b, a)}),
+                (ScanSpec(links=((b, a),)), {(a, b), (b, a)}),
+                (ScanSpec(links=((a, "s9"),)), {(a, "s9")}),
+                (ScanSpec(links=((a, b), (b, dst))), {(a, b)})]:
+            got = assert_scan_is_brute_force(archive, spec)
+            assert got and {r.path[1:3] for _, r in got} <= hops, spec
+
+    def test_unparseable_flow_keys_match_nothing(self):
+        archive = ColdArchive(segment_records=8)
+        for i in range(20):
+            archive.append(i, make_record(i))
+        fkey = flow_key(make_record(3).flow_id)
+        assert archive.scan(ScanSpec(flow_keys=frozenset(("other",)))) == []
+        padded = fkey.replace(":80|", ":080|")  # parses, but not canonical
+        assert archive.scan(ScanSpec(flow_keys=frozenset((padded,)))) == []
+        assert archive.scan(ScanSpec(
+            flow_keys=frozenset(("other", padded, fkey))))
 
     def test_pruning_counters_reset(self):
         archive = ColdArchive(segment_records=8)
@@ -259,61 +328,99 @@ class TestPruningSoundnessFuzz:
         assert archive.stats["segments_skipped"] == 0
         assert archive.stats["entries_decoded"] == 0
 
-    def test_search_wrapper_is_scan(self):
-        archive = ColdArchive(segment_records=8)
-        for i in range(40):
-            archive.append(i, make_record(i))
-        target = make_record(3)
-        fkey = flow_key(target.flow_id)
-        with pytest.warns(DeprecationWarning, match="ScanSpec"):
-            legacy = archive.search(fkey=fkey, start=0.0, end=50.0)
-        assert legacy == archive.scan(ScanSpec(start=0.0, end=50.0,
-                                               flow_keys=frozenset((fkey,))))
-        with pytest.warns(DeprecationWarning):
-            legacy_all = archive.search()
-        assert legacy_all == archive.scan(ScanSpec())
 
+class TestCompaction:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_round_trip_and_tight_zone_maps(self, seed):
+        rng, archive, records = fuzz_archive(seed)
+        keys = [(flow_key(r.flow_id), r.path) for r in records]
+        live = [key for key in keys if archive.lookup(key) is not None]
+        for key in rng.sample(live, len(live) // 3):
+            taken_id, taken = archive.take(key)
+            if rng.random() < 0.4:
+                archive.stage(taken_id, taken, key)
+        specs = [spec for _ in range(3) for spec in fuzz_specs(rng, records)]
+        before = [archive.scan(spec) for spec in specs]
+        garbage_bytes = archive.archive_bytes()
+        archive.compact()
+        assert archive.dead_ratio == 0.0
+        assert archive.archive_bytes() < garbage_bytes
+        for spec, want in zip(specs, before):
+            assert assert_scan_is_brute_force(archive, spec) == want, spec
+        # every sealed segment's zone map is recomputed, not inherited:
+        # it equals the extremes of the rows the segment now holds
+        rows = {}
+        for number, _, _, record in every_row(archive):
+            rows.setdefault(number, []).append(record)
+        assert len(archive._segments) > 1
+        for number, segment in archive._segments.items():
+            assert len(rows[number]) == archive.segment_records
+            assert segment.min_stime == min(r.stime for r in rows[number])
+            assert segment.max_etime == max(r.etime for r in rows[number])
+            assert segment.nodes == {node for r in rows[number]
+                                     for node in r.path}
 
-class TestSegmentParallelScan:
-    def _filled(self, count=200):
-        rng = random.Random(11)
-        archive = ColdArchive(segment_records=16)
-        records = [make_record(i, rng=rng) for i in range(count)]
+    def test_garbage_free_prefix_is_kept_as_it_is(self):
+        archive = ColdArchive(segment_records=8, compact_dead_ratio=None)
+        records = [make_record(i) for i in range(40)]
         for i, record in enumerate(records):
             archive.append(i, record)
-        return archive, records
-
-    def test_parallel_identical_to_serial(self):
-        archive, records = self._filled()
-        rng = random.Random(12)
-        specs = fuzz_specs(rng, records) + fuzz_specs(rng, records)
-        serial = [archive.scan(spec) for spec in specs]
-        archive.configure_scan(mode="concurrent", max_workers=4)
-        parallel = [archive.scan(spec) for spec in specs]
-        assert [record_values(r for _, r in hits) for hits in parallel] == \
-            [record_values(r for _, r in hits) for hits in serial]
-        archive.configure_scan(mode="serial")
-        assert archive._scan_executor is None
-
-    def test_parallel_scan_stats_match_serial(self):
-        """Stats fold in the caller's thread, so the pruning counters are
-        deterministic even for a concurrent scan."""
-        spec = ScanSpec(start=0.0, end=10.0)
-        baseline, _ = self._filled()
-        baseline.reset_stats()
-        baseline.scan(spec)
-        archive, _ = self._filled()
-        archive.configure_scan(mode="concurrent", max_workers=4)
-        archive.reset_stats()
-        archive.scan(spec)
-        for key in ("segments_skipped", "segment_decodes",
-                    "entries_decoded", "entries_skipped"):
-            assert archive.stats[key] == baseline.stats[key], key
+        untouched = [archive._segments[n].rows.data for n in (0, 1)]
+        archive.take((flow_key(records[20].flow_id), records[20].path))
+        archive.compact()
+        assert [archive._segments[n].rows.data for n in (0, 1)] == untouched
+        assert [i for i, _ in archive.scan(ScanSpec())] == \
+            [i for i in range(40) if i != 20]
 
 
-class TestClusterParallelIdentity:
-    """Spanning scans - segment-parallel and serial - answer every mode
-    byte-identically (the tentpole's identity criterion)."""
+class TestScanResultsNeverAlias:
+    """Promotions merge into records in place, so a record a scan handed
+    out must not be the object a later promotion mutates - for a sealed
+    row and for a tail row."""
+
+    @pytest.mark.parametrize("sealed", [True, False])
+    def test_held_record_survives_a_merge_upsert(self, sealed):
+        archive = ColdArchive(segment_records=4 if sealed else 64)
+        tib = Tib("h", retention=RetentionPolicy(max_records=2),
+                  archive=archive)
+        first = make_record(0, stime=1.0, etime=2.0, nbytes=100)
+        tib.add_record(first)
+        for i in range(1, 9):
+            tib.add_record(make_record(i, stime=10.0 + i, etime=11.0 + i))
+        key = (flow_key(first.flow_id), first.path)
+        assert archive.lookup(key) is not None
+        held = next(r for _, r in archive.scan(ScanSpec())
+                    if r.flow_id == first.flow_id and r.path == first.path)
+        assert (archive.segment_count > 0) == sealed
+        assert archive.staged_count == 0  # the scan flushed: a log row
+        snapshot = record_values([held])
+        tib.add_record(PathFlowRecord(first.flow_id, first.path, 0.5, 30.0,
+                                      50, 1))
+        assert tib.promotions == 1
+        assert tib.get_count(first.flow_id) == (150, 3)
+        assert record_values([held]) == snapshot
+        again = archive.scan(ScanSpec())
+        assert all(r is not held for _, r in again)
+
+
+class TestDeterminism:
+    def test_same_stream_yields_byte_equal_segments(self):
+        """Dictionaries are in first-appearance order, never set order, so
+        a worker's segment bytes equal its controller mirror's."""
+        blobs = []
+        for _ in range(2):
+            _, archive, _ = fuzz_archive(7)
+            archive.compact()
+            blobs.append(([segment.rows.data
+                           for segment in archive._segments.values()],
+                          archive._tail.pack(), archive.archive_bytes()))
+        assert blobs[0] == blobs[1]
+        assert len(blobs[0][0]) > 2
+
+
+class TestClusterCrossModeIdentity:
+    """Spanning scans answer byte-identically to an uncapped cluster under
+    every executor - serial, concurrent and process."""
 
     QUERIES = [
         Query(Q_GET_FLOWS, {}),
@@ -322,7 +429,7 @@ class TestClusterParallelIdentity:
         Query(Q_TOP_K_FLOWS, {"k": 30, "time_range": (10.0, 60.0)}),
     ]
 
-    def test_parallel_cold_scans_identical_across_modes(self):
+    def test_capped_identical_to_uncapped_across_executors(self):
         plain = QueryCluster(small_topology())
         capped = QueryCluster(small_topology(),
                               retention=RetentionPolicy(max_records=HOT_CAP))
@@ -331,15 +438,13 @@ class TestClusterParallelIdentity:
         try:
             references = [wire.encode_value(plain.execute(q).payload)
                           for q in self.QUERIES]
-            for scan_mode in ("serial", "concurrent"):
-                capped.configure_cold_scan(scan_mode, max_workers=4)
-                for mode in (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS):
-                    capped.configure_executor(mode=mode)
-                    for query, want in zip(self.QUERIES, references):
-                        result = capped.execute(query)
-                        assert not result.partial
-                        assert wire.encode_value(result.payload) == want, \
-                            f"{query.name} {scan_mode} {mode}"
+            for mode in (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS):
+                capped.configure_executor(mode=mode)
+                for query, want in zip(self.QUERIES, references):
+                    result = capped.execute(query)
+                    assert not result.partial
+                    assert wire.encode_value(result.payload) == want, \
+                        f"{query.name} {mode}"
         finally:
             plain.close()
             capped.close()
@@ -457,14 +562,3 @@ class TestReportConsolidation:
         assert tier["segments_skipped"] == 0
         assert tier["entries_decoded"] == 0
         assert tier["write_behind_records"] == 0
-
-    def test_controller_exposes_the_scan_knob(self, controller):
-        controller.configure_cold_scan("concurrent", max_workers=2)
-        query = Query(Q_GET_FLOWS, {"time_range": (10.0, 60.0)})
-        serial_payload = None
-        for _ in range(2):
-            result = controller.execute(None, query)
-            payload = wire.encode_value(result.payload)
-            serial_payload = serial_payload or payload
-            assert payload == serial_payload
-        controller.configure_cold_scan("serial")

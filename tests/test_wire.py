@@ -427,39 +427,148 @@ class TestTwoTierFrames:
         assert wire.frame_type(frame) == wire.MSG_RETENTION
         assert wire.decode_retention(frame) == bounds
 
-    def test_record_entry_log_round_trip(self):
-        records = [sample_record(nbytes=100 * i, pkts=i + 1)
-                   for i in range(17)]
-        blob = bytearray()
-        for i, record in enumerate(records):
-            wire.append_record_entry(blob, 1000 + i, record)
-        decoded = list(wire.iter_record_entries(bytes(blob)))
-        assert [record_id for record_id, _ in decoded] == \
-            [1000 + i for i in range(17)]
-        for (_, got), want in zip(decoded, records):
-            assert got == want
 
-    def test_record_entry_bytes_are_measured_codec_bytes(self):
-        record = sample_record()
-        blob = bytearray()
-        body_offset = wire.append_record_entry(blob, 7, record)
-        # entry = id varint + body-length varint + body; the body re-packs
-        # the record-batch encoding behind a fixed [stime, etime, link
-        # bloom] header, so it carries the record's codec bytes plus the 8
-        # bloom bytes (the two doubles just moved into the fixed header).
-        body_len = len(blob) - body_offset
-        assert body_len == wire.record_wire_bytes(record) + 8
-        assert len(blob) == 1 + 1 + body_len  # one-byte varints here
-        assert len(blob) == wire.record_entry_bytes(7, record)
-        # the fixed header sits at known offsets: predicates on encoded
-        # bytes must see the record's times and its path's link bloom
-        stime, etime, bloom = wire.ENTRY_FIXED.unpack_from(blob, body_offset)
-        assert (stime, etime) == (record.stime, record.etime)
-        assert bloom == wire.entry_link_bloom(record.path)
-        # ... and the flow id's encoded bytes at the probe offset
-        probe = wire.flow_key_probe(flow_key(record.flow_id))
-        base = body_offset + wire.ENTRY_FLOWID_OFFSET
-        assert bytes(blob[base:base + len(probe)]) == probe
+BOUNDARY_INTS = [0, 1, -1, 255, 256, 65535, 65536, (1 << 32) - 1, 1 << 32,
+                 -(1 << 31), -(1 << 31) - 1, (1 << 63) - 1, 1 << 63,
+                 (1 << 64) - 1, 1 << 64, -(1 << 63), -(1 << 63) - 1,
+                 1 << 100, -(1 << 99) - 17]
+
+
+def random_segment_rows(rng, count):
+    """Random ``(record id, record)`` rows: unicode node names (NUL and
+    empty included), 0-hop and 1-hop paths, repeated and distinct paths,
+    boundary ints in every integer column."""
+    names = ["h1", "h2", UNICODE_HOST, "sw\x00nul", "", "tor-a", "dst-ü",
+             "コア-1"] + [f"sw{i}" for i in range(20)]
+    paths = [(), ("h1",), ("h1", "h2")] + [
+        tuple(rng.choice(names) for _ in range(rng.randrange(2, 7)))
+        for _ in range(6)]
+
+    def integer():
+        if rng.random() < 0.15:
+            return rng.choice(BOUNDARY_INTS)
+        return rng.randrange(1 << rng.choice((7, 15, 31, 40)))
+
+    rows = []
+    for _ in range(count):
+        flow = FlowId(rng.choice(names), rng.choice(names), integer(),
+                      integer(), integer())
+        path = rng.choice(paths) if rng.random() < 0.7 else tuple(
+            rng.choice(names) for _ in range(rng.randrange(7)))
+        stime = rng.choice((0.0, -2.5, 1e308, rng.uniform(0, 1e6)))
+        rows.append((integer(), PathFlowRecord(
+            flow, path, stime, stime + rng.uniform(0, 50), integer(),
+            integer())))
+    return rows
+
+
+def build_segment(rows):
+    builder = wire.SegmentBuilder()
+    for record_id, record in rows:
+        builder.append(record_id, record)
+    return builder
+
+
+class TestSegmentCodec:
+    """The cold archive's column-major segment blob: pack -> open -> rows
+    equal, measured sizes, the integer domain, and corruption handling."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pack_open_round_trip(self, seed):
+        rng = random.Random(seed)
+        rows = random_segment_rows(rng, rng.choice((1, 2, 17, 300)))
+        builder = build_segment(rows)
+        assert builder.records() == rows  # unsealed rows read the same way
+        blob = builder.pack()
+        for segment in (wire.Segment(blob), builder.seal()):
+            assert segment.count == len(rows)
+            assert segment.records() == rows
+            some = sorted(rng.sample(range(len(rows)),
+                                     rng.randrange(len(rows) + 1)))
+            assert segment.records(some) == [rows[row] for row in some]
+            for row in some[:5]:
+                record = rows[row][1]
+                assert [segment.cell(index, row) for index in
+                        (wire.SEG_STIME, wire.SEG_ETIME, wire.SEG_BYTES,
+                         wire.SEG_PKTS)] == [record.stime, record.etime,
+                                             record.bytes, record.pkts]
+        for _, record in wire.Segment(blob).records():
+            assert type(record.flow_id) is FlowId
+            assert type(record.path) is tuple
+
+    def test_archive_bytes_is_the_packed_length(self):
+        """``archive_bytes()`` is measured: the sealed blobs' ``len`` plus
+        the unsealed tail at the size the packer gives it."""
+        from repro.storage import ColdArchive
+        rng = random.Random(3)
+        rows = [(record_id, record) for record_id, (_, record)
+                in enumerate(random_segment_rows(rng, 25))]
+        archive = ColdArchive(segment_records=10, compact_dead_ratio=None)
+        for record_id, record in rows:
+            archive.append(record_id, record)
+        want = sum(len(build_segment(rows[low:low + 10]).pack())
+                   for low in (0, 10, 20))
+        assert archive.segment_count == 2
+        assert archive.archive_bytes() == want
+
+    @pytest.mark.parametrize("value", BOUNDARY_INTS)
+    def test_integer_domain(self, value):
+        """Every ``int`` survives: a column is as narrow as its values
+        allow (ports cost 2 bytes, not 8) and one 64-bit-overflowing value
+        switches only that column of that segment to varints - never a
+        truncation, never an error at a later flush or read."""
+        narrow = sample_record()
+        wide = PathFlowRecord(FlowId("h1", "h2", value, -value, value),
+                              ("h1", "tor-a", "h2"), 1.0, 2.0, value,
+                              -value)
+        rows = [(1, narrow), (value, wide), (3, narrow)]
+        blob = build_segment(rows).pack()
+        assert wire.Segment(blob).records() == rows
+        assert wire.Segment(blob).cell(wire.SEG_BYTES, 1) == value
+        # the varint escape is taken by exactly the columns that need it
+        codes = blob[8:8 + len(wire.SEGMENT_COLUMNS)].decode()
+        escaped = {name for name, code in zip(wire.SEGMENT_COLUMNS, codes)
+                   if code == "V"}
+
+        def fits(number):
+            return -(1 << 63) <= number < (1 << 64)
+
+        assert escaped == (
+            (set() if fits(value) else {"id", "src_port", "protocol",
+                                        "bytes"})
+            | (set() if fits(-value) else {"dst_port", "pkts"}))
+
+    def test_column_widths_follow_the_values_present(self):
+        rows = [(i, sample_record(nbytes=200, pkts=3)) for i in range(100)]
+        small = len(build_segment(rows).pack())
+        rows[50] = (50, sample_record(nbytes=1 << 40, pkts=3))
+        assert len(build_segment(rows).pack()) == small + 7 * 100
+        rows[50] = (50, sample_record(nbytes=-1, pkts=3))  # B -> h
+        assert len(build_segment(rows).pack()) == small + 100
+
+    def test_truncations_and_garbage_raise_decode_errors(self):
+        blob = build_segment(random_segment_rows(random.Random(1), 40)).pack()
+        for cut in range(len(blob)):
+            with pytest.raises(wire.WireDecodeError):
+                wire.Segment(blob[:cut])
+        with pytest.raises(wire.WireDecodeError):
+            wire.Segment(blob + b"\x00")
+        with pytest.raises(wire.WireDecodeError):
+            wire.Segment(b"XXXX" + blob[4:])
+
+    def test_bit_flips_never_escape_as_raw_exceptions(self):
+        rng = random.Random(20261002)
+        rows = random_segment_rows(rng, 40)
+        blob = build_segment(rows).pack()
+        for _ in range(400):
+            data = bytearray(blob)
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            try:
+                segment = wire.Segment(bytes(data))
+                segment.records()
+                segment.cell(wire.SEG_PKTS, 39)
+            except wire.WireDecodeError:
+                pass  # the contract: corruption surfaces as a decode error
 
 
 class TestControlFrames:
