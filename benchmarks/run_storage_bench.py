@@ -26,7 +26,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from storage_workload import make_records, populate_tib  # noqa: E402
+from storage_workload import (make_records, measured_on,  # noqa: E402
+                              populate_tib)
 
 from repro.core.tib import Tib  # noqa: E402
 
@@ -116,6 +117,7 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     sizes = QUICK_SIZES if args.quick else SIZES
     query_rounds = QUICK_QUERY_ROUNDS if args.quick else QUERY_ROUNDS
+    measured = measured_on()
     report = {
         "benchmark": "storage-engine",
         "generated_unix_time": int(time.time()),
@@ -124,7 +126,8 @@ def main(argv=None) -> None:
             "merge_pair_fraction": MERGE_PAIR_FRACTION,
             "query_rounds": query_rounds,
         },
-        "results": [bench_size(size, query_rounds) for size in sizes],
+        "results": [{**measured, **bench_size(size, query_rounds)}
+                    for size in sizes],
     }
     if OUTPUT.exists():
         # Keep sections other benchmarks fold in (e.g. bench_event_plane's

@@ -7,8 +7,11 @@ measure exactly the same record population.
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
-from typing import List
+import subprocess
+from typing import Dict, List, Union
 
 from repro.core.tib import Tib
 from repro.network.packet import FlowId, PROTO_TCP
@@ -17,6 +20,17 @@ from repro.storage import PathFlowRecord
 #: Leaf/spine fabric shape of the synthetic paths.
 LEAVES = 8
 SPINES = 2
+
+
+def measured_on() -> Dict[str, Union[str, int, None]]:
+    """What a ``BENCH_storage.json`` row was measured on: the checked-out
+    commit ("-dirty" when the tree carried uncommitted changes on top of
+    it) and the core count - the keys of the per-PR trajectory."""
+    described = subprocess.run(
+        ["git", "-C", str(pathlib.Path(__file__).resolve().parent),
+         "describe", "--always", "--dirty"], capture_output=True, text=True)
+    return {"commit": described.stdout.strip() or None,
+            "nproc": os.cpu_count()}
 
 
 def make_records(count: int, distinct_pairs: int,

@@ -24,8 +24,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.alarms import INVALID_TRAJECTORY, Alarm
 from repro.core.monitor import ActiveMonitor
 from repro.core.query import Query, QueryEngine, QueryResult
-from repro.core.tib import (Flow, LinkId, Tib, TimeRange, link_matches,
-                            normalise_time_range, record_in_range)
+from repro.core.tib import (Flow, LinkId, Tib, TimeRange, clamped_duration,
+                            distinct_flows, distinct_paths, link_matches,
+                            normalise_time_range, record_in_range,
+                            split_flow, sum_counts)
 from repro.core.trajectory import (TrajectoryCache, TrajectoryConstructor,
                                    TrajectoryMemory)
 from repro.core.vswitch import EdgeVSwitch
@@ -191,68 +193,38 @@ class PathDumpAgent:
                   time_range: Optional[TimeRange] = None,
                   include_live: bool = False) -> List[Flow]:
         """``getFlows(linkID, timeRange)`` over local flows."""
-        flows: List[Flow] = []
-        seen = set()
-        for record in self.records(link=link, time_range=time_range,
-                                   include_live=include_live):
-            key = (record.flow_id, record.path)
-            if key not in seen:
-                seen.add(key)
-                flows.append((record.flow_id, record.path))
-        return flows
+        return distinct_flows(self.records(link=link, time_range=time_range,
+                                           include_live=include_live))
 
     def get_paths(self, flow_id: FlowId, link: Optional[LinkId] = None,
                   time_range: Optional[TimeRange] = None,
                   include_live: bool = False) -> List[Tuple[str, ...]]:
         """``getPaths(flowID, linkID, timeRange)``."""
-        paths: List[Tuple[str, ...]] = []
-        seen = set()
-        for record in self.records(flow_id=flow_id, link=link,
-                                   time_range=time_range,
-                                   include_live=include_live):
-            if record.path not in seen:
-                seen.add(record.path)
-                paths.append(record.path)
-        return paths
+        return distinct_paths(self.records(flow_id=flow_id, link=link,
+                                           time_range=time_range,
+                                           include_live=include_live))
 
     def get_count(self, flow: Union[Flow, FlowId],
                   time_range: Optional[TimeRange] = None,
                   include_live: bool = False) -> Tuple[int, int]:
         """``getCount(Flow, timeRange)``: (bytes, packets)."""
-        flow_id, path = self._split_flow(flow)
-        nbytes = npkts = 0
-        for record in self.records(flow_id=flow_id, time_range=time_range,
-                                   include_live=include_live):
-            if path is not None and record.path != path:
-                continue
-            nbytes += record.bytes
-            npkts += record.pkts
-        return nbytes, npkts
+        if not include_live:
+            return self.tib.get_count(flow, time_range)
+        flow_id, path = split_flow(flow)
+        return sum_counts(self.records(flow_id=flow_id,
+                                       time_range=time_range,
+                                       include_live=True), path)
 
     def get_duration(self, flow: Union[Flow, FlowId],
                      time_range: Optional[TimeRange] = None,
                      include_live: bool = False) -> float:
-        """``getDuration(Flow, timeRange)``.
-
-        Record extents are clamped to the requested window (see
-        :meth:`repro.core.tib.Tib.get_duration`): overlap qualifies a
-        record, but only its in-window portion counts.
-        """
-        flow_id, path = self._split_flow(flow)
-        start, end = normalise_time_range(time_range)
-        stimes: List[float] = []
-        etimes: List[float] = []
-        for record in self.records(flow_id=flow_id, time_range=time_range,
-                                   include_live=include_live):
-            if path is not None and record.path != path:
-                continue
-            stime = record.stime if start is None else max(record.stime, start)
-            etime = record.etime if end is None else min(record.etime, end)
-            stimes.append(stime)
-            etimes.append(etime)
-        if not stimes:
-            return 0.0
-        return max(etimes) - min(stimes)
+        """``getDuration(Flow, timeRange)``: only the in-window portion of
+        each record counts (see :func:`repro.core.tib.clamped_duration`)."""
+        flow_id, path = split_flow(flow)
+        return clamped_duration(self.records(flow_id=flow_id,
+                                             time_range=time_range,
+                                             include_live=include_live),
+                                path, time_range)
 
     def get_poor_tcp_flows(self, threshold: Optional[int] = None
                            ) -> List[FlowId]:
@@ -345,11 +317,3 @@ class PathDumpAgent:
             "tib": self.tib.estimated_bytes(),
             "tib_archive": self.tib.archive_bytes(),
         }
-
-    @staticmethod
-    def _split_flow(flow: Union[Flow, FlowId]
-                    ) -> Tuple[FlowId, Optional[Tuple[str, ...]]]:
-        if isinstance(flow, FlowId):
-            return flow, None
-        flow_id, path = flow
-        return flow_id, tuple(path) if path is not None else None

@@ -16,9 +16,9 @@ as described in Section 2.1.
 Storage engine
 --------------
 
-The TIB answers those queries from a set of always-maintained indexes over a
-cached-record layer, so no query deserialises documents and no write
-rescans the collection:
+The TIB stores each record once, as a :class:`PathFlowRecord` in the
+cached-record layer, and answers those queries from a set of
+always-maintained indexes over it:
 
 * a **primary keyed index** ``(flow key, path) -> record id`` makes
   :meth:`Tib.add_record` an O(1) in-place upsert - consecutive records of
@@ -39,18 +39,21 @@ rescans the collection:
   ``etime`` only ever increases - and a full rebuild runs only when the
   stale fraction grows past a threshold;
 * the **cached-record layer** keeps one :class:`PathFlowRecord` per row, so
-  queries return memoized objects instead of re-running ``from_document``;
+  queries return memoized objects;
 * incrementally maintained **per-flow aggregates** (bytes/packets per flow
   key) answer unconstrained ``getCount`` and whole-TIB byte rankings
   without touching any record.
 
-The backing :class:`~repro.storage.docstore.Collection` holds the document
-form of every record (for the Section 5.3 storage accounting and external
-document-level consumers) and is kept in sync incrementally.  Callers must
-treat records returned by queries as read-only; all mutation goes through
-:meth:`Tib.add_record`, which copies on insert by default (``adopt=True``
-transfers ownership instead) so a caller's record object is never mutated
-behind its back.
+No document form of a record is stored: the Section 5.3 storage figure
+(:meth:`Tib.estimated_bytes`, what ``max_bytes`` bounds) is a running sum of
+``PathFlowRecord.document_bytes()`` over the hot records.  That size depends
+only on a record's flow ID and path, so the sum moves on insert, promotion
+and eviction and never on a merge.
+
+Callers must treat records returned by queries as read-only; all mutation
+goes through :meth:`Tib.add_record`, which copies on insert by default
+(``adopt=True`` transfers ownership instead) so a caller's record object is
+never mutated behind its back.
 
 Two tiers: bounded hot memory + cold archive
 --------------------------------------------
@@ -60,9 +63,9 @@ older entries out to persistent storage.  A
 :class:`~repro.storage.archive.RetentionPolicy` (record-count and/or
 ``estimated_bytes`` caps on the hot tier) turns that on: whenever a write
 pushes the hot tier over a bound, the records with the **oldest
-``etime``** are evicted - indexes and documents dropped from the hot
-engine - into a :class:`~repro.storage.archive.ColdArchive` of append-only
-log segments, under their original record ids.
+``etime``** are evicted - dropped from the hot engine's indexes - into a
+:class:`~repro.storage.archive.ColdArchive` of append-only log segments,
+under their original record ids.
 
 Reads span both tiers transparently: :meth:`Tib.records` (and everything
 built on it) merges the hot tier's id-ordered results with the archive's
@@ -92,7 +95,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
 
 from repro.network.packet import FlowId
 from repro.storage.archive import ColdArchive, RetentionPolicy
-from repro.storage.docstore import Collection, DocumentStore
+from repro.storage.docstore import DocumentStore
 from repro.storage.records import (PathFlowRecord, ScanSpec, flow_key,
                                    is_wild)
 
@@ -189,8 +192,6 @@ class Tib:
 
     Args:
         host: the owning end host's name.
-        store: optional shared :class:`DocumentStore`; a private one is
-            created when omitted.
         retention: optional hot-tier bounds; when any bound is set the TIB
             runs two-tiered (see the module docstring) and ages
             oldest-``etime`` records into ``archive``.
@@ -199,19 +200,20 @@ class Tib:
             bounded retention policy needs one).
     """
 
+    # One always-empty collection shared by all instances (never write to
+    # it): the frozen pathbench tracer reads its docstore.* canaries here.
     COLLECTION = "tib_records"
+    store = DocumentStore()
 
-    def __init__(self, host: str, store: Optional[DocumentStore] = None,
+    def __init__(self, host: str,
                  retention: Optional[RetentionPolicy] = None,
                  archive: Optional[ColdArchive] = None) -> None:
         self.host = host
-        self.store = store or DocumentStore()
-        self._collection: Collection = self.store.collection(self.COLLECTION)
-        self._collection.create_index("flow_key")
-        self._collection.create_index("dst_ip")
         # Engine state (see the module docstring).  All postings hold record
-        # ids; ids are assigned in insertion order, so id order doubles as
-        # the deterministic result order.
+        # ids; ids are assigned in first-arrival order (both tiers share the
+        # sequence), so id order doubles as the deterministic result order.
+        self._next_id = 0
+        self._hot_bytes = 0  # sum of document_bytes() over the hot records
         self._primary: Dict[Tuple[str, Tuple[str, ...]], int] = {}
         self._cache: Dict[int, PathFlowRecord] = {}
         self._flow_ids: Dict[str, List[int]] = {}
@@ -317,7 +319,8 @@ class Tib:
 
     def clear(self) -> None:
         """Drop every record."""
-        self._collection.clear()
+        self._next_id = 0
+        self._hot_bytes = 0
         self._primary.clear()
         self._cache.clear()
         self._flow_ids.clear()
@@ -346,9 +349,9 @@ class Tib:
         it, then evict that same record before ``add_record`` returns.
         Routing it straight to the write-behind buffer produces the
         *identical* observable state - same hot contents, same cold
-        contents, same eviction count, and the same record id (reserved
-        from the collection's sequence, so spanning reads stay byte-
-        identical to an uncapped TIB's id order) - without the round-trip.
+        contents, same eviction count, and the same record id (the next of
+        the sequence, so spanning reads stay byte-identical to an uncapped
+        TIB's id order) - without the round-trip.
         Stale heap entries only ever *understate* the hot minimum, so the
         strict comparison can never misroute a record the hot tier would
         have kept.
@@ -360,7 +363,8 @@ class Tib:
         heap = self._evict_heap
         if not heap or record.etime >= heap[0][0]:
             return False
-        record_id = self._collection.reserve_id()
+        record_id = self._next_id
+        self._next_id += 1
         # _flow_totals spans both tiers (see _evict_record).
         totals = self._flow_totals.get(key[0])
         if totals is None:
@@ -374,7 +378,9 @@ class Tib:
 
     def _insert_new(self, key: Tuple[str, Tuple[str, ...]],
                     record: PathFlowRecord) -> None:
-        record_id = self._collection.insert(record.to_document())
+        record_id = self._next_id
+        self._next_id += 1
+        self._hot_bytes += record.document_bytes()
         self._primary[key] = record_id
         self._cache[record_id] = record
         self._flow_ids.setdefault(key[0], []).append(record_id)
@@ -402,24 +408,20 @@ class Tib:
         totals = self._flow_totals[fkey]
         totals[0] += record.bytes
         totals[1] += record.pkts
-        changes = {"bytes": cached.bytes, "pkts": cached.pkts}
         # A moved bound strands the old index entry; since ``stime`` only
         # ever decreases and ``etime`` only ever increases, the live entry
         # is the one whose time equals the record's current bound, and
         # reads skip the stale ones (compacted once they pile up).
         if record.stime < cached.stime:
             cached.stime = record.stime
-            changes["stime"] = cached.stime
             self._pending_stime.append((cached.stime, record_id))
             self._stale_time_entries += 1
         if record.etime > cached.etime:
             cached.etime = record.etime
-            changes["etime"] = cached.etime
             self._pending_etime.append((cached.etime, record_id))
             self._stale_time_entries += 1
             if self.retention.bounded:
                 heappush(self._evict_heap, (cached.etime, record_id))
-        self._collection.update(record_id, changes)
 
     # -------------------------------------------------------------- retention
     def configure_retention(self, max_records: Optional[int] = None,
@@ -451,8 +453,7 @@ class Tib:
         policy = self.retention
         cache = self._cache
         heap = self._evict_heap
-        while heap and policy.exceeded_by(len(cache),
-                                          self._collection.estimated_bytes()):
+        while heap and policy.exceeded_by(len(cache), self._hot_bytes):
             etime, record_id = heappop(heap)
             record = cache.get(record_id)
             if record is None or record.etime != etime:
@@ -484,7 +485,7 @@ class Tib:
                 ids.discard(record_id)
                 if not ids:
                     del self._endpoint_ids[node]
-        self._collection.delete_by_id(record_id)
+        self._hot_bytes -= record.document_bytes()
         # Its sorted-time entries are stranded; reads already validate
         # against the cache when stale entries exist, and the next rebuild
         # drops them.
@@ -556,9 +557,7 @@ class Tib:
     def _install_promoted(self, record_id: int, record: PathFlowRecord,
                           key: Tuple[str, Tuple[str, ...]]) -> None:
         """Install an already-taken archived record into the hot tier."""
-        document = record.to_document()
-        document["_id"] = record_id
-        self._collection.insert(document)
+        self._hot_bytes += record.document_bytes()
         self._primary[key] = record_id
         self._cache[record_id] = record
         self._cache_order_dirty = True
@@ -909,7 +908,7 @@ class Tib:
     def estimated_bytes(self) -> int:
         """Approximate **hot-tier** storage footprint (Section 5.3
         accounting; the quantity ``RetentionPolicy.max_bytes`` bounds)."""
-        return self._collection.estimated_bytes()
+        return self._hot_bytes
 
     def flush_archive(self) -> None:
         """Force the archive's write-behind buffer into its log.
@@ -941,7 +940,7 @@ class Tib:
         stats = archive.stats if archive else {}
         return {
             "hot_records": len(self._cache),
-            "hot_bytes": self._collection.estimated_bytes(),
+            "hot_bytes": self._hot_bytes,
             "cold_records": archive.live_count if archive else 0,
             "cold_bytes": archive.archive_bytes() if archive else 0,
             "evictions": self.evictions,
@@ -958,14 +957,13 @@ class Tib:
         }
 
     def reset_stats(self) -> None:
-        """Zero the instrumentation counters: the backing collection's, the
+        """Zero the instrumentation counters: the scan-routing counts, the
         archive's, and the tier-movement (eviction/promotion) counts.
 
         The archive flushes first, so the new measurement interval starts
         from a settled tier instead of counting a predecessor's staged
         evictions as its own flush work.
         """
-        self._collection.reset_stats()
         self.evictions = 0
         self.promotions = 0
         self.scan_routes = {"flow": 0, "link": 0, "time": 0, "full": 0}
@@ -977,29 +975,14 @@ class Tib:
     def get_flows(self, link: Optional[LinkId] = None,
                   time_range: Optional[TimeRange] = None) -> List[Flow]:
         """``getFlows(linkID, timeRange)``: flows traversing ``link``."""
-        flows: List[Flow] = []
-        seen = set()
-        for record in self.records(link=link, time_range=time_range):
-            key = (record.flow_id, record.path)
-            if key in seen:
-                continue
-            seen.add(key)
-            flows.append((record.flow_id, record.path))
-        return flows
+        return distinct_flows(self.records(link=link, time_range=time_range))
 
     def get_paths(self, flow_id: FlowId, link: Optional[LinkId] = None,
                   time_range: Optional[TimeRange] = None
                   ) -> List[Tuple[str, ...]]:
         """``getPaths(flowID, linkID, timeRange)``: paths taken by a flow."""
-        paths: List[Tuple[str, ...]] = []
-        seen = set()
-        for record in self.records(flow_id=flow_id, link=link,
-                                   time_range=time_range):
-            if record.path in seen:
-                continue
-            seen.add(record.path)
-            paths.append(record.path)
-        return paths
+        return distinct_paths(self.records(flow_id=flow_id, link=link,
+                                           time_range=time_range))
 
     def get_count(self, flow: Union[Flow, FlowId],
                   time_range: Optional[TimeRange] = None) -> Tuple[int, int]:
@@ -1008,49 +991,75 @@ class Tib:
         ``flow`` may be a (flowID, Path) pair - counting only that path's
         records - or a bare flowID, counting across all its paths.
         """
-        flow_id, path = self._split_flow(flow)
+        flow_id, path = split_flow(flow)
         if path is None and time_range is None:
-            totals = self._flow_totals.get(flow_key(flow_id))
-            return (totals[0], totals[1]) if totals else (0, 0)
-        nbytes = 0
-        npkts = 0
-        for record in self.records(flow_id=flow_id, time_range=time_range):
-            if path is not None and record.path != path:
-                continue
-            nbytes += record.bytes
-            npkts += record.pkts
-        return nbytes, npkts
+            return self.flow_totals(flow_key(flow_id))
+        return sum_counts(self.records(flow_id=flow_id,
+                                       time_range=time_range), path)
 
     def get_duration(self, flow: Union[Flow, FlowId],
                      time_range: Optional[TimeRange] = None) -> float:
-        """``getDuration(Flow, timeRange)``: observed duration of a flow.
+        """``getDuration(Flow, timeRange)``: observed duration of a flow
+        (see :func:`clamped_duration`)."""
+        flow_id, path = split_flow(flow)
+        return clamped_duration(self.records(flow_id=flow_id,
+                                             time_range=time_range),
+                                path, time_range)
 
-        With a ``time_range``, each record's ``[stime, etime]`` extent is
-        clamped to the requested window before the spread is taken - a
-        record merely *overlapping* the window must not leak observation
-        time from outside it (the reported duration can never exceed the
-        window's length).  Without matching records the duration is 0.
-        """
-        flow_id, path = self._split_flow(flow)
-        start, end = normalise_time_range(time_range)
-        stimes: List[float] = []
-        etimes: List[float] = []
-        for record in self.records(flow_id=flow_id, time_range=time_range):
-            if path is not None and record.path != path:
-                continue
-            stime = record.stime if start is None else max(record.stime, start)
-            etime = record.etime if end is None else min(record.etime, end)
-            stimes.append(stime)
-            etimes.append(etime)
-        if not stimes:
-            return 0.0
-        return max(etimes) - min(stimes)
 
-    # ------------------------------------------------------------- internals
-    @staticmethod
-    def _split_flow(flow: Union[Flow, FlowId]
-                    ) -> Tuple[FlowId, Optional[Tuple[str, ...]]]:
-        if isinstance(flow, FlowId):
-            return flow, None
-        flow_id, path = flow
-        return flow_id, tuple(path) if path is not None else None
+# The dedupe / sum / clamp halves of the Table 1 API, over any iterable of
+# records: the TIB feeds them its own matches, the agent its TIB's plus the
+# live trajectory memory's.
+
+def split_flow(flow: Union[Flow, FlowId]
+               ) -> Tuple[FlowId, Optional[Tuple[str, ...]]]:
+    """A "Flow" argument as ``(flowID, path or None)``."""
+    if isinstance(flow, FlowId):
+        return flow, None
+    flow_id, path = flow
+    return flow_id, tuple(path) if path is not None else None
+
+
+def distinct_flows(records: Iterable[PathFlowRecord]) -> List[Flow]:
+    """The distinct (flowID, Path) pairs of ``records``, first-seen order."""
+    return list(dict.fromkeys((r.flow_id, r.path) for r in records))
+
+
+def distinct_paths(records: Iterable[PathFlowRecord]
+                   ) -> List[Tuple[str, ...]]:
+    """The distinct paths of ``records``, first-seen order."""
+    return list(dict.fromkeys(r.path for r in records))
+
+
+def sum_counts(records: Iterable[PathFlowRecord],
+               path: Optional[Tuple[str, ...]]) -> Tuple[int, int]:
+    """``(bytes, packets)`` over ``records`` (only ``path``'s when given)."""
+    nbytes = npkts = 0
+    for record in records:
+        if path is None or record.path == path:
+            nbytes += record.bytes
+            npkts += record.pkts
+    return nbytes, npkts
+
+
+def clamped_duration(records: Iterable[PathFlowRecord],
+                     path: Optional[Tuple[str, ...]],
+                     time_range: Optional[TimeRange]) -> float:
+    """Spread of ``records`` (only ``path``'s when given) inside the window.
+
+    Each record's ``[stime, etime]`` extent is clamped to ``time_range``
+    before the spread is taken - a record merely *overlapping* the window
+    must not leak observation time from outside it (the reported duration
+    can never exceed the window's length).  Without matching records the
+    duration is 0.
+    """
+    start, end = normalise_time_range(time_range)
+    stimes: List[float] = []
+    etimes: List[float] = []
+    for record in records:
+        if path is None or record.path == path:
+            stimes.append(record.stime if start is None
+                          else max(record.stime, start))
+            etimes.append(record.etime if end is None
+                          else min(record.etime, end))
+    return max(etimes) - min(stimes) if stimes else 0.0

@@ -7,10 +7,11 @@ Section 3.2 of the paper defines the TIB record as
 and the trajectory-memory record as the pre-path-construction variant keyed
 by ``(flow ID, link IDs)``.  This module defines both as slotted dataclasses
 (the trajectory-memory record is allocated on the packet fast path, the TIB
-record once per stored row) plus the (de)serialisation to the plain-dict
-documents stored in the :class:`~repro.storage.docstore.DocumentStore`,
-along with the payload-size estimator used by the query traffic-volume
-experiments.
+record once per stored row), the record's plain-dict document form and the
+size of that document under the Section 5.3 storage accounting
+(:meth:`PathFlowRecord.document_bytes` - the TIB keeps the hot tier's
+footprint as a running sum of it and stores no documents), along with the
+payload-size estimator used by the query traffic-volume experiments.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ def is_wild(value) -> bool:
 #: measured against the real :mod:`repro.core.wire` codec now; this estimate
 #: survives as a cross-check (see ``estimated_wire_bytes``).
 RECORD_FIXED_BYTES = 13 + 16 + 16
+
+#: The part of :meth:`PathFlowRecord.document_bytes` every record shares:
+#: 16 B per document, the twelve key names (``_id`` and the eleven of
+#: ``to_document``), 8 B for each of the eight numbers (``_id``, two ports,
+#: protocol, two timestamps, two counters) and 4 B for the path list.
+_DOCUMENT_FIXED_BYTES = 16 + len(
+    "_id" "src_ip" "dst_ip" "src_port" "dst_port" "protocol" "flow_key"
+    "path" "stime" "etime" "bytes" "pkts") + 8 * 8 + 4
 
 
 @dataclass(slots=True)
@@ -101,6 +110,20 @@ class PathFlowRecord:
             self.etime = when
 
     # ---------------------------------------------------------- serialization
+    def document_bytes(self) -> int:
+        """Size of this record's stored document (Section 5.3 accounting).
+
+        Exactly what a :class:`~repro.storage.docstore.Collection` charges
+        for ``to_document()`` plus its ``_id``.  Every number costs 8 B
+        whatever its value and a string its UTF-8 length + 1, so the size
+        depends only on the flow ID and the path - a merge never changes it.
+        """
+        flow_id = self.flow_id
+        strings = (flow_id.src_ip, flow_id.dst_ip, flow_key(flow_id),
+                   *self.path)
+        return (_DOCUMENT_FIXED_BYTES + len(strings)
+                + len("".join(strings).encode("utf-8")))
+
     def to_document(self) -> Dict[str, Any]:
         """Serialise to a plain-dict document for the document store."""
         return {

@@ -53,6 +53,34 @@ class TestHostApi:
         nbytes, _ = agent.get_count(_flow(7), include_live=True)
         assert nbytes == 123
 
+    @pytest.mark.parametrize("max_records", [None, 1])
+    def test_include_live_is_a_no_op_on_empty_trajectory_memory(
+            self, agent, max_records):
+        # get_count without live records goes through Tib.get_count (the
+        # per-flow-totals fast path), with them through sum_counts over
+        # agent.records(): the two must not drift, on either tier.
+        agent.tib.configure_retention(max_records=max_records)
+        assert agent.tib.tier_stats()["cold_records"] == \
+            (2 if max_records else 0)
+        assert len(agent.trajectory_memory) == 0
+        windows = (None, (0.5, 3.0), (2.0, None))
+        flows = [_flow(1), _flow(2), _flow(9), (_flow(1), PATH_A),
+                 (_flow(1), PATH_B), (_flow(2), PATH_A)]
+        for window in windows:
+            assert agent.get_flows(time_range=window) == \
+                agent.get_flows(time_range=window, include_live=True)
+            for flow in flows:
+                assert agent.get_count(flow, window) == \
+                    agent.get_count(flow, window, include_live=True)
+                assert agent.get_duration(flow, window) == \
+                    agent.get_duration(flow, window, include_live=True)
+            for flow_id in (_flow(1), _flow(2), _flow(9)):
+                assert agent.get_paths(flow_id, time_range=window) == \
+                    agent.get_paths(flow_id, time_range=window,
+                                    include_live=True)
+        assert agent.get_count(_flow(1), include_live=True) == \
+            (2_005_000, 1404)
+
     def test_alarm_forwarded_to_sink(self, agent):
         agent.alarm(_flow(1), PC_FAIL, [PATH_A], detail="too long")
         assert agent.received_alarms[-1].reason == PC_FAIL

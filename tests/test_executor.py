@@ -488,8 +488,10 @@ class TestClusterExecutorIntegration:
         populated_cluster.execute(Query(Q_GET_FLOWS, {}))
         assert populated_cluster.rpc.stats.messages > 0
         agent = populated_cluster.agent(populated_cluster.hosts[0])
-        agent.tib._collection.stats["full_scans"] += 3
+        assert agent.tib.scan_routes["full"] > 0
+        agent.tib.evictions += 3
         populated_cluster.reset_stats()
         assert populated_cluster.rpc.stats.messages == 0
         assert populated_cluster.rpc.total_traffic_bytes == 0
-        assert agent.tib._collection.stats["full_scans"] == 0
+        assert agent.tib.scan_routes["full"] == 0
+        assert agent.tib.evictions == 0

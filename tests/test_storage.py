@@ -1,5 +1,7 @@
 """Tests for the document store and flow-record schema."""
 
+import random
+
 import pytest
 
 from repro.network.packet import FlowId, PROTO_TCP
@@ -235,6 +237,35 @@ class TestRecords:
         doc = record.to_document()
         rebuilt = PathFlowRecord.from_document(doc)
         assert rebuilt == record
+
+    def test_document_bytes_is_what_a_collection_charges(self):
+        """``document_bytes()`` == the docstore's price for ``to_document()``
+        plus its ``_id``, for any strings, path length and number size -
+        and stays put under a merge-style update (every number is 8 B)."""
+        rng = random.Random(53)
+        names = ["", "h", "host-a1", "tor-0-0", "zürich", "中中", "😀-edge",
+                 "x" * 40]
+        huge = (0, 1, 80, 65_535, 2 ** 63, 2 ** 63 + 1, 2 ** 200, -2 ** 64)
+        for _ in range(300):
+            flow = FlowId(rng.choice(names), rng.choice(names),
+                          rng.choice(huge), rng.choice(huge),
+                          rng.choice(huge))
+            path = tuple(rng.choice(names)
+                         for _ in range(rng.choice((0, 1, 2, 5, 9))))
+            record = PathFlowRecord(
+                flow, path, rng.choice((0, 0.5, 2 ** 70)),
+                rng.choice((1, 1e300)), rng.choice(huge), rng.choice(huge))
+            collection = Collection("c")
+            document = record.to_document()
+            if rng.random() < 0.5:  # a promotion's explicit (any-size) _id
+                document["_id"] = rng.choice(huge)
+            doc_id = collection.insert(document)
+            assert record.document_bytes() == collection.estimated_bytes()
+            assert record.document_bytes() == \
+                collection.recompute_estimated_bytes()
+            collection.update(doc_id, {"bytes": 2 ** 90, "pkts": 7,
+                                       "stime": -1.0, "etime": 2 ** 80})
+            assert record.document_bytes() == collection.estimated_bytes()
 
     def test_links_and_traversal(self):
         record = PathFlowRecord(self._flow(),
