@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple
 from repro.core import wire
 from repro.core.alarms import Alarm
 from repro.core.monitor import ActiveMonitor
-from repro.core.query import QueryEngine
+from repro.core.query import Query, QueryEngine
 from repro.core.tib import Tib
 from repro.storage.records import PathFlowRecord
 
@@ -113,24 +113,52 @@ class _WorkerAgent:
         return drained
 
 
+class _RequestMemo:
+    """The last query-request frame a worker decoded, and its query.
+
+    A direct query's envelope carries the same request bytes for every
+    host of a group, so one remembered entry turns the group's M decodes
+    into one.  The hosts then share one :class:`~repro.core.query.Query`
+    object, as they do in serial mode - handlers only read it.  Frames
+    that differ per host (a multi-level scatter's carry each host's
+    subtree spec) simply miss.
+    """
+
+    __slots__ = ("_frame", "_query")
+
+    def __init__(self) -> None:
+        self._frame: Optional[bytes] = None
+        self._query: Optional[Query] = None
+
+    def query(self, frame: bytes) -> Query:
+        """The query ``frame`` asks (raises ``WireError`` on a corrupt
+        frame, which is then not remembered)."""
+        if frame != self._frame:
+            self._query, _spec = wire.decode_query_request(frame)
+            self._frame = frame
+        return self._query
+
+
 class _HostServer:
     """One host's worker-side frame switch: state + ``frame -> reply``.
 
     :func:`~repro.core.groupserver.group_server_main` owns one of these
     per host of its shard and routes ``MSG_GROUP_BATCH`` entries to them.
-    Record/observation batches and monitor-state seeds are fire-and-forget
-    (the channel's FIFO ordering guarantees they are applied before any
-    later query or tick); an ingest failure is latched on
-    ``pending_error`` and reported as the reply to the next request
+    Record/observation batches, monitor-state seeds and re-opens are
+    fire-and-forget (the channel's FIFO ordering guarantees they are
+    applied before any later query or tick); an ingest failure is latched
+    on ``pending_error`` and reported as the reply to the next request
     instead of being lost.  Alarms raised host-side are queued and leave
     on the next reply that can carry them: a monitor tick's alarm batch,
     or piggybacked on a query result.
     """
 
-    def __init__(self, host: str) -> None:
+    def __init__(self, host: str, requests: _RequestMemo) -> None:
         self.host = host
         self.agent = _WorkerAgent(host)
         self.engine = QueryEngine()
+        #: Shared by every host server of the worker process.
+        self.requests = requests
         self.pending_error: Optional[str] = None
 
     def note_error(self, detail: str) -> None:
@@ -167,6 +195,11 @@ class _HostServer:
             except Exception as error:
                 self.pending_error = (f"monitor state failed: "
                                       f"{type(error).__name__}: {error}")
+        elif kind == wire.MSG_MONITOR_REOPEN:
+            # The cluster's reset_stats(), shipped as the operation: the
+            # local agent's monitor just ran the same call on the ledger
+            # the observation mirror keeps identical to this one.
+            agent.monitor.reset_stats()
         elif kind == wire.MSG_RETENTION:
             # Fire-and-forget, like ingest: the channel's FIFO ordering
             # guarantees the cap is in force before any later record
@@ -190,7 +223,7 @@ class _HostServer:
                 # MSG_PLAN_RESULT frame - so plans ride every worker
                 # transport (pipe, socket, group batches) through the
                 # exact same request/reply path as legacy queries.
-                query, _spec = wire.decode_query_request(frame)
+                query = self.requests.query(frame)
                 # measure_wire=False: the frame we are about to send IS
                 # the measurement (encoding twice would double the
                 # serialization cost on the hot path); the client sets

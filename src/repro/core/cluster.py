@@ -490,8 +490,10 @@ class QueryCluster:
         agent) keep both sides identical.  Records written straight into
         ``agent.tib`` - and monitor state mutated outside ``observe_flow``
         (e.g. changing ``poor_threshold``) - bypass the mirror; do that
-        only before starting the workers.  Idempotent: an already-running
-        pool is returned as is.
+        only before starting the workers (nothing re-ships monitor state
+        to a running worker except a restart's re-seed and a local sweep
+        run while the workers idle - :meth:`reset_stats` does not).
+        Idempotent: an already-running pool is returned as is.
 
         The mirror is *deferred*: a write queues on its worker
         connection's outbox and leaves, coalesced, ahead of the next
@@ -828,20 +830,25 @@ class QueryCluster:
         return MonitorSweep(alarms, mode=self.mode,
                             warnings=self._drain_warnings())
 
-    def _seed_worker_monitors(self) -> None:
-        """Push every agent's current monitor state to its worker: one
-        envelope per group, flushed as soon as the group is complete so
-        its worker applies the seeds while the next group's are encoded."""
+    def _post_per_group(self, post) -> None:
+        """``post(host)`` for every host that has an agent: one envelope
+        per group, flushed as soon as the group is complete so its worker
+        applies the entries while the next group's are built."""
         pool = self._process_pool
         for key in pool.group_keys():
             try:
                 for host in pool.group_hosts(key):
-                    agent = self.agents.get(host)
-                    if agent is not None:
-                        pool.seed_monitor(host, agent.monitor.snapshot())
+                    if host in self.agents:
+                        post(host)
                 pool.flush(key)
             except AgentServerError:
                 pass  # dead worker: the query path reports it already
+
+    def _seed_worker_monitors(self) -> None:
+        """Push every agent's current monitor state to its worker."""
+        pool = self._process_pool
+        self._post_per_group(lambda host: pool.seed_monitor(
+            host, self.agents[host].monitor.snapshot()))
 
     def _run_monitors_group(self, now: float,
                             threshold: Optional[int]) -> MonitorSweep:
@@ -1254,16 +1261,25 @@ class QueryCluster:
         compaction counts) and each monitor's alert counters/latches, so
         repeated runs against the same cluster can't double-count and a new
         measurement interval re-alerts still-poor flows.  In a worker mode
-        the reset monitor state is re-seeded to the workers, keeping both
-        sides of the mirror identical.  Call once per experiment.
+        every worker monitor runs the same ``reset_stats()`` (one
+        payload-less ``MSG_MONITOR_REOPEN`` per host): the operation
+        travels, not its result, because the observation mirror already
+        keeps the two ledgers identical - so the reset costs a few bytes a
+        host whatever the ledgers hold, and the next tick does not queue
+        behind workers restoring thousands of flow entries.  It therefore
+        no longer re-ships monitor state: fields mutated outside
+        ``observe_flow`` after the workers started (unsupported, see
+        :meth:`start_agent_servers`) are not healed here.  Call once per
+        experiment.
         """
         for agent in self.agents.values():
             agent.reset_stats()
-        if self._process_pool is not None:
-            # Re-seed (and flush) before zeroing the traffic counters: the
-            # sync frames are reset bookkeeping, not part of the next
+        pool = self._process_pool
+        if pool is not None:
+            # Posted (and flushed) before the traffic counters are zeroed:
+            # these frames are reset bookkeeping, not part of the next
             # experiment.
-            self._seed_worker_monitors()
+            self._post_per_group(pool.reopen_monitor)
         self.rpc.reset()
         reset_transport = getattr(self.transport, "reset_stats", None)
         if callable(reset_transport):

@@ -25,9 +25,9 @@ picks fewer, larger groups:
   single ``MSG_GROUP_BATCH`` envelope (``group_monitor_tick``,
   ``group_query``, ...), amortizing the per-message cost: the envelope
   costs one transport message where naive per-host send pays it M times.
-  Fire-and-forget frames (ingest, retention, monitor seeds) wait in the
-  connection's *outbox* and leave as one envelope ahead of the next
-  request on that connection (:class:`_GroupConn`).
+  Fire-and-forget frames (ingest, retention, monitor seeds and re-opens)
+  wait in the connection's *outbox* and leave as one envelope ahead of
+  the next request on that connection (:class:`_GroupConn`).
   The inner frames are opaque here, so generic ``MSG_PLAN_REQUEST``/
   ``MSG_PLAN_RESULT`` plan frames coalesce exactly like legacy query
   frames - no group-transport change per new question, ever.
@@ -64,7 +64,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import wire
-from repro.core.agentserver import AgentServerError, _HostServer
+from repro.core.agentserver import (AgentServerError, _HostServer,
+                                    _RequestMemo)
 from repro.core.alarms import Alarm
 from repro.core.executor import ModelTransport
 from repro.core.monitor import MonitorSnapshot, TransferObservation
@@ -242,7 +243,8 @@ def group_server_main(group_id: int, group_count: int,
         except OSError:
             channel.close()
             return
-    servers = {host: _HostServer(host) for host in hosts}
+    requests = _RequestMemo()
+    servers = {host: _HostServer(host, requests) for host in hosts}
     try:
         while True:
             frame = channel.recv()
@@ -958,6 +960,11 @@ class GroupAgentPool:
         """Replace ``host``'s worker monitor state (fire-and-forget)."""
         self._post(host, wire.encode_monitor_state(snapshot))
 
+    def reopen_monitor(self, host: str) -> None:
+        """Make ``host``'s worker monitor run ``reset_stats()`` - alert
+        counter zeroed, every latch cleared (fire-and-forget)."""
+        self._post(host, wire.encode_monitor_reopen())
+
     def seed_host(self, host: str, seed: WorkerSeed,
                   reseed: bool = False) -> None:
         """Queue ``host``'s state the way the startup sync and a restart
@@ -974,9 +981,10 @@ class GroupAgentPool:
                        reseed=reseed)
 
     def flush(self, key: str) -> None:
-        """Write group ``key``'s outbox now (monitor re-seeds: the worker
-        starts applying them at once, and ``reset_stats`` charges them to
-        the interval that ends, not the one that starts)."""
+        """Write group ``key``'s outbox now (monitor re-seeds and
+        re-opens: the worker starts applying them at once, and
+        ``reset_stats`` charges them to the interval that ends, not the
+        one that starts)."""
         conn = self._conn_for(self._key_for(key))
         try:
             conn.send()

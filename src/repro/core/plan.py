@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
@@ -608,6 +609,25 @@ def rank_select(pairs: Iterable[Tuple[Any, ...]], k: int,
     return sorted(heap, reverse=True)
 
 
+def merge_ranked(payloads: Sequence[Sequence[Tuple[Any, ...]]], k: int,
+                 order: str = ORDER_DESC) -> List[Tuple[Any, ...]]:
+    """The k extreme pairs across partial top-k lists - exactly
+    :func:`rank_select` over all their pairs, without its Python loop.
+
+    Every partial is already a sorted run under the same full-tuple total
+    order (it came out of :func:`rank_select` or an earlier merge), so
+    concatenating and sorting costs one C-level run merge (timsort), and
+    a total order has only one sorted sequence to slice the head off.
+    ``k < 1`` is rejected per host before anything is merged; it must not
+    turn into a negative slice here.
+    """
+    merged = list(chain.from_iterable(payloads))
+    if merged and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    merged.sort(reverse=order != ORDER_ASC)
+    return merged[:k]
+
+
 def _run_pipeline(plan: Plan, records: Sequence[PathFlowRecord],
                   skip_filter: bool) -> Any:
     """Apply the plan's ops to ``records`` via the executor registry.
@@ -646,6 +666,15 @@ class PlanExecution:
     records_scanned: int
     estimated_wire_bytes: int
     scan_stats: Dict[str, int]
+
+
+#: The per-plan scan stats of an execution that scanned nothing: every
+#: key of ``Tib.scan_stat_snapshot()`` (the same set with and without a
+#: cold tier; a test pins the two equal), all zero.  Copied per execution.
+_NO_SCAN_STATS: Dict[str, int] = dict.fromkeys((
+    "hot_flow_routed", "hot_link_routed", "hot_time_routed",
+    "hot_full_scans", "cold_segments_skipped", "cold_entries_skipped",
+    "cold_entries_decoded", "cold_decode_cache_hits"), 0)
 
 
 def _scalar_flow_sum(plan: Plan) -> Optional[Tuple[str, Tuple[str, ...]]]:
@@ -712,20 +741,19 @@ def execute_plan(tib: Any, plan: Plan) -> PlanExecution:
         object.__setattr__(plan, "_pushdown_shape", shape)
     if shape[0] == "scalar":
         # Served from the maintained per-flow totals - no scan on either
-        # tier, so the per-plan stats are zero by construction (one
-        # snapshot supplies the stable key shape without a diff).
+        # tier, so the per-plan stats are zero by construction.
         fkey, fields = shape[1], shape[2]
         totals = tib.flow_totals(fkey)
         by_name = {"bytes": totals[0], "pkts": totals[1]}
         payload: Any = tuple(by_name[name] for name in fields)
         scanned = 1  # one maintained aggregate row, like getCount
-        scan_stats = dict.fromkeys(tib.scan_stat_snapshot(), 0)
+        scan_stats = dict(_NO_SCAN_STATS)
     elif shape[0] == "keyed":
         payload = tib.flow_byte_totals()
         scanned = tib.total_record_count()
         for op in shape[1]:
             payload = _EXEC_BY_OP[op.code](op, payload, plan)
-        scan_stats = dict.fromkeys(tib.scan_stat_snapshot(), 0)
+        scan_stats = dict(_NO_SCAN_STATS)
     else:
         before = tib.scan_stat_snapshot()
         spec, residual_path = shape[1], shape[2]
@@ -777,8 +805,7 @@ def _merge_top_k(plan: Plan, payloads: Sequence[Any]) -> Any:
     ``(n - 1) * k`` pairs die at every aggregation level."""
     op = plan.topk
     assert op is not None  # validator: MERGE_TOP_K only with a TopK op
-    return rank_select((pair for payload in payloads for pair in payload),
-                       op.k, op.order)
+    return merge_ranked(payloads, op.k, op.order)
 
 
 #: Merge operator per *terminal* op (R9: every OP_* must be a key here).

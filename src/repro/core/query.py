@@ -511,8 +511,9 @@ def top_k_select(items: Iterable[Tuple[int, str]], k: int
     is a well-defined *set* regardless of input order - which makes per-host
     selection and the partial-result merge commutative and associative, the
     property the streaming/concurrent aggregation's payload determinism
-    rests on.  Shared by the per-host handler and the merge function so the
-    tie-break can never diverge between them.
+    rests on.  The per-host selection of the ``*_LEGACY`` oracle; partials
+    merge through :func:`repro.core.plan.merge_ranked`, whose one sorted
+    sequence under the same total order cannot break ties differently.
     """
     heap: List[Tuple[int, str]] = []
     for item in items:
@@ -548,9 +549,7 @@ def _merge_top_k(query: Query, payloads: Sequence[List[Tuple[int, str]]]
     ``(n_i - 1) * k`` key-value pairs are discarded at every aggregation
     level (Section 5.2).
     """
-    k = query.params.get("k", 1000)
-    merged = top_k_select(
-        (item for payload in payloads for item in payload), k)
+    merged = planlib.merge_ranked(payloads, query.params.get("k", 1000))
     return merged, _KV_BYTES * max(1, len(merged))
 
 

@@ -39,9 +39,44 @@ payloads), record batches (the simulator -> agent-server ingest stream),
 query results / partial aggregates (with any pending host alarms
 piggybacked - the asynchronous agent -> controller alert channel drains on
 the reply), the event-plane frames (transfer-observation batches, monitor
-ticks, alarm batches, monitor-state snapshots/pulls), and the small control
-frames of the agent-server protocol (error, ping/pong, reset, sleep,
-shutdown).
+ticks, alarm batches, monitor-state snapshots/pulls, the payload-less
+re-open command behind ``reset_stats``), and the small control frames of
+the agent-server protocol (error, ping/pong, reset, sleep, shutdown).
+
+How the codec is written
+------------------------
+
+In CPython the codec's cost is its number of Python-level calls, not its
+bytes, so the hot legs are written against that:
+
+* **Reading** goes through :class:`_Reader`, a cursor over one frame.
+  Each primitive (``uvarint``/``varint``/``str_``/``double``/...) is *one*
+  call that works on local ``data``/``pos`` - a one-byte varint returns
+  on its first index, a string is decoded straight from its slice - and
+  ``values(count)`` reads a whole run of tagged values in one loop with
+  the leaves (ints, strings) inline, spending a call only per container.
+  Truncation is caught where it is free: an ``IndexError`` from indexing
+  past the end, one length compare before a slice (slices never raise),
+  both surfacing as the same ``WireError("truncated frame")``.  Every
+  ``decode_*`` entry point opens its frame once and is wrapped by
+  :func:`_guarded`, so a caller sees ``WireError`` or a value - nothing
+  else, whatever the bytes.
+* **Writing** mirrors it: ``_w_values`` appends a run of tagged values
+  with the same inline leaves; the fixed-layout writers (``_w_record``,
+  ``_w_alarm``, ...) spend one call per field.
+* **Sizing** builds no bytes: ``value_len`` / ``result_wire_bytes`` /
+  ``record_wire_bytes`` / ``alarm_wire_bytes`` add up what the writers
+  would append, leg by leg (*Exact sizes* below).  The accounting layers
+  size every partial result and every interior accumulator of an
+  aggregation tree in every mode - a size must not cost a serialization.
+
+What pins all of this from outside is in ``tests/test_wire.py``: a golden
+table (one frame per message type, one value per tag and width, hex
+generated by the previous implementation and compared byte for byte; every
+strict prefix of every golden frame must raise ``WireError``), a seeded
+property test that each size equals the encoded length and rejects exactly
+what the writers reject, and a pinned count of the Python-level calls two
+hot frames cost to decode.
 """
 
 from __future__ import annotations
@@ -49,10 +84,10 @@ from __future__ import annotations
 import functools
 import struct
 from array import array
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple, TypeVar, Union, cast)
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple, TypeVar, Union, cast)
 
 from repro.core.alarms import Alarm
 from repro.core.monitor import (MonitorSnapshot, TcpFlowStats,
@@ -78,6 +113,9 @@ from repro.storage.records import PathFlowRecord
 #: question, so new questions never add frames again) and
 #: ``MSG_PLAN_RESULT`` extends the result layout with the per-plan
 #: scan-stat counters (hot-index routing + cold pruning work).
+#: (``MSG_MONITOR_REOPEN`` joined version 6 later without a bump: a new
+#: payload-less command moves no existing byte, and the two ends of a
+#: worker connection are always the same build.)
 MAGIC = b"PD"
 WIRE_VERSION = 6
 
@@ -107,6 +145,7 @@ MSG_GROUP_BATCH = 18
 MSG_CLOSE_TORN = 19
 MSG_PLAN_REQUEST = 20
 MSG_PLAN_RESULT = 21
+MSG_MONITOR_REOPEN = 22
 
 #: Tagged-value type codes.
 _V_NONE = 0
@@ -178,6 +217,9 @@ class SubtreeSpec(NamedTuple):
 # --------------------------------------------------------------------------
 # Primitive writers
 # --------------------------------------------------------------------------
+# (See "How the codec is written" in the module docstring: the three legs of
+# the tagged-value encoding - ``_w_values``, ``_values_len``,
+# ``_Reader.values`` - are the same loop with the same inline leaves.)
 def _w_uvarint(buf: bytearray, value: int) -> None:
     if value < 0:
         raise WireError(f"negative value {value} for unsigned varint")
@@ -189,12 +231,20 @@ def _w_uvarint(buf: bytearray, value: int) -> None:
 
 def _w_varint(buf: bytearray, value: int) -> None:
     # Zigzag: arbitrary-precision safe in both directions.
-    _w_uvarint(buf, value << 1 if value >= 0 else ((-value) << 1) - 1)
+    value = value << 1 if value >= 0 else ((-value) << 1) - 1
+    while value > 0x7F:
+        buf.append((value & 0x7F) | 0x80)
+        value >>= 7
+    buf.append(value)
 
 
 def _w_str(buf: bytearray, value: str) -> None:
     data = value.encode("utf-8")
-    _w_uvarint(buf, len(data))
+    count = len(data)
+    if count > 0x7F:
+        _w_uvarint(buf, count)
+    else:
+        buf.append(count)
     buf += data
 
 
@@ -206,70 +256,80 @@ def _w_flow_id(buf: bytearray, flow_id: FlowId) -> None:
     _w_varint(buf, flow_id.protocol)
 
 
+def _w_values(buf: bytearray, values: Iterable[Any]) -> None:
+    """Append every value of ``values``, tagged."""
+    append = buf.append
+    for value in values:
+        kind = type(value)
+        if kind is int:
+            append(_V_INT)
+            value = value << 1 if value >= 0 else ((-value) << 1) - 1
+            while value > 0x7F:
+                append((value & 0x7F) | 0x80)
+                value >>= 7
+            append(value)
+        elif kind is str:
+            append(_V_STR)
+            data = value.encode("utf-8")
+            count = len(data)
+            if count > 0x7F:
+                _w_uvarint(buf, count)
+            else:
+                append(count)
+            buf += data
+        elif kind is tuple or kind is list:
+            append(_V_TUPLE if kind is tuple else _V_LIST)
+            count = len(value)
+            if count > 0x7F:
+                _w_uvarint(buf, count)
+            else:
+                append(count)
+            _w_values(buf, value)
+        elif kind is FlowId:
+            append(_V_FLOWID)
+            _w_flow_id(buf, value)
+        elif kind is dict:
+            append(_V_DICT)
+            _w_uvarint(buf, len(value))
+            _w_values(buf, chain.from_iterable(value.items()))
+        elif value is None:
+            append(_V_NONE)
+        elif kind is bool:
+            append(_V_TRUE if value else _V_FALSE)
+        elif kind is float:
+            append(_V_FLOAT)
+            buf += _DOUBLE.pack(value)
+        elif kind is set or kind is frozenset:
+            append(_V_SET if kind is set else _V_FROZENSET)
+            _w_uvarint(buf, len(value))
+            # Sorted by encoding so equal sets encode to equal bytes.
+            for chunk in sorted(map(encode_value, value)):
+                buf += chunk
+        elif kind is bytes or kind is bytearray:
+            append(_V_BYTES)
+            _w_uvarint(buf, len(value))
+            buf += value
+        # Slow path: subclasses (bool is final and handled above;
+        # NamedTuples other than FlowId encode as plain tuples).
+        elif isinstance(value, int):
+            append(_V_INT)
+            _w_varint(buf, value)
+        elif isinstance(value, float):
+            append(_V_FLOAT)
+            buf += _DOUBLE.pack(value)
+        elif isinstance(value, FlowId):
+            append(_V_FLOWID)
+            _w_flow_id(buf, value)
+        elif isinstance(value, (tuple, list)):
+            append(_V_TUPLE if isinstance(value, tuple) else _V_LIST)
+            _w_uvarint(buf, len(value))
+            _w_values(buf, value)
+        else:
+            raise WireError(f"cannot encode value of type {kind.__name__}")
+
+
 def _w_value(buf: bytearray, value: Any) -> None:
-    kind = type(value)
-    if value is None:
-        buf.append(_V_NONE)
-    elif kind is bool:
-        buf.append(_V_TRUE if value else _V_FALSE)
-    elif kind is int:
-        buf.append(_V_INT)
-        _w_varint(buf, value)
-    elif kind is float:
-        buf.append(_V_FLOAT)
-        buf += _DOUBLE.pack(value)
-    elif kind is str:
-        buf.append(_V_STR)
-        _w_str(buf, value)
-    elif kind is FlowId:
-        buf.append(_V_FLOWID)
-        _w_flow_id(buf, value)
-    elif kind is tuple or kind is list:
-        buf.append(_V_TUPLE if kind is tuple else _V_LIST)
-        _w_uvarint(buf, len(value))
-        for item in value:
-            _w_value(buf, item)
-    elif kind is dict:
-        buf.append(_V_DICT)
-        _w_uvarint(buf, len(value))
-        for key, item in value.items():
-            _w_value(buf, key)
-            _w_value(buf, item)
-    elif kind is set or kind is frozenset:
-        buf.append(_V_SET if kind is set else _V_FROZENSET)
-        _w_uvarint(buf, len(value))
-        # Sorted by encoding so equal sets encode to equal bytes.
-        chunks = []
-        for item in value:
-            chunk = bytearray()
-            _w_value(chunk, item)
-            chunks.append(bytes(chunk))
-        for chunk in sorted(chunks):
-            buf += chunk
-    elif kind is bytes or kind is bytearray:
-        buf.append(_V_BYTES)
-        _w_uvarint(buf, len(value))
-        buf += value
-    # Slow path: subclasses (bool already handled; NamedTuples other than
-    # FlowId encode as plain tuples).
-    elif isinstance(value, bool):
-        buf.append(_V_TRUE if value else _V_FALSE)
-    elif isinstance(value, int):
-        buf.append(_V_INT)
-        _w_varint(buf, value)
-    elif isinstance(value, float):
-        buf.append(_V_FLOAT)
-        buf += _DOUBLE.pack(value)
-    elif isinstance(value, FlowId):
-        buf.append(_V_FLOWID)
-        _w_flow_id(buf, value)
-    elif isinstance(value, (tuple, list)):
-        buf.append(_V_TUPLE if isinstance(value, tuple) else _V_LIST)
-        _w_uvarint(buf, len(value))
-        for item in value:
-            _w_value(buf, item)
-    else:
-        raise WireError(f"cannot encode value of type {kind.__name__}")
+    _w_values(buf, (value,))
 
 
 def _w_record(buf: bytearray, record: PathFlowRecord) -> None:
@@ -324,10 +384,103 @@ def _w_flow_stats(buf: bytearray, stats: TcpFlowStats) -> None:
 
 
 # --------------------------------------------------------------------------
+# Exact sizes
+# --------------------------------------------------------------------------
+# ``len(encode(x))`` without the encode: one leg per writer above, adding up
+# what that writer would append.  A property test pins each leg equal to its
+# writer, and a value the writer rejects is rejected here with the same
+# error (so a custom handler's size estimate still stands in for it).
+def _uvarint_len(value: int) -> int:
+    if value < 0:
+        raise WireError(f"negative value {value} for unsigned varint")
+    return (value.bit_length() + 6) // 7 or 1
+
+
+def _varint_len(value: int) -> int:
+    value = value << 1 if value >= 0 else ((-value) << 1) - 1
+    return (value.bit_length() + 6) // 7 or 1
+
+
+def _str_len(value: str) -> int:
+    count = len(value) if value.isascii() else len(value.encode("utf-8"))
+    return count + (1 if count <= 0x7F else _uvarint_len(count))
+
+
+def _flow_id_len(flow_id: FlowId) -> int:
+    return (_str_len(flow_id.src_ip) + _str_len(flow_id.dst_ip)
+            + _varint_len(flow_id.src_port) + _varint_len(flow_id.dst_port)
+            + _varint_len(flow_id.protocol))
+
+
+def _values_len(values: Iterable[Any]) -> int:
+    """What :func:`_w_values` would append for ``values``, in bytes."""
+    size = 0
+    for value in values:
+        kind = type(value)
+        if kind is int:
+            value = value << 1 if value >= 0 else ((-value) << 1) - 1
+            size += 2 if value <= 0x7F else 1 + (value.bit_length() + 6) // 7
+        elif kind is str:
+            count = len(value) if value.isascii() \
+                else len(value.encode("utf-8"))
+            size += count + (2 if count <= 0x7F else 1 + _uvarint_len(count))
+        elif kind is tuple or kind is list or kind is set \
+                or kind is frozenset:
+            # (A set's members are written sorted; the sizes add up alike.)
+            count = len(value)
+            size += (2 if count <= 0x7F else 1 + _uvarint_len(count)) \
+                + _values_len(value)
+        elif kind is FlowId:
+            size += 1 + _flow_id_len(value)
+        elif kind is dict:
+            size += (1 + _uvarint_len(len(value)) + _values_len(value)
+                     + _values_len(value.values()))
+        elif value is None or kind is bool:
+            size += 1
+        elif kind is float:
+            size += 1 + _DOUBLE.size
+        elif kind is bytes or kind is bytearray:
+            size += 1 + _uvarint_len(len(value)) + len(value)
+        # Slow path: the subclasses ``_w_values`` accepts, nothing else.
+        elif isinstance(value, int):
+            size += 1 + _varint_len(value)
+        elif isinstance(value, float):
+            size += 1 + _DOUBLE.size
+        elif isinstance(value, FlowId):
+            size += 1 + _flow_id_len(value)
+        elif isinstance(value, (tuple, list)):
+            size += 1 + _uvarint_len(len(value)) + _values_len(value)
+        else:
+            raise WireError(f"cannot encode value of type {kind.__name__}")
+    return size
+
+
+def value_len(value: Any) -> int:
+    """Exact ``len(encode_value(value))``, built from no bytes."""
+    return _values_len((value,))
+
+
+# --------------------------------------------------------------------------
 # Reader
 # --------------------------------------------------------------------------
+_TRUNCATED = "truncated frame"
+_unpack_double = _DOUBLE.unpack_from
+
+
 class _Reader:
-    """Sequential decoder over one frame's bytes."""
+    """Sequential decoder over one frame's bytes.
+
+    Every primitive is one Python call working on local ``data``/``pos``:
+    a varint's bytes are indexed directly (one-byte values - most counts,
+    lengths and tags - return on the first), a string is decoded straight
+    from its slice; :meth:`values` reads a run of tagged values in one
+    loop (which is why it spells the varint loop out again instead of
+    calling :meth:`varint`: that would be a call per integer).  Running
+    off the end of the frame is caught where it is cheapest - an
+    ``IndexError`` from the index, one length compare for a slice (slices
+    never raise) - and always surfaces as the same
+    ``WireError("truncated frame")``.
+    """
 
     __slots__ = ("data", "pos")
 
@@ -335,116 +488,174 @@ class _Reader:
         self.data = data
         self.pos = pos
 
-    def _need(self, count: int) -> None:
-        if self.pos + count > len(self.data):
-            raise WireError("truncated frame")
-
     def u8(self) -> int:
-        self._need(1)
-        value = self.data[self.pos]
-        self.pos += 1
+        pos = self.pos
+        try:
+            value = self.data[pos]
+        except IndexError:
+            raise WireError(_TRUNCATED) from None
+        self.pos = pos + 1
         return value
 
     def uvarint(self) -> int:
-        value = 0
-        shift = 0
-        while True:
-            byte = self.u8()
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
+        data = self.data
+        pos = self.pos
+        try:
+            value = data[pos]
+            if value > 0x7F:
+                value &= 0x7F
+                shift = 7
+                while True:
+                    pos += 1
+                    byte = data[pos]
+                    value |= (byte & 0x7F) << shift
+                    if byte <= 0x7F:
+                        break
+                    shift += 7
+        except IndexError:
+            raise WireError(_TRUNCATED) from None
+        self.pos = pos + 1
+        return value
 
     def varint(self) -> int:
         value = self.uvarint()
         return -((value + 1) >> 1) if value & 1 else value >> 1
 
     def double(self) -> float:
-        self._need(8)
-        value = _DOUBLE.unpack_from(self.data, self.pos)[0]
-        self.pos += 8
+        pos = self.pos
+        try:
+            value = _unpack_double(self.data, pos)[0]
+        except struct.error:
+            raise WireError(_TRUNCATED) from None
+        self.pos = pos + 8
         return value
 
     def str_(self) -> str:
-        count = self.uvarint()
-        self._need(count)
-        value = self.data[self.pos:self.pos + count]
-        self.pos += count
+        data = self.data
+        pos = self.pos
         try:
-            return bytes(value).decode("utf-8")
+            count = data[pos]
+        except IndexError:
+            raise WireError(_TRUNCATED) from None
+        if count > 0x7F:
+            count = self.uvarint()
+            pos = self.pos
+        else:
+            pos += 1
+        end = pos + count
+        if end > len(data):
+            raise WireError(_TRUNCATED)
+        self.pos = end
+        try:
+            return str(data[pos:end], "utf-8")
         except UnicodeDecodeError as error:
             raise WireError(f"invalid UTF-8 string: {error}") from None
 
     def bytes_(self) -> bytes:
         count = self.uvarint()
-        self._need(count)
-        value = bytes(self.data[self.pos:self.pos + count])
-        self.pos += count
-        return value
+        pos = self.pos
+        end = pos + count
+        if end > len(self.data):
+            raise WireError(_TRUNCATED)
+        self.pos = end
+        return bytes(self.data[pos:end])
 
     def flow_id(self) -> FlowId:
-        return FlowId(self.str_(), self.str_(), self.varint(),
-                      self.varint(), self.varint())
+        str_ = self.str_
+        varint = self.varint
+        return FlowId(str_(), str_(), varint(), varint(), varint())
+
+    def values(self, count: int) -> List[Any]:
+        """The next ``count`` tagged values."""
+        data = self.data
+        pos = self.pos
+        items: List[Any] = []
+        append = items.append
+        try:
+            for _ in range(count):
+                tag = data[pos]
+                pos += 1
+                if tag == _V_INT:
+                    value = data[pos]
+                    if value > 0x7F:
+                        value &= 0x7F
+                        shift = 7
+                        while True:
+                            pos += 1
+                            byte = data[pos]
+                            value |= (byte & 0x7F) << shift
+                            if byte <= 0x7F:
+                                break
+                            shift += 7
+                    pos += 1
+                    append(-((value + 1) >> 1) if value & 1 else value >> 1)
+                elif tag == _V_STR and data[pos] <= 0x7F:
+                    end = pos + 1 + data[pos]
+                    if end > len(data):
+                        raise WireError(_TRUNCATED)
+                    append(str(data[pos + 1:end], "utf-8"))
+                    pos = end
+                elif tag == _V_NONE:
+                    append(None)
+                elif tag == _V_TRUE:
+                    append(True)
+                elif tag == _V_FALSE:
+                    append(False)
+                else:
+                    # Containers and the rarer leaves go through the
+                    # cursor on the instance.
+                    self.pos = pos
+                    if tag == _V_TUPLE:
+                        append(tuple(self.values(self.uvarint())))
+                    elif tag == _V_LIST:
+                        append(self.values(self.uvarint()))
+                    elif tag == _V_FLOWID:
+                        append(self.flow_id())
+                    elif tag == _V_DICT:
+                        flat = self.values(2 * self.uvarint())
+                        append(dict(zip(flat[::2], flat[1::2])))
+                    elif tag == _V_STR:
+                        append(self.str_())
+                    elif tag == _V_FLOAT:
+                        append(self.double())
+                    elif tag == _V_BYTES:
+                        append(self.bytes_())
+                    elif tag == _V_SET:
+                        append(set(self.values(self.uvarint())))
+                    elif tag == _V_FROZENSET:
+                        append(frozenset(self.values(self.uvarint())))
+                    else:
+                        raise WireError(f"unknown value tag {tag}")
+                    pos = self.pos
+        except IndexError:
+            raise WireError(_TRUNCATED) from None
+        except UnicodeDecodeError as error:
+            raise WireError(f"invalid UTF-8 string: {error}") from None
+        self.pos = pos
+        return items
 
     def value(self) -> Any:
-        tag = self.u8()
-        if tag == _V_NONE:
-            return None
-        if tag == _V_TRUE:
-            return True
-        if tag == _V_FALSE:
-            return False
-        if tag == _V_INT:
-            return self.varint()
-        if tag == _V_FLOAT:
-            return self.double()
-        if tag == _V_STR:
-            return self.str_()
-        if tag == _V_BYTES:
-            return self.bytes_()
-        if tag == _V_FLOWID:
-            return self.flow_id()
-        if tag in (_V_LIST, _V_TUPLE):
-            count = self.uvarint()
-            items = [self.value() for _ in range(count)]
-            return tuple(items) if tag == _V_TUPLE else items
-        if tag == _V_DICT:
-            count = self.uvarint()
-            return {self.value(): self.value() for _ in range(count)}
-        if tag in (_V_SET, _V_FROZENSET):
-            count = self.uvarint()
-            items = {self.value() for _ in range(count)}
-            return items if tag == _V_SET else frozenset(items)
-        raise WireError(f"unknown value tag {tag}")
+        return self.values(1)[0]
+
+    def strs(self) -> Tuple[str, ...]:
+        """A counted run of strings (a path, a host list)."""
+        str_ = self.str_
+        return tuple([str_() for _ in range(self.uvarint())])
 
     def record(self) -> PathFlowRecord:
-        flow_id = self.flow_id()
-        count = self.uvarint()
-        path = tuple(self.str_() for _ in range(count))
-        stime = self.double()
-        etime = self.double()
-        nbytes = self.varint()
-        pkts = self.varint()
-        return PathFlowRecord(flow_id=flow_id, path=path, stime=stime,
-                              etime=etime, bytes=nbytes, pkts=pkts)
+        return PathFlowRecord(self.flow_id(), self.strs(), self.double(),
+                              self.double(), self.varint(), self.varint())
 
     def spec(self) -> SubtreeSpec:
-        root = self.str_()
-        count = self.uvarint()
-        return SubtreeSpec(root, tuple(self.str_() for _ in range(count)))
+        return SubtreeSpec(self.str_(), self.strs())
 
     def alarm(self) -> Alarm:
         flow_id = self.flow_id()
         reason = self.str_()
-        paths = []
-        for _ in range(self.uvarint()):
-            hops = self.uvarint()
-            paths.append(tuple(self.str_() for _ in range(hops)))
-        host = self.str_()
-        when = self.double()
-        detail = self.str_()
-        return Alarm(flow_id=flow_id, reason=reason, paths=paths, host=host,
-                     time=when, detail=detail)
+        count = self.uvarint()
+        paths = [self.strs() for _ in range(count)] if count else []
+        return Alarm(flow_id, reason, paths, self.str_(), self.double(),
+                     self.str_())
 
     def observation(self) -> TransferObservation:
         return TransferObservation(
@@ -476,9 +687,7 @@ def _frame(msg_type: int, body: bytes = b"") -> bytes:
     return _HEADER.pack(MAGIC, WIRE_VERSION, msg_type) + body
 
 
-@_guarded
-def open_frame(data: bytes) -> Tuple[int, _Reader]:
-    """Validate a frame header; return ``(msg_type, body reader)``."""
+def _open(data: bytes) -> Tuple[int, _Reader]:
     if len(data) < HEADER_BYTES:
         raise WireError("frame shorter than header")
     magic, version, msg_type = _HEADER.unpack_from(data, 0)
@@ -490,16 +699,34 @@ def open_frame(data: bytes) -> Tuple[int, _Reader]:
     return msg_type, _Reader(data, HEADER_BYTES)
 
 
+@_guarded
+def open_frame(data: bytes) -> Tuple[int, _Reader]:
+    """Validate a frame header; return ``(msg_type, body reader)``."""
+    return _open(data)
+
+
+@_guarded
 def frame_type(data: bytes) -> int:
     """The message type of a frame (header validated)."""
-    return open_frame(data)[0]
+    return _open(data)[0]
 
 
 def _expect(data: bytes, msg_type: int) -> _Reader:
-    kind, reader = open_frame(data)
+    """The body reader of a frame that must be a ``msg_type`` (called
+    inside the :func:`_guarded` decoders, which open each frame once)."""
+    kind, reader = _open(data)
     if kind != msg_type:
         raise WireError(f"expected message type {msg_type}, got {kind}")
     return reader
+
+
+@functools.lru_cache(maxsize=None)
+def _query_types() -> Tuple[Any, Any]:
+    """``(Query, QueryResult)``, resolved on first use: :mod:`~repro.core.
+    query` imports this module, so the import cannot sit at the top - and
+    must not run on every decode either."""
+    from repro.core.query import Query, QueryResult
+    return Query, QueryResult
 
 
 # ------------------------------------------------------------------- values
@@ -520,11 +747,8 @@ def decode_value(data: bytes) -> Any:
     return value
 
 
-def payload_wire_bytes(payload: Any) -> int:
-    """Measured serialized size of a result payload."""
-    buf = bytearray()
-    _w_value(buf, payload)
-    return len(buf)
+#: Measured serialized size of a result payload.
+payload_wire_bytes = value_len
 
 
 # ------------------------------------------------------------------ queries
@@ -586,13 +810,12 @@ def decode_query_request(data: bytes):
     Accepts both frame kinds a controller ships: the legacy
     ``MSG_QUERY_REQUEST`` layout and the generic ``MSG_PLAN_REQUEST``.
     """
-    kind, reader = open_frame(data)
+    kind, reader = _open(data)
     if kind == MSG_PLAN_REQUEST:
         return _read_plan_request(reader)
     if kind != MSG_QUERY_REQUEST:
         raise WireError(f"expected message type {MSG_QUERY_REQUEST}, "
                         f"got {kind}")
-    from repro.core.query import Query
     name = reader.str_()
     params = {}
     for _ in range(reader.uvarint()):
@@ -600,7 +823,8 @@ def decode_query_request(data: bytes):
         params[key] = reader.value()
     period = reader.value()
     spec = reader.spec() if reader.u8() else None
-    return Query(name=name, params=params, period=period), spec
+    query_type, _ = _query_types()
+    return query_type(name=name, params=params, period=period), spec
 
 
 def encode_subtree_spec(spec: SubtreeSpec) -> bytes:
@@ -724,12 +948,12 @@ def encode_plan_request(query, spec: Optional[SubtreeSpec] = None) -> bytes:
 
 
 def _read_plan_request(reader: _Reader):
-    from repro.core.query import Query
     plan = _r_plan(reader)
     period = reader.value()
     spec = reader.spec() if reader.u8() else None
-    return Query(name=_plan.PLAN_QUERY_NAME, params={"plan": plan},
-                 period=period), spec
+    query_type, _ = _query_types()
+    return query_type(name=_plan.PLAN_QUERY_NAME, params={"plan": plan},
+                      period=period), spec
 
 
 @_guarded
@@ -747,15 +971,7 @@ def encode_plan_result(result) -> bytes:
     filter and how much decode work cold pruning avoided on *this* plan.
     """
     body = bytearray()
-    _w_str(body, result.query.name)
-    _w_str(body, result.host)
-    _w_varint(body, result.records_scanned)
-    _w_varint(body, result.estimated_wire_bytes)
-    _w_value(body, result.payload)
-    alarms = getattr(result, "alarms", ())
-    _w_uvarint(body, len(alarms))
-    for alarm in alarms:
-        _w_alarm(body, alarm)
+    _w_result(body, result)
     scan_stats = getattr(result, "scan_stats", None) or {}
     _w_uvarint(body, len(scan_stats))
     for key in sorted(scan_stats):
@@ -768,33 +984,17 @@ def encode_plan_result(result) -> bytes:
 def decode_plan_result(data: bytes, query=None):
     """Inverse of :func:`encode_plan_result`; returns a
     :class:`~repro.core.query.QueryResult` with ``scan_stats`` populated."""
-    from repro.core.query import Query, QueryResult
-    reader = _expect(data, MSG_PLAN_RESULT)
-    name = reader.str_()
-    host = reader.str_()
-    scanned = reader.varint()
-    estimated = reader.varint()
-    payload = reader.value()
-    alarms = tuple(reader.alarm() for _ in range(reader.uvarint()))
-    scan_stats = {}
-    for _ in range(reader.uvarint()):
-        key = reader.str_()
-        scan_stats[key] = reader.varint()
-    if query is not None and query.name != name:
-        raise WireError(f"result for query {name!r} does not answer "
-                        f"{query.name!r}")
-    return QueryResult(query=query if query is not None else Query(name),
-                       payload=payload, wire_bytes=len(data),
-                       records_scanned=scanned, estimated_wire_bytes=estimated,
-                       host=host, alarms=alarms, scan_stats=scan_stats)
+    return _read_result(_expect(data, MSG_PLAN_RESULT), MSG_PLAN_RESULT,
+                        query)
 
 
 # ------------------------------------------------------------------ records
 def record_wire_bytes(record: PathFlowRecord) -> int:
     """Measured serialized size of one record (its batch-body bytes)."""
-    buf = bytearray()
-    _w_record(buf, record)
-    return len(buf)
+    path = record.path
+    return (_flow_id_len(record.flow_id) + _uvarint_len(len(path))
+            + sum(map(_str_len, path)) + 2 * _DOUBLE.size
+            + _varint_len(record.bytes) + _varint_len(record.pkts))
 
 
 #: Append one record's batch-body bytes: with :func:`finish_batch`, the
@@ -824,7 +1024,8 @@ def encode_record_batch(records: Sequence[PathFlowRecord]) -> bytes:
 def decode_record_batch(data: bytes) -> List[PathFlowRecord]:
     """Inverse of :func:`encode_record_batch`."""
     reader = _expect(data, MSG_RECORD_BATCH)
-    return [reader.record() for _ in range(reader.uvarint())]
+    record = reader.record
+    return [record() for _ in range(reader.uvarint())]
 
 
 # ----------------------------------------------------------- cold segments
@@ -1155,6 +1356,13 @@ def encode_result(result) -> bytes:
     if result.query.name == _plan.PLAN_QUERY_NAME:
         return encode_plan_result(result)
     body = bytearray()
+    _w_result(body, result)
+    return _frame(MSG_QUERY_RESULT, bytes(body))
+
+
+def _w_result(body: bytearray, result: Any) -> None:
+    """The body both result kinds share (a plan result appends its
+    scan-stat tail)."""
     _w_str(body, result.query.name)
     _w_str(body, result.host)
     _w_varint(body, result.records_scanned)
@@ -1164,12 +1372,24 @@ def encode_result(result) -> bytes:
     _w_uvarint(body, len(alarms))
     for alarm in alarms:
         _w_alarm(body, alarm)
-    return _frame(MSG_QUERY_RESULT, bytes(body))
 
 
-def result_wire_bytes(result) -> int:
-    """Measured serialized size of a result frame (defines ``wire_bytes``)."""
-    return len(encode_result(result))
+def result_wire_bytes(result: Any) -> int:
+    """Measured serialized size of a result frame (defines ``wire_bytes``):
+    exactly ``len(encode_result(result))`` of either result kind, added up
+    leg by leg (see *Exact sizes*) - sizing a result costs no encode."""
+    alarms = getattr(result, "alarms", ())
+    size = (HEADER_BYTES + _str_len(result.query.name)
+            + _str_len(result.host) + _varint_len(result.records_scanned)
+            + _varint_len(result.estimated_wire_bytes)
+            + value_len(result.payload) + _uvarint_len(len(alarms))
+            + sum(map(alarm_wire_bytes, alarms)))
+    if result.query.name == _plan.PLAN_QUERY_NAME:
+        scan_stats = getattr(result, "scan_stats", None) or {}
+        size += _uvarint_len(len(scan_stats))
+        for key, count in scan_stats.items():
+            size += _str_len(key) + _varint_len(count)
+    return size
 
 
 @_guarded
@@ -1182,23 +1402,37 @@ def decode_result(data: bytes, query=None):
     Accepts both result kinds: the legacy ``MSG_QUERY_RESULT`` layout and
     the generic ``MSG_PLAN_RESULT``.
     """
-    if frame_type(data) == MSG_PLAN_RESULT:
-        return decode_plan_result(data, query)
-    from repro.core.query import Query, QueryResult
-    reader = _expect(data, MSG_QUERY_RESULT)
+    kind, reader = _open(data)
+    if kind != MSG_QUERY_RESULT and kind != MSG_PLAN_RESULT:
+        raise WireError(f"expected message type {MSG_QUERY_RESULT}, "
+                        f"got {kind}")
+    return _read_result(reader, kind, query)
+
+
+def _read_result(reader: _Reader, kind: int, query: Any) -> Any:
+    """A result body of either kind (``MSG_PLAN_RESULT`` carries the
+    scan-stat tail) off an opened frame."""
+    query_type, result_type = _query_types()
     name = reader.str_()
     host = reader.str_()
     scanned = reader.varint()
     estimated = reader.varint()
     payload = reader.value()
-    alarms = tuple(reader.alarm() for _ in range(reader.uvarint()))
+    alarm = reader.alarm
+    alarms = tuple([alarm() for _ in range(reader.uvarint())])
+    scan_stats = {}
+    if kind == MSG_PLAN_RESULT:
+        for _ in range(reader.uvarint()):
+            key = reader.str_()
+            scan_stats[key] = reader.varint()
     if query is not None and query.name != name:
         raise WireError(f"result for query {name!r} does not answer "
                         f"{query.name!r}")
-    return QueryResult(query=query if query is not None else Query(name),
-                       payload=payload, wire_bytes=len(data),
-                       records_scanned=scanned, estimated_wire_bytes=estimated,
-                       host=host, alarms=alarms)
+    return result_type(
+        query=query if query is not None else query_type(name),
+        payload=payload, wire_bytes=len(reader.data), records_scanned=scanned,
+        estimated_wire_bytes=estimated, host=host, alarms=alarms,
+        scan_stats=scan_stats)
 
 
 # ------------------------------------------------------------------ control
@@ -1319,9 +1553,12 @@ def decode_sleep(data: bytes) -> float:
 # -------------------------------------------------------------- event plane
 def alarm_wire_bytes(alarm: Alarm) -> int:
     """Measured serialized size of one alarm (its batch-body bytes)."""
-    buf = bytearray()
-    _w_alarm(buf, alarm)
-    return len(buf)
+    size = (_flow_id_len(alarm.flow_id) + _str_len(alarm.reason)
+            + _uvarint_len(len(alarm.paths)) + _str_len(alarm.host)
+            + _DOUBLE.size + _str_len(alarm.detail))
+    for path in alarm.paths:
+        size += _uvarint_len(len(path)) + sum(map(_str_len, path))
+    return size
 
 
 def encode_alarm_batch(alarms: Sequence[Alarm]) -> bytes:
@@ -1337,7 +1574,8 @@ def encode_alarm_batch(alarms: Sequence[Alarm]) -> bytes:
 def decode_alarm_batch(data: bytes) -> List[Alarm]:
     """Inverse of :func:`encode_alarm_batch`."""
     reader = _expect(data, MSG_ALARM_BATCH)
-    return [reader.alarm() for _ in range(reader.uvarint())]
+    alarm = reader.alarm
+    return [alarm() for _ in range(reader.uvarint())]
 
 
 #: Append one observation's batch-body bytes (see :data:`append_record`).
@@ -1358,7 +1596,8 @@ def encode_observation_batch(observations: Sequence[TransferObservation]
 def decode_observation_batch(data: bytes) -> List[TransferObservation]:
     """Inverse of :func:`encode_observation_batch`."""
     reader = _expect(data, MSG_OBSERVATION_BATCH)
-    return [reader.observation() for _ in range(reader.uvarint())]
+    observation = reader.observation
+    return [observation() for _ in range(reader.uvarint())]
 
 
 def encode_monitor_tick(now: float,
@@ -1408,7 +1647,8 @@ def decode_monitor_state(data: bytes) -> MonitorSnapshot:
     period = reader.double()
     threshold = reader.varint()
     alerts = reader.varint()
-    flows = tuple(reader.flow_stats() for _ in range(reader.uvarint()))
+    flow_stats = reader.flow_stats
+    flows = tuple([flow_stats() for _ in range(reader.uvarint())])
     return MonitorSnapshot(host=host, period=period, poor_threshold=threshold,
                            alerts_raised=alerts, flows=flows)
 
@@ -1416,6 +1656,14 @@ def decode_monitor_state(data: bytes) -> MonitorSnapshot:
 def encode_monitor_pull() -> bytes:
     """Encode a monitor-state pull request (reply: a state snapshot)."""
     return _frame(MSG_MONITOR_PULL)
+
+
+def encode_monitor_reopen() -> bytes:
+    """Encode the re-open-alerting command: the worker runs its monitor's
+    ``reset_stats()`` (alert counter zeroed, every ``alerted`` latch
+    cleared) - the operation itself, where a state frame would ship its
+    result flow by flow."""
+    return _frame(MSG_MONITOR_REOPEN)
 
 
 # ----------------------------------------------------------- group transport
@@ -1441,8 +1689,7 @@ def decode_group_hello(data: bytes) -> Tuple[int, Tuple[str, ...]]:
     """Inverse of :func:`encode_group_hello`: ``(group_id, hosts)``."""
     reader = _expect(data, MSG_GROUP_HELLO)
     group_id = reader.uvarint()
-    hosts = tuple(reader.str_() for _ in range(reader.uvarint()))
-    return group_id, hosts
+    return group_id, reader.strs()
 
 
 def encode_group_batch(correlation_id: int,
@@ -1476,9 +1723,10 @@ def decode_group_batch(data: bytes
     reader = _expect(data, MSG_GROUP_BATCH)
     correlation_id = reader.uvarint()
     entries = []
+    str_, bytes_ = reader.str_, reader.bytes_
     for _ in range(reader.uvarint()):
-        host = reader.str_()
-        inner = reader.bytes_()
+        host = str_()
+        inner = bytes_()
         if len(inner) < HEADER_BYTES:
             raise WireError("group-batch entry shorter than a frame header")
         entries.append((host, inner))

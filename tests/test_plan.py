@@ -407,6 +407,73 @@ class TestPushdownCounters:
                    for value in execution.scan_stats.values())
         assert execution.records_scanned == tib.total_record_count()
 
+    @pytest.mark.parametrize("tib_factory", [hot_tib, spanning_tib])
+    def test_scanless_shapes_report_the_snapshot_keys_zeroed(self,
+                                                             tib_factory):
+        """The two shapes served from the maintained totals copy a zero
+        template instead of snapshotting the tiers: its keys are exactly
+        ``scan_stat_snapshot()``'s, single-tier and two-tier alike, and
+        every execution gets a dict of its own."""
+        tib = tib_factory()
+        zeros = dict.fromkeys(tib.scan_stat_snapshot(), 0)
+        assert planlib._NO_SCAN_STATS == zeros
+        assert list(planlib._NO_SCAN_STATS) == list(zeros)
+        flow = tib.records()[0].flow_id
+        for plan in (planlib.compile_get_count(flow),
+                     planlib.compile_top_k_flows(5)):
+            first = planlib.execute_plan(tib, plan).scan_stats
+            assert first == zeros
+            first["hot_full_scans"] = 99
+            assert planlib.execute_plan(tib, plan).scan_stats == zeros
+
+
+class TestRankedMerge:
+    """``merge_ranked``: partial top-k lists merge as sorted runs."""
+
+    @pytest.mark.parametrize("order", [planlib.ORDER_DESC,
+                                       planlib.ORDER_ASC])
+    def test_equals_rank_select_over_every_pair(self, order):
+        rng = random.Random(7)
+        for _ in range(200):
+            k = rng.choice((1, 2, 5, 40))
+            partials = []
+            for _host in range(rng.randrange(5)):
+                pairs = [(rng.randrange(30), f"flow-{rng.randrange(12)}")
+                         for _ in range(rng.randrange(3 * k))]
+                # ties on the value, duplicate pairs, k-truncated runs
+                partials.append(planlib.rank_select(pairs, k, order))
+            want = planlib.rank_select(
+                [pair for partial in partials for pair in partial], k, order)
+            assert planlib.merge_ranked(partials, k, order) == want
+            rng.shuffle(partials)  # commutative ...
+            assert planlib.merge_ranked(partials, k, order) == want
+            if len(partials) > 1:  # ... and associative
+                folded = planlib.merge_ranked(partials[:2], k, order)
+                assert planlib.merge_ranked([folded] + partials[2:], k,
+                                            order) == want
+
+    def test_unsorted_partials_still_rank(self):
+        partials = [[(1, "a"), (9, "b")], [(5, "c")]]
+        assert planlib.merge_ranked(partials, 2) == [(9, "b"), (5, "c")]
+
+    def test_matches_the_legacy_selection(self):
+        from repro.core.query import top_k_select
+        rng = random.Random(11)
+        pairs = [(rng.randrange(1000), f"f{i}") for i in range(300)]
+        runs = [top_k_select(pairs[low:low + 100], 25)
+                for low in (0, 100, 200)]
+        assert planlib.merge_ranked(runs, 25) == top_k_select(
+            [pair for run in runs for pair in run], 25)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_an_error_not_a_negative_slice(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            planlib.merge_ranked([[(3, "a"), (2, "b"), (1, "c")]], k)
+        # Nothing to rank (every host already failed the same check):
+        # the canonical empty aggregate, as before.
+        assert planlib.merge_ranked([], k) == []
+        assert planlib.merge_ranked([[], []], k) == []
+
 
 # --------------------------------------------------------------------------
 # Property fuzz: random plans x random TIBs x every tier mix

@@ -10,6 +10,7 @@ estimators.
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -1001,3 +1002,732 @@ class TestStreamFraming:
             if cut % (len(blob)) and reader.pending_bytes:
                 with pytest.raises(wire.WireDecodeError):
                     reader.eof()
+
+
+# --------------------------------------------------------------------------
+# Golden frames: the codec's bytes, pinned
+# --------------------------------------------------------------------------
+# The reader, writers and sizers are written for speed (leaves inline, one
+# call per container), so what they must keep is pinned from outside: one
+# frame per MSG_* type and one value per tag, whose hex was generated by the
+# codec as it stood before that rewrite (commit d1f8568; MSG_MONITOR_REOPEN,
+# which that commit lacks, is a bare header) and is asserted byte for byte.
+GOLDEN_FLOW = FlowId("hôst-a", "server-42", 43210, 80, PROTO_TCP)
+GOLDEN_SPEC = wire.SubtreeSpec("h0", ("h0", "h1", UNICODE_HOST))
+GOLDEN_TOPK_QUERY = Query("top_k_flows", {"k": 40})
+GOLDEN_PLAN_QUERY = Query(plan.PLAN_QUERY_NAME, {"plan": plan.Plan(ops=(
+    plan.Filter(start=1.0, end=9.0, links=(("tor-a", None),),
+                flow_keys=(flow_key(FlowId("a", "b", 1, 2, 6)),),
+                path=("a", "tor-a", "b")),
+    plan.Project(fields=("flow", "bytes", "pkts")),
+    plan.Aggregate(func="sum", fields=("bytes",), by=("flow",)),
+    plan.TopK(k=3)))}, period=2.5)
+
+
+def golden_alarms(count=4):
+    """What one host's tick replies with: POOR_PERF alarms, no paths - and
+    one PC_FAIL with paths, so the path legs are pinned too."""
+    alarms = [Alarm(flow_id=FlowId("server-3", f"server-{9 + i}", 40000 + i,
+                                   80, PROTO_TCP),
+                    reason=POOR_PERF, paths=[], host="server-3", time=12.5,
+                    detail=f"retx={9 + i}, streak=5, timeouts=1")
+              for i in range(count - 1)]
+    alarms.append(Alarm(flow_id=GOLDEN_FLOW, reason="PC_FAIL",
+                        paths=[("hôst-a", "tor-1", "server-42"), ()],
+                        host=UNICODE_HOST, time=0.25, detail=""))
+    return alarms
+
+
+def golden_topk_result(pairs=40):
+    payload = [(1_000_000 - 997 * i, f"h{i}:{4000 + i}|h{i + 1}:80|6")
+               for i in range(pairs)]
+    return QueryResult(query=GOLDEN_TOPK_QUERY, payload=payload, wire_bytes=0,
+                       records_scanned=40, estimated_wire_bytes=24 * pairs,
+                       host="server-17")
+
+
+def golden_plan_result():
+    return QueryResult(query=GOLDEN_PLAN_QUERY,
+                       payload=[(1000, "a:1|b:2|6"), (-7, "中:0|b:2|17")],
+                       wire_bytes=0, records_scanned=300,
+                       estimated_wire_bytes=48, host=UNICODE_HOST,
+                       alarms=tuple(golden_alarms()[-1:]),
+                       scan_stats={"hot_flow_routed": 1,
+                                   "cold_entries_skipped": 4096,
+                                   "cold_segments_skipped": 0})
+
+
+def golden_records():
+    return [sample_record(), sample_record(path=()),
+            sample_record(nbytes=1 << 80, pkts=1 << 70),
+            PathFlowRecord(FlowId(UNICODE_HOST, "dst-ü", 0, 0, PROTO_UDP),
+                           (UNICODE_HOST, "sw", "dst-ü"), 0.0, -2.5, -1, 200)]
+
+
+def golden_snapshot():
+    return MonitorSnapshot(
+        host=UNICODE_HOST, period=0.2, poor_threshold=3, alerts_raised=130,
+        flows=(TcpFlowStats(GOLDEN_FLOW, 9, 5, 5, 1, 1 << 40, 12.5, True),
+               TcpFlowStats(FlowId("a", "b", 1, 2, 6))))
+
+
+def golden_observations():
+    return [TransferObservation(GOLDEN_FLOW, 9, 5, 1, 1 << 33, 12.5),
+            TransferObservation(FlowId("a", "b", 1, 2, 6), 0, 0, 0, 0, 0.0)]
+
+
+def _golden_frames():
+    """``{name: (frame, decoder, decoded)}`` - one frame per MSG_* type."""
+    topk = golden_topk_result()
+    planned = golden_plan_result()
+    request = Query("top_k_flows",
+                    {"k": 50, "time_range": (None, 12.5),
+                     "flow_id": GOLDEN_FLOW, "forbidden": {"sw-1", "sw-2"}},
+                    period=1.5)
+    entries = [("server-0", wire.encode_ping()),
+               (UNICODE_HOST, wire.encode_monitor_tick(1.5, 3)),
+               ("server-2", wire.encode_query(GOLDEN_TOPK_QUERY))]
+
+    def result_fields(result):
+        return (result.query.name, result.payload, result.records_scanned,
+                result.estimated_wire_bytes, result.host, result.alarms,
+                result.scan_stats)
+
+    return {
+        "query_request": (
+            wire.encode_query_request(request, GOLDEN_SPEC),
+            wire.decode_query_request, (request, GOLDEN_SPEC)),
+        "subtree_spec": (wire.encode_subtree_spec(GOLDEN_SPEC),
+                         wire.decode_subtree_spec, GOLDEN_SPEC),
+        "record_batch": (wire.encode_record_batch(golden_records()),
+                         wire.decode_record_batch, golden_records()),
+        "query_result": (
+            wire.encode_result(topk),
+            lambda data: result_fields(
+                wire.decode_result(data, GOLDEN_TOPK_QUERY)),
+            result_fields(topk)),
+        "error": (wire.encode_error("boom: 中"), wire.decode_error,
+                  "boom: 中"),
+        "ping": (wire.encode_ping(), wire.frame_type, wire.MSG_PING),
+        "pong": (wire.encode_pong(500, 7, hot_records=50, hot_bytes=9000,
+                                  cold_records=450, cold_bytes=123456),
+                 wire.decode_pong_tiers, (500, 7, 50, 9000, 450, 123456)),
+        "reset": (wire.encode_reset(), wire.frame_type, wire.MSG_RESET),
+        "shutdown": (wire.encode_shutdown(), wire.frame_type,
+                     wire.MSG_SHUTDOWN),
+        "sleep": (wire.encode_sleep(0.25), wire.decode_sleep, 0.25),
+        "observation_batch": (
+            wire.encode_observation_batch(golden_observations()),
+            wire.decode_observation_batch, golden_observations()),
+        "monitor_tick": (wire.encode_monitor_tick(1.5, 3),
+                         wire.decode_monitor_tick, (1.5, 3)),
+        "alarm_batch": (wire.encode_alarm_batch(golden_alarms()),
+                        wire.decode_alarm_batch, golden_alarms()),
+        "monitor_state": (wire.encode_monitor_state(golden_snapshot()),
+                          wire.decode_monitor_state, golden_snapshot()),
+        "monitor_pull": (wire.encode_monitor_pull(), wire.frame_type,
+                         wire.MSG_MONITOR_PULL),
+        "retention": (wire.encode_retention(100, 1 << 40),
+                      wire.decode_retention, (100, 1 << 40)),
+        "group_hello": (
+            wire.encode_group_hello(5, ("server-0", UNICODE_HOST)),
+            wire.decode_group_hello, (5, ("server-0", UNICODE_HOST))),
+        "group_batch": (wire.encode_group_batch(300, entries),
+                        wire.decode_group_batch, (300, entries)),
+        "close_torn": (wire.encode_close_torn(), wire.frame_type,
+                       wire.MSG_CLOSE_TORN),
+        "plan_request": (
+            wire.encode_plan_request(GOLDEN_PLAN_QUERY, GOLDEN_SPEC),
+            wire.decode_plan_request, (GOLDEN_PLAN_QUERY, GOLDEN_SPEC)),
+        "plan_result": (
+            wire.encode_plan_result(planned),
+            lambda data: result_fields(
+                wire.decode_plan_result(data, GOLDEN_PLAN_QUERY)),
+            result_fields(planned)),
+        "monitor_reopen": (wire.encode_monitor_reopen(), wire.frame_type,
+                           wire.MSG_MONITOR_REOPEN),
+    }
+
+
+#: One value per tag (and per interesting width of each).
+GOLDEN_VALUES = {
+    "none": None, "true": True, "false": False,
+    "int_one_byte": 63, "int_two_bytes": 64, "int_negative": -1,
+    "int_negative_wide": -(1 << 31) - 1, "int_past_2_70": (1 << 70) + 12345,
+    "int_negative_past_2_70": -(1 << 99) - 17,
+    "float": -2.5, "float_huge": 1e308,
+    "str_empty": "", "str_short": "plain", "str_utf8": "hôst-中心-\U0001f409",
+    "str_127_bytes": "x" * 127, "str_128_bytes": "é" * 64,
+    "str_long": "path/" * 60,
+    "bytes": b"\x00\xff raw", "bytes_long": bytes(range(200)),
+    "list_empty": [], "list_mixed": [1, "two", None, 3.5, True, b"4"],
+    "list_128": list(range(-64, 64)),
+    "tuple_nested": ("a", ("b", ("c", ())), [("d",)]),
+    "tuple_300": tuple(f"sw{i}" for i in range(300)),
+    "dict_nested": {"k": 1, ("tor", 3): [1, 2],
+                    "deep": {"s": {3, 1, 2}, "fs": frozenset({"y", "x"}),
+                             "f": GOLDEN_FLOW}},
+    "dict_200": {("tor-%d" % (i % 7), i): i * i for i in range(200)},
+    "set": {"x", "y", "zz", "w"}, "frozenset": frozenset({1, 1 << 40, -5}),
+    "flow_id": GOLDEN_FLOW,
+    "flows_and_paths": [(GOLDEN_FLOW, ("hôst-a", "tor-1", "server-42")),
+                        (FlowId("a", "b", 1, 2, 6), ())],
+}
+
+
+# Generated by the codec of commit d1f8568 from the inputs above.
+GOLDEN_FRAME_HEX = {
+    "query_request":
+        "504406010b746f705f6b5f666c6f777304016b03640a74696d655f72616e6765"
+        "08020004000000000000294007666c6f775f69640c0768c3b473742d61097365"
+        "727665722d343294a305a0010c09666f7262696464656e0a02050473772d3105"
+        "0473772d3204000000000000f83f01026830030268300268310e68c3b473742d"
+        "e4b8ade5bf832d39",
+    "subtree_spec":
+        "50440602026830030268300268310e68c3b473742de4b8ade5bf832d39",
+    "record_batch":
+        "504406030402683102683294a305a0010c0302683105746f722d610268320000"
+        "00000000f43f0000000000002340a4130602683102683294a305a0010c000000"
+        "00000000f43f0000000000002340a4130602683102683294a305a0010c030268"
+        "3105746f722d61026832000000000000f43f0000000000002340808080808080"
+        "80808080801080808080808080808080020e68c3b473742de4b8ade5bf832d39"
+        "066473742dc3bc000022030e68c3b473742de4b8ade5bf832d39027377066473"
+        "742dc3bc000000000000000000000000000004c0019003",
+    "query_result":
+        "504406040b746f705f6b5f666c6f7773097365727665722d313750800f072808"
+        "020380897a050f68303a343030307c68313a38307c36080203b6f979050f6831"
+        "3a343030317c68323a38307c36080203ece979050f68323a343030327c68333a"
+        "38307c36080203a2da79050f68333a343030337c68343a38307c36080203d8ca"
+        "79050f68343a343030347c68353a38307c360802038ebb79050f68353a343030"
+        "357c68363a38307c36080203c4ab79050f68363a343030367c68373a38307c36"
+        "080203fa9b79050f68373a343030377c68383a38307c36080203b08c79050f68"
+        "383a343030387c68393a38307c36080203e6fc78051068393a343030397c6831"
+        "303a38307c360802039ced7805116831303a343031307c6831313a38307c3608"
+        "0203d2dd7805116831313a343031317c6831323a38307c3608020388ce780511"
+        "6831323a343031327c6831333a38307c36080203bebe7805116831333a343031"
+        "337c6831343a38307c36080203f4ae7805116831343a343031347c6831353a38"
+        "307c36080203aa9f7805116831353a343031357c6831363a38307c36080203e0"
+        "8f7805116831363a343031367c6831373a38307c360802039680780511683137"
+        "3a343031377c6831383a38307c36080203ccf07705116831383a343031387c68"
+        "31393a38307c3608020382e17705116831393a343031397c6832303a38307c36"
+        "080203b8d17705116832303a343032307c6832313a38307c36080203eec17705"
+        "116832313a343032317c6832323a38307c36080203a4b27705116832323a3430"
+        "32327c6832333a38307c36080203daa27705116832333a343032337c6832343a"
+        "38307c3608020390937705116832343a343032347c6832353a38307c36080203"
+        "c6837705116832353a343032357c6832363a38307c36080203fcf37605116832"
+        "363a343032367c6832373a38307c36080203b2e47605116832373a343032377c"
+        "6832383a38307c36080203e8d47605116832383a343032387c6832393a38307c"
+        "360802039ec57605116832393a343032397c6833303a38307c36080203d4b576"
+        "05116833303a343033307c6833313a38307c360802038aa67605116833313a34"
+        "3033317c6833323a38307c36080203c0967605116833323a343033327c683333"
+        "3a38307c36080203f6867605116833333a343033337c6833343a38307c360802"
+        "03acf77505116833343a343033347c6833353a38307c36080203e2e775051168"
+        "33353a343033357c6833363a38307c3608020398d87505116833363a34303336"
+        "7c6833373a38307c36080203cec87505116833373a343033377c6833383a3830"
+        "7c3608020384b97505116833383a343033387c6833393a38307c36080203baa9"
+        "7505116833393a343033397c6834303a38307c3600",
+    "error": "5044060509626f6f6d3a20e4b8ad",
+    "ping": "50440606",
+    "pong": "50440607f4030732a846c203c0c407",
+    "reset": "50440608",
+    "shutdown": "50440609",
+    "sleep": "5044060a000000000000d03f",
+    "observation_batch":
+        "5044060b020768c3b473742d61097365727665722d343294a305a0010c120a02"
+        "808080804000000000000029400161016202040c000000000000000000000000",
+    "monitor_tick": "5044060c000000000000f83f0106",
+    "alarm_batch":
+        "5044060d04087365727665722d33087365727665722d3980f104a0010c09504f"
+        "4f525f5045524600087365727665722d3300000000000029401c726574783d39"
+        "2c2073747265616b3d352c2074696d656f7574733d31087365727665722d3309"
+        "7365727665722d313082f104a0010c09504f4f525f5045524600087365727665"
+        "722d3300000000000029401d726574783d31302c2073747265616b3d352c2074"
+        "696d656f7574733d31087365727665722d33097365727665722d313184f104a0"
+        "010c09504f4f525f5045524600087365727665722d3300000000000029401d72"
+        "6574783d31312c2073747265616b3d352c2074696d656f7574733d310768c3b4"
+        "73742d61097365727665722d343294a305a0010c0750435f4641494c02030768"
+        "c3b473742d6105746f722d31097365727665722d3432000e68c3b473742de4b8"
+        "ade5bf832d39000000000000d03f00",
+    "monitor_state":
+        "5044060e0e68c3b473742de4b8ade5bf832d399a9999999999c93f0684020207"
+        "68c3b473742d61097365727665722d343294a305a0010c120a0a028080808080"
+        "400000000000002940010161016202040c0000000000000000000000000000",
+    "monitor_pull": "5044060f",
+    "retention": "50440610016401808080808020",
+    "group_hello":
+        "504406110502087365727665722d300e68c3b473742de4b8ade5bf832d39",
+    "group_batch":
+        "50440612ac0203087365727665722d3004504406060e68c3b473742de4b8ade5"
+        "bf832d390e5044060c000000000000f83f0106087365727665722d3217504406"
+        "010b746f705f6b5f666c6f777301016b03500000",
+    "close_torn": "50440613",
+    "plan_request":
+        "50440614040104000000000000f03f040000000000002240010505746f722d61"
+        "000109613a317c623a327c3608030501610505746f722d61050162020304666c"
+        "6f7705627974657304706b7473030373756d010562797465730104666c6f7701"
+        "04030576616c7565046465736304000000000000044001026830030268300268"
+        "310e68c3b473742de4b8ade5bf832d39",
+    "plan_result":
+        "5044061504706c616e0e68c3b473742de4b8ade5bf832d39d804600702080203"
+        "d00f0509613a317c623a327c360802030d050ce4b8ad3a307c623a327c313701"
+        "0768c3b473742d61097365727665722d343294a305a0010c0750435f4641494c"
+        "02030768c3b473742d6105746f722d31097365727665722d3432000e68c3b473"
+        "742de4b8ade5bf832d39000000000000d03f000314636f6c645f656e74726965"
+        "735f736b6970706564804015636f6c645f7365676d656e74735f736b69707065"
+        "64000f686f745f666c6f775f726f7574656402",
+    "monitor_reopen": "50440616",
+}
+
+
+GOLDEN_VALUE_HEX = {
+    "none": "00",
+    "true": "01",
+    "false": "02",
+    "int_one_byte": "037e",
+    "int_two_bytes": "038001",
+    "int_negative": "0301",
+    "int_negative_wide": "038180808010",
+    "int_past_2_70": "03f2c0818080808080808002",
+    "int_negative_past_2_70": "03a18080808080808080808080808004",
+    "float": "0400000000000004c0",
+    "float_huge": "04a0c8eb85f3cce17f",
+    "str_empty": "0500",
+    "str_short": "0505706c61696e",
+    "str_utf8": "051168c3b473742de4b8ade5bf832df09f9089",
+    "str_127_bytes":
+        "057f787878787878787878787878787878787878787878787878787878787878"
+        "7878787878787878787878787878787878787878787878787878787878787878"
+        "7878787878787878787878787878787878787878787878787878787878787878"
+        "7878787878787878787878787878787878787878787878787878787878787878"
+        "78",
+    "str_128_bytes":
+        "058001c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3"
+        "a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3"
+        "a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3"
+        "a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3a9c3"
+        "a9c3a9",
+    "str_long":
+        "05ac02706174682f706174682f706174682f706174682f706174682f70617468"
+        "2f706174682f706174682f706174682f706174682f706174682f706174682f70"
+        "6174682f706174682f706174682f706174682f706174682f706174682f706174"
+        "682f706174682f706174682f706174682f706174682f706174682f706174682f"
+        "706174682f706174682f706174682f706174682f706174682f706174682f7061"
+        "74682f706174682f706174682f706174682f706174682f706174682f70617468"
+        "2f706174682f706174682f706174682f706174682f706174682f706174682f70"
+        "6174682f706174682f706174682f706174682f706174682f706174682f706174"
+        "682f706174682f706174682f706174682f706174682f706174682f706174682f"
+        "706174682f706174682f706174682f",
+    "bytes": "060600ff20726177",
+    "bytes_long":
+        "06c801000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c"
+        "1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c"
+        "3d3e3f404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c"
+        "5d5e5f606162636465666768696a6b6c6d6e6f707172737475767778797a7b7c"
+        "7d7e7f808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c"
+        "9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbc"
+        "bdbebfc0c1c2c3c4c5c6c7",
+    "list_empty": "0700",
+    "list_mixed": "07060302050374776f00040000000000000c4001060134",
+    "list_128":
+        "078001037f037d037b03790377037503730371036f036d036b03690367036503"
+        "630361035f035d035b03590357035503530351034f034d034b03490347034503"
+        "430341033f033d033b03390337033503330331032f032d032b03290327032503"
+        "230321031f031d031b03190317031503130311030f030d030b03090307030503"
+        "03030103000302030403060308030a030c030e03100312031403160318031a03"
+        "1c031e03200322032403260328032a032c032e03300332033403360338033a03"
+        "3c033e03400342034403460348034a034c034e03500352035403560358035a03"
+        "5c035e03600362036403660368036a036c036e03700372037403760378037a03"
+        "7c037e",
+    "tuple_nested":
+        "080305016108020501620802050163080007010801050164",
+    "tuple_300":
+        "08ac020503737730050373773105037377320503737733050373773405037377"
+        "3505037377360503737737050373773805037377390504737731300504737731"
+        "3105047377313205047377313305047377313405047377313505047377313605"
+        "0473773137050473773138050473773139050473773230050473773231050473"
+        "7732320504737732330504737732340504737732350504737732360504737732"
+        "3705047377323805047377323905047377333005047377333105047377333205"
+        "0473773333050473773334050473773335050473773336050473773337050473"
+        "7733380504737733390504737734300504737734310504737734320504737734"
+        "3305047377343405047377343505047377343605047377343705047377343805"
+        "0473773439050473773530050473773531050473773532050473773533050473"
+        "7735340504737735350504737735360504737735370504737735380504737735"
+        "3905047377363005047377363105047377363205047377363305047377363405"
+        "0473773635050473773636050473773637050473773638050473773639050473"
+        "7737300504737737310504737737320504737737330504737737340504737737"
+        "3505047377373605047377373705047377373805047377373905047377383005"
+        "0473773831050473773832050473773833050473773834050473773835050473"
+        "7738360504737738370504737738380504737738390504737739300504737739"
+        "3105047377393205047377393305047377393405047377393505047377393605"
+        "0473773937050473773938050473773939050573773130300505737731303105"
+        "0573773130320505737731303305057377313034050573773130350505737731"
+        "3036050573773130370505737731303805057377313039050573773131300505"
+        "7377313131050573773131320505737731313305057377313134050573773131"
+        "3505057377313136050573773131370505737731313805057377313139050573"
+        "7731323005057377313231050573773132320505737731323305057377313234"
+        "0505737731323505057377313236050573773132370505737731323805057377"
+        "3132390505737731333005057377313331050573773133320505737731333305"
+        "0573773133340505737731333505057377313336050573773133370505737731"
+        "3338050573773133390505737731343005057377313431050573773134320505"
+        "7377313433050573773134340505737731343505057377313436050573773134"
+        "3705057377313438050573773134390505737731353005057377313531050573"
+        "7731353205057377313533050573773135340505737731353505057377313536"
+        "0505737731353705057377313538050573773135390505737731363005057377"
+        "3136310505737731363205057377313633050573773136340505737731363505"
+        "0573773136360505737731363705057377313638050573773136390505737731"
+        "3730050573773137310505737731373205057377313733050573773137340505"
+        "7377313735050573773137360505737731373705057377313738050573773137"
+        "3905057377313830050573773138310505737731383205057377313833050573"
+        "7731383405057377313835050573773138360505737731383705057377313838"
+        "0505737731383905057377313930050573773139310505737731393205057377"
+        "3139330505737731393405057377313935050573773139360505737731393705"
+        "0573773139380505737731393905057377323030050573773230310505737732"
+        "3032050573773230330505737732303405057377323035050573773230360505"
+        "7377323037050573773230380505737732303905057377323130050573773231"
+        "3105057377323132050573773231330505737732313405057377323135050573"
+        "7732313605057377323137050573773231380505737732313905057377323230"
+        "0505737732323105057377323232050573773232330505737732323405057377"
+        "3232350505737732323605057377323237050573773232380505737732323905"
+        "0573773233300505737732333105057377323332050573773233330505737732"
+        "3334050573773233350505737732333605057377323337050573773233380505"
+        "7377323339050573773234300505737732343105057377323432050573773234"
+        "3305057377323434050573773234350505737732343605057377323437050573"
+        "7732343805057377323439050573773235300505737732353105057377323532"
+        "0505737732353305057377323534050573773235350505737732353605057377"
+        "3235370505737732353805057377323539050573773236300505737732363105"
+        "0573773236320505737732363305057377323634050573773236350505737732"
+        "3636050573773236370505737732363805057377323639050573773237300505"
+        "7377323731050573773237320505737732373305057377323734050573773237"
+        "3505057377323736050573773237370505737732373805057377323739050573"
+        "7732383005057377323831050573773238320505737732383305057377323834"
+        "0505737732383505057377323836050573773238370505737732383805057377"
+        "3238390505737732393005057377323931050573773239320505737732393305"
+        "0573773239340505737732393505057377323936050573773239370505737732"
+        "393805057377323939",
+    "dict_nested":
+        "090305016b030208020503746f72030607020302030405046465657009030501"
+        "730a03030203040306050266730b020501780501790501660c0768c3b473742d"
+        "61097365727665722d343294a305a0010c",
+    "dict_200":
+        "09c80108020505746f722d300300030008020505746f722d3103020302080205"
+        "05746f722d320304030808020505746f722d330306031208020505746f722d34"
+        "0308032008020505746f722d35030a033208020505746f722d36030c03480802"
+        "0505746f722d30030e036208020505746f722d31031003800108020505746f72"
+        "2d32031203a20108020505746f722d33031403c80108020505746f722d340316"
+        "03f20108020505746f722d35031803a00208020505746f722d36031a03d20208"
+        "020505746f722d30031c03880308020505746f722d31031e03c2030802050574"
+        "6f722d32032003800408020505746f722d33032203c20408020505746f722d34"
+        "032403880508020505746f722d35032603d20508020505746f722d36032803a0"
+        "0608020505746f722d30032a03f20608020505746f722d31032c03c807080205"
+        "05746f722d32032e03a20808020505746f722d33033003800908020505746f72"
+        "2d34033203e20908020505746f722d35033403c80a08020505746f722d360336"
+        "03b20b08020505746f722d30033803a00c08020505746f722d31033a03920d08"
+        "020505746f722d32033c03880e08020505746f722d33033e03820f0802050574"
+        "6f722d34034003801008020505746f722d35034203821108020505746f722d36"
+        "034403881208020505746f722d30034603921308020505746f722d31034803a0"
+        "1408020505746f722d32034a03b21508020505746f722d33034c03c816080205"
+        "05746f722d34034e03e21708020505746f722d35035003801908020505746f72"
+        "2d36035203a21a08020505746f722d30035403c81b08020505746f722d310356"
+        "03f21c08020505746f722d32035803a01e08020505746f722d33035a03d21f08"
+        "020505746f722d34035c03882108020505746f722d35035e03c2220802050574"
+        "6f722d36036003802408020505746f722d30036203c22508020505746f722d31"
+        "036403882708020505746f722d32036603d22808020505746f722d33036803a0"
+        "2a08020505746f722d34036a03f22b08020505746f722d35036c03c82d080205"
+        "05746f722d36036e03a22f08020505746f722d30037003803108020505746f72"
+        "2d31037203e23208020505746f722d32037403c83408020505746f722d330376"
+        "03b23608020505746f722d34037803a03808020505746f722d35037a03923a08"
+        "020505746f722d36037c03883c08020505746f722d30037e03823e0802050574"
+        "6f722d3103800103804008020505746f722d3203820103824208020505746f72"
+        "2d3303840103884408020505746f722d3403860103924608020505746f722d35"
+        "03880103a04808020505746f722d36038a0103b24a08020505746f722d30038c"
+        "0103c84c08020505746f722d31038e0103e24e08020505746f722d3203900103"
+        "805108020505746f722d3303920103a25308020505746f722d3403940103c855"
+        "08020505746f722d3503960103f25708020505746f722d3603980103a05a0802"
+        "0505746f722d30039a0103d25c08020505746f722d31039c0103885f08020505"
+        "746f722d32039e0103c26108020505746f722d3303a00103806408020505746f"
+        "722d3403a20103c26608020505746f722d3503a40103886908020505746f722d"
+        "3603a60103d26b08020505746f722d3003a80103a06e08020505746f722d3103"
+        "aa0103f27008020505746f722d3203ac0103c87308020505746f722d3303ae01"
+        "03a27608020505746f722d3403b00103807908020505746f722d3503b20103e2"
+        "7b08020505746f722d3603b40103c87e08020505746f722d3003b60103b28101"
+        "08020505746f722d3103b80103a0840108020505746f722d3203ba0103928701"
+        "08020505746f722d3303bc0103888a0108020505746f722d3403be0103828d01"
+        "08020505746f722d3503c0010380900108020505746f722d3603c20103829301"
+        "08020505746f722d3003c4010388960108020505746f722d3103c60103929901"
+        "08020505746f722d3203c80103a09c0108020505746f722d3303ca0103b29f01"
+        "08020505746f722d3403cc0103c8a20108020505746f722d3503ce0103e2a501"
+        "08020505746f722d3603d0010380a90108020505746f722d3003d20103a2ac01"
+        "08020505746f722d3103d40103c8af0108020505746f722d3203d60103f2b201"
+        "08020505746f722d3303d80103a0b60108020505746f722d3403da0103d2b901"
+        "08020505746f722d3503dc010388bd0108020505746f722d3603de0103c2c001"
+        "08020505746f722d3003e0010380c40108020505746f722d3103e20103c2c701"
+        "08020505746f722d3203e4010388cb0108020505746f722d3303e60103d2ce01"
+        "08020505746f722d3403e80103a0d20108020505746f722d3503ea0103f2d501"
+        "08020505746f722d3603ec0103c8d90108020505746f722d3003ee0103a2dd01"
+        "08020505746f722d3103f0010380e10108020505746f722d3203f20103e2e401"
+        "08020505746f722d3303f40103c8e80108020505746f722d3403f60103b2ec01"
+        "08020505746f722d3503f80103a0f00108020505746f722d3603fa010392f401"
+        "08020505746f722d3003fc010388f80108020505746f722d3103fe010382fc01"
+        "08020505746f722d320380020380800208020505746f722d3303820203828402"
+        "08020505746f722d340384020388880208020505746f722d3503860203928c02"
+        "08020505746f722d3603880203a0900208020505746f722d30038a0203b29402"
+        "08020505746f722d31038c0203c8980208020505746f722d32038e0203e29c02"
+        "08020505746f722d330390020380a10208020505746f722d3403920203a2a502"
+        "08020505746f722d3503940203c8a90208020505746f722d3603960203f2ad02"
+        "08020505746f722d3003980203a0b20208020505746f722d31039a0203d2b602"
+        "08020505746f722d32039c020388bb0208020505746f722d33039e0203c2bf02"
+        "08020505746f722d3403a0020380c40208020505746f722d3503a20203c2c802"
+        "08020505746f722d3603a4020388cd0208020505746f722d3003a60203d2d102"
+        "08020505746f722d3103a80203a0d60208020505746f722d3203aa0203f2da02"
+        "08020505746f722d3303ac0203c8df0208020505746f722d3403ae0203a2e402"
+        "08020505746f722d3503b0020380e90208020505746f722d3603b20203e2ed02"
+        "08020505746f722d3003b40203c8f20208020505746f722d3103b60203b2f702"
+        "08020505746f722d3203b80203a0fc0208020505746f722d3303ba0203928103"
+        "08020505746f722d3403bc020388860308020505746f722d3503be0203828b03"
+        "08020505746f722d3603c0020380900308020505746f722d3003c20203829503"
+        "08020505746f722d3103c40203889a0308020505746f722d3203c60203929f03"
+        "08020505746f722d3303c80203a0a40308020505746f722d3403ca0203b2a903"
+        "08020505746f722d3503cc0203c8ae0308020505746f722d3603ce0203e2b303"
+        "08020505746f722d3003d0020380b90308020505746f722d3103d20203a2be03"
+        "08020505746f722d3203d40203c8c30308020505746f722d3303d60203f2c803"
+        "08020505746f722d3403d80203a0ce0308020505746f722d3503da0203d2d303"
+        "08020505746f722d3603dc020388d90308020505746f722d3003de0203c2de03"
+        "08020505746f722d3103e0020380e40308020505746f722d3203e20203c2e903"
+        "08020505746f722d3303e4020388ef0308020505746f722d3403e60203d2f403"
+        "08020505746f722d3503e80203a0fa0308020505746f722d3603ea0203f2ff03"
+        "08020505746f722d3003ec0203c8850408020505746f722d3103ee0203a28b04"
+        "08020505746f722d3203f0020380910408020505746f722d3303f20203e29604"
+        "08020505746f722d3403f40203c89c0408020505746f722d3503f60203b2a204"
+        "08020505746f722d3603f80203a0a80408020505746f722d3003fa020392ae04"
+        "08020505746f722d3103fc020388b40408020505746f722d3203fe020382ba04"
+        "08020505746f722d330380030380c00408020505746f722d340382030382c604"
+        "08020505746f722d350384030388cc0408020505746f722d360386030392d204"
+        "08020505746f722d3003880303a0d80408020505746f722d31038a0303b2de04"
+        "08020505746f722d32038c0303c8e40408020505746f722d33038e0303e2ea04",
+    "set": "0a0405017705017805017905027a7a",
+    "frozenset": "0b030302030903808080808040",
+    "flow_id": "0c0768c3b473742d61097365727665722d343294a305a0010c",
+    "flows_and_paths":
+        "070208020c0768c3b473742d61097365727665722d343294a305a0010c080305"
+        "0768c3b473742d610505746f722d3105097365727665722d343208020c016101"
+        "6202040c0800",
+}
+
+
+def _msg_types():
+    return {name: code for name, code in vars(wire).items()
+            if name.startswith("MSG_")}
+
+
+def _python_calls(function):
+    """Python-level calls ``function()`` makes, itself included - a count
+    that repeats exactly, unlike a timing."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestGoldenFrames:
+    def test_one_golden_frame_per_message_type(self):
+        frames = _golden_frames()
+        assert set(frames) == set(GOLDEN_FRAME_HEX)
+        assert sorted(wire.frame_type(frame)
+                      for frame, _, _ in frames.values()) == \
+            sorted(_msg_types().values())
+        assert wire.WIRE_VERSION == 6
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FRAME_HEX))
+    def test_frame_bytes_and_decode(self, name):
+        frame, decoder, decoded = _golden_frames()[name]
+        assert frame.hex() == GOLDEN_FRAME_HEX[name]
+        assert decoder(bytes.fromhex(GOLDEN_FRAME_HEX[name])) == decoded
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_VALUE_HEX))
+    def test_value_bytes_and_decode(self, name):
+        value = GOLDEN_VALUES[name]
+        assert set(GOLDEN_VALUES) == set(GOLDEN_VALUE_HEX)
+        assert wire.encode_value(value).hex() == GOLDEN_VALUE_HEX[name]
+        decoded = wire.decode_value(bytes.fromhex(GOLDEN_VALUE_HEX[name]))
+        assert decoded == value and type(decoded) is type(value)
+        assert wire.value_len(value) == len(GOLDEN_VALUE_HEX[name]) // 2
+
+    def test_every_strict_prefix_raises_wire_error(self):
+        """Truncation at any byte is a ``WireError`` from the decoder
+        itself - never an ``IndexError`` / ``struct.error`` escaping it,
+        never a value."""
+        cases = [(bytes.fromhex(GOLDEN_FRAME_HEX[name]), decoder)
+                 for name, (_, decoder, _) in _golden_frames().items()]
+        cases += [(bytes.fromhex(text), wire.decode_value)
+                  for text in GOLDEN_VALUE_HEX.values()]
+        for data, decoder in cases:
+            for cut in range(len(data)):
+                with pytest.raises(wire.WireError):
+                    decoder(data[:cut])
+
+    def test_truncation_is_reported_as_truncation(self):
+        frame = bytes.fromhex(GOLDEN_FRAME_HEX["alarm_batch"])
+        for cut in range(wire.HEADER_BYTES, len(frame)):
+            with pytest.raises(wire.WireError, match="truncated frame"):
+                wire.decode_alarm_batch(frame[:cut])
+
+    def test_reader_rejections_survive(self):
+        with pytest.raises(wire.WireError, match="invalid UTF-8"):
+            wire.decode_value(b"\x05\x02\xc3\x28")       # inline string leg
+        with pytest.raises(wire.WireError, match="invalid UTF-8"):
+            wire.decode_error(wire.encode_ping()[:3] + bytes(
+                [wire.MSG_ERROR]) + b"\x02\xc3\x28")     # str_ leg
+        with pytest.raises(wire.WireError, match="unknown value tag"):
+            wire.decode_value(b"\x0d")
+        with pytest.raises(wire.WireError, match="unknown value tag"):
+            wire.decode_value(b"\x07\x01\xff")
+        with pytest.raises(wire.WireError, match="negative"):
+            wire.encode_pong(-1)
+        with pytest.raises(wire.WireError, match="trailing"):
+            wire.decode_value(b"\x00\x00")
+        with pytest.raises(wire.WireError):               # unhashable key
+            wire.decode_value(b"\x09\x01\x07\x00\x00")
+
+    def test_decode_call_counts(self):
+        """The codec's cost in CPython is its Python-level calls; these
+        two frames are what a top-k query and an alarm sweep decode per
+        host.  (1,083 and 245 calls before the cursor-local reader, 100
+        and 86 with it.)"""
+        result = bytes.fromhex(GOLDEN_FRAME_HEX["query_result"])
+        alarms = bytes.fromhex(GOLDEN_FRAME_HEX["alarm_batch"])
+        assert len(wire.decode_result(result, GOLDEN_TOPK_QUERY).payload) \
+            == 40
+        assert _python_calls(
+            lambda: wire.decode_result(result, GOLDEN_TOPK_QUERY)) <= 150
+        assert _python_calls(lambda: wire.decode_alarm_batch(alarms)) <= 110
+
+
+class TestExactSizes:
+    """``value_len`` / ``*_wire_bytes`` are ``len(encode(...))`` without
+    the encode: pinned equal on seeded random inputs, slow-path subclasses
+    included, and rejecting exactly what the writers reject."""
+
+    class Count(int):
+        pass
+
+    class Pair(tuple):
+        pass
+
+    class Row(list):
+        pass
+
+    class Ratio(float):
+        pass
+
+    class Flow(FlowId):
+        pass
+
+    @classmethod
+    def _value(cls, rng, depth=0):
+        kind = rng.randrange(17 if depth < 3 else 11)
+        if kind == 0:
+            return rng.choice((None, True, False))
+        if kind == 1:
+            return rng.randint(-(1 << rng.randrange(1, 128)),
+                               1 << rng.randrange(1, 128))
+        if kind == 2:
+            return rng.randrange(-70, 70)       # the one-byte boundary
+        if kind == 3:
+            return rng.uniform(-1e12, 1e12)
+        if kind == 4:
+            return "".join(rng.choice("abé中\U0001f409 -:") for _ in
+                           range(rng.choice((0, 3, 40, 126, 127, 128, 300))))
+        if kind == 5:
+            return bytes(rng.randrange(256)
+                         for _ in range(rng.choice((0, 5, 127, 128))))
+        if kind == 6:
+            return _random_flow_id(rng)
+        if kind == 7:
+            return cls.Count(rng.randrange(-(1 << 70), 1 << 70))
+        if kind == 8:
+            return cls.Flow(*_random_flow_id(rng))
+        if kind == 9:
+            return cls.Ratio(rng.uniform(-5, 5))
+        if kind == 10:
+            return frozenset(rng.randrange(1 << 40)
+                             for _ in range(rng.randrange(5)))
+        size = rng.choice((0, 1, 2, 3, 130)) if depth == 0 \
+            else rng.randrange(4)
+        items = [cls._value(rng, depth + 1) for _ in range(size)]
+        if kind == 11:
+            return items
+        if kind == 12:
+            return tuple(items)
+        if kind == 13:
+            return cls.Pair(items)
+        if kind == 14:
+            return cls.Row(items)
+        if kind == 15:
+            return {str(item) for item in items}
+        return {(f"k{i}", i): item for i, item in enumerate(items)}
+
+    def test_value_len_is_the_encoded_length(self):
+        rng = random.Random(20261002)
+        for _ in range(600):
+            value = self._value(rng)
+            assert wire.value_len(value) == len(wire.encode_value(value))
+            assert wire.payload_wire_bytes(value) == wire.value_len(value)
+
+    def test_result_wire_bytes_is_the_frame_length(self):
+        rng = random.Random(19)
+        for round_index in range(200):
+            planned = round_index % 2 == 0
+            query = GOLDEN_PLAN_QUERY if planned else Query(
+                rng.choice(("top_k_flows", "get_flows", "hôst-query")), {})
+            result = QueryResult(
+                query=query, payload=self._value(rng), wire_bytes=0,
+                records_scanned=rng.randrange(1 << rng.randrange(1, 40)),
+                estimated_wire_bytes=rng.randrange(1 << 20),
+                host=rng.choice(("server-1", UNICODE_HOST, "")),
+                alarms=tuple(_random_alarm(rng)
+                             for _ in range(rng.choice((0, 0, 1, 3)))),
+                scan_stats={f"stat_{i}": rng.randrange(1 << 30)
+                            for i in range(rng.randrange(9))})
+            frame = wire.encode_result(result)
+            assert wire.frame_type(frame) == (
+                wire.MSG_PLAN_RESULT if planned else wire.MSG_QUERY_RESULT)
+            assert wire.result_wire_bytes(result) == len(frame)
+
+    def test_record_and_alarm_sizes(self):
+        rng = random.Random(23)
+        for record in TestRecordBatches._random_records(rng) + \
+                golden_records():
+            body = bytearray()
+            wire.append_record(body, record)
+            assert wire.record_wire_bytes(record) == len(body)
+        for alarm in [_random_alarm(rng) for _ in range(100)] + \
+                golden_alarms():
+            assert wire.alarm_wire_bytes(alarm) == \
+                len(wire.encode_alarm_batch([alarm])) - wire.HEADER_BYTES - 1
+
+    @pytest.mark.parametrize("payload", [
+        object(), [1, object()], {"k": (object(),)}, {1, 2.5, object},
+        type("Text", (str,), {})("a str subclass"),
+        type("Table", (dict,), {})(k=1), {("k",): bytearray(b"ok"),
+                                          "then": memoryview(b"no")},
+    ])
+    def test_sizing_rejects_what_encoding_rejects(self, payload):
+        with pytest.raises(wire.WireError):
+            wire.encode_value(payload)
+        with pytest.raises(wire.WireError):
+            wire.value_len(payload)
+        result = QueryResult(query=Query("custom", {}), payload=payload,
+                             wire_bytes=0, estimated_wire_bytes=77)
+        with pytest.raises(wire.WireError):
+            wire.result_wire_bytes(result)
+        # ... which is what lets the estimate stand in for such payloads.
+        from repro.core.query import measured_result_wire_bytes
+        assert measured_result_wire_bytes(result) == 77

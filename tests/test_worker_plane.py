@@ -469,6 +469,113 @@ class TestAlarmStreamIdentity:
                 want_piggybacked
 
 
+class TestResetShipsTheOperation:
+    """``reset_stats()`` makes every worker monitor run the same
+    ``reset_stats()`` the local one ran (``MSG_MONITOR_REOPEN``) instead of
+    re-shipping the reset ledgers flow by flow."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ledgers_stay_identical_for_a_few_bytes_a_host(self, shape):
+        with QueryCluster(small_topology(NUM_HOSTS)) as serial:
+            feed_workload(serial)
+            serial.run_monitors(1.0)
+            serial.reset_stats()
+            want = wire.encode_alarm_batch(list(serial.run_monitors(2.0)))
+        assert want != wire.encode_alarm_batch([])
+        with worker_cluster(*shape, feed=feed_workload) as cluster:
+            pool = cluster.agent_servers
+            assert cluster.run_monitors(1.0)  # latches both sides
+            assert cluster.run_monitors(1.5) == []
+            sent = []
+            zero = pool.reset_stats
+            zero()
+            pool.reset_stats = lambda: (sent.append(pool.stats.bytes_sent),
+                                        zero())
+            cluster.reset_stats()
+            # Sent before the counters were zeroed, so the next interval
+            # starts at zero - and a few bytes a host, not a state frame.
+            assert len(sent) == 1 and 0 < sent[0] <= 64 * NUM_HOSTS
+            assert pool.stats.bytes_sent == 0
+            for host in cluster.hosts:
+                local = cluster.agent(host).monitor.snapshot()
+                assert local.alerts_raised == 0
+                assert pool.monitor_state(host) == local
+            sweep = cluster.run_monitors(2.0)
+            assert not sweep.partial
+            assert wire.encode_alarm_batch(list(sweep)) == want
+            assert cluster.run_monitors(3.0) == []
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_restart_between_reset_and_tick_re_alerts_once(self, shape):
+        """The re-seed of a worker restarted after the reset carries the
+        cleared latches (it is built from the local ledger, which ran the
+        same reset): every poor flow alerts again, exactly once."""
+        with worker_cluster(*shape, feed=feed_workload,
+                            supervisor=Supervisor(FAST)) as cluster:
+            pool = cluster.agent_servers
+            first = cluster.run_monitors(1.0)
+            assert first
+            cluster.reset_stats()
+            kill_and_wait(pool, cluster.hosts[0])
+            # The dead group's tick fails (and heals it); the next sweep
+            # hears from the re-seeded worker.
+            sweeps = [cluster.run_monitors(2.0), cluster.run_monitors(3.0)]
+            assert sweeps[0].partial and not sweeps[1].partial
+            assert pool.stats.restarts == 1
+            assert sorted((alarm.host, alarm.flow_id)
+                          for sweep in sweeps for alarm in sweep) == \
+                sorted((alarm.host, alarm.flow_id) for alarm in first)
+            assert cluster.run_monitors(4.0) == []
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_reset_with_a_dead_unsupervised_group_returns(self, shape):
+        with worker_cluster(*shape, feed=feed_workload) as cluster:
+            pool = cluster.agent_servers
+            assert cluster.run_monitors(1.0)
+            victim = cluster.hosts[0]
+            dead = set(pool.group_hosts(group_key(pool, victim)))
+            kill_and_wait(pool, victim)
+            cluster.reset_stats()
+            assert pool.stats.bytes_sent == 0
+            sweep = cluster.run_monitors(2.0)
+            assert sweep.partial and set(sweep.hosts_failed) == dead
+            # the surviving groups' flows re-alert
+            assert {alarm.host for alarm in sweep} == \
+                set(cluster.hosts) - dead
+
+
+class TestRequestMemo:
+    def test_a_group_decodes_a_shared_request_frame_once(self, monkeypatch):
+        from repro.core.agentserver import _HostServer, _RequestMemo
+        decoded = []
+        decode = wire.decode_query_request
+        monkeypatch.setattr(
+            wire, "decode_query_request",
+            lambda frame: decoded.append(frame) or decode(frame))
+        requests = _RequestMemo()
+        servers = [_HostServer(f"h{i}", requests) for i in range(4)]
+        query = Query(Q_TOP_K_FLOWS, {"k": 3})
+        bare = wire.encode_query_request(query, None)
+        for server in servers:  # a direct query: one frame for the group
+            result = wire.decode_result(server.serve(bytes(bare)), query)
+            assert result.host == server.host and result.payload == []
+        assert decoded == [bare]
+        # A multi-level scatter's frames differ per host: every one is
+        # decoded, and answered for the host that was asked.
+        for server in servers:
+            spec = wire.SubtreeSpec(server.host, (server.host,))
+            frame = wire.request_with_spec(bare, spec)
+            assert wire.decode_result(server.serve(frame),
+                                      query).host == server.host
+        assert len(decoded) == 1 + len(servers)
+        # A corrupt frame is an error reply per host, never remembered.
+        for server in servers[:2]:
+            reply = server.serve(bare[:-2])
+            assert wire.frame_type(reply) == wire.MSG_ERROR
+        assert wire.frame_type(servers[0].serve(bare)) == \
+            wire.MSG_QUERY_RESULT
+
+
 class TestIngestMirror:
     def test_ingest_after_start_reaches_workers(self, fresh_cluster):
         host = fresh_cluster.hosts[0]
