@@ -46,7 +46,6 @@ perf trajectory captures it.
 
 import json
 import os
-import pathlib
 import statistics
 import time
 
@@ -57,7 +56,7 @@ from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
 
 from query_testbed import QUICK, build_query_topology
-from storage_workload import measured_on
+from storage_workload import BENCH_JSON, fold_into_bench_json
 
 #: Smoke tier (CI) keeps the shape, cuts the scale.
 NUM_HOSTS = 4 if QUICK else 8
@@ -74,9 +73,6 @@ INGEST_PER_HOST = 50 if QUICK else 500
 #: Worker groups for the coalesced (socket-over-pipe) measurement: the
 #: same worker plane, NUM_HOSTS/GROUP_COUNT tick frames per envelope.
 GROUP_COUNT = 2
-
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_storage.json"
 
 ALL_MODES = (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS, MODE_SOCKET)
 
@@ -199,14 +195,6 @@ def measure_ingest(cluster):
             "ingest_drained_records_per_s": round(len(work) / drained)}
 
 
-def fold_into_bench_json(summary):
-    data = {}
-    if BENCH_JSON.exists():
-        data = json.loads(BENCH_JSON.read_text())
-    data["event_plane"] = {**measured_on(), **summary}
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def test_event_plane_latency(benchmark, report_writer):
     # Committed cross-PR baseline, read before this run folds over it.
     baseline = {}
@@ -263,7 +251,7 @@ def test_event_plane_latency(benchmark, report_writer):
               f"{INGEST_PER_HOST} one-record upserts/host, hosts "
               "interleaved, mirrored through the connection outbox)"))
 
-    fold_into_bench_json({
+    fold_into_bench_json("event_plane", {
         "hosts": NUM_HOSTS,
         "flows_per_host": FLOWS_PER_HOST,
         "poor_fraction": POOR_FRACTION,

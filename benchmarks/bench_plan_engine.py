@@ -17,8 +17,6 @@ Writes ``reports/plan_engine.txt`` and folds a machine-readable summary
 into ``BENCH_storage.json`` under ``"plans"``.
 """
 
-import json
-import pathlib
 import statistics
 import time
 
@@ -33,7 +31,7 @@ from repro.storage import ColdArchive, RetentionPolicy
 from repro.storage.records import flow_key
 
 from query_testbed import QUICK, build_query_topology, populate_cluster
-from storage_workload import make_records
+from storage_workload import fold_into_bench_json, make_records
 
 NUM_HOSTS = 8 if QUICK else 16
 RECORDS_PER_HOST = 200 if QUICK else 400
@@ -48,17 +46,6 @@ MAX_OVERHEAD = 1.2
 SPAN_RECORDS = 1_200 if QUICK else 4_800
 SPAN_CAP = 80
 SPAN_SEGMENT = 64
-
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_storage.json"
-
-
-def fold_into_bench_json(summary):
-    data = {}
-    if BENCH_JSON.exists():
-        data = json.loads(BENCH_JSON.read_text())
-    data["plans"] = summary
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def median_wall_s(cluster, queries):
@@ -195,7 +182,7 @@ def test_plan_engine(benchmark, report_writer):
         title=f"Plan engine: compiled built-ins vs hand-written "
               f"(bound {MAX_OVERHEAD}x; quick={QUICK})"))
 
-    fold_into_bench_json({
+    fold_into_bench_json("plans", {
         "quick": QUICK,
         "hosts": NUM_HOSTS,
         "records_per_host": RECORDS_PER_HOST,

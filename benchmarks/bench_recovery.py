@@ -20,8 +20,6 @@ to "something answers".  The summary is folded into ``BENCH_storage.json``
 under ``"recovery"``.
 """
 
-import json
-import pathlib
 import statistics
 import time
 
@@ -31,15 +29,13 @@ from repro.core import (MODE_PROCESS, Q_TOP_K_FLOWS, Query, QueryCluster,
 from repro.core.supervisor import RestartPolicy, Supervisor
 
 from query_testbed import QUICK, build_query_topology, populate_cluster
+from storage_workload import fold_into_bench_json
 
 #: Smoke tier (CI) keeps the shape, cuts the scale.
 NUM_HOSTS = 4 if QUICK else 8
 RECORDS_PER_HOST = 150 if QUICK else 1500
 #: Kills measured per scenario (victims rotate deterministically).
 ROUNDS = 2 if QUICK else 5
-
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_storage.json"
 
 QUERY = Query(Q_TOP_K_FLOWS, {"k": 10})
 
@@ -98,14 +94,6 @@ def measure_scenario(retries):
         cluster.close()
 
 
-def fold_into_bench_json(summary):
-    data = {}
-    if BENCH_JSON.exists():
-        data = json.loads(BENCH_JSON.read_text())
-    data["recovery"] = summary
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def test_recovery_cost(benchmark, report_writer):
     def run():
         return [measure_scenario(retries) for retries in (0, 1)]
@@ -124,7 +112,7 @@ def test_recovery_cost(benchmark, report_writer):
               "scenario (measured wall clock; every post-recovery payload "
               "byte-identical to the pre-kill reference)"))
 
-    fold_into_bench_json({
+    fold_into_bench_json("recovery", {
         "hosts": NUM_HOSTS,
         "records_per_host": RECORDS_PER_HOST,
         "rounds": ROUNDS,

@@ -31,8 +31,6 @@ The ``--quick`` tier (CI) runs the same sweep on a k=8 fat-tree
 scale.
 """
 
-import json
-import pathlib
 import statistics
 import time
 
@@ -45,6 +43,7 @@ from repro.storage import PathFlowRecord
 from repro.topology.fattree import FatTreeTopology
 
 from query_testbed import QUICK
+from storage_workload import fold_into_bench_json
 
 #: Fat-tree arity: k=16 -> 1,024 hosts (the paper-scale sweep);
 #: the CI smoke tier runs k=8 -> 128 hosts.
@@ -61,9 +60,6 @@ FLOWS_PER_HOST = 4
 TICK_ROUNDS = 3
 #: Rounds of the multilevel-vs-direct wall comparison (best of).
 RATIO_ROUNDS = 5
-
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_storage.json"
 
 SWEEP = (
     (Query(Q_TOP_K_FLOWS, {"k": 100}), MECHANISM_DIRECT),
@@ -93,14 +89,6 @@ def populate(cluster):
             agent.monitor.observe_flow(
                 flow, retransmissions=6 if poor else 1,
                 consecutive=5 if poor else 1, when=float(n))
-
-
-def fold_into_bench_json(summary):
-    data = {}
-    if BENCH_JSON.exists():
-        data = json.loads(BENCH_JSON.read_text())
-    data["scaleout"] = summary
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def test_thousand_host_fat_tree_sweep(benchmark, report_writer):
@@ -224,7 +212,7 @@ def test_thousand_host_fat_tree_sweep(benchmark, report_writer):
               "alarm stream byte-identical to serial; coalescing factor "
               f"{coalescing_factor:.1f} frames/envelope)"))
 
-    fold_into_bench_json({
+    fold_into_bench_json("scaleout", {
         "k": K,
         "hosts": num_hosts,
         "group_count": GROUP_COUNT,

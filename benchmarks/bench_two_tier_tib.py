@@ -11,24 +11,24 @@ engine over the log-structured :class:`~repro.storage.archive.ColdArchive`:
   query's payload stays **byte-identical** to an uncapped TIB's;
 * ingest throughput with aging on versus off (the price of eviction);
 * query latency on the capped TIB (hot+cold spanning reads) versus the
-  uncapped one (hot only), for time-window, link and unconstrained scans.
+  uncapped one (hot only), for time-window, link and unconstrained scans;
+* a full-history *aggregate* (``Tib.fold``: columns, no records) beside the
+  full scan on the same TIB - what not materialising a cold row saves.
 
 Writes ``reports/two_tier_tib.txt`` and folds a machine-readable summary
 into ``BENCH_storage.json`` under ``"two_tier_tib"``.
 """
 
 import gc
-import json
-import pathlib
 import time
 
 from repro.analysis import format_table
 from repro.core import wire
 from repro.core.tib import Tib
-from repro.storage import RetentionPolicy
+from repro.storage import RetentionPolicy, ScanSpec
 
 from query_testbed import QUICK
-from storage_workload import make_records, measured_on
+from storage_workload import fold_into_bench_json, make_records
 
 #: Hot-tier record cap; the workload ingests 10x this many records.
 HOT_CAP = 200 if QUICK else 2_000
@@ -38,9 +38,6 @@ RECORD_COUNT = HOT_CAP * INGEST_FACTOR
 #: promote-on-merge path is part of the measured workload.
 DISTINCT_PAIRS = RECORD_COUNT * 4 // 5
 QUERY_ROUNDS = 20 if QUICK else 100
-
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_storage.json"
 
 
 def build_pair(count=RECORD_COUNT, distinct=DISTINCT_PAIRS, cap=HOT_CAP):
@@ -81,12 +78,17 @@ def _time_queries(tib, windows, link):
     return window_s, link_s, full_s
 
 
-def fold_into_bench_json(summary):
-    data = {}
-    if BENCH_JSON.exists():
-        data = json.loads(BENCH_JSON.read_text())
-    data["two_tier_tib"] = {**measured_on(), **summary}
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
+def _time_full_aggregate(tib):
+    """One full-history fold of the two columns the aggregate handlers
+    read, consumed: ``(seconds, rows, bytes)``.  One shot from a collected
+    heap, like the full scan it is compared with."""
+    gc.collect()
+    t0 = time.perf_counter()
+    rows = total = 0
+    for nbytes, paths in tib.fold(ScanSpec(), ("bytes", "path")):
+        rows += len(paths)
+        total += sum(nbytes)
+    return time.perf_counter() - t0, rows, total
 
 
 def test_two_tier_tib(benchmark, report_writer):
@@ -170,6 +172,20 @@ def test_two_tier_tib(benchmark, report_writer):
     scan_stats = capped.tier_stats()
     assert scan_stats["segments_skipped"] > 0
 
+    # ---- aggregation without materialisation ----------------------------
+    # Timed after the counters above were read, so the scan rows stay
+    # like-for-like with earlier reports.  A same-run ratio on one TIB:
+    # folding the history's columns against building a record per row.
+    capped_fold_s, *capped_sums = _time_full_aggregate(capped)
+    plain_fold_s, *plain_sums = _time_full_aggregate(plain)
+    assert capped_sums == plain_sums == [
+        plain.record_count(), sum(r.bytes for r in plain.records())]
+    assert capped.tier_stats()["entries_decoded"] == \
+        scan_stats["entries_decoded"], "a fold materialised cold rows"
+    assert capped_fold_s <= 0.5 * capped_full_s, \
+        f"full-history aggregate {capped_fold_s * 1e3:.2f} ms vs full " \
+        f"scan {capped_full_s * 1e3:.2f} ms over the same rows"
+
     hot_bytes = capped.estimated_bytes()
     cold_bytes = capped.archive_bytes()
     rows = [
@@ -203,6 +219,12 @@ def test_two_tier_tib(benchmark, report_writer):
          f"{full_us_per_cold_record:.2f} us",
          f"{full_us_per_cold_record / ingest_us_per_record:.2f}x the "
          f"{ingest_us_per_record:.1f} us a record cost to ingest"],
+        ["full-history aggregate (hot only)",
+         f"{plain_fold_s * 1e3:.3f} ms", ""],
+        ["full-history aggregate (hot+cold)",
+         f"{capped_fold_s * 1e3:.3f} ms",
+         f"{capped_fold_s / capped_full_s:.2f}x the full scan: no record "
+         f"is built"],
         ["cold segments pruned / opened",
          f"{scan_stats['segments_skipped']} / "
          f"{scan_stats['segment_decodes']}", "zone maps + blooms"],
@@ -219,7 +241,7 @@ def test_two_tier_tib(benchmark, report_writer):
               f"{INGEST_FACTOR}x ingest (payloads byte-identical to "
               f"uncapped; quick={QUICK})"))
 
-    fold_into_bench_json({
+    fold_into_bench_json("two_tier_tib", {
         "quick": QUICK,
         "hot_cap_records": HOT_CAP,
         "records_ingested": RECORD_COUNT,
@@ -241,12 +263,15 @@ def test_two_tier_tib(benchmark, report_writer):
             "link_spanning": round(capped_link_s * 1e3, 4),
             "full_hot": round(plain_full_s * 1e3, 4),
             "full_spanning": round(capped_full_s * 1e3, 4),
+            "full_aggregate_hot": round(plain_fold_s * 1e3, 4),
+            "full_aggregate_spanning": round(capped_fold_s * 1e3, 4),
         },
         "ingest_slowdown": round(capped_ingest_s / plain_ingest_s, 2),
         "full_scan_us_per_cold_record": round(full_us_per_cold_record, 2),
         "ingest_us_per_record": round(ingest_us_per_record, 2),
         "link_spanning_ratio": round(
             capped_link_s / max(plain_link_s, 1e-9), 2),
+        "aggregate_vs_scan_ratio": round(capped_fold_s / capped_full_s, 3),
         "scan": {
             "segments_skipped": scan_stats["segments_skipped"],
             "segment_decodes": scan_stats["segment_decodes"],

@@ -2,16 +2,18 @@
 
 Used by ``bench_regress_storage.py`` (pytest-benchmark) and
 ``run_storage_bench.py`` (standalone, writes ``BENCH_storage.json``) so both
-measure exactly the same record population.
+measure exactly the same record population; also the one place a benchmark
+folds its summary into ``BENCH_storage.json`` (:func:`fold_into_bench_json`).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
 import random
 import subprocess
-from typing import Dict, List, Union
+from typing import Any, Dict, List, Union
 
 from repro.core.tib import Tib
 from repro.network.packet import FlowId, PROTO_TCP
@@ -20,6 +22,10 @@ from repro.storage import PathFlowRecord
 #: Leaf/spine fabric shape of the synthetic paths.
 LEAVES = 8
 SPINES = 2
+
+#: The committed storage/perf ledger every folding benchmark writes into.
+BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / \
+    "BENCH_storage.json"
 
 
 def measured_on() -> Dict[str, Union[str, int, None]]:
@@ -31,6 +37,15 @@ def measured_on() -> Dict[str, Union[str, int, None]]:
          "describe", "--always", "--dirty"], capture_output=True, text=True)
     return {"commit": described.stdout.strip() or None,
             "nproc": os.cpu_count()}
+
+
+def fold_into_bench_json(section: str, summary: Dict[str, Any]) -> None:
+    """Replace one benchmark's ``section`` of ``BENCH_storage.json`` with
+    ``summary``, stamped with :func:`measured_on`; every other section is
+    kept as it is."""
+    data = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
+    data[section] = {**measured_on(), **summary}
+    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def make_records(count: int, distinct_pairs: int,

@@ -22,8 +22,11 @@ This module defines:
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
+from operator import floordiv
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -33,7 +36,7 @@ from repro.core.alarms import PC_FAIL, Alarm
 from repro.core.tib import (LinkId, TimeRange, is_unconstrained_link,
                             normalise_time_range)
 from repro.network.packet import PROTO_TCP, FlowId
-from repro.storage.records import flow_key
+from repro.storage.records import ScanSpec, flow_key
 
 #: Built-in query names.
 Q_GET_FLOWS = "get_flows"
@@ -100,6 +103,27 @@ def _compiled_top_k(k: int, link: Any, time_range: Any) -> "planlib.Plan":
         return _cached_top_k_plan(k, link, time_range)
     except TypeError:  # unhashable parameter shape (e.g. a list link)
         return planlib.compile_top_k_flows(k, link, time_range)
+
+
+# Likewise the read an aggregate handler folds: every host of a sweep is
+# asked with the same link and window, and building + normalising a
+# ``ScanSpec`` costs as much as reading a 40-record TIB.
+@lru_cache(maxsize=1024)
+def _cached_fold_spec(link: Any, time_range: Any) -> ScanSpec:
+    start, end = normalise_time_range(time_range)
+    return ScanSpec(start=start, end=end,
+                    links=() if link is None else (link,))
+
+
+def _fold_spec(link: Any, time_range: Any) -> ScanSpec:
+    if link is not None:
+        link = tuple(link)
+    if time_range is not None:
+        time_range = tuple(time_range)
+    try:
+        return _cached_fold_spec(link, time_range)
+    except TypeError:  # unhashable parameter shape
+        return _cached_fold_spec.__wrapped__(link, time_range)
 
 
 @dataclass
@@ -354,26 +378,33 @@ class QueryEngine:
     def _run_flow_size_distribution(agent, params):
         """Histogram of flow sizes on a link (the Section 2.3 example).
 
-        One pass over the link-indexed records: bytes are grouped per
-        (flow, path) pair - exactly what ``getFlows`` + per-flow
-        ``getCount`` produced, without re-querying the TIB per flow.
+        The TIB keeps exactly one record per (flow, path), so each row's
+        byte count already is the pair's ``getCount`` total: the histogram
+        is binned straight off the ``bytes`` column of both tiers
+        (:meth:`Tib.fold <repro.core.tib.Tib.fold>`) - no cold row is
+        materialised for it.  A fold has no row order, so the keys are
+        emitted sorted: one canonical payload whatever the tier split.
         """
         links = params.get("links")
         if links is None:
             links = [params.get("link")]
         time_range = params.get("time_range")
         binsize = params.get("binsize", 10_000)
-        histogram: Dict[Tuple[str, int], int] = {}
-        scanned = 0
+        per_label: Dict[str, Counter] = {}
         for link in links:
             label = _link_label(link)
-            # The TIB keeps exactly one record per (flow, path), so each
-            # record's byte count already is the pair's ``getCount`` total.
-            for record in agent.records(link=link, time_range=time_range):
-                key = (label, record.bytes // binsize)
-                histogram[key] = histogram.get(key, 0) + 1
-                scanned += 1
-        return histogram, _KV_BYTES * max(1, len(histogram)), scanned
+            for (nbytes,) in agent.tib.fold(_fold_spec(link, time_range),
+                                            ("bytes",)):
+                binned = map(floordiv, nbytes, repeat(binsize))
+                if label in per_label:
+                    per_label[label].update(binned)
+                else:  # most hosts hold no row of a narrow window
+                    per_label[label] = Counter(binned)
+        histogram = {(label, size_bin): bins[size_bin]
+                     for label, bins in sorted(per_label.items())
+                     for size_bin in sorted(bins)}
+        return (histogram, _KV_BYTES * max(1, len(histogram)),
+                sum(histogram.values()))
 
     @staticmethod
     def _run_top_k_flows(agent, params):
@@ -425,17 +456,23 @@ class QueryEngine:
 
     @staticmethod
     def _run_traffic_matrix(agent, params):
-        """Bytes between (source ToR, destination ToR) pairs seen locally."""
-        time_range = params.get("time_range")
+        """Bytes between (source ToR, destination ToR) pairs seen locally,
+        summed off the ``bytes`` and ``path`` columns of both tiers
+        (:meth:`Tib.fold <repro.core.tib.Tib.fold>`).  Keys are emitted
+        sorted, like :meth:`_run_flow_size_distribution`'s.
+        """
         matrix: Dict[Tuple[str, str], int] = {}
-        records = agent.tib.records(time_range=time_range)
-        for record in records:
-            if len(record.path) < 3:
-                continue
-            src_tor, dst_tor = record.path[1], record.path[-2]
-            key = (src_tor, dst_tor)
-            matrix[key] = matrix.get(key, 0) + record.bytes
-        return matrix, _KV_BYTES * max(1, len(matrix)), len(records)
+        scanned = 0
+        for nbytes, paths in agent.tib.fold(
+                _fold_spec(None, params.get("time_range")),
+                ("bytes", "path")):
+            scanned += len(paths)
+            for path, count in zip(paths, nbytes):
+                if len(path) >= 3:
+                    key = (path[1], path[-2])
+                    matrix[key] = matrix.get(key, 0) + count
+        return (dict(sorted(matrix.items())),
+                _KV_BYTES * max(1, len(matrix)), scanned)
 
     @staticmethod
     def _run_path_conformance(agent, params):

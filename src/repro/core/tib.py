@@ -90,8 +90,8 @@ import threading
 from bisect import bisect_left, bisect_right, insort
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
-                    Union)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from repro.network.packet import FlowId
 from repro.storage.archive import ColdArchive, RetentionPolicy
@@ -116,6 +116,17 @@ Flow = Tuple[FlowId, Tuple[str, ...]]
 _POS_INF = float("inf")
 
 _EMPTY_IDS: FrozenSet[int] = frozenset()
+
+#: How an order-free column read takes each field it may name - the
+#: ``COLUMN_FIELDS`` of :mod:`repro.storage.records` - off the hot records
+#: (a comprehension's attribute load beats ``map(attrgetter)`` 2:1).
+_HOT_COLUMNS = {
+    "path": lambda records: [record.path for record in records],
+    "stime": lambda records: [record.stime for record in records],
+    "etime": lambda records: [record.etime for record in records],
+    "bytes": lambda records: [record.bytes for record in records],
+    "pkts": lambda records: [record.pkts for record in records],
+}
 
 
 # Canonical wildcard test, shared with ScanSpec (see records.is_wild).
@@ -622,8 +633,32 @@ class Tib:
             pairs.sort(key=lambda pair: pair[0])
         return [record for _, record in pairs]
 
+    def fold(self, spec: ScanSpec, fields: Sequence[str]
+             ) -> Iterator[Tuple[Sequence, ...]]:
+        """Exactly the rows :meth:`spec_records` returns, as columns and in
+        no particular order - the read an aggregate wants.
+
+        Yields chunks, each a tuple of parallel non-empty sequences of the
+        named ``fields`` (:data:`~repro.storage.records.COLUMN_FIELDS`
+        names): the hot tier's matches first, read off the live record
+        objects, then one chunk per cold log position straight from its
+        columns (:meth:`ColdArchive.fold
+        <repro.storage.archive.ColdArchive.fold>`) - no record is built for
+        a cold row.  Chunks are read-only views, valid until the next
+        write.  Anything keyed that is computed from them must not depend
+        on row order: chunks follow the tier split, not record ids.
+        """
+        columns = [_HOT_COLUMNS[name] for name in fields]
+        hot = self._hot_records(spec)
+        if hot:
+            yield tuple([column(hot) for column in columns])
+        archive = self.archive
+        if archive is not None and archive.live_count:
+            yield from archive.fold(spec, fields)
+
     def _hot_records(self, spec: ScanSpec) -> List[PathFlowRecord]:
-        """The single-tier read path (no live archive entries).
+        """The hot tier's matches in id order, without the ids - all of a
+        read when the archive holds no live entry.
 
         The unconstrained and time-only branches skip the ``(id, record)``
         pair allocation entirely; everything else delegates to
@@ -721,8 +756,6 @@ class Tib:
             self.scan_routes["time"] += 1
             pairs = [(record_id, cache[record_id])
                      for record_id in self._ids_in_window(start, end)]
-        if spec.limit is not None:
-            del pairs[spec.limit:]
         return pairs
 
     def _ids_in_window(self, start: Optional[float],

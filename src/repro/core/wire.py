@@ -94,7 +94,7 @@ from repro.core.monitor import (MonitorSnapshot, TcpFlowStats,
                                 TransferObservation)
 from repro.core import plan as _plan
 from repro.network.packet import FlowId
-from repro.storage.records import PathFlowRecord
+from repro.storage.records import COLUMN_FIELDS, PathFlowRecord
 
 #: Frame magic + codec version (bump on any incompatible layout change).
 #: Version 2: result frames carry a piggybacked alarm batch, pongs carry
@@ -1062,6 +1062,9 @@ SEGMENT_COLUMNS = ("id", "stime", "etime", "bytes", "pkts", "src_port",
 (SEG_ID, SEG_STIME, SEG_ETIME, SEG_BYTES, SEG_PKTS, SEG_SRC_PORT,
  SEG_DST_PORT, SEG_PROTOCOL, SEG_SRC, SEG_DST, SEG_PATH) = range(11)
 _SEG_PATH_ENDS, _SEG_PATH_NODES, _SEG_NAME_ENDS, _SEG_NAME_TEXT = range(11, 15)
+#: The column holding each record field that is stored as itself - the
+#: fields an order-free column read (``ColdArchive.fold``) can name.
+FIELD_COLUMNS = {name: SEGMENT_COLUMNS.index(name) for name in COLUMN_FIELDS}
 
 _SEGMENT_MAGIC = b"PDSG"
 _SEGMENT_HEAD = struct.Struct("=4sI15s15I")
@@ -1120,20 +1123,35 @@ class _SegmentRows:
         record)`` pairs: dictionary lookups and two constructors a row.
         Every record is a fresh object - promotions merge into records in
         place, so nothing handed out here may alias a later one."""
-        columns = [self.column(index)
-                   for index in range(len(SEGMENT_COLUMNS))]
-        if rows is not None:
-            if not rows:
-                return []
-            columns = [_select(column, rows) for column in columns]
+        if rows is not None and not rows:
+            return []
         names = self.names()
-        paths = self.paths()
         return [(record_id, PathFlowRecord(
                     FlowId(names[src], names[dst], src_port, dst_port,
                            protocol),
-                    paths[path], stime, etime, nbytes, pkts))
+                    path, stime, etime, nbytes, pkts))
                 for (record_id, stime, etime, nbytes, pkts, src_port,
-                     dst_port, protocol, src, dst, path) in zip(*columns)]
+                     dst_port, protocol, src, dst, path)
+                in zip(*self.select(range(len(SEGMENT_COLUMNS)), rows))]
+
+    def select(self, indexes: Sequence[int],
+               rows: Optional[Sequence[int]] = None
+               ) -> Tuple[Sequence[Any], ...]:
+        """Columns ``indexes`` (``SEG_*`` constants) in parallel, over the
+        non-empty ``rows`` (every row when ``None``) - what :meth:`records`
+        builds from, and all an aggregate needs.  No record is built: a
+        value column comes back as the view or list it is stored as
+        (read-only), and ``SEG_PATH`` as the path table's own tuples - one
+        object per distinct path of the segment."""
+        picked = []
+        for index in indexes:
+            values = self.column(index)
+            if rows is not None:
+                values = _select(values, rows)
+            if index == SEG_PATH:
+                values = list(map(self.paths().__getitem__, values))
+            picked.append(values)
+        return tuple(picked)
 
 
 class SegmentBuilder(_SegmentRows):
@@ -1329,6 +1347,7 @@ class Segment(_SegmentRows):
 
     #: A corrupt index column must surface as a decode error too.
     records = _guarded(_SegmentRows.records)
+    select = _guarded(_SegmentRows.select)
 
 
 # ------------------------------------------------------------------ results

@@ -41,13 +41,16 @@ segments on that metadata and then filters the survivors *on columns*: the
 time window on the two time columns alone (nothing else of the segment is
 touched when no row survives), link constraints once per distinct path of
 the segment, flow keys on the five flow-id columns after one dictionary
-lookup per key.  Every column predicate is exact, so only results are
-materialised - two dictionary lookups and two constructors a row - and the
-unsealed tail is scanned the same way over its lists.  There is no
-decoded-record cache: a sequential scan larger than any bounded LRU never
-hits it, and materialising a row costs less than the bookkeeping did.
-There is no scan-mode option either: threads under the interpreter lock
-never won on array-speed work.
+lookup per key.  Every column predicate is exact, so a scan materialises
+only its results - two dictionary lookups and two constructors a row - and
+the unsealed tail is scanned the same way over its lists.  :meth:`fold` is
+the same selection with no materialisation at all: it hands an aggregate
+the selected rows of the columns it names, one chunk per log position, and
+builds no record (``entries_decoded`` counts rows *materialised*, so a fold
+leaves it alone).  There is no decoded-record cache: a sequential scan
+larger than any bounded LRU never hits it, and materialising a row costs
+less than the bookkeeping did.  There is no scan-mode option either:
+threads under the interpreter lock never won on array-speed work.
 
 :meth:`archive_bytes` is *measured*: the ``len`` of every sealed blob plus
 the tail at the size it would seal to (computed by packing it).  Two
@@ -93,7 +96,8 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Dict, FrozenSet, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.network.packet import FlowId
 from repro.storage.records import (PathFlowRecord, ScanSpec, flow_key,
@@ -211,9 +215,12 @@ class RetentionPolicy:
 _ROW_BITS = 32
 
 
+@lru_cache(maxsize=1 << 16)
 def _path_matches(path: Tuple[str, ...], links) -> bool:
     """:meth:`ScanSpec.matches`'s link conjunction for one path - the scan
-    evaluates it once per distinct path of a segment, not once per row."""
+    asks once per distinct path of a segment, not once per row, and the
+    answer is memoized: a fabric has few paths and a debugging session few
+    links, while a 256-row segment holds a hundred distinct paths."""
     if len(path) < 2:
         return False  # traverses no link
     for a, b in links:
@@ -544,16 +551,20 @@ class ColdArchive:
         self._total_rows = len(locator)
 
     # ------------------------------------------------------------------- reads
-    def scan(self, spec: ScanSpec) -> List[Tuple[int, PathFlowRecord]]:
-        """Live entries matching ``spec``, as id-ordered ``(id, record)``
-        pairs - the cold half of the tiers' shared read surface.
+    def _selected(self, spec: ScanSpec
+                  ) -> Iterator[Tuple[Any, Optional[Sequence[int]]]]:
+        """``(rows, selection)`` for every log position that holds a live
+        entry matching ``spec``, in log order: the position's readable rows
+        and the non-empty row numbers selected (``None`` when that is every
+        row) - the one implementation of the flush barrier, segment
+        pruning, the column predicates and liveness, behind both
+        :meth:`scan` and :meth:`fold`.
 
-        The write-behind buffer flushes first (the flush barrier), whole
-        segments are skipped on zone maps + blooms, and the surviving
-        segments and the tail are filtered on columns
-        (:meth:`_matching_rows`): every predicate is exact -
-        :meth:`ScanSpec.matches` holds for precisely the rows selected -
-        so only results are ever materialised, each as a fresh object.
+        The write-behind buffer flushes first, whole segments are skipped
+        on zone maps + blooms, and the surviving segments and the tail are
+        filtered on columns (:meth:`_matching_rows`): every predicate is
+        exact - :meth:`ScanSpec.matches` holds for precisely the rows
+        selected.
 
         When the log holds several rows for one id (promotion then
         re-archival), only the latest is live.  Pruning stays safe across
@@ -592,20 +603,41 @@ class ColdArchive:
         stats["segment_decodes"] += len(candidates)
         if self._tail.count:
             candidates.append(self._tail_no)
-        results: List[Tuple[int, PathFlowRecord]] = []
-        examined = 0
         for number in candidates:
             rows = self._rows(number)
-            examined += rows.count
             matching = self._matching_rows(rows, number, spec, flows)
-            results += rows.records(
-                None if len(matching) == rows.count else matching)
-        stats["entries_decoded"] += len(results)
-        stats["entries_skipped"] += examined - len(results)
+            stats["entries_skipped"] += rows.count - len(matching)
+            if matching:
+                yield rows, (None if len(matching) == rows.count
+                             else matching)
+
+    def scan(self, spec: ScanSpec) -> List[Tuple[int, PathFlowRecord]]:
+        """Live entries matching ``spec``, as id-ordered ``(id, record)``
+        pairs - the cold half of the tiers' shared read surface.
+
+        Only the rows :meth:`_selected` picked are ever materialised, each
+        as a fresh object.
+        """
+        results: List[Tuple[int, PathFlowRecord]] = []
+        for rows, selection in self._selected(spec):
+            results += rows.records(selection)
+        self.stats["entries_decoded"] += len(results)
         results.sort(key=itemgetter(0))
-        if spec.limit is not None:
-            del results[spec.limit:]
         return results
+
+    def fold(self, spec: ScanSpec, fields: Sequence[str]
+             ) -> Iterator[Tuple[Sequence[Any], ...]]:
+        """The rows :meth:`scan` would return, as columns: one chunk per
+        log position holding a match, each a tuple of parallel non-empty
+        sequences of the named record ``fields``
+        (:data:`~repro.storage.records.COLUMN_FIELDS` names).  Nothing is
+        materialised and nothing is ordered - chunks come in log order,
+        not id order - which is all an aggregate needs; treat the
+        sequences as read-only views.
+        """
+        columns = [_codec().FIELD_COLUMNS[name] for name in fields]
+        for rows, selection in self._selected(spec):
+            yield rows.select(columns, selection)
 
     def _matching_rows(self, rows, segment_no: int, spec: ScanSpec,
                        flows: Optional[Set[FlowId]]) -> Sequence[int]:

@@ -228,6 +228,10 @@ def parse_flow_key(key: str) -> FlowId:
 #: index and per-flow aggregates use.
 RECORD_FIELDS: Tuple[str, ...] = ("flow", "path", "stime", "etime",
                                   "bytes", "pkts")
+#: The schema fields a record (and a cold row) stores as themselves, one
+#: value each - what an order-free column read (``Tib.fold``) can name.
+#: ``flow`` is derived from five stored values, so it is not one of them.
+COLUMN_FIELDS: Tuple[str, ...] = RECORD_FIELDS[1:]
 
 
 def record_field(record: PathFlowRecord, name: str) -> Any:
@@ -264,14 +268,12 @@ class ScanSpec:
             nothing and is dropped.  Concrete pairs are undirected.
         flow_keys: disjunction of canonical flow keys (see
             :func:`flow_key`), or ``None`` for unconstrained.
-        limit: keep only the first ``limit`` pairs in id order, or ``None``.
     """
 
     start: Optional[float] = None
     end: Optional[float] = None
     links: Tuple[Tuple[Optional[str], Optional[str]], ...] = ()
     flow_keys: Optional[FrozenSet[str]] = None
-    limit: Optional[int] = None
 
     def __post_init__(self) -> None:
         start = None if is_wild(self.start) else float(self.start)
@@ -289,8 +291,6 @@ class ScanSpec:
         flow_keys = self.flow_keys
         if flow_keys is not None and not isinstance(flow_keys, frozenset):
             flow_keys = frozenset(flow_keys)
-        if self.limit is not None and self.limit < 0:
-            raise ValueError(f"scan limit must be >= 0, got {self.limit}")
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
         object.__setattr__(self, "links", tuple(links))
@@ -298,7 +298,7 @@ class ScanSpec:
 
     @property
     def unconstrained(self) -> bool:
-        """True when every record matches (limit aside)."""
+        """True when every record matches."""
         return (self.start is None and self.end is None
                 and not self.links and self.flow_keys is None)
 

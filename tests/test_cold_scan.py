@@ -6,25 +6,32 @@ comparing the column-filtered scan against a brute-force read of every row
 of every opened segment - a pruned segment or a column predicate must never
 hide a matching entry), compaction round-trips with tight rewritten zone
 maps, scan results never aliasing promoted records, byte-equal segment
-blobs for equal streams, capped answers byte-identical to uncapped ones
-across serial / thread / process executors (including a kill while staged
+blobs for equal streams, the order-free column read (``fold``) against the
+same brute-force read and against ``spec_records`` on a capped / uncapped
+pair, the two aggregate handlers built on it against the record loops they
+replaced, capped answers byte-identical to uncapped ones across serial /
+thread / process / socket executors (including a kill while staged
 evictions are in flight), and the consolidated
 ``controller.report(sections=...)``.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import (AgentServerError, MODE_CONCURRENT, MODE_PROCESS,
-                        MODE_SERIAL, PathDumpController, Q_GET_FLOWS,
-                        Q_TOP_K_FLOWS, Query, QueryCluster, Tib, wire)
+                        MODE_SERIAL, MODE_SOCKET, PathDumpController,
+                        Q_FLOW_SIZE_DISTRIBUTION, Q_GET_FLOWS, Q_TOP_K_FLOWS,
+                        Q_TRAFFIC_MATRIX, Query, QueryCluster, Tib, wire)
+from repro.core.query import QueryEngine, _link_label
 from repro.core.supervisor import ChaosPolicy, Supervisor
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import ColdArchive, PathFlowRecord, RetentionPolicy, ScanSpec
-from repro.storage.records import flow_key
+from repro.storage.records import COLUMN_FIELDS, flow_key
 from test_supervisor import FAST, STARTUP_FRAMES, small_topology
-from test_two_tier_tib import HOT_CAP, make_record, populate, record_values
+from test_two_tier_tib import (HOT_CAP, SWITCHES, make_record, populate,
+                               record_values)
 
 
 class TestScanSpec:
@@ -42,10 +49,6 @@ class TestScanSpec:
     def test_inverted_window_rejected(self):
         with pytest.raises(ValueError, match="precedes"):
             ScanSpec(start=5.0, end=1.0)
-
-    def test_negative_limit_rejected(self):
-        with pytest.raises(ValueError, match="limit"):
-            ScanSpec(limit=-1)
 
     def test_unconstrained(self):
         assert ScanSpec().unconstrained
@@ -212,8 +215,6 @@ def fuzz_specs(rng, records):
         ScanSpec(links=((a, b), (None, sample.path[0]))),
         ScanSpec(start=times[0], end=times[1], links=((a, None),),
                  flow_keys=frozenset((fkey,))),
-        ScanSpec(limit=3),
-        ScanSpec(start=times[0], limit=5),
     ]
 
 
@@ -259,8 +260,6 @@ def fuzz_archive(seed, **kwargs):
 
 def assert_scan_is_brute_force(archive, spec):
     want = brute_force(archive, spec)
-    if spec.limit is not None:
-        want = want[:spec.limit]
     got = archive.scan(spec)
     assert record_values(r for _, r in got) == \
         record_values(r for _, r in want), spec
@@ -327,6 +326,235 @@ class TestPruningSoundnessFuzz:
         archive.reset_stats()
         assert archive.stats["segments_skipped"] == 0
         assert archive.stats["entries_decoded"] == 0
+
+
+def fold_rows(chunks):
+    """The field tuples a fold yielded, sorted (a fold has no row order);
+    no chunk may be empty and a chunk's sequences run in parallel."""
+    rows = []
+    for chunk in chunks:
+        lengths = {len(values) for values in chunk}
+        assert len(lengths) == 1 and lengths != {0}, chunk
+        rows.extend(zip(*chunk))
+    return sorted(rows)
+
+
+#: What a fold advances exactly as a scan of the same spec does;
+#: ``entries_decoded`` counts rows *materialised*, so a fold leaves it be.
+PRUNING_COUNTERS = ("segments_skipped", "segment_decodes", "entries_skipped")
+
+
+class TestFoldSoundness:
+    """The order-free column read returns exactly the rows the record read
+    returns - the same pruning, column predicates and liveness - without
+    building one of them."""
+
+    @pytest.mark.parametrize("reopened", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_archive_fold_matches_brute_force(self, seed, reopened):
+        rng, archive, records = fuzz_archive(seed)
+        assert archive._tail.count and archive.dead_ratio > 0.0
+        if reopened:
+            # from their bytes alone: both dictionaries get decoded
+            for segment in archive._segments.values():
+                segment.rows = wire.Segment(segment.rows.data)
+        for _ in range(3):
+            for spec in fuzz_specs(rng, records):
+                want = sorted((r.bytes, r.path)
+                              for _, r in brute_force(archive, spec))
+                archive.reset_stats()
+                archive.scan(spec)
+                scanned = dict(archive.stats)
+                archive.reset_stats()
+                got = fold_rows(archive.fold(spec, ("bytes", "path")))
+                assert got == want, spec
+                assert scanned["entries_decoded"] == len(want)
+                assert archive.stats["entries_decoded"] == 0
+                for key in PRUNING_COUNTERS:
+                    assert archive.stats[key] == scanned[key], (key, spec)
+
+    def test_every_column_field_reads_back_from_both_tiers(self):
+        assert COLUMN_FIELDS == ("path", "stime", "etime", "bytes", "pkts")
+        _, archive, records = fuzz_archive(4)
+        want = sorted((r.path, r.stime, r.etime, r.bytes, r.pkts)
+                      for _, r in brute_force(archive, ScanSpec()))
+        assert fold_rows(archive.fold(ScanSpec(), COLUMN_FIELDS)) == want
+        tib = Tib("h")
+        tib.add_records(records)
+        assert fold_rows(tib.fold(ScanSpec(), COLUMN_FIELDS)) == sorted(
+            (r.path, r.stime, r.etime, r.bytes, r.pkts) for r in records)
+
+    def test_path_column_is_one_object_per_distinct_path(self):
+        """What lets an aggregate key on paths cheaply: a segment's rows
+        share the path table's tuples."""
+        archive = ColdArchive(segment_records=64)
+        for i in range(64):
+            archive.append(i, make_record(i))
+        (paths,), = archive.fold(ScanSpec(), ("path",))
+        assert len({id(path) for path in paths}) == len(set(paths)) == 15
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_tib_fold_matches_spec_records_capped_and_uncapped(self, seed):
+        rng = random.Random(seed)
+        records = [make_record(i, rng=rng) for i in range(300)]
+        # merges onto archived keys: promotions, garbage, re-archival
+        stream = records + [make_record(i, rng=rng)
+                            for i in rng.sample(range(300), 80)]
+        plain = Tib("plain")
+        capped = Tib("capped", retention=RetentionPolicy(max_records=40),
+                     archive=ColdArchive(segment_records=16,
+                                         write_behind_records=32))
+        for record in stream:
+            plain.add_record(record)
+            capped.add_record(record)
+        assert capped.promotions and capped.archive.segment_count > 4
+        assert capped.archive.staged_count  # the fold must flush first
+        for spec in fuzz_specs(rng, records):
+            want = sorted((r.bytes, r.path)
+                          for r in plain.spec_records(spec))
+            capped.reset_stats()
+            assert sorted((r.bytes, r.path)
+                          for r in capped.spec_records(spec)) == want, spec
+            scanned = capped.tier_stats()
+            capped.reset_stats()
+            for tib in (plain, capped):
+                assert fold_rows(
+                    tib.fold(spec, ("bytes", "path"))) == want, spec
+            folded = capped.tier_stats()
+            assert folded["entries_decoded"] == 0
+            for key in PRUNING_COUNTERS:
+                assert folded[key] == scanned[key], (key, spec)
+
+    def test_unknown_fields_are_rejected_by_both_tiers(self):
+        tib = Tib("h", retention=RetentionPolicy(max_records=4))
+        for i in range(12):
+            tib.add_record(make_record(i))
+        for fields in (("flow",), ("bytes", "flow_id")):  # not stored as is
+            with pytest.raises(KeyError):
+                list(tib.fold(ScanSpec(), fields))
+            with pytest.raises(KeyError):
+                list(tib.archive.fold(ScanSpec(), fields))
+
+
+def reference_fsd(tib, params):
+    """The record loop ``flow_size_distribution`` ran before it read
+    columns, kept here as its oracle - keys then sorted."""
+    links = params.get("links")
+    if links is None:
+        links = [params.get("link")]
+    binsize = params.get("binsize", 10_000)
+    histogram = {}
+    scanned = 0
+    for link in links:
+        label = _link_label(link)
+        for record in tib.records(link=link,
+                                  time_range=params.get("time_range")):
+            key = (label, record.bytes // binsize)
+            histogram[key] = histogram.get(key, 0) + 1
+            scanned += 1
+    return dict(sorted(histogram.items())), scanned
+
+
+def reference_matrix(tib, params):
+    """Likewise for ``traffic_matrix``."""
+    matrix = {}
+    records = tib.records(time_range=params.get("time_range"))
+    for record in records:
+        if len(record.path) < 3:
+            continue
+        key = (record.path[1], record.path[-2])
+        matrix[key] = matrix.get(key, 0) + record.bytes
+    return dict(sorted(matrix.items())), len(records)
+
+
+class TestAggregateHandlersReadColumns:
+    """``flow_size_distribution`` and ``traffic_matrix`` fold columns; what
+    they answer - payload bytes and ``records_scanned`` - is what the
+    record loops answered, whatever the tier split."""
+
+    A, B = make_record(0).path[1:3]
+    FSD_PARAMS = [
+        {},
+        {"link": (A, B), "binsize": 500},
+        {"links": [(A, B), None, (B, A)], "binsize": 1000},
+        {"links": [(A, B), (A, B)], "binsize": 700},
+        {"links": [None], "binsize": 300, "time_range": (10.0, 30.0)},
+        {"link": (A, None), "time_range": (None, 25.0)},
+        {"link": ("*", B), "binsize": 2.5},
+        {"link": ("no-such-switch", None)},
+        {"links": [[A, B]], "time_range": [10.0, 30.0]},  # decoded shapes
+    ]
+    MATRIX_PARAMS = [{}, {"time_range": (10.0, 30.0)},
+                     {"time_range": (1e6, None)}]
+
+    @pytest.fixture(scope="class")
+    def tibs(self):
+        rng = random.Random(11)
+        stream = [make_record(i, rng=rng) for i in range(300)]
+        stream += [make_record(i, rng=rng) for i in rng.sample(range(300), 60)]
+        for i, path in enumerate((("host-a0", "host-b"), ("host-b",), ())):
+            # degenerate: scanned, but between no pair of ToRs
+            stream.insert(50 * i, PathFlowRecord(
+                FlowId("host-a0", "host-b", 50_000 + i, 80, PROTO_TCP),
+                path, 12.0, 14.0, 640, 1))
+        tibs = {"hot-only": Tib("h"),
+                "spanning": Tib("h", retention=RetentionPolicy(max_records=40),
+                                archive=ColdArchive(segment_records=16,
+                                                    write_behind_records=32)),
+                "fully-cold": Tib("h", retention=RetentionPolicy(max_records=0),
+                                  archive=ColdArchive(segment_records=16))}
+        for tib in tibs.values():
+            tib.add_records(stream)
+        assert tibs["spanning"].promotions and tibs["spanning"].record_count()
+        assert not tibs["fully-cold"].record_count()
+        return tibs
+
+    @pytest.mark.parametrize("name,reference,param_sets", [
+        (Q_FLOW_SIZE_DISTRIBUTION, reference_fsd, FSD_PARAMS),
+        (Q_TRAFFIC_MATRIX, reference_matrix, MATRIX_PARAMS)])
+    def test_payload_and_scanned_equal_the_record_loop(
+            self, tibs, name, reference, param_sets):
+        engine = QueryEngine()
+        for params in param_sets:
+            answers = set()
+            for tier_mix, tib in tibs.items():
+                payload, scanned = reference(tib, params)
+                result = engine.execute(SimpleNamespace(host="h", tib=tib),
+                                        Query(name, params))
+                assert wire.encode_value(result.payload) == \
+                    wire.encode_value(payload), (tier_mix, params)
+                assert result.records_scanned == scanned, (tier_mix, params)
+                assert type(result.payload) is dict
+                answers.add((wire.encode_value(result.payload), scanned))
+            assert len(answers) == 1, params  # capped == uncapped
+        assert any(payload for payload, _ in
+                   (reference(tibs["hot-only"], p) for p in param_sets))
+
+    def test_reversed_window_is_rejected(self, tibs):
+        agent = SimpleNamespace(host="h", tib=tibs["spanning"])
+        for name in (Q_FLOW_SIZE_DISTRIBUTION, Q_TRAFFIC_MATRIX):
+            with pytest.raises(ValueError, match="precedes"):
+                QueryEngine().execute(
+                    agent, Query(name, {"time_range": (5.0, 1.0)}))
+
+    def test_degenerate_rows_are_scanned_but_not_in_the_matrix(self, tibs):
+        for tib in tibs.values():
+            result = QueryEngine().execute(
+                SimpleNamespace(host="h", tib=tib), Query(Q_TRAFFIC_MATRIX, {}))
+            assert result.records_scanned == tib.total_record_count() == 303
+            assert all(a in SWITCHES and b in SWITCHES
+                       for a, b in result.payload)
+
+    def test_no_cold_row_is_materialised(self, tibs):
+        tib = tibs["fully-cold"]
+        tib.reset_stats()
+        engine = QueryEngine()
+        agent = SimpleNamespace(host="h", tib=tib)
+        engine.execute(agent, Query(Q_FLOW_SIZE_DISTRIBUTION, {}))
+        engine.execute(agent, Query(Q_TRAFFIC_MATRIX, {}))
+        stats = tib.tier_stats()
+        assert stats["segment_decodes"] > 0
+        assert stats["entries_decoded"] == 0
 
 
 class TestCompaction:
@@ -419,14 +647,20 @@ class TestDeterminism:
 
 
 class TestClusterCrossModeIdentity:
-    """Spanning scans answer byte-identically to an uncapped cluster under
-    every executor - serial, concurrent and process."""
+    """Spanning scans and folds answer byte-identically to an uncapped
+    cluster under every executor - serial, concurrent, process, socket."""
 
     QUERIES = [
         Query(Q_GET_FLOWS, {}),
         Query(Q_GET_FLOWS, {"time_range": (10.0, 60.0)}),
         Query(Q_GET_FLOWS, {"link": ("leaf-0", None)}),
         Query(Q_TOP_K_FLOWS, {"k": 30, "time_range": (10.0, 60.0)}),
+        Query(Q_FLOW_SIZE_DISTRIBUTION, {
+            "links": [("leaf-0", None), None], "binsize": 4000}),
+        Query(Q_FLOW_SIZE_DISTRIBUTION, {
+            "link": (None, "leaf-1"), "time_range": (10.0, 60.0)}),
+        Query(Q_TRAFFIC_MATRIX, {}),
+        Query(Q_TRAFFIC_MATRIX, {"time_range": (10.0, 60.0)}),
     ]
 
     def test_capped_identical_to_uncapped_across_executors(self):
@@ -438,7 +672,8 @@ class TestClusterCrossModeIdentity:
         try:
             references = [wire.encode_value(plain.execute(q).payload)
                           for q in self.QUERIES]
-            for mode in (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS):
+            for mode in (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS,
+                         MODE_SOCKET):
                 capped.configure_executor(mode=mode)
                 for query, want in zip(self.QUERIES, references):
                     result = capped.execute(query)
