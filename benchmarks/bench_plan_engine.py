@@ -1,14 +1,14 @@
-"""Plan-engine benchmark: compiled built-ins vs hand-written handlers.
+"""Plan-engine benchmark: compiled built-ins vs their raw plans.
 
-The declarative plan IR replaced the hand-written ``get_count`` /
-``top_k_flows`` handler bodies with compiled plans (``compile_get_count``,
-``compile_top_k_flows``).  This benchmark proves the rebase is free in
-practice and that the pushdown is real:
+``get_count`` / ``top_k_flows`` are thin compilations onto the declarative
+plan IR (``compile_get_count``, ``compile_top_k_flows``).  This benchmark
+proves the built-in layer costs nothing over the IR and that the pushdown
+is real:
 
-* wall time of the plan-compiled built-ins versus the retained legacy
-  handlers over a serial cluster (median of repeats, many queries per
-  sample) - the plan path must stay within **1.2x** of the hand-written
-  one;
+* wall time of each built-in versus the same question shipped as a raw
+  ``Q_PLAN`` of its compiled plan, over a serial cluster in the same run
+  (median of interleaved repeats, many queries per sample) - the built-in
+  must stay within **1.2x** of its raw plan;
 * a flow-keyed plan over a spanning (hot+cold) TIB must show nonzero hot
   index routing *and* nonzero cold segment pruning in its per-plan scan
   statistics - the Filter provably pushed down into both tiers.
@@ -21,8 +21,7 @@ import statistics
 import time
 
 from repro.analysis import format_table
-from repro.core import (Q_GET_COUNT, Q_GET_COUNT_LEGACY, Q_PLAN,
-                        Q_TOP_K_FLOWS, Q_TOP_K_FLOWS_LEGACY, Query,
+from repro.core import (Q_GET_COUNT, Q_PLAN, Q_TOP_K_FLOWS, Query,
                         QueryCluster)
 from repro.core import plan as planlib
 from repro.core.plan import Aggregate, Filter, Plan, TopK
@@ -39,7 +38,7 @@ RECORDS_PER_HOST = 200 if QUICK else 400
 #: batch keeps the ratio out of timer noise).
 BATCH = 30 if QUICK else 60
 REPEATS = 7 if QUICK else 15
-#: The acceptance bound: compiled plans within 1.2x of hand-written.
+#: The acceptance bound: a built-in within 1.2x of its raw plan.
 MAX_OVERHEAD = 1.2
 
 #: Spanning-TIB leg: 15x the cap forces most records cold.
@@ -59,41 +58,47 @@ def median_wall_s(cluster, queries):
     return statistics.median(samples)
 
 
-def paired_wall_s(cluster, plan_queries, legacy_queries):
-    """Medians for the plan/legacy batch pair, with the passes
+def paired_wall_s(cluster, builtin_queries, raw_queries):
+    """Medians for the built-in/raw-plan batch pair, with the passes
     *interleaved* (and one warmup pass each) so machine drift during the
     run lands on both sides of the ratio equally."""
-    for query in plan_queries + legacy_queries:
+    for query in builtin_queries + raw_queries:
         cluster.execute(query)
-    plan_samples, legacy_samples = [], []
+    builtin_samples, raw_samples = [], []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        for query in plan_queries:
+        for query in builtin_queries:
             cluster.execute(query)
-        plan_samples.append(time.perf_counter() - t0)
+        builtin_samples.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        for query in legacy_queries:
+        for query in raw_queries:
             cluster.execute(query)
-        legacy_samples.append(time.perf_counter() - t0)
-    return statistics.median(plan_samples), statistics.median(legacy_samples)
+        raw_samples.append(time.perf_counter() - t0)
+    return statistics.median(builtin_samples), statistics.median(raw_samples)
 
 
 def builtin_pairs(cluster):
-    """(label, plan-built queries, legacy queries) per rebased built-in."""
+    """(label, built-in queries, the same questions as raw Q_PLAN queries
+    of their compiled plans) per compiled built-in."""
     sample = cluster.agent(cluster.hosts[0]).tib.records()[0]
     count_params = [{"flow": sample.flow_id},
                     {"flow": sample.flow_id, "time_range": (0.0, 1e6)}]
     topk_params = [{"k": 100}, {"k": 20, "time_range": (0.0, 1e6)}]
+    count_plans = [planlib.compile_get_count(p["flow"], p.get("time_range"))
+                   for p in count_params]
+    topk_plans = [planlib.compile_top_k_flows(p["k"], None,
+                                              p.get("time_range"))
+                  for p in topk_params]
     return [
         ("get_count",
          [Query(Q_GET_COUNT, dict(p)) for p in count_params] *
          (BATCH // 2),
-         [Query(Q_GET_COUNT_LEGACY, dict(p)) for p in count_params] *
+         [Query(Q_PLAN, {"plan": plan}) for plan in count_plans] *
          (BATCH // 2)),
         ("top_k_flows",
          [Query(Q_TOP_K_FLOWS, dict(p)) for p in topk_params] *
          (BATCH // 2),
-         [Query(Q_TOP_K_FLOWS_LEGACY, dict(p)) for p in topk_params] *
+         [Query(Q_PLAN, {"plan": plan}) for plan in topk_plans] *
          (BATCH // 2)),
     ]
 
@@ -124,21 +129,21 @@ def test_plan_engine(benchmark, report_writer):
 
     def run():
         results = {}
-        for label, plan_queries, legacy_queries in builtin_pairs(cluster):
-            results[label] = paired_wall_s(cluster, plan_queries,
-                                           legacy_queries)
+        for label, builtin_queries, raw_queries in builtin_pairs(cluster):
+            results[label] = paired_wall_s(cluster, builtin_queries,
+                                           raw_queries)
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
     # ---- the overhead bound (the acceptance criterion) ------------------
-    for label, (plan_s, legacy_s) in results.items():
-        ratio = plan_s / legacy_s
+    for label, (builtin_s, raw_s) in results.items():
+        ratio = builtin_s / raw_s
         assert ratio <= MAX_OVERHEAD, \
-            f"{label}: compiled plan {ratio:.2f}x hand-written " \
+            f"{label}: built-in {ratio:.2f}x its raw plan " \
             f"(bound {MAX_OVERHEAD}x)"
 
-    # ---- raw Q_PLAN round trip is in the same regime --------------------
+    # ---- raw Q_PLAN round trip of the unconstrained top-k ----------------
     raw_plan = Plan(ops=(Filter(),
                          Aggregate(func="sum", fields=("bytes",),
                                    by=("flow",)),
@@ -154,17 +159,17 @@ def test_plan_engine(benchmark, report_writer):
     pruned_pct = 100.0 * stats["cold_segments_skipped"] / max(segments, 1)
 
     per_query_us = {
-        label: (plan_s / BATCH * 1e6, legacy_s / BATCH * 1e6)
-        for label, (plan_s, legacy_s) in results.items()}
+        label: (builtin_s / BATCH * 1e6, raw_s / BATCH * 1e6)
+        for label, (builtin_s, raw_s) in results.items()}
     rows = [
         ["cluster", f"{NUM_HOSTS} hosts x {RECORDS_PER_HOST} records",
          "serial, direct"],
     ]
-    for label, (plan_us, legacy_us) in per_query_us.items():
-        rows.append([f"{label} (compiled plan)", f"{plan_us:.0f} us/query",
-                     f"{plan_us / legacy_us:.2f}x hand-written"])
-        rows.append([f"{label} (hand-written)", f"{legacy_us:.0f} us/query",
-                     "retained legacy handler"])
+    for label, (builtin_us, raw_us) in per_query_us.items():
+        rows.append([f"{label} (built-in)", f"{builtin_us:.0f} us/query",
+                     f"{builtin_us / raw_us:.2f}x its raw plan"])
+        rows.append([f"{label} (raw Q_PLAN)", f"{raw_us:.0f} us/query",
+                     "the compiled plan, shipped as data"])
     rows += [
         ["raw Q_PLAN (filter+sum by flow+top-k)",
          f"{raw_s / (BATCH // 2) * 1e6:.0f} us/query",
@@ -179,7 +184,7 @@ def test_plan_engine(benchmark, report_writer):
     ]
     report_writer("plan_engine", format_table(
         ["quantity", "value", "note"], rows,
-        title=f"Plan engine: compiled built-ins vs hand-written "
+        title=f"Plan engine: built-ins vs their raw plans "
               f"(bound {MAX_OVERHEAD}x; quick={QUICK})"))
 
     fold_into_bench_json("plans", {
@@ -188,10 +193,10 @@ def test_plan_engine(benchmark, report_writer):
         "records_per_host": RECORDS_PER_HOST,
         "overhead_bound": MAX_OVERHEAD,
         "per_query_us": {
-            label: {"plan": round(plan_us, 1),
-                    "legacy": round(legacy_us, 1),
-                    "ratio": round(plan_us / legacy_us, 3)}
-            for label, (plan_us, legacy_us) in per_query_us.items()},
+            label: {"builtin": round(builtin_us, 1),
+                    "raw_plan": round(raw_us, 1),
+                    "ratio": round(builtin_us / raw_us, 3)}
+            for label, (builtin_us, raw_us) in per_query_us.items()},
         "raw_plan_us": round(raw_s / (BATCH // 2) * 1e6, 1),
         "spanning_pushdown": {
             "hot_flow_routed": stats["hot_flow_routed"],

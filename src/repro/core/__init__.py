@@ -15,10 +15,9 @@ from repro.core.plan import (Aggregate, Filter, Plan, PlanError, PlanWarning,
                              Project, TopK, compile_get_count,
                              compile_top_k_flows, reference_evaluate)
 from repro.core.query import (Q_FLOW_SIZE_DISTRIBUTION, Q_GET_COUNT,
-                              Q_GET_COUNT_LEGACY, Q_GET_DURATION,
-                              Q_GET_FLOWS, Q_GET_PATHS, Q_PATH_CONFORMANCE,
-                              Q_PLAN, Q_POOR_TCP_FLOWS, Q_SUBFLOW_IMBALANCE,
-                              Q_TOP_K_FLOWS, Q_TOP_K_FLOWS_LEGACY,
+                              Q_GET_DURATION, Q_GET_FLOWS, Q_GET_PATHS,
+                              Q_PATH_CONFORMANCE, Q_PLAN, Q_POOR_TCP_FLOWS,
+                              Q_SUBFLOW_IMBALANCE, Q_TOP_K_FLOWS,
                               Q_TRAFFIC_MATRIX, Query, QueryEngine,
                               QueryResult)
 from repro.core.rpc import RpcChannel
@@ -46,10 +45,10 @@ __all__ = [
     "Tib", "WILDCARD", "TrajectoryCache", "TrajectoryConstructor",
     "TrajectoryMemory", "EdgeVSwitch", "ActiveMonitor", "MonitorSnapshot",
     "MonitorSweep", "TransferObservation", "PathDumpAgent",
-    "Q_FLOW_SIZE_DISTRIBUTION", "Q_GET_COUNT", "Q_GET_COUNT_LEGACY",
-    "Q_GET_DURATION", "Q_GET_FLOWS", "Q_GET_PATHS", "Q_PATH_CONFORMANCE",
-    "Q_PLAN", "Q_POOR_TCP_FLOWS", "Q_SUBFLOW_IMBALANCE", "Q_TOP_K_FLOWS",
-    "Q_TOP_K_FLOWS_LEGACY", "Q_TRAFFIC_MATRIX", "Query",
+    "Q_FLOW_SIZE_DISTRIBUTION", "Q_GET_COUNT", "Q_GET_DURATION",
+    "Q_GET_FLOWS", "Q_GET_PATHS", "Q_PATH_CONFORMANCE", "Q_PLAN",
+    "Q_POOR_TCP_FLOWS", "Q_SUBFLOW_IMBALANCE", "Q_TOP_K_FLOWS",
+    "Q_TRAFFIC_MATRIX", "Query",
     "QueryEngine", "QueryResult", "Aggregate", "Filter", "Plan",
     "PlanError", "PlanWarning", "Project", "TopK", "compile_get_count",
     "compile_top_k_flows", "reference_evaluate", "RpcChannel", "ExecWarning",

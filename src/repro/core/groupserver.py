@@ -514,7 +514,14 @@ class _GroupConn:
              reseed: bool = False) -> None:
         """Queue one entry (:class:`_Pending`; the outbox keeps an open
         batch's ``bytearray``).  Fails at once - a field read, not a
-        syscall - when the reader already marked the connection dead."""
+        syscall - when the reader already marked the connection dead.
+
+        So an ingest mirror on a dead worker detaches at the first post
+        after the reader's verdict (it has read the stream's end), or at
+        the next exchange on this connection - the outbox flush ahead of
+        the next request or tick, or the flush a full outbox forces -
+        whichever comes first.  A post that lands between the kill and
+        the verdict queues like any other and raises nothing."""
         try:
             with self._send_lock:
                 with self._lock:

@@ -31,7 +31,7 @@ provides, in one place:
   streaming accumulators run;
 * **built-in compilations** (:func:`compile_get_count`,
   :func:`compile_top_k_flows`): the proofs that the IR is expressive
-  enough, payload-byte-identical to their hand-written ancestors.
+  enough, checked against :func:`reference_evaluate` in every mode.
 
 Registries (``_EXEC_BY_OP``, ``_MERGE_BY_TERMINAL``) are lint-gated:
 repro-lint rule R9 (``plan-op-completeness``) fails the build when an
@@ -591,12 +591,11 @@ def rank_select(pairs: Iterable[Tuple[Any, ...]], k: int,
 
     A total order over the emitted tuples makes the selection a
     well-defined *set* regardless of input order, so per-host selection
-    and the partial-result merge are commutative and associative -
-    identical in spirit (and, for descending value-ranked pairs, in
-    output bytes) to the legacy ``top_k_select`` - including its manual
-    bounded-heap loop, which beats ``heapq.nlargest`` by skipping the
-    per-item order decoration (losers fall out on one C-level tuple
-    comparison).
+    and the partial-result merge are commutative and associative.  This
+    is the general path's selection - the unconstrained flow-byte shape
+    slices ``Tib.ranked_flow_bytes`` instead.  The manual bounded-heap
+    loop beats ``heapq.nlargest`` by skipping the per-item order
+    decoration (losers fall out on one C-level tuple comparison).
     """
     if order == ORDER_ASC:
         return heapq.nsmallest(k, pairs)
@@ -713,8 +712,9 @@ def execute_plan(tib: Any, plan: Plan) -> PlanExecution:
 
     The ``Filter`` compiles to a :class:`ScanSpec` served by both tiers
     (hot index routing + cold zone-map/bloom pruning); two aggregate
-    shapes short-circuit onto the maintained per-flow totals exactly like
-    their hand-written ancestors.  ``scan_stats`` is the difference of
+    shapes short-circuit onto the maintained per-flow totals, and an
+    unconstrained value-ranked top-k onto the TIB's flow ranking
+    (``Tib.ranked_flow_bytes``).  ``scan_stats`` is the difference of
     the TIB's scan-stat snapshots around the execution: how the hot tier
     routed, and how much decode work cold pruning avoided, for *this*
     plan.
@@ -730,10 +730,14 @@ def execute_plan(tib: Any, plan: Plan) -> PlanExecution:
         if scalar_shape is not None:
             shape = ("scalar",) + scalar_shape
         elif _keyed_flow_byte_sum(plan):
-            aggregate = plan.aggregate
-            tail_from = plan.ops.index(aggregate) + 1 \
-                if aggregate is not None else 0
-            shape = ("keyed", plan.ops[tail_from:])
+            topk = plan.topk
+            if topk is not None and topk.key == RANK_VALUE:
+                shape = ("ranked", topk.k, topk.order != ORDER_ASC)
+            else:
+                aggregate = plan.aggregate
+                tail_from = plan.ops.index(aggregate) + 1 \
+                    if aggregate is not None else 0
+                shape = ("keyed", plan.ops[tail_from:])
         else:
             filter_op = plan.filter
             shape = ("general", scan_spec(filter_op),
@@ -747,6 +751,12 @@ def execute_plan(tib: Any, plan: Plan) -> PlanExecution:
         by_name = {"bytes": totals[0], "pkts": totals[1]}
         payload: Any = tuple(by_name[name] for name in fields)
         scanned = 1  # one maintained aggregate row, like getCount
+        scan_stats = dict(_NO_SCAN_STATS)
+    elif shape[0] == "ranked":
+        # A slice of the TIB's maintained flow ranking: rank_select over
+        # the per-flow totals' pairs, without visiting every flow.
+        payload = tib.ranked_flow_bytes(shape[1], shape[2])
+        scanned = tib.total_record_count()
         scan_stats = dict(_NO_SCAN_STATS)
     elif shape[0] == "keyed":
         payload = tib.flow_byte_totals()
@@ -845,10 +855,9 @@ def compile_get_count(flow: Any,
                       time_range: Optional[Tuple[Any, Any]] = None) -> Plan:
     """``getCount(Flow, timeRange)`` as a plan.
 
-    ``flow`` is a bare :class:`FlowId` or a ``(flowID, Path)`` pair, like
-    the hand-written handler takes; the path half becomes the residual
-    exact-path predicate.  Payload: the ``(bytes, pkts)`` tuple,
-    byte-identical to the ancestor's.
+    ``flow`` is a bare :class:`FlowId` or a ``(flowID, Path)`` pair; the
+    path half becomes the residual exact-path predicate.  Payload: the
+    ``(bytes, pkts)`` tuple.
     """
     if isinstance(flow, FlowId):
         flow_id, path = flow, None
@@ -867,9 +876,8 @@ def compile_top_k_flows(k: int = 1000, link: Any = None,
                         time_range: Optional[Tuple[Any, Any]] = None) -> Plan:
     """``top_k_flows(k, link, timeRange)`` as a plan.
 
-    Payload: the descending ``(bytes, flow key)`` list, byte-identical to
-    the ancestor's (same total-order selection, same fast path onto the
-    maintained per-flow totals when unconstrained).
+    Payload: the descending ``(bytes, flow key)`` list - a slice of the
+    TIB's flow ranking when unconstrained.
     """
     start, end = time_range if time_range is not None else (None, None)
     links: Tuple[Tuple[Optional[str], Optional[str]], ...] = ()

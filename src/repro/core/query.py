@@ -21,22 +21,19 @@ This module defines:
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from operator import floordiv
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import plan as planlib
 from repro.core import wire
 from repro.core.alarms import PC_FAIL, Alarm
-from repro.core.tib import (LinkId, TimeRange, is_unconstrained_link,
-                            normalise_time_range)
+from repro.core.tib import LinkId, TimeRange, normalise_time_range
 from repro.network.packet import PROTO_TCP, FlowId
-from repro.storage.records import ScanSpec, flow_key
+from repro.storage.records import ScanSpec
 
 #: Built-in query names.
 Q_GET_FLOWS = "get_flows"
@@ -53,11 +50,6 @@ Q_SUBFLOW_IMBALANCE = "subflow_imbalance"
 #: :class:`repro.core.plan.Plan`, executed with full pushdown and merged
 #: by the generic operator the plan's terminal op selects.
 Q_PLAN = planlib.PLAN_QUERY_NAME
-#: The retained hand-written ancestors of the plan-rebased built-ins -
-#: kept registered (under explicit ``*_legacy`` names) as the
-#: byte-identity oracles the plan compilations are verified against.
-Q_GET_COUNT_LEGACY = "get_count_legacy"
-Q_TOP_K_FLOWS_LEGACY = "top_k_flows_legacy"
 
 # Pre-codec size estimators.  Reported wire sizes are *measured* now
 # (``len(encoded)`` of the :mod:`repro.core.wire` frames); the handlers still
@@ -231,8 +223,6 @@ class QueryEngine:
             Q_PATH_CONFORMANCE: self._run_path_conformance,
             Q_SUBFLOW_IMBALANCE: self._run_subflow_imbalance,
             Q_PLAN: self._run_plan,
-            Q_GET_COUNT_LEGACY: self._run_get_count_legacy,
-            Q_TOP_K_FLOWS_LEGACY: self._run_top_k_flows_legacy,
         }
         self._mergers: Dict[str, Callable] = {
             Q_GET_FLOWS: _merge_concat,
@@ -244,7 +234,6 @@ class QueryEngine:
             Q_PATH_CONFORMANCE: _merge_concat,
             Q_SUBFLOW_IMBALANCE: _merge_concat,
             Q_PLAN: _merge_plan,
-            Q_TOP_K_FLOWS_LEGACY: _merge_top_k,
         }
 
     def register(self, name: str, handler: Callable,
@@ -342,24 +331,11 @@ class QueryEngine:
 
     @staticmethod
     def _run_get_count(agent, params):
-        """``getCount`` as a thin plan compilation.
-
-        The accounting stays pinned to the hand-written ancestor's
-        (scalar estimate, one aggregate row scanned) so result frames are
-        byte-identical to what :meth:`_run_get_count_legacy` produces.
-        """
+        """``getCount`` as a thin plan compilation, accounted as one
+        scalar read off one maintained aggregate row."""
         plan = _compiled_get_count(params["flow"], params.get("time_range"))
         execution = planlib.execute_plan(agent.tib, plan)
         return execution.payload, _SCALAR_BYTES, 1
-
-    @staticmethod
-    def _run_get_count_legacy(agent, params):
-        """The hand-written ``getCount`` ancestor, retained verbatim as the
-        byte-identity oracle for :meth:`_run_get_count`'s compilation."""
-        flow = params["flow"]
-        time_range = params.get("time_range")
-        counts = agent.get_count(flow, time_range)
-        return counts, _SCALAR_BYTES, 1
 
     @staticmethod
     def _run_get_duration(agent, params):
@@ -408,51 +384,14 @@ class QueryEngine:
 
     @staticmethod
     def _run_top_k_flows(agent, params):
-        """Top-k flows by byte count, as a thin plan compilation.
-
-        The estimate formula and scanned count stay the ancestor's
-        (``execute_plan`` counts the same records: the identical
-        unconstrained fast path, or the identical index-routed scan), so
-        result frames are byte-identical to
-        :meth:`_run_top_k_flows_legacy`'s.
-        """
+        """Top-k flows by byte count (the Section 2.3 example), as a thin
+        plan compilation; ``execute_plan`` counts the records scanned."""
         plan = _compiled_top_k(params.get("k", 1000), params.get("link"),
                                params.get("time_range"))
         execution = planlib.execute_plan(agent.tib, plan)
         payload = execution.payload
         return (payload, _KV_BYTES * max(1, len(payload)),
                 execution.records_scanned)
-
-    @staticmethod
-    def _run_top_k_flows_legacy(agent, params):
-        """The hand-written top-k ancestor (the Section 2.3 example),
-        retained verbatim as the byte-identity oracle for
-        :meth:`_run_top_k_flows`'s compilation.
-
-        Single pass over the (link/time) indexed records; per-path byte
-        counts are grouped by flow key without one ``getCount`` query per
-        flow.
-        """
-        k = params.get("k", 1000)
-        link = params.get("link")
-        time_range = params.get("time_range")
-        if is_unconstrained_link(link) and \
-                normalise_time_range(time_range) == (None, None):
-            # Unconstrained: rank the incrementally maintained per-flow
-            # aggregates (they span both tiers) - no record is touched at
-            # all, hot or cold.
-            totals = agent.tib.flow_byte_totals()
-            scanned = agent.tib.total_record_count()
-        else:
-            totals = {}
-            scanned = 0
-            for record in agent.records(link=link, time_range=time_range):
-                key = flow_key(record.flow_id)
-                totals[key] = totals.get(key, 0) + record.bytes
-                scanned += 1
-        result = top_k_select(
-            ((nbytes, key) for key, nbytes in totals.items()), k)
-        return result, _KV_BYTES * max(1, len(result)), scanned
 
     @staticmethod
     def _run_traffic_matrix(agent, params):
@@ -540,27 +479,6 @@ class QueryEngine:
 # --------------------------------------------------------------------------
 # Merge functions (aggregation-tree reduction)
 # --------------------------------------------------------------------------
-def top_k_select(items: Iterable[Tuple[int, str]], k: int
-                 ) -> List[Tuple[int, str]]:
-    """The k largest ``(nbytes, key)`` pairs, descending.
-
-    Full-tuple comparison keeps the selection a total order, so the result
-    is a well-defined *set* regardless of input order - which makes per-host
-    selection and the partial-result merge commutative and associative, the
-    property the streaming/concurrent aggregation's payload determinism
-    rests on.  The per-host selection of the ``*_LEGACY`` oracle; partials
-    merge through :func:`repro.core.plan.merge_ranked`, whose one sorted
-    sequence under the same total order cannot break ties differently.
-    """
-    heap: List[Tuple[int, str]] = []
-    for item in items:
-        if len(heap) < k:
-            heapq.heappush(heap, item)
-        elif item > heap[0]:
-            heapq.heapreplace(heap, item)
-    return sorted(heap, reverse=True)
-
-
 def _merge_concat(query: Query, payloads: Sequence[Any]) -> Tuple[Any, int]:
     """Concatenate list-like partial results."""
     merged: List[Any] = []

@@ -655,6 +655,9 @@ class TestClusterCrossModeIdentity:
         Query(Q_GET_FLOWS, {"time_range": (10.0, 60.0)}),
         Query(Q_GET_FLOWS, {"link": ("leaf-0", None)}),
         Query(Q_TOP_K_FLOWS, {"k": 30, "time_range": (10.0, 60.0)}),
+        # Unconstrained: slices of each TIB's flow ranking.
+        Query(Q_TOP_K_FLOWS, {"k": 30}),
+        Query(Q_TOP_K_FLOWS, {"k": 10_000}),  # more than every flow
         Query(Q_FLOW_SIZE_DISTRIBUTION, {
             "links": [("leaf-0", None), None], "binsize": 4000}),
         Query(Q_FLOW_SIZE_DISTRIBUTION, {

@@ -197,12 +197,16 @@ class TestObservationMirror:
             cluster.close()
 
     def test_dead_worker_detaches_observation_mirror(self, process_cluster):
+        """A post fails only once the connection's reader has seen the
+        stream end; until then it queues on the outbox like any other.
+        So wait for that verdict, then one observation detaches."""
         host = process_cluster.hosts[0]
         agent = process_cluster.agent(host)
-        kill_and_wait(process_cluster.agent_servers, host)
-        for _ in range(3):  # first sends may still land in the OS buffer
-            agent.monitor.observe_flow(_flow(host, "x", 1),
-                                       retransmissions=9, consecutive=9)
+        pool = process_cluster.agent_servers
+        kill_and_wait(pool, host)
+        assert pool._conn_for(pool._key_for(host))._ended.wait(5.0)
+        agent.monitor.observe_flow(_flow(host, "x", 1),
+                                   retransmissions=9, consecutive=9)
         assert agent.monitor.observation_sink is None
         assert agent.monitor.stats_for(_flow(host, "x", 1)) is not None
 

@@ -23,7 +23,7 @@ TESTS_DIR = Path(__file__).resolve().parent
 REPO_ROOT = TESTS_DIR.parent
 FIXTURES = TESTS_DIR / "lint_fixtures"
 
-ALL_RULE_IDS = ["R0", "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"]
+ALL_RULE_IDS = ["R0", "R1", "R2", "R3", "R4", "R5", "R7", "R8", "R9"]
 
 
 def lint_fixture(rule, case, rule_ids):
@@ -43,7 +43,6 @@ POSITIVE_EXPECTATIONS = {
     "R4": (2, ["import of 'pickle'", "call into serializer"]),
     "R5": (4, ["time.time()", "datetime.now()", "random.random()",
                "without a seed"]),
-    "R6": (1, ["call to deprecated search()"]),
     "R7": (2, ["ScanSpec.links is never consumed by ColdArchive.scan",
                "spec.lnks"]),
     "R8": (2, ["stats key 'apends'", "stats attribute 'frmes'"]),

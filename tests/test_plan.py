@@ -3,8 +3,8 @@ pushdown execution and the property fuzz.
 
 Covers: structured validation issues and per-plan warnings, the reference
 brute-force evaluator's semantics, the compiled built-ins (``get_count``,
-``top_k_flows``) being payload-byte-identical to their retained
-hand-written ancestors, measured (not estimated) request/result byte
+``top_k_flows``) being payload-byte-identical to the brute-force
+reference over the TIB's records, measured (not estimated) request/result byte
 accounting for locally executed plans, provable filter pushdown (hot
 index routing + cold pruning counters), and the seeded property fuzz:
 random plans over random TIB contents must match the reference evaluator
@@ -19,8 +19,7 @@ from repro.core import plan as planlib
 from repro.core import wire
 from repro.core.plan import (Aggregate, Filter, Plan, PlanError, Project,
                              TopK)
-from repro.core.query import (Q_GET_COUNT, Q_GET_COUNT_LEGACY, Q_PLAN,
-                              Q_TOP_K_FLOWS, Q_TOP_K_FLOWS_LEGACY, Query,
+from repro.core.query import (Q_GET_COUNT, Q_PLAN, Q_TOP_K_FLOWS, Query,
                               QueryEngine)
 from repro.core.tib import Tib
 from repro.storage import ColdArchive, RetentionPolicy
@@ -29,18 +28,11 @@ from test_two_tier_tib import make_record, record_values
 
 
 class _LocalAgent:
-    """Minimal agent: the plan handlers only need ``host`` and ``tib``
-    (plus the delegating reads the legacy oracles use)."""
+    """Minimal agent: the plan handlers only need ``host`` and ``tib``."""
 
     def __init__(self, tib):
         self.host = tib.host
         self.tib = tib
-
-    def get_count(self, flow, time_range=None):
-        return self.tib.get_count(flow, time_range)
-
-    def records(self, **kwargs):
-        return self.tib.records(**kwargs)
 
 
 def hot_tib(count=80, host="h0", rng=None):
@@ -267,9 +259,14 @@ class TestReferenceEvaluator:
 
 
 # --------------------------------------------------------------------------
-# Compiled built-ins: identity with the hand-written ancestors (serial)
+# Compiled built-ins: identity with the brute-force reference (serial)
 # --------------------------------------------------------------------------
 class TestCompiledBuiltins:
+    """Each built-in's payload equals ``reference_evaluate`` of its
+    compiled plan over the TIB's whole record set (a record loop with no
+    index, pruning or maintained aggregate), and its accounting is the
+    handler's documented one."""
+
     @pytest.mark.parametrize("tib_factory", [hot_tib, spanning_tib])
     def test_get_count_identity(self, tib_factory):
         tib = tib_factory()
@@ -285,13 +282,14 @@ class TestCompiledBuiltins:
             {"flow": make_record(999).flow_id},  # absent flow
         ]
         for params in cases:
-            new = engine.execute(agent, Query(Q_GET_COUNT, dict(params)))
-            old = engine.execute(agent,
-                                 Query(Q_GET_COUNT_LEGACY, dict(params)))
-            assert wire.encode_value(new.payload) == \
-                wire.encode_value(old.payload), params
-            assert new.records_scanned == old.records_scanned
-            assert new.estimated_wire_bytes == old.estimated_wire_bytes
+            result = engine.execute(agent, Query(Q_GET_COUNT, dict(params)))
+            plan = planlib.compile_get_count(params["flow"],
+                                             params.get("time_range"))
+            reference = planlib.reference_evaluate(tib.records(), plan)
+            assert wire.encode_value(result.payload) == \
+                wire.encode_value(reference), params
+            assert result.records_scanned == 1
+            assert result.estimated_wire_bytes == 16
 
     @pytest.mark.parametrize("tib_factory", [hot_tib, spanning_tib])
     def test_top_k_flows_identity(self, tib_factory):
@@ -308,13 +306,21 @@ class TestCompiledBuiltins:
             {"k": 2, "link": (a, b), "time_range": (0.0, 45.0)},
         ]
         for params in cases:
-            new = engine.execute(agent, Query(Q_TOP_K_FLOWS, dict(params)))
-            old = engine.execute(agent,
-                                 Query(Q_TOP_K_FLOWS_LEGACY, dict(params)))
-            assert wire.encode_value(new.payload) == \
-                wire.encode_value(old.payload), params
-            assert new.records_scanned == old.records_scanned
-            assert new.estimated_wire_bytes == old.estimated_wire_bytes
+            result = engine.execute(agent,
+                                    Query(Q_TOP_K_FLOWS, dict(params)))
+            plan = planlib.compile_top_k_flows(params["k"],
+                                               params.get("link"),
+                                               params.get("time_range"))
+            reference = planlib.reference_evaluate(tib.records(), plan)
+            assert wire.encode_value(result.payload) == \
+                wire.encode_value(reference), params
+            # Every record of the read counts as scanned: the whole TIB
+            # when unconstrained (the maintained ranking), else the
+            # index-routed matches.
+            assert result.records_scanned == len(tib.records(
+                link=params.get("link"), time_range=params.get("time_range")))
+            assert result.estimated_wire_bytes == \
+                24 * max(1, len(reference))
 
 
 # --------------------------------------------------------------------------
@@ -456,14 +462,13 @@ class TestRankedMerge:
         partials = [[(1, "a"), (9, "b")], [(5, "c")]]
         assert planlib.merge_ranked(partials, 2) == [(9, "b"), (5, "c")]
 
-    def test_matches_the_legacy_selection(self):
-        from repro.core.query import top_k_select
+    def test_matches_a_full_sort(self):
         rng = random.Random(11)
         pairs = [(rng.randrange(1000), f"f{i}") for i in range(300)]
-        runs = [top_k_select(pairs[low:low + 100], 25)
+        runs = [planlib.rank_select(pairs[low:low + 100], 25)
                 for low in (0, 100, 200)]
-        assert planlib.merge_ranked(runs, 25) == top_k_select(
-            [pair for run in runs for pair in run], 25)
+        assert planlib.merge_ranked(runs, 25) == \
+            sorted(pairs, reverse=True)[:25]
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_is_an_error_not_a_negative_slice(self, k):

@@ -1,8 +1,9 @@
 """Plan queries across every execution mode and both mechanisms.
 
 Covers: plan-compiled ``get_count`` / ``top_k_flows`` returning payloads
-byte-identical to the retained hand-written legacy handlers across serial /
-thread / process / socket modes (direct and multilevel scatter), raw
+byte-identical to a per-host brute-force reference (merged by the plan's
+own operator) across serial / thread / process / socket modes (direct and
+multilevel scatter), raw
 ``Q_PLAN`` queries travelling every transport unchanged, per-plan scan
 statistics surfacing on the distributed result, and a worker killed with a
 plan in flight failing exactly like a dead agent (partial result,
@@ -16,9 +17,8 @@ import pytest
 
 from repro.core import (MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
                         MODE_CONCURRENT, MODE_PROCESS, MODE_SERIAL,
-                        MODE_SOCKET, Q_GET_COUNT, Q_GET_COUNT_LEGACY,
-                        Q_PLAN, Q_TOP_K_FLOWS, Q_TOP_K_FLOWS_LEGACY, Query,
-                        wire)
+                        MODE_SOCKET, Q_GET_COUNT, Q_PLAN, Q_TOP_K_FLOWS,
+                        Query, wire)
 from repro.core import plan as planlib
 from repro.core.executor import W_HOST_FAILED
 from repro.core.plan import Aggregate, Filter, Plan, TopK
@@ -30,17 +30,23 @@ from test_worker_plane import NUM_HOSTS, worker_cluster
 SAMPLE_FLOW = FlowId("server-1", "server-0", 30_005, 80, PROTO_TCP)
 SAMPLE_LINK = ("leaf-0", "server-0")
 
-#: (plan params for Q_PLAN/Q_<builtin>, legacy query) - each pair must be
-#: byte-identical in every mode.
+#: (built-in, params) - each must match the merged per-host reference
+#: byte for byte in every mode.
 BUILTIN_CASES = [
-    (Q_GET_COUNT, Q_GET_COUNT_LEGACY, {"flow": SAMPLE_FLOW}),
-    (Q_GET_COUNT, Q_GET_COUNT_LEGACY,
-     {"flow": SAMPLE_FLOW, "time_range": (2.0, 20.0)}),
-    (Q_TOP_K_FLOWS, Q_TOP_K_FLOWS_LEGACY, {"k": 30}),
-    (Q_TOP_K_FLOWS, Q_TOP_K_FLOWS_LEGACY, {"k": 10, "link": SAMPLE_LINK}),
-    (Q_TOP_K_FLOWS, Q_TOP_K_FLOWS_LEGACY,
-     {"k": 15, "time_range": (3.0, 18.0)}),
+    (Q_GET_COUNT, {"flow": SAMPLE_FLOW}),
+    (Q_GET_COUNT, {"flow": SAMPLE_FLOW, "time_range": (2.0, 20.0)}),
+    (Q_TOP_K_FLOWS, {"k": 30}),
+    (Q_TOP_K_FLOWS, {"k": 10, "link": SAMPLE_LINK}),
+    (Q_TOP_K_FLOWS, {"k": 15, "time_range": (3.0, 18.0)}),
 ]
+
+#: The plan each built-in compiles its params to.
+COMPILERS = {
+    Q_GET_COUNT: lambda params: planlib.compile_get_count(
+        params["flow"], params.get("time_range")),
+    Q_TOP_K_FLOWS: lambda params: planlib.compile_top_k_flows(
+        params.get("k", 1000), params.get("link"), params.get("time_range")),
+}
 
 #: Raw plans exercising every op kind over the wire.
 RAW_PLANS = [
@@ -66,22 +72,29 @@ def run_all_modes(query, mechanism):
     return results
 
 
+def reference_builtin(name, params):
+    """A record loop kept in the test: the brute-force evaluator over each
+    host's full record set, the partials merged by the plan's own
+    operator (top-k: ``merge_ranked``; a scalar: concatenation)."""
+    plan = COMPILERS[name](params)
+    with worker_cluster(MODE_SERIAL) as cluster:
+        partials = [planlib.reference_evaluate(
+            cluster.agent(host).tib.records(), plan)
+            for host in cluster.hosts]
+    return planlib.merge_payloads(plan, partials)
+
+
 class TestBuiltinIdentityAcrossModes:
     @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
                                            MECHANISM_MULTILEVEL])
-    @pytest.mark.parametrize("new,legacy,params", BUILTIN_CASES)
-    def test_plan_builtin_matches_legacy_in_four_modes(self, mechanism,
-                                                       new, legacy, params):
-        """The plan-compiled built-in and its hand-written ancestor are
-        byte-identical in every mode, and each is self-consistent across
-        modes."""
-        new_results = run_all_modes(Query(new, dict(params)), mechanism)
-        legacy_results = run_all_modes(Query(legacy, dict(params)),
-                                       mechanism)
-        reference = wire.encode_value(new_results[MODE_SERIAL].payload)
-        for mode, result in new_results.items():
-            assert wire.encode_value(result.payload) == reference, mode
-        for mode, result in legacy_results.items():
+    @pytest.mark.parametrize("name,params", BUILTIN_CASES)
+    def test_plan_builtin_matches_reference_in_four_modes(self, mechanism,
+                                                          name, params):
+        """The plan-compiled built-in answers what the brute-force
+        reference computes, byte for byte, in every mode."""
+        results = run_all_modes(Query(name, dict(params)), mechanism)
+        reference = wire.encode_value(reference_builtin(name, params))
+        for mode, result in results.items():
             assert wire.encode_value(result.payload) == reference, mode
 
 

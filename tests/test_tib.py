@@ -1,9 +1,12 @@
 """Tests for the TIB and the Table 1 host query API."""
 
 import random
+import sys
+import threading
 
 import pytest
 
+from repro.core import plan as planlib
 from repro.core.tib import (Tib, link_matches, normalise_time_range,
                             record_in_range)
 from repro.network.packet import FlowId, PROTO_TCP
@@ -422,6 +425,144 @@ class TestHotBytesAccounting:
                     for record_id, record in capped.archive.scan(ScanSpec())}
         assert cold_ids and {**capped._primary, **cold_ids} == plain._primary
         assert capped._next_id == plain._next_id == len(plain._primary)
+
+
+def _brute_force_ranking(tib, k, descending):
+    """``rank_select`` over ``flow_byte_totals()``'s pairs: what the
+    unconstrained top-k returned before the TIB kept a ranking."""
+    pairs = [(nbytes, key) for key, nbytes in tib.flow_byte_totals().items()]
+    return planlib.rank_select(pairs, k, planlib.ORDER_DESC if descending
+                               else planlib.ORDER_ASC)
+
+
+class TestFlowRanking:
+    """``ranked_flow_bytes`` - the maintained ranking behind unconstrained
+    top-k - equals brute force after any history of writes, on both of
+    its fold paths (per-flow repair and re-sort)."""
+
+    FLOWS = 24
+    PAIRS = 60  # (flow, path) keys: up to three paths a flow
+
+    def _random_record(self, rng, pair):
+        flow = FlowId(f"src-{pair % self.FLOWS}", "dst",
+                      20_000 + pair % self.FLOWS, 80, PROTO_TCP)
+        path = ("src",) + PATH_A[1:2 + pair // self.FLOWS] + ("dst",)
+        stime = rng.uniform(0.0, 100.0)
+        # Few distinct byte counts (ties) and some 0-byte merges.
+        nbytes = 0 if rng.random() < 0.15 else 100 * rng.randrange(1, 6)
+        return _record(flow, path, stime, stime + rng.uniform(0.0, 3.0),
+                       nbytes, 1)
+
+    @staticmethod
+    def _read_sizes(rng, tib):
+        """k values worth reading at: 1, 3, one that cuts through a run
+        of equal totals when there is one, and one past every flow."""
+        totals = sorted(tib.flow_byte_totals().values(), reverse=True)
+        sizes = [1, 3, len(totals) + rng.randrange(1, 4)]
+        straddling = [index + 1 for index in range(len(totals) - 1)
+                      if totals[index] == totals[index + 1]]
+        if straddling:
+            sizes.append(rng.choice(straddling))
+        return sizes
+
+    @pytest.mark.parametrize("cap", [None, 5, 20])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_read_equals_brute_force(self, seed, cap):
+        rng = random.Random(seed)
+        tib = Tib("h", retention=RetentionPolicy(max_records=cap))
+        admitted, installed = [], []
+        admit_cold, install = tib._admit_cold, tib._install_promoted
+
+        def counting_admit_cold(key, record):
+            admitted.append(admit_cold(key, record))
+            return admitted[-1]
+
+        def counting_install(*args):
+            installed.append(True)
+            return install(*args)
+
+        tib._admit_cold = counting_admit_cold
+        tib._install_promoted = counting_install
+        folds = {"clean": 0, "repair": 0, "rebuild": 0}
+        for _ in range(700):
+            roll = rng.random()
+            if roll < 0.55:
+                # One write: a repair unless the TIB is tiny.
+                tib.add_record(self._random_record(
+                    rng, rng.randrange(self.PAIRS)))
+            elif roll < 0.62:
+                # A burst: past the rebuild share.
+                for _ in range(rng.randrange(2, 12)):
+                    tib.add_record(self._random_record(
+                        rng, rng.randrange(self.PAIRS)))
+            elif roll < 0.64 and cap is not None:
+                tib.configure_retention(max_records=rng.choice((3, cap,
+                                                                cap * 2)))
+            elif roll < 0.65:
+                tib.clear()
+            else:
+                stale = len(tib._rank_stale)
+                if not stale:
+                    folds["clean"] += 1
+                elif stale > len(tib._flow_totals) * Tib.RANK_REBUILD_SHARE:
+                    folds["rebuild"] += 1
+                else:
+                    folds["repair"] += 1
+                for k in self._read_sizes(rng, tib):
+                    for descending in (True, False):
+                        assert tib.ranked_flow_bytes(k, descending) == \
+                            _brute_force_ranking(tib, k, descending), \
+                            (k, descending)
+                assert not tib._rank_stale
+        # Non-vacuity: both fold paths ran, and on a capped TIB every
+        # write path that moves a flow's total did too.
+        assert all(count > 0 for count in folds.values()), folds
+        if cap is not None:
+            assert any(admitted), "no cold admission"
+            assert installed, "no promotion"
+            # tib.promotions also counts merges folded off-tier, which
+            # install nothing.
+            assert tib.promotions > len(installed), "no off-tier fold"
+
+    def test_concurrent_readers_agree(self):
+        """Readers racing to fold the same stale flows (no write between
+        them, as the TIB requires) all get the brute-force answer and
+        leave nothing stale."""
+        rng = random.Random(5)
+        tib = Tib("h")
+        for pair in range(2_000):
+            tib.add_record(_record(_flow(sport=pair), PATH_A, 0.0, 1.0,
+                                   rng.randrange(1, 50), 1))
+        readers = 4
+        barrier = threading.Barrier(readers)
+        answers = []
+
+        def read():
+            barrier.wait(timeout=10.0)
+            answers.append(tib.ranked_flow_bytes(100))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(20):
+                # Alternate a few stale flows (repair) with many (rebuild).
+                for _ in range(5 if round_ % 2 else 400):
+                    tib.add_record(_record(_flow(sport=rng.randrange(2_000)),
+                                           PATH_A, 0.0, 1.0,
+                                           rng.randrange(0, 50), 1))
+                answers.clear()
+                threads = [threading.Thread(target=read)
+                           for _ in range(readers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                expected = _brute_force_ranking(tib, 100, True)
+                assert answers == [expected] * readers
+                assert not tib._rank_stale
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestEngineDiscipline:
