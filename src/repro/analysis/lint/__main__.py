@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "codebase's cross-cutting invariants (wire "
                      "completeness, stats reset/registry, lock "
                      "discipline, query-path purity, determinism, "
-                     "scan-spec soundness, plan-op completeness)."))
+                     "scan-spec soundness)."))
     parser.add_argument(
         "--root", type=Path, default=None,
         help="project root to lint (default: the enclosing repo "

@@ -239,9 +239,8 @@ def load_rules() -> Dict[str, Type[Rule]]:
     """Import every rules module (side effect: registry fills) and return
     the registry.  Idempotent."""
     # Imported here, not at module top: the rules modules import this one.
-    from repro.analysis.lint import (rules_locks, rules_plan,  # noqa: F401
-                                     rules_purity, rules_scanspec,
-                                     rules_stats, rules_wire)
+    from repro.analysis.lint import (rules_locks, rules_purity,  # noqa: F401
+                                     rules_scanspec, rules_stats, rules_wire)
     return RULE_REGISTRY
 
 

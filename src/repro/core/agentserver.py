@@ -212,17 +212,12 @@ class _HostServer:
             except Exception as error:
                 self.pending_error = (f"retention config failed: "
                                       f"{type(error).__name__}: {error}")
-        elif kind in (wire.MSG_QUERY_REQUEST, wire.MSG_PLAN_REQUEST):
+        elif kind == wire.MSG_QUERY_REQUEST:
             if self.pending_error is not None:
                 reply = wire.encode_error(self.pending_error)
                 self.pending_error = None
                 return reply
             try:
-                # decode_query_request accepts both frame kinds, and
-                # encode_result routes plan results to the generic
-                # MSG_PLAN_RESULT frame - so plans ride every worker
-                # transport (pipe, socket, group batches) through the
-                # exact same request/reply path as legacy queries.
                 query = self.requests.query(frame)
                 # measure_wire=False: the frame we are about to send IS
                 # the measurement (encoding twice would double the

@@ -21,14 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: The fan-outs of the paper's 4-level tree (controller -> 7 -> 4 -> 4).
 PAPER_TREE_FANOUT = (7, 4, 4)
 
-#: *Estimated* serialized bytes of a subtree-description message: fixed
-#: framing plus one entry per host in the subtree.  The description rides
-#: in the same (batched) request message as the query itself.  Reported
-#: spec sizes are measured against the real :mod:`repro.core.wire` codec
-#: now; the estimate survives as a cross-check.
-SPEC_BASE_BYTES = 16
-SPEC_HOST_BYTES = 8
-
 
 @dataclass
 class TreeNode:
@@ -57,13 +49,6 @@ class TreeNode:
             nodes.extend(child.descend())
         return nodes
 
-    def subtree_host_count(self) -> int:
-        """Number of end hosts in this subtree (including this node)."""
-        count = 1 if self.host is not None else 0
-        for child in self.children:
-            count += child.subtree_host_count()
-        return count
-
     def subtree_hosts(self) -> List[str]:
         """Every host in this subtree (including this node), pre-order."""
         hosts = [] if self.host is None else [self.host]
@@ -85,10 +70,6 @@ class TreeNode:
         """Measured serialized size of this node's subtree description."""
         from repro.core import wire
         return len(wire.encode_subtree_spec(self.subtree_spec()))
-
-    def estimated_spec_bytes(self) -> int:
-        """The pre-codec size estimate (cross-check only)."""
-        return SPEC_BASE_BYTES + SPEC_HOST_BYTES * self.subtree_host_count()
 
 
 class AggregationTree:

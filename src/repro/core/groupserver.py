@@ -28,9 +28,9 @@ picks fewer, larger groups:
   Fire-and-forget frames (ingest, retention, monitor seeds and re-opens)
   wait in the connection's *outbox* and leave as one envelope ahead of
   the next request on that connection (:class:`_GroupConn`).
-  The inner frames are opaque here, so generic ``MSG_PLAN_REQUEST``/
-  ``MSG_PLAN_RESULT`` plan frames coalesce exactly like legacy query
-  frames - no group-transport change per new question, ever.
+  The inner frames are opaque here, and a plan travels as a parameter of
+  an ordinary query request - no group-transport change per new
+  question, ever.
 * **Dead-agent failure semantics.** A dead/hung/undecodable group
   connection surfaces as :class:`~repro.core.agentserver.AgentServerError`,
   which the executor reports like a dead in-thread agent - for every host

@@ -33,15 +33,16 @@ provides, in one place:
   :func:`compile_top_k_flows`): the proofs that the IR is expressive
   enough, checked against :func:`reference_evaluate` in every mode.
 
-Registries (``_EXEC_BY_OP``, ``_MERGE_BY_TERMINAL``) are lint-gated:
-repro-lint rule R9 (``plan-op-completeness``) fails the build when an
-``OP_*`` op is declared without its wire codec leg, executor leg and
-merge operator.
+:data:`OPS` is the only op table, in pipeline order: each op class
+carries its wire ``code``, its ``merge`` operator and its executor leg
+(``execute``), and the wire codec writes an op as its code followed by
+its dataclass fields.  Adding an op is adding one class to it.
 
 Import discipline: this module sits *below* :mod:`repro.core.wire`
-(which encodes plans into ``MSG_PLAN_REQUEST`` / ``MSG_PLAN_RESULT``
-frames) and therefore imports only the record/ScanSpec layer - never
-``wire``, ``query`` or ``tib``.  The executor takes the TIB duck-typed.
+(which encodes a :class:`Plan` as a tagged value, so a plan query is an
+ordinary query request with the plan as a parameter) and therefore
+imports only the record/ScanSpec layer - never ``wire``, ``query`` or
+``tib``.  The executor takes the TIB duck-typed.
 """
 
 from __future__ import annotations
@@ -59,12 +60,11 @@ from repro.storage.records import (RECORD_FIELDS, PathFlowRecord, ScanSpec,
 
 #: The query name plan queries travel under (``Query(name=PLAN_QUERY_NAME,
 #: params={"plan": <Plan>})``); re-exported as ``Q_PLAN`` by
-#: :mod:`repro.core.query`.  Defined here so the wire codec can route plan
-#: queries without importing the query layer.
+#: :mod:`repro.core.query`.
 PLAN_QUERY_NAME = "plan"
 
-#: Plan op codes - also the op tags of the wire encoding, and the keys of
-#: the executor / merge registries (lint rule R9 cross-checks all three).
+#: Plan op codes: the op tags of the wire encoding (each op class's
+#: ``code``).
 OP_FILTER = 1
 OP_PROJECT = 2
 OP_AGGREGATE = 3
@@ -108,11 +108,6 @@ PE_TOPK = "bad-topk"
 PW_FULL_SCAN = "full-scan"
 PW_RESIDUAL_PATH = "residual-path"
 PW_WILDCARD_LINK = "wildcard-link"
-
-#: Pre-codec payload size estimates (cross-checks, mirroring the query
-#: layer's historical estimators; reported sizes are measured frames).
-_SCALAR_ESTIMATE = 16
-_KV_ESTIMATE = 24
 
 
 @dataclass(frozen=True)
@@ -170,6 +165,7 @@ class Filter:
     path: Optional[Tuple[str, ...]] = None
 
     code = OP_FILTER
+    merge = MERGE_CONCAT
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", _window_bound(self.start))
@@ -194,6 +190,15 @@ class Filter:
         return (self.start is None and self.end is None and not self.links
                 and not self.flow_keys and self.path is None)
 
+    def execute(self, state: Any, plan: Plan) -> Any:
+        """Brute-force predicate: the reference semantics of ``Filter`` (the
+        pushdown executor replaces this leg with an index-routed scan and
+        keeps only the residual path check)."""
+        spec = scan_spec(self)
+        return [record for record in state
+                if spec.matches(record)
+                and (self.path is None or record.path == self.path)]
+
 
 @dataclass(frozen=True)
 class Project:
@@ -204,10 +209,19 @@ class Project:
     fields: Tuple[str, ...] = RECORD_FIELDS
 
     code = OP_PROJECT
+    merge = MERGE_CONCAT
 
     def __post_init__(self) -> None:
         deduped = tuple(dict.fromkeys(self.fields))
         object.__setattr__(self, "fields", deduped)
+
+    def execute(self, state: Any, plan: Plan) -> Any:
+        """Terminal projection materialises the emitted rows; before an
+        ``Aggregate`` the projection is a validator-enforced schema gate and
+        the records pass through unchanged."""
+        if plan.aggregate is not None:
+            return state
+        return _emit_rows(state, self.fields)
 
 
 @dataclass(frozen=True)
@@ -229,10 +243,41 @@ class Aggregate:
     binsize: int = 1
 
     code = OP_AGGREGATE
+    #: A scalar aggregate concat-merges instead - see merge_operator.
+    merge = MERGE_HISTOGRAM
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fields", tuple(self.fields))
         object.__setattr__(self, "by", tuple(self.by))
+
+    def execute(self, state: Any, plan: Plan) -> Any:
+        records: Sequence[PathFlowRecord] = state
+        if not self.by and self.func != AGG_HISTOGRAM:
+            if self.func == AGG_COUNT:
+                return (len(records),)
+            sums = [0] * len(self.fields)
+            for record in records:
+                for slot, name in enumerate(self.fields):
+                    sums[slot] += record_field(record, name)
+            return tuple(sums)
+        grouped: Dict[Any, Any] = {}
+        if self.func == AGG_SUM and len(self.by) == 1:
+            # The top-k input shape (sum one field by one key) is the hot
+            # loop of every ranked query - hoist the field dispatch out.
+            key_of = _field_reader(self.by[0])
+            value_of = _field_reader(self.fields[0])
+            for record in records:
+                key = key_of(record)
+                grouped[key] = grouped.get(key, 0) + value_of(record)
+            return grouped
+        for record in records:
+            key = _group_key(self, record)
+            if self.func == AGG_SUM:
+                grouped[key] = grouped.get(key, 0) + \
+                    record_field(record, self.fields[0])
+            else:  # count / histogram both count members per group key
+                grouped[key] = grouped.get(key, 0) + 1
+        return grouped
 
 
 @dataclass(frozen=True)
@@ -252,12 +297,22 @@ class TopK:
     order: str = ORDER_DESC
 
     code = OP_TOPK
+    merge = MERGE_TOP_K
+
+    def execute(self, state: Any, plan: Plan) -> Any:
+        grouped: Dict[Any, Any] = state
+        if self.key == RANK_GROUP:
+            pairs: Iterable[Tuple[Any, Any]] = (
+                (group, value) for group, value in grouped.items())
+        else:
+            pairs = ((value, group) for group, value in grouped.items())
+        return rank_select(pairs, self.k, self.order)
 
 
 PlanOp = Union[Filter, Project, Aggregate, TopK]
 
-#: Validation order of the op kinds in a plan.
-_OP_SEQUENCE = {OP_FILTER: 0, OP_PROJECT: 1, OP_AGGREGATE: 2, OP_TOPK: 3}
+#: The op table: every op class, in pipeline (validation) order.
+OPS = (Filter, Project, Aggregate, TopK)
 
 
 @dataclass(frozen=True)
@@ -269,31 +324,27 @@ class Plan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", tuple(self.ops))
 
-    def _op(self, code: int) -> Optional[PlanOp]:
+    def _op(self, op_type: type) -> Any:
         for op in self.ops:
-            if op.code == code:
+            if type(op) is op_type:
                 return op
         return None
 
     @property
     def filter(self) -> Optional[Filter]:
-        op = self._op(OP_FILTER)
-        return op if isinstance(op, Filter) else None
+        return self._op(Filter)
 
     @property
     def project(self) -> Optional[Project]:
-        op = self._op(OP_PROJECT)
-        return op if isinstance(op, Project) else None
+        return self._op(Project)
 
     @property
     def aggregate(self) -> Optional[Aggregate]:
-        op = self._op(OP_AGGREGATE)
-        return op if isinstance(op, Aggregate) else None
+        return self._op(Aggregate)
 
     @property
     def topk(self) -> Optional[TopK]:
-        op = self._op(OP_TOPK)
-        return op if isinstance(op, TopK) else None
+        return self._op(TopK)
 
     def warnings(self) -> Tuple[PlanWarning, ...]:
         """Validate and return the structured per-plan warnings."""
@@ -320,14 +371,14 @@ def validate(plan: Plan) -> Tuple[PlanWarning, ...]:
         raise PlanError([PlanIssue(PE_EMPTY, 0, "a plan needs at least "
                                    "one op (use Filter() for 'everything')")])
     last_rank = -1
-    seen_codes = set()
+    seen_ranks = set()
     for index, op in enumerate(plan.ops):
-        rank = _OP_SEQUENCE.get(getattr(op, "code", -1))
-        if rank is None:
+        if type(op) not in OPS:
             issues.append(PlanIssue(PE_ORDER, index,
                                     f"unknown plan op {type(op).__name__}"))
             continue
-        if op.code in seen_codes:
+        rank = OPS.index(type(op))
+        if rank in seen_ranks:
             issues.append(PlanIssue(
                 PE_DUPLICATE, index,
                 f"duplicate {type(op).__name__} op"))
@@ -336,7 +387,7 @@ def validate(plan: Plan) -> Tuple[PlanWarning, ...]:
                 PE_ORDER, index,
                 f"{type(op).__name__} must precede later pipeline stages "
                 "(order: Filter -> Project -> Aggregate -> TopK)"))
-        seen_codes.add(op.code)
+        seen_ranks.add(rank)
         last_rank = max(last_rank, rank)
         issues.extend(_validate_op(plan, index, op))
     if issues:
@@ -484,83 +535,15 @@ def scan_spec(filter_op: Optional[Filter]) -> ScanSpec:
 
 
 # --------------------------------------------------------------------------
-# Per-op executor legs (shared by the reference evaluator and the
-# pushdown executor's residual tail; R9 gates this registry)
+# Executor helpers (the ops' ``execute`` legs are shared by the reference
+# evaluator and the pushdown executor's residual tail)
 # --------------------------------------------------------------------------
-def _exec_filter(op: Filter, state: Any, plan: Plan) -> Any:
-    """Brute-force predicate: the reference semantics of ``Filter`` (the
-    pushdown executor replaces this leg with an index-routed scan and
-    keeps only the residual path check)."""
-    spec = scan_spec(op)
-    return [record for record in state
-            if spec.matches(record)
-            and (op.path is None or record.path == op.path)]
-
-
-def _exec_project(op: Project, state: Any, plan: Plan) -> Any:
-    """Terminal projection materialises the emitted rows; before an
-    ``Aggregate`` the projection is a validator-enforced schema gate and
-    the records pass through unchanged."""
-    if plan.aggregate is not None:
-        return state
-    return _emit_rows(state, op.fields)
-
-
 def _field_reader(name: str) -> Any:
     """Per-field accessor with the name dispatch hoisted out of scan
     loops; same semantics as :func:`record_field` field by field."""
     if name == "flow":
         return lambda record: flow_key(record.flow_id)
     return attrgetter(name)
-
-
-def _exec_aggregate(op: Aggregate, state: Any, plan: Plan) -> Any:
-    records: Sequence[PathFlowRecord] = state
-    if not op.by and op.func != AGG_HISTOGRAM:
-        if op.func == AGG_COUNT:
-            return (len(records),)
-        sums = [0] * len(op.fields)
-        for record in records:
-            for slot, name in enumerate(op.fields):
-                sums[slot] += record_field(record, name)
-        return tuple(sums)
-    grouped: Dict[Any, Any] = {}
-    if op.func == AGG_SUM and len(op.by) == 1:
-        # The top-k input shape (sum one field by one key) is the hot
-        # loop of every ranked query - hoist the field dispatch out.
-        key_of = _field_reader(op.by[0])
-        value_of = _field_reader(op.fields[0])
-        for record in records:
-            key = key_of(record)
-            grouped[key] = grouped.get(key, 0) + value_of(record)
-        return grouped
-    for record in records:
-        key = _group_key(op, record)
-        if op.func == AGG_SUM:
-            grouped[key] = grouped.get(key, 0) + \
-                record_field(record, op.fields[0])
-        else:  # count / histogram both count members per group key
-            grouped[key] = grouped.get(key, 0) + 1
-    return grouped
-
-
-def _exec_topk(op: TopK, state: Any, plan: Plan) -> Any:
-    grouped: Dict[Any, Any] = state
-    if op.key == RANK_GROUP:
-        pairs: Iterable[Tuple[Any, Any]] = (
-            (group, value) for group, value in grouped.items())
-    else:
-        pairs = ((value, group) for group, value in grouped.items())
-    return rank_select(pairs, op.k, op.order)
-
-
-#: Host-side executor leg per op (R9: every OP_* must be a key here).
-_EXEC_BY_OP = {
-    OP_FILTER: _exec_filter,
-    OP_PROJECT: _exec_project,
-    OP_AGGREGATE: _exec_aggregate,
-    OP_TOPK: _exec_topk,
-}
 
 
 def _group_key(op: Aggregate, record: PathFlowRecord) -> Any:
@@ -629,7 +612,8 @@ def merge_ranked(payloads: Sequence[Sequence[Tuple[Any, ...]]], k: int,
 
 def _run_pipeline(plan: Plan, records: Sequence[PathFlowRecord],
                   skip_filter: bool) -> Any:
-    """Apply the plan's ops to ``records`` via the executor registry.
+    """Apply the plan's ops to ``records``, each through its ``execute``
+    leg.
 
     ``skip_filter=True`` is the pushdown executor's residual tail: the
     scan already applied the (index-routed) filter, so only the
@@ -639,7 +623,7 @@ def _run_pipeline(plan: Plan, records: Sequence[PathFlowRecord],
     for op in plan.ops:
         if skip_filter and op.code == OP_FILTER:
             continue
-        state = _EXEC_BY_OP[op.code](op, state, plan)
+        state = op.execute(state, plan)
     if plan.aggregate is None and plan.project is None:
         state = _emit_rows(state, RECORD_FIELDS)
     return state
@@ -663,7 +647,6 @@ class PlanExecution:
 
     payload: Any
     records_scanned: int
-    estimated_wire_bytes: int
     scan_stats: Dict[str, int]
 
 
@@ -673,7 +656,7 @@ class PlanExecution:
 _NO_SCAN_STATS: Dict[str, int] = dict.fromkeys((
     "hot_flow_routed", "hot_link_routed", "hot_time_routed",
     "hot_full_scans", "cold_segments_skipped", "cold_entries_skipped",
-    "cold_entries_decoded", "cold_decode_cache_hits"), 0)
+    "cold_entries_decoded"), 0)
 
 
 def _scalar_flow_sum(plan: Plan) -> Optional[Tuple[str, Tuple[str, ...]]]:
@@ -762,7 +745,7 @@ def execute_plan(tib: Any, plan: Plan) -> PlanExecution:
         payload = tib.flow_byte_totals()
         scanned = tib.total_record_count()
         for op in shape[1]:
-            payload = _EXEC_BY_OP[op.code](op, payload, plan)
+            payload = op.execute(payload, plan)
         scan_stats = dict(_NO_SCAN_STATS)
     else:
         before = tib.scan_stat_snapshot()
@@ -776,33 +759,27 @@ def execute_plan(tib: Any, plan: Plan) -> PlanExecution:
         after = tib.scan_stat_snapshot()
         scan_stats = {key: after[key] - before[key] for key in after}
     return PlanExecution(payload=payload, records_scanned=scanned,
-                         estimated_wire_bytes=estimate_payload_bytes(payload),
                          scan_stats=scan_stats)
-
-
-def estimate_payload_bytes(payload: Any) -> int:
-    """Pre-codec size estimate of a plan payload (cross-check only;
-    reported sizes are measured ``MSG_PLAN_RESULT`` frame lengths)."""
-    if isinstance(payload, dict) or isinstance(payload, list):
-        return _KV_ESTIMATE * max(1, len(payload))
-    return _SCALAR_ESTIMATE
 
 
 # --------------------------------------------------------------------------
 # Merge operators (the aggregation-tree reduction, selected by terminal op)
 # --------------------------------------------------------------------------
-def _merge_concat(plan: Plan, payloads: Sequence[Any]) -> Any:
-    """Concatenate listing rows / scalar tuples (the legacy un-merged
-    reduction: per-host scalar tuples flatten into one list, exactly as
-    ``getCount`` partials always have)."""
+# The concat and key-sum reductions also merge the hand-written query
+# handlers' payloads (:mod:`repro.core.query`), which is why their first
+# argument - the plan, or the query there - goes unused.
+def merge_concat(_: Any, payloads: Sequence[Any]) -> List[Any]:
+    """Concatenate listing rows / scalar tuples (the un-merged reduction:
+    per-host scalar tuples flatten into one list, exactly as ``getCount``
+    partials always have)."""
     merged: List[Any] = []
     for payload in payloads:
         merged.extend(payload)
     return merged
 
 
-def _merge_histograms(plan: Plan, payloads: Sequence[Any]) -> Any:
-    """Sum keyed-aggregate dicts key-wise."""
+def merge_key_sums(_: Any, payloads: Sequence[Any]) -> Dict[Any, Any]:
+    """Sum keyed-aggregate dicts (histograms, matrices) key-wise."""
     merged: Dict[Any, Any] = {}
     for payload in payloads:
         for key, value in payload.items():
@@ -818,29 +795,22 @@ def _merge_top_k(plan: Plan, payloads: Sequence[Any]) -> Any:
     return merge_ranked(payloads, op.k, op.order)
 
 
-#: Merge operator per *terminal* op (R9: every OP_* must be a key here).
-#: A scalar Aggregate (no group key) concat-merges - see merge_operator.
-_MERGE_BY_TERMINAL = {
-    OP_FILTER: MERGE_CONCAT,
-    OP_PROJECT: MERGE_CONCAT,
-    OP_AGGREGATE: MERGE_HISTOGRAM,
-    OP_TOPK: MERGE_TOP_K,
-}
-
 _MERGE_FUNCTIONS = {
-    MERGE_CONCAT: _merge_concat,
-    MERGE_HISTOGRAM: _merge_histograms,
+    MERGE_CONCAT: merge_concat,
+    MERGE_HISTOGRAM: merge_key_sums,
     MERGE_TOP_K: _merge_top_k,
 }
 
 
 def merge_operator(plan: Plan) -> str:
-    """The generic merge operator the plan's terminal op selects."""
+    """The generic merge operator the plan's terminal op selects: its
+    ``merge``, except that a scalar ``Aggregate`` (no group key)
+    concat-merges."""
     terminal = plan.ops[-1]
-    if terminal.code == OP_AGGREGATE and isinstance(terminal, Aggregate) \
-            and not terminal.by and terminal.func != AGG_HISTOGRAM:
+    if isinstance(terminal, Aggregate) and not terminal.by \
+            and terminal.func != AGG_HISTOGRAM:
         return MERGE_CONCAT
-    return _MERGE_BY_TERMINAL[terminal.code]
+    return terminal.merge
 
 
 def merge_payloads(plan: Plan, payloads: Sequence[Any]) -> Any:

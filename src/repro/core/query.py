@@ -12,18 +12,24 @@ This module defines:
 
 * :class:`Query` - a named query plus its parameters and optional period;
 * :class:`QueryResult` - a host's (or aggregation node's) partial result with
-  its serialized size, so query traffic can be accounted;
+  its measured serialized size (the length of its :mod:`repro.core.wire`
+  frame), so query traffic can be accounted;
 * the built-in query handlers used by the paper's applications: flow records
   retrieval, flow-size distribution, top-k flows, poor TCP flows, traffic
   matrix, path conformance; and
-* per-query ``merge`` functions implementing the aggregation-tree reduction.
+* per-query merge functions implementing the aggregation-tree reduction
+  (the plan module's concat and key-sum operators, plus top-k and the
+  generic plan merge).
+
+Every handler, built-in or registered, returns ``(payload,
+records_scanned, scan_stats)``; every merger returns the merged payload.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import repeat
 from operator import floordiv
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -51,71 +57,46 @@ Q_SUBFLOW_IMBALANCE = "subflow_imbalance"
 #: by the generic operator the plan's terminal op selects.
 Q_PLAN = planlib.PLAN_QUERY_NAME
 
-# Pre-codec size estimators.  Reported wire sizes are *measured* now
-# (``len(encoded)`` of the :mod:`repro.core.wire` frames); the handlers still
-# compute these cheap estimates, kept on ``QueryResult.estimated_wire_bytes``
-# as a cross-check against the codec (see the wire tests).
-#: Estimated serialized bytes of small scalar payloads.
-_SCALAR_BYTES = 16
-#: Estimated serialized bytes of one (key, value) pair in histograms / top-k.
-_KV_BYTES = 24
-#: Estimated serialized bytes of one path element.
-_PATH_ELEMENT_BYTES = 2
-#: Estimated serialized size of a query/install request message.
-QUERY_REQUEST_BYTES = 128
+
+def _memoized(build: Callable) -> Callable:
+    """One shared ``build(*params)`` object per distinct parameter shape.
+
+    Every host of a sweep is asked the same question, and compiling a plan
+    (or building + normalising a ``ScanSpec``) costs as much as reading a
+    40-record TIB; the results are frozen, so equal shapes can share one -
+    a cached plan also keeps its memoized validation and pushdown shape.
+    List parameters count as tuples; a shape that is still unhashable (a
+    list path inside a flow pair) is built fresh every time.
+    """
+    cached = lru_cache(maxsize=1024)(build)
+
+    @wraps(build)
+    def shared(*params: Any) -> Any:
+        params = tuple(tuple(param) if isinstance(param, list) else param
+                       for param in params)
+        try:
+            return cached(*params)
+        except TypeError:  # unhashable parameter shape
+            return build(*params)
+    return shared
 
 
-# The compiled plans the rebased built-ins execute are frozen and their
-# validation is memoized, so hashable parameter shapes share one plan per
-# distinct (flow, window) / (k, link, window) - repeat queries skip the
-# dataclass construction and validation entirely.
-@lru_cache(maxsize=1024)
-def _cached_get_count_plan(flow: Any, time_range: Any) -> "planlib.Plan":
+@_memoized
+def _compiled_get_count(flow: Any, time_range: Any) -> "planlib.Plan":
     return planlib.compile_get_count(flow, time_range)
 
 
-@lru_cache(maxsize=1024)
-def _cached_top_k_plan(k: int, link: Any, time_range: Any) -> "planlib.Plan":
+@_memoized
+def _compiled_top_k(k: int, link: Any, time_range: Any) -> "planlib.Plan":
     return planlib.compile_top_k_flows(k, link, time_range)
 
 
-def _compiled_get_count(flow: Any, time_range: Any) -> "planlib.Plan":
-    if time_range is not None:
-        time_range = tuple(time_range)
-    try:
-        return _cached_get_count_plan(flow, time_range)
-    except TypeError:  # unhashable parameter shape (e.g. a list path)
-        return planlib.compile_get_count(flow, time_range)
-
-
-def _compiled_top_k(k: int, link: Any, time_range: Any) -> "planlib.Plan":
-    if time_range is not None:
-        time_range = tuple(time_range)
-    try:
-        return _cached_top_k_plan(k, link, time_range)
-    except TypeError:  # unhashable parameter shape (e.g. a list link)
-        return planlib.compile_top_k_flows(k, link, time_range)
-
-
-# Likewise the read an aggregate handler folds: every host of a sweep is
-# asked with the same link and window, and building + normalising a
-# ``ScanSpec`` costs as much as reading a 40-record TIB.
-@lru_cache(maxsize=1024)
-def _cached_fold_spec(link: Any, time_range: Any) -> ScanSpec:
+@_memoized
+def _fold_spec(link: Any, time_range: Any) -> ScanSpec:
+    """The read an aggregate handler folds."""
     start, end = normalise_time_range(time_range)
     return ScanSpec(start=start, end=end,
                     links=() if link is None else (link,))
-
-
-def _fold_spec(link: Any, time_range: Any) -> ScanSpec:
-    if link is not None:
-        link = tuple(link)
-    if time_range is not None:
-        time_range = tuple(time_range)
-    try:
-        return _cached_fold_spec(link, time_range)
-    except TypeError:  # unhashable parameter shape
-        return _cached_fold_spec.__wrapped__(link, time_range)
 
 
 @dataclass
@@ -138,10 +119,6 @@ class Query:
         """Measured serialized size of the query request (codec frame)."""
         return len(wire.encode_query(self))
 
-    def estimated_request_bytes(self) -> int:
-        """The pre-codec size estimate (cross-check only)."""
-        return QUERY_REQUEST_BYTES + 8 * len(self.params)
-
 
 @dataclass
 class QueryResult:
@@ -156,8 +133,6 @@ class QueryResult:
             accounting of the query-performance experiments sums.
         records_scanned: number of TIB records touched while producing the
             payload (the compute-cost proxy).
-        estimated_wire_bytes: the handler's pre-codec size estimate, kept
-            as a cross-check against the measured size.
         host: the host (or aggregation node) that produced the result.
         partial: ``True`` when one or more hosts' partial results are
             missing from ``payload`` (dead agent, timeout, lost response) -
@@ -174,15 +149,14 @@ class QueryResult:
             into the bus.
         scan_stats: per-plan pushdown counters (hot-index routing + cold
             pruning work, see ``Tib.scan_stat_snapshot``), populated only
-            by plan queries; rides the ``MSG_PLAN_RESULT`` frame tail and
-            is summed key-wise when partials merge.
+            by plan queries; rides the result frame's tail and is summed
+            key-wise when partials merge.
     """
 
     query: Query
     payload: Any
     wire_bytes: int
     records_scanned: int = 0
-    estimated_wire_bytes: int = 0
     host: str = ""
     partial: bool = False
     warnings: Tuple[Any, ...] = ()
@@ -191,17 +165,10 @@ class QueryResult:
 
 
 def measured_result_wire_bytes(result: "QueryResult") -> int:
-    """Measured frame size of a result, estimate-backed for exotic payloads.
-
-    Built-in query payloads always encode; a *custom* handler may return a
-    payload outside the codec's tagged-value set, which must not kill the
-    query (custom handlers predate the codec) - its handler-supplied size
-    estimate stands in, exactly as before the codec existed.
-    """
-    try:
-        return wire.result_wire_bytes(result)
-    except wire.WireError:
-        return result.estimated_wire_bytes
+    """Measured frame size of a result.  A payload outside the codec's
+    tagged-value set could never cross a real wire: sizing it raises
+    ``WireError``, which fails its host like any other handler error."""
+    return wire.result_wire_bytes(result)
 
 
 # --------------------------------------------------------------------------
@@ -225,20 +192,25 @@ class QueryEngine:
             Q_PLAN: self._run_plan,
         }
         self._mergers: Dict[str, Callable] = {
-            Q_GET_FLOWS: _merge_concat,
-            Q_GET_PATHS: _merge_concat,
-            Q_POOR_TCP_FLOWS: _merge_concat,
-            Q_FLOW_SIZE_DISTRIBUTION: _merge_histograms,
+            Q_GET_FLOWS: planlib.merge_concat,
+            Q_GET_PATHS: planlib.merge_concat,
+            Q_POOR_TCP_FLOWS: planlib.merge_concat,
+            Q_FLOW_SIZE_DISTRIBUTION: planlib.merge_key_sums,
             Q_TOP_K_FLOWS: _merge_top_k,
-            Q_TRAFFIC_MATRIX: _merge_histograms,
-            Q_PATH_CONFORMANCE: _merge_concat,
-            Q_SUBFLOW_IMBALANCE: _merge_concat,
+            Q_TRAFFIC_MATRIX: planlib.merge_key_sums,
+            Q_PATH_CONFORMANCE: planlib.merge_concat,
+            Q_SUBFLOW_IMBALANCE: planlib.merge_concat,
             Q_PLAN: _merge_plan,
         }
 
     def register(self, name: str, handler: Callable,
                  merger: Optional[Callable] = None) -> None:
-        """Register a custom query handler (and optionally a merger)."""
+        """Register a custom query handler (and optionally a merger).
+
+        ``handler(agent, params)`` returns ``(payload, records_scanned,
+        scan_stats)``; ``merger(query, payloads)`` returns the merged
+        payload (default: concatenation).
+        """
         self._handlers[name] = handler
         if merger is not None:
             self._mergers[name] = merger
@@ -249,8 +221,7 @@ class QueryEngine:
         """Run ``query`` on ``agent`` and return its partial result.
 
         ``wire_bytes`` is the *measured* encoded size of the result frame
-        (identical to what an agent-server worker would put on the pipe);
-        the handler's size estimate is kept on ``estimated_wire_bytes``.
+        (identical to what an agent-server worker would put on the pipe).
         ``measure_wire=False`` leaves ``wire_bytes`` at 0 for callers that
         encode the frame themselves anyway (the agent-server worker) - the
         decoded side reconstructs the same value from the frame length.
@@ -258,18 +229,10 @@ class QueryEngine:
         handler = self._handlers.get(query.name)
         if handler is None:
             raise KeyError(f"unknown query {query.name!r}")
-        output = handler(agent, query.params)
-        # Handlers return (payload, estimate, scanned); plan handlers add
-        # their per-plan pushdown counters as a fourth element.
-        if len(output) == 4:
-            payload, estimated, scanned, scan_stats = output
-        else:
-            payload, estimated, scanned = output
-            scan_stats = {}
+        payload, scanned, scan_stats = handler(agent, query.params)
         result = QueryResult(query=query, payload=payload, wire_bytes=0,
-                             records_scanned=scanned,
-                             estimated_wire_bytes=estimated,
-                             host=agent.host, scan_stats=scan_stats)
+                             records_scanned=scanned, host=agent.host,
+                             scan_stats=scan_stats)
         if measure_wire:
             result.wire_bytes = measured_result_wire_bytes(result)
         return result
@@ -284,8 +247,8 @@ class QueryEngine:
         lazily at the point they are actually sent (re-encoding a growing
         payload after every pairwise merge would be quadratic).
         """
-        merger = self._mergers.get(query.name, _merge_concat)
-        payload, estimated = merger(query, [r.payload for r in results])
+        merger = self._mergers.get(query.name, planlib.merge_concat)
+        payload = merger(query, [r.payload for r in results])
         scan_stats: Dict[str, int] = {}
         for partial in results:
             for key, value in partial.scan_stats.items():
@@ -293,8 +256,7 @@ class QueryEngine:
         result = QueryResult(
             query=query, payload=payload, wire_bytes=0,
             records_scanned=sum(r.records_scanned for r in results),
-            estimated_wire_bytes=estimated, host="aggregate",
-            scan_stats=scan_stats)
+            host="aggregate", scan_stats=scan_stats)
         if measure_wire:
             result.wire_bytes = measured_result_wire_bytes(result)
         return result
@@ -305,11 +267,10 @@ class QueryEngine:
         link: Optional[LinkId] = params.get("link")
         time_range: Optional[TimeRange] = params.get("time_range")
         flows = agent.get_flows(link, time_range)
-        wire = sum(13 + _PATH_ELEMENT_BYTES * len(path) for _, path in flows)
         # Both tiers are scanned candidates (and the total is invariant
         # under the hot/cold split, keeping result frames byte-identical
         # between capped local agents and their workers).
-        return flows, wire, agent.tib.total_record_count()
+        return flows, agent.tib.total_record_count(), {}
 
     @staticmethod
     def _run_get_paths(agent, params):
@@ -317,8 +278,7 @@ class QueryEngine:
         link = params.get("link")
         time_range = params.get("time_range")
         paths = agent.get_paths(flow_id, link, time_range)
-        wire = sum(_PATH_ELEMENT_BYTES * len(p) + 4 for p in paths)
-        return paths, wire, len(paths)
+        return paths, len(paths), {}
 
     @staticmethod
     def _run_plan(agent, params):
@@ -326,8 +286,8 @@ class QueryEngine:
         against this host's TIB with full pushdown, reporting the per-plan
         scan counters alongside the payload."""
         execution = planlib.execute_plan(agent.tib, params["plan"])
-        return (execution.payload, execution.estimated_wire_bytes,
-                execution.records_scanned, execution.scan_stats)
+        return (execution.payload, execution.records_scanned,
+                execution.scan_stats)
 
     @staticmethod
     def _run_get_count(agent, params):
@@ -335,20 +295,20 @@ class QueryEngine:
         scalar read off one maintained aggregate row."""
         plan = _compiled_get_count(params["flow"], params.get("time_range"))
         execution = planlib.execute_plan(agent.tib, plan)
-        return execution.payload, _SCALAR_BYTES, 1
+        return execution.payload, 1, {}
 
     @staticmethod
     def _run_get_duration(agent, params):
         flow = params["flow"]
         time_range = params.get("time_range")
         duration = agent.get_duration(flow, time_range)
-        return duration, _SCALAR_BYTES, 1
+        return duration, 1, {}
 
     @staticmethod
     def _run_poor_tcp_flows(agent, params):
         threshold = params.get("threshold")
         flows = agent.get_poor_tcp_flows(threshold)
-        return flows, 13 * max(1, len(flows)), len(agent.monitor.flows)
+        return flows, len(agent.monitor.flows), {}
 
     @staticmethod
     def _run_flow_size_distribution(agent, params):
@@ -379,8 +339,7 @@ class QueryEngine:
         histogram = {(label, size_bin): bins[size_bin]
                      for label, bins in sorted(per_label.items())
                      for size_bin in sorted(bins)}
-        return (histogram, _KV_BYTES * max(1, len(histogram)),
-                sum(histogram.values()))
+        return histogram, sum(histogram.values()), {}
 
     @staticmethod
     def _run_top_k_flows(agent, params):
@@ -389,9 +348,7 @@ class QueryEngine:
         plan = _compiled_top_k(params.get("k", 1000), params.get("link"),
                                params.get("time_range"))
         execution = planlib.execute_plan(agent.tib, plan)
-        payload = execution.payload
-        return (payload, _KV_BYTES * max(1, len(payload)),
-                execution.records_scanned)
+        return execution.payload, execution.records_scanned, {}
 
     @staticmethod
     def _run_traffic_matrix(agent, params):
@@ -410,8 +367,7 @@ class QueryEngine:
                 if len(path) >= 3:
                     key = (path[1], path[-2])
                     matrix[key] = matrix.get(key, 0) + count
-        return (dict(sorted(matrix.items())),
-                _KV_BYTES * max(1, len(matrix)), scanned)
+        return dict(sorted(matrix.items())), scanned, {}
 
     @staticmethod
     def _run_path_conformance(agent, params):
@@ -445,9 +401,7 @@ class QueryEngine:
             if offending:
                 violations.append((flow_id, offending))
                 agent.alarm(flow_id, PC_FAIL, offending)
-        wire = sum(13 + sum(_PATH_ELEMENT_BYTES * len(p) for p in paths)
-                   for _, paths in violations)
-        return violations, max(wire, 1), scanned
+        return violations, scanned, {}
 
     @staticmethod
     def _run_subflow_imbalance(agent, params):
@@ -472,48 +426,27 @@ class QueryEngine:
                 continue
             if max(values) / max(1, min(values)) > ratio_limit:
                 offenders.append((flow_id, entries))
-        wire = _KV_BYTES * max(1, sum(len(e) for _, e in offenders))
-        return offenders, wire, len(flows)
+        return offenders, len(flows), {}
 
 
 # --------------------------------------------------------------------------
 # Merge functions (aggregation-tree reduction)
 # --------------------------------------------------------------------------
-def _merge_concat(query: Query, payloads: Sequence[Any]) -> Tuple[Any, int]:
-    """Concatenate list-like partial results."""
-    merged: List[Any] = []
-    for payload in payloads:
-        merged.extend(payload)
-    return merged, _KV_BYTES * max(1, len(merged))
-
-
-def _merge_histograms(query: Query, payloads: Sequence[Dict]) -> Tuple[Dict, int]:
-    """Sum histograms / matrices keyed by arbitrary hashable keys."""
-    merged: Dict[Any, int] = {}
-    for payload in payloads:
-        for key, value in payload.items():
-            merged[key] = merged.get(key, 0) + value
-    return merged, _KV_BYTES * max(1, len(merged))
-
-
 def _merge_top_k(query: Query, payloads: Sequence[List[Tuple[int, str]]]
-                 ) -> Tuple[List[Tuple[int, str]], int]:
+                 ) -> List[Tuple[int, str]]:
     """Keep only the global top-k across partial top-k lists.
 
     This is the reduction that makes the multi-level top-k query efficient:
     ``(n_i - 1) * k`` key-value pairs are discarded at every aggregation
     level (Section 5.2).
     """
-    merged = planlib.merge_ranked(payloads, query.params.get("k", 1000))
-    return merged, _KV_BYTES * max(1, len(merged))
+    return planlib.merge_ranked(payloads, query.params.get("k", 1000))
 
 
-def _merge_plan(query: Query, payloads: Sequence[Any]) -> Tuple[Any, int]:
+def _merge_plan(query: Query, payloads: Sequence[Any]) -> Any:
     """Merge partial plan payloads with the generic operator the plan's
     terminal op selects (concat / histogram-merge / top-k-merge)."""
-    plan = query.params["plan"]
-    merged = planlib.merge_payloads(plan, payloads)
-    return merged, planlib.estimate_payload_bytes(merged)
+    return planlib.merge_payloads(query.params["plan"], payloads)
 
 
 def _link_label(link: Optional[LinkId]) -> str:

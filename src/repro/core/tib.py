@@ -1003,7 +1003,7 @@ class Tib:
             snapshot.update(self.archive.pruning_snapshot())
         else:
             snapshot.update(cold_segments_skipped=0, cold_entries_skipped=0,
-                            cold_entries_decoded=0, cold_decode_cache_hits=0)
+                            cold_entries_decoded=0)
         return snapshot
 
     def estimated_bytes(self) -> int:

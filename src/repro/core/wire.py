@@ -1,13 +1,10 @@
 """Versioned binary wire codec for PathDump's control-plane messages.
 
-Until this module existed, every "wire byte" in the query traffic accounting
-was an *estimate*: per-payload-kind size constants in :mod:`repro.core.query`,
-a fixed-plus-per-hop formula in :mod:`repro.storage.records`, a
-bytes-per-host guess in :mod:`repro.core.aggregation`.  This module defines
-the real thing - a compact, struct-packed binary encoding of every message
-that crosses the controller <-> agent boundary - and the accounting layers
-now report ``len(encoded)`` of these frames (the old estimators survive as
-cross-checks only).
+Every "wire byte" in the query traffic accounting is a *measurement*: this
+module defines a compact, struct-packed binary encoding of every message
+that crosses the controller <-> agent boundary, and the accounting layers
+report ``len(encoded)`` of these frames (sized without encoding, see
+*Exact sizes*).  No wire size is estimated anywhere.
 
 The same frames are what actually travels to the
 :mod:`~repro.core.agentserver` worker processes in ``mode="process"``:
@@ -29,19 +26,23 @@ floats are little-endian IEEE doubles, strings are UTF-8 with a varint
 length prefix.  Arbitrary query parameters and result payloads use a
 tagged-value encoding (``NONE``/``TRUE``/``FALSE``/``INT``/``FLOAT``/
 ``STR``/``BYTES``/``LIST``/``TUPLE``/``DICT``/``SET``/``FROZENSET``/
-``FLOWID``) that preserves container and :class:`FlowId` types exactly -
-the property the "payload-identical across execution modes" guarantee is
-verified against, byte for byte.
+``FLOWID``/``PLAN``) that preserves container and :class:`FlowId` types
+exactly - the property the "payload-identical across execution modes"
+guarantee is verified against, byte for byte.  A declarative
+:class:`~repro.core.plan.Plan` is one more tagged value (each op its code
+followed by its dataclass fields), so a plan query is an ordinary query
+request carrying the plan as a parameter.
 
 Message kinds: query requests (query + optional aggregation-subtree spec,
 batched into one frame exactly as the executor batches the logical edge
 payloads), record batches (the simulator -> agent-server ingest stream),
 query results / partial aggregates (with any pending host alarms
 piggybacked - the asynchronous agent -> controller alert channel drains on
-the reply), the event-plane frames (transfer-observation batches, monitor
-ticks, alarm batches, monitor-state snapshots/pulls, the payload-less
-re-open command behind ``reset_stats``), and the small control frames of
-the agent-server protocol (error, ping/pong, reset, sleep, shutdown).
+the reply - and a tail of per-plan scan-stat counters), the event-plane
+frames (transfer-observation batches, monitor ticks, alarm batches,
+monitor-state snapshots/pulls, the payload-less re-open command behind
+``reset_stats``), and the small control frames of the agent-server
+protocol (error, ping/pong, reset, sleep, shutdown).
 
 How the codec is written
 ------------------------
@@ -71,7 +72,7 @@ bytes, so the hot legs are written against that:
   aggregation tree in every mode - a size must not cost a serialization.
 
 What pins all of this from outside is in ``tests/test_wire.py``: a golden
-table (one frame per message type, one value per tag and width, hex
+table (a frame per message type, one value per tag and width, hex
 generated by the previous implementation and compared byte for byte; every
 strict prefix of every golden frame must raise ``WireError``), a seeded
 property test that each size equals the encoded length and rejects exactly
@@ -81,6 +82,7 @@ hot frames cost to decode.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import struct
 from array import array
@@ -108,16 +110,21 @@ from repro.storage.records import COLUMN_FIELDS, PathFlowRecord
 #: ``MSG_GROUP_BATCH`` envelopes that coalesce per-host frames for a whole
 #: worker group, the torn-close debug command, and the length-delimited
 #: stream framing socket mode speaks.
-#: Version 6: the generic plan frames exist - ``MSG_PLAN_REQUEST`` carries
-#: a declarative :mod:`repro.core.plan` pipeline (one frame kind for *any*
-#: question, so new questions never add frames again) and
-#: ``MSG_PLAN_RESULT`` extends the result layout with the per-plan
-#: scan-stat counters (hot-index routing + cold pruning work).
+#: Version 6: two plan frame kinds exist - a plan request carrying a
+#: declarative :mod:`repro.core.plan` pipeline (one frame kind for *any*
+#: question, so new questions never add frames again) and a plan result
+#: extending the result layout with the per-plan scan-stat counters
+#: (hot-index routing + cold pruning work).
 #: (``MSG_MONITOR_REOPEN`` joined version 6 later without a bump: a new
 #: payload-less command moves no existing byte, and the two ends of a
 #: worker connection are always the same build.)
+#: Version 7: one query frame family - a plan is a tagged value carried as
+#: an ordinary ``MSG_QUERY_REQUEST`` parameter, every ``MSG_QUERY_RESULT``
+#: ends with the scan-stat tail (one ``0`` byte when empty), the result's
+#: size-estimate varint is gone, and the two plan frame kinds are retired
+#: (their numbers, 20 and 21, are not reused).
 MAGIC = b"PD"
-WIRE_VERSION = 6
+WIRE_VERSION = 7
 
 _HEADER = struct.Struct("<2sBB")
 #: Bytes of the fixed frame header.
@@ -143,8 +150,6 @@ MSG_RETENTION = 16
 MSG_GROUP_HELLO = 17
 MSG_GROUP_BATCH = 18
 MSG_CLOSE_TORN = 19
-MSG_PLAN_REQUEST = 20
-MSG_PLAN_RESULT = 21
 MSG_MONITOR_REOPEN = 22
 
 #: Tagged-value type codes.
@@ -161,6 +166,13 @@ _V_DICT = 9
 _V_SET = 10
 _V_FROZENSET = 11
 _V_FLOWID = 12
+_V_PLAN = 13
+
+#: What the codec reads off ``plan.OPS``: each op class's dataclass field
+#: names (written, in this order, after its code) and the class per code.
+_OP_FIELD_NAMES = {op: tuple(field.name for field in dataclasses.fields(op))
+                   for op in _plan.OPS}
+_OP_BY_CODE = {op.code: op for op in _plan.OPS}
 
 _DOUBLE = struct.Struct("<d")
 
@@ -324,8 +336,24 @@ def _w_values(buf: bytearray, values: Iterable[Any]) -> None:
             append(_V_TUPLE if isinstance(value, tuple) else _V_LIST)
             _w_uvarint(buf, len(value))
             _w_values(buf, value)
+        elif kind is _plan.Plan:
+            append(_V_PLAN)
+            _w_uvarint(buf, len(value.ops))
+            for op in value.ops:
+                fields = _op_fields(op)
+                append(op.code)
+                _w_values(buf, fields)
         else:
             raise WireError(f"cannot encode value of type {kind.__name__}")
+
+
+def _op_fields(op: Any) -> List[Any]:
+    """A plan op's field values, in ``dataclasses.fields`` order - what
+    the codec writes after the op's code."""
+    names = _OP_FIELD_NAMES.get(type(op))
+    if names is None:
+        raise WireError(f"cannot encode plan op of type {type(op).__name__}")
+    return [getattr(op, name) for name in names]
 
 
 def _w_value(buf: bytearray, value: Any) -> None:
@@ -389,7 +417,7 @@ def _w_flow_stats(buf: bytearray, stats: TcpFlowStats) -> None:
 # ``len(encode(x))`` without the encode: one leg per writer above, adding up
 # what that writer would append.  A property test pins each leg equal to its
 # writer, and a value the writer rejects is rejected here with the same
-# error (so a custom handler's size estimate still stands in for it).
+# error (so a payload that cannot cross a wire fails where it is sized).
 def _uvarint_len(value: int) -> int:
     if value < 0:
         raise WireError(f"negative value {value} for unsigned varint")
@@ -450,6 +478,10 @@ def _values_len(values: Iterable[Any]) -> int:
             size += 1 + _flow_id_len(value)
         elif isinstance(value, (tuple, list)):
             size += 1 + _uvarint_len(len(value)) + _values_len(value)
+        elif kind is _plan.Plan:
+            size += 1 + _uvarint_len(len(value.ops))
+            for op in value.ops:
+                size += 1 + _values_len(_op_fields(op))
         else:
             raise WireError(f"cannot encode value of type {kind.__name__}")
     return size
@@ -624,6 +656,8 @@ class _Reader:
                         append(set(self.values(self.uvarint())))
                     elif tag == _V_FROZENSET:
                         append(frozenset(self.values(self.uvarint())))
+                    elif tag == _V_PLAN:
+                        append(self.plan())
                     else:
                         raise WireError(f"unknown value tag {tag}")
                     pos = self.pos
@@ -636,6 +670,25 @@ class _Reader:
 
     def value(self) -> Any:
         return self.values(1)[0]
+
+    def plan(self) -> "_plan.Plan":
+        """A plan's ops, each looked up by its code in ``plan.OPS`` and
+        rebuilt from its fields; the plan is re-validated so a corrupt or
+        hostile frame can never smuggle an ill-formed pipeline past the
+        constructor normalisation."""
+        ops: List[Any] = []
+        for _ in range(self.uvarint()):
+            code = self.u8()
+            op_type = _OP_BY_CODE.get(code)
+            if op_type is None:
+                raise WireError(f"unknown plan op code {code}")
+            ops.append(op_type(*self.values(len(_OP_FIELD_NAMES[op_type]))))
+        plan = _plan.Plan(ops=tuple(ops))
+        try:
+            _plan.validate(plan)
+        except _plan.PlanError as exc:
+            raise WireError(f"invalid plan: {exc}") from exc
+        return plan
 
     def strs(self) -> Tuple[str, ...]:
         """A counted run of strings (a path, a host list)."""
@@ -769,14 +822,9 @@ def encode_query(query) -> bytes:
 
 def encode_query_request(query, spec: Optional[SubtreeSpec]) -> bytes:
     """Encode the batched parent->child edge message: query + optional
-    aggregation-subtree description in one frame.
-
-    Plan queries (``query.name == "plan"``) route to the generic
-    :func:`encode_plan_request` frame; every other name keeps the legacy
-    ``MSG_QUERY_REQUEST`` layout byte for byte.
-    """
-    if query.name == _plan.PLAN_QUERY_NAME:
-        return encode_plan_request(query, spec)
+    aggregation-subtree description in one frame.  Every query travels
+    in it - a plan query as ``name="plan"`` with the plan a tagged value
+    under ``params["plan"]``."""
     body = bytearray()
     _w_query(body, query)
     if spec is None:
@@ -791,7 +839,7 @@ def request_with_spec(request: bytes, spec: SubtreeSpec) -> bytes:
     """``encode_query_request(query, spec)`` built from the bare frame
     ``encode_query_request(query, None)``, byte for byte.
 
-    Both request layouts end in the optional-spec tail, so a multi-level
+    The request ends in the optional-spec tail, so a multi-level
     scatter encodes its query once and splices each tree edge's subtree
     description in instead of re-encoding the query per host.
     """
@@ -805,17 +853,8 @@ def request_with_spec(request: bytes, spec: SubtreeSpec) -> bytes:
 
 @_guarded
 def decode_query_request(data: bytes):
-    """Decode a query request; returns ``(Query, Optional[SubtreeSpec])``.
-
-    Accepts both frame kinds a controller ships: the legacy
-    ``MSG_QUERY_REQUEST`` layout and the generic ``MSG_PLAN_REQUEST``.
-    """
-    kind, reader = _open(data)
-    if kind == MSG_PLAN_REQUEST:
-        return _read_plan_request(reader)
-    if kind != MSG_QUERY_REQUEST:
-        raise WireError(f"expected message type {MSG_QUERY_REQUEST}, "
-                        f"got {kind}")
+    """Decode a query request; returns ``(Query, Optional[SubtreeSpec])``."""
+    reader = _expect(data, MSG_QUERY_REQUEST)
     name = reader.str_()
     params = {}
     for _ in range(reader.uvarint()):
@@ -839,153 +878,6 @@ def encode_subtree_spec(spec: SubtreeSpec) -> bytes:
 def decode_subtree_spec(data: bytes) -> SubtreeSpec:
     """Inverse of :func:`encode_subtree_spec`."""
     return _expect(data, MSG_SUBTREE_SPEC).spec()
-
-
-# -------------------------------------------------------------------- plans
-def _w_plan(buf: bytearray, plan: "_plan.Plan") -> None:
-    """Encode one declarative plan: op count, then one tagged op body per
-    pipeline stage.  Every registered ``OP_*`` has its encoder leg here
-    (lint rule R9 ``plan-op-completeness`` gates exactly that)."""
-    _w_uvarint(buf, len(plan.ops))
-    for op in plan.ops:
-        if isinstance(op, _plan.Filter):
-            buf.append(_plan.OP_FILTER)
-            _w_value(buf, op.start)
-            _w_value(buf, op.end)
-            _w_uvarint(buf, len(op.links))
-            for a, b in op.links:
-                _w_value(buf, a)
-                _w_value(buf, b)
-            _w_uvarint(buf, len(op.flow_keys))
-            for fkey in op.flow_keys:
-                _w_str(buf, fkey)
-            _w_value(buf, op.path)
-        elif isinstance(op, _plan.Project):
-            buf.append(_plan.OP_PROJECT)
-            _w_uvarint(buf, len(op.fields))
-            for name in op.fields:
-                _w_str(buf, name)
-        elif isinstance(op, _plan.Aggregate):
-            buf.append(_plan.OP_AGGREGATE)
-            _w_str(buf, op.func)
-            _w_uvarint(buf, len(op.fields))
-            for name in op.fields:
-                _w_str(buf, name)
-            _w_uvarint(buf, len(op.by))
-            for name in op.by:
-                _w_str(buf, name)
-            _w_uvarint(buf, op.binsize)
-        elif isinstance(op, _plan.TopK):
-            buf.append(_plan.OP_TOPK)
-            _w_uvarint(buf, op.k)
-            _w_str(buf, op.key)
-            _w_str(buf, op.order)
-        else:
-            raise WireError(f"unencodable plan op {type(op).__name__}")
-
-
-def _r_plan(reader: _Reader) -> "_plan.Plan":
-    """Decoder legs of the plan ops; the decoded plan is re-validated so a
-    corrupt or hostile frame can never smuggle an ill-formed pipeline past
-    the constructor normalisation."""
-    ops: List[Any] = []
-    for _ in range(reader.uvarint()):
-        code = reader.u8()
-        if code == _plan.OP_FILTER:
-            start = reader.value()
-            end = reader.value()
-            links = tuple((reader.value(), reader.value())
-                          for _ in range(reader.uvarint()))
-            flow_keys = tuple(reader.str_()
-                              for _ in range(reader.uvarint()))
-            path = reader.value()
-            ops.append(_plan.Filter(start=start, end=end, links=links,
-                                    flow_keys=flow_keys, path=path))
-        elif code == _plan.OP_PROJECT:
-            fields = tuple(reader.str_() for _ in range(reader.uvarint()))
-            ops.append(_plan.Project(fields=fields))
-        elif code == _plan.OP_AGGREGATE:
-            func = reader.str_()
-            fields = tuple(reader.str_() for _ in range(reader.uvarint()))
-            by = tuple(reader.str_() for _ in range(reader.uvarint()))
-            binsize = reader.uvarint()
-            ops.append(_plan.Aggregate(func=func, fields=fields, by=by,
-                                       binsize=binsize))
-        elif code == _plan.OP_TOPK:
-            k = reader.uvarint()
-            key = reader.str_()
-            order = reader.str_()
-            ops.append(_plan.TopK(k=k, key=key, order=order))
-        else:
-            raise WireError(f"unknown plan op code {code}")
-    plan = _plan.Plan(ops=tuple(ops))
-    try:
-        _plan.validate(plan)
-    except _plan.PlanError as exc:
-        raise WireError(f"invalid plan: {exc}") from exc
-    return plan
-
-
-def encode_plan_request(query, spec: Optional[SubtreeSpec] = None) -> bytes:
-    """Encode the generic plan request frame: the declarative pipeline plus
-    the same period / optional-subtree tail a legacy query request carries,
-    so plans ride every transport (pipe, socket, ``MSG_GROUP_BATCH``
-    coalescing) without transport changes."""
-    plan = query.params.get("plan")
-    if query.name != _plan.PLAN_QUERY_NAME or \
-            not isinstance(plan, _plan.Plan):
-        raise WireError("a plan request needs name 'plan' and a Plan "
-                        "under params['plan']")
-    body = bytearray()
-    _w_plan(body, plan)
-    _w_value(body, query.period)
-    if spec is None:
-        body.append(0)
-    else:
-        body.append(1)
-        _w_spec(body, spec)
-    return _frame(MSG_PLAN_REQUEST, bytes(body))
-
-
-def _read_plan_request(reader: _Reader):
-    plan = _r_plan(reader)
-    period = reader.value()
-    spec = reader.spec() if reader.u8() else None
-    query_type, _ = _query_types()
-    return query_type(name=_plan.PLAN_QUERY_NAME, params={"plan": plan},
-                      period=period), spec
-
-
-@_guarded
-def decode_plan_request(data: bytes):
-    """Inverse of :func:`encode_plan_request`; returns
-    ``(Query, Optional[SubtreeSpec])`` like :func:`decode_query_request`."""
-    return _read_plan_request(_expect(data, MSG_PLAN_REQUEST))
-
-
-def encode_plan_result(result) -> bytes:
-    """Encode a (partial) plan result.
-
-    Same layout as :func:`encode_result` plus a tail of per-plan scan-stat
-    counters (sorted key/value pairs): how the hot tier routed the pushed
-    filter and how much decode work cold pruning avoided on *this* plan.
-    """
-    body = bytearray()
-    _w_result(body, result)
-    scan_stats = getattr(result, "scan_stats", None) or {}
-    _w_uvarint(body, len(scan_stats))
-    for key in sorted(scan_stats):
-        _w_str(body, key)
-        _w_varint(body, scan_stats[key])
-    return _frame(MSG_PLAN_RESULT, bytes(body))
-
-
-@_guarded
-def decode_plan_result(data: bytes, query=None):
-    """Inverse of :func:`encode_plan_result`; returns a
-    :class:`~repro.core.query.QueryResult` with ``scan_stats`` populated."""
-    return _read_result(_expect(data, MSG_PLAN_RESULT), MSG_PLAN_RESULT,
-                        query)
 
 
 # ------------------------------------------------------------------ records
@@ -1368,46 +1260,41 @@ def encode_result(result) -> bytes:
     in-process execution) pays one count byte, so sizes stay identical
     across execution modes for alarm-free queries.
 
-    Plan results route to the generic :func:`encode_plan_result` frame
-    (same layout plus the per-plan scan-stat tail); every other query
-    keeps the legacy ``MSG_QUERY_RESULT`` bytes untouched.
+    The frame ends with the per-plan scan-stat counters (sorted key/value
+    pairs): how the hot tier routed a plan's pushed filter and how much
+    decode work cold pruning avoided on *this* plan.  Only plan queries
+    report any; every other result pays the one empty-count byte.
     """
-    if result.query.name == _plan.PLAN_QUERY_NAME:
-        return encode_plan_result(result)
     body = bytearray()
-    _w_result(body, result)
-    return _frame(MSG_QUERY_RESULT, bytes(body))
-
-
-def _w_result(body: bytearray, result: Any) -> None:
-    """The body both result kinds share (a plan result appends its
-    scan-stat tail)."""
     _w_str(body, result.query.name)
     _w_str(body, result.host)
     _w_varint(body, result.records_scanned)
-    _w_varint(body, result.estimated_wire_bytes)
     _w_value(body, result.payload)
     alarms = getattr(result, "alarms", ())
     _w_uvarint(body, len(alarms))
     for alarm in alarms:
         _w_alarm(body, alarm)
+    scan_stats = getattr(result, "scan_stats", None) or {}
+    _w_uvarint(body, len(scan_stats))
+    for key in sorted(scan_stats):
+        _w_str(body, key)
+        _w_varint(body, scan_stats[key])
+    return _frame(MSG_QUERY_RESULT, bytes(body))
 
 
 def result_wire_bytes(result: Any) -> int:
     """Measured serialized size of a result frame (defines ``wire_bytes``):
-    exactly ``len(encode_result(result))`` of either result kind, added up
-    leg by leg (see *Exact sizes*) - sizing a result costs no encode."""
+    exactly ``len(encode_result(result))``, added up leg by leg (see
+    *Exact sizes*) - sizing a result costs no encode."""
     alarms = getattr(result, "alarms", ())
+    scan_stats = getattr(result, "scan_stats", None) or {}
     size = (HEADER_BYTES + _str_len(result.query.name)
             + _str_len(result.host) + _varint_len(result.records_scanned)
-            + _varint_len(result.estimated_wire_bytes)
             + value_len(result.payload) + _uvarint_len(len(alarms))
-            + sum(map(alarm_wire_bytes, alarms)))
-    if result.query.name == _plan.PLAN_QUERY_NAME:
-        scan_stats = getattr(result, "scan_stats", None) or {}
-        size += _uvarint_len(len(scan_stats))
-        for key, count in scan_stats.items():
-            size += _str_len(key) + _varint_len(count)
+            + sum(map(alarm_wire_bytes, alarms))
+            + _uvarint_len(len(scan_stats)))
+    for key, count in scan_stats.items():
+        size += _str_len(key) + _varint_len(count)
     return size
 
 
@@ -1418,40 +1305,26 @@ def decode_result(data: bytes, query=None):
     ``query`` supplies the caller's query object (the frame carries only the
     name); when omitted a parameter-less placeholder is reconstructed.
     ``wire_bytes`` is set to ``len(data)`` - the measured frame size.
-    Accepts both result kinds: the legacy ``MSG_QUERY_RESULT`` layout and
-    the generic ``MSG_PLAN_RESULT``.
     """
-    kind, reader = _open(data)
-    if kind != MSG_QUERY_RESULT and kind != MSG_PLAN_RESULT:
-        raise WireError(f"expected message type {MSG_QUERY_RESULT}, "
-                        f"got {kind}")
-    return _read_result(reader, kind, query)
-
-
-def _read_result(reader: _Reader, kind: int, query: Any) -> Any:
-    """A result body of either kind (``MSG_PLAN_RESULT`` carries the
-    scan-stat tail) off an opened frame."""
+    reader = _expect(data, MSG_QUERY_RESULT)
     query_type, result_type = _query_types()
     name = reader.str_()
     host = reader.str_()
     scanned = reader.varint()
-    estimated = reader.varint()
     payload = reader.value()
     alarm = reader.alarm
     alarms = tuple([alarm() for _ in range(reader.uvarint())])
     scan_stats = {}
-    if kind == MSG_PLAN_RESULT:
-        for _ in range(reader.uvarint()):
-            key = reader.str_()
-            scan_stats[key] = reader.varint()
+    for _ in range(reader.uvarint()):
+        key = reader.str_()
+        scan_stats[key] = reader.varint()
     if query is not None and query.name != name:
         raise WireError(f"result for query {name!r} does not answer "
                         f"{query.name!r}")
     return result_type(
         query=query if query is not None else query_type(name),
         payload=payload, wire_bytes=len(reader.data), records_scanned=scanned,
-        estimated_wire_bytes=estimated, host=host, alarms=alarms,
-        scan_stats=scan_stats)
+        host=host, alarms=alarms, scan_stats=scan_stats)
 
 
 # ------------------------------------------------------------------ control

@@ -721,5 +721,4 @@ class ColdArchive:
             "cold_segments_skipped": stats["segments_skipped"],
             "cold_entries_skipped": stats["entries_skipped"],
             "cold_entries_decoded": stats["entries_decoded"],
-            "cold_decode_cache_hits": stats["decode_cache_hits"],
         }

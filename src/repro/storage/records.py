@@ -10,8 +10,9 @@ by ``(flow ID, link IDs)``.  This module defines both as slotted dataclasses
 record once per stored row), the record's plain-dict document form and the
 size of that document under the Section 5.3 storage accounting
 (:meth:`PathFlowRecord.document_bytes` - the TIB keeps the hot tier's
-footprint as a running sum of it and stores no documents), along with the
-payload-size estimator used by the query traffic-volume experiments.
+footprint as a running sum of it and stores no documents).  A record's wire
+size is measured by the :mod:`repro.core.wire` codec
+(:meth:`PathFlowRecord.wire_bytes`).
 """
 
 from __future__ import annotations
@@ -31,13 +32,6 @@ def is_wild(value) -> bool:
     so the two can never diverge.
     """
     return value is None or value in ("*", "?")
-
-#: *Estimated* wire size (bytes) of one serialized TIB record; derived from
-#: the field sizes (5-tuple ~ 13 B, timestamps 2 x 8 B, counters 2 x 8 B,
-#: path as a list of 2-byte switch indices).  Reported record sizes are
-#: measured against the real :mod:`repro.core.wire` codec now; this estimate
-#: survives as a cross-check (see ``estimated_wire_bytes``).
-RECORD_FIXED_BYTES = 13 + 16 + 16
 
 #: The part of :meth:`PathFlowRecord.document_bytes` every record shares:
 #: 16 B per document, the twelve key names (``_id`` and the eleven of
@@ -154,10 +148,6 @@ class PathFlowRecord:
         """Measured serialized size in a query response (codec body bytes)."""
         from repro.core import wire
         return wire.record_wire_bytes(self)
-
-    def estimated_wire_bytes(self) -> int:
-        """The pre-codec size estimate (cross-check only)."""
-        return RECORD_FIXED_BYTES + 2 * len(self.path)
 
 
 @dataclass(slots=True)

@@ -23,7 +23,7 @@ TESTS_DIR = Path(__file__).resolve().parent
 REPO_ROOT = TESTS_DIR.parent
 FIXTURES = TESTS_DIR / "lint_fixtures"
 
-ALL_RULE_IDS = ["R0", "R1", "R2", "R3", "R4", "R5", "R7", "R8", "R9"]
+ALL_RULE_IDS = ["R0", "R1", "R2", "R3", "R4", "R5", "R7", "R8"]
 
 
 def lint_fixture(rule, case, rule_ids):
@@ -46,8 +46,6 @@ POSITIVE_EXPECTATIONS = {
     "R7": (2, ["ScanSpec.links is never consumed by ColdArchive.scan",
                "spec.lnks"]),
     "R8": (2, ["stats key 'apends'", "stats attribute 'frmes'"]),
-    "R9": (5, ["no encoder leg", "no decoder leg", "_EXEC_BY_OP",
-               "_MERGE_BY_TERMINAL", "unknown plan op OP_PHANTOM"]),
 }
 
 

@@ -12,6 +12,7 @@ on every tier mix (hot-only, spanning, capped).
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,11 +20,12 @@ from repro.core import plan as planlib
 from repro.core import wire
 from repro.core.plan import (Aggregate, Filter, Plan, PlanError, Project,
                              TopK)
-from repro.core.query import (Q_GET_COUNT, Q_PLAN, Q_TOP_K_FLOWS, Query,
-                              QueryEngine)
+from repro.core.query import (Q_FLOW_SIZE_DISTRIBUTION, Q_GET_COUNT, Q_PLAN,
+                              Q_TOP_K_FLOWS, Query, QueryEngine)
 from repro.core.tib import Tib
+from repro.network.packet import FlowId
 from repro.storage import ColdArchive, RetentionPolicy
-from repro.storage.records import flow_key
+from repro.storage.records import RECORD_FIELDS, flow_key
 from test_two_tier_tib import make_record, record_values
 
 
@@ -289,7 +291,6 @@ class TestCompiledBuiltins:
             assert wire.encode_value(result.payload) == \
                 wire.encode_value(reference), params
             assert result.records_scanned == 1
-            assert result.estimated_wire_bytes == 16
 
     @pytest.mark.parametrize("tib_factory", [hot_tib, spanning_tib])
     def test_top_k_flows_identity(self, tib_factory):
@@ -319,8 +320,49 @@ class TestCompiledBuiltins:
             # index-routed matches.
             assert result.records_scanned == len(tib.records(
                 link=params.get("link"), time_range=params.get("time_range")))
-            assert result.estimated_wire_bytes == \
-                24 * max(1, len(reference))
+
+
+class TestSharedShapes:
+    """Equal parameter shapes share one built object per process: every
+    host of a sweep executes the same ``Plan`` instance (with its memoized
+    validation and pushdown shape) and folds the same ``ScanSpec``; lists
+    count as tuples, and a shape that stays unhashable is built afresh."""
+
+    def test_equal_top_k_calls_execute_the_same_plan(self, monkeypatch):
+        executed = []
+        execute = planlib.execute_plan
+        monkeypatch.setattr(planlib, "execute_plan", lambda tib, plan: (
+            executed.append(plan) or execute(tib, plan)))
+        agent = _LocalAgent(hot_tib())
+        sample = make_record(3)
+        link = [sample.path[1], sample.path[2]]
+        for params in ({"k": 3, "link": link, "time_range": [0.0, 45.0]},
+                       {"k": 3, "link": tuple(link),
+                        "time_range": (0.0, 45.0)}):
+            QueryEngine().execute(agent, Query(Q_TOP_K_FLOWS, params))
+        assert len(executed) == 2 and executed[0] is executed[1]
+
+    def test_equal_fsd_calls_fold_the_same_spec(self, monkeypatch):
+        tib = spanning_tib()
+        folded = []
+        fold = tib.fold
+        monkeypatch.setattr(tib, "fold", lambda spec, fields: (
+            folded.append(spec) or fold(spec, fields)))
+        sample = make_record(3)
+        for link in ([sample.path[1], sample.path[2]],
+                     (sample.path[1], sample.path[2])):
+            QueryEngine().execute(_LocalAgent(tib), Query(
+                Q_FLOW_SIZE_DISTRIBUTION,
+                {"link": link, "time_range": [0.0, 40.0]}))
+        assert len(folded) == 2 and folded[0] is folded[1]
+
+    def test_unhashable_shape_still_runs(self):
+        agent = _LocalAgent(spanning_tib())
+        sample = make_record(7)
+        payloads = [QueryEngine().execute(agent, Query(
+            Q_GET_COUNT, {"flow": (sample.flow_id, path)})).payload
+            for path in (list(sample.path), tuple(sample.path))]
+        assert payloads[0] == payloads[1] != (0, 0)
 
 
 # --------------------------------------------------------------------------
@@ -328,9 +370,8 @@ class TestCompiledBuiltins:
 # --------------------------------------------------------------------------
 class TestMeasuredPlanAccounting:
     """A plan executed locally must report measured ``len(encoded)``
-    request/result bytes exactly like the built-ins do - before the plan
-    frames existed, anything outside the codec's tagged-value set fell
-    back to handler estimates."""
+    request/result bytes exactly like the built-ins do: a plan is one more
+    tagged value of the ordinary query frames."""
 
     def test_result_bytes_are_the_encoded_frame_length(self):
         agent = _LocalAgent(hot_tib())
@@ -339,16 +380,150 @@ class TestMeasuredPlanAccounting:
         result = engine.execute(agent, query)
         frame = wire.encode_result(result)
         assert result.wire_bytes == len(frame) > 0
-        assert wire.frame_type(frame) == wire.MSG_PLAN_RESULT
-        # It is a measurement, not the estimate cross-check.
-        assert result.wire_bytes != result.estimated_wire_bytes
+        assert wire.frame_type(frame) == wire.MSG_QUERY_RESULT
+        assert wire.decode_result(frame, query).scan_stats == \
+            result.scan_stats
 
     def test_request_bytes_are_the_encoded_frame_length(self):
         query = Query(Q_PLAN, {"plan": planlib.compile_get_count(
             make_record(1).flow_id, (0.0, 9.0))})
         frame = wire.encode_query_request(query, None)
         assert query.request_bytes() == len(frame) > 0
-        assert query.request_bytes() != query.estimated_request_bytes()
+        assert wire.frame_type(frame) == wire.MSG_QUERY_REQUEST
+
+
+# --------------------------------------------------------------------------
+# The op table: every op class carries its code, merge and executor leg
+# --------------------------------------------------------------------------
+_NAMES = ("tor-a", "agg-中心-1", "hôst-é", "\U0001f409-core", "")
+_WILD = (None, "*", "?")
+
+
+def _random_op(rng, op_type, by=()):
+    """One ``op_type`` op with seeded random valid field values: wildcards,
+    unicode names, empty tuples, ints past 2**64."""
+    if op_type is Filter:
+        low, high = sorted(rng.uniform(-1e6, 1e6) for _ in range(2))
+        return Filter(
+            start=rng.choice(_WILD + (low, -(1 << 70))),
+            end=rng.choice(_WILD + (high, 1 << 70)),
+            links=tuple((rng.choice(_NAMES + _WILD),
+                         rng.choice(_NAMES + _WILD))
+                        for _ in range(rng.randrange(3))),
+            flow_keys=tuple(flow_key(FlowId(rng.choice(_NAMES), "dst-ü",
+                                            rng.randrange(1 << 16), 80, 6))
+                            for _ in range(rng.randrange(3))),
+            path=rng.choice((None, (), tuple(
+                rng.choice(_NAMES) for _ in range(rng.randrange(1, 5))))))
+    if op_type is Project:
+        return Project(fields=tuple(rng.sample(RECORD_FIELDS,
+                                               rng.randrange(1, 7))))
+    if op_type is Aggregate:
+        func = rng.choice(planlib.AGG_FUNCS)
+        numeric = planlib.NUMERIC_FIELDS
+        if func == planlib.AGG_COUNT:
+            fields = ()
+        elif func == planlib.AGG_HISTOGRAM or by:
+            fields = (rng.choice(numeric),)
+        else:
+            fields = tuple(rng.sample(numeric, rng.randrange(1, 5)))
+        return Aggregate(func=func, fields=fields, by=by,
+                         binsize=rng.choice((1, 7, 1 << 70)))
+    return TopK(k=rng.choice((1, 5, 1 << 64, 1 << 70)),
+                key=rng.choice((planlib.RANK_VALUE, planlib.RANK_GROUP)),
+                order=rng.choice((planlib.ORDER_DESC, planlib.ORDER_ASC)))
+
+
+def random_plan(rng, containing=None):
+    """A seeded random valid plan: a random subset of the op table in
+    pipeline order (with an op of class ``containing``, when given)."""
+    while True:
+        aggregate = None
+        if rng.random() < 0.7:
+            aggregate = _random_op(
+                rng, Aggregate, tuple(rng.sample(RECORD_FIELDS,
+                                                 rng.randrange(3))))
+        ops = []
+        if rng.random() < 0.7:
+            ops.append(_random_op(rng, Filter))
+        if rng.random() < 0.5:
+            needed = aggregate.fields + aggregate.by if aggregate else ()
+            ops.append(Project(fields=needed + _random_op(
+                rng, Project).fields))
+        if aggregate is not None:
+            ops.append(aggregate)
+            if aggregate.by and rng.random() < 0.6:
+                ops.append(_random_op(rng, TopK))
+        plan = Plan(ops=tuple(ops) or (Filter(),))
+        if containing is None or any(type(op) is containing
+                                     for op in plan.ops):
+            return plan
+
+
+class TestOpTable:
+    """``plan.OPS`` is the only op table: each class carries its wire
+    ``code``, its ``merge`` operator and its ``execute`` leg, and the codec
+    writes its dataclass fields.  These tests hold every class of the table
+    to all of them, so no op can join it with a leg missing."""
+
+    def test_codes_are_distinct_and_in_pipeline_order(self):
+        codes = [op_type.code for op_type in planlib.OPS]
+        assert codes == sorted(set(codes))
+        for op_type in planlib.OPS:
+            assert op_type.merge in (planlib.MERGE_CONCAT,
+                                     planlib.MERGE_HISTOGRAM,
+                                     planlib.MERGE_TOP_K)
+
+    @pytest.mark.parametrize("op_type", planlib.OPS,
+                             ids=lambda op_type: op_type.__name__)
+    def test_every_op_round_trips_through_the_codec(self, op_type):
+        rng = random.Random(op_type.code)
+        for _ in range(80):
+            plan = random_plan(rng, containing=op_type)
+            encoded = wire.encode_value(plan)
+            assert wire.value_len(plan) == len(encoded)
+            decoded = wire.decode_value(encoded)
+            assert decoded == plan and decoded is not plan
+            assert [type(op) for op in decoded.ops] == \
+                [type(op) for op in plan.ops]
+            assert planlib.validate(decoded) == planlib.validate(plan)
+
+    def test_every_op_runs_its_leg_and_merge(self, monkeypatch):
+        """``reference_evaluate`` runs each op through its own ``execute``
+        leg, and merging per-host partials with the operator the terminal
+        op selects equals the reference over all hosts' records."""
+        calls = Counter()
+        for op_type in planlib.OPS:
+            def counted(op, state, plan, leg=op_type.execute):
+                calls[type(op)] += 1
+                return leg(op, state, plan)
+            monkeypatch.setattr(op_type, "execute", counted)
+        records = [make_record(i) for i in range(60)]
+        # Every flow lives on one host, so a top-k group never spans two.
+        keys = sorted({flow_key(record.flow_id) for record in records})
+        hosts = [[record for record in records
+                  if keys.index(flow_key(record.flow_id)) % 3 == host]
+                 for host in range(3)]
+        terminal = {
+            Filter: Plan(ops=(Filter(start=5.0, end=30.0),)),
+            Project: Plan(ops=(Filter(), Project(fields=("flow", "bytes")))),
+            Aggregate: Plan(ops=(Filter(), Project(), Aggregate(
+                func="histogram", fields=("bytes",), by=("flow",),
+                binsize=500))),
+            TopK: Plan(ops=(Filter(), Project(), Aggregate(
+                func="sum", fields=("bytes",), by=("flow",)), TopK(k=4))),
+        }
+        assert set(terminal) == set(planlib.OPS)
+        for op_type, plan in terminal.items():
+            assert planlib.merge_operator(plan) == op_type.merge
+            reference = planlib.reference_evaluate(records, plan)
+            assert reference
+            merged = planlib.merge_payloads(plan, [
+                planlib.reference_evaluate(part, plan) for part in hosts])
+            if op_type.merge == planlib.MERGE_CONCAT:
+                merged = sorted(merged)
+            assert merged == reference, op_type
+        assert set(calls) == set(planlib.OPS)
 
 
 # --------------------------------------------------------------------------

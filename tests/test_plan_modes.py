@@ -127,8 +127,8 @@ class TestRawPlansAcrossModes:
 
 class TestScanStatsSurface:
     def test_process_mode_result_carries_summed_scan_stats(self):
-        """Per-host pushdown counters cross the worker pipe inside
-        MSG_PLAN_RESULT and sum on the distributed result."""
+        """Per-host pushdown counters cross the worker pipe in the
+        result frame's scan-stat tail and sum on the distributed result."""
         with worker_cluster(MODE_PROCESS) as cluster:
             plan = Plan(ops=(Filter(start=2.0, end=20.0),
                              Aggregate(func="count")))

@@ -3,9 +3,8 @@
 The codec is what the byte accounting measures and what the agent-server
 workers speak, so these tests pin down: lossless round-trips over every
 supported value shape (including the edge values the fuzzer favours - empty
-paths, huge counters, unicode flow keys), frame validation, and the
-reconciliation between the measured sizes and the surviving pre-codec
-estimators.
+paths, huge counters, unicode flow keys), frame validation, exact sizes
+without encoding, and golden frames pinning every message's bytes.
 """
 
 import math
@@ -22,6 +21,7 @@ from repro.core.monitor import (ActiveMonitor, MonitorSnapshot, TcpFlowStats,
 from repro.network.packet import PROTO_TCP, PROTO_UDP, FlowId
 from repro.storage import PathFlowRecord, flow_key
 from repro.storage.docstore import _estimate_value_bytes
+from test_plan import random_plan
 
 
 UNICODE_HOST = "hôst-中心-9"
@@ -216,17 +216,10 @@ class TestQueryFrames:
             assert node.subtree_spec_bytes() == \
                 len(wire.encode_subtree_spec(node.subtree_spec()))
             assert node.subtree_spec().hosts == tuple(node.subtree_hosts())
-            # The surviving estimate stays within a small constant of the
-            # measurement (both are linear in the subtree's host count).
-            measured = node.subtree_spec_bytes()
-            estimated = node.estimated_spec_bytes()
-            assert abs(measured - estimated) <= \
-                16 + 4 * node.subtree_host_count()
 
     def test_request_bytes_are_measured(self):
         query = Query("get_flows", {"link": ("a", "b")})
         assert query.request_bytes() == len(wire.encode_query(query))
-        assert query.estimated_request_bytes() == 128 + 8  # the old formula
 
 
 class TestResultFrames:
@@ -235,12 +228,12 @@ class TestResultFrames:
         result = QueryResult(query=query,
                              payload={("tor-a", "tor-b"): 12345},
                              wire_bytes=0, records_scanned=77,
-                             estimated_wire_bytes=24, host=UNICODE_HOST)
+                             host=UNICODE_HOST)
         frame = wire.encode_result(result)
         decoded = wire.decode_result(frame, query)
         assert decoded.payload == result.payload
         assert decoded.records_scanned == 77
-        assert decoded.estimated_wire_bytes == 24
+        assert decoded.scan_stats == {}
         assert decoded.host == UNICODE_HOST
         assert decoded.wire_bytes == len(frame)
         assert wire.result_wire_bytes(result) == len(frame)
@@ -271,7 +264,6 @@ class TestResultFrames:
 
         result = QueryEngine().execute(AgentStub(), Query("get_flows", {}))
         assert result.wire_bytes == len(wire.encode_result(result))
-        assert result.estimated_wire_bytes > 0
 
 
 def _random_flow_id(rng):
@@ -587,7 +579,9 @@ class TestControlFrames:
 
 
 class TestPlanFrames:
-    """The generic v6 plan frames: MSG_PLAN_REQUEST / MSG_PLAN_RESULT."""
+    """Plans on the wire: a ``Plan`` is a tagged value, so a plan query is
+    an ordinary ``MSG_QUERY_REQUEST`` and its result an ordinary
+    ``MSG_QUERY_RESULT`` whose scan-stat tail is filled."""
 
     @staticmethod
     def _sample_plan():
@@ -604,16 +598,16 @@ class TestPlanFrames:
         query = Query(plan.PLAN_QUERY_NAME, {"plan": self._sample_plan()},
                       period=2.5)
         spec = wire.SubtreeSpec("h0", ("h0", "h1"))
-        frame = wire.encode_plan_request(query, spec)
-        assert wire.frame_type(frame) == wire.MSG_PLAN_REQUEST
-        decoded, decoded_spec = wire.decode_plan_request(frame)
+        frame = wire.encode_query_request(query, spec)
+        assert wire.frame_type(frame) == wire.MSG_QUERY_REQUEST
+        decoded, decoded_spec = wire.decode_query_request(frame)
         assert decoded.name == plan.PLAN_QUERY_NAME
         assert decoded.params["plan"] == query.params["plan"]
         assert decoded.period == 2.5
         assert decoded_spec == spec
 
     def test_every_op_round_trips(self):
-        """One plan per registered op kind (the wire legs R9 gates)."""
+        """One plan per op kind, through the query request frame."""
         plans = [
             plan.Plan(ops=(plan.Filter(start=0.5),)),
             plan.Plan(ops=(plan.Filter(), plan.Project(fields=("path",)))),
@@ -624,38 +618,37 @@ class TestPlanFrames:
         ]
         for sample in plans:
             query = Query(plan.PLAN_QUERY_NAME, {"plan": sample})
-            frame = wire.encode_plan_request(query, None)
-            decoded, spec = wire.decode_plan_request(frame)
+            frame = wire.encode_query_request(query, None)
+            decoded, spec = wire.decode_query_request(frame)
             assert decoded.params["plan"] == sample
             assert spec is None
 
-    def test_generic_entry_points_dispatch(self):
-        """encode_query_request / decode_query_request route plan queries
-        to the plan frame transparently (the executor and the worker
-        transports only ever call the generic entry points)."""
-        query = Query(plan.PLAN_QUERY_NAME, {"plan": self._sample_plan()})
-        frame = wire.encode_query_request(query, None)
-        assert wire.frame_type(frame) == wire.MSG_PLAN_REQUEST
-        decoded, _spec = wire.decode_query_request(frame)
-        assert decoded.params["plan"] == query.params["plan"]
+    def test_plan_is_a_tagged_value(self):
+        """A plan encodes like any other parameter value: anywhere in a
+        container, sized exactly, decoded to an equal plan."""
+        sample = self._sample_plan()
+        value = {"plans": [sample, plan.Plan(ops=(plan.Filter(),))],
+                 "k": 3}
+        encoded = wire.encode_value(value)
+        assert encoded[0] == wire._V_DICT
+        assert wire.decode_value(encoded) == value
+        assert wire.value_len(value) == len(encoded)
+        assert wire.encode_value(sample)[0] == wire._V_PLAN
 
     def test_plan_result_round_trip_with_scan_stats(self):
         query = Query(plan.PLAN_QUERY_NAME, {"plan": self._sample_plan()})
         result = QueryResult(
             query=query, payload=[(1000, "a:1|b:2|6")], wire_bytes=0,
-            records_scanned=17, estimated_wire_bytes=24, host=UNICODE_HOST,
+            records_scanned=17, host=UNICODE_HOST,
             scan_stats={"hot_flow_routed": 1, "cold_entries_skipped": 9})
-        frame = wire.encode_plan_result(result)
-        assert wire.frame_type(frame) == wire.MSG_PLAN_RESULT
-        decoded = wire.decode_plan_result(frame, query)
+        frame = wire.encode_result(result)
+        assert wire.frame_type(frame) == wire.MSG_QUERY_RESULT
+        decoded = wire.decode_result(frame, query)
         assert decoded.payload == result.payload
         assert decoded.scan_stats == result.scan_stats
         assert decoded.records_scanned == 17
-        assert decoded.wire_bytes == len(frame)
-        # The generic result entry points dispatch the same way.
-        assert wire.encode_result(result) == frame
-        assert wire.decode_result(frame, query).scan_stats == \
-            result.scan_stats
+        assert decoded.wire_bytes == len(frame) == \
+            wire.result_wire_bytes(result)
 
     def test_invalid_plan_frame_rejected(self):
         """A structurally decodable but semantically invalid plan (here:
@@ -663,12 +656,25 @@ class TestPlanFrames:
         slip through to the executor."""
         bad = plan.Plan(ops=(plan.Filter(), plan.TopK(k=2)))
         query = Query(plan.PLAN_QUERY_NAME, {"plan": bad})
-        with pytest.raises(wire.WireError):
-            wire.decode_plan_request(wire.encode_plan_request(query, None))
+        with pytest.raises(wire.WireError, match="invalid plan"):
+            wire.decode_query_request(wire.encode_query_request(query, None))
 
-    def test_non_plan_query_rejected(self):
-        with pytest.raises(wire.WireError):
-            wire.encode_plan_request(Query("top_k_flows", {"k": 5}), None)
+    def test_unknown_op_rejected(self):
+        """Only the classes of ``plan.OPS`` encode, and only their codes
+        decode."""
+        class Phantom(plan.TopK):
+            code = 99
+
+        stray = plan.Plan(ops=(plan.Filter(), Phantom(k=1)))
+        with pytest.raises(wire.WireError, match="plan op"):
+            wire.encode_value(stray)
+        with pytest.raises(wire.WireError, match="plan op"):
+            wire.value_len(stray)
+        frame = bytearray(wire.encode_value(plan.Plan(ops=(plan.Filter(),))))
+        assert frame[2] == plan.Filter.code  # tag, op count, op code
+        frame[2] = 99
+        with pytest.raises(wire.WireError, match="unknown plan op code 99"):
+            wire.decode_value(bytes(frame))
 
 
 class TestFrameValidation:
@@ -701,7 +707,8 @@ class TestFrameValidation:
 
 
 class TestEstimatorReconciliation:
-    """The surviving estimators line up with the codec's measured sizes."""
+    """The document store's footprint estimate counts strings the way the
+    codec writes them (wire sizes are only ever measured)."""
 
     def test_string_estimate_counts_utf8_bytes(self):
         # len(str) used to undercount non-ASCII strings; the estimator now
@@ -712,15 +719,6 @@ class TestEstimatorReconciliation:
             # Codec string layout: 1 tag byte + length varint + UTF-8 body,
             # so for short strings the estimate equals measured size - 1.
             assert len(wire.encode_value(text)) == len(encoded) + 2
-
-    def test_record_estimate_tracks_measured_size(self):
-        """Estimate and measurement stay within a small constant of each
-        other across path lengths (both are linear in path size)."""
-        for hops in (0, 2, 5, 9):
-            record = sample_record(path=tuple(f"s{i}" for i in range(hops)))
-            measured = wire.record_wire_bytes(record)
-            estimated = record.estimated_wire_bytes()
-            assert abs(measured - estimated) <= 16 + 4 * max(1, hops)
 
 
 class TestCorruptionFuzz:
@@ -765,16 +763,16 @@ class TestCorruptionFuzz:
             (wire.encode_monitor_tick(1.5, 3), wire.decode_monitor_tick),
             (wire.encode_monitor_state(snapshot),
              wire.decode_monitor_state),
-            (wire.encode_plan_request(
+            (wire.encode_query_request(
                 Query(plan.PLAN_QUERY_NAME,
                       {"plan": TestPlanFrames._sample_plan()}), spec),
-             wire.decode_plan_request),
-            (wire.encode_plan_result(QueryResult(
+             wire.decode_query_request),
+            (wire.encode_result(QueryResult(
                 query=Query(plan.PLAN_QUERY_NAME,
                             {"plan": TestPlanFrames._sample_plan()}),
                 payload=[(9, "k")], wire_bytes=0, host=UNICODE_HOST,
                 scan_stats={"hot_flow_routed": 2})),
-             wire.decode_plan_result),
+             wire.decode_result),
         ]
 
     def _assert_decodes_or_wire_error(self, decoder, data):
@@ -1008,10 +1006,15 @@ class TestStreamFraming:
 # Golden frames: the codec's bytes, pinned
 # --------------------------------------------------------------------------
 # The reader, writers and sizers are written for speed (leaves inline, one
-# call per container), so what they must keep is pinned from outside: one
-# frame per MSG_* type and one value per tag, whose hex was generated by the
-# codec as it stood before that rewrite (commit d1f8568; MSG_MONITOR_REOPEN,
-# which that commit lacks, is a bare header) and is asserted byte for byte.
+# call per container), so what they must keep is pinned from outside: at
+# least one frame per MSG_* type and one value per tag, whose hex was
+# generated by the codec as it stood before that rewrite (commit d1f8568;
+# MSG_MONITOR_REOPEN, which that commit lacks, is a bare header) and is
+# asserted byte for byte.  Wire version 7 changed the layout of the rows in
+# GOLDEN_V7_ROWS only (plans became tagged values, results lost their size
+# estimate and gained the scan-stat tail): those rows hold version-7 bytes,
+# and every other row still holds the version-6 bytes, which must equal
+# today's frame once ``_reversioned`` rewrites their header version bytes.
 GOLDEN_FLOW = FlowId("hôst-a", "server-42", 43210, 80, PROTO_TCP)
 GOLDEN_SPEC = wire.SubtreeSpec("h0", ("h0", "h1", UNICODE_HOST))
 GOLDEN_TOPK_QUERY = Query("top_k_flows", {"k": 40})
@@ -1042,15 +1045,13 @@ def golden_topk_result(pairs=40):
     payload = [(1_000_000 - 997 * i, f"h{i}:{4000 + i}|h{i + 1}:80|6")
                for i in range(pairs)]
     return QueryResult(query=GOLDEN_TOPK_QUERY, payload=payload, wire_bytes=0,
-                       records_scanned=40, estimated_wire_bytes=24 * pairs,
-                       host="server-17")
+                       records_scanned=40, host="server-17")
 
 
 def golden_plan_result():
     return QueryResult(query=GOLDEN_PLAN_QUERY,
                        payload=[(1000, "a:1|b:2|6"), (-7, "中:0|b:2|17")],
-                       wire_bytes=0, records_scanned=300,
-                       estimated_wire_bytes=48, host=UNICODE_HOST,
+                       wire_bytes=0, records_scanned=300, host=UNICODE_HOST,
                        alarms=tuple(golden_alarms()[-1:]),
                        scan_stats={"hot_flow_routed": 1,
                                    "cold_entries_skipped": 4096,
@@ -1090,8 +1091,7 @@ def _golden_frames():
 
     def result_fields(result):
         return (result.query.name, result.payload, result.records_scanned,
-                result.estimated_wire_bytes, result.host, result.alarms,
-                result.scan_stats)
+                result.host, result.alarms, result.scan_stats)
 
     return {
         "query_request": (
@@ -1136,13 +1136,15 @@ def _golden_frames():
                         wire.decode_group_batch, (300, entries)),
         "close_torn": (wire.encode_close_torn(), wire.frame_type,
                        wire.MSG_CLOSE_TORN),
+        # A plan query is an ordinary request carrying the plan as a
+        # parameter, and its result an ordinary result with a stat tail.
         "plan_request": (
-            wire.encode_plan_request(GOLDEN_PLAN_QUERY, GOLDEN_SPEC),
-            wire.decode_plan_request, (GOLDEN_PLAN_QUERY, GOLDEN_SPEC)),
+            wire.encode_query_request(GOLDEN_PLAN_QUERY, GOLDEN_SPEC),
+            wire.decode_query_request, (GOLDEN_PLAN_QUERY, GOLDEN_SPEC)),
         "plan_result": (
-            wire.encode_plan_result(planned),
+            wire.encode_result(planned),
             lambda data: result_fields(
-                wire.decode_plan_result(data, GOLDEN_PLAN_QUERY)),
+                wire.decode_result(data, GOLDEN_PLAN_QUERY)),
             result_fields(planned)),
         "monitor_reopen": (wire.encode_monitor_reopen(), wire.frame_type,
                            wire.MSG_MONITOR_REOPEN),
@@ -1172,10 +1174,16 @@ GOLDEN_VALUES = {
     "flow_id": GOLDEN_FLOW,
     "flows_and_paths": [(GOLDEN_FLOW, ("hôst-a", "tor-1", "server-42")),
                         (FlowId("a", "b", 1, 2, 6), ())],
+    "plan": GOLDEN_PLAN_QUERY.params["plan"],
 }
 
 
-# Generated by the codec of commit d1f8568 from the inputs above.
+#: The rows whose layout wire version 7 changed (generated by the version-7
+#: codec); every other row below was generated at version 6.
+GOLDEN_V7_ROWS = ("plan_request", "plan_result", "query_result")
+
+# Generated by the codec of commit d1f8568 from the inputs above, except
+# GOLDEN_V7_ROWS and the "plan" value.
 GOLDEN_FRAME_HEX = {
     "query_request":
         "504406010b746f705f6b5f666c6f777304016b03640a74696d655f72616e6765"
@@ -1194,38 +1202,38 @@ GOLDEN_FRAME_HEX = {
         "066473742dc3bc000022030e68c3b473742de4b8ade5bf832d39027377066473"
         "742dc3bc000000000000000000000000000004c0019003",
     "query_result":
-        "504406040b746f705f6b5f666c6f7773097365727665722d313750800f072808"
-        "020380897a050f68303a343030307c68313a38307c36080203b6f979050f6831"
-        "3a343030317c68323a38307c36080203ece979050f68323a343030327c68333a"
-        "38307c36080203a2da79050f68333a343030337c68343a38307c36080203d8ca"
-        "79050f68343a343030347c68353a38307c360802038ebb79050f68353a343030"
-        "357c68363a38307c36080203c4ab79050f68363a343030367c68373a38307c36"
-        "080203fa9b79050f68373a343030377c68383a38307c36080203b08c79050f68"
-        "383a343030387c68393a38307c36080203e6fc78051068393a343030397c6831"
-        "303a38307c360802039ced7805116831303a343031307c6831313a38307c3608"
-        "0203d2dd7805116831313a343031317c6831323a38307c3608020388ce780511"
-        "6831323a343031327c6831333a38307c36080203bebe7805116831333a343031"
-        "337c6831343a38307c36080203f4ae7805116831343a343031347c6831353a38"
-        "307c36080203aa9f7805116831353a343031357c6831363a38307c36080203e0"
-        "8f7805116831363a343031367c6831373a38307c360802039680780511683137"
-        "3a343031377c6831383a38307c36080203ccf07705116831383a343031387c68"
-        "31393a38307c3608020382e17705116831393a343031397c6832303a38307c36"
-        "080203b8d17705116832303a343032307c6832313a38307c36080203eec17705"
-        "116832313a343032317c6832323a38307c36080203a4b27705116832323a3430"
-        "32327c6832333a38307c36080203daa27705116832333a343032337c6832343a"
-        "38307c3608020390937705116832343a343032347c6832353a38307c36080203"
-        "c6837705116832353a343032357c6832363a38307c36080203fcf37605116832"
-        "363a343032367c6832373a38307c36080203b2e47605116832373a343032377c"
-        "6832383a38307c36080203e8d47605116832383a343032387c6832393a38307c"
-        "360802039ec57605116832393a343032397c6833303a38307c36080203d4b576"
-        "05116833303a343033307c6833313a38307c360802038aa67605116833313a34"
-        "3033317c6833323a38307c36080203c0967605116833323a343033327c683333"
-        "3a38307c36080203f6867605116833333a343033337c6833343a38307c360802"
-        "03acf77505116833343a343033347c6833353a38307c36080203e2e775051168"
-        "33353a343033357c6833363a38307c3608020398d87505116833363a34303336"
-        "7c6833373a38307c36080203cec87505116833373a343033377c6833383a3830"
-        "7c3608020384b97505116833383a343033387c6833393a38307c36080203baa9"
-        "7505116833393a343033397c6834303a38307c3600",
+        "504407040b746f705f6b5f666c6f7773097365727665722d3137500728080203"
+        "80897a050f68303a343030307c68313a38307c36080203b6f979050f68313a34"
+        "3030317c68323a38307c36080203ece979050f68323a343030327c68333a3830"
+        "7c36080203a2da79050f68333a343030337c68343a38307c36080203d8ca7905"
+        "0f68343a343030347c68353a38307c360802038ebb79050f68353a343030357c"
+        "68363a38307c36080203c4ab79050f68363a343030367c68373a38307c360802"
+        "03fa9b79050f68373a343030377c68383a38307c36080203b08c79050f68383a"
+        "343030387c68393a38307c36080203e6fc78051068393a343030397c6831303a"
+        "38307c360802039ced7805116831303a343031307c6831313a38307c36080203"
+        "d2dd7805116831313a343031317c6831323a38307c3608020388ce7805116831"
+        "323a343031327c6831333a38307c36080203bebe7805116831333a343031337c"
+        "6831343a38307c36080203f4ae7805116831343a343031347c6831353a38307c"
+        "36080203aa9f7805116831353a343031357c6831363a38307c36080203e08f78"
+        "05116831363a343031367c6831373a38307c3608020396807805116831373a34"
+        "3031377c6831383a38307c36080203ccf07705116831383a343031387c683139"
+        "3a38307c3608020382e17705116831393a343031397c6832303a38307c360802"
+        "03b8d17705116832303a343032307c6832313a38307c36080203eec177051168"
+        "32313a343032317c6832323a38307c36080203a4b27705116832323a34303232"
+        "7c6832333a38307c36080203daa27705116832333a343032337c6832343a3830"
+        "7c3608020390937705116832343a343032347c6832353a38307c36080203c683"
+        "7705116832353a343032357c6832363a38307c36080203fcf37605116832363a"
+        "343032367c6832373a38307c36080203b2e47605116832373a343032377c6832"
+        "383a38307c36080203e8d47605116832383a343032387c6832393a38307c3608"
+        "02039ec57605116832393a343032397c6833303a38307c36080203d4b5760511"
+        "6833303a343033307c6833313a38307c360802038aa67605116833313a343033"
+        "317c6833323a38307c36080203c0967605116833323a343033327c6833333a38"
+        "307c36080203f6867605116833333a343033337c6833343a38307c36080203ac"
+        "f77505116833343a343033347c6833353a38307c36080203e2e7750511683335"
+        "3a343033357c6833363a38307c3608020398d87505116833363a343033367c68"
+        "33373a38307c36080203cec87505116833373a343033377c6833383a38307c36"
+        "08020384b97505116833383a343033387c6833393a38307c36080203baa97505"
+        "116833393a343033397c6834303a38307c360000",
     "error": "5044060509626f6f6d3a20e4b8ad",
     "ping": "50440606",
     "pong": "50440607f4030732a846c203c0c407",
@@ -1262,19 +1270,20 @@ GOLDEN_FRAME_HEX = {
         "010b746f705f6b5f666c6f777301016b03500000",
     "close_torn": "50440613",
     "plan_request":
-        "50440614040104000000000000f03f040000000000002240010505746f722d61"
-        "000109613a317c623a327c3608030501610505746f722d61050162020304666c"
-        "6f7705627974657304706b7473030373756d010562797465730104666c6f7701"
-        "04030576616c7565046465736304000000000000044001026830030268300268"
-        "310e68c3b473742de4b8ade5bf832d39",
+        "5044070104706c616e0104706c616e0d040104000000000000f03f0400000000"
+        "00002240080108020505746f722d610008010509613a317c623a327c36080305"
+        "01610505746f722d610501620208030504666c6f77050562797465730504706b"
+        "747303050373756d08010505627974657308010504666c6f7703020403060505"
+        "76616c756505046465736304000000000000044001026830030268300268310e"
+        "68c3b473742de4b8ade5bf832d39",
     "plan_result":
-        "5044061504706c616e0e68c3b473742de4b8ade5bf832d39d804600702080203"
-        "d00f0509613a317c623a327c360802030d050ce4b8ad3a307c623a327c313701"
-        "0768c3b473742d61097365727665722d343294a305a0010c0750435f4641494c"
-        "02030768c3b473742d6105746f722d31097365727665722d3432000e68c3b473"
-        "742de4b8ade5bf832d39000000000000d03f000314636f6c645f656e74726965"
-        "735f736b6970706564804015636f6c645f7365676d656e74735f736b69707065"
-        "64000f686f745f666c6f775f726f7574656402",
+        "5044070404706c616e0e68c3b473742de4b8ade5bf832d39d8040702080203d0"
+        "0f0509613a317c623a327c360802030d050ce4b8ad3a307c623a327c31370107"
+        "68c3b473742d61097365727665722d343294a305a0010c0750435f4641494c02"
+        "030768c3b473742d6105746f722d31097365727665722d3432000e68c3b47374"
+        "2de4b8ade5bf832d39000000000000d03f000314636f6c645f656e7472696573"
+        "5f736b6970706564804015636f6c645f7365676d656e74735f736b6970706564"
+        "000f686f745f666c6f775f726f7574656402",
     "monitor_reopen": "50440616",
 }
 
@@ -1511,12 +1520,52 @@ GOLDEN_VALUE_HEX = {
         "070208020c0768c3b473742d61097365727665722d343294a305a0010c080305"
         "0768c3b473742d610505746f722d3105097365727665722d343208020c016101"
         "6202040c0800",
+    "plan":
+        "0d040104000000000000f03f040000000000002240080108020505746f722d61"
+        "0008010509613a317c623a327c3608030501610505746f722d61050162020803"
+        "0504666c6f77050562797465730504706b747303050373756d08010505627974"
+        "657308010504666c6f770302040306050576616c7565050464657363",
 }
 
 
 def _msg_types():
     return {name: code for name, code in vars(wire).items()
             if name.startswith("MSG_")}
+
+
+def _uvarint(data, pos):
+    """A LEB128 varint at ``pos``: ``(value, next position)``."""
+    value = shift = 0
+    while True:
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        shift += 7
+        if byte < 0x80:
+            return value, pos
+
+
+def _reversioned(frame, version):
+    """``frame`` with its header's version byte - and those of the frames a
+    group batch carries - set to ``version``, and no other byte moved.
+    Parsed here rather than by the codec under test."""
+    out = bytearray(frame)
+    out[2] = version
+    if out[3] == wire.MSG_GROUP_BATCH:
+        _, pos = _uvarint(out, wire.HEADER_BYTES)  # correlation id
+        count, pos = _uvarint(out, pos)
+        for _ in range(count):
+            size, pos = _uvarint(out, pos)  # host name
+            size, pos = _uvarint(out, pos + size)
+            out[pos:pos + size] = _reversioned(out[pos:pos + size], version)
+            pos += size
+    return bytes(out)
+
+
+def golden_frame(name):
+    """One golden row's bytes at the current wire version."""
+    return _reversioned(bytes.fromhex(GOLDEN_FRAME_HEX[name]),
+                        wire.WIRE_VERSION)
 
 
 def _python_calls(function):
@@ -1540,16 +1589,24 @@ class TestGoldenFrames:
     def test_one_golden_frame_per_message_type(self):
         frames = _golden_frames()
         assert set(frames) == set(GOLDEN_FRAME_HEX)
-        assert sorted(wire.frame_type(frame)
-                      for frame, _, _ in frames.values()) == \
-            sorted(_msg_types().values())
-        assert wire.WIRE_VERSION == 6
+        assert {wire.frame_type(frame) for frame, _, _ in frames.values()} \
+            == set(_msg_types().values())
+        assert wire.WIRE_VERSION == 7
+
+    def test_only_the_version_7_rows_were_regenerated(self):
+        """Every row outside GOLDEN_V7_ROWS is still the version-6 hex
+        (group-batch inner frames included), so the frame tests below
+        compare today's codec against the version-6 bytes themselves."""
+        for name, text in GOLDEN_FRAME_HEX.items():
+            data = bytes.fromhex(text)
+            version = 7 if name in GOLDEN_V7_ROWS else 6
+            assert _reversioned(data, version) == data, name
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_FRAME_HEX))
     def test_frame_bytes_and_decode(self, name):
         frame, decoder, decoded = _golden_frames()[name]
-        assert frame.hex() == GOLDEN_FRAME_HEX[name]
-        assert decoder(bytes.fromhex(GOLDEN_FRAME_HEX[name])) == decoded
+        assert frame == golden_frame(name)
+        assert decoder(golden_frame(name)) == decoded
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_VALUE_HEX))
     def test_value_bytes_and_decode(self, name):
@@ -1564,7 +1621,7 @@ class TestGoldenFrames:
         """Truncation at any byte is a ``WireError`` from the decoder
         itself - never an ``IndexError`` / ``struct.error`` escaping it,
         never a value."""
-        cases = [(bytes.fromhex(GOLDEN_FRAME_HEX[name]), decoder)
+        cases = [(golden_frame(name), decoder)
                  for name, (_, decoder, _) in _golden_frames().items()]
         cases += [(bytes.fromhex(text), wire.decode_value)
                   for text in GOLDEN_VALUE_HEX.values()]
@@ -1574,7 +1631,7 @@ class TestGoldenFrames:
                     decoder(data[:cut])
 
     def test_truncation_is_reported_as_truncation(self):
-        frame = bytes.fromhex(GOLDEN_FRAME_HEX["alarm_batch"])
+        frame = golden_frame("alarm_batch")
         for cut in range(wire.HEADER_BYTES, len(frame)):
             with pytest.raises(wire.WireError, match="truncated frame"):
                 wire.decode_alarm_batch(frame[:cut])
@@ -1586,7 +1643,7 @@ class TestGoldenFrames:
             wire.decode_error(wire.encode_ping()[:3] + bytes(
                 [wire.MSG_ERROR]) + b"\x02\xc3\x28")     # str_ leg
         with pytest.raises(wire.WireError, match="unknown value tag"):
-            wire.decode_value(b"\x0d")
+            wire.decode_value(b"\x0e")
         with pytest.raises(wire.WireError, match="unknown value tag"):
             wire.decode_value(b"\x07\x01\xff")
         with pytest.raises(wire.WireError, match="negative"):
@@ -1601,8 +1658,8 @@ class TestGoldenFrames:
         two frames are what a top-k query and an alarm sweep decode per
         host.  (1,083 and 245 calls before the cursor-local reader, 100
         and 86 with it.)"""
-        result = bytes.fromhex(GOLDEN_FRAME_HEX["query_result"])
-        alarms = bytes.fromhex(GOLDEN_FRAME_HEX["alarm_batch"])
+        result = golden_frame("query_result")
+        alarms = golden_frame("alarm_batch")
         assert len(wire.decode_result(result, GOLDEN_TOPK_QUERY).payload) \
             == 40
         assert _python_calls(
@@ -1682,24 +1739,39 @@ class TestExactSizes:
             assert wire.payload_wire_bytes(value) == wire.value_len(value)
 
     def test_result_wire_bytes_is_the_frame_length(self):
+        """Plan and non-plan results, each with and without scan stats
+        and alarms: one frame kind, sized exactly."""
         rng = random.Random(19)
         for round_index in range(200):
-            planned = round_index % 2 == 0
+            planned, with_stats, with_alarms = (
+                round_index >> bit & 1 for bit in range(3))
             query = GOLDEN_PLAN_QUERY if planned else Query(
                 rng.choice(("top_k_flows", "get_flows", "hôst-query")), {})
             result = QueryResult(
                 query=query, payload=self._value(rng), wire_bytes=0,
                 records_scanned=rng.randrange(1 << rng.randrange(1, 40)),
-                estimated_wire_bytes=rng.randrange(1 << 20),
                 host=rng.choice(("server-1", UNICODE_HOST, "")),
-                alarms=tuple(_random_alarm(rng)
-                             for _ in range(rng.choice((0, 0, 1, 3)))),
-                scan_stats={f"stat_{i}": rng.randrange(1 << 30)
-                            for i in range(rng.randrange(9))})
+                alarms=tuple(_random_alarm(rng) for _ in range(
+                    rng.choice((1, 3)) if with_alarms else 0)),
+                scan_stats={f"stat_{i}": rng.randrange(1 << 30) for i in
+                            range(rng.randrange(1, 9) if with_stats else 0)})
             frame = wire.encode_result(result)
-            assert wire.frame_type(frame) == (
-                wire.MSG_PLAN_RESULT if planned else wire.MSG_QUERY_RESULT)
+            assert wire.frame_type(frame) == wire.MSG_QUERY_RESULT
             assert wire.result_wire_bytes(result) == len(frame)
+            decoded = wire.decode_result(frame, query)
+            assert decoded.scan_stats == result.scan_stats
+            assert len(decoded.alarms) == len(result.alarms)
+
+    def test_plan_request_bytes_are_the_frame_length(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            query = Query(plan.PLAN_QUERY_NAME,
+                          {"plan": random_plan(rng)},
+                          period=rng.choice((None, 2.5)))
+            assert query.request_bytes() == \
+                len(wire.encode_query_request(query, None))
+            assert wire.value_len(query.params["plan"]) == \
+                len(wire.encode_value(query.params["plan"]))
 
     def test_record_and_alarm_sizes(self):
         rng = random.Random(23)
@@ -1725,9 +1797,10 @@ class TestExactSizes:
         with pytest.raises(wire.WireError):
             wire.value_len(payload)
         result = QueryResult(query=Query("custom", {}), payload=payload,
-                             wire_bytes=0, estimated_wire_bytes=77)
+                             wire_bytes=0)
         with pytest.raises(wire.WireError):
             wire.result_wire_bytes(result)
-        # ... which is what lets the estimate stand in for such payloads.
+        # ... which fails the host that produced such a payload.
         from repro.core.query import measured_result_wire_bytes
-        assert measured_result_wire_bytes(result) == 77
+        with pytest.raises(wire.WireError):
+            measured_result_wire_bytes(result)

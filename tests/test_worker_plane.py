@@ -925,29 +925,32 @@ class TestLocalFallback:
                    for agent in fresh_cluster.agents.values())
 
     def test_custom_handler_with_unencodable_payload(self, fresh_cluster):
-        """A custom handler may return a payload outside the codec's value
-        set; its size estimate stands in instead of killing the query."""
+        """A payload outside the codec's value set could never cross a
+        wire: sizing it raises WireError, which fails every host like any
+        other handler error."""
         class Opaque:
             pass
 
         token = Opaque()
         for agent in fresh_cluster.agents.values():
-            agent.engine.register("opaque", lambda a, p: ([token], 42, 0))
+            agent.engine.register("opaque", lambda a, p: ([token], 0, {}))
         fresh_cluster.engine.register(
-            "opaque", lambda a, p: ([token], 42, 0))  # default concat merge
+            "opaque", lambda a, p: ([token], 0, {}))  # default concat merge
         result = fresh_cluster.execute(Query("opaque", {}))
-        assert not result.partial
-        assert len(result.payload) == len(fresh_cluster.hosts)
-        assert all(item is token for item in result.payload)
+        assert result.partial
+        assert sorted(result.hosts_failed) == sorted(fresh_cluster.hosts)
+        assert result.payload == []
+        assert any("WireError" in warning.detail
+                   for warning in result.warnings)
 
     def test_custom_handler_runs_locally(self, fresh_cluster):
         for agent in fresh_cluster.agents.values():
             agent.engine.register(
                 "record_count",
-                lambda agent, params: (agent.tib.record_count(), 8, 0))
+                lambda agent, params: (agent.tib.record_count(), 0, {}))
         fresh_cluster.engine.register(
-            "record_count", lambda agent, params: (0, 8, 0),
-            merger=lambda query, payloads: (sum(payloads), 8))
+            "record_count", lambda agent, params: (0, 0, {}),
+            merger=lambda query, payloads: sum(payloads))
         result = fresh_cluster.execute(Query("record_count", {}))
         assert result.payload == sum(
             a.tib.record_count() for a in fresh_cluster.agents.values())
