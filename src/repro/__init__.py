@@ -15,7 +15,8 @@ simulated SDN datacenter fabric:
 * :mod:`repro.core` - the PathDump edge stack (vswitch, trajectory memory,
   TIB, monitor), agents, distributed queries and the controller;
 * :mod:`repro.debug` - the debugging applications of Section 4;
-* :mod:`repro.analysis` - metrics and report formatting.
+* :mod:`repro.analysis` - metrics and report formatting;
+* :mod:`repro.counters` - the base class of every stats holder.
 """
 
 __version__ = "1.0.0"

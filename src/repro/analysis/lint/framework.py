@@ -1,11 +1,10 @@
 """Core machinery of ``repro-lint``, the repo's invariant analyzer.
 
-Seven PRs in, the codebase's correctness rests on conventions that no
-generic linter knows about: every wire frame needs an encoder, a decoder
-and fuzz coverage; every stats counter must be re-zeroed by
-``reset_stats()``; worker pipe state must only be touched under its
-exchange lock; the query path must never import pickle; payload-producing
-code must stay deterministic.  Each of those was a real bug class fixed by
+The codebase's correctness rests on conventions that no generic linter
+knows about: every wire frame needs an encoder, a decoder and fuzz
+coverage; worker pipe state must only be touched under its exchange lock;
+the query path must never import pickle; payload-producing code must stay
+deterministic.  Each of those was a real bug class fixed by
 hand in PRs 3-7.  This module provides the scaffolding the rule suite
 (``rules_*.py``) plugs into:
 
@@ -240,7 +239,7 @@ def load_rules() -> Dict[str, Type[Rule]]:
     the registry.  Idempotent."""
     # Imported here, not at module top: the rules modules import this one.
     from repro.analysis.lint import (rules_locks, rules_purity,  # noqa: F401
-                                     rules_scanspec, rules_stats, rules_wire)
+                                     rules_scanspec, rules_wire)
     return RULE_REGISTRY
 
 
@@ -406,31 +405,3 @@ def self_attr(node: ast.AST, self_name: str = "self") -> Optional[str]:
             node.value.id == self_name:
         return node.attr
     return None
-
-
-def const_str(node: ast.AST) -> Optional[str]:
-    """The value when ``node`` is a string constant, else ``None``."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def is_zero_literal(node: ast.AST) -> bool:
-    """Whether ``node`` is the literal ``0`` or ``0.0`` (a counter's
-    initial value; ``False``/``None`` deliberately do not count)."""
-    return (isinstance(node, ast.Constant) and
-            type(node.value) in (int, float) and node.value == 0)
-
-
-def dict_str_keys(node: ast.AST) -> Optional[List[Tuple[str, ast.AST]]]:
-    """``[(key, value_node), ...]`` when ``node`` is a dict literal with
-    only string-constant keys, else ``None``."""
-    if not isinstance(node, ast.Dict):
-        return None
-    out: List[Tuple[str, ast.AST]] = []
-    for key, value in zip(node.keys, node.values):
-        text = const_str(key) if key is not None else None
-        if text is None:
-            return None
-        out.append((text, value))
-    return out

@@ -293,8 +293,10 @@ class PathDumpAgent:
 
     # ------------------------------------------------------------ accounting
     def reset_stats(self) -> None:
-        """Zero this agent's per-experiment counters: the storage engine's
-        instrumentation and the monitor's alert counters/latches."""
+        """Zero this agent's per-experiment counters: the vswitch's, the
+        storage engine's instrumentation and the monitor's alert
+        counters/latches."""
+        self.vswitch.stats.reset()
         self.tib.reset_stats()
         self.monitor.reset_stats()
 

@@ -39,7 +39,6 @@ from repro.core.alarms import Alarm
 from repro.core.monitor import ActiveMonitor
 from repro.core.query import Query, QueryEngine
 from repro.core.tib import Tib
-from repro.storage.records import PathFlowRecord
 
 #: Queries an agent-server worker can answer: every built-in, including the
 #: monitor-backed (``poor_tcp_flows``) and alarm-raising
@@ -73,24 +72,16 @@ class _WorkerAgent:
         self.alarms_raised: List[Alarm] = []
 
     # Host API subset (mirrors PathDumpAgent over the TIB + monitor).
-    def records(self, flow_id=None, link=None, time_range=None,
-                include_live: bool = False) -> List[PathFlowRecord]:
-        return self.tib.records(flow_id=flow_id, link=link,
-                                time_range=time_range)
-
-    def get_flows(self, link=None, time_range=None,
-                  include_live: bool = False):
+    def get_flows(self, link=None, time_range=None):
         return self.tib.get_flows(link, time_range)
 
-    def get_paths(self, flow_id, link=None, time_range=None,
-                  include_live: bool = False):
+    def get_paths(self, flow_id, link=None, time_range=None):
         return self.tib.get_paths(flow_id, link, time_range)
 
-    def get_count(self, flow, time_range=None, include_live: bool = False):
+    def get_count(self, flow, time_range=None):
         return self.tib.get_count(flow, time_range)
 
-    def get_duration(self, flow, time_range=None,
-                     include_live: bool = False):
+    def get_duration(self, flow, time_range=None):
         return self.tib.get_duration(flow, time_range)
 
     def get_poor_tcp_flows(self, threshold=None):

@@ -1257,8 +1257,8 @@ class QueryCluster:
         """Zero every per-experiment counter in one place.
 
         Resets the RPC channel's message/byte counters, each agent's
-        storage-engine counters (document-store full-scan / index-rebuild /
-        compaction counts) and each monitor's alert counters/latches, so
+        counters (vswitch, TIB tier movement and scan routing, archive)
+        and each monitor's alert counters/latches, so
         repeated runs against the same cluster can't double-count and a new
         measurement interval re-alerts still-poor flows.  In a worker mode
         every worker monitor runs the same ``reset_stats()`` (one
@@ -1280,7 +1280,7 @@ class QueryCluster:
             # these frames are reset bookkeeping, not part of the next
             # experiment.
             self._post_per_group(pool.reopen_monitor)
-        self.rpc.reset()
+        self.rpc.stats.reset()
         reset_transport = getattr(self.transport, "reset_stats", None)
         if callable(reset_transport):
             reset_transport()

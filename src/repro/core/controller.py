@@ -21,6 +21,7 @@ from repro.core.alarms import Alarm, AlarmBus, LOOP_DETECTED, LONG_PATH
 from repro.core.cluster import (MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
                                 DistributedQueryResult, QueryCluster)
 from repro.core.query import Query, QueryResult
+from repro.counters import Counters
 from repro.network.packet import FlowId, Packet
 from repro.network.simulator import Fabric
 from repro.tracing.cherrypick import make_tagger
@@ -28,8 +29,8 @@ from repro.tracing.rules import CompiledRules, compile_rules
 from repro.tracing.trap import LongPathTrap, TrapVerdict
 
 
-@dataclass
-class ControllerStats:
+@dataclass(slots=True)
+class ControllerStats(Counters):
     """Counters describing controller activity."""
 
     queries_executed: int = 0
@@ -251,7 +252,7 @@ class PathDumpController:
         """Zero per-experiment counters: controller activity, the RPC
         channel, and every agent's storage-engine instrumentation
         (including the two-tier eviction/promotion and archive counters)."""
-        self.stats = ControllerStats()
+        self.stats.reset()
         self.cluster.reset_stats()
 
     # ------------------------------------------------------------- simulation

@@ -58,6 +58,7 @@ from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
                     Tuple)
 
 from repro.core.rpc import RpcChannel
+from repro.counters import Counters
 
 #: Execution modes.
 MODE_SERIAL = "serial"
@@ -158,6 +159,14 @@ class ModelTransport:
         return TransportLeg(latency, payload_bytes)
 
 
+@dataclass(slots=True)
+class TransportStats(Counters):
+    """Deliveries a :class:`LoopbackTransport` attempted, and dropped."""
+
+    messages: int = 0
+    dropped: int = 0
+
+
 class LoopbackTransport:
     """In-process transport with injectable delays and drops.
 
@@ -186,8 +195,7 @@ class LoopbackTransport:
         self._drop_requests = dict(drop_requests or {})
         self._drop_responses = dict(drop_responses or {})
         self.dead_hosts = set(dead_hosts)
-        self.messages = 0
-        self.dropped = 0
+        self.stats = TransportStats()  # guarded-by: _lock
         self._request_attempts: Dict[str, int] = {}
         self._respond_attempts: Dict[str, int] = {}
         self._lock = threading.Lock()
@@ -195,14 +203,14 @@ class LoopbackTransport:
     def _attempt_number(self, counts: Dict[str, int], host: str) -> int:
         with self._lock:
             counts[host] = attempt = counts.get(host, 0) + 1
-            self.messages += 1
+            self.stats.messages += 1
         return attempt
 
     def request(self, host: str, parts: Sequence[int]) -> TransportLeg:
         attempt = self._attempt_number(self._request_attempts, host)
         if host in self.dead_hosts or attempt <= self._drop_requests.get(host, 0):
             with self._lock:
-                self.dropped += 1
+                self.stats.dropped += 1
             raise TransportError(f"request to {host} lost (attempt {attempt})")
         wait = float(self._delay(host, attempt))
         if wait > 0:
@@ -213,7 +221,7 @@ class LoopbackTransport:
         attempt = self._attempt_number(self._respond_attempts, host)
         if host in self.dead_hosts or attempt <= self._drop_responses.get(host, 0):
             with self._lock:
-                self.dropped += 1
+                self.stats.dropped += 1
             raise TransportError(f"response from {host} lost (attempt {attempt})")
         wait = float(self._respond_delay(host, attempt))
         if wait > 0:
@@ -223,8 +231,7 @@ class LoopbackTransport:
     def reset_stats(self) -> None:
         """Zero the message/drop counters and per-host attempt numbering."""
         with self._lock:
-            self.messages = 0
-            self.dropped = 0
+            self.stats.reset()
             self._request_attempts.clear()
             self._respond_attempts.clear()
 

@@ -72,6 +72,7 @@ from repro.core.monitor import MonitorSnapshot, TransferObservation
 from repro.core.query import QueryResult
 from repro.core.rpc import RpcChannel
 from repro.core.supervisor import GroupSeed, WorkerSeed
+from repro.counters import Counters
 from repro.storage.records import PathFlowRecord
 
 #: Stream transports for :class:`GroupAgentPool`.
@@ -294,8 +295,8 @@ def group_server_main(group_id: int, group_count: int,
 
 
 # ======================================================== controller side
-@dataclass
-class GroupPoolStats:
+@dataclass(slots=True)
+class GroupPoolStats(Counters):
     """Frame/byte/envelope counters and self-healing telemetry of one
     group pool.
 
@@ -333,21 +334,6 @@ class GroupPoolStats:
     #: Reply envelopes/streams that failed to decode (protocol desync;
     #: the group worker is killed and, when supervised, restarted).
     decode_errors: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.frames_sent = 0
-        self.bytes_sent = 0
-        self.frames_received = 0
-        self.bytes_received = 0
-        self.envelopes_sent = 0
-        self.envelopes_received = 0
-        self.reconnects = 0
-        self.restarts = 0
-        self.reseed_ms = 0.0
-        self.circuit_open = 0
-        self.mirror_detaches = 0
-        self.decode_errors = 0
 
 
 class _EndpointClosed(Exception):
@@ -1469,5 +1455,5 @@ class SocketTransport(ModelTransport):
 
     def reset_stats(self) -> None:
         """Zero the channel counters and the pool's envelope counters."""
-        self.channel.reset()
+        self.channel.stats.reset()
         self.pool.reset_stats()

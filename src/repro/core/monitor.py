@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.alarms import POOR_PERF, Alarm
+from repro.counters import Counters
 from repro.network.packet import FlowId
 
 #: Default monitoring period in seconds (the paper's 200 ms).
@@ -77,6 +78,14 @@ class TcpFlowStats:
         self.last_update = when
 
 
+@dataclass(slots=True)
+class MonitorStats(Counters):
+    """The monitor's per-experiment counter."""
+
+    #: POOR_PERF alerts raised (or latched from a worker mirror's alarms).
+    alerts_raised: int = 0
+
+
 class MonitorSnapshot(NamedTuple):
     """The full state of one :class:`ActiveMonitor`.
 
@@ -123,7 +132,7 @@ class ActiveMonitor:
         self.period = period
         self.poor_threshold = poor_threshold
         self.flows: Dict[FlowId, TcpFlowStats] = {}
-        self.alerts_raised = 0
+        self.stats = MonitorStats()
         #: Optional mirror for observations: every observation folded into
         #: this monitor is also handed to this callable as a (batched)
         #: sequence of :class:`TransferObservation`.  The cluster's process
@@ -216,7 +225,7 @@ class ActiveMonitor:
                                   f"streak={stats.max_consecutive_retransmissions}, "
                                   f"timeouts={stats.timeouts}"))
             alarms.append(alarm)
-            self.alerts_raised += 1
+            self.stats.alerts_raised += 1
             if self.alarm_sink is not None:
                 self.alarm_sink(alarm)
         return alarms
@@ -234,7 +243,7 @@ class ActiveMonitor:
         if stats is None or stats.alerted:
             return False
         stats.alerted = True
-        self.alerts_raised += 1
+        self.stats.alerts_raised += 1
         return True
 
     # ------------------------------------------------------- snapshot/restore
@@ -242,7 +251,7 @@ class ActiveMonitor:
         """The monitor's full state (flows in insertion order)."""
         return MonitorSnapshot(host=self.host, period=self.period,
                                poor_threshold=self.poor_threshold,
-                               alerts_raised=self.alerts_raised,
+                               alerts_raised=self.stats.alerts_raised,
                                flows=tuple(self.flows.values()))
 
     def restore(self, snapshot: MonitorSnapshot) -> None:
@@ -255,19 +264,19 @@ class ActiveMonitor:
         """
         self.period = snapshot.period
         self.poor_threshold = snapshot.poor_threshold
-        self.alerts_raised = snapshot.alerts_raised
+        self.stats.alerts_raised = snapshot.alerts_raised
         self.flows = {stats.flow_id: stats for stats in snapshot.flows}
 
     # ------------------------------------------------------------ accounting
     def reset_stats(self) -> None:
         """Zero the per-experiment alert counters.
 
-        Clears ``alerts_raised`` and every flow's ``alerted`` latch, so the
-        next measurement interval re-alerts still-poor flows instead of
+        Zeroes :attr:`stats` and clears every flow's ``alerted`` latch, so
+        the next measurement interval re-alerts still-poor flows instead of
         inheriting the previous experiment's suppression.  Wired into
         ``cluster.reset_stats()`` alongside the RPC and storage counters.
         """
-        self.alerts_raised = 0
+        self.stats.reset()
         for stats in self.flows.values():
             stats.alerted = False
 
@@ -276,4 +285,4 @@ class ActiveMonitor:
         self.flows.clear()
         # The latches died with the flows; the alert counter must not
         # outlive them (it used to leak across resets).
-        self.alerts_raised = 0
+        self.stats.reset()

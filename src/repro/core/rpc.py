@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.counters import Counters
+
 #: Default one-way message latency (seconds): LAN RTT plus web-stack
 #: (Flask/HTTP) processing.  Calibrated so that a direct query's floor and a
 #: 3-4 level aggregation tree land in the same ~0.1-0.2 s range as Fig. 11(a).
@@ -32,17 +34,12 @@ DEFAULT_BANDWIDTH_BPS = 1e9
 MESSAGE_OVERHEAD_BYTES = 350
 
 
-@dataclass
-class RpcStats:
+@dataclass(slots=True)
+class RpcStats(Counters):
     """Aggregate channel statistics."""
 
     messages: int = 0
     bytes: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.messages = 0
-        self.bytes = 0
 
 
 @dataclass
@@ -98,7 +95,3 @@ class RpcChannel:
     def total_traffic_bytes(self) -> int:
         """Total bytes moved over the channel so far."""
         return self.stats.bytes
-
-    def reset(self) -> None:
-        """Reset the traffic counters."""
-        self.stats.reset()

@@ -93,13 +93,15 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple, Union)
 
+from repro.counters import Counters
 from repro.network.packet import FlowId
-from repro.storage.archive import ColdArchive, RetentionPolicy
+from repro.storage.archive import ArchiveStats, ColdArchive, RetentionPolicy
 from repro.storage.docstore import DocumentStore
 from repro.storage.records import (PathFlowRecord, ScanSpec, flow_key,
                                    is_wild)
@@ -203,6 +205,27 @@ def link_matches(record: PathFlowRecord, link: Optional[LinkId]) -> bool:
     return record.traverses_link(a, b)
 
 
+@dataclass(slots=True)
+class TibStats(Counters):
+    """Tier movement and hot-tier scan routing of one TIB.
+
+    The routing counters say which index served each hot read (flow
+    postings / link+endpoint indexes / sorted time index) or whether it
+    walked the whole cache; the plan executor diffs
+    :meth:`Tib.scan_stat_snapshot` around a plan to prove its pushed
+    filter actually routed through an index.
+    """
+
+    #: Records aged hot -> cold (cold admissions and off-tier folds too).
+    evictions: int = 0
+    #: Archived records promoted back hot (off-tier folds too).
+    promotions: int = 0
+    hot_flow_routed: int = 0
+    hot_link_routed: int = 0
+    hot_time_routed: int = 0
+    hot_full_scans: int = 0
+
+
 class Tib:
     """One end host's Trajectory Information Base.
 
@@ -272,15 +295,17 @@ class Tib:
         # live entries for one id (cleared by the next full rebuild).
         self._cache_order_dirty = False
         self._time_dup_possible = False
-        self.evictions = 0
-        self.promotions = 0
-        # Hot-tier scan routing counters: which index served each scan
-        # (flow postings / link+endpoint indexes / sorted time index) or
-        # whether it walked the whole cache.  The plan executor diffs
-        # :meth:`scan_stat_snapshot` around a plan to prove its pushed
-        # filter actually routed through an index.
-        self.scan_routes: Dict[str, int] = {"flow": 0, "link": 0,
-                                            "time": 0, "full": 0}
+        self.stats = TibStats()
+
+    # pathbench's tracer reads these two by name; ROADMAP item 2 removes
+    # them (code in src/ reads ``self.stats``).
+    @property
+    def evictions(self) -> int:
+        return self.stats.evictions
+
+    @property
+    def promotions(self) -> int:
+        return self.stats.promotions
 
     # ----------------------------------------------------------------- writes
     def add_record(self, record: PathFlowRecord, adopt: bool = False) -> None:
@@ -402,7 +427,7 @@ class Tib:
             totals[0] += record.bytes
             totals[1] += record.pkts
         self.archive.stage(record_id, record, key)
-        self.evictions += 1
+        self.stats.evictions += 1
         return True
 
     def _insert_new(self, key: Tuple[str, Tuple[str, ...]],
@@ -526,7 +551,7 @@ class Tib:
         # log append - the archive batches the appends and every read path
         # flushes first (see ColdArchive.stage).
         self.archive.stage(record_id, record, key)
-        self.evictions += 1
+        self.stats.evictions += 1
 
     def _merge_archived(self, key: Tuple[str, Tuple[str, ...]],
                         record: PathFlowRecord) -> None:
@@ -565,8 +590,8 @@ class Tib:
                 totals[0] += record.bytes
                 totals[1] += record.pkts
                 self.archive.stage(record_id, archived, key)
-                self.promotions += 1
-                self.evictions += 1
+                self.stats.promotions += 1
+                self.stats.evictions += 1
                 return
             # It would stay hot after all: promote it normally (the take
             # already happened, so install the object directly).
@@ -608,7 +633,7 @@ class Tib:
         self._time_dup_possible = True
         if self.retention.bounded:
             heappush(self._evict_heap, (record.etime, record_id))
-        self.promotions += 1
+        self.stats.promotions += 1
 
     # ------------------------------------------------------------------ reads
     @staticmethod
@@ -690,13 +715,13 @@ class Tib:
         cache = self._cache
         if spec.flow_keys is None and not spec.links:
             if spec.start is None and spec.end is None:
-                self.scan_routes["full"] += 1
+                self.stats.hot_full_scans += 1
                 if self._cache_order_dirty:
                     # Promotions reinserted old ids at the dict's tail;
                     # the deterministic result order is id order.
                     return [record for _, record in sorted(cache.items())]
                 return list(cache.values())
-            self.scan_routes["time"] += 1
+            self.stats.hot_time_routed += 1
             return [cache[record_id]
                     for record_id in self._ids_in_window(spec.start,
                                                          spec.end)]
@@ -727,7 +752,7 @@ class Tib:
         pairs: List[Tuple[int, PathFlowRecord]] = []
 
         if spec.flow_keys is not None:
-            self.scan_routes["flow"] += 1
+            self.stats.hot_flow_routed += 1
             # Per-flow index; posting lists are already in id (insertion)
             # order.  Multiple keys union their postings, then re-sort.
             if len(spec.flow_keys) == 1:
@@ -752,7 +777,7 @@ class Tib:
             # Route on the first link constraint (the endpoint index for a
             # wildcard endpoint, the inverted link index otherwise); any
             # further constraints filter the candidates.
-            self.scan_routes["link"] += 1
+            self.stats.hot_link_routed += 1
             a, b = links[0]
             if a is None or b is None:
                 candidates: Iterable[int] = self._endpoint_ids.get(
@@ -772,10 +797,10 @@ class Tib:
                     continue
                 pairs.append((record_id, record))
         elif start is None and end is None:
-            self.scan_routes["full"] += 1
+            self.stats.hot_full_scans += 1
             pairs = sorted(cache.items())
         else:
-            self.scan_routes["time"] += 1
+            self.stats.hot_time_routed += 1
             pairs = [(record_id, cache[record_id])
                      for record_id in self._ids_in_window(start, end)]
         return pairs
@@ -989,15 +1014,16 @@ class Tib:
         Hot-index routing counts plus the cold tier's pruning counters
         under tier-qualified names.  Unlike :meth:`tier_stats` this never
         flushes the archive - the plan executor snapshots around every
-        single plan, so it must cost a few dict reads, not a tier settle.
+        single plan, so it must cost a few reads, not a tier settle.
         Cold keys are present (zero) even when single-tier, so per-plan
         diffs have a stable shape everywhere.
         """
+        stats = self.stats
         snapshot = {
-            "hot_flow_routed": self.scan_routes["flow"],
-            "hot_link_routed": self.scan_routes["link"],
-            "hot_time_routed": self.scan_routes["time"],
-            "hot_full_scans": self.scan_routes["full"],
+            "hot_flow_routed": stats.hot_flow_routed,
+            "hot_link_routed": stats.hot_link_routed,
+            "hot_time_routed": stats.hot_time_routed,
+            "hot_full_scans": stats.hot_full_scans,
         }
         if self.archive is not None:
             snapshot.update(self.archive.pruning_snapshot())
@@ -1038,39 +1064,37 @@ class Tib:
         archive = self.archive
         if archive is not None:
             archive.flush()
-        stats = archive.stats if archive else {}
+        cold = archive.stats if archive else ArchiveStats()
         return {
             "hot_records": len(self._cache),
             "hot_bytes": self._hot_bytes,
             "cold_records": archive.live_count if archive else 0,
             "cold_bytes": archive.archive_bytes() if archive else 0,
-            "evictions": self.evictions,
-            "promotions": self.promotions,
+            "evictions": self.stats.evictions,
+            "promotions": self.stats.promotions,
             "segments": archive.segment_count if archive else 0,
-            "archive_compactions": stats.get("compactions", 0),
-            "segments_skipped": stats.get("segments_skipped", 0),
-            "segment_decodes": stats.get("segment_decodes", 0),
-            "entries_decoded": stats.get("entries_decoded", 0),
-            "entries_skipped": stats.get("entries_skipped", 0),
-            "decode_cache_hits": stats.get("decode_cache_hits", 0),
-            "write_behind_flushes": stats.get("flushes", 0),
-            "write_behind_records": stats.get("flushed_records", 0),
+            "archive_compactions": cold.compactions,
+            "segments_skipped": cold.segments_skipped,
+            "segment_decodes": cold.segment_decodes,
+            "entries_decoded": cold.entries_decoded,
+            "entries_skipped": cold.entries_skipped,
+            "decode_cache_hits": cold.decode_cache_hits,
+            "write_behind_flushes": cold.flushes,
+            "write_behind_records": cold.flushed_records,
         }
 
     def reset_stats(self) -> None:
-        """Zero the instrumentation counters: the scan-routing counts, the
-        archive's, and the tier-movement (eviction/promotion) counts.
+        """Zero :attr:`stats` (tier movement, scan routing) and the
+        archive's counters, in place.
 
         The archive flushes first, so the new measurement interval starts
         from a settled tier instead of counting a predecessor's staged
         evictions as its own flush work.
         """
-        self.evictions = 0
-        self.promotions = 0
-        self.scan_routes = {"flow": 0, "link": 0, "time": 0, "full": 0}
+        self.stats.reset()
         if self.archive is not None:
             self.archive.flush()
-            self.archive.reset_stats()
+            self.archive.stats.reset()
 
     # ----------------------------------------------------------- Table 1 API
     def get_flows(self, link: Optional[LinkId] = None,

@@ -17,15 +17,16 @@ the same benchmark can be reproduced:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.counters import Counters
 from repro.network.packet import Packet
 from repro.core.trajectory import TrajectoryMemory
 
 
-@dataclass
-class VSwitchStats:
+@dataclass(slots=True)
+class VSwitchStats(Counters):
     """Forwarding-path counters of the edge vswitch."""
 
     packets: int = 0
@@ -33,14 +34,6 @@ class VSwitchStats:
     tagged_packets: int = 0
     samples_extracted: int = 0
     records_terminated: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.packets = 0
-        self.bytes = 0
-        self.tagged_packets = 0
-        self.samples_extracted = 0
-        self.records_terminated = 0
 
 
 class EdgeVSwitch:

@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.counters import Counters
+
 #: Directed link endpoints expressed as node names.
 Endpoints = Tuple[str, str]
 
@@ -31,8 +33,8 @@ DEFAULT_LATENCY_S = 25e-6
 DEFAULT_CAPACITY_BPS = 10e9
 
 
-@dataclass
-class LinkStats:
+@dataclass(slots=True)
+class LinkStats(Counters):
     """Per-link counters used by the evaluation and the tests."""
 
     tx_packets: int = 0
@@ -46,14 +48,6 @@ class LinkStats:
         """Total packets dropped on the link, for any reason."""
         return (self.dropped_random + self.dropped_blackhole
                 + self.dropped_failed)
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.tx_packets = 0
-        self.tx_bytes = 0
-        self.dropped_random = 0
-        self.dropped_blackhole = 0
-        self.dropped_failed = 0
 
 
 @dataclass

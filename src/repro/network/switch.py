@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.counters import Counters
 from repro.network.flowtable import FlowTablePipeline
 from repro.network.packet import Packet
 from repro.network.routing import SwitchRoutingTable
@@ -48,21 +49,14 @@ Tagger = Callable[[str, Optional[str], str, Packet], None]
 HeaderCorruptor = Callable[[str, Packet], bool]
 
 
-@dataclass
-class SwitchCounters:
+@dataclass(slots=True)
+class SwitchCounters(Counters):
     """Per-switch counters (used in overhead accounting and tests)."""
 
     forwarded: int = 0
     punted: int = 0
     dropped_no_route: int = 0
     tags_pushed: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.forwarded = 0
-        self.punted = 0
-        self.dropped_no_route = 0
-        self.tags_pushed = 0
 
 
 @dataclass

@@ -99,6 +99,7 @@ from operator import itemgetter
 from typing import (Any, Dict, FrozenSet, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
+from repro.counters import Counters
 from repro.network.packet import FlowId
 from repro.storage.records import (PathFlowRecord, ScanSpec, flow_key,
                                    parse_flow_key)
@@ -209,6 +210,27 @@ class RetentionPolicy:
         if self.max_records is not None and records > self.max_records:
             return True
         return self.max_bytes is not None and nbytes > self.max_bytes
+
+
+@dataclass(slots=True)
+class ArchiveStats(Counters):
+    """How often the archive's expensive operations happen and how much
+    work pruning avoided.  ``entries_decoded`` counts rows materialised,
+    ``entries_skipped`` rows of opened segments passed over."""
+
+    appends: int = 0
+    takes: int = 0
+    segments_sealed: int = 0
+    compactions: int = 0
+    segment_decodes: int = 0
+    segments_skipped: int = 0
+    entries_decoded: int = 0
+    entries_skipped: int = 0
+    #: Always 0 (no decode cache survives); kept because pathbench's
+    #: tracer reads it by name - ROADMAP item 2 removes it.
+    decode_cache_hits: int = 0
+    flushes: int = 0
+    flushed_records: int = 0
 
 
 #: Row bits of a locator position ``segment number << _ROW_BITS | row``.
@@ -334,14 +356,7 @@ class ColdArchive:
         self.compact_dead_ratio = compact_dead_ratio
         self.write_behind_records = write_behind_records
         self._flush_lock = threading.Lock()
-        #: Instrumentation: how often the expensive operations happen and
-        #: how much work pruning avoided.  ``entries_decoded`` counts rows
-        #: materialised; ``decode_cache_hits`` stays 0 (no cache survives).
-        self.stats = {"appends": 0, "takes": 0, "segments_sealed": 0,
-                      "compactions": 0, "segment_decodes": 0,
-                      "segments_skipped": 0, "entries_decoded": 0,
-                      "entries_skipped": 0, "decode_cache_hits": 0,
-                      "flushes": 0, "flushed_records": 0}
+        self.stats = ArchiveStats()
         self.clear()
 
     def clear(self) -> None:
@@ -418,8 +433,8 @@ class ColdArchive:
         self._staged = {}
         for record_id, (record, key) in staged.items():
             self._append_row(record_id, record, key)
-        self.stats["flushes"] += 1
-        self.stats["flushed_records"] += len(staged)
+        self.stats.flushes += 1
+        self.stats.flushed_records += len(staged)
 
     def _append_row(self, record_id: int, record: PathFlowRecord,
                     key: ArchiveKey) -> None:
@@ -430,7 +445,7 @@ class ColdArchive:
         self._locator[record_id] = self._tail_no << _ROW_BITS | row
         self._key_index[key] = record_id
         self._total_rows += 1
-        self.stats["appends"] += 1
+        self.stats.appends += 1
         if row + 1 >= self.segment_records:
             self._seal_tail()
 
@@ -439,7 +454,7 @@ class ColdArchive:
         if not self._tail.count:
             return
         self._segments[self._tail_no] = _Segment(self._tail)
-        self.stats["segments_sealed"] += 1
+        self.stats.segments_sealed += 1
         self._tail = _codec().SegmentBuilder()
         self._tail_no += 1
 
@@ -463,7 +478,7 @@ class ColdArchive:
         archive holds no live entry for ``key``.
         """
         record_id = self._key_index.pop(key)  # KeyError propagates
-        self.stats["takes"] += 1
+        self.stats.takes += 1
         staged = self._staged.pop(record_id, None)
         if staged is not None:
             return record_id, staged[0]
@@ -522,7 +537,7 @@ class ColdArchive:
         it is.  Write-behind entries are untouched - they hold no log rows
         yet, so there is nothing to reclaim for them.
         """
-        self.stats["compactions"] += 1
+        self.stats.compactions += 1
         wire = _codec()
         locator = self._locator
         log = [(number, segment, segment.rows)
@@ -599,14 +614,14 @@ class ColdArchive:
                                  fkey_masks):
                 candidates.append(number)
             else:
-                stats["segments_skipped"] += 1
-        stats["segment_decodes"] += len(candidates)
+                stats.segments_skipped += 1
+        stats.segment_decodes += len(candidates)
         if self._tail.count:
             candidates.append(self._tail_no)
         for number in candidates:
             rows = self._rows(number)
             matching = self._matching_rows(rows, number, spec, flows)
-            stats["entries_skipped"] += rows.count - len(matching)
+            stats.entries_skipped += rows.count - len(matching)
             if matching:
                 yield rows, (None if len(matching) == rows.count
                              else matching)
@@ -621,7 +636,7 @@ class ColdArchive:
         results: List[Tuple[int, PathFlowRecord]] = []
         for rows, selection in self._selected(spec):
             results += rows.records(selection)
-        self.stats["entries_decoded"] += len(results)
+        self.stats.entries_decoded += len(results)
         results.sort(key=itemgetter(0))
         return results
 
@@ -705,11 +720,6 @@ class ColdArchive:
             total += len(self._tail.pack())
         return total
 
-    def reset_stats(self) -> None:
-        """Zero the instrumentation counters (data stays intact)."""
-        for key in self.stats:
-            self.stats[key] = 0
-
     def pruning_snapshot(self) -> Dict[str, int]:
         """The cold tier's pruning counters under their tier-qualified
         names - the cold half of ``Tib.scan_stat_snapshot``.  The plan
@@ -718,7 +728,7 @@ class ColdArchive:
         """
         stats = self.stats
         return {
-            "cold_segments_skipped": stats["segments_skipped"],
-            "cold_entries_skipped": stats["entries_skipped"],
-            "cold_entries_decoded": stats["entries_decoded"],
+            "cold_segments_skipped": stats.segments_skipped,
+            "cold_entries_skipped": stats.entries_skipped,
+            "cold_entries_decoded": stats.entries_decoded,
         }

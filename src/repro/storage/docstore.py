@@ -25,8 +25,9 @@ Deletion tombstones document slots to keep index positions stable; a
 compaction reclaiming the space runs automatically once the tombstone ratio
 crosses ``auto_compact_ratio``.  The store also tracks an estimate of its
 storage footprint so the Section 5.3 overhead numbers have a concrete
-counterpart, and per-collection counters (``Collection.stats``) expose how
-often full scans and index rebuilds actually happen.
+counterpart, and per-collection counters (``Collection.stats``, a
+:class:`CollectionStats`) expose how often full scans, index rebuilds and
+compactions actually happen.
 """
 
 from __future__ import annotations
@@ -34,7 +35,10 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+
+from repro.counters import Counters
 
 #: Comparison operators supported in query documents.
 _OPERATORS = {
@@ -78,6 +82,15 @@ def _matches(document: Dict[str, Any], query: Dict[str, Any]) -> bool:
     return True
 
 
+@dataclass(slots=True)
+class CollectionStats(Counters):
+    """How often a collection's expensive operations actually happen."""
+
+    full_scans: int = 0
+    index_rebuilds: int = 0
+    compactions: int = 0
+
+
 class Collection:
     """A named collection of documents with hash and sorted indexes.
 
@@ -112,23 +125,12 @@ class Collection:
         # Incrementally maintained storage-footprint estimate: adjusted on
         # every insert/update/delete instead of walked O(n) per call.
         self._estimated_bytes = 0
-        #: Instrumentation: how often expensive operations actually happen.
-        self.stats = {"full_scans": 0, "index_rebuilds": 0, "compactions": 0}
-
-    def reset_stats(self) -> None:
-        """Zero the instrumentation counters (call once per experiment).
-
-        Only the counters are touched - documents and indexes stay intact -
-        so repeated benchmark runs against the same collection start from a
-        clean slate instead of double-counting earlier phases.
-        """
-        for key in self.stats:
-            self.stats[key] = 0
+        self.stats = CollectionStats()
 
     # ---------------------------------------------------------------- indexes
     def create_index(self, field: str) -> None:
         """Create (or rebuild) a hash index on ``field``."""
-        self.stats["index_rebuilds"] += 1
+        self.stats.index_rebuilds += 1
         self._build_hash_index(field)
 
     def create_sorted_index(self, field: str) -> None:
@@ -139,7 +141,7 @@ class Collection:
         are all ``None`` (e.g. ``{"$eq": None}``) therefore fall back to a
         scan instead of the index.  Values must be mutually comparable.
         """
-        self.stats["index_rebuilds"] += 1
+        self.stats.index_rebuilds += 1
         self._build_sorted_index(field)
 
     def _build_hash_index(self, field: str) -> None:
@@ -253,7 +255,7 @@ class Collection:
         positions = self._candidate_positions(query)
         if positions is None:
             if query:
-                self.stats["full_scans"] += 1
+                self.stats.full_scans += 1
             positions = range(len(self._documents))
         removed = 0
         # Copy: postings are mutated while we iterate over them.
@@ -327,7 +329,7 @@ class Collection:
 
     def compact(self) -> None:
         """Drop tombstones and rebuild indexes over the compacted slots."""
-        self.stats["compactions"] += 1
+        self.stats.compactions += 1
         self._doc_bytes = [b for d, b in zip(self._documents, self._doc_bytes)
                            if d is not None]
         self._documents = [d for d in self._documents if d is not None]
@@ -369,7 +371,7 @@ class Collection:
             return results
         positions = self._candidate_positions(query)
         if positions is None:
-            self.stats["full_scans"] += 1
+            self.stats.full_scans += 1
             positions = range(len(self._documents))
         for position in positions:
             document = self._documents[position]
@@ -399,7 +401,7 @@ class Collection:
             return len(self._documents) - self._tombstones
         positions = self._candidate_positions(query)
         if positions is None:
-            self.stats["full_scans"] += 1
+            self.stats.full_scans += 1
             positions = range(len(self._documents))
         matched = 0
         documents = self._documents
@@ -553,6 +555,7 @@ class DocumentStore:
         return sum(c.estimated_bytes() for c in self._collections.values())
 
     def reset_stats(self) -> None:
-        """Zero the instrumentation counters of every collection."""
+        """Zero the instrumentation counters of every collection (documents
+        and indexes stay intact)."""
         for collection in self._collections.values():
-            collection.reset_stats()
+            collection.stats.reset()

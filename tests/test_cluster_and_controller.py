@@ -21,7 +21,7 @@ class TestRpcChannel:
         assert rpc.total_traffic_bytes > 1000
         rpc.round_trip(100, 200)
         assert rpc.stats.messages == 3
-        rpc.reset()
+        rpc.stats.reset()
         assert rpc.total_traffic_bytes == 0
 
     def test_negative_payload_rejected(self):

@@ -15,6 +15,7 @@ evictions are in flight), and the consolidated
 ``controller.report(sections=...)``.
 """
 
+import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -94,7 +95,7 @@ class TestWriteBehind:
         assert archive.live_count == 1
         assert archive.lookup(key) == 7
         assert archive.archive_bytes() == 0  # nothing encoded yet
-        assert archive.stats["appends"] == 0
+        assert archive.stats.appends == 0
 
     def test_take_of_staged_entry_is_a_pop(self):
         """Promoting a still-staged entry creates no tombstone and no
@@ -109,7 +110,7 @@ class TestWriteBehind:
         assert archive.staged_count == 0
         assert archive.live_count == 0
         assert archive.dead_ratio == 0.0
-        assert archive.stats["takes"] == 1
+        assert archive.stats.takes == 1
         archive.flush()
         assert archive.archive_bytes() == 0
 
@@ -123,15 +124,15 @@ class TestWriteBehind:
         hits = archive.scan(ScanSpec())
         assert [record_id for record_id, _ in hits] == list(range(5))
         assert archive.staged_count == 0
-        assert archive.stats["flushes"] == 1
-        assert archive.stats["flushed_records"] == 5
+        assert archive.stats.flushes == 1
+        assert archive.stats.flushed_records == 5
 
     def test_buffer_bound_forces_inline_flush(self):
         archive = ColdArchive(write_behind_records=4)
         for i in range(4):
             archive.stage(i, make_record(i))
         assert archive.staged_count == 0  # the 4th stage flushed inline
-        assert archive.stats["flushes"] == 1
+        assert archive.stats.flushes == 1
         assert archive.live_count == 4
 
     def test_duplicate_key_rejected_while_staged(self):
@@ -276,15 +277,15 @@ class TestPruningSoundnessFuzz:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_pruned_scan_matches_brute_force(self, seed):
         rng, archive, records = fuzz_archive(seed)
-        archive.reset_stats()
+        archive.stats.reset()
         for round_ in range(6):
             for spec in fuzz_specs(rng, records):
                 assert_scan_is_brute_force(archive, spec)
         # the test is not vacuous: pruning fired and rows were passed over
-        assert archive.stats["segments_skipped"] > 0
-        assert archive.stats["entries_skipped"] > 0
-        assert archive.stats["entries_decoded"] > 0
-        assert archive.stats["decode_cache_hits"] == 0  # no cache survives
+        assert archive.stats.segments_skipped > 0
+        assert archive.stats.entries_skipped > 0
+        assert archive.stats.entries_decoded > 0
+        assert archive.stats.decode_cache_hits == 0  # no cache survives
 
     def test_direction_and_one_hop_twins_are_told_apart(self):
         """Two rows that differ only in path direction both traverse the
@@ -322,10 +323,10 @@ class TestPruningSoundnessFuzz:
             archive.append(i, make_record(i, stime=float(i),
                                           etime=float(i) + 1.0))
         archive.scan(ScanSpec(start=0.0, end=2.0))
-        assert archive.stats["segments_skipped"] > 0
-        archive.reset_stats()
-        assert archive.stats["segments_skipped"] == 0
-        assert archive.stats["entries_decoded"] == 0
+        assert archive.stats.segments_skipped > 0
+        archive.stats.reset()
+        assert archive.stats.segments_skipped == 0
+        assert archive.stats.entries_decoded == 0
 
 
 def fold_rows(chunks):
@@ -362,16 +363,17 @@ class TestFoldSoundness:
             for spec in fuzz_specs(rng, records):
                 want = sorted((r.bytes, r.path)
                               for _, r in brute_force(archive, spec))
-                archive.reset_stats()
+                archive.stats.reset()
                 archive.scan(spec)
-                scanned = dict(archive.stats)
-                archive.reset_stats()
+                scanned = dataclasses.replace(archive.stats)
+                archive.stats.reset()
                 got = fold_rows(archive.fold(spec, ("bytes", "path")))
                 assert got == want, spec
-                assert scanned["entries_decoded"] == len(want)
-                assert archive.stats["entries_decoded"] == 0
+                assert scanned.entries_decoded == len(want)
+                assert archive.stats.entries_decoded == 0
                 for key in PRUNING_COUNTERS:
-                    assert archive.stats[key] == scanned[key], (key, spec)
+                    assert getattr(archive.stats, key) == \
+                        getattr(scanned, key), (key, spec)
 
     def test_every_column_field_reads_back_from_both_tiers(self):
         assert COLUMN_FIELDS == ("path", "stime", "etime", "bytes", "pkts")
@@ -407,7 +409,7 @@ class TestFoldSoundness:
         for record in stream:
             plain.add_record(record)
             capped.add_record(record)
-        assert capped.promotions and capped.archive.segment_count > 4
+        assert capped.stats.promotions and capped.archive.segment_count > 4
         assert capped.archive.staged_count  # the fold must flush first
         for spec in fuzz_specs(rng, records):
             want = sorted((r.bytes, r.path)
@@ -505,7 +507,8 @@ class TestAggregateHandlersReadColumns:
                                   archive=ColdArchive(segment_records=16))}
         for tib in tibs.values():
             tib.add_records(stream)
-        assert tibs["spanning"].promotions and tibs["spanning"].record_count()
+        spanning = tibs["spanning"]
+        assert spanning.stats.promotions and spanning.record_count()
         assert not tibs["fully-cold"].record_count()
         return tibs
 
@@ -624,7 +627,7 @@ class TestScanResultsNeverAlias:
         snapshot = record_values([held])
         tib.add_record(PathFlowRecord(first.flow_id, first.path, 0.5, 30.0,
                                       50, 1))
-        assert tib.promotions == 1
+        assert tib.stats.promotions == 1
         assert tib.get_count(first.flow_id) == (150, 3)
         assert record_values([held]) == snapshot
         again = archive.scan(ScanSpec())

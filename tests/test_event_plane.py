@@ -125,7 +125,7 @@ class TestAtMostOnceAlerting:
         assert [a.flow_id for a in first] == [flow]
         assert monitor.run_check(now=2.0) == []
         assert monitor.run_check(now=3.0) == []
-        assert monitor.alerts_raised == 1
+        assert monitor.stats.alerts_raised == 1
 
     def test_reset_stats_reopens_alerting(self):
         monitor = ActiveMonitor("h0")
@@ -133,7 +133,7 @@ class TestAtMostOnceAlerting:
         monitor.observe_flow(flow, retransmissions=9, consecutive=5)
         monitor.run_check(now=1.0)
         monitor.reset_stats()
-        assert monitor.alerts_raised == 0
+        assert monitor.stats.alerts_raised == 0
         again = monitor.run_check(now=2.0)  # new measurement interval
         assert [a.flow_id for a in again] == [flow]
 
@@ -144,7 +144,7 @@ class TestAtMostOnceAlerting:
         monitor.run_check(now=1.0)
         monitor.reset()
         assert monitor.flows == {}
-        assert monitor.alerts_raised == 0  # used to survive the reset
+        assert monitor.stats.alerts_raised == 0  # used to survive the reset
 
     def test_cluster_reset_stats_resets_monitors(self):
         cluster = make_cluster(MODE_SERIAL)
@@ -153,7 +153,7 @@ class TestAtMostOnceAlerting:
         assert raised > 0
         assert cluster.run_monitors(2.0) == []  # all latched
         cluster.reset_stats()
-        assert all(a.monitor.alerts_raised == 0
+        assert all(a.monitor.stats.alerts_raised == 0
                    for a in cluster.agents.values())
         assert len(cluster.run_monitors(3.0)) == raised  # re-alerts
 

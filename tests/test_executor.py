@@ -71,7 +71,7 @@ class TestTransports:
         with pytest.raises(TransportError):
             transport.request("h0", (1,))
         assert transport.request("h0", (1,)).payload_bytes == 1
-        assert transport.dropped == 2
+        assert transport.stats.dropped == 2
 
     def test_loopback_dead_host_never_delivers(self):
         transport = LoopbackTransport(dead_hosts=["h0"])
@@ -485,19 +485,19 @@ class TestClusterExecutorIntegration:
         transport = LoopbackTransport()
         populated_cluster.configure_executor(transport=transport)
         populated_cluster.execute(Query(Q_GET_FLOWS, {}))
-        assert transport.messages > 0
+        assert transport.stats.messages > 0
         populated_cluster.reset_stats()
-        assert transport.messages == 0
+        assert transport.stats.messages == 0
 
     def test_reset_stats_clears_rpc_and_storage_counters(self,
                                                          populated_cluster):
         populated_cluster.execute(Query(Q_GET_FLOWS, {}))
         assert populated_cluster.rpc.stats.messages > 0
         agent = populated_cluster.agent(populated_cluster.hosts[0])
-        assert agent.tib.scan_routes["full"] > 0
-        agent.tib.evictions += 3
+        assert agent.tib.stats.hot_full_scans > 0
+        agent.tib.stats.evictions += 3
         populated_cluster.reset_stats()
         assert populated_cluster.rpc.stats.messages == 0
         assert populated_cluster.rpc.total_traffic_bytes == 0
-        assert agent.tib.scan_routes["full"] == 0
-        assert agent.tib.evictions == 0
+        assert agent.tib.stats.hot_full_scans == 0
+        assert agent.tib.stats.evictions == 0

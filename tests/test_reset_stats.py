@@ -1,60 +1,217 @@
-"""Regression locks for ``reset_stats()`` completeness (lint rule R2).
+"""The counter contracts: every stats holder is a :class:`Counters`, and
+every owner's ``reset_stats()`` zeroes every holder it can reach.
 
-Each test pins one counter family surfaced by the static analyzer's
-reset-completeness audit: the PR 5/7 two-tier counters (write-behind,
-decode cache, pruning) travelling through ``tier_stats``, the PR 6
-supervision counters on ``GroupPoolStats``, the chaos harness's injection
-counters (which had *no* reset path before the audit), and the
-introspective contract that every numeric field of a stats dataclass is
-re-zeroed - so adding a counter without extending ``reset()`` fails here
-before it silently poisons a measurement interval.
+``TestCounters`` holds each ``Counters`` subclass to the shape that makes a
+per-field reset and a misspelt counter name impossible: numeric zero
+defaults, one generic ``reset()``, slots.  ``TestOwnerResets`` walks each
+owner's object graph for the holders it reaches, sets every counter to a
+sentinel and requires zeros after the owner's ``reset_stats()`` - so a
+holder an owner forgets fails here, and so does an owner that swaps in a
+fresh holder instead of resetting in place (a reference taken before the
+reset would keep the old counts).  The two-tier flush-first and chaos
+re-base behaviours are pinned below them.
 """
 
 import dataclasses
+import gc
 
-from repro.core import Tib
-from repro.core.groupserver import GroupPoolStats
-from repro.core.rpc import RpcStats
+import pytest
+
+import repro.network  # noqa: F401 - defines Counters subclasses too
+from repro.core import PathDumpController, QueryCluster, Tib
+from repro.core.executor import LoopbackTransport
+from repro.core.monitor import ActiveMonitor
+from repro.core.query import Q_TOP_K_FLOWS, Query
 from repro.core.supervisor import ChaosPolicy
-from repro.storage import RetentionPolicy
+from repro.counters import Counters
+from repro.storage import DocumentStore, RetentionPolicy
 from repro.storage.archive import ColdArchive
 from repro.storage.records import ScanSpec
+from repro.topology.graph import Topology
 
+from test_supervisor import populate, small_topology
 from test_two_tier_tib import make_record
 
+SENTINEL = 7
 
-def _assert_dataclass_reset_zeroes_everything(stats) -> None:
-    """Set every numeric field to a sentinel, reset, require all zero."""
-    for field in dataclasses.fields(stats):
-        if field.type in ("int", "float", int, float):
-            setattr(stats, field.name, 7)
-    stats.reset()
-    for field in dataclasses.fields(stats):
-        if field.type in ("int", "float", int, float):
-            assert getattr(stats, field.name) == 0, field.name
+#: Holders named when the base landed; more may join, none may leave.
+KNOWN_HOLDERS = {
+    "ArchiveStats", "CollectionStats", "ControllerStats", "GroupPoolStats",
+    "LinkStats", "MonitorStats", "RpcStats", "SwitchCounters", "TibStats",
+    "TransportStats", "VSwitchStats",
+}
 
 
-class TestStatsDataclasses:
-    def test_pool_stats_reset_covers_every_field(self):
-        # Introspective: a counter added to GroupPoolStats without a
-        # matching line in reset() (restarts/reseed_ms/... were added in
-        # PR 6) fails here by construction.
-        _assert_dataclass_reset_zeroes_everything(GroupPoolStats())
+def counter_classes():
+    """Every ``Counters`` subclass of the ``core``, ``storage`` and
+    ``network`` packages (all imported above).  A slotted dataclass
+    replaces the class it decorates; collect first so the replaced
+    originals are gone from ``__subclasses__``."""
+    gc.collect()
+    found, stack = [], [Counters]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            found.append(sub)
+            stack.append(sub)
+    return sorted(found, key=lambda cls: cls.__qualname__)
 
-    def test_rpc_stats_reset_covers_every_field(self):
-        _assert_dataclass_reset_zeroes_everything(RpcStats())
+
+class TestCounters:
+    def test_covers_every_holder(self):
+        assert KNOWN_HOLDERS <= {cls.__name__ for cls in counter_classes()}
+        assert {cls.__module__.split(".")[1] for cls in counter_classes()} \
+            == {"core", "storage", "network"}
+
+    @pytest.mark.parametrize("cls", counter_classes(),
+                             ids=lambda cls: cls.__name__)
+    def test_contract(self, cls):
+        counters = dataclasses.fields(cls)
+        assert counters, f"{cls.__name__} declares no counter"
+        for counter in counters:
+            assert type(counter.default) in (int, float), counter.name
+            assert counter.default == 0, counter.name
+        stats = cls()
+        for counter in counters:
+            setattr(stats, counter.name, SENTINEL)
+        assert stats.get(counters[0].name) == SENTINEL
+        stats.reset()
+        assert all(getattr(stats, counter.name) == 0
+                   for counter in counters)
+        # Slots: an undeclared name is an error on write and on read.
+        with pytest.raises(AttributeError):
+            stats.no_such_counter = 1
+        with pytest.raises(AttributeError):
+            stats.no_such_counter
 
 
+# ------------------------------------------------------------------ owners
+def capped_tib():
+    tib = Tib("h", retention=RetentionPolicy(max_records=20),
+              archive=ColdArchive(segment_records=32))
+    for i in range(200):
+        tib.add_record(make_record(i))
+    tib.archive.scan(ScanSpec(start=0.0, end=50.0))
+    return tib
+
+
+def document_store():
+    store = DocumentStore()
+    collection = store.collection("people")
+    collection.insert({"name": "ada", "age": 36})
+    collection.find({"age": {"$gt": 30}})
+    return store
+
+
+def active_monitor():
+    monitor = ActiveMonitor("h0")
+    monitor.observe_flow(make_record(0).flow_id, retransmissions=9,
+                         consecutive=5)
+    monitor.run_check(now=1.0)
+    return monitor
+
+
+def loopback_transport():
+    transport = LoopbackTransport()
+    transport.respond("h0", 10)
+    return transport
+
+
+def serial_cluster():
+    cluster = QueryCluster(small_topology())
+    cluster.configure_retention(max_records=5)
+    populate(cluster)
+    cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 3}))
+    return cluster
+
+
+def path_dump_controller():
+    ctl = PathDumpController(serial_cluster())
+    ctl.execute(None, Query(Q_TOP_K_FLOWS, {"k": 3}))
+    return ctl
+
+
+def link_registry():
+    return small_topology().links
+
+
+#: owner factory -> holder classes its graph must at least reach.
+OWNERS = {
+    "Tib": (capped_tib, {"TibStats", "ArchiveStats"}),
+    "Collection": (document_store, {"CollectionStats"}),
+    "ActiveMonitor": (active_monitor, {"MonitorStats"}),
+    "LoopbackTransport": (loopback_transport, {"TransportStats"}),
+    "QueryCluster": (serial_cluster, {"RpcStats", "TibStats",
+                                      "ArchiveStats", "MonitorStats",
+                                      "VSwitchStats"}),
+    "PathDumpController": (path_dump_controller, {"ControllerStats",
+                                                  "RpcStats", "TibStats",
+                                                  "MonitorStats"}),
+    "LinkRegistry": (link_registry, {"LinkStats"}),
+}
+
+
+def reachable_counters(root):
+    """Every ``Counters`` reachable from ``root`` through attributes and
+    containers of ``repro`` objects.  A ``Topology`` other than the root is
+    not walked: it is the simulated fabric's, shared by every owner built
+    on it, and its link counters are reset by ``LinkRegistry``."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Counters):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro.") and \
+                (obj is root or not isinstance(obj, Topology)):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                slots = getattr(cls, "__slots__", ())
+                for name in (slots,) if isinstance(slots, str) else slots:
+                    if hasattr(obj, name):
+                        stack.append(getattr(obj, name))
+    return found
+
+
+class TestOwnerResets:
+    @pytest.mark.parametrize("owner", sorted(OWNERS))
+    def test_reset_stats_zeroes_every_reachable_holder(self, owner):
+        factory, expected = OWNERS[owner]
+        root = factory()
+        holders = reachable_counters(root)
+        assert expected <= {type(stats).__name__ for stats in holders}
+        for stats in holders:
+            for counter in dataclasses.fields(stats):
+                setattr(stats, counter.name, SENTINEL)
+        root.reset_stats()
+        for stats in holders:
+            for counter in dataclasses.fields(stats):
+                assert getattr(stats, counter.name) == 0, \
+                    f"{owner}: {type(stats).__name__}.{counter.name}"
+
+    def test_held_stats_reference_reads_zero_after_reset(self):
+        # Resets happen in place: a reference taken before reset_stats()
+        # sees the new interval (a replaced holder would keep old counts).
+        for owner in ("Tib", "ActiveMonitor", "LoopbackTransport",
+                      "PathDumpController"):
+            root = OWNERS[owner][0]()
+            held = root.stats
+            assert any(getattr(held, counter.name)
+                       for counter in dataclasses.fields(held)), owner
+            root.reset_stats()
+            assert not any(getattr(held, counter.name)
+                           for counter in dataclasses.fields(held)), owner
+
+
+# ------------------------------------------------------------- behaviours
 class TestTwoTierCounters:
     def test_tib_reset_zeroes_write_behind_and_decode_counters(self):
-        # Small segments so evictions seal real segments and the scan
-        # exercises the decode/pruning counters.
-        tib = Tib("h", retention=RetentionPolicy(max_records=20),
-                  archive=ColdArchive(segment_records=32))
-        for i in range(200):
-            tib.add_record(make_record(i))
-        # The cold half of the read surface moves the decode counters.
-        tib.archive.scan(ScanSpec(start=0.0, end=50.0))
+        tib = capped_tib()
         before = tib.tier_stats()
         assert before["evictions"] > 0
         assert before["write_behind_flushes"] > 0
@@ -71,22 +228,6 @@ class TestTwoTierCounters:
         # Sizes are state, not stats: the tiers still hold the records.
         assert after["hot_records"] > 0
         assert after["cold_records"] > 0
-
-    def test_archive_reset_zeroes_every_stats_key(self):
-        # The archive resets by iterating its own stats dict, so a newly
-        # added counter is covered automatically - lock that shape.
-        tib = Tib("h", retention=RetentionPolicy(max_records=10))
-        for i in range(100):
-            tib.add_record(make_record(i))
-        tib.flush_archive()
-        assert any(tib.archive.stats.values())
-        tib.archive.reset_stats()
-        assert set(tib.archive.stats) == {
-            "appends", "takes", "segments_sealed", "compactions",
-            "segment_decodes", "segments_skipped", "entries_decoded",
-            "entries_skipped", "decode_cache_hits", "flushes",
-            "flushed_records"}
-        assert not any(tib.archive.stats.values())
 
     def test_tib_reset_flushes_staged_evictions_first(self):
         # reset_stats must flush before zeroing: staged evictions from

@@ -73,10 +73,10 @@ class TestIncrementalIndexMaintenance:
 
     def test_delete_updates_postings_without_rebuild(self):
         collection = self._collection()
-        rebuilds = collection.stats["index_rebuilds"]
+        rebuilds = collection.stats.index_rebuilds
         removed = collection.delete({"city": "paris"})
         assert removed == 5
-        assert collection.stats["index_rebuilds"] == rebuilds
+        assert collection.stats.index_rebuilds == rebuilds
         assert collection.find({"city": "paris"}) == []
         assert len(collection.find({"city": "london"})) == 5
         # The index keeps serving inserts after the incremental delete.
@@ -124,10 +124,10 @@ class TestIncrementalIndexMaintenance:
         collection.create_index("bucket")
         for i in range(100):
             collection.insert({"n": i, "bucket": i % 4})
-        assert collection.stats["compactions"] == 0
+        assert collection.stats.compactions == 0
         collection.delete({"bucket": 0})
         collection.delete({"bucket": 1})
-        assert collection.stats["compactions"] >= 1
+        assert collection.stats.compactions >= 1
         assert collection.tombstone_ratio == 0.0
         assert collection.count() == 50
         assert len(collection.find({"bucket": 2})) == 25
@@ -157,7 +157,7 @@ class TestSortedIndex:
 
     def test_range_queries_use_bisection(self):
         collection = self._collection()
-        scans = collection.stats["full_scans"]
+        scans = collection.stats.full_scans
         assert sorted(d["age"] for d in
                       collection.find({"age": {"$gte": 20}})) == [20, 20, 30, 40]
         assert sorted(d["age"] for d in
@@ -172,7 +172,7 @@ class TestSortedIndex:
                       collection.find({"age": {"$gt": 10, "$lt": 40}})) == \
             [20, 20, 30]
         # Every query above was answered from the sorted index.
-        assert collection.stats["full_scans"] == scans
+        assert collection.stats.full_scans == scans
 
     def test_boundary_values_exact(self):
         collection = self._collection()
@@ -196,11 +196,11 @@ class TestSortedIndex:
     def test_id_equality_uses_id_map(self):
         collection = self._collection()
         doc = collection.find_one({"age": 40})
-        scans = collection.stats["full_scans"]
+        scans = collection.stats.full_scans
         assert collection.find({"_id": doc["_id"]}) == [doc]
         assert collection.find({"_id": "no-such-id"}) == []
         assert collection.delete({"_id": doc["_id"]}) == 1
-        assert collection.stats["full_scans"] == scans
+        assert collection.stats.full_scans == scans
 
     def test_maintained_through_update_and_delete(self):
         collection = self._collection()
@@ -358,12 +358,12 @@ class TestCountWithoutMaterializing:
         assert people.count(query or None) == len(people.find(query or None))
 
     def test_count_uses_index_not_full_scan(self, people):
-        people.reset_stats()
+        people.stats.reset()
         assert people.count({"city": "london"}) == 2
-        assert people.stats["full_scans"] == 0
+        assert people.stats.full_scans == 0
         # un-indexed field: the full scan is counted, like find's
         assert people.count({"age": 25}) == 1
-        assert people.stats["full_scans"] == 1
+        assert people.stats.full_scans == 1
 
     def test_count_skips_tombstones(self, people):
         people.delete({"name": "ada"})
@@ -377,6 +377,6 @@ class TestCountWithoutMaterializing:
         for i in range(50):
             collection.insert({"when": float(i % 10), "seq": i})
         query = {"when": {"$gte": 3.0, "$lt": 6.0}}
-        collection.reset_stats()
+        collection.stats.reset()
         assert collection.count(query) == len(collection.find(query)) == 15
-        assert collection.stats["full_scans"] == 0
+        assert collection.stats.full_scans == 0

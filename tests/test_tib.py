@@ -390,8 +390,8 @@ class TestHotBytesAccounting:
             elif roll < 0.99:
                 tib.configure_retention()  # unbounded for a while
             else:
-                evictions += tib.evictions
-                promotions += tib.promotions
+                evictions += tib.stats.evictions
+                promotions += tib.stats.promotions
                 tib.clear()
                 tib.reset_stats()
                 clears += 1
@@ -405,8 +405,8 @@ class TestHotBytesAccounting:
             if step % 25 == 0:
                 assert expected == _docstore_bytes(tib)
         assert tib.estimated_bytes() == _docstore_bytes(tib)
-        assert evictions + tib.evictions > 0
-        assert promotions + tib.promotions > 0
+        assert evictions + tib.stats.evictions > 0
+        assert promotions + tib.stats.promotions > 0
         assert any(admitted) and clears
         assert len(tib.store.collection(Tib.COLLECTION)) == 0
 
@@ -420,7 +420,7 @@ class TestHotBytesAccounting:
             record = self._random_record(rng, rng.randrange(50))
             capped.add_record(record)
             plain.add_record(record)
-        assert capped.promotions > 0 and capped.evictions > 0
+        assert capped.stats.promotions > 0 and capped.stats.evictions > 0
         cold_ids = {(flow_key(record.flow_id), record.path): record_id
                     for record_id, record in capped.archive.scan(ScanSpec())}
         assert cold_ids and {**capped._primary, **cold_ids} == plain._primary
@@ -520,9 +520,9 @@ class TestFlowRanking:
         if cap is not None:
             assert any(admitted), "no cold admission"
             assert installed, "no promotion"
-            # tib.promotions also counts merges folded off-tier, which
+            # tib.stats.promotions also counts merges folded off-tier, which
             # install nothing.
-            assert tib.promotions > len(installed), "no off-tier fold"
+            assert tib.stats.promotions > len(installed), "no off-tier fold"
 
     def test_concurrent_readers_agree(self):
         """Readers racing to fold the same stale flows (no write between

@@ -54,7 +54,7 @@ class TestRetentionBounds:
         assert tib.archive.live_count == tib.total_record_count() - \
             tib.record_count()
         # every record beyond the cap was aged out at least once
-        assert tib.evictions >= tib.total_record_count() - cap
+        assert tib.stats.evictions >= tib.total_record_count() - cap
         assert tib.archive_bytes() > 0
 
     def test_byte_cap_holds_under_10x_ingest(self):
@@ -108,12 +108,12 @@ class TestRetentionBounds:
         tib = Tib("h", retention=RetentionPolicy(max_records=5))
         for i in range(20):
             tib.add_record(make_record(i))
-        assert tib.evictions > 0
+        assert tib.stats.evictions > 0
         tib.reset_stats()
         stats = tib.tier_stats()
         assert stats["evictions"] == 0
         assert stats["promotions"] == 0
-        assert tib.archive.stats["appends"] == 0
+        assert tib.archive.stats.appends == 0
         # data survives a stats reset
         assert stats["cold_records"] > 0
 
@@ -187,7 +187,7 @@ class TestPromotion:
         update = PathFlowRecord(first.flow_id, first.path, 0.5, 30.0, 50, 1)
         capped.add_record(update)
         plain.add_record(update)
-        assert capped.promotions == 1
+        assert capped.stats.promotions == 1
         assert record_values(capped.records()) == record_values(
             plain.records())
         nbytes, pkts = capped.get_count(first.flow_id)
@@ -207,7 +207,7 @@ class TestPromotion:
             for tib in (capped, plain):
                 tib.add_record(filler)
                 tib.add_record(update)
-        assert capped.promotions > 1  # promoted, merged, re-archived, ...
+        assert capped.stats.promotions > 1  # promoted, merged, re-archived, ...
         assert record_values(capped.records()) == record_values(
             plain.records())
         for window in (None, (1.5, 3.0)):
@@ -231,22 +231,22 @@ class TestColdArchiveUnit:
     def test_sparse_index_prunes_segments(self):
         archive = ColdArchive(segment_records=10)
         self._fill(archive, 40)
-        archive.reset_stats()
+        archive.stats.reset()
         # A window covering only the first segment decodes only it (the
         # active buffer holds entries 40..; segments are [0..9], [10..19]...)
         hits = archive.scan(ScanSpec(start=0.0, end=5.0))
         assert [record_id for record_id, _ in hits] == list(range(6))
-        assert archive.stats["segment_decodes"] == 1
+        assert archive.stats.segment_decodes == 1
 
     def test_flow_key_pruning(self):
         archive = ColdArchive(segment_records=5)
         self._fill(archive, 20)
-        archive.reset_stats()
+        archive.stats.reset()
         target = make_record(3)
         fkey = flow_key(target.flow_id)
         hits = archive.scan(ScanSpec(flow_keys=frozenset((fkey,))))
         assert hits and all(flow_key(r.flow_id) == fkey for _, r in hits)
-        assert archive.stats["segment_decodes"] <= archive.segment_count
+        assert archive.stats.segment_decodes <= archive.segment_count
 
     def test_take_tombstones_and_compaction_reclaims(self):
         archive = ColdArchive(segment_records=8, compact_dead_ratio=0.25)
@@ -259,7 +259,7 @@ class TestColdArchiveUnit:
                 for i in range(30)]
         for key in keys:
             archive.take(key)
-        assert archive.stats["compactions"] >= 1
+        assert archive.stats.compactions >= 1
         assert archive.live_count == 50
         assert archive.archive_bytes() < bytes_before
         # compaction keeps the dead fraction below the trigger threshold
@@ -286,7 +286,7 @@ class TestColdArchiveUnit:
                                         record.etime + round_ + 1, 1, 1)
                 capped.add_record(update)
             capped.flush_archive()
-        assert capped.archive.stats["compactions"] > 0
+        assert capped.archive.stats.compactions > 0
         live = capped.archive.live_count
         # the log may carry garbage up to the compaction threshold plus an
         # unsealed tail, but not the 12x churn history
@@ -510,7 +510,7 @@ class TestSnapshotSyncWithPromotionHistory:
 
         for i in range(80):  # pre-start: merges promote archived keys
             agent.ingest_path_record(record(i))
-        assert agent.tib.promotions > 0
+        assert agent.tib.stats.promotions > 0
         cluster.configure_executor(mode=MODE_PROCESS)  # snapshot sync
         for i in range(80, 200):  # mirrored: promotions on both sides
             agent.ingest_path_record(record(i))

@@ -374,7 +374,7 @@ class TestEventPlaneFrames:
             wire.encode_monitor_state(monitor.snapshot())))
         assert wire.encode_value(twin.get_poor_tcp_flows()) == \
             wire.encode_value(monitor.get_poor_tcp_flows())
-        assert twin.alerts_raised == monitor.alerts_raised
+        assert twin.stats.alerts_raised == monitor.stats.alerts_raised
         assert twin.run_check(now=22.0) == []  # latches survived the trip
 
     def test_monitor_pull_frame(self):
