@@ -143,10 +143,11 @@ def test_two_tier_tib(benchmark, report_writer):
     # single-tier engine, so the box's speed cancels.  That side is cheap
     # (uncapped ingest ~7 us a record, hot-only get_flows ~1.0 ms for
     # ~2,000 matches), so the ratios read high against small absolute cold
-    # costs.  Zone-map/bloom pruning plus column predicates (the link test
-    # runs once per distinct path of a segment) keep a spanning link query
-    # at ~7-12.5x hot-only (~10 ms) with every scan materialising its
-    # matches afresh; admission control plus the write-behind buffer keep
+    # costs.  Exact link postings (a segment without a row on the link is
+    # skipped, a survivor's rows on it are one posting run) plus column
+    # predicates keep a spanning link query well inside the bound with
+    # every scan materialising its matches afresh; admission control plus
+    # the write-behind buffer keep
     # capped ingest at ~2.5-4x uncapped (~20 us a record).  The bounds sit
     # just above what a shared runner's noise reaches.
     assert capped_link_s <= 15.0 * plain_link_s, \
@@ -227,7 +228,8 @@ def test_two_tier_tib(benchmark, report_writer):
          f"is built"],
         ["cold segments pruned / opened",
          f"{scan_stats['segments_skipped']} / "
-         f"{scan_stats['segment_decodes']}", "zone maps + blooms"],
+         f"{scan_stats['segment_decodes']}",
+         "zone maps + flow-key blooms + link postings"],
         ["cold rows passed over / materialised",
          f"{scan_stats['entries_skipped']} / "
          f"{scan_stats['entries_decoded']}", "column predicates"],

@@ -23,8 +23,9 @@ provides, in one place:
 * the **pushdown executor** (:func:`execute_plan`): ``Filter`` compiles
   to a :class:`~repro.storage.records.ScanSpec` (:func:`scan_spec`), so
   the hot tier's flow/link/time index routing and the cold tier's
-  zone-map/bloom pruning both apply, and the pruning work saved is
-  reported per plan via ``scan_stats`` snapshots;
+  segment pruning (zone maps, flow-key blooms, exact link postings) both
+  apply, and the pruning work saved is reported per plan via
+  ``scan_stats`` snapshots;
 * the **merge operators** (concat / histogram-merge / top-k-merge)
   selected by the plan's *terminal* op (:func:`merge_operator`,
   :func:`merge_payloads`) - the generic reductions the slot-ordered
@@ -521,10 +522,10 @@ def scan_spec(filter_op: Optional[Filter]) -> ScanSpec:
     """Compile a plan ``Filter`` to the tiers' shared :class:`ScanSpec`.
 
     This is the pushdown seam: the hot tier routes the spec through its
-    flow/link/time indexes, the cold tier prunes segments with zone maps
-    and blooms - exactly the machinery the legacy keyword reads use.  The
-    exact-path predicate does not push down (no tier indexes paths); the
-    executor applies it residually.
+    flow/link/time indexes, the cold tier prunes segments with zone maps,
+    flow-key blooms and link postings - exactly the machinery the keyword
+    reads use.  The exact-path predicate does not push down (no tier
+    indexes paths); the executor applies it residually.
     """
     if filter_op is None:
         return ScanSpec()
@@ -694,7 +695,7 @@ def execute_plan(tib: Any, plan: Plan) -> PlanExecution:
     """Execute a plan against one host's TIB with full pushdown.
 
     The ``Filter`` compiles to a :class:`ScanSpec` served by both tiers
-    (hot index routing + cold zone-map/bloom pruning); two aggregate
+    (hot index routing + cold segment pruning); two aggregate
     shapes short-circuit onto the maintained per-flow totals, and an
     unconstrained value-ranked top-k onto the TIB's flow ranking
     (``Tib.ranked_flow_bytes``).  ``scan_stats`` is the difference of

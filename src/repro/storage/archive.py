@@ -28,29 +28,40 @@ per-segment column widths are the segment codec's - see
 segment also keeps the two dictionaries it was sealed from beside it (a
 list of names and a list of path tuples - objects the rest of the process
 already shares), so reading one never decodes a dictionary.  Each segment
-carries its pruning metadata:
+carries its pruning metadata, none of it in the blob:
 
-* a **zone map** - the ``[min stime, max etime]`` time envelope and the
-  exact set of path nodes it holds;
-* a **link bloom** and a **flow-key bloom** (crc32-salted, so they mean the
-  same thing in every worker process).
+* a **zone map** - the ``[min stime, max etime]`` time envelope;
+* a **flow-key bloom** (crc32-salted, so it means the same thing in every
+  worker process);
+* exact **link postings** - for every undirected link its rows traverse,
+  those row numbers, ascending.  Links are numbered per archive (an
+  ordinal per link, the incident links of every node and each path's
+  links are remembered as they are first seen, so a path's hops are
+  walked once per archive, not once per segment), and a segment stores
+  its postings CSR-style in three typed arrays built once, at seal time.
 
 :meth:`scan` - the cold half of the tiers' shared
-:class:`~repro.storage.records.ScanSpec` read surface - prunes whole
-segments on that metadata and then filters the survivors *on columns*: the
-time window on the two time columns alone (nothing else of the segment is
-touched when no row survives), link constraints once per distinct path of
-the segment, flow keys on the five flow-id columns after one dictionary
-lookup per key.  Every column predicate is exact, so a scan materialises
-only its results - two dictionary lookups and two constructors a row - and
-the unsealed tail is scanned the same way over its lists.  :meth:`fold` is
-the same selection with no materialisation at all: it hands an aggregate
-the selected rows of the columns it names, one chunk per log position, and
-builds no record (``entries_decoded`` counts rows *materialised*, so a fold
-leaves it alone).  There is no decoded-record cache: a sequential scan
-larger than any bounded LRU never hits it, and materialising a row costs
-less than the bookkeeping did.  There is no scan-mode option either:
-threads under the interpreter lock never won on array-speed work.
+:class:`~repro.storage.records.ScanSpec` read surface - turns the spec's
+link conjunction into link ordinals, skips every segment whose zone map,
+flow-key bloom or postings rule it out (the postings exactly: a segment
+survives a link constraint only if some row of it satisfies the whole
+conjunction), and takes the rows the postings select - a concrete link's
+run, the union of a wildcard node's incident links' runs, intersected
+across the conjunction - as the starting set.  The remaining predicates
+run *on columns* over the rows still in play: the time window on the two
+time columns alone, flow keys on the five flow-id columns after one
+dictionary lookup per key.  Every predicate is exact, so a scan
+materialises only its results - two dictionary lookups and two
+constructors a row - and the unsealed tail is scanned the same way over
+its lists, with postings rebuilt by the first read after it grows.
+:meth:`fold` is the same selection with no materialisation at all: it
+hands an aggregate the selected rows of the columns it names, one chunk
+per log position, and builds no record (``entries_decoded`` counts rows
+*materialised*, so a fold leaves it alone).  There is no decoded-record
+cache: a sequential scan larger than any bounded LRU never hits it, and
+materialising a row costs less than the bookkeeping did.  There is no
+scan-mode option either: threads under the interpreter lock never won on
+array-speed work.
 
 :meth:`archive_bytes` is *measured*: the ``len`` of every sealed blob plus
 the tail at the size it would seal to (computed by packing it).  Two
@@ -68,20 +79,25 @@ The archive keeps two indexes over its live entries: the **key index**
 ``(flow key, path) -> record id`` (staged entries included), so the hot
 tier's upsert path detects in O(1) that an incoming record must merge into
 an archived one, and the **locator** ``record id -> (segment, row)`` of the
-id's one live row.  A row is live iff the locator points at it, which is
-the whole tombstone / latest-entry-wins rule.  Two mutations exist besides
-append:
+id's one live row.  Beside them every log position (each sealed segment
+and the tail) holds its **dead set**: the row numbers of its garbage.  A
+row is live iff the locator points at it iff it is not in its position's
+dead set, which is the whole tombstone / latest-entry-wins rule; reads
+test liveness against the dead set alone (nothing at all for a position
+without garbage), and only :meth:`take` needs the locator.  Two mutations
+exist besides append:
 
 * :meth:`ColdArchive.take` removes one entry (the hot tier *promotes* a
   record back when a new write merges into an archived key).  A still-
   staged entry is simply popped from the write-behind buffer; a logged
   row is found through the locator, read at computed offsets and left in
-  place as garbage.
+  place as garbage - added to its position's dead set.  (An append that
+  re-archives an id whose row is still live marks that row dead too.)
 * :meth:`ColdArchive.compact` rewrites the log without its garbage rows
   (triggered automatically once the garbage fraction crosses
   :attr:`ColdArchive.compact_dead_ratio`), splicing kept rows column by
   column and recomputing each rewritten segment's pruning metadata
-  exactly.
+  exactly; every rewritten position starts with an empty dead set.
 
 Nothing in this module imports the wire codec at import time (the codec
 lives in :mod:`repro.core`, which imports this package); it is bound lazily
@@ -93,11 +109,13 @@ from __future__ import annotations
 
 import threading
 import zlib
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import filterfalse
 from operator import itemgetter
-from typing import (Any, Dict, FrozenSet, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.counters import Counters
 from repro.network.packet import FlowId
@@ -109,10 +127,10 @@ ArchiveKey = Tuple[str, Tuple[str, ...]]
 
 _INF = float("inf")
 
-_wire = None
+_wire: Any = None
 
 
-def _codec():
+def _codec() -> Any:
     """The wire codec, bound lazily (see the module docstring)."""
     global _wire
     if _wire is None:
@@ -121,42 +139,16 @@ def _codec():
     return _wire
 
 
-#: Segment-bloom geometry.  Sized for the segment granularity (256 entries
-#: by default): 512 link bits with k=2 stay well under ~20% full for a
-#: datacenter topology's link diversity per segment, and 2048 flow-key bits
-#: with k=3 keep the per-segment false-positive rate in the low percent
-#: even when every entry carries a distinct flow.  Segment blooms are plain
-#: Python ints (subset test = two bitwise ops), rebuilt at seal time.
-SEG_LINK_BLOOM_BITS = 512
+#: Flow-key bloom geometry.  Sized for the segment granularity (256 entries
+#: by default): 2048 bits with k=3 keep the per-segment false-positive rate
+#: in the low percent even when every entry carries a distinct flow.  The
+#: bloom is a plain Python int (subset test = two bitwise ops), built at
+#: seal time.
 SEG_FKEY_BLOOM_BITS = 2048
 #: crc32 salts (k hash functions); crc32 instead of ``hash()`` because the
 #: latter is per-process randomized and segment metadata must agree across
 #: worker processes.
-_SEG_LINK_SALTS = (0x51ED2701, 0x9E3779B9)
 _SEG_FKEY_SALTS = (0x1B873593, 0xCC9E2D51, 0x85EBCA6B)
-
-
-@lru_cache(maxsize=1 << 12)
-def _seg_link_mask(a: str, b: str) -> int:
-    """Segment-bloom mask of one concrete (undirected) link."""
-    if b < a:
-        a, b = b, a
-    key = (a + "\x00" + b).encode("utf-8")
-    mask = 0
-    for salt in _SEG_LINK_SALTS:
-        mask |= 1 << (zlib.crc32(key, salt) % SEG_LINK_BLOOM_BITS)
-    return mask
-
-
-@lru_cache(maxsize=1 << 14)
-def _seg_path_link_bloom(path: Tuple[str, ...]) -> int:
-    """Segment-bloom contribution of one path (all its undirected links)."""
-    if len(path) < 2:
-        return 0
-    bloom = 0
-    for a, b in zip(path, path[1:]):
-        bloom |= _seg_link_mask(a, b)
-    return bloom
 
 
 def _seg_fkey_mask(fkey: str) -> int:
@@ -235,51 +227,90 @@ class ArchiveStats(Counters):
 
 #: Row bits of a locator position ``segment number << _ROW_BITS | row``.
 _ROW_BITS = 32
+_ROW_MASK = (1 << _ROW_BITS) - 1
+
+#: A compiled link conjunction: per constraint, the link ordinals any one
+#: of which satisfies it (a concrete link's own ordinal, a wildcard node's
+#: incident links; none when the archive never saw such a link).
+LinkConstraints = Sequence[Tuple[int, ...]]
 
 
-@lru_cache(maxsize=1 << 16)
-def _path_matches(path: Tuple[str, ...], links) -> bool:
-    """:meth:`ScanSpec.matches`'s link conjunction for one path - the scan
-    asks once per distinct path of a segment, not once per row, and the
-    answer is memoized: a fabric has few paths and a debugging session few
-    links, while a 256-row segment holds a hundred distinct paths."""
-    if len(path) < 2:
-        return False  # traverses no link
-    for a, b in links:
-        if a is None or b is None:
-            if (a if b is None else b) not in path:
-                return False
-        elif a not in path or b not in path:
-            return False
-        else:
-            hops = tuple(zip(path, path[1:]))
-            if (a, b) not in hops and (b, a) not in hops:
-                return False
-    return True
+def _live_rows(candidates: Sequence[int], dead: Set[int]) -> Sequence[int]:
+    """The ``candidates`` of one log position that are not in its dead
+    set - all of them, untouched, when it holds no garbage."""
+    return candidates if not dead else [*filterfalse(dead.__contains__,
+                                                     candidates)]
+
+
+class _Postings:
+    """Exact link -> rows index of one log position, CSR-style: ``links``
+    holds the position's link ordinals ascending, and the rows on
+    ``links[i]`` are ``rows[offsets[i]:offsets[i + 1]]``, ascending."""
+
+    __slots__ = ("links", "offsets", "rows")
+
+    def __init__(self, runs: Dict[int, List[int]], count: int) -> None:
+        """Pack ``{link ordinal: its row numbers}`` of a ``count``-row
+        position."""
+        ordered = sorted(runs)
+        flat: List[int] = []
+        offsets = [0]
+        for link in ordered:
+            run = runs[link]
+            run.sort()
+            flat += run
+            offsets.append(len(flat))
+        self.links = array("I", ordered)
+        self.offsets = array("I", offsets)
+        self.rows = (array("H", flat) if count <= 1 << 16
+                     else array("I", flat))
+
+    def run(self, link: int) -> Sequence[int]:
+        """The rows on one link, ascending (empty when none is)."""
+        links = self.links
+        i = bisect_left(links, link)
+        if i == len(links) or links[i] != link:
+            return ()
+        return self.rows[self.offsets[i]:self.offsets[i + 1]]
+
+    def select(self, constraints: LinkConstraints
+               ) -> Optional[Sequence[int]]:
+        """The rows satisfying every constraint, ascending - empty when
+        none does, ``None`` when there is no constraint."""
+        selected: Optional[Sequence[int]] = None
+        for ordinals in constraints:
+            if len(ordinals) == 1:
+                rows: Sequence[int] = self.run(ordinals[0])
+            else:
+                rows = sorted(set().union(*map(self.run, ordinals)))
+            if selected is not None:
+                rows = sorted(set(selected).intersection(rows))
+            if not rows:
+                return ()
+            selected = rows
+        return selected
 
 
 class _Segment:
     """One sealed segment - the immutable blob, opened, with the two
     dictionaries it was sealed from kept beside it - plus its pruning
-    metadata."""
+    metadata and its dead set."""
 
-    __slots__ = ("rows", "min_stime", "max_etime", "nodes", "link_bloom",
-                 "fkey_bloom")
+    __slots__ = ("rows", "min_stime", "max_etime", "fkey_bloom", "postings",
+                 "dead")
 
-    def __init__(self, builder) -> None:
+    def __init__(self, builder: Any, postings: _Postings,
+                 dead: Set[int]) -> None:
         """Seal a segment builder's rows: pack the blob and compute the
-        zone map and blooms exactly from its columns."""
+        zone map and flow-key bloom exactly from its columns.  The caller
+        built ``postings`` from the same rows and hands over their
+        ``dead`` set."""
         wire = _codec()
         rows = self.rows = builder.seal()
+        self.postings = postings
+        self.dead = dead
         self.min_stime: float = min(rows.column(wire.SEG_STIME))
         self.max_etime: float = max(rows.column(wire.SEG_ETIME))
-        nodes: Set[str] = set()
-        self.link_bloom = 0
-        for path in rows.paths():
-            if len(path) >= 2:
-                nodes.update(path)
-            self.link_bloom |= _seg_path_link_bloom(path)
-        self.nodes: FrozenSet[str] = frozenset(nodes)
         name = rows.names().__getitem__
         self.fkey_bloom = 0
         for mask in map(_seg_flow_mask,
@@ -291,29 +322,18 @@ class _Segment:
             self.fkey_bloom |= mask
 
     def may_match(self, start: Optional[float], end: Optional[float],
-                  link_tests: List[Tuple[Optional[str], int]],
                   fkey_masks: Optional[List[int]]) -> bool:
-        """Zone-map + bloom pruning: can this segment hold a match?
-
-        ``link_tests`` is the compiled link conjunction - ``(node, mask)``
-        pairs where a non-``None`` node means "the segment must hold this
-        path node" (exact set test, for wildcard-endpoint constraints) and
-        otherwise ``mask`` must be a subset of the segment's link bloom.
-        ``fkey_masks`` is the flow-key disjunction against the flow-key
+        """Zone-map + flow-key-bloom pruning: can this segment hold a
+        match?  ``fkey_masks`` is the flow-key disjunction against the
         bloom.  False negatives are impossible: a pruned segment provably
         holds no matching entry (the pruning-soundness fuzz test asserts
-        exactly this against a brute-force read of every row).
-        """
+        exactly this against a brute-force read of every row).  Link
+        constraints prune on the postings instead, exactly
+        (:meth:`_Postings.select`)."""
         if start is not None and self.max_etime < start:
             return False
         if end is not None and self.min_stime > end:
             return False
-        for node, mask in link_tests:
-            if node is not None:
-                if node not in self.nodes:
-                    return False
-            elif self.link_bloom & mask != mask:
-                return False
         if fkey_masks is not None:
             fkey_bloom = self.fkey_bloom
             if not any(fkey_bloom & mask == mask for mask in fkey_masks):
@@ -355,6 +375,8 @@ class ColdArchive:
         self.segment_records = segment_records
         self.compact_dead_ratio = compact_dead_ratio
         self.write_behind_records = write_behind_records
+        # Serialises the two things a read may mutate: the write-behind
+        # drain and the tail's postings (whose build numbers new links).
         self._flush_lock = threading.Lock()
         self.stats = ArchiveStats()
         self.clear()
@@ -364,8 +386,7 @@ class ColdArchive:
         # The log: sealed segments by segment number, then the unsealed
         # tail, which will seal under the number ``_tail_no``.
         self._segments: Dict[int, _Segment] = {}
-        self._tail = _codec().SegmentBuilder()
-        self._tail_no = 0
+        self._open_tail(0)
         # Write-behind buffer: evictions staged here (insertion order =
         # eviction order) until a batched flush appends them to the log.
         self._staged: Dict[int, Tuple[PathFlowRecord, ArchiveKey]] = {}
@@ -374,6 +395,22 @@ class ColdArchive:
         self._locator: Dict[int, int] = {}
         #: Rows in the log, garbage included.
         self._total_rows = 0
+        # Link numbering behind the postings, bounded by the distinct
+        # links and paths this archive has seen: an ordinal per undirected
+        # link ``(min, max)``, each node's incident link ordinals, and each
+        # path's link ordinals.
+        self._link_ids: Dict[Tuple[str, str], int] = {}
+        self._node_links: Dict[str, List[int]] = {}
+        self._path_links: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
+
+    def _open_tail(self, number: int) -> None:
+        """Start an empty unsealed tail that will seal under ``number``."""
+        self._tail = _codec().SegmentBuilder()
+        self._tail_no = number
+        self._tail_dead: Set[int] = set()
+        # ``(row count, postings)`` of the tail as of the last read that
+        # needed them.
+        self._tail_index: Optional[Tuple[int, _Postings]] = None
 
     # ------------------------------------------------------------------ writes
     def append(self, record_id: int, record: PathFlowRecord,
@@ -440,9 +477,15 @@ class ColdArchive:
                     key: ArchiveKey) -> None:
         """Append one row to the tail and index it (shared by direct
         appends and write-behind flushes).  An earlier row of a re-archived
-        id stops being live here: the locator moves off it."""
+        id stops being live here: the locator moves off it and the row
+        joins its position's dead set."""
         row = self._tail.append(record_id, record)
-        self._locator[record_id] = self._tail_no << _ROW_BITS | row
+        locator = self._locator
+        superseded = locator.get(record_id)
+        locator[record_id] = self._tail_no << _ROW_BITS | row
+        if superseded is not None:
+            self._position(superseded >> _ROW_BITS)[1].add(
+                superseded & _ROW_MASK)
         self._key_index[key] = record_id
         self._total_rows += 1
         self.stats.appends += 1
@@ -450,20 +493,87 @@ class ColdArchive:
             self._seal_tail()
 
     def _seal_tail(self) -> None:
-        """Freeze the tail into an immutable segment under its number."""
+        """Freeze the tail, its postings and its dead set into an
+        immutable segment under its number."""
         if not self._tail.count:
             return
-        self._segments[self._tail_no] = _Segment(self._tail)
+        self._segments[self._tail_no] = _Segment(
+            self._tail, self._postings(self._tail), self._tail_dead)
         self.stats.segments_sealed += 1
-        self._tail = _codec().SegmentBuilder()
-        self._tail_no += 1
+        self._open_tail(self._tail_no + 1)
 
-    def _rows(self, segment_no: int):
-        """The readable rows of one log position: the tail's lists or a
-        sealed segment's opened blob."""
+    def _position(self, segment_no: int) -> Tuple[Any, Set[int]]:
+        """The readable rows and the dead set of one log position: the
+        tail's lists or a sealed segment's opened blob."""
         if segment_no == self._tail_no:
-            return self._tail
-        return self._segments[segment_no].rows
+            return self._tail, self._tail_dead
+        segment = self._segments[segment_no]
+        return segment.rows, segment.dead
+
+    # ------------------------------------------------------------ link index
+    def _links_of(self, path: Tuple[str, ...]) -> Tuple[int, ...]:
+        """The ordinals of the undirected links ``path`` traverses (none
+        for a path of fewer than two nodes), numbering links the archive
+        has not seen before; memoized per path."""
+        links = self._path_links.get(path)
+        if links is None:
+            link_ids = self._link_ids
+            ordinals: Set[int] = set()
+            for a, b in zip(path, path[1:]):
+                link = (a, b) if a <= b else (b, a)
+                ordinal = link_ids.get(link)
+                if ordinal is None:
+                    ordinal = link_ids[link] = len(link_ids)
+                    for node in dict.fromkeys(link):
+                        self._node_links.setdefault(node, []).append(ordinal)
+                ordinals.add(ordinal)
+            links = self._path_links[path] = tuple(ordinals)
+        return links
+
+    def _postings(self, rows: Any) -> _Postings:
+        """The link postings of one log position's rows: rows grouped by
+        path index, each group filed under every link of its path."""
+        by_path: Dict[int, List[int]] = {}
+        for row, index in enumerate(rows.column(_codec().SEG_PATH)):
+            group = by_path.get(index)
+            if group is None:
+                by_path[index] = [row]
+            else:
+                group.append(row)
+        paths = rows.paths()
+        runs: Dict[int, List[int]] = {}
+        for index, group in by_path.items():
+            for link in self._links_of(paths[index]):
+                runs.setdefault(link, []).extend(group)
+        return _Postings(runs, rows.count)
+
+    def _tail_postings(self) -> _Postings:
+        """The tail's postings, rebuilt only when rows were appended since
+        the last read that needed them."""
+        count = self._tail.count
+        cached = self._tail_index
+        if cached is None or cached[0] != count:
+            with self._flush_lock:
+                cached = self._tail_index = (count, self._postings(self._tail))
+        return cached[1]
+
+    def _link_constraints(self, links: Sequence[Tuple[Optional[str],
+                                                      Optional[str]]]
+                          ) -> LinkConstraints:
+        """A spec's link conjunction in link ordinals (see
+        :data:`LinkConstraints`)."""
+        constraints: List[Tuple[int, ...]] = []
+        for a, b in links:
+            if a is None:
+                a, b = b, a  # a wildcard endpoint goes second
+            if a is None:
+                continue  # fully wild: constrains nothing
+            if b is None:
+                constraints.append(tuple(self._node_links.get(a, ())))
+            else:
+                ordinal = self._link_ids.get((a, b) if a <= b else (b, a))
+                constraints.append(() if ordinal is None else (ordinal,))
+        return constraints
 
     def take(self, key: ArchiveKey) -> Tuple[int, PathFlowRecord]:
         """Remove and return the live entry for ``key`` (promotion path).
@@ -472,10 +582,11 @@ class ColdArchive:
         straight out of the write-behind buffer; a logged row is resolved
         through the locator and its four mutable fields read at computed
         offsets (the caller's key supplies the flow id and path outright).
-        The row stays in place as garbage until compaction reclaims it.
-        The record is a fresh mutable object: the hot tier merges into
-        promoted records in place.  Raises :class:`KeyError` when the
-        archive holds no live entry for ``key``.
+        The row stays in place as garbage, in its position's dead set,
+        until compaction reclaims it.  The record is a fresh mutable
+        object: the hot tier merges into promoted records in place.
+        Raises :class:`KeyError` when the archive holds no live entry for
+        ``key``.
         """
         record_id = self._key_index.pop(key)  # KeyError propagates
         self.stats.takes += 1
@@ -484,8 +595,9 @@ class ColdArchive:
             return record_id, staged[0]
         wire = _codec()
         position = self._locator.pop(record_id)
-        rows = self._rows(position >> _ROW_BITS)
-        row = position & (1 << _ROW_BITS) - 1
+        rows, dead = self._position(position >> _ROW_BITS)
+        row = position & _ROW_MASK
+        dead.add(row)
         record = PathFlowRecord(
             parse_flow_key(key[0]), key[1],
             rows.cell(wire.SEG_STIME, row), rows.cell(wire.SEG_ETIME, row),
@@ -514,16 +626,6 @@ class ColdArchive:
         total = self._total_rows
         return (total - len(self._locator)) / total if total else 0.0
 
-    def _live_rows(self, rows, segment_no: int,
-                   candidates: Sequence[int]) -> Sequence[int]:
-        """The ``candidates`` of one log position the locator points at."""
-        if self._total_rows == len(self._locator):
-            return candidates  # no garbage anywhere in the log
-        ids = rows.column(_codec().SEG_ID)
-        base = segment_no << _ROW_BITS
-        locate = self._locator.get
-        return [row for row in candidates if locate(ids[row]) == base + row]
-
     def compact(self) -> None:
         """Rewrite the log without its garbage rows - no record objects.
 
@@ -531,27 +633,26 @@ class ColdArchive:
         column into a fresh tail (dictionary indexes re-mapped, see the
         codec's ``SegmentBuilder.extend``) that seals every
         ``segment_records`` rows, so rewritten neighbours merge into full
-        segments and each new segment's zone map and blooms are recomputed
-        exactly from the rows it holds; what is left over stays the
-        unsealed tail.  A leading run of garbage-free segments is kept as
-        it is.  Write-behind entries are untouched - they hold no log rows
-        yet, so there is nothing to reclaim for them.
+        segments and each new segment's zone map, flow-key bloom and
+        postings are recomputed exactly from the rows it holds (its dead
+        set starts empty); what is left over stays the unsealed tail.  A
+        leading run of garbage-free segments is kept as it is.
+        Write-behind entries are untouched - they hold no log rows yet, so
+        there is nothing to reclaim for them.
         """
         self.stats.compactions += 1
         wire = _codec()
         locator = self._locator
-        log = [(number, segment, segment.rows)
+        log = [(number, segment, segment.rows, segment.dead)
                for number, segment in self._segments.items()]
-        log.append((self._tail_no, None, self._tail))
+        log.append((self._tail_no, None, self._tail, self._tail_dead))
         self._segments = {}
-        self._tail = wire.SegmentBuilder()
-        self._tail_no += 1
-        for number, segment, rows in log:
-            live = self._live_rows(rows, number, range(rows.count))
-            if segment is not None and len(live) == rows.count and \
-                    not self._tail.count:
+        self._open_tail(self._tail_no + 1)
+        for number, segment, rows, dead in log:
+            if segment is not None and not dead and not self._tail.count:
                 self._segments[number] = segment
                 continue
+            live = _live_rows(range(rows.count), dead)
             ids = rows.column(wire.SEG_ID)
             while live:
                 room = self.segment_records - self._tail.count
@@ -575,27 +676,28 @@ class ColdArchive:
         pruning, the column predicates and liveness, behind both
         :meth:`scan` and :meth:`fold`.
 
-        The write-behind buffer flushes first, whole segments are skipped
-        on zone maps + blooms, and the surviving segments and the tail are
-        filtered on columns (:meth:`_matching_rows`): every predicate is
-        exact - :meth:`ScanSpec.matches` holds for precisely the rows
-        selected.
+        The write-behind buffer flushes first; whole segments are skipped
+        on zone maps, the flow-key bloom and the link postings (which skip
+        exactly the segments where no row satisfies the link
+        conjunction); the rows the postings select in the surviving
+        segments and the tail are then filtered on columns
+        (:meth:`_matching_rows`): every predicate is exact -
+        :meth:`ScanSpec.matches` holds for precisely the rows selected.
 
         When the log holds several rows for one id (promotion then
         re-archival), only the latest is live.  Pruning stays safe across
-        duplicates because a stale row is simply not live: the locator
-        points at the authoritative row and only that row's segment needs
-        to survive pruning.
+        duplicates because a stale row is simply not live: its position's
+        dead set holds it, and only the live row's segment needs to
+        survive pruning.
         """
         self.flush()
         stats = self.stats
-        # Compile the spec once into segment-level and row-level filters.
-        link_tests: List[Tuple[Optional[str], int]] = []
-        for a, b in spec.links:
-            if a is None or b is None:
-                link_tests.append((a if b is None else b, 0))
-            else:
-                link_tests.append((None, _seg_link_mask(a, b)))
+        tail = self._tail
+        # The tail's postings first: building them numbers any link seen
+        # only there, which the spec's constraints must be able to name.
+        tail_links = (self._tail_postings() if tail.count and spec.links
+                      else None)
+        links = self._link_constraints(spec.links)
         flows: Optional[Set[FlowId]] = None
         fkey_masks: Optional[List[int]] = None
         if spec.flow_keys is not None:
@@ -608,19 +710,20 @@ class ColdArchive:
                 if flow_key(flow) == fkey:  # else: not canonical, ditto
                     flows.add(flow)
             fkey_masks = [_seg_fkey_mask(fkey) for fkey in spec.flow_keys]
-        candidates = []
-        for number, segment in self._segments.items():
-            if segment.may_match(spec.start, spec.end, link_tests,
-                                 fkey_masks):
-                candidates.append(number)
-            else:
-                stats.segments_skipped += 1
+        candidates: List[Tuple[Any, Set[int], Optional[Sequence[int]]]] = []
+        for segment in self._segments.values():
+            if segment.may_match(spec.start, spec.end, fkey_masks):
+                on_links = segment.postings.select(links)
+                if on_links is None or on_links:
+                    candidates.append((segment.rows, segment.dead, on_links))
+                    continue
+            stats.segments_skipped += 1
         stats.segment_decodes += len(candidates)
-        if self._tail.count:
-            candidates.append(self._tail_no)
-        for number in candidates:
-            rows = self._rows(number)
-            matching = self._matching_rows(rows, number, spec, flows)
+        if tail.count:
+            candidates.append((tail, self._tail_dead, None if tail_links
+                               is None else tail_links.select(links)))
+        for rows, dead, on_links in candidates:
+            matching = self._matching_rows(rows, dead, on_links, spec, flows)
             stats.entries_skipped += rows.count - len(matching)
             if matching:
                 yield rows, (None if len(matching) == rows.count
@@ -654,29 +757,29 @@ class ColdArchive:
         for rows, selection in self._selected(spec):
             yield rows.select(columns, selection)
 
-    def _matching_rows(self, rows, segment_no: int, spec: ScanSpec,
+    @staticmethod
+    def _matching_rows(rows: Any, dead: Set[int],
+                       on_links: Optional[Sequence[int]], spec: ScanSpec,
                        flows: Optional[Set[FlowId]]) -> Sequence[int]:
         """Row numbers of one log position that are live and match
-        ``spec``, evaluated column by column; a column or dictionary is
-        opened only when a row that survived so far needs it."""
+        ``spec``, starting from the non-empty rows its postings selected
+        (``on_links``; ``None`` when the spec has no link constraint) and
+        evaluated column by column over the rows still in play; a column
+        or dictionary is opened only when a row that survived so far
+        needs it."""
         wire = _codec()
-        matching: Sequence[int] = range(rows.count)
+        matching: Sequence[int] = (range(rows.count) if on_links is None
+                                   else on_links)
         start, end = spec.start, spec.end
-        if start is not None or end is not None:
+        if (start is not None or end is not None) and matching:
             low = -_INF if start is None else start
             high = _INF if end is None else end
+            stimes, etimes = rows.select((wire.SEG_STIME, wire.SEG_ETIME),
+                                         on_links)
             # Negated comparisons, exactly like ScanSpec.matches rejects.
-            matching = [row for row, (stime, etime) in enumerate(zip(
-                            rows.column(wire.SEG_STIME),
-                            rows.column(wire.SEG_ETIME)))
+            matching = [row for row, stime, etime
+                        in zip(matching, stimes, etimes)
                         if not etime < low and not stime > high]
-        if spec.links and matching:
-            indexes = rows.column(wire.SEG_PATH)
-            paths = rows.paths()
-            wanted = {index
-                      for index in set(map(indexes.__getitem__, matching))
-                      if _path_matches(paths[index], spec.links)}
-            matching = [row for row in matching if indexes[row] in wanted]
         if flows is not None and matching:
             names = rows.names()
             probes = {(names.index(flow.src_ip), names.index(flow.dst_ip),
@@ -689,7 +792,7 @@ class ColdArchive:
             matching = [row for row in matching
                         if (srcs[row], dsts[row], src_ports[row],
                             dst_ports[row], protocols[row]) in probes]
-        return self._live_rows(rows, segment_no, matching)
+        return _live_rows(matching, dead)
 
     # -------------------------------------------------------------- accounting
     @property
@@ -724,7 +827,8 @@ class ColdArchive:
         """The cold tier's pruning counters under their tier-qualified
         names - the cold half of ``Tib.scan_stat_snapshot``.  The plan
         executor diffs two snapshots around a scan to report how much
-        zone-map/bloom pruning one plan's pushed-down ``Filter`` bought.
+        pruning (zone maps, flow-key blooms, link postings) one plan's
+        pushed-down ``Filter`` bought.
         """
         stats = self.stats
         return {

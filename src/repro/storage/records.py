@@ -295,9 +295,11 @@ class ScanSpec:
     def matches(self, record: PathFlowRecord) -> bool:
         """Exact predicate — the reference semantics for the pruned scan.
 
-        Pruned/bloomed scan paths may only ever *skip* work this predicate
-        would reject; every candidate they surface is re-verified against it
-        (the pruning-soundness fuzz test checks exactly this equivalence).
+        Index-routed and pruned scan paths (the hot tier's indexes, the
+        cold tier's zone maps, flow-key blooms and link postings) may only
+        ever *skip* work this predicate would reject, and every row they
+        return satisfies it (the pruning-soundness fuzz test checks
+        exactly this equivalence).
         """
         if self.start is not None and record.etime < self.start:
             return False

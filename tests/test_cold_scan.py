@@ -4,9 +4,13 @@ Covers: ScanSpec normalisation and its exact match predicate, the
 write-behind buffer and its flush barrier, pruning soundness (seeded fuzz
 comparing the column-filtered scan against a brute-force read of every row
 of every opened segment - a pruned segment or a column predicate must never
-hide a matching entry), compaction round-trips with tight rewritten zone
-maps, scan results never aliasing promoted records, byte-equal segment
-blobs for equal streams, the order-free column read (``fold``) against the
+hide a matching entry), the per-segment link postings and dead sets as
+structures (equal to a brute-force index of every row; link pruning skips
+exactly the segments without a row on the link; racing first reads number
+each link once), compaction round-trips with tight rewritten zone maps and
+postings, a seeded fuzz of reads interleaved with auto-compaction, scan
+results never aliasing promoted records, byte-equal segment blobs for
+equal streams, the order-free column read (``fold``) against the
 same brute-force read and against ``spec_records`` on a capped / uncapped
 pair, the two aggregate handlers built on it against the record loops they
 replaced, capped answers byte-identical to uncapped ones across serial /
@@ -17,6 +21,8 @@ evictions are in flight), and the consolidated
 
 import dataclasses
 import random
+import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -329,6 +335,158 @@ class TestPruningSoundnessFuzz:
         assert archive.stats.entries_decoded == 0
 
 
+def hops(path):
+    """The undirected links a path traverses, each as ``(min, max)``."""
+    return {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
+
+
+def hop_rows(records):
+    """``{undirected hop: ascending rows whose path holds it}`` of a log
+    position holding ``records`` in row order - its postings, by brute
+    force."""
+    runs = {}
+    for row, record in enumerate(records):
+        for hop in hops(record.path):
+            runs.setdefault(hop, []).append(row)
+    return runs
+
+
+def postings_by_link(archive, postings):
+    """A position's postings keyed by the links themselves, not ordinals."""
+    links = {ordinal: link for link, ordinal in archive._link_ids.items()}
+    return {links[ordinal]: list(postings.run(ordinal))
+            for ordinal in postings.links}
+
+
+def positions(archive):
+    """``(number, rows, postings, dead set)`` of every log position, the
+    tail last - what the archive indexes, read without flushing."""
+    for number, segment in archive._segments.items():
+        yield number, segment.rows, segment.postings, segment.dead
+    yield (archive._tail_no, archive._tail, archive._tail_postings(),
+           archive._tail_dead)
+
+
+def assert_dead_sets_agree(archive):
+    """The liveness invariant: a row is live iff the locator points at it
+    iff its position's dead set does not hold it."""
+    garbage = 0
+    for number, rows, _, dead in positions(archive):
+        ids = rows.column(wire.SEG_ID)
+        pointed = {row for row in range(rows.count)
+                   if archive._locator.get(ids[row]) == number << 32 | row}
+        assert dead == set(range(rows.count)) - pointed, number
+        garbage += len(dead)
+    assert garbage == archive._total_rows - len(archive._locator)
+
+
+class TestSegmentIndex:
+    """The postings and dead sets as structures, not only through scans:
+    every position's index equals what brute force reads off its rows, and
+    link pruning skips exactly the segments holding no row on the link."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_postings_and_dead_sets_equal_brute_force(self, seed):
+        _, archive, _ = fuzz_archive(seed)
+        for compacted in (False, True):
+            held = {}
+            for number, _, _, record in every_row(archive):
+                held.setdefault(number, []).append(record)
+            assert len(held) > 2
+            for number, _, postings, _ in positions(archive):
+                assert postings_by_link(archive, postings) == \
+                    hop_rows(held.get(number, [])), number
+            assert_dead_sets_agree(archive)
+            assert any(dead for *_, dead in positions(archive)) != compacted
+            archive.compact()
+        # each node's incident links are exactly the links it ends
+        incident = {}
+        for link, ordinal in archive._link_ids.items():
+            for node in link:
+                incident.setdefault(node, set()).add(ordinal)
+        assert {node: set(ordinals) for node, ordinals
+                in archive._node_links.items()} == incident
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_link_pruning_is_exact(self, seed):
+        """A bloom false positive - or any inexact prune - would open a
+        segment without a row on the link and fail the count."""
+        _, archive, _ = fuzz_archive(seed)
+        held = {}
+        for number, _, _, record in every_row(archive):
+            if number != archive._tail_no:
+                held.setdefault(number, []).append(record.path)
+        links = sorted({hop for paths in held.values() for path in paths
+                        for hop in hops(path)})
+        nodes = sorted({node for a, b in links for node in (a, b)})
+        specs = [((a, b), lambda path, a=a, b=b: (a, b) in hops(path))
+                 for a, b in links]
+        specs += [((node, None), lambda path, node=node:
+                   len(path) >= 2 and node in path) for node in nodes]
+        specs.append((("s0", "no-such-switch"), lambda path: False))
+        for link, traverses in specs:
+            spec = ScanSpec(links=(link,))
+            archive.stats.reset()
+            assert_scan_is_brute_force(archive, spec)
+            empty = sum(not any(map(traverses, paths))
+                        for paths in held.values())
+            assert archive.stats.segments_skipped == empty, link
+            assert archive.stats.segment_decodes == len(held) - empty, link
+        assert len(links) > 5
+
+    def test_reappended_id_supersedes_its_live_row(self):
+        """Appending an id whose row is still live moves the locator off
+        that row and puts it in its position's dead set: no read sees
+        both rows."""
+        archive = ColdArchive(segment_records=4, compact_dead_ratio=None)
+        records = [make_record(i) for i in range(6)]
+        for i, record in enumerate(records):
+            archive.append(i, record)
+        records[1] = make_record(9)  # another key, same id
+        archive.append(1, records[1])
+        assert_dead_sets_agree(archive)
+        assert archive._segments[0].dead == {1}
+        assert assert_scan_is_brute_force(archive, ScanSpec()) == \
+            list(enumerate(records))
+
+    def test_concurrent_first_reads_number_each_link_once(self):
+        """Reads may run concurrently (hedged attempts), and the first
+        link read after the tail grew numbers the links only the tail
+        holds: racing readers must agree on one ordinal per link."""
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(100):
+                archive = ColdArchive(segment_records=64)
+                # distinct hosts: every path brings links not seen yet
+                records = [make_record(i, src=f"h{trial}-{i}", dst=f"d{i % 7}")
+                           for i in range(40)]
+                for i, record in enumerate(records):
+                    archive.append(i, record)  # all in the tail
+                specs = [ScanSpec(links=(record.path[1:3],))
+                         for record in records[:6]]
+                start = threading.Barrier(6)
+                got = [None] * 6
+
+                def read(slot):
+                    start.wait(timeout=10)
+                    got[slot] = archive.scan(specs[slot])
+
+                threads = [threading.Thread(target=read, args=(slot,))
+                           for slot in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                ordinals = list(archive._link_ids.values())
+                assert sorted(ordinals) == list(range(len(ordinals))), trial
+                for spec, hits in zip(specs, got):
+                    assert hits == brute_force(archive, spec), trial
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+
 def fold_rows(chunks):
     """The field tuples a fold yielded, sorted (a fold has no row order);
     no chunk may be empty and a chunk's sequences run in parallel."""
@@ -588,8 +746,8 @@ class TestCompaction:
             assert len(rows[number]) == archive.segment_records
             assert segment.min_stime == min(r.stime for r in rows[number])
             assert segment.max_etime == max(r.etime for r in rows[number])
-            assert segment.nodes == {node for r in rows[number]
-                                     for node in r.path}
+            assert postings_by_link(archive, segment.postings) == \
+                hop_rows(rows[number])
 
     def test_garbage_free_prefix_is_kept_as_it_is(self):
         archive = ColdArchive(segment_records=8, compact_dead_ratio=None)
@@ -602,6 +760,62 @@ class TestCompaction:
         assert [archive._segments[n].rows.data for n in (0, 1)] == untouched
         assert [i for i, _ in archive.scan(ScanSpec())] == \
             [i for i in range(40) if i != 20]
+
+
+class TestCompactionFuzz:
+    """Reads interleaved with every mutation under the default compaction
+    ratio, so auto-compaction keeps resetting and rebuilding dead sets
+    under the reads: every scan and fold equals the brute-force read and
+    the model of what is live, and the liveness invariant holds after
+    every step."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_reads_through_auto_compaction(self, seed):
+        rng = random.Random(seed)
+        archive = ColdArchive(segment_records=16, write_behind_records=8)
+        pool = [make_record(i, rng=rng) for i in range(200)]
+        specs_from = pool[:]
+        pool.append(PathFlowRecord(  # traverses no link
+            FlowId("host-a0", "host-b", 50_000, 80, PROTO_TCP), ("host-b",),
+            5.0, 6.0, 10, 1))
+        keys = [(flow_key(r.flow_id), r.path) for r in pool]
+        live = {}  # pool index (= record id) -> the record archived for it
+        manual = 0
+        for step in range(1200):
+            # phases that grow the log, then churn it down
+            appends = 0.55 if step // 150 % 2 == 0 else 0.3
+            roll = rng.random()
+            if roll < appends:
+                i = rng.randrange(len(pool))
+                if i not in live:
+                    base = pool[i]
+                    live[i] = PathFlowRecord(
+                        base.flow_id, base.path,
+                        base.stime - rng.uniform(0.0, 5.0),
+                        base.etime + rng.uniform(0.0, 5.0),
+                        base.bytes + step, base.pkts)
+                    write = (archive.append if roll < appends / 2
+                             else archive.stage)
+                    write(i, live[i], keys[i])
+            elif roll < 0.78:
+                if live:
+                    i = rng.choice(sorted(live))
+                    assert archive.take(keys[i]) == (i, live.pop(i))
+            elif roll < 0.82:
+                archive.flush()
+            elif roll < 0.83:
+                archive.compact()
+                manual += 1
+            else:
+                spec = rng.choice(fuzz_specs(rng, specs_from))
+                want = assert_scan_is_brute_force(archive, spec)
+                assert want == sorted((i, r) for i, r in live.items()
+                                      if spec.matches(r)), spec
+                assert fold_rows(archive.fold(spec, ("bytes", "path"))) == \
+                    sorted((r.bytes, r.path) for _, r in want), spec
+            assert_dead_sets_agree(archive)
+        assert archive.stats.compactions > manual  # auto-compaction fired
+        assert archive.stats.takes > 100 and archive.stats.flushes
 
 
 class TestScanResultsNeverAlias:
