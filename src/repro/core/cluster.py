@@ -33,7 +33,10 @@ figure benchmarks are reproducible run to run; pass ``mode="concurrent"``
 fan-out, or a worker mode to move every host's TIB into an agent-server
 worker process (:mod:`repro.core.groupserver`): ingest streams encoded
 record batches over the worker's connection, queries travel as encoded
-query+subtree-spec frames, and CPU-bound scatters escape the GIL.
+query+subtree-spec frames, and CPU-bound scatters escape the GIL.  A
+worker-mode scatter starts no thread: the calling thread writes every
+group's envelope, then consumes the replies in group order while later
+groups are still working.
 ``mode="socket"`` shards the hosts into worker groups; ``mode="process"``
 is the same plane with one host per group over pipes.  All modes merge in
 the same canonical order, so they produce byte-identical query payloads.
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -59,12 +63,12 @@ from repro.core.agent import PathDumpAgent
 from repro.core.aggregation import PAPER_TREE_FANOUT, AggregationTree, TreeNode
 from repro.core.agentserver import AgentServerError, SERVED_QUERIES
 from repro.core.alarms import Alarm, AlarmBus, POOR_PERF
-from repro.core.executor import (ExecWarning, GatherResult, MODE_CONCURRENT,
-                                 MODE_SERIAL, ModelTransport, PlanNode,
-                                 ScatterGatherExecutor, Transport,
+from repro.core.executor import (DeadlineExceeded, ExecWarning, GatherResult,
+                                 MODE_CONCURRENT, MODE_SERIAL, ModelTransport,
+                                 PlanNode, ScatterGatherExecutor, Transport,
                                  W_CIRCUIT_OPEN, W_HOST_FAILED,
                                  W_MIRROR_DETACHED, W_WORKER_RESTARTED)
-from repro.core.groupserver import (GroupAgentPool, GroupPoolStats,
+from repro.core.groupserver import (Exchange, GroupAgentPool, GroupPoolStats,
                                     SocketTransport, TRANSPORT_PIPE,
                                     TRANSPORT_UNIX)
 from repro.core.supervisor import (ChaosPolicy, EVENT_CIRCUIT_OPEN,
@@ -88,9 +92,8 @@ MECHANISM_DIRECT = "direct"
 MECHANISM_MULTILEVEL = "multilevel"
 
 #: Cluster execution mode: one agent-server worker process per host over
-#: a dedicated pipe (the executor itself fans out on threads that merely
-#: block on the workers' pipes).  An alias for the :data:`MODE_SOCKET`
-#: plane with one host per group over the pipe transport, resolved in
+#: a dedicated pipe.  An alias for the :data:`MODE_SOCKET` plane with one
+#: host per group over the pipe transport, resolved in
 #: :meth:`QueryCluster._worker_shape`.
 MODE_PROCESS = "process"
 
@@ -200,17 +203,29 @@ class MonitorSweep(list):
 
 
 class _AlarmCollector:
-    """Parks worker-raised alarms during a scatter, dispatches them into
-    the controller's bus in canonical host order afterwards.
+    """Hands worker-raised alarms to the controller's bus in canonical
+    host order, as early as that order allows.
+
+    A monitor sweep *streams*: the calling thread consumes the groups'
+    replies in group order and reports each host's batch the moment it is
+    decoded (:meth:`land`); a cursor over ``order`` then delivers every
+    contiguous landed host, so a host's alarms reach the bus as soon as
+    every earlier host's have.  Shards are contiguous and consumed in
+    order, so the cursor only ever moves forward, and an empty batch only
+    advances it.  A query's piggybacked alarms (PC_FAIL) only
+    :meth:`park` and are dispatched after the gather, because a
+    multi-level plan's order is not group-contiguous.
 
     The agent -> controller alert channel is asynchronous while the wire
-    protocol is request/reply, so alarms ride reply frames that the
-    executor may *discard* (per-host timeout fired, a hedge twin won, the
-    reply landed after the gather returned).  The worker has already
-    latched its flows by then - a dropped reply would lose its alarms
-    forever - so ``park`` captures them the moment the reply lands, and
-    anything arriving after the ordered dispatch is delivered directly
-    (late, but never lost).
+    protocol is request/reply, so alarms ride reply frames the scatter
+    may give up on (a leaf past its deadline; its reply is consumed late,
+    on a thread of its own).  The worker has already latched its flows
+    by then - a dropped reply would lose its alarms forever - so ``park``
+    captures them whenever the reply lands, and anything arriving after
+    the final :meth:`dispatch` is delivered directly (late, but never
+    lost).  Only the calling thread delivers before that; an exception a
+    subscriber raises there is held and re-raised by :meth:`dispatch`,
+    as it would be without streaming.
 
     ``latch``: monitor sweeps latch the local mirror of each POOR_PERF
     alarm's flow (``run_check`` latched it worker-side); query piggybacks
@@ -218,41 +233,67 @@ class _AlarmCollector:
     handler never touches the monitor.
     """
 
-    def __init__(self, cluster: "QueryCluster", latch: bool) -> None:
+    def __init__(self, cluster: "QueryCluster", latch: bool,
+                 order: Sequence[str] = ()) -> None:
         self._cluster = cluster
         self._latch = latch
+        self._order = order
         self._lock = threading.Lock()
-        self._parked: Dict[str, Tuple[Alarm, ...]] = {}
-        self._dispatched = False
+        self._parked: Dict[str, Sequence[Alarm]] = {}  # guarded-by: _lock
+        self._cursor = 0  # guarded-by: _lock
+        self._delivered: List[Alarm] = []
+        self._error: Optional[BaseException] = None
+        self._dispatched = False  # guarded-by: _lock
 
     def park(self, host: str, alarms: Sequence[Alarm]) -> None:
-        """Capture one host's alarms, at most once per host.
-
-        A hedge twin's duplicate attempt re-runs the host's work and can
-        raise the same (unlatched) alarms again; only the first reply per
-        host surrenders its alarms, whether it lands before the ordered
-        dispatch or after it (out-of-band delivery, late but never lost
-        and never doubled).
-        """
-        if not alarms:
-            return
+        """Capture one host's alarms, at most once per host: a retried
+        leaf's reply carries nothing the first one did not already
+        surrender (the worker latched it).  After the final dispatch they
+        are delivered directly."""
         with self._lock:
             if host in self._parked:
-                return  # a duplicate attempt's reply; already captured
-            self._parked[host] = tuple(alarms)
+                return
+            self._parked[host] = alarms
             deliver_now = self._dispatched
-        if deliver_now:
+        if deliver_now and alarms:
             self._deliver(alarms)
 
-    def dispatch(self, host_order: Sequence[str]) -> List[Alarm]:
-        """Dispatch everything parked, in canonical host order."""
+    def land(self, host: str, alarms: Sequence[Alarm]) -> None:
+        """:meth:`park`, then deliver the landed prefix of ``order``."""
+        ready: List[Alarm] = []
+        with self._lock:
+            parked = self._parked
+            parked.setdefault(host, alarms)
+            order, cursor = self._order, self._cursor
+            while cursor < len(order) and order[cursor] in parked:
+                ready += parked[order[cursor]]
+                cursor += 1
+            self._cursor = cursor
+        if ready and self._error is None:
+            try:
+                self._deliver(ready)
+            except BaseException as error:
+                self._error = error
+                return
+            self._delivered += ready
+
+    def dispatch(self, host_order: Optional[Sequence[str]] = None
+                 ) -> List[Alarm]:
+        """Deliver everything parked and not yet delivered, in
+        ``host_order`` (default: what :meth:`land` has not reached of
+        ``order``); returns every alarm this collector delivered in
+        order."""
         with self._lock:
             self._dispatched = True
+            if host_order is None:
+                host_order = self._order[self._cursor:]
             parked = self._parked
-        alarms = [alarm for host in host_order
-                  for alarm in parked.get(host, ())]
+            alarms = [alarm for host in host_order
+                      for alarm in parked.get(host, ())]
+        if self._error is not None:
+            raise self._error
         self._deliver(alarms)
-        return alarms
+        return self._delivered + alarms
 
     def _deliver(self, alarms: Sequence[Alarm]) -> None:
         cluster = self._cluster
@@ -292,7 +333,7 @@ class QueryCluster:
             group over pipes, i.e. a worker process per host;
             ``group_count``/``socket_transport`` are ignored).  All modes
             produce byte-identical query payloads.
-        max_workers: worker-pool cap for concurrent/process/socket mode.
+        max_workers: thread-pool cap for concurrent mode.
         group_count: socket mode only - number of worker groups the hosts
             are sharded into (deterministic contiguous shards; defaults to
             :data:`~repro.core.groupserver.DEFAULT_GROUP_COUNT`, clamped
@@ -300,8 +341,13 @@ class QueryCluster:
         socket_transport: socket mode only - ``"unix"`` (default),
             ``"tcp"``, or ``"pipe"`` (the same coalesced envelopes over a
             multiprocessing pipe; no listener, useful for tests).
-        timeout_s: per-host query deadline (see the executor docs).
-        hedge_after_s: straggler-hedging threshold (concurrent mode).
+        timeout_s: per-host query deadline (see the executor docs); in
+            the worker modes each group leaf waits at most this long,
+            counted from the scatter's start.
+        hedge_after_s: straggler-hedging threshold, ``"concurrent"`` only.
+            It does not apply to worker-group exchanges: a twin would
+            queue behind the exchange it hedges on the same ordered
+            stream, so it could never overtake it.
         retries: bounded per-host retry budget for transport errors.
         retention: optional hot-tier bounds applied to every agent's TIB
             (two-tier mode: bounded hot memory, cold archive); in the
@@ -440,9 +486,14 @@ class QueryCluster:
             retries=retries if retries is not None else current.retries)
 
     def _executor_mode(self) -> str:
-        """The executor-level mode implementing the cluster mode (worker
-        modes fan out on threads that block on the workers' replies)."""
-        return MODE_SERIAL if self.mode == MODE_SERIAL else MODE_CONCURRENT
+        """The executor-level mode implementing the cluster mode: only
+        ``"concurrent"`` fans out on threads.  The worker modes' scatters
+        are split-phase on the calling thread (:meth:`_scatter_groups`:
+        every envelope is written before the first wait), so they run on
+        the serial executor - its timeouts, retries, supervision and
+        slot-ordered merges, without a thread per group."""
+        return MODE_CONCURRENT if self.mode == MODE_CONCURRENT \
+            else MODE_SERIAL
 
     def _worker_shape(self) -> Tuple[Optional[int], str]:
         """``(group_count, transport)`` to ask the worker pool for under the
@@ -808,9 +859,10 @@ class QueryCluster:
         raise into the alarm bus as they go.  In the worker modes this is
         a *scatter of monitor-tick frames*: every worker runs the check
         host-side, replies with an encoded alarm batch, and the decoded
-        alarms are dispatched into the bus in canonical host order - the
-        same order the serial loop produces, so alarm streams are identical
-        across modes.  A worker that dies mid-tick surfaces on the returned
+        alarms are dispatched into the bus in canonical host order - each
+        host's as soon as every earlier host's have gone, the same order
+        the serial loop produces, so alarm streams are identical across
+        modes.  A worker that dies mid-tick surfaces on the returned
         :class:`MonitorSweep` exactly like a dead agent does on a query
         (``partial`` / ``hosts_failed`` / a ``W_HOST_FAILED`` warning).
         The scatter is coalesced: one ``MSG_GROUP_BATCH`` envelope per
@@ -857,40 +909,36 @@ class QueryCluster:
         Each leaf of the plan is a *group*, its request is one
         ``MSG_GROUP_BATCH`` envelope carrying every member host's tick
         frame, and its reply envelope carries every member's alarm batch.
-        Alarms still dispatch in canonical host order, so the alarm
-        stream is byte-identical to the serial sweep; a dead group
-        expands to all of its member hosts in ``hosts_failed``.
+        The scatter is split-phase (:meth:`_scatter_groups`) and each
+        host's alarms go to the bus as soon as its batch is decoded and
+        every earlier host's have gone, so the alarm stream is
+        byte-identical to the serial sweep; a dead group expands to all
+        of its member hosts in ``hosts_failed``.
         """
         pool = self._process_pool
         tick = wire.encode_monitor_tick(now, threshold)
-        keys = pool.group_keys()
-        plan = PlanNode(host=None, children=[
-            PlanNode(host=key, request_parts=(len(wire.encode_group_batch(
-                1, [(host, tick) for host in pool.group_hosts(key)])),))
-            for key in keys])
-        sink = _AlarmCollector(self, latch=True)
+        sink = _AlarmCollector(self, latch=True, order=self.hosts)
 
-        def work(key: str):
-            per_host, reply_bytes, _sent = pool.group_monitor_tick(
-                key, now, threshold)
-            count = 0
-            for host, alarms in per_host:
-                # Hand the alarms over as soon as the reply lands: the
-                # workers already latched their flows, so even if the
-                # executor discards this reply (per-leaf timeout fired,
-                # hedge twin won, reply arrived after the gather returned)
-                # they must still reach the bus - the alert channel is
-                # asynchronous, the query is not.
-                sink.park(host, alarms)
-                count += len(alarms)
-            return count, reply_bytes
+        def consume(exchange: Exchange, deadline: Optional[float]):
+            try:
+                per_host, reply_bytes, _sent = pool.group_monitor_tick(
+                    exchange.key, now, threshold, exchange=exchange,
+                    deadline=deadline, on_host=sink.land)
+            except DeadlineExceeded:
+                # The worker latched its flows already: its late reply
+                # must still reach the bus - the alert channel is
+                # asynchronous, the sweep is not.
+                self._consume_late(lambda: pool.group_monitor_tick(
+                    exchange.key, now, threshold, exchange=exchange,
+                    on_host=sink.park))
+                raise
+            return None, reply_bytes  # the alarms went to the bus already
 
-        def merge(acc, value):
-            return acc[0] + value[0], acc[1] + value[1]
-
-        gather = self.executor.run(plan, work, merge,
-                                   response_bytes=lambda value: value[1])
-        alarms = sink.dispatch(self.hosts)
+        gather = self._scatter_groups(
+            {key: (key, [(host, tick) for host in pool.group_hosts(key)])
+             for key in pool.group_keys()}, consume,
+            merge=lambda acc, value: None)
+        alarms = sink.dispatch()
         hosts_failed = [host for key in gather.hosts_failed
                         for host in pool.group_hosts(key)]
         return MonitorSweep(alarms, mode=self.mode, partial=gather.partial,
@@ -899,6 +947,87 @@ class QueryCluster:
                                       + self._drain_warnings()),
                             traffic_bytes=gather.traffic_bytes,
                             wall_clock_s=gather.wall_s)
+
+    def _scatter_groups(self, leaves: Dict[str, Tuple[str,
+                                                      List[Tuple[str, bytes]]]],
+                        consume, merge) -> GatherResult:
+        """The worker modes' scatter: split-phase, on the calling thread.
+
+        ``leaves`` maps each plan leaf's label to ``(group key, envelope
+        entries)``, in plan order.  First every leaf's envelope is written
+        (:meth:`GroupAgentPool.send`; a leaf that cannot be sent keeps
+        the error for its first attempt).  Then the plan runs on a serial
+        executor whose work for a leaf is ``consume(exchange, deadline)``
+        -> ``(value, reply envelope bytes)``, so replies are consumed -
+        decoded, folded, their alarms dispatched - in plan order while
+        later groups are still answering; a retry re-sends.  Timeouts,
+        retries, supervision and slot-ordered merges are the executor's;
+        hedging is not (a twin on the same ordered stream cannot overtake
+        the exchange it would hedge).
+
+        A leaf waits at most ``timeout_s`` counted from the scatter's
+        start, then fails as ``W_HOST_TIMEOUT`` (``consume`` re-raises
+        :class:`~repro.core.executor.DeadlineExceeded` after handing the
+        open exchange to :meth:`_consume_late`).  ``HostReport.exec_s`` -
+        hence ``max_exec_s`` - is each exchange's send until its reply
+        landed, not the calling thread's wait.  Leaf values meet at the
+        root through ``merge``; both legs are priced with the measured
+        envelope lengths (the request at correlation id 1).  A failed
+        leaf yields one ``W_HOST_FAILED`` naming its label.  ``wall_s``
+        covers both phases.
+        """
+        pool = self._process_pool
+        started = time.perf_counter()
+        timeout = self.executor.timeout_s
+        deadline = None if timeout is None else started + timeout
+
+        def send(label: str):
+            """The leaf's exchange, or the error its attempt raises."""
+            key, entries = leaves[label]
+            for host, _frame in entries:
+                if host not in self.agents:
+                    return KeyError(f"no agent running on {host}")
+            try:
+                return pool.send(key, entries)
+            except AgentServerError as error:
+                return error
+
+        sent = {label: send(label) for label in leaves}
+
+        def work(label: str):
+            exchange = sent.pop(label, None) or send(label)
+            if isinstance(exchange, Exception):
+                raise exchange
+            value, reply_bytes = consume(exchange, deadline)
+            return value, reply_bytes, exchange.exec_s
+
+        plan = PlanNode(host=None, children=[
+            PlanNode(host=label,
+                     request_parts=(wire.group_batch_len(1, entries),))
+            for label, (_key, entries) in leaves.items()])
+        gather = self.executor.run(
+            plan, work, lambda acc, value: (merge(acc[0], value[0]), 0, 0),
+            response_bytes=lambda value: value[1],
+            exec_seconds=lambda value: value[2])
+        gather.wall_s = time.perf_counter() - started
+        if gather.value is not None:
+            gather.value = gather.value[0]
+        return gather
+
+    @staticmethod
+    def _consume_late(consume) -> None:
+        """Run ``consume`` - the consume step of an exchange its leaf gave
+        up on - on a thread of its own, so the late reply still
+        surrenders its alarms.  The only thread a worker-mode scatter
+        ever starts, and only on this path."""
+        def run() -> None:
+            try:
+                consume()
+            except AgentServerError:
+                pass  # the worker died meanwhile; its leaf failed already
+
+        threading.Thread(target=run, name="pathdump-late-reply",
+                         daemon=True).start()
 
     # ------------------------------------------------------- distributed query
     def execute_direct(self, query: Query,
@@ -944,59 +1073,53 @@ class QueryCluster:
         the one scatter both mechanisms run in the worker modes.
 
         The plan's leaves are the pool's runs of consecutive same-group
-        targets (:meth:`GroupAgentPool.runs`).  Each leaf ships one
+        targets (:meth:`GroupAgentPool.runs`; a second run of one group
+        is labelled ``key#index``).  Each leaf ships one
         ``MSG_GROUP_BATCH`` envelope carrying ``frames[host]`` for its run
         and hands the decoded ``(host, result)`` list, in request order,
-        to ``leaf``; leaf values meet at the root through ``merge``; both
-        legs are priced with the measured envelope lengths.  It runs on
-        the configured executor, so timeouts, hedging, retries and
-        supervision act per group: a failed leaf yields one
-        ``W_HOST_FAILED`` naming the group key and expands to all of its
-        run's hosts in ``hosts_failed`` (the group connection is the
-        failure domain).  Piggybacked host alarms are dispatched
-        afterwards in ``alarm_order``, so the alarm stream is identical to
-        the serial one whichever worker replied first - and a reply the
-        executor discards still surrenders its alarms.
+        to ``leaf``; leaf values meet at the root through ``merge``, each
+        group folded as its turn comes.  The scatter is
+        :meth:`_scatter_groups`, so timeouts, retries and supervision act
+        per group: a failed leaf yields one ``W_HOST_FAILED`` naming the
+        group key and expands to all of its run's hosts in
+        ``hosts_failed`` (the group connection is the failure domain).
+        Piggybacked host alarms are dispatched afterwards in
+        ``alarm_order``, so the alarm stream is identical to the serial
+        one - and a reply the scatter gives up on still surrenders its
+        alarms.
         """
         pool = self._process_pool
-        labels: Dict[str, Tuple[str, List[str]]] = {}
-        children = []
+        leaves: Dict[str, Tuple[str, List[Tuple[str, bytes]]]] = {}
         for index, (key, run_hosts) in enumerate(pool.runs(targets)):
-            label = key if key not in labels else f"{key}#{index}"
-            labels[label] = (key, run_hosts)
-            # Sized with a small correlation id; the live envelope's id
-            # varint may grow a byte on long-lived pools - noise next to
-            # the coalesced payload.
-            envelope_len = len(wire.encode_group_batch(
-                1, [(host, frames[host]) for host in run_hosts]))
-            children.append(PlanNode(host=label,
-                                     request_parts=(envelope_len,)))
+            label = key if key not in leaves else f"{key}#{index}"
+            leaves[label] = (key, [(host, frames[host])
+                                   for host in run_hosts])
         sink = _AlarmCollector(self, latch=False)
 
-        def work(label: str):
-            key, run_hosts = labels[label]
-            for host in run_hosts:
-                if host not in self.agents:
-                    raise KeyError(f"no agent running on {host}")
-            results, reply_bytes, _sent = pool.group_query(
-                key, query, run_hosts, frames)
+        def park(results: List[Tuple[str, QueryResult]]) -> None:
             for host, result in results:
                 if result.alarms:
                     sink.park(host, result.alarms)
                     result.alarms = ()
+
+        def consume(exchange: Exchange, deadline: Optional[float]):
+            try:
+                results, reply_bytes, _sent = pool.group_query(
+                    exchange.key, query, exchange=exchange,
+                    deadline=deadline)
+            except DeadlineExceeded:
+                self._consume_late(lambda: park(pool.group_query(
+                    exchange.key, query, exchange=exchange)[0]))
+                raise
+            park(results)
             # What travels back is the reply envelope, whatever the leaf
             # makes of it; the response leg is priced with the real bytes.
             return leaf(results), reply_bytes
 
-        gather = self.executor.run(
-            PlanNode(host=None, children=children), work,
-            lambda acc, value: (merge(acc[0], value[0]), 0),
-            response_bytes=lambda value: value[1])
+        gather = self._scatter_groups(leaves, consume, merge)
         sink.dispatch(alarm_order)
-        if gather.value is not None:
-            gather.value = gather.value[0]
         gather.hosts_failed = [host for label in gather.hosts_failed
-                               for host in labels[label][1]]
+                               for host, _frame in leaves[label][1]]
         return gather
 
     def execute_multilevel(self, query: Query,
@@ -1168,25 +1291,22 @@ class QueryCluster:
                             response_bytes=response_bytes)
 
     def _finalise(self, query: Query, gather: GatherResult) -> QueryResult:
-        """Normalise the gathered accumulator into one aggregate result."""
+        """Normalise the gathered accumulator into one aggregate result.
+
+        Only its payload and scan stats are read (the gather carries
+        ``partial``/``warnings``), and the root accumulator never travels,
+        so it is never sized."""
         if gather.value is None:
             # Nothing gathered (no hosts targeted, or every host failed):
             # the canonical empty aggregate, with ``partial``/``warnings``
             # telling the two cases apart.
-            merged = self.engine.merge(query, ())
-        elif gather.root_merges == 0:
+            return self.engine.merge(query, (), measure_wire=False)
+        if gather.root_merges == 0:
             # A single partial reached the root unmerged; run it through the
             # merger once so the aggregate has canonical shape.
-            merged = self.engine.merge(query, (gather.value,))
-        else:
-            merged = gather.value
-        if not merged.wire_bytes:
-            # The root accumulator never travels, so the streaming merge
-            # left it unsized; measure it here for API consumers.
-            merged.wire_bytes = measured_result_wire_bytes(merged)
-        merged.partial = gather.partial
-        merged.warnings = tuple(gather.warnings)
-        return merged
+            return self.engine.merge(query, (gather.value,),
+                                     measure_wire=False)
+        return gather.value
 
     def _distributed_result(self, query: Query, mechanism: str,
                             merged: QueryResult, gather: GatherResult,

@@ -90,6 +90,15 @@ class TransportError(RuntimeError):
     """A request or response message could not be delivered."""
 
 
+class DeadlineExceeded(TimeoutError):
+    """A host's work stopped waiting at its per-host deadline.
+
+    Work that enforces the deadline itself (a worker-mode leaf consuming an
+    exchange it already sent) raises this; the host is reported as
+    ``W_HOST_TIMEOUT`` and not retried, exactly like a watchdog timeout.
+    """
+
+
 @dataclass(frozen=True)
 class ExecWarning:
     """A structured warning attached to a partially failed query.
@@ -383,7 +392,9 @@ class ScatterGatherExecutor:
         timeout_s: per-host deadline; a host still running past it is
             declared failed (its partial result is dropped even if the
             worker later finishes).  In serial mode the deadline is applied
-            to the host's measured request+execution time after the fact.
+            to the host's measured request+execution time after the fact;
+            work that waits on something can also enforce it itself by
+            raising :class:`DeadlineExceeded`.
         hedge_after_s: straggler hedging - a host still running past this
             point gets a duplicate attempt launched; whichever finishes
             first wins.  Concurrent mode only.
@@ -411,13 +422,16 @@ class ScatterGatherExecutor:
     # ------------------------------------------------------------------- API
     def run(self, plan: PlanNode, work: Callable[[str], Any],
             merge: Callable[[Any, Any], Any],
-            response_bytes: Callable[[Any], int] = lambda value: 0
+            response_bytes: Callable[[Any], int] = lambda value: 0,
+            exec_seconds: Optional[Callable[[Any], float]] = None
             ) -> GatherResult:
         """Execute ``plan``: run ``work(host)`` at every host node, merge
         results upward with ``merge(acc, value)``, and return the gathered
         outcome.  ``response_bytes(value)`` sizes response messages for the
-        transport."""
-        run = _Run(self, plan, work, merge, response_bytes)
+        transport.  ``exec_seconds(value)``, when given, is a host's
+        execution time in place of the wall time of its ``work`` call (for
+        work that only collects something timed where it ran)."""
+        run = _Run(self, plan, work, merge, response_bytes, exec_seconds)
         return run.execute()
 
 class _Run:
@@ -425,12 +439,15 @@ class _Run:
 
     def __init__(self, executor: ScatterGatherExecutor, plan: PlanNode,
                  work: Callable[[str], Any], merge: Callable[[Any, Any], Any],
-                 response_bytes: Callable[[Any], int]) -> None:
+                 response_bytes: Callable[[Any], int],
+                 exec_seconds: Optional[Callable[[Any], float]] = None
+                 ) -> None:
         self.executor = executor
         self.transport = executor.transport
         self.work = work
         self.merge = merge
         self.response_bytes = response_bytes
+        self.exec_seconds = exec_seconds
         self.serial = executor.mode == MODE_SERIAL
         self.root = _NodeState(plan, parent=None, slot=-1)
         self.host_states: List[_HostState] = []
@@ -537,7 +554,15 @@ class _Run:
                     return
                 exec_started = time.perf_counter()
                 value = self.work(host)
-                exec_s = time.perf_counter() - exec_started
+                exec_s = (time.perf_counter() - exec_started
+                          if self.exec_seconds is None
+                          else self.exec_seconds(value))
+        except DeadlineExceeded as error:
+            self._reclassify_duplicate(leg_bytes)
+            with hstate.lock:
+                hstate.inflight -= 1
+            self._host_failed(hstate, W_HOST_TIMEOUT, str(error))
+            return
         except Exception as error:  # TransportError or broken agent/work
             self._reclassify_duplicate(leg_bytes)
             self._attempt_failed(hstate, error)

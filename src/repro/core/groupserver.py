@@ -17,9 +17,13 @@ picks fewer, larger groups:
 * **One multiplexed connection per worker.** Each group speaks the
   versioned wire codec over a single stream - TCP, Unix-domain socket, or
   a :mod:`multiprocessing` pipe - carrying interleaved request/reply
-  envelopes tagged by correlation id (:class:`_GroupConn` demultiplexes
-  replies to waiting threads, so scatters over different hosts of one
-  group overlap on one socket).
+  envelopes tagged by correlation id.  An exchange is split in two:
+  :meth:`GroupAgentPool.send` writes the envelope and returns an
+  :class:`Exchange`, the consume step (``group_query`` /
+  ``group_monitor_tick`` given ``exchange=``) waits for its reply later.
+  A scatter sends to every group before it waits on the first, and the
+  connection's reader thread (:class:`_GroupConn`) files each reply
+  under its correlation id as it lands.
 * **Frame coalescing.** Monitor ticks, ingest batches, re-seed streams
   and per-tree-edge query requests for all hosts of a group pack into a
   single ``MSG_GROUP_BATCH`` envelope (``group_monitor_tick``,
@@ -67,7 +71,7 @@ from repro.core import wire
 from repro.core.agentserver import (AgentServerError, _HostServer,
                                     _RequestMemo)
 from repro.core.alarms import Alarm
-from repro.core.executor import ModelTransport
+from repro.core.executor import DeadlineExceeded, ModelTransport
 from repro.core.monitor import MonitorSnapshot, TransferObservation
 from repro.core.query import QueryResult
 from repro.core.rpc import RpcChannel
@@ -415,14 +419,52 @@ class _SocketEndpoint:
 class _Waiter:
     """One in-flight correlated exchange on a multiplexed connection."""
 
-    __slots__ = ("cid", "event", "replies", "reply_bytes", "error")
+    __slots__ = ("cid", "event", "replies", "reply_bytes", "landed", "error")
 
     def __init__(self, cid: int) -> None:
         self.cid = cid
         self.event = threading.Event()
         self.replies: Optional[List[Tuple[str, bytes]]] = None
         self.reply_bytes = 0
+        #: ``perf_counter`` stamp the reader thread put on the reply.
+        self.landed = 0.0
         self.error: Optional[str] = None
+
+
+class Exchange:
+    """A correlated envelope written to a group worker whose reply has not
+    been consumed yet.
+
+    :meth:`GroupAgentPool.send` returns one; the consume step takes it
+    (``exchange=`` of :meth:`GroupAgentPool.group_query` and
+    :meth:`GroupAgentPool.group_monitor_tick`).  The reply lands on the
+    connection's reader thread whenever the worker answers, whether or not
+    anyone is consuming yet.
+    """
+
+    __slots__ = ("conn", "hosts", "waiter", "request_bytes", "sent_at",
+                 "reseed")
+
+    def __init__(self, conn: "_GroupConn", hosts: List[str], waiter: _Waiter,
+                 request_bytes: int, sent_at: float, reseed: bool) -> None:
+        self.conn = conn
+        #: The entries' hosts, in envelope order.
+        self.hosts = hosts
+        self.waiter = waiter
+        self.request_bytes = request_bytes
+        self.sent_at = sent_at
+        self.reseed = reseed
+
+    @property
+    def key(self) -> str:
+        return self.conn.key
+
+    @property
+    def exec_s(self) -> float:
+        """Seconds from the send until the reply landed (the reader
+        thread's stamp): how long the exchange took, not how long its
+        consumer waited."""
+        return self.waiter.landed - self.sent_at
 
 
 @dataclass(slots=True)
@@ -441,14 +483,20 @@ class _Pending:
 class _GroupConn:
     """One multiplexed connection to a group worker.
 
-    A dedicated reader thread demultiplexes reply envelopes to waiting
-    request threads by correlation id, so concurrent exchanges on
-    different hosts of one group interleave on a single stream.  All
-    writes serialise on ``_send_lock`` (envelopes must not interleave
-    bytes).  Any stream failure - EOF, an undecodable stream or envelope,
-    a reply for an exchange nobody waits on - marks the connection dead
-    and fails every pending waiter, so no request thread ever hangs on a
-    lost reply.
+    An exchange has two halves.  *Send* registers a waiter under a fresh
+    correlation id and writes the request (:meth:`register`, then
+    :meth:`send`); *consume* waits on the waiter later, from whatever
+    thread holds the exchange.  A dedicated reader thread demultiplexes
+    reply envelopes to their waiters by correlation id and stamps when
+    each landed, so any number of exchanges can be in flight on one
+    stream - a scatter writes every group's envelope before it waits on
+    the first - and replies are drained while the caller is still
+    writing, so a large reply never blocks a worker.  All writes
+    serialise on ``_send_lock`` (envelopes must not interleave bytes).
+    Any stream failure - EOF, an undecodable stream or envelope, a reply
+    for an exchange nobody waits on - marks the connection dead and fails
+    every pending waiter, so no consumer ever hangs on a lost reply; the
+    reader alone gives that verdict.
 
     **The outbox.**  Fire-and-forget entries (:meth:`post`) queue, in
     order, on the connection's outbox; an ingest batch whose host's newest
@@ -670,6 +718,7 @@ class _GroupConn:
                 return
             waiter.replies = entries
             waiter.reply_bytes = len(frame)
+            waiter.landed = time.perf_counter()
             waiter.event.set()
 
 
@@ -683,7 +732,10 @@ class GroupAgentPool:
     group API (``group_monitor_tick``/``group_query``/
     ``group_ping_state``) that packs one envelope per *group* instead of
     one frame per *host* - every query scatter, direct or multi-level,
-    goes through ``group_query``.
+    goes through ``group_query``.  Each group call is :meth:`send`
+    followed by its consume step; a scatter calls :meth:`send` for every
+    group first and then the group calls with ``exchange=``, so all
+    envelopes leave before the first wait.
 
     Args:
         hosts: hosts to serve, in canonical (scatter) order.
@@ -1060,8 +1112,36 @@ class GroupAgentPool:
         return process is not None and process.is_alive()
 
     # ---------------------------------------------------------- group client
+    def send(self, key: str, entries: Sequence[Tuple[str, bytes]],
+             reseed: bool = False) -> Exchange:
+        """The send half of a correlated exchange with ``key``'s worker:
+        register a waiter, then encode the envelope with its correlation
+        id, flush the outbox and write both under the connection's send
+        lock.  Returns without waiting; the reply lands on the
+        connection's reader thread, and the caller consumes it later
+        (``exchange=`` of :meth:`group_query` /
+        :meth:`group_monitor_tick`).  ``reseed`` marks the supervisor's
+        own re-seed traffic: its failures do not recurse into supervision.
+        Raises :class:`AgentServerError` on a dead connection."""
+        conn = self._conn_for(self._key_for(key))
+        sent_at = time.perf_counter()
+        try:
+            # Registering fails when the connection already died (EOF
+            # noticed by the reader with no exchange in flight); surfaced
+            # like a fresh failure so supervision still kicks in.
+            waiter = conn.register()
+            envelope = wire.encode_group_batch(waiter.cid, entries)
+            conn.send(envelope, len(entries), reseed)
+        except AgentServerError as error:
+            raise self._worker_failed(conn, str(error), reseed) from error
+        return Exchange(conn, [host for host, _frame in entries], waiter,
+                        len(envelope), sent_at, reseed)
+
     def group_monitor_tick(self, key: str, now: float,
-                           threshold: Optional[int] = None
+                           threshold: Optional[int] = None,
+                           exchange: Optional[Exchange] = None,
+                           deadline: Optional[float] = None,
+                           on_host=None
                            ) -> Tuple[List[Tuple[str, List[Alarm]]],
                                       int, int]:
         """Run one coalesced monitor sweep over every host of ``key``.
@@ -1070,20 +1150,35 @@ class GroupAgentPool:
         envelope carries all M alarm batches.  Returns
         ``(per-host (host, alarms) in shard order, reply envelope bytes,
         request envelope bytes)``.
+
+        With ``exchange`` (a tick envelope :meth:`send` already wrote)
+        this is only the consume step.  ``deadline`` (a ``perf_counter``
+        stamp) bounds the wait: past it,
+        :class:`~repro.core.executor.DeadlineExceeded` is raised and the
+        exchange stays open, so a later call can still consume its reply.
+        ``on_host(host, alarms)`` is called as soon as each host's batch
+        is decoded, in shard order.
         """
-        key = self._key_for(key)
-        hosts = self.group_hosts(key)
-        tick = wire.encode_monitor_tick(now, threshold)
-        replies, reply_bytes, sent = self._ask_group(
-            key, [(host, tick) for host in hosts])
-        per_host = [
-            (host, self._checked_decode(key, reply, wire.decode_alarm_batch))
-            for host, reply in zip(hosts, replies)]
+        if exchange is None:
+            key = self._key_for(key)
+            tick = wire.encode_monitor_tick(now, threshold)
+            exchange = self.send(key, [(host, tick)
+                                       for host in self.group_hosts(key)])
+        replies, reply_bytes, sent = self._consume(exchange, deadline)
+        per_host = []
+        for host, reply in zip(exchange.hosts, replies):
+            alarms = self._checked_decode(exchange.key, reply,
+                                          wire.decode_alarm_batch)
+            if on_host is not None:
+                on_host(host, alarms)
+            per_host.append((host, alarms))
         return per_host, reply_bytes, sent
 
     def group_query(self, key: str, query,
                     hosts: Optional[Sequence[str]] = None,
-                    frames: Optional[Dict[str, bytes]] = None
+                    frames: Optional[Dict[str, bytes]] = None,
+                    exchange: Optional[Exchange] = None,
+                    deadline: Optional[float] = None
                     ) -> Tuple[List[Tuple[str, QueryResult]], int, int]:
         """Run ``query`` on every host of ``key`` (or the given subset)
         through one coalesced envelope.
@@ -1096,18 +1191,24 @@ class GroupAgentPool:
         request envelope bytes)``; each result's ``wire_bytes`` is its
         measured inner reply frame length.  A host-level error reply fails
         the whole group exchange (the group is the failure domain in
-        coalesced scatters).
+        coalesced scatters).  ``exchange`` and ``deadline`` make it the
+        consume step of an envelope :meth:`send` already wrote, as in
+        :meth:`group_monitor_tick`.
         """
-        key = self._key_for(key)
-        targets = tuple(hosts) if hosts is not None else self.group_hosts(key)
-        if frames is None:
-            frames = dict.fromkeys(targets,
-                                   wire.encode_query_request(query, None))
-        replies, reply_bytes, sent = self._ask_group(
-            key, [(host, frames[host]) for host in targets])
+        if exchange is None:
+            key = self._key_for(key)
+            targets = (tuple(hosts) if hosts is not None
+                       else self.group_hosts(key))
+            if frames is None:
+                frames = dict.fromkeys(
+                    targets, wire.encode_query_request(query, None))
+            exchange = self.send(key, [(host, frames[host])
+                                       for host in targets])
+        replies, reply_bytes, sent = self._consume(exchange, deadline)
         results = [
-            (host, self._checked_decode(key, reply, wire.decode_result, query))
-            for host, reply in zip(targets, replies)]
+            (host, self._checked_decode(exchange.key, reply,
+                                        wire.decode_result, query))
+            for host, reply in zip(exchange.hosts, replies)]
         return results, reply_bytes, sent
 
     def group_ping_state(self, key: str) -> Dict[str, Tuple[int, int]]:
@@ -1116,8 +1217,8 @@ class GroupAgentPool:
         key = self._key_for(key)
         hosts = self.group_hosts(key)
         ping = wire.encode_ping()
-        replies, _reply_bytes, _sent = self._ask_group(
-            key, [(host, ping) for host in hosts])
+        replies, _reply_bytes, _sent = self._consume(
+            self.send(key, [(host, ping) for host in hosts]))
         return {host: self._checked_decode(key, reply, wire.decode_pong_state)
                 for host, reply in zip(hosts, replies)}
 
@@ -1243,25 +1344,31 @@ class GroupAgentPool:
             self._post(host, body, kind, count, reseed)
         return queued + len(body)
 
-    def _request(self, key: str, entries: Sequence[Tuple[str, bytes]],
-                 timeout_s=_UNSET, reseed: bool = False
-                 ) -> Tuple[List[Tuple[str, bytes]], int, int]:
-        """One correlated envelope exchange, the outbox flushed ahead of
-        it; returns ``(replies, reply envelope bytes, request envelope
-        bytes)``.  ``reseed`` marks the supervisor's own re-seed traffic:
-        its failures do not recurse into supervision."""
-        conn = self._conn_for(key)
+    def _receive(self, exchange: Exchange, deadline: Optional[float] = None,
+                 timeout_s=_UNSET) -> Tuple[List[Tuple[str, bytes]], int, int]:
+        """Wait for ``exchange``'s reply and check its cardinality; returns
+        ``(replies, reply envelope bytes, request envelope bytes)``.
+
+        Two clocks bound the wait.  The pool's reply timeout
+        (``timeout_s`` overrides it) counts from the send: a worker that
+        misses it is declared dead.  ``deadline`` is the caller's
+        ``perf_counter`` stamp: missing it raises
+        :class:`~repro.core.executor.DeadlineExceeded` and leaves the
+        exchange open, its reply still welcome."""
+        conn, waiter = exchange.conn, exchange.waiter
+        key = conn.key
         timeout = self.reply_timeout_s if timeout_s is _UNSET else timeout_s
-        try:
-            # Registering fails when the connection already died (EOF
-            # noticed by the reader with no exchange in flight); surfaced
-            # like a fresh failure so supervision still kicks in.
-            waiter = conn.register()
-            envelope = wire.encode_group_batch(waiter.cid, list(entries))
-            conn.send(envelope, len(entries), reseed)
-        except AgentServerError as error:
-            raise self._worker_failed(conn, str(error), reseed) from error
-        if not waiter.event.wait(timeout):
+        expires = None if timeout is None else exchange.sent_at + timeout
+        patient = deadline is None or (expires is not None
+                                       and expires <= deadline)
+        until = expires if patient else deadline
+        if not waiter.event.wait(
+                None if until is None
+                else max(0.0, until - time.perf_counter())):
+            if not patient:
+                raise DeadlineExceeded(
+                    f"agent server group {key} did not reply by the "
+                    f"per-host deadline")
             # The reply would still arrive eventually and desynchronise
             # nothing (it carries its cid) - but a wedged worker holds M
             # hosts hostage; declare the whole group dead: kill it and
@@ -1270,30 +1377,31 @@ class GroupAgentPool:
             conn.close(f"group worker {key} timed out")
             raise self._worker_failed(
                 conn, f"agent server group {key} did not reply within "
-                f"{timeout}s; worker killed", reseed)
+                f"{timeout}s; worker killed", exchange.reseed)
         if waiter.error is not None:
             self._kill_group_process(key)
-            raise self._worker_failed(conn, waiter.error, reseed)
+            raise self._worker_failed(conn, waiter.error, exchange.reseed)
         assert waiter.replies is not None
-        if len(waiter.replies) != len(entries):
+        if len(waiter.replies) != len(exchange.hosts):
             self._kill_group_process(key)
             conn.close(f"group worker {key} reply cardinality mismatch")
             raise self._worker_failed(
                 conn, f"agent server group {key} answered "
-                f"{len(waiter.replies)} of {len(entries)} entries; "
-                f"worker killed", reseed)
-        return waiter.replies, waiter.reply_bytes, len(envelope)
+                f"{len(waiter.replies)} of {len(exchange.hosts)} entries; "
+                f"worker killed", exchange.reseed)
+        return waiter.replies, waiter.reply_bytes, exchange.request_bytes
 
-    def _ask_group(self, key: str, entries: Sequence[Tuple[str, bytes]]
-                   ) -> Tuple[List[bytes], int, int]:
-        """One correlated exchange whose every entry must be answered by
-        the host it addressed, and not with an error frame (a host-level
-        error fails the whole exchange - the group is the failure domain).
-        Returns ``(reply frames in entry order, reply envelope bytes,
-        request envelope bytes)``."""
-        replies, reply_bytes, sent = self._request(key, entries)
+    def _consume(self, exchange: Exchange, deadline: Optional[float] = None
+                 ) -> Tuple[List[bytes], int, int]:
+        """The consume half of a correlated exchange whose every entry
+        must be answered by the host it addressed, and not with an error
+        frame (a host-level error fails the whole exchange - the group is
+        the failure domain).  Returns ``(reply frames in entry order,
+        reply envelope bytes, request envelope bytes)``."""
+        replies, reply_bytes, sent = self._receive(exchange, deadline)
+        key = exchange.key
         frames: List[bytes] = []
-        for (host, _frame), (reply_host, reply) in zip(entries, replies):
+        for host, (reply_host, reply) in zip(exchange.hosts, replies):
             if reply_host != host:
                 raise self._desynced(key, host, reply_host)
             kind = self._checked_decode(key, reply, wire.frame_type)
@@ -1307,7 +1415,8 @@ class GroupAgentPool:
         """A single-entry exchange with ``host``'s worker; returns
         ``(group key, reply frame)``."""
         key = self._key_for(host)
-        replies, _reply_bytes, _sent = self._ask_group(key, [(host, frame)])
+        replies, _reply_bytes, _sent = self._consume(
+            self.send(key, [(host, frame)]))
         return key, replies[0]
 
     def _desynced(self, key: str, host: str,
@@ -1412,8 +1521,8 @@ class GroupAgentPool:
             if host in seeds:
                 self.seed_host(host, seeds[host], reseed=True)
         entries = [(host, wire.encode_ping()) for host in hosts]
-        replies, _reply_bytes, _sent = self._request(
-            key, entries, timeout_s=timeout_s, reseed=True)
+        replies, _reply_bytes, _sent = self._receive(
+            self.send(key, entries, reseed=True), timeout_s=timeout_s)
         for (host, _frame), (reply_host, reply) in zip(entries, replies):
             if reply_host != host:
                 raise AgentServerError(
@@ -1443,9 +1552,10 @@ class SocketTransport(ModelTransport):
     :class:`~repro.core.rpc.RpcChannel` model as :class:`ModelTransport`
     (so modelled response times stay comparable across modes), the
     *sizes* are the real encoded frame and envelope lengths the cluster
-    measured, and the per-leaf work is the real multiplexed exchange with
-    the worker - its cost shows up in the measured ``exec_s``/``wall_s``,
-    not the model.
+    measured, and the per-leaf work consumes the real multiplexed
+    exchange with the worker - its cost shows up in the measured
+    ``exec_s`` (send until the reply landed) and ``wall_s``, not the
+    model.
     """
 
     def __init__(self, pool: GroupAgentPool,

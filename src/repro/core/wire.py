@@ -497,6 +497,9 @@ def value_len(value: Any) -> int:
 # --------------------------------------------------------------------------
 _TRUNCATED = "truncated frame"
 _unpack_double = _DOUBLE.unpack_from
+#: ``_new_tuple(FlowId, fields)``: a NamedTuple from its field sequence
+#: without the Python-level ``__new__`` call.
+_new_tuple: Callable[..., Any] = tuple.__new__
 
 
 class _Reader:
@@ -1462,12 +1465,79 @@ def encode_alarm_batch(alarms: Sequence[Alarm]) -> bytes:
     return _frame(MSG_ALARM_BATCH, bytes(body))
 
 
+class _ReaderAlarm(Exception):
+    """An alarm :func:`decode_alarm_batch` hands to :meth:`_Reader.alarm`."""
+
+
 @_guarded
 def decode_alarm_batch(data: bytes) -> List[Alarm]:
-    """Inverse of :func:`encode_alarm_batch`."""
+    """Inverse of :func:`encode_alarm_batch`.
+
+    One pass with the cursor in a local, the way :meth:`_Reader.values`
+    reads its leaves: an alarm without paths whose strings each fit a
+    one-byte length - every monitor alarm - is read inline, with no
+    reader call.  Anything else (paths, a longer string, and any bytes
+    the inline read cannot finish) is re-read from the alarm's first byte
+    by :meth:`_Reader.alarm`, which also raises every error.
+    """
     reader = _expect(data, MSG_ALARM_BATCH)
-    alarm = reader.alarm
-    return [alarm() for _ in range(reader.uvarint())]
+    count = reader.uvarint()
+    pos = reader.pos
+    size = len(data)
+    alarms: List[Alarm] = []
+    append = alarms.append
+    for _ in range(count):
+        start = pos
+        try:
+            n = data[pos]
+            end = pos + 1 + n
+            if n > 0x7F or end > size:
+                raise _ReaderAlarm
+            src = str(data[pos + 1:end], "utf-8")
+            n = data[end]
+            pos = end + 1 + n
+            if n > 0x7F or pos > size:
+                raise _ReaderAlarm
+            flow: List[Any] = [src, str(data[end + 1:pos], "utf-8")]
+            for _field in range(3):  # src_port, dst_port, protocol
+                value = data[pos]
+                if value > 0x7F:
+                    value &= 0x7F
+                    shift = 7
+                    while True:
+                        pos += 1
+                        byte = data[pos]
+                        value |= (byte & 0x7F) << shift
+                        if byte <= 0x7F:
+                            break
+                        shift += 7
+                pos += 1
+                flow.append(-((value + 1) >> 1) if value & 1
+                            else value >> 1)
+            n = data[pos]
+            end = pos + 1 + n
+            if n > 0x7F or end > size or data[end]:  # data[end]: path count
+                raise _ReaderAlarm
+            reason = str(data[pos + 1:end], "utf-8")
+            n = data[end + 1]
+            pos = end + 2 + n
+            if n > 0x7F or pos > size:
+                raise _ReaderAlarm
+            host = str(data[end + 2:pos], "utf-8")
+            when = _unpack_double(data, pos)[0]
+            n = data[pos + 8]
+            end = pos + 9 + n
+            if n > 0x7F or end > size:
+                raise _ReaderAlarm
+            detail = str(data[pos + 9:end], "utf-8")
+            pos = end
+            append(Alarm(_new_tuple(FlowId, flow), reason, [], host, when,
+                         detail))
+        except (_ReaderAlarm, IndexError, struct.error, UnicodeDecodeError):
+            reader.pos = start
+            append(reader.alarm())
+            pos = reader.pos
+    return alarms
 
 
 #: Append one observation's batch-body bytes (see :data:`append_record`).
@@ -1605,6 +1675,17 @@ def encode_group_batch(correlation_id: int,
         _w_uvarint(body, len(inner))
         body += inner
     return _frame(MSG_GROUP_BATCH, bytes(body))
+
+
+def group_batch_len(correlation_id: int,
+                    entries: Sequence[Tuple[str, bytes]]) -> int:
+    """Exact ``len(encode_group_batch(correlation_id, entries))``, built
+    from no bytes."""
+    size = (HEADER_BYTES + _uvarint_len(correlation_id)
+            + _uvarint_len(len(entries)))
+    for host, inner in entries:
+        size += _str_len(host) + _uvarint_len(len(inner)) + len(inner)
+    return size
 
 
 @_guarded

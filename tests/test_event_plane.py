@@ -10,6 +10,7 @@ mid-tick surfacing like a dead agent, and the event-driven debug apps
 running unchanged on top of the bus in all three modes.
 """
 
+import random
 import threading
 import time
 
@@ -21,7 +22,7 @@ from repro.core import (AlarmBus, MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
                         QueryCluster, wire)
 from repro.core.alarms import Alarm, PC_FAIL, POOR_PERF
 from repro.core.cluster import MonitorSweep
-from repro.core.executor import W_HOST_FAILED
+from repro.core.executor import W_HOST_FAILED, W_HOST_TIMEOUT
 from repro.core.monitor import ActiveMonitor
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
@@ -356,11 +357,12 @@ class TestWorkerFailureMidTick:
         hosts_alerting = {a.host for a in sweep}
         assert hosts_alerting == set(process_cluster.hosts) - {victim}
 
-    def test_timed_out_tick_alarms_still_reach_the_bus(self):
-        """A tick reply the executor discards (per-host timeout) must not
+    @pytest.mark.parametrize("mode", [MODE_PROCESS, MODE_SOCKET])
+    def test_timed_out_tick_alarms_still_reach_the_bus(self, mode):
+        """A tick reply the scatter gives up on (per-host timeout) must not
         lose its alarms: the worker already latched the flows, so the late
         reply's alarms are delivered to the bus out of band."""
-        cluster = make_cluster(MODE_PROCESS)
+        cluster = make_cluster(mode, group_count=2)
         try:
             cluster.configure_executor(timeout_s=0.15)
             victim = cluster.hosts[1]
@@ -368,6 +370,7 @@ class TestWorkerFailureMidTick:
             sweep = cluster.run_monitors(1.0)
             assert sweep.partial and victim in sweep.hosts_failed
             assert not any(a.host == victim for a in sweep)
+            assert [w.code for w in sweep.warnings] == [W_HOST_TIMEOUT]
             # 3 poor flows per host (feed_workload): the victim's 3 arrive
             # late but are never lost.
             total = 3 * len(cluster.hosts)
@@ -391,6 +394,85 @@ class TestWorkerFailureMidTick:
         sweep = process_cluster.run_monitors(1.0)
         assert sweep.partial and victim in sweep.hosts_failed
         assert sweep  # everyone else still alerted
+
+
+class TestStreamedDelivery:
+    """A worker-mode sweep hands each host's alarms to the bus as soon as
+    every earlier host's have gone, not after the slowest group."""
+
+    def test_early_groups_do_not_wait_for_a_stalled_one(self):
+        stall_s = 0.3
+        with make_cluster(MODE_SERIAL) as serial:
+            want = alarm_stream_bytes(serial.run_monitors(1.0))
+        with make_cluster(MODE_SOCKET, group_count=2) as cluster:
+            pool = cluster.agent_servers
+            first, second = (pool.group_hosts(key)
+                             for key in pool.group_keys())
+            stamps = []
+            cluster.alarm_bus.subscribe(
+                lambda alarm: stamps.append((time.perf_counter(), alarm)))
+            pool.stall(second[0], stall_s)
+            sweep = cluster.run_monitors(1.0)
+            assert not sweep.partial
+            assert alarm_stream_bytes(sweep) == want
+            assert alarm_stream_bytes(a for _, a in stamps) == want
+            early = [at for at, alarm in stamps if alarm.host in first]
+            late = [at for at, alarm in stamps if alarm.host in second]
+            assert early and late
+            assert min(late) - max(early) >= stall_s - 0.1
+
+    @pytest.mark.parametrize("mode", [MODE_PROCESS, MODE_SOCKET])
+    def test_a_failing_subscriber_fails_the_sweep_not_a_worker(self, mode):
+        """A subscriber's exception propagates out of ``run_monitors`` as
+        it does in-process; it is never reported as a failed group."""
+        with make_cluster(mode, group_count=2) as cluster:
+            def broken(alarm):
+                raise RuntimeError("subscriber bug")
+
+            cluster.alarm_bus.subscribe(broken)
+            with pytest.raises(RuntimeError, match="subscriber bug"):
+                cluster.run_monitors(1.0)
+            assert cluster.agent_servers.stats.restarts == 0
+            assert all(cluster.agent_servers.healthy(host)
+                       for host in cluster.hosts)
+
+
+def random_alarm(rng):
+    """Alarms off the monitor's beaten path: strings over 127 bytes,
+    non-ASCII text, negative ports, multi-hop paths."""
+    def text():
+        return "".join(rng.choice("ab-é中 ") for _ in range(
+            rng.choice((0, 1, 9, 127, 128, 200))))
+
+    flow = FlowId(text(), text(), rng.randrange(-70_000, 70_000),
+                  rng.randrange(-(1 << 40), 1 << 40), rng.choice((6, 17)))
+    paths = [tuple(text() for _ in range(rng.randrange(5)))
+             for _ in range(rng.choice((0, 0, 1, 3)))]
+    return Alarm(flow_id=flow, reason=rng.choice((POOR_PERF, PC_FAIL,
+                                                  text())),
+                 paths=paths, host=text(), time=rng.uniform(-1e3, 1e9),
+                 detail=text())
+
+
+class TestAlarmBatchDecode:
+    def test_one_pass_decode_matches_the_reader(self):
+        """``decode_alarm_batch`` reads what :meth:`_Reader.alarm` reads,
+        byte for byte and type for type, whichever leg reads an alarm."""
+        rng = random.Random(20261016)
+        for _ in range(150):
+            alarms = [random_alarm(rng) for _ in range(rng.randrange(8))]
+            frame = wire.encode_alarm_batch(alarms)
+            _kind, reader = wire.open_frame(frame)
+            expected = [reader.alarm() for _ in range(reader.uvarint())]
+            decoded = wire.decode_alarm_batch(frame)
+            assert decoded == expected == alarms
+            for alarm in decoded:
+                assert type(alarm.flow_id) is FlowId
+                assert type(alarm.paths) is list
+            cuts = range(wire.HEADER_BYTES, len(frame))
+            for cut in rng.sample(cuts, min(len(cuts), 24)):
+                with pytest.raises(wire.WireError, match="truncated"):
+                    wire.decode_alarm_batch(frame[:cut])
 
 
 class TestDebugAppsAcrossModes:

@@ -1773,6 +1773,21 @@ class TestExactSizes:
             assert wire.value_len(query.params["plan"]) == \
                 len(wire.encode_value(query.params["plan"]))
 
+    def test_group_batch_len_is_the_envelope_length(self):
+        """Across the varint widths of the correlation id, the entry
+        count, host names and inner frame lengths."""
+        rng = random.Random(20261016)
+        for _ in range(300):
+            cid = rng.choice((0, 1, 127, 128, 1 << rng.randrange(1, 40)))
+            entries = [
+                ("".join(rng.choice("h-1é中") for _ in range(
+                    rng.choice((0, 8, 127, 128, 200)))),
+                 bytes(rng.randrange(256) for _ in range(
+                     rng.choice((4, 40, 127, 128, 300)))))
+                for _ in range(rng.choice((0, 1, 3, 130)))]
+            assert wire.group_batch_len(cid, entries) == \
+                len(wire.encode_group_batch(cid, entries))
+
     def test_record_and_alarm_sizes(self):
         rng = random.Random(23)
         for record in TestRecordBatches._random_records(rng) + \

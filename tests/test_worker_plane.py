@@ -32,8 +32,8 @@ from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
                         shard_hosts, wire)
 from repro.core.aggregation import AggregationTree
 from repro.core.alarms import PC_FAIL
-from repro.core.executor import (W_HOST_FAILED, W_MIRROR_DETACHED,
-                                 W_WORKER_RESTARTED)
+from repro.core.executor import (ScatterGatherExecutor, W_HOST_FAILED,
+                                 W_MIRROR_DETACHED, W_WORKER_RESTARTED)
 from repro.core.groupserver import (OUTBOX_FLUSH_BYTES, _EndpointClosed,
                                     _SocketEndpoint, shard_for)
 from repro.core.monitor import MonitorSnapshot
@@ -431,6 +431,61 @@ class TestFrameCoalescing:
             assert pool.stats.envelopes_sent == GROUPS
             assert pool.stats.frames_sent == NUM_HOSTS
             assert sweep.traffic_bytes > 0
+
+
+class TestSplitPhaseScatter:
+    """A worker-mode scatter writes every group's envelope, then consumes
+    the replies in group order on the calling thread."""
+
+    @pytest.mark.parametrize("shape", FAILURE_SHAPES)
+    def test_queries_and_sweeps_start_no_thread(self, shape, monkeypatch):
+        with worker_cluster(*shape, feed=feed_workload) as cluster:
+            started = []
+            real_start = threading.Thread.start
+
+            def start(thread):
+                started.append(thread.name)
+                real_start(thread)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(threading.Thread, "start", start)
+                assert cluster.run_monitors(1.0)
+                assert cluster.run_monitors(2.0) == []
+                for mechanism in (MECHANISM_DIRECT, MECHANISM_MULTILEVEL):
+                    result = cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 5}),
+                                             mechanism=mechanism)
+                    assert result.payload and not result.partial
+            assert started == []
+
+    def test_every_envelope_leaves_before_the_first_wait(self, monkeypatch):
+        """Group 0 stalled for S: group 1's reported exchange time is its
+        own send-to-reply, not its wait behind group 0.  Both stalled: the
+        two stalls overlap, and group 1 - consumed after group 0, its
+        reply long landed - still reports the S its exchange took."""
+        stall_s = 0.4
+        with worker_cluster(feed=feed_workload) as cluster:
+            pool = cluster.agent_servers
+            gathers = []
+            run = ScatterGatherExecutor.run
+
+            def recording_run(executor, *args, **kwargs):
+                gathers.append(run(executor, *args, **kwargs))
+                return gathers[-1]
+
+            monkeypatch.setattr(ScatterGatherExecutor, "run", recording_run)
+            pool.stall(pool.group_hosts("group-0")[0], stall_s)
+            assert cluster.run_monitors(1.0)
+            reports = gathers[-1].reports
+            assert reports["group-0"].exec_s >= stall_s
+            assert reports["group-1"].exec_s < stall_s / 2
+            for key in pool.group_keys():
+                pool.stall(pool.group_hosts(key)[0], stall_s)
+            result = cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 5}))
+            assert not result.partial
+            assert stall_s <= result.wall_clock_s < 1.5 * stall_s
+            assert result.breakdown["host_execution"] >= stall_s
+            assert all(report.exec_s >= stall_s
+                       for report in gathers[-1].reports.values())
 
 
 @pytest.fixture(scope="module")
