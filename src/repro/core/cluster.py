@@ -206,26 +206,29 @@ class _AlarmCollector:
     """Hands worker-raised alarms to the controller's bus in canonical
     host order, as early as that order allows.
 
-    A monitor sweep *streams*: the calling thread consumes the groups'
-    replies in group order and reports each host's batch the moment it is
-    decoded (:meth:`land`); a cursor over ``order`` then delivers every
-    contiguous landed host, so a host's alarms reach the bus as soon as
-    every earlier host's have.  Shards are contiguous and consumed in
-    order, so the cursor only ever moves forward, and an empty batch only
-    advances it.  A query's piggybacked alarms (PC_FAIL) only
-    :meth:`park` and are dispatched after the gather, because a
-    multi-level plan's order is not group-contiguous.
+    Alarms *stream*: the calling thread consumes the groups' replies in
+    group order and reports each host's batch the moment it is decoded
+    (:meth:`land`, empty batches included); a cursor over ``order`` then
+    delivers every contiguous landed host, so a host's alarms reach the
+    bus as soon as every earlier host's have.  For a sweep, shards are
+    contiguous and consumed in order, so the cursor only ever moves
+    forward and an empty batch only advances it.  A query's piggybacked
+    alarms (PC_FAIL) land the same way over the query's canonical host
+    order; a multi-level plan's order is not group-contiguous, so there
+    the cursor stops at the first host of a group not consumed yet and
+    :meth:`dispatch` delivers the rest after the gather.
 
     The agent -> controller alert channel is asynchronous while the wire
     protocol is request/reply, so alarms ride reply frames the scatter
     may give up on (a leaf past its deadline; its reply is consumed late,
     on a thread of its own).  The worker has already latched its flows
-    by then - a dropped reply would lose its alarms forever - so ``park``
-    captures them whenever the reply lands, and anything arriving after
-    the final :meth:`dispatch` is delivered directly (late, but never
-    lost).  Only the calling thread delivers before that; an exception a
-    subscriber raises there is held and re-raised by :meth:`dispatch`,
-    as it would be without streaming.
+    by then - a dropped reply would lose its alarms forever - so
+    :meth:`park` captures them whenever the reply lands, and anything
+    arriving after the final :meth:`dispatch` is delivered directly
+    (late, but never lost).  Only the calling thread delivers before
+    that; an ``Exception`` a subscriber raises there is held and
+    re-raised by :meth:`dispatch`, as it would be without streaming
+    (``KeyboardInterrupt`` and ``SystemExit`` propagate at once).
 
     ``latch``: monitor sweeps latch the local mirror of each POOR_PERF
     alarm's flow (``run_check`` latched it worker-side); query piggybacks
@@ -242,14 +245,14 @@ class _AlarmCollector:
         self._parked: Dict[str, Sequence[Alarm]] = {}  # guarded-by: _lock
         self._cursor = 0  # guarded-by: _lock
         self._delivered: List[Alarm] = []
-        self._error: Optional[BaseException] = None
+        self._error: Optional[Exception] = None
         self._dispatched = False  # guarded-by: _lock
 
     def park(self, host: str, alarms: Sequence[Alarm]) -> None:
-        """Capture one host's alarms, at most once per host: a retried
-        leaf's reply carries nothing the first one did not already
-        surrender (the worker latched it).  After the final dispatch they
-        are delivered directly."""
+        """Capture one host's alarms from a late reply, at most once per
+        host: a retried leaf's reply carries nothing the first one did
+        not already surrender (the worker latched it).  After the final
+        dispatch they are delivered directly."""
         with self._lock:
             if host in self._parked:
                 return
@@ -259,7 +262,8 @@ class _AlarmCollector:
             self._deliver(alarms)
 
     def land(self, host: str, alarms: Sequence[Alarm]) -> None:
-        """:meth:`park`, then deliver the landed prefix of ``order``."""
+        """Capture one host's alarms from a consumed reply, then deliver
+        the landed prefix of ``order``."""
         ready: List[Alarm] = []
         with self._lock:
             parked = self._parked
@@ -272,23 +276,19 @@ class _AlarmCollector:
         if ready and self._error is None:
             try:
                 self._deliver(ready)
-            except BaseException as error:
+            except Exception as error:
                 self._error = error
                 return
             self._delivered += ready
 
-    def dispatch(self, host_order: Optional[Sequence[str]] = None
-                 ) -> List[Alarm]:
-        """Deliver everything parked and not yet delivered, in
-        ``host_order`` (default: what :meth:`land` has not reached of
-        ``order``); returns every alarm this collector delivered in
-        order."""
+    def dispatch(self) -> List[Alarm]:
+        """Deliver everything captured for the hosts of ``order`` the
+        cursor has not reached, in order; returns every alarm this
+        collector delivered, in order."""
         with self._lock:
             self._dispatched = True
-            if host_order is None:
-                host_order = self._order[self._cursor:]
             parked = self._parked
-            alarms = [alarm for host in host_order
+            alarms = [alarm for host in self._order[self._cursor:]
                       for alarm in parked.get(host, ())]
         if self._error is not None:
             raise self._error
@@ -343,11 +343,16 @@ class QueryCluster:
             multiprocessing pipe; no listener, useful for tests).
         timeout_s: per-host query deadline (see the executor docs); in
             the worker modes each group leaf waits at most this long,
-            counted from the scatter's start.
+            counted from the scatter's start.  A query the workers do not
+            serve (a custom handler registered on the in-process agents)
+            runs locally on the serial executor in the worker modes, as
+            in ``"serial"``: its deadline is checked after each handler
+            returns, so a handler that hangs blocks the caller.
         hedge_after_s: straggler-hedging threshold, ``"concurrent"`` only.
             It does not apply to worker-group exchanges: a twin would
             queue behind the exchange it hedges on the same ordered
-            stream, so it could never overtake it.
+            stream, so it could never overtake it.  Nor does it apply to
+            the worker modes' local fallback, which runs serially.
         retries: bounded per-host retry budget for transport errors.
         retention: optional hot-tier bounds applied to every agent's TIB
             (two-tier mode: bounded hot memory, cold archive); in the
@@ -491,7 +496,9 @@ class QueryCluster:
         are split-phase on the calling thread (:meth:`_scatter_groups`:
         every envelope is written before the first wait), so they run on
         the serial executor - its timeouts, retries, supervision and
-        slot-ordered merges, without a thread per group."""
+        slot-ordered merges, without a thread per group.  Queries the
+        workers do not serve fall back to the in-process agents on the
+        same serial executor (no watchdog, no hedging)."""
         return MODE_CONCURRENT if self.mode == MODE_CONCURRENT \
             else MODE_SERIAL
 
@@ -922,15 +929,13 @@ class QueryCluster:
         def consume(exchange: Exchange, deadline: Optional[float]):
             try:
                 per_host, reply_bytes, _sent = pool.group_monitor_tick(
-                    exchange.key, now, threshold, exchange=exchange,
-                    deadline=deadline, on_host=sink.land)
+                    exchange, deadline, on_host=sink.land)
             except DeadlineExceeded:
                 # The worker latched its flows already: its late reply
                 # must still reach the bus - the alert channel is
                 # asynchronous, the sweep is not.
                 self._consume_late(lambda: pool.group_monitor_tick(
-                    exchange.key, now, threshold, exchange=exchange,
-                    on_host=sink.park))
+                    exchange, on_host=sink.park))
                 raise
             return None, reply_bytes  # the alarms went to the bus already
 
@@ -966,9 +971,12 @@ class QueryCluster:
         the exchange it would hedge).
 
         A leaf waits at most ``timeout_s`` counted from the scatter's
-        start, then fails as ``W_HOST_TIMEOUT`` (``consume`` re-raises
+        start on the real clock, then fails as ``W_HOST_TIMEOUT``
+        (``consume`` re-raises
         :class:`~repro.core.executor.DeadlineExceeded` after handing the
-        open exchange to :meth:`_consume_late`).  ``HostReport.exec_s`` -
+        open exchange to :meth:`_consume_late`); that is the only deadline
+        check - a reply consumed in time is never failed afterwards for
+        its modelled request leg.  ``HostReport.exec_s`` -
         hence ``max_exec_s`` - is each exchange's send until its reply
         landed, not the calling thread's wait.  Leaf values meet at the
         root through ``merge``; both legs are priced with the measured
@@ -1083,10 +1091,10 @@ class QueryCluster:
         per group: a failed leaf yields one ``W_HOST_FAILED`` naming the
         group key and expands to all of its run's hosts in
         ``hosts_failed`` (the group connection is the failure domain).
-        Piggybacked host alarms are dispatched afterwards in
-        ``alarm_order``, so the alarm stream is identical to the serial
-        one - and a reply the scatter gives up on still surrenders its
-        alarms.
+        Piggybacked host alarms go to the bus in ``alarm_order``
+        (:class:`_AlarmCollector`), so the alarm stream is identical to
+        the serial one - and a reply the scatter gives up on still
+        surrenders its alarms.
         """
         pool = self._process_pool
         leaves: Dict[str, Tuple[str, List[Tuple[str, bytes]]]] = {}
@@ -1094,30 +1102,29 @@ class QueryCluster:
             label = key if key not in leaves else f"{key}#{index}"
             leaves[label] = (key, [(host, frames[host])
                                    for host in run_hosts])
-        sink = _AlarmCollector(self, latch=False)
+        sink = _AlarmCollector(self, latch=False, order=alarm_order)
 
-        def park(results: List[Tuple[str, QueryResult]]) -> None:
+        def take_alarms(results: List[Tuple[str, QueryResult]],
+                        capture) -> None:
             for host, result in results:
-                if result.alarms:
-                    sink.park(host, result.alarms)
-                    result.alarms = ()
+                capture(host, result.alarms)
+                result.alarms = ()
 
         def consume(exchange: Exchange, deadline: Optional[float]):
             try:
                 results, reply_bytes, _sent = pool.group_query(
-                    exchange.key, query, exchange=exchange,
-                    deadline=deadline)
+                    exchange, query, deadline)
             except DeadlineExceeded:
-                self._consume_late(lambda: park(pool.group_query(
-                    exchange.key, query, exchange=exchange)[0]))
+                self._consume_late(lambda: take_alarms(
+                    pool.group_query(exchange, query)[0], sink.park))
                 raise
-            park(results)
+            take_alarms(results, sink.land)
             # What travels back is the reply envelope, whatever the leaf
             # makes of it; the response leg is priced with the real bytes.
             return leaf(results), reply_bytes
 
         gather = self._scatter_groups(leaves, consume, merge)
-        sink.dispatch(alarm_order)
+        sink.dispatch()
         gather.hosts_failed = [host for label in gather.hosts_failed
                                for host, _frame in leaves[label][1]]
         return gather

@@ -392,9 +392,10 @@ class ScatterGatherExecutor:
         timeout_s: per-host deadline; a host still running past it is
             declared failed (its partial result is dropped even if the
             worker later finishes).  In serial mode the deadline is applied
-            to the host's measured request+execution time after the fact;
-            work that waits on something can also enforce it itself by
-            raising :class:`DeadlineExceeded`.
+            to the host's modelled request leg plus measured execution
+            time after the fact; work that waits on something can enforce
+            it itself by raising :class:`DeadlineExceeded` instead (see
+            ``exec_seconds`` of :meth:`run`).
         hedge_after_s: straggler hedging - a host still running past this
             point gets a duplicate attempt launched; whichever finishes
             first wins.  Concurrent mode only.
@@ -430,7 +431,11 @@ class ScatterGatherExecutor:
         outcome.  ``response_bytes(value)`` sizes response messages for the
         transport.  ``exec_seconds(value)``, when given, is a host's
         execution time in place of the wall time of its ``work`` call (for
-        work that only collects something timed where it ran)."""
+        work that only collects something timed where it ran).  Such work
+        must enforce ``timeout_s`` itself, on the real clock, by raising
+        :class:`DeadlineExceeded`: serial mode then skips its
+        after-the-fact check, which would add the modelled request leg to
+        a duration the work did not wait through."""
         run = _Run(self, plan, work, merge, response_bytes, exec_seconds)
         return run.execute()
 
@@ -567,7 +572,8 @@ class _Run:
             self._reclassify_duplicate(leg_bytes)
             self._attempt_failed(hstate, error)
             return
-        if self.serial and self.executor.timeout_s is not None and \
+        if self.serial and self.exec_seconds is None and \
+                self.executor.timeout_s is not None and \
                 request_latency + exec_s > self.executor.timeout_s:
             # The deadline was blown by the (modelled) delivery plus the
             # execution, so that is what the slot contributes to the model.

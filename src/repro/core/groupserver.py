@@ -20,7 +20,7 @@ picks fewer, larger groups:
   envelopes tagged by correlation id.  An exchange is split in two:
   :meth:`GroupAgentPool.send` writes the envelope and returns an
   :class:`Exchange`, the consume step (``group_query`` /
-  ``group_monitor_tick`` given ``exchange=``) waits for its reply later.
+  ``group_monitor_tick`` of that exchange) waits for its reply later.
   A scatter sends to every group before it waits on the first, and the
   connection's reader thread (:class:`_GroupConn`) files each reply
   under its correlation id as it lands.
@@ -436,7 +436,7 @@ class Exchange:
     been consumed yet.
 
     :meth:`GroupAgentPool.send` returns one; the consume step takes it
-    (``exchange=`` of :meth:`GroupAgentPool.group_query` and
+    (:meth:`GroupAgentPool.group_query`,
     :meth:`GroupAgentPool.group_monitor_tick`).  The reply lands on the
     connection's reader thread whenever the worker answers, whether or not
     anyone is consuming yet.
@@ -732,9 +732,9 @@ class GroupAgentPool:
     group API (``group_monitor_tick``/``group_query``/
     ``group_ping_state``) that packs one envelope per *group* instead of
     one frame per *host* - every query scatter, direct or multi-level,
-    goes through ``group_query``.  Each group call is :meth:`send`
-    followed by its consume step; a scatter calls :meth:`send` for every
-    group first and then the group calls with ``exchange=``, so all
+    goes through ``group_query``.  ``group_monitor_tick`` and
+    ``group_query`` are consume steps: a scatter calls :meth:`send` for
+    every group first and then consumes each returned exchange, so all
     envelopes leave before the first wait.
 
     Args:
@@ -1119,8 +1119,8 @@ class GroupAgentPool:
         id, flush the outbox and write both under the connection's send
         lock.  Returns without waiting; the reply lands on the
         connection's reader thread, and the caller consumes it later
-        (``exchange=`` of :meth:`group_query` /
-        :meth:`group_monitor_tick`).  ``reseed`` marks the supervisor's
+        (:meth:`group_query`, :meth:`group_monitor_tick`, or
+        :meth:`_consume` for raw frames).  ``reseed`` marks the supervisor's
         own re-seed traffic: its failures do not recurse into supervision.
         Raises :class:`AgentServerError` on a dead connection."""
         conn = self._conn_for(self._key_for(key))
@@ -1137,33 +1137,23 @@ class GroupAgentPool:
         return Exchange(conn, [host for host, _frame in entries], waiter,
                         len(envelope), sent_at, reseed)
 
-    def group_monitor_tick(self, key: str, now: float,
-                           threshold: Optional[int] = None,
-                           exchange: Optional[Exchange] = None,
+    def group_monitor_tick(self, exchange: Exchange,
                            deadline: Optional[float] = None,
                            on_host=None
                            ) -> Tuple[List[Tuple[str, List[Alarm]]],
                                       int, int]:
-        """Run one coalesced monitor sweep over every host of ``key``.
+        """The consume step of one coalesced monitor sweep over a group:
+        ``exchange`` is the tick envelope :meth:`send` wrote, one tick
+        frame per member host; the single reply envelope carries every
+        host's alarm batch.  Returns ``(per-host (host, alarms) in
+        envelope order, reply envelope bytes, request envelope bytes)``.
 
-        One envelope carries the tick for all M hosts; the single reply
-        envelope carries all M alarm batches.  Returns
-        ``(per-host (host, alarms) in shard order, reply envelope bytes,
-        request envelope bytes)``.
-
-        With ``exchange`` (a tick envelope :meth:`send` already wrote)
-        this is only the consume step.  ``deadline`` (a ``perf_counter``
-        stamp) bounds the wait: past it,
+        ``deadline`` (a ``perf_counter`` stamp) bounds the wait: past it,
         :class:`~repro.core.executor.DeadlineExceeded` is raised and the
         exchange stays open, so a later call can still consume its reply.
         ``on_host(host, alarms)`` is called as soon as each host's batch
-        is decoded, in shard order.
+        is decoded, in envelope order.
         """
-        if exchange is None:
-            key = self._key_for(key)
-            tick = wire.encode_monitor_tick(now, threshold)
-            exchange = self.send(key, [(host, tick)
-                                       for host in self.group_hosts(key)])
         replies, reply_bytes, sent = self._consume(exchange, deadline)
         per_host = []
         for host, reply in zip(exchange.hosts, replies):
@@ -1174,36 +1164,19 @@ class GroupAgentPool:
             per_host.append((host, alarms))
         return per_host, reply_bytes, sent
 
-    def group_query(self, key: str, query,
-                    hosts: Optional[Sequence[str]] = None,
-                    frames: Optional[Dict[str, bytes]] = None,
-                    exchange: Optional[Exchange] = None,
+    def group_query(self, exchange: Exchange, query,
                     deadline: Optional[float] = None
                     ) -> Tuple[List[Tuple[str, QueryResult]], int, int]:
-        """Run ``query`` on every host of ``key`` (or the given subset)
-        through one coalesced envelope.
-
-        ``frames`` maps each target to its pre-encoded request frame
-        (``encode_query_request(query, spec)`` - a multi-level scatter
-        ships every tree edge's real query+spec frame, coalesced); without
-        it every target gets the bare query frame, encoded once.  Returns
-        ``(per-host (host, result) in request order, reply envelope bytes,
-        request envelope bytes)``; each result's ``wire_bytes`` is its
-        measured inner reply frame length.  A host-level error reply fails
-        the whole group exchange (the group is the failure domain in
-        coalesced scatters).  ``exchange`` and ``deadline`` make it the
-        consume step of an envelope :meth:`send` already wrote, as in
-        :meth:`group_monitor_tick`.
+        """The consume step of ``query`` run on a group through one
+        coalesced envelope: ``exchange`` is what :meth:`send` wrote, one
+        request frame per target (a multi-level scatter ships every tree
+        edge's real query+spec frame).  Returns ``(per-host (host, result)
+        in request order, reply envelope bytes, request envelope bytes)``;
+        each result's ``wire_bytes`` is its measured inner reply frame
+        length.  A host-level error reply fails the whole group exchange
+        (the group is the failure domain in coalesced scatters).
+        ``deadline`` is as in :meth:`group_monitor_tick`.
         """
-        if exchange is None:
-            key = self._key_for(key)
-            targets = (tuple(hosts) if hosts is not None
-                       else self.group_hosts(key))
-            if frames is None:
-                frames = dict.fromkeys(
-                    targets, wire.encode_query_request(query, None))
-            exchange = self.send(key, [(host, frames[host])
-                                       for host in targets])
         replies, reply_bytes, sent = self._consume(exchange, deadline)
         results = [
             (host, self._checked_decode(exchange.key, reply,

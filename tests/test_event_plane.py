@@ -24,6 +24,7 @@ from repro.core.alarms import Alarm, PC_FAIL, POOR_PERF
 from repro.core.cluster import MonitorSweep
 from repro.core.executor import W_HOST_FAILED, W_HOST_TIMEOUT
 from repro.core.monitor import ActiveMonitor
+from repro.core.rpc import RpcChannel
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
 from test_supervisor import kill_and_wait, small_topology
@@ -387,6 +388,24 @@ class TestWorkerFailureMidTick:
         finally:
             cluster.close()
 
+    @pytest.mark.parametrize("mode", [MODE_PROCESS, MODE_SOCKET])
+    def test_modelled_latency_never_times_out_a_reply_in_time(self, mode):
+        """The worker modes' deadline is the real clock only: a reply that
+        landed well inside ``timeout_s`` is not failed afterwards because
+        the channel model prices its request leg above the deadline."""
+        rpc = RpcChannel(message_latency_s=0.5)
+        with make_cluster(mode, group_count=2, rpc=rpc) as cluster:
+            cluster.configure_executor(timeout_s=0.3)
+            sweep = cluster.run_monitors(1.0)
+            assert not sweep.partial and sweep.hosts_failed == []
+            assert sweep.warnings == ()
+            assert len(sweep) == 3 * len(cluster.hosts)
+            assert cluster.alarm_bus.count(POOR_PERF) == len(sweep)
+            result = cluster.execute(
+                Query(Q_PATH_CONFORMANCE, {"max_hops": 0}))
+            assert not result.partial and result.warnings == ()
+            assert cluster.alarm_bus.count(PC_FAIL) > 0
+
     def test_dead_worker_tick_then_recovery_not_required(self,
                                                          process_cluster):
         victim = process_cluster.hosts[0]
@@ -435,6 +454,25 @@ class TestStreamedDelivery:
             assert cluster.agent_servers.stats.restarts == 0
             assert all(cluster.agent_servers.healthy(host)
                        for host in cluster.hosts)
+
+    def test_a_subscriber_interrupt_is_not_held_behind_later_groups(self):
+        """Only ``Exception`` waits for the final dispatch; an interrupt
+        (any ``BaseException``) leaves the sweep at once instead of after
+        every stalled group has been consumed."""
+        class Interrupt(BaseException):
+            pass
+
+        def interrupt(alarm):
+            raise Interrupt()
+
+        with make_cluster(MODE_SOCKET, group_count=2) as cluster:
+            pool = cluster.agent_servers
+            cluster.alarm_bus.subscribe(interrupt)
+            pool.stall(pool.group_hosts(pool.group_keys()[1])[0], 1.0)
+            started = time.perf_counter()
+            with pytest.raises(Interrupt):
+                cluster.run_monitors(1.0)
+            assert time.perf_counter() - started < 0.7
 
 
 def random_alarm(rng):

@@ -33,7 +33,8 @@ from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
 from repro.core.aggregation import AggregationTree
 from repro.core.alarms import PC_FAIL
 from repro.core.executor import (ScatterGatherExecutor, W_HOST_FAILED,
-                                 W_MIRROR_DETACHED, W_WORKER_RESTARTED)
+                                 W_HOST_TIMEOUT, W_MIRROR_DETACHED,
+                                 W_WORKER_RESTARTED)
 from repro.core.groupserver import (OUTBOX_FLUSH_BYTES, _EndpointClosed,
                                     _SocketEndpoint, shard_for)
 from repro.core.monitor import MonitorSnapshot
@@ -1009,6 +1010,35 @@ class TestLocalFallback:
         result = fresh_cluster.execute(Query("record_count", {}))
         assert result.payload == sum(
             a.tib.record_count() for a in fresh_cluster.agents.values())
+
+    def test_custom_handler_runs_serially_on_the_calling_thread(
+            self, fresh_cluster):
+        """The local fallback runs on the serial executor: every handler
+        runs on the calling thread, and the deadline is checked after a
+        handler returns - a slow one is waited out, then failed as
+        ``W_HOST_TIMEOUT``."""
+        slow = fresh_cluster.hosts[0]
+        threads = set()
+
+        def handler(agent, params):
+            threads.add(threading.get_ident())
+            if agent.host == slow:
+                time.sleep(0.3)
+            return 1, 0, {}
+
+        for agent in fresh_cluster.agents.values():
+            agent.engine.register("one_each", handler)
+        fresh_cluster.engine.register(
+            "one_each", lambda agent, params: (0, 0, {}),
+            merger=lambda query, payloads: sum(payloads))
+        fresh_cluster.configure_executor(timeout_s=0.15)
+        started = time.perf_counter()
+        result = fresh_cluster.execute(Query("one_each", {}))
+        assert time.perf_counter() - started >= 0.3
+        assert threads == {threading.get_ident()}
+        assert result.partial and result.hosts_failed == [slow]
+        assert [w.code for w in result.warnings] == [W_HOST_TIMEOUT]
+        assert result.payload == len(fresh_cluster.hosts) - 1
 
 
 class TestWorkerFailures:
