@@ -22,15 +22,14 @@ from repro.core.query import (Q_FLOW_SIZE_DISTRIBUTION, Q_GET_COUNT,
                               QueryResult)
 from repro.core.rpc import RpcChannel
 from repro.core.executor import (ExecWarning, GatherResult, LoopbackTransport,
-                                 MODE_CONCURRENT, MODE_SERIAL, ModelTransport,
-                                 PlanNode, ScatterGatherExecutor, Transport,
+                                 MODE_CONCURRENT, MODE_SERIAL, PlanNode,
+                                 ScatterGatherExecutor, Transport,
                                  TransportError)
 from repro.core import wire
 from repro.core.agentserver import AgentServerError
 from repro.core.groupserver import (GroupAgentPool, GroupPoolStats,
-                                    SocketTransport, TRANSPORT_PIPE,
-                                    TRANSPORT_TCP, TRANSPORT_UNIX,
-                                    shard_hosts)
+                                    TRANSPORT_PIPE, TRANSPORT_TCP,
+                                    TRANSPORT_UNIX, shard_hosts)
 from repro.core.supervisor import (ChaosPolicy, GroupSeed, RestartEvent,
                                    RestartPolicy, Supervisor, WorkerSeed)
 from repro.core.aggregation import AggregationTree
@@ -53,10 +52,10 @@ __all__ = [
     "PlanError", "PlanWarning", "Project", "TopK", "compile_get_count",
     "compile_top_k_flows", "reference_evaluate", "RpcChannel", "ExecWarning",
     "GatherResult", "LoopbackTransport", "MODE_CONCURRENT", "MODE_SERIAL",
-    "MODE_PROCESS", "MODE_SOCKET", "ModelTransport", "PlanNode",
+    "MODE_PROCESS", "MODE_SOCKET", "PlanNode",
     "ScatterGatherExecutor", "Transport", "TransportError",
     "AgentServerError", "GroupAgentPool", "GroupPoolStats",
-    "SocketTransport", "TRANSPORT_PIPE", "TRANSPORT_TCP", "TRANSPORT_UNIX",
+    "TRANSPORT_PIPE", "TRANSPORT_TCP", "TRANSPORT_UNIX",
     "shard_hosts", "ChaosPolicy",
     "GroupSeed", "RestartEvent", "RestartPolicy", "Supervisor", "WorkerSeed",
     "wire", "AggregationTree", "DistributedQueryResult", "MECHANISM_DIRECT",

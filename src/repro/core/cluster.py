@@ -18,12 +18,11 @@ to the flow-level simulator), and maps both query mechanisms onto the
 * per-host query execution and per-node aggregation costs are *measured*
   (wall-clock) on the real in-memory TIBs, and partial results stream into
   each node's accumulator as they arrive - no full-level barrier;
-* message latencies and byte counts come from the pluggable
-  :class:`~repro.core.executor.Transport` (by default the
-  :class:`~repro.core.rpc.RpcChannel` latency/bandwidth model), and the
-  modelled response time combines them with the measured execution/merge
-  times over the plan tree - reproducing the scaling behaviour the paper
-  reports;
+* after each run, the :class:`~repro.core.rpc.RpcChannel`
+  latency/bandwidth model counts the run's messages and prices its
+  measured legs, execution and merge times over the plan tree
+  (:func:`~repro.core.rpc.model_response_time`), reproducing the scaling
+  behaviour the paper reports;
 * hosts that are dead, time out or lose messages surface as structured
   warnings with ``partial=True`` instead of failing the whole query.
 
@@ -64,19 +63,18 @@ from repro.core.aggregation import PAPER_TREE_FANOUT, AggregationTree, TreeNode
 from repro.core.agentserver import AgentServerError, SERVED_QUERIES
 from repro.core.alarms import Alarm, AlarmBus, POOR_PERF
 from repro.core.executor import (DeadlineExceeded, ExecWarning, GatherResult,
-                                 MODE_CONCURRENT, MODE_SERIAL, ModelTransport,
-                                 PlanNode, ScatterGatherExecutor, Transport,
+                                 MODE_CONCURRENT, MODE_SERIAL, PlanNode,
+                                 ScatterGatherExecutor, Transport,
                                  W_CIRCUIT_OPEN, W_HOST_FAILED,
                                  W_MIRROR_DETACHED, W_WORKER_RESTARTED)
 from repro.core.groupserver import (Exchange, GroupAgentPool, GroupPoolStats,
-                                    SocketTransport, TRANSPORT_PIPE,
-                                    TRANSPORT_UNIX)
+                                    TRANSPORT_PIPE, TRANSPORT_UNIX)
 from repro.core.supervisor import (ChaosPolicy, EVENT_CIRCUIT_OPEN,
                                    EVENT_RESTARTED, GroupSeed, Supervisor,
                                    WorkerSeed)
 from repro.core.query import (Query, QueryEngine, QueryResult,
                               measured_result_wire_bytes)
-from repro.core.rpc import RpcChannel
+from repro.core.rpc import RpcChannel, charge_legs, model_response_time
 from repro.core.trajectory import TrajectoryCache
 from repro.network.simulator import Fabric
 from repro.storage.archive import RetentionPolicy
@@ -120,13 +118,14 @@ class DistributedQueryResult:
         query: the query.
         mechanism: ``"direct"`` or ``"multilevel"``.
         payload: the fully aggregated result.
-        response_time_s: modelled end-to-end response time.
+        response_time_s: modelled end-to-end response time
+            (:func:`~repro.core.rpc.model_response_time` of the run).
         traffic_bytes: total bytes moved over the management network.  In
             the worker modes a direct query's legs are the measured
             ``MSG_GROUP_BATCH`` envelope lengths (one request and one
             reply envelope per worker group - per host under
-            ``"process"``); multi-level legs are the modelled tree edges,
-            priced with the measured per-edge frame lengths as in serial.
+            ``"process"``); multi-level legs are the tree edges, sized
+            with the measured per-edge frame lengths as in serial.
         host_count: number of hosts the query was scattered to.
         breakdown: named components of the response time (for reports).
         partial: whether one or more hosts' partial results are missing.
@@ -317,11 +316,13 @@ class QueryCluster:
         hosts: hosts to instantiate agents for (defaults to every host).
         fabric: when given, agents are registered as delivery handlers so
             packet-level traffic feeds the TIBs automatically.
-        rpc: management-channel model (a default one is created if omitted).
+        rpc: management-channel model (a default one is created if
+            omitted); it prices and counts every gather the cluster runs.
         shared_cache: share one trajectory cache across agents (saves memory
             in large clusters; per-agent caches when ``False``).
-        transport: pluggable query transport; defaults to a
-            :class:`ModelTransport` over ``rpc``.
+        transport: optional :class:`~repro.core.executor.LoopbackTransport`
+            injecting real delays and drops into every scatter; without
+            one no transport is called.
         mode: execution mode - ``"serial"`` (deterministic, the default, so
             figures reproduce), ``"concurrent"`` (real thread-pool
             fan-out), ``"socket"`` (hosts sharded into agent-server
@@ -407,8 +408,7 @@ class QueryCluster:
         self._process_pool: Optional[GroupAgentPool] = None
         #: The shape the running pool was asked for (``_worker_shape``).
         self._pool_shape: Optional[Tuple[Optional[int], str]] = None
-        self.transport: Transport = transport or ModelTransport(self.rpc)
-        self._adopt_transport(self.transport)
+        self.transport: Optional[Transport] = transport
         self.executor = ScatterGatherExecutor(
             self.transport, mode=self._executor_mode(),
             max_workers=max_workers, timeout_s=timeout_s,
@@ -429,10 +429,7 @@ class QueryCluster:
         if fabric is not None:
             self.attach_fabric(fabric)
         if mode in _WORKER_MODES:
-            # Through configure_executor so the executor is rebuilt over
-            # the adopted worker transport (it was constructed above with
-            # the default transport).
-            self.configure_executor(mode=mode)
+            self.configure_executor(mode=mode)  # starts the worker pool
 
     # ---------------------------------------------------------------- wiring
     def attach_fabric(self, fabric: Fabric) -> None:
@@ -454,7 +451,7 @@ class QueryCluster:
         current value; ``transport`` replaces the delivery protocol).
 
         A worker mode (``"process"``/``"socket"``) starts the worker pool
-        (if not already running) behind a :class:`SocketTransport`.
+        (if not already running).
         Switching to a worker mode that wants a different pool shape
         (:meth:`_worker_shape`) replaces the running pool (the fresh one
         re-syncs from the local mirrors); switching back to
@@ -478,7 +475,7 @@ class QueryCluster:
                     self._process_pool = None
                 self.start_agent_servers()
         if transport is not None:
-            self._adopt_transport(transport)
+            self.transport = transport
         self.executor = ScatterGatherExecutor(
             self.transport,
             mode=self._executor_mode(),
@@ -515,14 +512,6 @@ class QueryCluster:
         if self.mode == MODE_SOCKET:
             return self.group_count, self.socket_transport
         return len(self.hosts), TRANSPORT_PIPE
-
-    def _adopt_transport(self, transport: Transport) -> None:
-        """Install ``transport`` and keep ``self.rpc`` pointing at the
-        channel that actually carries query traffic, so its counters (and
-        :meth:`reset_stats`) stay meaningful with custom transports."""
-        self.transport = transport
-        if isinstance(transport, ModelTransport):
-            self.rpc = transport.channel
 
     # ----------------------------------------------------------- worker modes
     @property
@@ -619,8 +608,6 @@ class QueryCluster:
             pool.shutdown()
             raise
         self._process_pool, self._pool_shape = pool, shape
-        self.process_transport = SocketTransport(pool, self.rpc)
-        self._adopt_transport(self.process_transport)
         return pool
 
     def _attach_mirrors(self, pool: GroupAgentPool, host: str) -> None:
@@ -762,7 +749,7 @@ class QueryCluster:
         self._process_pool = None
         if self.mode in _WORKER_MODES:
             self.mode = MODE_CONCURRENT
-            self.configure_executor(transport=ModelTransport(self.rpc))
+            self.configure_executor()
 
     def close(self) -> None:
         """Release external resources (the agent-server workers)."""
@@ -974,15 +961,14 @@ class QueryCluster:
         start on the real clock, then fails as ``W_HOST_TIMEOUT``
         (``consume`` re-raises
         :class:`~repro.core.executor.DeadlineExceeded` after handing the
-        open exchange to :meth:`_consume_late`); that is the only deadline
-        check - a reply consumed in time is never failed afterwards for
-        its modelled request leg.  ``HostReport.exec_s`` -
+        open exchange to :meth:`_consume_late`).  ``HostReport.exec_s`` -
         hence ``max_exec_s`` - is each exchange's send until its reply
-        landed, not the calling thread's wait.  Leaf values meet at the
-        root through ``merge``; both legs are priced with the measured
-        envelope lengths (the request at correlation id 1).  A failed
-        leaf yields one ``W_HOST_FAILED`` naming its label.  ``wall_s``
-        covers both phases.
+        landed, not the calling thread's wait, so a reply that landed in
+        time also passes the executor's after-the-fact check.  Leaf values
+        meet at the root through ``merge``; both legs are sized with the
+        measured envelope lengths (the request at correlation id 1).  A
+        failed leaf yields one ``W_HOST_FAILED`` naming its label.
+        ``wall_s`` covers both phases.
         """
         pool = self._process_pool
         started = time.perf_counter()
@@ -1013,8 +999,9 @@ class QueryCluster:
             PlanNode(host=label,
                      request_parts=(wire.group_batch_len(1, entries),))
             for label, (_key, entries) in leaves.items()])
-        gather = self.executor.run(
-            plan, work, lambda acc, value: (merge(acc[0], value[0]), 0, 0),
+        gather = self._run(
+            self.executor, plan, work,
+            lambda acc, value: (merge(acc[0], value[0]), 0, 0),
             response_bytes=lambda value: value[1],
             exec_seconds=lambda value: value[2])
         gather.wall_s = time.perf_counter() - started
@@ -1022,12 +1009,29 @@ class QueryCluster:
             gather.value = gather.value[0]
         return gather
 
+    def _run(self, executor: ScatterGatherExecutor, plan: PlanNode, work,
+             merge, response_bytes, exec_seconds=None) -> GatherResult:
+        """Run ``plan`` on ``executor``, then price the finished run: its
+        legs are counted on :attr:`rpc` and its ``model_time_s`` is
+        :func:`~repro.core.rpc.model_response_time` of what it measured."""
+        gather = executor.run(plan, work, merge, response_bytes=response_bytes,
+                              exec_seconds=exec_seconds)
+        charge_legs(plan, gather.reports, self.rpc)
+        gather.model_time_s = model_response_time(
+            plan, gather.reports, gather.merge_s, self.rpc)
+        return gather
+
     @staticmethod
     def _consume_late(consume) -> None:
         """Run ``consume`` - the consume step of an exchange its leaf gave
         up on - on a thread of its own, so the late reply still
         surrenders its alarms.  The only thread a worker-mode scatter
-        ever starts, and only on this path."""
+        ever starts, and only on this path: one per timed-out leaf.  With
+        the pool's default ``reply_timeout_s=None`` nothing else bounds
+        its wait, so N back-to-back scatters past one stalled but alive
+        group hold at most N of them; each exits when its reply lands or
+        when the connection dies (``_GroupConn._fail`` wakes every
+        pending waiter, so killing the worker ends them all)."""
         def run() -> None:
             try:
                 consume()
@@ -1064,15 +1068,17 @@ class QueryCluster:
                 for host in targets])
             gather = self._gather(plan, query)
         merged = self._finalise(query, gather)
-        network = max(
-            (report.request_latency_s + report.respond_latency_s
-             for report in gather.reports.values() if report.ok),
-            default=0.0)
+        # The modelled legs of the slowest answered host (a direct plan is
+        # one level deep).
+        leg = self.rpc.leg_s
+        network = max((leg(report.request_bytes) + leg(report.response_bytes)
+                       for report in gather.reports.values() if report.ok),
+                      default=0.0)
         return self._distributed_result(
             query, MECHANISM_DIRECT, merged, gather, len(targets),
             breakdown={"network": network,
                        "host_execution": gather.max_exec_s,
-                       "controller_aggregation": gather.root_merge_s})
+                       "controller_aggregation": gather.merge_s[None]})
 
     def _gather_groups(self, query: Query, targets: List[str],
                        frames: Dict[str, bytes], alarm_order: Sequence[str],
@@ -1154,8 +1160,8 @@ class QueryCluster:
             query, MECHANISM_MULTILEVEL, merged, gather, len(targets),
             breakdown={"tree_depth": float(tree.depth()),
                        "host_execution": gather.max_exec_s,
-                       "merge_total": gather.merge_s_total,
-                       "controller_aggregation": gather.root_merge_s})
+                       "merge_total": sum(gather.merge_s.values()),
+                       "controller_aggregation": gather.merge_s[None]})
 
     def _gather_tree_groups(self, query: Query, targets: List[str],
                             frames: Dict[str, bytes], plan: PlanNode
@@ -1168,10 +1174,10 @@ class QueryCluster:
         host.  *Fold* runs ``plan`` through a serial executor on the
         calling thread whose per-host work is a lookup of the fetched
         partial, so slot order, merges, ``request_parts`` and response
-        sizes - hence ``payload`` and ``traffic_bytes`` (the modelled tree
-        edges, priced with measured frame lengths) - are byte-identical to
-        the serial walk.  The fetch envelopes are charged to the channel
-        model too but stay out of ``traffic_bytes``.
+        sizes - hence ``payload`` and ``traffic_bytes`` (the tree edges,
+        sized with measured frame lengths) - are byte-identical to the
+        serial walk.  The fetch envelopes are counted on the channel model
+        too but stay out of ``traffic_bytes``.
 
         A group lost in the fetch keeps its one ``W_HOST_FAILED`` naming
         the group key; the fold misses exactly its member hosts, which
@@ -1180,7 +1186,7 @@ class QueryCluster:
 
         Returns the fold's gather completed with the fetch: ``wall_s`` is
         the measured wall of both phases and ``max_exec_s`` the slowest
-        group exchange, which the modelled time adds to the tree model
+        group exchange, which ``model_time_s`` adds to the fold's model
         (the fold's own per-host execution is a lookup, and no partial
         exists before its group answered).
         """
@@ -1188,9 +1194,8 @@ class QueryCluster:
             query, targets, frames, self._plan_hosts(plan), leaf=dict,
             merge=lambda acc, value: acc.update(value) or acc)
         partials: Dict[str, QueryResult] = fetched.value or {}
-        fold = self._run_plan(
-            plan, query, partials.__getitem__,
-            ScatterGatherExecutor(self.transport, mode=MODE_SERIAL))
+        fold = self._run_plan(plan, query, partials.__getitem__,
+                              ScatterGatherExecutor(mode=MODE_SERIAL))
         lost = set(fetched.hosts_failed)
         fold.warnings = sorted(
             fetched.warnings + [w for w in fold.warnings
@@ -1294,8 +1299,8 @@ class QueryCluster:
                 result.wire_bytes = measured_result_wire_bytes(result)
             return result.wire_bytes
 
-        return executor.run(plan, work, self._merger(query),
-                            response_bytes=response_bytes)
+        return self._run(executor, plan, work, self._merger(query),
+                         response_bytes)
 
     def _finalise(self, query: Query, gather: GatherResult) -> QueryResult:
         """Normalise the gathered accumulator into one aggregate result.
@@ -1383,9 +1388,10 @@ class QueryCluster:
     def reset_stats(self) -> None:
         """Zero every per-experiment counter in one place.
 
-        Resets the RPC channel's message/byte counters, each agent's
-        counters (vswitch, TIB tier movement and scan routing, archive)
-        and each monitor's alert counters/latches, so
+        Resets the RPC channel's message/byte counters, the worker pool's
+        and an installed transport's counters, each agent's counters
+        (vswitch, TIB tier movement and scan routing, archive) and each
+        monitor's alert counters/latches, so
         repeated runs against the same cluster can't double-count and a new
         measurement interval re-alerts still-poor flows.  In a worker mode
         every worker monitor runs the same ``reset_stats()`` (one
@@ -1407,7 +1413,7 @@ class QueryCluster:
             # these frames are reset bookkeeping, not part of the next
             # experiment.
             self._post_per_group(pool.reopen_monitor)
+            pool.reset_stats()
         self.rpc.stats.reset()
-        reset_transport = getattr(self.transport, "reset_stats", None)
-        if callable(reset_transport):
-            reset_transport()
+        if self.transport is not None:
+            self.transport.reset_stats()

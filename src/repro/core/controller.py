@@ -103,8 +103,10 @@ class PathDumpController:
     def execute_at(self, host: str, query: Query) -> QueryResult:
         """Run a query at a single host (direct query to one TIB)."""
         self.stats.queries_executed += 1
-        self.cluster.rpc.round_trip(query.request_bytes(), 0)
-        return self.cluster.agent(host).execute_query(query)
+        result = self.cluster.agent(host).execute_query(query)
+        # The reply is the measured result frame (``wire_bytes``).
+        self.cluster.rpc.round_trip(query.request_bytes(), result.wire_bytes)
+        return result
 
     def install(self, hosts: Optional[Sequence[str]], query: Query,
                 period: Optional[float] = None) -> None:

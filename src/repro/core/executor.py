@@ -1,51 +1,36 @@
-"""Concurrent scatter-gather execution for distributed queries.
+"""Scatter-gather execution for distributed queries.
 
 The TIB is "maintained in a distributed fashion across all servers", so a
 distributed query is a scatter-gather: ship the query to many hosts, run it
-against each local TIB, and reduce the partial results.  Until now
-:class:`~repro.core.cluster.QueryCluster` walked hosts in a Python loop and
-*modelled* parallelism arithmetically.  This module supplies the real
-engine, generic over the work performed per host:
+against each local TIB, and reduce the partial results.  This module is
+the engine, generic over the work performed per host:
 
-* :class:`Transport` - the pluggable delivery protocol.  An implementation
-  decides what "sending" means: :class:`ModelTransport` wraps the
-  latency/bandwidth :class:`~repro.core.rpc.RpcChannel` model (nothing
-  actually moves; latencies are computed and traffic is accounted), while
-  :class:`LoopbackTransport` is an in-process transport with injectable
-  *real* delays (``time.sleep`` releases the GIL, so concurrent runs
-  genuinely overlap waits) and injectable message drops for failure
-  testing.
-* :class:`PlanNode` - the scatter plan, a tree.  A flat (direct) scatter is
-  a one-level tree; a multi-level aggregation query maps its tree onto the
-  plan one to one.  All logical payloads of a parent->child edge (query,
-  subtree description) are *batched* into a single request message.
-* :class:`ScatterGatherExecutor` - runs a plan.  ``mode="concurrent"``
-  fans host work out over a worker pool with per-host timeouts, bounded
-  retries and straggler hedging; ``mode="serial"`` executes the same plan
-  on the calling thread in a deterministic order (reproducible figures).
+* :class:`PlanNode` - the scatter plan, a tree: a direct scatter is one
+  level, a multi-level aggregation query maps its tree onto the plan one
+  to one, and all payloads of an edge (query, subtree description) are
+  *batched* into one request message.
+* :class:`ScatterGatherExecutor` - runs a plan: ``mode="concurrent"`` on a
+  worker pool with per-host timeouts, bounded retries and straggler
+  hedging; ``mode="serial"`` on the calling thread in a deterministic
+  order (reproducible figures).
+* :class:`LoopbackTransport` - optional failure injection that *really*
+  sleeps and drops messages.  Without a transport none is called.
 
-Streaming partial merges: every node owns an accumulator and merges
-results *as they arrive* instead of waiting for a full level barrier - a
-fast child's partial result is folded in while its siblings are still
-running.  Merges advance in a canonical slot order (children in tree
-order, then the node's local result), so as long as the merge function is
-associative the merged payload is **identical** across serial and
-concurrent modes - the property the figure benchmarks rely on.
-Declarative plan queries (:mod:`repro.core.plan`) reuse these slot-ordered
-accumulators unchanged: their generic merge operators (concat /
-histogram-merge / top-k-merge, selected by the plan's terminal op) are
-associative by construction, so one executor serves hand-written and
-plan-compiled queries alike.
+One clock: the executor measures and enforces real elapsed time only -
+deadlines, the watchdog, hedging, per-host ``exec_s``, per-node
+``merge_s`` - and records the bytes of every leg.  The modelled response
+time of Figures 11 and 12 is priced from those facts after the run
+(:func:`repro.core.rpc.model_response_time`).
 
-Partial-failure semantics: a host that cannot be reached, exhausts its
-retry budget, times out, or whose local work raises is recorded as a
-structured :class:`ExecWarning` and the gather continues without it.  The
-final :class:`GatherResult` carries ``partial=True`` plus ``hosts_failed``
-so debugging applications can distinguish "no anomaly" from "couldn't
-ask" (cf. the ``ExecuteResponse``/``Warning`` pattern of DCL-style
-executors).  A failed interior node loses only its *local* partial result;
-its subtree still aggregates (the node's process is assumed alive even
-when its TIB query fails).
+Nodes merge results *as they arrive*, in a canonical slot order (children
+in tree order, then the node's local result), so with an associative
+merge (the plan operators' are by construction) the payload is identical
+across serial and concurrent modes.  A host that cannot be reached,
+exhausts its retries, times out or whose work raises becomes a structured
+:class:`ExecWarning` and the gather continues without it: the
+:class:`GatherResult` carries ``partial`` and ``hosts_failed`` (cf. the
+``ExecuteResponse``/``Warning`` pattern of DCL-style executors).  A failed
+interior node loses only its local result; its subtree still aggregates.
 """
 
 from __future__ import annotations
@@ -57,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
                     Tuple)
 
-from repro.core.rpc import RpcChannel
 from repro.counters import Counters
 
 #: Execution modes.
@@ -70,11 +54,9 @@ W_HOST_TIMEOUT = "host_timeout"
 W_RESPONSE_LOST = "response_lost"
 W_HEDGED = "straggler_hedged"
 W_RETRIED = "retried"
-#: Worker-plane health codes (raised by the cluster, not the executor,
-#: but part of the same structured-warning namespace): a supervised
-#: agent-server worker was restarted and re-seeded, a host's restart
-#: budget ran out (degraded to dead-agent semantics), an ingest mirror
-#: detached after an unrecoverable delivery failure.
+#: Worker-plane health codes, raised by the cluster in the same namespace:
+#: a supervised worker restarted and re-seeded, a restart budget ran out
+#: (dead-agent semantics), an ingest mirror detached.
 W_WORKER_RESTARTED = "worker_restarted"
 W_CIRCUIT_OPEN = "circuit_open"
 W_MIRROR_DETACHED = "mirror_detached"
@@ -84,6 +66,8 @@ DEFAULT_MAX_WORKERS = 32
 
 #: Sentinel marking an unfilled merge slot (``None`` is a valid value).
 _EMPTY = object()
+#: Sentinel filling the slot of a failed host or lost subtree.
+_FAILED = object()
 
 
 class TransportError(RuntimeError):
@@ -91,12 +75,8 @@ class TransportError(RuntimeError):
 
 
 class DeadlineExceeded(TimeoutError):
-    """A host's work stopped waiting at its per-host deadline.
-
-    Work that enforces the deadline itself (a worker-mode leaf consuming an
-    exchange it already sent) raises this; the host is reported as
-    ``W_HOST_TIMEOUT`` and not retried, exactly like a watchdog timeout.
-    """
+    """Work that enforces its own per-host deadline (a worker-mode leaf
+    consuming an exchange it sent) stopped waiting: ``W_HOST_TIMEOUT``."""
 
 
 @dataclass(frozen=True)
@@ -116,56 +96,18 @@ class ExecWarning:
     attempts: int = 1
 
 
-@dataclass(frozen=True)
-class TransportLeg:
-    """Outcome of one delivered message.
-
-    Attributes:
-        latency_s: the leg's (modelled or real) one-way latency.
-        payload_bytes: logical payload bytes moved (excluding protocol
-            overhead; this is what query traffic accounting sums).
-    """
-
-    latency_s: float
-    payload_bytes: int
-
-
 class Transport(Protocol):
-    """The pluggable delivery protocol of the executor.
+    """The delivery protocol of the executor: ``request`` delivers a
+    batched request (several payload sizes in one message) to ``host``,
+    ``respond`` a result of ``payload_bytes`` back to its parent.  Both
+    return once the message moved - they may really block - and raise
+    :class:`TransportError` for a lost one."""
 
-    ``request`` delivers a batched request (several logical payload sizes in
-    one message) to ``host``; ``respond`` delivers a result of
-    ``payload_bytes`` from ``host`` back to its parent.  Implementations
-    raise :class:`TransportError` for lost messages and may block (sleep)
-    to emulate latency for real-concurrency experiments.
-    """
+    def request(self, host: str, parts: Sequence[int]) -> None: ...
 
-    def request(self, host: str, parts: Sequence[int]) -> TransportLeg: ...
+    def respond(self, host: str, payload_bytes: int) -> None: ...
 
-    def respond(self, host: str, payload_bytes: int) -> TransportLeg: ...
-
-
-class ModelTransport:
-    """The latency/bandwidth :class:`RpcChannel` model as a transport.
-
-    Nothing is delivered anywhere: latencies are computed from the channel
-    model and the channel's message/byte counters are updated.  Thread-safe
-    (the underlying counters are guarded by a lock).
-    """
-
-    def __init__(self, channel: Optional[RpcChannel] = None) -> None:
-        self.channel = channel or RpcChannel()
-        self._lock = threading.Lock()
-
-    def request(self, host: str, parts: Sequence[int]) -> TransportLeg:
-        with self._lock:
-            latency = self.channel.send_batch(parts)
-        return TransportLeg(latency, sum(parts))
-
-    def respond(self, host: str, payload_bytes: int) -> TransportLeg:
-        with self._lock:
-            latency = self.channel.send(payload_bytes)
-        return TransportLeg(latency, payload_bytes)
+    def reset_stats(self) -> None: ...
 
 
 @dataclass(slots=True)
@@ -181,11 +123,9 @@ class LoopbackTransport:
 
     Args:
         delay: request delivery delay in seconds, or a callable
-            ``(host, attempt) -> seconds`` (attempt numbering starts at 1,
-            counted per host - hedged and retried deliveries see higher
-            attempt numbers, which lets tests make only the first attempt
-            slow).  Delays are *really slept*, releasing the GIL, so
-            concurrent scatters overlap them.
+            ``(host, attempt) -> seconds`` (attempts count from 1 per
+            host, so a test can slow only the first).  Delays are *really
+            slept*, releasing the GIL, so concurrent scatters overlap them.
         respond_delay: same for response delivery (``(host, attempt)``
             callable or constant).
         drop_requests: ``{host: n}`` - drop (raise) the first ``n`` request
@@ -209,33 +149,28 @@ class LoopbackTransport:
         self._respond_attempts: Dict[str, int] = {}
         self._lock = threading.Lock()
 
-    def _attempt_number(self, counts: Dict[str, int], host: str) -> int:
+    def _deliver(self, counts: Dict[str, int], drops: Dict[str, int],
+                 delay: Callable[[str, int], float], host: str,
+                 what: str) -> None:
         with self._lock:
             counts[host] = attempt = counts.get(host, 0) + 1
             self.stats.messages += 1
-        return attempt
-
-    def request(self, host: str, parts: Sequence[int]) -> TransportLeg:
-        attempt = self._attempt_number(self._request_attempts, host)
-        if host in self.dead_hosts or attempt <= self._drop_requests.get(host, 0):
-            with self._lock:
+            lost = host in self.dead_hosts or attempt <= drops.get(host, 0)
+            if lost:
                 self.stats.dropped += 1
-            raise TransportError(f"request to {host} lost (attempt {attempt})")
-        wait = float(self._delay(host, attempt))
+        if lost:
+            raise TransportError(f"{what} {host} lost (attempt {attempt})")
+        wait = float(delay(host, attempt))
         if wait > 0:
             time.sleep(wait)
-        return TransportLeg(wait, sum(parts))
 
-    def respond(self, host: str, payload_bytes: int) -> TransportLeg:
-        attempt = self._attempt_number(self._respond_attempts, host)
-        if host in self.dead_hosts or attempt <= self._drop_responses.get(host, 0):
-            with self._lock:
-                self.stats.dropped += 1
-            raise TransportError(f"response from {host} lost (attempt {attempt})")
-        wait = float(self._respond_delay(host, attempt))
-        if wait > 0:
-            time.sleep(wait)
-        return TransportLeg(wait, payload_bytes)
+    def request(self, host: str, parts: Sequence[int]) -> None:
+        self._deliver(self._request_attempts, self._drop_requests,
+                      self._delay, host, "request to")
+
+    def respond(self, host: str, payload_bytes: int) -> None:
+        self._deliver(self._respond_attempts, self._drop_responses,
+                      self._respond_delay, host, "response from")
 
     def reset_stats(self) -> None:
         """Zero the message/drop counters and per-host attempt numbering."""
@@ -268,15 +203,24 @@ class PlanNode:
 
 @dataclass
 class HostReport:
-    """Per-host outcome of a scatter."""
+    """Per-host outcome of a scatter - measured facts only.
+
+    ``exec_s`` is the real time of the attempt that produced the result
+    (its work call, or what ``exec_seconds`` reported) or, for a failed
+    host, from its first attempt to the failure.  ``request_bytes`` is the
+    winning request's payload (``None``: no attempt produced a result, or
+    the node is sent no request; it stays set when the result is lost on
+    the way up); ``response_bytes`` the node's delivered response
+    (``None``: never delivered).
+    """
 
     host: str
     ok: bool = False
     attempts: int = 0
     hedged: bool = False
     exec_s: float = 0.0
-    request_latency_s: float = 0.0
-    respond_latency_s: float = 0.0
+    request_bytes: Optional[int] = None
+    response_bytes: Optional[int] = None
     error: str = ""
 
 
@@ -290,25 +234,18 @@ class GatherResult:
         warnings: structured warnings (failures, timeouts, hedges, retries).
         partial: whether any host's partial result is missing.
         wall_s: measured wall-clock duration of the run.
-        model_time_s: modelled end-to-end response time (transport
-            latencies + measured per-node execution and merge times,
-            combined over the plan tree).
-        traffic_bytes: logical payload bytes moved by the transport legs
-            that produced the gathered result - one winning request leg
-            per host plus the delivered responses.  Bytes moved by
-            duplicate attempts (lost hedge races, retries whose work
-            failed, deliveries voided by a timeout) are **not** included
-            here; they are tallied separately so hedging can never inflate
-            the traffic attributed to the query itself.
-        duplicate_traffic_bytes: payload bytes moved by those non-winning
-            attempts (the overhead cost of hedging/retrying).  Attempts
-            still sleeping in the transport when the gather completes are
-            not observed at all.
-        root_merge_s: cumulative merge time spent at the root node.
-        merge_s_total: cumulative merge time over every node.
+        traffic_bytes: payload bytes of the legs that produced the result -
+            one winning request per host plus the delivered responses.
+        duplicate_traffic_bytes: payload bytes of non-winning attempts
+            (lost hedge races, retries whose work failed, deliveries voided
+            by a timeout; attempts still asleep at the end are unseen).
+        merge_s: cumulative merge time per plan node, keyed by the node's
+            host (``None``: the root).
         root_merges: number of pairwise merges performed at the root.
         max_exec_s: slowest successful per-host execution.
         reports: per-host :class:`HostReport` entries.
+        model_time_s: 0.0 here; whoever prices the run sets it
+            (:func:`repro.core.rpc.model_response_time`).
     """
 
     value: Any
@@ -316,14 +253,13 @@ class GatherResult:
     warnings: List[ExecWarning]
     partial: bool
     wall_s: float
-    model_time_s: float
     traffic_bytes: int
     duplicate_traffic_bytes: int
-    root_merge_s: float
-    merge_s_total: float
+    merge_s: Dict[Optional[str], float]
     root_merges: int
     max_exec_s: float
     reports: Dict[str, HostReport]
+    model_time_s: float = 0.0
 
 
 # --------------------------------------------------------------------------
@@ -333,8 +269,7 @@ class _NodeState:
     """Merge accumulator and completion tracking for one plan node."""
 
     __slots__ = ("plan", "parent", "slot", "n_slots", "next_slot", "slots",
-                 "acc", "merges", "merge_s", "contrib_max", "lock",
-                 "respond_latency", "host_state")
+                 "acc", "merges", "merge_s", "lock", "host_state")
 
     def __init__(self, plan: PlanNode, parent: Optional["_NodeState"],
                  slot: int) -> None:
@@ -349,9 +284,7 @@ class _NodeState:
         self.acc: Any = _EMPTY
         self.merges = 0
         self.merge_s = 0.0
-        self.contrib_max = 0.0      # max over completed slots' model times
         self.lock = threading.Lock()
-        self.respond_latency = 0.0
         self.host_state: Optional["_HostState"] = None
 
 
@@ -365,10 +298,8 @@ class _HostState:
         self.node = node
         self.host: str = node.plan.host  # type: ignore[assignment]
         self.lock = threading.Lock()
-        # Serialises the work() callback across duplicate attempts: hedge
-        # twins overlap each other's *transport* legs (where stragglers
-        # live) but never run the host's local work - typically a query
-        # against a thread-unsafe agent - concurrently.
+        # Hedge twins overlap transport legs (where stragglers live) but
+        # never run the host's work (a thread-unsafe agent) concurrently.
         self.work_lock = threading.Lock()
         self.done = False
         self.attempts = 0
@@ -380,22 +311,21 @@ class _HostState:
 
 
 class ScatterGatherExecutor:
-    """Runs scatter plans over a transport.
+    """Runs scatter plans.
 
     Args:
-        transport: the delivery protocol (defaults to a fresh
-            :class:`ModelTransport`).
+        transport: optional :class:`Transport` (a failure-injecting
+            :class:`LoopbackTransport`); without one none is called.
         mode: ``"concurrent"`` (worker pool) or ``"serial"`` (deterministic
             in-order execution on the calling thread).
         max_workers: worker-pool size cap for concurrent runs (defaults to
             ``min(32, number of hosts)``).
-        timeout_s: per-host deadline; a host still running past it is
-            declared failed (its partial result is dropped even if the
-            worker later finishes).  In serial mode the deadline is applied
-            to the host's modelled request leg plus measured execution
-            time after the fact; work that waits on something can enforce
-            it itself by raising :class:`DeadlineExceeded` instead (see
-            ``exec_seconds`` of :meth:`run`).
+        timeout_s: per-host deadline on the real clock; a host still
+            running past it is declared failed (its partial result is
+            dropped even if the worker later finishes).  Serial mode
+            checks it after the fact against the attempt's real request
+            leg plus ``exec_s``; work that waits on something can enforce
+            it itself by raising :class:`DeadlineExceeded`.
         hedge_after_s: straggler hedging - a host still running past this
             point gets a duplicate attempt launched; whichever finishes
             first wins.  Concurrent mode only.
@@ -413,7 +343,7 @@ class ScatterGatherExecutor:
             raise ValueError(f"unknown executor mode {mode!r}")
         if retries < 0:
             raise ValueError("retry budget cannot be negative")
-        self.transport: Transport = transport or ModelTransport()
+        self.transport = transport
         self.mode = mode
         self.max_workers = max_workers
         self.timeout_s = timeout_s
@@ -428,16 +358,13 @@ class ScatterGatherExecutor:
             ) -> GatherResult:
         """Execute ``plan``: run ``work(host)`` at every host node, merge
         results upward with ``merge(acc, value)``, and return the gathered
-        outcome.  ``response_bytes(value)`` sizes response messages for the
-        transport.  ``exec_seconds(value)``, when given, is a host's
-        execution time in place of the wall time of its ``work`` call (for
-        work that only collects something timed where it ran).  Such work
-        must enforce ``timeout_s`` itself, on the real clock, by raising
-        :class:`DeadlineExceeded`: serial mode then skips its
-        after-the-fact check, which would add the modelled request leg to
-        a duration the work did not wait through."""
+        outcome.  ``response_bytes(value)`` sizes response messages.
+        ``exec_seconds(value)``, when given, is a host's execution time in
+        place of the wall time of its ``work`` call (for work that only
+        collects something timed, on the real clock, where it ran)."""
         run = _Run(self, plan, work, merge, response_bytes, exec_seconds)
         return run.execute()
+
 
 class _Run:
     """One scatter-gather execution (state shared by all worker threads)."""
@@ -463,10 +390,8 @@ class _Run:
         self.duplicate_bytes = 0
         self.warnings: List[ExecWarning] = []
         self.finished = threading.Event()
-        self.model_time_s = 0.0
         self.pool: Optional[ThreadPoolExecutor] = None
-        #: First fatal error (a merge/response_bytes callback raising) -
-        #: recorded on whatever thread hit it, re-raised to the caller.
+        #: First fatal callback error, re-raised to the caller.
         self.error: Optional[BaseException] = None
 
     def _build(self, plan: PlanNode, state: _NodeState) -> None:
@@ -500,12 +425,9 @@ class _Run:
             self.pool = ThreadPoolExecutor(
                 max_workers=max(1, workers),
                 thread_name_prefix="scatter-gather")
-            watchdog = None
             if self.executor.timeout_s is not None or \
                     self.executor.hedge_after_s is not None:
-                watchdog = threading.Thread(target=self._watchdog,
-                                            daemon=True)
-                watchdog.start()
+                threading.Thread(target=self._watchdog, daemon=True).start()
             for hstate in self.host_states:
                 self._submit(hstate)
             self.finished.wait()
@@ -514,8 +436,7 @@ class _Run:
             self.pool.shutdown(wait=False, cancel_futures=True)
         if self.error is not None:
             raise self.error
-        wall = time.perf_counter() - started
-        return self._result(wall)
+        return self._result(time.perf_counter() - started)
 
     def _submit(self, hstate: _HostState) -> None:
         """Launch one attempt for ``hstate`` (inline in serial mode)."""
@@ -536,19 +457,17 @@ class _Run:
                 return
             if hstate.started_at is None:
                 hstate.started_at = time.perf_counter()
-        request_latency = 0.0
-        # Bytes this attempt's delivered request leg moved: accounted as
-        # real traffic up front, reclassified as duplicate overhead if the
-        # attempt turns out not to be the one that produced the host's
-        # result (hedge race lost, work failed, deadline voided it).
+        attempt_started = time.perf_counter()
+        parts = hstate.node.plan.request_parts
+        # The request's bytes count as traffic up front and move to the
+        # duplicate stat if this attempt does not produce the result.
         leg_bytes = 0
         try:
-            parts = hstate.node.plan.request_parts
             if parts:
-                leg = self.transport.request(host, parts)
-                request_latency = leg.latency_s
-                leg_bytes = leg.payload_bytes
-                self._account(leg)
+                if self.transport is not None:
+                    self.transport.request(host, parts)
+                leg_bytes = sum(parts)
+                self._account(leg_bytes)
             with hstate.work_lock:
                 with hstate.lock:
                     already_done = hstate.done
@@ -572,41 +491,31 @@ class _Run:
             self._reclassify_duplicate(leg_bytes)
             self._attempt_failed(hstate, error)
             return
-        if self.serial and self.exec_seconds is None and \
-                self.executor.timeout_s is not None and \
-                request_latency + exec_s > self.executor.timeout_s:
-            # The deadline was blown by the (modelled) delivery plus the
-            # execution, so that is what the slot contributes to the model.
+        timeout = self.executor.timeout_s
+        if self.serial and timeout is not None and \
+                exec_started - attempt_started + exec_s > timeout:
             self._reclassify_duplicate(leg_bytes)
             self._host_failed(hstate, W_HOST_TIMEOUT,
-                              f"exceeded per-host timeout of "
-                              f"{self.executor.timeout_s}s",
-                              model_s=request_latency + exec_s)
+                              f"exceeded per-host timeout of {timeout}s")
             return
         with hstate.lock:
             hstate.inflight -= 1
             if hstate.done:
                 # A hedge twin won, or the watchdog timed us out: this
-                # attempt's delivered request was overhead, not query
-                # traffic.
+                # attempt's request was overhead, not query traffic.
                 self._reclassify_duplicate(leg_bytes)
                 return
             hstate.done = True
             hstate.report.ok = True
             hstate.report.exec_s = exec_s
-            hstate.report.request_latency_s = request_latency
+            hstate.report.request_bytes = leg_bytes if parts else None
         if hstate.hedged:
             self._warn(W_HEDGED, host, "straggler hedged; fastest attempt "
                        "won", hstate.attempts)
         elif hstate.attempts > 1:
             self._warn(W_RETRIED, host, "delivered after retry",
                        hstate.attempts)
-        # The local slot models execution only; the request leg prefixes
-        # the node's *whole* subtree completion (children cannot start
-        # before the node received the query) and is added when the merged
-        # result travels upward - see _respond_upward.
-        self._deliver(hstate.node, hstate.node.n_slots - 1, value,
-                      exec_s, ok=True)
+        self._deliver(hstate.node, hstate.node.n_slots - 1, value)
 
     def _attempt_failed(self, hstate: _HostState, error: Exception) -> None:
         with hstate.lock:
@@ -622,23 +531,18 @@ class _Run:
             self._host_failed(hstate, W_HOST_FAILED,
                               f"{type(error).__name__}: {error}")
 
-    def _host_failed(self, hstate: _HostState, code: str, detail: str,
-                     model_s: Optional[float] = None) -> None:
+    def _host_failed(self, hstate: _HostState, code: str,
+                     detail: str) -> None:
         with hstate.lock:
             if hstate.done:
                 return
             hstate.done = True
             hstate.report.ok = False
             hstate.report.error = detail
-            if model_s is None:
-                # No modelled duration available (dropped messages, real
-                # watchdog timeouts): the measured wait stands in.
-                model_s = 0.0
-                if hstate.started_at is not None:
-                    model_s = time.perf_counter() - hstate.started_at
+            if hstate.started_at is not None:
+                hstate.report.exec_s = time.perf_counter() - hstate.started_at
         self._warn(code, hstate.host, detail, hstate.attempts)
-        self._deliver(hstate.node, hstate.node.n_slots - 1, None,
-                      model_s, ok=False)
+        self._deliver(hstate.node, hstate.node.n_slots - 1, _FAILED)
 
     # -------------------------------------------------------------- watchdog
     def _watchdog(self) -> None:
@@ -668,21 +572,18 @@ class _Run:
                     self._submit(hstate)
 
     # ------------------------------------------------------------- gathering
-    def _deliver(self, node: _NodeState, slot: int, value: Any,
-                 model_s: float, ok: bool) -> None:
-        """Fill a merge slot; advance the node's streaming merge; propagate
-        completion upward.  Merges run on the delivering thread, in
-        canonical slot order (which makes the merged payload independent of
-        arrival order)."""
+    def _deliver(self, node: _NodeState, slot: int, value: Any) -> None:
+        """Fill a merge slot (``_FAILED``: nothing to merge), advance the
+        node's streaming merge in canonical slot order on the delivering
+        thread, and propagate completion upward."""
         with node.lock:
-            node.slots[slot] = (value, model_s, ok)
+            node.slots[slot] = value
             while node.next_slot < node.n_slots and \
                     node.slots[node.next_slot] is not _EMPTY:
-                slot_value, slot_model, slot_ok = node.slots[node.next_slot]
+                slot_value = node.slots[node.next_slot]
                 node.slots[node.next_slot] = None  # release the reference
                 node.next_slot += 1
-                node.contrib_max = max(node.contrib_max, slot_model)
-                if not slot_ok:
+                if slot_value is _FAILED:
                     continue
                 if node.acc is _EMPTY:
                     node.acc = slot_value
@@ -691,27 +592,22 @@ class _Run:
                     try:
                         node.acc = self.merge(node.acc, slot_value)
                     except BaseException as error:
-                        # A broken merge callback must fail the run, not
-                        # strand finished.wait() forever (the slot is
-                        # consumed; no other thread can complete the node).
+                        # Fail the run: the slot is consumed, so no other
+                        # thread could ever complete this node.
                         self._abort(error)
                         return
                     node.merge_s += time.perf_counter() - merge_started
                     node.merges += 1
             complete = node.next_slot == node.n_slots
-            if complete:
-                acc = node.acc
-                completion_model = node.contrib_max + node.merge_s
+            acc = node.acc
         if not complete:
             return
         if node.parent is None:
-            self.model_time_s = completion_model
             self.finished.set()
             return
-        self._respond_upward(node, acc, completion_model)
+        self._respond_upward(node, acc)
 
-    def _respond_upward(self, node: _NodeState, acc: Any,
-                        completion_model: float) -> None:
+    def _respond_upward(self, node: _NodeState, acc: Any) -> None:
         """Send a completed node's merged result to its parent."""
         host = node.plan.host
         try:
@@ -719,56 +615,41 @@ class _Run:
         except BaseException as error:
             self._abort(error)
             return
-        latency = 0.0
-        delivered = False
-        detail = ""
-        for _ in range(self.executor.retries + 1):
-            try:
-                leg = self.transport.respond(host, payload)
-                latency = leg.latency_s
-                self._account(leg)
-                delivered = True
-                break
-            except TransportError as error:
-                detail = str(error)
-            except BaseException as error:
-                # A transport bug (not a modelled delivery failure) must
-                # fail the whole run, not strand the parent's merge slot.
-                self._abort(error)
-                return
-        if not delivered and acc is not _EMPTY:
+        delivered, detail = True, ""
+        if self.transport is not None:
+            for _ in range(self.executor.retries + 1):
+                try:
+                    self.transport.respond(host, payload)
+                    break
+                except TransportError as error:
+                    detail = str(error)
+                except BaseException as error:
+                    # A transport bug, not an injected drop: fail the run
+                    # rather than strand the parent's merge slot.
+                    self._abort(error)
+                    return
+            else:
+                delivered = False
+        if delivered:
+            self._account(payload)
+            if node.host_state is not None:
+                node.host_state.report.response_bytes = payload
+        elif acc is not _EMPTY:
             # Only actual merged data going missing is worth a warning; an
             # empty response from an already-failed subtree is not news.
             self._warn(W_RESPONSE_LOST, host, detail)
-        node.respond_latency = latency
-        request_latency = 0.0
-        if node.host_state is not None:
-            node.host_state.report.respond_latency_s = latency
-            request_latency = node.host_state.report.request_latency_s
-        # Chain the model through the tree exactly as the recursion of the
-        # old arithmetic executor did: this subtree's contribution to its
-        # parent is request leg + subtree completion + response leg (the
-        # children could not start before this node received the query).
-        contribution = request_latency + completion_model + latency
-        if acc is _EMPTY or not delivered:
-            if acc is not _EMPTY:  # merged data lost on the way up
-                self._fail_subtree_hosts(node)
-            self._deliver(node.parent, node.slot, None, contribution,
-                          ok=False)
-        else:
-            self._deliver(node.parent, node.slot, acc, contribution,
-                          ok=True)
+            self._fail_subtree_hosts(node)
+        self._deliver(node.parent, node.slot,
+                      acc if delivered and acc is not _EMPTY else _FAILED)
 
     def _fail_subtree_hosts(self, node: _NodeState) -> None:
         """Mark every ok host under ``node`` as lost (their merged partials
         never reached the parent)."""
-        hosts = {h.host: h for h in self.host_states}
-        stack = [node.plan]
-        while stack:
-            plan = stack.pop()
-            stack.extend(plan.children)
-            hstate = hosts.get(plan.host) if plan.host is not None else None
-            if hstate is not None and hstate.report.ok:
+        for hstate in self.host_states:
+            state: Optional[_NodeState] = hstate.node
+            while state is not None and state is not node:
+                state = state.parent
+            if state is node and hstate.report.ok:
                 hstate.report.ok = False
                 hstate.report.error = "subtree response lost"
 
@@ -780,9 +661,9 @@ class _Run:
                 self.error = error
         self.finished.set()
 
-    def _account(self, leg: TransportLeg) -> None:
+    def _account(self, payload_bytes: int) -> None:
         with self.lock:
-            self.traffic_bytes += leg.payload_bytes
+            self.traffic_bytes += payload_bytes
 
     def _reclassify_duplicate(self, payload_bytes: int) -> None:
         """Move a delivered-but-useless request leg's bytes from the query's
@@ -804,16 +685,15 @@ class _Run:
         reports = {h.host: h.report for h in self.host_states}
         hosts_failed = [h.host for h in self.host_states if not h.report.ok]
         warnings = sorted(self.warnings, key=lambda w: (w.host, w.code))
-        merge_total = sum(node.merge_s for node in self.node_states)
         max_exec = max((h.report.exec_s for h in self.host_states
                         if h.report.ok), default=0.0)
         value = None if self.root.acc is _EMPTY else self.root.acc
         return GatherResult(
             value=value, hosts_failed=hosts_failed, warnings=warnings,
             partial=bool(hosts_failed), wall_s=wall,
-            model_time_s=self.model_time_s,
             traffic_bytes=self.traffic_bytes,
             duplicate_traffic_bytes=self.duplicate_bytes,
-            root_merge_s=self.root.merge_s, merge_s_total=merge_total,
+            merge_s={node.plan.host: node.merge_s
+                     for node in self.node_states},
             root_merges=self.root.merges, max_exec_s=max_exec,
             reports=reports)

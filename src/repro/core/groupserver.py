@@ -45,9 +45,6 @@ picks fewer, larger groups:
   and :class:`~repro.core.supervisor.ChaosPolicy` injects
   connection-level faults (torn mid-frame close, stalled socket) keyed
   by group.
-* :class:`SocketTransport` - a
-  :class:`~repro.core.executor.ModelTransport` bound to a pool, so one
-  ``reset_stats()`` zeroes the channel model and the pool's counters.
 
 Stream framing is length-delimited (:func:`~repro.core.wire.stream_frame`
 / :class:`~repro.core.wire.StreamFrameReader`); pipe transport keeps the
@@ -71,10 +68,9 @@ from repro.core import wire
 from repro.core.agentserver import (AgentServerError, _HostServer,
                                     _RequestMemo)
 from repro.core.alarms import Alarm
-from repro.core.executor import DeadlineExceeded, ModelTransport
+from repro.core.executor import DeadlineExceeded
 from repro.core.monitor import MonitorSnapshot, TransferObservation
 from repro.core.query import QueryResult
-from repro.core.rpc import RpcChannel
 from repro.core.supervisor import GroupSeed, WorkerSeed
 from repro.counters import Counters
 from repro.storage.records import PathFlowRecord
@@ -1517,26 +1513,3 @@ class GroupAgentPool:
                     f"{applied}/{expected_records} records and "
                     f"{monitor_flows}/{expected_flows} monitor flows")
 
-
-class SocketTransport(ModelTransport):
-    """The model transport bound to a group agent pool.
-
-    The executor's request/response legs are priced by the same
-    :class:`~repro.core.rpc.RpcChannel` model as :class:`ModelTransport`
-    (so modelled response times stay comparable across modes), the
-    *sizes* are the real encoded frame and envelope lengths the cluster
-    measured, and the per-leaf work consumes the real multiplexed
-    exchange with the worker - its cost shows up in the measured
-    ``exec_s`` (send until the reply landed) and ``wall_s``, not the
-    model.
-    """
-
-    def __init__(self, pool: GroupAgentPool,
-                 channel: Optional[RpcChannel] = None) -> None:
-        super().__init__(channel)
-        self.pool = pool
-
-    def reset_stats(self) -> None:
-        """Zero the channel counters and the pool's envelope counters."""
-        self.channel.stats.reset()
-        self.pool.reset_stats()

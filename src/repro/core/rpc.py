@@ -13,14 +13,22 @@ as:
 
 Every message is also counted so experiments can report the total network
 traffic a query generated, which is the second metric of Figures 11/12.
+
+The model never runs inside a scatter: :func:`model_response_time` prices
+a finished run from the facts it recorded (the plan, the measured bytes of
+every leg, per-host ``exec_s`` and per-node ``merge_s``), and
+:func:`charge_legs` counts the run's messages on a channel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from repro.counters import Counters
+
+if TYPE_CHECKING:  # the executor records what this module prices
+    from repro.core.executor import HostReport, PlanNode
 
 #: Default one-way message latency (seconds): LAN RTT plus web-stack
 #: (Flask/HTTP) processing.  Calibrated so that a direct query's floor and a
@@ -56,16 +64,20 @@ class RpcChannel:
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
     stats: RpcStats = field(default_factory=RpcStats)
 
+    def leg_s(self, payload_bytes: int) -> float:
+        """The one-way latency of one message (pure: nothing is counted)."""
+        total_bytes = payload_bytes + MESSAGE_OVERHEAD_BYTES
+        return self.message_latency_s + total_bytes * 8.0 / self.bandwidth_bps
+
     def send(self, payload_bytes: int) -> float:
         """Account for one message and return its one-way latency (seconds)."""
         if payload_bytes < 0:
             raise ValueError("payload size cannot be negative")
-        total_bytes = payload_bytes + MESSAGE_OVERHEAD_BYTES
         self.stats.messages += 1
-        self.stats.bytes += total_bytes
-        return self.message_latency_s + total_bytes * 8.0 / self.bandwidth_bps
+        self.stats.bytes += payload_bytes + MESSAGE_OVERHEAD_BYTES
+        return self.leg_s(payload_bytes)
 
-    def send_batch(self, parts) -> float:
+    def send_batch(self, parts: Iterable[int]) -> float:
         """Account for one message carrying several logical payloads.
 
         Request batching: a query and its aggregation-subtree description
@@ -95,3 +107,50 @@ class RpcChannel:
     def total_traffic_bytes(self) -> int:
         """Total bytes moved over the channel so far."""
         return self.stats.bytes
+
+
+def model_response_time(plan: "PlanNode", reports: Mapping[str, "HostReport"],
+                        merge_s: Mapping[Optional[str], float],
+                        channel: RpcChannel) -> float:
+    """The modelled end-to-end response time of a finished scatter.
+
+    One recursion over the plan tree.  A node's contribution to its parent
+    is ``leg(request) + max(children's contributions, own exec_s) +
+    merge_s + leg(response)``: its children cannot start before it received
+    the query, and its parent cannot merge before the response arrived.
+    A leg is priced only when the report records its bytes - a failed host
+    has no winning request, and contributes its measured elapsed time
+    (``exec_s``) in place of request and execution; a lost response
+    contributes nothing.  The root only merges.  ``merge_s`` is keyed by
+    node host (``None``: the root); pure - ``channel`` is not counted on.
+    """
+    def leg(payload_bytes: Optional[int]) -> float:
+        return 0.0 if payload_bytes is None else channel.leg_s(payload_bytes)
+
+    def completion(node: "PlanNode") -> float:
+        slots = [contribution(child) for child in node.children]
+        if node.host is not None:
+            slots.append(reports[node.host].exec_s)
+        return max(slots, default=0.0) + merge_s.get(node.host, 0.0)
+
+    def contribution(node: "PlanNode") -> float:
+        report = reports[node.host]  # type: ignore[index]
+        return (leg(report.request_bytes) + completion(node)
+                + leg(report.response_bytes))
+
+    return completion(plan)
+
+
+def charge_legs(plan: "PlanNode", reports: Mapping[str, "HostReport"],
+                channel: RpcChannel) -> None:
+    """Count a finished scatter's messages on ``channel``: one request per
+    attempt at every node the plan sends a request to, and every delivered
+    response."""
+    for child in plan.children:
+        report = reports[child.host]  # type: ignore[index]
+        if child.request_parts:
+            for _ in range(report.attempts):
+                channel.send_batch(child.request_parts)
+        if report.response_bytes is not None:
+            channel.send(report.response_bytes)
+        charge_legs(child, reports, channel)

@@ -6,6 +6,8 @@ from repro.core import (AggregationTree, MECHANISM_DIRECT,
                         MECHANISM_MULTILEVEL, PathDumpController,
                         Q_FLOW_SIZE_DISTRIBUTION, Q_POOR_TCP_FLOWS,
                         Q_TOP_K_FLOWS, Query, QueryCluster, RpcChannel)
+from repro.core.query import measured_result_wire_bytes
+from repro.core.rpc import MESSAGE_OVERHEAD_BYTES
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
 from repro.transport import FlowLevelSimulator
@@ -123,8 +125,17 @@ class TestController:
     def test_execute_at_single_host(self, pathdump_deployment):
         _, _, _, cluster, controller = pathdump_deployment
         host = cluster.hosts[0]
-        result = controller.execute_at(host, Query(Q_POOR_TCP_FLOWS, {}))
+        query = Query(Q_POOR_TCP_FLOWS, {})
+        cluster.rpc.stats.reset()
+        result = controller.execute_at(host, query)
         assert result.host == host
+        # Request and reply are each one message carrying its measured
+        # codec frame (the reply is never priced as an empty message).
+        assert result.wire_bytes == measured_result_wire_bytes(result) > 0
+        assert cluster.rpc.stats.messages == 2
+        assert cluster.rpc.stats.bytes == (
+            query.request_bytes() + result.wire_bytes
+            + 2 * MESSAGE_OVERHEAD_BYTES)
 
     def test_alarm_counting(self, pathdump_deployment):
         _, _, _, cluster, controller = pathdump_deployment

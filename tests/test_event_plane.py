@@ -388,6 +388,39 @@ class TestWorkerFailureMidTick:
         finally:
             cluster.close()
 
+    @pytest.mark.parametrize("ending", ["answer", "kill"])
+    def test_late_reply_threads_are_bounded(self, ending):
+        """With the pool's default ``reply_timeout_s=None``, N back-to-back
+        sweeps past one stalled but alive group start at most N late-reply
+        threads, and every one exits once the group answers - or once its
+        worker is killed (the dead connection wakes every pending
+        waiter)."""
+        def late_threads():
+            return {thread for thread in threading.enumerate()
+                    if thread.name == "pathdump-late-reply"}
+
+        sweeps, earlier = 3, late_threads()
+        cluster = make_cluster(MODE_SOCKET, group_count=2)
+        try:
+            pool = cluster.agent_servers
+            assert pool.reply_timeout_s is None
+            cluster.configure_executor(timeout_s=0.05)
+            pool.stall(pool.group_hosts("group-1")[0],
+                       2.0 if ending == "answer" else 60.0)
+            for index in range(sweeps):
+                sweep = cluster.run_monitors(1.0 + index)
+                assert [w.code for w in sweep.warnings] == [W_HOST_TIMEOUT]
+                assert len(late_threads() - earlier) <= index + 1
+            assert len(late_threads() - earlier) == sweeps  # all waiting
+            if ending == "kill":
+                pool.kill("group-1")
+            deadline = time.monotonic() + 10.0
+            while late_threads() - earlier and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert late_threads() - earlier == set()
+        finally:
+            cluster.close()
+
     @pytest.mark.parametrize("mode", [MODE_PROCESS, MODE_SOCKET])
     def test_modelled_latency_never_times_out_a_reply_in_time(self, mode):
         """The worker modes' deadline is the real clock only: a reply that

@@ -12,11 +12,12 @@ import pytest
 
 from repro.core import (LoopbackTransport, MECHANISM_DIRECT,
                         MECHANISM_MULTILEVEL, MODE_CONCURRENT, MODE_SERIAL,
-                        ModelTransport, PlanNode, Q_FLOW_SIZE_DISTRIBUTION,
-                        Q_GET_FLOWS, Q_TOP_K_FLOWS, Query, QueryCluster,
-                        RpcChannel, ScatterGatherExecutor, TransportError)
+                        PlanNode, Q_FLOW_SIZE_DISTRIBUTION, Q_GET_FLOWS,
+                        Q_TOP_K_FLOWS, Query, QueryCluster, RpcChannel,
+                        ScatterGatherExecutor, TransportError)
 from repro.core.executor import (W_HEDGED, W_HOST_FAILED, W_HOST_TIMEOUT,
                                  W_RESPONSE_LOST, W_RETRIED)
+from repro.core.rpc import MESSAGE_OVERHEAD_BYTES, model_response_time
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
 
@@ -51,13 +52,13 @@ def run(executor, plan=None):
 
 
 class TestTransports:
-    def test_model_transport_batches_requests(self):
+    def test_channel_batches_request_parts(self):
         rpc = RpcChannel()
-        transport = ModelTransport(rpc)
-        leg = transport.request("h0", (128, 32))
-        assert leg.payload_bytes == 160
+        latency = rpc.send_batch((128, 32))
         assert rpc.stats.messages == 1  # one message for both parts
-        transport.respond("h0", 500)
+        assert rpc.stats.bytes == 160 + MESSAGE_OVERHEAD_BYTES
+        assert latency == rpc.leg_s(160)  # counted, then priced
+        rpc.send(500)
         assert rpc.stats.messages == 2
 
     def test_send_batch_rejects_negative_parts(self):
@@ -70,7 +71,7 @@ class TestTransports:
             transport.request("h0", (1,))
         with pytest.raises(TransportError):
             transport.request("h0", (1,))
-        assert transport.request("h0", (1,)).payload_bytes == 1
+        transport.request("h0", (1,))  # the third attempt is delivered
         assert transport.stats.dropped == 2
 
     def test_loopback_dead_host_never_delivers(self):
@@ -82,9 +83,12 @@ class TestTransports:
             transport.respond("h0", 1)
 
     def test_loopback_attempt_aware_delay(self):
-        transport = LoopbackTransport(delay=lambda host, attempt: 0.0)
-        leg = transport.request("h0", (5, 6))
-        assert leg.latency_s == 0.0 and leg.payload_bytes == 11
+        seen = []
+        transport = LoopbackTransport(
+            delay=lambda host, attempt: seen.append((host, attempt)) or 0.0)
+        transport.request("h0", (5, 6))
+        transport.request("h0", (5, 6))
+        assert seen == [("h0", 1), ("h0", 2)]
 
 
 class TestScatterGather:
@@ -105,29 +109,31 @@ class TestScatterGather:
         """A leaf cannot start before its parent received the query: the
         modelled response time of a 2-level tree must include two request
         legs and two response legs on the deepest path."""
-        from repro.core import ModelTransport, RpcChannel
         latency = 0.05
-        transport = ModelTransport(RpcChannel(message_latency_s=latency,
-                                              bandwidth_bps=1e12))
-        executor = ScatterGatherExecutor(transport, mode=MODE_SERIAL)
-        result = run(executor, tree_plan())
+        plan = tree_plan()
+        result = run(ScatterGatherExecutor(mode=MODE_SERIAL), plan)
+        model = model_response_time(
+            plan, result.reports, result.merge_s,
+            RpcChannel(message_latency_s=latency, bandwidth_bps=1e12))
         # Deepest path: req(root->h0) + req(h0->h2) + resp(h2->h0) +
         # resp(h0->root) = 4 legs (executions/merges add ~microseconds).
-        assert result.model_time_s > 4 * latency
-        assert result.model_time_s < 5 * latency
+        assert 4 * latency < model < 5 * latency
 
-    def test_serial_timeout_contributes_modelled_duration(self):
-        """A host timed out in serial mode contributes the modelled
-        request latency + execution (what blew the deadline), not the
-        near-zero measured wall time of the latency model."""
-        from repro.core import ModelTransport, RpcChannel
-        transport = ModelTransport(RpcChannel(message_latency_s=0.2,
-                                              bandwidth_bps=1e12))
-        executor = ScatterGatherExecutor(transport, mode=MODE_SERIAL,
-                                         timeout_s=0.1)
-        result = run(executor)
+    def test_serial_timeout_contributes_measured_wait(self):
+        """A serial-mode deadline is the real clock: every host's 0.2 s
+        request leg blows the 0.1 s deadline, and the wait it measured is
+        what its slot contributes to the model."""
+        executor = ScatterGatherExecutor(LoopbackTransport(delay=0.2),
+                                         mode=MODE_SERIAL, timeout_s=0.1)
+        plan = flat_plan()
+        result = run(executor, plan)
         assert set(result.hosts_failed) == set(HOSTS)  # all exceed 0.1s
-        assert result.model_time_s >= 0.2  # the modelled blown deadline
+        assert {w.code for w in result.warnings} == {W_HOST_TIMEOUT}
+        waits = [result.reports[host].exec_s for host in HOSTS]
+        assert min(waits) >= 0.2
+        model = model_response_time(plan, result.reports, result.merge_s,
+                                    RpcChannel())
+        assert model >= max(waits)
 
     def test_traffic_accounts_requests_and_responses(self):
         result = run(ScatterGatherExecutor(LoopbackTransport(),
@@ -301,8 +307,8 @@ class TestScatterGather:
         # reclassified.  (h0's loser is still sleeping at completion and is
         # not observed at all.)
         assert result.duplicate_traffic_bytes == 64
-        # The winning attempt's (instant) leg defines the reported latency.
-        assert result.reports["h5"].request_latency_s == 0.0
+        # The winning attempt's request is the one on record.
+        assert result.reports["h5"].request_bytes == 64
         assert result.reports["h5"].hedged
 
     def test_retried_work_failure_counts_first_leg_as_duplicate(self):
@@ -464,22 +470,29 @@ class TestClusterExecutorIntegration:
             Query(Q_FLOW_SIZE_DISTRIBUTION, {"links": [None]}), hosts=[])
         assert histogram.payload == {}
 
-    def test_custom_model_transport_keeps_rpc_coupled(self, fattree4,
-                                                      fattree4_assignment):
-        transport = ModelTransport(RpcChannel())
-        cluster = QueryCluster(fattree4, fattree4_assignment,
-                               transport=transport)
-        assert cluster.rpc is transport.channel
-        cluster.execute(Query(Q_GET_FLOWS, {}))
-        assert cluster.rpc.stats.messages > 0
+    def test_rpc_channel_prices_and_counts_every_gather(
+            self, fattree4, fattree4_assignment):
+        """The ``rpc=`` channel given at construction prices every gather
+        the cluster runs and counts each leg once: one request and one
+        response per host, whichever the mechanism, with or without a
+        failure-injecting transport installed."""
+        rpc = RpcChannel(message_latency_s=0.5)
+        cluster = QueryCluster(fattree4, fattree4_assignment, rpc=rpc)
+        hosts = len(cluster.hosts)
+        direct = cluster.execute(Query(Q_GET_FLOWS, {}))
+        assert rpc.stats.messages == 2 * hosts
+        assert 1.0 < direct.response_time_s < 1.5  # request + response
+        assert direct.breakdown["network"] == pytest.approx(1.0, rel=0.01)
         cluster.reset_stats()
-        assert cluster.rpc.stats.messages == 0
-        # Swapping the transport later re-couples the stats channel too.
-        replacement = ModelTransport(RpcChannel())
-        cluster.configure_executor(transport=replacement)
+        assert rpc.stats.messages == 0
+        multi = cluster.execute(Query(Q_GET_FLOWS, {}),
+                                mechanism=MECHANISM_MULTILEVEL)
+        assert rpc.stats.messages == 2 * hosts  # every tree edge, both ways
+        # Two 0.5 s legs a level on the deepest path.
+        assert multi.response_time_s > multi.breakdown["tree_depth"]
+        cluster.configure_executor(transport=LoopbackTransport())
         cluster.execute(Query(Q_GET_FLOWS, {}))
-        assert cluster.rpc is replacement.channel
-        assert cluster.rpc.stats.messages > 0
+        assert cluster.rpc is rpc and rpc.stats.messages == 4 * hosts
 
     def test_reset_stats_resets_loopback_transport(self, populated_cluster):
         transport = LoopbackTransport()

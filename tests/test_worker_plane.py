@@ -27,7 +27,7 @@ from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
                         MODE_SERIAL, MODE_SOCKET, Q_FLOW_SIZE_DISTRIBUTION,
                         Q_GET_FLOWS, Q_PATH_CONFORMANCE, Q_PLAN,
                         Q_POOR_TCP_FLOWS, Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX,
-                        Query, QueryCluster, SocketTransport, Supervisor,
+                        Query, QueryCluster, Supervisor,
                         TRANSPORT_PIPE, TRANSPORT_TCP, TRANSPORT_UNIX,
                         shard_hosts, wire)
 from repro.core.aggregation import AggregationTree
@@ -1417,20 +1417,25 @@ class TestPoolLifecycle:
     @pytest.mark.parametrize("mode", [MODE_PROCESS, MODE_SOCKET])
     def test_constructor_mode_wires_executor_transport(self, mode):
         cluster = QueryCluster(small_topology(), mode=mode)
-        assert cluster.agent_servers is not None
-        assert isinstance(cluster.transport, SocketTransport)
-        assert cluster.executor.transport is cluster.transport
+        pool = cluster.agent_servers
+        assert pool is not None
+        # No transport is called: a leaf's work is the real exchange.
+        assert cluster.transport is None
+        assert cluster.executor.transport is None
+        sent = pool.stats.envelopes_sent
+        cluster.execute(Query(Q_GET_FLOWS, {}))
+        assert pool.stats.envelopes_sent >= sent + len(pool.group_keys())
         cluster.close()
         cluster.close()  # idempotent
         assert cluster.agent_servers is None
 
     def test_transport_resets_pool_stats(self, fresh_cluster):
-        transport = fresh_cluster.transport
+        pool = fresh_cluster.agent_servers
         fresh_cluster.execute(Query(Q_GET_FLOWS, {}))
-        assert transport.pool.stats.frames_sent > 0
+        assert pool.stats.frames_sent > 0
         assert fresh_cluster.rpc.stats.messages > 0
         fresh_cluster.reset_stats()
-        assert transport.pool.stats.frames_sent == 0
+        assert pool.stats.frames_sent == 0
         assert fresh_cluster.rpc.stats.messages == 0
 
     def test_failed_startup_sync_does_not_leak_workers(self, monkeypatch):
