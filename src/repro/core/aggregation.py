@@ -16,7 +16,7 @@ model need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 #: The fan-outs of the paper's 4-level tree (controller -> 7 -> 4 -> 4).
 PAPER_TREE_FANOUT = (7, 4, 4)
@@ -36,11 +36,6 @@ class TreeNode:
     host: Optional[str]
     children: List["TreeNode"] = field(default_factory=list)
     level: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        """Whether the node has no children."""
-        return not self.children
 
     def descend(self) -> List["TreeNode"]:
         """All nodes of the subtree rooted here (pre-order)."""
@@ -65,11 +60,6 @@ class TreeNode:
         """
         from repro.core import wire
         return wire.SubtreeSpec(self.host or "", tuple(self.subtree_hosts()))
-
-    def subtree_spec_bytes(self) -> int:
-        """Measured serialized size of this node's subtree description."""
-        from repro.core import wire
-        return len(wire.encode_subtree_spec(self.subtree_spec()))
 
 
 class AggregationTree:
@@ -140,14 +130,6 @@ class AggregationTree:
         for node in self.nodes():
             grouped.setdefault(node.level, []).append(node)
         return grouped
-
-    def parent_child_edges(self) -> List[Tuple[Optional[str], str]]:
-        """(parent host, child host) pairs; parent ``None`` is the controller."""
-        edges: List[Tuple[Optional[str], str]] = []
-        for node in self.nodes():
-            for child in node.children:
-                edges.append((node.host, child.host))
-        return edges
 
     def validate(self) -> None:
         """Sanity-check the construction (every host appears exactly once)."""

@@ -1053,7 +1053,7 @@ class QueryCluster:
         the root merge, the same order the per-host fold visits them, so
         the aggregate stays byte-identical to the serial fold.
         """
-        targets = list(hosts) if hosts is not None else list(self.hosts)
+        targets = self._targets(hosts)
         request = wire.encode_query_request(query, None)  # once, all hosts
         if self._uses_agent_servers(query):
             merge = self._merger(query)
@@ -1146,14 +1146,15 @@ class QueryCluster:
         ``payload`` and ``traffic_bytes`` are byte-identical to the serial
         walk and ``wall_clock_s`` is the measured wall of both phases.
         """
-        targets = list(hosts) if hosts is not None else list(self.hosts)
+        targets = self._targets(hosts)
         tree = AggregationTree(targets, fanout=fanout)
-        frames: Dict[str, bytes] = {}
-        plan = self._plan_from_tree(
-            tree.root, wire.encode_query_request(query, None), frames)
+        request = wire.encode_query_request(query, None)
         if self._uses_agent_servers(query):
+            frames: Dict[str, bytes] = {}
+            plan = self._plan_from_tree(tree.root, request, frames)
             gather = self._gather_tree_groups(query, targets, frames, plan)
         else:
+            plan = self._plan_from_tree(tree.root, request)
             gather = self._gather(plan, query)
         merged = self._finalise(query, gather)
         return self._distributed_result(
@@ -1218,28 +1219,50 @@ class QueryCluster:
         raise ValueError(f"unknown query mechanism {mechanism!r}")
 
     # ------------------------------------------------------------- internals
-    def _plan_from_tree(self, node: TreeNode, request: bytes,
-                        frames: Dict[str, bytes]) -> PlanNode:
+    def _targets(self, hosts: Optional[Sequence[str]]) -> List[str]:
+        """A scatter's hosts in order (``None``: all); a host named twice
+        would answer, and count its bytes, twice: ``ValueError``."""
+        if hosts is None:
+            return list(self.hosts)
+        targets = list(hosts)
+        if len(set(targets)) != len(targets):
+            repeated = next(host for index, host in enumerate(targets)
+                            if host in targets[:index])
+            raise ValueError(f"host {repeated!r} repeated in the scatter")
+        return targets
+
+    @staticmethod
+    def _plan_from_tree(node: TreeNode, request: bytes,
+                        frames: Optional[Dict[str, bytes]] = None
+                        ) -> PlanNode:
         """Map an aggregation (sub)tree onto a scatter plan.
 
         Every non-root edge batches the query and the child's subtree
         description into one request message.  ``request`` is the bare
-        query frame, encoded once per query; each host's combined
-        ``encode_query_request(query, spec)`` frame is spliced from it
-        into ``frames`` - the bytes the worker modes ship - and the edge's
-        part sizes are read off that frame (the query part is the bare
-        frame's length, the spec part the rest), so they sum to exactly
-        what travels.
+        query frame, encoded once per query; the edge's parts are its
+        length and :func:`wire.spec_len` (summed bottom-up from the
+        children's host counts and name lengths), so they sum to exactly
+        what travels.  Given ``frames`` (the worker modes ship them), each
+        host's ``encode_query_request(query, spec)`` is spliced from
+        ``request`` into it.
         """
-        parts: Tuple[int, ...] = ()
-        if node.host is not None:
-            frame = frames[node.host] = wire.request_with_spec(
-                request, node.subtree_spec())
-            parts = (len(request), len(frame) - len(request))
-        return PlanNode(
-            host=node.host, request_parts=parts,
-            children=[self._plan_from_tree(child, request, frames)
-                      for child in node.children])
+        def walk(node: TreeNode) -> Tuple[PlanNode, int, int]:
+            # (plan, hosts in the subtree, their names' encoded length)
+            below = [walk(child) for child in node.children]
+            plan = PlanNode(host=node.host, children=[sub[0] for sub in below])
+            count = sum(sub[1] for sub in below)
+            names = sum(sub[2] for sub in below)
+            if node.host is not None:
+                count += 1
+                names += wire.str_len(node.host)
+                plan.request_parts = (len(request),
+                                      wire.spec_len(node.host, count, names))
+                if frames is not None:
+                    frames[node.host] = wire.request_with_spec(
+                        request, node.subtree_spec())
+            return plan, count, names
+
+        return walk(node)[0]
 
     def _uses_agent_servers(self, query: Query) -> bool:
         """Whether this query's per-host work runs on the worker pool.

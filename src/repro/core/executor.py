@@ -9,10 +9,11 @@ the engine, generic over the work performed per host:
   level, a multi-level aggregation query maps its tree onto the plan one
   to one, and all payloads of an edge (query, subtree description) are
   *batched* into one request message.
-* :class:`ScatterGatherExecutor` - runs a plan: ``mode="concurrent"`` on a
-  worker pool with per-host timeouts, bounded retries and straggler
-  hedging; ``mode="serial"`` on the calling thread in a deterministic
-  order (reproducible figures).
+* :class:`ScatterGatherExecutor` - runs a plan with per-host timeouts
+  and bounded retries.  ``mode="serial"`` (clusters' default, and every
+  worker-mode scatter) is a depth-first fold on the calling thread with
+  no lock or thread; ``mode="concurrent"`` runs attempts on a worker
+  pool, adds straggler hedging, and merges each node's slots as they fill.
 * :class:`LoopbackTransport` - optional failure injection that *really*
   sleeps and drops messages.  Without a transport none is called.
 
@@ -22,12 +23,12 @@ deadlines, the watchdog, hedging, per-host ``exec_s``, per-node
 time of Figures 11 and 12 is priced from those facts after the run
 (:func:`repro.core.rpc.model_response_time`).
 
-Nodes merge results *as they arrive*, in a canonical slot order (children
-in tree order, then the node's local result), so with an associative
-merge (the plan operators' are by construction) the payload is identical
-across serial and concurrent modes.  A host that cannot be reached,
-exhausts its retries, times out or whose work raises becomes a structured
-:class:`ExecWarning` and the gather continues without it: the
+Both engines merge in one canonical order per node (children in tree
+order, then the node's local result), so with an associative merge (the
+plan operators' are by construction) the payload is identical across
+modes.  A host that cannot be reached, exhausts its retries, times out
+or whose work raises becomes a structured :class:`ExecWarning` and the
+gather continues without it: the
 :class:`GatherResult` carries ``partial`` and ``hosts_failed`` (cf. the
 ``ExecuteResponse``/``Warning`` pattern of DCL-style executors).  A failed
 interior node loses only its local result; its subtree still aggregates.
@@ -39,6 +40,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
                     Tuple)
 
@@ -263,7 +265,7 @@ class GatherResult:
 
 
 # --------------------------------------------------------------------------
-# Internal run state
+# Internal run state of the concurrent engine
 # --------------------------------------------------------------------------
 class _NodeState:
     """Merge accumulator and completion tracking for one plan node."""
@@ -294,7 +296,7 @@ class _HostState:
     __slots__ = ("node", "host", "lock", "work_lock", "done", "attempts",
                  "budget", "inflight", "hedged", "started_at", "report")
 
-    def __init__(self, node: _NodeState) -> None:
+    def __init__(self, node: _NodeState, budget: int) -> None:
         self.node = node
         self.host: str = node.plan.host  # type: ignore[assignment]
         self.lock = threading.Lock()
@@ -303,7 +305,7 @@ class _HostState:
         self.work_lock = threading.Lock()
         self.done = False
         self.attempts = 0
-        self.budget = 1
+        self.budget = budget
         self.inflight = 0
         self.hedged = False
         self.started_at: Optional[float] = None
@@ -316,8 +318,9 @@ class ScatterGatherExecutor:
     Args:
         transport: optional :class:`Transport` (a failure-injecting
             :class:`LoopbackTransport`); without one none is called.
-        mode: ``"concurrent"`` (worker pool) or ``"serial"`` (deterministic
-            in-order execution on the calling thread).
+        mode: ``"concurrent"`` (worker pool, streaming slot merges) or
+            ``"serial"`` (a deterministic depth-first fold on the calling
+            thread).
         max_workers: worker-pool size cap for concurrent runs (defaults to
             ``min(32, number of hosts)``).
         timeout_s: per-host deadline on the real clock; a host still
@@ -362,12 +365,151 @@ class ScatterGatherExecutor:
         ``exec_seconds(value)``, when given, is a host's execution time in
         place of the wall time of its ``work`` call (for work that only
         collects something timed, on the real clock, where it ran)."""
-        run = _Run(self, plan, work, merge, response_bytes, exec_seconds)
-        return run.execute()
+        if self.mode == MODE_SERIAL:
+            return _Fold(self, work, merge, response_bytes,
+                         exec_seconds).execute(plan)
+        return _Run(self, plan, work, merge, response_bytes,
+                    exec_seconds).execute()
+
+
+class _Fold:
+    """One serial run: a depth-first walk on the calling thread.  A node
+    runs its own work (pre-order), folds each child's subtree and merges
+    it as it returns, merges its local result last - the concurrent slot
+    order - then sizes its response and sends it up.  Nothing is locked;
+    a ``merge`` or ``response_bytes`` error propagates at once.  ``_EMPTY``
+    means "nothing to merge" throughout."""
+
+    def __init__(self, executor: ScatterGatherExecutor,
+                 work: Callable[[str], Any], merge: Callable[[Any, Any], Any],
+                 response_bytes: Callable[[Any], int],
+                 exec_seconds: Optional[Callable[[Any], float]]) -> None:
+        self.executor = executor
+        self.work = work
+        self.merge = merge
+        self.response_bytes = response_bytes
+        self.exec_seconds = exec_seconds
+        #: Host reports in plan pre-order: a subtree's are a contiguous run.
+        self.reports: List[HostReport] = []
+        self.merge_s: Dict[Optional[str], float] = {}
+        self.warnings: List[ExecWarning] = []
+        self.traffic_bytes = 0
+        self.duplicate_bytes = 0
+
+    def execute(self, plan: PlanNode) -> GatherResult:
+        started = time.perf_counter()
+        acc, root_merges = self._node(plan)
+        # Scattering to nobody (a host filter that matched nothing) is an
+        # empty, non-partial gather.
+        wall = time.perf_counter() - started if self.reports else 0.0
+        return _gathered(acc, self.reports, self.warnings, wall,
+                         self.traffic_bytes, self.duplicate_bytes,
+                         self.merge_s, root_merges)
+
+    def _node(self, plan: PlanNode) -> Tuple[Any, int]:
+        """Fold ``plan``'s subtree: ``(accumulator, merges made here)``."""
+        host = plan.host
+        self.merge_s[host] = 0.0  # keyed in pre-order, filled in post-order
+        local = _EMPTY if host is None else self._attempts(host, plan)
+        acc, merges, spent = _EMPTY, 0, 0.0
+        merge, clock = self.merge, time.perf_counter
+        # map() is lazy: each child's subtree runs as the loop reaches it.
+        for value in chain(map(self._send_up, plan.children), (local,)):
+            if value is _EMPTY:
+                continue
+            if acc is _EMPTY:
+                acc = value
+                continue
+            merge_started = clock()
+            acc = merge(acc, value)
+            spent += clock() - merge_started
+            merges += 1
+        self.merge_s[host] = spent
+        return acc, merges
+
+    def _attempts(self, host: str, plan: PlanNode) -> Any:
+        """Deliver ``host``'s request and run its work within the retry
+        budget: the value, or ``_EMPTY`` once the host failed."""
+        report = HostReport(host=host)
+        self.reports.append(report)
+        parts = plan.request_parts
+        transport, clock = self.executor.transport, time.perf_counter
+        started = clock()
+        failure: Exception
+        for attempt in range(1, self.executor.retries + 2):
+            report.attempts = attempt
+            attempt_started = clock()
+            sent = 0  # the request's bytes, once delivered
+            try:
+                if parts:
+                    if transport is not None:
+                        transport.request(host, parts)
+                    sent = sum(parts)
+                exec_started = clock()
+                value = self.work(host)
+                exec_s = (clock() - exec_started if self.exec_seconds is None
+                          else self.exec_seconds(value))
+            except DeadlineExceeded as error:
+                self.duplicate_bytes += sent
+                return self._failed(report, W_HOST_TIMEOUT, str(error),
+                                    started)
+            except Exception as error:  # TransportError or broken agent/work
+                self.duplicate_bytes += sent
+                failure = error
+                continue
+            timeout = self.executor.timeout_s
+            if timeout is not None and \
+                    exec_started - attempt_started + exec_s > timeout:
+                self.duplicate_bytes += sent
+                return self._failed(report, W_HOST_TIMEOUT,
+                                    f"exceeded per-host timeout of "
+                                    f"{timeout}s", started)
+            self.traffic_bytes += sent
+            report.ok = True
+            report.exec_s = exec_s
+            report.request_bytes = sent if parts else None
+            if attempt > 1:
+                self.warnings.append(ExecWarning(
+                    W_RETRIED, host, "delivered after retry", attempt))
+            return value
+        return self._failed(report, W_HOST_FAILED,
+                            f"{type(failure).__name__}: {failure}", started)
+
+    def _failed(self, report: HostReport, code: str, detail: str,
+                started: float) -> Any:
+        report.error = detail
+        report.exec_s = time.perf_counter() - started
+        self.warnings.append(ExecWarning(code, report.host, detail,
+                                         report.attempts))
+        return _EMPTY
+
+    def _send_up(self, node: PlanNode) -> Any:
+        """Fold a child's subtree and send its accumulator to the parent:
+        what arrives (``_EMPTY``: nothing)."""
+        first = len(self.reports)  # the subtree's reports start here
+        acc, _merges = self._node(node)
+        payload = 0 if acc is _EMPTY else self.response_bytes(acc)
+        host = node.host or ""
+        lost = _respond(self.executor.transport, host, payload,
+                        self.executor.retries + 1)
+        if lost is None:
+            self.traffic_bytes += payload
+            if node.host is not None:
+                self.reports[first].response_bytes = payload
+            return acc
+        if acc is not _EMPTY:  # merged data went missing: a lost subtree
+            self.warnings.append(ExecWarning(W_RESPONSE_LOST, host, lost))
+            for report in self.reports[first:]:
+                if report.ok:
+                    report.ok = False
+                    report.error = "subtree response lost"
+        return _EMPTY
 
 
 class _Run:
-    """One scatter-gather execution (state shared by all worker threads)."""
+    """One concurrent run: every attempt runs on the pool, and each node
+    merges its slots in canonical order as they fill, on whichever worker
+    thread filled the next one (all state is shared between them)."""
 
     def __init__(self, executor: ScatterGatherExecutor, plan: PlanNode,
                  work: Callable[[str], Any], merge: Callable[[Any, Any], Any],
@@ -380,7 +522,6 @@ class _Run:
         self.merge = merge
         self.response_bytes = response_bytes
         self.exec_seconds = exec_seconds
-        self.serial = executor.mode == MODE_SERIAL
         self.root = _NodeState(plan, parent=None, slot=-1)
         self.host_states: List[_HostState] = []
         self.node_states: List[_NodeState] = [self.root]
@@ -390,14 +531,17 @@ class _Run:
         self.duplicate_bytes = 0
         self.warnings: List[ExecWarning] = []
         self.finished = threading.Event()
-        self.pool: Optional[ThreadPoolExecutor] = None
+        workers = executor.max_workers or min(DEFAULT_MAX_WORKERS,
+                                              len(self.host_states))
+        self.pool = ThreadPoolExecutor(max_workers=max(1, workers),
+                                       thread_name_prefix="scatter-gather")
         #: First fatal callback error, re-raised to the caller.
         self.error: Optional[BaseException] = None
 
     def _build(self, plan: PlanNode, state: _NodeState) -> None:
         """Create node/host states depth-first (canonical dispatch order)."""
         if plan.host is not None:
-            state.host_state = _HostState(state)
+            state.host_state = _HostState(state, self.executor.retries + 1)
             self.host_states.append(state.host_state)
         for index, child in enumerate(plan.children):
             child_state = _NodeState(child, parent=state, slot=index)
@@ -406,48 +550,29 @@ class _Run:
 
     # ------------------------------------------------------------ execution
     def execute(self) -> GatherResult:
-        budget = self.executor.retries + 1
-        for hstate in self.host_states:
-            hstate.budget = budget
         started = time.perf_counter()
-        if not self.host_states:
-            # Scattering to nobody is a valid degenerate query (e.g. a host
-            # filter that matched nothing): an empty, non-partial gather.
+        if not self.host_states:  # scattering to nobody: an empty gather
             return self._result(0.0)
-        if self.serial:
-            for hstate in self.host_states:
-                if self.error is not None:
-                    break
-                self._submit(hstate)
-        else:
-            workers = self.executor.max_workers or min(DEFAULT_MAX_WORKERS,
-                                                       len(self.host_states))
-            self.pool = ThreadPoolExecutor(
-                max_workers=max(1, workers),
-                thread_name_prefix="scatter-gather")
-            if self.executor.timeout_s is not None or \
-                    self.executor.hedge_after_s is not None:
-                threading.Thread(target=self._watchdog, daemon=True).start()
-            for hstate in self.host_states:
-                self._submit(hstate)
-            self.finished.wait()
-            # Stragglers that lost a hedge race (or timed out) may still be
-            # sleeping in the transport; don't wait for them.
-            self.pool.shutdown(wait=False, cancel_futures=True)
+        if self.executor.timeout_s is not None or \
+                self.executor.hedge_after_s is not None:
+            threading.Thread(target=self._watchdog, daemon=True).start()
+        for hstate in self.host_states:
+            self._submit(hstate)
+        self.finished.wait()
+        # Stragglers that lost a hedge race (or timed out) may still be
+        # sleeping in the transport; don't wait for them.
+        self.pool.shutdown(wait=False, cancel_futures=True)
         if self.error is not None:
             raise self.error
         return self._result(time.perf_counter() - started)
 
     def _submit(self, hstate: _HostState) -> None:
-        """Launch one attempt for ``hstate`` (inline in serial mode)."""
+        """Launch one attempt for ``hstate`` on the pool."""
         with hstate.lock:
             hstate.attempts += 1
             hstate.inflight += 1
             hstate.report.attempts = hstate.attempts
-        if self.serial or self.pool is None:
-            self._attempt(hstate)
-        else:
-            self.pool.submit(self._attempt, hstate)
+        self.pool.submit(self._attempt, hstate)
 
     def _attempt(self, hstate: _HostState) -> None:
         host = hstate.host
@@ -457,7 +582,6 @@ class _Run:
                 return
             if hstate.started_at is None:
                 hstate.started_at = time.perf_counter()
-        attempt_started = time.perf_counter()
         parts = hstate.node.plan.request_parts
         # The request's bytes count as traffic up front and move to the
         # duplicate stat if this attempt does not produce the result.
@@ -490,13 +614,6 @@ class _Run:
         except Exception as error:  # TransportError or broken agent/work
             self._reclassify_duplicate(leg_bytes)
             self._attempt_failed(hstate, error)
-            return
-        timeout = self.executor.timeout_s
-        if self.serial and timeout is not None and \
-                exec_started - attempt_started + exec_s > timeout:
-            self._reclassify_duplicate(leg_bytes)
-            self._host_failed(hstate, W_HOST_TIMEOUT,
-                              f"exceeded per-host timeout of {timeout}s")
             return
         with hstate.lock:
             hstate.inflight -= 1
@@ -605,42 +722,32 @@ class _Run:
         if node.parent is None:
             self.finished.set()
             return
-        self._respond_upward(node, acc)
+        self._respond_upward(node, node.parent, acc)
 
-    def _respond_upward(self, node: _NodeState, acc: Any) -> None:
+    def _respond_upward(self, node: _NodeState, parent: _NodeState,
+                        acc: Any) -> None:
         """Send a completed node's merged result to its parent."""
-        host = node.plan.host
+        host = node.plan.host or ""
         try:
             payload = 0 if acc is _EMPTY else self.response_bytes(acc)
+            lost = _respond(self.transport, host, payload,
+                            self.executor.retries + 1)
         except BaseException as error:
+            # A sizing or transport bug, not an injected drop: fail the run
+            # rather than strand the parent's merge slot.
             self._abort(error)
             return
-        delivered, detail = True, ""
-        if self.transport is not None:
-            for _ in range(self.executor.retries + 1):
-                try:
-                    self.transport.respond(host, payload)
-                    break
-                except TransportError as error:
-                    detail = str(error)
-                except BaseException as error:
-                    # A transport bug, not an injected drop: fail the run
-                    # rather than strand the parent's merge slot.
-                    self._abort(error)
-                    return
-            else:
-                delivered = False
-        if delivered:
+        if lost is None:
             self._account(payload)
             if node.host_state is not None:
                 node.host_state.report.response_bytes = payload
         elif acc is not _EMPTY:
             # Only actual merged data going missing is worth a warning; an
             # empty response from an already-failed subtree is not news.
-            self._warn(W_RESPONSE_LOST, host, detail)
+            self._warn(W_RESPONSE_LOST, host, lost)
             self._fail_subtree_hosts(node)
-        self._deliver(node.parent, node.slot,
-                      acc if delivered and acc is not _EMPTY else _FAILED)
+        self._deliver(parent, node.slot,
+                      acc if lost is None and acc is not _EMPTY else _FAILED)
 
     def _fail_subtree_hosts(self, node: _NodeState) -> None:
         """Mark every ok host under ``node`` as lost (their merged partials
@@ -677,23 +784,44 @@ class _Run:
     def _warn(self, code: str, host: str, detail: str,
               attempts: int = 1) -> None:
         with self.lock:
-            self.warnings.append(ExecWarning(code=code, host=host,
-                                             detail=detail,
-                                             attempts=attempts))
+            self.warnings.append(ExecWarning(code, host, detail, attempts))
 
     def _result(self, wall: float) -> GatherResult:
-        reports = {h.host: h.report for h in self.host_states}
-        hosts_failed = [h.host for h in self.host_states if not h.report.ok]
-        warnings = sorted(self.warnings, key=lambda w: (w.host, w.code))
-        max_exec = max((h.report.exec_s for h in self.host_states
-                        if h.report.ok), default=0.0)
-        value = None if self.root.acc is _EMPTY else self.root.acc
-        return GatherResult(
-            value=value, hosts_failed=hosts_failed, warnings=warnings,
-            partial=bool(hosts_failed), wall_s=wall,
-            traffic_bytes=self.traffic_bytes,
-            duplicate_traffic_bytes=self.duplicate_bytes,
-            merge_s={node.plan.host: node.merge_s
-                     for node in self.node_states},
-            root_merges=self.root.merges, max_exec_s=max_exec,
-            reports=reports)
+        return _gathered(
+            self.root.acc, [h.report for h in self.host_states],
+            self.warnings, wall, self.traffic_bytes, self.duplicate_bytes,
+            {node.plan.host: node.merge_s for node in self.node_states},
+            self.root.merges)
+
+
+def _respond(transport: Optional[Transport], host: str, payload: int,
+             tries: int) -> Optional[str]:
+    """Send a node's response within ``tries``: ``None`` once delivered,
+    else the last drop's text.  Anything but a drop propagates."""
+    if transport is None:
+        return None
+    detail = ""
+    for _ in range(tries):
+        try:
+            transport.respond(host, payload)
+            return None
+        except TransportError as error:
+            detail = str(error)
+    return detail
+
+
+def _gathered(acc: Any, reports: List[HostReport],
+              warnings: List[ExecWarning], wall: float, traffic: int,
+              duplicate: int, merge_s: Dict[Optional[str], float],
+              root_merges: int) -> GatherResult:
+    """A run's outcome; ``reports`` in pre-order, ``acc`` maybe ``_EMPTY``."""
+    hosts_failed = [report.host for report in reports if not report.ok]
+    return GatherResult(
+        value=None if acc is _EMPTY else acc, hosts_failed=hosts_failed,
+        warnings=sorted(warnings, key=lambda w: (w.host, w.code)),
+        partial=bool(hosts_failed), wall_s=wall, traffic_bytes=traffic,
+        duplicate_traffic_bytes=duplicate, merge_s=merge_s,
+        root_merges=root_merges,
+        max_exec_s=max((report.exec_s for report in reports if report.ok),
+                       default=0.0),
+        reports={report.host: report for report in reports})

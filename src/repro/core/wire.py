@@ -854,6 +854,19 @@ def request_with_spec(request: bytes, spec: SubtreeSpec) -> bytes:
     return bytes(body)
 
 
+def spec_len(root: str, host_count: int, hosts_len: int) -> int:
+    """Exact ``len(request_with_spec(r, spec)) - len(r)`` for the spec of
+    a subtree rooted at ``root`` over ``host_count`` hosts whose names
+    encode to ``hosts_len`` bytes (the sum of their :func:`str_len`),
+    built from no bytes: a multi-level plan sizes its edges bottom-up
+    without listing any subtree's hosts."""
+    return _str_len(root) + _uvarint_len(host_count) + hosts_len
+
+
+#: Exact encoded length of one string field.
+str_len = _str_len
+
+
 @_guarded
 def decode_query_request(data: bytes):
     """Decode a query request; returns ``(Query, Optional[SubtreeSpec])``."""

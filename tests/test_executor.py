@@ -6,10 +6,12 @@ bounded retries, lost responses - plus the concurrent-vs-serial payload
 determinism the figure benchmarks rely on.
 """
 
+import random
 import time
 
 import pytest
 
+from repro.core import executor as executor_module
 from repro.core import (LoopbackTransport, MECHANISM_DIRECT,
                         MECHANISM_MULTILEVEL, MODE_CONCURRENT, MODE_SERIAL,
                         PlanNode, Q_FLOW_SIZE_DISTRIBUTION, Q_GET_FLOWS,
@@ -382,6 +384,130 @@ class TestScatterGather:
         # and 0.75x of it leaves 4.5x headroom over the ideal for thread
         # start-up on a busy two-core box.
         assert concurrent_result.wall_s < injected * 0.75
+
+
+def random_fault_plan(rng):
+    """A plan 1-4 host levels deep with uneven fan-outs, unique hosts."""
+    names = iter(range(1 << 20))
+    depth = rng.randint(1, 4)
+
+    def node(level):
+        fanout = rng.choice((0, 1, 2, 3, 5)) if level < depth else 0
+        return PlanNode(host=f"h{next(names)}",
+                        request_parts=(rng.randrange(1, 200),
+                                       rng.randrange(50)),
+                        children=[node(level + 1) for _ in range(fanout)])
+
+    return PlanNode(host=None, children=[node(1) for _ in
+                                         range(rng.randint(1, 5))])
+
+
+def run_with_faults(executor_mode, plan, faults, retries, max_workers=None):
+    """Run ``plan`` under ``faults`` - fresh transport and work state, so
+    every run sees the same attempt numbering - with an order-recording
+    merge (list concatenation)."""
+    drop_requests, drop_responses, dead, failing = faults
+    calls = {}
+
+    def work(host):
+        calls[host] = calls.get(host, 0) + 1
+        if calls[host] <= failing.get(host, 0):
+            raise RuntimeError(f"{host} attempt {calls[host]} crashed")
+        return [host]
+
+    transport = LoopbackTransport(drop_requests=drop_requests,
+                                  drop_responses=drop_responses,
+                                  dead_hosts=dead)
+    executor = ScatterGatherExecutor(transport, mode=executor_mode,
+                                     retries=retries, max_workers=max_workers)
+    return executor.run(plan, work, lambda acc, value: acc + value,
+                        response_bytes=lambda value: 3 * len(value) + 1)
+
+
+def gather_facts(result):
+    """Everything but timings."""
+    return (result.value, result.hosts_failed,
+            [(w.code, w.host, w.attempts, w.detail) for w in result.warnings],
+            result.partial, result.traffic_bytes,
+            result.duplicate_traffic_bytes, result.root_merges,
+            list(result.merge_s),
+            {host: (r.ok, r.attempts, r.hedged, r.request_bytes,
+                    r.response_bytes, r.error)
+             for host, r in result.reports.items()})
+
+
+class TestSerialFold:
+    """Serial mode is a depth-first fold on the calling thread; it must
+    gather exactly what the concurrent engine gathers."""
+
+    def test_fold_matches_concurrent_engine_on_random_faulty_plans(self):
+        rng = random.Random(20261016)
+        for _ in range(40):
+            plan = random_fault_plan(rng)
+            hosts = QueryCluster._plan_hosts(plan)
+
+            def pick(share):
+                return [host for host in hosts if rng.random() < share]
+
+            faults = ({host: rng.randint(1, 3) for host in pick(0.15)},
+                      {host: rng.randint(1, 3) for host in pick(0.15)},
+                      pick(0.05),
+                      {host: rng.randint(1, 3) for host in pick(0.15)})
+            for retries in (0, 1, 2):
+                serial = gather_facts(run_with_faults(
+                    MODE_SERIAL, plan, faults, retries))
+                for workers in (1, 4):
+                    assert gather_facts(run_with_faults(
+                        MODE_CONCURRENT, plan, faults, retries,
+                        workers)) == serial
+
+    def test_serial_call_order_is_pinned(self):
+        """Pre-order work; a child's result merged the moment its subtree
+        returns; the local result merged last; then sized and sent up."""
+        plan = PlanNode(host=None, children=[
+            PlanNode(host="A", request_parts=(8,), children=[
+                PlanNode(host="B", request_parts=(8,), children=[
+                    PlanNode(host="D", request_parts=(8,)),
+                    PlanNode(host="E", request_parts=(8,))]),
+                PlanNode(host="C", request_parts=(8,))]),
+            PlanNode(host="F", request_parts=(8,))])
+        events = []
+
+        def work(host):
+            events.append(("work", host))
+            return host
+
+        def merge(acc, value):
+            events.append(("merge", acc, value))
+            return acc + value
+
+        def size(value):
+            events.append(("size", value))
+            return len(value)
+
+        result = ScatterGatherExecutor(mode=MODE_SERIAL).run(
+            plan, work, merge, response_bytes=size)
+        assert result.value == "DEBCAF" and result.root_merges == 1
+        assert events == [
+            ("work", "A"), ("work", "B"), ("work", "D"), ("size", "D"),
+            ("work", "E"), ("size", "E"), ("merge", "D", "E"),
+            ("merge", "DE", "B"), ("size", "DEB"), ("work", "C"),
+            ("size", "C"), ("merge", "DEB", "C"), ("merge", "DEBC", "A"),
+            ("size", "DEBCA"), ("work", "F"), ("size", "F"),
+            ("merge", "DEBCA", "F")]
+        assert list(result.merge_s) == [None, "A", "B", "D", "E", "C", "F"]
+
+    def test_serial_mode_never_builds_the_concurrent_engine(
+            self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("serial mode constructed _Run")
+
+        monkeypatch.setattr(executor_module, "_Run", refuse)
+        faults = ({"h2": 1}, {"h0": 5}, ["h5"], {"h3": 1})
+        result = run_with_faults(MODE_SERIAL, tree_plan(), faults, 1)
+        assert set(result.hosts_failed) == {"h0", "h2", "h3", "h5"}
+        with pytest.raises(AssertionError, match="constructed _Run"):
+            run_with_faults(MODE_CONCURRENT, tree_plan(), faults, 1)
 
 
 # --------------------------------------------------------------------------

@@ -213,9 +213,11 @@ class TestQueryFrames:
     def test_tree_spec_bytes_are_measured(self):
         tree = AggregationTree([f"h{i}" for i in range(13)], fanout=(3, 2))
         for node in tree.host_nodes():
-            assert node.subtree_spec_bytes() == \
-                len(wire.encode_subtree_spec(node.subtree_spec()))
-            assert node.subtree_spec().hosts == tuple(node.subtree_hosts())
+            spec = node.subtree_spec()
+            assert wire.spec_len(spec.root, len(spec.hosts),
+                                 sum(map(wire.str_len, spec.hosts))) == \
+                len(wire.encode_subtree_spec(spec)) - wire.HEADER_BYTES
+            assert spec.hosts == tuple(node.subtree_hosts())
 
     def test_request_bytes_are_measured(self):
         query = Query("get_flows", {"link": ("a", "b")})
@@ -1787,6 +1789,30 @@ class TestExactSizes:
                 for _ in range(rng.choice((0, 1, 3, 130)))]
             assert wire.group_batch_len(cid, entries) == \
                 len(wire.encode_group_batch(cid, entries))
+
+    def test_spec_len_is_the_spliced_spec_length(self):
+        """Every node of random aggregation trees - unicode and long host
+        names, subtree host counts across the one-byte varint boundary:
+        ``spec_len`` is what ``request_with_spec`` splices in, and a plan
+        sized with it equals the plan read off the spliced frames."""
+        from repro.core.cluster import QueryCluster
+        rng = random.Random(20261017)
+        request = wire.encode_query_request(GOLDEN_TOPK_QUERY, None)
+        for _ in range(40):
+            hosts = [f"{rng.choice(('h', UNICODE_HOST, 'x' * 130))}-{i}"
+                     for i in range(rng.choice((1, 5, 40, 200)))]
+            tree = AggregationTree(hosts, fanout=rng.choice(
+                ((7, 4, 4), (1, 150), (2,), (3, 1))))
+            for node in tree.host_nodes():
+                spec = node.subtree_spec()
+                assert wire.spec_len(
+                    node.host, len(spec.hosts),
+                    sum(map(wire.str_len, spec.hosts))) == \
+                    len(wire.request_with_spec(request, spec)) - len(request)
+            frames = {}
+            framed = QueryCluster._plan_from_tree(tree.root, request, frames)
+            assert len(frames) == len(hosts)
+            assert QueryCluster._plan_from_tree(tree.root, request) == framed
 
     def test_record_and_alarm_sizes(self):
         rng = random.Random(23)

@@ -489,6 +489,30 @@ class TestSplitPhaseScatter:
                        for report in gathers[-1].reports.values())
 
 
+class TestRepeatedHosts:
+    @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
+                                           MECHANISM_MULTILEVEL])
+    @pytest.mark.parametrize("mode", [MODE_SERIAL, MODE_SOCKET])
+    def test_a_host_named_twice_is_rejected_before_sending(self, mode,
+                                                           mechanism):
+        """A repeated host would answer - and its bytes count - twice; the
+        scatter names it and sends nothing."""
+        with worker_cluster(mode=mode) as cluster:
+            host = cluster.hosts[1]
+            query = Query(Q_TOP_K_FLOWS, {"k": 5})
+            pool = cluster.agent_servers
+            sent = pool.stats.envelopes_sent if pool is not None else 0
+            messages = cluster.rpc.stats.messages
+            with pytest.raises(ValueError, match=repr(host)):
+                cluster.execute(query, hosts=[host, cluster.hosts[0], host],
+                                mechanism=mechanism)
+            assert cluster.rpc.stats.messages == messages
+            if pool is not None:
+                assert pool.stats.envelopes_sent == sent
+            assert not cluster.execute(query, hosts=[host],
+                                       mechanism=mechanism).partial
+
+
 @pytest.fixture(scope="module")
 def serial_alarm_streams():
     """The serial reference: (sweep alarm stream, PC_FAIL stream raised by
