@@ -7,7 +7,9 @@ half of the engine, in two regimes:
 * **Wait-bound** scatters (the loopback transport really sleeps its
   injected per-message delay, releasing the GIL): thread-mode concurrency
   overlaps the round-trips and the measured wall clock drops nearly
-  linearly with the worker count.
+  linearly with the worker count.  A multi-level scatter over the same
+  hosts overlaps every request leg and each tree depth's response legs,
+  so it costs about one leg per depth plus one.
 * **CPU-bound** scatters (per-host work is a pure-Python scan over the
   host's TIB): threads are GIL-bound - the thread pool runs no faster
   than serial - while ``mode="process"`` ships each host's work to its
@@ -18,7 +20,7 @@ half of the engine, in two regimes:
   up on the CI runners, whose report is uploaded as a build artifact.
 
 The payload produced by every configuration must be byte-identical to the
-serial payload: the canonical slot-ordered streaming merge makes the
+serial payload: every mode merges in one canonical order, which makes the
 result independent of arrival order, and the wire codec round-trips
 process-mode results losslessly.
 """
@@ -29,8 +31,9 @@ import time
 import pytest
 
 from repro.analysis import format_table
-from repro.core import (LoopbackTransport, MECHANISM_DIRECT, MODE_CONCURRENT,
-                        MODE_PROCESS, MODE_SERIAL, Query, wire)
+from repro.core import (LoopbackTransport, MECHANISM_DIRECT,
+                        MECHANISM_MULTILEVEL, MODE_CONCURRENT, MODE_PROCESS,
+                        MODE_SERIAL, Query, wire)
 from repro.core.query import Q_FLOW_SIZE_DISTRIBUTION, Q_TOP_K_FLOWS
 
 from query_testbed import QUICK, build_query_cluster
@@ -52,9 +55,9 @@ CPU_RECORDS_PER_HOST = 2_000 if QUICK else 24_000
 CPU_REPEATS = 2 if QUICK else 3
 
 
-def _timed_execute(cluster, query, hosts):
+def _timed_execute(cluster, query, hosts, mechanism=MECHANISM_DIRECT):
     started = time.perf_counter()
-    result = cluster.execute(query, hosts, MECHANISM_DIRECT)
+    result = cluster.execute(query, hosts, mechanism)
     return result, time.perf_counter() - started
 
 
@@ -65,44 +68,48 @@ def test_executor_concurrency_speedup(benchmark, report_writer):
     query = Query(Q_TOP_K_FLOWS, params={"k": 100})
     hosts = cluster.hosts
 
+    def run(mechanism, mode, workers):
+        cluster.configure_executor(mode=mode, max_workers=workers)
+        return (mechanism, mode, workers,
+                *_timed_execute(cluster, query, hosts, mechanism))
+
     def sweep():
-        rows = []
-        cluster.configure_executor(mode=MODE_SERIAL)
-        serial_result, serial_s = _timed_execute(cluster, query, hosts)
-        rows.append(("serial", 1, serial_result, serial_s))
-        for workers in WORKER_SWEEP:
-            cluster.configure_executor(mode=MODE_CONCURRENT,
-                                       max_workers=workers)
-            result, elapsed = _timed_execute(cluster, query, hosts)
-            rows.append(("concurrent", workers, result, elapsed))
+        rows = [run(MECHANISM_DIRECT, MODE_SERIAL, 1)]
+        rows += [run(MECHANISM_DIRECT, MODE_CONCURRENT, workers)
+                 for workers in WORKER_SWEEP]
+        rows += [run(MECHANISM_MULTILEVEL, MODE_SERIAL, 1),
+                 run(MECHANISM_MULTILEVEL, MODE_CONCURRENT, NUM_HOSTS)]
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    serial_row = rows[0]
-    serial_s = serial_row[3]
-    table = [[mode, workers, f"{elapsed * 1e3:.1f}",
-              f"{serial_s / elapsed:.1f}x",
+    serial_s = {mechanism: elapsed
+                for mechanism, mode, _, _, elapsed in rows
+                if mode == MODE_SERIAL}
+    table = [[mechanism, mode, workers, f"{elapsed * 1e3:.1f}",
+              f"{serial_s[mechanism] / elapsed:.1f}x",
               f"{result.wall_clock_s * 1e3:.1f}"]
-             for mode, workers, result, elapsed in rows]
+             for mechanism, mode, workers, result, elapsed in rows]
     report_writer("executor_concurrency", format_table(
-        ["mode", "workers", "wall clock (ms)", "speedup vs serial",
-         "executor wall (ms)"], table,
+        ["mechanism", "mode", "workers", "wall clock (ms)",
+         "speedup vs serial", "executor wall (ms)"], table,
         title=f"Scatter-gather executor: {NUM_HOSTS}-host top-k scatter "
               f"over a loopback transport with {DELAY_S * 1e3:.0f} ms "
               "injected per-message delay (measured wall clock; payloads "
               "identical across all rows)"))
 
-    # Identical payloads in every mode/worker configuration.
-    for _, _, result, _ in rows[1:]:
-        assert result.payload == serial_row[2].payload
+    # Identical payloads in every mechanism/mode/worker configuration.
+    for _, _, _, result, _ in rows[1:]:
+        assert result.payload == rows[0][3].payload
         assert not result.partial
-    # A >= 4-host concurrent run shows real (measured) parallel speedup.
-    full_pool = rows[-1]
-    assert full_pool[1] >= 4
-    assert serial_s / full_pool[3] >= 2.0
+    # A >= 4-host concurrent run shows real (measured) parallel speedup,
+    # direct and multi-level.
+    direct_pool, multilevel_pool = rows[len(WORKER_SWEEP)], rows[-1]
+    assert direct_pool[2] >= 4
+    assert serial_s[MECHANISM_DIRECT] / direct_pool[4] >= 2.0
+    assert serial_s[MECHANISM_MULTILEVEL] / multilevel_pool[4] >= 2.0
     # More workers never slow the scatter down dramatically (monotone-ish).
-    assert rows[-1][3] <= rows[1][3]
+    assert direct_pool[4] <= rows[1][4]
 
 
 @pytest.mark.skipif(

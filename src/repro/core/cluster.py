@@ -131,7 +131,7 @@ class DistributedQueryResult:
         partial: whether one or more hosts' partial results are missing.
         hosts_failed: the hosts whose results are missing (always host
             names: a failed worker group expands to its member hosts).
-        warnings: structured warnings describing failures/hedges/retries;
+        warnings: structured warnings describing failures/retries;
             worker-plane warnings (a failed query-scatter leaf, restarts,
             open circuits) name the worker's group key (``group-N``) in
             their ``host`` field.
@@ -140,9 +140,9 @@ class DistributedQueryResult:
             ``response_time_s``).
         mode: cluster mode the query ran under - the mode string the
             caller asked for (serial/concurrent/process/socket).
-        duplicate_traffic_bytes: bytes moved by non-winning duplicate
-            attempts (hedge twins that lost the race, retries whose work
-            failed) - overhead, deliberately kept out of ``traffic_bytes``.
+        duplicate_traffic_bytes: bytes moved by non-winning attempts
+            (retries whose work failed, deliveries voided by a timeout) -
+            overhead, deliberately kept out of ``traffic_bytes``.
         scan_stats: cluster-wide pushdown counters of a plan query (per-host
             hot-index routing + cold pruning work, summed key-wise across
             every partial); empty for legacy named queries.
@@ -324,8 +324,8 @@ class QueryCluster:
             injecting real delays and drops into every scatter; without
             one no transport is called.
         mode: execution mode - ``"serial"`` (deterministic, the default, so
-            figures reproduce), ``"concurrent"`` (real thread-pool
-            fan-out), ``"socket"`` (hosts sharded into agent-server
+            figures reproduce), ``"concurrent"`` (the same attempt loop and
+            fold with attempts and response legs on a thread pool), ``"socket"`` (hosts sharded into agent-server
             worker groups speaking the binary wire protocol, one
             multiplexed stream connection per group, monitor ticks and
             query scatters coalesced into one ``MSG_GROUP_BATCH``
@@ -342,18 +342,14 @@ class QueryCluster:
         socket_transport: socket mode only - ``"unix"`` (default),
             ``"tcp"``, or ``"pipe"`` (the same coalesced envelopes over a
             multiprocessing pipe; no listener, useful for tests).
-        timeout_s: per-host query deadline (see the executor docs); in
-            the worker modes each group leaf waits at most this long,
-            counted from the scatter's start.  A query the workers do not
-            serve (a custom handler registered on the in-process agents)
-            runs locally on the serial executor in the worker modes, as
-            in ``"serial"``: its deadline is checked after each handler
-            returns, so a handler that hangs blocks the caller.
-        hedge_after_s: straggler-hedging threshold, ``"concurrent"`` only.
-            It does not apply to worker-group exchanges: a twin would
-            queue behind the exchange it hedges on the same ordered
-            stream, so it could never overtake it.  Nor does it apply to
-            the worker modes' local fallback, which runs serially.
+        timeout_s: per-host query deadline, counted from the host's
+            first attempt (see the executor docs); in the worker modes
+            each group leaf waits at most this long, counted from the
+            scatter's start.  A query the workers do not serve (a custom
+            handler registered on the in-process agents) runs locally on
+            the serial executor in the worker modes, as in ``"serial"``:
+            its deadline is checked after each handler returns, so a
+            handler that hangs blocks the caller.
         retries: bounded per-host retry budget for transport errors.
         retention: optional hot-tier bounds applied to every agent's TIB
             (two-tier mode: bounded hot memory, cold archive); in the
@@ -382,7 +378,6 @@ class QueryCluster:
                  mode: str = MODE_SERIAL,
                  max_workers: Optional[int] = None,
                  timeout_s: Optional[float] = None,
-                 hedge_after_s: Optional[float] = None,
                  retries: int = 0,
                  retention: Optional[RetentionPolicy] = None,
                  supervisor: Optional[Supervisor] = None,
@@ -411,8 +406,7 @@ class QueryCluster:
         self.transport: Optional[Transport] = transport
         self.executor = ScatterGatherExecutor(
             self.transport, mode=self._executor_mode(),
-            max_workers=max_workers, timeout_s=timeout_s,
-            hedge_after_s=hedge_after_s, retries=retries)
+            max_workers=max_workers, timeout_s=timeout_s, retries=retries)
         self.engine = QueryEngine()
         self._reconstructor = PathReconstructor(topo, self.assignment)
         self.retention = retention or RetentionPolicy()
@@ -444,7 +438,6 @@ class QueryCluster:
     def configure_executor(self, mode: Optional[str] = None,
                            max_workers: Optional[int] = None,
                            timeout_s: Optional[float] = None,
-                           hedge_after_s: Optional[float] = None,
                            retries: Optional[int] = None,
                            transport: Optional[Transport] = None) -> None:
         """Rebuild the query executor with new settings (``None`` keeps the
@@ -483,19 +476,19 @@ class QueryCluster:
                          else current.max_workers),
             timeout_s=timeout_s if timeout_s is not None
             else current.timeout_s,
-            hedge_after_s=(hedge_after_s if hedge_after_s is not None
-                           else current.hedge_after_s),
             retries=retries if retries is not None else current.retries)
 
     def _executor_mode(self) -> str:
         """The executor-level mode implementing the cluster mode: only
-        ``"concurrent"`` fans out on threads.  The worker modes' scatters
-        are split-phase on the calling thread (:meth:`_scatter_groups`:
-        every envelope is written before the first wait), so they run on
-        the serial executor - its timeouts, retries, supervision and
-        slot-ordered merges, without a thread per group.  Queries the
-        workers do not serve fall back to the in-process agents on the
-        same serial executor (no watchdog, no hedging)."""
+        ``"concurrent"`` waits on a thread pool; both executor modes run
+        the same attempt loop and fold.  The worker modes' scatters are
+        split-phase on the calling thread (:meth:`_scatter_groups`: every
+        envelope is written before the first wait), so they run on the
+        serial executor - its timeouts, retries, supervision and ordered
+        merges, without a thread per group.  Queries the workers do not
+        serve fall back to the in-process agents on the same serial
+        executor, whose deadline is checked after each handler
+        returns."""
         return MODE_CONCURRENT if self.mode == MODE_CONCURRENT \
             else MODE_SERIAL
 
@@ -953,9 +946,7 @@ class QueryCluster:
         -> ``(value, reply envelope bytes)``, so replies are consumed -
         decoded, folded, their alarms dispatched - in plan order while
         later groups are still answering; a retry re-sends.  Timeouts,
-        retries, supervision and slot-ordered merges are the executor's;
-        hedging is not (a twin on the same ordered stream cannot overtake
-        the exchange it would hedge).
+        retries, supervision and ordered merges are the executor's.
 
         A leaf waits at most ``timeout_s`` counted from the scatter's
         start on the real clock, then fails as ``W_HOST_TIMEOUT``
@@ -1174,7 +1165,7 @@ class QueryCluster:
         edge carries, one envelope per group instead of one round trip per
         host.  *Fold* runs ``plan`` through a serial executor on the
         calling thread whose per-host work is a lookup of the fetched
-        partial, so slot order, merges, ``request_parts`` and response
+        partial, so merge order, merges, ``request_parts`` and response
         sizes - hence ``payload`` and ``traffic_bytes`` (the tree edges,
         sized with measured frame lengths) - are byte-identical to the
         serial walk.  The fetch envelopes are counted on the channel model

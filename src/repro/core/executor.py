@@ -10,20 +10,23 @@ the engine, generic over the work performed per host:
   to one, and all payloads of an edge (query, subtree description) are
   *batched* into one request message.
 * :class:`ScatterGatherExecutor` - runs a plan with per-host timeouts
-  and bounded retries.  ``mode="serial"`` (clusters' default, and every
-  worker-mode scatter) is a depth-first fold on the calling thread with
-  no lock or thread; ``mode="concurrent"`` runs attempts on a worker
-  pool, adds straggler hedging, and merges each node's slots as they fill.
+  and bounded retries.  Both modes run one per-host attempt loop and one
+  fold, and differ only in where the waiting happens: ``mode="serial"``
+  (clusters' default, and every worker-mode scatter) is a depth-first
+  walk on the calling thread with no lock or thread;
+  ``mode="concurrent"`` runs every attempt loop and response leg on a
+  worker pool and folds on the calling thread, bottom-up one depth at a
+  time.
 * :class:`LoopbackTransport` - optional failure injection that *really*
   sleeps and drops messages.  Without a transport none is called.
 
 One clock: the executor measures and enforces real elapsed time only -
-deadlines, the watchdog, hedging, per-host ``exec_s``, per-node
+deadlines, per-host ``exec_s``, per-node
 ``merge_s`` - and records the bytes of every leg.  The modelled response
 time of Figures 11 and 12 is priced from those facts after the run
 (:func:`repro.core.rpc.model_response_time`).
 
-Both engines merge in one canonical order per node (children in tree
+Both modes merge in one canonical order per node (children in tree
 order, then the node's local result), so with an associative merge (the
 plan operators' are by construction) the payload is identical across
 modes.  A host that cannot be reached, exhausts its retries, times out
@@ -38,11 +41,12 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Protocol,
+                    Sequence, Tuple)
 
 from repro.counters import Counters
 
@@ -54,7 +58,6 @@ MODE_CONCURRENT = "concurrent"
 W_HOST_FAILED = "host_failed"
 W_HOST_TIMEOUT = "host_timeout"
 W_RESPONSE_LOST = "response_lost"
-W_HEDGED = "straggler_hedged"
 W_RETRIED = "retried"
 #: Worker-plane health codes, raised by the cluster in the same namespace:
 #: a supervised worker restarted and re-seeded, a restart budget ran out
@@ -66,10 +69,8 @@ W_MIRROR_DETACHED = "mirror_detached"
 #: Default worker-pool size cap for concurrent runs.
 DEFAULT_MAX_WORKERS = 32
 
-#: Sentinel marking an unfilled merge slot (``None`` is a valid value).
+#: Sentinel for "nothing to merge" (``None`` is a valid value).
 _EMPTY = object()
-#: Sentinel filling the slot of a failed host or lost subtree.
-_FAILED = object()
 
 
 class TransportError(RuntimeError):
@@ -209,7 +210,8 @@ class HostReport:
 
     ``exec_s`` is the real time of the attempt that produced the result
     (its work call, or what ``exec_seconds`` reported) or, for a failed
-    host, from its first attempt to the failure.  ``request_bytes`` is the
+    host, from its first attempt to the failure (in concurrent mode, to
+    the moment the caller stopped waiting at its deadline).  ``request_bytes`` is the
     winning request's payload (``None``: no attempt produced a result, or
     the node is sent no request; it stays set when the result is lost on
     the way up); ``response_bytes`` the node's delivered response
@@ -219,7 +221,6 @@ class HostReport:
     host: str
     ok: bool = False
     attempts: int = 0
-    hedged: bool = False
     exec_s: float = 0.0
     request_bytes: Optional[int] = None
     response_bytes: Optional[int] = None
@@ -233,14 +234,14 @@ class GatherResult:
     Attributes:
         value: the root accumulator (``None`` when every host failed).
         hosts_failed: hosts whose work never produced a merged result.
-        warnings: structured warnings (failures, timeouts, hedges, retries).
+        warnings: structured warnings (failures, timeouts, retries).
         partial: whether any host's partial result is missing.
         wall_s: measured wall-clock duration of the run.
         traffic_bytes: payload bytes of the legs that produced the result -
             one winning request per host plus the delivered responses.
         duplicate_traffic_bytes: payload bytes of non-winning attempts
-            (lost hedge races, retries whose work failed, deliveries voided
-            by a timeout; attempts still asleep at the end are unseen).
+            (retries whose work failed, deliveries voided by a timeout; the
+            attempts of a host the caller stopped waiting for are unseen).
         merge_s: cumulative merge time per plan node, keyed by the node's
             host (``None``: the root).
         root_merges: number of pairwise merges performed at the root.
@@ -264,74 +265,26 @@ class GatherResult:
     model_time_s: float = 0.0
 
 
-# --------------------------------------------------------------------------
-# Internal run state of the concurrent engine
-# --------------------------------------------------------------------------
-class _NodeState:
-    """Merge accumulator and completion tracking for one plan node."""
-
-    __slots__ = ("plan", "parent", "slot", "n_slots", "next_slot", "slots",
-                 "acc", "merges", "merge_s", "lock", "host_state")
-
-    def __init__(self, plan: PlanNode, parent: Optional["_NodeState"],
-                 slot: int) -> None:
-        self.plan = plan
-        self.parent = parent
-        self.slot = slot
-        # Children occupy slots 0..len-1 in tree order; the node's local
-        # result (when it has a host) occupies the final slot.
-        self.n_slots = len(plan.children) + (1 if plan.host is not None else 0)
-        self.next_slot = 0
-        self.slots: List[Any] = [_EMPTY] * self.n_slots
-        self.acc: Any = _EMPTY
-        self.merges = 0
-        self.merge_s = 0.0
-        self.lock = threading.Lock()
-        self.host_state: Optional["_HostState"] = None
-
-
-class _HostState:
-    """Attempt bookkeeping for one host's request+work unit."""
-
-    __slots__ = ("node", "host", "lock", "work_lock", "done", "attempts",
-                 "budget", "inflight", "hedged", "started_at", "report")
-
-    def __init__(self, node: _NodeState, budget: int) -> None:
-        self.node = node
-        self.host: str = node.plan.host  # type: ignore[assignment]
-        self.lock = threading.Lock()
-        # Hedge twins overlap transport legs (where stragglers live) but
-        # never run the host's work (a thread-unsafe agent) concurrently.
-        self.work_lock = threading.Lock()
-        self.done = False
-        self.attempts = 0
-        self.budget = budget
-        self.inflight = 0
-        self.hedged = False
-        self.started_at: Optional[float] = None
-        self.report = HostReport(host=self.host)
-
-
 class ScatterGatherExecutor:
     """Runs scatter plans.
 
     Args:
         transport: optional :class:`Transport` (a failure-injecting
             :class:`LoopbackTransport`); without one none is called.
-        mode: ``"concurrent"`` (worker pool, streaming slot merges) or
-            ``"serial"`` (a deterministic depth-first fold on the calling
-            thread).
+        mode: ``"serial"`` (a deterministic depth-first fold on the calling
+            thread) or ``"concurrent"`` (the same attempt loop and fold,
+            with attempts and response legs on a worker pool).
         max_workers: worker-pool size cap for concurrent runs (defaults to
             ``min(32, number of hosts)``).
-        timeout_s: per-host deadline on the real clock; a host still
-            running past it is declared failed (its partial result is
-            dropped even if the worker later finishes).  Serial mode
-            checks it after the fact against the attempt's real request
-            leg plus ``exec_s``; work that waits on something can enforce
-            it itself by raising :class:`DeadlineExceeded`.
-        hedge_after_s: straggler hedging - a host still running past this
-            point gets a duplicate attempt launched; whichever finishes
-            first wins.  Concurrent mode only.
+        timeout_s: per-host deadline on the real clock, counted from the
+            host's first attempt: a host whose result is not in by then
+            fails as ``W_HOST_TIMEOUT``.  The attempt loop checks it after
+            each attempt (its real request leg plus ``exec_s`` must end in
+            time) and does not retry past it; in concurrent mode the
+            caller also stops waiting at it, dropping the host's result
+            even if its loop later finishes.  Work that waits on
+            something can enforce it itself by raising
+            :class:`DeadlineExceeded`.
         retries: bounded retry budget per host for transport errors and
             work exceptions.
     """
@@ -340,7 +293,6 @@ class ScatterGatherExecutor:
                  mode: str = MODE_CONCURRENT,
                  max_workers: Optional[int] = None,
                  timeout_s: Optional[float] = None,
-                 hedge_after_s: Optional[float] = None,
                  retries: int = 0) -> None:
         if mode not in (MODE_SERIAL, MODE_CONCURRENT):
             raise ValueError(f"unknown executor mode {mode!r}")
@@ -350,7 +302,6 @@ class ScatterGatherExecutor:
         self.mode = mode
         self.max_workers = max_workers
         self.timeout_s = timeout_s
-        self.hedge_after_s = hedge_after_s
         self.retries = retries
 
     # ------------------------------------------------------------------- API
@@ -365,20 +316,19 @@ class ScatterGatherExecutor:
         ``exec_seconds(value)``, when given, is a host's execution time in
         place of the wall time of its ``work`` call (for work that only
         collects something timed, on the real clock, where it ran)."""
-        if self.mode == MODE_SERIAL:
-            return _Fold(self, work, merge, response_bytes,
-                         exec_seconds).execute(plan)
-        return _Run(self, plan, work, merge, response_bytes,
-                    exec_seconds).execute()
+        engine = _Fold if self.mode == MODE_SERIAL else _Run
+        return engine(self, work, merge, response_bytes,
+                      exec_seconds).execute(plan)
 
 
 class _Fold:
     """One serial run: a depth-first walk on the calling thread.  A node
     runs its own work (pre-order), folds each child's subtree and merges
-    it as it returns, merges its local result last - the concurrent slot
-    order - then sizes its response and sends it up.  Nothing is locked;
-    a ``merge`` or ``response_bytes`` error propagates at once.  ``_EMPTY``
-    means "nothing to merge" throughout."""
+    it as it returns, merges its local result last, then sizes its
+    response and sends it up.  Nothing is locked; a ``merge`` or
+    ``response_bytes`` error propagates at once.  ``_EMPTY`` means
+    "nothing to merge" throughout.  The attempt loop, the merge loop, the
+    arrival step and the result are shared with :class:`_Run`."""
 
     def __init__(self, executor: ScatterGatherExecutor,
                  work: Callable[[str], Any], merge: Callable[[Any, Any], Any],
@@ -402,19 +352,29 @@ class _Fold:
         # Scattering to nobody (a host filter that matched nothing) is an
         # empty, non-partial gather.
         wall = time.perf_counter() - started if self.reports else 0.0
-        return _gathered(acc, self.reports, self.warnings, wall,
-                         self.traffic_bytes, self.duplicate_bytes,
-                         self.merge_s, root_merges)
+        return self._result(acc, root_merges, wall)
 
     def _node(self, plan: PlanNode) -> Tuple[Any, int]:
         """Fold ``plan``'s subtree: ``(accumulator, merges made here)``."""
         host = plan.host
         self.merge_s[host] = 0.0  # keyed in pre-order, filled in post-order
-        local = _EMPTY if host is None else self._attempts(host, plan)
+        if host is None:
+            local = _EMPTY
+        else:
+            report = HostReport(host=host)
+            self.reports.append(report)
+            local = self._attempts(report, plan.request_parts)
+        # map() is lazy: each child's subtree runs as the loop reaches it.
+        return self._merged(host, chain(map(self._send_up, plan.children),
+                                        (local,)))
+
+    def _merged(self, host: Optional[str],
+                values: Iterable[Any]) -> Tuple[Any, int]:
+        """Merge ``values`` in order, skipping ``_EMPTY``: ``(accumulator,
+        merges made)``; the time it took is ``host``'s ``merge_s``."""
         acc, merges, spent = _EMPTY, 0, 0.0
         merge, clock = self.merge, time.perf_counter
-        # map() is lazy: each child's subtree runs as the loop reaches it.
-        for value in chain(map(self._send_up, plan.children), (local,)):
+        for value in values:
             if value is _EMPTY:
                 continue
             if acc is _EMPTY:
@@ -427,18 +387,17 @@ class _Fold:
         self.merge_s[host] = spent
         return acc, merges
 
-    def _attempts(self, host: str, plan: PlanNode) -> Any:
-        """Deliver ``host``'s request and run its work within the retry
-        budget: the value, or ``_EMPTY`` once the host failed."""
-        report = HostReport(host=host)
-        self.reports.append(report)
-        parts = plan.request_parts
-        transport, clock = self.executor.transport, time.perf_counter
+    def _attempts(self, report: HostReport, parts: Tuple[int, ...]) -> Any:
+        """Deliver the request of ``report``'s host and run its work within
+        the retry budget and the host's deadline, counted from its first
+        attempt: the value, or ``_EMPTY`` once the host failed."""
+        host = report.host
+        executor, clock = self.executor, time.perf_counter
+        transport, timeout = executor.transport, executor.timeout_s
         started = clock()
         failure: Exception
-        for attempt in range(1, self.executor.retries + 2):
+        for attempt in range(1, executor.retries + 2):
             report.attempts = attempt
-            attempt_started = clock()
             sent = 0  # the request's bytes, once delivered
             try:
                 if parts:
@@ -456,14 +415,13 @@ class _Fold:
             except Exception as error:  # TransportError or broken agent/work
                 self.duplicate_bytes += sent
                 failure = error
+                if timeout is not None and clock() - started > timeout:
+                    return self._lapsed(report, started)
                 continue
-            timeout = self.executor.timeout_s
             if timeout is not None and \
-                    exec_started - attempt_started + exec_s > timeout:
+                    exec_started - started + exec_s > timeout:
                 self.duplicate_bytes += sent
-                return self._failed(report, W_HOST_TIMEOUT,
-                                    f"exceeded per-host timeout of "
-                                    f"{timeout}s", started)
+                return self._lapsed(report, started)
             self.traffic_bytes += sent
             report.ok = True
             report.exec_s = exec_s
@@ -474,6 +432,11 @@ class _Fold:
             return value
         return self._failed(report, W_HOST_FAILED,
                             f"{type(failure).__name__}: {failure}", started)
+
+    def _lapsed(self, report: HostReport, started: float) -> Any:
+        return self._failed(report, W_HOST_TIMEOUT,
+                            f"exceeded per-host timeout of "
+                            f"{self.executor.timeout_s}s", started)
 
     def _failed(self, report: HostReport, code: str, detail: str,
                 started: float) -> Any:
@@ -489,309 +452,155 @@ class _Fold:
         first = len(self.reports)  # the subtree's reports start here
         acc, _merges = self._node(node)
         payload = 0 if acc is _EMPTY else self.response_bytes(acc)
-        host = node.host or ""
-        lost = _respond(self.executor.transport, host, payload,
+        lost = _respond(self.executor.transport, node.host or "", payload,
                         self.executor.retries + 1)
+        return self._arrived(node, first, None, acc, payload, lost)
+
+    def _arrived(self, node: PlanNode, first: int, end: Optional[int],
+                 acc: Any, payload: int, lost: Optional[str]) -> Any:
+        """Account ``node``'s response leg (``lost``: ``None`` once
+        delivered, else the drop's text): what reaches the parent.  The
+        subtree's reports are ``self.reports[first:end]``."""
         if lost is None:
             self.traffic_bytes += payload
             if node.host is not None:
                 self.reports[first].response_bytes = payload
             return acc
         if acc is not _EMPTY:  # merged data went missing: a lost subtree
-            self.warnings.append(ExecWarning(W_RESPONSE_LOST, host, lost))
-            for report in self.reports[first:]:
+            self.warnings.append(ExecWarning(W_RESPONSE_LOST,
+                                             node.host or "", lost))
+            for report in self.reports[first:end]:
                 if report.ok:
                     report.ok = False
                     report.error = "subtree response lost"
         return _EMPTY
 
+    def _result(self, acc: Any, root_merges: int,
+                wall: float) -> GatherResult:
+        """The run's outcome (``acc`` maybe ``_EMPTY``)."""
+        reports = self.reports
+        hosts_failed = [report.host for report in reports if not report.ok]
+        return GatherResult(
+            value=None if acc is _EMPTY else acc, hosts_failed=hosts_failed,
+            warnings=sorted(self.warnings, key=lambda w: (w.host, w.code)),
+            partial=bool(hosts_failed), wall_s=wall,
+            traffic_bytes=self.traffic_bytes,
+            duplicate_traffic_bytes=self.duplicate_bytes,
+            merge_s=self.merge_s, root_merges=root_merges,
+            max_exec_s=max((report.exec_s for report in reports
+                            if report.ok), default=0.0),
+            reports={report.host: report for report in reports})
 
-class _Run:
-    """One concurrent run: every attempt runs on the pool, and each node
-    merges its slots in canonical order as they fill, on whichever worker
-    thread filled the next one (all state is shared between them)."""
 
-    def __init__(self, executor: ScatterGatherExecutor, plan: PlanNode,
-                 work: Callable[[str], Any], merge: Callable[[Any, Any], Any],
-                 response_bytes: Callable[[Any], int],
-                 exec_seconds: Optional[Callable[[Any], float]] = None
-                 ) -> None:
-        self.executor = executor
-        self.transport = executor.transport
-        self.work = work
-        self.merge = merge
-        self.response_bytes = response_bytes
-        self.exec_seconds = exec_seconds
-        self.root = _NodeState(plan, parent=None, slot=-1)
-        self.host_states: List[_HostState] = []
-        self.node_states: List[_NodeState] = [self.root]
-        self._build(plan, self.root)
-        self.lock = threading.Lock()
-        self.traffic_bytes = 0
-        self.duplicate_bytes = 0
-        self.warnings: List[ExecWarning] = []
-        self.finished = threading.Event()
-        workers = executor.max_workers or min(DEFAULT_MAX_WORKERS,
-                                              len(self.host_states))
-        self.pool = ThreadPoolExecutor(max_workers=max(1, workers),
-                                       thread_name_prefix="scatter-gather")
-        #: First fatal callback error, re-raised to the caller.
-        self.error: Optional[BaseException] = None
+class _Run(_Fold):
+    """One concurrent run: the serial attempt loop and fold, with the
+    waiting on a pool.  The calling thread submits every host's attempt
+    loop in pre-order, then folds bottom-up one depth at a time: a node
+    merges its children's arrivals in tree order and its local result
+    last, and its response leg goes to the pool, so a depth costs at most
+    one leg.  Each loop accounts into a ledger of its own (a
+    :class:`_Fold`) that joins the run when the caller collects it; at a
+    host's deadline the caller stops waiting and the loop runs on,
+    unseen.  A pool thread writes only its host's ``begun`` stamp and
+    report; everything else belongs to the calling thread."""
 
-    def _build(self, plan: PlanNode, state: _NodeState) -> None:
-        """Create node/host states depth-first (canonical dispatch order)."""
-        if plan.host is not None:
-            state.host_state = _HostState(state, self.executor.retries + 1)
-            self.host_states.append(state.host_state)
-        for index, child in enumerate(plan.children):
-            child_state = _NodeState(child, parent=state, slot=index)
-            self.node_states.append(child_state)
-            self._build(child, child_state)
-
-    # ------------------------------------------------------------ execution
-    def execute(self) -> GatherResult:
+    def execute(self, plan: PlanNode) -> GatherResult:
         started = time.perf_counter()
-        if not self.host_states:  # scattering to nobody: an empty gather
-            return self._result(0.0)
-        if self.executor.timeout_s is not None or \
-                self.executor.hedge_after_s is not None:
-            threading.Thread(target=self._watchdog, daemon=True).start()
-        for hstate in self.host_states:
-            self._submit(hstate)
-        self.finished.wait()
-        # Stragglers that lost a hedge race (or timed out) may still be
-        # sleeping in the transport; don't wait for them.
-        self.pool.shutdown(wait=False, cancel_futures=True)
-        if self.error is not None:
-            raise self.error
-        return self._result(time.perf_counter() - started)
+        #: Per depth, every node with the span of its subtree's reports.
+        levels: List[List[Tuple[PlanNode, int, int]]] = []
+        hosts: List[PlanNode] = []
+        self._walk(plan, 0, levels, hosts)
+        if not hosts:  # scattering to nobody: an empty gather
+            return self._result(_EMPTY, 0, 0.0)
+        executor = self.executor
+        transport, tries = executor.transport, executor.retries + 1
+        workers = executor.max_workers or min(DEFAULT_MAX_WORKERS,
+                                              len(hosts))
+        pool = ThreadPoolExecutor(max_workers=max(1, workers),
+                                  thread_name_prefix="scatter-gather")
+        #: When each host's loop started (``None``: still queued).
+        self.begun: List[Optional[float]] = [None] * len(hosts)
+        #: What each child sends up: its report span, accumulator,
+        #: payload and response leg (``None``: no transport to call).
+        sent: Dict[int, Tuple[int, int, Any, int,
+                              Optional[Future[Optional[str]]]]] = {}
 
-    def _submit(self, hstate: _HostState) -> None:
-        """Launch one attempt for ``hstate`` on the pool."""
-        with hstate.lock:
-            hstate.attempts += 1
-            hstate.inflight += 1
-            hstate.report.attempts = hstate.attempts
-        self.pool.submit(self._attempt, hstate)
+        def arrival(child: PlanNode) -> Any:
+            first, end, acc, payload, leg = sent.pop(id(child))
+            return self._arrived(child, first, end, acc, payload,
+                                 None if leg is None else leg.result())
 
-    def _attempt(self, hstate: _HostState) -> None:
-        host = hstate.host
-        with hstate.lock:
-            if hstate.done:
-                hstate.inflight -= 1
-                return
-            if hstate.started_at is None:
-                hstate.started_at = time.perf_counter()
-        parts = hstate.node.plan.request_parts
-        # The request's bytes count as traffic up front and move to the
-        # duplicate stat if this attempt does not produce the result.
-        leg_bytes = 0
         try:
-            if parts:
-                if self.transport is not None:
-                    self.transport.request(host, parts)
-                leg_bytes = sum(parts)
-                self._account(leg_bytes)
-            with hstate.work_lock:
-                with hstate.lock:
-                    already_done = hstate.done
-                if already_done:  # a hedge twin won while we waited
-                    self._reclassify_duplicate(leg_bytes)
-                    with hstate.lock:
-                        hstate.inflight -= 1
-                    return
-                exec_started = time.perf_counter()
-                value = self.work(host)
-                exec_s = (time.perf_counter() - exec_started
-                          if self.exec_seconds is None
-                          else self.exec_seconds(value))
-        except DeadlineExceeded as error:
-            self._reclassify_duplicate(leg_bytes)
-            with hstate.lock:
-                hstate.inflight -= 1
-            self._host_failed(hstate, W_HOST_TIMEOUT, str(error))
-            return
-        except Exception as error:  # TransportError or broken agent/work
-            self._reclassify_duplicate(leg_bytes)
-            self._attempt_failed(hstate, error)
-            return
-        with hstate.lock:
-            hstate.inflight -= 1
-            if hstate.done:
-                # A hedge twin won, or the watchdog timed us out: this
-                # attempt's request was overhead, not query traffic.
-                self._reclassify_duplicate(leg_bytes)
-                return
-            hstate.done = True
-            hstate.report.ok = True
-            hstate.report.exec_s = exec_s
-            hstate.report.request_bytes = leg_bytes if parts else None
-        if hstate.hedged:
-            self._warn(W_HEDGED, host, "straggler hedged; fastest attempt "
-                       "won", hstate.attempts)
-        elif hstate.attempts > 1:
-            self._warn(W_RETRIED, host, "delivered after retry",
-                       hstate.attempts)
-        self._deliver(hstate.node, hstate.node.n_slots - 1, value)
+            self.jobs = [pool.submit(self._host, index, self.reports[index],
+                                     node.request_parts)
+                         for index, node in enumerate(hosts)]
+            for node, first, end in chain.from_iterable(reversed(levels)):
+                local = _EMPTY if node.host is None else self._collect(first)
+                acc, merges = self._merged(node.host, chain(
+                    map(arrival, node.children), (local,)))
+                if node is plan:
+                    break
+                payload = 0 if acc is _EMPTY else self.response_bytes(acc)
+                leg = None if transport is None else pool.submit(
+                    _respond, transport, node.host or "", payload, tries)
+                sent[id(node)] = (first, end, acc, payload, leg)
+        finally:
+            # Loops the caller stopped waiting for may still be running.
+            pool.shutdown(wait=False, cancel_futures=True)
+        return self._result(acc, merges, time.perf_counter() - started)
 
-    def _attempt_failed(self, hstate: _HostState, error: Exception) -> None:
-        with hstate.lock:
-            hstate.inflight -= 1
-            if hstate.done:
-                return
-            exhausted = hstate.attempts >= hstate.budget
-            inflight = hstate.inflight
-        if not exhausted:
-            self._submit(hstate)
-            return
-        if inflight == 0:
-            self._host_failed(hstate, W_HOST_FAILED,
-                              f"{type(error).__name__}: {error}")
+    def _walk(self, plan: PlanNode, depth: int,
+              levels: List[List[Tuple[PlanNode, int, int]]],
+              hosts: List[PlanNode]) -> None:
+        """Number ``plan``'s subtree in pre-order (reports, ``merge_s``
+        keys, ``hosts``) and file each node under its depth."""
+        if depth == len(levels):
+            levels.append([])
+        self.merge_s[plan.host] = 0.0
+        first = len(self.reports)
+        if plan.host is not None:
+            self.reports.append(HostReport(host=plan.host))
+            hosts.append(plan)
+        for child in plan.children:
+            self._walk(child, depth + 1, levels, hosts)
+        levels[depth].append((plan, first, len(self.reports)))
 
-    def _host_failed(self, hstate: _HostState, code: str,
-                     detail: str) -> None:
-        with hstate.lock:
-            if hstate.done:
-                return
-            hstate.done = True
-            hstate.report.ok = False
-            hstate.report.error = detail
-            if hstate.started_at is not None:
-                hstate.report.exec_s = time.perf_counter() - hstate.started_at
-        self._warn(code, hstate.host, detail, hstate.attempts)
-        self._deliver(hstate.node, hstate.node.n_slots - 1, _FAILED)
+    def _host(self, index: int, report: HostReport,
+              parts: Tuple[int, ...]) -> Tuple[Any, _Fold]:
+        """Host ``index``'s attempt loop, on the pool."""
+        self.begun[index] = time.perf_counter()
+        ledger = _Fold(self.executor, self.work, self.merge,
+                       self.response_bytes, self.exec_seconds)
+        return ledger._attempts(report, parts), ledger
 
-    # -------------------------------------------------------------- watchdog
-    def _watchdog(self) -> None:
-        timeout = self.executor.timeout_s
-        hedge = self.executor.hedge_after_s
-        ticks = [v for v in (timeout, hedge) if v is not None]
-        tick = min(0.05, max(0.001, min(ticks) / 4)) if ticks else 0.01
-        while not self.finished.wait(tick):
-            now = time.perf_counter()
-            for hstate in self.host_states:
-                with hstate.lock:
-                    if hstate.done or hstate.started_at is None:
-                        continue
-                    elapsed = now - hstate.started_at
-                    fire_timeout = timeout is not None and elapsed > timeout
-                    fire_hedge = (not fire_timeout and hedge is not None
-                                  and elapsed > hedge and not hstate.hedged)
-                    if fire_hedge:
-                        hstate.hedged = True
-                        hstate.budget += 1
-                        hstate.report.hedged = True
-                if fire_timeout:
-                    self._host_failed(hstate, W_HOST_TIMEOUT,
-                                      f"exceeded per-host timeout of "
-                                      f"{timeout}s")
-                elif fire_hedge:
-                    self._submit(hstate)
-
-    # ------------------------------------------------------------- gathering
-    def _deliver(self, node: _NodeState, slot: int, value: Any) -> None:
-        """Fill a merge slot (``_FAILED``: nothing to merge), advance the
-        node's streaming merge in canonical slot order on the delivering
-        thread, and propagate completion upward."""
-        with node.lock:
-            node.slots[slot] = value
-            while node.next_slot < node.n_slots and \
-                    node.slots[node.next_slot] is not _EMPTY:
-                slot_value = node.slots[node.next_slot]
-                node.slots[node.next_slot] = None  # release the reference
-                node.next_slot += 1
-                if slot_value is _FAILED:
+    def _collect(self, index: int) -> Any:
+        """Host ``index``'s value, its ledger joined to the run's, or
+        ``_EMPTY`` once it failed - at the latest at its deadline."""
+        job, timeout = self.jobs[index], self.executor.timeout_s
+        while True:
+            begun = self.begun[index]  # None: the loop is still queued
+            if timeout is None:
+                wait = None
+            elif begun is None:  # its deadline is at least this far off
+                wait = timeout
+            else:
+                wait = max(0.0, begun + timeout - time.perf_counter())
+            try:
+                value, ledger = job.result(wait)
+                break
+            except FuturesTimeout:
+                if begun is None:
                     continue
-                if node.acc is _EMPTY:
-                    node.acc = slot_value
-                else:
-                    merge_started = time.perf_counter()
-                    try:
-                        node.acc = self.merge(node.acc, slot_value)
-                    except BaseException as error:
-                        # Fail the run: the slot is consumed, so no other
-                        # thread could ever complete this node.
-                        self._abort(error)
-                        return
-                    node.merge_s += time.perf_counter() - merge_started
-                    node.merges += 1
-            complete = node.next_slot == node.n_slots
-            acc = node.acc
-        if not complete:
-            return
-        if node.parent is None:
-            self.finished.set()
-            return
-        self._respond_upward(node, node.parent, acc)
-
-    def _respond_upward(self, node: _NodeState, parent: _NodeState,
-                        acc: Any) -> None:
-        """Send a completed node's merged result to its parent."""
-        host = node.plan.host or ""
-        try:
-            payload = 0 if acc is _EMPTY else self.response_bytes(acc)
-            lost = _respond(self.transport, host, payload,
-                            self.executor.retries + 1)
-        except BaseException as error:
-            # A sizing or transport bug, not an injected drop: fail the run
-            # rather than strand the parent's merge slot.
-            self._abort(error)
-            return
-        if lost is None:
-            self._account(payload)
-            if node.host_state is not None:
-                node.host_state.report.response_bytes = payload
-        elif acc is not _EMPTY:
-            # Only actual merged data going missing is worth a warning; an
-            # empty response from an already-failed subtree is not news.
-            self._warn(W_RESPONSE_LOST, host, lost)
-            self._fail_subtree_hosts(node)
-        self._deliver(parent, node.slot,
-                      acc if lost is None and acc is not _EMPTY else _FAILED)
-
-    def _fail_subtree_hosts(self, node: _NodeState) -> None:
-        """Mark every ok host under ``node`` as lost (their merged partials
-        never reached the parent)."""
-        for hstate in self.host_states:
-            state: Optional[_NodeState] = hstate.node
-            while state is not None and state is not node:
-                state = state.parent
-            if state is node and hstate.report.ok:
-                hstate.report.ok = False
-                hstate.report.error = "subtree response lost"
-
-    # ------------------------------------------------------------- plumbing
-    def _abort(self, error: BaseException) -> None:
-        """Record a fatal callback error and wake the orchestrator."""
-        with self.lock:
-            if self.error is None:
-                self.error = error
-        self.finished.set()
-
-    def _account(self, payload_bytes: int) -> None:
-        with self.lock:
-            self.traffic_bytes += payload_bytes
-
-    def _reclassify_duplicate(self, payload_bytes: int) -> None:
-        """Move a delivered-but-useless request leg's bytes from the query's
-        traffic total to the duplicate-attempt overhead stat."""
-        if not payload_bytes:
-            return
-        with self.lock:
-            self.traffic_bytes -= payload_bytes
-            self.duplicate_bytes += payload_bytes
-
-    def _warn(self, code: str, host: str, detail: str,
-              attempts: int = 1) -> None:
-        with self.lock:
-            self.warnings.append(ExecWarning(code, host, detail, attempts))
-
-    def _result(self, wall: float) -> GatherResult:
-        return _gathered(
-            self.root.acc, [h.report for h in self.host_states],
-            self.warnings, wall, self.traffic_bytes, self.duplicate_bytes,
-            {node.plan.host: node.merge_s for node in self.node_states},
-            self.root.merges)
+                # The loop runs on into the report it was given; the run
+                # keeps one with the attempts started so far.
+                report = self.reports[index]
+                self.reports[index] = lapsed = HostReport(
+                    report.host, attempts=report.attempts)
+                return self._lapsed(lapsed, begun)
+        self.traffic_bytes += ledger.traffic_bytes
+        self.duplicate_bytes += ledger.duplicate_bytes
+        self.warnings += ledger.warnings
+        return value
 
 
 def _respond(transport: Optional[Transport], host: str, payload: int,
@@ -808,20 +617,3 @@ def _respond(transport: Optional[Transport], host: str, payload: int,
         except TransportError as error:
             detail = str(error)
     return detail
-
-
-def _gathered(acc: Any, reports: List[HostReport],
-              warnings: List[ExecWarning], wall: float, traffic: int,
-              duplicate: int, merge_s: Dict[Optional[str], float],
-              root_merges: int) -> GatherResult:
-    """A run's outcome; ``reports`` in pre-order, ``acc`` maybe ``_EMPTY``."""
-    hosts_failed = [report.host for report in reports if not report.ok]
-    return GatherResult(
-        value=None if acc is _EMPTY else acc, hosts_failed=hosts_failed,
-        warnings=sorted(warnings, key=lambda w: (w.host, w.code)),
-        partial=bool(hosts_failed), wall_s=wall, traffic_bytes=traffic,
-        duplicate_traffic_bytes=duplicate, merge_s=merge_s,
-        root_merges=root_merges,
-        max_exec_s=max((report.exec_s for report in reports if report.ok),
-                       default=0.0),
-        reports={report.host: report for report in reports})

@@ -28,8 +28,8 @@ provides, in one place:
   ``scan_stats`` snapshots;
 * the **merge operators** (concat / histogram-merge / top-k-merge)
   selected by the plan's *terminal* op (:func:`merge_operator`,
-  :func:`merge_payloads`) - the generic reductions the slot-ordered
-  streaming accumulators run;
+  :func:`merge_payloads`) - the generic reductions the executor's
+  ordered fold runs;
 * **built-in compilations** (:func:`compile_get_count`,
   :func:`compile_top_k_flows`): the proofs that the IR is expressive
   enough, checked against :func:`reference_evaluate` in every mode.

@@ -139,8 +139,8 @@ class QueryResult:
             debug apps must treat "no anomaly" in a partial result as
             "couldn't ask everyone", not as a clean bill of health.
         warnings: structured :class:`~repro.core.executor.ExecWarning`
-            entries describing what went wrong (and what was hedged or
-            retried) while gathering.
+            entries describing what went wrong (and what was retried)
+            while gathering.
         alarms: alarms raised at the host while producing this result,
             piggybacked on the encoded reply frame (an agent-server worker
             has no channel of its own to the controller's alarm bus).  The

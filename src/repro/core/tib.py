@@ -266,9 +266,10 @@ class Tib:
         self._pending_etime: List[Tuple[float, int]] = []
         self._stale_time_entries = 0
         # Serialises the fold of the insertion buffers: read-only queries
-        # may run concurrently (the scatter-gather executor's worker pool,
-        # hedged duplicate attempts), and the fold is the one place a read
-        # mutates index state.  Writes must still not race with queries.
+        # may run concurrently (any callers sharing this TIB, such as the
+        # scatter-gather executor's worker pool), and the fold is the one
+        # place a read mutates index state.  Writes must still not race
+        # with queries.
         self._time_index_lock = threading.Lock()
         # Flow ranking (see ranked_flow_bytes): ascending (bytes, flow key)
         # over _flow_totals as of the last ranked read, and the flows
@@ -881,8 +882,8 @@ class Tib:
         rebuilt from the record cache instead, which also drops them.
 
         Thread-safe against concurrent *queries* (the fold runs under a
-        lock, so duplicate hedged attempts can't fold the same buffer
-        twice); writes must not race with queries.
+        lock, so concurrent callers can't fold the same buffer twice);
+        writes must not race with queries.
         """
         if not self._pending_stime and not self._pending_etime:
             stale = self._stale_time_entries

@@ -450,7 +450,7 @@ class TestSegmentIndex:
             list(enumerate(records))
 
     def test_concurrent_first_reads_number_each_link_once(self):
-        """Reads may run concurrently (hedged attempts), and the first
+        """Several callers may read at once, and the first
         link read after the tail grew numbers the links only the tail
         holds: racing readers must agree on one ordinal per link."""
         switch_interval = sys.getswitchinterval()

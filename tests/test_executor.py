@@ -1,12 +1,13 @@
 """Tests for the concurrent scatter-gather executor.
 
-Covers the pluggable transports, the streaming ordered merge, and every
-partial-failure path: dead agents, per-host timeouts, straggler hedging,
-bounded retries, lost responses - plus the concurrent-vs-serial payload
-determinism the figure benchmarks rely on.
+Covers the pluggable transports, the ordered merge, and every
+partial-failure path: dead agents, per-host timeouts, bounded retries,
+lost responses - plus the concurrent-vs-serial payload determinism the
+figure benchmarks rely on.
 """
 
 import random
+import sys
 import time
 
 import pytest
@@ -17,8 +18,8 @@ from repro.core import (LoopbackTransport, MECHANISM_DIRECT,
                         PlanNode, Q_FLOW_SIZE_DISTRIBUTION, Q_GET_FLOWS,
                         Q_TOP_K_FLOWS, Query, QueryCluster, RpcChannel,
                         ScatterGatherExecutor, TransportError)
-from repro.core.executor import (W_HEDGED, W_HOST_FAILED, W_HOST_TIMEOUT,
-                                 W_RESPONSE_LOST, W_RETRIED)
+from repro.core.executor import (DeadlineExceeded, W_HOST_FAILED,
+                                 W_HOST_TIMEOUT, W_RESPONSE_LOST, W_RETRIED)
 from repro.core.rpc import MESSAGE_OVERHEAD_BYTES, model_response_time
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
@@ -238,81 +239,6 @@ class TestScatterGather:
         assert result.hosts_failed == ["h4"]
         assert any(w.code == W_HOST_TIMEOUT for w in result.warnings)
 
-    def test_straggler_hedge_wins(self):
-        # First attempt at h5 is slow; the hedge (attempt 2) is instant.
-        slow_first = LoopbackTransport(
-            delay=lambda host, attempt: 0.5 if host == "h5" and attempt == 1
-            else 0.0)
-        executor = ScatterGatherExecutor(slow_first, mode=MODE_CONCURRENT,
-                                         hedge_after_s=0.02)
-        started = time.perf_counter()
-        result = run(executor)
-        elapsed = time.perf_counter() - started
-        assert not result.partial
-        assert result.value == sum(VALUES.values())
-        assert result.reports["h5"].hedged
-        assert any(w.code == W_HEDGED and w.host == "h5"
-                   for w in result.warnings)
-        assert elapsed < 0.4  # the hedge, not the straggler, completed
-
-    def test_hedged_attempts_never_run_work_concurrently(self):
-        """Hedge twins may overlap transport legs but the per-host work
-        must stay serialised (agents are not thread-safe)."""
-        import threading
-        active = {}
-        overlaps = []
-        guard = threading.Lock()
-
-        def work(host):
-            with guard:
-                if active.get(host):
-                    overlaps.append(host)
-                active[host] = True
-            time.sleep(0.03)  # long enough for a hedge twin to catch up
-            with guard:
-                active[host] = False
-            return VALUES[host]
-
-        slow_first = LoopbackTransport(
-            delay=lambda host, attempt: 0.05 if attempt == 1 else 0.0)
-        executor = ScatterGatherExecutor(slow_first, mode=MODE_CONCURRENT,
-                                         hedge_after_s=0.01,
-                                         max_workers=2 * len(HOSTS))
-        result = executor.run(flat_plan(), work, lambda a, b: a + b,
-                              response_bytes=lambda value: 8)
-        assert overlaps == []
-        assert result.value == sum(VALUES.values())
-
-    def test_lost_hedge_leg_counts_as_duplicate_not_traffic(self):
-        """A hedge twin that loses the race must not inflate the traffic
-        (or latency) attributed to the winning response: its delivered
-        request leg moves to the separate duplicate-overhead stat."""
-        def delay(host, attempt):
-            if host == "h5":
-                return 0.06 if attempt == 1 else 0.0
-            if host == "h0":
-                # Keeps the gather running past h5's losing leg landing
-                # (its own loser stays asleep until after the run ends).
-                return 0.5 if attempt == 1 else 0.12
-            return 0.0
-
-        executor = ScatterGatherExecutor(
-            LoopbackTransport(delay=delay), mode=MODE_CONCURRENT,
-            hedge_after_s=0.02, max_workers=2 * len(HOSTS))
-        result = run(executor)
-        assert not result.partial
-        assert result.value == sum(VALUES.values())
-        # Exactly one winning request leg and one response per host.
-        assert result.traffic_bytes == 6 * 64 + 6 * 8
-        # h5's slow first attempt delivered at 0.06s - after its hedge twin
-        # won but well before the gather completed - so it was observed and
-        # reclassified.  (h0's loser is still sleeping at completion and is
-        # not observed at all.)
-        assert result.duplicate_traffic_bytes == 64
-        # The winning attempt's request is the one on record.
-        assert result.reports["h5"].request_bytes == 64
-        assert result.reports["h5"].hedged
-
     def test_retried_work_failure_counts_first_leg_as_duplicate(self):
         """A request that delivered but whose work failed is overhead once
         the retry succeeds - deterministic in serial mode."""
@@ -385,6 +311,79 @@ class TestScatterGather:
         # start-up on a busy two-core box.
         assert concurrent_result.wall_s < injected * 0.75
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_concurrent_costs_one_leg_per_depth(self, depth):
+        """Every request leg overlaps, and each depth's response legs run
+        on the pool together: a plan ``depth`` hosts deep costs about
+        ``depth + 1`` legs, below ``depth + 2``.  Sent from the calling
+        thread, the responses alone would cost one leg per host."""
+        leg = 0.05
+        names = iter(range(100))
+
+        def node(level):
+            fanout = 2 if level < depth else 0
+            return PlanNode(host=f"h{next(names)}", request_parts=(8,),
+                            children=[node(level + 1)
+                                      for _ in range(fanout)])
+
+        plan = PlanNode(host=None, children=[node(1) for _ in range(3)])
+        executor = ScatterGatherExecutor(
+            LoopbackTransport(delay=leg, respond_delay=leg),
+            mode=MODE_CONCURRENT)
+        result = executor.run(plan, work=lambda host: [host],
+                              merge=lambda a, b: a + b,
+                              response_bytes=lambda value: 8)
+        assert not result.partial
+        assert len(result.value) == len(result.reports)
+        assert result.wall_s < (depth + 2) * leg
+
+    def test_concurrent_accounting_under_fast_thread_switching(self):
+        """Each host's loop accounts into a ledger of its own that only the
+        calling thread joins: with a tiny switch interval and more workers
+        than cores, every count still equals the serial fold's."""
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rng = random.Random(29)
+            for _ in range(5):
+                plan = random_fault_plan(rng)
+                hosts = QueryCluster._plan_hosts(plan)
+                faults = ({host: 1 for host in hosts[::3]},
+                          {host: 1 for host in hosts[1::4]}, [],
+                          {host: 1 for host in hosts[2::3]},
+                          {host: 2 for host in hosts[::5]})
+                serial = gather_facts(run_with_faults(
+                    MODE_SERIAL, plan, faults, 1))
+                assert gather_facts(run_with_faults(
+                    MODE_CONCURRENT, plan, faults, 1, 16)) == serial
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+    @pytest.mark.parametrize("mode", [MODE_SERIAL, MODE_CONCURRENT])
+    def test_deadline_counts_from_first_attempt(self, mode):
+        """A host's deadline runs from its first attempt in both modes:
+        two 0.2 s attempts (the first raises) blow a 0.3 s deadline that
+        either would meet alone, and the timeout names both attempts."""
+        calls = []
+
+        def work(host):
+            if host == "h3":
+                calls.append(host)
+                time.sleep(0.2)
+                if len(calls) == 1:
+                    raise RuntimeError("transient agent failure")
+            return VALUES[host]
+
+        executor = ScatterGatherExecutor(mode=mode, timeout_s=0.3,
+                                         retries=1)
+        result = executor.run(flat_plan(), work, lambda a, b: a + b)
+        assert result.hosts_failed == ["h3"]
+        assert result.value == sum(VALUES.values()) - VALUES["h3"]
+        assert [(w.code, w.host, w.attempts) for w in result.warnings] == \
+            [(W_HOST_TIMEOUT, "h3", 2)]
+        assert result.reports["h3"].attempts == 2
+        assert result.reports["h3"].exec_s >= 0.3
+
 
 def random_fault_plan(rng):
     """A plan 1-4 host levels deep with uneven fan-outs, unique hosts."""
@@ -405,14 +404,18 @@ def random_fault_plan(rng):
 def run_with_faults(executor_mode, plan, faults, retries, max_workers=None):
     """Run ``plan`` under ``faults`` - fresh transport and work state, so
     every run sees the same attempt numbering - with an order-recording
-    merge (list concatenation)."""
-    drop_requests, drop_responses, dead, failing = faults
+    merge (list concatenation).  An optional fifth fault, ``{host: n}``,
+    has attempt ``n`` raise :class:`DeadlineExceeded`."""
+    drop_requests, drop_responses, dead, failing, *rest = faults
+    expiring = rest[0] if rest else {}
     calls = {}
 
     def work(host):
-        calls[host] = calls.get(host, 0) + 1
-        if calls[host] <= failing.get(host, 0):
-            raise RuntimeError(f"{host} attempt {calls[host]} crashed")
+        calls[host] = attempt = calls.get(host, 0) + 1
+        if attempt == expiring.get(host):
+            raise DeadlineExceeded(f"{host} attempt {attempt} expired")
+        if attempt <= failing.get(host, 0):
+            raise RuntimeError(f"{host} attempt {attempt} crashed")
         return [host]
 
     transport = LoopbackTransport(drop_requests=drop_requests,
@@ -431,7 +434,7 @@ def gather_facts(result):
             result.partial, result.traffic_bytes,
             result.duplicate_traffic_bytes, result.root_merges,
             list(result.merge_s),
-            {host: (r.ok, r.attempts, r.hedged, r.request_bytes,
+            {host: (r.ok, r.attempts, r.request_bytes,
                     r.response_bytes, r.error)
              for host, r in result.reports.items()})
 
@@ -452,7 +455,8 @@ class TestSerialFold:
             faults = ({host: rng.randint(1, 3) for host in pick(0.15)},
                       {host: rng.randint(1, 3) for host in pick(0.15)},
                       pick(0.05),
-                      {host: rng.randint(1, 3) for host in pick(0.15)})
+                      {host: rng.randint(1, 3) for host in pick(0.15)},
+                      {host: rng.randint(1, 3) for host in pick(0.1)})
             for retries in (0, 1, 2):
                 serial = gather_facts(run_with_faults(
                     MODE_SERIAL, plan, faults, retries))
