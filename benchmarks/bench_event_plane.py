@@ -25,10 +25,10 @@ four cluster modes:
   200 ms).
 * **Tick traffic**: measured ``len(encoded)`` of the tick/alarm frames in
   the worker modes (zero in the in-process modes, which need no wire).
-* **Frame coalescing** (socket mode over the pipe transport): the same
-  per-host tick/alarm frames packed into one ``MSG_GROUP_BATCH`` envelope
-  per worker group, where process mode (the same pool, one host per
-  group) ships one envelope per host.  Asserted: the amortized per-host
+* **Frame coalescing** (socket mode): the same per-host tick/alarm frames
+  packed into one ``MSG_GROUP_BATCH`` envelope per worker group, where
+  process mode (the same pool and connection, one host per group) ships
+  one envelope per host.  Asserted: the amortized per-host
   idle-tick cost is below the committed process-mode baseline in
   ``BENCH_storage.json`` (both rows run the same pool code now, so a
   same-run comparison would only measure the shape).
@@ -70,8 +70,8 @@ ROUNDS = 2 if QUICK else 5
 #: One-record merge-upserts per host for the mirrored-ingest figure.
 INGEST_PER_HOST = 50 if QUICK else 500
 
-#: Worker groups for the coalesced (socket-over-pipe) measurement: the
-#: same worker plane, NUM_HOSTS/GROUP_COUNT tick frames per envelope.
+#: Worker groups for the coalesced (socket-mode) measurement: the same
+#: worker plane, NUM_HOSTS/GROUP_COUNT tick frames per envelope.
 GROUP_COUNT = 2
 
 ALL_MODES = (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS, MODE_SOCKET)
@@ -83,13 +83,10 @@ RESET_QUEUEING_BOUND = 1.5
 
 def build_event_cluster(mode):
     """A cluster whose monitors hold FLOWS_PER_HOST observed flows each."""
-    kwargs = {}
-    if mode == MODE_SOCKET:
-        # Coalescing isolated from the transport: same pool and pipes as
-        # process mode, but grouped workers and batched envelopes.
-        kwargs = dict(group_count=GROUP_COUNT, socket_transport="pipe")
+    # Process and socket mode share the pool and its connection, so the
+    # socket row isolates coalescing: grouped workers, batched envelopes.
     cluster = QueryCluster(build_query_topology(NUM_HOSTS), mode=mode,
-                           **kwargs)
+                           group_count=GROUP_COUNT)
     poor_every = max(1, int(1 / POOR_FRACTION))
     for index, host in enumerate(cluster.hosts):
         agent = cluster.agent(host)
@@ -246,7 +243,7 @@ def test_event_plane_latency(benchmark, report_writer):
               f"({POOR_FRACTION:.0%} poor), median over {ROUNDS} rounds "
               "(measured wall clock; alarm streams byte-identical across "
               "modes; worker-mode traffic is len(encoded) of the "
-              "tick/alarm frames; socket = grouped workers over pipes, "
+              "tick/alarm frames; socket = grouped workers, "
               f"{GROUP_COUNT} coalesced envelopes per sweep; ingest = "
               f"{INGEST_PER_HOST} one-record upserts/host, hosts "
               "interleaved, mirrored through the connection outbox)"))

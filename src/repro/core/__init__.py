@@ -28,14 +28,14 @@ from repro.core.executor import (ExecWarning, GatherResult, LoopbackTransport,
 from repro.core import wire
 from repro.core.agentserver import AgentServerError
 from repro.core.groupserver import (GroupAgentPool, GroupPoolStats,
-                                    TRANSPORT_PIPE, TRANSPORT_TCP,
-                                    TRANSPORT_UNIX, shard_hosts)
+                                    shard_hosts)
 from repro.core.supervisor import (ChaosPolicy, GroupSeed, RestartEvent,
                                    RestartPolicy, Supervisor, WorkerSeed)
 from repro.core.aggregation import AggregationTree
 from repro.core.cluster import (DistributedQueryResult, MECHANISM_DIRECT,
                                 MECHANISM_MULTILEVEL, MODE_PROCESS,
-                                MODE_SOCKET, MonitorSweep, QueryCluster)
+                                MODE_SOCKET, MonitorSweep, QueryCluster,
+                                TRANSPORT_UNIX)
 from repro.core.controller import PathDumpController
 
 __all__ = [
@@ -55,7 +55,7 @@ __all__ = [
     "MODE_PROCESS", "MODE_SOCKET", "PlanNode",
     "ScatterGatherExecutor", "Transport", "TransportError",
     "AgentServerError", "GroupAgentPool", "GroupPoolStats",
-    "TRANSPORT_PIPE", "TRANSPORT_TCP", "TRANSPORT_UNIX",
+    "TRANSPORT_UNIX",
     "shard_hosts", "ChaosPolicy",
     "GroupSeed", "RestartEvent", "RestartPolicy", "Supervisor", "WorkerSeed",
     "wire", "AggregationTree", "DistributedQueryResult", "MECHANISM_DIRECT",

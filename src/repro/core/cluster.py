@@ -37,7 +37,7 @@ worker-mode scatter starts no thread: the calling thread writes every
 group's envelope, then consumes the replies in group order while later
 groups are still working.
 ``mode="socket"`` shards the hosts into worker groups; ``mode="process"``
-is the same plane with one host per group over pipes.  All modes merge in
+is the same plane with one host per group.  All modes merge in
 the same canonical order, so they produce byte-identical query payloads.
 
 The worker modes also carry the paper's *event plane* (Sections 3.2 and 4):
@@ -67,8 +67,8 @@ from repro.core.executor import (DeadlineExceeded, ExecWarning, GatherResult,
                                  ScatterGatherExecutor, Transport,
                                  W_CIRCUIT_OPEN, W_HOST_FAILED,
                                  W_MIRROR_DETACHED, W_WORKER_RESTARTED)
-from repro.core.groupserver import (Exchange, GroupAgentPool, GroupPoolStats,
-                                    TRANSPORT_PIPE, TRANSPORT_UNIX)
+from repro.core.groupserver import (DEFAULT_GROUP_COUNT, Exchange,
+                                    GroupAgentPool, GroupPoolStats)
 from repro.core.supervisor import (ChaosPolicy, EVENT_CIRCUIT_OPEN,
                                    EVENT_RESTARTED, GroupSeed, Supervisor,
                                    WorkerSeed)
@@ -89,19 +89,21 @@ from repro.transport.tcp import TcpTransferResult
 MECHANISM_DIRECT = "direct"
 MECHANISM_MULTILEVEL = "multilevel"
 
-#: Cluster execution mode: one agent-server worker process per host over
-#: a dedicated pipe.  An alias for the :data:`MODE_SOCKET` plane with one
-#: host per group over the pipe transport, resolved in
-#: :meth:`QueryCluster._worker_shape`.
+#: Cluster execution mode: one agent-server worker process per host.  An
+#: alias for the :data:`MODE_SOCKET` plane with one host per group,
+#: resolved in :meth:`QueryCluster._worker_shape`.
 MODE_PROCESS = "process"
 
 #: Cluster execution mode: hosts are sharded into worker groups, each
 #: group's TIBs live in one worker process behind a single multiplexed
-#: stream connection (Unix/TCP socket, or a pipe carrying the same
-#: coalesced envelopes), and monitor sweeps and query scatters pack one
+#: ``AF_UNIX`` stream pair, and monitor sweeps and query scatters pack one
 #: ``MSG_GROUP_BATCH`` envelope per group instead of one frame per host.
 #: See :mod:`repro.core.groupserver`.
 MODE_SOCKET = "socket"
+
+#: The only ``socket_transport``: every worker connection is one
+#: connected ``AF_UNIX`` stream pair, made by the pool at spawn.
+TRANSPORT_UNIX = "unix"
 
 #: Valid cluster execution modes.
 CLUSTER_MODES = (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS, MODE_SOCKET)
@@ -331,17 +333,16 @@ class QueryCluster:
             query scatters coalesced into one ``MSG_GROUP_BATCH``
             envelope per group; CPU-bound scatters run genuinely in
             parallel) or ``"process"`` (the same plane with one host per
-            group over pipes, i.e. a worker process per host;
-            ``group_count``/``socket_transport`` are ignored).  All modes
-            produce byte-identical query payloads.
+            group, i.e. a worker process per host; ``group_count`` is
+            ignored).  All modes produce byte-identical query payloads.
         max_workers: thread-pool cap for concurrent mode.
         group_count: socket mode only - number of worker groups the hosts
             are sharded into (deterministic contiguous shards; defaults to
             :data:`~repro.core.groupserver.DEFAULT_GROUP_COUNT`, clamped
             to the host count).
-        socket_transport: socket mode only - ``"unix"`` (default),
-            ``"tcp"``, or ``"pipe"`` (the same coalesced envelopes over a
-            multiprocessing pipe; no listener, useful for tests).
+        socket_transport: only ``"unix"`` (:data:`TRANSPORT_UNIX`, the
+            default) is accepted - every worker connection is one
+            ``AF_UNIX`` stream pair; anything else raises ``ValueError``.
         timeout_s: per-host query deadline, counted from the host's
             first attempt (see the executor docs); in the worker modes
             each group leaf waits at most this long, counted from the
@@ -387,6 +388,9 @@ class QueryCluster:
                  socket_transport: str = TRANSPORT_UNIX) -> None:
         if mode not in CLUSTER_MODES:
             raise ValueError(f"unknown cluster mode {mode!r}")
+        if socket_transport != TRANSPORT_UNIX:
+            raise ValueError(f"unknown socket transport {socket_transport!r};"
+                             f" only {TRANSPORT_UNIX!r} is supported")
         self.topo = topo
         self.assignment = assignment or assign_link_ids(topo)
         self.hosts = list(hosts) if hosts is not None else list(topo.hosts)
@@ -397,12 +401,11 @@ class QueryCluster:
         self.chaos = chaos
         self.reply_timeout_s = reply_timeout_s
         self.group_count = group_count
-        self.socket_transport = socket_transport
         self._pending_warnings: List[ExecWarning] = []  # guarded-by: _warning_lock
         self._warning_lock = threading.Lock()
         self._process_pool: Optional[GroupAgentPool] = None
-        #: The shape the running pool was asked for (``_worker_shape``).
-        self._pool_shape: Optional[Tuple[Optional[int], str]] = None
+        #: The group count the running pool was asked for (``_worker_shape``).
+        self._pool_shape: Optional[int] = None
         self.transport: Optional[Transport] = transport
         self.executor = ScatterGatherExecutor(
             self.transport, mode=self._executor_mode(),
@@ -492,19 +495,21 @@ class QueryCluster:
         return MODE_CONCURRENT if self.mode == MODE_CONCURRENT \
             else MODE_SERIAL
 
-    def _worker_shape(self) -> Tuple[Optional[int], str]:
-        """``(group_count, transport)`` to ask the worker pool for under the
-        current mode - the one place the worker-mode strings are resolved.
+    def _worker_shape(self) -> int:
+        """The group count to ask the worker pool for under the current
+        mode - the one place the worker-mode strings are resolved.
 
-        ``"socket"`` is the configured ``group_count`` (``None``: the pool's
-        default; the pool clamps it to the host count) over
-        ``socket_transport``; anything else - ``"process"``, or workers
-        started by hand under an in-process mode - is one host per group
-        over pipes.
+        ``"socket"`` is the configured ``group_count`` (``None``:
+        :data:`~repro.core.groupserver.DEFAULT_GROUP_COUNT`), clamped to
+        the host count as the pool's sharding clamps it; anything else -
+        ``"process"``, or workers started by hand under an in-process mode
+        - is one host per group.  Both run over the same connection, so
+        two mode strings that resolve to one count share a pool.
         """
         if self.mode == MODE_SOCKET:
-            return self.group_count, self.socket_transport
-        return len(self.hosts), TRANSPORT_PIPE
+            return min(self.group_count or DEFAULT_GROUP_COUNT,
+                       len(self.hosts))
+        return len(self.hosts)
 
     # ----------------------------------------------------------- worker modes
     @property
@@ -513,8 +518,7 @@ class QueryCluster:
         enabled)."""
         return self._process_pool
 
-    def start_agent_servers(self, context=None,
-                            reply_timeout_s: Optional[float] = None,
+    def start_agent_servers(self, reply_timeout_s: Optional[float] = None,
                             supervisor: Optional[Supervisor] = None,
                             chaos: Optional[ChaosPolicy] = None
                             ) -> GroupAgentPool:
@@ -559,9 +563,8 @@ class QueryCluster:
             if supervisor.seed_source is None:
                 supervisor.seed_source = self._group_seed
             supervisor.subscribe(self._on_supervisor_event)
-        shape = group_count, transport = self._worker_shape()
-        pool = GroupAgentPool(self.hosts, group_count=group_count,
-                              transport=transport, context=context,
+        shape = self._worker_shape()
+        pool = GroupAgentPool(self.hosts, group_count=shape,
                               reply_timeout_s=reply_timeout_s,
                               supervisor=supervisor, chaos=chaos)
         pool.mirror_lost = functools.partial(self._mirror_lost, pool)

@@ -1,24 +1,25 @@
-"""The worker plane: group-sharded agent servers behind one multiplexed
-stream connection each.
+"""The worker plane: group-sharded agent servers behind one connected
+stream each.
 
 Every worker mode of the cluster runs on this one pool.  One worker
-process per host over a dedicated pipe (``mode="process"``) is simply the
-shape ``group_count=len(hosts)`` over the pipe transport - fine for an
-8-host testbed, hopeless at the paper's deployment scale (a 1000-host
-fat-tree would need a thousand processes, and the event-plane bench shows
-most of the wire cost is per-frame overhead anyway); ``mode="socket"``
-picks fewer, larger groups:
+process per host (``mode="process"``) is simply the shape
+``group_count=len(hosts)`` - fine for an 8-host testbed, hopeless at the
+paper's deployment scale (a 1000-host fat-tree would need a thousand
+processes, and the event-plane bench shows most of the wire cost is
+per-frame overhead anyway); ``mode="socket"`` picks fewer, larger groups:
 
 * **Worker groups.** Hosts are sharded into deterministic contiguous
   groups (:func:`shard_hosts`, ``WORKER_GROUP_ID``/``WORKER_GROUP_COUNT``
   style); one :func:`group_server_main` process owns *M* hosts' TIBs and
   monitors (one :class:`~repro.core.agentserver._HostServer` each), so a
   controller drives N processes x M hosts.
-* **One multiplexed connection per worker.** Each group speaks the
-  versioned wire codec over a single stream - TCP, Unix-domain socket, or
-  a :mod:`multiprocessing` pipe - carrying interleaved request/reply
-  envelopes tagged by correlation id.  An exchange is split in two:
-  :meth:`GroupAgentPool.send` writes the envelope and returns an
+* **One connection per worker, made by the parent.** Spawning a group
+  creates one connected ``AF_UNIX`` stream pair and hands the child end
+  to the worker as a process argument, so the connection is bound to its
+  shard by construction: there is no listener, no handshake, and nothing
+  a stranger could connect to.  The stream carries interleaved
+  request/reply envelopes tagged by correlation id.  An exchange is split
+  in two: :meth:`GroupAgentPool.send` writes the envelope and returns an
   :class:`Exchange`, the consume step (``group_query`` /
   ``group_monitor_tick`` of that exchange) waits for its reply later.
   A scatter sends to every group before it waits on the first, and the
@@ -40,28 +41,24 @@ picks fewer, larger groups:
   which the executor reports like a dead in-thread agent - for every host
   of the shard, the connection being the failure domain; with a
   :class:`~repro.core.supervisor.Supervisor` attached the group is
-  respawned and re-seeded *over a fresh reconnect* (the socket accept
-  loop hands the new connection to the same rendezvous as at startup),
-  and :class:`~repro.core.supervisor.ChaosPolicy` injects
-  connection-level faults (torn mid-frame close, stalled socket) keyed
-  by group.
+  respawned and re-seeded over a fresh connection, and
+  :class:`~repro.core.supervisor.ChaosPolicy` injects connection-level
+  faults (torn mid-frame close, stalled socket) keyed by group.
 
 Stream framing is length-delimited (:func:`~repro.core.wire.stream_frame`
-/ :class:`~repro.core.wire.StreamFrameReader`); pipe transport keeps the
-pipe's native message boundaries.  Sockets bind to localhost (TCP) or a
-private tempdir (Unix) - the protocol is machine-agnostic, the spawn
-plumbing is not yet.
+/ :class:`~repro.core.wire.StreamFrameReader`).  The protocol is
+machine-agnostic; the spawn plumbing (a stream pair inherited by a local
+child) is not.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import socket
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.util import register_after_fork
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import wire
@@ -75,12 +72,6 @@ from repro.core.supervisor import GroupSeed, WorkerSeed
 from repro.counters import Counters
 from repro.storage.records import PathFlowRecord
 
-#: Stream transports for :class:`GroupAgentPool`.
-TRANSPORT_UNIX = "unix"
-TRANSPORT_TCP = "tcp"
-TRANSPORT_PIPE = "pipe"
-GROUP_TRANSPORTS = (TRANSPORT_UNIX, TRANSPORT_TCP, TRANSPORT_PIPE)
-
 #: Default worker-group count when the caller does not choose one.
 #: Deterministic (not derived from the machine) so sweeps reproduce.
 DEFAULT_GROUP_COUNT = 8
@@ -93,6 +84,13 @@ OUTBOX_FLUSH_BYTES = 32 << 10
 
 #: Distinguishes "use the pool's reply timeout" from an explicit ``None``.
 _UNSET = object()
+
+#: Held from a group's stream pair being made until the parent's copy of
+#: the child end is closed: a forked worker inherits every descriptor open
+#: in the parent, and one that inherited another group's child end would
+#: keep that end alive, so the other worker's death would never reach its
+#: reader as EOF.  Module-wide, because every pool forks from this process.
+_SPAWN_LOCK = threading.Lock()
 
 
 def shard_hosts(hosts: Sequence[str],
@@ -120,47 +118,10 @@ def shard_hosts(hosts: Sequence[str],
     return shards
 
 
-def shard_for(hosts: Sequence[str], group_id: int,
-              group_count: int) -> Tuple[str, ...]:
-    """The shard ``WORKER_GROUP_ID=group_id`` of ``group_count`` owns."""
-    return shard_hosts(hosts, group_count)[group_id]
-
-
 # =========================================================== worker process
-class _WorkerPipeChannel:
-    """Worker-side framing over a :mod:`multiprocessing` pipe (message
-    boundaries come free; no length prefixes on the wire)."""
-
-    def __init__(self, conn) -> None:
-        self._conn = conn
-
-    def recv(self) -> Optional[bytes]:
-        try:
-            return self._conn.recv_bytes()
-        except (EOFError, OSError):
-            return None
-
-    def send(self, frame: bytes) -> None:
-        self._conn.send_bytes(frame)
-
-    def close_torn(self) -> None:
-        # A pipe has no byte stream to tear mid-frame; the closest fault is
-        # a message too short to even be a header, then a hard close.
-        try:
-            self._conn.send_bytes(wire.MAGIC)
-        except (OSError, ValueError):
-            pass
-        self.close()
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-
 class _WorkerSocketChannel:
-    """Worker-side length-delimited framing over a connected socket."""
+    """Worker-side length-delimited framing over the worker's end of its
+    stream pair."""
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
@@ -203,47 +164,22 @@ class _WorkerSocketChannel:
             pass
 
 
-def group_server_main(group_id: int, group_count: int,
-                      hosts: Sequence[str], transport: str,
-                      endpoint) -> None:
-    """Group worker main loop: serve coalesced envelopes for ``hosts``.
+def group_server_main(group_id: int, hosts: Sequence[str],
+                      sock: socket.socket) -> None:
+    """Group worker main loop: serve coalesced envelopes for ``hosts``
+    (the shard ``WORKER_GROUP_ID=group_id``) over ``sock``, the child end
+    of the stream pair the pool made for this group.
 
     One process owns every host of its shard - a
-    :class:`~repro.core.agentserver._HostServer` per host - behind a
+    :class:`~repro.core.agentserver._HostServer` per host - behind that
     single connection.  Top-level frames are either lifecycle
     (``MSG_SHUTDOWN``, ``MSG_SLEEP`` for stall injection,
     ``MSG_CLOSE_TORN`` for the chaos harness) or ``MSG_GROUP_BATCH``
     envelopes whose entries are routed to the per-host servers in entry
     order; a correlated envelope (id > 0) is answered with one reply
     envelope echoing the id, one reply frame per entry, in entry order.
-
-    ``transport`` selects the channel: ``"pipe"`` wraps the
-    :mod:`multiprocessing` connection in ``endpoint``; ``"unix"``/
-    ``"tcp"`` connect to the listener address in ``endpoint`` and
-    introduce themselves with a ``MSG_GROUP_HELLO`` naming this shard
-    (``WORKER_GROUP_ID=group_id`` of ``WORKER_GROUP_COUNT=group_count``).
     """
-    if transport == TRANSPORT_PIPE:
-        channel = _WorkerPipeChannel(endpoint)
-    else:
-        family = (socket.AF_UNIX if transport == TRANSPORT_UNIX
-                  else socket.AF_INET)
-        sock = socket.socket(family, socket.SOCK_STREAM)
-        deadline = time.monotonic() + 10.0
-        while True:
-            try:
-                sock.connect(endpoint)
-                break
-            except OSError:
-                if time.monotonic() >= deadline:
-                    return
-                time.sleep(0.05)
-        channel = _WorkerSocketChannel(sock)
-        try:
-            channel.send(wire.encode_group_hello(group_id, hosts))
-        except OSError:
-            channel.close()
-            return
+    channel = _WorkerSocketChannel(sock)
     requests = _RequestMemo()
     servers = {host: _HostServer(host, requests) for host in hosts}
     try:
@@ -310,9 +246,8 @@ class GroupPoolStats(Counters):
     fell back to dead-agent semantics, ``mirror_detaches`` how many
     ingest mirrors gave up on an unrecoverable worker, and
     ``decode_errors`` how many replies were corrupt (each one also counts
-    as a worker failure).  ``reconnects`` counts fresh connections
-    accepted after the initial spawn (each supervised respawn reconnects
-    once).
+    as a worker failure).  ``reconnects`` counts fresh connections made
+    after the initial spawn (one per supervised respawn).
     """
 
     frames_sent: int = 0
@@ -321,9 +256,9 @@ class GroupPoolStats(Counters):
     bytes_received: int = 0
     envelopes_sent: int = 0
     envelopes_received: int = 0
-    #: Fresh worker connections accepted after the initial spawn.
+    #: Fresh worker connections made after the initial spawn.
     reconnects: int = 0
-    #: Supervised restarts that completed (respawn + reconnect + re-seed).
+    #: Supervised restarts that completed (respawn + new connection + re-seed).
     restarts: int = 0
     #: Total milliseconds spent respawning and re-seeding group workers.
     reseed_ms: float = 0.0
@@ -340,33 +275,9 @@ class _EndpointClosed(Exception):
     """The controller-side endpoint hit EOF or a closed descriptor."""
 
 
-class _PipeEndpoint:
-    """Controller-side framing over a :mod:`multiprocessing` pipe."""
-
-    def __init__(self, conn) -> None:
-        self._conn = conn
-
-    def recv(self) -> bytes:
-        try:
-            return self._conn.recv_bytes()
-        except (EOFError, OSError, TypeError) as error:
-            # TypeError: the connection was closed under a read in
-            # progress (its handle is None by the time the read resumes).
-            raise _EndpointClosed(
-                f"{type(error).__name__}: {error}") from error
-
-    def send(self, frame: bytes) -> None:
-        self._conn.send_bytes(frame)
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-
 class _SocketEndpoint:
-    """Controller-side length-delimited framing over a connected socket.
+    """Controller-side length-delimited framing over the parent's end of a
+    group's stream pair.
 
     ``recv`` raises :class:`~repro.core.wire.WireDecodeError` for a
     malformed stream (oversized/truncated frames, garbage after a valid
@@ -377,12 +288,10 @@ class _SocketEndpoint:
     followed by ``ECONNRESET``; both run the reader's mid-frame check.
     """
 
-    def __init__(self, sock: socket.socket,
-                 ready: Optional[List[bytes]] = None,
-                 reader: Optional[wire.StreamFrameReader] = None) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
-        self._reader = reader or wire.StreamFrameReader()
-        self._ready: List[bytes] = list(ready or ())
+        self._reader = wire.StreamFrameReader()
+        self._ready: List[bytes] = []
 
     def recv(self) -> bytes:
         while not self._ready:
@@ -719,8 +628,8 @@ class _GroupConn:
 
 
 class GroupAgentPool:
-    """N group-worker processes x M hosts each, behind one connection
-    apiece.
+    """N group-worker processes x M hosts each, behind one connected
+    stream apiece.
 
     The controller-side handle of the worker plane: a per-host client
     API (``add_records``/``query``/``monitor_tick``/...) for the
@@ -737,45 +646,30 @@ class GroupAgentPool:
         hosts: hosts to serve, in canonical (scatter) order.
         group_count: worker-group count (defaults to
             :data:`DEFAULT_GROUP_COUNT`, capped at ``len(hosts)``);
-            sharding is :func:`shard_hosts`.
-        transport: :data:`TRANSPORT_UNIX` (default - a listener in a
-            private tempdir), :data:`TRANSPORT_TCP` (localhost, ephemeral
-            port) or :data:`TRANSPORT_PIPE` (the same coalesced envelopes
-            over plain :mod:`multiprocessing` pipes; no listener).
-        context: a :mod:`multiprocessing` context or start-method name.
+            sharding is :func:`shard_hosts`.  Each group's worker is
+            spawned (the platform's default start method) on one
+            ``socket.socketpair()``; the pool creates no filesystem entry
+            and runs no accept loop.
         reply_timeout_s: optional deadline for a group's reply envelope;
             a timed-out group worker is killed (the multiplexed stream
             cannot be resynchronised) and, when supervised, restarted.
         supervisor: optional :class:`~repro.core.supervisor.Supervisor`;
             failures are keyed by *group key* (``group-N``), and restart
             recovery re-seeds every host of the group over a fresh
-            reconnect.
+            connection.
         chaos: optional :class:`~repro.core.supervisor.ChaosPolicy`,
             likewise keyed by group key.
-        connect_timeout_s: deadline for a spawned worker's hello to
-            arrive on the accept loop.
     """
 
     def __init__(self, hosts: Sequence[str],
                  group_count: Optional[int] = None,
-                 transport: str = TRANSPORT_UNIX,
-                 context=None,
                  reply_timeout_s: Optional[float] = None,
-                 supervisor=None, chaos=None,
-                 connect_timeout_s: float = 30.0) -> None:
-        if transport not in GROUP_TRANSPORTS:
-            raise ValueError(f"unknown group transport {transport!r}; "
-                             f"expected one of {GROUP_TRANSPORTS}")
+                 supervisor=None, chaos=None) -> None:
         if not hosts:
             raise ValueError("GroupAgentPool needs at least one host")
-        if isinstance(context, str) or context is None:
-            context = multiprocessing.get_context(context)
-        self._context = context
-        self.transport = transport
         self.reply_timeout_s = reply_timeout_s
         self.supervisor = supervisor
         self.chaos = chaos
-        self.connect_timeout_s = connect_timeout_s
         self.stats = GroupPoolStats()  # guarded-by: _stats_lock
         self._stats_lock = threading.Lock()
         #: Cluster hook ``(host, detail)``: writes for ``host`` were still
@@ -798,13 +692,6 @@ class GroupAgentPool:
             key: threading.Lock() for key in self._keys}
         self._conns: Dict[str, _GroupConn] = {}  # guarded-by: _locks[key]
         self._procs: Dict[str, object] = {}  # guarded-by: _locks[key]
-        self._listener: Optional[socket.socket] = None
-        self._sockdir: Optional[str] = None
-        self._address = None
-        self._arrivals: Dict[int, _SocketEndpoint] = {}  # guarded-by: _hello
-        self._hello = threading.Condition()
-        if transport != TRANSPORT_PIPE:
-            self._start_listener()
         try:
             for key in self._keys:
                 self._spawn(key)
@@ -812,118 +699,28 @@ class GroupAgentPool:
             self.shutdown()
             raise
 
-    # -------------------------------------------------------- spawn/connect
-    def _start_listener(self) -> None:
-        if self.transport == TRANSPORT_UNIX:
-            self._sockdir = tempfile.mkdtemp(prefix="pathdump-groups-")
-            address = os.path.join(self._sockdir, "agents.sock")
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(address)
-        else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.bind(("127.0.0.1", 0))
-            address = listener.getsockname()
-        listener.listen(self.group_count + 8)
-        # Poll-with-timeout instead of a blocking accept: a close() does
-        # not reliably wake a blocked accept, and the forked workers hold
-        # a copy of the listener fd anyway.
-        listener.settimeout(0.5)
-        self._listener = listener
-        self._address = address
-        thread = threading.Thread(target=self._accept_loop,
-                                  name="pathdump-group-accept", daemon=True)
-        thread.start()
-
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            listener = self._listener
-            if listener is None:
-                return
-            try:
-                sock, _addr = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            self._handshake(sock)
-
-    def _handshake(self, sock: socket.socket) -> None:
-        """Read and validate a connecting worker's hello; route or drop.
-
-        A connection whose first frame is not a well-formed hello naming
-        a shard this pool computed is a stranger (or a corrupt worker)
-        and is dropped - it never becomes a group connection.
-        """
-        reader = wire.StreamFrameReader()
-        frames: List[bytes] = []
-        sock.settimeout(5.0)
-        try:
-            while not frames:
-                data = sock.recv(1 << 16)
-                if not data:
-                    raise wire.WireDecodeError("EOF before hello")
-                frames = reader.feed(data)
-            gid, hello_hosts = wire.decode_group_hello(frames[0])
-            if not 0 <= gid < self.group_count or \
-                    tuple(hello_hosts) != self.groups[gid]:
-                raise wire.WireDecodeError(
-                    f"hello names an unknown shard (group {gid})")
-        except (wire.WireError, OSError):
-            try:
-                sock.close()
-            except OSError:
-                pass
-            return
-        sock.settimeout(None)
-        endpoint = _SocketEndpoint(sock, ready=frames[1:], reader=reader)
-        with self._hello:
-            stale = self._arrivals.pop(gid, None)
-            self._arrivals[gid] = endpoint
-            self._hello.notify_all()
-        if stale is not None:
-            stale.close()
-
-    def _await_hello(self, gid: int) -> _SocketEndpoint:
-        deadline = time.monotonic() + self.connect_timeout_s
-        with self._hello:
-            while gid not in self._arrivals:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise AgentServerError(
-                        f"group-{gid} worker did not connect within "
-                        f"{self.connect_timeout_s}s")
-                self._hello.wait(remaining)
-            return self._arrivals.pop(gid)
-
+    # ------------------------------------------------------------------ spawn
     def _spawn(self, key: str) -> None:  # holds: _locks[key]
         """(Re)create ``key``'s worker process and connection (called from
         ``__init__`` before any concurrency, or under the group lock)."""
         gid = self._keys.index(key)
-        shard = self.groups[gid]
-        if self.transport == TRANSPORT_PIPE:
-            parent_conn, child_conn = self._context.Pipe(duplex=True)
-            process = self._context.Process(
-                target=group_server_main,
-                args=(gid, self.group_count, shard, self.transport,
-                      child_conn),
-                name=f"pathdump-{key}", daemon=True)
-            process.start()
-            child_conn.close()
-            endpoint = _PipeEndpoint(parent_conn)
-        else:
-            process = self._context.Process(
-                target=group_server_main,
-                args=(gid, self.group_count, shard, self.transport,
-                      self._address),
-                name=f"pathdump-{key}", daemon=True)
-            process.start()
+        with _SPAWN_LOCK:
+            ours, theirs = socket.socketpair()
+            # A forked child closes every parent end it inherited, so a
+            # worker sees EOF once the controller is gone, however it went.
+            register_after_fork(ours, socket.socket.close)
             try:
-                endpoint = self._await_hello(gid)
-            except AgentServerError:
-                process.kill()
-                process.join(5.0)
+                process = multiprocessing.Process(
+                    target=group_server_main,
+                    args=(gid, self.groups[gid], theirs),
+                    name=f"pathdump-{key}", daemon=True)
+                process.start()
+            except BaseException:
+                ours.close()
                 raise
-        self._conns[key] = _GroupConn(self, key, endpoint)
+            finally:
+                theirs.close()
+        self._conns[key] = _GroupConn(self, key, _SocketEndpoint(ours))
         self._procs[key] = process
 
     # ------------------------------------------------------------------- API
@@ -1234,13 +1031,12 @@ class GroupAgentPool:
 
     # -------------------------------------------------------------- lifecycle
     def shutdown(self, join_timeout_s: float = 2.0) -> None:
-        """Stop every group worker (politely, then by force), close the
-        connections and the listener.  Idempotent; marks the pool closed
-        *first* so a concurrent failure cannot trigger a supervised
-        restart of a worker being torn down."""
+        """Stop every group worker (politely, then by force) and close the
+        connections.  Idempotent; marks the pool closed *first* so a
+        concurrent failure cannot trigger a supervised restart of a worker
+        being torn down."""
         self._closed = True
-        # The accept thread outlives this call by up to its poll interval;
-        # it must not keep the cluster behind the hook alive with it.
+        # The pool must not keep the cluster behind the hook alive.
         self.mirror_lost = None
         # _closed (set above) keeps supervision from respawning workers
         # underneath the teardown, so the unlocked iteration is safe.
@@ -1253,21 +1049,6 @@ class GroupAgentPool:
                 process.join(join_timeout_s)
         for conn in self._conns.values():  # lint: disable=R3 -- teardown runs after _closed is latched
             conn.close("pool shut down")
-        listener = self._listener
-        if listener is not None:
-            try:
-                listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        if self._sockdir is not None:
-            sock_path = os.path.join(self._sockdir, "agents.sock")
-            for path in (sock_path, self._sockdir):
-                try:
-                    (os.unlink if path == sock_path else os.rmdir)(path)
-                except OSError:
-                    pass
-            self._sockdir = None
 
     def __enter__(self) -> "GroupAgentPool":
         return self
@@ -1449,7 +1230,7 @@ class GroupAgentPool:
     # ------------------------------------------------------ supervisor hooks
     def _respawn(self, key: str) -> None:  # holds: _locks[key]
         """Supervisor hook: replace ``key``'s worker with a fresh process
-        over a fresh connection (restart-over-reconnect)."""
+        over a fresh connection."""
         self._discard(key)
         self._spawn(key)
         with self._stats_lock:

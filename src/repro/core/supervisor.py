@@ -8,8 +8,8 @@ gap - it is attached to a :class:`~repro.core.groupserver.GroupAgentPool`
 and, whenever an exchange with a group worker fails (reply timeout, EOF,
 undecodable reply, ping-barrier miss during re-seed), it
 
-1. respawns the worker process with exponential backoff
-   (:class:`RestartPolicy`),
+1. respawns the worker process, on a fresh connection the pool makes for
+   it, with exponential backoff (:class:`RestartPolicy`),
 2. **re-seeds** the fresh worker from the local dual-write mirrors - per
    host of the group, the retention cap, the TIB snapshot as record
    batches and the monitor state including the at-most-once alerted
@@ -355,8 +355,8 @@ class ChaosPolicy:
       with ``corrupt_mode`` (:data:`CORRUPT_TRUNCATE`,
       :data:`CORRUPT_GARBAGE` or :data:`CORRUPT_BITFLIP`), exercising the
       ``WireDecodeError`` -> worker-failure path; fires once per entry.
-    * ``close_torn_at_frame={host: n}`` - connection-level fault for the
-      stream transports: right before the ``n``-th outbound frame the
+    * ``close_torn_at_frame={host: n}`` - connection-level fault on the
+      worker's stream: right before the ``n``-th outbound frame the
       worker is told (via ``MSG_CLOSE_TORN``) to write a *partial* stream
       frame - a length prefix promising more bytes than it sends - and
       close the connection, so the controller's

@@ -109,7 +109,7 @@ from repro.storage.records import COLUMN_FIELDS, PathFlowRecord
 #: Version 5: the group transport exists - hello frames, correlated
 #: ``MSG_GROUP_BATCH`` envelopes that coalesce per-host frames for a whole
 #: worker group, the torn-close debug command, and the length-delimited
-#: stream framing socket mode speaks.
+#: stream framing every worker connection speaks.
 #: Version 6: two plan frame kinds exist - a plan request carrying a
 #: declarative :mod:`repro.core.plan` pipeline (one frame kind for *any*
 #: question, so new questions never add frames again) and a plan result
@@ -123,6 +123,9 @@ from repro.storage.records import COLUMN_FIELDS, PathFlowRecord
 #: ends with the scan-stat tail (one ``0`` byte when empty), the result's
 #: size-estimate varint is gone, and the two plan frame kinds are retired
 #: (their numbers, 20 and 21, are not reused).
+#: (The group hello, type 17, left version 7 later without a bump: a
+#: worker's connection is made for its shard, so nothing names the shard
+#: on the wire; no remaining frame moves a byte, and 17 is not reused.)
 MAGIC = b"PD"
 WIRE_VERSION = 7
 
@@ -147,7 +150,6 @@ MSG_ALARM_BATCH = 13
 MSG_MONITOR_STATE = 14
 MSG_MONITOR_PULL = 15
 MSG_RETENTION = 16
-MSG_GROUP_HELLO = 17
 MSG_GROUP_BATCH = 18
 MSG_CLOSE_TORN = 19
 MSG_MONITOR_REOPEN = 22
@@ -1642,31 +1644,6 @@ def encode_monitor_reopen() -> bytes:
 
 
 # ----------------------------------------------------------- group transport
-def encode_group_hello(group_id: int, hosts: Sequence[str]) -> bytes:
-    """Encode the worker -> controller greeting of the group transport.
-
-    A group worker owns a deterministic shard of hosts
-    (``WORKER_GROUP_ID`` of ``WORKER_GROUP_COUNT``); the first frame it
-    writes after connecting names that shard so the controller's accept
-    loop can route the connection - and reject one whose claimed hosts
-    disagree with the shard the controller computed.
-    """
-    body = bytearray()
-    _w_uvarint(body, group_id)
-    _w_uvarint(body, len(hosts))
-    for host in hosts:
-        _w_str(body, host)
-    return _frame(MSG_GROUP_HELLO, bytes(body))
-
-
-@_guarded
-def decode_group_hello(data: bytes) -> Tuple[int, Tuple[str, ...]]:
-    """Inverse of :func:`encode_group_hello`: ``(group_id, hosts)``."""
-    reader = _expect(data, MSG_GROUP_HELLO)
-    group_id = reader.uvarint()
-    return group_id, reader.strs()
-
-
 def encode_group_batch(correlation_id: int,
                        entries: Sequence[Tuple[str, bytes]]) -> bytes:
     """Encode a coalesced per-group envelope.
@@ -1733,14 +1710,13 @@ def encode_close_torn() -> bytes:
 
 
 # ------------------------------------------------------------ stream framing
-# Socket mode carries frames over a byte stream, so unlike the pipe
-# transport (where ``recv_bytes`` preserves message boundaries) each frame
-# travels length-delimited: a 4-byte little-endian length prefix, then the
-# frame bytes.  The reader below reassembles frames from arbitrarily split
-# reads and converts every malformed stream - oversized lengths, EOF inside
-# a prefix or a frame, garbage where a header should be - into
-# :class:`WireDecodeError`, the same worker-failure signal the pipe
-# transport raises for corrupt replies.
+# A worker connection is a byte stream with no message boundaries, so
+# each frame travels length-delimited: a 4-byte little-endian length
+# prefix, then the frame bytes.  The reader below reassembles frames from
+# arbitrarily split reads and converts every malformed stream - oversized
+# lengths, EOF inside a prefix or a frame, garbage where a header should
+# be - into :class:`WireDecodeError`, the same worker-failure signal a
+# corrupt reply raises.
 
 _STREAM_PREFIX = struct.Struct("<I")
 #: Bytes of the stream length prefix.

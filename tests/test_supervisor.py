@@ -6,7 +6,7 @@ regression lock (a supervised pool with no budget behaves byte-for-byte
 like an unsupervised one), reply-timeout-triggered recovery, idempotent
 pool teardown, and the cluster-level recovery surface (warnings, counters,
 ``recovery_report``).  Supervision is keyed by the pool's group key; the
-pools here are one pipe worker per host (the ``mode="process"`` shape), so
+pools here are one worker per host (the ``mode="process"`` shape), so
 ``server-N``/the N-th host is ``group-N``.
 """
 
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
                         MECHANISM_MULTILEVEL, MODE_PROCESS, Q_GET_FLOWS,
-                        Query, QueryCluster, TRANSPORT_PIPE, wire)
+                        Query, QueryCluster, wire)
 from repro.core.executor import W_WORKER_RESTARTED, W_CIRCUIT_OPEN
 from repro.core.supervisor import (EVENT_CIRCUIT_OPEN, EVENT_RESTARTED,
                                    GroupSeed, RestartPolicy, Supervisor,
@@ -63,9 +63,8 @@ def sample_records(host, count=5):
 
 
 def pool_of(hosts, **kwargs):
-    """A standalone pool of one pipe worker per host."""
-    return GroupAgentPool(hosts, group_count=len(hosts),
-                          transport=TRANSPORT_PIPE, **kwargs)
+    """A standalone pool of one worker per host."""
+    return GroupAgentPool(hosts, group_count=len(hosts), **kwargs)
 
 
 def group_key(pool, host):

@@ -815,19 +815,9 @@ class TestCorruptionFuzz:
 
 
 class TestGroupTransportFrames:
-    """The socket transport's envelopes: MSG_GROUP_HELLO routes a worker's
-    connection to its shard, MSG_GROUP_BATCH coalesces per-host frames,
-    MSG_CLOSE_TORN arms the chaos harness's torn-close fault."""
-
-    def test_group_hello_round_trip(self):
-        hosts = ("server-0", UNICODE_HOST, "server-2")
-        frame = wire.encode_group_hello(5, hosts)
-        assert wire.frame_type(frame) == wire.MSG_GROUP_HELLO
-        assert wire.decode_group_hello(frame) == (5, hosts)
-
-    def test_group_hello_empty_shard(self):
-        assert wire.decode_group_hello(wire.encode_group_hello(0, ())) == \
-            (0, ())
+    """The worker connection's envelopes: MSG_GROUP_BATCH coalesces
+    per-host frames, MSG_CLOSE_TORN arms the chaos harness's torn-close
+    fault."""
 
     @pytest.mark.parametrize("correlation_id", [0, 1, 127, 128, 1 << 32])
     def test_group_batch_round_trip(self, correlation_id):
@@ -880,9 +870,9 @@ class TestGroupTransportFrames:
 
 
 class TestStreamFraming:
-    """The length-prefixed stream layer under the socket transport.
+    """The length-prefixed stream layer under every worker connection.
 
-    A TCP/Unix stream has no message boundaries, so every frame travels
+    A stream has no message boundaries, so every frame travels
     behind a fixed-size length prefix and the reader must survive
     arbitrary ``recv`` segmentation - and *reject*, not mis-parse,
     truncated or oversized or corrupt frames.
@@ -980,8 +970,7 @@ class TestStreamFraming:
         as WireDecodeError at eof, never a mis-parse."""
         rng = random.Random(20260808)
         pool = self._frames() + [
-            wire.encode_record_batch([sample_record()]),
-            wire.encode_group_hello(2, ("a", "b", UNICODE_HOST))]
+            wire.encode_record_batch([sample_record()])]
         for _ in range(60):
             frames = [rng.choice(pool)
                       for _ in range(rng.randrange(1, 6))]
@@ -1131,9 +1120,6 @@ def _golden_frames():
                          wire.MSG_MONITOR_PULL),
         "retention": (wire.encode_retention(100, 1 << 40),
                       wire.decode_retention, (100, 1 << 40)),
-        "group_hello": (
-            wire.encode_group_hello(5, ("server-0", UNICODE_HOST)),
-            wire.decode_group_hello, (5, ("server-0", UNICODE_HOST))),
         "group_batch": (wire.encode_group_batch(300, entries),
                         wire.decode_group_batch, (300, entries)),
         "close_torn": (wire.encode_close_torn(), wire.frame_type,
@@ -1264,8 +1250,6 @@ GOLDEN_FRAME_HEX = {
         "400000000000002940010161016202040c0000000000000000000000000000",
     "monitor_pull": "5044060f",
     "retention": "50440610016401808080808020",
-    "group_hello":
-        "504406110502087365727665722d300e68c3b473742de4b8ade5bf832d39",
     "group_batch":
         "50440612ac0203087365727665722d3004504406060e68c3b473742de4b8ade5"
         "bf832d390e5044060c000000000000f83f0106087365727665722d3217504406"

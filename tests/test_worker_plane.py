@@ -1,42 +1,47 @@
 """Tests for the worker plane: agent-server worker groups behind one pool.
 
 Every worker mode runs on :class:`GroupAgentPool`; ``mode="process"`` is the
-shape "one host per group over pipes", ``mode="socket"`` whatever
-``group_count``/``socket_transport`` say.  The identity, traffic and
-alarm-stream checks run over every pool shape in :data:`SHAPES`; the
-failure, recovery and chaos checks on the shapes that exercise them.
+shape "one host per group", ``mode="socket"`` whatever ``group_count``
+says, and every group worker is reached over one connected stream pair.
+The identity, traffic and alarm-stream checks run over every pool shape in
+:data:`SHAPES`; the failure, recovery and chaos checks on the shapes that
+exercise them.
 
 Covers: host sharding, byte-identical payloads and alarm streams across
 serial / thread / worker execution, measured traffic reconciled against
 envelope lengths, frame coalescing, the ingest mirror (also across mode
 flips), a dead worker surfacing like a dead agent for its whole shard,
 the local fallback for queries the workers cannot serve, supervised
-restart over a *reconnect*, connection-level chaos (torn close, stalled
-socket), and the standalone pool lifecycle over all three transports.
+restart over a fresh connection, connection-level chaos (torn close,
+stalled socket), the spawn lock that keeps one worker's connection out of
+another, and the standalone pool lifecycle.
 """
 
+import multiprocessing
+import os
+import pathlib
 import socket
+import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
                         MECHANISM_MULTILEVEL, MODE_CONCURRENT, MODE_PROCESS,
                         MODE_SERIAL, MODE_SOCKET, Q_FLOW_SIZE_DISTRIBUTION,
                         Q_GET_FLOWS, Q_PATH_CONFORMANCE, Q_PLAN,
                         Q_POOR_TCP_FLOWS, Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX,
-                        Query, QueryCluster, Supervisor,
-                        TRANSPORT_PIPE, TRANSPORT_TCP, TRANSPORT_UNIX,
-                        shard_hosts, wire)
+                        Query, QueryCluster, Supervisor, shard_hosts, wire)
 from repro.core.aggregation import AggregationTree
 from repro.core.alarms import PC_FAIL
 from repro.core.executor import (ScatterGatherExecutor, W_HOST_FAILED,
                                  W_HOST_TIMEOUT, W_MIRROR_DETACHED,
                                  W_WORKER_RESTARTED)
 from repro.core.groupserver import (OUTBOX_FLUSH_BYTES, _EndpointClosed,
-                                    _SocketEndpoint, shard_for)
+                                    _SocketEndpoint)
 from repro.core.monitor import MonitorSnapshot
 from repro.core.plan import Aggregate, Filter, Plan, TopK
 from repro.core.supervisor import ChaosPolicy, WorkerSeed
@@ -51,25 +56,23 @@ from test_supervisor import (FAST, STARTUP_FRAMES, group_key, kill_and_wait,
 NUM_HOSTS = 6
 GROUPS = 2  # the default socket shape here: 2 shards of 3 hosts
 
-#: (mode, group_count, socket_transport) - every pool shape the identity
-#: checks run over.  The last two are the mode strings with the cluster's
-#: default arguments: "process" ignores them (one pipe worker per host),
-#: "socket" takes the default group count (clamped to the 6 hosts) over a
-#: unix socket.
+#: (mode, group_count) - every pool shape the identity checks run over.
+#: The last two are the mode strings with the cluster's default argument:
+#: "process" ignores it (one worker per host), "socket" takes the default
+#: group count (clamped to the 6 hosts).
 SHAPES = [
-    pytest.param((MODE_SOCKET, count, transport), id=f"{count}x{transport}")
+    pytest.param((MODE_SOCKET, count), id=f"{count}xunix")
     for count in (1, GROUPS, NUM_HOSTS)
-    for transport in (TRANSPORT_PIPE, TRANSPORT_UNIX)
 ] + [
-    pytest.param((MODE_PROCESS, None, TRANSPORT_UNIX), id="process-alias"),
-    pytest.param((MODE_SOCKET, None, TRANSPORT_UNIX), id="socket-alias"),
+    pytest.param((MODE_PROCESS, None), id="process-alias"),
+    pytest.param((MODE_SOCKET, None), id="socket-alias"),
 ]
 
-#: The two shapes the failure-semantics checks run on: groups of one over
-#: pipes, and real groups over a socket.
+#: The two shapes the failure-semantics checks run on: groups of one, and
+#: real groups.
 FAILURE_SHAPES = [
-    pytest.param((MODE_PROCESS, None, TRANSPORT_UNIX), id="process-alias"),
-    pytest.param((MODE_SOCKET, GROUPS, TRANSPORT_UNIX), id="2xunix"),
+    pytest.param((MODE_PROCESS, None), id="process-alias"),
+    pytest.param((MODE_SOCKET, GROUPS), id="2xunix"),
 ]
 
 QUERIES = [
@@ -85,14 +88,12 @@ QUERIES = [
 
 
 
-def worker_cluster(mode=MODE_SOCKET, group_count=GROUPS,
-                   transport=TRANSPORT_UNIX, supervisor=None, chaos=None,
-                   records_per_host=25, feed=populate, **kwargs):
+def worker_cluster(mode=MODE_SOCKET, group_count=GROUPS, supervisor=None,
+                   chaos=None, records_per_host=25, feed=populate, **kwargs):
     """A populated cluster flipped into a worker mode (populate-first, so
     the startup sync - not the ingest mirror - ships the records)."""
     cluster = QueryCluster(small_topology(NUM_HOSTS), group_count=group_count,
-                           socket_transport=transport, supervisor=supervisor,
-                           chaos=chaos, **kwargs)
+                           supervisor=supervisor, chaos=chaos, **kwargs)
     if feed is populate:
         feed(cluster, records_per_host=records_per_host)
     else:
@@ -112,8 +113,8 @@ def reference_payload(query, mechanism=MECHANISM_DIRECT, feed=populate):
 def shaped_cluster(request):
     """One healthy populated worker cluster per pool shape, shared by the
     read-only checks (tests must not kill its workers)."""
-    mode, group_count, transport = request.param
-    cluster = worker_cluster(mode, group_count, transport)
+    mode, group_count = request.param
+    cluster = worker_cluster(mode, group_count)
     cluster.worker_mode = mode
     yield cluster
     cluster.close()
@@ -122,8 +123,8 @@ def shaped_cluster(request):
 @pytest.fixture(params=FAILURE_SHAPES)
 def fresh_cluster(request):
     """A private worker cluster for tests that break or reconfigure it."""
-    mode, group_count, transport = request.param
-    cluster = worker_cluster(mode, group_count, transport)
+    mode, group_count = request.param
+    cluster = worker_cluster(mode, group_count)
     yield cluster
     cluster.close()
 
@@ -137,11 +138,6 @@ class TestSharding:
         assert [h for shard in shards for h in shard] == hosts
         assert shard_hosts(hosts, 4) == shards  # deterministic
 
-    def test_shard_for_matches_shard_hosts(self):
-        hosts = [f"h-{i}" for i in range(7)]
-        for gid in range(3):
-            assert shard_for(hosts, gid, 3) == shard_hosts(hosts, 3)[gid]
-
     def test_group_count_clamped_to_hosts(self):
         assert len(shard_hosts(["a", "b"], 8)) == 2
 
@@ -154,13 +150,10 @@ class TestModeAliases:
     @pytest.mark.parametrize("mode,groups", [(MODE_PROCESS, NUM_HOSTS),
                                              (MODE_SOCKET, GROUPS)])
     def test_mode_strings_resolve_to_pool_shapes(self, mode, groups):
-        """``"socket"`` takes ``group_count``/``socket_transport``;
-        ``"process"`` is groups of one over pipes whatever they say."""
-        with worker_cluster(mode, group_count=GROUPS,
-                            transport=TRANSPORT_TCP) as cluster:
+        """``"socket"`` takes ``group_count``; ``"process"`` is groups of
+        one whatever it says."""
+        with worker_cluster(mode, group_count=GROUPS) as cluster:
             pool = cluster.agent_servers
-            assert pool.transport == (TRANSPORT_PIPE if mode == MODE_PROCESS
-                                      else TRANSPORT_TCP)
             assert pool.groups == shard_hosts(cluster.hosts, groups)
             assert cluster.execute(Query(Q_GET_FLOWS, {})).mode == mode
 
@@ -181,14 +174,24 @@ class TestModeAliases:
             for host in cluster.hosts:
                 assert per_host.ping(host) == \
                     cluster.agent(host).tib.record_count()
-        # the same shape under the other mode string: nothing to replace
-        with worker_cluster(MODE_SOCKET, group_count=NUM_HOSTS,
-                            transport=TRANSPORT_PIPE) as cluster:
-            pool = cluster.agent_servers
-            cluster.configure_executor(mode=MODE_PROCESS)
-            assert cluster.agent_servers is pool
-            assert cluster.execute(Query(Q_GET_FLOWS, {})).mode == \
-                MODE_PROCESS
+        # the same shape under the other mode string - an explicit count, or
+        # the default one clamped to the host count: nothing to replace
+        for group_count in (NUM_HOSTS, None):
+            with worker_cluster(MODE_SOCKET,
+                                group_count=group_count) as cluster:
+                pool = cluster.agent_servers
+                cluster.configure_executor(mode=MODE_PROCESS)
+                assert cluster.agent_servers is pool
+                assert cluster.execute(Query(Q_GET_FLOWS, {})).mode == \
+                    MODE_PROCESS
+
+    @pytest.mark.parametrize("transport", ["tcp", "pipe", ""])
+    def test_only_the_unix_socket_transport_is_accepted(self, transport):
+        """``socket_transport`` survives for callers that name the one
+        connection; any other value is refused at construction."""
+        with pytest.raises(ValueError, match="socket transport"):
+            QueryCluster(small_topology(NUM_HOSTS), mode=MODE_SOCKET,
+                         socket_transport=transport)
 
     def test_ingest_under_an_in_process_mode_still_reaches_workers(self):
         """Flipping back to serial keeps the workers alive and mirrored, so
@@ -256,15 +259,6 @@ class TestPayloadIdentity:
         for host in shaped_cluster.hosts:
             local = shaped_cluster.agent(host).tib.record_count()
             assert pool.ping(host) == local
-
-    def test_tcp_transport_byte_identical(self):
-        """The coalesced envelopes speak the same protocol over TCP."""
-        query = Query(Q_TOP_K_FLOWS, {"k": 40})
-        want = reference_payload(query)
-        with worker_cluster(transport=TRANSPORT_TCP) as cluster:
-            result = cluster.execute(query)
-            assert not result.partial
-            assert wire.encode_value(result.payload) == want
 
     @pytest.mark.parametrize("shape", FAILURE_SHAPES)
     def test_monitor_backed_query_identical(self, shape):
@@ -349,14 +343,11 @@ class TestMeasuredTraffic:
         assert wire.encode_value(remote.payload) == \
             wire.encode_value(local.payload)
 
-    @pytest.mark.parametrize("transport", [TRANSPORT_PIPE, TRANSPORT_UNIX])
-    def test_reply_timeout_fails_worker_instead_of_desyncing(self,
-                                                             transport):
+    def test_reply_timeout_fails_worker_instead_of_desyncing(self):
         """A timed-out reply must not be read by the *next* request: the
         worker is declared dead, so later exchanges raise instead of
         returning stale payloads."""
-        with GroupAgentPool(["a"], transport=transport,
-                            reply_timeout_s=0.1) as pool:
+        with GroupAgentPool(["a"], reply_timeout_s=0.1) as pool:
             record = PathFlowRecord(FlowId("x", "a", 1, 2, PROTO_TCP),
                                     ("x", "sw", "a"), 0.0, 1.0, 10, 1)
             pool.add_records("a", [record])
@@ -717,10 +708,10 @@ class TestOutbox:
         the alarm stream are byte-identical to a serial twin fed the same
         ops.  (A flip to serial and back leaves a non-empty outbox on the
         live connections - pathbench's ``verify`` does that every run.)"""
-        mode, group_count, transport = shape
+        mode, group_count = shape
         _, _, serial_fabric, serial, _ = make_pathdump_deployment()
         _, _, worker_fabric, worker, _ = make_pathdump_deployment(
-            group_count=group_count, socket_transport=transport)
+            group_count=group_count)
         queries = [(Query(Q_GET_FLOWS, {}), MECHANISM_DIRECT),
                    (Query(Q_TOP_K_FLOWS, {"k": 50}), MECHANISM_MULTILEVEL),
                    (Query(Q_POOR_TCP_FLOWS, {}), MECHANISM_DIRECT)]
@@ -1253,16 +1244,13 @@ class TestMultilevelFailureSemantics:
 
 
 class TestSupervisedRecovery:
-    @pytest.mark.parametrize("transport", [TRANSPORT_PIPE, TRANSPORT_UNIX,
-                                           TRANSPORT_TCP])
-    def test_restart_over_reconnect_byte_identical(self, transport):
-        """Kill a group worker; the supervisor respawns it, the fresh
-        process reconnects (socket transports) and is re-seeded from the
-        local mirrors, and the next query answers byte-identically."""
+    def test_restart_over_reconnect_byte_identical(self):
+        """Kill a group worker; the supervisor respawns it on a fresh
+        connection, re-seeds it from the local mirrors, and the next query
+        answers byte-identically."""
         query = Query(Q_TOP_K_FLOWS, {"k": 50})
         want = reference_payload(query)
-        with worker_cluster(transport=transport,
-                            supervisor=Supervisor(FAST)) as cluster:
+        with worker_cluster(supervisor=Supervisor(FAST)) as cluster:
             pool = cluster.agent_servers
             kill_and_wait(pool, "group-1")
             first = cluster.execute(query)   # detects the death, restarts
@@ -1305,8 +1293,7 @@ class TestSupervisedRecovery:
 
 
 class TestConnectionChaos:
-    @pytest.mark.parametrize("transport", [TRANSPORT_UNIX, TRANSPORT_PIPE])
-    def test_torn_close_mid_frame(self, transport):
+    def test_torn_close_mid_frame(self):
         """A worker closing its connection mid-stream-frame (length prefix
         promising more bytes than arrive) surfaces as a decode error,
         kills the worker, and the supervisor recovers byte-identically."""
@@ -1314,7 +1301,7 @@ class TestConnectionChaos:
         want = reference_payload(query)
         fault_at = STARTUP_FRAMES + 1
         chaos = ChaosPolicy(close_torn_at_frame={"group-1": fault_at})
-        with worker_cluster(transport=transport, chaos=chaos,
+        with worker_cluster(chaos=chaos,
                             supervisor=Supervisor(FAST)) as cluster:
             pool = cluster.agent_servers
             cluster.execute(query)   # fault fires on this scatter
@@ -1369,14 +1356,107 @@ class TestConnectionChaos:
             assert wire.encode_value(second.payload) == want
 
 
+class TestSpawnIsolation:
+    def test_concurrent_respawns_keep_each_worker_end_private(
+            self, monkeypatch):
+        """A forked worker inherits every descriptor open in the parent.
+        Two groups respawned at once from two threads - each under its own
+        group lock - must not let the second fork inherit the first
+        group's child end, or that end outlives the first worker and its
+        death never reaches the reader as EOF.  The start step sleeps
+        after forking, so the second spawn lands while the parent's copy
+        of the first child end is still open unless spawns serialise."""
+        forked = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def slow_start(process):
+            start(process)
+            forked.append(process)
+            time.sleep(0.5)
+
+        with worker_cluster(MODE_PROCESS) as cluster:
+            pool = cluster.agent_servers
+            first, second = pool.group_keys()[:2]
+
+            def respawn(key):
+                with pool._locks[key]:
+                    pool._respawn(key)
+
+            monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                                slow_start)
+            threads = [threading.Thread(target=respawn, args=(key,))
+                       for key in (first, second)]
+            threads[0].start()
+            deadline = time.monotonic() + 10.0
+            while not forked and time.monotonic() < deadline:
+                time.sleep(0.005)
+            threads[1].start()
+            for thread in threads:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            monkeypatch.undo()
+            assert pool._procs[first] is forked[0]
+            pool.kill(first)
+            assert pool._conns[first]._ended.wait(2.0), \
+                "a killed worker's death did not reach its reader as EOF"
+            # The other fresh worker serves (empty: nothing re-seeded it).
+            assert pool.ping(pool.group_hosts(second)[0]) == 0
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    def test_workers_exit_when_the_controller_dies(self, tmp_path):
+        """A forked worker closes the parent ends it inherited, so when the
+        controller is killed outright every worker reads EOF and exits
+        (one that kept another group's parent end would wait forever)."""
+        pids = tmp_path / "pids"
+        script = tmp_path / "controller.py"
+        script.write_text(
+            "import os, signal, sys\n"
+            "from repro.core import GroupAgentPool\n"
+            "pool = GroupAgentPool(['a', 'b', 'c'], group_count=3)\n"
+            "with open(sys.argv[1], 'w') as out:\n"
+            "    out.write(' '.join(str(p.pid) for p in pool._procs.values()))\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n")
+        src = str(pathlib.Path(repro.__file__).parents[1])
+        subprocess.run([sys.executable, str(script), str(pids)],
+                       env=dict(os.environ, PYTHONPATH=src),
+                       stdout=subprocess.DEVNULL, timeout=60)
+        workers = [int(pid) for pid in pids.read_text().split()]
+        assert len(workers) == 3
+
+        def running(pid):
+            try:
+                status = pathlib.Path(f"/proc/{pid}/status").read_text()
+            except OSError:
+                return False
+            return "\nState:\tZ" not in status
+
+        deadline = time.monotonic() + 5.0
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        alive = [pid for pid in workers if running(pid)]
+        for pid in alive:
+            os.kill(pid, 9)
+        assert not alive, "workers outlived their controller"
+
+
 class TestPoolLifecycle:
-    @pytest.mark.parametrize("transport", [TRANSPORT_PIPE, TRANSPORT_UNIX,
-                                           TRANSPORT_TCP])
-    def test_lifecycle(self, transport):
+    def test_lifecycle(self):
         hosts = [f"h-{i}" for i in range(5)]
-        with GroupAgentPool(hosts, group_count=2,
-                            transport=transport) as pool:
+        before = set(threading.enumerate())
+        with GroupAgentPool(hosts, group_count=2) as pool:
             assert pool.group_keys() == ["group-0", "group-1"]
+            # One reader thread per group and nothing else: no accept loop.
+            started = set(threading.enumerate()) - before
+            assert sorted(thread.name for thread in started
+                          if thread.name.startswith("pathdump-")) == [
+                "pathdump-mux-group-0", "pathdump-mux-group-1"]
+            # Each connection is an unnamed stream pair: no filesystem
+            # entry, no port, nothing a stranger could connect to.
+            for key in pool.group_keys():
+                sock = pool._conns[key].endpoint._sock
+                assert sock.family == socket.AF_UNIX
+                assert sock.type == socket.SOCK_STREAM
+                assert sock.getsockname() == "" and sock.getpeername() == ""
             assert pool.hosts == hosts
             assert pool.ping("h-0") == 0
             for host in hosts:
@@ -1406,37 +1486,6 @@ class TestPoolLifecycle:
             pool.reset("a")
             result = pool.query("a", Query(Q_GET_FLOWS, {}))
             assert result.payload == []
-
-    def test_garbage_handshake_rejected(self):
-        """A stranger connecting to the listener with a garbage hello is
-        dropped; the real workers keep serving."""
-        with GroupAgentPool(["a", "b"], group_count=1,
-                            transport=TRANSPORT_TCP) as pool:
-            stranger = socket.create_connection(pool._address, timeout=5.0)
-            try:
-                stranger.sendall(b"GET / HTTP/1.0\r\n\r\n")
-                stranger.settimeout(2.0)
-                # the controller closes the stranger without handing it
-                # a worker's connection
-                assert stranger.recv(64) == b""
-            finally:
-                stranger.close()
-            assert pool.ping("a") == 0  # pool unharmed
-
-    def test_wrong_shard_hello_rejected(self):
-        """A hello claiming hosts that disagree with the controller's
-        computed shard is refused (split-brain guard)."""
-        with GroupAgentPool(["a", "b"], group_count=1,
-                            transport=TRANSPORT_TCP) as pool:
-            liar = socket.create_connection(pool._address, timeout=5.0)
-            try:
-                hello = wire.encode_group_hello(0, ("x", "y"))
-                liar.sendall(wire.stream_frame(hello))
-                liar.settimeout(2.0)
-                assert liar.recv(64) == b""
-            finally:
-                liar.close()
-            assert pool.ping("b") == 0
 
     @pytest.mark.parametrize("mode", [MODE_PROCESS, MODE_SOCKET])
     def test_constructor_mode_wires_executor_transport(self, mode):
