@@ -32,9 +32,10 @@ import repro
 from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
                         MECHANISM_MULTILEVEL, MODE_CONCURRENT, MODE_PROCESS,
                         MODE_SERIAL, MODE_SOCKET, Q_FLOW_SIZE_DISTRIBUTION,
-                        Q_GET_FLOWS, Q_PATH_CONFORMANCE, Q_PLAN,
-                        Q_POOR_TCP_FLOWS, Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX,
-                        Query, QueryCluster, Supervisor, shard_hosts, wire)
+                        Q_GET_COUNT, Q_GET_FLOWS, Q_GET_PATHS,
+                        Q_PATH_CONFORMANCE, Q_PLAN, Q_POOR_TCP_FLOWS,
+                        Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX, Query, QueryCluster,
+                        Supervisor, shard_hosts, wire)
 from repro.core.aggregation import AggregationTree
 from repro.core.alarms import PC_FAIL
 from repro.core.executor import (ScatterGatherExecutor, W_HOST_FAILED,
@@ -43,7 +44,7 @@ from repro.core.executor import (ScatterGatherExecutor, W_HOST_FAILED,
 from repro.core.groupserver import (OUTBOX_FLUSH_BYTES, _EndpointClosed,
                                     _SocketEndpoint)
 from repro.core.monitor import MonitorSnapshot
-from repro.core.plan import Aggregate, Filter, Plan, TopK
+from repro.core.plan import Aggregate, Filter, Plan, Project, TopK
 from repro.core.supervisor import ChaosPolicy, WorkerSeed
 from repro.network import make_tcp_packet
 from repro.network.packet import FlowId, PROTO_TCP
@@ -75,6 +76,14 @@ FAILURE_SHAPES = [
     pytest.param((MODE_SOCKET, GROUPS), id="2xunix"),
 ]
 
+#: One flow of :func:`populate` (server-2 -> server-1 via leaf-0), for the
+#: point queries.
+POINT_FLOW = FlowId("server-2", "server-1", 30_003, 80, PROTO_TCP)
+
+#: The identity matrix's queries.  The first five are the unconstrained
+#: built-ins; the rest route each read through a different index (link,
+#: time window, flow key) and end in each merge operator (top-k merge,
+#: key sums, concat, histogram merge, keyed and scalar plan aggregates).
 QUERIES = [
     (Q_TOP_K_FLOWS, {"k": 30}),
     (Q_FLOW_SIZE_DISTRIBUTION, {"links": [None], "binsize": 4000}),
@@ -83,6 +92,24 @@ QUERIES = [
     (Q_PLAN, {"plan": Plan(ops=(
         Filter(), Aggregate(func="sum", fields=("bytes",), by=("flow",)),
         TopK(k=12)))}),
+    (Q_TOP_K_FLOWS, {"k": 5, "link": ("leaf-1", None)}),
+    (Q_TOP_K_FLOWS, {"k": 8, "time_range": (4.0, 16.0)}),
+    (Q_FLOW_SIZE_DISTRIBUTION, {
+        "links": [("leaf-0", None), (None, "server-5")], "binsize": 2500}),
+    (Q_GET_FLOWS, {"link": ("leaf-2", None), "time_range": (0.0, 10.0)}),
+    (Q_GET_PATHS, {"flow_id": POINT_FLOW}),
+    (Q_GET_COUNT, {"flow": POINT_FLOW}),
+    (Q_PLAN, {"plan": Plan(ops=(
+        Filter(links=(("leaf-1", None),)),
+        Aggregate(func="count", by=("path",))))}),
+    (Q_PLAN, {"plan": Plan(ops=(
+        Filter(start=2.0, end=20.0),
+        Aggregate(func="histogram", fields=("bytes",), binsize=5000)))}),
+    (Q_PLAN, {"plan": Plan(ops=(
+        Filter(links=(("leaf-0", None),)),
+        Project(fields=("flow", "bytes"))))}),
+    (Q_PLAN, {"plan": Plan(ops=(
+        Filter(), Aggregate(func="sum", fields=("bytes", "pkts"))))}),
 ]
 
 
