@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.core import wire
+
 #: The fan-outs of the paper's 4-level tree (controller -> 7 -> 4 -> 4).
 PAPER_TREE_FANOUT = (7, 4, 4)
 
@@ -31,11 +33,16 @@ class TreeNode:
             root, which runs no local query).
         children: child nodes.
         level: 0 for the root (controller), increasing downward.
+        spec: the subtree's wire description (its hosts, pre-order), which
+            rides next to the query in the request its parent sends.
+        spec_len: what ``spec`` adds to that request (0 at the root).
     """
 
     host: Optional[str]
     children: List["TreeNode"] = field(default_factory=list)
     level: int = 0
+    spec: wire.SubtreeSpec = wire.SubtreeSpec("", ())
+    spec_len: int = 0
 
     def descend(self) -> List["TreeNode"]:
         """All nodes of the subtree rooted here (pre-order)."""
@@ -46,24 +53,19 @@ class TreeNode:
 
     def subtree_hosts(self) -> List[str]:
         """Every host in this subtree (including this node), pre-order."""
-        hosts = [] if self.host is None else [self.host]
-        for child in self.children:
-            hosts.extend(child.subtree_hosts())
-        return hosts
+        return list(self.spec.hosts)
 
-    def subtree_spec(self):
-        """The wire-codec description of this node's subtree.
-
-        A parent forwarding a multi-level query tells each child which part
-        of the tree it is responsible for; this is the message that rides
-        in the batched request frame next to the query.
-        """
-        from repro.core import wire
-        return wire.SubtreeSpec(self.host or "", tuple(self.subtree_hosts()))
+    def subtree_spec(self) -> wire.SubtreeSpec:
+        """The wire-codec description of this node's subtree."""
+        return self.spec
 
 
 class AggregationTree:
     """A multi-level aggregation tree over a set of end hosts.
+
+    Built in two linear passes - hosts placed level by level, then one
+    pre-order walk setting every node's ``spec`` and ``spec_len`` - and
+    reusable by every query over the same hosts and fan-out.
 
     Args:
         hosts: the hosts participating in the query.
@@ -81,6 +83,10 @@ class AggregationTree:
         self.hosts = list(hosts)
         self.fanout = tuple(fanout)
         self.root = self._build()
+        order: List[str] = []  # the hosts, pre-order
+        for child in self.root.children:
+            self._describe(child, order)
+        self.root.spec = wire.SubtreeSpec("", tuple(order))
 
     # ------------------------------------------------------------------ build
     def _build(self) -> TreeNode:
@@ -92,29 +98,36 @@ class AggregationTree:
         become leaves.
         """
         root = TreeNode(host=None, level=0)
-        remaining = list(self.hosts)
-        frontier = [root]
-        level = 0
-        while remaining:
+        frontier, placed, level = [root], 0, 0
+        while placed < len(self.hosts):
             fanout = self.fanout[min(level, len(self.fanout) - 1)]
             next_frontier: List[TreeNode] = []
             for parent in frontier:
-                for _ in range(fanout):
-                    if not remaining:
-                        break
-                    node = TreeNode(host=remaining.pop(0), level=level + 1)
-                    parent.children.append(node)
-                    next_frontier.append(node)
-            if not next_frontier:
-                break
+                parent.children = [
+                    TreeNode(host=host, level=level + 1)
+                    for host in self.hosts[placed:placed + fanout]]
+                placed += len(parent.children)
+                next_frontier += parent.children
             frontier = next_frontier
             level += 1
+        self._depth = level
         return root
+
+    def _describe(self, node: TreeNode, order: List[str]) -> int:
+        """Set the ``spec`` and ``spec_len`` of host ``node``'s subtree,
+        whose hosts extend ``order``: their names' encoded length."""
+        first = len(order)
+        order.append(node.host)
+        names = wire.str_len(node.host) + sum(
+            self._describe(child, order) for child in node.children)
+        node.spec = wire.SubtreeSpec(node.host, tuple(order[first:]))
+        node.spec_len = wire.spec_len(node.host, len(node.spec.hosts), names)
+        return names
 
     # ------------------------------------------------------------------ views
     def depth(self) -> int:
         """Number of host levels (excluding the controller root)."""
-        return max(node.level for node in self.root.descend())
+        return self._depth
 
     def nodes(self) -> List[TreeNode]:
         """Every node including the root, pre-order."""

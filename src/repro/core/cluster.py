@@ -16,8 +16,8 @@ to the flow-level simulator), and maps both query mechanisms onto the
   with the query and the subtree description *batched* into a single
   request message per child;
 * per-host query execution and per-node aggregation costs are *measured*
-  (wall-clock) on the real in-memory TIBs, and partial results stream into
-  each node's accumulator as they arrive - no full-level barrier;
+  (wall-clock) on the real in-memory TIBs, and every aggregation node
+  merges all of its arrivals in one call - no full-level barrier;
 * after each run, the :class:`~repro.core.rpc.RpcChannel`
   latency/bandwidth model counts the run's messages and prices its
   measured legs, execution and merge times over the plan tree
@@ -411,6 +411,8 @@ class QueryCluster:
             self.transport, mode=self._executor_mode(),
             max_workers=max_workers, timeout_s=timeout_s, retries=retries)
         self.engine = QueryEngine()
+        #: The last multi-level tree, kept for equal targets and fan-out.
+        self._tree: Optional[AggregationTree] = None
         self._reconstructor = PathReconstructor(topo, self.assignment)
         self.retention = retention or RetentionPolicy()
         cache = TrajectoryCache() if shared_cache else None
@@ -925,7 +927,7 @@ class QueryCluster:
         gather = self._scatter_groups(
             {key: (key, [(host, tick) for host in pool.group_hosts(key)])
              for key in pool.group_keys()}, consume,
-            merge=lambda acc, value: None)
+            merge=lambda values: None)
         alarms = sink.dispatch()
         hosts_failed = [host for key in gather.hosts_failed
                         for host in pool.group_hosts(key)]
@@ -995,7 +997,7 @@ class QueryCluster:
             for label, (_key, entries) in leaves.items()])
         gather = self._run(
             self.executor, plan, work,
-            lambda acc, value: (merge(acc[0], value[0]), 0, 0),
+            lambda values: (merge([value[0] for value in values]), 0, 0),
             response_bytes=lambda value: value[1],
             exec_seconds=lambda value: value[2])
         gather.wall_s = time.perf_counter() - started
@@ -1042,10 +1044,10 @@ class QueryCluster:
         """Direct query: every host answers the controller directly.
 
         In the worker modes the scatter is coalesced - one request
-        envelope per worker group instead of one frame per host - and the
-        group's partials are folded left-to-right in request order before
-        the root merge, the same order the per-host fold visits them, so
-        the aggregate stays byte-identical to the serial fold.
+        envelope per worker group instead of one frame per host - and each
+        group run's partials are merged in one call, in request order,
+        before the root merge, the same order the per-host fold visits
+        them, so the aggregate stays byte-identical to the serial fold.
         """
         targets = self._targets(hosts)
         request = wire.encode_query_request(query, None)  # once, all hosts
@@ -1053,8 +1055,8 @@ class QueryCluster:
             merge = self._merger(query)
             gather = self._gather_groups(
                 query, targets, dict.fromkeys(targets, request), targets,
-                leaf=lambda results: functools.reduce(
-                    merge, (result for _host, result in results)),
+                leaf=lambda results: results[0][1] if len(results) == 1
+                else merge([result for _host, result in results]),
                 merge=merge)
         else:
             plan = PlanNode(host=None, children=[
@@ -1085,8 +1087,8 @@ class QueryCluster:
         is labelled ``key#index``).  Each leaf ships one
         ``MSG_GROUP_BATCH`` envelope carrying ``frames[host]`` for its run
         and hands the decoded ``(host, result)`` list, in request order,
-        to ``leaf``; leaf values meet at the root through ``merge``, each
-        group folded as its turn comes.  The scatter is
+        to ``leaf``; leaf values meet at the root in one ``merge`` call,
+        each group consumed as its turn comes.  The scatter is
         :meth:`_scatter_groups`, so timeouts, retries and supervision act
         per group: a failed leaf yields one ``W_HOST_FAILED`` naming the
         group key and expands to all of its run's hosts in
@@ -1135,13 +1137,18 @@ class QueryCluster:
                            ) -> DistributedQueryResult:
         """Multi-level query along an aggregation tree.
 
-        In the worker modes the tree is folded over partials fetched
-        with one envelope per worker group (:meth:`_gather_tree_groups`);
+        The tree is kept for the next query over the same ``(targets,
+        fanout)``, which builds only its plan nodes.  In the worker modes
+        the tree is folded over partials fetched with one envelope per
+        worker group (:meth:`_gather_tree_groups`);
         ``payload`` and ``traffic_bytes`` are byte-identical to the serial
         walk and ``wall_clock_s`` is the measured wall of both phases.
         """
         targets = self._targets(hosts)
-        tree = AggregationTree(targets, fanout=fanout)
+        tree = self._tree
+        if tree is None or (tree.hosts, tree.fanout) != (targets,
+                                                         tuple(fanout)):
+            self._tree = tree = AggregationTree(targets, fanout=fanout)
         request = wire.encode_query_request(query, None)
         if self._uses_agent_servers(query):
             frames: Dict[str, bytes] = {}
@@ -1164,15 +1171,16 @@ class QueryCluster:
         """Multi-level scatter in the worker modes: fetch, then fold.
 
         *Fetch* is :meth:`_gather_groups` over the tree edges' real
-        query+spec ``frames``: every worker still receives the request its
-        edge carries, one envelope per group instead of one round trip per
-        host.  *Fold* runs ``plan`` through a serial executor on the
-        calling thread whose per-host work is a lookup of the fetched
-        partial, so merge order, merges, ``request_parts`` and response
-        sizes - hence ``payload`` and ``traffic_bytes`` (the tree edges,
-        sized with measured frame lengths) - are byte-identical to the
-        serial walk.  The fetch envelopes are counted on the channel model
-        too but stay out of ``traffic_bytes``.
+        query+spec ``frames`` (alarms in their order, the plan's): every
+        worker still receives the request its edge carries, one envelope
+        per group instead of one round trip per host.  *Fold* runs ``plan``
+        through a serial executor on the calling thread whose per-host
+        work is a lookup of the fetched partial, so merge order, merges,
+        ``request_parts`` and response sizes - hence ``payload`` and
+        ``traffic_bytes`` (the tree edges, sized with measured frame
+        lengths) - are byte-identical to the serial walk.  The fetch
+        envelopes are counted on the channel model too but stay out of
+        ``traffic_bytes``.
 
         A group lost in the fetch keeps its one ``W_HOST_FAILED`` naming
         the group key; the fold misses exactly its member hosts, which
@@ -1186,8 +1194,9 @@ class QueryCluster:
         exists before its group answered).
         """
         fetched = self._gather_groups(
-            query, targets, frames, self._plan_hosts(plan), leaf=dict,
-            merge=lambda acc, value: acc.update(value) or acc)
+            query, targets, frames, list(frames), leaf=dict,
+            merge=lambda values: {host: partial for value in values
+                                  for host, partial in value.items()})
         partials: Dict[str, QueryResult] = fetched.value or {}
         fold = self._run_plan(plan, query, partials.__getitem__,
                               ScatterGatherExecutor(mode=MODE_SERIAL))
@@ -1234,29 +1243,22 @@ class QueryCluster:
         Every non-root edge batches the query and the child's subtree
         description into one request message.  ``request`` is the bare
         query frame, encoded once per query; the edge's parts are its
-        length and :func:`wire.spec_len` (summed bottom-up from the
-        children's host counts and name lengths), so they sum to exactly
-        what travels.  Given ``frames`` (the worker modes ship them), each
+        length and the node's ``spec_len``, so they sum to exactly what
+        travels.  Given ``frames`` (the worker modes ship them), each
         host's ``encode_query_request(query, spec)`` is spliced from
-        ``request`` into it.
+        ``request`` into it, in plan pre-order.
         """
-        def walk(node: TreeNode) -> Tuple[PlanNode, int, int]:
-            # (plan, hosts in the subtree, their names' encoded length)
-            below = [walk(child) for child in node.children]
-            plan = PlanNode(host=node.host, children=[sub[0] for sub in below])
-            count = sum(sub[1] for sub in below)
-            names = sum(sub[2] for sub in below)
+        def walk(node: TreeNode) -> PlanNode:
+            plan = PlanNode(node.host)
             if node.host is not None:
-                count += 1
-                names += wire.str_len(node.host)
-                plan.request_parts = (len(request),
-                                      wire.spec_len(node.host, count, names))
+                plan.request_parts = (len(request), node.spec_len)
                 if frames is not None:
-                    frames[node.host] = wire.request_with_spec(
-                        request, node.subtree_spec())
-            return plan, count, names
+                    frames[node.host] = wire.request_with_spec(request,
+                                                               node.spec)
+            plan.children = list(map(walk, node.children))
+            return plan
 
-        return walk(node)[0]
+        return walk(node)
 
     def _uses_agent_servers(self, query: Query) -> bool:
         """Whether this query's per-host work runs on the worker pool.
@@ -1271,24 +1273,10 @@ class QueryCluster:
                 and self._process_pool is not None
                 and query.name in SERVED_QUERIES)
 
-    @staticmethod
-    def _plan_hosts(plan: PlanNode) -> List[str]:
-        """Plan hosts in canonical (depth-first, serial-execution) order."""
-        hosts: List[str] = []
-
-        def walk(node: PlanNode) -> None:
-            if node.host is not None:
-                hosts.append(node.host)
-            for child in node.children:
-                walk(child)
-
-        walk(plan)
-        return hosts
-
     def _gather(self, plan: PlanNode, query: Query) -> GatherResult:
         """Run a scatter plan on the in-process agents: per-host query
-        execution + streaming merge.  (The worker modes fetch through
-        :meth:`_gather_groups` instead.)"""
+        execution + one merge per aggregation node.  (The worker modes
+        fetch through :meth:`_gather_groups` instead.)"""
         def work(host: str) -> QueryResult:
             agent = self.agents.get(host)
             if agent is None:
@@ -1298,19 +1286,13 @@ class QueryCluster:
         return self._run_plan(plan, query, work, self.executor)
 
     def _merger(self, query: Query):
-        """The query's pairwise streaming merge."""
-        def merge(acc: QueryResult, value: QueryResult) -> QueryResult:
-            # Intermediate pairwise merges are not sized (that would
-            # re-encode a growing payload per merge - quadratic); only a
-            # node's final accumulator is measured, in response_bytes.
-            return self.engine.merge(query, (acc, value),
-                                     measure_wire=False)
-        return merge
+        """The query's merge; what travels is sized in ``response_bytes``."""
+        return functools.partial(self.engine.merge, query, measure_wire=False)
 
     def _run_plan(self, plan: PlanNode, query: Query, work,
                   executor: ScatterGatherExecutor) -> GatherResult:
         """Run a scatter plan whose hosts ``work`` answers on ``executor``,
-        folding the partial results with the query's streaming merge."""
+        folding the partial results with the query's merge."""
         def response_bytes(result: QueryResult) -> int:
             if not result.wire_bytes:  # an unmeasured merge accumulator
                 result.wire_bytes = measured_result_wire_bytes(result)

@@ -26,12 +26,12 @@ deadlines, per-host ``exec_s``, per-node
 time of Figures 11 and 12 is priced from those facts after the run
 (:func:`repro.core.rpc.model_response_time`).
 
-Both modes merge in one canonical order per node (children in tree
-order, then the node's local result), so with an associative merge (the
-plan operators' are by construction) the payload is identical across
-modes.  A host that cannot be reached, exhausts its retries, times out
-or whose work raises becomes a structured :class:`ExecWarning` and the
-gather continues without it: the
+Every node merges its arrivals in one ``merge`` call in canonical order
+(children in tree order, then the node's local result), so with a merge
+that equals its own left fold (the plan operators' do by construction)
+the payload is identical across modes.  A host that cannot be reached,
+exhausts its retries, times out or whose work raises becomes a structured
+:class:`ExecWarning` and the gather continues without it: the
 :class:`GatherResult` carries ``partial`` and ``hosts_failed`` (cf. the
 ``ExecuteResponse``/``Warning`` pattern of DCL-style executors).  A failed
 interior node loses only its local result; its subtree still aggregates.
@@ -242,9 +242,9 @@ class GatherResult:
         duplicate_traffic_bytes: payload bytes of non-winning attempts
             (retries whose work failed, deliveries voided by a timeout; the
             attempts of a host the caller stopped waiting for are unseen).
-        merge_s: cumulative merge time per plan node, keyed by the node's
-            host (``None``: the root).
-        root_merges: number of pairwise merges performed at the root.
+        merge_s: each plan node's merge-call time (0.0 below two
+            arrivals), keyed by the node's host (``None``: the root).
+        root_merges: arrivals merged at the root, minus one.
         max_exec_s: slowest successful per-host execution.
         reports: per-host :class:`HostReport` entries.
         model_time_s: 0.0 here; whoever prices the run sets it
@@ -306,13 +306,15 @@ class ScatterGatherExecutor:
 
     # ------------------------------------------------------------------- API
     def run(self, plan: PlanNode, work: Callable[[str], Any],
-            merge: Callable[[Any, Any], Any],
+            merge: Callable[[List[Any]], Any],
             response_bytes: Callable[[Any], int] = lambda value: 0,
             exec_seconds: Optional[Callable[[Any], float]] = None
             ) -> GatherResult:
         """Execute ``plan``: run ``work(host)`` at every host node, merge
-        results upward with ``merge(acc, value)``, and return the gathered
-        outcome.  ``response_bytes(value)`` sizes response messages.
+        results upward - ``merge(values)`` once per node with two or more
+        arrivals, children in tree order then the local result - and
+        return the gathered outcome.  ``response_bytes(value)`` sizes
+        response messages.
         ``exec_seconds(value)``, when given, is a host's execution time in
         place of the wall time of its ``work`` call (for work that only
         collects something timed, on the real clock, where it ran)."""
@@ -323,15 +325,16 @@ class ScatterGatherExecutor:
 
 class _Fold:
     """One serial run: a depth-first walk on the calling thread.  A node
-    runs its own work (pre-order), folds each child's subtree and merges
-    it as it returns, merges its local result last, then sizes its
-    response and sends it up.  Nothing is locked; a ``merge`` or
+    runs its own work (pre-order), folds each child's subtree in turn,
+    merges their arrivals and its local result last in one call, then
+    sizes its response and sends it up.  Nothing is locked; a ``merge`` or
     ``response_bytes`` error propagates at once.  ``_EMPTY`` means
-    "nothing to merge" throughout.  The attempt loop, the merge loop, the
+    "nothing to merge" throughout.  The attempt loop, the merge step, the
     arrival step and the result are shared with :class:`_Run`."""
 
     def __init__(self, executor: ScatterGatherExecutor,
-                 work: Callable[[str], Any], merge: Callable[[Any, Any], Any],
+                 work: Callable[[str], Any],
+                 merge: Callable[[List[Any]], Any],
                  response_bytes: Callable[[Any], int],
                  exec_seconds: Optional[Callable[[Any], float]]) -> None:
         self.executor = executor
@@ -355,7 +358,7 @@ class _Fold:
         return self._result(acc, root_merges, wall)
 
     def _node(self, plan: PlanNode) -> Tuple[Any, int]:
-        """Fold ``plan``'s subtree: ``(accumulator, merges made here)``."""
+        """Fold ``plan``'s subtree: ``(accumulator, arrivals here - 1)``."""
         host = plan.host
         self.merge_s[host] = 0.0  # keyed in pre-order, filled in post-order
         if host is None:
@@ -370,22 +373,16 @@ class _Fold:
 
     def _merged(self, host: Optional[str],
                 values: Iterable[Any]) -> Tuple[Any, int]:
-        """Merge ``values`` in order, skipping ``_EMPTY``: ``(accumulator,
-        merges made)``; the time it took is ``host``'s ``merge_s``."""
-        acc, merges, spent = _EMPTY, 0, 0.0
-        merge, clock = self.merge, time.perf_counter
-        for value in values:
-            if value is _EMPTY:
-                continue
-            if acc is _EMPTY:
-                acc = value
-                continue
-            merge_started = clock()
-            acc = merge(acc, value)
-            spent += clock() - merge_started
-            merges += 1
-        self.merge_s[host] = spent
-        return acc, merges
+        """Merge ``values`` (skipping ``_EMPTY``) with one ``merge`` call
+        once two or more arrived: ``(accumulator, arrivals - 1)``; the
+        call's time is ``host``'s ``merge_s``."""
+        arrivals = [value for value in values if value is not _EMPTY]
+        if len(arrivals) < 2:  # ``merge_s[host]`` stays 0.0
+            return (arrivals[0] if arrivals else _EMPTY), 0
+        started = time.perf_counter()
+        acc = self.merge(arrivals)
+        self.merge_s[host] = time.perf_counter() - started
+        return acc, len(arrivals) - 1
 
     def _attempts(self, report: HostReport, parts: Tuple[int, ...]) -> Any:
         """Deliver the request of ``report``'s host and run its work within
@@ -497,8 +494,8 @@ class _Run(_Fold):
     waiting on a pool.  The calling thread submits every host's attempt
     loop in pre-order, then folds bottom-up one depth at a time: a node
     merges its children's arrivals in tree order and its local result
-    last, and its response leg goes to the pool, so a depth costs at most
-    one leg.  Each loop accounts into a ledger of its own (a
+    last in one call, and its response leg goes to the pool, so a depth
+    costs at most one leg.  Each loop accounts into a ledger of its own (a
     :class:`_Fold`) that joins the run when the caller collects it; at a
     host's deadline the caller stops waiting and the loop runs on,
     unseen.  A pool thread writes only its host's ``begun`` stamp and

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
+from itertools import islice
 from operator import attrgetter
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
@@ -290,7 +290,7 @@ class TopK:
     :data:`RANK_GROUP` emits ``(group, value)``); full-tuple comparison
     keeps the selection a total order, so per-host selection and the
     partial-result merge stay commutative and associative (the payload
-    determinism the streaming aggregation rests on).
+    determinism the aggregation tree rests on).
     """
 
     k: int = 1000
@@ -594,21 +594,21 @@ def rank_select(pairs: Iterable[Tuple[Any, ...]], k: int,
 
 def merge_ranked(payloads: Sequence[Sequence[Tuple[Any, ...]]], k: int,
                  order: str = ORDER_DESC) -> List[Tuple[Any, ...]]:
-    """The k extreme pairs across partial top-k lists - exactly
-    :func:`rank_select` over all their pairs, without its Python loop.
+    """The k extreme pairs across partial top-k lists: the head of the
+    stable sort of their concatenation (:func:`rank_select` over them all).
 
-    Every partial is already a sorted run under the same full-tuple total
-    order (it came out of :func:`rank_select` or an earlier merge), so
-    concatenating and sorting costs one C-level run merge (timsort), and
-    a total order has only one sorted sequence to slice the head off.
+    A partial is normally a sorted run already (it came out of
+    :func:`rank_select` or an earlier merge): sorting it again is one
+    C-level pass, and a heap merge of the runs (ties to the earlier
+    partial, as in the stable sort) pops only the k pairs it returns.
     ``k < 1`` is rejected per host before anything is merged; it must not
     turn into a negative slice here.
     """
-    merged = list(chain.from_iterable(payloads))
-    if merged and k < 1:
+    if k < 1 and any(payloads):
         raise ValueError(f"k must be >= 1, got {k}")
-    merged.sort(reverse=order != ORDER_ASC)
-    return merged[:k]
+    reverse = order != ORDER_ASC
+    runs = [sorted(payload, reverse=reverse) for payload in payloads]
+    return list(islice(heapq.merge(*runs, reverse=reverse), max(k, 0)))
 
 
 def _run_pipeline(plan: Plan, records: Sequence[PathFlowRecord],

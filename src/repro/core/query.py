@@ -19,7 +19,8 @@ This module defines:
   matrix, path conformance; and
 * per-query merge functions implementing the aggregation-tree reduction
   (the plan module's concat and key-sum operators, plus top-k and the
-  generic plan merge).
+  generic plan merge): every aggregation node calls its query's merger
+  once, over all of its arrivals.
 
 Every handler, built-in or registered, returns ``(payload,
 records_scanned, scan_stats)``; every merger returns the merged payload.
@@ -209,7 +210,11 @@ class QueryEngine:
 
         ``handler(agent, params)`` returns ``(payload, records_scanned,
         scan_stats)``; ``merger(query, payloads)`` returns the merged
-        payload (default: concatenation).
+        payload (default: concatenation).  It is called once per
+        aggregation node with every arrival's payload in canonical order
+        (the children in tree order, then the node's local result), and
+        must equal its own left fold: ``merger(query, [a, b, c]) ==
+        merger(query, [merger(query, [a, b]), c])``.
         """
         self._handlers[name] = handler
         if merger is not None:
@@ -241,18 +246,14 @@ class QueryEngine:
               measure_wire: bool = True) -> QueryResult:
         """Merge partial results into one (aggregation-tree reduction).
 
-        ``measure_wire=False`` skips sizing the merged payload - the
-        streaming gather merges pairwise, and only a node's *final*
-        accumulator ever travels, so intermediate merge results are sized
-        lazily at the point they are actually sent (re-encoding a growing
-        payload after every pairwise merge would be quadratic).
+        ``measure_wire=False`` skips sizing the merged payload, for a
+        gather that sizes a node's result only at the point it is
+        actually sent (the root's never travels).
         """
         merger = self._mergers.get(query.name, planlib.merge_concat)
         payload = merger(query, [r.payload for r in results])
-        scan_stats: Dict[str, int] = {}
-        for partial in results:
-            for key, value in partial.scan_stats.items():
-                scan_stats[key] = scan_stats.get(key, 0) + value
+        scan_stats = planlib.merge_key_sums(
+            None, [partial.scan_stats for partial in results])
         result = QueryResult(
             query=query, payload=payload, wire_bytes=0,
             records_scanned=sum(r.records_scanned for r in results),

@@ -124,19 +124,21 @@ def model_response_time(plan: "PlanNode", reports: Mapping[str, "HostReport"],
     contributes nothing.  The root only merges.  ``merge_s`` is keyed by
     node host (``None``: the root); pure - ``channel`` is not counted on.
     """
-    def leg(payload_bytes: Optional[int]) -> float:
-        return 0.0 if payload_bytes is None else channel.leg_s(payload_bytes)
+    leg = channel.leg_s
 
     def completion(node: "PlanNode") -> float:
-        slots = [contribution(child) for child in node.children]
+        slots = []
+        for child in node.children:  # a leaf completes at exec_s + merge_s
+            report = reports[child.host]  # type: ignore[index]
+            request, response = report.request_bytes, report.response_bytes
+            slots.append(
+                (0.0 if request is None else leg(request))
+                + (completion(child) if child.children
+                   else report.exec_s + merge_s.get(child.host, 0.0))
+                + (0.0 if response is None else leg(response)))
         if node.host is not None:
             slots.append(reports[node.host].exec_s)
         return max(slots, default=0.0) + merge_s.get(node.host, 0.0)
-
-    def contribution(node: "PlanNode") -> float:
-        report = reports[node.host]  # type: ignore[index]
-        return (leg(report.request_bytes) + completion(node)
-                + leg(report.response_bytes))
 
     return completion(plan)
 
@@ -145,12 +147,16 @@ def charge_legs(plan: "PlanNode", reports: Mapping[str, "HostReport"],
                 channel: RpcChannel) -> None:
     """Count a finished scatter's messages on ``channel``: one request per
     attempt at every node the plan sends a request to, and every delivered
-    response."""
-    for child in plan.children:
+    response - summed in one pass and added to ``channel.stats`` once."""
+    messages = payload = 0
+    stack = list(plan.children)
+    while stack:
+        child = stack.pop()
+        stack += child.children
         report = reports[child.host]  # type: ignore[index]
-        if child.request_parts:
-            for _ in range(report.attempts):
-                channel.send_batch(child.request_parts)
-        if report.response_bytes is not None:
-            channel.send(report.response_bytes)
-        charge_legs(child, reports, channel)
+        sent = report.attempts if child.request_parts else 0
+        response = report.response_bytes
+        messages += sent + (response is not None)
+        payload += sent * sum(child.request_parts) + (response or 0)
+    channel.stats.messages += messages
+    channel.stats.bytes += payload + messages * MESSAGE_OVERHEAD_BYTES

@@ -1,11 +1,14 @@
 """Tests for distributed queries, the aggregation tree, RPC model and controller."""
 
+import random
+
 import pytest
 
 from repro.core import (AggregationTree, MECHANISM_DIRECT,
                         MECHANISM_MULTILEVEL, PathDumpController,
                         Q_FLOW_SIZE_DISTRIBUTION, Q_POOR_TCP_FLOWS,
-                        Q_TOP_K_FLOWS, Query, QueryCluster, RpcChannel)
+                        Q_TOP_K_FLOWS, Query, QueryCluster, RpcChannel,
+                        ScatterGatherExecutor, wire)
 from repro.core.query import measured_result_wire_bytes
 from repro.core.rpc import MESSAGE_OVERHEAD_BYTES
 from repro.network.packet import FlowId, PROTO_TCP
@@ -53,6 +56,50 @@ class TestAggregationTree:
             AggregationTree([])
         with pytest.raises(ValueError):
             AggregationTree(["a"], fanout=(0,))
+
+    def test_layout_and_specs_match_a_brute_force_build(self):
+        """Breadth-first placement, each parent taking the next hosts up
+        to its level's fan-out; every node's spec lists its subtree's
+        hosts in pre-order and ``spec_len`` is what it adds to a
+        request."""
+        def reference_layout(hosts, fanout):
+            remaining, frontier, level = list(hosts), [(None, [])], 0
+            root = frontier[0]
+            while remaining:
+                width = fanout[min(level, len(fanout) - 1)]
+                next_frontier = []
+                for _host, children in frontier:
+                    while remaining and len(children) < width:
+                        children.append((remaining.pop(0), []))
+                    next_frontier += children
+                frontier, level = next_frontier, level + 1
+            return root, level
+
+        def layout(node):
+            return node.host, [layout(child) for child in node.children]
+
+        def subtree_hosts(node):
+            hosts = [] if node.host is None else [node.host]
+            for child in node.children:
+                hosts += subtree_hosts(child)
+            return hosts
+
+        rng = random.Random(31)
+        request = wire.encode_query_request(Query(Q_TOP_K_FLOWS, {}), None)
+        for _ in range(60):
+            hosts = [f"h{index}" * rng.randint(1, 3)
+                     for index in range(rng.choice((1, 2, 9, 40, 130)))]
+            fanout = rng.choice(((7, 4, 4), (1,), (2,), (3, 1), (1, 50)))
+            tree = AggregationTree(hosts, fanout)
+            expected, depth = reference_layout(hosts, fanout)
+            assert layout(tree.root) == expected
+            assert tree.depth() == depth
+            for node in tree.nodes():
+                assert node.subtree_spec() == wire.SubtreeSpec(
+                    node.host or "", tuple(subtree_hosts(node)))
+                if node.host is not None:
+                    assert node.spec_len == len(wire.request_with_spec(
+                        request, node.spec)) - len(request)
 
 
 @pytest.fixture()
@@ -102,6 +149,50 @@ class TestQueryCluster:
     def test_storage_report(self, populated_cluster):
         report = populated_cluster.storage_report()
         assert report["tib"] > 0
+
+
+class TestTreeReuse:
+    def test_multilevel_reuses_the_tree_only_for_equal_targets_and_fanout(
+            self, populated_cluster, monkeypatch):
+        """Every step - a host subset, a reordered target list, another
+        fan-out, and back, with two request lengths - gathers exactly
+        what a freshly built tree gathers, and the tree is rebuilt only
+        when the targets or the fan-out change."""
+        cluster = populated_cluster
+        plans = []
+        run = ScatterGatherExecutor.run
+
+        def recording_run(executor, plan, *args, **kwargs):
+            plans.append(plan)
+            return run(executor, plan, *args, **kwargs)
+
+        monkeypatch.setattr(ScatterGatherExecutor, "run", recording_run)
+        hosts = cluster.hosts
+        short = Query(Q_TOP_K_FLOWS, {"k": 5})
+        long = Query(Q_TOP_K_FLOWS, {"k": 5, "time_range": (0.0, 1e9)})
+        steps = [(short, hosts, (7, 4, 4)), (long, hosts, (7, 4, 4)),
+                 (short, hosts[3:11], (7, 4, 4)),
+                 (long, hosts[::-1], (7, 4, 4)), (short, hosts, (2,)),
+                 (long, hosts, (2,)), (short, hosts, (7, 4, 4))]
+        previous = None
+        for step, (query, targets, fanout) in enumerate(steps):
+            result = cluster.execute_multilevel(query, targets, fanout)
+            tree, plan = cluster._tree, plans[-1]
+            same_shape = previous is not None and \
+                steps[step - 1][1:] == (targets, fanout)
+            assert (tree is previous) == same_shape
+            assert plan.children[0].request_parts[0] == len(
+                wire.encode_query_request(query, None))
+            cluster._tree = None
+            fresh = cluster.execute_multilevel(query, targets, fanout)
+            assert cluster._tree is not tree
+            assert plans[-1] == plan
+            assert wire.encode_value(result.payload) == \
+                wire.encode_value(fresh.payload)
+            assert result.traffic_bytes == fresh.traffic_bytes
+            assert result.breakdown["tree_depth"] == \
+                fresh.breakdown["tree_depth"]
+            cluster._tree = previous = tree
 
 
 class TestController:

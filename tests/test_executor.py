@@ -27,6 +27,7 @@ from repro.storage import PathFlowRecord
 
 # --------------------------------------------------------------------------
 # Plain-executor helpers (no cluster): work = look up a value, merge = sum.
+# ``run`` merges once per node, over every arrival: ``merge(values)``.
 # --------------------------------------------------------------------------
 HOSTS = ["h0", "h1", "h2", "h3", "h4", "h5"]
 VALUES = {host: index + 1 for index, host in enumerate(HOSTS)}
@@ -50,7 +51,7 @@ def tree_plan(hosts=HOSTS):
 
 def run(executor, plan=None):
     return executor.run(plan or flat_plan(), work=VALUES.__getitem__,
-                        merge=lambda a, b: a + b,
+                        merge=sum,
                         response_bytes=lambda value: 8)
 
 
@@ -147,14 +148,14 @@ class TestScatterGather:
     def test_empty_plan_yields_empty_gather(self):
         executor = ScatterGatherExecutor(LoopbackTransport())
         result = executor.run(PlanNode(host=None), work=lambda host: 1,
-                              merge=lambda a, b: a + b)
+                              merge=sum)
         assert result.value is None
         assert not result.partial and result.hosts_failed == []
         assert result.traffic_bytes == 0
 
     @pytest.mark.parametrize("mode", [MODE_SERIAL, MODE_CONCURRENT])
     def test_broken_merge_raises_instead_of_hanging(self, mode):
-        def merge(a, b):
+        def merge(values):
             raise TypeError("cannot merge partials")
 
         executor = ScatterGatherExecutor(LoopbackTransport(), mode=mode)
@@ -170,7 +171,7 @@ class TestScatterGather:
 
         with pytest.raises(RuntimeError, match="unsizeable payload"):
             executor.run(tree_plan(), VALUES.__getitem__,
-                         lambda a, b: a + b, response_bytes=response_bytes)
+                         sum, response_bytes=response_bytes)
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -197,7 +198,7 @@ class TestScatterGather:
 
         executor = ScatterGatherExecutor(LoopbackTransport(),
                                          mode=MODE_SERIAL)
-        result = executor.run(flat_plan(), work, lambda a, b: a + b)
+        result = executor.run(flat_plan(), work, sum)
         assert result.partial and result.hosts_failed == ["h1"]
         assert "agent crashed" in result.warnings[0].detail
 
@@ -252,7 +253,7 @@ class TestScatterGather:
 
         executor = ScatterGatherExecutor(LoopbackTransport(),
                                          mode=MODE_SERIAL, retries=1)
-        result = executor.run(flat_plan(), work, lambda a, b: a + b,
+        result = executor.run(flat_plan(), work, sum,
                               response_bytes=lambda value: 8)
         assert not result.partial
         assert result.value == sum(VALUES.values())
@@ -331,7 +332,7 @@ class TestScatterGather:
             LoopbackTransport(delay=leg, respond_delay=leg),
             mode=MODE_CONCURRENT)
         result = executor.run(plan, work=lambda host: [host],
-                              merge=lambda a, b: a + b,
+                              merge=lambda values: sum(values, []),
                               response_bytes=lambda value: 8)
         assert not result.partial
         assert len(result.value) == len(result.reports)
@@ -347,7 +348,7 @@ class TestScatterGather:
             rng = random.Random(29)
             for _ in range(5):
                 plan = random_fault_plan(rng)
-                hosts = QueryCluster._plan_hosts(plan)
+                hosts = plan_hosts(plan)
                 faults = ({host: 1 for host in hosts[::3]},
                           {host: 1 for host in hosts[1::4]}, [],
                           {host: 1 for host in hosts[2::3]},
@@ -376,13 +377,21 @@ class TestScatterGather:
 
         executor = ScatterGatherExecutor(mode=mode, timeout_s=0.3,
                                          retries=1)
-        result = executor.run(flat_plan(), work, lambda a, b: a + b)
+        result = executor.run(flat_plan(), work, sum)
         assert result.hosts_failed == ["h3"]
         assert result.value == sum(VALUES.values()) - VALUES["h3"]
         assert [(w.code, w.host, w.attempts) for w in result.warnings] == \
             [(W_HOST_TIMEOUT, "h3", 2)]
         assert result.reports["h3"].attempts == 2
         assert result.reports["h3"].exec_s >= 0.3
+
+
+def plan_hosts(plan):
+    """The plan's hosts in pre-order."""
+    hosts = [] if plan.host is None else [plan.host]
+    for child in plan.children:
+        hosts += plan_hosts(child)
+    return hosts
 
 
 def random_fault_plan(rng):
@@ -423,7 +432,7 @@ def run_with_faults(executor_mode, plan, faults, retries, max_workers=None):
                                   dead_hosts=dead)
     executor = ScatterGatherExecutor(transport, mode=executor_mode,
                                      retries=retries, max_workers=max_workers)
-    return executor.run(plan, work, lambda acc, value: acc + value,
+    return executor.run(plan, work, lambda values: sum(values, []),
                         response_bytes=lambda value: 3 * len(value) + 1)
 
 
@@ -447,7 +456,7 @@ class TestSerialFold:
         rng = random.Random(20261016)
         for _ in range(40):
             plan = random_fault_plan(rng)
-            hosts = QueryCluster._plan_hosts(plan)
+            hosts = plan_hosts(plan)
 
             def pick(share):
                 return [host for host in hosts if rng.random() < share]
@@ -466,8 +475,9 @@ class TestSerialFold:
                         workers)) == serial
 
     def test_serial_call_order_is_pinned(self):
-        """Pre-order work; a child's result merged the moment its subtree
-        returns; the local result merged last; then sized and sent up."""
+        """Pre-order work; each child's subtree folded and sent up in
+        turn; then one merge over the children's arrivals and the local
+        result last; then sized and sent up."""
         plan = PlanNode(host=None, children=[
             PlanNode(host="A", request_parts=(8,), children=[
                 PlanNode(host="B", request_parts=(8,), children=[
@@ -481,9 +491,9 @@ class TestSerialFold:
             events.append(("work", host))
             return host
 
-        def merge(acc, value):
-            events.append(("merge", acc, value))
-            return acc + value
+        def merge(values):
+            events.append(("merge", *values))
+            return "".join(values)
 
         def size(value):
             events.append(("size", value))
@@ -494,11 +504,10 @@ class TestSerialFold:
         assert result.value == "DEBCAF" and result.root_merges == 1
         assert events == [
             ("work", "A"), ("work", "B"), ("work", "D"), ("size", "D"),
-            ("work", "E"), ("size", "E"), ("merge", "D", "E"),
-            ("merge", "DE", "B"), ("size", "DEB"), ("work", "C"),
-            ("size", "C"), ("merge", "DEB", "C"), ("merge", "DEBC", "A"),
-            ("size", "DEBCA"), ("work", "F"), ("size", "F"),
-            ("merge", "DEBCA", "F")]
+            ("work", "E"), ("size", "E"), ("merge", "D", "E", "B"),
+            ("size", "DEB"), ("work", "C"), ("size", "C"),
+            ("merge", "DEB", "C", "A"), ("size", "DEBCA"), ("work", "F"),
+            ("size", "F"), ("merge", "DEBCA", "F")]
         assert list(result.merge_s) == [None, "A", "B", "D", "E", "C", "F"]
 
     def test_serial_mode_never_builds_the_concurrent_engine(

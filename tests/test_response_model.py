@@ -174,7 +174,7 @@ class TestPricedRuns:
         executor = ScatterGatherExecutor(
             LoopbackTransport(drop_responses={"a": 1}), mode=mode)
         result = executor.run(plan, work=lambda host: 1,
-                              merge=lambda x, y: x + y,
+                              merge=sum,
                               response_bytes=lambda value: 8)
         assert set(result.hosts_failed) == {"a", "b"}
         reports = result.reports
