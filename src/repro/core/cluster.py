@@ -1145,9 +1145,8 @@ class QueryCluster:
         walk and ``wall_clock_s`` is the measured wall of both phases.
         """
         targets = self._targets(hosts)
-        tree = self._tree
-        if tree is None or (tree.hosts, tree.fanout) != (targets,
-                                                         tuple(fanout)):
+        tree, shape = self._tree, (targets, tuple(fanout))
+        if tree is None or (tree.hosts, tree.fanout) != shape:
             self._tree = tree = AggregationTree(targets, fanout=fanout)
         request = wire.encode_query_request(query, None)
         if self._uses_agent_servers(query):

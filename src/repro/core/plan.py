@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
@@ -597,18 +597,20 @@ def merge_ranked(payloads: Sequence[Sequence[Tuple[Any, ...]]], k: int,
     """The k extreme pairs across partial top-k lists: the head of the
     stable sort of their concatenation (:func:`rank_select` over them all).
 
-    A partial is normally a sorted run already (it came out of
-    :func:`rank_select` or an earlier merge): sorting it again is one
-    C-level pass, and a heap merge of the runs (ties to the earlier
-    partial, as in the stable sort) pops only the k pairs it returns.
-    ``k < 1`` is rejected per host before anything is merged; it must not
-    turn into a negative slice here.
+    Partials are normally sorted runs (out of :func:`rank_select` or an
+    earlier merge).  Up to 8 pairs per pair kept (an aggregation node's
+    few runs), one C-level sort of the concatenation is cheapest; past
+    that (a direct gather's hundreds), each run is re-sorted - one C-level
+    pass - and heap-merged, ties to the earlier run, popping only the k
+    pairs returned.  ``k < 1`` is rejected per host before any merge.
     """
     if k < 1 and any(payloads):
         raise ValueError(f"k must be >= 1, got {k}")
     reverse = order != ORDER_ASC
-    runs = [sorted(payload, reverse=reverse) for payload in payloads]
-    return list(islice(heapq.merge(*runs, reverse=reverse), max(k, 0)))
+    if sum(map(len, payloads)) > 8 * k:
+        runs = [sorted(payload, reverse=reverse) for payload in payloads]
+        return list(islice(heapq.merge(*runs, reverse=reverse), max(k, 0)))
+    return sorted(chain.from_iterable(payloads), reverse=reverse)[:k]
 
 
 def _run_pipeline(plan: Plan, records: Sequence[PathFlowRecord],

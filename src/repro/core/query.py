@@ -211,10 +211,9 @@ class QueryEngine:
         ``handler(agent, params)`` returns ``(payload, records_scanned,
         scan_stats)``; ``merger(query, payloads)`` returns the merged
         payload (default: concatenation).  It is called once per
-        aggregation node with every arrival's payload in canonical order
-        (the children in tree order, then the node's local result), and
-        must equal its own left fold: ``merger(query, [a, b, c]) ==
-        merger(query, [merger(query, [a, b]), c])``.
+        aggregation node with every arrival's payload, children in tree
+        order then the node's local result, and must equal its own left
+        fold: ``merger(q, [a, b, c]) == merger(q, [merger(q, [a, b]), c])``.
         """
         self._handlers[name] = handler
         if merger is not None:

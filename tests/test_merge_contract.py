@@ -142,18 +142,19 @@ def test_merge_of_all_equals_the_pairwise_left_fold(query, kind, ranking):
                 wire.encode_value(head)
 
 
-def test_ranked_ties_across_int_and_float_keep_arrival_order():
+@pytest.mark.parametrize("tail", [1, 20])  # a sort, then a heap merge
+def test_ranked_ties_across_int_and_float_keep_arrival_order(tail):
     """Equal-ranking pairs that encode differently survive in arrival
     order, whether merged at once or pairwise."""
     query = Query(Q_TOP_K_FLOWS, {"k": 2})
     engine = QueryEngine()
     results = [QueryResult(query, payload, 0) for payload in
-               ([(5.0, "f")], [(5, "f")], [(5, "f"), (1, "g")])]
+               [[(5.0, "f")], [(5, "f")]] + [[(5, "f"), (1, "g")]] * tail]
     merged = engine.merge(query, results).payload
     assert [type(value) for value, _flow in merged] == [float, int]
-    folded = engine.merge(query, [engine.merge(query, results[:2]),
-                                  results[2]]).payload
-    assert wire.encode_value(merged) == wire.encode_value(folded)
+    folded = functools.reduce(
+        lambda acc, value: engine.merge(query, [acc, value]), results)
+    assert wire.encode_value(merged) == wire.encode_value(folded.payload)
 
 
 def test_key_sums_never_emit_negative_zero():
