@@ -1170,7 +1170,7 @@ class QueryCluster:
         """Multi-level scatter in the worker modes: fetch, then fold.
 
         *Fetch* is :meth:`_gather_groups` over the tree edges' real
-        query+spec ``frames`` (alarms in their order, the plan's): every
+        query+spec ``frames``, whose pre-order orders the alarms: every
         worker still receives the request its edge carries, one envelope
         per group instead of one round trip per host.  *Fold* runs ``plan``
         through a serial executor on the calling thread whose per-host

@@ -23,7 +23,7 @@ every leg, per-host ``exec_s`` and per-node ``merge_s``), and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.counters import Counters
 
@@ -76,20 +76,6 @@ class RpcChannel:
         self.stats.messages += 1
         self.stats.bytes += payload_bytes + MESSAGE_OVERHEAD_BYTES
         return self.leg_s(payload_bytes)
-
-    def send_batch(self, parts: Iterable[int]) -> float:
-        """Account for one message carrying several logical payloads.
-
-        Request batching: a query and its aggregation-subtree description
-        travel to a child in a single message, paying the fixed per-message
-        overhead (and latency floor) once instead of once per part.
-        """
-        total = 0
-        for part in parts:
-            if part < 0:
-                raise ValueError("payload size cannot be negative")
-            total += part
-        return self.send(total)
 
     def send_encoded(self, frame: bytes) -> float:
         """Account for one message whose payload is a real codec frame.
@@ -147,7 +133,9 @@ def charge_legs(plan: "PlanNode", reports: Mapping[str, "HostReport"],
                 channel: RpcChannel) -> None:
     """Count a finished scatter's messages on ``channel``: one request per
     attempt at every node the plan sends a request to, and every delivered
-    response - summed in one pass and added to ``channel.stats`` once."""
+    response - summed in one pass and added to ``channel.stats`` once.
+    Requests are batched: a query and its subtree description travel to a
+    child in one message, paying the per-message overhead once."""
     messages = payload = 0
     stack = list(plan.children)
     while stack:

@@ -18,9 +18,10 @@ from repro.core import (LoopbackTransport, MECHANISM_DIRECT,
                         PlanNode, Q_FLOW_SIZE_DISTRIBUTION, Q_GET_FLOWS,
                         Q_TOP_K_FLOWS, Query, QueryCluster, RpcChannel,
                         ScatterGatherExecutor, TransportError)
-from repro.core.executor import (DeadlineExceeded, W_HOST_FAILED,
+from repro.core.executor import (DeadlineExceeded, HostReport, W_HOST_FAILED,
                                  W_HOST_TIMEOUT, W_RESPONSE_LOST, W_RETRIED)
-from repro.core.rpc import MESSAGE_OVERHEAD_BYTES, model_response_time
+from repro.core.rpc import (MESSAGE_OVERHEAD_BYTES, charge_legs,
+                            model_response_time)
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
 
@@ -58,16 +59,13 @@ def run(executor, plan=None):
 class TestTransports:
     def test_channel_batches_request_parts(self):
         rpc = RpcChannel()
-        latency = rpc.send_batch((128, 32))
+        plan = PlanNode(host=None, children=[
+            PlanNode(host="h0", request_parts=(128, 32))])
+        charge_legs(plan, {"h0": HostReport("h0", attempts=1)}, rpc)
         assert rpc.stats.messages == 1  # one message for both parts
         assert rpc.stats.bytes == 160 + MESSAGE_OVERHEAD_BYTES
-        assert latency == rpc.leg_s(160)  # counted, then priced
         rpc.send(500)
         assert rpc.stats.messages == 2
-
-    def test_send_batch_rejects_negative_parts(self):
-        with pytest.raises(ValueError):
-            RpcChannel().send_batch((10, -1))
 
     def test_loopback_drops_first_attempts(self):
         transport = LoopbackTransport(drop_requests={"h0": 2})
