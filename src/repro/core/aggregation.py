@@ -51,14 +51,6 @@ class TreeNode:
             nodes.extend(child.descend())
         return nodes
 
-    def subtree_hosts(self) -> List[str]:
-        """Every host in this subtree (including this node), pre-order."""
-        return list(self.spec.hosts)
-
-    def subtree_spec(self) -> wire.SubtreeSpec:
-        """The wire-codec description of this node's subtree."""
-        return self.spec
-
 
 class AggregationTree:
     """A multi-level aggregation tree over a set of end hosts.

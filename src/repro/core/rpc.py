@@ -114,14 +114,12 @@ def model_response_time(plan: "PlanNode", reports: Mapping[str, "HostReport"],
 
     def completion(node: "PlanNode") -> float:
         slots = []
-        for child in node.children:  # a leaf completes at exec_s + merge_s
+        for child in node.children:
             report = reports[child.host]  # type: ignore[index]
             request, response = report.request_bytes, report.response_bytes
-            slots.append(
-                (0.0 if request is None else leg(request))
-                + (completion(child) if child.children
-                   else report.exec_s + merge_s.get(child.host, 0.0))
-                + (0.0 if response is None else leg(response)))
+            slots.append((0.0 if request is None else leg(request))
+                         + completion(child)
+                         + (0.0 if response is None else leg(response)))
         if node.host is not None:
             slots.append(reports[node.host].exec_s)
         return max(slots, default=0.0) + merge_s.get(node.host, 0.0)
@@ -135,7 +133,9 @@ def charge_legs(plan: "PlanNode", reports: Mapping[str, "HostReport"],
     attempt at every node the plan sends a request to, and every delivered
     response - summed in one pass and added to ``channel.stats`` once.
     Requests are batched: a query and its subtree description travel to a
-    child in one message, paying the per-message overhead once."""
+    child in one message, paying the per-message overhead once.  A
+    negative request part or response size is a ``ValueError``, raised
+    before anything is counted."""
     messages = payload = 0
     stack = list(plan.children)
     while stack:
@@ -144,6 +144,8 @@ def charge_legs(plan: "PlanNode", reports: Mapping[str, "HostReport"],
         report = reports[child.host]  # type: ignore[index]
         sent = report.attempts if child.request_parts else 0
         response = report.response_bytes
+        if min(child.request_parts, default=0) < 0 or (response or 0) < 0:
+            raise ValueError("payload size cannot be negative")
         messages += sent + (response is not None)
         payload += sent * sum(child.request_parts) + (response or 0)
     channel.stats.messages += messages

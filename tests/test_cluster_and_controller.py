@@ -95,7 +95,7 @@ class TestAggregationTree:
             assert layout(tree.root) == expected
             assert tree.depth() == depth
             for node in tree.nodes():
-                assert node.subtree_spec() == wire.SubtreeSpec(
+                assert node.spec == wire.SubtreeSpec(
                     node.host or "", tuple(subtree_hosts(node)))
                 if node.host is not None:
                     assert node.spec_len == len(wire.request_with_spec(

@@ -61,11 +61,27 @@ class TestTransports:
         rpc = RpcChannel()
         plan = PlanNode(host=None, children=[
             PlanNode(host="h0", request_parts=(128, 32))])
-        charge_legs(plan, {"h0": HostReport("h0", attempts=1)}, rpc)
+        reports = {"h0": HostReport("h0", attempts=1, request_bytes=160)}
+        charge_legs(plan, reports, rpc)
         assert rpc.stats.messages == 1  # one message for both parts
         assert rpc.stats.bytes == 160 + MESSAGE_OVERHEAD_BYTES
+        # counted, then priced: one leg of both parts
+        assert model_response_time(plan, reports, {}, rpc) == rpc.leg_s(160)
         rpc.send(500)
         assert rpc.stats.messages == 2
+
+    @pytest.mark.parametrize("parts, response", [((10, -1), None),
+                                                 ((10,), -1)],
+                             ids=["request-part", "response"])
+    def test_charge_legs_rejects_negative_sizes(self, parts, response):
+        rpc = RpcChannel()
+        plan = PlanNode(host=None, children=[
+            PlanNode(host="h0", request_parts=parts)])
+        reports = {"h0": HostReport("h0", attempts=1,
+                                    response_bytes=response)}
+        with pytest.raises(ValueError, match="cannot be negative"):
+            charge_legs(plan, reports, rpc)
+        assert rpc.stats.messages == rpc.stats.bytes == 0
 
     def test_loopback_drops_first_attempts(self):
         transport = LoopbackTransport(drop_requests={"h0": 2})

@@ -213,11 +213,11 @@ class TestQueryFrames:
     def test_tree_spec_bytes_are_measured(self):
         tree = AggregationTree([f"h{i}" for i in range(13)], fanout=(3, 2))
         for node in tree.host_nodes():
-            spec = node.subtree_spec()
+            spec = node.spec
             assert wire.spec_len(spec.root, len(spec.hosts),
                                  sum(map(wire.str_len, spec.hosts))) == \
                 len(wire.encode_subtree_spec(spec)) - wire.HEADER_BYTES
-            assert spec.hosts == tuple(node.subtree_hosts())
+            assert spec.hosts == tuple(n.host for n in node.descend())
 
     def test_request_bytes_are_measured(self):
         query = Query("get_flows", {"link": ("a", "b")})
@@ -1788,7 +1788,7 @@ class TestExactSizes:
             tree = AggregationTree(hosts, fanout=rng.choice(
                 ((7, 4, 4), (1, 150), (2,), (3, 1))))
             for node in tree.host_nodes():
-                spec = node.subtree_spec()
+                spec = node.spec
                 assert wire.spec_len(
                     node.host, len(spec.hosts),
                     sum(map(wire.str_len, spec.hosts))) == \

@@ -344,7 +344,7 @@ class TestMeasuredTraffic:
         tree = AggregationTree(shaped_cluster.hosts, fanout=(2, 2))
         plan = shaped_cluster._plan_from_tree(
             tree.root, wire.encode_query_request(query, None), frames)
-        specs = {node.host: node.subtree_spec() for node in tree.host_nodes()}
+        specs = {node.host: node.spec for node in tree.host_nodes()}
         stack = [plan]
         checked = 0
         while stack:
@@ -427,7 +427,7 @@ class TestFrameCoalescing:
         query = Query(Q_TOP_K_FLOWS, {"k": 10})
         with worker_cluster() as cluster:
             pool = cluster.agent_servers
-            specs = {node.host: node.subtree_spec()
+            specs = {node.host: node.spec
                      for node in AggregationTree(cluster.hosts).host_nodes()}
             expected = sum(
                 len(wire.encode_group_batch(1, [
@@ -1232,7 +1232,7 @@ class TestMultilevelFailureSemantics:
         assert failed == [(w.host, w.attempts) for w in direct.warnings
                           if w.code == W_HOST_FAILED]
         plan_order = AggregationTree(
-            cluster.hosts, fanout=TREE_FANOUT).root.subtree_hosts()
+            cluster.hosts, fanout=TREE_FANOUT).root.spec.hosts
         assert result.partial
         assert result.hosts_failed == [host for host in plan_order
                                        if host in members]
