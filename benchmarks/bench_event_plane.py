@@ -3,12 +3,12 @@
 The paper's end hosts run a continuous TCP-performance monitor and push
 ``Alarm(flowID, Reason, Paths)`` events to the controller (Sections 3.2 and
 4).  This benchmark measures the reproduction's event plane across all
-four cluster modes:
+three cluster modes:
 
 * **Alarm-delivery latency**: wall-clock time from the start of one
   cluster-wide monitor sweep (``run_monitors``) until each POOR_PERF alarm
-  lands in a bus subscriber.  In serial/thread mode delivery is an
-  in-process call; in the worker modes every alarm crosses the wire
+  lands in a bus subscriber.  In serial mode delivery is an in-process
+  call; in the worker modes every alarm crosses the wire
   protocol (a monitor-tick envelope out, an encoded alarm batch back) -
   the measured difference is the real cost of moving the monitors
   host-side.
@@ -24,7 +24,7 @@ four cluster modes:
   already latched (the steady-state periodic check the paper runs every
   200 ms).
 * **Tick traffic**: measured ``len(encoded)`` of the tick/alarm frames in
-  the worker modes (zero in the in-process modes, which need no wire).
+  the worker modes (zero in serial mode, which needs no wire).
 * **Frame coalescing** (socket mode): the same per-host tick/alarm frames
   packed into one ``MSG_GROUP_BATCH`` envelope per worker group, where
   process mode (the same pool and connection, one host per group) ships
@@ -36,9 +36,9 @@ four cluster modes:
   calls, as the caller sees them and with the workers drained.  In the
   worker modes every call also feeds the worker mirror - queued on the
   connection's outbox and shipped as a few coalesced envelopes - so the
-  gap to the in-process rows is the mirror's whole cost.
+  gap to the serial row is the mirror's whole cost.
 
-Alarm streams must be byte-identical across all four modes (asserted),
+Alarm streams must be byte-identical across all three modes (asserted),
 so the latency/overhead columns compare like with like.  The summary is
 folded into ``BENCH_storage.json`` under ``"event_plane"`` so the cross-PR
 perf trajectory captures it.
@@ -50,8 +50,8 @@ import statistics
 import time
 
 from repro.analysis import format_table
-from repro.core import (MODE_CONCURRENT, MODE_PROCESS, MODE_SERIAL,
-                        MODE_SOCKET, QueryCluster, wire)
+from repro.core import (MODE_PROCESS, MODE_SERIAL, MODE_SOCKET,
+                        QueryCluster, wire)
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
 
@@ -74,7 +74,7 @@ INGEST_PER_HOST = 50 if QUICK else 500
 #: worker plane, NUM_HOSTS/GROUP_COUNT tick frames per envelope.
 GROUP_COUNT = 2
 
-ALL_MODES = (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS, MODE_SOCKET)
+ALL_MODES = (MODE_SERIAL, MODE_PROCESS, MODE_SOCKET)
 
 #: A sweep issued right after ``reset_stats()`` may cost this much of one
 #: issued after the workers drained (same run, so the box's speed cancels).
@@ -221,7 +221,7 @@ def test_event_plane_latency(benchmark, report_writer):
 
     # The alarm stream (order included) is byte-identical in every mode.
     serial_stream = results[MODE_SERIAL].pop("stream")
-    for mode in (MODE_CONCURRENT, MODE_PROCESS, MODE_SOCKET):
+    for mode in (MODE_PROCESS, MODE_SOCKET):
         assert results[mode].pop("stream") == serial_stream
     results[MODE_SOCKET]["group_count"] = GROUP_COUNT
 

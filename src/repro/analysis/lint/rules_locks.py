@@ -1,10 +1,11 @@
 """R3 - lock-discipline: guarded attributes only touched under their lock.
 
 The agent-server plane is the one genuinely concurrent part of the
-codebase: executor threads share each host's pipe and the pool's stats,
-and the supervisor/chaos hooks run on whichever thread detected a
-failure.  PR 6/7 established the discipline (per-host exchange locks,
-``_stats_lock``, the supervisor's ``_lock``) but nothing checked it - a
+codebase: caller threads share each group's connection and the pool's
+stats with that connection's reader thread, and the supervisor/chaos
+hooks run on whichever thread detected a failure.  PR 6/7 established
+the discipline (per-host exchange locks, ``_stats_lock``, the
+supervisor's ``_lock``) but nothing checked it - a
 stats bump outside ``_stats_lock`` or a pipe exchange outside the host
 lock is a silent race that only shows up as corrupt byte accounting or
 interleaved frames under load.

@@ -22,8 +22,7 @@ from repro.core.query import (Q_FLOW_SIZE_DISTRIBUTION, Q_GET_COUNT,
                               QueryResult)
 from repro.core.rpc import RpcChannel
 from repro.core.executor import (ExecWarning, GatherResult, LoopbackTransport,
-                                 MODE_CONCURRENT, MODE_SERIAL, PlanNode,
-                                 ScatterGatherExecutor, Transport,
+                                 PlanNode, ScatterGatherExecutor, Transport,
                                  TransportError)
 from repro.core import wire
 from repro.core.agentserver import AgentServerError
@@ -34,8 +33,8 @@ from repro.core.supervisor import (ChaosPolicy, GroupSeed, RestartEvent,
 from repro.core.aggregation import AggregationTree
 from repro.core.cluster import (DistributedQueryResult, MECHANISM_DIRECT,
                                 MECHANISM_MULTILEVEL, MODE_PROCESS,
-                                MODE_SOCKET, MonitorSweep, QueryCluster,
-                                TRANSPORT_UNIX)
+                                MODE_SERIAL, MODE_SOCKET, MonitorSweep,
+                                QueryCluster, TRANSPORT_UNIX)
 from repro.core.controller import PathDumpController
 
 __all__ = [
@@ -51,7 +50,7 @@ __all__ = [
     "QueryEngine", "QueryResult", "Aggregate", "Filter", "Plan",
     "PlanError", "PlanWarning", "Project", "TopK", "compile_get_count",
     "compile_top_k_flows", "reference_evaluate", "RpcChannel", "ExecWarning",
-    "GatherResult", "LoopbackTransport", "MODE_CONCURRENT", "MODE_SERIAL",
+    "GatherResult", "LoopbackTransport", "MODE_SERIAL",
     "MODE_PROCESS", "MODE_SOCKET", "PlanNode",
     "ScatterGatherExecutor", "Transport", "TransportError",
     "AgentServerError", "GroupAgentPool", "GroupPoolStats",

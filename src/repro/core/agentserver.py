@@ -1,9 +1,8 @@
 """Per-host serving logic of the agent-server worker plane.
 
 PathDump's central claim is that trajectory queries run *on the end hosts
-themselves*.  The thread-pool executor already overlaps transport waits, but
-pure-Python per-host query work is GIL-bound, so the worker plane
-(:mod:`~repro.core.groupserver`) moves the per-host state out of the
+themselves*.  Pure-Python per-host query work is GIL-bound, so the worker
+plane (:mod:`~repro.core.groupserver`) moves the per-host state out of the
 controller process entirely.  This module is the part of that plane that
 is about *one host*:
 
@@ -26,7 +25,7 @@ is about *one host*:
   rendering of the asynchronous agent -> controller alert channel.
 * :class:`AgentServerError` - a worker failed or became unreachable.  The
   scatter-gather executor turns it into the same ``partial=True`` /
-  ``hosts_failed`` / ``W_HOST_FAILED`` outcome as a dead in-thread agent.
+  ``hosts_failed`` / ``W_HOST_FAILED`` outcome as a dead in-process agent.
 """
 
 from __future__ import annotations

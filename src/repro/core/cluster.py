@@ -26,11 +26,11 @@ to the flow-level simulator), and maps both query mechanisms onto the
 * hosts that are dead, time out or lose messages surface as structured
   warnings with ``partial=True`` instead of failing the whole query.
 
-The cluster defaults to the executor's deterministic *serial* mode so the
-figure benchmarks are reproducible run to run; pass ``mode="concurrent"``
-(or call :meth:`QueryCluster.configure_executor`) for real thread-pool
-fan-out, or a worker mode to move every host's TIB into an agent-server
-worker process (:mod:`repro.core.groupserver`): ingest streams encoded
+The cluster defaults to *serial* mode - the executor's deterministic fold
+on the calling thread - so the figure benchmarks are reproducible run to
+run; pass a worker mode (or call :meth:`QueryCluster.configure_executor`)
+to move every host's TIB into an agent-server worker process
+(:mod:`repro.core.groupserver`): ingest streams encoded
 record batches over the worker's connection, queries travel as encoded
 query+subtree-spec frames, and CPU-bound scatters escape the GIL.  A
 worker-mode scatter starts no thread: the calling thread writes every
@@ -63,8 +63,7 @@ from repro.core.aggregation import PAPER_TREE_FANOUT, AggregationTree, TreeNode
 from repro.core.agentserver import AgentServerError, SERVED_QUERIES
 from repro.core.alarms import Alarm, AlarmBus, POOR_PERF
 from repro.core.executor import (DeadlineExceeded, ExecWarning, GatherResult,
-                                 MODE_CONCURRENT, MODE_SERIAL, PlanNode,
-                                 ScatterGatherExecutor, Transport,
+                                 PlanNode, ScatterGatherExecutor, Transport,
                                  W_CIRCUIT_OPEN, W_HOST_FAILED,
                                  W_MIRROR_DETACHED, W_WORKER_RESTARTED)
 from repro.core.groupserver import (DEFAULT_GROUP_COUNT, Exchange,
@@ -89,6 +88,10 @@ from repro.transport.tcp import TcpTransferResult
 MECHANISM_DIRECT = "direct"
 MECHANISM_MULTILEVEL = "multilevel"
 
+#: Cluster execution mode: every host's TIB in process, each scatter a
+#: deterministic fold on the calling thread (the default).
+MODE_SERIAL = "serial"
+
 #: Cluster execution mode: one agent-server worker process per host.  An
 #: alias for the :data:`MODE_SOCKET` plane with one host per group,
 #: resolved in :meth:`QueryCluster._worker_shape`.
@@ -106,7 +109,7 @@ MODE_SOCKET = "socket"
 TRANSPORT_UNIX = "unix"
 
 #: Valid cluster execution modes.
-CLUSTER_MODES = (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS, MODE_SOCKET)
+CLUSTER_MODES = (MODE_SERIAL, MODE_PROCESS, MODE_SOCKET)
 
 #: Modes whose per-host state lives in worker processes.
 _WORKER_MODES = (MODE_PROCESS, MODE_SOCKET)
@@ -141,7 +144,7 @@ class DistributedQueryResult:
             (the real number, as opposed to the modelled
             ``response_time_s``).
         mode: cluster mode the query ran under - the mode string the
-            caller asked for (serial/concurrent/process/socket).
+            caller asked for (serial/process/socket).
         duplicate_traffic_bytes: bytes moved by non-winning attempts
             (retries whose work failed, deliveries voided by a timeout) -
             overhead, deliberately kept out of ``traffic_bytes``.
@@ -325,17 +328,17 @@ class QueryCluster:
         transport: optional :class:`~repro.core.executor.LoopbackTransport`
             injecting real delays and drops into every scatter; without
             one no transport is called.
-        mode: execution mode - ``"serial"`` (deterministic, the default, so
-            figures reproduce), ``"concurrent"`` (the same attempt loop and
-            fold with attempts and response legs on a thread pool), ``"socket"`` (hosts sharded into agent-server
+        mode: execution mode - ``"serial"`` (a deterministic fold on the
+            calling thread, the default, so figures reproduce),
+            ``"socket"`` (hosts sharded into agent-server
             worker groups speaking the binary wire protocol, one
             multiplexed stream connection per group, monitor ticks and
             query scatters coalesced into one ``MSG_GROUP_BATCH``
             envelope per group; CPU-bound scatters run genuinely in
             parallel) or ``"process"`` (the same plane with one host per
             group, i.e. a worker process per host; ``group_count`` is
-            ignored).  All modes produce byte-identical query payloads.
-        max_workers: thread-pool cap for concurrent mode.
+            ignored).  All modes produce byte-identical query payloads;
+            anything else raises ``ValueError``.
         group_count: socket mode only - number of worker groups the hosts
             are sharded into (deterministic contiguous shards; defaults to
             :data:`~repro.core.groupserver.DEFAULT_GROUP_COUNT`, clamped
@@ -377,7 +380,6 @@ class QueryCluster:
                  shared_cache: bool = True,
                  transport: Optional[Transport] = None,
                  mode: str = MODE_SERIAL,
-                 max_workers: Optional[int] = None,
                  timeout_s: Optional[float] = None,
                  retries: int = 0,
                  retention: Optional[RetentionPolicy] = None,
@@ -408,8 +410,7 @@ class QueryCluster:
         self._pool_shape: Optional[int] = None
         self.transport: Optional[Transport] = transport
         self.executor = ScatterGatherExecutor(
-            self.transport, mode=self._executor_mode(),
-            max_workers=max_workers, timeout_s=timeout_s, retries=retries)
+            self.transport, timeout_s=timeout_s, retries=retries)
         self.engine = QueryEngine()
         #: The last multi-level tree, kept for equal targets and fan-out.
         self._tree: Optional[AggregationTree] = None
@@ -441,7 +442,6 @@ class QueryCluster:
         return self.agents[host]
 
     def configure_executor(self, mode: Optional[str] = None,
-                           max_workers: Optional[int] = None,
                            timeout_s: Optional[float] = None,
                            retries: Optional[int] = None,
                            transport: Optional[Transport] = None) -> None:
@@ -452,9 +452,13 @@ class QueryCluster:
         (if not already running).
         Switching to a worker mode that wants a different pool shape
         (:meth:`_worker_shape`) replaces the running pool (the fresh one
-        re-syncs from the local mirrors); switching back to
-        ``"serial"``/``"concurrent"`` keeps the workers alive and in sync
-        (ingest mirrors to them), so modes can be flipped per experiment.
+        re-syncs from the local mirrors); switching back to ``"serial"``
+        keeps the workers alive and in sync (ingest mirrors to them), so
+        modes can be flipped per experiment.  Every mode folds on the one
+        executor: a worker-mode scatter is split-phase on the calling
+        thread (:meth:`_scatter_groups`), and a query the workers do not
+        serve runs on the in-process agents, whose deadline is checked
+        after each handler returns.
         """
         current = self.executor
         if mode is not None:
@@ -476,26 +480,9 @@ class QueryCluster:
             self.transport = transport
         self.executor = ScatterGatherExecutor(
             self.transport,
-            mode=self._executor_mode(),
-            max_workers=(max_workers if max_workers is not None
-                         else current.max_workers),
             timeout_s=timeout_s if timeout_s is not None
             else current.timeout_s,
             retries=retries if retries is not None else current.retries)
-
-    def _executor_mode(self) -> str:
-        """The executor-level mode implementing the cluster mode: only
-        ``"concurrent"`` waits on a thread pool; both executor modes run
-        the same attempt loop and fold.  The worker modes' scatters are
-        split-phase on the calling thread (:meth:`_scatter_groups`: every
-        envelope is written before the first wait), so they run on the
-        serial executor - its timeouts, retries, supervision and ordered
-        merges, without a thread per group.  Queries the workers do not
-        serve fall back to the in-process agents on the same serial
-        executor, whose deadline is checked after each handler
-        returns."""
-        return MODE_CONCURRENT if self.mode == MODE_CONCURRENT \
-            else MODE_SERIAL
 
     def _worker_shape(self) -> int:
         """The group count to ask the worker pool for under the current
@@ -504,8 +491,8 @@ class QueryCluster:
         ``"socket"`` is the configured ``group_count`` (``None``:
         :data:`~repro.core.groupserver.DEFAULT_GROUP_COUNT`), clamped to
         the host count as the pool's sharding clamps it; anything else -
-        ``"process"``, or workers started by hand under an in-process mode
-        - is one host per group.  Both run over the same connection, so
+        ``"process"``, or workers started by hand under serial mode - is
+        one host per group.  Both run over the same connection, so
         two mode strings that resolve to one count share a pool.
         """
         if self.mode == MODE_SOCKET:
@@ -746,8 +733,7 @@ class QueryCluster:
         self._process_pool.shutdown()
         self._process_pool = None
         if self.mode in _WORKER_MODES:
-            self.mode = MODE_CONCURRENT
-            self.configure_executor()
+            self.mode = MODE_SERIAL
 
     def close(self) -> None:
         """Release external resources (the agent-server workers)."""
@@ -847,7 +833,7 @@ class QueryCluster:
                      threshold: Optional[int] = None) -> MonitorSweep:
         """Run one monitoring check on every host; returns raised alarms.
 
-        In serial/concurrent mode the in-process monitors run directly and
+        In serial mode the in-process monitors run directly and
         raise into the alarm bus as they go.  In the worker modes this is
         a *scatter of monitor-tick frames*: every worker runs the check
         host-side, replies with an encoded alarm batch, and the decoded
@@ -1198,7 +1184,7 @@ class QueryCluster:
                                   for host, partial in value.items()})
         partials: Dict[str, QueryResult] = fetched.value or {}
         fold = self._run_plan(plan, query, partials.__getitem__,
-                              ScatterGatherExecutor(mode=MODE_SERIAL))
+                              ScatterGatherExecutor())
         lost = set(fetched.hosts_failed)
         fold.warnings = sorted(
             fetched.warnings + [w for w in fold.warnings

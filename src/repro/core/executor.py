@@ -10,13 +10,10 @@ the engine, generic over the work performed per host:
   to one, and all payloads of an edge (query, subtree description) are
   *batched* into one request message.
 * :class:`ScatterGatherExecutor` - runs a plan with per-host timeouts
-  and bounded retries.  Both modes run one per-host attempt loop and one
-  fold, and differ only in where the waiting happens: ``mode="serial"``
-  (clusters' default, and every worker-mode scatter) is a depth-first
-  walk on the calling thread with no lock or thread;
-  ``mode="concurrent"`` runs every attempt loop and response leg on a
-  worker pool and folds on the calling thread, bottom-up one depth at a
-  time.
+  and bounded retries: a depth-first fold on the calling thread with no
+  lock or thread.  Parallelism lives in the worker modes
+  (:mod:`repro.core.groupserver`), whose split-phase scatter writes every
+  envelope before the first wait and then folds the replies here.
 * :class:`LoopbackTransport` - optional failure injection that *really*
   sleeps and drops messages.  Without a transport none is called.
 
@@ -29,9 +26,9 @@ time of Figures 11 and 12 is priced from those facts after the run
 Every node merges its arrivals in one ``merge`` call in canonical order
 (children in tree order, then the node's local result), so with a merge
 that equals its own left fold (the plan operators' do by construction)
-the payload is identical across modes.  A host that cannot be reached,
-exhausts its retries, times out or whose work raises becomes a structured
-:class:`ExecWarning` and the gather continues without it: the
+the payload is identical across the cluster's modes.  A host that cannot
+be reached, exhausts its retries, times out or whose work raises becomes a
+structured :class:`ExecWarning` and the gather continues without it: the
 :class:`GatherResult` carries ``partial`` and ``hosts_failed`` (cf. the
 ``ExecuteResponse``/``Warning`` pattern of DCL-style executors).  A failed
 interior node loses only its local result; its subtree still aggregates.
@@ -41,18 +38,12 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Protocol,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
+                    Tuple)
 
 from repro.counters import Counters
-
-#: Execution modes.
-MODE_SERIAL = "serial"
-MODE_CONCURRENT = "concurrent"
 
 #: Structured warning codes.
 W_HOST_FAILED = "host_failed"
@@ -65,9 +56,6 @@ W_RETRIED = "retried"
 W_WORKER_RESTARTED = "worker_restarted"
 W_CIRCUIT_OPEN = "circuit_open"
 W_MIRROR_DETACHED = "mirror_detached"
-
-#: Default worker-pool size cap for concurrent runs.
-DEFAULT_MAX_WORKERS = 32
 
 #: Sentinel for "nothing to merge" (``None`` is a valid value).
 _EMPTY = object()
@@ -128,22 +116,18 @@ class LoopbackTransport:
         delay: request delivery delay in seconds, or a callable
             ``(host, attempt) -> seconds`` (attempts count from 1 per
             host, so a test can slow only the first).  Delays are *really
-            slept*, releasing the GIL, so concurrent scatters overlap them.
-        respond_delay: same for response delivery (``(host, attempt)``
-            callable or constant).
+            slept*, so deadlines see them.
         drop_requests: ``{host: n}`` - drop (raise) the first ``n`` request
             deliveries to ``host``.
         drop_responses: ``{host: n}`` - same for responses from ``host``.
         dead_hosts: hosts whose messages are always dropped.
     """
 
-    def __init__(self, delay: Any = 0.0, respond_delay: Any = 0.0,
+    def __init__(self, delay: Any = 0.0,
                  drop_requests: Optional[Dict[str, int]] = None,
                  drop_responses: Optional[Dict[str, int]] = None,
                  dead_hosts: Sequence[str] = ()) -> None:
         self._delay = delay if callable(delay) else (lambda h, a: delay)
-        self._respond_delay = (respond_delay if callable(respond_delay)
-                               else (lambda h, a: respond_delay))
         self._drop_requests = dict(drop_requests or {})
         self._drop_responses = dict(drop_responses or {})
         self.dead_hosts = set(dead_hosts)
@@ -153,8 +137,9 @@ class LoopbackTransport:
         self._lock = threading.Lock()
 
     def _deliver(self, counts: Dict[str, int], drops: Dict[str, int],
-                 delay: Callable[[str, int], float], host: str,
-                 what: str) -> None:
+                 host: str, what: str) -> int:
+        """Count one delivery attempt to or from ``host`` and raise
+        :class:`TransportError` if it is dropped: the attempt's number."""
         with self._lock:
             counts[host] = attempt = counts.get(host, 0) + 1
             self.stats.messages += 1
@@ -163,17 +148,18 @@ class LoopbackTransport:
                 self.stats.dropped += 1
         if lost:
             raise TransportError(f"{what} {host} lost (attempt {attempt})")
-        wait = float(delay(host, attempt))
+        return attempt
+
+    def request(self, host: str, parts: Sequence[int]) -> None:
+        attempt = self._deliver(self._request_attempts, self._drop_requests,
+                                host, "request to")
+        wait = float(self._delay(host, attempt))
         if wait > 0:
             time.sleep(wait)
 
-    def request(self, host: str, parts: Sequence[int]) -> None:
-        self._deliver(self._request_attempts, self._drop_requests,
-                      self._delay, host, "request to")
-
     def respond(self, host: str, payload_bytes: int) -> None:
-        self._deliver(self._respond_attempts, self._drop_responses,
-                      self._respond_delay, host, "response from")
+        self._deliver(self._respond_attempts, self._drop_responses, host,
+                      "response from")
 
     def reset_stats(self) -> None:
         """Zero the message/drop counters and per-host attempt numbering."""
@@ -210,8 +196,7 @@ class HostReport:
 
     ``exec_s`` is the real time of the attempt that produced the result
     (its work call, or what ``exec_seconds`` reported) or, for a failed
-    host, from its first attempt to the failure (in concurrent mode, to
-    the moment the caller stopped waiting at its deadline).  ``request_bytes`` is the
+    host, from its first attempt to the failure.  ``request_bytes`` is the
     winning request's payload (``None``: no attempt produced a result, or
     the node is sent no request; it stays set when the result is lost on
     the way up); ``response_bytes`` the node's delivered response
@@ -240,8 +225,7 @@ class GatherResult:
         traffic_bytes: payload bytes of the legs that produced the result -
             one winning request per host plus the delivered responses.
         duplicate_traffic_bytes: payload bytes of non-winning attempts
-            (retries whose work failed, deliveries voided by a timeout; the
-            attempts of a host the caller stopped waiting for are unseen).
+            (retries whose work failed, deliveries voided by a timeout).
         merge_s: each plan node's merge-call time (0.0 below two
             arrivals), keyed by the node's host (``None``: the root).
         root_merges: arrivals merged at the root, minus one.
@@ -266,23 +250,17 @@ class GatherResult:
 
 
 class ScatterGatherExecutor:
-    """Runs scatter plans.
+    """Runs scatter plans as a deterministic depth-first fold on the
+    calling thread.
 
     Args:
         transport: optional :class:`Transport` (a failure-injecting
             :class:`LoopbackTransport`); without one none is called.
-        mode: ``"serial"`` (a deterministic depth-first fold on the calling
-            thread) or ``"concurrent"`` (the same attempt loop and fold,
-            with attempts and response legs on a worker pool).
-        max_workers: worker-pool size cap for concurrent runs (defaults to
-            ``min(32, number of hosts)``).
         timeout_s: per-host deadline on the real clock, counted from the
             host's first attempt: a host whose result is not in by then
             fails as ``W_HOST_TIMEOUT``.  The attempt loop checks it after
             each attempt (its real request leg plus ``exec_s`` must end in
-            time) and does not retry past it; in concurrent mode the
-            caller also stops waiting at it, dropping the host's result
-            even if its loop later finishes.  Work that waits on
+            time) and does not retry past it.  Work that waits on
             something can enforce it itself by raising
             :class:`DeadlineExceeded`.
         retries: bounded retry budget per host for transport errors and
@@ -290,17 +268,11 @@ class ScatterGatherExecutor:
     """
 
     def __init__(self, transport: Optional[Transport] = None,
-                 mode: str = MODE_CONCURRENT,
-                 max_workers: Optional[int] = None,
                  timeout_s: Optional[float] = None,
                  retries: int = 0) -> None:
-        if mode not in (MODE_SERIAL, MODE_CONCURRENT):
-            raise ValueError(f"unknown executor mode {mode!r}")
         if retries < 0:
             raise ValueError("retry budget cannot be negative")
         self.transport = transport
-        self.mode = mode
-        self.max_workers = max_workers
         self.timeout_s = timeout_s
         self.retries = retries
 
@@ -318,19 +290,17 @@ class ScatterGatherExecutor:
         ``exec_seconds(value)``, when given, is a host's execution time in
         place of the wall time of its ``work`` call (for work that only
         collects something timed, on the real clock, where it ran)."""
-        engine = _Fold if self.mode == MODE_SERIAL else _Run
-        return engine(self, work, merge, response_bytes,
-                      exec_seconds).execute(plan)
+        return _Fold(self, work, merge, response_bytes,
+                     exec_seconds).execute(plan)
 
 
 class _Fold:
-    """One serial run: a depth-first walk on the calling thread.  A node
-    runs its own work (pre-order), folds each child's subtree in turn,
-    merges their arrivals and its local result last in one call, then
-    sizes its response and sends it up.  Nothing is locked; a ``merge`` or
+    """One run: a depth-first walk on the calling thread.  A node runs its
+    own work (pre-order), folds each child's subtree in turn, merges their
+    arrivals and its local result last in one call, then sizes its
+    response and sends it up.  Nothing is locked; a ``merge`` or
     ``response_bytes`` error propagates at once.  ``_EMPTY`` means
-    "nothing to merge" throughout.  The attempt loop, the merge step, the
-    arrival step and the result are shared with :class:`_Run`."""
+    "nothing to merge" throughout."""
 
     def __init__(self, executor: ScatterGatherExecutor,
                  work: Callable[[str], Any],
@@ -355,10 +325,23 @@ class _Fold:
         # Scattering to nobody (a host filter that matched nothing) is an
         # empty, non-partial gather.
         wall = time.perf_counter() - started if self.reports else 0.0
-        return self._result(acc, root_merges, wall)
+        reports = self.reports
+        hosts_failed = [report.host for report in reports if not report.ok]
+        return GatherResult(
+            value=None if acc is _EMPTY else acc, hosts_failed=hosts_failed,
+            warnings=sorted(self.warnings, key=lambda w: (w.host, w.code)),
+            partial=bool(hosts_failed), wall_s=wall,
+            traffic_bytes=self.traffic_bytes,
+            duplicate_traffic_bytes=self.duplicate_bytes,
+            merge_s=self.merge_s, root_merges=root_merges,
+            max_exec_s=max((report.exec_s for report in reports
+                            if report.ok), default=0.0),
+            reports={report.host: report for report in reports})
 
     def _node(self, plan: PlanNode) -> Tuple[Any, int]:
-        """Fold ``plan``'s subtree: ``(accumulator, arrivals here - 1)``."""
+        """Fold ``plan``'s subtree: ``(accumulator, arrivals here - 1)``.
+        The arrivals (skipping ``_EMPTY``) meet in one ``merge`` call once
+        two or more arrived; the call's time is the node's ``merge_s``."""
         host = plan.host
         self.merge_s[host] = 0.0  # keyed in pre-order, filled in post-order
         if host is None:
@@ -368,15 +351,9 @@ class _Fold:
             self.reports.append(report)
             local = self._attempts(report, plan.request_parts)
         # map() is lazy: each child's subtree runs as the loop reaches it.
-        return self._merged(host, chain(map(self._send_up, plan.children),
-                                        (local,)))
-
-    def _merged(self, host: Optional[str],
-                values: Iterable[Any]) -> Tuple[Any, int]:
-        """Merge ``values`` (skipping ``_EMPTY``) with one ``merge`` call
-        once two or more arrived: ``(accumulator, arrivals - 1)``; the
-        call's time is ``host``'s ``merge_s``."""
-        arrivals = [value for value in values if value is not _EMPTY]
+        arrivals = [value for value in chain(
+            map(self._send_up, plan.children), (local,))
+            if value is not _EMPTY]
         if len(arrivals) < 2:  # ``merge_s[host]`` stays 0.0
             return (arrivals[0] if arrivals else _EMPTY), 0
         started = time.perf_counter()
@@ -451,13 +428,6 @@ class _Fold:
         payload = 0 if acc is _EMPTY else self.response_bytes(acc)
         lost = _respond(self.executor.transport, node.host or "", payload,
                         self.executor.retries + 1)
-        return self._arrived(node, first, None, acc, payload, lost)
-
-    def _arrived(self, node: PlanNode, first: int, end: Optional[int],
-                 acc: Any, payload: int, lost: Optional[str]) -> Any:
-        """Account ``node``'s response leg (``lost``: ``None`` once
-        delivered, else the drop's text): what reaches the parent.  The
-        subtree's reports are ``self.reports[first:end]``."""
         if lost is None:
             self.traffic_bytes += payload
             if node.host is not None:
@@ -466,138 +436,11 @@ class _Fold:
         if acc is not _EMPTY:  # merged data went missing: a lost subtree
             self.warnings.append(ExecWarning(W_RESPONSE_LOST,
                                              node.host or "", lost))
-            for report in self.reports[first:end]:
+            for report in self.reports[first:]:
                 if report.ok:
                     report.ok = False
                     report.error = "subtree response lost"
         return _EMPTY
-
-    def _result(self, acc: Any, root_merges: int,
-                wall: float) -> GatherResult:
-        """The run's outcome (``acc`` maybe ``_EMPTY``)."""
-        reports = self.reports
-        hosts_failed = [report.host for report in reports if not report.ok]
-        return GatherResult(
-            value=None if acc is _EMPTY else acc, hosts_failed=hosts_failed,
-            warnings=sorted(self.warnings, key=lambda w: (w.host, w.code)),
-            partial=bool(hosts_failed), wall_s=wall,
-            traffic_bytes=self.traffic_bytes,
-            duplicate_traffic_bytes=self.duplicate_bytes,
-            merge_s=self.merge_s, root_merges=root_merges,
-            max_exec_s=max((report.exec_s for report in reports
-                            if report.ok), default=0.0),
-            reports={report.host: report for report in reports})
-
-
-class _Run(_Fold):
-    """One concurrent run: the serial attempt loop and fold, with the
-    waiting on a pool.  The calling thread submits every host's attempt
-    loop in pre-order, then folds bottom-up one depth at a time: a node
-    merges its children's arrivals in tree order and its local result
-    last in one call, and its response leg goes to the pool, so a depth
-    costs at most one leg.  Each loop accounts into a ledger of its own (a
-    :class:`_Fold`) that joins the run when the caller collects it; at a
-    host's deadline the caller stops waiting and the loop runs on,
-    unseen.  A pool thread writes only its host's ``begun`` stamp and
-    report; everything else belongs to the calling thread."""
-
-    def execute(self, plan: PlanNode) -> GatherResult:
-        started = time.perf_counter()
-        #: Per depth, every node with the span of its subtree's reports.
-        levels: List[List[Tuple[PlanNode, int, int]]] = []
-        hosts: List[PlanNode] = []
-        self._walk(plan, 0, levels, hosts)
-        if not hosts:  # scattering to nobody: an empty gather
-            return self._result(_EMPTY, 0, 0.0)
-        executor = self.executor
-        transport, tries = executor.transport, executor.retries + 1
-        workers = executor.max_workers or min(DEFAULT_MAX_WORKERS,
-                                              len(hosts))
-        pool = ThreadPoolExecutor(max_workers=max(1, workers),
-                                  thread_name_prefix="scatter-gather")
-        #: When each host's loop started (``None``: still queued).
-        self.begun: List[Optional[float]] = [None] * len(hosts)
-        #: What each child sends up: its report span, accumulator,
-        #: payload and response leg (``None``: no transport to call).
-        sent: Dict[int, Tuple[int, int, Any, int,
-                              Optional[Future[Optional[str]]]]] = {}
-
-        def arrival(child: PlanNode) -> Any:
-            first, end, acc, payload, leg = sent.pop(id(child))
-            return self._arrived(child, first, end, acc, payload,
-                                 None if leg is None else leg.result())
-
-        try:
-            self.jobs = [pool.submit(self._host, index, self.reports[index],
-                                     node.request_parts)
-                         for index, node in enumerate(hosts)]
-            for node, first, end in chain.from_iterable(reversed(levels)):
-                local = _EMPTY if node.host is None else self._collect(first)
-                acc, merges = self._merged(node.host, chain(
-                    map(arrival, node.children), (local,)))
-                if node is plan:
-                    break
-                payload = 0 if acc is _EMPTY else self.response_bytes(acc)
-                leg = None if transport is None else pool.submit(
-                    _respond, transport, node.host or "", payload, tries)
-                sent[id(node)] = (first, end, acc, payload, leg)
-        finally:
-            # Loops the caller stopped waiting for may still be running.
-            pool.shutdown(wait=False, cancel_futures=True)
-        return self._result(acc, merges, time.perf_counter() - started)
-
-    def _walk(self, plan: PlanNode, depth: int,
-              levels: List[List[Tuple[PlanNode, int, int]]],
-              hosts: List[PlanNode]) -> None:
-        """Number ``plan``'s subtree in pre-order (reports, ``merge_s``
-        keys, ``hosts``) and file each node under its depth."""
-        if depth == len(levels):
-            levels.append([])
-        self.merge_s[plan.host] = 0.0
-        first = len(self.reports)
-        if plan.host is not None:
-            self.reports.append(HostReport(host=plan.host))
-            hosts.append(plan)
-        for child in plan.children:
-            self._walk(child, depth + 1, levels, hosts)
-        levels[depth].append((plan, first, len(self.reports)))
-
-    def _host(self, index: int, report: HostReport,
-              parts: Tuple[int, ...]) -> Tuple[Any, _Fold]:
-        """Host ``index``'s attempt loop, on the pool."""
-        self.begun[index] = time.perf_counter()
-        ledger = _Fold(self.executor, self.work, self.merge,
-                       self.response_bytes, self.exec_seconds)
-        return ledger._attempts(report, parts), ledger
-
-    def _collect(self, index: int) -> Any:
-        """Host ``index``'s value, its ledger joined to the run's, or
-        ``_EMPTY`` once it failed - at the latest at its deadline."""
-        job, timeout = self.jobs[index], self.executor.timeout_s
-        while True:
-            begun = self.begun[index]  # None: the loop is still queued
-            if timeout is None:
-                wait = None
-            elif begun is None:  # its deadline is at least this far off
-                wait = timeout
-            else:
-                wait = max(0.0, begun + timeout - time.perf_counter())
-            try:
-                value, ledger = job.result(wait)
-                break
-            except FuturesTimeout:
-                if begun is None:
-                    continue
-                # The loop runs on into the report it was given; the run
-                # keeps one with the attempts started so far.
-                report = self.reports[index]
-                self.reports[index] = lapsed = HostReport(
-                    report.host, attempts=report.attempts)
-                return self._lapsed(lapsed, begun)
-        self.traffic_bytes += ledger.traffic_bytes
-        self.duplicate_bytes += ledger.duplicate_bytes
-        self.warnings += ledger.warnings
-        return value
 
 
 def _respond(transport: Optional[Transport], host: str, payload: int,

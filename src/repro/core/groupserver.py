@@ -38,7 +38,7 @@ per-frame overhead anyway); ``mode="socket"`` picks fewer, larger groups:
   question, ever.
 * **Dead-agent failure semantics.** A dead/hung/undecodable group
   connection surfaces as :class:`~repro.core.agentserver.AgentServerError`,
-  which the executor reports like a dead in-thread agent - for every host
+  which the executor reports like a dead in-process agent - for every host
   of the shard, the connection being the failure domain; with a
   :class:`~repro.core.supervisor.Supervisor` attached the group is
   respawned and re-seeded over a fresh connection, and

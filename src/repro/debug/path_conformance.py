@@ -133,7 +133,7 @@ def run_path_conformance_experiment(*, k: int = 4, seed: int = 0,
     trajectory.  The experiment runs in any cluster ``mode``: the
     event-driven installed query always executes at the end host on packet
     arrival, and the alarm bus carries the PC_FAIL alert identically in
-    serial, concurrent and process mode.
+    serial, process and socket mode.
     """
     topo = FatTreeTopology(k)
     routing = RoutingFabric(topo)

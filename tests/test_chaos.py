@@ -4,8 +4,8 @@ A :class:`ChaosPolicy` injects deterministic faults - crash at the Nth
 frame (including mid-re-seed), hang without EOF, slow-but-alive replies,
 corrupted reply frames - and these tests assert the supervised cluster
 recovers to *byte-identical* answers: queries, monitor sweeps and
-retention config all survive a worker dying mid-scatter, across serial /
-thread / process modes.  Chaos schedules are keyed by group key; under
+retention config all survive a worker dying mid-scatter, across serial
+and process mode.  Chaos schedules are keyed by group key; under
 ``mode="process"`` (one host per group) ``server-N`` is ``group-N``.
 """
 
@@ -14,9 +14,9 @@ import time
 import pytest
 
 from repro.core import (AgentServerError, MECHANISM_DIRECT,
-                        MECHANISM_MULTILEVEL, MODE_CONCURRENT, MODE_PROCESS,
-                        MODE_SERIAL, Q_GET_FLOWS, Q_POOR_TCP_FLOWS,
-                        Q_TOP_K_FLOWS, Query, QueryCluster, wire)
+                        MECHANISM_MULTILEVEL, MODE_PROCESS, MODE_SERIAL,
+                        Q_GET_FLOWS, Q_POOR_TCP_FLOWS, Q_TOP_K_FLOWS, Query,
+                        QueryCluster, wire)
 from repro.core.supervisor import (CORRUPT_BITFLIP, CORRUPT_GARBAGE,
                                    CORRUPT_TRUNCATE, ChaosPolicy,
                                    Supervisor, corrupt_frame)
@@ -67,7 +67,7 @@ class TestKillMidScatter:
             cluster.configure_executor(mode=MODE_PROCESS)
             first = cluster.execute(query)  # the kill fires in here
             assert first.partial and "server-2" in first.hosts_failed
-            for mode in (MODE_PROCESS, MODE_SERIAL, MODE_CONCURRENT):
+            for mode in (MODE_PROCESS, MODE_SERIAL):
                 cluster.configure_executor(mode=mode)
                 repeat = cluster.execute(query)
                 assert not repeat.partial

@@ -14,7 +14,7 @@ equal streams, the order-free column read (``fold``) against the
 same brute-force read and against ``spec_records`` on a capped / uncapped
 pair, the two aggregate handlers built on it against the record loops they
 replaced, capped answers byte-identical to uncapped ones across serial /
-thread / process / socket executors (including a kill while staged
+process / socket modes (including a kill while staged
 evictions are in flight), and the consolidated
 ``controller.report(sections=...)``.
 """
@@ -27,8 +27,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core import (AgentServerError, MODE_CONCURRENT, MODE_PROCESS,
-                        MODE_SERIAL, MODE_SOCKET, PathDumpController,
+from repro.core import (AgentServerError, MODE_PROCESS, MODE_SERIAL,
+                        MODE_SOCKET, PathDumpController,
                         Q_FLOW_SIZE_DISTRIBUTION, Q_GET_FLOWS, Q_TOP_K_FLOWS,
                         Q_TRAFFIC_MATRIX, Query, QueryCluster, Tib, wire)
 from repro.core.query import QueryEngine, _link_label
@@ -865,7 +865,7 @@ class TestDeterminism:
 
 class TestClusterCrossModeIdentity:
     """Spanning scans and folds answer byte-identically to an uncapped
-    cluster under every executor - serial, concurrent, process, socket."""
+    cluster in every mode - serial, process, socket."""
 
     QUERIES = [
         Query(Q_GET_FLOWS, {}),
@@ -892,8 +892,7 @@ class TestClusterCrossModeIdentity:
         try:
             references = [wire.encode_value(plain.execute(q).payload)
                           for q in self.QUERIES]
-            for mode in (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS,
-                         MODE_SOCKET):
+            for mode in (MODE_SERIAL, MODE_PROCESS, MODE_SOCKET):
                 capped.configure_executor(mode=mode)
                 for query, want in zip(self.QUERIES, references):
                     result = capped.execute(query)
@@ -959,7 +958,7 @@ class TestClusterCrossModeIdentity:
             for key in ("hot_records", "hot_bytes", "cold_records",
                         "cold_bytes"):
                 assert remote[key] == local[key], key
-            for mode in (MODE_PROCESS, MODE_SERIAL, MODE_CONCURRENT):
+            for mode in (MODE_PROCESS, MODE_SERIAL):
                 cluster.configure_executor(mode=mode)
                 result = cluster.execute(query)
                 assert not result.partial

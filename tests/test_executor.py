@@ -1,22 +1,20 @@
-"""Tests for the concurrent scatter-gather executor.
+"""Tests for the scatter-gather executor, a depth-first fold.
 
-Covers the pluggable transports, the ordered merge, and every
+Covers the failure-injecting transport, the ordered merge, and every
 partial-failure path: dead agents, per-host timeouts, bounded retries,
-lost responses - plus the concurrent-vs-serial payload determinism the
-figure benchmarks rely on.
+lost responses - checked against a brute-force model of the fault
+semantics on random plans.
 """
 
 import random
-import sys
 import time
 
 import pytest
 
-from repro.core import executor as executor_module
 from repro.core import (LoopbackTransport, MECHANISM_DIRECT,
-                        MECHANISM_MULTILEVEL, MODE_CONCURRENT, MODE_SERIAL,
-                        PlanNode, Q_FLOW_SIZE_DISTRIBUTION, Q_GET_FLOWS,
-                        Q_TOP_K_FLOWS, Query, QueryCluster, RpcChannel,
+                        MECHANISM_MULTILEVEL, MODE_SERIAL, PlanNode,
+                        Q_FLOW_SIZE_DISTRIBUTION, Q_GET_FLOWS, Q_TOP_K_FLOWS,
+                        Query, QueryCluster, RpcChannel,
                         ScatterGatherExecutor, TransportError)
 from repro.core.executor import (DeadlineExceeded, HostReport, W_HOST_FAILED,
                                  W_HOST_TIMEOUT, W_RESPONSE_LOST, W_RETRIED)
@@ -110,13 +108,10 @@ class TestTransports:
 
 
 class TestScatterGather:
-    def test_serial_and_concurrent_same_merge(self):
-        serial = run(ScatterGatherExecutor(LoopbackTransport(),
-                                           mode=MODE_SERIAL))
-        concurrent = run(ScatterGatherExecutor(LoopbackTransport(),
-                                               mode=MODE_CONCURRENT))
-        assert serial.value == concurrent.value == sum(VALUES.values())
-        assert not serial.partial and not concurrent.partial
+    def test_flat_plan_aggregates_all_hosts(self):
+        result = run(ScatterGatherExecutor(LoopbackTransport()))
+        assert result.value == sum(VALUES.values())
+        assert not result.partial
 
     def test_tree_plan_aggregates_all_hosts(self):
         result = run(ScatterGatherExecutor(LoopbackTransport()), tree_plan())
@@ -129,7 +124,7 @@ class TestScatterGather:
         legs and two response legs on the deepest path."""
         latency = 0.05
         plan = tree_plan()
-        result = run(ScatterGatherExecutor(mode=MODE_SERIAL), plan)
+        result = run(ScatterGatherExecutor(), plan)
         model = model_response_time(
             plan, result.reports, result.merge_s,
             RpcChannel(message_latency_s=latency, bandwidth_bps=1e12))
@@ -138,11 +133,11 @@ class TestScatterGather:
         assert 4 * latency < model < 5 * latency
 
     def test_serial_timeout_contributes_measured_wait(self):
-        """A serial-mode deadline is the real clock: every host's 0.2 s
-        request leg blows the 0.1 s deadline, and the wait it measured is
-        what its slot contributes to the model."""
+        """A deadline is the real clock: every host's 0.2 s request leg
+        blows the 0.1 s deadline, and the wait it measured is what its
+        slot contributes to the model."""
         executor = ScatterGatherExecutor(LoopbackTransport(delay=0.2),
-                                         mode=MODE_SERIAL, timeout_s=0.1)
+                                         timeout_s=0.1)
         plan = flat_plan()
         result = run(executor, plan)
         assert set(result.hosts_failed) == set(HOSTS)  # all exceed 0.1s
@@ -154,8 +149,7 @@ class TestScatterGather:
         assert model >= max(waits)
 
     def test_traffic_accounts_requests_and_responses(self):
-        result = run(ScatterGatherExecutor(LoopbackTransport(),
-                                           mode=MODE_SERIAL))
+        result = run(ScatterGatherExecutor(LoopbackTransport()))
         # 6 requests of 64 payload bytes + 6 responses of 8 bytes.
         assert result.traffic_bytes == 6 * 64 + 6 * 8
 
@@ -167,18 +161,16 @@ class TestScatterGather:
         assert not result.partial and result.hosts_failed == []
         assert result.traffic_bytes == 0
 
-    @pytest.mark.parametrize("mode", [MODE_SERIAL, MODE_CONCURRENT])
-    def test_broken_merge_raises_instead_of_hanging(self, mode):
+    def test_broken_merge_raises_instead_of_hanging(self):
         def merge(values):
             raise TypeError("cannot merge partials")
 
-        executor = ScatterGatherExecutor(LoopbackTransport(), mode=mode)
+        executor = ScatterGatherExecutor(LoopbackTransport())
         with pytest.raises(TypeError, match="cannot merge partials"):
             executor.run(flat_plan(), VALUES.__getitem__, merge)
 
     def test_broken_response_bytes_raises_instead_of_hanging(self):
-        executor = ScatterGatherExecutor(LoopbackTransport(),
-                                         mode=MODE_CONCURRENT)
+        executor = ScatterGatherExecutor(LoopbackTransport())
 
         def response_bytes(value):
             raise RuntimeError("unsizeable payload")
@@ -189,14 +181,11 @@ class TestScatterGather:
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
-            ScatterGatherExecutor(mode="bogus")
-        with pytest.raises(ValueError):
             ScatterGatherExecutor(retries=-1)
 
     def test_dead_host_yields_partial_result(self):
         executor = ScatterGatherExecutor(
-            LoopbackTransport(dead_hosts=["h2"]), mode=MODE_CONCURRENT,
-            retries=1)
+            LoopbackTransport(dead_hosts=["h2"]), retries=1)
         result = run(executor)
         assert result.partial
         assert result.hosts_failed == ["h2"]
@@ -210,8 +199,7 @@ class TestScatterGather:
                 raise RuntimeError("agent crashed")
             return VALUES[host]
 
-        executor = ScatterGatherExecutor(LoopbackTransport(),
-                                         mode=MODE_SERIAL)
+        executor = ScatterGatherExecutor(LoopbackTransport())
         result = executor.run(flat_plan(), work, sum)
         assert result.partial and result.hosts_failed == ["h1"]
         assert "agent crashed" in result.warnings[0].detail
@@ -232,31 +220,17 @@ class TestScatterGather:
         result = run(executor)
         assert result.partial and result.hosts_failed == ["h3"]
 
-    def test_timeout_declares_host_failed(self):
-        slow = LoopbackTransport(
-            delay=lambda host, attempt: 0.5 if host == "h4" else 0.0)
-        executor = ScatterGatherExecutor(slow, mode=MODE_CONCURRENT,
-                                         timeout_s=0.05)
-        started = time.perf_counter()
-        result = run(executor)
-        elapsed = time.perf_counter() - started
-        assert result.partial and result.hosts_failed == ["h4"]
-        assert any(w.code == W_HOST_TIMEOUT and w.host == "h4"
-                   for w in result.warnings)
-        assert elapsed < 0.4  # did not wait for the sleeping straggler
-
     def test_serial_timeout_applies_after_the_fact(self):
         slow = LoopbackTransport(
             delay=lambda host, attempt: 0.1 if host == "h4" else 0.0)
-        executor = ScatterGatherExecutor(slow, mode=MODE_SERIAL,
-                                         timeout_s=0.05)
+        executor = ScatterGatherExecutor(slow, timeout_s=0.05)
         result = run(executor)
         assert result.hosts_failed == ["h4"]
         assert any(w.code == W_HOST_TIMEOUT for w in result.warnings)
 
     def test_retried_work_failure_counts_first_leg_as_duplicate(self):
         """A request that delivered but whose work failed is overhead once
-        the retry succeeds - deterministic in serial mode."""
+        the retry succeeds."""
         calls = {}
 
         def work(host):
@@ -265,8 +239,7 @@ class TestScatterGather:
                 raise RuntimeError("transient agent failure")
             return VALUES[host]
 
-        executor = ScatterGatherExecutor(LoopbackTransport(),
-                                         mode=MODE_SERIAL, retries=1)
+        executor = ScatterGatherExecutor(LoopbackTransport(), retries=1)
         result = executor.run(flat_plan(), work, sum,
                               response_bytes=lambda value: 8)
         assert not result.partial
@@ -275,8 +248,7 @@ class TestScatterGather:
         assert result.duplicate_traffic_bytes == 64
 
     def test_no_duplicates_without_hedges_or_retries(self):
-        result = run(ScatterGatherExecutor(LoopbackTransport(),
-                                           mode=MODE_SERIAL))
+        result = run(ScatterGatherExecutor(LoopbackTransport()))
         assert result.duplicate_traffic_bytes == 0
 
     def test_non_transport_error_in_respond_raises(self):
@@ -284,15 +256,13 @@ class TestScatterGather:
             def respond(self, host, payload_bytes):
                 raise OSError("socket exploded")
 
-        executor = ScatterGatherExecutor(BuggyTransport(),
-                                         mode=MODE_CONCURRENT)
+        executor = ScatterGatherExecutor(BuggyTransport())
         with pytest.raises(OSError, match="socket exploded"):
             run(executor)
 
     def test_lost_response_drops_subtree(self):
         executor = ScatterGatherExecutor(
-            LoopbackTransport(drop_responses={"h0": 5}),
-            mode=MODE_SERIAL)
+            LoopbackTransport(drop_responses={"h0": 5}))
         result = run(executor, tree_plan())
         assert result.partial
         # h0's subtree (h0, h2, h3) is lost; h1's subtree survives.
@@ -302,83 +272,15 @@ class TestScatterGather:
 
     def test_all_hosts_failed_returns_none(self):
         executor = ScatterGatherExecutor(
-            LoopbackTransport(dead_hosts=HOSTS), mode=MODE_SERIAL)
+            LoopbackTransport(dead_hosts=HOSTS))
         result = run(executor)
         assert result.value is None
         assert result.partial and set(result.hosts_failed) == set(HOSTS)
 
-    def test_concurrent_overlaps_transport_delays(self):
-        delay = 0.03
-        serial = ScatterGatherExecutor(LoopbackTransport(delay=delay),
-                                       mode=MODE_SERIAL)
-        concurrent = ScatterGatherExecutor(LoopbackTransport(delay=delay),
-                                           mode=MODE_CONCURRENT,
-                                           max_workers=len(HOSTS))
-        serial_result = run(serial)
-        concurrent_result = run(concurrent)
-        assert serial_result.value == concurrent_result.value
-        injected = delay * len(HOSTS)
-        assert serial_result.wall_s > injected * 0.9
-        # Overlapped, the six sleeps cost about one delay.  The bound is
-        # the injected delays, not the serial run's measured wall: no run
-        # that sleeps them one after another can finish below their sum,
-        # and 0.75x of it leaves 4.5x headroom over the ideal for thread
-        # start-up on a busy two-core box.
-        assert concurrent_result.wall_s < injected * 0.75
-
-    @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_concurrent_costs_one_leg_per_depth(self, depth):
-        """Every request leg overlaps, and each depth's response legs run
-        on the pool together: a plan ``depth`` hosts deep costs about
-        ``depth + 1`` legs, below ``depth + 2``.  Sent from the calling
-        thread, the responses alone would cost one leg per host."""
-        leg = 0.05
-        names = iter(range(100))
-
-        def node(level):
-            fanout = 2 if level < depth else 0
-            return PlanNode(host=f"h{next(names)}", request_parts=(8,),
-                            children=[node(level + 1)
-                                      for _ in range(fanout)])
-
-        plan = PlanNode(host=None, children=[node(1) for _ in range(3)])
-        executor = ScatterGatherExecutor(
-            LoopbackTransport(delay=leg, respond_delay=leg),
-            mode=MODE_CONCURRENT)
-        result = executor.run(plan, work=lambda host: [host],
-                              merge=lambda values: sum(values, []),
-                              response_bytes=lambda value: 8)
-        assert not result.partial
-        assert len(result.value) == len(result.reports)
-        assert result.wall_s < (depth + 2) * leg
-
-    def test_concurrent_accounting_under_fast_thread_switching(self):
-        """Each host's loop accounts into a ledger of its own that only the
-        calling thread joins: with a tiny switch interval and more workers
-        than cores, every count still equals the serial fold's."""
-        switch_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rng = random.Random(29)
-            for _ in range(5):
-                plan = random_fault_plan(rng)
-                hosts = plan_hosts(plan)
-                faults = ({host: 1 for host in hosts[::3]},
-                          {host: 1 for host in hosts[1::4]}, [],
-                          {host: 1 for host in hosts[2::3]},
-                          {host: 2 for host in hosts[::5]})
-                serial = gather_facts(run_with_faults(
-                    MODE_SERIAL, plan, faults, 1))
-                assert gather_facts(run_with_faults(
-                    MODE_CONCURRENT, plan, faults, 1, 16)) == serial
-        finally:
-            sys.setswitchinterval(switch_interval)
-
-    @pytest.mark.parametrize("mode", [MODE_SERIAL, MODE_CONCURRENT])
-    def test_deadline_counts_from_first_attempt(self, mode):
-        """A host's deadline runs from its first attempt in both modes:
-        two 0.2 s attempts (the first raises) blow a 0.3 s deadline that
-        either would meet alone, and the timeout names both attempts."""
+    def test_deadline_counts_from_first_attempt(self):
+        """A host's deadline runs from its first attempt: two 0.2 s
+        attempts (the first raises) blow a 0.3 s deadline that either
+        would meet alone, and the timeout names both attempts."""
         calls = []
 
         def work(host):
@@ -389,8 +291,7 @@ class TestScatterGather:
                     raise RuntimeError("transient agent failure")
             return VALUES[host]
 
-        executor = ScatterGatherExecutor(mode=mode, timeout_s=0.3,
-                                         retries=1)
+        executor = ScatterGatherExecutor(timeout_s=0.3, retries=1)
         result = executor.run(flat_plan(), work, sum)
         assert result.hosts_failed == ["h3"]
         assert result.value == sum(VALUES.values()) - VALUES["h3"]
@@ -424,7 +325,7 @@ def random_fault_plan(rng):
                                          range(rng.randint(1, 5))])
 
 
-def run_with_faults(executor_mode, plan, faults, retries, max_workers=None):
+def run_with_faults(plan, faults, retries):
     """Run ``plan`` under ``faults`` - fresh transport and work state, so
     every run sees the same attempt numbering - with an order-recording
     merge (list concatenation).  An optional fifth fault, ``{host: n}``,
@@ -444,8 +345,7 @@ def run_with_faults(executor_mode, plan, faults, retries, max_workers=None):
     transport = LoopbackTransport(drop_requests=drop_requests,
                                   drop_responses=drop_responses,
                                   dead_hosts=dead)
-    executor = ScatterGatherExecutor(transport, mode=executor_mode,
-                                     retries=retries, max_workers=max_workers)
+    executor = ScatterGatherExecutor(transport, retries=retries)
     return executor.run(plan, work, lambda values: sum(values, []),
                         response_bytes=lambda value: 3 * len(value) + 1)
 
@@ -462,11 +362,108 @@ def gather_facts(result):
              for host, r in result.reports.items()})
 
 
-class TestSerialFold:
-    """Serial mode is a depth-first fold on the calling thread; it must
-    gather exactly what the concurrent engine gathers."""
+def model_facts(plan, faults, retries):
+    """What :func:`run_with_faults` must gather, in :func:`gather_facts`
+    form, worked out from the plan and the faults alone.
 
-    def test_fold_matches_concurrent_engine_on_random_faulty_plans(self):
+    The fault semantics, per host: attempt ``a`` of ``retries + 1`` loses
+    its request while the host is dead or ``a`` is within its
+    ``drop_requests``.  A delivered request is the host's ``w``-th work
+    call, which raises :class:`DeadlineExceeded` when ``w`` is its
+    expiring number (the host times out, no retry) and crashes while ``w``
+    is within its failing count.  A delivered request whose work raised
+    is duplicate traffic; the winning one is traffic.  Then every node
+    sends its subtree's result up with ``retries + 1`` tries, the first
+    ``drop_responses`` of them lost (all of them for a dead host); a
+    delivered response is traffic, a lost non-empty one fails every host
+    below that still stood.  A node's result is its children's arrivals
+    in tree order, then its own.
+    """
+    drop_requests, drop_responses, dead, failing, *rest = faults
+    expiring = rest[0] if rest else {}
+    tries = retries + 1
+    #: host -> [ok, attempts, request_bytes, response_bytes, error]
+    reports = {}
+    warnings, merge_keys = [], []
+    traffic = duplicate = 0
+
+    def fail(host, code, attempts, detail):
+        warnings.append((code, host, attempts, detail))
+        reports[host] = [False, attempts, None, None, detail]
+
+    def host_value(host, size):
+        nonlocal traffic, duplicate
+        calls = 0
+        for attempt in range(1, tries + 1):
+            if host in dead or attempt <= drop_requests.get(host, 0):
+                error = (f"TransportError: request to {host} lost "
+                         f"(attempt {attempt})")
+                continue
+            calls += 1
+            if calls == expiring.get(host):
+                duplicate += size
+                fail(host, W_HOST_TIMEOUT, attempt,
+                     f"{host} attempt {calls} expired")
+                return None
+            if calls <= failing.get(host, 0):
+                duplicate += size
+                error = f"RuntimeError: {host} attempt {calls} crashed"
+                continue
+            traffic += size
+            reports[host] = [True, attempt, size, None, ""]
+            if attempt > 1:
+                warnings.append((W_RETRIED, host, attempt,
+                                 "delivered after retry"))
+            return [host]
+        fail(host, W_HOST_FAILED, tries, error)
+        return None
+
+    def subtree(node):
+        """``(the subtree's hosts, its result or None, its arrivals)``."""
+        nonlocal traffic
+        merge_keys.append(node.host)
+        hosts, arrivals = [], []
+        if node.host is not None:
+            hosts.append(node.host)
+            local = host_value(node.host, sum(node.request_parts))
+        else:
+            local = None
+        for child in node.children:
+            below, value, _ = subtree(child)
+            hosts += below
+            if child.host not in dead and \
+                    drop_responses.get(child.host, 0) < tries:
+                payload = 0 if value is None else 3 * len(value) + 1
+                traffic += payload
+                reports[child.host][3] = payload
+                if value is not None:
+                    arrivals.append(value)
+            elif value is not None:
+                warnings.append((W_RESPONSE_LOST, child.host, 1,
+                                 f"response from {child.host} lost "
+                                 f"(attempt {tries})"))
+                for host in below:
+                    if reports[host][0]:
+                        reports[host][0] = False
+                        reports[host][4] = "subtree response lost"
+        if local is not None:
+            arrivals.append(local)
+        return hosts, (sum(arrivals, []) if arrivals else None), arrivals
+
+    hosts, value, arrivals = subtree(plan)
+    hosts_failed = [host for host in hosts if not reports[host][0]]
+    return (value, hosts_failed,
+            sorted(warnings, key=lambda w: (w[1], w[0])),
+            bool(hosts_failed), traffic, duplicate,
+            max(len(arrivals) - 1, 0), merge_keys,
+            {host: tuple(report) for host, report in reports.items()})
+
+
+class TestSerialFold:
+    """The executor is a depth-first fold on the calling thread; it must
+    gather exactly what the fault semantics predict."""
+
+    def test_fold_matches_brute_force_model_on_random_faulty_plans(self):
         rng = random.Random(20261016)
         for _ in range(40):
             plan = random_fault_plan(rng)
@@ -481,12 +478,8 @@ class TestSerialFold:
                       {host: rng.randint(1, 3) for host in pick(0.15)},
                       {host: rng.randint(1, 3) for host in pick(0.1)})
             for retries in (0, 1, 2):
-                serial = gather_facts(run_with_faults(
-                    MODE_SERIAL, plan, faults, retries))
-                for workers in (1, 4):
-                    assert gather_facts(run_with_faults(
-                        MODE_CONCURRENT, plan, faults, retries,
-                        workers)) == serial
+                assert gather_facts(run_with_faults(plan, faults, retries)) \
+                    == model_facts(plan, faults, retries)
 
     def test_serial_call_order_is_pinned(self):
         """Pre-order work; each child's subtree folded and sent up in
@@ -513,7 +506,7 @@ class TestSerialFold:
             events.append(("size", value))
             return len(value)
 
-        result = ScatterGatherExecutor(mode=MODE_SERIAL).run(
+        result = ScatterGatherExecutor().run(
             plan, work, merge, response_bytes=size)
         assert result.value == "DEBCAF" and result.root_merges == 1
         assert events == [
@@ -523,18 +516,6 @@ class TestSerialFold:
             ("merge", "DEB", "C", "A"), ("size", "DEBCA"), ("work", "F"),
             ("size", "F"), ("merge", "DEBCA", "F")]
         assert list(result.merge_s) == [None, "A", "B", "D", "E", "C", "F"]
-
-    def test_serial_mode_never_builds_the_concurrent_engine(
-            self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("serial mode constructed _Run")
-
-        monkeypatch.setattr(executor_module, "_Run", refuse)
-        faults = ({"h2": 1}, {"h0": 5}, ["h5"], {"h3": 1})
-        result = run_with_faults(MODE_SERIAL, tree_plan(), faults, 1)
-        assert set(result.hosts_failed) == {"h0", "h2", "h3", "h5"}
-        with pytest.raises(AssertionError, match="constructed _Run"):
-            run_with_faults(MODE_CONCURRENT, tree_plan(), faults, 1)
 
 
 # --------------------------------------------------------------------------
@@ -556,26 +537,15 @@ def populated_cluster(fattree4, fattree4_assignment):
 
 
 class TestClusterExecutorIntegration:
-    @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
-                                           MECHANISM_MULTILEVEL])
-    @pytest.mark.parametrize("name,params", [
-        (Q_TOP_K_FLOWS, {"k": 25}),
-        (Q_FLOW_SIZE_DISTRIBUTION, {"links": [None], "binsize": 2000}),
-        (Q_GET_FLOWS, {}),
-    ])
-    def test_concurrent_matches_serial_payload(self, populated_cluster,
-                                               mechanism, name, params):
-        """Same query, same data: serial and concurrent runs must produce
-        identical payloads and aggregate counts."""
-        query = Query(name, dict(params))
-        populated_cluster.configure_executor(mode=MODE_SERIAL)
-        serial = populated_cluster.execute(query, mechanism=mechanism)
-        populated_cluster.configure_executor(mode=MODE_CONCURRENT,
-                                             max_workers=8)
-        concurrent = populated_cluster.execute(query, mechanism=mechanism)
-        assert serial.payload == concurrent.payload
-        assert serial.host_count == concurrent.host_count
-        assert not serial.partial and not concurrent.partial
+    @pytest.mark.parametrize("mode", ["concurrent", "bogus"])
+    def test_unknown_mode_rejected(self, fattree4, fattree4_assignment,
+                                   mode):
+        with pytest.raises(ValueError, match="unknown cluster mode"):
+            QueryCluster(fattree4, fattree4_assignment, mode=mode)
+        cluster = QueryCluster(fattree4, fattree4_assignment)
+        with pytest.raises(ValueError, match="unknown cluster mode"):
+            cluster.configure_executor(mode=mode)
+        assert cluster.mode == MODE_SERIAL
 
     def test_dead_agent_direct_query_partial(self, populated_cluster):
         dead = populated_cluster.hosts[2]

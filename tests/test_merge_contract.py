@@ -15,10 +15,10 @@ import random
 import pytest
 
 from repro.core import (MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
-                        MODE_CONCURRENT, MODE_SERIAL, AggregationTree,
-                        Q_FLOW_SIZE_DISTRIBUTION, Q_GET_COUNT, Q_GET_FLOWS,
-                        Q_GET_PATHS, Q_POOR_TCP_FLOWS, Q_TOP_K_FLOWS,
-                        Q_TRAFFIC_MATRIX, Query, QueryCluster, wire)
+                        AggregationTree, Q_FLOW_SIZE_DISTRIBUTION,
+                        Q_GET_COUNT, Q_GET_FLOWS, Q_GET_PATHS,
+                        Q_POOR_TCP_FLOWS, Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX,
+                        Query, QueryCluster, wire)
 from repro.core import plan as planlib
 from repro.core.query import (Q_PATH_CONFORMANCE, Q_PLAN,
                               Q_SUBFLOW_IMBALANCE, QueryEngine, QueryResult)
@@ -185,10 +185,8 @@ def counted_merges(cluster, monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("mode", [MODE_SERIAL, MODE_CONCURRENT])
-def test_direct_gather_over_128_hosts_merges_once(fattree8, monkeypatch,
-                                                  mode):
-    cluster = QueryCluster(fattree8, mode=mode)
+def test_direct_gather_over_128_hosts_merges_once(fattree8, monkeypatch):
+    cluster = QueryCluster(fattree8)
     assert len(cluster.hosts) == 128
     calls = counted_merges(cluster, monkeypatch)
     result = cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 5}),
@@ -197,10 +195,9 @@ def test_direct_gather_over_128_hosts_merges_once(fattree8, monkeypatch,
     assert calls == [128]
 
 
-@pytest.mark.parametrize("mode", [MODE_SERIAL, MODE_CONCURRENT])
 def test_multilevel_gather_merges_once_per_interior_node(fattree8,
-                                                         monkeypatch, mode):
-    cluster = QueryCluster(fattree8, mode=mode)
+                                                         monkeypatch):
+    cluster = QueryCluster(fattree8)
     calls = counted_merges(cluster, monkeypatch)
     result = cluster.execute(Query(Q_FLOW_SIZE_DISTRIBUTION),
                              mechanism=MECHANISM_MULTILEVEL)

@@ -2,7 +2,7 @@
 
 Covers: plan-compiled ``get_count`` / ``top_k_flows`` returning payloads
 byte-identical to a per-host brute-force reference (merged by the plan's
-own operator) across serial / thread / process / socket modes (direct and
+own operator) across serial / process / socket modes (direct and
 multilevel scatter), raw
 ``Q_PLAN`` queries travelling every transport unchanged, per-plan scan
 statistics surfacing on the distributed result, and a worker killed with a
@@ -16,9 +16,8 @@ import time
 import pytest
 
 from repro.core import (MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
-                        MODE_CONCURRENT, MODE_PROCESS, MODE_SERIAL,
-                        MODE_SOCKET, Q_GET_COUNT, Q_PLAN, Q_TOP_K_FLOWS,
-                        Query, wire)
+                        MODE_PROCESS, MODE_SERIAL, MODE_SOCKET, Q_GET_COUNT,
+                        Q_PLAN, Q_TOP_K_FLOWS, Query, wire)
 from repro.core import plan as planlib
 from repro.core.executor import W_HOST_FAILED
 from repro.core.plan import Aggregate, Filter, Plan, TopK
@@ -62,9 +61,9 @@ RAW_PLANS = [
 
 
 def run_all_modes(query, mechanism):
-    """Execute ``query`` in all four modes; return {mode: result}."""
+    """Execute ``query`` in all three modes; return {mode: result}."""
     results = {}
-    for mode in (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS, MODE_SOCKET):
+    for mode in (MODE_SERIAL, MODE_PROCESS, MODE_SOCKET):
         with worker_cluster(mode) as cluster:
             result = cluster.execute(query, mechanism=mechanism)
             assert not result.partial
@@ -88,7 +87,7 @@ class TestBuiltinIdentityAcrossModes:
     @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
                                            MECHANISM_MULTILEVEL])
     @pytest.mark.parametrize("name,params", BUILTIN_CASES)
-    def test_plan_builtin_matches_reference_in_four_modes(self, mechanism,
+    def test_plan_builtin_matches_reference_in_every_mode(self, mechanism,
                                                           name, params):
         """The plan-compiled built-in answers what the brute-force
         reference computes, byte for byte, in every mode."""
@@ -104,7 +103,7 @@ class TestRawPlansAcrossModes:
     @pytest.mark.parametrize("index", range(len(RAW_PLANS)))
     def test_plan_frames_ride_every_transport(self, mechanism, index):
         """A raw Q_PLAN query returns the same bytes whether the plan
-        frame crossed a function call, a thread, a pipe or a socket."""
+        frame crossed a function call or a worker's socket."""
         query = Query(Q_PLAN, {"plan": RAW_PLANS[index]})
         results = run_all_modes(query, mechanism)
         reference = wire.encode_value(results[MODE_SERIAL].payload)
@@ -147,7 +146,7 @@ class TestScanStatsSurface:
 class TestWorkerFailureMidPlan:
     def test_kill_mid_plan_surfaces_like_dead_agent(self):
         """A worker killed with a plan in flight surfaces exactly like a
-        dead in-thread agent: partial=True, the host in hosts_failed, a
+        dead in-process agent: partial=True, the host in hosts_failed, a
         W_HOST_FAILED warning - and the survivors' groups intact."""
         with worker_cluster(MODE_PROCESS) as cluster:
             victim = cluster.hosts[2]

@@ -22,8 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import LoopbackTransport, PlanNode, RpcChannel
-from repro.core.executor import (HostReport, MODE_CONCURRENT, MODE_SERIAL,
-                                 ScatterGatherExecutor)
+from repro.core.executor import HostReport, ScatterGatherExecutor
 from repro.core.rpc import charge_legs, model_response_time
 
 RECORDED = Path(__file__).parent / "data" / "response_model_runs.json"
@@ -163,16 +162,15 @@ class TestAgainstBruteForce:
 
 
 class TestPricedRuns:
-    """A run's facts are enough to price it, in either mode."""
+    """A run's facts are enough to price it."""
 
-    @pytest.mark.parametrize("mode", [MODE_SERIAL, MODE_CONCURRENT])
-    def test_lost_subtree_keeps_its_legs_in_the_model(self, mode):
+    def test_lost_subtree_keeps_its_legs_in_the_model(self):
         plan = PlanNode(host=None, children=[
             PlanNode(host="a", request_parts=(10,), children=[
                 PlanNode(host="b", request_parts=(10,))]),
             PlanNode(host="c", request_parts=(10,))])
         executor = ScatterGatherExecutor(
-            LoopbackTransport(drop_responses={"a": 1}), mode=mode)
+            LoopbackTransport(drop_responses={"a": 1}))
         result = executor.run(plan, work=lambda host: 1,
                               merge=sum,
                               response_bytes=lambda value: 8)

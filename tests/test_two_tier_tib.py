@@ -2,7 +2,7 @@
 
 Covers: the retention bound holding under sustained ingest (10x the cap),
 query payloads byte-identical between capped and uncapped TIBs (single
-engine and whole-cluster across serial / thread / process modes), the
+engine and whole-cluster across serial and process mode), the
 promote-on-merge upsert path, the archive's segment/sparse-index/compaction
 mechanics, and the tier stats travelling over the wire protocol.
 """
@@ -12,9 +12,8 @@ import random
 import pytest
 
 from repro.core import (MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
-                        MODE_CONCURRENT, MODE_PROCESS, MODE_SERIAL,
-                        Q_FLOW_SIZE_DISTRIBUTION, Q_GET_COUNT,
-                        Q_GET_DURATION, Q_GET_FLOWS, Q_GET_PATHS,
+                        MODE_PROCESS, MODE_SERIAL, Q_FLOW_SIZE_DISTRIBUTION,
+                        Q_GET_COUNT, Q_GET_DURATION, Q_GET_FLOWS, Q_GET_PATHS,
                         Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX, Query, QueryCluster,
                         Tib, wire)
 from repro.network.packet import FlowId, PROTO_TCP
@@ -340,7 +339,7 @@ CLUSTER_QUERIES = [
 class TestClusterTwoTier:
     """The acceptance criterion end to end: 10x-cap ingest stays bounded
     and every built-in query's payload is byte-identical to an uncapped
-    cluster's, across serial, thread and process modes."""
+    cluster's, across serial and process mode."""
 
     @pytest.fixture()
     def clusters(self):
@@ -373,7 +372,7 @@ class TestClusterTwoTier:
         query = Query(name, dict(params))
         reference = plain.execute(query, mechanism=mechanism)
         expected = wire.encode_value(reference.payload)
-        for mode in (MODE_SERIAL, MODE_CONCURRENT, MODE_PROCESS):
+        for mode in (MODE_SERIAL, MODE_PROCESS):
             capped.configure_executor(mode=mode)
             result = capped.execute(query, mechanism=mechanism)
             assert wire.encode_value(result.payload) == expected, \

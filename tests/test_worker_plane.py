@@ -8,7 +8,7 @@ The identity, traffic and alarm-stream checks run over every pool shape in
 exercise them.
 
 Covers: host sharding, byte-identical payloads and alarm streams across
-serial / thread / worker execution, measured traffic reconciled against
+serial and worker execution, measured traffic reconciled against
 envelope lengths, frame coalescing, the ingest mirror (also across mode
 flips), a dead worker surfacing like a dead agent for its whole shard,
 the local fallback for queries the workers cannot serve, supervised
@@ -30,8 +30,8 @@ import pytest
 
 import repro
 from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
-                        MECHANISM_MULTILEVEL, MODE_CONCURRENT, MODE_PROCESS,
-                        MODE_SERIAL, MODE_SOCKET, Q_FLOW_SIZE_DISTRIBUTION,
+                        MECHANISM_MULTILEVEL, MODE_PROCESS, MODE_SERIAL,
+                        MODE_SOCKET, Q_FLOW_SIZE_DISTRIBUTION,
                         Q_GET_COUNT, Q_GET_FLOWS, Q_GET_PATHS,
                         Q_PATH_CONFORMANCE, Q_PLAN, Q_POOR_TCP_FLOWS,
                         Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX, Query, QueryCluster,
@@ -243,19 +243,18 @@ class TestPayloadIdentity:
     @pytest.mark.parametrize("name,params", QUERIES)
     def test_modes_byte_identical(self, shaped_cluster, mechanism, name,
                                   params):
-        """Serial, thread and worker runs of the same query return
-        byte-identical payloads; the result reports the mode string the
-        caller asked for."""
+        """Serial and worker runs of the same query return byte-identical
+        payloads; the result reports the mode string the caller asked
+        for."""
         query = Query(name, dict(params))
         worker_mode = shaped_cluster.worker_mode
         results = {}
-        for mode in (MODE_SERIAL, MODE_CONCURRENT, worker_mode):
+        for mode in (MODE_SERIAL, worker_mode):
             shaped_cluster.configure_executor(mode=mode)
             results[mode] = shaped_cluster.execute(query,
                                                    mechanism=mechanism)
         encoded = {mode: wire.encode_value(result.payload)
                    for mode, result in results.items()}
-        assert encoded[MODE_SERIAL] == encoded[MODE_CONCURRENT]
         assert encoded[MODE_SERIAL] == encoded[worker_mode]
         assert encoded[MODE_SERIAL] != wire.encode_value(None)
         assert results[worker_mode].mode == worker_mode
@@ -692,7 +691,7 @@ class TestIngestMirror:
         fresh_cluster.stop_agent_servers()
         assert fresh_cluster.agent(host).record_sink is None
         assert fresh_cluster.agent_servers is None
-        assert fresh_cluster.mode == MODE_CONCURRENT
+        assert fresh_cluster.mode == MODE_SERIAL
         # Queries still work (local agents kept everything via dual-write).
         result = fresh_cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 5}))
         assert result.payload
@@ -1087,7 +1086,7 @@ class TestWorkerFailures:
     def test_kill_mid_scatter_matches_thread_failure_path(
             self, fresh_cluster):
         """A worker killed while its query is in flight surfaces exactly
-        like dead in-thread agents: partial=True, its shard in
+        like dead in-process agents: partial=True, its shard in
         hosts_failed, a W_HOST_FAILED warning naming the worker - and
         everyone else's results intact."""
         victim = fresh_cluster.hosts[2]
