@@ -4,10 +4,10 @@ Covers: alarm-bus semantics (dispatch order, per-reason subscription and
 the incrementally maintained per-reason index), at-most-once alerting,
 monitor reset/reset_stats accounting, the observation mirror keeping the
 worker monitors identical to the local ones, identical alarm streams and
-byte-identical monitor-backed query payloads across serial and process
-mode, measured alarm wire-byte accounting, a worker killed mid-tick
+byte-identical monitor-backed query payloads across serial, process and
+socket mode, measured alarm wire-byte accounting, a worker killed mid-tick
 surfacing like a dead agent, and the event-driven debug apps running
-unchanged on top of the bus in both modes.
+unchanged on top of the bus in every mode.
 """
 
 import random
@@ -17,8 +17,8 @@ import time
 import pytest
 
 from repro.core import (AlarmBus, MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
-                        MODE_PROCESS, MODE_SERIAL,
-                        MODE_SOCKET, Q_PATH_CONFORMANCE, Q_POOR_TCP_FLOWS, Query,
+                        MODE_PROCESS, MODE_SERIAL, MODE_SOCKET,
+                        Q_PATH_CONFORMANCE, Q_POOR_TCP_FLOWS, Query,
                         QueryCluster, wire)
 from repro.core.alarms import Alarm, PC_FAIL, POOR_PERF
 from repro.core.cluster import MonitorSweep
@@ -30,7 +30,7 @@ from repro.storage import PathFlowRecord
 from test_supervisor import kill_and_wait, small_topology
 
 NUM_HOSTS = 4
-ALL_MODES = (MODE_SERIAL, MODE_PROCESS)
+ALL_MODES = (MODE_SERIAL, MODE_PROCESS, MODE_SOCKET)
 
 
 def _flow(src, dst, port):
@@ -216,7 +216,8 @@ class TestObservationMirror:
 class TestAlarmStreamIdentity:
     def test_monitor_sweep_identical_across_modes(self):
         """One monitor sweep over the same workload produces byte-identical
-        alarm streams (order included) in serial and process mode."""
+        alarm streams (order included) in serial, process and socket
+        mode."""
         streams = {}
         buses = {}
         for mode in ALL_MODES:
@@ -226,14 +227,16 @@ class TestAlarmStreamIdentity:
                 streams[mode] = alarm_stream_bytes(sweep)
                 buses[mode] = alarm_stream_bytes(cluster.alarm_bus.alarms)
         assert streams[MODE_SERIAL] == streams[MODE_PROCESS]
+        assert streams[MODE_SERIAL] == streams[MODE_SOCKET]
         assert buses[MODE_SERIAL] == buses[MODE_PROCESS]
+        assert buses[MODE_SERIAL] == buses[MODE_SOCKET]
         assert streams[MODE_SERIAL] != wire.encode_alarm_batch([])
 
     @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
                                            MECHANISM_MULTILEVEL])
     def test_poor_tcp_flows_payload_identical_across_modes(self, mechanism):
-        """The monitor-backed built-in executes host-side in process mode
-        and still returns byte-identical payloads."""
+        """The monitor-backed built-in executes host-side in the worker
+        modes and still returns byte-identical payloads."""
         payloads = {}
         for mode in ALL_MODES:
             with make_cluster(mode) as cluster:
@@ -242,6 +245,7 @@ class TestAlarmStreamIdentity:
                 assert not result.partial
                 payloads[mode] = wire.encode_value(result.payload)
         assert payloads[MODE_SERIAL] == payloads[MODE_PROCESS]
+        assert payloads[MODE_SERIAL] == payloads[MODE_SOCKET]
         assert payloads[MODE_SERIAL] != wire.encode_value([])
 
     def test_query_raised_alarms_identical_serial_vs_workers(self):

@@ -11,13 +11,15 @@ import time
 
 import pytest
 
-from repro.core import (LoopbackTransport, MECHANISM_DIRECT,
-                        MECHANISM_MULTILEVEL, MODE_SERIAL, PlanNode,
-                        Q_FLOW_SIZE_DISTRIBUTION, Q_GET_FLOWS, Q_TOP_K_FLOWS,
-                        Query, QueryCluster, RpcChannel,
-                        ScatterGatherExecutor, TransportError)
+from repro.core import (AggregationTree, LoopbackTransport,
+                        MECHANISM_DIRECT, MECHANISM_MULTILEVEL, MODE_SERIAL,
+                        PlanNode, Q_FLOW_SIZE_DISTRIBUTION, Q_GET_FLOWS,
+                        Q_TOP_K_FLOWS, Query, QueryCluster, RpcChannel,
+                        ScatterGatherExecutor, TransportError, wire)
+from repro.core.agent import PathDumpAgent
 from repro.core.executor import (DeadlineExceeded, HostReport, W_HOST_FAILED,
                                  W_HOST_TIMEOUT, W_RESPONSE_LOST, W_RETRIED)
+from repro.core.query import QueryEngine
 from repro.core.rpc import (MESSAGE_OVERHEAD_BYTES, charge_legs,
                             model_response_time)
 from repro.network.packet import FlowId, PROTO_TCP
@@ -132,6 +134,52 @@ class TestScatterGather:
         # resp(h0->root) = 4 legs (executions/merges add ~microseconds).
         assert 4 * latency < model < 5 * latency
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_model_costs_one_leg_per_depth_each_way(self, depth):
+        """Sibling legs overlap in the model: a plan ``depth`` hosts deep
+        (three roots, fan-out two) costs a request and a response leg per
+        level on its deepest path, however many hosts it holds - although
+        the fold sent every leg one after another."""
+        leg = 0.05
+        names = iter(range(100))
+
+        def node(level):
+            fanout = 2 if level < depth else 0
+            return PlanNode(host=f"h{next(names)}", request_parts=(8,),
+                            children=[node(level + 1)
+                                      for _ in range(fanout)])
+
+        plan = PlanNode(host=None, children=[node(1) for _ in range(3)])
+        result = ScatterGatherExecutor(LoopbackTransport()).run(
+            plan, work=lambda host: [host],
+            merge=lambda values: sum(values, []),
+            response_bytes=lambda value: 8)
+        assert not result.partial
+        assert len(result.value) == len(result.reports) == 3 * (2**depth - 1)
+        model = model_response_time(
+            plan, result.reports, result.merge_s,
+            RpcChannel(message_latency_s=leg, bandwidth_bps=1e12))
+        assert 2 * depth * leg < model < (2 * depth + 1) * leg
+
+    def test_model_overlaps_executions_the_fold_ran_in_series(self):
+        """Six hosts each execute for ``delay``: the fold's wall clock
+        pays all six, the modelled response time about one (the bound,
+        half the serial sum, leaves room for a busy box's late wake-ups)."""
+        delay = 0.05
+
+        def work(host):
+            time.sleep(delay)
+            return VALUES[host]
+
+        plan = flat_plan()
+        result = ScatterGatherExecutor(LoopbackTransport()).run(
+            plan, work, sum)
+        assert result.value == sum(VALUES.values())
+        assert result.wall_s > delay * len(HOSTS) * 0.9
+        model = model_response_time(plan, result.reports, result.merge_s,
+                                     RpcChannel(message_latency_s=0.0))
+        assert delay <= model < delay * len(HOSTS) / 2
+
     def test_serial_timeout_contributes_measured_wait(self):
         """A deadline is the real clock: every host's 0.2 s request leg
         blows the 0.1 s deadline, and the wait it measured is what its
@@ -161,13 +209,17 @@ class TestScatterGather:
         assert not result.partial and result.hosts_failed == []
         assert result.traffic_bytes == 0
 
-    def test_broken_merge_raises_instead_of_hanging(self):
+    @pytest.mark.parametrize("make_plan", [flat_plan, tree_plan],
+                             ids=["flat", "tree"])
+    def test_broken_merge_raises_instead_of_hanging(self, make_plan):
+        """At the root of a flat plan or at an interior host of a tree,
+        a merge that raises ends the run with its error."""
         def merge(values):
             raise TypeError("cannot merge partials")
 
         executor = ScatterGatherExecutor(LoopbackTransport())
         with pytest.raises(TypeError, match="cannot merge partials"):
-            executor.run(flat_plan(), VALUES.__getitem__, merge)
+            executor.run(make_plan(), VALUES.__getitem__, merge)
 
     def test_broken_response_bytes_raises_instead_of_hanging(self):
         executor = ScatterGatherExecutor(LoopbackTransport())
@@ -192,6 +244,19 @@ class TestScatterGather:
         assert result.value == sum(VALUES.values()) - VALUES["h2"]
         warning = next(w for w in result.warnings if w.code == W_HOST_FAILED)
         assert warning.host == "h2" and warning.attempts == 2
+
+    def test_dead_interior_host_loses_its_subtree(self):
+        """A dead interior host still forwards nothing up: its children
+        answered it, but the subtree's result dies with it, and the other
+        subtree survives."""
+        executor = ScatterGatherExecutor(
+            LoopbackTransport(dead_hosts=["h0"]), retries=1)
+        result = run(executor, tree_plan())
+        assert result.partial
+        assert sorted(result.hosts_failed) == ["h0", "h2", "h3"]
+        assert result.value == VALUES["h1"] + VALUES["h4"] + VALUES["h5"]
+        assert [w.host for w in result.warnings
+                if w.code == W_HOST_FAILED] == ["h0"]
 
     def test_broken_work_yields_partial_result(self):
         def work(host):
@@ -277,10 +342,13 @@ class TestScatterGather:
         assert result.value is None
         assert result.partial and set(result.hosts_failed) == set(HOSTS)
 
-    def test_deadline_counts_from_first_attempt(self):
+    @pytest.mark.parametrize("make_plan", [flat_plan, tree_plan],
+                             ids=["flat", "tree"])
+    def test_deadline_counts_from_first_attempt(self, make_plan):
         """A host's deadline runs from its first attempt: two 0.2 s
         attempts (the first raises) blow a 0.3 s deadline that either
-        would meet alone, and the timeout names both attempts."""
+        would meet alone, and the timeout names both attempts - whether
+        the host answers the root or a parent host."""
         calls = []
 
         def work(host):
@@ -292,7 +360,7 @@ class TestScatterGather:
             return VALUES[host]
 
         executor = ScatterGatherExecutor(timeout_s=0.3, retries=1)
-        result = executor.run(flat_plan(), work, sum)
+        result = executor.run(make_plan(), work, sum)
         assert result.hosts_failed == ["h3"]
         assert result.value == sum(VALUES.values()) - VALUES["h3"]
         assert [(w.code, w.host, w.attempts) for w in result.warnings] == \
@@ -463,7 +531,9 @@ class TestSerialFold:
     """The executor is a depth-first fold on the calling thread; it must
     gather exactly what the fault semantics predict."""
 
-    def test_fold_matches_brute_force_model_on_random_faulty_plans(self):
+    @pytest.mark.parametrize("retries", [0, 1, 2])
+    def test_fold_matches_brute_force_model_on_random_faulty_plans(
+            self, retries):
         rng = random.Random(20261016)
         for _ in range(40):
             plan = random_fault_plan(rng)
@@ -477,9 +547,8 @@ class TestSerialFold:
                       pick(0.05),
                       {host: rng.randint(1, 3) for host in pick(0.15)},
                       {host: rng.randint(1, 3) for host in pick(0.1)})
-            for retries in (0, 1, 2):
-                assert gather_facts(run_with_faults(plan, faults, retries)) \
-                    == model_facts(plan, faults, retries)
+            assert gather_facts(run_with_faults(plan, faults, retries)) \
+                == model_facts(plan, faults, retries)
 
     def test_serial_call_order_is_pinned(self):
         """Pre-order work; each child's subtree folded and sent up in
@@ -536,7 +605,65 @@ def populated_cluster(fattree4, fattree4_assignment):
     return cluster
 
 
+def fold_order(cluster, mechanism):
+    """The hosts in the order a gather's arrivals concatenate: host order
+    for a direct scatter; on the aggregation tree, each node's children
+    (in tree order) before the node itself."""
+    if mechanism == MECHANISM_DIRECT:
+        return list(cluster.hosts)
+
+    def post_order(node):
+        hosts = [host for child in node.children
+                 for host in post_order(child)]
+        return hosts + ([node.host] if node.host is not None else [])
+
+    return post_order(AggregationTree(cluster.hosts).root)
+
+
 class TestClusterExecutorIntegration:
+    @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
+                                           MECHANISM_MULTILEVEL])
+    @pytest.mark.parametrize("name,params", [
+        (Q_TOP_K_FLOWS, {"k": 25}),
+        (Q_FLOW_SIZE_DISTRIBUTION, {"links": [None], "binsize": 2000}),
+        (Q_GET_FLOWS, {}),
+    ])
+    def test_gather_matches_one_agent_holding_every_record(
+            self, populated_cluster, fattree4, fattree4_assignment,
+            mechanism, name, params):
+        """Same query, same data: the distributed gather returns, byte for
+        byte, what one agent answers alone over every host's records,
+        loaded in the order the gather concatenates them."""
+        whole = PathDumpAgent("everything", fattree4, fattree4_assignment)
+        for host in fold_order(populated_cluster, mechanism):
+            for record in populated_cluster.agent(host).tib.records():
+                whole.tib.add_record(record)
+        query = Query(name, dict(params))
+        reference = QueryEngine().execute(whole, query).payload
+        result = populated_cluster.execute(query, mechanism=mechanism)
+        assert wire.encode_value(result.payload) == \
+            wire.encode_value(reference)
+        assert result.host_count == len(populated_cluster.hosts)
+        assert not result.partial and reference
+
+    @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
+                                           MECHANISM_MULTILEVEL])
+    def test_slow_agent_times_out_of_the_gather(self, populated_cluster,
+                                                mechanism):
+        """A host whose request leg outlasts the deadline is declared
+        failed with a timeout; every other host's flows still arrive."""
+        slow = populated_cluster.hosts[-1]  # a leaf of the default tree
+        populated_cluster.configure_executor(
+            timeout_s=0.1, transport=LoopbackTransport(
+                delay=lambda host, attempt: 0.2 if host == slow else 0.0))
+        result = populated_cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 1000}),
+                                           mechanism=mechanism)
+        assert result.partial and result.hosts_failed == [slow]
+        assert [w.code for w in result.warnings if w.host == slow] == \
+            [W_HOST_TIMEOUT]
+        assert len(result.payload) == 20 * (len(populated_cluster.hosts) - 1)
+        assert not any(f"|{slow}:" in key for _, key in result.payload)
+
     @pytest.mark.parametrize("mode", ["concurrent", "bogus"])
     def test_unknown_mode_rejected(self, fattree4, fattree4_assignment,
                                    mode):
