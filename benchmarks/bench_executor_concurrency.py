@@ -65,6 +65,10 @@ def test_process_vs_serial_cpu_bound(benchmark, report_writer):
                   params={"links": [None], "binsize": 1_000})
     try:
         cluster.configure_executor(mode=MODE_PROCESS)  # spawn + sync once
+        # One discarded serial query: the first query after the spawn reads
+        # slower whichever mode runs it, so it must not land on a timed row.
+        cluster.configure_executor(mode=MODE_SERIAL)
+        cluster.execute(query, cluster.hosts)
 
         def run_mode(mode):
             cluster.configure_executor(mode=mode)

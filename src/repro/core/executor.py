@@ -426,8 +426,7 @@ class _Fold:
         first = len(self.reports)  # the subtree's reports start here
         acc, _merges = self._node(node)
         payload = 0 if acc is _EMPTY else self.response_bytes(acc)
-        lost = _respond(self.executor.transport, node.host or "", payload,
-                        self.executor.retries + 1)
+        lost = self._respond(node.host or "", payload)
         if lost is None:
             self.traffic_bytes += payload
             if node.host is not None:
@@ -442,18 +441,18 @@ class _Fold:
                     report.error = "subtree response lost"
         return _EMPTY
 
-
-def _respond(transport: Optional[Transport], host: str, payload: int,
-             tries: int) -> Optional[str]:
-    """Send a node's response within ``tries``: ``None`` once delivered,
-    else the last drop's text.  Anything but a drop propagates."""
-    if transport is None:
-        return None
-    detail = ""
-    for _ in range(tries):
-        try:
-            transport.respond(host, payload)
+    def _respond(self, host: str, payload: int) -> Optional[str]:
+        """Send a node's response within the retry budget: ``None`` once
+        delivered, else the last drop's text.  Anything but a drop
+        propagates."""
+        transport = self.executor.transport
+        if transport is None:
             return None
-        except TransportError as error:
-            detail = str(error)
-    return detail
+        detail = ""
+        for _ in range(self.executor.retries + 1):
+            try:
+                transport.respond(host, payload)
+                return None
+            except TransportError as error:
+                detail = str(error)
+        return detail

@@ -120,26 +120,13 @@ class TestScatterGather:
         assert result.value == sum(VALUES.values())
         assert result.hosts_failed == []
 
-    def test_model_chains_request_legs_through_tree_levels(self):
-        """A leaf cannot start before its parent received the query: the
-        modelled response time of a 2-level tree must include two request
-        legs and two response legs on the deepest path."""
-        latency = 0.05
-        plan = tree_plan()
-        result = run(ScatterGatherExecutor(), plan)
-        model = model_response_time(
-            plan, result.reports, result.merge_s,
-            RpcChannel(message_latency_s=latency, bandwidth_bps=1e12))
-        # Deepest path: req(root->h0) + req(h0->h2) + resp(h2->h0) +
-        # resp(h0->root) = 4 legs (executions/merges add ~microseconds).
-        assert 4 * latency < model < 5 * latency
-
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_model_costs_one_leg_per_depth_each_way(self, depth):
-        """Sibling legs overlap in the model: a plan ``depth`` hosts deep
-        (three roots, fan-out two) costs a request and a response leg per
-        level on its deepest path, however many hosts it holds - although
-        the fold sent every leg one after another."""
+    def test_model_chains_request_legs_through_tree_levels(self, depth):
+        """A leaf cannot start before its parent received the query, and
+        sibling legs overlap: a plan ``depth`` hosts deep (three roots,
+        fan-out two) costs a request and a response leg per level on its
+        deepest path, however many hosts it holds - although the fold sent
+        every leg one after another (executions/merges add ~microseconds)."""
         leg = 0.05
         names = iter(range(100))
 

@@ -1083,7 +1083,7 @@ class TestLocalFallback:
 
 
 class TestWorkerFailures:
-    def test_kill_mid_scatter_matches_thread_failure_path(
+    def test_kill_mid_scatter_matches_dead_agent_path(
             self, fresh_cluster):
         """A worker killed while its query is in flight surfaces exactly
         like dead in-process agents: partial=True, its shard in
