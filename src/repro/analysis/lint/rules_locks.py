@@ -1,13 +1,13 @@
 """R3 - lock-discipline: guarded attributes only touched under their lock.
 
-The agent-server plane is the one genuinely concurrent part of the
-codebase: caller threads share each group's connection and the pool's
-stats with that connection's reader thread, and the supervisor/chaos
-hooks run on whichever thread detected a failure.  PR 6/7 established
-the discipline (per-host exchange locks, ``_stats_lock``, the
-supervisor's ``_lock``) but nothing checked it - a
-stats bump outside ``_stats_lock`` or a pipe exchange outside the host
-lock is a silent race that only shows up as corrupt byte accounting or
+The worker plane is the one genuinely concurrent part of the codebase:
+caller threads share each group's connection and the pool's stats with
+that connection's reader thread, and the supervisor/chaos hooks run on
+whichever thread detected a failure.  The discipline (each connection's
+``_lock``/``_send_lock``, each group slot's ``lock``, the pool's
+``_stats_lock``, the supervisor's ``_lock``) is easy to break silently: a
+stats bump outside ``_stats_lock`` or an outbox write outside the send
+lock is a race that only shows up as corrupt byte accounting or
 interleaved frames under load.
 
 The contract is declared in the source itself:
@@ -15,16 +15,17 @@ The contract is declared in the source itself:
 * ``self.attr = ...  # guarded-by: _lock`` on the attribute's
   initialisation line declares that every later access to ``self.attr``
   in that class must sit inside ``with self._lock:`` (or
-  ``with self._lock_for(...):`` when the guard is a lock-returning
-  method).
+  ``with self._lock(...):`` when the guard is a lock-returning method).
 * ``def method(self):  # holds: _lock`` declares a caller-must-hold
-  method: its body is treated as already inside the lock (the repo's
-  ``_send``/``_recv``-style internals, documented as "called with the
-  host's exchange lock held").
+  method: its body is treated as already inside the lock (internals
+  documented as "called with the lock held").
 
 ``__init__`` is exempt (no concurrency before construction completes).
-Deliberate unguarded accesses (teardown, racy-read probes like
-``alive()``) carry a justified ``# lint: disable=R3`` suppression.
+The rule checks the owning class's own methods; where other code may
+read a guarded attribute without the lock (racy-by-contract probes,
+teardown), the owning class's docstring states that contract once -
+the pool's ``_Group`` slot is the example - instead of a suppression per
+line.
 """
 
 from __future__ import annotations

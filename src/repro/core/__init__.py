@@ -25,9 +25,8 @@ from repro.core.executor import (ExecWarning, GatherResult, LoopbackTransport,
                                  PlanNode, ScatterGatherExecutor, Transport,
                                  TransportError)
 from repro.core import wire
-from repro.core.agentserver import AgentServerError
-from repro.core.groupserver import (GroupAgentPool, GroupPoolStats,
-                                    shard_hosts)
+from repro.core.groupserver import (AgentServerError, GroupAgentPool,
+                                    GroupPoolStats, shard_hosts)
 from repro.core.supervisor import (ChaosPolicy, GroupSeed, RestartEvent,
                                    RestartPolicy, Supervisor, WorkerSeed)
 from repro.core.aggregation import AggregationTree

@@ -60,14 +60,13 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core import wire
 from repro.core.agent import PathDumpAgent
 from repro.core.aggregation import PAPER_TREE_FANOUT, AggregationTree, TreeNode
-from repro.core.agentserver import AgentServerError, SERVED_QUERIES
 from repro.core.alarms import Alarm, AlarmBus, POOR_PERF
 from repro.core.executor import (DeadlineExceeded, ExecWarning, GatherResult,
                                  PlanNode, ScatterGatherExecutor, Transport,
                                  W_CIRCUIT_OPEN, W_HOST_FAILED,
                                  W_MIRROR_DETACHED, W_WORKER_RESTARTED)
-from repro.core.groupserver import (DEFAULT_GROUP_COUNT, Exchange,
-                                    GroupAgentPool, GroupPoolStats)
+from repro.core.groupserver import (DEFAULT_GROUP_COUNT, AgentServerError,
+                                    Exchange, GroupAgentPool, GroupPoolStats)
 from repro.core.supervisor import (ChaosPolicy, EVENT_CIRCUIT_OPEN,
                                    EVENT_RESTARTED, GroupSeed, Supervisor,
                                    WorkerSeed)
@@ -75,6 +74,7 @@ from repro.core.query import (Query, QueryEngine, QueryResult,
                               measured_result_wire_bytes)
 from repro.core.rpc import RpcChannel, charge_legs, model_response_time
 from repro.core.trajectory import TrajectoryCache
+from repro.core.worker import SERVED_QUERIES
 from repro.network.simulator import Fabric
 from repro.storage.archive import RetentionPolicy
 from repro.storage.records import PathFlowRecord
@@ -1012,7 +1012,7 @@ class QueryCluster:
         the pool's default ``reply_timeout_s=None`` nothing else bounds
         its wait, so N back-to-back scatters past one stalled but alive
         group hold at most N of them; each exits when its reply lands or
-        when the connection dies (``_GroupConn._fail`` wakes every
+        when the connection dies (``_GroupConn.close`` wakes every
         pending waiter, so killing the worker ends them all)."""
         def run() -> None:
             try:

@@ -1,54 +1,46 @@
-"""The worker plane: group-sharded agent servers behind one connected
-stream each.
+"""The worker plane's controller side: group-sharded agent servers
+behind one connected stream each.
 
 Every worker mode of the cluster runs on this one pool.  One worker
 process per host (``mode="process"``) is simply the shape
 ``group_count=len(hosts)`` - fine for an 8-host testbed, hopeless at the
 paper's deployment scale (a 1000-host fat-tree would need a thousand
 processes, and the event-plane bench shows most of the wire cost is
-per-frame overhead anyway); ``mode="socket"`` picks fewer, larger groups:
+per-frame overhead anyway); ``mode="socket"`` picks fewer, larger groups.
+Everything a worker process runs lives in :mod:`~repro.core.worker`.
 
 * **Worker groups.** Hosts are sharded into deterministic contiguous
   groups (:func:`shard_hosts`, ``WORKER_GROUP_ID``/``WORKER_GROUP_COUNT``
-  style); one :func:`group_server_main` process owns *M* hosts' TIBs and
-  monitors (one :class:`~repro.core.agentserver._HostServer` each), so a
-  controller drives N processes x M hosts.
+  style); one worker process owns *M* hosts' TIBs and monitors, so a
+  controller drives N processes x M hosts.  The pool keeps one
+  :class:`_Group` slot per group: its hosts, its lock, and the
+  connection and process currently serving it.
 * **One connection per worker, made by the parent.** Spawning a group
   creates one connected ``AF_UNIX`` stream pair and hands the child end
-  to the worker as a process argument, so the connection is bound to its
-  shard by construction: there is no listener, no handshake, and nothing
-  a stranger could connect to.  The stream carries interleaved
-  request/reply envelopes tagged by correlation id.  An exchange is split
-  in two: :meth:`GroupAgentPool.send` writes the envelope and returns an
-  :class:`Exchange`, the consume step (``group_query`` /
-  ``group_monitor_tick`` of that exchange) waits for its reply later.
-  A scatter sends to every group before it waits on the first, and the
-  connection's reader thread (:class:`_GroupConn`) files each reply
-  under its correlation id as it lands.
+  to the worker as a process argument: no listener, no handshake, and
+  nothing a stranger could connect to.  The stream carries
+  length-delimited (:class:`~repro.core.worker.FramedSocket`)
+  request/reply envelopes tagged by correlation id, multiplexed by
+  :class:`_GroupConn`: a scatter sends to every group before it waits on
+  the first.
 * **Frame coalescing.** Monitor ticks, ingest batches, re-seed streams
   and per-tree-edge query requests for all hosts of a group pack into a
-  single ``MSG_GROUP_BATCH`` envelope (``group_monitor_tick``,
-  ``group_query``, ...), amortizing the per-message cost: the envelope
-  costs one transport message where naive per-host send pays it M times.
-  Fire-and-forget frames (ingest, retention, monitor seeds and re-opens)
-  wait in the connection's *outbox* and leave as one envelope ahead of
-  the next request on that connection (:class:`_GroupConn`).
-  The inner frames are opaque here, and a plan travels as a parameter of
-  an ordinary query request - no group-transport change per new
-  question, ever.
+  single ``MSG_GROUP_BATCH`` envelope: one transport message where naive
+  per-host send pays M.  Fire-and-forget frames wait in the connection's
+  outbox and leave ahead of the next request.  The inner frames are
+  opaque here, and a plan travels as a parameter of an ordinary query
+  request - no group-transport change per new question, ever.
 * **Dead-agent failure semantics.** A dead/hung/undecodable group
-  connection surfaces as :class:`~repro.core.agentserver.AgentServerError`,
-  which the executor reports like a dead in-process agent - for every host
-  of the shard, the connection being the failure domain; with a
+  connection surfaces as :class:`AgentServerError`, which the executor
+  reports like a dead in-process agent - for every host of the shard,
+  the connection being the failure domain; with a
   :class:`~repro.core.supervisor.Supervisor` attached the group is
   respawned and re-seeded over a fresh connection, and
-  :class:`~repro.core.supervisor.ChaosPolicy` injects connection-level
-  faults (torn mid-frame close, stalled socket) keyed by group.
+  :class:`~repro.core.supervisor.ChaosPolicy` injects faults keyed by
+  group.
 
-Stream framing is length-delimited (:func:`~repro.core.wire.stream_frame`
-/ :class:`~repro.core.wire.StreamFrameReader`).  The protocol is
-machine-agnostic; the spawn plumbing (a stream pair inherited by a local
-child) is not.
+The protocol is machine-agnostic; the spawn plumbing (a stream pair
+inherited by a local child) is not.
 """
 
 from __future__ import annotations
@@ -58,17 +50,17 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.process import BaseProcess
 from multiprocessing.util import register_after_fork
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import wire
-from repro.core.agentserver import (AgentServerError, _HostServer,
-                                    _RequestMemo)
 from repro.core.alarms import Alarm
 from repro.core.executor import DeadlineExceeded
 from repro.core.monitor import MonitorSnapshot, TransferObservation
 from repro.core.query import QueryResult
 from repro.core.supervisor import GroupSeed, WorkerSeed
+from repro.core.worker import EndpointClosed, FramedSocket, group_server_main
 from repro.counters import Counters
 from repro.storage.records import PathFlowRecord
 
@@ -118,119 +110,6 @@ def shard_hosts(hosts: Sequence[str],
     return shards
 
 
-# =========================================================== worker process
-class _WorkerSocketChannel:
-    """Worker-side length-delimited framing over the worker's end of its
-    stream pair."""
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._reader = wire.StreamFrameReader()
-        self._ready: List[bytes] = []
-
-    def recv(self) -> Optional[bytes]:
-        while not self._ready:
-            try:
-                data = self._sock.recv(1 << 16)
-            except OSError:
-                return None
-            if not data:
-                return None  # controller went away; worker just exits
-            try:
-                self._ready.extend(self._reader.feed(data))
-            except wire.WireError:
-                return None  # corrupt inbound stream: die loudly (EOF)
-        return self._ready.pop(0)
-
-    def send(self, frame: bytes) -> None:
-        self._sock.sendall(wire.stream_frame(frame))
-
-    def close_torn(self) -> None:
-        # A length prefix promising a whole ping frame, but only two bytes
-        # of it: the controller's StreamFrameReader is left mid-frame and
-        # must surface WireDecodeError at EOF, not hang or resync.
-        torn = wire.stream_frame(wire.encode_ping())
-        torn = torn[:wire.STREAM_PREFIX_BYTES + 2]
-        try:
-            self._sock.sendall(torn)
-        except OSError:
-            pass
-        self.close()
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
-def group_server_main(group_id: int, hosts: Sequence[str],
-                      sock: socket.socket) -> None:
-    """Group worker main loop: serve coalesced envelopes for ``hosts``
-    (the shard ``WORKER_GROUP_ID=group_id``) over ``sock``, the child end
-    of the stream pair the pool made for this group.
-
-    One process owns every host of its shard - a
-    :class:`~repro.core.agentserver._HostServer` per host - behind that
-    single connection.  Top-level frames are either lifecycle
-    (``MSG_SHUTDOWN``, ``MSG_SLEEP`` for stall injection,
-    ``MSG_CLOSE_TORN`` for the chaos harness) or ``MSG_GROUP_BATCH``
-    envelopes whose entries are routed to the per-host servers in entry
-    order; a correlated envelope (id > 0) is answered with one reply
-    envelope echoing the id, one reply frame per entry, in entry order.
-    """
-    channel = _WorkerSocketChannel(sock)
-    requests = _RequestMemo()
-    servers = {host: _HostServer(host, requests) for host in hosts}
-    try:
-        while True:
-            frame = channel.recv()
-            if frame is None:
-                break
-            try:
-                kind = wire.frame_type(frame)
-            except wire.WireError:
-                break  # top-level garbage: the stream cannot be trusted
-            if kind == wire.MSG_SHUTDOWN:
-                break
-            if kind == wire.MSG_SLEEP:
-                time.sleep(wire.decode_sleep(frame))
-                continue
-            if kind == wire.MSG_CLOSE_TORN:
-                channel.close_torn()
-                return
-            if kind != wire.MSG_GROUP_BATCH:
-                continue  # unknown top-level frames are ignored
-            try:
-                cid, entries = wire.decode_group_batch(frame)
-            except wire.WireError:
-                break
-            replies: List[Tuple[str, bytes]] = []
-            for host, inner in entries:
-                server = servers.get(host)
-                if server is None:
-                    reply: Optional[bytes] = wire.encode_error(
-                        f"host {host} is not in group {group_id}")
-                else:
-                    reply = server.serve(inner)
-                if cid:
-                    if reply is None:
-                        # Correlated envelopes must keep reply cardinality:
-                        # a fire-and-forget frame inside one is a protocol
-                        # misuse, answered loudly rather than skipped.
-                        reply = wire.encode_error(
-                            "entry produced no reply")
-                    replies.append((host, reply))
-            if cid:
-                try:
-                    channel.send(wire.encode_group_batch(cid, replies))
-                except OSError:
-                    break
-    finally:
-        channel.close()
-
-
-# ======================================================== controller side
 @dataclass(slots=True)
 class GroupPoolStats(Counters):
     """Frame/byte/envelope counters and self-healing telemetry of one
@@ -269,56 +148,6 @@ class GroupPoolStats(Counters):
     #: Reply envelopes/streams that failed to decode (protocol desync;
     #: the group worker is killed and, when supervised, restarted).
     decode_errors: int = 0
-
-
-class _EndpointClosed(Exception):
-    """The controller-side endpoint hit EOF or a closed descriptor."""
-
-
-class _SocketEndpoint:
-    """Controller-side length-delimited framing over the parent's end of a
-    group's stream pair.
-
-    ``recv`` raises :class:`~repro.core.wire.WireDecodeError` for a
-    malformed stream (oversized/truncated frames, garbage after a valid
-    envelope - including the chaos harness's torn close, which leaves the
-    reader mid-frame when the stream ends) and :class:`_EndpointClosed`
-    for a close on a frame boundary.  The stream ends either with EOF or,
-    when the peer closed with unread inbound bytes, with its last bytes
-    followed by ``ECONNRESET``; both run the reader's mid-frame check.
-    """
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._reader = wire.StreamFrameReader()
-        self._ready: List[bytes] = []
-
-    def recv(self) -> bytes:
-        while not self._ready:
-            try:
-                data = self._sock.recv(1 << 16)
-            except OSError as error:
-                self._reader.eof()  # raises WireDecodeError mid-frame
-                raise _EndpointClosed(
-                    f"{type(error).__name__}: {error}") from error
-            if not data:
-                self._reader.eof()  # raises WireDecodeError mid-frame
-                raise _EndpointClosed("EOF")
-            self._ready.extend(self._reader.feed(data))
-        return self._ready.pop(0)
-
-    def send(self, frame: bytes) -> None:
-        self._sock.sendall(wire.stream_frame(frame))
-
-    def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
 
 
 class _Waiter:
@@ -420,7 +249,8 @@ class _GroupConn:
     every buffered write.
     """
 
-    def __init__(self, pool: "GroupAgentPool", key: str, endpoint) -> None:
+    def __init__(self, pool: "GroupAgentPool", key: str,
+                 endpoint: FramedSocket) -> None:
         self._pool = pool
         self.key = key
         self.endpoint = endpoint
@@ -546,22 +376,21 @@ class _GroupConn:
     def _unreachable(self, error: Exception) -> AgentServerError:
         """A write failed (called with the send lock released), which
         happens only once the stream is gone - the peer closed its end, or
-        :meth:`_fail` closed ours - so the reader is at, or about to
+        :meth:`close` closed ours - so the reader is at, or about to
         reach, the end of it too.  The failure is reported after the
         reader's verdict (under the same deadline as any reply): the
         reader alone classifies how a stream ended, so one torn mid-frame
         is counted as the decode error it is whichever thread noticed
-        first.  (The ``_fail`` here only matters past that deadline.)"""
+        first.  (The ``close`` here only matters past that deadline.)"""
         detail = (f"agent server group {self.key} unreachable: "
                   f"{type(error).__name__}: {error}")
         self._ended.wait(self._pool.reply_timeout_s)
-        self._fail(detail)
+        self.close(detail)
         return AgentServerError(detail)
 
-    def close(self, detail: str = "connection closed") -> None:
-        self._fail(detail)
-
-    def _fail(self, detail: str) -> None:
+    def close(self, detail: str) -> None:
+        """Mark the connection dead with ``detail`` and fail every pending
+        waiter (the first call also closes the stream)."""
         with self._lock:
             first = self.dead is None
             if first:
@@ -584,15 +413,15 @@ class _GroupConn:
         while True:
             try:
                 frame = self.endpoint.recv()
-            except _EndpointClosed as error:
-                self._fail(f"group worker {self.key} died mid-exchange: "
+            except EndpointClosed as error:
+                self.close(f"group worker {self.key} died mid-exchange: "
                            f"{error}")
                 return
             except wire.WireError as error:
                 pool._count_decode_error()
-                self._fail(f"group worker {self.key} sent an undecodable "
+                self.close(f"group worker {self.key} sent an undecodable "
                            f"stream; worker killed: {error}")
-                pool._kill_group_process(self.key)
+                pool.kill(self.key)
                 return
             pool._count_envelope_received(len(frame))
             if pool.chaos is not None:
@@ -601,9 +430,9 @@ class _GroupConn:
                 cid, entries = wire.decode_group_batch(frame)
             except wire.WireError as error:
                 pool._count_decode_error()
-                self._fail(f"group worker {self.key} sent an undecodable "
+                self.close(f"group worker {self.key} sent an undecodable "
                            f"reply; worker killed: {error}")
-                pool._kill_group_process(self.key)
+                pool.kill(self.key)
                 return
             pool._count_frames_received(len(entries))
             with self._lock:
@@ -617,14 +446,75 @@ class _GroupConn:
                 # id was corrupted in flight, and the exchange it belonged
                 # to would wait forever.
                 pool._count_decode_error()
-                self._fail(f"group worker {self.key} answered unknown "
+                self.close(f"group worker {self.key} answered unknown "
                            f"exchange {cid}; worker killed")
-                pool._kill_group_process(self.key)
+                pool.kill(self.key)
                 return
             waiter.replies = entries
             waiter.reply_bytes = len(frame)
             waiter.landed = time.perf_counter()
             waiter.event.set()
+
+
+class AgentServerError(RuntimeError):
+    """A group worker failed or became unreachable.  The scatter-gather
+    executor turns it into the same ``partial=True`` / ``hosts_failed`` /
+    ``W_HOST_FAILED`` outcome as a dead in-process agent."""
+
+
+class _Group:
+    """One worker group's slot in the pool: its fixed ``key``, ``gid``
+    and ``hosts``, its ``lock``, and the ``conn`` and ``proc`` serving it.
+
+    ``conn`` and ``proc`` are replaced together, only under ``lock``
+    (:meth:`spawn`, :meth:`discard`); the lock also serialises
+    supervision, so concurrent failures of one worker make one restart.
+    Other code reads either attribute without the lock, once per use:
+    kills must not queue behind a restart in progress, liveness probes
+    are racy by contract, a stale value is a dead connection or process
+    that fails loudly on use, and teardown reads them only after the pool
+    latched ``_closed``, which stops respawns.
+    """
+
+    __slots__ = ("key", "gid", "hosts", "lock", "conn", "proc")
+
+    def __init__(self, pool: "GroupAgentPool", gid: int,
+                 hosts: Tuple[str, ...]) -> None:
+        self.key = f"group-{gid}"
+        self.gid = gid
+        self.hosts = hosts
+        self.lock = threading.Lock()
+        self.spawn(pool)
+
+    def spawn(self, pool: "GroupAgentPool") -> None:  # holds: lock
+        """Start a worker for this group on a fresh stream pair (from
+        ``__init__``, before any concurrency, or after :meth:`discard`)."""
+        with _SPAWN_LOCK:
+            ours, theirs = socket.socketpair()
+            # A forked child closes every parent end it inherited, so a
+            # worker sees EOF once the controller is gone, however it went.
+            register_after_fork(ours, socket.socket.close)
+            try:
+                process = multiprocessing.Process(
+                    target=group_server_main,
+                    args=(self.gid, self.hosts, theirs),
+                    name=f"pathdump-{self.key}", daemon=True)
+                process.start()
+            except BaseException:
+                ours.close()
+                raise
+            finally:
+                theirs.close()
+        endpoint = FramedSocket(ours)
+        self.conn = _GroupConn(pool, self.key, endpoint)  # guarded-by: lock
+        self.proc: BaseProcess = process  # guarded-by: lock
+
+    def discard(self) -> None:  # holds: lock
+        """Close the connection and kill the worker (no replacement)."""
+        self.conn.close(f"group worker {self.key} discarded")
+        if self.proc.is_alive():
+            self.proc.kill()
+        self.proc.join(5.0)
 
 
 class GroupAgentPool:
@@ -679,49 +569,18 @@ class GroupAgentPool:
         self.groups = shard_hosts(list(hosts), group_count
                                   or DEFAULT_GROUP_COUNT)
         self.group_count = len(self.groups)
-        self._keys = [f"group-{gid}" for gid in range(self.group_count)]
-        self._group_of: Dict[str, str] = {}
-        for key, shard in zip(self._keys, self.groups):
-            for host in shard:
-                self._group_of[host] = key
-        # Per-group supervision lock: serialises restart-with-recovery so
-        # concurrent failed exchanges on one group produce one restart
-        # (the connection-identity check in _worker_failed), not one per
-        # failure.
-        self._locks: Dict[str, threading.Lock] = {
-            key: threading.Lock() for key in self._keys}
-        self._conns: Dict[str, _GroupConn] = {}  # guarded-by: _locks[key]
-        self._procs: Dict[str, object] = {}  # guarded-by: _locks[key]
+        #: One slot per worker group, by key and by each of its hosts;
+        #: neither map changes once construction is done.
+        self._slots: Dict[str, _Group] = {}
+        self._slot_of_host: Dict[str, _Group] = {}
         try:
-            for key in self._keys:
-                self._spawn(key)
+            for gid, shard in enumerate(self.groups):
+                slot = _Group(self, gid, shard)
+                self._slots[slot.key] = slot
+                self._slot_of_host.update((host, slot) for host in shard)
         except BaseException:
             self.shutdown()
             raise
-
-    # ------------------------------------------------------------------ spawn
-    def _spawn(self, key: str) -> None:  # holds: _locks[key]
-        """(Re)create ``key``'s worker process and connection (called from
-        ``__init__`` before any concurrency, or under the group lock)."""
-        gid = self._keys.index(key)
-        with _SPAWN_LOCK:
-            ours, theirs = socket.socketpair()
-            # A forked child closes every parent end it inherited, so a
-            # worker sees EOF once the controller is gone, however it went.
-            register_after_fork(ours, socket.socket.close)
-            try:
-                process = multiprocessing.Process(
-                    target=group_server_main,
-                    args=(gid, self.groups[gid], theirs),
-                    name=f"pathdump-{key}", daemon=True)
-                process.start()
-            except BaseException:
-                ours.close()
-                raise
-            finally:
-                theirs.close()
-        self._conns[key] = _GroupConn(self, key, _SocketEndpoint(ours))
-        self._procs[key] = process
 
     # ------------------------------------------------------------------- API
     @property
@@ -732,23 +591,21 @@ class GroupAgentPool:
 
     def group_keys(self) -> List[str]:
         """The group worker keys (``group-0`` ... ``group-N-1``)."""
-        return list(self._keys)
+        return list(self._slots)
 
     def group_hosts(self, key: str) -> Tuple[str, ...]:
         """The hosts group ``key`` owns, in canonical order."""
-        try:
-            return self.groups[self._keys.index(key)]
-        except ValueError:
-            raise AgentServerError(f"no agent server group {key}") from None
+        slot = self._slots.get(key)
+        if slot is None:
+            raise AgentServerError(f"no agent server group {key}")
+        return slot.hosts
 
-    def _key_for(self, name: str) -> str:
-        """The group key serving ``name`` (a host or a group key)."""
-        key = self._group_of.get(name)
-        if key is not None:
-            return key
-        if name in self._conns:  # lint: disable=R3 -- key set is construction-time constant
-            return name
-        raise AgentServerError(f"no agent server for {name}")
+    def _slot(self, name: str) -> _Group:
+        """The slot of the group serving ``name`` (a host or a group key)."""
+        slot = self._slot_of_host.get(name) or self._slots.get(name)
+        if slot is None:
+            raise AgentServerError(f"no agent server for {name}")
+        return slot
 
     def runs(self, targets: Sequence[str]) -> List[Tuple[str, List[str]]]:
         """``targets`` as ``(group key, hosts)`` runs of consecutive
@@ -758,7 +615,8 @@ class GroupAgentPool:
         which fails when asked, like any dead agent."""
         runs: List[Tuple[str, List[str]]] = []
         for host in targets:
-            key = self._group_of.get(host, host)
+            slot = self._slot_of_host.get(host)
+            key = host if slot is None else slot.key
             if runs and runs[-1][0] == key:
                 runs[-1][1].append(host)
             else:
@@ -823,7 +681,7 @@ class GroupAgentPool:
         re-opens: the worker starts applying them at once, and
         ``reset_stats`` charges them to the interval that ends, not the
         one that starts)."""
-        conn = self._conn_for(self._key_for(key))
+        conn = self._conn_for(key)
         try:
             conn.send()
         except AgentServerError as error:
@@ -885,24 +743,26 @@ class GroupAgentPool:
         self._post(host, wire.encode_sleep(seconds))
 
     def kill(self, name: str) -> None:
-        """Hard-kill the group worker serving ``name`` (failure
-        injection); every host of the group dies with it."""
-        key = self._key_for(name)
-        self._procs[key].kill()  # lint: disable=R3 -- failure injection must not queue behind an in-flight exchange
+        """Hard-kill the group worker serving ``name`` and wait for its
+        death, so the next exchange on its connection deterministically
+        sees the EOF (failure injection, and the verdict on a desynced
+        worker); every host of the group dies with it."""
+        process = self._slot(name).proc
+        process.kill()
+        process.join(5.0)
 
     def alive(self, name: str) -> bool:
         """Whether the group worker serving ``name`` is running."""
-        key = self._key_for(name)
-        return self._procs[key].is_alive()  # lint: disable=R3 -- liveness probe is racy by contract
+        return self._slot(name).proc.is_alive()
 
     def healthy(self, name: str) -> bool:
         """Whether ``name``'s group worker is serving: process alive and
         (when supervised) its restart circuit still closed."""
-        key = self._group_of.get(name, name)
-        if self.supervisor is not None and self.supervisor.circuit_open(key):
+        slot = self._slot_of_host.get(name) or self._slots.get(name)
+        if slot is None or self.supervisor is not None and \
+                self.supervisor.circuit_open(slot.key):
             return False
-        process = self._procs.get(key)  # lint: disable=R3 -- health probe is racy by contract
-        return process is not None and process.is_alive()
+        return slot.proc.is_alive()
 
     # ---------------------------------------------------------- group client
     def send(self, key: str, entries: Sequence[Tuple[str, bytes]],
@@ -916,7 +776,7 @@ class GroupAgentPool:
         :meth:`_consume` for raw frames).  ``reseed`` marks the supervisor's
         own re-seed traffic: its failures do not recurse into supervision.
         Raises :class:`AgentServerError` on a dead connection."""
-        conn = self._conn_for(self._key_for(key))
+        conn = self._conn_for(key)
         sent_at = time.perf_counter()
         try:
             # Registering fails when the connection already died (EOF
@@ -980,8 +840,8 @@ class GroupAgentPool:
     def group_ping_state(self, key: str) -> Dict[str, Tuple[int, int]]:
         """Coalesced startup/sync barrier: one ping envelope for every
         host of ``key``; returns ``{host: (records, monitor flows)}``."""
-        key = self._key_for(key)
-        hosts = self.group_hosts(key)
+        slot = self._slot(key)
+        key, hosts = slot.key, slot.hosts
         ping = wire.encode_ping()
         replies, _reply_bytes, _sent = self._consume(
             self.send(key, [(host, ping) for host in hosts]))
@@ -1038,17 +898,17 @@ class GroupAgentPool:
         self._closed = True
         # The pool must not keep the cluster behind the hook alive.
         self.mirror_lost = None
-        # _closed (set above) keeps supervision from respawning workers
-        # underneath the teardown, so the unlocked iteration is safe.
-        for conn in self._conns.values():  # lint: disable=R3 -- teardown runs after _closed is latched
-            conn.hang_up()
-        for key, process in self._procs.items():  # lint: disable=R3 -- teardown runs after _closed is latched
+        slots = list(self._slots.values())
+        for slot in slots:
+            slot.conn.hang_up()
+        for slot in slots:
+            process = slot.proc
             process.join(join_timeout_s)
             if process.is_alive():
                 process.kill()
                 process.join(join_timeout_s)
-        for conn in self._conns.values():  # lint: disable=R3 -- teardown runs after _closed is latched
-            conn.close("pool shut down")
+        for slot in slots:
+            slot.conn.close("pool shut down")
 
     def __enter__(self) -> "GroupAgentPool":
         return self
@@ -1057,18 +917,15 @@ class GroupAgentPool:
         self.shutdown()
 
     # ------------------------------------------------------------- internals
-    def _conn_for(self, key: str) -> _GroupConn:
-        conn = self._conns.get(key)  # lint: disable=R3 -- value swap is atomic; stale conns fail loudly on use
-        if conn is None:
-            raise AgentServerError(f"no agent server for {key}")
-        return conn
+    def _conn_for(self, name: str) -> _GroupConn:
+        return self._slot(name).conn
 
     def _post(self, host: str, body, kind: Optional[int] = None,
               count: int = 1, reseed: bool = False) -> None:
         """Queue one fire-and-forget entry for ``host`` on its group's
         outbox: a finished frame, or (``kind`` given) ``count`` batch
         bodies to combine (:meth:`_GroupConn.post`)."""
-        conn = self._conn_for(self._key_for(host))
+        conn = self._conn_for(host)
         try:
             conn.post(host, kind, count, body, reseed)
         except AgentServerError as error:
@@ -1121,21 +978,15 @@ class GroupAgentPool:
                     f"per-host deadline")
             # The reply would still arrive eventually and desynchronise
             # nothing (it carries its cid) - but a wedged worker holds M
-            # hosts hostage; declare the whole group dead: kill it and
-            # close the connection so every later exchange fails loudly.
-            self._kill_group_process(key)
-            conn.close(f"group worker {key} timed out")
-            raise self._worker_failed(
+            # hosts hostage; declare the whole group dead.
+            raise self._condemn(
                 conn, f"agent server group {key} did not reply within "
                 f"{timeout}s; worker killed", exchange.reseed)
         if waiter.error is not None:
-            self._kill_group_process(key)
-            raise self._worker_failed(conn, waiter.error, exchange.reseed)
+            raise self._condemn(conn, waiter.error, exchange.reseed)
         assert waiter.replies is not None
         if len(waiter.replies) != len(exchange.hosts):
-            self._kill_group_process(key)
-            conn.close(f"group worker {key} reply cardinality mismatch")
-            raise self._worker_failed(
+            raise self._condemn(
                 conn, f"agent server group {key} answered "
                 f"{len(waiter.replies)} of {len(exchange.hosts)} entries; "
                 f"worker killed", exchange.reseed)
@@ -1153,7 +1004,9 @@ class GroupAgentPool:
         frames: List[bytes] = []
         for host, (reply_host, reply) in zip(exchange.hosts, replies):
             if reply_host != host:
-                raise self._desynced(key, host, reply_host)
+                raise self._condemn(
+                    exchange.conn, f"agent server group {key} answered for "
+                    f"{reply_host} where {host} was asked; worker killed")
             kind = self._checked_decode(key, reply, wire.frame_type)
             if kind == wire.MSG_ERROR:
                 detail = self._checked_decode(key, reply, wire.decode_error)
@@ -1164,23 +1017,10 @@ class GroupAgentPool:
     def _ask(self, host: str, frame: bytes) -> Tuple[str, bytes]:
         """A single-entry exchange with ``host``'s worker; returns
         ``(group key, reply frame)``."""
-        key = self._key_for(host)
+        key = self._slot(host).key
         replies, _reply_bytes, _sent = self._consume(
             self.send(key, [(host, frame)]))
         return key, replies[0]
-
-    def _desynced(self, key: str, host: str,
-                  reply_host: str) -> AgentServerError:
-        self._kill_group_process(key)
-        return self._worker_failed(
-            self._conn_for(key),
-            f"agent server group {key} answered for {reply_host} where "
-            f"{host} was asked; worker killed")
-
-    def _kill_group_process(self, key: str) -> None:
-        process = self._procs.get(key)  # lint: disable=R3 -- kill-on-desync must not queue behind supervision
-        if process is not None and process.is_alive():
-            process.kill()
 
     def _worker_failed(self, conn: _GroupConn, detail: str,
                        reseed: bool = False) -> AgentServerError:
@@ -1200,14 +1040,13 @@ class GroupAgentPool:
         """
         if reseed or self._closed:
             return AgentServerError(detail)
-        key = conn.key
+        slot = self._slots[conn.key]
         if self.supervisor is not None:
-            with self._locks[key]:
-                if self._conn_for(key) is conn:
-                    self.supervisor.handle_failure(self, key, detail)
+            with slot.lock:
+                if slot.conn is conn:
+                    self.supervisor.handle_failure(self, slot.key, detail)
         lost = conn.drop_outbox()
-        if self.mirror_lost is not None and \
-                self._conn_for(key).dead is not None:
+        if self.mirror_lost is not None and slot.conn.dead is not None:
             for host in lost:
                 self.mirror_lost(host, detail)
         return AgentServerError(detail)
@@ -1220,33 +1059,33 @@ class GroupAgentPool:
             return decoder(reply, *args)
         except wire.WireError as error:
             self._count_decode_error()
-            self._kill_group_process(key)
-            conn = self._conn_for(key)
-            conn.close(f"group worker {key} sent an undecodable reply")
-            raise self._worker_failed(
-                conn, f"agent server group {key} sent an undecodable "
-                f"reply; worker killed: {error}") from error
+            raise self._condemn(
+                self._conn_for(key), f"agent server group {key} sent an "
+                f"undecodable reply; worker killed: {error}") from error
+
+    def _condemn(self, conn: _GroupConn, detail: str,
+                 reseed: bool = False) -> AgentServerError:
+        """Give up on ``conn``, whose stream can no longer be trusted:
+        kill the worker, close the connection so every later exchange on
+        it fails loudly, and hand the failure to :meth:`_worker_failed`."""
+        self.kill(conn.key)
+        conn.close(detail)
+        return self._worker_failed(conn, detail, reseed)
 
     # ------------------------------------------------------ supervisor hooks
-    def _respawn(self, key: str) -> None:  # holds: _locks[key]
-        """Supervisor hook: replace ``key``'s worker with a fresh process
-        over a fresh connection."""
-        self._discard(key)
-        self._spawn(key)
+    def _respawn(self, key: str) -> None:
+        """Supervisor hook (group lock held): replace ``key``'s worker
+        with a fresh process over a fresh connection."""
+        slot = self._slots[key]
+        slot.discard()
+        slot.spawn(self)
         with self._stats_lock:
             self.stats.reconnects += 1
 
-    def _discard(self, key: str) -> None:  # holds: _locks[key]
-        """Kill ``key``'s worker and close its connection (no
-        replacement); also the cleanup for a failed restart attempt."""
-        conn = self._conns.get(key)
-        if conn is not None:
-            conn.close(f"group worker {key} discarded")
-        process = self._procs.get(key)
-        if process is not None:
-            if process.is_alive():
-                process.kill()
-            process.join(5.0)
+    def _discard(self, key: str) -> None:
+        """Supervisor hook (group lock held): kill ``key``'s worker and
+        close its connection; the cleanup for a failed restart attempt."""
+        self._slots[key].discard()
 
     def _reseed(self, key: str, seed: GroupSeed,
                 timeout_s: float = 30.0) -> None:
@@ -1262,10 +1101,9 @@ class GroupAgentPool:
         not recurse into supervision (``reseed=True``); the supervisor
         counts them against the restart budget.
         """
-        key = self._key_for(key)
+        hosts = self._slots[key].hosts
         if self.chaos is not None:
             self.chaos.begin_reseed(key)
-        hosts = self.group_hosts(key)
         seeds = seed.seeds
         for host in hosts:
             if host in seeds:

@@ -22,7 +22,7 @@ undecodable reply, ping-barrier miss during re-seed), it
    a ``W_CIRCUIT_OPEN`` warning and the pool's ``circuit_open`` counter.
 
 The in-flight exchange that detected the failure is still reported as an
-:class:`~repro.core.agentserver.AgentServerError` (its request died with
+:class:`~repro.core.groupserver.AgentServerError` (its request died with
 the old worker and must not be answered by a desynchronised fresh one),
 but the restart completes *before* the error surfaces - an executor retry
 budget of one therefore makes even the failing scatter succeed, and the
@@ -476,11 +476,8 @@ class ChaosPolicy:
         return reply
 
     def _kill(self, pool, host: str, why: str) -> None:
-        process = pool._procs.get(host)
-        if process is not None:
-            process.kill()
-            # Wait for the death so the fault is deterministic: the very
-            # next exchange sees the EOF instead of racing the kill.
-            process.join(5.0)
+        # The pool waits for the death, so the fault is deterministic: the
+        # very next exchange sees the EOF instead of racing the kill.
+        pool.kill(host)
         with self._lock:
             self.injected.append((host, why))

@@ -7,7 +7,7 @@ report ``len(encoded)`` of these frames (sized without encoding, see
 *Exact sizes*).  No wire size is estimated anywhere.
 
 The same frames are what actually travels to the
-:mod:`~repro.core.agentserver` worker processes in ``mode="process"``:
+:mod:`~repro.core.worker` processes in both worker modes:
 **no pickle is used anywhere on the query path** (pickle would both distort
 the byte accounting and execute arbitrary code on unpacking).
 

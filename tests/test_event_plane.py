@@ -206,7 +206,7 @@ class TestObservationMirror:
         agent = process_cluster.agent(host)
         pool = process_cluster.agent_servers
         kill_and_wait(pool, host)
-        assert pool._conn_for(pool._key_for(host))._ended.wait(5.0)
+        assert pool._conn_for(host)._ended.wait(5.0)
         agent.monitor.observe_flow(_flow(host, "x", 1),
                                    retransmissions=9, consecutive=9)
         assert agent.monitor.observation_sink is None

@@ -13,7 +13,8 @@ envelope lengths, frame coalescing, the ingest mirror (also across mode
 flips), a dead worker surfacing like a dead agent for its whole shard,
 the local fallback for queries the workers cannot serve, supervised
 restart over a fresh connection, connection-level chaos (torn close,
-stalled socket), the spawn lock that keeps one worker's connection out of
+stalled socket), a worker killed before each envelope of a fixed
+schedule, the spawn lock that keeps one worker's connection out of
 another, and the standalone pool lifecycle.
 """
 
@@ -41,11 +42,11 @@ from repro.core.alarms import PC_FAIL
 from repro.core.executor import (ScatterGatherExecutor, W_HOST_FAILED,
                                  W_HOST_TIMEOUT, W_MIRROR_DETACHED,
                                  W_WORKER_RESTARTED)
-from repro.core.groupserver import (OUTBOX_FLUSH_BYTES, _EndpointClosed,
-                                    _SocketEndpoint)
+from repro.core.groupserver import OUTBOX_FLUSH_BYTES
 from repro.core.monitor import MonitorSnapshot
 from repro.core.plan import Aggregate, Filter, Plan, Project, TopK
-from repro.core.supervisor import ChaosPolicy, WorkerSeed
+from repro.core.supervisor import EVENT_RESTARTED, ChaosPolicy, WorkerSeed
+from repro.core.worker import EndpointClosed, FramedSocket
 from repro.network import make_tcp_packet
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
@@ -643,7 +644,7 @@ class TestResetShipsTheOperation:
 
 class TestRequestMemo:
     def test_a_group_decodes_a_shared_request_frame_once(self, monkeypatch):
-        from repro.core.agentserver import _HostServer, _RequestMemo
+        from repro.core.worker import _HostServer, _RequestMemo
         decoded = []
         decode = wire.decode_query_request
         monkeypatch.setattr(
@@ -1345,7 +1346,7 @@ class TestConnectionChaos:
         stream torn mid-frame must still be a decode error then, and one
         reset on a frame boundary a plain close."""
         controller, worker = socket.socketpair()
-        endpoint = _SocketEndpoint(controller)
+        endpoint = FramedSocket(controller)
         try:
             endpoint.send(wire.encode_ping())  # the worker never reads it
             last = wire.stream_frame(wire.encode_ping())
@@ -1355,7 +1356,7 @@ class TestConnectionChaos:
             if not torn:
                 assert endpoint.recv() == wire.encode_ping()
             with pytest.raises(wire.WireDecodeError if torn
-                               else _EndpointClosed):
+                               else EndpointClosed):
                 endpoint.recv()
         finally:
             endpoint.close()
@@ -1382,6 +1383,105 @@ class TestConnectionChaos:
             assert wire.encode_value(second.payload) == want
 
 
+#: Records each host ingests in :func:`run_kill_schedule`'s burst: enough
+#: that group-1's share overflows the outbox flush bound mid-burst.
+BURST_RECORDS = 160
+
+#: Group-1's envelopes in :func:`run_kill_schedule` after the startup sync
+#: (pinned by ``test_schedule_frame_count``, so the sweep below covers
+#: every one of them).
+SCHEDULE_FRAMES = 9
+
+#: The schedule's queries, each run direct and then multi-level.
+SCHEDULE_QUERIES = [Query(Q_TOP_K_FLOWS, {"k": 12}), Query(Q_GET_FLOWS, {})]
+
+
+def run_kill_schedule(cluster):
+    """The fixed schedule: an ingest burst through the agent APIs (so the
+    mirrors carry it), direct and multi-level queries, a monitor sweep,
+    ``reset_stats`` and a second sweep.  Returns what it observed:
+    ``(wire bytes, hosts failed)`` per step, then the bus's alarm
+    stream."""
+    for index, host in enumerate(cluster.hosts):
+        agent = cluster.agent(host)
+        dst = cluster.hosts[(index + 1) % len(cluster.hosts)]
+        for n in range(BURST_RECORDS):
+            agent.ingest_path_record(PathFlowRecord(
+                FlowId(host, dst, 41_000 + n, 80, PROTO_TCP),
+                (host, f"leaf-{index // 2}", dst), float(n), n + 0.5,
+                700 * (n + 1), n + 1))
+        for n in range(2):
+            agent.monitor.observe_flow(
+                FlowId(host, dst, 42_000 + n, 80, PROTO_TCP),
+                retransmissions=6, consecutive=4, when=float(n))
+    seen = []
+    for mechanism in (MECHANISM_DIRECT, MECHANISM_MULTILEVEL):
+        for query in SCHEDULE_QUERIES:
+            result = cluster.execute(query, mechanism=mechanism)
+            seen.append((wire.encode_value(result.payload),
+                         result.hosts_failed))
+
+    def sweep(now):
+        alarms = cluster.run_monitors(now)
+        seen.append((wire.encode_alarm_batch(list(alarms)),
+                     alarms.hosts_failed))
+
+    sweep(30.0)
+    cluster.reset_stats()
+    sweep(31.0)
+    seen.append(wire.encode_alarm_batch(list(cluster.alarm_bus.alarms)))
+    return seen
+
+
+@pytest.fixture(scope="module")
+def serial_schedule():
+    with QueryCluster(small_topology(NUM_HOSTS)) as serial:
+        populate(serial)
+        return run_kill_schedule(serial)
+
+
+def kill_schedule_cluster(chaos):
+    return worker_cluster(MODE_SOCKET, GROUPS, supervisor=Supervisor(FAST),
+                          chaos=chaos, retries=1)
+
+
+class TestKillAtEveryFrame:
+    """A group worker killed right before *any* envelope of a fixed
+    schedule - an ingest flush, a request, the flush ahead of one, a
+    sweep's tick, the reset's re-open flush - is restarted once, and
+    every answer, sweep and the alarm stream still match a serial run
+    byte for byte, with nothing reported failed."""
+
+    def test_schedule_frame_count(self, serial_schedule):
+        chaos = ChaosPolicy()
+        with kill_schedule_cluster(chaos) as cluster:
+            assert run_kill_schedule(cluster) == serial_schedule
+            assert chaos.frames_sent["group-1"] == \
+                STARTUP_FRAMES + SCHEDULE_FRAMES
+            assert cluster.agent_servers.supervisor.events == []
+
+    @pytest.mark.parametrize(
+        "frame", range(STARTUP_FRAMES + 1,
+                       STARTUP_FRAMES + SCHEDULE_FRAMES + 1))
+    def test_kill_at_frame(self, frame, serial_schedule):
+        chaos = ChaosPolicy(kill_at_frame={"group-1": frame})
+        with kill_schedule_cluster(chaos) as cluster:
+            seen = run_kill_schedule(cluster)
+            pool = cluster.agent_servers
+            assert chaos.injected == [("group-1", f"killed at frame {frame}")]
+            assert seen == serial_schedule
+            # One restart, and no failed attempt.  (Read off the
+            # supervisor: the schedule's reset_stats zeroes the pool's
+            # ``stats.restarts``, and a kill at the reset's own flush
+            # restarts the worker inside that call.)
+            assert [(event.host, event.kind)
+                    for event in pool.supervisor.events] == [
+                ("group-1", EVENT_RESTARTED)]
+            for key in pool.group_keys():
+                assert pool._slots[key].proc.is_alive()
+                assert pool._slots[key].conn.dead is None
+
+
 class TestSpawnIsolation:
     def test_concurrent_respawns_keep_each_worker_end_private(
             self, monkeypatch):
@@ -1405,7 +1505,7 @@ class TestSpawnIsolation:
             first, second = pool.group_keys()[:2]
 
             def respawn(key):
-                with pool._locks[key]:
+                with pool._slots[key].lock:
                     pool._respawn(key)
 
             monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
@@ -1421,9 +1521,9 @@ class TestSpawnIsolation:
                 thread.join(10.0)
                 assert not thread.is_alive()
             monkeypatch.undo()
-            assert pool._procs[first] is forked[0]
+            assert pool._slots[first].proc is forked[0]
             pool.kill(first)
-            assert pool._conns[first]._ended.wait(2.0), \
+            assert pool._slots[first].conn._ended.wait(2.0), \
                 "a killed worker's death did not reach its reader as EOF"
             # The other fresh worker serves (empty: nothing re-seeded it).
             assert pool.ping(pool.group_hosts(second)[0]) == 0
@@ -1440,7 +1540,8 @@ class TestSpawnIsolation:
             "from repro.core import GroupAgentPool\n"
             "pool = GroupAgentPool(['a', 'b', 'c'], group_count=3)\n"
             "with open(sys.argv[1], 'w') as out:\n"
-            "    out.write(' '.join(str(p.pid) for p in pool._procs.values()))\n"
+            "    out.write(' '.join(str(slot.proc.pid)\n"
+            "                       for slot in pool._slots.values()))\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n")
         src = str(pathlib.Path(repro.__file__).parents[1])
         subprocess.run([sys.executable, str(script), str(pids)],
@@ -1479,7 +1580,7 @@ class TestPoolLifecycle:
             # Each connection is an unnamed stream pair: no filesystem
             # entry, no port, nothing a stranger could connect to.
             for key in pool.group_keys():
-                sock = pool._conns[key].endpoint._sock
+                sock = pool._slots[key].conn.endpoint._sock
                 assert sock.family == socket.AF_UNIX
                 assert sock.type == socket.SOCK_STREAM
                 assert sock.getsockname() == "" and sock.getpeername() == ""
