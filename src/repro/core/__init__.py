@@ -13,7 +13,8 @@ from repro.core.monitor import (ActiveMonitor, MonitorSnapshot,
 from repro.core.agent import PathDumpAgent
 from repro.core.plan import (Aggregate, Filter, Plan, PlanError, PlanWarning,
                              Project, TopK, compile_get_count,
-                             compile_top_k_flows, reference_evaluate)
+                             compile_get_duration, compile_top_k_flows,
+                             reference_evaluate)
 from repro.core.query import (Q_FLOW_SIZE_DISTRIBUTION, Q_GET_COUNT,
                               Q_GET_DURATION, Q_GET_FLOWS, Q_GET_PATHS,
                               Q_PATH_CONFORMANCE, Q_PLAN, Q_POOR_TCP_FLOWS,
@@ -48,7 +49,7 @@ __all__ = [
     "Q_TRAFFIC_MATRIX", "Query",
     "QueryEngine", "QueryResult", "Aggregate", "Filter", "Plan",
     "PlanError", "PlanWarning", "Project", "TopK", "compile_get_count",
-    "compile_top_k_flows", "reference_evaluate", "RpcChannel", "ExecWarning",
+    "compile_get_duration", "compile_top_k_flows", "reference_evaluate", "RpcChannel", "ExecWarning",
     "GatherResult", "LoopbackTransport", "MODE_SERIAL",
     "MODE_PROCESS", "MODE_SOCKET", "PlanNode",
     "ScatterGatherExecutor", "Transport", "TransportError",

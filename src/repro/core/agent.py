@@ -17,17 +17,16 @@ One agent runs on every end host and glues together the edge components:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core import plan as planlib
 from repro.core.alarms import INVALID_TRAJECTORY, Alarm
 from repro.core.monitor import ActiveMonitor
 from repro.core.query import Query, QueryEngine, QueryResult
-from repro.core.tib import (Flow, LinkId, Tib, TimeRange, clamped_duration,
-                            distinct_flows, distinct_paths, link_matches,
-                            normalise_time_range, record_in_range,
-                            split_flow, sum_counts)
+from repro.core.tib import (Flow, LinkId, Tib, TimeRange, distinct_flows,
+                            distinct_paths, link_matches,
+                            normalise_time_range, record_in_range)
 from repro.core.trajectory import (TrajectoryCache, TrajectoryConstructor,
                                    TrajectoryMemory)
 from repro.core.vswitch import EdgeVSwitch
@@ -208,23 +207,29 @@ class PathDumpAgent:
                   time_range: Optional[TimeRange] = None,
                   include_live: bool = False) -> Tuple[int, int]:
         """``getCount(Flow, timeRange)``: (bytes, packets)."""
-        if not include_live:
-            return self.tib.get_count(flow, time_range)
-        flow_id, path = split_flow(flow)
-        return sum_counts(self.records(flow_id=flow_id,
-                                       time_range=time_range,
-                                       include_live=True), path)
+        return self._evaluate(planlib.compile_get_count(flow, time_range),
+                              flow, time_range, include_live)
 
     def get_duration(self, flow: Union[Flow, FlowId],
                      time_range: Optional[TimeRange] = None,
                      include_live: bool = False) -> float:
         """``getDuration(Flow, timeRange)``: only the in-window portion of
-        each record counts (see :func:`repro.core.tib.clamped_duration`)."""
-        flow_id, path = split_flow(flow)
-        return clamped_duration(self.records(flow_id=flow_id,
-                                             time_range=time_range,
-                                             include_live=include_live),
-                                path, time_range)
+        each record counts (the plan IR's ``span`` aggregate)."""
+        return planlib.span_length(self._evaluate(
+            planlib.compile_get_duration(flow, time_range), flow, time_range,
+            include_live))
+
+    def _evaluate(self, plan: planlib.Plan, flow: Union[Flow, FlowId],
+                  time_range: Optional[TimeRange], include_live: bool) -> Any:
+        """The payload of a plan over one flow's records: pushed down into
+        the TIB, or evaluated by brute force over the flow's TIB records
+        plus the live trajectory memory's."""
+        if not include_live:
+            return planlib.execute_plan(self.tib, plan).payload
+        flow_id = flow if isinstance(flow, FlowId) else flow[0]
+        return planlib.reference_evaluate(
+            self.records(flow_id=flow_id, time_range=time_range,
+                         include_live=True), plan)
 
     def get_poor_tcp_flows(self, threshold: Optional[int] = None
                            ) -> List[FlowId]:

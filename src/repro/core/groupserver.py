@@ -250,10 +250,12 @@ class _GroupConn:
     """
 
     def __init__(self, pool: "GroupAgentPool", key: str,
-                 endpoint: FramedSocket) -> None:
+                 endpoint: FramedSocket, proc: BaseProcess) -> None:
         self._pool = pool
         self.key = key
         self.endpoint = endpoint
+        #: The worker this connection was spawned with.
+        self.proc = proc
         self.dead: Optional[str] = None  # guarded-by: _lock
         self._lock = threading.Lock()
         self._send_lock = threading.Lock()
@@ -388,6 +390,12 @@ class _GroupConn:
         self.close(detail)
         return AgentServerError(detail)
 
+    def kill(self) -> None:
+        """Hard-kill this connection's worker and wait for its death -
+        never a fresh one a concurrent restart has already swapped in."""
+        self.proc.kill()
+        self.proc.join(5.0)
+
     def close(self, detail: str) -> None:
         """Mark the connection dead with ``detail`` and fail every pending
         waiter (the first call also closes the stream)."""
@@ -421,7 +429,7 @@ class _GroupConn:
                 pool._count_decode_error()
                 self.close(f"group worker {self.key} sent an undecodable "
                            f"stream; worker killed: {error}")
-                pool.kill(self.key)
+                self.kill()
                 return
             pool._count_envelope_received(len(frame))
             if pool.chaos is not None:
@@ -432,7 +440,7 @@ class _GroupConn:
                 pool._count_decode_error()
                 self.close(f"group worker {self.key} sent an undecodable "
                            f"reply; worker killed: {error}")
-                pool.kill(self.key)
+                self.kill()
                 return
             pool._count_frames_received(len(entries))
             with self._lock:
@@ -448,7 +456,7 @@ class _GroupConn:
                 pool._count_decode_error()
                 self.close(f"group worker {self.key} answered unknown "
                            f"exchange {cid}; worker killed")
-                pool.kill(self.key)
+                self.kill()
                 return
             waiter.replies = entries
             waiter.reply_bytes = len(frame)
@@ -464,19 +472,20 @@ class AgentServerError(RuntimeError):
 
 class _Group:
     """One worker group's slot in the pool: its fixed ``key``, ``gid``
-    and ``hosts``, its ``lock``, and the ``conn`` and ``proc`` serving it.
+    and ``hosts``, its ``lock``, and the ``conn`` serving it (with its
+    worker process, ``conn.proc``, read here as ``proc``).
 
-    ``conn`` and ``proc`` are replaced together, only under ``lock``
-    (:meth:`spawn`, :meth:`discard`); the lock also serialises
-    supervision, so concurrent failures of one worker make one restart.
-    Other code reads either attribute without the lock, once per use:
+    ``conn`` is replaced only under ``lock`` (:meth:`spawn`,
+    :meth:`discard`); the lock also serialises supervision, so
+    concurrent failures of one worker make one restart.  Other code
+    reads ``conn`` without the lock, once per use:
     kills must not queue behind a restart in progress, liveness probes
     are racy by contract, a stale value is a dead connection or process
     that fails loudly on use, and teardown reads them only after the pool
     latched ``_closed``, which stops respawns.
     """
 
-    __slots__ = ("key", "gid", "hosts", "lock", "conn", "proc")
+    __slots__ = ("key", "gid", "hosts", "lock", "conn")
 
     def __init__(self, pool: "GroupAgentPool", gid: int,
                  hosts: Tuple[str, ...]) -> None:
@@ -505,16 +514,17 @@ class _Group:
                 raise
             finally:
                 theirs.close()
-        endpoint = FramedSocket(ours)
-        self.conn = _GroupConn(pool, self.key, endpoint)  # guarded-by: lock
-        self.proc: BaseProcess = process  # guarded-by: lock
+        self.conn = _GroupConn(pool, self.key, FramedSocket(ours),
+                               process)  # guarded-by: lock
+
+    @property
+    def proc(self) -> BaseProcess:
+        return self.conn.proc
 
     def discard(self) -> None:  # holds: lock
         """Close the connection and kill the worker (no replacement)."""
         self.conn.close(f"group worker {self.key} discarded")
-        if self.proc.is_alive():
-            self.proc.kill()
-        self.proc.join(5.0)
+        self.conn.kill()
 
 
 class GroupAgentPool:
@@ -695,8 +705,8 @@ class GroupAgentPool:
         ``wire_bytes`` the measured inner reply frame length.  Alarms the
         worker had pending ride the reply on ``result.alarms`` - the
         caller is responsible for dispatching them to the alarm bus."""
-        key, reply = self._ask(host, wire.encode_query_request(query, spec))
-        return self._checked_decode(key, reply, wire.decode_result, query)
+        conn, reply = self._ask(host, wire.encode_query_request(query, spec))
+        return self._checked_decode(conn, reply, wire.decode_result, query)
 
     def monitor_tick(self, host: str, now: float,
                      threshold: Optional[int] = None
@@ -704,14 +714,14 @@ class GroupAgentPool:
         """Run one monitor check on ``host`` alone (the *naive* per-host
         path; :meth:`group_monitor_tick` is the coalesced one).  Returns
         ``(alarms, inner reply frame bytes)``."""
-        key, reply = self._ask(host, wire.encode_monitor_tick(now, threshold))
-        return (self._checked_decode(key, reply, wire.decode_alarm_batch),
+        conn, reply = self._ask(host, wire.encode_monitor_tick(now, threshold))
+        return (self._checked_decode(conn, reply, wire.decode_alarm_batch),
                 len(reply))
 
     def monitor_state(self, host: str) -> MonitorSnapshot:
         """Pull ``host``'s worker monitor-state snapshot."""
-        key, reply = self._ask(host, wire.encode_monitor_pull())
-        return self._checked_decode(key, reply, wire.decode_monitor_state)
+        conn, reply = self._ask(host, wire.encode_monitor_pull())
+        return self._checked_decode(conn, reply, wire.decode_monitor_state)
 
     def ping(self, host: str) -> int:
         """Probe ``host``'s worker; returns its TIB record count."""
@@ -719,14 +729,14 @@ class GroupAgentPool:
 
     def ping_state(self, host: str) -> Tuple[int, int]:
         """Probe ``host``'s worker: ``(TIB records, monitor flows)``."""
-        key, reply = self._ask(host, wire.encode_ping())
-        return self._checked_decode(key, reply, wire.decode_pong_state)
+        conn, reply = self._ask(host, wire.encode_ping())
+        return self._checked_decode(conn, reply, wire.decode_pong_state)
 
     def tier_stats(self, host: str) -> Dict[str, int]:
         """Pull ``host``'s two-tier stats off a liveness probe."""
-        key, reply = self._ask(host, wire.encode_ping())
+        conn, reply = self._ask(host, wire.encode_ping())
         (total, monitor_flows, hot_records, hot_bytes, cold_records,
-         cold_bytes) = self._checked_decode(key, reply,
+         cold_bytes) = self._checked_decode(conn, reply,
                                             wire.decode_pong_tiers)
         return {"total_records": total, "monitor_flows": monitor_flows,
                 "hot_records": hot_records, "hot_bytes": hot_bytes,
@@ -747,9 +757,7 @@ class GroupAgentPool:
         death, so the next exchange on its connection deterministically
         sees the EOF (failure injection, and the verdict on a desynced
         worker); every host of the group dies with it."""
-        process = self._slot(name).proc
-        process.kill()
-        process.join(5.0)
+        self._slot(name).conn.kill()
 
     def alive(self, name: str) -> bool:
         """Whether the group worker serving ``name`` is running."""
@@ -810,7 +818,7 @@ class GroupAgentPool:
         replies, reply_bytes, sent = self._consume(exchange, deadline)
         per_host = []
         for host, reply in zip(exchange.hosts, replies):
-            alarms = self._checked_decode(exchange.key, reply,
+            alarms = self._checked_decode(exchange.conn, reply,
                                           wire.decode_alarm_batch)
             if on_host is not None:
                 on_host(host, alarms)
@@ -832,7 +840,7 @@ class GroupAgentPool:
         """
         replies, reply_bytes, sent = self._consume(exchange, deadline)
         results = [
-            (host, self._checked_decode(exchange.key, reply,
+            (host, self._checked_decode(exchange.conn, reply,
                                         wire.decode_result, query))
             for host, reply in zip(exchange.hosts, replies)]
         return results, reply_bytes, sent
@@ -841,12 +849,12 @@ class GroupAgentPool:
         """Coalesced startup/sync barrier: one ping envelope for every
         host of ``key``; returns ``{host: (records, monitor flows)}``."""
         slot = self._slot(key)
-        key, hosts = slot.key, slot.hosts
         ping = wire.encode_ping()
-        replies, _reply_bytes, _sent = self._consume(
-            self.send(key, [(host, ping) for host in hosts]))
-        return {host: self._checked_decode(key, reply, wire.decode_pong_state)
-                for host, reply in zip(hosts, replies)}
+        exchange = self.send(slot.key, [(host, ping) for host in slot.hosts])
+        replies, _reply_bytes, _sent = self._consume(exchange)
+        return {host: self._checked_decode(exchange.conn, reply,
+                                           wire.decode_pong_state)
+                for host, reply in zip(slot.hosts, replies)}
 
     # ----------------------------------------------------------- stats hooks
     def note_restart(self, reseed_ms: float) -> None:
@@ -1007,20 +1015,21 @@ class GroupAgentPool:
                 raise self._condemn(
                     exchange.conn, f"agent server group {key} answered for "
                     f"{reply_host} where {host} was asked; worker killed")
-            kind = self._checked_decode(key, reply, wire.frame_type)
+            kind = self._checked_decode(exchange.conn, reply,
+                                        wire.frame_type)
             if kind == wire.MSG_ERROR:
-                detail = self._checked_decode(key, reply, wire.decode_error)
+                detail = self._checked_decode(exchange.conn, reply,
+                                              wire.decode_error)
                 raise AgentServerError(f"agent server on {host}: {detail}")
             frames.append(reply)
         return frames, reply_bytes, sent
 
-    def _ask(self, host: str, frame: bytes) -> Tuple[str, bytes]:
+    def _ask(self, host: str, frame: bytes) -> Tuple[_GroupConn, bytes]:
         """A single-entry exchange with ``host``'s worker; returns
-        ``(group key, reply frame)``."""
-        key = self._slot(host).key
-        replies, _reply_bytes, _sent = self._consume(
-            self.send(key, [(host, frame)]))
-        return key, replies[0]
+        ``(the connection it ran on, reply frame)``."""
+        exchange = self.send(self._slot(host).key, [(host, frame)])
+        replies, _reply_bytes, _sent = self._consume(exchange)
+        return exchange.conn, replies[0]
 
     def _worker_failed(self, conn: _GroupConn, detail: str,
                        reseed: bool = False) -> AgentServerError:
@@ -1051,24 +1060,25 @@ class GroupAgentPool:
                 self.mirror_lost(host, detail)
         return AgentServerError(detail)
 
-    def _checked_decode(self, key: str, reply: bytes, decoder, *args):
-        """Decode an inner reply frame, treating corruption as group
-        failure (the multiplexed stream is desynchronised; nothing later
-        on it can be trusted)."""
+    def _checked_decode(self, conn: _GroupConn, reply: bytes, decoder,
+                        *args):
+        """Decode an inner reply frame that arrived on ``conn``, treating
+        corruption as group failure (the multiplexed stream is
+        desynchronised; nothing later on it can be trusted)."""
         try:
             return decoder(reply, *args)
         except wire.WireError as error:
             self._count_decode_error()
             raise self._condemn(
-                self._conn_for(key), f"agent server group {key} sent an "
+                conn, f"agent server group {conn.key} sent an "
                 f"undecodable reply; worker killed: {error}") from error
 
     def _condemn(self, conn: _GroupConn, detail: str,
                  reseed: bool = False) -> AgentServerError:
         """Give up on ``conn``, whose stream can no longer be trusted:
-        kill the worker, close the connection so every later exchange on
-        it fails loudly, and hand the failure to :meth:`_worker_failed`."""
-        self.kill(conn.key)
+        kill its worker, close it so every later exchange on it fails
+        loudly, and hand the failure to :meth:`_worker_failed`."""
+        conn.kill()
         conn.close(detail)
         return self._worker_failed(conn, detail, reseed)
 

@@ -7,7 +7,7 @@ with a small declarative plan IR::
 
     Filter(time / link / flow-key / path predicates)
         -> Project(fields)
-        -> Aggregate(sum / count / histogram, by key)
+        -> Aggregate(sum / count / histogram / span, by key)
         -> TopK(k, key, order)
 
 A :class:`Plan` is an ordered tuple of frozen op dataclasses.  The module
@@ -26,13 +26,14 @@ provides, in one place:
   segment pruning (zone maps, flow-key blooms, exact link postings) both
   apply, and the pruning work saved is reported per plan via
   ``scan_stats`` snapshots;
-* the **merge operators** (concat / histogram-merge / top-k-merge)
-  selected by the plan's *terminal* op (:func:`merge_operator`,
-  :func:`merge_payloads`) - the generic reductions the executor's
-  ordered fold runs;
+* the **merge operators** (concat / histogram-merge / top-k-merge /
+  span-merge) selected by the plan's *terminal* op
+  (:func:`merge_operator`, :func:`merge_payloads`) - the generic
+  reductions the executor's ordered fold runs;
 * **built-in compilations** (:func:`compile_get_count`,
-  :func:`compile_top_k_flows`): the proofs that the IR is expressive
-  enough, checked against :func:`reference_evaluate` in every mode.
+  :func:`compile_get_duration`, :func:`compile_top_k_flows`): the one
+  definition of each, checked against :func:`reference_evaluate` in
+  every mode.
 
 :data:`OPS` is the only op table, in pipeline order: each op class
 carries its wire ``code``, its ``merge`` operator and its executor leg
@@ -52,8 +53,8 @@ import heapq
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import attrgetter
-from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from repro.network.packet import FlowId
 from repro.storage.records import (RECORD_FIELDS, PathFlowRecord, ScanSpec,
@@ -75,7 +76,8 @@ OP_TOPK = 4
 AGG_SUM = "sum"
 AGG_COUNT = "count"
 AGG_HISTOGRAM = "histogram"
-AGG_FUNCS = (AGG_SUM, AGG_COUNT, AGG_HISTOGRAM)
+AGG_SPAN = "span"
+AGG_FUNCS = (AGG_SUM, AGG_COUNT, AGG_HISTOGRAM, AGG_SPAN)
 
 #: Record fields a sum/histogram may aggregate over.
 NUMERIC_FIELDS = ("stime", "etime", "bytes", "pkts")
@@ -94,6 +96,7 @@ ORDER_ASC = "asc"
 MERGE_CONCAT = "concat"
 MERGE_HISTOGRAM = "histogram-merge"
 MERGE_TOP_K = "top-k-merge"
+MERGE_SPAN = "span-merge"
 
 #: Structured issue / warning codes.
 PE_EMPTY = "empty-plan"
@@ -231,8 +234,9 @@ class Aggregate:
 
     ``func``: :data:`AGG_SUM` (sum ``fields``; scalar plans may sum
     several fields, keyed plans exactly one), :data:`AGG_COUNT` (record
-    count, no fields), or :data:`AGG_HISTOGRAM` (count of records per
-    ``binsize``-wide bin of one numeric field).  ``by`` groups: empty
+    count, no fields), :data:`AGG_HISTOGRAM` (count of records per
+    ``binsize``-wide bin of one numeric field), or :data:`AGG_SPAN` (no
+    fields or key: see :func:`_clamped_span`).  ``by`` groups: empty
     means a scalar payload (a tuple, one slot per func output); one field
     keys the payload dict by that field's bare value; several key it by
     the value tuple.  A histogram appends the bin to the group key.
@@ -253,6 +257,8 @@ class Aggregate:
 
     def execute(self, state: Any, plan: Plan) -> Any:
         records: Sequence[PathFlowRecord] = state
+        if self.func == AGG_SPAN:
+            return _clamped_span(records, plan.filter)
         if not self.by and self.func != AGG_HISTOGRAM:
             if self.func == AGG_COUNT:
                 return (len(records),)
@@ -372,7 +378,7 @@ def validate(plan: Plan) -> Tuple[PlanWarning, ...]:
         raise PlanError([PlanIssue(PE_EMPTY, 0, "a plan needs at least "
                                    "one op (use Filter() for 'everything')")])
     last_rank = -1
-    seen_ranks = set()
+    seen_ranks: Set[int] = set()
     for index, op in enumerate(plan.ops):
         if type(op) not in OPS:
             issues.append(PlanIssue(PE_ORDER, index,
@@ -469,6 +475,10 @@ def _validate_aggregate(plan: Plan, index: int,
         if op.fields:
             issues.append(PlanIssue(PE_FUNC, index,
                                     "count takes no value fields"))
+    elif op.func == AGG_SPAN:
+        if op.fields or op.by:
+            issues.append(PlanIssue(PE_FUNC, index,
+                                    "span takes no fields and no key"))
     elif op.func == AGG_HISTOGRAM:
         if len(op.fields) != 1:
             issues.append(PlanIssue(
@@ -483,7 +493,9 @@ def _validate_aggregate(plan: Plan, index: int,
                                     f"binsize must be >= 1, got {op.binsize}"))
     project = plan.project
     if project is not None:
-        missing = [f for f in op.fields + op.by if f not in project.fields]
+        reads = (("stime", "etime") if op.func == AGG_SPAN
+                 else op.fields + op.by)
+        missing = [f for f in reads if f not in project.fields]
         if missing:
             issues.append(PlanIssue(
                 PE_PROJECTION, index,
@@ -558,6 +570,26 @@ def _group_key(op: Aggregate, record: PathFlowRecord) -> Any:
             return bin_
         return parts + (bin_,)
     return parts[0] if len(parts) == 1 else parts
+
+
+def _clamped_span(records: Sequence[PathFlowRecord],
+                  window: Optional[Filter]) -> Tuple[float, ...]:
+    """``(min stime, max etime)`` of ``records``, each extent clamped into
+    ``window`` (no observation time leaks from outside it), or ``()``."""
+    if not records:
+        return ()
+    first = min(record.stime for record in records)
+    last = max(record.etime for record in records)
+    if window is not None and window.start is not None:
+        first = max(first, window.start)
+    if window is not None and window.end is not None:
+        last = min(last, window.end)
+    return (first, last)
+
+
+def span_length(span: Sequence[float]) -> float:
+    """The duration a span payload reports: ``end - start``, 0 for ``()``."""
+    return span[1] - span[0] if span else 0.0
 
 
 def _emit_rows(records: Sequence[PathFlowRecord],
@@ -712,7 +744,7 @@ def execute_plan(tib: Any, plan: Plan) -> PlanExecution:
     # ScanSpec, the residual predicate) is a pure function of the frozen
     # plan - memoized on the instance so repeat executions of a cached
     # plan jump straight to the storage calls.
-    shape = plan.__dict__.get("_pushdown_shape")
+    shape: Any = plan.__dict__.get("_pushdown_shape")
     if shape is None:
         scalar_shape = _scalar_flow_sum(plan)
         if scalar_shape is not None:
@@ -792,6 +824,16 @@ def merge_key_sums(_: Any, payloads: Sequence[Any]) -> Dict[Any, Any]:
     return merged
 
 
+def merge_span(_: Any, payloads: Sequence[Any]) -> Tuple[float, ...]:
+    """Min/max-merge ``(start, end)`` spans; ``()`` (a host with no
+    matching record) is the identity."""
+    spans = [span for span in payloads if span]
+    if not spans:
+        return ()
+    return (min(start for start, _end in spans),
+            max(end for _start, end in spans))
+
+
 def _merge_top_k(plan: Plan, payloads: Sequence[Any]) -> Any:
     """Re-select the global extremes across partial top-k lists -
     ``(n - 1) * k`` pairs die at every aggregation level."""
@@ -800,21 +842,24 @@ def _merge_top_k(plan: Plan, payloads: Sequence[Any]) -> Any:
     return merge_ranked(payloads, op.k, op.order)
 
 
-_MERGE_FUNCTIONS = {
+_MERGE_FUNCTIONS: Dict[str, Callable[[Plan, Sequence[Any]], Any]] = {
     MERGE_CONCAT: merge_concat,
     MERGE_HISTOGRAM: merge_key_sums,
     MERGE_TOP_K: _merge_top_k,
+    MERGE_SPAN: merge_span,
 }
 
 
 def merge_operator(plan: Plan) -> str:
     """The generic merge operator the plan's terminal op selects: its
     ``merge``, except that a scalar ``Aggregate`` (no group key)
-    concat-merges."""
+    concat-merges, or span-merges a span."""
     terminal = plan.ops[-1]
-    if isinstance(terminal, Aggregate) and not terminal.by \
-            and terminal.func != AGG_HISTOGRAM:
-        return MERGE_CONCAT
+    if isinstance(terminal, Aggregate) and not terminal.by:
+        if terminal.func == AGG_SPAN:
+            return MERGE_SPAN
+        if terminal.func != AGG_HISTOGRAM:
+            return MERGE_CONCAT
     return terminal.merge
 
 
@@ -824,27 +869,32 @@ def merge_payloads(plan: Plan, payloads: Sequence[Any]) -> Any:
 
 
 # --------------------------------------------------------------------------
-# Built-in compilations: the expressiveness proofs
+# Built-in compilations: the one definition of each host-API question
 # --------------------------------------------------------------------------
+def _flow_filter(flow: Any, time_range: Optional[Tuple[Any, Any]]) -> Filter:
+    """The ``Filter`` of a read of one Flow: a bare :class:`FlowId`, or a
+    ``(flowID, Path)`` pair (the path is a residual predicate)."""
+    flow_id, path = (flow, None) if isinstance(flow, FlowId) else flow
+    start, end = time_range if time_range is not None else (None, None)
+    return Filter(start=start, end=end, flow_keys=(flow_key(flow_id),),
+                  path=path)
+
+
 def compile_get_count(flow: Any,
                       time_range: Optional[Tuple[Any, Any]] = None) -> Plan:
-    """``getCount(Flow, timeRange)`` as a plan.
+    """``getCount(Flow, timeRange)`` as a plan.  Payload: the
+    ``(bytes, pkts)`` tuple."""
+    return Plan(ops=(_flow_filter(flow, time_range),
+                     Aggregate(func=AGG_SUM, fields=("bytes", "pkts"))))
 
-    ``flow`` is a bare :class:`FlowId` or a ``(flowID, Path)`` pair; the
-    path half becomes the residual exact-path predicate.  Payload: the
-    ``(bytes, pkts)`` tuple.
-    """
-    if isinstance(flow, FlowId):
-        flow_id, path = flow, None
-    else:
-        flow_id, path = flow
-        path = tuple(path) if path is not None else None
-    start, end = time_range if time_range is not None else (None, None)
-    return Plan(ops=(
-        Filter(start=start, end=end, flow_keys=(flow_key(flow_id),),
-               path=path),
-        Aggregate(func=AGG_SUM, fields=("bytes", "pkts")),
-    ))
+
+def compile_get_duration(flow: Any,
+                         time_range: Optional[Tuple[Any, Any]] = None
+                         ) -> Plan:
+    """``getDuration(Flow, timeRange)`` as a plan.  Payload: the span, which
+    merges exactly where a duration would not (see :func:`span_length`)."""
+    return Plan(ops=(_flow_filter(flow, time_range),
+                     Aggregate(func=AGG_SPAN)))
 
 
 def compile_top_k_flows(k: int = 1000, link: Any = None,

@@ -14,16 +14,17 @@ This module defines:
 * :class:`QueryResult` - a host's (or aggregation node's) partial result with
   its measured serialized size (the length of its :mod:`repro.core.wire`
   frame), so query traffic can be accounted;
-* the built-in query handlers used by the paper's applications: flow records
-  retrieval, flow-size distribution, top-k flows, poor TCP flows, traffic
-  matrix, path conformance; and
-* per-query merge functions implementing the aggregation-tree reduction
-  (the plan module's concat and key-sum operators, plus top-k and the
-  generic plan merge): every aggregation node calls its query's merger
-  once, over all of its arrivals.
+* the plan-built queries - ``get_count``, ``get_duration`` (whose
+  payload is the clamped ``(start, end)`` span), ``top_k_flows`` and raw
+  ``plan`` - in one name -> plan table, each executed by
+  :func:`~repro.core.plan.execute_plan` and merged by
+  :func:`~repro.core.plan.merge_payloads`;
+* the hand-written handlers of the paper's other applications, merged by
+  concatenation unless a ``_mergers`` entry says otherwise.
 
-Every handler, built-in or registered, returns ``(payload,
-records_scanned, scan_stats)``; every merger returns the merged payload.
+Every aggregation node merges all of its arrivals in one call.  Every
+handler, built-in or registered, returns ``(payload, records_scanned,
+scan_stats)``; every merger returns the merged payload.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from itertools import repeat
 from operator import floordiv
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core import plan as planlib
 from repro.core import wire
-from repro.core.alarms import PC_FAIL, Alarm
-from repro.core.tib import LinkId, TimeRange, normalise_time_range
-from repro.network.packet import PROTO_TCP, FlowId
+from repro.core.alarms import PC_FAIL
+from repro.core.tib import LinkId, normalise_time_range
+from repro.network.packet import FlowId
 from repro.storage.records import ScanSpec
 
 #: Built-in query names.
@@ -83,13 +85,27 @@ def _memoized(build: Callable) -> Callable:
 
 
 @_memoized
-def _compiled_get_count(flow: Any, time_range: Any) -> "planlib.Plan":
-    return planlib.compile_get_count(flow, time_range)
+def _compiled(constructor: str, *params: Any) -> "planlib.Plan":
+    """``planlib.<constructor>(*params)``.  The constructor is looked up
+    when called, so a wrapped one (a tracer's) is the one that runs."""
+    return getattr(planlib, constructor)(*params)
 
 
-@_memoized
-def _compiled_top_k(k: int, link: Any, time_range: Any) -> "planlib.Plan":
-    return planlib.compile_top_k_flows(k, link, time_range)
+#: The plan-built queries: name -> (the plan a query's params ask, the
+#: ``records_scanned`` of a point read or ``None`` for ``execute_plan``'s
+#: count, and whether the result carries the per-plan scan stats).
+_PLANNED = {
+    Q_GET_COUNT: (lambda params: _compiled(
+        "compile_get_count", params["flow"], params.get("time_range")),
+        1, False),
+    Q_GET_DURATION: (lambda params: _compiled(
+        "compile_get_duration", params["flow"], params.get("time_range")),
+        1, False),
+    Q_TOP_K_FLOWS: (lambda params: _compiled(
+        "compile_top_k_flows", params.get("k", 1000), params.get("link"),
+        params.get("time_range")), None, False),
+    Q_PLAN: (lambda params: params["plan"], None, True),
+}
 
 
 @_memoized
@@ -176,37 +192,36 @@ def measured_result_wire_bytes(result: "QueryResult") -> int:
 # Per-host execution
 # --------------------------------------------------------------------------
 class QueryEngine:
-    """Executes queries against a PathDump agent and merges partial results."""
+    """Executes queries against a PathDump agent and merges partial results.
+
+    The agent is read through ``agent.host``, ``agent.tib``,
+    ``agent.monitor`` and ``agent.alarm`` only, so a worker's host server
+    serves every built-in the way a :class:`PathDumpAgent` does.
+    """
 
     def __init__(self) -> None:
         self._handlers: Dict[str, Callable] = {
             Q_GET_FLOWS: self._run_get_flows,
             Q_GET_PATHS: self._run_get_paths,
-            Q_GET_COUNT: self._run_get_count,
-            Q_GET_DURATION: self._run_get_duration,
             Q_POOR_TCP_FLOWS: self._run_poor_tcp_flows,
             Q_FLOW_SIZE_DISTRIBUTION: self._run_flow_size_distribution,
-            Q_TOP_K_FLOWS: self._run_top_k_flows,
             Q_TRAFFIC_MATRIX: self._run_traffic_matrix,
             Q_PATH_CONFORMANCE: self._run_path_conformance,
             Q_SUBFLOW_IMBALANCE: self._run_subflow_imbalance,
-            Q_PLAN: self._run_plan,
         }
         self._mergers: Dict[str, Callable] = {
-            Q_GET_FLOWS: planlib.merge_concat,
-            Q_GET_PATHS: planlib.merge_concat,
-            Q_POOR_TCP_FLOWS: planlib.merge_concat,
             Q_FLOW_SIZE_DISTRIBUTION: planlib.merge_key_sums,
-            Q_TOP_K_FLOWS: _merge_top_k,
             Q_TRAFFIC_MATRIX: planlib.merge_key_sums,
-            Q_PATH_CONFORMANCE: planlib.merge_concat,
-            Q_SUBFLOW_IMBALANCE: planlib.merge_concat,
-            Q_PLAN: _merge_plan,
         }
+
+    def names(self) -> FrozenSet[str]:
+        """Every query name this engine answers."""
+        return frozenset(self._handlers).union(_PLANNED)
 
     def register(self, name: str, handler: Callable,
                  merger: Optional[Callable] = None) -> None:
-        """Register a custom query handler (and optionally a merger).
+        """Register a custom query handler (and optionally a merger) under
+        a name that is not plan-built.
 
         ``handler(agent, params)`` returns ``(payload, records_scanned,
         scan_stats)``; ``merger(query, payloads)`` returns the merged
@@ -230,10 +245,19 @@ class QueryEngine:
         encode the frame themselves anyway (the agent-server worker) - the
         decoded side reconstructs the same value from the frame length.
         """
-        handler = self._handlers.get(query.name)
-        if handler is None:
-            raise KeyError(f"unknown query {query.name!r}")
-        payload, scanned, scan_stats = handler(agent, query.params)
+        planned = _PLANNED.get(query.name)
+        if planned is not None:
+            build, point_read, with_stats = planned
+            execution = planlib.execute_plan(agent.tib, build(query.params))
+            payload = execution.payload
+            scanned = (execution.records_scanned if point_read is None
+                       else point_read)
+            scan_stats = execution.scan_stats if with_stats else {}
+        else:
+            handler = self._handlers.get(query.name)
+            if handler is None:
+                raise KeyError(f"unknown query {query.name!r}")
+            payload, scanned, scan_stats = handler(agent, query.params)
         result = QueryResult(query=query, payload=payload, wire_bytes=0,
                              records_scanned=scanned, host=agent.host,
                              scan_stats=scan_stats)
@@ -249,8 +273,14 @@ class QueryEngine:
         gather that sizes a node's result only at the point it is
         actually sent (the root's never travels).
         """
-        merger = self._mergers.get(query.name, planlib.merge_concat)
-        payload = merger(query, [r.payload for r in results])
+        payloads = [r.payload for r in results]
+        planned = _PLANNED.get(query.name)
+        if planned is not None:
+            payload = planlib.merge_payloads(planned[0](query.params),
+                                             payloads)
+        else:
+            merger = self._mergers.get(query.name, planlib.merge_concat)
+            payload = merger(query, payloads)
         scan_stats = planlib.merge_key_sums(
             None, [partial.scan_stats for partial in results])
         result = QueryResult(
@@ -264,9 +294,8 @@ class QueryEngine:
     # -------------------------------------------------------------- handlers
     @staticmethod
     def _run_get_flows(agent, params):
-        link: Optional[LinkId] = params.get("link")
-        time_range: Optional[TimeRange] = params.get("time_range")
-        flows = agent.get_flows(link, time_range)
+        flows = agent.tib.get_flows(params.get("link"),
+                                    params.get("time_range"))
         # Both tiers are scanned candidates (and the total is invariant
         # under the hot/cold split, keeping result frames byte-identical
         # between capped local agents and their workers).
@@ -274,40 +303,13 @@ class QueryEngine:
 
     @staticmethod
     def _run_get_paths(agent, params):
-        flow_id: FlowId = params["flow_id"]
-        link = params.get("link")
-        time_range = params.get("time_range")
-        paths = agent.get_paths(flow_id, link, time_range)
+        paths = agent.tib.get_paths(params["flow_id"], params.get("link"),
+                                    params.get("time_range"))
         return paths, len(paths), {}
 
     @staticmethod
-    def _run_plan(agent, params):
-        """The generic declarative-plan handler: execute the shipped plan
-        against this host's TIB with full pushdown, reporting the per-plan
-        scan counters alongside the payload."""
-        execution = planlib.execute_plan(agent.tib, params["plan"])
-        return (execution.payload, execution.records_scanned,
-                execution.scan_stats)
-
-    @staticmethod
-    def _run_get_count(agent, params):
-        """``getCount`` as a thin plan compilation, accounted as one
-        scalar read off one maintained aggregate row."""
-        plan = _compiled_get_count(params["flow"], params.get("time_range"))
-        execution = planlib.execute_plan(agent.tib, plan)
-        return execution.payload, 1, {}
-
-    @staticmethod
-    def _run_get_duration(agent, params):
-        flow = params["flow"]
-        time_range = params.get("time_range")
-        duration = agent.get_duration(flow, time_range)
-        return duration, 1, {}
-
-    @staticmethod
     def _run_poor_tcp_flows(agent, params):
-        threshold = params.get("threshold")
-        flows = agent.get_poor_tcp_flows(threshold)
+        flows = agent.monitor.get_poor_tcp_flows(params.get("threshold"))
         return flows, len(agent.monitor.flows), {}
 
     @staticmethod
@@ -342,15 +344,6 @@ class QueryEngine:
         return histogram, sum(histogram.values()), {}
 
     @staticmethod
-    def _run_top_k_flows(agent, params):
-        """Top-k flows by byte count (the Section 2.3 example), as a thin
-        plan compilation; ``execute_plan`` counts the records scanned."""
-        plan = _compiled_top_k(params.get("k", 1000), params.get("link"),
-                               params.get("time_range"))
-        execution = planlib.execute_plan(agent.tib, plan)
-        return execution.payload, execution.records_scanned, {}
-
-    @staticmethod
     def _run_traffic_matrix(agent, params):
         """Bytes between (source ToR, destination ToR) pairs seen locally,
         summed off the ``bytes`` and ``path`` columns of both tiers
@@ -383,7 +376,7 @@ class QueryEngine:
         flow_filter = params.get("flow_id")
         time_range = params.get("time_range")
         violations: List[Tuple[FlowId, List[Tuple[str, ...]]]] = []
-        flows = agent.get_flows(None, time_range)
+        flows = agent.tib.get_flows(None, time_range)
         scanned = len(flows)
         by_flow: Dict[FlowId, List[Tuple[str, ...]]] = {}
         for flow_id, path in flows:
@@ -412,10 +405,11 @@ class QueryEngine:
         """
         ratio_limit = params.get("ratio", 2.0)
         time_range = params.get("time_range")
-        flows = agent.get_flows(None, time_range)
+        flows = agent.tib.get_flows(None, time_range)
         per_flow: Dict[FlowId, List[Tuple[Tuple[str, ...], int]]] = {}
         for flow_id, path in flows:
-            nbytes, _ = agent.get_count((flow_id, path), time_range)
+            plan = planlib.compile_get_count((flow_id, path), time_range)
+            nbytes, _ = planlib.execute_plan(agent.tib, plan).payload
             per_flow.setdefault(flow_id, []).append((path, nbytes))
         offenders = []
         for flow_id, entries in per_flow.items():
@@ -427,26 +421,6 @@ class QueryEngine:
             if max(values) / max(1, min(values)) > ratio_limit:
                 offenders.append((flow_id, entries))
         return offenders, len(flows), {}
-
-
-# --------------------------------------------------------------------------
-# Merge functions (aggregation-tree reduction)
-# --------------------------------------------------------------------------
-def _merge_top_k(query: Query, payloads: Sequence[List[Tuple[int, str]]]
-                 ) -> List[Tuple[int, str]]:
-    """Keep only the global top-k across partial top-k lists.
-
-    This is the reduction that makes the multi-level top-k query efficient:
-    ``(n_i - 1) * k`` key-value pairs are discarded at every aggregation
-    level (Section 5.2).
-    """
-    return planlib.merge_ranked(payloads, query.params.get("k", 1000))
-
-
-def _merge_plan(query: Query, payloads: Sequence[Any]) -> Any:
-    """Merge partial plan payloads with the generic operator the plan's
-    terminal op selects (concat / histogram-merge / top-k-merge)."""
-    return planlib.merge_payloads(query.params["plan"], payloads)
 
 
 def _link_label(link: Optional[LinkId]) -> str:

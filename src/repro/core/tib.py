@@ -2,12 +2,16 @@
 
 Each end host keeps a TIB: the repository of per-path flow records extracted
 from the trajectories embedded in arriving packets.  The host API of Table 1
-is implemented directly on top of it:
+reads it:
 
 * ``getFlows(linkID, timeRange)`` - flows that traversed a link;
 * ``getPaths(flowID, linkID, timeRange)`` - paths taken by a flow;
 * ``getCount(Flow, timeRange)`` - packet and byte counts of a flow;
 * ``getDuration(Flow, timeRange)`` - duration of a flow.
+
+The first two are :meth:`Tib.get_flows` / :meth:`Tib.get_paths`; the last
+two are plans (:func:`repro.core.plan.compile_get_count`,
+:func:`~repro.core.plan.compile_get_duration`) executed against the TIB.
 
 ``linkID`` is a pair of adjacent switch IDs, ``timeRange`` a pair of
 timestamps; both support wildcards (``None`` or ``"*"`` / ``"?"``), exactly
@@ -97,7 +101,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Sequence, Set, Tuple, Union)
+                    Sequence, Set, Tuple)
 
 from repro.counters import Counters
 from repro.network.packet import FlowId
@@ -1110,41 +1114,9 @@ class Tib:
         return distinct_paths(self.records(flow_id=flow_id, link=link,
                                            time_range=time_range))
 
-    def get_count(self, flow: Union[Flow, FlowId],
-                  time_range: Optional[TimeRange] = None) -> Tuple[int, int]:
-        """``getCount(Flow, timeRange)``: (bytes, packets) of a flow.
 
-        ``flow`` may be a (flowID, Path) pair - counting only that path's
-        records - or a bare flowID, counting across all its paths.
-        """
-        flow_id, path = split_flow(flow)
-        if path is None and time_range is None:
-            return self.flow_totals(flow_key(flow_id))
-        return sum_counts(self.records(flow_id=flow_id,
-                                       time_range=time_range), path)
-
-    def get_duration(self, flow: Union[Flow, FlowId],
-                     time_range: Optional[TimeRange] = None) -> float:
-        """``getDuration(Flow, timeRange)``: observed duration of a flow
-        (see :func:`clamped_duration`)."""
-        flow_id, path = split_flow(flow)
-        return clamped_duration(self.records(flow_id=flow_id,
-                                             time_range=time_range),
-                                path, time_range)
-
-
-# The dedupe / sum / clamp halves of the Table 1 API, over any iterable of
-# records: the TIB feeds them its own matches, the agent its TIB's plus the
-# live trajectory memory's.
-
-def split_flow(flow: Union[Flow, FlowId]
-               ) -> Tuple[FlowId, Optional[Tuple[str, ...]]]:
-    """A "Flow" argument as ``(flowID, path or None)``."""
-    if isinstance(flow, FlowId):
-        return flow, None
-    flow_id, path = flow
-    return flow_id, tuple(path) if path is not None else None
-
+# The dedupe half of ``getFlows`` / ``getPaths``: the TIB feeds it its own
+# matches, the agent its TIB's plus the live trajectory memory's.
 
 def distinct_flows(records: Iterable[PathFlowRecord]) -> List[Flow]:
     """The distinct (flowID, Path) pairs of ``records``, first-seen order."""
@@ -1155,37 +1127,3 @@ def distinct_paths(records: Iterable[PathFlowRecord]
                    ) -> List[Tuple[str, ...]]:
     """The distinct paths of ``records``, first-seen order."""
     return list(dict.fromkeys(r.path for r in records))
-
-
-def sum_counts(records: Iterable[PathFlowRecord],
-               path: Optional[Tuple[str, ...]]) -> Tuple[int, int]:
-    """``(bytes, packets)`` over ``records`` (only ``path``'s when given)."""
-    nbytes = npkts = 0
-    for record in records:
-        if path is None or record.path == path:
-            nbytes += record.bytes
-            npkts += record.pkts
-    return nbytes, npkts
-
-
-def clamped_duration(records: Iterable[PathFlowRecord],
-                     path: Optional[Tuple[str, ...]],
-                     time_range: Optional[TimeRange]) -> float:
-    """Spread of ``records`` (only ``path``'s when given) inside the window.
-
-    Each record's ``[stime, etime]`` extent is clamped to ``time_range``
-    before the spread is taken - a record merely *overlapping* the window
-    must not leak observation time from outside it (the reported duration
-    can never exceed the window's length).  Without matching records the
-    duration is 0.
-    """
-    start, end = normalise_time_range(time_range)
-    stimes: List[float] = []
-    etimes: List[float] = []
-    for record in records:
-        if path is None or record.path == path:
-            stimes.append(record.stime if start is None
-                          else max(record.stime, start))
-            etimes.append(record.etime if end is None
-                          else min(record.etime, end))
-    return max(etimes) - min(stimes) if stimes else 0.0

@@ -13,14 +13,13 @@ from __future__ import annotations
 import socket
 import time
 from contextlib import contextmanager, suppress
-from typing import (Dict, Iterator, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import wire
 from repro.core.alarms import Alarm
 from repro.core.monitor import ActiveMonitor
 from repro.core.query import Query, QueryEngine
-from repro.core.tib import Flow, LinkId, TimeRange, Tib
+from repro.core.tib import Tib
 from repro.network.packet import FlowId
 
 #: Queries a group worker can answer: every built-in, including the
@@ -29,7 +28,7 @@ from repro.network.packet import FlowId
 #: alarms travel back over the wire.  Only *custom* handlers registered on
 #: individual in-process agents fall back local (the worker cannot know
 #: them).
-SERVED_QUERIES = frozenset(QueryEngine()._handlers)
+SERVED_QUERIES = QueryEngine().names()
 
 #: Request frames (answered; a latched ingest failure answers the next one
 #: instead).
@@ -115,8 +114,9 @@ class _RequestMemo:
 
 
 class _HostServer:
-    """One host in a worker: its state, the slice of the agent API the
-    query handlers need, and the frame switch ``frame -> reply``.
+    """One host in a worker: its state (the ``tib``, ``monitor`` and
+    ``alarm`` the query handlers read), and the frame switch
+    ``frame -> reply``.
 
     :func:`group_server_main` owns one of these per host of its shard and
     routes ``MSG_GROUP_BATCH`` entries to them; each serves everything in
@@ -142,28 +142,6 @@ class _HostServer:
         #: Shared by every host server of the worker process.
         self.requests = requests
         self.pending_error: Optional[str] = None
-
-    # Host API subset (mirrors PathDumpAgent over the TIB + monitor).
-    def get_flows(self, link: Optional[LinkId] = None,
-                  time_range: Optional[TimeRange] = None) -> List[Flow]:
-        return self.tib.get_flows(link, time_range)
-
-    def get_paths(self, flow_id: FlowId, link: Optional[LinkId] = None,
-                  time_range: Optional[TimeRange] = None
-                  ) -> List[Tuple[str, ...]]:
-        return self.tib.get_paths(flow_id, link, time_range)
-
-    def get_count(self, flow: Union[Flow, FlowId],
-                  time_range: Optional[TimeRange] = None) -> Tuple[int, int]:
-        return self.tib.get_count(flow, time_range)
-
-    def get_duration(self, flow: Union[Flow, FlowId],
-                     time_range: Optional[TimeRange] = None) -> float:
-        return self.tib.get_duration(flow, time_range)
-
-    def get_poor_tcp_flows(self, threshold: Optional[int] = None
-                           ) -> List[FlowId]:
-        return self.monitor.get_poor_tcp_flows(threshold)
 
     def alarm(self, flow_id: FlowId, reason: str,
               paths: Sequence[Tuple[str, ...]], detail: str = "",

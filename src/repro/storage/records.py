@@ -24,7 +24,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.network.packet import FlowId
 
 
-def is_wild(value) -> bool:
+def is_wild(value: Any) -> bool:
     """Whether a link-endpoint / time-bound value is a wildcard.
 
     The canonical wildcard test of the query API (``None``, ``"*"`` or

@@ -56,8 +56,9 @@ class TestHostApi:
     @pytest.mark.parametrize("max_records", [None, 1])
     def test_include_live_is_a_no_op_on_empty_trajectory_memory(
             self, agent, max_records):
-        # get_count without live records goes through Tib.get_count (the
-        # per-flow-totals fast path), with them through sum_counts over
+        # get_count / get_duration without live records push their plans
+        # down into the TIB (get_count's per-flow-totals fast path), with
+        # them evaluate the same plans by brute force over
         # agent.records(): the two must not drift, on either tier.
         agent.tib.configure_retention(max_records=max_records)
         assert agent.tib.tier_stats()["cold_records"] == \

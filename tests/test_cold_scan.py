@@ -37,6 +37,7 @@ from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import ColdArchive, PathFlowRecord, RetentionPolicy, ScanSpec
 from repro.storage.records import COLUMN_FIELDS, flow_key
 from test_supervisor import FAST, STARTUP_FRAMES, small_topology
+from test_tib import get_count
 from test_two_tier_tib import (HOT_CAP, SWITCHES, make_record, populate,
                                record_values)
 
@@ -842,7 +843,7 @@ class TestScanResultsNeverAlias:
         tib.add_record(PathFlowRecord(first.flow_id, first.path, 0.5, 30.0,
                                       50, 1))
         assert tib.stats.promotions == 1
-        assert tib.get_count(first.flow_id) == (150, 3)
+        assert get_count(tib, first.flow_id) == (150, 3)
         assert record_values([held]) == snapshot
         again = archive.scan(ScanSpec())
         assert all(r is not held for _, r in again)

@@ -3,10 +3,10 @@
 Every aggregation node reduces all of its arrivals - its children's
 partials in tree order, then its local result - with a single
 ``QueryEngine.merge`` call, so a merger must equal its own pairwise left
-fold.  A seeded fuzz holds every built-in merge operator (concat, key-sum,
-ranked top-k) and every plan terminal op to that, byte for byte under
-``wire.encode_value``; call-count pins hold the executor to one merge per
-node.
+fold.  A seeded fuzz holds every served built-in's merge (concat,
+key-sum, ranked top-k, span) and every plan terminal op to that, byte for
+byte under ``wire.encode_value``; call-count pins hold the executor to one
+merge per node.
 """
 
 import functools
@@ -16,15 +16,20 @@ import pytest
 
 from repro.core import (MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
                         AggregationTree, Q_FLOW_SIZE_DISTRIBUTION,
-                        Q_GET_COUNT, Q_GET_FLOWS, Q_GET_PATHS,
-                        Q_POOR_TCP_FLOWS, Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX,
-                        Query, QueryCluster, wire)
+                        Q_GET_COUNT, Q_GET_DURATION, Q_GET_FLOWS,
+                        Q_GET_PATHS, Q_POOR_TCP_FLOWS, Q_TOP_K_FLOWS,
+                        Q_TRAFFIC_MATRIX, Query, QueryCluster, wire)
 from repro.core import plan as planlib
 from repro.core.query import (Q_PATH_CONFORMANCE, Q_PLAN,
                               Q_SUBFLOW_IMBALANCE, QueryEngine, QueryResult)
+from repro.core.worker import SERVED_QUERIES
+from repro.network.packet import PROTO_TCP, FlowId
 from repro.topology import FatTreeTopology
 
-CONCAT, KEY_SUM, RANKED = "concat", "key-sum", "ranked"
+CONCAT, KEY_SUM, RANKED, SPAN = "concat", "key-sum", "ranked", "span"
+
+#: The flow a point query's merge compiles its plan for.
+FLOW = FlowId("h0", "h1", 1000, 80, PROTO_TCP)
 
 #: Numbers that collide under comparison and addition: int/float twins,
 #: both zeros, and values that cancel.
@@ -51,13 +56,21 @@ def random_ranking(rng, k, order):
     return planlib.rank_select(pairs, k, order)
 
 
+def random_span(rng):
+    """A host's ``(start, end)`` span, or the ``()`` of a host that held
+    no matching record."""
+    if rng.random() < 0.3:
+        return ()
+    return tuple(sorted(rng.sample(NUMBERS, 2)))
+
+
 def cases():
-    """(query, payload kind, ranking k and order) for every built-in
-    merger and every plan terminal op."""
+    """(query, payload kind, ranking k and order) for every served
+    built-in and every plan terminal op."""
     ranked_k = 3  # smaller than most totals: truncation is exercised
     yield Query(Q_GET_FLOWS), CONCAT, None
     yield Query(Q_GET_PATHS), CONCAT, None
-    yield Query(Q_GET_COUNT), CONCAT, None
+    yield Query(Q_GET_COUNT, {"flow": FLOW}), CONCAT, None
     yield Query(Q_POOR_TCP_FLOWS), CONCAT, None
     yield Query(Q_PATH_CONFORMANCE), CONCAT, None
     yield Query(Q_SUBFLOW_IMBALANCE), CONCAT, None
@@ -86,6 +99,10 @@ def cases():
             (ranked_k, order)))
     for plan, kind, ranking in terminals:
         yield Query(Q_PLAN, {"plan": plan}), kind, ranking
+    yield Query(Q_GET_DURATION, {"flow": FLOW}), SPAN, None
+    yield (Query(Q_PLAN, {"plan": planlib.Plan(ops=(
+        planlib.Filter(start=1.0), planlib.Aggregate(func="span")))}),
+        SPAN, None)
 
 
 CASES = list(cases())
@@ -95,11 +112,12 @@ def test_cases_cover_every_merger_and_terminal_op():
     engine = QueryEngine()
     named = {query.name for query, _kind, _ranking in CASES}
     assert set(engine._mergers) <= named
+    assert SERVED_QUERIES <= named
     operators = {planlib.merge_operator(query.params["plan"])
                  for query, _kind, _ranking in CASES
                  if query.name == Q_PLAN}
     assert operators == {planlib.MERGE_CONCAT, planlib.MERGE_HISTOGRAM,
-                         planlib.MERGE_TOP_K}
+                         planlib.MERGE_TOP_K, planlib.MERGE_SPAN}
     terminals = {type(query.params["plan"].ops[-1])
                  for query, _kind, _ranking in CASES if query.name == Q_PLAN}
     assert terminals == set(planlib.OPS)
@@ -118,6 +136,8 @@ def test_merge_of_all_equals_the_pairwise_left_fold(query, kind, ranking):
                 payload = random_rows(rng)
             elif kind == KEY_SUM:
                 payload = random_sums(rng)
+            elif kind == SPAN:
+                payload = random_span(rng)
             else:
                 payload = random_ranking(rng, *ranking)
             stats = {key: rng.randrange(5) for key in
@@ -140,6 +160,12 @@ def test_merge_of_all_equals_the_pairwise_left_fold(query, kind, ranking):
             head = sorted(pairs, reverse=order == planlib.ORDER_DESC)[:k]
             assert wire.encode_value(merged.payload) == \
                 wire.encode_value(head)
+        if kind == SPAN:  # the extremes of the non-empty spans
+            spans = [result.payload for result in results if result.payload]
+            extent = (min(start for start, _ in spans),
+                      max(end for _, end in spans)) if spans else ()
+            assert wire.encode_value(merged.payload) == \
+                wire.encode_value(extent)
 
 
 @pytest.mark.parametrize("tail", [1, 20])  # a sort, then a heap merge

@@ -2,7 +2,8 @@
 pushdown execution and the property fuzz.
 
 Covers: structured validation issues and per-plan warnings, the reference
-brute-force evaluator's semantics, the compiled built-ins (``get_count``,
+brute-force evaluator's semantics (the span aggregate's window clamp
+included), the compiled built-ins (``get_count``, ``get_duration``,
 ``top_k_flows``) being payload-byte-identical to the brute-force
 reference over the TIB's records, measured (not estimated) request/result byte
 accounting for locally executed plans, provable filter pushdown (hot
@@ -20,8 +21,9 @@ from repro.core import plan as planlib
 from repro.core import wire
 from repro.core.plan import (Aggregate, Filter, Plan, PlanError, Project,
                              TopK)
-from repro.core.query import (Q_FLOW_SIZE_DISTRIBUTION, Q_GET_COUNT, Q_PLAN,
-                              Q_TOP_K_FLOWS, Query, QueryEngine)
+from repro.core.query import (Q_FLOW_SIZE_DISTRIBUTION, Q_GET_COUNT,
+                              Q_GET_DURATION, Q_PLAN, Q_TOP_K_FLOWS, Query,
+                              QueryEngine)
 from repro.core.tib import Tib
 from repro.network.packet import FlowId
 from repro.storage import ColdArchive, RetentionPolicy
@@ -104,6 +106,8 @@ class TestValidation:
             Aggregate(func="count", fields=("bytes",)),
             Aggregate(func="histogram", fields=()),
             Aggregate(func="histogram", fields=("bytes",), binsize=0),
+            Aggregate(func="span", fields=("stime",)),
+            Aggregate(func="span", by=("flow",)),
         ):
             with pytest.raises(PlanError) as info:
                 planlib.validate(Plan(ops=(bad,)))
@@ -111,13 +115,17 @@ class TestValidation:
                        for issue in info.value.issues), bad
 
     def test_projection_gates_aggregate_fields(self):
-        bad = Plan(ops=(Project(fields=("flow",)),
-                        Aggregate(func="sum", fields=("bytes",),
-                                  by=("flow",))))
-        with pytest.raises(PlanError) as info:
-            planlib.validate(bad)
-        assert any(issue.code == planlib.PE_PROJECTION
-                   for issue in info.value.issues)
+        for bad in (
+            Plan(ops=(Project(fields=("flow",)),
+                      Aggregate(func="sum", fields=("bytes",),
+                                by=("flow",)))),
+            Plan(ops=(Project(fields=("flow", "stime")),
+                      Aggregate(func="span"))),  # a span reads etime too
+        ):
+            with pytest.raises(PlanError) as info:
+                planlib.validate(bad)
+            assert any(issue.code == planlib.PE_PROJECTION
+                       for issue in info.value.issues), bad
 
     def test_topk_requires_keyed_aggregate(self):
         for bad in (
@@ -255,6 +263,24 @@ class TestReferenceEvaluator:
         assert by_group == sorted(((k, v) for k, v in by_flow.items()),
                                   reverse=True)[:3]
 
+    def test_span_clamps_each_extent_into_the_window(self):
+        records = [make_record(i) for i in range(12)]
+        assert planlib.reference_evaluate(
+            records, Plan(ops=(Aggregate(func="span"),))) == \
+            (min(r.stime for r in records), max(r.etime for r in records))
+        window = Filter(start=10.0, end=30.0)
+        inside = [r for r in records if r.etime >= 10.0 and r.stime <= 30.0]
+        assert inside and len(inside) < len(records)
+        assert planlib.reference_evaluate(
+            records, Plan(ops=(window, Aggregate(func="span")))) == \
+            (min(max(r.stime, 10.0) for r in inside),
+             min(max(r.etime for r in inside), 30.0))
+        assert planlib.reference_evaluate(
+            records, Plan(ops=(Filter(start=1e6), Aggregate(func="span")))) \
+            == ()
+        assert planlib.span_length(()) == 0.0
+        assert planlib.span_length((2.5, 4.0)) == 1.5
+
     def test_invalid_plan_rejected(self):
         with pytest.raises(PlanError):
             planlib.reference_evaluate([], Plan(ops=()))
@@ -291,6 +317,31 @@ class TestCompiledBuiltins:
             assert wire.encode_value(result.payload) == \
                 wire.encode_value(reference), params
             assert result.records_scanned == 1
+
+    @pytest.mark.parametrize("tib_factory", [hot_tib, spanning_tib])
+    def test_get_duration_identity(self, tib_factory):
+        tib = tib_factory()
+        agent = _LocalAgent(tib)
+        engine = QueryEngine()
+        sample = make_record(7)
+        cases = [
+            {"flow": sample.flow_id},
+            {"flow": sample.flow_id, "time_range": (5.0, 30.0)},
+            {"flow": (sample.flow_id, sample.path)},
+            {"flow": (sample.flow_id, sample.path),
+             "time_range": (sample.stime + 0.25, None)},
+            {"flow": make_record(7, src="nowhere").flow_id},  # absent flow
+        ]
+        for params in cases:
+            result = engine.execute(agent,
+                                    Query(Q_GET_DURATION, dict(params)))
+            plan = planlib.compile_get_duration(params["flow"],
+                                                params.get("time_range"))
+            reference = planlib.reference_evaluate(tib.records(), plan)
+            assert wire.encode_value(result.payload) == \
+                wire.encode_value(reference), params
+            assert result.records_scanned == 1
+        assert result.payload == ()  # the absent flow's identity span
 
     @pytest.mark.parametrize("tib_factory", [hot_tib, spanning_tib])
     def test_top_k_flows_identity(self, tib_factory):
@@ -421,7 +472,9 @@ def _random_op(rng, op_type, by=()):
     if op_type is Aggregate:
         func = rng.choice(planlib.AGG_FUNCS)
         numeric = planlib.NUMERIC_FIELDS
-        if func == planlib.AGG_COUNT:
+        if func == planlib.AGG_SPAN:
+            fields, by = (), ()
+        elif func == planlib.AGG_COUNT:
             fields = ()
         elif func == planlib.AGG_HISTOGRAM or by:
             fields = (rng.choice(numeric),)
@@ -447,7 +500,11 @@ def random_plan(rng, containing=None):
         if rng.random() < 0.7:
             ops.append(_random_op(rng, Filter))
         if rng.random() < 0.5:
-            needed = aggregate.fields + aggregate.by if aggregate else ()
+            needed = ()
+            if aggregate is not None:
+                needed = (("stime", "etime")
+                          if aggregate.func == planlib.AGG_SPAN
+                          else aggregate.fields + aggregate.by)
             ops.append(Project(fields=needed + _random_op(
                 rng, Project).fields))
         if aggregate is not None:
@@ -472,7 +529,8 @@ class TestOpTable:
         for op_type in planlib.OPS:
             assert op_type.merge in (planlib.MERGE_CONCAT,
                                      planlib.MERGE_HISTOGRAM,
-                                     planlib.MERGE_TOP_K)
+                                     planlib.MERGE_TOP_K,
+                                     planlib.MERGE_SPAN)
 
     @pytest.mark.parametrize("op_type", planlib.OPS,
                              ids=lambda op_type: op_type.__name__)
@@ -722,6 +780,12 @@ def fuzz_plans(rng, records):
     plans.append(planlib.compile_get_count((sample.flow_id, sample.path)))
     plans.append(planlib.compile_top_k_flows(4, (a, b)))
     plans.append(planlib.compile_top_k_flows(4))
+    # ... and the span aggregate, clamped by no, two- and one-sided windows.
+    plans.extend(Plan(ops=(filter_op, Aggregate(func="span")))
+                 for filter_op in filters[:4])
+    plans.append(planlib.compile_get_duration(sample.flow_id,
+                                              (times[0], times[1])))
+    plans.append(planlib.compile_get_duration((sample.flow_id, sample.path)))
     return plans
 
 

@@ -1,6 +1,7 @@
 """Plan queries across every execution mode and both mechanisms.
 
-Covers: plan-compiled ``get_count`` / ``top_k_flows`` returning payloads
+Covers: plan-compiled ``get_count`` / ``get_duration`` / ``top_k_flows``
+returning payloads
 byte-identical to a per-host brute-force reference (merged by the plan's
 own operator) across serial / process / socket modes (direct and
 multilevel scatter), raw
@@ -17,7 +18,7 @@ import pytest
 
 from repro.core import (MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
                         MODE_PROCESS, MODE_SERIAL, MODE_SOCKET, Q_GET_COUNT,
-                        Q_PLAN, Q_TOP_K_FLOWS, Query, wire)
+                        Q_GET_DURATION, Q_PLAN, Q_TOP_K_FLOWS, Query, wire)
 from repro.core import plan as planlib
 from repro.core.executor import W_HOST_FAILED
 from repro.core.plan import Aggregate, Filter, Plan, TopK
@@ -25,8 +26,10 @@ from repro.network.packet import FlowId, PROTO_TCP
 from test_worker_plane import NUM_HOSTS, worker_cluster
 
 #: A flow ``populate`` actually installs (src is the next host around the
-#: ring, sport counts up from 30_000), plus a link on its path.
+#: ring, sport counts up from 30_000; seen from 5.0 to 5.5), its path, and
+#: a link on it.
 SAMPLE_FLOW = FlowId("server-1", "server-0", 30_005, 80, PROTO_TCP)
+SAMPLE_PATH = ("server-1", "leaf-0", "server-0")
 SAMPLE_LINK = ("leaf-0", "server-0")
 
 #: (built-in, params) - each must match the merged per-host reference
@@ -37,11 +40,16 @@ BUILTIN_CASES = [
     (Q_TOP_K_FLOWS, {"k": 30}),
     (Q_TOP_K_FLOWS, {"k": 10, "link": SAMPLE_LINK}),
     (Q_TOP_K_FLOWS, {"k": 15, "time_range": (3.0, 18.0)}),
+    (Q_GET_DURATION, {"flow": SAMPLE_FLOW}),
+    (Q_GET_DURATION, {"flow": (SAMPLE_FLOW, SAMPLE_PATH)}),
+    (Q_GET_DURATION, {"flow": SAMPLE_FLOW, "time_range": (5.2, 20.0)}),
 ]
 
 #: The plan each built-in compiles its params to.
 COMPILERS = {
     Q_GET_COUNT: lambda params: planlib.compile_get_count(
+        params["flow"], params.get("time_range")),
+    Q_GET_DURATION: lambda params: planlib.compile_get_duration(
         params["flow"], params.get("time_range")),
     Q_TOP_K_FLOWS: lambda params: planlib.compile_top_k_flows(
         params.get("k", 1000), params.get("link"), params.get("time_range")),
@@ -74,7 +82,8 @@ def run_all_modes(query, mechanism):
 def reference_builtin(name, params):
     """A record loop kept in the test: the brute-force evaluator over each
     host's full record set, the partials merged by the plan's own
-    operator (top-k: ``merge_ranked``; a scalar: concatenation)."""
+    operator (top-k: ``merge_ranked``; a span: min/max; another scalar:
+    concatenation)."""
     plan = COMPILERS[name](params)
     with worker_cluster(MODE_SERIAL) as cluster:
         partials = [planlib.reference_evaluate(

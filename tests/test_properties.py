@@ -14,6 +14,7 @@ from repro.storage.docstore import Collection
 from repro.topology import FatTreeTopology, assign_link_ids
 from repro.tracing import PathReconstructor
 from repro.workloads.websearch import web_search_cdf
+from test_tib import get_count
 
 #: Shared read-only fat-tree for the reconstruction property test.
 _TOPO = FatTreeTopology(4)
@@ -113,7 +114,7 @@ class TestTibProperties:
             tib.add_record(PathFlowRecord(flow, path, 0.0, 1.0, nbytes, 1))
             flow_totals[flow] = flow_totals.get(flow, 0) + nbytes
         for flow, total in flow_totals.items():
-            assert tib.get_count(flow)[0] == total
+            assert get_count(tib, flow)[0] == total
 
 
 class TestTrajectoryMemoryProperties:

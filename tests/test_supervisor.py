@@ -266,6 +266,33 @@ class TestStandaloneRecovery:
             assert not pool.alive("a")
 
 
+class TestCondemnTheFailedConnection:
+    def test_a_stale_connection_is_condemned_without_its_successor(self):
+        """Two exchanges fail on one connection, and the first one's
+        restart swaps the slot before the second gives its connection up.
+        The second kills only the worker its connection was spawned with:
+        the fresh worker stays up, its connection open, and no second
+        restart is paid."""
+        supervisor = Supervisor(policy=FAST)
+        with pool_of(["a"], supervisor=supervisor) as pool:
+            stale = pool._slots["group-0"].conn
+            kill_and_wait(pool, "a")
+            with pytest.raises(AgentServerError):
+                pool.ping("a")  # fails over to a restarted worker
+            fresh = pool._slots["group-0"].conn
+            assert fresh is not stale and pool.stats.restarts == 1
+            pool.add_records("a", sample_records("a"))
+            error = pool._condemn(stale, "a late failure on the old stream")
+            assert isinstance(error, AgentServerError)
+            assert pool.alive("a") and fresh.dead is None
+            with pytest.raises(AgentServerError, match="undecodable"):
+                pool._checked_decode(stale, b"\x00", wire.decode_pong_state)
+            assert pool.alive("a") and fresh.dead is None
+            assert pool.ping("a") == 5
+            assert pool.stats.restarts == 1
+            assert supervisor.restart_count("group-0") == 1
+
+
 class TestClusterRecovery:
     @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
                                            MECHANISM_MULTILEVEL])

@@ -28,6 +28,18 @@ PATH_B = ("h-0-0-0", "tor-0-0", "agg-0-1", "core-1-0", "agg-2-1", "tor-2-0",
           "h-2-0-0")
 
 
+def get_count(tib, flow, time_range=None):
+    """``getCount(Flow, timeRange)``: its plan, pushed down into ``tib``."""
+    return planlib.execute_plan(
+        tib, planlib.compile_get_count(flow, time_range)).payload
+
+
+def get_duration(tib, flow, time_range=None):
+    """``getDuration(Flow, timeRange)``: the length of its plan's span."""
+    return planlib.span_length(planlib.execute_plan(
+        tib, planlib.compile_get_duration(flow, time_range)).payload)
+
+
 @pytest.fixture()
 def tib():
     tib = Tib("h-2-0-0")
@@ -78,14 +90,14 @@ class TestTib:
 
     def test_get_count_per_path_and_total(self, tib):
         flow = _flow()
-        assert tib.get_count((flow, PATH_A)) == (1000, 10)
-        assert tib.get_count(flow) == (1500, 15)
-        assert tib.get_count((flow, PATH_A), time_range=(10, 20)) == (0, 0)
+        assert get_count(tib, (flow, PATH_A)) == (1000, 10)
+        assert get_count(tib, flow) == (1500, 15)
+        assert get_count(tib, (flow, PATH_A), time_range=(10, 20)) == (0, 0)
 
     def test_get_duration(self, tib):
-        assert tib.get_duration(_flow()) == pytest.approx(2.0)
-        assert tib.get_duration((_flow(), PATH_B)) == pytest.approx(1.0)
-        assert tib.get_duration(_flow(sport=9999)) == 0.0
+        assert get_duration(tib, _flow()) == pytest.approx(2.0)
+        assert get_duration(tib, (_flow(), PATH_B)) == pytest.approx(1.0)
+        assert get_duration(tib, _flow(sport=9999)) == 0.0
 
     def test_records_merge_same_flow_path(self):
         tib = Tib("h")
@@ -93,8 +105,8 @@ class TestTib:
         tib.add_record(_record(flow, PATH_A, 0.0, 1.0, 100, 1))
         tib.add_record(_record(flow, PATH_A, 1.0, 3.0, 200, 2))
         assert tib.record_count() == 1
-        assert tib.get_count((flow, PATH_A)) == (300, 3)
-        assert tib.get_duration((flow, PATH_A)) == pytest.approx(3.0)
+        assert get_count(tib, (flow, PATH_A)) == (300, 3)
+        assert get_duration(tib, (flow, PATH_A)) == pytest.approx(3.0)
 
     def test_clear_and_footprint(self, tib):
         assert tib.estimated_bytes() > 0
@@ -303,7 +315,7 @@ class TestUpsertMerge:
                                  _record(flow, PATH_B, 0.0, 1.0, 50, 1)])
         assert count == 3
         assert tib.record_count() == 2
-        assert tib.get_count(flow) == (350, 4)
+        assert get_count(tib, flow) == (350, 4)
 
     def test_merge_matches_reference_fold(self):
         """Tib._merge_into inlines PathFlowRecord.update; pin them together."""
@@ -579,8 +591,8 @@ class TestEngineDiscipline:
         flow = _flow()
         tib.add_record(_record(flow, PATH_A, 0.0, 1.0, 100, 2))
         tib.add_record(_record(flow, PATH_B, 1.0, 2.0, 50, 1))
-        assert tib.get_count(flow) == (150, 3)
-        assert tib.get_count(flow, time_range=(0.0, 10.0)) == (150, 3)
+        assert get_count(tib, flow) == (150, 3)
+        assert get_count(tib, flow, time_range=(0.0, 10.0)) == (150, 3)
         assert tib.flow_byte_totals() == {
             "h-0-0-0:1000|h-2-0-0:80|6": 150}
 
@@ -617,7 +629,7 @@ class TestNoMutateContract:
         tib.add_record(record)
         record.bytes = 999_999
         record.path = ("garbage",)
-        assert tib.get_count(_flow()) == (100, 1)
+        assert get_count(tib, _flow()) == (100, 1)
         assert tib.records()[0].path == PATH_A
 
     def test_adopt_transfers_ownership_without_copy(self):
@@ -644,22 +656,22 @@ class TestGetDurationClamp:
 
     def test_duration_never_exceeds_window_length(self, long_flow):
         tib, flow = long_flow
-        assert tib.get_duration(flow, (10.0, 20.0)) == 10.0
+        assert get_duration(tib, flow, (10.0, 20.0)) == 10.0
 
     def test_one_sided_windows_clamp_one_bound(self, long_flow):
         tib, flow = long_flow
-        assert tib.get_duration(flow, (40.0, None)) == 60.0
-        assert tib.get_duration(flow, (None, 30.0)) == 30.0
-        assert tib.get_duration(flow, ("*", "*")) == 100.0
+        assert get_duration(tib, flow, (40.0, None)) == 60.0
+        assert get_duration(tib, flow, (None, 30.0)) == 30.0
+        assert get_duration(tib, flow, ("*", "*")) == 100.0
 
     def test_unconstrained_duration_unchanged(self, long_flow):
         tib, flow = long_flow
-        assert tib.get_duration(flow) == 100.0
+        assert get_duration(tib, flow) == 100.0
 
     def test_empty_result_is_zero(self, long_flow):
         tib, flow = long_flow
-        assert tib.get_duration(flow, (200.0, 300.0)) == 0.0
-        assert tib.get_duration(_flow(sport=9999), (10.0, 20.0)) == 0.0
+        assert get_duration(tib, flow, (200.0, 300.0)) == 0.0
+        assert get_duration(tib, _flow(sport=9999), (10.0, 20.0)) == 0.0
 
     def test_multi_record_spread_is_clamped_per_record(self):
         tib = Tib("h")
@@ -667,11 +679,11 @@ class TestGetDurationClamp:
         tib.add_record(_record(flow, PATH_A, 0.0, 12.0))
         tib.add_record(_record(flow, PATH_B, 18.0, 50.0))
         # window [10, 20]: extents clamp to [10, 12] and [18, 20]
-        assert tib.get_duration(flow, (10.0, 20.0)) == 10.0
+        assert get_duration(tib, flow, (10.0, 20.0)) == 10.0
 
     def test_point_window(self, long_flow):
         tib, flow = long_flow
-        assert tib.get_duration(flow, (50.0, 50.0)) == 0.0
+        assert get_duration(tib, flow, (50.0, 50.0)) == 0.0
 
 
 class TestTimeRangeBoundaryFuzz:

@@ -21,6 +21,7 @@ from repro.storage import ColdArchive, PathFlowRecord, RetentionPolicy
 from repro.storage.archive import ArchiveKey  # noqa: F401  (public name)
 from repro.storage.records import ScanSpec, flow_key
 from test_supervisor import small_topology
+from test_tib import get_count, get_duration
 
 SWITCHES = ("s0", "s1", "s2")
 
@@ -158,10 +159,10 @@ class TestSpanningIdentity:
         for flow_id in flow_ids:
             assert capped.get_paths(flow_id) == plain.get_paths(flow_id)
             for window in (None, (5.0, 30.0)):
-                assert capped.get_count(flow_id, window) == \
-                    plain.get_count(flow_id, window)
-                assert capped.get_duration(flow_id, window) == \
-                    plain.get_duration(flow_id, window)
+                assert get_count(capped, flow_id, window) == \
+                    get_count(plain, flow_id, window)
+                assert get_duration(capped, flow_id, window) == \
+                    get_duration(plain, flow_id, window)
 
     def test_flow_byte_totals_span_tiers(self, twins):
         capped, plain = twins
@@ -189,8 +190,8 @@ class TestPromotion:
         assert capped.stats.promotions == 1
         assert record_values(capped.records()) == record_values(
             plain.records())
-        nbytes, pkts = capped.get_count(first.flow_id)
-        assert (nbytes, pkts) == plain.get_count(first.flow_id)
+        nbytes, pkts = get_count(capped, first.flow_id)
+        assert (nbytes, pkts) == get_count(plain, first.flow_id)
 
     def test_promoted_record_can_age_out_again(self):
         capped = Tib("c", retention=RetentionPolicy(max_records=2))
@@ -210,8 +211,8 @@ class TestPromotion:
         assert record_values(capped.records()) == record_values(
             plain.records())
         for window in (None, (1.5, 3.0)):
-            assert capped.get_count(base.flow_id, window) == \
-                plain.get_count(base.flow_id, window)
+            assert get_count(capped, base.flow_id, window) == \
+                get_count(plain, base.flow_id, window)
 
 
 class TestColdArchiveUnit:

@@ -257,12 +257,12 @@ class TestResultFrames:
             def total_record_count(self):
                 return 4
 
+            def get_flows(self, link, time_range):
+                return [(FlowId("a", "b", 1, 2, 6), ("a", "s", "b"))]
+
         class AgentStub:
             host = "h0"
             tib = TibStub()
-
-            def get_flows(self, link, time_range):
-                return [(FlowId("a", "b", 1, 2, 6), ("a", "s", "b"))]
 
         result = QueryEngine().execute(AgentStub(), Query("get_flows", {}))
         assert result.wire_bytes == len(wire.encode_result(result))

@@ -33,7 +33,7 @@ import repro
 from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
                         MECHANISM_MULTILEVEL, MODE_PROCESS, MODE_SERIAL,
                         MODE_SOCKET, Q_FLOW_SIZE_DISTRIBUTION,
-                        Q_GET_COUNT, Q_GET_FLOWS, Q_GET_PATHS,
+                        Q_GET_COUNT, Q_GET_DURATION, Q_GET_FLOWS, Q_GET_PATHS,
                         Q_PATH_CONFORMANCE, Q_PLAN, Q_POOR_TCP_FLOWS,
                         Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX, Query, QueryCluster,
                         Supervisor, shard_hosts, wire)
@@ -44,7 +44,8 @@ from repro.core.executor import (ScatterGatherExecutor, W_HOST_FAILED,
                                  W_WORKER_RESTARTED)
 from repro.core.groupserver import OUTBOX_FLUSH_BYTES
 from repro.core.monitor import MonitorSnapshot
-from repro.core.plan import Aggregate, Filter, Plan, Project, TopK
+from repro.core.plan import (Aggregate, Filter, Plan, Project, TopK,
+                             span_length)
 from repro.core.supervisor import EVENT_RESTARTED, ChaosPolicy, WorkerSeed
 from repro.core.worker import EndpointClosed, FramedSocket
 from repro.network import make_tcp_packet
@@ -77,14 +78,17 @@ FAILURE_SHAPES = [
     pytest.param((MODE_SOCKET, GROUPS), id="2xunix"),
 ]
 
-#: One flow of :func:`populate` (server-2 -> server-1 via leaf-0), for the
-#: point queries.
+#: One flow of :func:`populate` (server-2 -> server-1 via leaf-0, seen
+#: from 3.0 to 3.5), for the point queries.
 POINT_FLOW = FlowId("server-2", "server-1", 30_003, 80, PROTO_TCP)
+POINT_PATH = ("server-2", "leaf-0", "server-1")
 
 #: The identity matrix's queries.  The first five are the unconstrained
 #: built-ins; the rest route each read through a different index (link,
 #: time window, flow key) and end in each merge operator (top-k merge,
-#: key sums, concat, histogram merge, keyed and scalar plan aggregates).
+#: key sums, concat, histogram merge, keyed and scalar plan aggregates,
+#: and the span merge of ``get_duration``: a bare flow, a (flow, path)
+#: pair, and a window that clips the flow).
 QUERIES = [
     (Q_TOP_K_FLOWS, {"k": 30}),
     (Q_FLOW_SIZE_DISTRIBUTION, {"links": [None], "binsize": 4000}),
@@ -111,7 +115,22 @@ QUERIES = [
         Project(fields=("flow", "bytes"))))}),
     (Q_PLAN, {"plan": Plan(ops=(
         Filter(), Aggregate(func="sum", fields=("bytes", "pkts"))))}),
+    (Q_GET_DURATION, {"flow": POINT_FLOW}),
+    (Q_GET_DURATION, {"flow": (POINT_FLOW, POINT_PATH)}),
+    (Q_GET_DURATION, {"flow": POINT_FLOW, "time_range": (3.2, 10.0)}),
 ]
+
+#: A flow whose records sit on three hosts, so only the merge can answer
+#: its getDuration.
+SPREAD_FLOW = FlowId("server-9", "server-0", 40_000, 80, PROTO_TCP)
+
+
+def populate_spread_flow(cluster):
+    populate(cluster)
+    for index, host in enumerate(cluster.hosts[1:4]):
+        cluster.agent(host).tib.add_record(PathFlowRecord(
+            SPREAD_FLOW, ("server-9", f"leaf-{index}", host),
+            2.0 + 3 * index, 4.0 + 5 * index, 100, 1))
 
 
 
@@ -296,6 +315,41 @@ class TestPayloadIdentity:
             assert not result.partial
             assert wire.encode_value(result.payload) == want
             assert want != wire.encode_value([])
+
+
+class TestDurationAcrossHosts:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_merged_span_is_the_clamped_spread_over_every_host(self, shape):
+        """``get_duration`` of a flow seen on three hosts: the merged span's
+        length is the brute-force clamped spread over all three hosts'
+        records, in both mechanisms, byte-identical in every mode."""
+        windows = (None, (3.0, 9.0), (5.0, None), (None, 3.0))
+        with worker_cluster(*shape, feed=populate_spread_flow) as cluster:
+            records = [record for host in cluster.hosts for record in
+                       cluster.agent(host).tib.records(flow_id=SPREAD_FLOW)]
+            assert len({record.path[-1] for record in records}) == 3
+            answers = {}
+            for mode in (MODE_SERIAL, shape[0]):
+                cluster.configure_executor(mode=mode)
+                for window in windows:
+                    start, end = window or (None, None)
+                    inside = [r for r in records
+                              if (start is None or r.etime >= start)
+                              and (end is None or r.stime <= end)]
+                    spread = (
+                        max(r.etime if end is None else min(r.etime, end)
+                            for r in inside)
+                        - min(r.stime if start is None
+                              else max(r.stime, start) for r in inside))
+                    for mechanism in (MECHANISM_DIRECT, MECHANISM_MULTILEVEL):
+                        result = cluster.execute(Query(Q_GET_DURATION, {
+                            "flow": SPREAD_FLOW, "time_range": window}),
+                            mechanism=mechanism)
+                        assert not result.partial
+                        assert span_length(result.payload) == spread > 0
+                        answers.setdefault((window, mechanism), set()).add(
+                            wire.encode_value(result.payload))
+            assert all(len(encoded) == 1 for encoded in answers.values())
 
 
 class TestMeasuredTraffic:
