@@ -16,7 +16,8 @@ simulated SDN datacenter fabric:
   TIB, monitor), agents, distributed queries and the controller;
 * :mod:`repro.debug` - the debugging applications of Section 4;
 * :mod:`repro.analysis` - metrics and report formatting;
-* :mod:`repro.counters` - the base class of every stats holder.
+* :mod:`repro.counters` - the base class of every stats holder;
+* :mod:`repro.codec` - the byte primitives of the wire and segment codecs.
 """
 
 __version__ = "1.0.0"

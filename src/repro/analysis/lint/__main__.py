@@ -29,8 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
         description=("repro-lint: AST-based analyzer enforcing the "
-                     "codebase's cross-cutting invariants (wire "
-                     "completeness, stats reset/registry, lock "
+                     "codebase's cross-cutting invariants (lock "
                      "discipline, query-path purity, determinism, "
                      "scan-spec soundness)."))
     parser.add_argument(

@@ -1,8 +1,7 @@
 """Core machinery of ``repro-lint``, the repo's invariant analyzer.
 
 The codebase's correctness rests on conventions that no generic linter
-knows about: every wire frame needs an encoder, a decoder and fuzz
-coverage; worker pipe state must only be touched under its exchange lock;
+knows about: worker pipe state must only be touched under its exchange lock;
 the query path must never import pickle; payload-producing code must stay
 deterministic.  Each of those was a real bug class fixed by
 hand in PRs 3-7.  This module provides the scaffolding the rule suite
@@ -12,8 +11,8 @@ hand in PRs 3-7.  This module provides the scaffolding the rule suite
   (source text, AST, per-line suppressions), loaded once and shared by
   every rule.
 * :class:`Rule` + :func:`register` - the per-rule registry.  A rule sees
-  the whole project, so cross-file invariants (wire.py vs test_wire.py,
-  ScanSpec vs both tier scans) are first-class.
+  the whole project, so cross-file invariants (ScanSpec vs both tier
+  scans) are first-class.
 * :class:`Finding` - one violation: file, line, rule id, message.
 * Suppressions - ``# lint: disable=R3 -- why`` on the offending line.
   The justification is mandatory and suppressions must actually match a
@@ -176,7 +175,7 @@ class Project:
         return cls(root, [SourceFile(root, path) for path in sorted(paths)])
 
     def files_named(self, name: str) -> List[SourceFile]:
-        """Files whose base name is ``name`` (e.g. ``wire.py``)."""
+        """Files whose base name is ``name`` (e.g. ``records.py``)."""
         return list(self._by_name.get(name, []))
 
     def file_named(self, name: str,
@@ -239,7 +238,7 @@ def load_rules() -> Dict[str, Type[Rule]]:
     the registry.  Idempotent."""
     # Imported here, not at module top: the rules modules import this one.
     from repro.analysis.lint import (rules_locks, rules_purity,  # noqa: F401
-                                     rules_scanspec, rules_wire)
+                                     rules_scanspec)
     return RULE_REGISTRY
 
 

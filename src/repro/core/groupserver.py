@@ -730,14 +730,13 @@ class GroupAgentPool:
     def ping_state(self, host: str) -> Tuple[int, int]:
         """Probe ``host``'s worker: ``(TIB records, monitor flows)``."""
         conn, reply = self._ask(host, wire.encode_ping())
-        return self._checked_decode(conn, reply, wire.decode_pong_state)
+        return self._checked_decode(conn, reply, wire.decode_pong)[:2]
 
     def tier_stats(self, host: str) -> Dict[str, int]:
         """Pull ``host``'s two-tier stats off a liveness probe."""
         conn, reply = self._ask(host, wire.encode_ping())
         (total, monitor_flows, hot_records, hot_bytes, cold_records,
-         cold_bytes) = self._checked_decode(conn, reply,
-                                            wire.decode_pong_tiers)
+         cold_bytes) = self._checked_decode(conn, reply, wire.decode_pong)
         return {"total_records": total, "monitor_flows": monitor_flows,
                 "hot_records": hot_records, "hot_bytes": hot_bytes,
                 "cold_records": cold_records, "cold_bytes": cold_bytes}
@@ -853,7 +852,7 @@ class GroupAgentPool:
         exchange = self.send(slot.key, [(host, ping) for host in slot.hosts])
         replies, _reply_bytes, _sent = self._consume(exchange)
         return {host: self._checked_decode(exchange.conn, reply,
-                                           wire.decode_pong_state)
+                                           wire.decode_pong)[:2]
                 for host, reply in zip(slot.hosts, replies)}
 
     # ----------------------------------------------------------- stats hooks
@@ -1127,7 +1126,7 @@ class GroupAgentPool:
                     f"group {key} re-seed barrier desync: {reply_host} "
                     f"answered for {host}")
             try:
-                applied, monitor_flows = wire.decode_pong_state(reply)
+                applied, monitor_flows = wire.decode_pong(reply)[:2]
             except wire.WireError as error:
                 raise AgentServerError(
                     f"group {key} re-seed barrier pong for {host} "

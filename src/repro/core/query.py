@@ -229,7 +229,12 @@ class QueryEngine:
         aggregation node with every arrival's payload, children in tree
         order then the node's local result, and must equal its own left
         fold: ``merger(q, [a, b, c]) == merger(q, [merger(q, [a, b]), c])``.
+        A plan-built name raises ``ValueError``: its plan answers it, so a
+        handler or merger registered under it would never run.
         """
+        if name in _PLANNED:
+            raise ValueError(f"query {name!r} is built from a plan and "
+                             f"cannot take a handler")
         self._handlers[name] = handler
         if merger is not None:
             self._mergers[name] = merger

@@ -23,10 +23,12 @@ Every frame starts with a 4-byte header::
 followed by a message-type specific body.  Integers are LEB128 varints
 (zigzag for signed values, so huge Python ints round-trip losslessly),
 floats are little-endian IEEE doubles, strings are UTF-8 with a varint
-length prefix.  Arbitrary query parameters and result payloads use a
-tagged-value encoding (``NONE``/``TRUE``/``FALSE``/``INT``/``FLOAT``/
-``STR``/``BYTES``/``LIST``/``TUPLE``/``DICT``/``SET``/``FROZENSET``/
-``FLOWID``/``PLAN``) that preserves container and :class:`FlowId` types
+length prefix - the primitives of :mod:`repro.codec`, which the cold
+archive's segment codec (:mod:`repro.storage.segment`) shares.
+Arbitrary query parameters and result payloads use a tagged-value
+encoding (``NONE``/``TRUE``/``FALSE``/``INT``/``FLOAT``/``STR``/
+``BYTES``/``LIST``/``TUPLE``/``DICT``/``SET``/``FROZENSET``/``FLOWID``/
+``PLAN``) that preserves container and :class:`FlowId` types
 exactly - the property the "payload-identical across execution modes"
 guarantee is verified against, byte for byte.  A declarative
 :class:`~repro.core.plan.Plan` is one more tagged value (each op its code
@@ -59,9 +61,11 @@ bytes, so the hot legs are written against that:
   Truncation is caught where it is free: an ``IndexError`` from indexing
   past the end, one length compare before a slice (slices never raise),
   both surfacing as the same ``WireError("truncated frame")``.  Every
-  ``decode_*`` entry point opens its frame once and is wrapped by
-  :func:`_guarded`, so a caller sees ``WireError`` or a value - nothing
-  else, whatever the bytes.
+  ``decode_*`` entry point is made by :func:`_decoder`: it opens its frame
+  once, rejects any byte its body leaves unread (a frame is length-
+  delimited, so leftover bytes are corruption) and is wrapped by
+  :func:`~repro.codec.guarded`, so a caller sees ``WireError`` or a
+  value - nothing else, whatever the bytes.
 * **Writing** mirrors it: ``_w_values`` appends a run of tagged values
   with the same inline leaves; the fixed-layout writers (``_w_record``,
   ``_w_alarm``, ...) spend one call per field.
@@ -74,10 +78,11 @@ bytes, so the hot legs are written against that:
 What pins all of this from outside is in ``tests/test_wire.py``: a golden
 table (a frame per message type, one value per tag and width, hex
 generated by the previous implementation and compared byte for byte; every
-strict prefix of every golden frame must raise ``WireError``), a seeded
-property test that each size equals the encoded length and rejects exactly
-what the writers reject, and a pinned count of the Python-level calls two
-hot frames cost to decode.
+strict prefix of every golden frame must raise ``WireError``, and so must
+every golden frame with a byte appended), a seeded property test that
+each size equals the encoded length and rejects exactly what the writers
+reject, and a pinned count of the Python-level calls two hot frames cost
+to decode.
 """
 
 from __future__ import annotations
@@ -85,18 +90,20 @@ from __future__ import annotations
 import dataclasses
 import functools
 import struct
-from array import array
-from itertools import accumulate, chain
-from operator import itemgetter
-from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple, TypeVar, Union, cast)
+from itertools import chain
+from typing import (Any, Callable, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple, TypeVar, Union)
 
+from repro.codec import (DOUBLE, TRUNCATED, Reader, WireDecodeError,
+                         WireError, flow_id_len, guarded, str_len,
+                         uvarint_len, varint_len, w_flow_id, w_str,
+                         w_uvarint, w_varint)
 from repro.core.alarms import Alarm
 from repro.core.monitor import (MonitorSnapshot, TcpFlowStats,
                                 TransferObservation)
 from repro.core import plan as _plan
 from repro.network.packet import FlowId
-from repro.storage.records import COLUMN_FIELDS, PathFlowRecord
+from repro.storage.records import PathFlowRecord
 
 #: Frame magic + codec version (bump on any incompatible layout change).
 #: Version 2: result frames carry a piggybacked alarm batch, pongs carry
@@ -104,8 +111,9 @@ from repro.storage.records import COLUMN_FIELDS, PathFlowRecord
 #: Version 3: pongs carry the worker TIB's two-tier stats (hot/cold record
 #: counts and bytes) and the retention-config frame kind exists.
 #: Version 4: archive log entries moved to a field-offset row layout (since
-#: replaced by the column-major segment codec below; segment blobs never
-#: travel, so that replacement did not move the version).
+#: replaced by the column-major segment codec of :mod:`repro.storage.
+#: segment`; segment blobs never travel, so that replacement did not move
+#: the version).
 #: Version 5: the group transport exists - hello frames, correlated
 #: ``MSG_GROUP_BATCH`` envelopes that coalesce per-host frames for a whole
 #: worker group, the torn-close debug command, and the length-delimited
@@ -176,45 +184,6 @@ _OP_FIELD_NAMES = {op: tuple(field.name for field in dataclasses.fields(op))
                    for op in _plan.OPS}
 _OP_BY_CODE = {op.code: op for op in _plan.OPS}
 
-_DOUBLE = struct.Struct("<d")
-
-
-class WireError(ValueError):
-    """A message could not be encoded or decoded."""
-
-
-class WireDecodeError(WireError):
-    """A frame was corrupt in a way a decoder did not anticipate.
-
-    The reader's explicit validations raise :class:`WireError` directly;
-    anything else a truncated or bit-flipped frame provokes deep inside a
-    decoder (``struct.error``, ``IndexError``, ``UnicodeDecodeError``,
-    ``OverflowError``, ...) is wrapped into this subclass by the decode
-    entry points - callers handle every corruption uniformly with
-    ``except WireError`` and never see a raw internal exception.  The
-    agent-server pool treats it as a worker failure: an undecodable reply
-    means the strict request/reply protocol is desynchronised, so the
-    worker is killed (and, when supervised, restarted and re-seeded).
-    """
-
-
-_Decoder = TypeVar("_Decoder", bound=Callable[..., Any])
-
-
-def _guarded(decoder: _Decoder) -> _Decoder:
-    """Wrap a decode entry point so unexpected corruption surfaces as
-    :class:`WireDecodeError` instead of a raw internal exception."""
-    @functools.wraps(decoder)
-    def decode(*args: Any, **kwargs: Any) -> Any:
-        try:
-            return decoder(*args, **kwargs)
-        except WireError:
-            raise
-        except Exception as error:
-            raise WireDecodeError(
-                f"corrupt frame: {type(error).__name__}: {error}") from error
-    return cast(_Decoder, decode)
-
 
 class SubtreeSpec(NamedTuple):
     """The aggregation-subtree description shipped with a multi-level query.
@@ -229,47 +198,11 @@ class SubtreeSpec(NamedTuple):
 
 
 # --------------------------------------------------------------------------
-# Primitive writers
+# Writers
 # --------------------------------------------------------------------------
 # (See "How the codec is written" in the module docstring: the three legs of
 # the tagged-value encoding - ``_w_values``, ``_values_len``,
 # ``_Reader.values`` - are the same loop with the same inline leaves.)
-def _w_uvarint(buf: bytearray, value: int) -> None:
-    if value < 0:
-        raise WireError(f"negative value {value} for unsigned varint")
-    while value > 0x7F:
-        buf.append((value & 0x7F) | 0x80)
-        value >>= 7
-    buf.append(value)
-
-
-def _w_varint(buf: bytearray, value: int) -> None:
-    # Zigzag: arbitrary-precision safe in both directions.
-    value = value << 1 if value >= 0 else ((-value) << 1) - 1
-    while value > 0x7F:
-        buf.append((value & 0x7F) | 0x80)
-        value >>= 7
-    buf.append(value)
-
-
-def _w_str(buf: bytearray, value: str) -> None:
-    data = value.encode("utf-8")
-    count = len(data)
-    if count > 0x7F:
-        _w_uvarint(buf, count)
-    else:
-        buf.append(count)
-    buf += data
-
-
-def _w_flow_id(buf: bytearray, flow_id: FlowId) -> None:
-    _w_str(buf, flow_id.src_ip)
-    _w_str(buf, flow_id.dst_ip)
-    _w_varint(buf, flow_id.src_port)
-    _w_varint(buf, flow_id.dst_port)
-    _w_varint(buf, flow_id.protocol)
-
-
 def _w_values(buf: bytearray, values: Iterable[Any]) -> None:
     """Append every value of ``values``, tagged."""
     append = buf.append
@@ -287,7 +220,7 @@ def _w_values(buf: bytearray, values: Iterable[Any]) -> None:
             data = value.encode("utf-8")
             count = len(data)
             if count > 0x7F:
-                _w_uvarint(buf, count)
+                w_uvarint(buf, count)
             else:
                 append(count)
             buf += data
@@ -295,16 +228,16 @@ def _w_values(buf: bytearray, values: Iterable[Any]) -> None:
             append(_V_TUPLE if kind is tuple else _V_LIST)
             count = len(value)
             if count > 0x7F:
-                _w_uvarint(buf, count)
+                w_uvarint(buf, count)
             else:
                 append(count)
             _w_values(buf, value)
         elif kind is FlowId:
             append(_V_FLOWID)
-            _w_flow_id(buf, value)
+            w_flow_id(buf, value)
         elif kind is dict:
             append(_V_DICT)
-            _w_uvarint(buf, len(value))
+            w_uvarint(buf, len(value))
             _w_values(buf, chain.from_iterable(value.items()))
         elif value is None:
             append(_V_NONE)
@@ -312,35 +245,35 @@ def _w_values(buf: bytearray, values: Iterable[Any]) -> None:
             append(_V_TRUE if value else _V_FALSE)
         elif kind is float:
             append(_V_FLOAT)
-            buf += _DOUBLE.pack(value)
+            buf += DOUBLE.pack(value)
         elif kind is set or kind is frozenset:
             append(_V_SET if kind is set else _V_FROZENSET)
-            _w_uvarint(buf, len(value))
+            w_uvarint(buf, len(value))
             # Sorted by encoding so equal sets encode to equal bytes.
             for chunk in sorted(map(encode_value, value)):
                 buf += chunk
         elif kind is bytes or kind is bytearray:
             append(_V_BYTES)
-            _w_uvarint(buf, len(value))
+            w_uvarint(buf, len(value))
             buf += value
         # Slow path: subclasses (bool is final and handled above;
         # NamedTuples other than FlowId encode as plain tuples).
         elif isinstance(value, int):
             append(_V_INT)
-            _w_varint(buf, value)
+            w_varint(buf, value)
         elif isinstance(value, float):
             append(_V_FLOAT)
-            buf += _DOUBLE.pack(value)
+            buf += DOUBLE.pack(value)
         elif isinstance(value, FlowId):
             append(_V_FLOWID)
-            _w_flow_id(buf, value)
+            w_flow_id(buf, value)
         elif isinstance(value, (tuple, list)):
             append(_V_TUPLE if isinstance(value, tuple) else _V_LIST)
-            _w_uvarint(buf, len(value))
+            w_uvarint(buf, len(value))
             _w_values(buf, value)
         elif kind is _plan.Plan:
             append(_V_PLAN)
-            _w_uvarint(buf, len(value.ops))
+            w_uvarint(buf, len(value.ops))
             for op in value.ops:
                 fields = _op_fields(op)
                 append(op.code)
@@ -363,53 +296,53 @@ def _w_value(buf: bytearray, value: Any) -> None:
 
 
 def _w_record(buf: bytearray, record: PathFlowRecord) -> None:
-    _w_flow_id(buf, record.flow_id)
-    _w_uvarint(buf, len(record.path))
+    w_flow_id(buf, record.flow_id)
+    w_uvarint(buf, len(record.path))
     for node in record.path:
-        _w_str(buf, node)
-    buf += _DOUBLE.pack(record.stime)
-    buf += _DOUBLE.pack(record.etime)
-    _w_varint(buf, record.bytes)
-    _w_varint(buf, record.pkts)
+        w_str(buf, node)
+    buf += DOUBLE.pack(record.stime)
+    buf += DOUBLE.pack(record.etime)
+    w_varint(buf, record.bytes)
+    w_varint(buf, record.pkts)
 
 
 def _w_spec(buf: bytearray, spec: SubtreeSpec) -> None:
-    _w_str(buf, spec.root)
-    _w_uvarint(buf, len(spec.hosts))
+    w_str(buf, spec.root)
+    w_uvarint(buf, len(spec.hosts))
     for host in spec.hosts:
-        _w_str(buf, host)
+        w_str(buf, host)
 
 
 def _w_alarm(buf: bytearray, alarm: Alarm) -> None:
-    _w_flow_id(buf, alarm.flow_id)
-    _w_str(buf, alarm.reason)
-    _w_uvarint(buf, len(alarm.paths))
+    w_flow_id(buf, alarm.flow_id)
+    w_str(buf, alarm.reason)
+    w_uvarint(buf, len(alarm.paths))
     for path in alarm.paths:
-        _w_uvarint(buf, len(path))
+        w_uvarint(buf, len(path))
         for node in path:
-            _w_str(buf, node)
-    _w_str(buf, alarm.host)
-    buf += _DOUBLE.pack(alarm.time)
-    _w_str(buf, alarm.detail)
+            w_str(buf, node)
+    w_str(buf, alarm.host)
+    buf += DOUBLE.pack(alarm.time)
+    w_str(buf, alarm.detail)
 
 
 def _w_observation(buf: bytearray, obs: TransferObservation) -> None:
-    _w_flow_id(buf, obs.flow_id)
-    _w_varint(buf, obs.retransmissions)
-    _w_varint(buf, obs.consecutive)
-    _w_varint(buf, obs.timeouts)
-    _w_varint(buf, obs.bytes_sent)
-    buf += _DOUBLE.pack(obs.when)
+    w_flow_id(buf, obs.flow_id)
+    w_varint(buf, obs.retransmissions)
+    w_varint(buf, obs.consecutive)
+    w_varint(buf, obs.timeouts)
+    w_varint(buf, obs.bytes_sent)
+    buf += DOUBLE.pack(obs.when)
 
 
 def _w_flow_stats(buf: bytearray, stats: TcpFlowStats) -> None:
-    _w_flow_id(buf, stats.flow_id)
-    _w_varint(buf, stats.retransmissions)
-    _w_varint(buf, stats.consecutive_retransmissions)
-    _w_varint(buf, stats.max_consecutive_retransmissions)
-    _w_varint(buf, stats.timeouts)
-    _w_varint(buf, stats.bytes_sent)
-    buf += _DOUBLE.pack(stats.last_update)
+    w_flow_id(buf, stats.flow_id)
+    w_varint(buf, stats.retransmissions)
+    w_varint(buf, stats.consecutive_retransmissions)
+    w_varint(buf, stats.max_consecutive_retransmissions)
+    w_varint(buf, stats.timeouts)
+    w_varint(buf, stats.bytes_sent)
+    buf += DOUBLE.pack(stats.last_update)
     buf.append(1 if stats.alerted else 0)
 
 
@@ -420,28 +353,6 @@ def _w_flow_stats(buf: bytearray, stats: TcpFlowStats) -> None:
 # what that writer would append.  A property test pins each leg equal to its
 # writer, and a value the writer rejects is rejected here with the same
 # error (so a payload that cannot cross a wire fails where it is sized).
-def _uvarint_len(value: int) -> int:
-    if value < 0:
-        raise WireError(f"negative value {value} for unsigned varint")
-    return (value.bit_length() + 6) // 7 or 1
-
-
-def _varint_len(value: int) -> int:
-    value = value << 1 if value >= 0 else ((-value) << 1) - 1
-    return (value.bit_length() + 6) // 7 or 1
-
-
-def _str_len(value: str) -> int:
-    count = len(value) if value.isascii() else len(value.encode("utf-8"))
-    return count + (1 if count <= 0x7F else _uvarint_len(count))
-
-
-def _flow_id_len(flow_id: FlowId) -> int:
-    return (_str_len(flow_id.src_ip) + _str_len(flow_id.dst_ip)
-            + _varint_len(flow_id.src_port) + _varint_len(flow_id.dst_port)
-            + _varint_len(flow_id.protocol))
-
-
 def _values_len(values: Iterable[Any]) -> int:
     """What :func:`_w_values` would append for ``values``, in bytes."""
     size = 0
@@ -453,35 +364,35 @@ def _values_len(values: Iterable[Any]) -> int:
         elif kind is str:
             count = len(value) if value.isascii() \
                 else len(value.encode("utf-8"))
-            size += count + (2 if count <= 0x7F else 1 + _uvarint_len(count))
+            size += count + (2 if count <= 0x7F else 1 + uvarint_len(count))
         elif kind is tuple or kind is list or kind is set \
                 or kind is frozenset:
             # (A set's members are written sorted; the sizes add up alike.)
             count = len(value)
-            size += (2 if count <= 0x7F else 1 + _uvarint_len(count)) \
+            size += (2 if count <= 0x7F else 1 + uvarint_len(count)) \
                 + _values_len(value)
         elif kind is FlowId:
-            size += 1 + _flow_id_len(value)
+            size += 1 + flow_id_len(value)
         elif kind is dict:
-            size += (1 + _uvarint_len(len(value)) + _values_len(value)
+            size += (1 + uvarint_len(len(value)) + _values_len(value)
                      + _values_len(value.values()))
         elif value is None or kind is bool:
             size += 1
         elif kind is float:
-            size += 1 + _DOUBLE.size
+            size += 1 + DOUBLE.size
         elif kind is bytes or kind is bytearray:
-            size += 1 + _uvarint_len(len(value)) + len(value)
+            size += 1 + uvarint_len(len(value)) + len(value)
         # Slow path: the subclasses ``_w_values`` accepts, nothing else.
         elif isinstance(value, int):
-            size += 1 + _varint_len(value)
+            size += 1 + varint_len(value)
         elif isinstance(value, float):
-            size += 1 + _DOUBLE.size
+            size += 1 + DOUBLE.size
         elif isinstance(value, FlowId):
-            size += 1 + _flow_id_len(value)
+            size += 1 + flow_id_len(value)
         elif isinstance(value, (tuple, list)):
-            size += 1 + _uvarint_len(len(value)) + _values_len(value)
+            size += 1 + uvarint_len(len(value)) + _values_len(value)
         elif kind is _plan.Plan:
-            size += 1 + _uvarint_len(len(value.ops))
+            size += 1 + uvarint_len(len(value.ops))
             for op in value.ops:
                 size += 1 + _values_len(_op_fields(op))
         else:
@@ -497,110 +408,23 @@ def value_len(value: Any) -> int:
 # --------------------------------------------------------------------------
 # Reader
 # --------------------------------------------------------------------------
-_TRUNCATED = "truncated frame"
-_unpack_double = _DOUBLE.unpack_from
+_unpack_double = DOUBLE.unpack_from
 #: ``_new_tuple(FlowId, fields)``: a NamedTuple from its field sequence
 #: without the Python-level ``__new__`` call.
 _new_tuple: Callable[..., Any] = tuple.__new__
 
 
-class _Reader:
-    """Sequential decoder over one frame's bytes.
+class _Reader(Reader):
+    """The primitive :class:`~repro.codec.Reader` plus the frame codec's
+    composite reads.
 
-    Every primitive is one Python call working on local ``data``/``pos``:
-    a varint's bytes are indexed directly (one-byte values - most counts,
-    lengths and tags - return on the first), a string is decoded straight
-    from its slice; :meth:`values` reads a run of tagged values in one
-    loop (which is why it spells the varint loop out again instead of
-    calling :meth:`varint`: that would be a call per integer).  Running
-    off the end of the frame is caught where it is cheapest - an
-    ``IndexError`` from the index, one length compare for a slice (slices
-    never raise) - and always surfaces as the same
-    ``WireError("truncated frame")``.
+    :meth:`values` reads a run of tagged values in one loop (which is why
+    it spells the varint loop out again instead of calling :meth:`varint`:
+    that would be a call per integer); the fixed layouts (records, alarms,
+    ...) spend one primitive call per field.
     """
 
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes, pos: int = 0) -> None:
-        self.data = data
-        self.pos = pos
-
-    def u8(self) -> int:
-        pos = self.pos
-        try:
-            value = self.data[pos]
-        except IndexError:
-            raise WireError(_TRUNCATED) from None
-        self.pos = pos + 1
-        return value
-
-    def uvarint(self) -> int:
-        data = self.data
-        pos = self.pos
-        try:
-            value = data[pos]
-            if value > 0x7F:
-                value &= 0x7F
-                shift = 7
-                while True:
-                    pos += 1
-                    byte = data[pos]
-                    value |= (byte & 0x7F) << shift
-                    if byte <= 0x7F:
-                        break
-                    shift += 7
-        except IndexError:
-            raise WireError(_TRUNCATED) from None
-        self.pos = pos + 1
-        return value
-
-    def varint(self) -> int:
-        value = self.uvarint()
-        return -((value + 1) >> 1) if value & 1 else value >> 1
-
-    def double(self) -> float:
-        pos = self.pos
-        try:
-            value = _unpack_double(self.data, pos)[0]
-        except struct.error:
-            raise WireError(_TRUNCATED) from None
-        self.pos = pos + 8
-        return value
-
-    def str_(self) -> str:
-        data = self.data
-        pos = self.pos
-        try:
-            count = data[pos]
-        except IndexError:
-            raise WireError(_TRUNCATED) from None
-        if count > 0x7F:
-            count = self.uvarint()
-            pos = self.pos
-        else:
-            pos += 1
-        end = pos + count
-        if end > len(data):
-            raise WireError(_TRUNCATED)
-        self.pos = end
-        try:
-            return str(data[pos:end], "utf-8")
-        except UnicodeDecodeError as error:
-            raise WireError(f"invalid UTF-8 string: {error}") from None
-
-    def bytes_(self) -> bytes:
-        count = self.uvarint()
-        pos = self.pos
-        end = pos + count
-        if end > len(self.data):
-            raise WireError(_TRUNCATED)
-        self.pos = end
-        return bytes(self.data[pos:end])
-
-    def flow_id(self) -> FlowId:
-        str_ = self.str_
-        varint = self.varint
-        return FlowId(str_(), str_(), varint(), varint(), varint())
+    __slots__ = ()
 
     def values(self, count: int) -> List[Any]:
         """The next ``count`` tagged values."""
@@ -629,7 +453,7 @@ class _Reader:
                 elif tag == _V_STR and data[pos] <= 0x7F:
                     end = pos + 1 + data[pos]
                     if end > len(data):
-                        raise WireError(_TRUNCATED)
+                        raise WireError(TRUNCATED)
                     append(str(data[pos + 1:end], "utf-8"))
                     pos = end
                 elif tag == _V_NONE:
@@ -667,7 +491,7 @@ class _Reader:
                         raise WireError(f"unknown value tag {tag}")
                     pos = self.pos
         except IndexError:
-            raise WireError(_TRUNCATED) from None
+            raise WireError(TRUNCATED) from None
         except UnicodeDecodeError as error:
             raise WireError(f"invalid UTF-8 string: {error}") from None
         self.pos = pos
@@ -757,25 +581,48 @@ def _open(data: bytes) -> Tuple[int, _Reader]:
     return msg_type, _Reader(data, HEADER_BYTES)
 
 
-@_guarded
+@guarded
 def open_frame(data: bytes) -> Tuple[int, _Reader]:
     """Validate a frame header; return ``(msg_type, body reader)``."""
     return _open(data)
 
 
-@_guarded
+@guarded
 def frame_type(data: bytes) -> int:
     """The message type of a frame (header validated)."""
     return _open(data)[0]
 
 
-def _expect(data: bytes, msg_type: int) -> _Reader:
-    """The body reader of a frame that must be a ``msg_type`` (called
-    inside the :func:`_guarded` decoders, which open each frame once)."""
-    kind, reader = _open(data)
-    if kind != msg_type:
-        raise WireError(f"expected message type {msg_type}, got {kind}")
-    return reader
+_T = TypeVar("_T")
+
+
+def _decoder(msg_type: Optional[int]
+             ) -> Callable[[Callable[..., _T]], Callable[..., _T]]:
+    """Make ``read(reader, *args)`` - the reader of one ``msg_type`` frame's
+    body, or of one bare tagged value when ``msg_type`` is ``None`` - the
+    decode entry point ``decode(data, *args)``.
+
+    The entry point opens the frame once and checks its type, and the body
+    must end where the bytes do: a frame is length-delimited, so a byte the
+    body leaves unread is corruption, never part of a value.  Like every
+    entry point it is :func:`~repro.codec.guarded`.
+    """
+    def entry_point(read: Callable[..., _T]) -> Callable[..., _T]:
+        @functools.wraps(read)
+        def decode(data: bytes, *args: Any) -> _T:
+            if msg_type is None:
+                reader = _Reader(data)
+            else:
+                kind, reader = _open(data)
+                if kind != msg_type:
+                    raise WireError(
+                        f"expected message type {msg_type}, got {kind}")
+            value = read(reader, *args)
+            if reader.pos != len(data):
+                raise WireError("trailing bytes after value")
+            return value
+        return guarded(decode)
+    return entry_point
 
 
 @functools.lru_cache(maxsize=None)
@@ -795,27 +642,19 @@ def encode_value(value: Any) -> bytes:
     return bytes(buf)
 
 
-@_guarded
-def decode_value(data: bytes) -> Any:
+@_decoder(None)
+def decode_value(reader: _Reader) -> Any:
     """Inverse of :func:`encode_value`."""
-    reader = _Reader(data)
-    value = reader.value()
-    if reader.pos != len(data):
-        raise WireError("trailing bytes after value")
-    return value
-
-
-#: Measured serialized size of a result payload.
-payload_wire_bytes = value_len
+    return reader.value()
 
 
 # ------------------------------------------------------------------ queries
 def _w_query(buf: bytearray, query) -> None:
-    _w_str(buf, query.name)
+    w_str(buf, query.name)
     params = query.params
-    _w_uvarint(buf, len(params))
+    w_uvarint(buf, len(params))
     for key, value in params.items():
-        _w_str(buf, key)
+        w_str(buf, key)
         _w_value(buf, value)
     _w_value(buf, query.period)
 
@@ -862,17 +701,13 @@ def spec_len(root: str, host_count: int, hosts_len: int) -> int:
     encode to ``hosts_len`` bytes (the sum of their :func:`str_len`),
     built from no bytes: a multi-level plan sizes its edges bottom-up
     without listing any subtree's hosts."""
-    return _str_len(root) + _uvarint_len(host_count) + hosts_len
+    return str_len(root) + uvarint_len(host_count) + hosts_len
 
 
-#: Exact encoded length of one string field.
-str_len = _str_len
-
-
-@_guarded
-def decode_query_request(data: bytes):
+@_decoder(MSG_QUERY_REQUEST)
+def decode_query_request(reader: _Reader
+                         ) -> Tuple[Any, Optional[SubtreeSpec]]:
     """Decode a query request; returns ``(Query, Optional[SubtreeSpec])``."""
-    reader = _expect(data, MSG_QUERY_REQUEST)
     name = reader.str_()
     params = {}
     for _ in range(reader.uvarint()):
@@ -892,19 +727,19 @@ def encode_subtree_spec(spec: SubtreeSpec) -> bytes:
     return _frame(MSG_SUBTREE_SPEC, bytes(body))
 
 
-@_guarded
-def decode_subtree_spec(data: bytes) -> SubtreeSpec:
+@_decoder(MSG_SUBTREE_SPEC)
+def decode_subtree_spec(reader: _Reader) -> SubtreeSpec:
     """Inverse of :func:`encode_subtree_spec`."""
-    return _expect(data, MSG_SUBTREE_SPEC).spec()
+    return reader.spec()
 
 
 # ------------------------------------------------------------------ records
 def record_wire_bytes(record: PathFlowRecord) -> int:
     """Measured serialized size of one record (its batch-body bytes)."""
     path = record.path
-    return (_flow_id_len(record.flow_id) + _uvarint_len(len(path))
-            + sum(map(_str_len, path)) + 2 * _DOUBLE.size
-            + _varint_len(record.bytes) + _varint_len(record.pkts))
+    return (flow_id_len(record.flow_id) + uvarint_len(len(path))
+            + sum(map(str_len, path)) + 2 * DOUBLE.size
+            + varint_len(record.bytes) + varint_len(record.pkts))
 
 
 #: Append one record's batch-body bytes: with :func:`finish_batch`, the
@@ -918,7 +753,7 @@ def finish_batch(msg_type: int, count: int,
     """Frame ``count`` already-encoded batch bodies (``bodies`` is their
     concatenation) as one ``MSG_RECORD_BATCH``/``MSG_OBSERVATION_BATCH``."""
     head = bytearray()
-    _w_uvarint(head, count)
+    w_uvarint(head, count)
     return _frame(msg_type, bytes(head) + bodies)
 
 
@@ -930,334 +765,11 @@ def encode_record_batch(records: Sequence[PathFlowRecord]) -> bytes:
     return finish_batch(MSG_RECORD_BATCH, len(records), body)
 
 
-@_guarded
-def decode_record_batch(data: bytes) -> List[PathFlowRecord]:
+@_decoder(MSG_RECORD_BATCH)
+def decode_record_batch(reader: _Reader) -> List[PathFlowRecord]:
     """Inverse of :func:`encode_record_batch`."""
-    reader = _expect(data, MSG_RECORD_BATCH)
     record = reader.record
     return [record() for _ in range(reader.uvarint())]
-
-
-# ----------------------------------------------------------- cold segments
-# A sealed segment of the cold archive (:mod:`repro.storage.archive`) is one
-# immutable ``bytes`` blob laid out column-major::
-#
-#     +--------+------+----------------+-----------------+
-#     | "PDSG" | rows | 15 type codes  | 15 byte sizes   |  header
-#     +--------+------+----------------+-----------------+
-#     | id | stime | etime | bytes | pkts |                  one value per row
-#     | src_port | dst_port | protocol |
-#     | src | dst | path |                                   one index per row
-#     +--------------------------------------------------+
-#     | path_ends | path_nodes |                             path table
-#     | name_ends | name_text  |                             name dictionary
-#     +--------------------------------------------------+
-#
-# ``src``/``dst`` index the segment's name dictionary and ``path`` its path
-# table: path ``p`` is the names at ``path_nodes[path_ends[p-1]:
-# path_ends[p]]``, name ``i`` the characters ``[name_ends[i-1]:
-# name_ends[i])`` of the UTF-8 ``name_text``.  Both dictionaries are in
-# first-appearance order, so equal row streams pack to equal bytes in every
-# process.  Every numeric section is a fixed-width array in native byte
-# order (segment blobs never travel) whose width is chosen per segment from
-# the values present - ports cost two bytes, not eight - and reads back
-# through ``memoryview.cast``: zero-copy, no parse loop.  The integer
-# domain is all of ``int``: a column holding a value that no 64-bit width
-# fits is stored as zigzag varints (type code ``V``), losslessly.  The two
-# time columns are IEEE doubles.
-
-#: The per-row columns in blob order; the ``SEG_*`` constants index them.
-SEGMENT_COLUMNS = ("id", "stime", "etime", "bytes", "pkts", "src_port",
-                   "dst_port", "protocol", "src", "dst", "path")
-(SEG_ID, SEG_STIME, SEG_ETIME, SEG_BYTES, SEG_PKTS, SEG_SRC_PORT,
- SEG_DST_PORT, SEG_PROTOCOL, SEG_SRC, SEG_DST, SEG_PATH) = range(11)
-_SEG_PATH_ENDS, _SEG_PATH_NODES, _SEG_NAME_ENDS, _SEG_NAME_TEXT = range(11, 15)
-#: The column holding each record field that is stored as itself - the
-#: fields an order-free column read (``ColdArchive.fold``) can name.
-FIELD_COLUMNS = {name: SEGMENT_COLUMNS.index(name) for name in COLUMN_FIELDS}
-
-_SEGMENT_MAGIC = b"PDSG"
-_SEGMENT_HEAD = struct.Struct("=4sI15s15I")
-_CODE_WIDE, _CODE_TEXT = "V", "U"
-#: Fixed-width cell codecs per type code (``=``: native order, unpadded).
-_CELLS = {code: struct.Struct("=" + code) for code in "BHIQbhiqd"}
-
-
-def _pack_ints(values: Sequence[int]) -> Tuple[str, bytes]:
-    """One integer column as ``(type code, bytes)`` at the narrowest width
-    that holds every value present - unsigned widths first, then signed,
-    then the varint escape for values no 64-bit width fits."""
-    for code in "BHIQbhiq":
-        try:
-            return code, array(code, values).tobytes()
-        except OverflowError:
-            continue
-    buf = bytearray()
-    for value in values:
-        _w_varint(buf, value)
-    return _CODE_WIDE, bytes(buf)
-
-
-def _select(values: Sequence[Any], rows: Sequence[int]) -> Sequence[Any]:
-    """``values[row]`` for every row of a non-empty ``rows``, at C speed."""
-    picked = itemgetter(*rows)(values)
-    return picked if len(rows) > 1 else (picked,)
-
-
-class _SegmentRows:
-    """The read surface sealed and unsealed rows share: columns by
-    ``SEG_*`` index plus the two dictionaries, and record materialisation
-    written once on top of them."""
-
-    __slots__ = ()
-
-    def column(self, index: int) -> Sequence[Any]:
-        """Column ``index`` (a ``SEG_*`` constant), one value per row."""
-        raise NotImplementedError
-
-    def cell(self, index: int, row: int) -> Any:
-        """One value of column ``index`` (the point-read half)."""
-        raise NotImplementedError
-
-    def names(self) -> Sequence[str]:
-        """The name dictionary, in index order."""
-        raise NotImplementedError
-
-    def paths(self) -> Sequence[Tuple[str, ...]]:
-        """The path table, in index order."""
-        raise NotImplementedError
-
-    def records(self, rows: Optional[Sequence[int]] = None
-                ) -> List[Tuple[int, PathFlowRecord]]:
-        """Materialise ``rows`` (every row when ``None``) as ``(record id,
-        record)`` pairs: dictionary lookups and two constructors a row.
-        Every record is a fresh object - promotions merge into records in
-        place, so nothing handed out here may alias a later one."""
-        if rows is not None and not rows:
-            return []
-        names = self.names()
-        return [(record_id, PathFlowRecord(
-                    FlowId(names[src], names[dst], src_port, dst_port,
-                           protocol),
-                    path, stime, etime, nbytes, pkts))
-                for (record_id, stime, etime, nbytes, pkts, src_port,
-                     dst_port, protocol, src, dst, path)
-                in zip(*self.select(range(len(SEGMENT_COLUMNS)), rows))]
-
-    def select(self, indexes: Sequence[int],
-               rows: Optional[Sequence[int]] = None
-               ) -> Tuple[Sequence[Any], ...]:
-        """Columns ``indexes`` (``SEG_*`` constants) in parallel, over the
-        non-empty ``rows`` (every row when ``None``) - what :meth:`records`
-        builds from, and all an aggregate needs.  No record is built: a
-        value column comes back as the view or list it is stored as
-        (read-only), and ``SEG_PATH`` as the path table's own tuples - one
-        object per distinct path of the segment."""
-        picked = []
-        for index in indexes:
-            values = self.column(index)
-            if rows is not None:
-                values = _select(values, rows)
-            if index == SEG_PATH:
-                values = list(map(self.paths().__getitem__, values))
-            picked.append(values)
-        return tuple(picked)
-
-
-class SegmentBuilder(_SegmentRows):
-    """Unsealed rows: one Python list per column plus the dictionaries
-    under construction.  Appending encodes nothing; :meth:`pack` turns the
-    lists into a segment blob at C speed."""
-
-    __slots__ = ("columns", "name_index", "path_index")
-
-    def __init__(self) -> None:
-        self.columns: Tuple[List[Any], ...] = tuple(
-            [] for _ in SEGMENT_COLUMNS)
-        self.name_index: Dict[str, int] = {}
-        self.path_index: Dict[Tuple[str, ...], int] = {}
-
-    @property
-    def count(self) -> int:
-        """Rows appended so far."""
-        return len(self.columns[SEG_ID])
-
-    def column(self, index: int) -> Sequence[Any]:
-        return self.columns[index]
-
-    def cell(self, index: int, row: int) -> Any:
-        return self.columns[index][row]
-
-    def names(self) -> List[str]:
-        return list(self.name_index)
-
-    def paths(self) -> List[Tuple[str, ...]]:
-        return list(self.path_index)
-
-    def _path(self, path: Tuple[str, ...]) -> int:
-        index = self.path_index.get(path)
-        if index is None:
-            index = self.path_index[path] = len(self.path_index)
-            names = self.name_index
-            for node in path:
-                names.setdefault(node, len(names))
-        return index
-
-    def append(self, record_id: int, record: PathFlowRecord) -> int:
-        """Append one row; returns its row number."""
-        names = self.name_index
-        flow_id = record.flow_id
-        (ids, stimes, etimes, nbytes, pkts, src_ports, dst_ports, protocols,
-         srcs, dsts, paths) = self.columns
-        ids.append(record_id)
-        stimes.append(float(record.stime))
-        etimes.append(float(record.etime))
-        nbytes.append(record.bytes)
-        pkts.append(record.pkts)
-        src_ports.append(flow_id.src_port)
-        dst_ports.append(flow_id.dst_port)
-        protocols.append(flow_id.protocol)
-        srcs.append(names.setdefault(flow_id.src_ip, len(names)))
-        dsts.append(names.setdefault(flow_id.dst_ip, len(names)))
-        paths.append(self._path(record.path))
-        return len(ids) - 1
-
-    def extend(self, source: _SegmentRows, rows: Sequence[int]) -> None:
-        """Splice the non-empty ``rows`` of ``source`` in column by column
-        (compaction), re-mapping its dictionary indexes onto this
-        builder's."""
-        names = self.name_index
-        source_names = source.names()
-        source_paths = source.paths()
-        for index, column in enumerate(self.columns):
-            moved = _select(source.column(index), rows)
-            if index in (SEG_SRC, SEG_DST):
-                mapping = {value: names.setdefault(source_names[value],
-                                                   len(names))
-                           for value in dict.fromkeys(moved)}
-                moved = [mapping[value] for value in moved]
-            elif index == SEG_PATH:
-                mapping = {value: self._path(source_paths[value])
-                           for value in dict.fromkeys(moved)}
-                moved = [mapping[value] for value in moved]
-            column += moved
-
-    def pack(self) -> bytes:
-        """The rows as one segment blob (what sealing stores, and whose
-        length is the size an unsealed tail is accounted at)."""
-        names = self.name_index
-        sections = [("d", array("d", values).tobytes())
-                    if index in (SEG_STIME, SEG_ETIME) else _pack_ints(values)
-                    for index, values in enumerate(self.columns)]
-        sections += [
-            _pack_ints(list(accumulate(map(len, self.path_index)))),
-            _pack_ints([names[node] for path in self.path_index
-                        for node in path]),
-            _pack_ints(list(accumulate(map(len, names)))),
-            (_CODE_TEXT, "".join(names).encode("utf-8"))]
-        head = _SEGMENT_HEAD.pack(
-            _SEGMENT_MAGIC, self.count,
-            "".join(code for code, _ in sections).encode("ascii"),
-            *(len(data) for _, data in sections))
-        return head + b"".join(data for _, data in sections)
-
-    def seal(self) -> "Segment":
-        """The rows as an opened :class:`Segment` that keeps this builder's
-        dictionaries beside the blob, so reading it never decodes one."""
-        return Segment(self.pack(), self.names(), self.paths())
-
-
-class Segment(_SegmentRows):
-    """An opened segment blob.
-
-    Opening parses and checks the header only; each column is a view made
-    when asked for and each dictionary is decoded on first use (then kept
-    for the life of this object), so a windowed scan that rejects every
-    row on the two time columns pays for nothing else.  Whatever a
-    truncated or bit-flipped blob provokes surfaces as
-    :class:`WireDecodeError`.
-    """
-
-    __slots__ = ("data", "count", "_codes", "_offsets", "_names", "_paths")
-
-    def __init__(self, data: bytes, names: Optional[List[str]] = None,
-                 paths: Optional[List[Tuple[str, ...]]] = None) -> None:
-        try:
-            magic, count, codes, *sizes = _SEGMENT_HEAD.unpack_from(data)
-        except struct.error as error:
-            raise WireDecodeError(f"corrupt segment: {error}") from None
-        offsets = list(accumulate(sizes, initial=_SEGMENT_HEAD.size))
-        if magic != _SEGMENT_MAGIC or offsets[-1] != len(data):
-            raise WireDecodeError("corrupt segment: bad magic or length")
-        self.data = data
-        self.count: int = count
-        self._codes: str = codes.decode("latin-1")
-        self._offsets = offsets
-        self._names = names
-        self._paths = paths
-
-    def _section(self, index: int) -> Sequence[Any]:
-        code = self._codes[index]
-        start, end = self._offsets[index], self._offsets[index + 1]
-        cell = _CELLS.get(code)
-        if cell is not None and not (end - start) % cell.size:
-            view: Any = memoryview(self.data)[start:end]
-            return view.cast(code)
-        if code != _CODE_WIDE:
-            raise WireDecodeError(f"corrupt segment: section {index}")
-        reader = _Reader(self.data[start:end])
-        values = []
-        while reader.pos < end - start:
-            values.append(reader.varint())
-        return values
-
-    def column(self, index: int) -> Sequence[Any]:
-        """A zero-copy typed view of the blob (a list for a wide-int
-        column)."""
-        values = self._section(index)
-        if len(values) != self.count:
-            raise WireDecodeError(
-                f"corrupt segment: column {SEGMENT_COLUMNS[index]!r} does "
-                f"not hold {self.count} rows")
-        return values
-
-    def cell(self, index: int, row: int) -> Any:
-        """Read at the value's computed offset - no column is opened."""
-        cell = _CELLS.get(self._codes[index])
-        if cell is None:
-            return self.column(index)[row]
-        offset = self._offsets[index] + row * cell.size
-        if not self._offsets[index] <= offset <= \
-                self._offsets[index + 1] - cell.size:
-            raise WireDecodeError(f"segment has no row {row}")
-        return cell.unpack_from(self.data, offset)[0]
-
-    @_guarded
-    def names(self) -> Sequence[str]:
-        names = self._names
-        if names is None:
-            text = self.data[self._offsets[_SEG_NAME_TEXT]:].decode("utf-8")
-            ends = list(self._section(_SEG_NAME_ENDS))
-            names = self._names = [
-                text[start:end] for start, end in zip([0] + ends, ends)]
-        return names
-
-    @_guarded
-    def paths(self) -> Sequence[Tuple[str, ...]]:
-        paths = self._paths
-        if paths is None:
-            # Every hop resolved to its name in one C-level pass; a path
-            # is then one slice of that list.
-            hops = list(map(self.names().__getitem__,
-                            self._section(_SEG_PATH_NODES)))
-            ends = list(self._section(_SEG_PATH_ENDS))
-            paths = self._paths = [tuple(hops[start:end])
-                                   for start, end in zip([0] + ends, ends)]
-        return paths
-
-    #: A corrupt index column must surface as a decode error too.
-    records = _guarded(_SegmentRows.records)
-    select = _guarded(_SegmentRows.select)
 
 
 # ------------------------------------------------------------------ results
@@ -1284,19 +796,19 @@ def encode_result(result) -> bytes:
     report any; every other result pays the one empty-count byte.
     """
     body = bytearray()
-    _w_str(body, result.query.name)
-    _w_str(body, result.host)
-    _w_varint(body, result.records_scanned)
+    w_str(body, result.query.name)
+    w_str(body, result.host)
+    w_varint(body, result.records_scanned)
     _w_value(body, result.payload)
     alarms = getattr(result, "alarms", ())
-    _w_uvarint(body, len(alarms))
+    w_uvarint(body, len(alarms))
     for alarm in alarms:
         _w_alarm(body, alarm)
     scan_stats = getattr(result, "scan_stats", None) or {}
-    _w_uvarint(body, len(scan_stats))
+    w_uvarint(body, len(scan_stats))
     for key in sorted(scan_stats):
-        _w_str(body, key)
-        _w_varint(body, scan_stats[key])
+        w_str(body, key)
+        w_varint(body, scan_stats[key])
     return _frame(MSG_QUERY_RESULT, bytes(body))
 
 
@@ -1306,25 +818,24 @@ def result_wire_bytes(result: Any) -> int:
     *Exact sizes*) - sizing a result costs no encode."""
     alarms = getattr(result, "alarms", ())
     scan_stats = getattr(result, "scan_stats", None) or {}
-    size = (HEADER_BYTES + _str_len(result.query.name)
-            + _str_len(result.host) + _varint_len(result.records_scanned)
-            + value_len(result.payload) + _uvarint_len(len(alarms))
+    size = (HEADER_BYTES + str_len(result.query.name)
+            + str_len(result.host) + varint_len(result.records_scanned)
+            + value_len(result.payload) + uvarint_len(len(alarms))
             + sum(map(alarm_wire_bytes, alarms))
-            + _uvarint_len(len(scan_stats)))
+            + uvarint_len(len(scan_stats)))
     for key, count in scan_stats.items():
-        size += _str_len(key) + _varint_len(count)
+        size += str_len(key) + varint_len(count)
     return size
 
 
-@_guarded
-def decode_result(data: bytes, query=None):
+@_decoder(MSG_QUERY_RESULT)
+def decode_result(reader: _Reader, query: Any = None) -> Any:
     """Decode a result frame into a :class:`~repro.core.query.QueryResult`.
 
     ``query`` supplies the caller's query object (the frame carries only the
     name); when omitted a parameter-less placeholder is reconstructed.
     ``wire_bytes`` is set to ``len(data)`` - the measured frame size.
     """
-    reader = _expect(data, MSG_QUERY_RESULT)
     query_type, result_type = _query_types()
     name = reader.str_()
     host = reader.str_()
@@ -1349,14 +860,14 @@ def decode_result(data: bytes, query=None):
 def encode_error(detail: str) -> bytes:
     """Encode an agent-server error reply."""
     body = bytearray()
-    _w_str(body, detail)
+    w_str(body, detail)
     return _frame(MSG_ERROR, bytes(body))
 
 
-@_guarded
-def decode_error(data: bytes) -> str:
+@_decoder(MSG_ERROR)
+def decode_error(reader: _Reader) -> str:
     """Inverse of :func:`encode_error`."""
-    return _expect(data, MSG_ERROR).str_()
+    return reader.str_()
 
 
 def encode_ping() -> bytes:
@@ -1376,33 +887,19 @@ def encode_pong(record_count: int, monitor_flows: int = 0,
     liveness probe instead of needing a separate exchange.
     """
     body = bytearray()
-    _w_uvarint(body, record_count)
-    _w_uvarint(body, monitor_flows)
-    _w_uvarint(body, hot_records)
-    _w_uvarint(body, hot_bytes)
-    _w_uvarint(body, cold_records)
-    _w_uvarint(body, cold_bytes)
+    w_uvarint(body, record_count)
+    w_uvarint(body, monitor_flows)
+    w_uvarint(body, hot_records)
+    w_uvarint(body, hot_bytes)
+    w_uvarint(body, cold_records)
+    w_uvarint(body, cold_bytes)
     return _frame(MSG_PONG, bytes(body))
 
 
-@_guarded
-def decode_pong(data: bytes) -> int:
-    """The (total) TIB record count of a pong frame."""
-    return _expect(data, MSG_PONG).uvarint()
-
-
-@_guarded
-def decode_pong_state(data: bytes) -> Tuple[int, int]:
-    """The ``(record_count, monitor_flows)`` prefix of a pong frame."""
-    reader = _expect(data, MSG_PONG)
-    return reader.uvarint(), reader.uvarint()
-
-
-@_guarded
-def decode_pong_tiers(data: bytes) -> Tuple[int, int, int, int, int, int]:
+@_decoder(MSG_PONG)
+def decode_pong(reader: _Reader) -> Tuple[int, int, int, int, int, int]:
     """Inverse of :func:`encode_pong`: ``(record_count, monitor_flows,
     hot_records, hot_bytes, cold_records, cold_bytes)``."""
-    reader = _expect(data, MSG_PONG)
     return (reader.uvarint(), reader.uvarint(), reader.uvarint(),
             reader.uvarint(), reader.uvarint(), reader.uvarint())
 
@@ -1422,14 +919,13 @@ def encode_retention(max_records: Optional[int],
             body.append(0)
         else:
             body.append(1)
-            _w_uvarint(body, bound)
+            w_uvarint(body, bound)
     return _frame(MSG_RETENTION, bytes(body))
 
 
-@_guarded
-def decode_retention(data: bytes) -> Tuple[Optional[int], Optional[int]]:
+@_decoder(MSG_RETENTION)
+def decode_retention(reader: _Reader) -> Tuple[Optional[int], Optional[int]]:
     """Inverse of :func:`encode_retention`: ``(max_records, max_bytes)``."""
-    reader = _expect(data, MSG_RETENTION)
     max_records = reader.uvarint() if reader.u8() else None
     max_bytes = reader.uvarint() if reader.u8() else None
     return max_records, max_bytes
@@ -1451,30 +947,30 @@ def encode_sleep(seconds: float) -> bytes:
     Used by tests and benchmarks to turn a worker into a deterministic
     straggler (e.g. to hold a query in flight while the process is killed).
     """
-    return _frame(MSG_SLEEP, _DOUBLE.pack(seconds))
+    return _frame(MSG_SLEEP, DOUBLE.pack(seconds))
 
 
-@_guarded
-def decode_sleep(data: bytes) -> float:
+@_decoder(MSG_SLEEP)
+def decode_sleep(reader: _Reader) -> float:
     """Inverse of :func:`encode_sleep`."""
-    return _expect(data, MSG_SLEEP).double()
+    return reader.double()
 
 
 # -------------------------------------------------------------- event plane
 def alarm_wire_bytes(alarm: Alarm) -> int:
     """Measured serialized size of one alarm (its batch-body bytes)."""
-    size = (_flow_id_len(alarm.flow_id) + _str_len(alarm.reason)
-            + _uvarint_len(len(alarm.paths)) + _str_len(alarm.host)
-            + _DOUBLE.size + _str_len(alarm.detail))
+    size = (flow_id_len(alarm.flow_id) + str_len(alarm.reason)
+            + uvarint_len(len(alarm.paths)) + str_len(alarm.host)
+            + DOUBLE.size + str_len(alarm.detail))
     for path in alarm.paths:
-        size += _uvarint_len(len(path)) + sum(map(_str_len, path))
+        size += uvarint_len(len(path)) + sum(map(str_len, path))
     return size
 
 
 def encode_alarm_batch(alarms: Sequence[Alarm]) -> bytes:
     """Encode an alarm batch (the agent -> controller alert event frame)."""
     body = bytearray()
-    _w_uvarint(body, len(alarms))
+    w_uvarint(body, len(alarms))
     for alarm in alarms:
         _w_alarm(body, alarm)
     return _frame(MSG_ALARM_BATCH, bytes(body))
@@ -1484,8 +980,8 @@ class _ReaderAlarm(Exception):
     """An alarm :func:`decode_alarm_batch` hands to :meth:`_Reader.alarm`."""
 
 
-@_guarded
-def decode_alarm_batch(data: bytes) -> List[Alarm]:
+@_decoder(MSG_ALARM_BATCH)
+def decode_alarm_batch(reader: _Reader) -> List[Alarm]:
     """Inverse of :func:`encode_alarm_batch`.
 
     One pass with the cursor in a local, the way :meth:`_Reader.values`
@@ -1495,7 +991,7 @@ def decode_alarm_batch(data: bytes) -> List[Alarm]:
     the inline read cannot finish) is re-read from the alarm's first byte
     by :meth:`_Reader.alarm`, which also raises every error.
     """
-    reader = _expect(data, MSG_ALARM_BATCH)
+    data = reader.data
     count = reader.uvarint()
     pos = reader.pos
     size = len(data)
@@ -1552,6 +1048,7 @@ def decode_alarm_batch(data: bytes) -> List[Alarm]:
             reader.pos = start
             append(reader.alarm())
             pos = reader.pos
+    reader.pos = pos
     return alarms
 
 
@@ -1569,10 +1066,9 @@ def encode_observation_batch(observations: Sequence[TransferObservation]
     return finish_batch(MSG_OBSERVATION_BATCH, len(observations), body)
 
 
-@_guarded
-def decode_observation_batch(data: bytes) -> List[TransferObservation]:
+@_decoder(MSG_OBSERVATION_BATCH)
+def decode_observation_batch(reader: _Reader) -> List[TransferObservation]:
     """Inverse of :func:`encode_observation_batch`."""
-    reader = _expect(data, MSG_OBSERVATION_BATCH)
     observation = reader.observation
     return [observation() for _ in range(reader.uvarint())]
 
@@ -1585,19 +1081,18 @@ def encode_monitor_tick(now: float,
     raised plus any alarms still pending from earlier activity.
     """
     body = bytearray()
-    body += _DOUBLE.pack(now)
+    body += DOUBLE.pack(now)
     if threshold is None:
         body.append(0)
     else:
         body.append(1)
-        _w_varint(body, threshold)
+        w_varint(body, threshold)
     return _frame(MSG_MONITOR_TICK, bytes(body))
 
 
-@_guarded
-def decode_monitor_tick(data: bytes) -> Tuple[float, Optional[int]]:
+@_decoder(MSG_MONITOR_TICK)
+def decode_monitor_tick(reader: _Reader) -> Tuple[float, Optional[int]]:
     """Inverse of :func:`encode_monitor_tick`: ``(now, threshold)``."""
-    reader = _expect(data, MSG_MONITOR_TICK)
     now = reader.double()
     threshold = reader.varint() if reader.u8() else None
     return now, threshold
@@ -1606,20 +1101,19 @@ def decode_monitor_tick(data: bytes) -> Tuple[float, Optional[int]]:
 def encode_monitor_state(snapshot: MonitorSnapshot) -> bytes:
     """Encode a full monitor-state snapshot (startup sync / state pull)."""
     body = bytearray()
-    _w_str(body, snapshot.host)
-    body += _DOUBLE.pack(snapshot.period)
-    _w_varint(body, snapshot.poor_threshold)
-    _w_varint(body, snapshot.alerts_raised)
-    _w_uvarint(body, len(snapshot.flows))
+    w_str(body, snapshot.host)
+    body += DOUBLE.pack(snapshot.period)
+    w_varint(body, snapshot.poor_threshold)
+    w_varint(body, snapshot.alerts_raised)
+    w_uvarint(body, len(snapshot.flows))
     for stats in snapshot.flows:
         _w_flow_stats(body, stats)
     return _frame(MSG_MONITOR_STATE, bytes(body))
 
 
-@_guarded
-def decode_monitor_state(data: bytes) -> MonitorSnapshot:
+@_decoder(MSG_MONITOR_STATE)
+def decode_monitor_state(reader: _Reader) -> MonitorSnapshot:
     """Inverse of :func:`encode_monitor_state`."""
-    reader = _expect(data, MSG_MONITOR_STATE)
     host = reader.str_()
     period = reader.double()
     threshold = reader.varint()
@@ -1658,11 +1152,11 @@ def encode_group_batch(correlation_id: int,
     (ingest streams) that produces no reply.
     """
     body = bytearray()
-    _w_uvarint(body, correlation_id)
-    _w_uvarint(body, len(entries))
+    w_uvarint(body, correlation_id)
+    w_uvarint(body, len(entries))
     for host, inner in entries:
-        _w_str(body, host)
-        _w_uvarint(body, len(inner))
+        w_str(body, host)
+        w_uvarint(body, len(inner))
         body += inner
     return _frame(MSG_GROUP_BATCH, bytes(body))
 
@@ -1671,19 +1165,18 @@ def group_batch_len(correlation_id: int,
                     entries: Sequence[Tuple[str, bytes]]) -> int:
     """Exact ``len(encode_group_batch(correlation_id, entries))``, built
     from no bytes."""
-    size = (HEADER_BYTES + _uvarint_len(correlation_id)
-            + _uvarint_len(len(entries)))
+    size = (HEADER_BYTES + uvarint_len(correlation_id)
+            + uvarint_len(len(entries)))
     for host, inner in entries:
-        size += _str_len(host) + _uvarint_len(len(inner)) + len(inner)
+        size += str_len(host) + uvarint_len(len(inner)) + len(inner)
     return size
 
 
-@_guarded
-def decode_group_batch(data: bytes
+@_decoder(MSG_GROUP_BATCH)
+def decode_group_batch(reader: _Reader
                        ) -> Tuple[int, List[Tuple[str, bytes]]]:
     """Inverse of :func:`encode_group_batch`:
     ``(correlation_id, [(host, inner frame), ...])``."""
-    reader = _expect(data, MSG_GROUP_BATCH)
     correlation_id = reader.uvarint()
     entries = []
     str_, bytes_ = reader.str_, reader.bytes_

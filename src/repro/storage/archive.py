@@ -24,7 +24,7 @@ into an immutable segment, a single ``bytes`` blob::
 ``src``/``dst`` index the segment's name dictionary, ``path`` its path
 table (whose hops index the same dictionary); the exact layout and the
 per-segment column widths are the segment codec's - see
-:mod:`repro.core.wire`.  The blob is complete by itself, but a sealed
+:mod:`repro.storage.segment`.  The blob is complete by itself, but a sealed
 segment also keeps the two dictionaries it was sealed from beside it (a
 list of names and a list of path tuples - objects the rest of the process
 already shares), so reading one never decodes a dictionary.  Each segment
@@ -98,11 +98,6 @@ exist besides append:
   :attr:`ColdArchive.compact_dead_ratio`), splicing kept rows column by
   column and recomputing each rewritten segment's pruning metadata
   exactly; every rewritten position starts with an empty dead set.
-
-Nothing in this module imports the wire codec at import time (the codec
-lives in :mod:`repro.core`, which imports this package); it is bound lazily
-on first use, mirroring
-:meth:`repro.storage.records.PathFlowRecord.wire_bytes`.
 """
 
 from __future__ import annotations
@@ -121,22 +116,16 @@ from repro.counters import Counters
 from repro.network.packet import FlowId
 from repro.storage.records import (PathFlowRecord, ScanSpec, flow_key,
                                    parse_flow_key)
+from repro.storage.segment import (FIELD_COLUMNS, SEG_BYTES, SEG_DST,
+                                   SEG_DST_PORT, SEG_ETIME, SEG_ID, SEG_PATH,
+                                   SEG_PKTS, SEG_PROTOCOL, SEG_SRC,
+                                   SEG_SRC_PORT, SEG_STIME, SegmentBuilder)
 
 #: A hot/cold tier key: ``(flow key, path)`` - the TIB's primary key.
 ArchiveKey = Tuple[str, Tuple[str, ...]]
 
 _INF = float("inf")
 
-_wire: Any = None
-
-
-def _codec() -> Any:
-    """The wire codec, bound lazily (see the module docstring)."""
-    global _wire
-    if _wire is None:
-        from repro.core import wire
-        _wire = wire
-    return _wire
 
 
 #: Flow-key bloom geometry.  Sized for the segment granularity (256 entries
@@ -305,20 +294,19 @@ class _Segment:
         zone map and flow-key bloom exactly from its columns.  The caller
         built ``postings`` from the same rows and hands over their
         ``dead`` set."""
-        wire = _codec()
         rows = self.rows = builder.seal()
         self.postings = postings
         self.dead = dead
-        self.min_stime: float = min(rows.column(wire.SEG_STIME))
-        self.max_etime: float = max(rows.column(wire.SEG_ETIME))
+        self.min_stime: float = min(rows.column(SEG_STIME))
+        self.max_etime: float = max(rows.column(SEG_ETIME))
         name = rows.names().__getitem__
         self.fkey_bloom = 0
         for mask in map(_seg_flow_mask,
-                        map(name, rows.column(wire.SEG_SRC)),
-                        map(name, rows.column(wire.SEG_DST)),
-                        *map(rows.column, (wire.SEG_SRC_PORT,
-                                           wire.SEG_DST_PORT,
-                                           wire.SEG_PROTOCOL))):
+                        map(name, rows.column(SEG_SRC)),
+                        map(name, rows.column(SEG_DST)),
+                        *map(rows.column, (SEG_SRC_PORT,
+                                           SEG_DST_PORT,
+                                           SEG_PROTOCOL))):
             self.fkey_bloom |= mask
 
     def may_match(self, start: Optional[float], end: Optional[float],
@@ -405,7 +393,7 @@ class ColdArchive:
 
     def _open_tail(self, number: int) -> None:
         """Start an empty unsealed tail that will seal under ``number``."""
-        self._tail = _codec().SegmentBuilder()
+        self._tail = SegmentBuilder()
         self._tail_no = number
         self._tail_dead: Set[int] = set()
         # ``(row count, postings)`` of the tail as of the last read that
@@ -534,7 +522,7 @@ class ColdArchive:
         """The link postings of one log position's rows: rows grouped by
         path index, each group filed under every link of its path."""
         by_path: Dict[int, List[int]] = {}
-        for row, index in enumerate(rows.column(_codec().SEG_PATH)):
+        for row, index in enumerate(rows.column(SEG_PATH)):
             group = by_path.get(index)
             if group is None:
                 by_path[index] = [row]
@@ -593,15 +581,14 @@ class ColdArchive:
         staged = self._staged.pop(record_id, None)
         if staged is not None:
             return record_id, staged[0]
-        wire = _codec()
         position = self._locator.pop(record_id)
         rows, dead = self._position(position >> _ROW_BITS)
         row = position & _ROW_MASK
         dead.add(row)
         record = PathFlowRecord(
             parse_flow_key(key[0]), key[1],
-            rows.cell(wire.SEG_STIME, row), rows.cell(wire.SEG_ETIME, row),
-            rows.cell(wire.SEG_BYTES, row), rows.cell(wire.SEG_PKTS, row))
+            rows.cell(SEG_STIME, row), rows.cell(SEG_ETIME, row),
+            rows.cell(SEG_BYTES, row), rows.cell(SEG_PKTS, row))
         self._maybe_compact()
         return record_id, record
 
@@ -641,7 +628,6 @@ class ColdArchive:
         there is nothing to reclaim for them.
         """
         self.stats.compactions += 1
-        wire = _codec()
         locator = self._locator
         log = [(number, segment, segment.rows, segment.dead)
                for number, segment in self._segments.items()]
@@ -653,7 +639,7 @@ class ColdArchive:
                 self._segments[number] = segment
                 continue
             live = _live_rows(range(rows.count), dead)
-            ids = rows.column(wire.SEG_ID)
+            ids = rows.column(SEG_ID)
             while live:
                 room = self.segment_records - self._tail.count
                 moved, live = live[:room], live[room:]
@@ -753,7 +739,7 @@ class ColdArchive:
         not id order - which is all an aggregate needs; treat the
         sequences as read-only views.
         """
-        columns = [_codec().FIELD_COLUMNS[name] for name in fields]
+        columns = [FIELD_COLUMNS[name] for name in fields]
         for rows, selection in self._selected(spec):
             yield rows.select(columns, selection)
 
@@ -767,14 +753,13 @@ class ColdArchive:
         evaluated column by column over the rows still in play; a column
         or dictionary is opened only when a row that survived so far
         needs it."""
-        wire = _codec()
         matching: Sequence[int] = (range(rows.count) if on_links is None
                                    else on_links)
         start, end = spec.start, spec.end
         if (start is not None or end is not None) and matching:
             low = -_INF if start is None else start
             high = _INF if end is None else end
-            stimes, etimes = rows.select((wire.SEG_STIME, wire.SEG_ETIME),
+            stimes, etimes = rows.select((SEG_STIME, SEG_ETIME),
                                          on_links)
             # Negated comparisons, exactly like ScanSpec.matches rejects.
             matching = [row for row, stime, etime
@@ -787,8 +772,8 @@ class ColdArchive:
                       for flow in flows
                       if flow.src_ip in names and flow.dst_ip in names}
             srcs, dsts, src_ports, dst_ports, protocols = map(
-                rows.column, (wire.SEG_SRC, wire.SEG_DST, wire.SEG_SRC_PORT,
-                              wire.SEG_DST_PORT, wire.SEG_PROTOCOL))
+                rows.column, (SEG_SRC, SEG_DST, SEG_SRC_PORT,
+                              SEG_DST_PORT, SEG_PROTOCOL))
             matching = [row for row in matching
                         if (srcs[row], dsts[row], src_ports[row],
                             dst_ports[row], protocols[row]) in probes]

@@ -11,15 +11,15 @@ record once per stored row), the record's plain-dict document form and the
 size of that document under the Section 5.3 storage accounting
 (:meth:`PathFlowRecord.document_bytes` - the TIB keeps the hot tier's
 footprint as a running sum of it and stores no documents).  A record's wire
-size is measured by the :mod:`repro.core.wire` codec
-(:meth:`PathFlowRecord.wire_bytes`).
+size is the frame codec's to measure (``repro.core.wire.record_wire_bytes``;
+this package imports nothing from ``repro.core``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.network.packet import FlowId
 
@@ -143,11 +143,6 @@ class PathFlowRecord:
         return cls(flow_id=flow_id, path=tuple(document["path"]),
                    stime=document["stime"], etime=document["etime"],
                    bytes=document["bytes"], pkts=document["pkts"])
-
-    def wire_bytes(self) -> int:
-        """Measured serialized size in a query response (codec body bytes)."""
-        from repro.core import wire
-        return wire.record_wire_bytes(self)
 
 
 @dataclass(slots=True)
@@ -316,14 +311,3 @@ class ScanSpec:
             elif not record.traverses_link(a, b):
                 return False
         return True
-
-
-def records_wire_bytes(records: Sequence[PathFlowRecord]) -> int:
-    """Total measured serialized size of the records in a batch.
-
-    Sums the codec body bytes of each record; the full batch frame adds
-    only a fixed header plus a count varint on top (see
-    :func:`repro.core.wire.encode_record_batch`).
-    """
-    from repro.core import wire
-    return sum(wire.record_wire_bytes(r) for r in records)

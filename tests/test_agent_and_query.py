@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core import (PC_FAIL, PathDumpAgent, Q_FLOW_SIZE_DISTRIBUTION,
-                        Q_GET_COUNT, Q_GET_PATHS, Q_PATH_CONFORMANCE,
-                        Q_POOR_TCP_FLOWS, Q_SUBFLOW_IMBALANCE, Q_TOP_K_FLOWS,
-                        Q_TRAFFIC_MATRIX, Query)
+                        Q_GET_COUNT, Q_GET_DURATION, Q_GET_PATHS,
+                        Q_PATH_CONFORMANCE, Q_PLAN, Q_POOR_TCP_FLOWS,
+                        Q_SUBFLOW_IMBALANCE, Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX,
+                        Query)
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
 
@@ -155,6 +156,17 @@ class TestQueryEngine:
     def test_unknown_query_rejected(self, agent):
         with pytest.raises(KeyError):
             agent.execute_query(Query("does_not_exist", {}))
+
+    def test_register_rejects_a_plan_built_name(self, agent):
+        """A plan answers a plan-built name, so a handler or merger
+        registered under it would never run: registering one fails."""
+        for name in (Q_GET_COUNT, Q_GET_DURATION, Q_TOP_K_FLOWS, Q_PLAN):
+            with pytest.raises(ValueError, match="plan"):
+                agent.engine.register(name, lambda _agent, _params: (
+                    (0, 0), 0, {}), merger=lambda _query, payloads: [])
+        result = agent.execute_query(
+            Query(Q_GET_COUNT, {"flow": (_flow(1), PATH_A)}))
+        assert result.payload == (2_000_000, 1400)
 
 
 class TestInstalledQueries:

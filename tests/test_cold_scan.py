@@ -36,6 +36,7 @@ from repro.core.supervisor import ChaosPolicy, Supervisor
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import ColdArchive, PathFlowRecord, RetentionPolicy, ScanSpec
 from repro.storage.records import COLUMN_FIELDS, flow_key
+from repro.storage.segment import SEG_ID, Segment
 from test_supervisor import FAST, STARTUP_FRAMES, small_topology
 from test_tib import get_count
 from test_two_tier_tib import (HOT_CAP, SWITCHES, make_record, populate,
@@ -178,7 +179,7 @@ def every_row(archive):
     blob re-opened from its bytes alone, then the tail - with no predicate
     pushdown and no pruning."""
     archive.flush()
-    sources = [(number, wire.Segment(segment.rows.data))
+    sources = [(number, Segment(segment.rows.data))
                for number, segment in archive._segments.items()]
     sources.append((archive._tail_no, archive._tail))
     for number, rows in sources:
@@ -373,7 +374,7 @@ def assert_dead_sets_agree(archive):
     iff its position's dead set does not hold it."""
     garbage = 0
     for number, rows, _, dead in positions(archive):
-        ids = rows.column(wire.SEG_ID)
+        ids = rows.column(SEG_ID)
         pointed = {row for row in range(rows.count)
                    if archive._locator.get(ids[row]) == number << 32 | row}
         assert dead == set(range(rows.count)) - pointed, number
@@ -517,7 +518,7 @@ class TestFoldSoundness:
         if reopened:
             # from their bytes alone: both dictionaries get decoded
             for segment in archive._segments.values():
-                segment.rows = wire.Segment(segment.rows.data)
+                segment.rows = Segment(segment.rows.data)
         for _ in range(3):
             for spec in fuzz_specs(rng, records):
                 want = sorted((r.bytes, r.path)

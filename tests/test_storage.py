@@ -1,13 +1,15 @@
 """Tests for the document store and flow-record schema."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import (Collection, DocumentStore, PathFlowRecord,
                            QueryError, TrajectoryMemoryRecord, flow_key,
-                           parse_flow_key, records_wire_bytes)
+                           parse_flow_key)
 
 
 @pytest.fixture()
@@ -285,11 +287,6 @@ class TestRecords:
         flow = self._flow()
         assert parse_flow_key(flow_key(flow)) == flow
 
-    def test_wire_bytes(self):
-        record = PathFlowRecord(self._flow(), ("a", "b", "c"), 0.0, 1.0)
-        assert record.wire_bytes() > 0
-        assert records_wire_bytes([record, record]) == 2 * record.wire_bytes()
-
     def test_memory_record_update(self):
         memory = TrajectoryMemoryRecord(self._flow(), (3, 5), 0.0, 0.0)
         memory.update(100, when=1.0)
@@ -380,3 +377,27 @@ class TestCountWithoutMaterializing:
         collection.stats.reset()
         assert collection.count(query) == len(collection.find(query)) == 15
         assert collection.stats.full_scans == 0
+
+
+def test_storage_and_codec_import_nothing_from_core():
+    """``core/`` imports ``storage/``, so ``storage/`` - and the byte
+    primitives it shares with the frame codec - import nothing from
+    ``repro.core``: not at module top, not inside a function."""
+    package = Path(__file__).resolve().parent.parent / "src" / "repro"
+    offenders = []
+    for path in sorted(package.glob("storage/*.py")) + [
+            package / "codec.py"]:
+        parent = path.parent.relative_to(package.parent).parts
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = parent[:len(parent) - node.level + 1] \
+                    if node.level else ()
+                modules = [".".join(base + tuple(
+                    filter(None, [node.module])))]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for module in modules
+                          if (module + ".").startswith("repro.core.")]
+    assert offenders == []

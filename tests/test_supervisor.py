@@ -286,7 +286,7 @@ class TestCondemnTheFailedConnection:
             assert isinstance(error, AgentServerError)
             assert pool.alive("a") and fresh.dead is None
             with pytest.raises(AgentServerError, match="undecodable"):
-                pool._checked_decode(stale, b"\x00", wire.decode_pong_state)
+                pool._checked_decode(stale, b"\x00", wire.decode_pong)
             assert pool.alive("a") and fresh.dead is None
             assert pool.ping("a") == 5
             assert pool.stats.restarts == 1

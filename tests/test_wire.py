@@ -21,6 +21,8 @@ from repro.core.monitor import (ActiveMonitor, MonitorSnapshot, TcpFlowStats,
 from repro.network.packet import PROTO_TCP, PROTO_UDP, FlowId
 from repro.storage import PathFlowRecord, flow_key
 from repro.storage.docstore import _estimate_value_bytes
+from repro.storage.segment import (SEG_BYTES, SEG_ETIME, SEG_PKTS, SEG_STIME,
+                                   SEGMENT_COLUMNS, Segment, SegmentBuilder)
 from test_plan import random_plan
 
 
@@ -136,7 +138,6 @@ class TestRecordBatches:
         frame = wire.encode_record_batch([record])
         assert len(frame) == wire.HEADER_BYTES + 1 + \
             wire.record_wire_bytes(record)
-        assert record.wire_bytes() == wire.record_wire_bytes(record)
 
     @staticmethod
     def _random_records(rng, count=100):
@@ -400,17 +401,12 @@ class TestEventPlaneFrames:
 
     def test_pong_state_round_trip(self):
         frame = wire.encode_pong(123456, 789)
-        assert wire.decode_pong(frame) == 123456
-        assert wire.decode_pong_state(frame) == (123456, 789)
+        assert wire.decode_pong(frame) == (123456, 789, 0, 0, 0, 0)
 
     def test_pong_tier_stats_round_trip(self):
         frame = wire.encode_pong(500, 7, hot_records=50, hot_bytes=9000,
                                  cold_records=450, cold_bytes=123456)
-        assert wire.decode_pong_tiers(frame) == (500, 7, 50, 9000, 450,
-                                                 123456)
-        # the legacy prefix decoders keep working on a tiered pong
-        assert wire.decode_pong(frame) == 500
-        assert wire.decode_pong_state(frame) == (500, 7)
+        assert wire.decode_pong(frame) == (500, 7, 50, 9000, 450, 123456)
 
 
 class TestTwoTierFrames:
@@ -458,7 +454,7 @@ def random_segment_rows(rng, count):
 
 
 def build_segment(rows):
-    builder = wire.SegmentBuilder()
+    builder = SegmentBuilder()
     for record_id, record in rows:
         builder.append(record_id, record)
     return builder
@@ -475,7 +471,7 @@ class TestSegmentCodec:
         builder = build_segment(rows)
         assert builder.records() == rows  # unsealed rows read the same way
         blob = builder.pack()
-        for segment in (wire.Segment(blob), builder.seal()):
+        for segment in (Segment(blob), builder.seal()):
             assert segment.count == len(rows)
             assert segment.records() == rows
             some = sorted(rng.sample(range(len(rows)),
@@ -484,10 +480,9 @@ class TestSegmentCodec:
             for row in some[:5]:
                 record = rows[row][1]
                 assert [segment.cell(index, row) for index in
-                        (wire.SEG_STIME, wire.SEG_ETIME, wire.SEG_BYTES,
-                         wire.SEG_PKTS)] == [record.stime, record.etime,
-                                             record.bytes, record.pkts]
-        for _, record in wire.Segment(blob).records():
+                        (SEG_STIME, SEG_ETIME, SEG_BYTES, SEG_PKTS)] == \
+                    [record.stime, record.etime, record.bytes, record.pkts]
+        for _, record in Segment(blob).records():
             assert type(record.flow_id) is FlowId
             assert type(record.path) is tuple
 
@@ -518,11 +513,11 @@ class TestSegmentCodec:
                               -value)
         rows = [(1, narrow), (value, wide), (3, narrow)]
         blob = build_segment(rows).pack()
-        assert wire.Segment(blob).records() == rows
-        assert wire.Segment(blob).cell(wire.SEG_BYTES, 1) == value
+        assert Segment(blob).records() == rows
+        assert Segment(blob).cell(SEG_BYTES, 1) == value
         # the varint escape is taken by exactly the columns that need it
-        codes = blob[8:8 + len(wire.SEGMENT_COLUMNS)].decode()
-        escaped = {name for name, code in zip(wire.SEGMENT_COLUMNS, codes)
+        codes = blob[8:8 + len(SEGMENT_COLUMNS)].decode()
+        escaped = {name for name, code in zip(SEGMENT_COLUMNS, codes)
                    if code == "V"}
 
         def fits(number):
@@ -545,11 +540,11 @@ class TestSegmentCodec:
         blob = build_segment(random_segment_rows(random.Random(1), 40)).pack()
         for cut in range(len(blob)):
             with pytest.raises(wire.WireDecodeError):
-                wire.Segment(blob[:cut])
+                Segment(blob[:cut])
         with pytest.raises(wire.WireDecodeError):
-            wire.Segment(blob + b"\x00")
+            Segment(blob + b"\x00")
         with pytest.raises(wire.WireDecodeError):
-            wire.Segment(b"XXXX" + blob[4:])
+            Segment(b"XXXX" + blob[4:])
 
     def test_bit_flips_never_escape_as_raw_exceptions(self):
         rng = random.Random(20261002)
@@ -559,9 +554,9 @@ class TestSegmentCodec:
             data = bytearray(blob)
             data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
             try:
-                segment = wire.Segment(bytes(data))
+                segment = Segment(bytes(data))
                 segment.records()
-                segment.cell(wire.SEG_PKTS, 39)
+                segment.cell(SEG_PKTS, 39)
             except wire.WireDecodeError:
                 pass  # the contract: corruption surfaces as a decode error
 
@@ -574,7 +569,7 @@ class TestControlFrames:
 
     def test_ping_pong_reset_shutdown_sleep(self):
         assert wire.frame_type(wire.encode_ping()) == wire.MSG_PING
-        assert wire.decode_pong(wire.encode_pong(12345)) == 12345
+        assert wire.decode_pong(wire.encode_pong(12345))[0] == 12345
         assert wire.frame_type(wire.encode_reset()) == wire.MSG_RESET
         assert wire.frame_type(wire.encode_shutdown()) == wire.MSG_SHUTDOWN
         assert wire.decode_sleep(wire.encode_sleep(0.25)) == 0.25
@@ -755,7 +750,7 @@ class TestCorruptionFuzz:
             (wire.encode_error("boom: 中"), wire.decode_error),
             (wire.encode_pong(123, 45, hot_records=1, hot_bytes=2,
                               cold_records=3, cold_bytes=4),
-             wire.decode_pong_tiers),
+             wire.decode_pong),
             (wire.encode_retention(100, 1 << 40), wire.decode_retention),
             (wire.encode_sleep(0.5), wire.decode_sleep),
             (wire.encode_alarm_batch([_random_alarm(rng)]),
@@ -1102,7 +1097,7 @@ def _golden_frames():
         "ping": (wire.encode_ping(), wire.frame_type, wire.MSG_PING),
         "pong": (wire.encode_pong(500, 7, hot_records=50, hot_bytes=9000,
                                   cold_records=450, cold_bytes=123456),
-                 wire.decode_pong_tiers, (500, 7, 50, 9000, 450, 123456)),
+                 wire.decode_pong, (500, 7, 50, 9000, 450, 123456)),
         "reset": (wire.encode_reset(), wire.frame_type, wire.MSG_RESET),
         "shutdown": (wire.encode_shutdown(), wire.frame_type,
                      wire.MSG_SHUTDOWN),
@@ -1616,6 +1611,20 @@ class TestGoldenFrames:
                 with pytest.raises(wire.WireError):
                     decoder(data[:cut])
 
+    def test_every_appended_byte_raises_wire_error(self):
+        """A frame is length-delimited, so a byte its body leaves unread
+        is corruption: every payload decoder rejects it, never returns a
+        value.  (A payload-less frame's decoder is ``frame_type``, which
+        reads the header alone.)"""
+        cases = [(golden_frame(name), decoder)
+                 for name, (_, decoder, _) in _golden_frames().items()
+                 if decoder is not wire.frame_type]
+        cases += [(bytes.fromhex(text), wire.decode_value)
+                  for text in GOLDEN_VALUE_HEX.values()]
+        for data, decoder in cases:
+            with pytest.raises(wire.WireError, match="trailing"):
+                decoder(data + b"\x00")
+
     def test_truncation_is_reported_as_truncation(self):
         frame = golden_frame("alarm_batch")
         for cut in range(wire.HEADER_BYTES, len(frame)):
@@ -1722,7 +1731,6 @@ class TestExactSizes:
         for _ in range(600):
             value = self._value(rng)
             assert wire.value_len(value) == len(wire.encode_value(value))
-            assert wire.payload_wire_bytes(value) == wire.value_len(value)
 
     def test_result_wire_bytes_is_the_frame_length(self):
         """Plan and non-plan results, each with and without scan stats
