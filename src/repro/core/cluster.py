@@ -8,37 +8,33 @@ children's partial results (Section 3.2).  Figures 11 and 12 compare the two
 mechanisms on response time and generated network traffic.
 
 :class:`QueryCluster` owns the per-host agents, wires them to the fabric (or
-to the flow-level simulator), and maps both query mechanisms onto the
+to the flow-level simulator), and runs every query - either mechanism,
+any mode - in two steps on the
 :class:`~repro.core.executor.ScatterGatherExecutor`:
 
-* a direct query is a one-level scatter plan (controller -> every host); a
-  multi-level query maps the aggregation tree onto the plan one to one,
-  with the query and the subtree description *batched* into a single
-  request message per child;
-* per-host query execution and per-node aggregation costs are *measured*
-  (wall-clock) on the real in-memory TIBs, and every aggregation node
-  merges all of its arrivals in one call - no full-level barrier;
-* after each run, the :class:`~repro.core.rpc.RpcChannel`
-  latency/bandwidth model counts the run's messages and prices its
-  measured legs, execution and merge times over the plan tree
+* *fetch* one partial per host, then *fold* a plan over them: a direct
+  query's plan is one level (controller -> every host); a multi-level
+  query maps the aggregation tree onto the plan one to one, with the
+  query and the subtree description *batched* into one request per child;
+* per-host execution and per-node merges are *measured* on the real
+  in-memory TIBs, and every node merges all of its arrivals in one call;
+* the :class:`~repro.core.rpc.RpcChannel` model counts the fold's legs
+  and prices them with the measured times over the plan tree
   (:func:`~repro.core.rpc.model_response_time`), reproducing the scaling
   behaviour the paper reports;
 * hosts that are dead, time out or lose messages surface as structured
   warnings with ``partial=True`` instead of failing the whole query.
 
-The cluster defaults to *serial* mode - the executor's deterministic fold
-on the calling thread - so the figure benchmarks are reproducible run to
-run; pass a worker mode (or call :meth:`QueryCluster.configure_executor`)
-to move every host's TIB into an agent-server worker process
-(:mod:`repro.core.groupserver`): ingest streams encoded
-record batches over the worker's connection, queries travel as encoded
-query+subtree-spec frames, and CPU-bound scatters escape the GIL.  A
-worker-mode scatter starts no thread: the calling thread writes every
-group's envelope, then consumes the replies in group order while later
-groups are still working.
-``mode="socket"`` shards the hosts into worker groups; ``mode="process"``
-is the same plane with one host per group.  All modes merge in
-the same canonical order, so they produce byte-identical query payloads.
+The cluster defaults to *serial* mode - each host's partial fetched as
+the fold on the calling thread reaches it - so the figure benchmarks
+reproduce run to run; a worker mode (or
+:meth:`QueryCluster.configure_executor`) moves every host's TIB into an
+agent-server worker process (:mod:`repro.core.groupserver`): ingest
+streams encoded record batches to it, the fetch ships one envelope of
+query frames per worker group before the fold, and CPU-bound work
+escapes the GIL.  ``mode="socket"`` shards the hosts into worker groups;
+``mode="process"`` is the same plane with one host per group.  All modes
+fold the same plan, so payloads and traffic are byte-identical.
 
 The worker modes also carry the paper's *event plane* (Sections 3.2 and 4):
 transfer observations stream to the workers alongside record batches (the
@@ -55,7 +51,8 @@ import functools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core import wire
 from repro.core.agent import PathDumpAgent
@@ -63,8 +60,8 @@ from repro.core.aggregation import PAPER_TREE_FANOUT, AggregationTree, TreeNode
 from repro.core.alarms import Alarm, AlarmBus, POOR_PERF
 from repro.core.executor import (DeadlineExceeded, ExecWarning, GatherResult,
                                  PlanNode, ScatterGatherExecutor, Transport,
-                                 W_CIRCUIT_OPEN, W_HOST_FAILED,
-                                 W_MIRROR_DETACHED, W_WORKER_RESTARTED)
+                                 W_CIRCUIT_OPEN, W_MIRROR_DETACHED,
+                                 W_WORKER_RESTARTED)
 from repro.core.groupserver import (DEFAULT_GROUP_COUNT, AgentServerError,
                                     Exchange, GroupAgentPool, GroupPoolStats)
 from repro.core.supervisor import (ChaosPolicy, EVENT_CIRCUIT_OPEN,
@@ -125,12 +122,11 @@ class DistributedQueryResult:
         payload: the fully aggregated result.
         response_time_s: modelled end-to-end response time
             (:func:`~repro.core.rpc.model_response_time` of the run).
-        traffic_bytes: total bytes moved over the management network.  In
-            the worker modes a direct query's legs are the measured
-            ``MSG_GROUP_BATCH`` envelope lengths (one request and one
-            reply envelope per worker group - per host under
-            ``"process"``); multi-level legs are the tree edges, sized
-            with the measured per-edge frame lengths as in serial.
+        traffic_bytes: total bytes moved over the management network:
+            one request and one response per host (direct) or per tree
+            edge (multi-level), with measured frame lengths - the same
+            in every mode (worker envelopes are counted in the pool's
+            stats only).
         host_count: number of hosts the query was scattered to.
         breakdown: named components of the response time (for reports).
         partial: whether one or more hosts' partial results are missing.
@@ -454,11 +450,11 @@ class QueryCluster:
         (:meth:`_worker_shape`) replaces the running pool (the fresh one
         re-syncs from the local mirrors); switching back to ``"serial"``
         keeps the workers alive and in sync (ingest mirrors to them), so
-        modes can be flipped per experiment.  Every mode folds on the one
-        executor: a worker-mode scatter is split-phase on the calling
-        thread (:meth:`_scatter_groups`), and a query the workers do not
-        serve runs on the in-process agents, whose deadline is checked
-        after each handler returns.
+        modes can be flipped per experiment.  The executor's deadline and
+        retries act per host in process and per group fetch in the worker
+        modes (split-phase on the calling thread, :meth:`_scatter_groups`);
+        a query the workers do not serve runs on the in-process agents,
+        whose deadline is checked after each handler returns.
         """
         current = self.executor
         if mode is not None:
@@ -882,24 +878,20 @@ class QueryCluster:
 
     def _run_monitors_group(self, now: float,
                             threshold: Optional[int]) -> MonitorSweep:
-        """Scatter one coalesced tick envelope per worker group.
-
-        Each leaf of the plan is a *group*, its request is one
-        ``MSG_GROUP_BATCH`` envelope carrying every member host's tick
-        frame, and its reply envelope carries every member's alarm batch.
-        The scatter is split-phase (:meth:`_scatter_groups`) and each
-        host's alarms go to the bus as soon as its batch is decoded and
-        every earlier host's have gone, so the alarm stream is
-        byte-identical to the serial sweep; a dead group expands to all
-        of its member hosts in ``hosts_failed``.
-        """
+        """Scatter one coalesced tick envelope per worker group
+        (:meth:`_scatter_groups`, its envelopes charged on :attr:`rpc`):
+        it carries every member's tick frame, and its reply every member's
+        alarm batch.  Each host's alarms go to the bus as soon as they are
+        decoded and every earlier host's have gone, so the stream is
+        byte-identical to the serial sweep; a dead group expands to all of
+        its member hosts in ``hosts_failed``."""
         pool = self._process_pool
         tick = wire.encode_monitor_tick(now, threshold)
         sink = _AlarmCollector(self, latch=True, order=self.hosts)
 
         def consume(exchange: Exchange, deadline: Optional[float]):
             try:
-                per_host, reply_bytes, _sent = pool.group_monitor_tick(
+                _per_host, reply_bytes, _sent = pool.group_monitor_tick(
                     exchange, deadline, on_host=sink.land)
             except DeadlineExceeded:
                 # The worker latched its flows already: its late reply
@@ -908,12 +900,12 @@ class QueryCluster:
                 self._consume_late(lambda: pool.group_monitor_tick(
                     exchange, on_host=sink.park))
                 raise
-            return None, reply_bytes  # the alarms went to the bus already
+            return {}, reply_bytes  # the alarms went to the bus already
 
-        gather = self._scatter_groups(
-            {key: (key, [(host, tick) for host in pool.group_hosts(key)])
-             for key in pool.group_keys()}, consume,
-            merge=lambda values: None)
+        plan, gather = self._scatter_groups(
+            {key: [(host, tick) for host in pool.group_hosts(key)]
+             for key in pool.group_keys()}, consume)
+        charge_legs(plan, gather.reports, self.rpc)
         alarms = sink.dispatch()
         hosts_failed = [host for key in gather.hosts_failed
                         for host in pool.group_hosts(key)]
@@ -924,32 +916,31 @@ class QueryCluster:
                             traffic_bytes=gather.traffic_bytes,
                             wall_clock_s=gather.wall_s)
 
-    def _scatter_groups(self, leaves: Dict[str, Tuple[str,
-                                                      List[Tuple[str, bytes]]]],
-                        consume, merge) -> GatherResult:
+    def _scatter_groups(self, leaves: Dict[str, List[Tuple[str, bytes]]],
+                        consume) -> Tuple[PlanNode, GatherResult]:
         """The worker modes' scatter: split-phase, on the calling thread.
 
-        ``leaves`` maps each plan leaf's label to ``(group key, envelope
-        entries)``, in plan order.  First every leaf's envelope is written
-        (:meth:`GroupAgentPool.send`; a leaf that cannot be sent keeps
-        the error for its first attempt).  Then the plan runs on a serial
-        executor whose work for a leaf is ``consume(exchange, deadline)``
-        -> ``(value, reply envelope bytes)``, so replies are consumed -
-        decoded, folded, their alarms dispatched - in plan order while
-        later groups are still answering; a retry re-sends.  Timeouts,
-        retries, supervision and ordered merges are the executor's.
-
-        A leaf waits at most ``timeout_s`` counted from the scatter's
-        start on the real clock, then fails as ``W_HOST_TIMEOUT``
-        (``consume`` re-raises
-        :class:`~repro.core.executor.DeadlineExceeded` after handing the
-        open exchange to :meth:`_consume_late`).  ``HostReport.exec_s`` -
-        hence ``max_exec_s`` - is each exchange's send until its reply
+        ``leaves`` maps each plan leaf - a group key - to its envelope
+        entries, in plan order.  Every leaf's envelope is written first
+        (:meth:`GroupAgentPool.send`; one that cannot be sent keeps the
+        error for its first attempt); then the plan runs on
+        :attr:`executor`, whose work for a leaf is ``consume(exchange,
+        deadline)`` -> ``({host: value}, reply envelope bytes)``, so
+        replies are consumed in plan order while later groups still
+        answer.  Timeouts, retries (a retry re-sends) and supervision are
+        the executor's: a leaf waits at most ``timeout_s`` from the
+        scatter's start, then fails as ``W_HOST_TIMEOUT`` (``consume``
+        re-raises :class:`~repro.core.executor.DeadlineExceeded` after
+        handing the open exchange to :meth:`_consume_late`), and a failed
+        leaf yields one ``W_HOST_FAILED`` naming its key.
+        ``HostReport.exec_s`` is each exchange's send until its reply
         landed, not the calling thread's wait, so a reply that landed in
-        time also passes the executor's after-the-fact check.  Leaf values
-        meet at the root through ``merge``; both legs are sized with the
-        measured envelope lengths (the request at correlation id 1).  A
-        failed leaf yields one ``W_HOST_FAILED`` naming its label.
+        time passes the executor's after-the-fact check too.
+
+        Returns the plan - its legs the measured envelope lengths (the
+        request at correlation id 1) - and its unpriced gather (a sweep
+        charges it on :attr:`rpc`, a query's fetch does not), whose
+        ``value`` merges every answered leaf's ``{host: value}`` and whose
         ``wall_s`` covers both phases.
         """
         pool = self._process_pool
@@ -957,51 +948,38 @@ class QueryCluster:
         timeout = self.executor.timeout_s
         deadline = None if timeout is None else started + timeout
 
-        def send(label: str):
+        def send(key: str):
             """The leaf's exchange, or the error its attempt raises."""
-            key, entries = leaves[label]
-            for host, _frame in entries:
+            for host, _frame in leaves[key]:
                 if host not in self.agents:
                     return KeyError(f"no agent running on {host}")
             try:
-                return pool.send(key, entries)
+                return pool.send(key, leaves[key])
             except AgentServerError as error:
                 return error
 
-        sent = {label: send(label) for label in leaves}
+        sent = {key: send(key) for key in leaves}
 
-        def work(label: str):
-            exchange = sent.pop(label, None) or send(label)
+        def work(key: str):
+            exchange = sent.pop(key, None) or send(key)
             if isinstance(exchange, Exception):
                 raise exchange
             value, reply_bytes = consume(exchange, deadline)
             return value, reply_bytes, exchange.exec_s
 
         plan = PlanNode(host=None, children=[
-            PlanNode(host=label,
+            PlanNode(host=key,
                      request_parts=(wire.group_batch_len(1, entries),))
-            for label, (_key, entries) in leaves.items()])
-        gather = self._run(
-            self.executor, plan, work,
-            lambda values: (merge([value[0] for value in values]), 0, 0),
+            for key, entries in leaves.items()])
+        gather = self.executor.run(
+            plan, work,
+            lambda values: ({host: item for value in values
+                             for host, item in value[0].items()}, 0, 0),
             response_bytes=lambda value: value[1],
             exec_seconds=lambda value: value[2])
         gather.wall_s = time.perf_counter() - started
-        if gather.value is not None:
-            gather.value = gather.value[0]
-        return gather
-
-    def _run(self, executor: ScatterGatherExecutor, plan: PlanNode, work,
-             merge, response_bytes, exec_seconds=None) -> GatherResult:
-        """Run ``plan`` on ``executor``, then price the finished run: its
-        legs are counted on :attr:`rpc` and its ``model_time_s`` is
-        :func:`~repro.core.rpc.model_response_time` of what it measured."""
-        gather = executor.run(plan, work, merge, response_bytes=response_bytes,
-                              exec_seconds=exec_seconds)
-        charge_legs(plan, gather.reports, self.rpc)
-        gather.model_time_s = model_response_time(
-            plan, gather.reports, gather.merge_s, self.rpc)
-        return gather
+        gather.value = {} if gather.value is None else gather.value[0]
+        return plan, gather
 
     @staticmethod
     def _consume_late(consume) -> None:
@@ -1027,175 +1005,54 @@ class QueryCluster:
     def execute_direct(self, query: Query,
                        hosts: Optional[Sequence[str]] = None
                        ) -> DistributedQueryResult:
-        """Direct query: every host answers the controller directly.
-
-        In the worker modes the scatter is coalesced - one request
-        envelope per worker group instead of one frame per host - and each
-        group run's partials are merged in one call, in request order,
-        before the root merge, the same order the per-host fold visits
-        them, so the aggregate stays byte-identical to the serial fold.
-        """
+        """Direct query: every host answers the controller directly (a
+        one-level plan, run by :meth:`_gather`)."""
         targets = self._targets(hosts)
         request = wire.encode_query_request(query, None)  # once, all hosts
-        if self._uses_agent_servers(query):
-            merge = self._merger(query)
-            gather = self._gather_groups(
-                query, targets, dict.fromkeys(targets, request), targets,
-                leaf=lambda results: results[0][1] if len(results) == 1
-                else merge([result for _host, result in results]),
-                merge=merge)
-        else:
-            plan = PlanNode(host=None, children=[
-                PlanNode(host=host, request_parts=(len(request),))
-                for host in targets])
-            gather = self._gather(plan, query)
-        merged = self._finalise(query, gather)
+        plan = PlanNode(host=None, children=[
+            PlanNode(host=host, request_parts=(len(request),))
+            for host in targets])
+        gather = self._gather(query, plan,
+                              lambda: dict.fromkeys(targets, request))
         # The modelled legs of the slowest answered host (a direct plan is
         # one level deep).
         leg = self.rpc.leg_s
         network = max((leg(report.request_bytes) + leg(report.response_bytes)
                        for report in gather.reports.values() if report.ok),
                       default=0.0)
-        return self._distributed_result(
-            query, MECHANISM_DIRECT, merged, gather, len(targets),
+        return self._result(
+            query, MECHANISM_DIRECT, gather, len(targets),
             breakdown={"network": network,
                        "host_execution": gather.max_exec_s,
                        "controller_aggregation": gather.merge_s[None]})
-
-    def _gather_groups(self, query: Query, targets: List[str],
-                       frames: Dict[str, bytes], alarm_order: Sequence[str],
-                       leaf, merge) -> GatherResult:
-        """Fetch every target's partial over coalesced group envelopes -
-        the one scatter both mechanisms run in the worker modes.
-
-        The plan's leaves are the pool's runs of consecutive same-group
-        targets (:meth:`GroupAgentPool.runs`; a second run of one group
-        is labelled ``key#index``).  Each leaf ships one
-        ``MSG_GROUP_BATCH`` envelope carrying ``frames[host]`` for its run
-        and hands the decoded ``(host, result)`` list, in request order,
-        to ``leaf``; leaf values meet at the root in one ``merge`` call,
-        each group consumed as its turn comes.  The scatter is
-        :meth:`_scatter_groups`, so timeouts, retries and supervision act
-        per group: a failed leaf yields one ``W_HOST_FAILED`` naming the
-        group key and expands to all of its run's hosts in
-        ``hosts_failed`` (the group connection is the failure domain).
-        Piggybacked host alarms go to the bus in ``alarm_order``
-        (:class:`_AlarmCollector`), so the alarm stream is identical to
-        the serial one - and a reply the scatter gives up on still
-        surrenders its alarms.
-        """
-        pool = self._process_pool
-        leaves: Dict[str, Tuple[str, List[Tuple[str, bytes]]]] = {}
-        for index, (key, run_hosts) in enumerate(pool.runs(targets)):
-            label = key if key not in leaves else f"{key}#{index}"
-            leaves[label] = (key, [(host, frames[host])
-                                   for host in run_hosts])
-        sink = _AlarmCollector(self, latch=False, order=alarm_order)
-
-        def take_alarms(results: List[Tuple[str, QueryResult]],
-                        capture) -> None:
-            for host, result in results:
-                capture(host, result.alarms)
-                result.alarms = ()
-
-        def consume(exchange: Exchange, deadline: Optional[float]):
-            try:
-                results, reply_bytes, _sent = pool.group_query(
-                    exchange, query, deadline)
-            except DeadlineExceeded:
-                self._consume_late(lambda: take_alarms(
-                    pool.group_query(exchange, query)[0], sink.park))
-                raise
-            take_alarms(results, sink.land)
-            # What travels back is the reply envelope, whatever the leaf
-            # makes of it; the response leg is priced with the real bytes.
-            return leaf(results), reply_bytes
-
-        gather = self._scatter_groups(leaves, consume, merge)
-        sink.dispatch()
-        gather.hosts_failed = [host for label in gather.hosts_failed
-                               for host, _frame in leaves[label][1]]
-        return gather
 
     def execute_multilevel(self, query: Query,
                            hosts: Optional[Sequence[str]] = None,
                            fanout: Sequence[int] = PAPER_TREE_FANOUT
                            ) -> DistributedQueryResult:
-        """Multi-level query along an aggregation tree.
+        """Multi-level query along an aggregation tree (the tree mapped
+        onto a plan, run by :meth:`_gather`).
 
         The tree is kept for the next query over the same ``(targets,
         fanout)``, which builds only its plan nodes.  In the worker modes
-        the tree is folded over partials fetched with one envelope per
-        worker group (:meth:`_gather_tree_groups`);
-        ``payload`` and ``traffic_bytes`` are byte-identical to the serial
-        walk and ``wall_clock_s`` is the measured wall of both phases.
+        each host's request frame - the query and its subtree description
+        - is spliced only when the fetch ships it.
         """
         targets = self._targets(hosts)
         tree, shape = self._tree, (targets, tuple(fanout))
         if tree is None or (tree.hosts, tree.fanout) != shape:
             self._tree = tree = AggregationTree(targets, fanout=fanout)
         request = wire.encode_query_request(query, None)
-        if self._uses_agent_servers(query):
-            frames: Dict[str, bytes] = {}
-            plan = self._plan_from_tree(tree.root, request, frames)
-            gather = self._gather_tree_groups(query, targets, frames, plan)
-        else:
-            plan = self._plan_from_tree(tree.root, request)
-            gather = self._gather(plan, query)
-        merged = self._finalise(query, gather)
-        return self._distributed_result(
-            query, MECHANISM_MULTILEVEL, merged, gather, len(targets),
+        gather = self._gather(
+            query, self._plan_from_tree(tree.root, request),
+            lambda: {node.host: wire.request_with_spec(request, node.spec)
+                     for node in tree.host_nodes()})
+        return self._result(
+            query, MECHANISM_MULTILEVEL, gather, len(targets),
             breakdown={"tree_depth": float(tree.depth()),
                        "host_execution": gather.max_exec_s,
                        "merge_total": sum(gather.merge_s.values()),
                        "controller_aggregation": gather.merge_s[None]})
-
-    def _gather_tree_groups(self, query: Query, targets: List[str],
-                            frames: Dict[str, bytes], plan: PlanNode
-                            ) -> GatherResult:
-        """Multi-level scatter in the worker modes: fetch, then fold.
-
-        *Fetch* is :meth:`_gather_groups` over the tree edges' real
-        query+spec ``frames``, whose pre-order orders the alarms: every
-        worker still receives the request its edge carries, one envelope
-        per group instead of one round trip per host.  *Fold* runs ``plan``
-        through a serial executor on the calling thread whose per-host
-        work is a lookup of the fetched partial, so merge order, merges,
-        ``request_parts`` and response sizes - hence ``payload`` and
-        ``traffic_bytes`` (the tree edges, sized with measured frame
-        lengths) - are byte-identical to the serial walk.  The fetch
-        envelopes are counted on the channel model too but stay out of
-        ``traffic_bytes``.
-
-        A group lost in the fetch keeps its one ``W_HOST_FAILED`` naming
-        the group key; the fold misses exactly its member hosts, which
-        land in ``hosts_failed`` in canonical plan order without a warning
-        each, and survivors' subtrees still aggregate.
-
-        Returns the fold's gather completed with the fetch: ``wall_s`` is
-        the measured wall of both phases and ``max_exec_s`` the slowest
-        group exchange, which ``model_time_s`` adds to the fold's model
-        (the fold's own per-host execution is a lookup, and no partial
-        exists before its group answered).
-        """
-        fetched = self._gather_groups(
-            query, targets, frames, list(frames), leaf=dict,
-            merge=lambda values: {host: partial for value in values
-                                  for host, partial in value.items()})
-        partials: Dict[str, QueryResult] = fetched.value or {}
-        fold = self._run_plan(plan, query, partials.__getitem__,
-                              ScatterGatherExecutor())
-        lost = set(fetched.hosts_failed)
-        fold.warnings = sorted(
-            fetched.warnings + [w for w in fold.warnings
-                                if w.code != W_HOST_FAILED
-                                or w.host not in lost],
-            key=lambda w: (w.host, w.code))
-        fold.wall_s += fetched.wall_s
-        fold.max_exec_s = fetched.max_exec_s
-        fold.model_time_s += fetched.max_exec_s
-        fold.duplicate_traffic_bytes += fetched.duplicate_traffic_bytes
-        return fold
 
     def execute(self, query: Query, hosts: Optional[Sequence[str]] = None,
                 mechanism: str = MECHANISM_DIRECT) -> DistributedQueryResult:
@@ -1220,98 +1077,137 @@ class QueryCluster:
         return targets
 
     @staticmethod
-    def _plan_from_tree(node: TreeNode, request: bytes,
-                        frames: Optional[Dict[str, bytes]] = None
-                        ) -> PlanNode:
+    def _plan_from_tree(node: TreeNode, request: bytes) -> PlanNode:
         """Map an aggregation (sub)tree onto a scatter plan.
 
         Every non-root edge batches the query and the child's subtree
         description into one request message.  ``request`` is the bare
         query frame, encoded once per query; the edge's parts are its
         length and the node's ``spec_len``, so they sum to exactly what
-        travels.  Given ``frames`` (the worker modes ship them), each
-        host's ``encode_query_request(query, spec)`` is spliced from
-        ``request`` into it, in plan pre-order.
+        travels (``wire.request_with_spec(request, node.spec)``).
         """
         def walk(node: TreeNode) -> PlanNode:
             plan = PlanNode(node.host)
             if node.host is not None:
                 plan.request_parts = (len(request), node.spec_len)
-                if frames is not None:
-                    frames[node.host] = wire.request_with_spec(request,
-                                                               node.spec)
             plan.children = list(map(walk, node.children))
             return plan
 
         return walk(node)
 
-    def _uses_agent_servers(self, query: Query) -> bool:
-        """Whether this query's per-host work runs on the worker pool.
+    def _gather(self, query: Query, plan: PlanNode,
+                frames: Callable[[], Dict[str, bytes]]) -> GatherResult:
+        """Run ``query`` over ``plan`` - the one query path of every mode
+        and both mechanisms: fetch one partial per plan host, then fold.
 
-        Every built-in runs host-side: the workers own the TIB *and* the
-        monitor, and alarms their handlers raise ride the reply frames back
-        to the controller's bus.  Only custom handlers registered on
-        individual in-process agents fall back local (the worker cannot
-        know them).
+        *Fetch*: in process, ``agent.execute_query`` as the fold reaches
+        the host, under :attr:`executor`'s transport, deadline and
+        retries.  When the workers serve the query (every built-in; a
+        custom handler registered on the in-process agents runs local),
+        :meth:`_fetch` of ``frames()`` - ``{host: request frame}`` in plan
+        pre-order, built only then - and the fold's work is a lookup.
+
+        *Fold*: ``plan`` (flat for direct, the tree for multi-level) with
+        the query's merge, then priced: its legs - one request and one
+        response per plan host, with measured frame lengths - are counted
+        on :attr:`rpc`, and ``model_time_s`` is
+        :func:`~repro.core.rpc.model_response_time`.  So ``traffic_bytes``
+        and the channel counters are the same in every mode.
+
+        A fetched fold is finished from its fetch: the fetch's warnings
+        (one ``W_HOST_FAILED`` per lost group) stand for the fold's misses,
+        whose hosts land in ``hosts_failed`` in plan order while survivors'
+        subtrees still aggregate; ``wall_s`` covers both steps,
+        ``duplicate_traffic_bytes`` adds the fetch's voided envelopes, and
+        the slowest group exchange is ``max_exec_s`` and is added to
+        ``model_time_s`` (no partial exists before its group answered).
         """
-        return (self.mode in _WORKER_MODES
-                and self._process_pool is not None
-                and query.name in SERVED_QUERIES)
-
-    def _gather(self, plan: PlanNode, query: Query) -> GatherResult:
-        """Run a scatter plan on the in-process agents: per-host query
-        execution + one merge per aggregation node.  (The worker modes
-        fetch through :meth:`_gather_groups` instead.)"""
-        def work(host: str) -> QueryResult:
+        def local(host: str) -> QueryResult:
             agent = self.agents.get(host)
             if agent is None:
                 raise KeyError(f"no agent running on {host}")
             return agent.execute_query(query)
 
-        return self._run_plan(plan, query, work, self.executor)
-
-    def _merger(self, query: Query):
-        """The query's merge; what travels is sized in ``response_bytes``."""
-        return functools.partial(self.engine.merge, query, measure_wire=False)
-
-    def _run_plan(self, plan: PlanNode, query: Query, work,
-                  executor: ScatterGatherExecutor) -> GatherResult:
-        """Run a scatter plan whose hosts ``work`` answers on ``executor``,
-        folding the partial results with the query's merge."""
         def response_bytes(result: QueryResult) -> int:
             if not result.wire_bytes:  # an unmeasured merge accumulator
                 result.wire_bytes = measured_result_wire_bytes(result)
             return result.wire_bytes
 
-        return self._run(executor, plan, work, self._merger(query),
-                         response_bytes)
+        fetched = None
+        executor, work = self.executor, local
+        if (self.mode in _WORKER_MODES and self._process_pool is not None
+                and query.name in SERVED_QUERIES):
+            fetched = self._fetch(query, frames())
+            executor, work = ScatterGatherExecutor(), fetched.value.__getitem__
+        # What travels is sized in ``response_bytes``, not by the merge.
+        merge = functools.partial(self.engine.merge, query, measure_wire=False)
+        gather = executor.run(plan, work, merge, response_bytes=response_bytes)
+        charge_legs(plan, gather.reports, self.rpc)
+        gather.model_time_s = model_response_time(
+            plan, gather.reports, gather.merge_s, self.rpc)
+        if fetched is not None:
+            gather.warnings = fetched.warnings
+            gather.wall_s += fetched.wall_s
+            gather.duplicate_traffic_bytes += fetched.duplicate_traffic_bytes
+            gather.max_exec_s = fetched.max_exec_s
+            gather.model_time_s += fetched.max_exec_s
+        return gather
 
-    def _finalise(self, query: Query, gather: GatherResult) -> QueryResult:
-        """Normalise the gathered accumulator into one aggregate result.
+    def _fetch(self, query: Query, frames: Dict[str, bytes]) -> GatherResult:
+        """Fetch every ``frames`` host's partial from the workers: one
+        ``MSG_GROUP_BATCH`` envelope per group touched (a host no worker
+        serves is a leaf of its own and fails like a dead agent), through
+        :meth:`_scatter_groups` - so timeouts, retries and supervision act
+        per group, the failure domain.  The gather's value is ``{host:
+        partial}``.  Piggybacked alarms go to the bus in ``frames``' order
+        (:class:`_AlarmCollector`), as the serial fold raises them - and a
+        reply the scatter gives up on still surrenders its alarms."""
+        pool = self._process_pool
+        leaves: Dict[str, List[Tuple[str, bytes]]] = {}
+        for key, run_hosts in pool.runs(list(frames)):
+            leaves.setdefault(key, []).extend(
+                (host, frames[host]) for host in run_hosts)
+        sink = _AlarmCollector(self, latch=False, order=list(frames))
 
-        Only its payload and scan stats are read (the gather carries
-        ``partial``/``warnings``), and the root accumulator never travels,
-        so it is never sized."""
-        if gather.value is None:
-            # Nothing gathered (no hosts targeted, or every host failed):
-            # the canonical empty aggregate, with ``partial``/``warnings``
-            # telling the two cases apart.
-            return self.engine.merge(query, (), measure_wire=False)
-        if gather.root_merges == 0:
-            # A single partial reached the root unmerged; run it through the
-            # merger once so the aggregate has canonical shape.
-            return self.engine.merge(query, (gather.value,),
-                                     measure_wire=False)
-        return gather.value
+        def take_alarms(results: List[Tuple[str, QueryResult]],
+                        capture) -> Dict[str, QueryResult]:
+            for host, result in results:
+                capture(host, result.alarms)
+                result.alarms = ()
+            return dict(results)
 
-    def _distributed_result(self, query: Query, mechanism: str,
-                            merged: QueryResult, gather: GatherResult,
-                            host_count: int,
-                            breakdown: Dict[str, float]
-                            ) -> DistributedQueryResult:
-        # Pending infrastructure warnings (mirror detaches, worker
-        # restarts, circuit opens) ride the next result so callers see
-        # degradation without polling the pool's counters.
+        def consume(exchange: Exchange, deadline: Optional[float]):
+            try:
+                results, reply_bytes, _sent = pool.group_query(
+                    exchange, query, deadline)
+            except DeadlineExceeded:
+                self._consume_late(lambda: take_alarms(
+                    pool.group_query(exchange, query)[0], sink.park))
+                raise
+            return take_alarms(results, sink.land), reply_bytes
+
+        _plan, gather = self._scatter_groups(leaves, consume)
+        sink.dispatch()
+        return gather
+
+    def _result(self, query: Query, mechanism: str, gather: GatherResult,
+                host_count: int, breakdown: Dict[str, float]
+                ) -> DistributedQueryResult:
+        """The query's result from its fold.
+
+        The root accumulator is read for its payload and scan stats only
+        (it never travels, so it is never sized).  Nothing gathered - no
+        hosts targeted, or every host failed, which ``partial`` tells
+        apart - is the canonical empty aggregate, and a single partial
+        that reached the root unmerged runs through the merge once, so the
+        aggregate has canonical shape.  Pending infrastructure warnings
+        (mirror detaches, worker restarts, circuit opens) ride the result,
+        so callers see degradation without polling the pool's counters.
+        """
+        merged = gather.value
+        if merged is None or gather.root_merges == 0:
+            merged = self.engine.merge(
+                query, () if merged is None else (merged,), measure_wire=False)
         return DistributedQueryResult(
             query=query, mechanism=mechanism, payload=merged.payload,
             response_time_s=gather.model_time_s,

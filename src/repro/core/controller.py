@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.alarms import Alarm, AlarmBus, LOOP_DETECTED, LONG_PATH
 from repro.core.cluster import (MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
                                 DistributedQueryResult, QueryCluster)
-from repro.core.query import Query, QueryResult
+from repro.core.query import Query
 from repro.counters import Counters
 from repro.network.packet import FlowId, Packet
 from repro.network.simulator import Fabric
@@ -99,14 +99,6 @@ class PathDumpController:
         """``execute(List<HostID>, Query)`` from Table 1."""
         self.stats.queries_executed += 1
         return self.cluster.execute(query, hosts, mechanism)
-
-    def execute_at(self, host: str, query: Query) -> QueryResult:
-        """Run a query at a single host (direct query to one TIB)."""
-        self.stats.queries_executed += 1
-        result = self.cluster.agent(host).execute_query(query)
-        # The reply is the measured result frame (``wire_bytes``).
-        self.cluster.rpc.round_trip(query.request_bytes(), result.wire_bytes)
-        return result
 
     def install(self, hosts: Optional[Sequence[str]], query: Query,
                 period: Optional[float] = None) -> None:

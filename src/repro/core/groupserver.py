@@ -619,10 +619,11 @@ class GroupAgentPool:
 
     def runs(self, targets: Sequence[str]) -> List[Tuple[str, List[str]]]:
         """``targets`` as ``(group key, hosts)`` runs of consecutive
-        same-group hosts - the leaves of a coalesced scatter (shards are
-        contiguous: one run per group for the canonical host order).  A
-        target no worker serves is a run of its own under its own name,
-        which fails when asked, like any dead agent."""
+        same-group hosts (shards are contiguous: one run per group for the
+        canonical host order); a coalesced scatter gathers a group's runs
+        into its one envelope.  A target no worker serves is a run of its
+        own under its own name, which fails when asked, like any dead
+        agent."""
         runs: List[Tuple[str, List[str]]] = []
         for host in targets:
             slot = self._slot_of_host.get(host)

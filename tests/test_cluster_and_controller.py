@@ -5,11 +5,10 @@ import random
 import pytest
 
 from repro.core import (AggregationTree, MECHANISM_DIRECT,
-                        MECHANISM_MULTILEVEL, PathDumpController,
-                        Q_FLOW_SIZE_DISTRIBUTION, Q_POOR_TCP_FLOWS,
-                        Q_TOP_K_FLOWS, Query, QueryCluster, RpcChannel,
-                        ScatterGatherExecutor, wire)
-from repro.core.query import measured_result_wire_bytes
+                        MECHANISM_MULTILEVEL, MODE_SERIAL, MODE_SOCKET,
+                        PathDumpController, Q_FLOW_SIZE_DISTRIBUTION,
+                        Q_POOR_TCP_FLOWS, Q_TOP_K_FLOWS, Query, QueryCluster,
+                        RpcChannel, ScatterGatherExecutor, wire)
 from repro.core.rpc import MESSAGE_OVERHEAD_BYTES
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
@@ -213,20 +212,27 @@ class TestController:
         assert controller.uninstall(["h-0-0-0"], Q_POOR_TCP_FLOWS) == 1
         assert controller.stats.queries_executed == 1
 
-    def test_execute_at_single_host(self, pathdump_deployment):
-        _, _, _, cluster, controller = pathdump_deployment
-        host = cluster.hosts[0]
+    def test_execute_at_single_host(self, make_pathdump_deployment):
+        """Table 1's ``execute([host], query)``: one request and one reply
+        message, each its measured codec frame, in either mode."""
         query = Query(Q_POOR_TCP_FLOWS, {})
-        cluster.rpc.stats.reset()
-        result = controller.execute_at(host, query)
-        assert result.host == host
-        # Request and reply are each one message carrying its measured
-        # codec frame (the reply is never priced as an empty message).
-        assert result.wire_bytes == measured_result_wire_bytes(result) > 0
-        assert cluster.rpc.stats.messages == 2
-        assert cluster.rpc.stats.bytes == (
-            query.request_bytes() + result.wire_bytes
-            + 2 * MESSAGE_OVERHEAD_BYTES)
+        seen = []
+        for mode in (MODE_SERIAL, MODE_SOCKET):
+            _, _, _, cluster, controller = make_pathdump_deployment(mode=mode)
+            with cluster:
+                host = cluster.hosts[0]
+                cluster.rpc.stats.reset()
+                result = controller.execute([host], query)
+                frames = (wire.encode_query_request(query, None),
+                          wire.encode_result(
+                              cluster.agent(host).execute_query(query)))
+                assert cluster.rpc.stats.messages == 2 and not result.partial
+                assert result.traffic_bytes == sum(map(len, frames))
+                assert cluster.rpc.stats.bytes == (
+                    result.traffic_bytes + 2 * MESSAGE_OVERHEAD_BYTES)
+                seen.append((wire.encode_value(result.payload),
+                             cluster.rpc.stats.bytes))
+        assert seen[0] == seen[1]
 
     def test_alarm_counting(self, pathdump_deployment):
         _, _, _, cluster, controller = pathdump_deployment

@@ -39,9 +39,8 @@ from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
                         Supervisor, shard_hosts, wire)
 from repro.core.aggregation import AggregationTree
 from repro.core.alarms import PC_FAIL
-from repro.core.executor import (ScatterGatherExecutor, W_HOST_FAILED,
-                                 W_HOST_TIMEOUT, W_MIRROR_DETACHED,
-                                 W_WORKER_RESTARTED)
+from repro.core.executor import (W_HOST_FAILED, W_HOST_TIMEOUT,
+                                 W_MIRROR_DETACHED, W_WORKER_RESTARTED)
 from repro.core.groupserver import OUTBOX_FLUSH_BYTES
 from repro.core.monitor import MonitorSnapshot
 from repro.core.plan import (Aggregate, Filter, Plan, Project, TopK,
@@ -268,21 +267,24 @@ class TestPayloadIdentity:
         for."""
         query = Query(name, dict(params))
         worker_mode = shaped_cluster.worker_mode
-        results = {}
+        results, charged = {}, {}
+        stats = shaped_cluster.rpc.stats
         for mode in (MODE_SERIAL, worker_mode):
             shaped_cluster.configure_executor(mode=mode)
+            stats.reset()
             results[mode] = shaped_cluster.execute(query,
                                                    mechanism=mechanism)
+            charged[mode] = (stats.messages, stats.bytes)
         encoded = {mode: wire.encode_value(result.payload)
                    for mode, result in results.items()}
         assert encoded[MODE_SERIAL] == encoded[worker_mode]
         assert encoded[MODE_SERIAL] != wire.encode_value(None)
         assert results[worker_mode].mode == worker_mode
         assert not results[worker_mode].partial
-        if mechanism == MECHANISM_MULTILEVEL:
-            # Tree edges ship the same per-host frames in every mode.
-            assert results[MODE_SERIAL].traffic_bytes == \
-                results[worker_mode].traffic_bytes
+        # Per-host or per-tree-edge legs in every mode, on both counters.
+        assert results[MODE_SERIAL].traffic_bytes == \
+            results[worker_mode].traffic_bytes
+        assert charged[MODE_SERIAL] == charged[worker_mode]
 
     def test_unroutable_target_fails_like_a_dead_agent(self, shaped_cluster):
         """A target no worker serves lands in ``hosts_failed`` (it does not
@@ -353,9 +355,10 @@ class TestDurationAcrossHosts:
 
 
 class TestMeasuredTraffic:
-    def test_direct_traffic_is_sum_of_envelope_lengths(self, shaped_cluster):
-        """Reported traffic is exactly: one request envelope per worker
-        group carrying every member's query frame, plus that group's reply
+    def test_direct_envelopes_reconcile_with_pool_counters(
+            self, shaped_cluster):
+        """The pool counts exactly: one request envelope per worker group
+        carrying every member's query frame, plus that group's reply
         envelope carrying every member's measured result frame (no
         estimates anywhere).  Under ``"process"`` that is one single-entry
         envelope per host each way."""
@@ -371,21 +374,12 @@ class TestMeasuredTraffic:
             expected += len(wire.encode_group_batch(
                 1, [(host, request) for host in hosts]))
             expected += len(wire.encode_group_batch(1, replies))
-        # The root's response leg is free (it is the controller); direct
-        # plans only move group requests and group responses.
         cluster.configure_executor(mode=cluster.worker_mode)
+        pool.reset_stats()
         outcome = cluster.execute(query, mechanism=MECHANISM_DIRECT)
-        assert outcome.traffic_bytes == expected
+        assert pool.stats.bytes_sent + pool.stats.bytes_received == expected
         assert outcome.duplicate_traffic_bytes == 0
-
-    def test_direct_traffic_reconciles_with_pool_counters(self):
-        with worker_cluster() as cluster:
-            pool = cluster.agent_servers
-            pool.reset_stats()
-            result = cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 10}))
-            assert result.traffic_bytes == \
-                pool.stats.bytes_sent + pool.stats.bytes_received > 0
-            assert result.wall_clock_s > 0
+        assert outcome.wall_clock_s > 0
 
     def test_multilevel_edge_parts_sum_to_the_combined_frame(
             self, shaped_cluster):
@@ -394,23 +388,17 @@ class TestMeasuredTraffic:
         frame - spliced from the query's one bare encode - is the real
         encoder's, byte for byte."""
         query = Query(Q_TOP_K_FLOWS, {"k": 3})
-        frames = {}
+        request = wire.encode_query_request(query, None)
         tree = AggregationTree(shaped_cluster.hosts, fanout=(2, 2))
-        plan = shaped_cluster._plan_from_tree(
-            tree.root, wire.encode_query_request(query, None), frames)
         specs = {node.host: node.spec for node in tree.host_nodes()}
-        stack = [plan]
-        checked = 0
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children)
-            if node.host is None:
-                continue
+        plan = [shaped_cluster._plan_from_tree(tree.root, request)]
+        for node in plan:  # breadth-first, growing as it goes
+            plan += node.children
+        assert len(plan) == len(shaped_cluster.hosts) + 1
+        for node in plan[1:]:
             frame = wire.encode_query_request(query, specs[node.host])
-            assert frames[node.host] == frame
+            assert wire.request_with_spec(request, specs[node.host]) == frame
             assert sum(node.request_parts) == len(frame)
-            checked += 1
-        assert checked == len(shaped_cluster.hosts)
 
     def test_result_wire_bytes_is_the_inner_reply_frame(self,
                                                         shaped_cluster):
@@ -474,26 +462,37 @@ class TestFrameCoalescing:
             assert pool.stats.envelopes_sent == 3 * NUM_HOSTS
             assert pool.stats.frames_sent == pool.stats.envelopes_sent
 
-    def test_multilevel_ships_one_envelope_per_group(self):
-        """A multi-level query costs one request envelope per group
-        touched, not one round trip per host - and what the envelopes
-        carry is still every tree edge's real query+spec frame."""
+    @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
+                                           MECHANISM_MULTILEVEL])
+    def test_queries_ship_one_envelope_per_group_touched(self, mechanism):
+        """A query costs one request envelope per group touched, however
+        its targets interleave the groups, not one round trip per host -
+        and what the envelopes carry is still every host's real request
+        frame (every tree edge's query+spec under multi-level)."""
         query = Query(Q_TOP_K_FLOWS, {"k": 10})
+        request = wire.encode_query_request(query, None)
         with worker_cluster() as cluster:
             pool = cluster.agent_servers
+            targets = cluster.hosts[::2] + cluster.hosts[1::2]
             specs = {node.host: node.spec
-                     for node in AggregationTree(cluster.hosts).host_nodes()}
-            expected = sum(
-                len(wire.encode_group_batch(1, [
-                    (host, wire.encode_query_request(query, specs[host]))
-                    for host in pool.group_hosts(key)]))
+                     for node in AggregationTree(targets).host_nodes()}
+            frames = {host: request if mechanism == MECHANISM_DIRECT
+                      else wire.request_with_spec(request, specs[host])
+                      for host in targets}
+            expected = sum(len(wire.encode_group_batch(1, [
+                (host, frames[host]) for host in pool.group_hosts(key)]))
                 for key in pool.group_keys())
             pool.reset_stats()
-            result = cluster.execute(query, mechanism=MECHANISM_MULTILEVEL)
+            result = cluster.execute(query, targets, mechanism)
             assert not result.partial
             assert pool.stats.envelopes_sent == GROUPS
             assert pool.stats.frames_sent == NUM_HOSTS
             assert pool.stats.bytes_sent == expected
+            cluster.configure_executor(mode=MODE_SERIAL)
+            serial = cluster.execute(query, targets, mechanism)
+        assert wire.encode_value(result.payload) == \
+            wire.encode_value(serial.payload)
+        assert result.traffic_bytes == serial.traffic_bytes
 
     def test_sweep_coalesces_one_envelope_per_group(self):
         with worker_cluster(feed=feed_workload) as cluster:
@@ -539,16 +538,17 @@ class TestSplitPhaseScatter:
         with worker_cluster(feed=feed_workload) as cluster:
             pool = cluster.agent_servers
             gathers = []
-            run = ScatterGatherExecutor.run
+            scatter = QueryCluster._scatter_groups
 
-            def recording_run(executor, *args, **kwargs):
-                gathers.append(run(executor, *args, **kwargs))
+            def recording_scatter(*args, **kwargs):
+                gathers.append(scatter(*args, **kwargs))
                 return gathers[-1]
 
-            monkeypatch.setattr(ScatterGatherExecutor, "run", recording_run)
+            monkeypatch.setattr(QueryCluster, "_scatter_groups",
+                                recording_scatter)
             pool.stall(pool.group_hosts("group-0")[0], stall_s)
             assert cluster.run_monitors(1.0)
-            reports = gathers[-1].reports
+            reports = gathers[-1][1].reports
             assert reports["group-0"].exec_s >= stall_s
             assert reports["group-1"].exec_s < stall_s / 2
             for key in pool.group_keys():
@@ -558,7 +558,7 @@ class TestSplitPhaseScatter:
             assert stall_s <= result.wall_clock_s < 1.5 * stall_s
             assert result.breakdown["host_execution"] >= stall_s
             assert all(report.exec_s >= stall_s
-                       for report in gathers[-1].reports.values())
+                       for report in gathers[-1][1].reports.values())
 
 
 class TestRepeatedHosts:
