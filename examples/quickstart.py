@@ -1,9 +1,10 @@
 """Quickstart: trace a flow's path through a fat-tree and query it back.
 
 This example builds the full PathDump stack on a simulated 4-ary fat-tree,
-sends one TCP flow across pods, and then uses the Table 1 host API
-(``getPaths`` / ``getCount`` / ``getDuration``) and a distributed top-k query
-to inspect what the destination's Trajectory Information Base recorded.
+sends one TCP flow across pods, and then uses the Table 1 controller API
+(``execute`` of a ``getPaths`` query, and a distributed top-k query) and host
+API (``getCount`` / ``getDuration``) to inspect what the destination's
+Trajectory Information Base recorded.
 
 Run with::
 
@@ -13,8 +14,8 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis import format_table
-from repro.core import (MECHANISM_MULTILEVEL, PathDumpController, Q_TOP_K_FLOWS,
-                        Query, QueryCluster)
+from repro.core import (MECHANISM_MULTILEVEL, PathDumpController, Q_GET_PATHS,
+                        Q_TOP_K_FLOWS, Query, QueryCluster)
 from repro.network import Fabric, RoutingFabric
 from repro.topology import FatTreeTopology, apply_assignment, assign_link_ids
 from repro.transport import TcpSender
@@ -46,9 +47,11 @@ def main() -> None:
           f"{result.packets_delivered} packets "
           f"({result.throughput_bps / 1e6:.0f} Mbit/s).")
 
-    # 4. Query the destination agent with the host API.
-    agent = cluster.agent("h-3-1-0")
-    paths = agent.get_paths(spec.flow_id)
+    # 4. Ask the destination for the flow's paths through the controller
+    #    API (Table 1's ``execute``), then read its TIB with the host API.
+    paths = controller.execute(
+        [spec.dst], Query(Q_GET_PATHS, {"flow_id": spec.flow_id})).payload
+    agent = cluster.agent(spec.dst)
     nbytes, pkts = agent.get_count(spec.flow_id)
     duration = agent.get_duration(spec.flow_id)
     print("\nDestination TIB view of the flow:")

@@ -10,8 +10,9 @@ package inside the project and flags any ``pickle``/``marshal``/
 measured traffic into fiction and reopens the arbitrary-deserialization
 surface the codec closed.
 
-R5 (determinism): serial, thread and process mode must produce
-byte-identical payloads, and chaos runs must reproduce seed-for-seed.
+R5 (determinism): serial mode and the ``process`` and ``socket`` worker
+modes must produce byte-identical payloads, and chaos runs must
+reproduce seed-for-seed.
 That dies the moment payload-producing or result-merging code reads the
 wall clock (``time.time()``, ``datetime.now()``) or the process-global
 ``random`` generator (unseeded).  The rule covers ``core/`` and

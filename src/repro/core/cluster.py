@@ -311,6 +311,16 @@ class _AlarmCollector:
 class QueryCluster:
     """All PathDump agents of a deployment plus the distributed query logic.
 
+    In the worker modes the local ``agents`` are the workers' replica;
+    debug apps read what the workers serve, through :meth:`execute`.  The
+    replica's only readers: ingest (``ingest_path_record``,
+    ``monitor.observe_flow``, the silent-drop ``poor_threshold`` set before
+    any worker starts); the blackhole alarm raise; the two
+    ``include_live`` reads (blackhole, silent drops: only a local agent
+    holds trajectory memory, and a ``flush`` would evict); installed
+    queries (``PathDumpController.tick``, packet arrival); mode flips,
+    restart re-seeds (:meth:`_worker_seed`) and pathbench's oracle.
+
     Args:
         topo: the topology.
         assignment: link ID assignment; computed from ``topo`` when omitted.

@@ -9,20 +9,23 @@ of Table 1), using the direct or multi-level mechanism.
 
 :class:`PathDumpController` ties those roles together on top of a
 :class:`~repro.core.cluster.QueryCluster` and (optionally) a simulated
-:class:`~repro.network.simulator.Fabric`.
+:class:`~repro.network.simulator.Fabric`.  Installed queries run
+controller-side in every mode: :meth:`~PathDumpController.tick` and
+packet arrival run them on the cluster's local agents, which in the
+worker modes are the replica of what the workers serve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.alarms import Alarm, AlarmBus, LOOP_DETECTED, LONG_PATH
-from repro.core.cluster import (MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
-                                DistributedQueryResult, QueryCluster)
+from repro.core.cluster import (MECHANISM_DIRECT, DistributedQueryResult,
+                                QueryCluster)
 from repro.core.query import Query
 from repro.counters import Counters
-from repro.network.packet import FlowId, Packet
+from repro.network.packet import Packet
 from repro.network.simulator import Fabric
 from repro.tracing.cherrypick import make_tagger
 from repro.tracing.rules import CompiledRules, compile_rules

@@ -24,7 +24,7 @@ paths share 4 switches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.alarms import BLACKHOLE_SUSPECTED, POOR_PERF, Alarm
 from repro.core.cluster import QueryCluster
@@ -177,10 +177,10 @@ def run_blackhole_experiment(*, scenario: str = "agg-core", k: int = 4,
         seed: RNG seed.
         background_flows: number of background web-search flows creating
             noise in the TIBs.
-        mode: cluster execution mode; with ``"process"`` the sender's
-            POOR_PERF alarm is raised by the agent-server worker's monitor
-            and travels over the wire protocol before the diagnoser sees
-            it.
+        mode: cluster execution mode; in the ``"process"`` and
+            ``"socket"`` worker modes the sender's POOR_PERF alarm is
+            raised by the agent-server worker's monitor and travels over
+            the wire protocol before the diagnoser sees it.
         retention: optional hot-tier bounds for every TIB (two-tier mode);
             the diagnosis is tier-transparent - queries span the archive,
             so a capped deployment reaches the same verdict.

@@ -17,19 +17,21 @@ Two scenarios from the paper:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import Cdf, imbalance_rate
 from repro.core.cluster import (MECHANISM_MULTILEVEL, DistributedQueryResult,
                                 QueryCluster)
-from repro.core.query import Q_FLOW_SIZE_DISTRIBUTION, Query
-from repro.network.packet import Packet
+from repro.core.plan import AGG_SUM, Aggregate, Filter, Plan
+from repro.core.query import Q_FLOW_SIZE_DISTRIBUTION, Q_PLAN, Query
+from repro.debug.served import complete
+from repro.network.packet import FlowId, Packet
 from repro.network.routing import POLICY_SPRAY, RoutingFabric
+from repro.storage.records import flow_key
 from repro.topology.fattree import FatTreeTopology
-from repro.transport.flows import FlowLevelSimulator, FlowOutcome
-from repro.workloads.arrivals import FlowGenerator, FlowSpec
+from repro.transport.flows import FlowLevelSimulator
+from repro.workloads.arrivals import FlowGenerator
 from repro.workloads.websearch import web_search_cdf
 
 #: The flow-size threshold of the Figure 5 scenario (1 MB).
@@ -68,10 +70,8 @@ class EcmpImbalanceResult:
         """
         total = 0
         correct = 0
-        labels = sorted(self.link_flow_sizes)
-        if len(labels) != 2:
+        if len(self.link_flow_sizes) != 2:
             return 0.0
-        big_link, small_link = labels[0], labels[1]
         # Identify which link carries the large flows by mean size.
         means = {label: (sum(sizes) / len(sizes) if sizes else 0.0)
                  for label, sizes in self.link_flow_sizes.items()}
@@ -224,16 +224,19 @@ def run_packet_spraying_experiment(*, k: int = 4, flow_size: int = 100_000_000,
                                       spray_weights=weights)
     cluster.ingest_flow_outcomes([outcome])
 
-    # Read the per-path statistics back from the destination TIB (one pass
-    # over the flow-indexed records instead of a full getFlows scan).
-    agent = cluster.agent(dst)
-    per_path: Dict[Tuple[str, ...], int] = {}
-    for record in agent.records(flow_id=spec.flow_id):
-        per_path[record.path] = per_path.get(record.path, 0) + record.bytes
-
+    per_path = per_path_bytes(cluster, dst, spec.flow_id)
     values = list(per_path.values())
     rate = imbalance_rate(values) if values else 0.0
     return SprayingResult(per_path_bytes=per_path,
                           balanced=rate < 25.0,
                           imbalance_rate_pct=rate,
                           flow_size=flow_size)
+
+
+def per_path_bytes(cluster: QueryCluster, host: str,
+                   flow_id: FlowId) -> Dict[Tuple[str, ...], int]:
+    """Bytes per path of one flow, read back from ``host``'s TIB (the
+    flow-indexed records, not a full getFlows scan)."""
+    plan = Plan(ops=(Filter(flow_keys=(flow_key(flow_id),)),
+                     Aggregate(func=AGG_SUM, fields=("bytes",), by=("path",))))
+    return complete(cluster.execute(Query(Q_PLAN, {"plan": plan}), [host]))

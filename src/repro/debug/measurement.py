@@ -16,16 +16,17 @@ implements the measurement queries the paper lists:
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.cluster import (MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
-                                DistributedQueryResult, QueryCluster)
-from repro.core.query import Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX, Query
-from repro.core.tib import LinkId, TimeRange
+from repro.core.cluster import (MECHANISM_MULTILEVEL, DistributedQueryResult,
+                                QueryCluster)
+from repro.core.plan import AGG_SUM, Aggregate, Filter, Plan
+from repro.core.query import Q_PLAN, Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX, Query
+from repro.core.tib import LinkId, TimeRange, normalise_time_range
+from repro.debug.served import complete
 from repro.network.packet import FlowId
-from repro.storage.records import flow_key, parse_flow_key
+from repro.storage.records import parse_flow_key
 from repro.workloads.traffic_matrix import TrafficMatrix
 
 
@@ -60,16 +61,20 @@ def heavy_hitters(cluster: QueryCluster, threshold_bytes: int,
                   hosts: Optional[Sequence[str]] = None,
                   time_range: Optional[TimeRange] = None) -> List[TopFlow]:
     """Flows larger than ``threshold_bytes`` anywhere in the cluster."""
-    targets = hosts if hosts is not None else cluster.hosts
-    hitters: Dict[str, int] = defaultdict(int)
-    for host in targets:
-        agent = cluster.agent(host)
-        for record in agent.records(time_range=time_range):
-            hitters[flow_key(record.flow_id)] += record.bytes
+    totals = complete(cluster.execute(_flow_bytes(time_range), hosts))
     return sorted(
         (TopFlow(flow_id=parse_flow_key(key), bytes=nbytes)
-         for key, nbytes in hitters.items() if nbytes >= threshold_bytes),
+         for key, nbytes in totals.items() if nbytes >= threshold_bytes),
         key=lambda t: -t.bytes)
+
+
+def _flow_bytes(time_range: Optional[TimeRange]) -> Query:
+    """Bytes per flow key of the records overlapping ``time_range`` (a
+    reversed range raises ``ValueError`` here, not as a partial read)."""
+    start, end = normalise_time_range(time_range)
+    return Query(Q_PLAN, {"plan": Plan(ops=(
+        Filter(start=start, end=end),
+        Aggregate(func=AGG_SUM, fields=("bytes",), by=("flow",))))})
 
 
 def traffic_matrix(cluster: QueryCluster,
@@ -95,15 +100,11 @@ def congested_link_flows(cluster: QueryCluster, link: LinkId,
     An operator uses this to decide which flows to re-route away from a hot
     link (Table 2, "Find flows using a congested link").
     """
-    targets = hosts if hosts is not None else cluster.hosts
-    totals: Dict[str, int] = defaultdict(int)
-    for host in targets:
-        agent = cluster.agent(host)
-        for record in agent.records(link=link, time_range=time_range):
-            totals[flow_key(record.flow_id)] += record.bytes
-    ranked = sorted(totals.items(), key=lambda kv: -kv[1])[:top]
-    return [TopFlow(flow_id=parse_flow_key(key), bytes=nbytes)
-            for key, nbytes in ranked]
+    normalise_time_range(time_range)  # a reversed range: ValueError
+    flows, result = top_k_flows(cluster, k=top, hosts=hosts, link=link,
+                                time_range=time_range)
+    complete(result)
+    return flows
 
 
 @dataclass
@@ -119,18 +120,23 @@ class FanInReport:
 def ddos_fan_in(cluster: QueryCluster, source_threshold: int = 10,
                 hosts: Optional[Sequence[str]] = None,
                 time_range: Optional[TimeRange] = None) -> List[FanInReport]:
-    """Per-destination distinct-source counts (DDoS diagnosis, Table 2)."""
+    """Per-destination distinct-source counts (DDoS diagnosis, Table 2).
+
+    Only what a destination itself recorded counts towards its fan-in, so
+    each destination is asked alone.
+    """
     targets = hosts if hosts is not None else cluster.hosts
+    query = _flow_bytes(time_range)
     reports: List[FanInReport] = []
     for host in targets:
-        agent = cluster.agent(host)
         sources = set()
         total = 0
-        for record in agent.records(time_range=time_range):
-            if record.flow_id.dst_ip != host:
+        for key, nbytes in complete(cluster.execute(query, [host])).items():
+            flow_id = parse_flow_key(key)
+            if flow_id.dst_ip != host:
                 continue
-            sources.add(record.flow_id.src_ip)
-            total += record.bytes
+            sources.add(flow_id.src_ip)
+            total += nbytes
         reports.append(FanInReport(
             destination=host, distinct_sources=len(sources),
             total_bytes=total,

@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence, Set, Tuple
 from repro.core.alarms import PC_FAIL, Alarm
 from repro.core.cluster import QueryCluster
 from repro.core.controller import PathDumpController
-from repro.core.query import Q_PATH_CONFORMANCE, Query
+from repro.core.query import Q_GET_PATHS, Q_PATH_CONFORMANCE, Query
+from repro.debug.served import complete
 from repro.network.faults import FaultInjector
 from repro.network.packet import FlowId
 from repro.network.routing import RoutingFabric
@@ -98,10 +99,6 @@ class PathConformanceApp:
     def _on_alarm(self, alarm: Alarm) -> None:
         self.violations.append(alarm)
 
-    def violation_count(self) -> int:
-        """Number of PC_FAIL alarms received."""
-        return len(self.violations)
-
 
 @dataclass
 class ConformanceExperimentResult:
@@ -131,9 +128,9 @@ def run_path_conformance_experiment(*, k: int = 4, seed: int = 0,
     fails over onto a longer path, and the destination agent's installed
     conformance query raises a PC_FAIL alarm carrying the offending
     trajectory.  The experiment runs in any cluster ``mode``: the
-    event-driven installed query always executes at the end host on packet
-    arrival, and the alarm bus carries the PC_FAIL alert identically in
-    serial, process and socket mode.
+    event-driven installed query runs controller-side on packet arrival,
+    the alarm bus carries the PC_FAIL alert identically, and the detour is
+    read from the worker serving the destination in the worker modes.
     """
     topo = FatTreeTopology(k)
     routing = RoutingFabric(topo)
@@ -193,11 +190,18 @@ def _run_conformance(cluster: QueryCluster, topo: FatTreeTopology,
     result = TcpSender(fabric, spec).run()
     cluster.flush_all()
 
-    actual_paths = cluster.agent(dst).get_paths(spec.flow_id)
-    actual = max(actual_paths, key=len) if actual_paths else ()
     alarms = controller.alarms(PC_FAIL)
     detection_paths = [tuple(p) for alarm in alarms for p in alarm.paths]
     return ConformanceExperimentResult(
-        expected_path=expected, actual_path=tuple(actual),
+        expected_path=expected,
+        actual_path=longest_path(cluster, dst, spec.flow_id),
         violation_detected=bool(alarms), alarms=alarms,
         detection_paths=detection_paths)
+
+
+def longest_path(cluster: QueryCluster, host: str,
+                 flow_id: FlowId) -> Tuple[str, ...]:
+    """The longest path ``host``'s TIB recorded for the flow, or ``()``."""
+    paths = complete(cluster.execute(
+        Query(Q_GET_PATHS, {"flow_id": flow_id}), [host]))
+    return tuple(max(paths, key=len)) if paths else ()

@@ -24,13 +24,16 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.stats import jains_fairness
 from repro.core.alarms import POOR_PERF, Alarm
 from repro.core.cluster import QueryCluster
+from repro.core.plan import Plan, Project
+from repro.core.query import Q_PLAN, Query
+from repro.debug.served import complete
 from repro.network.packet import FlowId
-from repro.storage.records import PathFlowRecord
+from repro.storage.records import PathFlowRecord, parse_flow_key
 from repro.topology.fattree import FatTreeTopology
 from repro.transport.contention import (ContendingFlow, ContentionResult,
                                         simulate_incast,
@@ -40,6 +43,10 @@ from repro.workloads.arrivals import FlowGenerator
 #: Minimum number of distinct-source alerts towards one destination before
 #: the diagnosis application starts working (the paper uses 10).
 MIN_ALERTS_FOR_DIAGNOSIS = 10
+
+#: The rows a diagnosis reads off the receiver's TIB.
+_LISTING = Query(Q_PLAN, {"plan": Plan(ops=(
+    Project(("flow", "path", "stime", "etime", "bytes")),))})
 
 #: Verdicts.
 VERDICT_OUTCAST = "outcast"
@@ -106,20 +113,20 @@ class TcpAnomalyDiagnoser:
     def diagnose(self, receiver: str,
                  duration_s: float = 10.0) -> AnomalyDiagnosis:
         """Diagnose the anomaly at ``receiver`` from its TIB contents."""
-        agent = self.cluster.agents[receiver]
         throughput: Dict[str, float] = {}
         branch_flows: Dict[str, List[FlowId]] = defaultdict(list)
-        # One pass over the receiver's TIB; the engine keeps exactly one
-        # record per (flow, path), so each record already carries the pair's
+        # One listing of the receiver's TIB; the engine keeps exactly one
+        # record per (flow, path), so each row already carries the pair's
         # getCount/getDuration aggregates.
-        for record in agent.records():
-            if record.flow_id.dst_ip != receiver:
+        rows = complete(self.cluster.execute(_LISTING, [receiver]))
+        for key, path, stime, etime, nbytes in rows:
+            flow_id = parse_flow_key(key)
+            if flow_id.dst_ip != receiver:
                 continue
-            flow_id, path = record.flow_id, record.path
-            duration = (record.etime - record.stime) or duration_s
+            duration = (etime - stime) or duration_s
             throughput[flow_id.src_ip] = max(
                 throughput.get(flow_id.src_ip, 0.0),
-                record.bytes * 8.0 / max(duration, 1e-6))
+                nbytes * 8.0 / max(duration, 1e-6))
             # The branch is the node the packet came from when it reached the
             # receiver's ToR: a host for rack-local senders, an aggregate
             # switch for remote ones.
@@ -185,8 +192,9 @@ def run_outcast_experiment(*, k: int = 4, senders: int = 15,
     throughputs and retransmission streaks; TIB records and monitor alerts
     are derived from them, and the diagnosis application runs exactly as it
     would in production - over the alarm bus in every cluster ``mode``
-    (in process mode the monitors run host-side in the agent-server
-    workers and the alerts arrive over the wire).
+    (in the ``process`` and ``socket`` worker modes the monitors run
+    host-side in the agent-server workers, the alerts arrive over the wire
+    and the diagnosis reads the receiver's TIB from its worker).
     """
     topo = FatTreeTopology(k)
     cluster = QueryCluster(topo, mode=mode, retention=retention)
@@ -196,6 +204,22 @@ def run_outcast_experiment(*, k: int = 4, senders: int = 15,
                             capacity_bps=capacity_bps)
     finally:
         cluster.close()
+
+
+def _ingest(cluster: QueryCluster, receiver: str,
+            contending: List[ContendingFlow], results: List[ContentionResult],
+            duration_s: float) -> None:
+    """Feed the contention outcome into the receiver's TIB and the
+    senders' monitors."""
+    for flow, result in zip(contending, results):
+        cluster.agent(receiver).ingest_path_record(PathFlowRecord(
+            flow_id=flow.flow_id, path=flow.path, stime=0.0,
+            etime=duration_s, bytes=result.bytes_delivered,
+            pkts=max(1, result.bytes_delivered // 1460)))
+        cluster.agent(flow.flow_id.src_ip).monitor.observe_flow(
+            flow.flow_id, retransmissions=result.retransmissions,
+            consecutive=result.max_consecutive_retransmissions,
+            bytes_sent=result.bytes_delivered, when=duration_s)
 
 
 def _run_outcast(cluster: QueryCluster, topo: FatTreeTopology, *,
@@ -221,26 +245,13 @@ def _run_outcast(cluster: QueryCluster, topo: FatTreeTopology, *,
     results = simulate_port_blackout(contending, capacity_bps, duration_s,
                                      seed=seed)
 
-    # Feed the TIBs (receiver side) and the monitors (sender side).
-    receiver_agent = cluster.agent(receiver)
-    for flow, result in zip(contending, results):
-        record = PathFlowRecord(
-            flow_id=flow.flow_id, path=flow.path, stime=0.0,
-            etime=duration_s, bytes=result.bytes_delivered,
-            pkts=max(1, result.bytes_delivered // 1460))
-        receiver_agent.ingest_path_record(record)
-        sender_agent = cluster.agent(flow.flow_id.src_ip)
-        sender_agent.monitor.observe_flow(
-            flow.flow_id, retransmissions=result.retransmissions,
-            consecutive=result.max_consecutive_retransmissions,
-            bytes_sent=result.bytes_delivered, when=duration_s)
-
+    _ingest(cluster, receiver, contending, results, duration_s)
     diagnoser = TcpAnomalyDiagnoser(cluster)
     cluster.alarm_bus.subscribe(diagnoser.on_alarm, reason=POOR_PERF)
     # Every sender whose flow keeps retransmitting raises an alert during the
     # periodic check (threshold 1 retransmission streak, as in the paper's
-    # "repeatedly retransmit" query).  In process mode this is a scatter of
-    # monitor-tick frames; the alerts come back over the wire.
+    # "repeatedly retransmit" query).  In the worker modes this is a scatter
+    # of monitor-tick frames; the alerts come back over the wire.
     cluster.run_monitors(duration_s, threshold=1)
 
     if diagnoser.diagnoses:
@@ -277,17 +288,7 @@ def run_incast_experiment(*, k: int = 4, senders: int = 20,
                       for s in specs]
         results = simulate_incast(contending, capacity_bps, duration_s,
                                   seed=seed)
-        receiver_agent = cluster.agent(receiver)
-        for flow, result in zip(contending, results):
-            receiver_agent.ingest_path_record(PathFlowRecord(
-                flow_id=flow.flow_id, path=flow.path, stime=0.0,
-                etime=duration_s, bytes=result.bytes_delivered,
-                pkts=max(1, result.bytes_delivered // 1460)))
-            cluster.agent(flow.flow_id.src_ip).monitor.observe_flow(
-                flow.flow_id, retransmissions=result.retransmissions,
-                consecutive=result.max_consecutive_retransmissions,
-                bytes_sent=result.bytes_delivered, when=duration_s)
-
+        _ingest(cluster, receiver, contending, results, duration_s)
         diagnoser = TcpAnomalyDiagnoser(cluster)
         return diagnoser.diagnose(receiver, duration_s=duration_s)
     finally:

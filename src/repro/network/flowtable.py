@@ -29,10 +29,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.network.packet import Packet
 
 
-class TableMiss(Exception):
-    """Raised when no rule in a table matches and no default is installed."""
-
-
 # --------------------------------------------------------------------- match
 @dataclass(frozen=True)
 class Match:

@@ -43,12 +43,6 @@ class LinkStats(Counters):
     dropped_blackhole: int = 0
     dropped_failed: int = 0
 
-    @property
-    def dropped_total(self) -> int:
-        """Total packets dropped on the link, for any reason."""
-        return (self.dropped_random + self.dropped_blackhole
-                + self.dropped_failed)
-
 
 @dataclass
 class Link:
@@ -178,10 +172,6 @@ class LinkRegistry:
 
     def __len__(self) -> int:
         return len(self._links)
-
-    def all_endpoints(self):
-        """Iterate over all registered ``(src, dst)`` pairs."""
-        return self._links.keys()
 
     def reset_stats(self) -> None:
         """Reset statistics on every link."""

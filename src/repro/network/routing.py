@@ -197,13 +197,6 @@ class RoutingFabric:
         """Routing table of ``switch``."""
         return self.tables[switch]
 
-    def set_policy(self, policy: str,
-                   switches: Optional[Sequence[str]] = None) -> None:
-        """Set the load-balancing policy globally or for specific switches."""
-        targets = switches if switches is not None else list(self.tables)
-        for s in targets:
-            self.tables[s].policy = policy
-
     def install_custom_selector(self, switch: str,
                                 selector: CustomSelector) -> None:
         """Install a per-switch custom egress selector (scenario hook)."""

@@ -138,15 +138,6 @@ class EventScheduler:
 
 
 @dataclass
-class HopRecord:
-    """One hop of a packet's ground-truth trajectory."""
-
-    node: str
-    in_node: Optional[str]
-    out_node: Optional[str]
-
-
-@dataclass
 class ForwardingResult:
     """Outcome of injecting one packet into the fabric.
 

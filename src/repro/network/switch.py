@@ -101,14 +101,6 @@ class Switch:
         self.counters = SwitchCounters()
 
     # -------------------------------------------------------------- plumbing
-    def port_to(self, neighbor: str) -> int:
-        """Port number facing ``neighbor``."""
-        return self.port_of[neighbor]
-
-    def neighbor_on(self, port: int) -> str:
-        """Neighbor reachable through ``port``."""
-        return self.ports[port]
-
     @property
     def rule_count(self) -> int:
         """Number of static tagging rules installed on this switch."""

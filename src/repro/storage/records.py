@@ -176,11 +176,6 @@ class TrajectoryMemoryRecord:
         if when > self.etime:
             self.etime = when
 
-    @property
-    def idle_for(self) -> float:
-        """Helper for eviction: seconds since the last update (needs now)."""
-        return self.etime
-
 
 @lru_cache(maxsize=1 << 16)
 def flow_key(flow_id: FlowId) -> str:

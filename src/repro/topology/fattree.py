@@ -118,15 +118,6 @@ class FatTreeTopology(Topology):
         """ToR switches of ``pod``."""
         return [s for s in self.edge_switches() if self.node(s).pod == pod]
 
-    def aggs_in_pod(self, pod: int) -> List[str]:
-        """Aggregation switches of ``pod``."""
-        return [s for s in self.aggregate_switches()
-                if self.node(s).pod == pod]
-
-    def core_group(self, agg: str) -> int:
-        """The core group an aggregation switch connects to (its index)."""
-        return self.node(agg).index
-
     def cores_for_agg(self, agg: str) -> List[str]:
         """Core switches adjacent to aggregation switch ``agg``."""
         return [n for n in self.neighbors(agg)

@@ -209,10 +209,6 @@ class Topology:
         return [l for l in self.links
                 if self.node(l.src).is_switch and self.node(l.dst).is_switch]
 
-    def link_count(self) -> int:
-        """Total number of directed links."""
-        return len(self.links)
-
     def describe(self) -> Dict[str, int]:
         """Return a summary of node/link counts, useful for reports."""
         return {

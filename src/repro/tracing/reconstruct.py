@@ -69,11 +69,6 @@ class ReconstructedPath:
         """The path restricted to switches (drop the end hosts)."""
         return self.path[1:-1]
 
-    @property
-    def hop_count(self) -> int:
-        """Number of links on the path."""
-        return len(self.path) - 1
-
 
 class PathReconstructor:
     """Reconstructs end-to-end paths from CherryPick samples.

@@ -76,14 +76,6 @@ class TrafficMatrix:
             coarse.add(key_of.get(s, s), key_of.get(d, d), v)
         return coarse
 
-    def top_pairs(self, k: int) -> List[Tuple[Tuple[str, str], int]]:
-        """The ``k`` largest (pair, bytes) entries."""
-        return sorted(self.bytes_between.items(), key=lambda kv: -kv[1])[:k]
-
-    def as_dict(self) -> Dict[Tuple[str, str], int]:
-        """Plain-dict view (copies)."""
-        return dict(self.bytes_between)
-
 
 def matrix_from_flows(flows: Iterable, key: str = "host") -> TrafficMatrix:
     """Build a traffic matrix from :class:`~repro.workloads.arrivals.FlowSpec`s.

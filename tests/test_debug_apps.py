@@ -1,5 +1,7 @@
 """Tests for the Section 4 debugging applications."""
 
+from collections import defaultdict
+
 import pytest
 
 from repro.debug import (ConformancePolicy, MaxCoverageLocalizer,
@@ -188,6 +190,8 @@ class TestMeasurementApplications:
     def test_heavy_hitters_threshold(self, measured_cluster):
         hitters = heavy_hitters(measured_cluster, threshold_bytes=1_000_000)
         assert all(h.bytes >= 1_000_000 for h in hitters)
+        with pytest.raises(ValueError, match="precedes"):
+            heavy_hitters(measured_cluster, 1, time_range=(0.2, 0.1))
 
     def test_traffic_matrix_totals(self, measured_cluster):
         matrix, _ = traffic_matrix(measured_cluster)
@@ -198,10 +202,81 @@ class TestMeasurementApplications:
         flows = congested_link_flows(measured_cluster,
                                      ("agg-0-0", "core-0-0"), top=5)
         assert len(flows) <= 5
+        with pytest.raises(ValueError, match="precedes"):
+            congested_link_flows(measured_cluster, ("agg-0-0", "core-0-0"),
+                                 time_range=(0.2, 0.1))
 
     def test_ddos_fan_in(self, measured_cluster):
         reports = ddos_fan_in(measured_cluster, source_threshold=3)
         assert reports[0].distinct_sources >= reports[-1].distinct_sources
+        with pytest.raises(ValueError, match="precedes"):
+            ddos_fan_in(measured_cluster, time_range=(0.2, 0.1))
+
+    # Brute-force references over the serial agents' ``tib.records()``.
+    # The apps' reads go through ``cluster.execute``; these pin what
+    # they answer, order included.
+    @staticmethod
+    def _records(cluster, time_range=None):
+        for host, agent in cluster.agents.items():
+            for record in agent.tib.records():
+                if time_range is None or (record.etime >= time_range[0]
+                                          and record.stime <= time_range[1]):
+                    yield host, record
+
+    @staticmethod
+    def _ranked(totals):
+        return sorted(totals.items(), key=lambda kv: -kv[1])
+
+    @pytest.mark.parametrize("time_range", [None, (0.05, 0.2)])
+    def test_heavy_hitters_match_brute_force(self, measured_cluster,
+                                             time_range):
+        totals = defaultdict(int)
+        for _host, record in self._records(measured_cluster, time_range):
+            totals[record.flow_id] += record.bytes
+        threshold = sorted(totals.values())[len(totals) // 2]
+        expected = [(flow, nbytes) for flow, nbytes in self._ranked(totals)
+                    if nbytes >= threshold]
+        assert len(expected) >= 10
+        hitters = heavy_hitters(measured_cluster, threshold,
+                                time_range=time_range)
+        assert [(h.flow_id, h.bytes) for h in hitters] == expected
+
+    def test_congested_link_flows_match_brute_force(self, measured_cluster):
+        link = ("agg-0-0", "core-0-0")
+        totals = defaultdict(int)
+        for _host, record in self._records(measured_cluster):
+            hops = set(zip(record.path, record.path[1:]))
+            if link in hops or link[::-1] in hops:
+                totals[record.flow_id] += record.bytes
+        ranked = self._ranked(totals)
+        assert len(ranked) > 5 and ranked[4][1] != ranked[5][1]
+        flows = congested_link_flows(measured_cluster, link, top=5)
+        assert [(f.flow_id, f.bytes) for f in flows] == ranked[:5]
+
+    def test_ddos_fan_in_matches_brute_force(self, measured_cluster):
+        # A record held away from its destination counts nowhere: fan-in
+        # is what each destination itself recorded.
+        first, second = measured_cluster.hosts[:2]
+        measured_cluster.agent(first).ingest_path_record(PathFlowRecord(
+            flow_id=FlowId("h-stray", second, 4242, 80, PROTO_TCP),
+            path=(first, "tor-0-0", second), stime=0.0, etime=0.1,
+            bytes=1_000, pkts=1))
+        sources = defaultdict(set)
+        total = defaultdict(int)
+        for host, record in self._records(measured_cluster):
+            if record.flow_id.dst_ip == host:
+                sources[host].add(record.flow_id.src_ip)
+                total[host] += record.bytes
+        counts = sorted(len(sources[host]) for host in measured_cluster.hosts)
+        threshold = counts[len(counts) // 2]
+        assert counts[0] < threshold
+        expected = sorted(((host, len(sources[host]), total[host],
+                            len(sources[host]) >= threshold)
+                           for host in measured_cluster.hosts),
+                          key=lambda row: -row[1])
+        reports = ddos_fan_in(measured_cluster, source_threshold=threshold)
+        assert [(r.destination, r.distinct_sources, r.total_bytes,
+                 r.suspicious) for r in reports] == expected
 
 
 class TestCoverageMatrix:

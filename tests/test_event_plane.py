@@ -572,16 +572,84 @@ class TestDebugAppsAcrossModes:
         assert result.violation_detected
         assert result.detour_hops >= 2
 
-    def test_blackhole_diagnosis_identical_serial_vs_process(self):
-        from repro.debug.blackhole import run_blackhole_experiment
-        outcomes = {mode: run_blackhole_experiment(mode=mode,
-                                                   background_flows=20)
-                    for mode in (MODE_SERIAL, MODE_PROCESS)}
-        serial = outcomes[MODE_SERIAL].diagnosis
-        process = outcomes[MODE_PROCESS].diagnosis
-        assert serial.missing_paths == process.missing_paths
-        assert serial.candidate_switches == process.candidate_switches
-        assert serial.prioritized_switches == process.prioritized_switches
+    @pytest.mark.parametrize("experiment", [
+        "run_blackhole_experiment", "run_path_conformance_experiment",
+        "run_outcast_experiment", "run_incast_experiment"])
+    def test_verdicts_identical_across_modes(self, experiment):
+        """Every experiment that takes a ``mode`` reaches the serial
+        verdict, evidence included, in both worker modes."""
+        import repro.debug
+        run = getattr(repro.debug, experiment)
+        kwargs = ({"background_flows": 20}
+                  if experiment == "run_blackhole_experiment" else {})
+        serial = run(mode=MODE_SERIAL, **kwargs)
+        for mode in (MODE_PROCESS, MODE_SOCKET):
+            assert run(mode=mode, **kwargs) == serial
+
+    @staticmethod
+    def _measured(mode):
+        """The measurement apps' fixture data (``test_debug_apps.py``),
+        ingested through the cluster so the worker mirrors carry it."""
+        from repro.topology import FatTreeTopology
+        from repro.transport import FlowLevelSimulator
+        from repro.workloads import FlowGenerator
+        topo = FatTreeTopology(4)
+        cluster = QueryCluster(topo, mode=mode, group_count=2)
+        flows = FlowGenerator(topo.hosts, seed=9).poisson_per_host(
+            duration=0.3)
+        cluster.ingest_flow_outcomes(
+            FlowLevelSimulator(topo, seed=8).simulate(flows))
+        return cluster
+
+    @staticmethod
+    def _reads(cluster, receiver, flows):
+        """Every non-live debug-app read, as the apps answer it."""
+        from repro.debug import (TcpAnomalyDiagnoser, congested_link_flows,
+                                 ddos_fan_in, heavy_hitters)
+        from repro.debug.load_imbalance import per_path_bytes
+        from repro.debug.path_conformance import longest_path
+        return {
+            "heavy_hitters": heavy_hitters(cluster, 1_000_000),
+            "congested": congested_link_flows(
+                cluster, ("agg-0-0", "core-0-0"), top=5),
+            "ddos": ddos_fan_in(cluster, source_threshold=12),
+            "tcp": TcpAnomalyDiagnoser(cluster).diagnose(receiver),
+            "spraying": [per_path_bytes(cluster, dst, flow)
+                         for dst, flow in flows],
+            "conformance": [longest_path(cluster, dst, flow)
+                            for dst, flow in flows],
+        }
+
+    def test_reads_are_served_by_the_workers(self):
+        """With the controller-side replica emptied (not mirrored), every
+        non-live read still answers exactly what serial answers with its
+        replica intact: the answers come from the workers."""
+        serial = self._measured(MODE_SERIAL)
+        receiver = serial.hosts[5]
+        flows = [(host, record.flow_id) for host in serial.hosts[:4]
+                 for record in serial.agent(host).tib.records()[:2]]
+        expected = self._reads(serial, receiver, flows)
+        assert expected["heavy_hitters"] and expected["congested"]
+        assert expected["tcp"].per_sender_throughput_bps
+        assert all(expected["spraying"]) and all(expected["conformance"])
+        with self._measured(MODE_SOCKET) as cluster:
+            for agent in cluster.agents.values():
+                agent.tib.clear()
+            assert self._reads(cluster, receiver, flows) == expected
+
+    def test_partial_read_is_no_verdict(self):
+        """A dead worker group makes a read raise, naming its hosts,
+        instead of answering from the rest."""
+        from repro.debug import TcpAnomalyDiagnoser, heavy_hitters
+        from repro.debug.served import PartialReadError
+        with self._measured(MODE_SOCKET) as cluster:
+            pool = cluster.agent_servers
+            dead = pool.group_hosts("group-1")
+            pool.kill("group-1")
+            with pytest.raises(PartialReadError, match=dead[0]):
+                heavy_hitters(cluster, 1_000_000)
+            with pytest.raises(PartialReadError, match=dead[-1]):
+                TcpAnomalyDiagnoser(cluster).diagnose(dead[-1])
 
 
 class TestMonitorSweepType:
