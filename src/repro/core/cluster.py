@@ -14,8 +14,9 @@ any mode - in two steps on the
 
 * *fetch* one partial per host, then *fold* a plan over them: a direct
   query's plan is one level (controller -> every host); a multi-level
-  query maps the aggregation tree onto the plan one to one, with the
-  query and the subtree description *batched* into one request per child;
+  query maps the aggregation tree onto the plan one to one, each edge
+  priced as the query and the child's subtree description *batched* into
+  one request (what travels to the workers is one bare query frame);
 * per-host execution and per-node merges are *measured* on the real
   in-memory TIBs, and every node merges all of its arrivals in one call;
 * the :class:`~repro.core.rpc.RpcChannel` model counts the fold's legs
@@ -51,8 +52,7 @@ import functools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import wire
 from repro.core.agent import PathDumpAgent
@@ -1022,8 +1022,7 @@ class QueryCluster:
         plan = PlanNode(host=None, children=[
             PlanNode(host=host, request_parts=(len(request),))
             for host in targets])
-        gather = self._gather(query, plan,
-                              lambda: dict.fromkeys(targets, request))
+        gather = self._gather(query, plan, request, targets)
         # The modelled legs of the slowest answered host (a direct plan is
         # one level deep).
         leg = self.rpc.leg_s
@@ -1044,19 +1043,18 @@ class QueryCluster:
         onto a plan, run by :meth:`_gather`).
 
         The tree is kept for the next query over the same ``(targets,
-        fanout)``, which builds only its plan nodes.  In the worker modes
-        each host's request frame - the query and its subtree description
-        - is spliced only when the fetch ships it.
+        fanout)``, which builds only its plan nodes.  Each edge is priced
+        as the paper's query + subtree description; the worker modes ship
+        every host the bare query frame, as a direct query does, since a
+        partial depends on the query alone.
         """
         targets = self._targets(hosts)
         tree, shape = self._tree, (targets, tuple(fanout))
         if tree is None or (tree.hosts, tree.fanout) != shape:
             self._tree = tree = AggregationTree(targets, fanout=fanout)
         request = wire.encode_query_request(query, None)
-        gather = self._gather(
-            query, self._plan_from_tree(tree.root, request),
-            lambda: {node.host: wire.request_with_spec(request, node.spec)
-                     for node in tree.host_nodes()})
+        gather = self._gather(query, self._plan_from_tree(tree.root, request),
+                              request, tree.root.spec.hosts)
         return self._result(
             query, MECHANISM_MULTILEVEL, gather, len(targets),
             breakdown={"tree_depth": float(tree.depth()),
@@ -1090,11 +1088,12 @@ class QueryCluster:
     def _plan_from_tree(node: TreeNode, request: bytes) -> PlanNode:
         """Map an aggregation (sub)tree onto a scatter plan.
 
-        Every non-root edge batches the query and the child's subtree
-        description into one request message.  ``request`` is the bare
-        query frame, encoded once per query; the edge's parts are its
-        length and the node's ``spec_len``, so they sum to exactly what
-        travels (``wire.request_with_spec(request, node.spec)``).
+        Every non-root edge is priced as the paper's one request message
+        batching the query and the child's subtree description.
+        ``request`` is the bare query frame, encoded once per query; the
+        edge's parts are its length and the node's ``spec_len``, so they
+        sum to exactly ``len(wire.encode_query_request(query, node.spec))``
+        - the priced message, not what the fetch ships (``request``).
         """
         def walk(node: TreeNode) -> PlanNode:
             plan = PlanNode(node.host)
@@ -1105,8 +1104,8 @@ class QueryCluster:
 
         return walk(node)
 
-    def _gather(self, query: Query, plan: PlanNode,
-                frames: Callable[[], Dict[str, bytes]]) -> GatherResult:
+    def _gather(self, query: Query, plan: PlanNode, request: bytes,
+                hosts: Sequence[str]) -> GatherResult:
         """Run ``query`` over ``plan`` - the one query path of every mode
         and both mechanisms: fetch one partial per plan host, then fold.
 
@@ -1114,8 +1113,8 @@ class QueryCluster:
         the host, under :attr:`executor`'s transport, deadline and
         retries.  When the workers serve the query (every built-in; a
         custom handler registered on the in-process agents runs local),
-        :meth:`_fetch` of ``frames()`` - ``{host: request frame}`` in plan
-        pre-order, built only then - and the fold's work is a lookup.
+        :meth:`_fetch` ships the bare ``request`` to ``hosts`` (the plan's
+        hosts, pre-order) and the fold's work is a lookup.
 
         *Fold*: ``plan`` (flat for direct, the tree for multi-level) with
         the query's merge, then priced: its legs - one request and one
@@ -1147,7 +1146,7 @@ class QueryCluster:
         executor, work = self.executor, local
         if (self.mode in _WORKER_MODES and self._process_pool is not None
                 and query.name in SERVED_QUERIES):
-            fetched = self._fetch(query, frames())
+            fetched = self._fetch(query, request, hosts)
             executor, work = ScatterGatherExecutor(), fetched.value.__getitem__
         # What travels is sized in ``response_bytes``, not by the merge.
         merge = functools.partial(self.engine.merge, query, measure_wire=False)
@@ -1163,21 +1162,24 @@ class QueryCluster:
             gather.model_time_s += fetched.max_exec_s
         return gather
 
-    def _fetch(self, query: Query, frames: Dict[str, bytes]) -> GatherResult:
-        """Fetch every ``frames`` host's partial from the workers: one
-        ``MSG_GROUP_BATCH`` envelope per group touched (a host no worker
-        serves is a leaf of its own and fails like a dead agent), through
-        :meth:`_scatter_groups` - so timeouts, retries and supervision act
-        per group, the failure domain.  The gather's value is ``{host:
-        partial}``.  Piggybacked alarms go to the bus in ``frames``' order
-        (:class:`_AlarmCollector`), as the serial fold raises them - and a
-        reply the scatter gives up on still surrenders its alarms."""
+    def _fetch(self, query: Query, request: bytes,
+               hosts: Sequence[str]) -> GatherResult:
+        """Fetch every host's partial from the workers: one
+        ``MSG_GROUP_BATCH`` envelope per group touched, each entry the
+        same ``request`` frame, so a group decodes it once (a host no
+        worker serves is a leaf of its own and fails like a dead agent),
+        through :meth:`_scatter_groups` - so timeouts, retries and
+        supervision act per group, the failure domain.  The gather's value
+        is ``{host: partial}``.  Piggybacked alarms go to the bus in
+        ``hosts`` order (:class:`_AlarmCollector`), as the serial fold
+        raises them - and a reply the scatter gives up on still surrenders
+        its alarms."""
         pool = self._process_pool
         leaves: Dict[str, List[Tuple[str, bytes]]] = {}
-        for key, run_hosts in pool.runs(list(frames)):
+        for key, run_hosts in pool.runs(hosts):
             leaves.setdefault(key, []).extend(
-                (host, frames[host]) for host in run_hosts)
-        sink = _AlarmCollector(self, latch=False, order=list(frames))
+                (host, request) for host in run_hosts)
+        sink = _AlarmCollector(self, latch=False, order=hosts)
 
         def take_alarms(results: List[Tuple[str, QueryResult]],
                         capture) -> Dict[str, QueryResult]:

@@ -698,15 +698,14 @@ class GroupAgentPool:
         except AgentServerError as error:
             raise self._worker_failed(conn, str(error)) from error
 
-    def query(self, host: str, query,
-              spec: Optional[wire.SubtreeSpec] = None) -> QueryResult:
+    def query(self, host: str, query) -> QueryResult:
         """Run ``query`` on ``host`` alone via its group's multiplexed
         connection (a single-host probe; scatters use
         :meth:`group_query`); returns the host's partial result, its
         ``wire_bytes`` the measured inner reply frame length.  Alarms the
         worker had pending ride the reply on ``result.alarms`` - the
         caller is responsible for dispatching them to the alarm bus."""
-        conn, reply = self._ask(host, wire.encode_query_request(query, spec))
+        conn, reply = self._ask(host, wire.encode_query_request(query, None))
         return self._checked_decode(conn, reply, wire.decode_result, query)
 
     def monitor_tick(self, host: str, now: float,
@@ -830,12 +829,13 @@ class GroupAgentPool:
                     ) -> Tuple[List[Tuple[str, QueryResult]], int, int]:
         """The consume step of ``query`` run on a group through one
         coalesced envelope: ``exchange`` is what :meth:`send` wrote, one
-        request frame per target (a multi-level scatter ships every tree
-        edge's real query+spec frame).  Returns ``(per-host (host, result)
-        in request order, reply envelope bytes, request envelope bytes)``;
-        each result's ``wire_bytes`` is its measured inner reply frame
-        length.  A host-level error reply fails the whole group exchange
-        (the group is the failure domain in coalesced scatters).
+        request frame per target (the same bare query frame for every
+        host, under either mechanism: a multi-level edge's subtree spec
+        is priced by the plan, not shipped).  Returns ``(per-host (host,
+        result) in request order, reply envelope bytes, request envelope
+        bytes)``; each result's ``wire_bytes`` is its measured inner reply
+        frame length.  A host-level error reply fails the whole group
+        exchange (the group is the failure domain in coalesced scatters).
         ``deadline`` is as in :meth:`group_monitor_tick`.
         """
         replies, reply_bytes, sent = self._consume(exchange, deadline)
@@ -1006,7 +1006,10 @@ class GroupAgentPool:
         must be answered by the host it addressed, and not with an error
         frame (a host-level error fails the whole exchange - the group is
         the failure domain).  Returns ``(reply frames in entry order,
-        reply envelope bytes, request envelope bytes)``."""
+        reply envelope bytes, request envelope bytes)``.  An error reply
+        is told by its type byte alone; every frame's header is checked
+        once, by the decoder that reads it (:meth:`_checked_decode`: here
+        for an error, the caller's for the rest)."""
         replies, reply_bytes, sent = self._receive(exchange, deadline)
         key = exchange.key
         frames: List[bytes] = []
@@ -1015,9 +1018,7 @@ class GroupAgentPool:
                 raise self._condemn(
                     exchange.conn, f"agent server group {key} answered for "
                     f"{reply_host} where {host} was asked; worker killed")
-            kind = self._checked_decode(exchange.conn, reply,
-                                        wire.frame_type)
-            if kind == wire.MSG_ERROR:
+            if wire.is_error(reply):
                 detail = self._checked_decode(exchange.conn, reply,
                                               wire.decode_error)
                 raise AgentServerError(f"agent server on {host}: {detail}")

@@ -593,6 +593,12 @@ def frame_type(data: bytes) -> int:
     return _open(data)[0]
 
 
+def is_error(data: bytes) -> bool:
+    """Whether a frame's type byte reads ``MSG_ERROR``: a peek that checks
+    nothing else - the decoder that reads the frame next validates it."""
+    return len(data) >= HEADER_BYTES and data[HEADER_BYTES - 1] == MSG_ERROR
+
+
 _T = TypeVar("_T")
 
 
@@ -679,28 +685,13 @@ def encode_query_request(query, spec: Optional[SubtreeSpec]) -> bytes:
     return _frame(MSG_QUERY_REQUEST, bytes(body))
 
 
-def request_with_spec(request: bytes, spec: SubtreeSpec) -> bytes:
-    """``encode_query_request(query, spec)`` built from the bare frame
-    ``encode_query_request(query, None)``, byte for byte.
-
-    The request ends in the optional-spec tail, so a multi-level
-    scatter encodes its query once and splices each tree edge's subtree
-    description in instead of re-encoding the query per host.
-    """
-    if request[-1:] != b"\x00":
-        raise WireError("not a bare query request frame")
-    body = bytearray(request[:-1])
-    body.append(1)
-    _w_spec(body, spec)
-    return bytes(body)
-
-
 def spec_len(root: str, host_count: int, hosts_len: int) -> int:
-    """Exact ``len(request_with_spec(r, spec)) - len(r)`` for the spec of
-    a subtree rooted at ``root`` over ``host_count`` hosts whose names
-    encode to ``hosts_len`` bytes (the sum of their :func:`str_len`),
-    built from no bytes: a multi-level plan sizes its edges bottom-up
-    without listing any subtree's hosts."""
+    """Exact ``len(encode_query_request(q, spec)) -
+    len(encode_query_request(q, None))`` for the spec of a subtree rooted
+    at ``root`` over ``host_count`` hosts whose names encode to
+    ``hosts_len`` bytes (the sum of their :func:`str_len`), built from no
+    bytes: a multi-level plan sizes its edges bottom-up without listing
+    any subtree's hosts."""
     return str_len(root) + uvarint_len(host_count) + hosts_len
 
 

@@ -90,12 +90,13 @@ class FramedSocket:
 class _RequestMemo:
     """The last query-request frame a worker decoded, and its query.
 
-    A direct query's envelope carries the same request bytes for every
-    host of a group, so one remembered entry turns the group's M decodes
-    into one.  The hosts then share one :class:`~repro.core.query.Query`
-    object, as they do in serial mode - handlers only read it.  Frames
-    that differ per host (a multi-level scatter's carry each host's
-    subtree spec) simply miss.
+    A query's envelope, direct or multi-level, carries the same bare
+    request bytes for every host of a group (a partial depends on the
+    query alone; the subtree spec the paper batches in is priced, not
+    shipped), so one remembered entry turns the group's M decodes into
+    one.  The hosts then share one :class:`~repro.core.query.Query`
+    object, as they do in serial mode - handlers only read it.  A frame
+    that differs (one carrying a spec, say) simply misses.
     """
 
     __slots__ = ("_last",)

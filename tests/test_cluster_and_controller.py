@@ -84,7 +84,8 @@ class TestAggregationTree:
             return hosts
 
         rng = random.Random(31)
-        request = wire.encode_query_request(Query(Q_TOP_K_FLOWS, {}), None)
+        query = Query(Q_TOP_K_FLOWS, {})
+        request = wire.encode_query_request(query, None)
         for _ in range(60):
             hosts = [f"h{index}" * rng.randint(1, 3)
                      for index in range(rng.choice((1, 2, 9, 40, 130)))]
@@ -97,8 +98,8 @@ class TestAggregationTree:
                 assert node.spec == wire.SubtreeSpec(
                     node.host or "", tuple(subtree_hosts(node)))
                 if node.host is not None:
-                    assert node.spec_len == len(wire.request_with_spec(
-                        request, node.spec)) - len(request)
+                    assert node.spec_len == len(wire.encode_query_request(
+                        query, node.spec)) - len(request)
 
 
 @pytest.fixture()

@@ -1782,10 +1782,11 @@ class TestExactSizes:
             assert wire.group_batch_len(cid, entries) == \
                 len(wire.encode_group_batch(cid, entries))
 
-    def test_spec_len_is_the_spliced_spec_length(self):
+    def test_spec_len_is_the_encoded_spec_length(self):
         """Every node of random aggregation trees - unicode and long host
         names, subtree host counts across the one-byte varint boundary:
-        ``spec_len`` is what ``request_with_spec`` splices in."""
+        ``spec_len`` is what the real encoder adds to the bare request
+        for the node's spec."""
         rng = random.Random(20261017)
         request = wire.encode_query_request(GOLDEN_TOPK_QUERY, None)
         for _ in range(40):
@@ -1798,7 +1799,8 @@ class TestExactSizes:
                 assert wire.spec_len(
                     node.host, len(spec.hosts),
                     sum(map(wire.str_len, spec.hosts))) == \
-                    len(wire.request_with_spec(request, spec)) - len(request)
+                    len(wire.encode_query_request(GOLDEN_TOPK_QUERY, spec)) \
+                    - len(request)
 
     def test_record_and_alarm_sizes(self):
         rng = random.Random(23)

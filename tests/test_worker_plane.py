@@ -18,6 +18,7 @@ schedule, the spawn lock that keeps one worker's connection out of
 another, and the standalone pool lifecycle.
 """
 
+import functools
 import multiprocessing
 import os
 import pathlib
@@ -384,9 +385,9 @@ class TestMeasuredTraffic:
     def test_multilevel_edge_parts_sum_to_the_combined_frame(
             self, shaped_cluster):
         """An edge's (query, spec) part sizes reconcile exactly with the
-        batched request frame the worker modes actually ship, and that
-        frame - spliced from the query's one bare encode - is the real
-        encoder's, byte for byte."""
+        paper's batched request frame, the real encoder's query+spec
+        encode - what the edge is priced at (the worker modes ship the
+        bare query frame)."""
         query = Query(Q_TOP_K_FLOWS, {"k": 3})
         request = wire.encode_query_request(query, None)
         tree = AggregationTree(shaped_cluster.hosts, fanout=(2, 2))
@@ -397,7 +398,7 @@ class TestMeasuredTraffic:
         assert len(plan) == len(shaped_cluster.hosts) + 1
         for node in plan[1:]:
             frame = wire.encode_query_request(query, specs[node.host])
-            assert wire.request_with_spec(request, specs[node.host]) == frame
+            assert node.request_parts[0] == len(request)
             assert sum(node.request_parts) == len(frame)
 
     def test_result_wire_bytes_is_the_inner_reply_frame(self,
@@ -467,32 +468,39 @@ class TestFrameCoalescing:
     def test_queries_ship_one_envelope_per_group_touched(self, mechanism):
         """A query costs one request envelope per group touched, however
         its targets interleave the groups, not one round trip per host -
-        and what the envelopes carry is still every host's real request
-        frame (every tree edge's query+spec under multi-level)."""
+        and every entry is the same bare request frame, so both mechanisms
+        ship the same bytes.  What is *priced* differs: ``traffic_bytes``
+        is serial's, and a multi-level query's exceeds the direct one's by
+        exactly its edges' subtree specs (the paper's batched query+spec
+        request; six hosts under fan-out 7 make a one-level tree, so the
+        response legs are the direct query's)."""
         query = Query(Q_TOP_K_FLOWS, {"k": 10})
         request = wire.encode_query_request(query, None)
         with worker_cluster() as cluster:
             pool = cluster.agent_servers
             targets = cluster.hosts[::2] + cluster.hosts[1::2]
-            specs = {node.host: node.spec
-                     for node in AggregationTree(targets).host_nodes()}
-            frames = {host: request if mechanism == MECHANISM_DIRECT
-                      else wire.request_with_spec(request, specs[host])
-                      for host in targets}
+            tree = AggregationTree(targets)
+            assert tree.depth() == 1
             expected = sum(len(wire.encode_group_batch(1, [
-                (host, frames[host]) for host in pool.group_hosts(key)]))
+                (host, request) for host in pool.group_hosts(key)]))
                 for key in pool.group_keys())
-            pool.reset_stats()
-            result = cluster.execute(query, targets, mechanism)
-            assert not result.partial
-            assert pool.stats.envelopes_sent == GROUPS
-            assert pool.stats.frames_sent == NUM_HOSTS
-            assert pool.stats.bytes_sent == expected
+            shipped = {}
+            for each in (mechanism, MECHANISM_DIRECT):
+                pool.reset_stats()
+                shipped[each] = cluster.execute(query, targets, each)
+                assert not shipped[each].partial
+                assert pool.stats.envelopes_sent == GROUPS
+                assert pool.stats.frames_sent == NUM_HOSTS
+                assert pool.stats.bytes_sent == expected
             cluster.configure_executor(mode=MODE_SERIAL)
             serial = cluster.execute(query, targets, mechanism)
+        result, direct = shipped[mechanism], shipped[MECHANISM_DIRECT]
         assert wire.encode_value(result.payload) == \
             wire.encode_value(serial.payload)
         assert result.traffic_bytes == serial.traffic_bytes
+        specs = sum(node.spec_len for node in tree.host_nodes())
+        assert result.traffic_bytes - direct.traffic_bytes == \
+            (specs if mechanism == MECHANISM_MULTILEVEL else 0)
 
     def test_sweep_coalesces_one_envelope_per_group(self):
         with worker_cluster(feed=feed_workload) as cluster:
@@ -712,11 +720,11 @@ class TestRequestMemo:
             result = wire.decode_result(server.serve(bytes(bare)), query)
             assert result.host == server.host and result.payload == []
         assert decoded == [bare]
-        # A multi-level scatter's frames differ per host: every one is
-        # decoded, and answered for the host that was asked.
+        # Frames that differ per host (each carrying its own subtree spec)
+        # are each decoded, and answered for the host that was asked.
         for server in servers:
             spec = wire.SubtreeSpec(server.host, (server.host,))
-            frame = wire.request_with_spec(bare, spec)
+            frame = wire.encode_query_request(query, spec)
             assert wire.decode_result(server.serve(frame),
                                       query).host == server.host
         assert len(decoded) == 1 + len(servers)
@@ -726,6 +734,116 @@ class TestRequestMemo:
             assert wire.frame_type(reply) == wire.MSG_ERROR
         assert wire.frame_type(servers[0].serve(bare)) == \
             wire.MSG_QUERY_RESULT
+
+    @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
+                                           MECHANISM_MULTILEVEL])
+    def test_each_group_decodes_one_request_per_query(self, mechanism,
+                                                      monkeypatch):
+        """What a query's fetch ships, replayed through fresh workers'
+        memos: one decode per group touched under either mechanism - every
+        entry is the same bare request frame."""
+        from repro.core.worker import _HostServer, _RequestMemo
+        query = Query(Q_TOP_K_FLOWS, {"k": 3})
+        with worker_cluster() as cluster:
+            pool = cluster.agent_servers
+            shipped = []
+            send = pool.send
+            monkeypatch.setattr(
+                pool, "send", lambda key, entries, reseed=False:
+                shipped.append((key, list(entries)))
+                or send(key, entries, reseed))
+            assert not cluster.execute(query, mechanism=mechanism).partial
+            groups = {key: pool.group_hosts(key) for key in pool.group_keys()}
+        assert [key for key, _entries in shipped] == list(groups)
+        bare = wire.encode_query_request(query, None)
+        decoded = []
+        decode = wire.decode_query_request
+        monkeypatch.setattr(
+            wire, "decode_query_request",
+            lambda frame: decoded.append(frame) or decode(frame))
+        for key, entries in shipped:
+            requests = _RequestMemo()
+            servers = {host: _HostServer(host, requests)
+                       for host in groups[key]}
+            assert [host for host, _frame in entries] == list(groups[key])
+            for host, frame in entries:
+                assert frame == bare
+                assert wire.decode_result(servers[host].serve(frame),
+                                          query).host == host
+        assert decoded == [bare] * len(groups)
+
+
+#: Inner-reply damage: a corrupt magic, a wrong version, a corrupt magic
+#: on an error frame (its type byte alone reads MSG_ERROR), and a clean
+#: error reply.
+REPLY_DAMAGE = {
+    "magic": lambda frame: b"XX" + frame[2:],
+    "version": lambda frame: frame[:2] + bytes([frame[2] ^ 0xFF])
+    + frame[3:],
+    "error-magic": lambda frame: b"XX" + wire.encode_error("injected")[2:],
+    "error": lambda frame: wire.encode_error("injected"),
+}
+
+
+def damage_next_reply(monkeypatch, hosts, damage):
+    """Replace the first inner frame of the next reply envelope for
+    ``hosts``' group with ``REPLY_DAMAGE[damage]`` of it, as it arrives
+    at the controller."""
+    decode, armed = wire.decode_group_batch, [True]
+
+    def decode_group_batch(frame):
+        cid, entries = decode(frame)
+        if armed and entries and entries[0][0] in hosts:
+            armed.clear()
+            host, reply = entries[0]
+            entries = [(host, REPLY_DAMAGE[damage](reply))] + entries[1:]
+        return cid, entries
+    monkeypatch.setattr(wire, "decode_group_batch", decode_group_batch)
+
+
+class TestInnerReplyChecks:
+    """An error reply is told by its type byte alone, and every inner
+    reply frame's header is still validated by the decoder that reads it:
+    for a query and for a monitor tick alike."""
+
+    @staticmethod
+    def scatter(cluster, op):
+        if op == "query":
+            return cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 5}))
+        return cluster.run_monitors(1.0)
+
+    @pytest.mark.parametrize("damage", ["magic", "version", "error-magic"])
+    @pytest.mark.parametrize("op", ["query", "tick"])
+    def test_corrupt_header_condemns_the_group(self, op, damage,
+                                               monkeypatch):
+        with worker_cluster() as cluster:
+            pool = cluster.agent_servers
+            doomed = pool.group_hosts("group-1")
+            damage_next_reply(monkeypatch, doomed, damage)
+            outcome = self.scatter(cluster, op)
+            assert pool.stats.decode_errors == 1
+            assert outcome.partial
+            assert list(outcome.hosts_failed) == list(doomed)
+            assert not pool.alive("group-1")
+            assert pool.alive("group-0")
+
+    @pytest.mark.parametrize("op", ["query", "tick"])
+    def test_error_reply_raises_naming_the_host(self, op, monkeypatch):
+        with GroupAgentPool(["a", "b"], group_count=1) as pool:
+            damage_next_reply(monkeypatch, ("a", "b"), "error")
+            if op == "query":
+                query = Query(Q_GET_FLOWS, {})
+                frame = wire.encode_query_request(query, None)
+                consume = functools.partial(pool.group_query, query=query)
+            else:
+                frame = wire.encode_monitor_tick(1.0)
+                consume = pool.group_monitor_tick
+            exchange = pool.send("group-0", [("a", frame), ("b", frame)])
+            with pytest.raises(AgentServerError,
+                               match="agent server on a: injected"):
+                consume(exchange)
+            assert pool.stats.decode_errors == 0
+            assert pool.ping("b") == 0  # an error reply is no desync
 
 
 class TestIngestMirror:
