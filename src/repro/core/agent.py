@@ -88,8 +88,8 @@ class PathDumpAgent:
         self.alarms_raised: List[Alarm] = []
         #: Optional mirror for TIB writes: every batch of records stored in
         #: the local TIB is also handed to this callable.  The cluster's
-        #: process mode uses it to stream encoded record batches to the
-        #: host's agent-server worker, keeping the worker TIB in sync with
+        #: worker modes use it to stream encoded record batches to the
+        #: host's group worker, keeping the worker TIB in sync with
         #: every ingest path (fabric deliveries, flow outcomes, direct
         #: inserts through the agent).
         self.record_sink: Optional[Callable[[Sequence[PathFlowRecord]],

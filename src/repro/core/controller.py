@@ -257,8 +257,8 @@ class PathDumpController:
         """Advance periodic work: installed queries and TCP monitors.
 
         Returns the alarms the monitor sweep raised (a
-        :class:`~repro.core.cluster.MonitorSweep`; in process mode the
-        sweep is a scatter of tick frames to the agent-server workers and
+        :class:`~repro.core.cluster.MonitorSweep`; in the worker modes the
+        sweep is a scatter of tick frames to the group workers and
         carries ``partial``/``hosts_failed`` when a worker died mid-tick).
         """
         alarms = self.cluster.run_monitors(now)

@@ -13,8 +13,8 @@ transport models, and implements:
 
 The monitor participates in the event plane: every ``observe_flow`` call is
 normalised into a :class:`TransferObservation` and mirrored to an optional
-``observation_sink`` (the cluster's process mode streams these to the
-host's agent-server worker, exactly like TIB writes flow through
+``observation_sink`` (the cluster's worker modes stream these to the
+host's group worker, exactly like TIB writes flow through
 ``record_sink``), and the full monitor state can be snapshotted/restored so
 a freshly started worker begins from the same ledger - including the
 per-flow ``alerted`` latches that make alerting at-most-once.

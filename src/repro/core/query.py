@@ -145,8 +145,8 @@ class QueryResult:
         query: the query this result answers.
         payload: handler-specific result value.
         wire_bytes: *measured* serialized size of the result message (the
-            :mod:`repro.core.wire` frame length - in process mode, the
-            frame that actually crossed the pipe); this is what the traffic
+            :mod:`repro.core.wire` frame length - in the worker modes, the
+            frame that actually crossed the socket); this is what the traffic
             accounting of the query-performance experiments sums.
         records_scanned: number of TIB records touched while producing the
             payload (the compute-cost proxy).

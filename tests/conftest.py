@@ -10,8 +10,8 @@ from repro.topology import (FatTreeTopology, Vl2Topology, apply_assignment,
                             assign_link_ids)
 from repro.tracing import make_tagger
 
-#: Lint-rule fixture projects deliberately contain violations and
-#: test_*.py-named files; they are analyzer inputs, not tests.
+#: Fixture projects of test_source_invariants.py deliberately contain
+#: violations; they are inputs to its checks, not tests.
 collect_ignore = ["lint_fixtures"]
 
 

@@ -1,8 +1,6 @@
 """Tests for the document store and flow-record schema."""
 
-import ast
 import random
-from pathlib import Path
 
 import pytest
 
@@ -377,27 +375,3 @@ class TestCountWithoutMaterializing:
         collection.stats.reset()
         assert collection.count(query) == len(collection.find(query)) == 15
         assert collection.stats.full_scans == 0
-
-
-def test_storage_and_codec_import_nothing_from_core():
-    """``core/`` imports ``storage/``, so ``storage/`` - and the byte
-    primitives it shares with the frame codec - import nothing from
-    ``repro.core``: not at module top, not inside a function."""
-    package = Path(__file__).resolve().parent.parent / "src" / "repro"
-    offenders = []
-    for path in sorted(package.glob("storage/*.py")) + [
-            package / "codec.py"]:
-        parent = path.parent.relative_to(package.parent).parts
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = parent[:len(parent) - node.level + 1] \
-                    if node.level else ()
-                modules = [".".join(base + tuple(
-                    filter(None, [node.module])))]
-            else:
-                continue
-            offenders += [f"{path.name}:{node.lineno}" for module in modules
-                          if (module + ".").startswith("repro.core.")]
-    assert offenders == []
