@@ -17,18 +17,21 @@ three cluster modes:
   a drain barrier (a ping round-trip per worker group).  ``reset_stats()``
   returns once its frames are written, so whatever the workers still have
   to do for it is paid by the next tick; asserted per worker mode:
-  immediate <= 1.5x drained.  (While the reset re-shipped every monitor
-  ledger the ratio read 2.0-2.8x: the "alarm delivery" of every row
-  before PR 19 was mostly the previous reset's re-seed.)
+  immediate <= 1.5x drained, medians of ``RESET_SWEEPS`` sweeps a side,
+  the modes and the two sides taking turns.  (While the reset re-shipped
+  every monitor ledger the ratio read 2.0-2.8x: the "alarm delivery" of
+  every row was then mostly the previous reset's re-seed.)
 * **Idle tick overhead**: the cost of one sweep when every poor flow is
   already latched (the steady-state periodic check the paper runs every
   200 ms).
 * **Tick traffic**: measured ``len(encoded)`` of the tick/alarm frames in
   the worker modes (zero in serial mode, which needs no wire).
-* **Frame coalescing** (socket mode): the same per-host tick/alarm frames
-  packed into one ``MSG_GROUP_BATCH`` envelope per worker group, where
-  process mode (the same pool and connection, one host per group) ships
-  one envelope per host.  Asserted: the amortized per-host
+* **Frame coalescing** (socket mode): one ``MSG_GROUP_BATCH`` envelope
+  per worker group, holding one tick entry for every host of the group
+  and answered by one alarm batch, where process mode (the same pool and
+  connection, one host per group) ships one envelope per host.  Asserted:
+  ``frames_sent`` (hosts addressed) is the group size times
+  ``envelopes_sent``, and the amortized per-host
   idle-tick cost is below the process row's of the same run (the same
   pool code in two shapes, measured on the same box at the same time).
 * **Mirrored ingest**: records/s of one-record ``ingest_path_record``
@@ -66,6 +69,9 @@ ROUNDS = 2 if QUICK else 5
 #: Idle ticks timed per mode.  One costs a few ms, so a median over many
 #: stays cheap, and it holds steady when the box's load shifts mid-run.
 IDLE_TICKS = 5 * ROUNDS
+#: Sweeps timed per mode and side (right after a reset, after a drain) for
+#: the reset-queueing check; cheap for the same reason.
+RESET_SWEEPS = 5 * ROUNDS
 
 #: One-record merge-upserts per host for the mirrored-ingest figure.
 INGEST_PER_HOST = 50 if QUICK else 500
@@ -112,50 +118,71 @@ def drain(cluster):
             pool.group_ping_state(key)
 
 
+def warm_up(cluster):
+    """One unmeasured sweep: the first of a cluster's life pays every
+    lazy set-up on both sides of the wire."""
+    cluster.reset_stats()
+    cluster.run_monitors(1.0)
+
+
 def measure_mode(cluster, rounds=ROUNDS):
-    """Per-alarm delivery latencies, sweep wall right after a reset and
-    after a drain, tick traffic."""
+    """Per-alarm delivery latencies of sweeps issued right after a reset,
+    and tick traffic."""
     delivery_ms = []
-    sweep_ms = {False: [], True: []}  # keyed by "drained first"
     sweep_start = 0.0
 
     def on_alarm(alarm):
         delivery_ms.append((time.perf_counter() - sweep_start) * 1e3)
 
-    # One unmeasured round first: the first sweep of a cluster's life pays
-    # every lazy set-up on both sides of the wire.
-    cluster.reset_stats()
-    cluster.run_monitors(1.0)
     cluster.alarm_bus.subscribe(on_alarm)
     streams = []
     traffic = 0
-    for round_index in range(2 * rounds):
-        drained = bool(round_index % 2)
+    for _round in range(rounds):
         cluster.reset_stats()  # re-opens alerting (new measurement interval)
-        if drained:
-            drain(cluster)
-        delivered = len(delivery_ms)
         sweep_start = time.perf_counter()
         # Constant simulated tick time: alarm payloads (time included) must
         # be identical round to round so the streams can be byte-compared.
         sweep = cluster.run_monitors(1.0)
-        sweep_ms[drained].append((time.perf_counter() - sweep_start) * 1e3)
         assert sweep and not sweep.partial
         streams.append(wire.encode_alarm_batch(list(sweep)))
         traffic = sweep.traffic_bytes
-        if drained:
-            # Delivery latency stays what it always was in this table:
-            # that of the sweep issued right after the reset.
-            del delivery_ms[delivered:]
     assert all(stream == streams[0] for stream in streams)
     return {
         "alarms_per_sweep": len(delivery_ms) // rounds,
         "alarm_delivery_ms": round(statistics.median(delivery_ms), 4),
-        "sweep_after_reset_ms": round(statistics.median(sweep_ms[False]), 4),
-        "sweep_after_drain_ms": round(statistics.median(sweep_ms[True]), 4),
         "tick_traffic_bytes": traffic,
         "stream": streams[0],
     }
+
+
+def measure_reset_queueing(clusters, sweeps=RESET_SWEEPS):
+    """Median wall per mode of a sweep issued right after
+    ``reset_stats()`` and of one issued after a drain barrier.  The modes
+    take turns sweep by sweep, the first of each round rotating, and each
+    mode's two sides alternate which goes first, so a change in the box's
+    load lands on every cell alike and the sides compare within one run."""
+    modes = list(clusters)
+    sweep_ms = {(mode, drained): [] for mode in modes
+                for drained in (False, True)}
+    for index in range(sweeps):
+        shift = index % len(modes)
+        sides = (False, True) if index % 2 == 0 else (True, False)
+        for mode in modes[shift:] + modes[:shift]:
+            cluster = clusters[mode]
+            for drained in sides:
+                cluster.reset_stats()
+                if drained:
+                    drain(cluster)
+                started = time.perf_counter()
+                sweep = cluster.run_monitors(1.0)
+                sweep_ms[mode, drained].append(
+                    (time.perf_counter() - started) * 1e3)
+                assert sweep and not sweep.partial
+    return {mode: {
+        "sweep_after_reset_ms": round(
+            statistics.median(sweep_ms[mode, False]), 4),
+        "sweep_after_drain_ms": round(
+            statistics.median(sweep_ms[mode, True]), 4)} for mode in modes}
 
 
 def measure_idle_ticks(clusters, ticks=IDLE_TICKS):
@@ -206,8 +233,13 @@ def test_event_plane_latency(benchmark, report_writer):
     clusters = {mode: build_event_cluster(mode) for mode in ALL_MODES}
     try:
         def sweep():
+            for cluster in clusters.values():
+                warm_up(cluster)
+            queueing = measure_reset_queueing(clusters)
             results = {mode: measure_mode(clusters[mode])
                        for mode in ALL_MODES}
+            for mode in ALL_MODES:
+                results[mode].update(queueing[mode])
             for mode, idle_ms in measure_idle_ticks(clusters).items():
                 results[mode]["idle_tick_ms"] = idle_ms
             return results
@@ -249,7 +281,8 @@ def test_event_plane_latency(benchmark, report_writer):
         title=f"Event plane: {NUM_HOSTS}-host monitor sweep, "
               f"{FLOWS_PER_HOST} monitored flows/host "
               f"({POOR_FRACTION:.0%} poor), median over {ROUNDS} rounds "
-              f"({IDLE_TICKS} idle ticks per mode, modes taking turns) "
+              f"({RESET_SWEEPS} sweeps a side after a reset / a drain and "
+              f"{IDLE_TICKS} idle ticks per mode, modes taking turns) "
               "(measured wall clock; alarm streams byte-identical across "
               "modes; worker-mode traffic is len(encoded) of the "
               "tick/alarm frames; socket = grouped workers, "

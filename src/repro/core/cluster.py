@@ -40,7 +40,8 @@ fold the same plan, so payloads and traffic are byte-identical.
 The worker modes also carry the paper's *event plane* (Sections 3.2 and 4):
 transfer observations stream to the workers alongside record batches (the
 monitor's ``observation_sink`` mirror), :meth:`QueryCluster.run_monitors`
-scatters monitor-tick frames whose replies are alarm batches, and alarms
+scatters one monitor-tick entry per worker group, each answered by one
+alarm batch for the group's hosts, and alarms
 raised by worker-side query handlers piggyback on query replies - all
 decoded into the controller's :class:`AlarmBus`, so event-driven debugging
 applications run unchanged in every mode and see identical alarm streams.
@@ -183,7 +184,8 @@ class MonitorSweep(list):
             (worker failures name the group key in ``host``).
         traffic_bytes: measured wire bytes moved by the tick scatter (one
             tick envelope out and one alarm-batch envelope back per worker
-            group); zero for in-process sweeps, which need no wire.
+            group, each holding one entry for the whole shard); zero for
+            in-process sweeps, which need no wire.
         wall_clock_s: measured duration of the scatter (worker modes).
     """
 
@@ -849,9 +851,10 @@ class QueryCluster:
         modes.  A worker that dies mid-tick surfaces on the returned
         :class:`MonitorSweep` exactly like a dead agent does on a query
         (``partial`` / ``hosts_failed`` / a ``W_HOST_FAILED`` warning).
-        The scatter is coalesced: one ``MSG_GROUP_BATCH`` envelope per
-        worker group carries every member host's tick, and a dead group
-        surfaces as *all* of its hosts failed.
+        The scatter asks each worker group once: one ``MSG_GROUP_BATCH``
+        envelope holding one tick entry for the whole shard, answered by
+        one alarm batch, and a dead group surfaces as *all* of its hosts
+        failed.
         """
         if self.mode in _WORKER_MODES and self._process_pool is not None:
             return self._run_monitors_group(now, threshold)
@@ -866,37 +869,34 @@ class QueryCluster:
         return MonitorSweep(alarms, mode=self.mode,
                             warnings=self._drain_warnings())
 
-    def _post_per_group(self, post) -> None:
-        """``post(host)`` for every host that has an agent: one envelope
-        per group, flushed as soon as the group is complete so its worker
-        applies the entries while the next group's are built."""
+    def _seed_worker_monitors(self) -> None:
+        """Push every agent's current monitor state to its worker: one
+        envelope per group, flushed as soon as the group is complete so
+        its worker applies the states while the next group's are built."""
         pool = self._process_pool
         for key in pool.group_keys():
             try:
                 for host in pool.group_hosts(key):
                     if host in self.agents:
-                        post(host)
+                        pool.seed_monitor(
+                            host, self.agents[host].monitor.snapshot())
                 pool.flush(key)
             except AgentServerError:
                 pass  # dead worker: the query path reports it already
 
-    def _seed_worker_monitors(self) -> None:
-        """Push every agent's current monitor state to its worker."""
-        pool = self._process_pool
-        self._post_per_group(lambda host: pool.seed_monitor(
-            host, self.agents[host].monitor.snapshot()))
-
     def _run_monitors_group(self, now: float,
                             threshold: Optional[int]) -> MonitorSweep:
-        """Scatter one coalesced tick envelope per worker group
-        (:meth:`_scatter_groups`, its envelopes charged on :attr:`rpc`):
-        it carries every member's tick frame, and its reply every member's
-        alarm batch.  Each host's alarms go to the bus as soon as they are
-        decoded and every earlier host's have gone, so the stream is
-        byte-identical to the serial sweep; a dead group expands to all of
-        its member hosts in ``hosts_failed``."""
+        """Scatter one tick entry per worker group, addressed to every host
+        of it (:meth:`_scatter_groups`, its envelopes charged on
+        :attr:`rpc`); the worker checks its hosts in shard order and
+        answers with one alarm batch, which the pool splits by host.  Each
+        host's alarms go to the bus once every earlier host's have gone,
+        so the stream is byte-identical to the serial sweep; a failed
+        group - dead, or answering with an ingest error latched anywhere
+        in its shard, when it ran no check - expands to all of its member
+        hosts in ``hosts_failed``."""
         pool = self._process_pool
-        tick = wire.encode_monitor_tick(now, threshold)
+        tick = [(wire.EVERY_HOST, wire.encode_monitor_tick(now, threshold))]
         sink = _AlarmCollector(self, latch=True, order=self.hosts)
 
         def consume(exchange: Exchange, deadline: Optional[float]):
@@ -913,8 +913,7 @@ class QueryCluster:
             return {}, reply_bytes  # the alarms went to the bus already
 
         plan, gather = self._scatter_groups(
-            {key: [(host, tick) for host in pool.group_hosts(key)]
-             for key in pool.group_keys()}, consume)
+            {key: tick for key in pool.group_keys()}, consume)
         charge_legs(plan, gather.reports, self.rpc)
         alarms = sink.dispatch()
         hosts_failed = [host for key in gather.hosts_failed
@@ -961,7 +960,7 @@ class QueryCluster:
         def send(key: str):
             """The leaf's exchange, or the error its attempt raises."""
             for host, _frame in leaves[key]:
-                if host not in self.agents:
+                if host not in self.agents and host != wire.EVERY_HOST:
                     return KeyError(f"no agent running on {host}")
             try:
                 return pool.send(key, leaves[key])
@@ -1287,11 +1286,12 @@ class QueryCluster:
         repeated runs against the same cluster can't double-count and a new
         measurement interval re-alerts still-poor flows.  In a worker mode
         every worker monitor runs the same ``reset_stats()`` (one
-        payload-less ``MSG_MONITOR_REOPEN`` per host): the operation
-        travels, not its result, because the observation mirror already
-        keeps the two ledgers identical - so the reset costs a few bytes a
-        host whatever the ledgers hold, and the next tick does not queue
-        behind workers restoring thousands of flow entries.  It therefore
+        payload-less ``MSG_MONITOR_REOPEN`` entry per worker group,
+        addressed to every host of it): the operation travels, not its
+        result, because the observation mirror already keeps the two
+        ledgers identical - so the reset costs a few bytes a group whatever
+        the ledgers hold, and the next tick does not queue behind workers
+        restoring thousands of flow entries.  It therefore
         no longer re-ships monitor state: fields mutated outside
         ``observe_flow`` after the workers started (unsupported, see
         :meth:`start_agent_servers`) are not healed here.  Call once per
@@ -1301,10 +1301,14 @@ class QueryCluster:
             agent.reset_stats()
         pool = self._process_pool
         if pool is not None:
-            # Posted (and flushed) before the traffic counters are zeroed:
-            # these frames are reset bookkeeping, not part of the next
+            # Written before the traffic counters are zeroed: these
+            # frames are reset bookkeeping, not part of the next
             # experiment.
-            self._post_per_group(pool.reopen_monitor)
+            for key in pool.group_keys():
+                try:
+                    pool.reopen_monitors(key)
+                except AgentServerError:
+                    pass  # dead worker: the query path reports it already
             pool.reset_stats()
         self.rpc.stats.reset()
         if self.transport is not None:

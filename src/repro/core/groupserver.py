@@ -23,13 +23,18 @@ Everything a worker process runs lives in :mod:`~repro.core.worker`.
   request/reply envelopes tagged by correlation id, multiplexed by
   :class:`_GroupConn`: a scatter sends to every group before it waits on
   the first.
-* **Frame coalescing.** Monitor ticks, ingest batches, re-seed streams
-  and per-tree-edge query requests for all hosts of a group pack into a
-  single ``MSG_GROUP_BATCH`` envelope: one transport message where naive
-  per-host send pays M.  Fire-and-forget frames wait in the connection's
-  outbox and leave ahead of the next request.  The inner frames are
-  opaque here, and a plan travels as a parameter of an ordinary query
-  request - no group-transport change per new question, ever.
+* **Frame coalescing.** Ingest batches, re-seed streams and query
+  requests for all hosts of a group pack into a single
+  ``MSG_GROUP_BATCH`` envelope: one transport message where naive
+  per-host send pays M.  A question asked of the whole shard - a sweep's
+  monitor tick, a re-open - is one entry addressed to
+  :data:`~repro.core.wire.EVERY_HOST`, not M copies of one frame, and a
+  sweep's reply is one alarm batch for the shard, split by host here
+  (:meth:`GroupAgentPool.group_monitor_tick`).  Fire-and-forget frames
+  wait in the connection's outbox and leave ahead of the next request.
+  The inner frames are opaque here, and a plan travels as a parameter of
+  an ordinary query request - no group-transport change per new
+  question, ever.
 * **Dead-agent failure semantics.** A dead/hung/undecodable group
   connection surfaces as :class:`AgentServerError`, which the executor
   reports like a dead in-process agent - for every host of the shard,
@@ -115,18 +120,22 @@ class GroupPoolStats(Counters):
     """Frame/byte/envelope counters and self-healing telemetry of one
     group pool.
 
-    ``frames_*`` count *logical* per-host frames; ``envelopes_*`` count
-    the physical transport messages that carried them, so
-    ``frames_sent / envelopes_sent`` is the measured coalescing factor.
+    ``frames_*`` count *logical* per-host frames - a frame is a host
+    addressed, so an entry addressed to every host of a group counts once
+    per host of it; ``envelopes_*`` count the physical transport messages
+    that carried them, so ``frames_sent / envelopes_sent`` is the measured
+    coalescing factor.
     The supervision counters, keyed per *group* worker, let callers tell
     "healthy" from "degraded" at a glance: ``restarts``/``reseed_ms`` say
     how often (and how expensively) workers were recovered,
     ``circuit_open`` how many groups exhausted their restart budget and
     fell back to dead-agent semantics, ``mirror_detaches`` how many
     ingest mirrors gave up on an unrecoverable worker, and
-    ``decode_errors`` how many replies were corrupt (each one also counts
-    as a worker failure).  ``reconnects`` counts fresh connections made
-    after the initial spawn (one per supervised respawn).
+    ``decode_errors`` how many replies were corrupt or contradicted their
+    request - undecodable, short or long on entries, answered for the
+    wrong host (each one also counts as a worker failure).
+    ``reconnects`` counts fresh connections made after the initial spawn
+    (one per supervised respawn).
     """
 
     frames_sent: int = 0
@@ -182,7 +191,8 @@ class Exchange:
     def __init__(self, conn: "_GroupConn", hosts: List[str], waiter: _Waiter,
                  request_bytes: int, sent_at: float, reseed: bool) -> None:
         self.conn = conn
-        #: The entries' hosts, in envelope order.
+        #: The entries' hosts, in envelope order (``EVERY_HOST`` for an
+        #: entry addressed to the whole group).
         self.hosts = hosts
         self.waiter = waiter
         self.request_bytes = request_bytes
@@ -339,7 +349,9 @@ class _GroupConn:
         """Discard whatever the outbox holds; returns the hosts that had
         entries in it, in first-entry order."""
         with self._send_lock:
-            hosts = list(self._newest)
+            # A group-addressed entry (a re-open) mirrors no host's writes.
+            hosts = [host for host in self._newest
+                     if host != wire.EVERY_HOST]
             self._clear_outbox()
         return hosts
 
@@ -356,7 +368,8 @@ class _GroupConn:
         entries = [(entry.host, entry.body if entry.kind is None else
                     wire.finish_batch(entry.kind, entry.count, entry.body))
                    for entry in self._outbox]
-        self._write(wire.encode_group_batch(0, entries), len(entries), reseed)
+        self._write(wire.encode_group_batch(0, entries),
+                    self._pool._frames(self.key, entries), reseed)
         self._clear_outbox()
 
     def _write(self, envelope: bytes, frames: int,
@@ -442,7 +455,7 @@ class _GroupConn:
                            f"reply; worker killed: {error}")
                 self.kill()
                 return
-            pool._count_frames_received(len(entries))
+            pool._count_frames_received(pool._frames(self.key, entries))
             with self._lock:
                 waiter = self._pending.pop(cid, None)
                 closed = self.dead is not None
@@ -473,16 +486,17 @@ class AgentServerError(RuntimeError):
 class _Group:
     """One worker group's slot in the pool: its fixed ``key``, ``gid``
     and ``hosts``, its ``lock``, and the ``conn`` serving it (with its
-    worker process, ``conn.proc``, read here as ``proc``).
+    worker process, ``conn.proc``).
 
-    ``conn`` is replaced only under ``lock`` (:meth:`spawn`,
-    :meth:`discard`); the lock also serialises supervision, so
-    concurrent failures of one worker make one restart.  Other code
-    reads ``conn`` without the lock, once per use:
-    kills must not queue behind a restart in progress, liveness probes
-    are racy by contract, a stale value is a dead connection or process
-    that fails loudly on use, and teardown reads them only after the pool
-    latched ``_closed``, which stops respawns.
+    This class touches ``conn`` only under ``lock`` (:meth:`spawn`
+    replaces it, :meth:`discard` ends it); the lock also serialises
+    supervision, so concurrent failures of one worker make one restart.
+    Code outside the class reads ``conn`` - and ``conn.proc`` - without
+    the lock, once per use: kills must not queue behind a restart in
+    progress, liveness probes are racy by contract, a stale value is a
+    dead connection or process that fails loudly on use, and teardown
+    reads them only after the pool latched ``_closed``, which stops
+    respawns.
     """
 
     __slots__ = ("key", "gid", "hosts", "lock", "conn")
@@ -514,12 +528,8 @@ class _Group:
                 raise
             finally:
                 theirs.close()
-        self.conn = _GroupConn(pool, self.key, FramedSocket(ours),
-                               process)  # guarded-by: lock
-
-    @property
-    def proc(self) -> BaseProcess:
-        return self.conn.proc
+        conn = _GroupConn(pool, self.key, FramedSocket(ours), process)
+        self.conn = conn  # guarded-by: lock
 
     def discard(self) -> None:  # holds: lock
         """Close the connection and kill the worker (no replacement)."""
@@ -667,10 +677,17 @@ class GroupAgentPool:
         """Replace ``host``'s worker monitor state (fire-and-forget)."""
         self._post(host, wire.encode_monitor_state(snapshot))
 
-    def reopen_monitor(self, host: str) -> None:
-        """Make ``host``'s worker monitor run ``reset_stats()`` - alert
-        counter zeroed, every latch cleared (fire-and-forget)."""
-        self._post(host, wire.encode_monitor_reopen())
+    def reopen_monitors(self, key: str) -> None:
+        """Make every worker monitor of group ``key`` run ``reset_stats()``
+        - alert counters zeroed, every latch cleared: one fire-and-forget
+        entry addressed to every host, written at once, so the worker
+        applies it before the next tick is asked."""
+        conn = self._conn_for(key)
+        try:
+            conn.post(wire.EVERY_HOST, None, 1, wire.encode_monitor_reopen())
+            conn.send()
+        except AgentServerError as error:
+            raise self._worker_failed(conn, str(error)) from error
 
     def seed_host(self, host: str, seed: WorkerSeed,
                   reseed: bool = False) -> None:
@@ -711,8 +728,8 @@ class GroupAgentPool:
     def monitor_tick(self, host: str, now: float,
                      threshold: Optional[int] = None
                      ) -> Tuple[List[Alarm], int]:
-        """Run one monitor check on ``host`` alone (the *naive* per-host
-        path; :meth:`group_monitor_tick` is the coalesced one).  Returns
+        """Run one monitor check on ``host`` alone (a single-host probe; a
+        sweep asks each group once, :meth:`group_monitor_tick`).  Returns
         ``(alarms, inner reply frame bytes)``."""
         conn, reply = self._ask(host, wire.encode_monitor_tick(now, threshold))
         return (self._checked_decode(conn, reply, wire.decode_alarm_batch),
@@ -760,7 +777,7 @@ class GroupAgentPool:
 
     def alive(self, name: str) -> bool:
         """Whether the group worker serving ``name`` is running."""
-        return self._slot(name).proc.is_alive()
+        return self._slot(name).conn.proc.is_alive()
 
     def healthy(self, name: str) -> bool:
         """Whether ``name``'s group worker is serving: process alive and
@@ -769,7 +786,7 @@ class GroupAgentPool:
         if slot is None or self.supervisor is not None and \
                 self.supervisor.circuit_open(slot.key):
             return False
-        return slot.proc.is_alive()
+        return slot.conn.proc.is_alive()
 
     # ---------------------------------------------------------- group client
     def send(self, key: str, entries: Sequence[Tuple[str, bytes]],
@@ -791,7 +808,7 @@ class GroupAgentPool:
             # like a fresh failure so supervision still kicks in.
             waiter = conn.register()
             envelope = wire.encode_group_batch(waiter.cid, entries)
-            conn.send(envelope, len(entries), reseed)
+            conn.send(envelope, self._frames(conn.key, entries), reseed)
         except AgentServerError as error:
             raise self._worker_failed(conn, str(error), reseed) from error
         return Exchange(conn, [host for host, _frame in entries], waiter,
@@ -802,26 +819,40 @@ class GroupAgentPool:
                            on_host=None
                            ) -> Tuple[List[Tuple[str, List[Alarm]]],
                                       int, int]:
-        """The consume step of one coalesced monitor sweep over a group:
-        ``exchange`` is the tick envelope :meth:`send` wrote, one tick
-        frame per member host; the single reply envelope carries every
-        host's alarm batch.  Returns ``(per-host (host, alarms) in
-        envelope order, reply envelope bytes, request envelope bytes)``.
+        """The consume step of one monitor sweep over a group: ``exchange``
+        is the one tick entry :meth:`send` wrote, addressed to
+        :data:`~repro.core.wire.EVERY_HOST`, and its reply one alarm batch
+        holding every member host's alarms in shard order.  Returns
+        ``(per-host (host, alarms) in shard order, reply envelope bytes,
+        request envelope bytes)``.
 
         ``deadline`` (a ``perf_counter`` stamp) bounds the wait: past it,
         :class:`~repro.core.executor.DeadlineExceeded` is raised and the
         exchange stays open, so a later call can still consume its reply.
-        ``on_host(host, alarms)`` is called as soon as each host's batch
-        is decoded, in envelope order.
+        ``on_host(host, alarms)`` is called once per member host, in shard
+        order, empty batches included, after the batch is decoded and
+        split by ``alarm.host``.  An alarm naming a host outside the shard,
+        or out of shard order, is a desync that condemns the group, like
+        an undecodable reply.
         """
         replies, reply_bytes, sent = self._consume(exchange, deadline)
-        per_host = []
-        for host, reply in zip(exchange.hosts, replies):
-            alarms = self._checked_decode(exchange.conn, reply,
-                                          wire.decode_alarm_batch)
-            if on_host is not None:
+        conn, hosts = exchange.conn, self._slots[exchange.key].hosts
+        per_host: List[Tuple[str, List[Alarm]]] = [
+            (host, []) for host in hosts]
+        at = 0
+        for alarm in self._checked_decode(conn, replies[0],
+                                          wire.decode_alarm_batch):
+            while at < len(hosts) and hosts[at] != alarm.host:
+                at += 1
+            if at == len(hosts):
+                raise self._desynced(
+                    conn, f"agent server group {exchange.key} sent an alarm "
+                    f"for {alarm.host!r} outside its shard order; worker "
+                    f"killed")
+            per_host[at][1].append(alarm)
+        if on_host is not None:
+            for host, alarms in per_host:
                 on_host(host, alarms)
-            per_host.append((host, alarms))
         return per_host, reply_bytes, sent
 
     def group_query(self, exchange: Exchange, query,
@@ -892,6 +923,13 @@ class GroupAgentPool:
         with self._stats_lock:
             self.stats.decode_errors += 1
 
+    def _frames(self, key: str, entries: Sequence[Tuple[str, bytes]]) -> int:
+        """The per-host logical frames ``entries`` to or from group ``key``
+        stand for: an entry addressed to every host, one per host."""
+        width = len(self._slots[key].hosts)
+        return sum(width if host == wire.EVERY_HOST else 1
+                   for host, _frame in entries)
+
     def reset_stats(self) -> None:
         """Zero the pool's frame/byte/envelope counters."""
         with self._stats_lock:
@@ -910,7 +948,7 @@ class GroupAgentPool:
         for slot in slots:
             slot.conn.hang_up()
         for slot in slots:
-            process = slot.proc
+            process = slot.conn.proc
             process.join(join_timeout_s)
             if process.is_alive():
                 process.kill()
@@ -994,7 +1032,7 @@ class GroupAgentPool:
             raise self._condemn(conn, waiter.error, exchange.reseed)
         assert waiter.replies is not None
         if len(waiter.replies) != len(exchange.hosts):
-            raise self._condemn(
+            raise self._desynced(
                 conn, f"agent server group {key} answered "
                 f"{len(waiter.replies)} of {len(exchange.hosts)} entries; "
                 f"worker killed", exchange.reseed)
@@ -1015,13 +1053,15 @@ class GroupAgentPool:
         frames: List[bytes] = []
         for host, (reply_host, reply) in zip(exchange.hosts, replies):
             if reply_host != host:
-                raise self._condemn(
+                raise self._desynced(
                     exchange.conn, f"agent server group {key} answered for "
-                    f"{reply_host} where {host} was asked; worker killed")
+                    f"{reply_host!r} where {host!r} was asked; worker killed")
             if wire.is_error(reply):
                 detail = self._checked_decode(exchange.conn, reply,
                                               wire.decode_error)
-                raise AgentServerError(f"agent server on {host}: {detail}")
+                where = (f"group {key}" if host == wire.EVERY_HOST
+                         else f"on {host}")
+                raise AgentServerError(f"agent server {where}: {detail}")
             frames.append(reply)
         return frames, reply_bytes, sent
 
@@ -1069,10 +1109,16 @@ class GroupAgentPool:
         try:
             return decoder(reply, *args)
         except wire.WireError as error:
-            self._count_decode_error()
-            raise self._condemn(
+            raise self._desynced(
                 conn, f"agent server group {conn.key} sent an "
                 f"undecodable reply; worker killed: {error}") from error
+
+    def _desynced(self, conn: _GroupConn, detail: str,
+                  reseed: bool = False) -> AgentServerError:
+        """A reply on ``conn`` that is corrupt or contradicts its request:
+        counted in ``decode_errors``, and the group condemned."""
+        self._count_decode_error()
+        return self._condemn(conn, detail, reseed)
 
     def _condemn(self, conn: _GroupConn, detail: str,
                  reseed: bool = False) -> AgentServerError:

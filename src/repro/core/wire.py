@@ -44,7 +44,10 @@ the reply - and a tail of per-plan scan-stat counters), the event-plane
 frames (transfer-observation batches, monitor ticks, alarm batches,
 monitor-state snapshots/pulls, the payload-less re-open command behind
 ``reset_stats``), and the small control frames of the agent-server
-protocol (error, ping/pong, reset, sleep, shutdown).
+protocol (error, ping/pong, reset, sleep, shutdown).  Every frame to a
+worker rides a ``MSG_GROUP_BATCH`` envelope entry naming its host; a
+sweep's tick and a re-open name :data:`EVERY_HOST` instead, one entry for
+the whole shard.
 
 How the codec is written
 ------------------------
@@ -134,6 +137,9 @@ from repro.storage.records import PathFlowRecord
 #: (The group hello, type 17, left version 7 later without a bump: a
 #: worker's connection is made for its shard, so nothing names the shard
 #: on the wire; no remaining frame moves a byte, and 17 is not reused.)
+#: (Group-addressed envelope entries - host :data:`EVERY_HOST` - joined
+#: version 7 later without a bump: an empty host string was always
+#: encodable, so no frame's layout moved; only its meaning is new.)
 MAGIC = b"PD"
 WIRE_VERSION = 7
 
@@ -161,6 +167,13 @@ MSG_RETENTION = 16
 MSG_GROUP_BATCH = 18
 MSG_CLOSE_TORN = 19
 MSG_MONITOR_REOPEN = 22
+
+#: The host of a group-addressed ``MSG_GROUP_BATCH`` entry: "every host of
+#: this worker", in shard order.  Only a monitor tick (answered by one
+#: alarm batch holding every host's alarms) and a monitor re-open may be
+#: addressed so; a worker answers any other frame addressed so with an
+#: error frame.
+EVERY_HOST = ""
 
 #: Tagged-value type codes.
 _V_NONE = 0
@@ -1069,7 +1082,10 @@ def encode_monitor_tick(now: float,
     """Encode a monitor-tick command: run one periodic check at ``now``.
 
     The worker replies with an alarm batch carrying every alarm the check
-    raised plus any alarms still pending from earlier activity.
+    raised plus any alarms still pending from earlier activity.  Addressed
+    to :data:`EVERY_HOST` (a sweep), the check runs on every host of the
+    shard, in shard order, and the one batch holds all of their alarms,
+    each naming its host.
     """
     body = bytearray()
     body += DOUBLE.pack(now)
@@ -1124,7 +1140,8 @@ def encode_monitor_reopen() -> bytes:
     """Encode the re-open-alerting command: the worker runs its monitor's
     ``reset_stats()`` (alert counter zeroed, every ``alerted`` latch
     cleared) - the operation itself, where a state frame would ship its
-    result flow by flow."""
+    result flow by flow.  ``reset_stats`` addresses one to
+    :data:`EVERY_HOST` per worker."""
     return _frame(MSG_MONITOR_REOPEN)
 
 
@@ -1133,14 +1150,17 @@ def encode_group_batch(correlation_id: int,
                        entries: Sequence[Tuple[str, bytes]]) -> bytes:
     """Encode a coalesced per-group envelope.
 
-    ``entries`` is ``(host, inner frame)`` per host - monitor ticks, ingest
-    batches, or query requests for every host a worker group owns packed
-    into *one* message, amortizing the per-frame transport cost the
-    event-plane bench exposed.  ``correlation_id`` tags the envelope so one
-    multiplexed connection can interleave request/reply pairs: the reply is
-    a ``MSG_GROUP_BATCH`` echoing the same id with one reply frame per
-    entry, in entry order.  Id ``0`` marks a fire-and-forget envelope
-    (ingest streams) that produces no reply.
+    ``entries`` is ``(host, inner frame)`` per host - ingest batches or
+    query requests for every host a worker group owns packed into *one*
+    message, amortizing the per-frame transport cost the event-plane bench
+    exposed.  A question asked of the whole shard is one entry whose host
+    is :data:`EVERY_HOST`: a sweep's monitor tick (its reply one alarm
+    batch for the shard) and a re-open.  ``correlation_id`` tags the
+    envelope so one multiplexed connection can interleave request/reply
+    pairs: the reply is a ``MSG_GROUP_BATCH`` echoing the same id with one
+    reply frame per entry, in entry order, each under the host its entry
+    named.  Id ``0`` marks a fire-and-forget envelope (ingest streams,
+    re-opens) that produces no reply.
     """
     body = bytearray()
     w_uvarint(body, correlation_id)

@@ -6,6 +6,11 @@ the end hosts themselves, so the worker owns its shard's per-host state
 (a :class:`_HostServer` per host) and answers over one
 :class:`FramedSocket`, the class the controller reads the other end with.
 No pickle crosses the wire.
+
+An envelope entry names the host it is for.  A monitor sweep and a
+re-open ask the same question of every host, so each is one entry for the
+whole shard (:func:`_serve_every_host`): a sweep's reply is one alarm
+batch holding the alarms of every host, in shard order.
 """
 
 from __future__ import annotations
@@ -160,6 +165,13 @@ class _HostServer:
         self.pending_alarms.clear()
         return drained
 
+    def tick(self, now: float, threshold: Optional[int]) -> Tuple[Alarm, ...]:
+        """One periodic check; returns every pending alarm - the check's,
+        which land on the pending queue via the monitor's sink, and any
+        from earlier activity - for the reply being built."""
+        self.monitor.run_check(now, threshold)
+        return self.drain_alarms()
+
     @contextmanager
     def _latching(self, what: str) -> Iterator[None]:
         """Latch a failure of the fire-and-forget step run inside as
@@ -200,12 +212,8 @@ class _HostServer:
                     result.alarms = self.drain_alarms()
                     return wire.encode_result(result)
                 if kind == wire.MSG_MONITOR_TICK:
-                    now, threshold = wire.decode_monitor_tick(frame)
-                    self.monitor.run_check(now, threshold)
-                    # The check's alarms landed on the pending queue via
-                    # the monitor's sink; the reply drains everything
-                    # pending (including alarms from earlier activity).
-                    return wire.encode_alarm_batch(self.drain_alarms())
+                    return wire.encode_alarm_batch(
+                        self.tick(*wire.decode_monitor_tick(frame)))
                 return wire.encode_monitor_state(self.monitor.snapshot())
             except Exception as error:
                 return wire.encode_error(f"{type(error).__name__}: {error}")
@@ -260,6 +268,46 @@ class _HostServer:
         return None
 
 
+def _serve_every_host(servers: Sequence[_HostServer],
+                      frame: bytes) -> Optional[bytes]:
+    """Serve one entry addressed to every host of the shard
+    (:data:`~repro.core.wire.EVERY_HOST`): ``servers`` in shard order.
+
+    A monitor tick first answers an ingest failure latched anywhere in the
+    shard - one error frame naming each latched host, every latch cleared,
+    no check run - as a per-host tick answers its own: checks run beside
+    it would latch their poor flows while the error fails the reply that
+    was to carry their alarms.  Otherwise every host runs its check and one
+    alarm batch carries all of their alarms, host by host.  A re-open runs
+    every monitor's ``reset_stats()`` (fire-and-forget).  Any other frame
+    is answered with an error frame.
+    """
+    try:
+        kind = wire.frame_type(frame)
+        if kind == wire.MSG_MONITOR_REOPEN:
+            for server in servers:
+                server.monitor.reset_stats()
+            return None
+        if kind != wire.MSG_MONITOR_TICK:
+            return wire.encode_error(
+                f"message type {kind} cannot be addressed to every host")
+        latched = [server for server in servers
+                   if server.pending_error is not None]
+        if latched:
+            detail = "; ".join(f"{server.host}: {server.pending_error}"
+                               for server in latched)
+            for server in latched:
+                server.pending_error = None
+            return wire.encode_error(detail)
+        now, threshold = wire.decode_monitor_tick(frame)
+        alarms: List[Alarm] = []
+        for server in servers:
+            alarms += server.tick(now, threshold)
+        return wire.encode_alarm_batch(alarms)
+    except Exception as error:
+        return wire.encode_error(f"{type(error).__name__}: {error}")
+
+
 def group_server_main(group_id: int, hosts: Sequence[str],
                       sock: socket.socket) -> None:
     """Group worker main loop: serve coalesced envelopes for ``hosts``
@@ -271,15 +319,18 @@ def group_server_main(group_id: int, hosts: Sequence[str],
     lifecycle (``MSG_SHUTDOWN``, ``MSG_SLEEP`` for stall injection,
     ``MSG_CLOSE_TORN`` for the chaos harness) or ``MSG_GROUP_BATCH``
     envelopes whose entries are routed to the per-host servers in entry
-    order; a correlated envelope (id > 0) is answered with one reply
-    envelope echoing the id, one reply frame per entry, in entry order.
-    The worker exits when the controller goes away or the stream cannot
-    be trusted (a corrupt frame: it dies loudly, as an EOF).
+    order - an entry addressed to :data:`~repro.core.wire.EVERY_HOST` to
+    all of them (:func:`_serve_every_host`); a correlated envelope (id >
+    0) is answered with one reply envelope echoing the id, one reply frame
+    per entry, in entry order, under the host the entry named.  The worker
+    exits when the controller goes away or the stream cannot be trusted (a
+    corrupt frame: it dies loudly, as an EOF).
     """
     channel = FramedSocket(sock)
     requests = _RequestMemo()
     servers: Dict[str, _HostServer] = {
         host: _HostServer(host, requests) for host in hosts}
+    shard = tuple(servers.values())
     try:
         while True:
             try:
@@ -308,11 +359,13 @@ def group_server_main(group_id: int, hosts: Sequence[str],
             replies: List[Tuple[str, bytes]] = []
             for host, inner in entries:
                 server = servers.get(host)
-                if server is None:
-                    reply: Optional[bytes] = wire.encode_error(
-                        f"host {host} is not in group {group_id}")
+                if server is not None:
+                    reply: Optional[bytes] = server.serve(inner)
+                elif host == wire.EVERY_HOST:
+                    reply = _serve_every_host(shard, inner)
                 else:
-                    reply = server.serve(inner)
+                    reply = wire.encode_error(
+                        f"host {host} is not in group {group_id}")
                 if cid:
                     if reply is None:
                         # Correlated envelopes must keep reply cardinality:

@@ -16,7 +16,16 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any
+from functools import cache
+from typing import Any, Tuple
+
+
+@cache
+def _defaults(cls: type[Counters]) -> Tuple[Tuple[str, Any], ...]:
+    """``(name, default)`` of every counter ``cls`` declares, read once per
+    class: a reset runs for every host of a worker on each re-open, and
+    ``dataclasses.fields`` rebuilds its list on every call."""
+    return tuple((counter.name, counter.default) for counter in fields(cls))
 
 
 @dataclass(slots=True)
@@ -25,8 +34,8 @@ class Counters:
 
     def reset(self) -> None:
         """Restore every declared counter to its default."""
-        for counter in fields(self):
-            setattr(self, counter.name, counter.default)
+        for name, default in _defaults(type(self)):
+            setattr(self, name, default)
 
     def get(self, name: str, default: Any = None) -> Any:
         """A counter by name.  Only pathbench's tracer, which reads archive

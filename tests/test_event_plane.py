@@ -294,7 +294,8 @@ class TestMeasuredAlarmTraffic:
                                                        process_cluster):
         """A monitor sweep's traffic is exactly: one tick envelope per
         worker out, plus each worker's measured alarm-batch reply envelope
-        (process mode: one single-entry envelope per host each way)."""
+        (process mode: one envelope per host each way, each holding one
+        entry addressed to every host of the worker - here, one)."""
         sweep = process_cluster.run_monitors(4.0)
         assert not sweep.partial
         tick = wire.encode_monitor_tick(4.0, None)
@@ -302,8 +303,10 @@ class TestMeasuredAlarmTraffic:
         for host in process_cluster.hosts:
             host_alarms = [a for a in sweep if a.host == host]
             reply = wire.encode_alarm_batch(host_alarms)
-            expected += len(wire.encode_group_batch(1, [(host, tick)]))
-            expected += len(wire.encode_group_batch(1, [(host, reply)]))
+            expected += len(wire.encode_group_batch(
+                1, [(wire.EVERY_HOST, tick)]))
+            expected += len(wire.encode_group_batch(
+                1, [(wire.EVERY_HOST, reply)]))
         assert sweep.traffic_bytes == expected
         assert sweep.mode == MODE_PROCESS
 

@@ -15,7 +15,8 @@ subject (a wrong root must not pass by scanning nothing):
   guard is a lock-returning method).  A method whose def line is
   commented ``# holds: <lock>`` runs with it held, and ``__init__`` is
   exempt.  Where other code may read a guarded attribute without the
-  lock, the owning class's docstring says so once.
+  lock, the owning class's docstring says so once.  A ``# guarded-by:``
+  comment on any other line guards nothing and is a finding itself.
 * **No serializer on the query path.**  No ``pickle`` / ``marshal`` /
   ``shelve`` import or call in any module import-reachable from
   ``core/``: the wire codec is the only serializer there.
@@ -177,9 +178,9 @@ class _LockWalk(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _check_class(file, cls):
-    """Findings of one class: unknown guard locks, then unguarded touches."""
-    guards = _guards(file, cls)
+def _check_class(file, cls, guards):
+    """Findings of one class (``guards`` from :func:`_guards`): unknown
+    guard locks, then unguarded touches."""
     if not guards:
         return []
     methods = {node.name: node for node in cls.body
@@ -201,7 +202,10 @@ def _check_class(file, cls):
 
 
 def lock_discipline(files):
-    """Findings, and the ``(path, line)`` of every annotation read."""
+    """Findings, and the ``(path, line)`` of every annotation read.  A
+    ``# guarded-by:`` comment that attaches to no attribute initialisation
+    of a class (one on a continuation line, say) is a finding too: it
+    would guard nothing."""
     findings, annotations = [], []
     for file in files:
         if "guarded-by" not in file.text:
@@ -209,9 +213,19 @@ def lock_discipline(files):
         annotations += [(file.rel, number)
                         for number, comment in file.comments.items()
                         if _GUARDED.search(comment) or _HOLDS.search(comment)]
+        attached = set()
         for node in ast.walk(file.tree):
             if isinstance(node, ast.ClassDef):
-                findings += _check_class(file, node)
+                guards = _guards(file, node)
+                attached.update(line for _lock, line in guards.values())
+                findings += _check_class(file, node, guards)
+        findings += [
+            file.at(number, f"'{match.group(0)}' is on no attribute "
+                            f"initialisation of a class, so it guards "
+                            f"nothing")
+            for number, comment in sorted(file.comments.items())
+            for match in [_GUARDED.search(comment)]
+            if match is not None and number not in attached]
     return findings, annotations
 
 
@@ -537,6 +551,26 @@ def test_a_lock_is_released_when_its_with_block_ends(tmp_path):
         "            self.n += 1\n"
         "        return self.n\n")}))
     assert [f.split(": ", 1)[0] for f in findings] == ["pool.py:8"]
+
+
+def test_a_guard_that_attaches_to_nothing_is_reported(tmp_path):
+    """A guard on a continuation line, or outside any class, guards
+    nothing, so it is a finding."""
+    findings, annotations = lock_discipline(_tree(tmp_path, {"pool.py": (
+        "LIMIT = 3  # guarded-by: _lock\n"
+        "class Pool:\n"
+        "    def __init__(self):\n"
+        "        self._lock = None\n"
+        "        self.conn = make(\n"
+        "            self)  # guarded-by: _lock\n"
+        "        self.n = 0  # guarded-by: _lock\n"
+        "    def peek(self):\n"
+        "        return self.conn\n")}))
+    assert [f.split(": ", 1)[0] for f in findings] == \
+        ["pool.py:1", "pool.py:6"]
+    assert all("'# guarded-by: _lock' is on no attribute initialisation"
+               in finding for finding in findings)
+    assert len(annotations) == 3
 
 
 def test_serializer_reached_through_a_from_imported_submodule(tmp_path):

@@ -1074,6 +1074,10 @@ def _golden_frames():
     entries = [("server-0", wire.encode_ping()),
                (UNICODE_HOST, wire.encode_monitor_tick(1.5, 3)),
                ("server-2", wire.encode_query(GOLDEN_TOPK_QUERY))]
+    group_tick = [(wire.EVERY_HOST, wire.encode_monitor_tick(1.5, 3))]
+    group_alarms = [(wire.EVERY_HOST, wire.encode_alarm_batch(
+        golden_alarms()))]
+    group_reopen = [(wire.EVERY_HOST, wire.encode_monitor_reopen())]
 
     def result_fields(result):
         return (result.query.name, result.payload, result.records_scanned,
@@ -1131,6 +1135,14 @@ def _golden_frames():
             result_fields(planned)),
         "monitor_reopen": (wire.encode_monitor_reopen(), wire.frame_type,
                            wire.MSG_MONITOR_REOPEN),
+        # A sweep's tick and a re-open address every host of a worker: one
+        # entry for the whole shard, the tick's reply one alarm batch.
+        "group_tick": (wire.encode_group_batch(1, group_tick),
+                       wire.decode_group_batch, (1, group_tick)),
+        "group_alarm_batch": (wire.encode_group_batch(1, group_alarms),
+                              wire.decode_group_batch, (1, group_alarms)),
+        "group_reopen": (wire.encode_group_batch(0, group_reopen),
+                         wire.decode_group_batch, (0, group_reopen)),
     }
 
 
@@ -1161,9 +1173,12 @@ GOLDEN_VALUES = {
 }
 
 
-#: The rows whose layout wire version 7 changed (generated by the version-7
-#: codec); every other row below was generated at version 6.
-GOLDEN_V7_ROWS = ("plan_request", "plan_result", "query_result")
+#: The rows generated by a version-7 codec: the three whose layout wire
+#: version 7 changed, and the group-addressed entries (generated by the
+#: codec of commit 7d4710f, which could already encode an empty host but
+#: gave it no meaning); every other row below was generated at version 6.
+GOLDEN_V7_ROWS = ("plan_request", "plan_result", "query_result",
+                  "group_tick", "group_alarm_batch", "group_reopen")
 
 # Generated by the codec of commit d1f8568 from the inputs above, except
 # GOLDEN_V7_ROWS and the "plan" value.
@@ -1266,6 +1281,20 @@ GOLDEN_FRAME_HEX = {
         "5f736b6970706564804015636f6c645f7365676d656e74735f736b6970706564"
         "000f686f745f666c6f775f726f7574656402",
     "monitor_reopen": "50440616",
+    "group_tick": "504407120101000e5044070c000000000000f83f0106",
+    "group_alarm_batch":
+        "50440712010100cf025044070d04087365727665722d33087365727665722d39"
+        "80f104a0010c09504f4f525f5045524600087365727665722d33000000000000"
+        "29401c726574783d392c2073747265616b3d352c2074696d656f7574733d3108"
+        "7365727665722d33097365727665722d313082f104a0010c09504f4f525f5045"
+        "524600087365727665722d3300000000000029401d726574783d31302c207374"
+        "7265616b3d352c2074696d656f7574733d31087365727665722d330973657276"
+        "65722d313184f104a0010c09504f4f525f5045524600087365727665722d3300"
+        "000000000029401d726574783d31312c2073747265616b3d352c2074696d656f"
+        "7574733d310768c3b473742d61097365727665722d343294a305a0010c075043"
+        "5f4641494c02030768c3b473742d6105746f722d31097365727665722d343200"
+        "0e68c3b473742de4b8ade5bf832d39000000000000d03f00",
+    "group_reopen": "504407120001000450440716",
 }
 
 

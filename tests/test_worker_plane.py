@@ -18,6 +18,7 @@ schedule, the spawn lock that keeps one worker's connection out of
 another, and the standalone pool lifecycle.
 """
 
+import dataclasses
 import functools
 import multiprocessing
 import os
@@ -512,6 +513,56 @@ class TestFrameCoalescing:
             assert pool.stats.frames_sent == NUM_HOSTS
             assert sweep.traffic_bytes > 0
 
+    def test_a_sweep_and_a_reset_ship_one_entry_per_group(self,
+                                                          monkeypatch):
+        """A sweep writes one envelope per group holding one tick entry
+        addressed to every host, and reads one reply per group holding one
+        alarm batch; ``reset_stats`` flushes one re-open entry per group.
+        The frame counters still count hosts addressed."""
+        with worker_cluster(feed=feed_workload) as cluster:
+            pool = cluster.agent_servers
+            written, read = [], []
+            encode, decode = wire.encode_group_batch, wire.decode_group_batch
+
+            def encode_group_batch(cid, entries):
+                written.append((cid, list(entries)))
+                return encode(cid, entries)
+
+            def decode_group_batch(frame):
+                cid, entries = decode(frame)
+                read.append((cid, [host for host, _reply in entries]))
+                return cid, entries
+
+            monkeypatch.setattr(wire, "encode_group_batch",
+                                encode_group_batch)
+            monkeypatch.setattr(wire, "decode_group_batch",
+                                decode_group_batch)
+            pool.reset_stats()
+            sweep = cluster.run_monitors(1.0)
+            assert len(sweep) == 3 * NUM_HOSTS and not sweep.partial
+            tick = wire.encode_monitor_tick(1.0)
+            assert [entries for _cid, entries in written] == \
+                [[(wire.EVERY_HOST, tick)]] * GROUPS
+            assert all(cid > 0 for cid, _entries in written)
+            assert sorted(read) == sorted(
+                (cid, [wire.EVERY_HOST]) for cid, _entries in written)
+            stats = pool.stats
+            assert (stats.envelopes_sent, stats.envelopes_received) == \
+                (GROUPS, GROUPS)
+            assert stats.frames_sent == stats.frames_received == NUM_HOSTS
+
+            written.clear()
+            sent = []
+            zero = pool.reset_stats
+            pool.reset_stats = lambda: (sent.append(
+                (pool.stats.envelopes_sent, pool.stats.frames_sent)), zero())
+            cluster.reset_stats()
+            assert written == [
+                (0, [(wire.EVERY_HOST, wire.encode_monitor_reopen())])
+            ] * GROUPS
+            assert sent == [(2 * GROUPS, 2 * NUM_HOSTS)]
+            assert len(cluster.run_monitors(2.0)) == 3 * NUM_HOSTS
+
 
 class TestSplitPhaseScatter:
     """A worker-mode scatter writes every group's envelope, then consumes
@@ -785,20 +836,29 @@ REPLY_DAMAGE = {
 }
 
 
-def damage_next_reply(monkeypatch, hosts, damage):
-    """Replace the first inner frame of the next reply envelope for
-    ``hosts``' group with ``REPLY_DAMAGE[damage]`` of it, as it arrives
-    at the controller."""
+def rewrite_next_reply(monkeypatch, key, rewrite):
+    """Replace the entries of the next reply envelope group ``key``'s
+    reader thread decodes with ``rewrite(entries)``, as they arrive at the
+    controller."""
     decode, armed = wire.decode_group_batch, [True]
+    reader = f"pathdump-mux-{key}"
 
     def decode_group_batch(frame):
         cid, entries = decode(frame)
-        if armed and entries and entries[0][0] in hosts:
+        if armed and entries and threading.current_thread().name == reader:
             armed.clear()
-            host, reply = entries[0]
-            entries = [(host, REPLY_DAMAGE[damage](reply))] + entries[1:]
+            entries = rewrite(entries)
         return cid, entries
     monkeypatch.setattr(wire, "decode_group_batch", decode_group_batch)
+
+
+def damage_next_reply(monkeypatch, key, damage):
+    """Replace the first inner frame of group ``key``'s next reply envelope
+    with ``REPLY_DAMAGE[damage]`` of it."""
+    def rewrite(entries):
+        host, reply = entries[0]
+        return [(host, REPLY_DAMAGE[damage](reply))] + entries[1:]
+    rewrite_next_reply(monkeypatch, key, rewrite)
 
 
 class TestInnerReplyChecks:
@@ -819,7 +879,7 @@ class TestInnerReplyChecks:
         with worker_cluster() as cluster:
             pool = cluster.agent_servers
             doomed = pool.group_hosts("group-1")
-            damage_next_reply(monkeypatch, doomed, damage)
+            damage_next_reply(monkeypatch, "group-1", damage)
             outcome = self.scatter(cluster, op)
             assert pool.stats.decode_errors == 1
             assert outcome.partial
@@ -830,20 +890,117 @@ class TestInnerReplyChecks:
     @pytest.mark.parametrize("op", ["query", "tick"])
     def test_error_reply_raises_naming_the_host(self, op, monkeypatch):
         with GroupAgentPool(["a", "b"], group_count=1) as pool:
-            damage_next_reply(monkeypatch, ("a", "b"), "error")
+            damage_next_reply(monkeypatch, "group-0", "error")
             if op == "query":
                 query = Query(Q_GET_FLOWS, {})
                 frame = wire.encode_query_request(query, None)
+                entries = [("a", frame), ("b", frame)]
                 consume = functools.partial(pool.group_query, query=query)
+                named = "agent server on a: injected"
             else:
-                frame = wire.encode_monitor_tick(1.0)
+                entries = [(wire.EVERY_HOST, wire.encode_monitor_tick(1.0))]
                 consume = pool.group_monitor_tick
-            exchange = pool.send("group-0", [("a", frame), ("b", frame)])
-            with pytest.raises(AgentServerError,
-                               match="agent server on a: injected"):
+                named = "agent server group group-0: injected"
+            exchange = pool.send("group-0", entries)
+            with pytest.raises(AgentServerError, match=named):
                 consume(exchange)
             assert pool.stats.decode_errors == 0
             assert pool.ping("b") == 0  # an error reply is no desync
+
+
+#: Group-1's tick reply, rewritten to contradict the tick it answers: an
+#: entry too many or too few, the wrong host echo, a truncated alarm
+#: batch, an alarm for another group's host, the shard's alarms out of
+#: shard order.
+TICK_REPLY_DAMAGE = {
+    "extra-entry": lambda entries: entries + entries,
+    "no-entry": lambda entries: [],
+    "wrong-echo": lambda entries: [("server-3", entries[0][1])],
+    "truncated-batch": lambda entries: [(entries[0][0],
+                                         entries[0][1][:-1])],
+    "foreign-host": lambda entries: [(entries[0][0], wire.encode_alarm_batch(
+        [dataclasses.replace(alarm, host="server-0")
+         for alarm in wire.decode_alarm_batch(entries[0][1])]))],
+    "out-of-order": lambda entries: [(entries[0][0], wire.encode_alarm_batch(
+        wire.decode_alarm_batch(entries[0][1])[::-1]))],
+}
+
+
+class TestGroupAddressedEntries:
+    """An entry addressed to every host of a worker (``wire.EVERY_HOST``):
+    only a tick or a re-open may be, its reply is checked like any other,
+    and a tick answers an ingest failure latched anywhere in the shard."""
+
+    def test_any_other_frame_type_is_answered_with_an_error_frame(self):
+        from test_wire import _golden_frames, _msg_types
+        frames = [frame for frame, _decoder, _decoded
+                  in _golden_frames().values()
+                  if wire.frame_type(frame) not in (
+                      wire.MSG_MONITOR_TICK, wire.MSG_MONITOR_REOPEN)]
+        assert len({wire.frame_type(frame) for frame in frames}) == \
+            len(_msg_types()) - 2
+        with GroupAgentPool(["a", "b"], group_count=1) as pool:
+            pool.add_records("a", sample_records("a"))
+            exchange = pool.send("group-0", [(wire.EVERY_HOST, frame)
+                                             for frame in frames])
+            replies, _reply_bytes, _sent = pool._receive(exchange)
+            assert [host for host, _reply in replies] == \
+                [wire.EVERY_HOST] * len(frames)
+            for frame, (_host, reply) in zip(frames, replies):
+                assert wire.decode_error(reply) == (
+                    f"message type {wire.frame_type(frame)} cannot be "
+                    f"addressed to every host")
+            # None was served: no reset, no shutdown, no sleep.
+            assert pool.ping("a") == 5 and pool.alive("a")
+            assert pool.stats.decode_errors == 0
+
+    @pytest.mark.parametrize("damage", sorted(TICK_REPLY_DAMAGE))
+    def test_a_reply_contradicting_its_tick_condemns_the_group(
+            self, damage, monkeypatch):
+        with worker_cluster(feed=feed_workload) as cluster:
+            pool = cluster.agent_servers
+            doomed = pool.group_hosts("group-1")
+            rewrite_next_reply(monkeypatch, "group-1",
+                               TICK_REPLY_DAMAGE[damage])
+            sweep = cluster.run_monitors(1.0)
+            assert pool.stats.decode_errors == 1
+            assert sweep.partial and list(sweep.hosts_failed) == list(doomed)
+            assert {alarm.host for alarm in sweep} == \
+                set(pool.group_hosts("group-0"))
+            assert not pool.alive("group-1") and pool.alive("group-0")
+
+    @pytest.mark.parametrize("group_count", [1, GROUPS])
+    def test_a_latched_ingest_error_fails_the_group_and_loses_no_alarm(
+            self, group_count, serial_alarm_streams):
+        """One host's record batch is corrupt, so its ingest failure is
+        latched: the next sweep's tick answers it for the whole group - no
+        check runs, no flow latches - and the sweep after delivers every
+        alarm of the group.  The two sweeps' stream is serial's."""
+        want_sweep, _piggybacked = serial_alarm_streams
+        with worker_cluster(group_count=group_count,
+                            feed=feed_workload) as cluster:
+            pool = cluster.agent_servers
+            last = pool.group_keys()[-1]
+            doomed = pool.group_hosts(last)
+            victim = doomed[1]
+            pool._post(victim, wire.encode_record_batch(
+                sample_records(victim))[:-1])
+            first = cluster.run_monitors(1.0)
+            assert first.partial and list(first.hosts_failed) == list(doomed)
+            assert [(warning.code, warning.host)
+                    for warning in first.warnings] == \
+                [(W_HOST_FAILED, last)]
+            assert f"{victim}: record batch failed" in \
+                first.warnings[0].detail
+            assert {alarm.host for alarm in first} == \
+                set(cluster.hosts) - set(doomed)
+            second = cluster.run_monitors(1.0)
+            assert not second.partial
+            assert {alarm.host for alarm in second} == set(doomed)
+            assert wire.encode_alarm_batch(list(first) + list(second)) == \
+                want_sweep
+            assert cluster.run_monitors(2.0) == []
+            assert pool.alive(victim) and pool.stats.decode_errors == 0
 
 
 class TestIngestMirror:
@@ -1650,7 +1807,7 @@ class TestKillAtEveryFrame:
                     for event in pool.supervisor.events] == [
                 ("group-1", EVENT_RESTARTED)]
             for key in pool.group_keys():
-                assert pool._slots[key].proc.is_alive()
+                assert pool._slots[key].conn.proc.is_alive()
                 assert pool._slots[key].conn.dead is None
 
 
@@ -1693,7 +1850,7 @@ class TestSpawnIsolation:
                 thread.join(10.0)
                 assert not thread.is_alive()
             monkeypatch.undo()
-            assert pool._slots[first].proc is forked[0]
+            assert pool._slots[first].conn.proc is forked[0]
             pool.kill(first)
             assert pool._slots[first].conn._ended.wait(2.0), \
                 "a killed worker's death did not reach its reader as EOF"
@@ -1712,7 +1869,7 @@ class TestSpawnIsolation:
             "from repro.core import GroupAgentPool\n"
             "pool = GroupAgentPool(['a', 'b', 'c'], group_count=3)\n"
             "with open(sys.argv[1], 'w') as out:\n"
-            "    out.write(' '.join(str(slot.proc.pid)\n"
+            "    out.write(' '.join(str(slot.conn.proc.pid)\n"
             "                       for slot in pool._slots.values()))\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n")
         src = str(pathlib.Path(repro.__file__).parents[1])
