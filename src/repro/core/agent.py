@@ -252,9 +252,12 @@ class PathDumpAgent:
             self.alarm_sink(alarm)
 
     # -------------------------------------------------------------- queries
-    def execute_query(self, query: Query) -> QueryResult:
-        """Execute a query shipped by the controller."""
-        return self.engine.execute(self, query)
+    def execute_query(self, query: Query,
+                      stages: Optional[Dict[str, int]] = None
+                      ) -> QueryResult:
+        """Execute a query shipped by the controller (``stages``: a traced
+        run's record, see :meth:`QueryEngine.execute`)."""
+        return self.engine.execute(self, query, stages=stages)
 
     def install_query(self, query: Query,
                       period: Optional[float] = None) -> None:

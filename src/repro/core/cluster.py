@@ -62,7 +62,7 @@ from repro.core.alarms import Alarm, AlarmBus, POOR_PERF
 from repro.core.executor import (DeadlineExceeded, ExecWarning, GatherResult,
                                  PlanNode, ScatterGatherExecutor, Transport,
                                  W_CIRCUIT_OPEN, W_MIRROR_DETACHED,
-                                 W_WORKER_RESTARTED)
+                                 W_WORKER_RESTARTED, micros)
 from repro.core.groupserver import (DEFAULT_GROUP_COUNT, AgentServerError,
                                     Exchange, GroupAgentPool, GroupPoolStats)
 from repro.core.supervisor import (ChaosPolicy, EVENT_CIRCUIT_OPEN,
@@ -148,6 +148,13 @@ class DistributedQueryResult:
         scan_stats: cluster-wide pushdown counters of a plan query (per-host
             hot-index routing + cold pruning work, summed key-wise across
             every partial); empty for legacy named queries.
+        stages: a traced query's stages (``execute(..., trace=True)``),
+            whole microseconds, by reporter: each host's ``t.*`` stages,
+            each worker group's exchange (``send``, ``wait``, ``decode``)
+            and the controller's ``fold`` under ``None``.  The stages
+            without a ``t.`` prefix, plus in serial mode the hosts', run
+            one after another on the calling thread: they add up to
+            ``wall_clock_s``.  Empty when untraced.
     """
 
     query: Query
@@ -164,6 +171,7 @@ class DistributedQueryResult:
     mode: str = MODE_SERIAL
     duplicate_traffic_bytes: int = 0
     scan_stats: Dict[str, int] = field(default_factory=dict)
+    stages: Dict[Optional[str], Dict[str, int]] = field(default_factory=dict)
 
 
 class MonitorSweep(list):
@@ -186,7 +194,15 @@ class MonitorSweep(list):
             tick envelope out and one alarm-batch envelope back per worker
             group, each holding one entry for the whole shard); zero for
             in-process sweeps, which need no wire.
-        wall_clock_s: measured duration of the scatter (worker modes).
+        wall_clock_s: measured duration of the scatter (worker modes), or
+            of a traced in-process sweep.
+        stages: a traced sweep's stages (``run_monitors(..., trace=True)``),
+            whole microseconds: per worker group the exchange's ``send``,
+            ``wait``, ``decode`` and ``deliver`` and the worker's
+            ``t.check`` / ``t.encode``; in process each host's
+            ``t.check`` (its alarms raised as it checks).  The stages
+            that run on the calling thread - those without a ``t.``
+            prefix, or in process every one - add up to ``wall_clock_s``.
     """
 
     def __init__(self, alarms: Iterable[Alarm] = (), *,
@@ -194,7 +210,8 @@ class MonitorSweep(list):
                  hosts_failed: Iterable[str] = (),
                  warnings: Iterable[ExecWarning] = (),
                  traffic_bytes: int = 0,
-                 wall_clock_s: float = 0.0) -> None:
+                 wall_clock_s: float = 0.0,
+                 stages: Optional[Dict[str, Dict[str, int]]] = None) -> None:
         super().__init__(alarms)
         self.mode = mode
         self.partial = partial
@@ -202,6 +219,7 @@ class MonitorSweep(list):
         self.warnings = tuple(warnings)
         self.traffic_bytes = traffic_bytes
         self.wall_clock_s = wall_clock_s
+        self.stages = stages or {}
 
 
 class _AlarmCollector:
@@ -298,16 +316,29 @@ class _AlarmCollector:
         return self._delivered + alarms
 
     def _deliver(self, alarms: Sequence[Alarm]) -> None:
-        cluster = self._cluster
+        """Raise ``alarms`` on the bus, one :meth:`AlarmBus.raise_alarm`
+        each; bus and agents are bound once, and a host's local monitor is
+        looked up once per run of that host's alarms."""
+        raise_alarm = self._cluster.alarm_bus.raise_alarm
+        if not self._latch:
+            for alarm in alarms:
+                raise_alarm(alarm)
+            return
+        agents = self._cluster.agents
+        host: Optional[str] = None
+        monitor = None
         for alarm in alarms:
-            if self._latch and alarm.reason == POOR_PERF:
-                agent = cluster.agents.get(alarm.host)
-                if agent is not None:
+            if alarm.reason == POOR_PERF:
+                if alarm.host != host:
+                    host = alarm.host
+                    agent = agents.get(host)
+                    monitor = agent.monitor if agent is not None else None
+                if monitor is not None:
                     # The worker latched this flow when it alerted; latch
                     # the local mirror too so a later in-process check
                     # cannot re-raise an alarm the controller already has.
-                    agent.monitor.mark_alerted(alarm.flow_id)
-            cluster.alarm_bus.raise_alarm(alarm)
+                    monitor.mark_alerted(alarm.flow_id)
+            raise_alarm(alarm)
 
 
 class QueryCluster:
@@ -837,8 +868,8 @@ class QueryCluster:
                 totals[key] = totals.get(key, 0) + value
         return totals
 
-    def run_monitors(self, now: float,
-                     threshold: Optional[int] = None) -> MonitorSweep:
+    def run_monitors(self, now: float, threshold: Optional[int] = None,
+                     trace: bool = False) -> MonitorSweep:
         """Run one monitoring check on every host; returns raised alarms.
 
         In serial mode the in-process monitors run directly and
@@ -854,20 +885,31 @@ class QueryCluster:
         The scatter asks each worker group once: one ``MSG_GROUP_BATCH``
         envelope holding one tick entry for the whole shard, answered by
         one alarm batch, and a dead group surfaces as *all* of its hosts
-        failed.
+        failed.  ``trace`` records the sweep's stages on the returned
+        :class:`MonitorSweep`.
         """
         if self.mode in _WORKER_MODES and self._process_pool is not None:
-            return self._run_monitors_group(now, threshold)
+            return self._run_monitors_group(now, threshold, trace)
         alarms: List[Alarm] = []
+        stages: Dict[str, Dict[str, int]] = {}
+        started = time.perf_counter() if trace else 0.0
         for agent in self.agents.values():
+            if not trace:
+                alarms.extend(agent.run_monitor(now, threshold))
+                continue
+            checked = time.perf_counter()
             alarms.extend(agent.run_monitor(now, threshold))
+            stages[agent.host] = {
+                "t.check": micros(time.perf_counter() - checked)}
+        wall = time.perf_counter() - started if trace else 0.0
         if alarms and self._process_pool is not None:
             # Workers alive but the sweep ran locally (mode flipped off
             # the workers): push the freshly latched state to them so a
             # later wire tick cannot re-raise alarms the bus already has.
             self._seed_worker_monitors()
         return MonitorSweep(alarms, mode=self.mode,
-                            warnings=self._drain_warnings())
+                            warnings=self._drain_warnings(),
+                            wall_clock_s=wall, stages=stages)
 
     def _seed_worker_monitors(self) -> None:
         """Push every agent's current monitor state to its worker: one
@@ -884,8 +926,8 @@ class QueryCluster:
             except AgentServerError:
                 pass  # dead worker: the query path reports it already
 
-    def _run_monitors_group(self, now: float,
-                            threshold: Optional[int]) -> MonitorSweep:
+    def _run_monitors_group(self, now: float, threshold: Optional[int],
+                            trace: bool) -> MonitorSweep:
         """Scatter one tick entry per worker group, addressed to every host
         of it (:meth:`_scatter_groups`, its envelopes charged on
         :attr:`rpc`); the worker checks its hosts in shard order and
@@ -896,7 +938,8 @@ class QueryCluster:
         in its shard, when it ran no check - expands to all of its member
         hosts in ``hosts_failed``."""
         pool = self._process_pool
-        tick = [(wire.EVERY_HOST, wire.encode_monitor_tick(now, threshold))]
+        tick = [(wire.EVERY_HOST,
+                 wire.encode_monitor_tick(now, threshold, trace))]
         sink = _AlarmCollector(self, latch=True, order=self.hosts)
 
         def consume(exchange: Exchange, deadline: Optional[float]):
@@ -913,7 +956,7 @@ class QueryCluster:
             return {}, reply_bytes  # the alarms went to the bus already
 
         plan, gather = self._scatter_groups(
-            {key: tick for key in pool.group_keys()}, consume)
+            {key: tick for key in pool.group_keys()}, consume, trace)
         charge_legs(plan, gather.reports, self.rpc)
         alarms = sink.dispatch()
         hosts_failed = [host for key in gather.hosts_failed
@@ -923,10 +966,12 @@ class QueryCluster:
                             warnings=(tuple(gather.warnings)
                                       + self._drain_warnings()),
                             traffic_bytes=gather.traffic_bytes,
-                            wall_clock_s=gather.wall_s)
+                            wall_clock_s=gather.wall_s,
+                            stages=self._stages(gather))
 
     def _scatter_groups(self, leaves: Dict[str, List[Tuple[str, bytes]]],
-                        consume) -> Tuple[PlanNode, GatherResult]:
+                        consume, trace: bool = False
+                        ) -> Tuple[PlanNode, GatherResult]:
         """The worker modes' scatter: split-phase, on the calling thread.
 
         ``leaves`` maps each plan leaf - a group key - to its envelope
@@ -950,7 +995,8 @@ class QueryCluster:
         request at correlation id 1) - and its unpriced gather (a sweep
         charges it on :attr:`rpc`, a query's fetch does not), whose
         ``value`` merges every answered leaf's ``{host: value}`` and whose
-        ``wall_s`` covers both phases.
+        ``wall_s`` covers both phases.  ``trace`` traces every exchange,
+        and each leaf's report gets its winning exchange's stages.
         """
         pool = self._process_pool
         started = time.perf_counter()
@@ -963,17 +1009,19 @@ class QueryCluster:
                 if host not in self.agents and host != wire.EVERY_HOST:
                     return KeyError(f"no agent running on {host}")
             try:
-                return pool.send(key, leaves[key])
+                return pool.send(key, leaves[key], trace=trace)
             except AgentServerError as error:
                 return error
 
         sent = {key: send(key) for key in leaves}
+        answered: Dict[str, Exchange] = {}
 
         def work(key: str):
             exchange = sent.pop(key, None) or send(key)
             if isinstance(exchange, Exception):
                 raise exchange
             value, reply_bytes = consume(exchange, deadline)
+            answered[key] = exchange
             return value, reply_bytes, exchange.exec_s
 
         plan = PlanNode(host=None, children=[
@@ -988,6 +1036,9 @@ class QueryCluster:
             exec_seconds=lambda value: value[2])
         gather.wall_s = time.perf_counter() - started
         gather.value = {} if gather.value is None else gather.value[0]
+        for key, exchange in answered.items():
+            if exchange.stages is not None:
+                gather.reports[key].stages = exchange.stages
         return plan, gather
 
     @staticmethod
@@ -1012,16 +1063,17 @@ class QueryCluster:
 
     # ------------------------------------------------------- distributed query
     def execute_direct(self, query: Query,
-                       hosts: Optional[Sequence[str]] = None
-                       ) -> DistributedQueryResult:
+                       hosts: Optional[Sequence[str]] = None,
+                       trace: bool = False) -> DistributedQueryResult:
         """Direct query: every host answers the controller directly (a
         one-level plan, run by :meth:`_gather`)."""
         targets = self._targets(hosts)
-        request = wire.encode_query_request(query, None)  # once, all hosts
+        # Once, all hosts (tracing is a flag bit: the length is the same).
+        request = wire.encode_query_request(query, None, trace)
         plan = PlanNode(host=None, children=[
             PlanNode(host=host, request_parts=(len(request),))
             for host in targets])
-        gather = self._gather(query, plan, request, targets)
+        gather = self._gather(query, plan, request, targets, trace)
         # The modelled legs of the slowest answered host (a direct plan is
         # one level deep).
         leg = self.rpc.leg_s
@@ -1036,8 +1088,8 @@ class QueryCluster:
 
     def execute_multilevel(self, query: Query,
                            hosts: Optional[Sequence[str]] = None,
-                           fanout: Sequence[int] = PAPER_TREE_FANOUT
-                           ) -> DistributedQueryResult:
+                           fanout: Sequence[int] = PAPER_TREE_FANOUT,
+                           trace: bool = False) -> DistributedQueryResult:
         """Multi-level query along an aggregation tree (the tree mapped
         onto a plan, run by :meth:`_gather`).
 
@@ -1051,9 +1103,9 @@ class QueryCluster:
         tree, shape = self._tree, (targets, tuple(fanout))
         if tree is None or (tree.hosts, tree.fanout) != shape:
             self._tree = tree = AggregationTree(targets, fanout=fanout)
-        request = wire.encode_query_request(query, None)
+        request = wire.encode_query_request(query, None, trace)
         gather = self._gather(query, self._plan_from_tree(tree.root, request),
-                              request, tree.root.spec.hosts)
+                              request, tree.root.spec.hosts, trace)
         return self._result(
             query, MECHANISM_MULTILEVEL, gather, len(targets),
             breakdown={"tree_depth": float(tree.depth()),
@@ -1062,12 +1114,14 @@ class QueryCluster:
                        "controller_aggregation": gather.merge_s[None]})
 
     def execute(self, query: Query, hosts: Optional[Sequence[str]] = None,
-                mechanism: str = MECHANISM_DIRECT) -> DistributedQueryResult:
-        """Execute a query with the chosen mechanism."""
+                mechanism: str = MECHANISM_DIRECT,
+                trace: bool = False) -> DistributedQueryResult:
+        """Execute a query with the chosen mechanism; ``trace`` records
+        its stages on the result (``DistributedQueryResult.stages``)."""
         if mechanism == MECHANISM_DIRECT:
-            return self.execute_direct(query, hosts)
+            return self.execute_direct(query, hosts, trace)
         if mechanism == MECHANISM_MULTILEVEL:
-            return self.execute_multilevel(query, hosts)
+            return self.execute_multilevel(query, hosts, trace=trace)
         raise ValueError(f"unknown query mechanism {mechanism!r}")
 
     # ------------------------------------------------------------- internals
@@ -1104,7 +1158,7 @@ class QueryCluster:
         return walk(node)
 
     def _gather(self, query: Query, plan: PlanNode, request: bytes,
-                hosts: Sequence[str]) -> GatherResult:
+                hosts: Sequence[str], trace: bool = False) -> GatherResult:
         """Run ``query`` over ``plan`` - the one query path of every mode
         and both mechanisms: fetch one partial per plan host, then fold.
 
@@ -1129,11 +1183,21 @@ class QueryCluster:
         ``duplicate_traffic_bytes`` adds the fetch's voided envelopes, and
         the slowest group exchange is ``max_exec_s`` and is added to
         ``model_time_s`` (no partial exists before its group answered).
+
+        ``trace`` fills each report's ``stages``: a host's own (the
+        engine's in process, the worker's from its reply), a worker
+        group's exchange, and the fold's under ``None`` - its wall less
+        the host work it ran.
         """
+        host_stages: Dict[str, Dict[str, int]] = {}
+
         def local(host: str) -> QueryResult:
             agent = self.agents.get(host)
             if agent is None:
                 raise KeyError(f"no agent running on {host}")
+            if trace:
+                host_stages[host] = {}
+                return agent.execute_query(query, host_stages[host])
             return agent.execute_query(query)
 
         def response_bytes(result: QueryResult) -> int:
@@ -1145,14 +1209,24 @@ class QueryCluster:
         executor, work = self.executor, local
         if (self.mode in _WORKER_MODES and self._process_pool is not None
                 and query.name in SERVED_QUERIES):
-            fetched = self._fetch(query, request, hosts)
+            fetched = self._fetch(query, request, hosts, trace)
             executor, work = ScatterGatherExecutor(), fetched.value.__getitem__
+            if trace:
+                host_stages = {host: result.stages or {}
+                               for host, result in fetched.value.items()}
         # What travels is sized in ``response_bytes``, not by the merge.
         merge = functools.partial(self.engine.merge, query, measure_wire=False)
         gather = executor.run(plan, work, merge, response_bytes=response_bytes)
         charge_legs(plan, gather.reports, self.rpc)
         gather.model_time_s = model_response_time(
             plan, gather.reports, gather.merge_s, self.rpc)
+        if trace:
+            for host, report in gather.reports.items():
+                report.stages = host_stages.get(host, {})
+            fold = gather.wall_s - sum(report.exec_s
+                                       for report in gather.reports.values())
+            gather.stages = self._stages(gather, fetched)
+            gather.stages[None] = {"fold": micros(fold)}
         if fetched is not None:
             gather.warnings = fetched.warnings
             gather.wall_s += fetched.wall_s
@@ -1161,8 +1235,16 @@ class QueryCluster:
             gather.model_time_s += fetched.max_exec_s
         return gather
 
-    def _fetch(self, query: Query, request: bytes,
-               hosts: Sequence[str]) -> GatherResult:
+    @staticmethod
+    def _stages(*gathers: Optional[GatherResult]
+                ) -> Dict[Optional[str], Dict[str, int]]:
+        """Every report's stages in the ``gathers`` given, by reporter."""
+        return {name: report.stages for gather in gathers
+                if gather is not None
+                for name, report in gather.reports.items() if report.stages}
+
+    def _fetch(self, query: Query, request: bytes, hosts: Sequence[str],
+               trace: bool = False) -> GatherResult:
         """Fetch every host's partial from the workers: one
         ``MSG_GROUP_BATCH`` envelope per group touched, each entry the
         same ``request`` frame, so a group decodes it once (a host no
@@ -1197,7 +1279,7 @@ class QueryCluster:
                 raise
             return take_alarms(results, sink.land), reply_bytes
 
-        _plan, gather = self._scatter_groups(leaves, consume)
+        _plan, gather = self._scatter_groups(leaves, consume, trace)
         sink.dispatch()
         return gather
 
@@ -1229,7 +1311,7 @@ class QueryCluster:
             wall_clock_s=gather.wall_s,
             mode=self.mode,
             duplicate_traffic_bytes=gather.duplicate_traffic_bytes,
-            scan_stats=dict(merged.scan_stats))
+            scan_stats=dict(merged.scan_stats), stages=gather.stages)
 
     # ------------------------------------------------------------ accounting
     def total_tib_records(self) -> int:

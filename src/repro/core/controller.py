@@ -98,10 +98,12 @@ class PathDumpController:
 
     # ------------------------------------------------------------ controller API
     def execute(self, hosts: Optional[Sequence[str]], query: Query,
-                mechanism: str = MECHANISM_DIRECT) -> DistributedQueryResult:
-        """``execute(List<HostID>, Query)`` from Table 1."""
+                mechanism: str = MECHANISM_DIRECT,
+                trace: bool = False) -> DistributedQueryResult:
+        """``execute(List<HostID>, Query)`` from Table 1; ``trace``
+        records where the time went (``DistributedQueryResult.stages``)."""
         self.stats.queries_executed += 1
-        return self.cluster.execute(query, hosts, mechanism)
+        return self.cluster.execute(query, hosts, mechanism, trace)
 
     def install(self, hosts: Optional[Sequence[str]], query: Query,
                 period: Optional[float] = None) -> None:
@@ -253,15 +255,16 @@ class PathDumpController:
         self.cluster.reset_stats()
 
     # ------------------------------------------------------------- simulation
-    def tick(self, now: float) -> List[Alarm]:
+    def tick(self, now: float, trace: bool = False) -> List[Alarm]:
         """Advance periodic work: installed queries and TCP monitors.
 
         Returns the alarms the monitor sweep raised (a
         :class:`~repro.core.cluster.MonitorSweep`; in the worker modes the
         sweep is a scatter of tick frames to the group workers and
-        carries ``partial``/``hosts_failed`` when a worker died mid-tick).
+        carries ``partial``/``hosts_failed`` when a worker died mid-tick;
+        ``trace`` records the sweep's stages on it).
         """
-        alarms = self.cluster.run_monitors(now)
+        alarms = self.cluster.run_monitors(now, trace=trace)
         for agent in self.cluster.agents.values():
             agent.run_installed(now)
         return alarms

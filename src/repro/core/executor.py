@@ -201,6 +201,15 @@ class HostReport:
     the node is sent no request; it stays set when the result is lost on
     the way up); ``response_bytes`` the node's delivered response
     (``None``: never delivered).
+
+    ``stages`` is set for a traced query or sweep only (``None``
+    otherwise): where this leaf's time went, in whole microseconds
+    (:func:`micros`).  Keys
+    prefixed ``t.`` are the host's own stages (a worker's, from its
+    reply's span tail, or the in-process engine's); the others are the
+    controller's for a worker group's exchange - ``send``, ``wait``,
+    ``decode``, ``deliver`` - which run on the calling thread one after
+    another.
     """
 
     host: str
@@ -210,6 +219,14 @@ class HostReport:
     request_bytes: Optional[int] = None
     response_bytes: Optional[int] = None
     error: str = ""
+    stages: Optional[Dict[str, int]] = None
+
+
+def micros(seconds: float) -> int:
+    """A span in the unit every stage record holds: whole microseconds
+    (``perf_counter`` differences only - a span never holds a modelled
+    second)."""
+    return round(seconds * 1e6) if seconds > 0 else 0
 
 
 @dataclass
@@ -233,6 +250,10 @@ class GatherResult:
         reports: per-host :class:`HostReport` entries.
         model_time_s: 0.0 here; whoever prices the run sets it
             (:func:`repro.core.rpc.model_response_time`).
+        stages: a traced run's stages by reporter, empty otherwise - set
+            by whoever traced it from the runs' ``HostReport.stages`` (a
+            host's, a worker group's exchange's), with the controller's
+            own under ``None``.
     """
 
     value: Any
@@ -247,6 +268,7 @@ class GatherResult:
     max_exec_s: float
     reports: Dict[str, HostReport]
     model_time_s: float = 0.0
+    stages: Dict[Optional[str], Dict[str, int]] = field(default_factory=dict)
 
 
 class ScatterGatherExecutor:

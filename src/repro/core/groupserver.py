@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import wire
 from repro.core.alarms import Alarm
-from repro.core.executor import DeadlineExceeded
+from repro.core.executor import DeadlineExceeded, micros
 from repro.core.monitor import MonitorSnapshot, TransferObservation
 from repro.core.query import QueryResult
 from repro.core.supervisor import GroupSeed, WorkerSeed
@@ -186,10 +186,11 @@ class Exchange:
     """
 
     __slots__ = ("conn", "hosts", "waiter", "request_bytes", "sent_at",
-                 "reseed")
+                 "reseed", "stages")
 
     def __init__(self, conn: "_GroupConn", hosts: List[str], waiter: _Waiter,
-                 request_bytes: int, sent_at: float, reseed: bool) -> None:
+                 request_bytes: int, sent_at: float, reseed: bool,
+                 stages: Optional[Dict[str, int]] = None) -> None:
         self.conn = conn
         #: The entries' hosts, in envelope order (``EVERY_HOST`` for an
         #: entry addressed to the whole group).
@@ -198,6 +199,11 @@ class Exchange:
         self.request_bytes = request_bytes
         self.sent_at = sent_at
         self.reseed = reseed
+        #: A traced exchange's stages, whole microseconds: the controller's
+        #: ``send`` / ``wait`` / ``decode`` (and a sweep's ``deliver``),
+        #: then a tick's worker stages from its batch's span tail;
+        #: ``None`` when untraced.
+        self.stages = stages
 
     @property
     def key(self) -> str:
@@ -790,7 +796,7 @@ class GroupAgentPool:
 
     # ---------------------------------------------------------- group client
     def send(self, key: str, entries: Sequence[Tuple[str, bytes]],
-             reseed: bool = False) -> Exchange:
+             reseed: bool = False, trace: bool = False) -> Exchange:
         """The send half of a correlated exchange with ``key``'s worker:
         register a waiter, then encode the envelope with its correlation
         id, flush the outbox and write both under the connection's send
@@ -799,6 +805,7 @@ class GroupAgentPool:
         (:meth:`group_query`, :meth:`group_monitor_tick`, or
         :meth:`_consume` for raw frames).  ``reseed`` marks the supervisor's
         own re-seed traffic: its failures do not recurse into supervision.
+        ``trace`` gives the exchange a stage record, its ``send`` first.
         Raises :class:`AgentServerError` on a dead connection."""
         conn = self._conn_for(key)
         sent_at = time.perf_counter()
@@ -811,8 +818,10 @@ class GroupAgentPool:
             conn.send(envelope, self._frames(conn.key, entries), reseed)
         except AgentServerError as error:
             raise self._worker_failed(conn, str(error), reseed) from error
+        stages = ({"send": micros(time.perf_counter() - sent_at)}
+                  if trace else None)
         return Exchange(conn, [host for host, _frame in entries], waiter,
-                        len(envelope), sent_at, reseed)
+                        len(envelope), sent_at, reseed, stages)
 
     def group_monitor_tick(self, exchange: Exchange,
                            deadline: Optional[float] = None,
@@ -833,15 +842,19 @@ class GroupAgentPool:
         order, empty batches included, after the batch is decoded and
         split by ``alarm.host``.  An alarm naming a host outside the shard,
         or out of shard order, is a desync that condemns the group, like
-        an undecodable reply.
+        an undecodable reply.  A traced exchange adds ``decode`` (the
+        batch's, and its split), ``deliver`` (the ``on_host`` calls) and
+        the worker's stages to its record.
         """
         replies, reply_bytes, sent = self._consume(exchange, deadline)
+        started = time.perf_counter()
         conn, hosts = exchange.conn, self._slots[exchange.key].hosts
         per_host: List[Tuple[str, List[Alarm]]] = [
             (host, []) for host in hosts]
         at = 0
-        for alarm in self._checked_decode(conn, replies[0],
-                                          wire.decode_alarm_batch):
+        batch = self._checked_decode(conn, replies[0],
+                                     wire.decode_alarm_batch)
+        for alarm in batch:
             while at < len(hosts) and hosts[at] != alarm.host:
                 at += 1
             if at == len(hosts):
@@ -850,9 +863,15 @@ class GroupAgentPool:
                     f"for {alarm.host!r} outside its shard order; worker "
                     f"killed")
             per_host[at][1].append(alarm)
+        decoded = time.perf_counter()
         if on_host is not None:
-            for host, alarms in per_host:
-                on_host(host, alarms)
+            for host, host_alarms in per_host:
+                on_host(host, host_alarms)
+        stages = exchange.stages
+        if stages is not None:
+            stages["decode"] = micros(decoded - started)
+            stages["deliver"] = micros(time.perf_counter() - decoded)
+            stages.update(batch.stages)
         return per_host, reply_bytes, sent
 
     def group_query(self, exchange: Exchange, query,
@@ -867,13 +886,18 @@ class GroupAgentPool:
         bytes)``; each result's ``wire_bytes`` is its measured inner reply
         frame length.  A host-level error reply fails the whole group
         exchange (the group is the failure domain in coalesced scatters).
-        ``deadline`` is as in :meth:`group_monitor_tick`.
+        ``deadline`` is as in :meth:`group_monitor_tick`.  A traced
+        exchange adds ``decode`` to its record; each host's own stages
+        are on its result.
         """
         replies, reply_bytes, sent = self._consume(exchange, deadline)
+        started = time.perf_counter()
         results = [
             (host, self._checked_decode(exchange.conn, reply,
                                         wire.decode_result, query))
             for host, reply in zip(exchange.hosts, replies)]
+        if exchange.stages is not None:
+            exchange.stages["decode"] = micros(time.perf_counter() - started)
         return results, reply_bytes, sent
 
     def group_ping_state(self, key: str) -> Dict[str, Tuple[int, int]]:
@@ -1015,9 +1039,12 @@ class GroupAgentPool:
         patient = deadline is None or (expires is not None
                                        and expires <= deadline)
         until = expires if patient else deadline
-        if not waiter.event.wait(
-                None if until is None
-                else max(0.0, until - time.perf_counter())):
+        started = time.perf_counter()
+        landed = waiter.event.wait(
+            None if until is None else max(0.0, until - started))
+        if exchange.stages is not None:
+            exchange.stages["wait"] = micros(time.perf_counter() - started)
+        if not landed:
             if not patient:
                 raise DeadlineExceeded(
                     f"agent server group {key} did not reply by the "

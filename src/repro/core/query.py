@@ -29,6 +29,7 @@ scan_stats)``; every merger returns the merged payload.
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
@@ -40,7 +41,8 @@ from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
 from repro.core import plan as planlib
 from repro.core import wire
 from repro.core.alarms import PC_FAIL
-from repro.core.tib import LinkId, normalise_time_range
+from repro.core.executor import micros
+from repro.core.tib import LinkId, TierClock, normalise_time_range
 from repro.network.packet import FlowId
 from repro.storage.records import ScanSpec
 
@@ -168,6 +170,10 @@ class QueryResult:
             pruning work, see ``Tib.scan_stat_snapshot``), populated only
             by plan queries; rides the result frame's tail and is summed
             key-wise when partials merge.
+        stages: a traced execution's stages, whole microseconds keyed
+            ``t.<stage>`` (a worker's ride the scan-stat tail of its reply
+            and are split off on decode); ``None`` when untraced, never
+            merged.
     """
 
     query: Query
@@ -179,6 +185,7 @@ class QueryResult:
     warnings: Tuple[Any, ...] = ()
     alarms: Tuple[Any, ...] = ()
     scan_stats: Dict[str, int] = field(default_factory=dict)
+    stages: Optional[Dict[str, int]] = None
 
 
 def measured_result_wire_bytes(result: "QueryResult") -> int:
@@ -240,8 +247,8 @@ class QueryEngine:
             self._mergers[name] = merger
 
     # ------------------------------------------------------------------ exec
-    def execute(self, agent, query: Query,
-                measure_wire: bool = True) -> QueryResult:
+    def execute(self, agent, query: Query, measure_wire: bool = True,
+                stages: Optional[Dict[str, int]] = None) -> QueryResult:
         """Run ``query`` on ``agent`` and return its partial result.
 
         ``wire_bytes`` is the *measured* encoded size of the result frame
@@ -249,25 +256,53 @@ class QueryEngine:
         ``measure_wire=False`` leaves ``wire_bytes`` at 0 for callers that
         encode the frame themselves anyway (the agent-server worker) - the
         decoded side reconstructs the same value from the frame length.
+
+        A traced run passes ``stages``, which gets the run's split in
+        whole microseconds: ``t.compile`` (building a plan-built query's
+        plan), ``t.hot`` / ``t.cold`` (the tiers' reads, clocked by the
+        TIB), ``t.fold`` (the rest: filtering, aggregating or
+        materialising what was read, maintained totals included) and,
+        when it sizes the result, ``t.encode`` (sizing the frame stands in
+        for encoding it in process; a worker's codec stamps its own).
         """
+        clock = None
+        if stages is not None:
+            clock = agent.tib.read_clock = TierClock()
+            started = compiled = time.perf_counter()
         planned = _PLANNED.get(query.name)
-        if planned is not None:
-            build, point_read, with_stats = planned
-            execution = planlib.execute_plan(agent.tib, build(query.params))
-            payload = execution.payload
-            scanned = (execution.records_scanned if point_read is None
-                       else point_read)
-            scan_stats = execution.scan_stats if with_stats else {}
-        else:
-            handler = self._handlers.get(query.name)
-            if handler is None:
-                raise KeyError(f"unknown query {query.name!r}")
-            payload, scanned, scan_stats = handler(agent, query.params)
+        try:
+            if planned is not None:
+                build, point_read, with_stats = planned
+                plan = build(query.params)
+                if clock is not None:
+                    compiled = time.perf_counter()
+                execution = planlib.execute_plan(agent.tib, plan)
+                payload = execution.payload
+                scanned = (execution.records_scanned if point_read is None
+                           else point_read)
+                scan_stats = execution.scan_stats if with_stats else {}
+            else:
+                handler = self._handlers.get(query.name)
+                if handler is None:
+                    raise KeyError(f"unknown query {query.name!r}")
+                payload, scanned, scan_stats = handler(agent, query.params)
+        finally:
+            if clock is not None:
+                agent.tib.read_clock = None
+        if stages is not None and clock is not None:
+            reads = clock.hot_s + clock.cold_s
+            stages["t.compile"] = micros(compiled - started)
+            stages["t.hot"] = micros(clock.hot_s)
+            stages["t.cold"] = micros(clock.cold_s)
+            stages["t.fold"] = micros(time.perf_counter() - compiled - reads)
         result = QueryResult(query=query, payload=payload, wire_bytes=0,
                              records_scanned=scanned, host=agent.host,
                              scan_stats=scan_stats)
         if measure_wire:
+            sized = time.perf_counter() if stages is not None else 0.0
             result.wire_bytes = measured_result_wire_bytes(result)
+            if stages is not None:
+                stages["t.encode"] = micros(time.perf_counter() - sized)
         return result
 
     def merge(self, query: Query, results: Sequence[QueryResult],

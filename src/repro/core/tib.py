@@ -96,6 +96,7 @@ both tiers.
 from __future__ import annotations
 
 import threading
+import time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
@@ -230,6 +231,17 @@ class TibStats(Counters):
     hot_full_scans: int = 0
 
 
+@dataclass(slots=True)
+class TierClock:
+    """Seconds one traced query spent reading each tier (``hot_s``: the
+    hot records, ``cold_s``: the archive's selection), added up by
+    :meth:`Tib.spec_records` and :meth:`Tib.fold` while installed as
+    :attr:`Tib.read_clock`."""
+
+    hot_s: float = 0.0
+    cold_s: float = 0.0
+
+
 class Tib:
     """One end host's Trajectory Information Base.
 
@@ -301,6 +313,9 @@ class Tib:
         self._cache_order_dirty = False
         self._time_dup_possible = False
         self.stats = TibStats()
+        #: Installed for one traced query's run (``QueryEngine.execute``):
+        #: the tier-spanning reads add each tier's time to it.
+        self.read_clock: Optional[TierClock] = None
 
     # pathbench's tracer reads these two by name; ROADMAP item 2 removes
     # them (code in src/ reads ``self.stats``).
@@ -675,11 +690,21 @@ class Tib:
         results and cold-archive matches merge in record-id order, so a
         capped TIB answers identically to an uncapped one.
         """
+        clock = self.read_clock
+        started = split = time.perf_counter() if clock is not None else 0.0
         archive = self.archive
         if archive is None or not archive.live_count:
-            return self._hot_records(spec)
+            rows = self._hot_records(spec)
+            if clock is not None:
+                clock.hot_s += time.perf_counter() - started
+            return rows
         pairs = self.scan(spec)
+        if clock is not None:
+            split = time.perf_counter()
+            clock.hot_s += split - started
         cold = archive.scan(spec)
+        if clock is not None:
+            clock.cold_s += time.perf_counter() - split
         if cold:
             pairs.extend(cold)
             pairs.sort(key=lambda pair: pair[0])
@@ -700,13 +725,28 @@ class Tib:
         write.  Anything keyed that is computed from them must not depend
         on row order: chunks follow the tier split, not record ids.
         """
+        clock = self.read_clock
+        started = time.perf_counter() if clock is not None else 0.0
         columns = [_HOT_COLUMNS[name] for name in fields]
         hot = self._hot_records(spec)
+        if clock is not None:
+            clock.hot_s += time.perf_counter() - started
         if hot:
             yield tuple([column(hot) for column in columns])
         archive = self.archive
-        if archive is not None and archive.live_count:
+        if archive is None or not archive.live_count:
+            return
+        if clock is None:
             yield from archive.fold(spec, fields)
+            return
+        chunks = archive.fold(spec, fields)
+        while True:  # a chunk's read is clocked, its consumer's work not
+            started = time.perf_counter()
+            chunk = next(chunks, None)
+            clock.cold_s += time.perf_counter() - started
+            if chunk is None:
+                return
+            yield chunk
 
     def _hot_records(self, spec: ScanSpec) -> List[PathFlowRecord]:
         """The hot tier's matches in id order, without the ids - all of a

@@ -71,12 +71,34 @@ bytes, so the hot legs are written against that:
   value - nothing else, whatever the bytes.
 * **Writing** mirrors it: ``_w_values`` appends a run of tagged values
   with the same inline leaves; the fixed-layout writers (``_w_record``,
-  ``_w_alarm``, ...) spend one call per field.
+  ``_w_observation``, ...) spend one call per field.
 * **Sizing** builds no bytes: ``value_len`` / ``result_wire_bytes`` /
-  ``record_wire_bytes`` / ``alarm_wire_bytes`` add up what the writers
+  ``record_wire_bytes`` / ``alarms_wire_bytes`` add up what the writers
   would append, leg by leg (*Exact sizes* below).  The accounting layers
   size every partial result and every interior accumulator of an
   aggregation tree in every mode - a size must not cost a serialization.
+
+Alarm lists
+-----------
+
+A sweep's alarms repeat their strings: every alarm of a host names it
+twice (source and host), most share a reason and a detail, and a few
+hundred destinations recur.  So an alarm list - an alarm batch's body and
+a result's alarm tail alike - writes each string once and refers to it
+after that::
+
+    list  := count:uvarint alarm*
+    alarm := src dst reason host detail      (five string refs)
+             src_port:varint dst_port:varint protocol:varint
+             time:double
+             paths:uvarint (nodes:uvarint node-ref*)*
+    ref   := uvarint k: 0 - a new string follows (uvarint length, UTF-8),
+             and becomes the list's next string; k >= 1 - the list's k-th
+
+The table is the list's own: it starts empty with every list.  A ref to a
+string the list has not defined yet is corruption (``WireError``), never
+a wrong alarm.  ``_w_alarms`` writes, ``alarms_wire_bytes`` sizes and
+``_Reader.alarms`` reads - one of each.
 
 What pins all of this from outside is in ``tests/test_wire.py``: a golden
 table (a frame per message type, one value per tag and width, hex
@@ -93,15 +115,17 @@ from __future__ import annotations
 import dataclasses
 import functools
 import struct
+import time
 from itertools import chain
-from typing import (Any, Callable, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple, TypeVar, Union)
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
+                    Optional, Sequence, Tuple, TypeVar, Union)
 
 from repro.codec import (DOUBLE, TRUNCATED, Reader, WireDecodeError,
                          WireError, flow_id_len, guarded, str_len,
                          uvarint_len, varint_len, w_flow_id, w_str,
                          w_uvarint, w_varint)
 from repro.core.alarms import Alarm
+from repro.core.executor import micros
 from repro.core.monitor import (MonitorSnapshot, TcpFlowStats,
                                 TransferObservation)
 from repro.core import plan as _plan
@@ -140,8 +164,16 @@ from repro.storage.records import PathFlowRecord
 #: (Group-addressed envelope entries - host :data:`EVERY_HOST` - joined
 #: version 7 later without a bump: an empty host string was always
 #: encodable, so no frame's layout moved; only its meaning is new.)
+#: Version 8: an alarm list (an alarm batch's body, a result's alarm
+#: tail) writes each string once and refers to it by number after that
+#: (see *Alarm lists*); and the span tail - a query request's spec byte
+#: and a monitor tick's threshold byte became flag bytes whose bit 1 asks
+#: the worker to trace (an untraced request is byte-identical to version
+#: 7), a traced result's scan-stat map carries the worker's
+#: ``t.<stage>`` entries, and every alarm batch ends with the same
+#: ``str -> varint`` map (one ``0`` byte when the tick was not traced).
 MAGIC = b"PD"
-WIRE_VERSION = 7
+WIRE_VERSION = 8
 
 _HEADER = struct.Struct("<2sBB")
 #: Bytes of the fixed frame header.
@@ -174,6 +206,17 @@ MSG_MONITOR_REOPEN = 22
 #: addressed so; a worker answers any other frame addressed so with an
 #: error frame.
 EVERY_HOST = ""
+
+#: Request flag bits: a query request's (bit 0: a subtree spec follows) and
+#: a monitor tick's (bit 0: a threshold follows); bit 1 asks the worker to
+#: trace - to answer with its stages in the reply's span tail.
+_F_FOLLOWS = 1
+_F_TRACE = 2
+
+#: The prefix of a stage key in a span tail (``t.decode``, ...): the
+#: worker's stages, in whole microseconds, in the map a result's scan
+#: stats and an alarm batch's tail share.
+STAGE_PREFIX = "t."
 
 #: Tagged-value type codes.
 _V_NONE = 0
@@ -326,17 +369,55 @@ def _w_spec(buf: bytearray, spec: SubtreeSpec) -> None:
         w_str(buf, host)
 
 
-def _w_alarm(buf: bytearray, alarm: Alarm) -> None:
-    w_flow_id(buf, alarm.flow_id)
-    w_str(buf, alarm.reason)
-    w_uvarint(buf, len(alarm.paths))
-    for path in alarm.paths:
-        w_uvarint(buf, len(path))
-        for node in path:
-            w_str(buf, node)
-    w_str(buf, alarm.host)
-    buf += DOUBLE.pack(alarm.time)
-    w_str(buf, alarm.detail)
+def _w_alarms(buf: bytearray, alarms: Sequence[Alarm]) -> None:
+    """Append an alarm list (see *Alarm lists*): the count, then each
+    alarm, every string a ref into the list's own string table."""
+    append = buf.append
+    if not alarms:
+        append(0)
+        return
+    w_uvarint(buf, len(alarms))
+    refs: Dict[str, int] = {}
+    ref = refs.get
+    pack = DOUBLE.pack
+    for alarm in alarms:
+        flow = alarm.flow_id
+        for value in (flow.src_ip, flow.dst_ip, alarm.reason, alarm.host,
+                      alarm.detail):
+            known = ref(value)
+            if known is not None and known <= 0x7F:
+                append(known)
+            else:
+                _w_ref(buf, refs, value)
+        for value in (flow.src_port, flow.dst_port, flow.protocol):
+            value = value << 1 if value >= 0 else ((-value) << 1) - 1
+            while value > 0x7F:
+                append((value & 0x7F) | 0x80)
+                value >>= 7
+            append(value)
+        buf += pack(alarm.time)
+        paths = alarm.paths
+        if not paths:
+            append(0)
+            continue
+        w_uvarint(buf, len(paths))
+        for path in paths:
+            w_uvarint(buf, len(path))
+            for node in path:
+                _w_ref(buf, refs, node)
+
+
+def _w_ref(buf: bytearray, refs: Dict[str, int], value: str) -> None:
+    """Append the ref to ``value``: its number in ``refs`` (the list's
+    strings so far, numbered from 1), or ``0`` and the string itself,
+    which takes the next number."""
+    known = refs.get(value)
+    if known is None:
+        refs[value] = len(refs) + 1
+        buf.append(0)
+        w_str(buf, value)
+    else:
+        w_uvarint(buf, known)
 
 
 def _w_observation(buf: bytearray, obs: TransferObservation) -> None:
@@ -346,6 +427,29 @@ def _w_observation(buf: bytearray, obs: TransferObservation) -> None:
     w_varint(buf, obs.timeouts)
     w_varint(buf, obs.bytes_sent)
     buf += DOUBLE.pack(obs.when)
+
+
+def _w_counters(buf: bytearray, counters: Dict[str, int]) -> None:
+    """A ``str -> varint`` map, keys sorted: a result's scan stats, and
+    the span tail a traced reply adds to it (or carries alone)."""
+    append = buf.append
+    if not counters:
+        append(0)
+        return
+    w_uvarint(buf, len(counters))
+    for key in sorted(counters):
+        data = key.encode("utf-8")
+        if len(data) > 0x7F:
+            w_uvarint(buf, len(data))
+        else:
+            append(len(data))
+        buf += data
+        value = counters[key]
+        value = value << 1 if value >= 0 else ((-value) << 1) - 1
+        while value > 0x7F:
+            append((value & 0x7F) | 0x80)
+            value >>= 7
+        append(value)
 
 
 def _w_flow_stats(buf: bytearray, stats: TcpFlowStats) -> None:
@@ -418,6 +522,33 @@ def value_len(value: Any) -> int:
     return _values_len((value,))
 
 
+def alarms_wire_bytes(alarms: Sequence[Alarm]) -> int:
+    """What :func:`_w_alarms` would append for ``alarms``, in bytes: an
+    alarm batch's body (span tail aside) and a result's alarm tail."""
+    if not alarms:
+        return 1
+    size = uvarint_len(len(alarms))
+    refs: Dict[str, int] = {}
+    for alarm in alarms:
+        flow = alarm.flow_id
+        strings = [flow.src_ip, flow.dst_ip, alarm.reason, alarm.host,
+                   alarm.detail]
+        size += (varint_len(flow.src_port) + varint_len(flow.dst_port)
+                 + varint_len(flow.protocol) + DOUBLE.size
+                 + uvarint_len(len(alarm.paths)))
+        for path in alarm.paths:
+            size += uvarint_len(len(path))
+            strings += path
+        for value in strings:
+            known = refs.get(value)
+            if known is None:
+                refs[value] = len(refs) + 1
+                size += 1 + str_len(value)
+            else:
+                size += uvarint_len(known)
+    return size
+
+
 # --------------------------------------------------------------------------
 # Reader
 # --------------------------------------------------------------------------
@@ -425,6 +556,10 @@ _unpack_double = DOUBLE.unpack_from
 #: ``_new_tuple(FlowId, fields)``: a NamedTuple from its field sequence
 #: without the Python-level ``__new__`` call.
 _new_tuple: Callable[..., Any] = tuple.__new__
+#: The slot of a string ref's first byte that names no string yet.
+_UNSEEN = object()
+#: An empty alarm list followed by an empty map: how most replies end.
+_TWO_EMPTY_TAILS = b"\x00\x00"
 
 
 class _Reader(Reader):
@@ -532,6 +667,71 @@ class _Reader(Reader):
             raise WireError(f"invalid plan: {exc}") from exc
         return plan
 
+    def counters(self) -> Tuple[Dict[str, int], Optional[Dict[str, int]],
+                                int]:
+        """A map :func:`_w_counters` wrote, as ``(counters, stages,
+        stage bytes)``: its span-tail entries (keys prefixed
+        :data:`STAGE_PREFIX`) apart - ``None`` when it has none - and the
+        bytes they took, count varint included."""
+        count = self.uvarint()
+        counters: Dict[str, int] = {}
+        if not count:
+            return counters, None, 0
+        stages: Optional[Dict[str, int]] = None
+        taken = 0
+        data = self.data
+        pos = self.pos
+        try:
+            for _ in range(count):
+                # A traced reply carries one map like this per host, so
+                # the leaves are read inline, as in :meth:`values`.
+                start = pos
+                size = data[pos]
+                if size > 0x7F:
+                    self.pos = pos
+                    key = self.str_()
+                    pos = self.pos
+                else:
+                    pos += 1 + size
+                    if pos > len(data):
+                        raise WireError(TRUNCATED)
+                    key = str(data[start + 1:pos], "utf-8")
+                value = data[pos]
+                if value > 0x7F:
+                    value &= 0x7F
+                    shift = 7
+                    while True:
+                        pos += 1
+                        byte = data[pos]
+                        value |= (byte & 0x7F) << shift
+                        if byte <= 0x7F:
+                            break
+                        shift += 7
+                pos += 1
+                value = -((value + 1) >> 1) if value & 1 else value >> 1
+                if key.startswith(STAGE_PREFIX):
+                    if stages is None:
+                        stages = {}
+                    stages[key] = value
+                    taken += pos - start
+                else:
+                    counters[key] = value
+        except IndexError:
+            raise WireError(TRUNCATED) from None
+        except UnicodeDecodeError as error:
+            raise WireError(f"invalid UTF-8 string: {error}") from None
+        self.pos = pos
+        if stages:
+            taken += uvarint_len(count) - uvarint_len(count - len(stages))
+        return counters, stages, taken
+
+    def flags(self, known: int) -> int:
+        """A request's flag byte, no bit outside ``known`` set."""
+        flags = self.u8()
+        if flags & ~known:
+            raise WireError(f"unknown request flags {flags:#x}")
+        return flags
+
     def strs(self) -> Tuple[str, ...]:
         """A counted run of strings (a path, a host list)."""
         str_ = self.str_
@@ -544,13 +744,135 @@ class _Reader(Reader):
     def spec(self) -> SubtreeSpec:
         return SubtreeSpec(self.str_(), self.strs())
 
-    def alarm(self) -> Alarm:
-        flow_id = self.flow_id()
-        reason = self.str_()
+    def alarms(self) -> List[Alarm]:
+        """An alarm list (see *Alarm lists*), in one pass with the cursor
+        in a local, the way :meth:`values` reads its leaves.
+
+        A ref resolves through ``short``: 256 slots, one per value of a
+        ref's first byte, holding string *k* at slot *k* once the list
+        defined it and :data:`_UNSEEN` everywhere else - so a one-byte ref
+        to a known string is a single index, and every other first byte
+        (``0``, a new string; ``> 0x7F``, a longer ref; a ref to a string
+        not defined yet) lands on the sentinel and goes to ``ref_at``,
+        which reads it in full or raises.
+        """
         count = self.uvarint()
-        paths = [self.strs() for _ in range(count)] if count else []
-        return Alarm(flow_id, reason, paths, self.str_(), self.double(),
-                     self.str_())
+        if not count:  # most replies: no table to build
+            return []
+        data = self.data
+        table: List[str] = []
+        short: List[Any] = [_UNSEEN] * 256
+        cursor = _Reader(data)
+
+        def ref_at(pos: int) -> Tuple[str, int]:
+            """The string the ref at ``pos`` names, and the position after
+            it."""
+            cursor.pos = pos
+            number = cursor.uvarint()
+            if number:
+                if number > len(table):
+                    raise WireError(
+                        f"string ref {number} names no string of the "
+                        f"list ({len(table)} defined)")
+                return table[number - 1], cursor.pos
+            value = cursor.str_()
+            table.append(value)
+            if len(table) <= 0x7F:
+                short[len(table)] = value
+            return value, cursor.pos
+
+        pos = self.pos
+        alarms: List[Alarm] = []
+        append = alarms.append
+        try:
+            for _ in range(count):
+                src = short[data[pos]]
+                if src is _UNSEEN:
+                    src, pos = ref_at(pos)
+                else:
+                    pos += 1
+                dst = short[data[pos]]
+                if dst is _UNSEEN:
+                    dst, pos = ref_at(pos)
+                else:
+                    pos += 1
+                reason = short[data[pos]]
+                if reason is _UNSEEN:
+                    reason, pos = ref_at(pos)
+                else:
+                    pos += 1
+                host = short[data[pos]]
+                if host is _UNSEEN:
+                    host, pos = ref_at(pos)
+                else:
+                    pos += 1
+                detail = short[data[pos]]
+                if detail is _UNSEEN:
+                    detail, pos = ref_at(pos)
+                else:
+                    pos += 1
+                # The flow's ports and protocol: three varints, each
+                # spelt out (a loop or a call costs more than the read).
+                value = data[pos]
+                if value > 0x7F:
+                    value &= 0x7F
+                    shift = 7
+                    while True:
+                        pos += 1
+                        byte = data[pos]
+                        value |= (byte & 0x7F) << shift
+                        if byte <= 0x7F:
+                            break
+                        shift += 7
+                pos += 1
+                sport = -((value + 1) >> 1) if value & 1 else value >> 1
+                value = data[pos]
+                if value > 0x7F:
+                    value &= 0x7F
+                    shift = 7
+                    while True:
+                        pos += 1
+                        byte = data[pos]
+                        value |= (byte & 0x7F) << shift
+                        if byte <= 0x7F:
+                            break
+                        shift += 7
+                pos += 1
+                dport = -((value + 1) >> 1) if value & 1 else value >> 1
+                value = data[pos]
+                if value > 0x7F:
+                    value &= 0x7F
+                    shift = 7
+                    while True:
+                        pos += 1
+                        byte = data[pos]
+                        value |= (byte & 0x7F) << shift
+                        if byte <= 0x7F:
+                            break
+                        shift += 7
+                pos += 1
+                proto = -((value + 1) >> 1) if value & 1 else value >> 1
+                when = _unpack_double(data, pos)[0]
+                pos += 8
+                paths: List[Tuple[str, ...]] = []
+                if data[pos]:
+                    self.pos = pos
+                    for _path in range(self.uvarint()):
+                        nodes = []
+                        for _node in range(self.uvarint()):
+                            node, self.pos = ref_at(self.pos)
+                            nodes.append(node)
+                        paths.append(tuple(nodes))
+                    pos = self.pos
+                else:
+                    pos += 1
+                append(Alarm(_new_tuple(FlowId, (src, dst, sport, dport,
+                                                 proto)),
+                             reason, paths, host, when, detail))
+        except (IndexError, struct.error):
+            raise WireError(TRUNCATED) from None
+        self.pos = pos
+        return alarms
 
     def observation(self) -> TransferObservation:
         return TransferObservation(
@@ -683,17 +1005,18 @@ def encode_query(query) -> bytes:
     return encode_query_request(query, None)
 
 
-def encode_query_request(query, spec: Optional[SubtreeSpec]) -> bytes:
+def encode_query_request(query, spec: Optional[SubtreeSpec],
+                         trace: bool = False) -> bytes:
     """Encode the batched parent->child edge message: query + optional
     aggregation-subtree description in one frame.  Every query travels
     in it - a plan query as ``name="plan"`` with the plan a tagged value
-    under ``params["plan"]``."""
+    under ``params["plan"]``.  ``trace`` asks the worker for its stages
+    (one flag bit: a traced request is as long as an untraced one)."""
     body = bytearray()
     _w_query(body, query)
-    if spec is None:
-        body.append(0)
-    else:
-        body.append(1)
+    body.append((0 if spec is None else _F_FOLLOWS)
+                | (_F_TRACE if trace else 0))
+    if spec is not None:
         _w_spec(body, spec)
     return _frame(MSG_QUERY_REQUEST, bytes(body))
 
@@ -710,17 +1033,20 @@ def spec_len(root: str, host_count: int, hosts_len: int) -> int:
 
 @_decoder(MSG_QUERY_REQUEST)
 def decode_query_request(reader: _Reader
-                         ) -> Tuple[Any, Optional[SubtreeSpec]]:
-    """Decode a query request; returns ``(Query, Optional[SubtreeSpec])``."""
+                         ) -> Tuple[Any, Optional[SubtreeSpec], bool]:
+    """Decode a query request; returns ``(Query, Optional[SubtreeSpec],
+    traced)``."""
     name = reader.str_()
     params = {}
     for _ in range(reader.uvarint()):
         key = reader.str_()
         params[key] = reader.value()
     period = reader.value()
-    spec = reader.spec() if reader.u8() else None
+    flags = reader.flags(_F_FOLLOWS | _F_TRACE)
+    spec = reader.spec() if flags & _F_FOLLOWS else None
     query_type, _ = _query_types()
-    return query_type(name=name, params=params, period=period), spec
+    return (query_type(name=name, params=params, period=period), spec,
+            bool(flags & _F_TRACE))
 
 
 def encode_subtree_spec(spec: SubtreeSpec) -> bytes:
@@ -777,7 +1103,8 @@ def decode_record_batch(reader: _Reader) -> List[PathFlowRecord]:
 
 
 # ------------------------------------------------------------------ results
-def encode_result(result) -> bytes:
+def encode_result(result, stages: Optional[Dict[str, int]] = None
+                  ) -> bytes:
     """Encode a (partial) query result.
 
     ``wire_bytes`` itself is *not* part of the encoding - it is defined as
@@ -797,22 +1124,26 @@ def encode_result(result) -> bytes:
     The frame ends with the per-plan scan-stat counters (sorted key/value
     pairs): how the hot tier routed a plan's pushed filter and how much
     decode work cold pruning avoided on *this* plan.  Only plan queries
-    report any; every other result pays the one empty-count byte.
+    report any; every other result pays the one empty-count byte.  A
+    traced reply's ``stages`` (``t.<stage>`` keys, whole microseconds)
+    join that map, with ``t.encode`` - this encode, tail aside - stamped
+    here; a stage that took no whole microsecond is left out (absent
+    reads as 0), which spares the common ones (a memoized decode, no
+    cold tier) their bytes and their decode.
     """
+    started = time.perf_counter() if stages is not None else 0.0
     body = bytearray()
     w_str(body, result.query.name)
     w_str(body, result.host)
     w_varint(body, result.records_scanned)
     _w_value(body, result.payload)
-    alarms = getattr(result, "alarms", ())
-    w_uvarint(body, len(alarms))
-    for alarm in alarms:
-        _w_alarm(body, alarm)
+    _w_alarms(body, getattr(result, "alarms", ()))
     scan_stats = getattr(result, "scan_stats", None) or {}
-    w_uvarint(body, len(scan_stats))
-    for key in sorted(scan_stats):
-        w_str(body, key)
-        w_varint(body, scan_stats[key])
+    if stages is not None:
+        stages["t.encode"] = micros(time.perf_counter() - started)
+        scan_stats = {**scan_stats,
+                      **{key: us for key, us in stages.items() if us}}
+    _w_counters(body, scan_stats)
     return _frame(MSG_QUERY_RESULT, bytes(body))
 
 
@@ -824,8 +1155,7 @@ def result_wire_bytes(result: Any) -> int:
     scan_stats = getattr(result, "scan_stats", None) or {}
     size = (HEADER_BYTES + str_len(result.query.name)
             + str_len(result.host) + varint_len(result.records_scanned)
-            + value_len(result.payload) + uvarint_len(len(alarms))
-            + sum(map(alarm_wire_bytes, alarms))
+            + value_len(result.payload) + alarms_wire_bytes(alarms)
             + uvarint_len(len(scan_stats)))
     for key, count in scan_stats.items():
         size += str_len(key) + varint_len(count)
@@ -838,26 +1168,32 @@ def decode_result(reader: _Reader, query: Any = None) -> Any:
 
     ``query`` supplies the caller's query object (the frame carries only the
     name); when omitted a parameter-less placeholder is reconstructed.
-    ``wire_bytes`` is set to ``len(data)`` - the measured frame size.
+    ``wire_bytes`` is set to ``len(data)`` - the measured frame size - less
+    a traced reply's span-tail entries, which move to ``stages``: the
+    accounting prices the answer, traced or not.
     """
     query_type, result_type = _query_types()
     name = reader.str_()
     host = reader.str_()
     scanned = reader.varint()
     payload = reader.value()
-    alarm = reader.alarm
-    alarms = tuple([alarm() for _ in range(reader.uvarint())])
-    scan_stats = {}
-    for _ in range(reader.uvarint()):
-        key = reader.str_()
-        scan_stats[key] = reader.varint()
+    if reader.data[reader.pos:] == _TWO_EMPTY_TAILS:  # most replies
+        reader.pos += 2
+        alarms: Tuple[Alarm, ...] = ()
+        scan_stats: Dict[str, int] = {}
+        stages: Optional[Dict[str, int]] = None
+        stage_bytes = 0
+    else:
+        alarms = tuple(reader.alarms())
+        scan_stats, stages, stage_bytes = reader.counters()
     if query is not None and query.name != name:
         raise WireError(f"result for query {name!r} does not answer "
                         f"{query.name!r}")
     return result_type(
         query=query if query is not None else query_type(name),
-        payload=payload, wire_bytes=len(reader.data), records_scanned=scanned,
-        host=host, alarms=alarms, scan_stats=scan_stats)
+        payload=payload, wire_bytes=len(reader.data) - stage_bytes,
+        records_scanned=scanned, host=host, alarms=alarms,
+        scan_stats=scan_stats, stages=stages)
 
 
 # ------------------------------------------------------------------ control
@@ -961,99 +1297,45 @@ def decode_sleep(reader: _Reader) -> float:
 
 
 # -------------------------------------------------------------- event plane
-def alarm_wire_bytes(alarm: Alarm) -> int:
-    """Measured serialized size of one alarm (its batch-body bytes)."""
-    size = (flow_id_len(alarm.flow_id) + str_len(alarm.reason)
-            + uvarint_len(len(alarm.paths)) + str_len(alarm.host)
-            + DOUBLE.size + str_len(alarm.detail))
-    for path in alarm.paths:
-        size += uvarint_len(len(path)) + sum(map(str_len, path))
-    return size
-
-
-def encode_alarm_batch(alarms: Sequence[Alarm]) -> bytes:
-    """Encode an alarm batch (the agent -> controller alert event frame)."""
+def encode_alarm_batch(alarms: Sequence[Alarm],
+                       stages: Optional[Dict[str, int]] = None) -> bytes:
+    """Encode an alarm batch (the agent -> controller alert event frame):
+    the alarm list, then the span tail - a traced tick's ``stages`` with
+    ``t.encode`` (this encode, tail aside) stamped here, or one ``0``
+    byte."""
+    started = time.perf_counter() if stages is not None else 0.0
     body = bytearray()
-    w_uvarint(body, len(alarms))
-    for alarm in alarms:
-        _w_alarm(body, alarm)
+    _w_alarms(body, alarms)
+    if stages is None:
+        body.append(0)
+    else:
+        stages["t.encode"] = micros(time.perf_counter() - started)
+        _w_counters(body, stages)
     return _frame(MSG_ALARM_BATCH, bytes(body))
 
 
-class _ReaderAlarm(Exception):
-    """An alarm :func:`decode_alarm_batch` hands to :meth:`_Reader.alarm`."""
+class AlarmBatch(List[Alarm]):
+    """A decoded alarm batch: a plain list of its alarms, in order, plus
+    ``stages`` - the worker's span tail (``t.<stage>`` microseconds;
+    empty when the tick was not traced)."""
+
+    __slots__ = ("stages",)
+
+    def __init__(self, alarms: Iterable[Alarm] = (),
+                 stages: Optional[Dict[str, int]] = None) -> None:
+        super().__init__(alarms)
+        self.stages = stages if stages is not None else {}
 
 
 @_decoder(MSG_ALARM_BATCH)
-def decode_alarm_batch(reader: _Reader) -> List[Alarm]:
-    """Inverse of :func:`encode_alarm_batch`.
-
-    One pass with the cursor in a local, the way :meth:`_Reader.values`
-    reads its leaves: an alarm without paths whose strings each fit a
-    one-byte length - every monitor alarm - is read inline, with no
-    reader call.  Anything else (paths, a longer string, and any bytes
-    the inline read cannot finish) is re-read from the alarm's first byte
-    by :meth:`_Reader.alarm`, which also raises every error.
-    """
-    data = reader.data
-    count = reader.uvarint()
-    pos = reader.pos
-    size = len(data)
-    alarms: List[Alarm] = []
-    append = alarms.append
-    for _ in range(count):
-        start = pos
-        try:
-            n = data[pos]
-            end = pos + 1 + n
-            if n > 0x7F or end > size:
-                raise _ReaderAlarm
-            src = str(data[pos + 1:end], "utf-8")
-            n = data[end]
-            pos = end + 1 + n
-            if n > 0x7F or pos > size:
-                raise _ReaderAlarm
-            flow: List[Any] = [src, str(data[end + 1:pos], "utf-8")]
-            for _field in range(3):  # src_port, dst_port, protocol
-                value = data[pos]
-                if value > 0x7F:
-                    value &= 0x7F
-                    shift = 7
-                    while True:
-                        pos += 1
-                        byte = data[pos]
-                        value |= (byte & 0x7F) << shift
-                        if byte <= 0x7F:
-                            break
-                        shift += 7
-                pos += 1
-                flow.append(-((value + 1) >> 1) if value & 1
-                            else value >> 1)
-            n = data[pos]
-            end = pos + 1 + n
-            if n > 0x7F or end > size or data[end]:  # data[end]: path count
-                raise _ReaderAlarm
-            reason = str(data[pos + 1:end], "utf-8")
-            n = data[end + 1]
-            pos = end + 2 + n
-            if n > 0x7F or pos > size:
-                raise _ReaderAlarm
-            host = str(data[end + 2:pos], "utf-8")
-            when = _unpack_double(data, pos)[0]
-            n = data[pos + 8]
-            end = pos + 9 + n
-            if n > 0x7F or end > size:
-                raise _ReaderAlarm
-            detail = str(data[pos + 9:end], "utf-8")
-            pos = end
-            append(Alarm(_new_tuple(FlowId, flow), reason, [], host, when,
-                         detail))
-        except (_ReaderAlarm, IndexError, struct.error, UnicodeDecodeError):
-            reader.pos = start
-            append(reader.alarm())
-            pos = reader.pos
-    reader.pos = pos
-    return alarms
+def decode_alarm_batch(reader: _Reader) -> AlarmBatch:
+    """Inverse of :func:`encode_alarm_batch`."""
+    if reader.data[reader.pos:] == _TWO_EMPTY_TAILS:  # an idle tick's
+        reader.pos += 2
+        return AlarmBatch()
+    alarms = reader.alarms()
+    _counters, stages, _stage_bytes = reader.counters()
+    return AlarmBatch(alarms, stages)
 
 
 #: Append one observation's batch-body bytes (see :data:`append_record`).
@@ -1077,32 +1359,35 @@ def decode_observation_batch(reader: _Reader) -> List[TransferObservation]:
     return [observation() for _ in range(reader.uvarint())]
 
 
-def encode_monitor_tick(now: float,
-                        threshold: Optional[int] = None) -> bytes:
+def encode_monitor_tick(now: float, threshold: Optional[int] = None,
+                        trace: bool = False) -> bytes:
     """Encode a monitor-tick command: run one periodic check at ``now``.
 
     The worker replies with an alarm batch carrying every alarm the check
     raised plus any alarms still pending from earlier activity.  Addressed
     to :data:`EVERY_HOST` (a sweep), the check runs on every host of the
     shard, in shard order, and the one batch holds all of their alarms,
-    each naming its host.
+    each naming its host.  ``trace`` asks for the check's stages in the
+    batch's span tail.
     """
     body = bytearray()
     body += DOUBLE.pack(now)
-    if threshold is None:
-        body.append(0)
-    else:
-        body.append(1)
+    body.append((0 if threshold is None else _F_FOLLOWS)
+                | (_F_TRACE if trace else 0))
+    if threshold is not None:
         w_varint(body, threshold)
     return _frame(MSG_MONITOR_TICK, bytes(body))
 
 
 @_decoder(MSG_MONITOR_TICK)
-def decode_monitor_tick(reader: _Reader) -> Tuple[float, Optional[int]]:
-    """Inverse of :func:`encode_monitor_tick`: ``(now, threshold)``."""
+def decode_monitor_tick(reader: _Reader
+                        ) -> Tuple[float, Optional[int], bool]:
+    """Inverse of :func:`encode_monitor_tick`: ``(now, threshold,
+    traced)``."""
     now = reader.double()
-    threshold = reader.varint() if reader.u8() else None
-    return now, threshold
+    flags = reader.flags(_F_FOLLOWS | _F_TRACE)
+    threshold = reader.varint() if flags & _F_FOLLOWS else None
+    return now, threshold, bool(flags & _F_TRACE)
 
 
 def encode_monitor_state(snapshot: MonitorSnapshot) -> bytes:

@@ -11,6 +11,13 @@ An envelope entry names the host it is for.  A monitor sweep and a
 re-open ask the same question of every host, so each is one entry for the
 whole shard (:func:`_serve_every_host`): a sweep's reply is one alarm
 batch holding the alarms of every host, in shard order.
+
+A traced request (its flag bit set) is answered with the worker's stages
+in the reply's span tail, whole microseconds on ``perf_counter``: a
+query's ``t.queue`` (the envelope's arrival until this entry is served),
+``t.decode``, the engine's ``t.compile`` / ``t.hot`` / ``t.cold`` /
+``t.fold`` and the codec's ``t.encode``; a tick's ``t.check`` and
+``t.encode``.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import wire
 from repro.core.alarms import Alarm
+from repro.core.executor import micros
 from repro.core.monitor import ActiveMonitor
 from repro.core.query import Query, QueryEngine
 from repro.core.tib import Tib
@@ -107,16 +115,17 @@ class _RequestMemo:
     __slots__ = ("_last",)
 
     def __init__(self) -> None:
-        self._last: Optional[Tuple[bytes, Query]] = None
+        self._last: Optional[Tuple[bytes, Query, bool]] = None
 
-    def query(self, frame: bytes) -> Query:
-        """The query ``frame`` asks (raises ``WireError`` on a corrupt
-        frame, which is then not remembered)."""
+    def query(self, frame: bytes) -> Tuple[Query, bool]:
+        """The query ``frame`` asks, and whether it is traced (raises
+        ``WireError`` on a corrupt frame, which is then not
+        remembered)."""
         last = self._last
         if last is None or last[0] != frame:
-            query, _spec = wire.decode_query_request(frame)
-            self._last = last = (frame, query)
-        return last[1]
+            query, _spec, traced = wire.decode_query_request(frame)
+            self._last = last = (frame, query, traced)
+        return last[1], last[2]
 
 
 class _HostServer:
@@ -172,6 +181,16 @@ class _HostServer:
         self.monitor.run_check(now, threshold)
         return self.drain_alarms()
 
+    def answer_tick(self, frame: bytes) -> bytes:
+        """The alarm batch answering a monitor tick addressed to this
+        host."""
+        started = time.perf_counter()
+        now, threshold, traced = wire.decode_monitor_tick(frame)
+        alarms = self.tick(now, threshold)
+        stages = ({"t.check": micros(time.perf_counter() - started)}
+                  if traced else None)
+        return wire.encode_alarm_batch(alarms, stages)
+
     @contextmanager
     def _latching(self, what: str) -> Iterator[None]:
         """Latch a failure of the fire-and-forget step run inside as
@@ -182,9 +201,12 @@ class _HostServer:
             self.pending_error = (f"{what} failed: "
                                   f"{type(error).__name__}: {error}")
 
-    def serve(self, frame: bytes) -> Optional[bytes]:
-        """Serve one frame; returns the reply bytes, or ``None`` for a
-        fire-and-forget frame."""
+    def serve(self, frame: bytes,
+              arrived: Optional[float] = None) -> Optional[bytes]:
+        """Serve one frame (``arrived``: the ``perf_counter`` stamp of its
+        envelope's arrival, where a traced query's ``t.queue`` starts);
+        returns the reply bytes, or ``None`` for a fire-and-forget
+        frame."""
         try:
             kind, _reader = wire.open_frame(frame)
         except wire.WireError as error:
@@ -200,20 +222,26 @@ class _HostServer:
                 return reply
             try:
                 if kind == wire.MSG_QUERY_REQUEST:
-                    query = self.requests.query(frame)
+                    started = time.perf_counter()
+                    query, traced = self.requests.query(frame)
+                    stages: Optional[Dict[str, int]] = None
+                    if traced:
+                        stages = {
+                            "t.queue": micros(started - (arrived or started)),
+                            "t.decode": micros(time.perf_counter() - started)}
                     # measure_wire=False: the frame we are about to send
                     # IS the measurement (encoding twice would double the
                     # serialization cost on the hot path); the client sets
                     # wire_bytes = len(frame) on decode.
                     result = self.engine.execute(self, query,
-                                                 measure_wire=False)
+                                                 measure_wire=False,
+                                                 stages=stages)
                     # Drain *after* executing: alarms the handler raised
                     # ride this reply to the controller's bus.
                     result.alarms = self.drain_alarms()
-                    return wire.encode_result(result)
+                    return wire.encode_result(result, stages)
                 if kind == wire.MSG_MONITOR_TICK:
-                    return wire.encode_alarm_batch(
-                        self.tick(*wire.decode_monitor_tick(frame)))
+                    return self.answer_tick(frame)
                 return wire.encode_monitor_state(self.monitor.snapshot())
             except Exception as error:
                 return wire.encode_error(f"{type(error).__name__}: {error}")
@@ -299,11 +327,14 @@ def _serve_every_host(servers: Sequence[_HostServer],
             for server in latched:
                 server.pending_error = None
             return wire.encode_error(detail)
-        now, threshold = wire.decode_monitor_tick(frame)
+        started = time.perf_counter()
+        now, threshold, traced = wire.decode_monitor_tick(frame)
         alarms: List[Alarm] = []
         for server in servers:
             alarms += server.tick(now, threshold)
-        return wire.encode_alarm_batch(alarms)
+        stages = ({"t.check": micros(time.perf_counter() - started)}
+                  if traced else None)
+        return wire.encode_alarm_batch(alarms, stages)
     except Exception as error:
         return wire.encode_error(f"{type(error).__name__}: {error}")
 
@@ -335,6 +366,7 @@ def group_server_main(group_id: int, hosts: Sequence[str],
         while True:
             try:
                 frame = channel.recv()
+                arrived = time.perf_counter()
                 kind = wire.frame_type(frame)
                 if kind == wire.MSG_GROUP_BATCH:
                     cid, entries = wire.decode_group_batch(frame)
@@ -360,7 +392,7 @@ def group_server_main(group_id: int, hosts: Sequence[str],
             for host, inner in entries:
                 server = servers.get(host)
                 if server is not None:
-                    reply: Optional[bytes] = server.serve(inner)
+                    reply: Optional[bytes] = server.serve(inner, arrived)
                 elif host == wire.EVERY_HOST:
                     reply = _serve_every_host(shard, inner)
                 else:

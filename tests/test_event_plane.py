@@ -15,11 +15,12 @@ import threading
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import (AlarmBus, MECHANISM_DIRECT, MECHANISM_MULTILEVEL,
                         MODE_PROCESS, MODE_SERIAL, MODE_SOCKET,
                         Q_PATH_CONFORMANCE, Q_POOR_TCP_FLOWS, Query,
-                        QueryCluster, wire)
+                        QueryCluster, QueryResult, wire)
 from repro.core.alarms import Alarm, PC_FAIL, POOR_PERF
 from repro.core.cluster import MonitorSweep
 from repro.core.executor import W_HOST_FAILED, W_HOST_TIMEOUT
@@ -335,8 +336,9 @@ class TestMeasuredAlarmTraffic:
         assert result.alarms
         clone = Query(Q_PATH_CONFORMANCE, {"max_hops": 0})
         local = process_cluster.agent(host).execute_query(clone)
-        alarm_bytes = sum(wire.alarm_wire_bytes(a) for a in result.alarms)
-        assert result.wire_bytes == local.wire_bytes + alarm_bytes
+        # The local result's alarm list is empty: its count byte only.
+        assert result.wire_bytes == local.wire_bytes - 1 + \
+            wire.alarms_wire_bytes(result.alarms)
 
 
 class TestWorkerFailureMidTick:
@@ -529,18 +531,86 @@ def random_alarm(rng):
                  detail=text())
 
 
+def reference_alarm_list(reader, refs=None):
+    """The alarm list at ``reader``, read field by field with the codec's
+    primitives (the layout in ``repro.core.wire``'s "Alarm lists");
+    ``refs``, when given, gets ``(start, end, strings defined before)``
+    per string ref."""
+    strings = []
+
+    def ref():
+        start = reader.pos
+        number = reader.uvarint()
+        if refs is not None:
+            refs.append((start, reader.pos, len(strings)))
+        if number == 0:
+            strings.append(reader.str_())
+            return strings[-1]
+        if number > len(strings):
+            raise wire.WireError(f"undefined string ref {number}")
+        return strings[number - 1]
+
+    alarms = []
+    for _ in range(reader.uvarint()):
+        src, dst, reason, host, detail = ref(), ref(), ref(), ref(), ref()
+        flow = FlowId(src, dst, reader.varint(), reader.varint(),
+                      reader.varint())
+        when = reader.double()
+        paths = []
+        for _path in range(reader.uvarint()):
+            paths.append(tuple(ref() for _node in range(reader.uvarint())))
+        alarms.append(Alarm(flow, reason, paths, host, when, detail))
+    return alarms
+
+
+#: Strings the generated alarms draw from, so a list repeats strings far
+#: apart as well as next to each other: 150 distinct names (a list that
+#: uses them pushes its table past 127 strings - two-byte refs), strings
+#: of 128 bytes and more, non-ASCII and empty ones.
+WIDE = [f"server-{i}" for i in range(150)]
+TEXT = st.one_of(st.sampled_from(WIDE + ["", "é", "中心-9", "x" * 128,
+                                         "ab-é中 " * 40]),
+                 st.text(max_size=140))
+INTS = st.integers(min_value=-(1 << 70), max_value=1 << 70)
+ALARMS = st.builds(
+    lambda src, dst, ports, reason, paths, host, when, detail: Alarm(
+        FlowId(src, dst, *ports), reason, paths, host, when, detail),
+    TEXT, TEXT, st.tuples(INTS, INTS, INTS), TEXT,
+    st.lists(st.lists(TEXT, max_size=4).map(tuple), max_size=3), TEXT,
+    st.floats(allow_nan=False), TEXT)
+
+
+@st.composite
+def alarm_lists(draw):
+    alarms = draw(st.lists(ALARMS, max_size=24))
+    if draw(st.booleans()):
+        # Every WIDE name defined up front, so later refs to them (and to
+        # whatever the drawn alarms add) are two bytes long.
+        alarms = [Alarm(FlowId(WIDE[i], WIDE[i + 1], i, -i, 6), POOR_PERF,
+                        [], WIDE[i + 2]) for i in range(0, 147, 3)] + alarms
+    return alarms
+
+
+PROPERTIES = settings(derandomize=True, max_examples=80, deadline=None)
+
+
 class TestAlarmBatchDecode:
-    def test_one_pass_decode_matches_the_reader(self):
-        """``decode_alarm_batch`` reads what :meth:`_Reader.alarm` reads,
-        byte for byte and type for type, whichever leg reads an alarm."""
+    @staticmethod
+    def _reference(frame):
+        _kind, reader = wire.open_frame(frame)
+        alarms = reference_alarm_list(reader)
+        assert reader.uvarint() == 0 and reader.pos == len(frame)
+        return alarms
+
+    def test_one_pass_decode_matches_the_reference_reader(self):
+        """``decode_alarm_batch`` reads what the field-by-field reference
+        reads, type for type; every cut of the frame is a truncation."""
         rng = random.Random(20261016)
         for _ in range(150):
             alarms = [random_alarm(rng) for _ in range(rng.randrange(8))]
             frame = wire.encode_alarm_batch(alarms)
-            _kind, reader = wire.open_frame(frame)
-            expected = [reader.alarm() for _ in range(reader.uvarint())]
             decoded = wire.decode_alarm_batch(frame)
-            assert decoded == expected == alarms
+            assert decoded == self._reference(frame) == alarms
             for alarm in decoded:
                 assert type(alarm.flow_id) is FlowId
                 assert type(alarm.paths) is list
@@ -548,6 +618,45 @@ class TestAlarmBatchDecode:
             for cut in rng.sample(cuts, min(len(cuts), 24)):
                 with pytest.raises(wire.WireError, match="truncated"):
                     wire.decode_alarm_batch(frame[:cut])
+
+    @PROPERTIES
+    @given(alarm_lists())
+    def test_round_trip_and_size(self, alarms):
+        frame = wire.encode_alarm_batch(alarms)
+        body = frame[wire.HEADER_BYTES:-1]  # less the empty span tail
+        assert wire.alarms_wire_bytes(alarms) == len(body)
+        decoded = wire.decode_alarm_batch(frame)
+        assert decoded == self._reference(frame) == alarms
+        assert all(type(path) is tuple for alarm in decoded
+                   for path in alarm.paths)
+        result = QueryResult(query=Query(Q_PATH_CONFORMANCE), payload=[],
+                             wire_bytes=0, host="h", alarms=tuple(alarms))
+        assert wire.decode_result(wire.encode_result(result)).alarms == \
+            tuple(alarms)
+        step = max(1, len(frame) // 64)
+        for cut in [*range(wire.HEADER_BYTES, len(frame), step),
+                    len(frame) - 1]:
+            with pytest.raises(wire.WireError, match="truncated"):
+                wire.decode_alarm_batch(frame[:cut])
+
+    @PROPERTIES
+    @given(alarm_lists(), st.data())
+    def test_a_ref_to_an_undefined_string_is_corruption(self, alarms, data):
+        """Rewrite one ref to name a string the list has not defined yet:
+        the decode raises, it never returns an alarm."""
+        frame = wire.encode_alarm_batch(alarms)
+        refs = []
+        reference_alarm_list(wire.open_frame(frame)[1], refs)
+        assume(refs)
+        start, end, defined = data.draw(st.sampled_from(refs))
+        number = defined + 1 + data.draw(st.integers(0, 300))
+        ref = bytearray()
+        while number > 0x7F:
+            ref.append((number & 0x7F) | 0x80)
+            number >>= 7
+        ref.append(number)
+        with pytest.raises(wire.WireError, match="string ref"):
+            wire.decode_alarm_batch(frame[:start] + bytes(ref) + frame[end:])
 
 
 class TestDebugAppsAcrossModes:

@@ -192,17 +192,18 @@ class TestQueryFrames:
                        "flow_id": FlowId("a", "b", 1, 2, 6),
                        "forbidden": {"sw-1", "sw-2"}},
                       period=1.5)
-        decoded, spec = wire.decode_query_request(wire.encode_query(query))
+        decoded, spec, traced = wire.decode_query_request(
+            wire.encode_query(query))
         assert decoded.name == query.name
         assert decoded.params == query.params
         assert decoded.period == query.period
-        assert spec is None
+        assert spec is None and not traced
 
     def test_query_with_subtree_spec(self):
         query = Query("get_flows", {})
         spec = wire.SubtreeSpec("h0", ("h0", "h1", UNICODE_HOST))
         frame = wire.encode_query_request(query, spec)
-        decoded, got_spec = wire.decode_query_request(frame)
+        decoded, got_spec, _traced = wire.decode_query_request(frame)
         assert got_spec == spec
         # The batched frame carries both logical parts; its size is the
         # parts' sizes minus the one duplicated header.
@@ -319,12 +320,12 @@ class TestEventPlaneFrames:
         assert decoded == [alarm]
         assert wire.decode_alarm_batch(wire.encode_alarm_batch([])) == []
 
-    def test_alarm_wire_bytes_matches_batch_layout(self):
+    def test_alarms_wire_bytes_matches_batch_layout(self):
         rng = random.Random(3)
         alarms = [_random_alarm(rng) for _ in range(5)]
         frame = wire.encode_alarm_batch(alarms)
-        assert len(frame) == wire.HEADER_BYTES + 1 + \
-            sum(wire.alarm_wire_bytes(a) for a in alarms)
+        body = frame[wire.HEADER_BYTES:-1]  # less the empty span tail
+        assert wire.alarms_wire_bytes(alarms) == len(body)
 
     def test_fuzz_alarm_batch(self):
         rng = random.Random(20260726)
@@ -340,9 +341,9 @@ class TestEventPlaneFrames:
 
     def test_monitor_tick_round_trip(self):
         assert wire.decode_monitor_tick(
-            wire.encode_monitor_tick(12.5)) == (12.5, None)
+            wire.encode_monitor_tick(12.5)) == (12.5, None, False)
         assert wire.decode_monitor_tick(
-            wire.encode_monitor_tick(0.0, 1)) == (0.0, 1)
+            wire.encode_monitor_tick(0.0, 1)) == (0.0, 1, False)
         assert wire.frame_type(wire.encode_monitor_tick(1.0)) == \
             wire.MSG_MONITOR_TICK
 
@@ -396,8 +397,9 @@ class TestEventPlaneFrames:
         assert decoded.wire_bytes == len(frame)
         # An alarm-free result costs exactly one count byte for the ride.
         bare = QueryResult(query=query, payload=[], wire_bytes=0, host="h1")
-        assert len(frame) == len(wire.encode_result(bare)) + \
-            sum(wire.alarm_wire_bytes(a) for a in alarms)
+        assert wire.alarms_wire_bytes(()) == 1
+        assert wire.alarms_wire_bytes(alarms) == \
+            len(frame) - len(wire.encode_result(bare)) + 1
 
     def test_pong_state_round_trip(self):
         frame = wire.encode_pong(123456, 789)
@@ -597,7 +599,7 @@ class TestPlanFrames:
         spec = wire.SubtreeSpec("h0", ("h0", "h1"))
         frame = wire.encode_query_request(query, spec)
         assert wire.frame_type(frame) == wire.MSG_QUERY_REQUEST
-        decoded, decoded_spec = wire.decode_query_request(frame)
+        decoded, decoded_spec, _traced = wire.decode_query_request(frame)
         assert decoded.name == plan.PLAN_QUERY_NAME
         assert decoded.params["plan"] == query.params["plan"]
         assert decoded.period == 2.5
@@ -616,7 +618,7 @@ class TestPlanFrames:
         for sample in plans:
             query = Query(plan.PLAN_QUERY_NAME, {"plan": sample})
             frame = wire.encode_query_request(query, None)
-            decoded, spec = wire.decode_query_request(frame)
+            decoded, spec, _traced = wire.decode_query_request(frame)
             assert decoded.params["plan"] == sample
             assert spec is None
 
@@ -997,8 +999,10 @@ class TestStreamFraming:
 # generated by the codec as it stood before that rewrite (commit d1f8568;
 # MSG_MONITOR_REOPEN, which that commit lacks, is a bare header) and is
 # asserted byte for byte.  Wire version 7 changed the layout of the rows in
-# GOLDEN_V7_ROWS only (plans became tagged values, results lost their size
-# estimate and gained the scan-stat tail): those rows hold version-7 bytes,
+# GOLDEN_V7_ROWS (plans became tagged values, results lost their size
+# estimate and gained the scan-stat tail), and version 8 that of the rows
+# in GOLDEN_V8_ROWS (alarm lists write each string once; an alarm batch
+# ends with its span tail): those rows hold the bytes of their version,
 # and every other row still holds the version-6 bytes, which must equal
 # today's frame once ``_reversioned`` rewrites their header version bytes.
 GOLDEN_FLOW = FlowId("hôst-a", "server-42", 43210, 80, PROTO_TCP)
@@ -1086,7 +1090,7 @@ def _golden_frames():
     return {
         "query_request": (
             wire.encode_query_request(request, GOLDEN_SPEC),
-            wire.decode_query_request, (request, GOLDEN_SPEC)),
+            wire.decode_query_request, (request, GOLDEN_SPEC, False)),
         "subtree_spec": (wire.encode_subtree_spec(GOLDEN_SPEC),
                          wire.decode_subtree_spec, GOLDEN_SPEC),
         "record_batch": (wire.encode_record_batch(golden_records()),
@@ -1110,7 +1114,7 @@ def _golden_frames():
             wire.encode_observation_batch(golden_observations()),
             wire.decode_observation_batch, golden_observations()),
         "monitor_tick": (wire.encode_monitor_tick(1.5, 3),
-                         wire.decode_monitor_tick, (1.5, 3)),
+                         wire.decode_monitor_tick, (1.5, 3, False)),
         "alarm_batch": (wire.encode_alarm_batch(golden_alarms()),
                         wire.decode_alarm_batch, golden_alarms()),
         "monitor_state": (wire.encode_monitor_state(golden_snapshot()),
@@ -1127,7 +1131,8 @@ def _golden_frames():
         # parameter, and its result an ordinary result with a stat tail.
         "plan_request": (
             wire.encode_query_request(GOLDEN_PLAN_QUERY, GOLDEN_SPEC),
-            wire.decode_query_request, (GOLDEN_PLAN_QUERY, GOLDEN_SPEC)),
+            wire.decode_query_request,
+            (GOLDEN_PLAN_QUERY, GOLDEN_SPEC, False)),
         "plan_result": (
             wire.encode_result(planned),
             lambda data: result_fields(
@@ -1173,15 +1178,22 @@ GOLDEN_VALUES = {
 }
 
 
-#: The rows generated by a version-7 codec: the three whose layout wire
-#: version 7 changed, and the group-addressed entries (generated by the
-#: codec of commit 7d4710f, which could already encode an empty host but
-#: gave it no meaning); every other row below was generated at version 6.
-GOLDEN_V7_ROWS = ("plan_request", "plan_result", "query_result",
-                  "group_tick", "group_alarm_batch", "group_reopen")
+#: The rows generated by a version-7 codec: those whose layout wire
+#: version 7 changed (less the two wire version 8 changed again), and the
+#: group-addressed entries (generated by the codec of commit 7d4710f,
+#: which could already encode an empty host but gave it no meaning).
+GOLDEN_V7_ROWS = ("plan_request", "query_result", "group_tick",
+                  "group_reopen")
+#: The rows generated by the version-8 codec: the frames that carry an
+#: alarm list (an alarm batch, alone and in an envelope, and a result
+#: with a non-empty alarm tail), whose strings became refs, the batch
+#: gaining its span tail.  (``query_result``'s alarm tail is empty - one
+#: ``0`` byte in either version - so it keeps its version-7 bytes.)
+#: Every other row below was generated at version 6.
+GOLDEN_V8_ROWS = ("alarm_batch", "group_alarm_batch", "plan_result")
 
 # Generated by the codec of commit d1f8568 from the inputs above, except
-# GOLDEN_V7_ROWS and the "plan" value.
+# GOLDEN_V7_ROWS, GOLDEN_V8_ROWS and the "plan" value.
 GOLDEN_FRAME_HEX = {
     "query_request":
         "504406010b746f705f6b5f666c6f777304016b03640a74696d655f72616e6765"
@@ -1243,17 +1255,15 @@ GOLDEN_FRAME_HEX = {
         "808080804000000000000029400161016202040c000000000000000000000000",
     "monitor_tick": "5044060c000000000000f83f0106",
     "alarm_batch":
-        "5044060d04087365727665722d33087365727665722d3980f104a0010c09504f"
-        "4f525f5045524600087365727665722d3300000000000029401c726574783d39"
-        "2c2073747265616b3d352c2074696d656f7574733d31087365727665722d3309"
-        "7365727665722d313082f104a0010c09504f4f525f5045524600087365727665"
-        "722d3300000000000029401d726574783d31302c2073747265616b3d352c2074"
-        "696d656f7574733d31087365727665722d33097365727665722d313184f104a0"
-        "010c09504f4f525f5045524600087365727665722d3300000000000029401d72"
-        "6574783d31312c2073747265616b3d352c2074696d656f7574733d310768c3b4"
-        "73742d61097365727665722d343294a305a0010c0750435f4641494c02030768"
-        "c3b473742d6105746f722d31097365727665722d3432000e68c3b473742de4b8"
-        "ade5bf832d39000000000000d03f00",
+        "5044080d0400087365727665722d3300087365727665722d390009504f4f525f"
+        "5045524601001c726574783d392c2073747265616b3d352c2074696d656f7574"
+        "733d3180f104a0010c0000000000002940000100097365727665722d31300301"
+        "001d726574783d31302c2073747265616b3d352c2074696d656f7574733d3182"
+        "f104a0010c0000000000002940000100097365727665722d31310301001d7265"
+        "74783d31312c2073747265616b3d352c2074696d656f7574733d3184f104a001"
+        "0c000000000000294000000768c3b473742d6100097365727665722d34320007"
+        "50435f4641494c000e68c3b473742de4b8ade5bf832d39000094a305a0010c00"
+        "0000000000d03f0203090005746f722d310a0000",
     "monitor_state":
         "5044060e0e68c3b473742de4b8ade5bf832d399a9999999999c93f0684020207"
         "68c3b473742d61097365727665722d343294a305a0010c120a0a028080808080"
@@ -1273,27 +1283,25 @@ GOLDEN_FRAME_HEX = {
         "76616c756505046465736304000000000000044001026830030268300268310e"
         "68c3b473742de4b8ade5bf832d39",
     "plan_result":
-        "5044070404706c616e0e68c3b473742de4b8ade5bf832d39d8040702080203d0"
-        "0f0509613a317c623a327c360802030d050ce4b8ad3a307c623a327c31370107"
-        "68c3b473742d61097365727665722d343294a305a0010c0750435f4641494c02"
-        "030768c3b473742d6105746f722d31097365727665722d3432000e68c3b47374"
-        "2de4b8ade5bf832d39000000000000d03f000314636f6c645f656e7472696573"
-        "5f736b6970706564804015636f6c645f7365676d656e74735f736b6970706564"
-        "000f686f745f666c6f775f726f7574656402",
+        "5044080404706c616e0e68c3b473742de4b8ade5bf832d39d8040702080203d0"
+        "0f0509613a317c623a327c360802030d050ce4b8ad3a307c623a327c31370100"
+        "0768c3b473742d6100097365727665722d3432000750435f4641494c000e68c3"
+        "b473742de4b8ade5bf832d39000094a305a0010c000000000000d03f02030100"
+        "05746f722d3102000314636f6c645f656e74726965735f736b69707065648040"
+        "15636f6c645f7365676d656e74735f736b6970706564000f686f745f666c6f77"
+        "5f726f7574656402",
     "monitor_reopen": "50440616",
     "group_tick": "504407120101000e5044070c000000000000f83f0106",
     "group_alarm_batch":
-        "50440712010100cf025044070d04087365727665722d33087365727665722d39"
-        "80f104a0010c09504f4f525f5045524600087365727665722d33000000000000"
-        "29401c726574783d392c2073747265616b3d352c2074696d656f7574733d3108"
-        "7365727665722d33097365727665722d313082f104a0010c09504f4f525f5045"
-        "524600087365727665722d3300000000000029401d726574783d31302c207374"
-        "7265616b3d352c2074696d656f7574733d31087365727665722d330973657276"
-        "65722d313184f104a0010c09504f4f525f5045524600087365727665722d3300"
-        "000000000029401d726574783d31312c2073747265616b3d352c2074696d656f"
-        "7574733d310768c3b473742d61097365727665722d343294a305a0010c075043"
-        "5f4641494c02030768c3b473742d6105746f722d31097365727665722d343200"
-        "0e68c3b473742de4b8ade5bf832d39000000000000d03f00",
+        "5044081201010094025044080d0400087365727665722d330008736572766572"
+        "2d390009504f4f525f5045524601001c726574783d392c2073747265616b3d35"
+        "2c2074696d656f7574733d3180f104a0010c0000000000002940000100097365"
+        "727665722d31300301001d726574783d31302c2073747265616b3d352c207469"
+        "6d656f7574733d3182f104a0010c000000000000294000010009736572766572"
+        "2d31310301001d726574783d31312c2073747265616b3d352c2074696d656f75"
+        "74733d3184f104a0010c000000000000294000000768c3b473742d6100097365"
+        "727665722d3432000750435f4641494c000e68c3b473742de4b8ade5bf832d39"
+        "000094a305a0010c000000000000d03f0203090005746f722d310a0000",
     "group_reopen": "504407120001000450440716",
 }
 
@@ -1601,15 +1609,17 @@ class TestGoldenFrames:
         assert set(frames) == set(GOLDEN_FRAME_HEX)
         assert {wire.frame_type(frame) for frame, _, _ in frames.values()} \
             == set(_msg_types().values())
-        assert wire.WIRE_VERSION == 7
+        assert wire.WIRE_VERSION == 8
 
-    def test_only_the_version_7_rows_were_regenerated(self):
-        """Every row outside GOLDEN_V7_ROWS is still the version-6 hex
-        (group-batch inner frames included), so the frame tests below
-        compare today's codec against the version-6 bytes themselves."""
+    def test_only_the_version_7_and_8_rows_were_regenerated(self):
+        """Every row outside GOLDEN_V7_ROWS and GOLDEN_V8_ROWS is still
+        the version-6 hex (group-batch inner frames included), so the
+        frame tests below compare today's codec against the version-6
+        bytes themselves."""
         for name, text in GOLDEN_FRAME_HEX.items():
             data = bytes.fromhex(text)
-            version = 7 if name in GOLDEN_V7_ROWS else 6
+            version = (8 if name in GOLDEN_V8_ROWS
+                       else 7 if name in GOLDEN_V7_ROWS else 6)
             assert _reversioned(data, version) == data, name
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_FRAME_HEX))
@@ -1681,7 +1691,8 @@ class TestGoldenFrames:
         """The codec's cost in CPython is its Python-level calls; these
         two frames are what a top-k query and an alarm sweep decode per
         host.  (1,083 and 245 calls before the cursor-local reader, 100
-        and 86 with it.)"""
+        and 86 with it; 101 and 81 at wire version 8, where each string
+        an alarm list defines costs a few calls and each repeat none.)"""
         result = golden_frame("query_result")
         alarms = golden_frame("alarm_batch")
         assert len(wire.decode_result(result, GOLDEN_TOPK_QUERY).payload) \
@@ -1838,10 +1849,11 @@ class TestExactSizes:
             body = bytearray()
             wire.append_record(body, record)
             assert wire.record_wire_bytes(record) == len(body)
-        for alarm in [_random_alarm(rng) for _ in range(100)] + \
-                golden_alarms():
-            assert wire.alarm_wire_bytes(alarm) == \
-                len(wire.encode_alarm_batch([alarm])) - wire.HEADER_BYTES - 1
+        lists = [[_random_alarm(rng) for _ in range(rng.randrange(12))]
+                 for _ in range(40)] + [golden_alarms(), []]
+        for alarms in lists:
+            body = wire.encode_alarm_batch(alarms)[wire.HEADER_BYTES:-1]
+            assert wire.alarms_wire_bytes(alarms) == len(body)
 
     @pytest.mark.parametrize("payload", [
         object(), [1, object()], {"k": (object(),)}, {1, 2.5, object},

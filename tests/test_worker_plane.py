@@ -800,9 +800,9 @@ class TestRequestMemo:
             shipped = []
             send = pool.send
             monkeypatch.setattr(
-                pool, "send", lambda key, entries, reseed=False:
+                pool, "send", lambda key, entries, reseed=False, trace=False:
                 shipped.append((key, list(entries)))
-                or send(key, entries, reseed))
+                or send(key, entries, reseed, trace))
             assert not cluster.execute(query, mechanism=mechanism).partial
             groups = {key: pool.group_hosts(key) for key in pool.group_keys()}
         assert [key for key, _entries in shipped] == list(groups)
