@@ -181,16 +181,6 @@ class _HostServer:
         self.monitor.run_check(now, threshold)
         return self.drain_alarms()
 
-    def answer_tick(self, frame: bytes) -> bytes:
-        """The alarm batch answering a monitor tick addressed to this
-        host."""
-        started = time.perf_counter()
-        now, threshold, traced = wire.decode_monitor_tick(frame)
-        alarms = self.tick(now, threshold)
-        stages = ({"t.check": micros(time.perf_counter() - started)}
-                  if traced else None)
-        return wire.encode_alarm_batch(alarms, stages)
-
     @contextmanager
     def _latching(self, what: str) -> Iterator[None]:
         """Latch a failure of the fire-and-forget step run inside as
@@ -241,7 +231,7 @@ class _HostServer:
                     result.alarms = self.drain_alarms()
                     return wire.encode_result(result, stages)
                 if kind == wire.MSG_MONITOR_TICK:
-                    return self.answer_tick(frame)
+                    return _answer_tick((self,), frame)
                 return wire.encode_monitor_state(self.monitor.snapshot())
             except Exception as error:
                 return wire.encode_error(f"{type(error).__name__}: {error}")
@@ -327,16 +317,23 @@ def _serve_every_host(servers: Sequence[_HostServer],
             for server in latched:
                 server.pending_error = None
             return wire.encode_error(detail)
-        started = time.perf_counter()
-        now, threshold, traced = wire.decode_monitor_tick(frame)
-        alarms: List[Alarm] = []
-        for server in servers:
-            alarms += server.tick(now, threshold)
-        stages = ({"t.check": micros(time.perf_counter() - started)}
-                  if traced else None)
-        return wire.encode_alarm_batch(alarms, stages)
+        return _answer_tick(servers, frame)
     except Exception as error:
         return wire.encode_error(f"{type(error).__name__}: {error}")
+
+
+def _answer_tick(servers: Sequence[_HostServer], frame: bytes) -> bytes:
+    """The alarm batch answering a monitor tick: every server's check, in
+    order, and - traced - their ``t.check`` (the codec adds
+    ``t.encode``)."""
+    started = time.perf_counter()
+    now, threshold, traced = wire.decode_monitor_tick(frame)
+    alarms: List[Alarm] = []
+    for server in servers:
+        alarms += server.tick(now, threshold)
+    stages = ({"t.check": micros(time.perf_counter() - started)}
+              if traced else None)
+    return wire.encode_alarm_batch(alarms, stages)
 
 
 def group_server_main(group_id: int, hosts: Sequence[str],
