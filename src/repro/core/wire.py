@@ -389,12 +389,12 @@ def _w_alarms(buf: bytearray, alarms: Sequence[Alarm]) -> None:
                 append(known)
             else:
                 _w_ref(buf, refs, value)
-        for value in (flow.src_port, flow.dst_port, flow.protocol):
-            value = value << 1 if value >= 0 else ((-value) << 1) - 1
-            while value > 0x7F:
-                append((value & 0x7F) | 0x80)
-                value >>= 7
-            append(value)
+        for number in (flow.src_port, flow.dst_port, flow.protocol):
+            number = number << 1 if number >= 0 else ((-number) << 1) - 1
+            while number > 0x7F:
+                append((number & 0x7F) | 0x80)
+                number >>= 7
+            append(number)
         buf += pack(alarm.time)
         paths = alarm.paths
         if not paths:
