@@ -1691,7 +1691,7 @@ class TestGoldenFrames:
         """The codec's cost in CPython is its Python-level calls; these
         two frames are what a top-k query and an alarm sweep decode per
         host.  (1,083 and 245 calls before the cursor-local reader, 100
-        and 86 with it; 101 and 81 at wire version 8, where each string
+        and 86 with it; 96 and 65 at wire version 8, where each string
         an alarm list defines costs a few calls and each repeat none.)"""
         result = golden_frame("query_result")
         alarms = golden_frame("alarm_batch")
