@@ -68,9 +68,11 @@ from repro.core.groupserver import (DEFAULT_GROUP_COUNT, AgentServerError,
 from repro.core.supervisor import (ChaosPolicy, EVENT_CIRCUIT_OPEN,
                                    EVENT_RESTARTED, GroupSeed, Supervisor,
                                    WorkerSeed)
-from repro.core.query import (Query, QueryEngine, QueryResult,
+# ``measured_result_wire_bytes`` is bound here for pathbench's tracer.
+from repro.core.query import (Query, QueryEngine, QueryResult,  # noqa: F401
                               measured_result_wire_bytes)
 from repro.core.rpc import RpcChannel, charge_legs, model_response_time
+from repro.core.shards import Fact, ShardCut, cut_plan, splice
 from repro.core.trajectory import TrajectoryCache
 from repro.core.worker import SERVED_QUERIES
 from repro.network.simulator import Fabric
@@ -268,26 +270,30 @@ class _AlarmCollector:
         self._error: Optional[Exception] = None
         self._dispatched = False  # guarded-by: _lock
 
-    def park(self, host: str, alarms: Sequence[Alarm]) -> None:
-        """Capture one host's alarms from a late reply, at most once per
-        host: a retried leaf's reply carries nothing the first one did
-        not already surrender (the worker latched it).  After the final
-        dispatch they are delivered directly."""
+    def park(self, per_host: Sequence[Tuple[str, Sequence[Alarm]]]
+             ) -> None:
+        """Capture a late reply's alarms, ``(host, alarms)`` in order, at
+        most once per host: a retried leaf's reply carries nothing the
+        first one did not already surrender (the worker latched it).
+        After the final dispatch they are delivered directly."""
+        late: List[Alarm] = []
         with self._lock:
-            if host in self._parked:
-                return
-            self._parked[host] = alarms
+            for host, alarms in per_host:
+                if host not in self._parked:
+                    self._parked[host] = alarms
+                    late += alarms
             deliver_now = self._dispatched
-        if deliver_now and alarms:
-            self._deliver(alarms)
+        if deliver_now and late:
+            self._deliver(late)
 
-    def land(self, host: str, alarms: Sequence[Alarm]) -> None:
-        """Capture one host's alarms from a consumed reply, then deliver
-        the landed prefix of ``order``."""
+    def land(self, per_host: Sequence[Tuple[str, Sequence[Alarm]]]) -> None:
+        """Capture a consumed reply's alarms, ``(host, alarms)`` in order,
+        then deliver the landed prefix of ``order``."""
         ready: List[Alarm] = []
         with self._lock:
             parked = self._parked
-            parked.setdefault(host, alarms)
+            for host, alarms in per_host:
+                parked.setdefault(host, alarms)
             order, cursor = self._order, self._cursor
             while cursor < len(order) and order[cursor] in parked:
                 ready += parked[order[cursor]]
@@ -453,6 +459,8 @@ class QueryCluster:
         self.engine = QueryEngine()
         #: The last multi-level tree, kept for equal targets and fan-out.
         self._tree: Optional[AggregationTree] = None
+        #: The last two plans' cuts along the running pool's shards.
+        self._cuts: List[Tuple[object, ShardCut]] = []
         self._reconstructor = PathReconstructor(topo, self.assignment)
         self.retention = retention or RetentionPolicy()
         cache = TrajectoryCache() if shared_cache else None
@@ -632,6 +640,7 @@ class QueryCluster:
             pool.shutdown()
             raise
         self._process_pool, self._pool_shape = pool, shape
+        self._cuts = []
         return pool
 
     def _attach_mirrors(self, pool: GroupAgentPool, host: str) -> None:
@@ -945,13 +954,13 @@ class QueryCluster:
         def consume(exchange: Exchange, deadline: Optional[float]):
             try:
                 _per_host, reply_bytes, _sent = pool.group_monitor_tick(
-                    exchange, deadline, on_host=sink.land)
+                    exchange, deadline, on_hosts=sink.land)
             except DeadlineExceeded:
                 # The worker latched its flows already: its late reply
                 # must still reach the bus - the alert channel is
                 # asynchronous, the sweep is not.
                 self._consume_late(lambda: pool.group_monitor_tick(
-                    exchange, on_host=sink.park))
+                    exchange, on_hosts=sink.park))
                 raise
             return {}, reply_bytes  # the alarms went to the bus already
 
@@ -970,12 +979,14 @@ class QueryCluster:
                             stages=self._stages(gather))
 
     def _scatter_groups(self, leaves: Dict[str, List[Tuple[str, bytes]]],
-                        consume, trace: bool = False
+                        consume, trace: bool = False,
+                        asked: Optional[Dict[str, List[str]]] = None
                         ) -> Tuple[PlanNode, GatherResult]:
         """The worker modes' scatter: split-phase, on the calling thread.
 
         ``leaves`` maps each plan leaf - a group key - to its envelope
-        entries, in plan order.  Every leaf's envelope is written first
+        entries, in plan order (``asked``: the hosts a query's leaf asks,
+        each of which needs an agent).  Every leaf's envelope is written first
         (:meth:`GroupAgentPool.send`; one that cannot be sent keeps the
         error for its first attempt); then the plan runs on
         :attr:`executor`, whose work for a leaf is ``consume(exchange,
@@ -1005,8 +1016,8 @@ class QueryCluster:
 
         def send(key: str):
             """The leaf's exchange, or the error its attempt raises."""
-            for host, _frame in leaves[key]:
-                if host not in self.agents and host != wire.EVERY_HOST:
+            for host in (asked or {}).get(key, ()):
+                if host not in self.agents:
                     return KeyError(f"no agent running on {host}")
             try:
                 return pool.send(key, leaves[key], trace=trace)
@@ -1073,7 +1084,7 @@ class QueryCluster:
         plan = PlanNode(host=None, children=[
             PlanNode(host=host, request_parts=(len(request),))
             for host in targets])
-        gather = self._gather(query, plan, request, targets, trace)
+        gather = self._gather(query, plan, request, tuple(targets), trace)
         # The modelled legs of the slowest answered host (a direct plan is
         # one level deep).
         leg = self.rpc.leg_s
@@ -1105,7 +1116,7 @@ class QueryCluster:
             self._tree = tree = AggregationTree(targets, fanout=fanout)
         request = wire.encode_query_request(query, None, trace)
         gather = self._gather(query, self._plan_from_tree(tree.root, request),
-                              request, tree.root.spec.hosts, trace)
+                              request, tree, trace)
         return self._result(
             query, MECHANISM_MULTILEVEL, gather, len(targets),
             breakdown={"tree_depth": float(tree.depth()),
@@ -1158,36 +1169,48 @@ class QueryCluster:
         return walk(node)
 
     def _gather(self, query: Query, plan: PlanNode, request: bytes,
-                hosts: Sequence[str], trace: bool = False) -> GatherResult:
-        """Run ``query`` over ``plan`` - the one query path of every mode
-        and both mechanisms: fetch one partial per plan host, then fold.
+                shape: object, trace: bool = False) -> GatherResult:
+        """Run ``query`` over ``plan`` (flat for direct, the tree for
+        multi-level) - the one query path of every mode and both
+        mechanisms - and price it.  ``shape`` names the plan's layout (the
+        targets, or the tree): a cut along the shards is kept for the
+        next query of the same shape.
 
-        *Fetch*: in process, ``agent.execute_query`` as the fold reaches
-        the host, under :attr:`executor`'s transport, deadline and
-        retries.  When the workers serve the query (every built-in; a
-        custom handler registered on the in-process agents runs local),
-        :meth:`_fetch` ships the bare ``request`` to ``hosts`` (the plan's
-        hosts, pre-order) and the fold's work is a lookup.
+        In process the fold (:meth:`QueryEngine.fold`) runs ``plan``
+        itself, asking each host's agent as it reaches the host, under
+        :attr:`executor`'s transport, deadline and retries.  When the
+        workers serve the query (every built-in; a custom handler
+        registered on the in-process agents runs local), it is folded
+        where its data is: ``plan`` is cut along the shards
+        (:func:`~repro.core.shards.cut_plan`), :meth:`_fetch` asks each
+        group once for its fold units' partials, the same fold runs the
+        collapsed plan over them, and :func:`~repro.core.shards.splice`
+        rebuilds the full plan's gather from the workers' reports.
 
-        *Fold*: ``plan`` (flat for direct, the tree for multi-level) with
-        the query's merge, then priced: its legs - one request and one
+        Faults in a shard-folded gather act per group, the failure
+        domain, in the fetch: a transport's drops and delays, the deadline
+        and the retries act on a group's exchange, and a failed group -
+        dead, timed out, or answering with one error frame because a host
+        it was asked for failed or had an ingest error latched, as a group
+        tick does - is one ``W_HOST_FAILED`` (``W_HOST_TIMEOUT``) naming
+        its key, whose hosts land in ``hosts_failed`` in plan order while
+        the survivors' subtrees still aggregate.  The fold has no
+        transport, so it adds no fault of its own.
+
+        Either way the full plan is priced: its legs - one request and one
         response per plan host, with measured frame lengths - are counted
         on :attr:`rpc`, and ``model_time_s`` is
-        :func:`~repro.core.rpc.model_response_time`.  So ``traffic_bytes``
-        and the channel counters are the same in every mode.
+        :func:`~repro.core.rpc.model_response_time` over the measured
+        execution and merge times (the workers' own, in the worker modes).
+        So ``traffic_bytes`` and the channel counters are the same in
+        every mode.  A fetched gather's ``wall_s`` covers fetch and fold,
+        its ``duplicate_traffic_bytes`` adds the fetch's voided envelopes,
+        and the slowest group exchange is its ``max_exec_s``.
 
-        A fetched fold is finished from its fetch: the fetch's warnings
-        (one ``W_HOST_FAILED`` per lost group) stand for the fold's misses,
-        whose hosts land in ``hosts_failed`` in plan order while survivors'
-        subtrees still aggregate; ``wall_s`` covers both steps,
-        ``duplicate_traffic_bytes`` adds the fetch's voided envelopes, and
-        the slowest group exchange is ``max_exec_s`` and is added to
-        ``model_time_s`` (no partial exists before its group answered).
-
-        ``trace`` fills each report's ``stages``: a host's own (the
-        engine's in process, the worker's from its reply), a worker
-        group's exchange, and the fold's under ``None`` - its wall less
-        the host work it ran.
+        ``trace`` fills ``stages``: in process each host's own, in the
+        worker modes each group's exchange and its worker's record; and
+        the controller's fold under ``None`` - its wall less the host work
+        it ran.
         """
         host_stages: Dict[str, Dict[str, int]] = {}
 
@@ -1200,39 +1223,49 @@ class QueryCluster:
                 return agent.execute_query(query, host_stages[host])
             return agent.execute_query(query)
 
-        def response_bytes(result: QueryResult) -> int:
-            if not result.wire_bytes:  # an unmeasured merge accumulator
-                result.wire_bytes = measured_result_wire_bytes(result)
-            return result.wire_bytes
-
         fetched = None
-        executor, work = self.executor, local
         if (self.mode in _WORKER_MODES and self._process_pool is not None
                 and query.name in SERVED_QUERIES):
-            fetched = self._fetch(query, request, hosts, trace)
-            executor, work = ScatterGatherExecutor(), fetched.value.__getitem__
-            if trace:
-                host_stages = {host: result.stages or {}
-                               for host, result in fetched.value.items()}
-        # What travels is sized in ``response_bytes``, not by the merge.
-        merge = functools.partial(self.engine.merge, query, measure_wire=False)
-        gather = executor.run(plan, work, merge, response_bytes=response_bytes)
+            regroup = self.engine.regroupable(query)
+            cut = next((kept for known, kept in self._cuts
+                        if known == (shape, regroup)), None)
+            if cut is None:
+                cut = cut_plan(plan, self._process_pool.group_of, regroup)
+                self._cuts = [((shape, regroup), cut)] + self._cuts[:1]
+            fetched = self._fetch(query, request, cut, trace)
+            partials: Dict[str, QueryResult] = {}
+            facts: Dict[str, Fact] = {}
+            folds: Dict[Optional[str], float] = {}
+            for key, shard in fetched.value.items():
+                part = cut.parts[key]
+                facts.update((host, (exec_s, merge_s, response)) for
+                             host, exec_s, merge_s, response in shard.reports)
+                for label, parent, (fold_s, partial) in zip(
+                        part.labels, part.parents, shard.partials):
+                    partials[label] = partial
+                    folds[parent] = folds.get(parent, 0.0) + fold_s
+            for host in cut.mixed & partials.keys():
+                # A mixed node's own result, sized as its worker sized it.
+                partials[host].wire_bytes = facts[host][2]
+            folded = self.engine.fold(query, cut.plan, partials.__getitem__)
+            gather = splice(plan, cut, folded, facts, folds)
+            gather.warnings = fetched.warnings
+            gather.wall_s += fetched.wall_s
+            gather.duplicate_traffic_bytes += fetched.duplicate_traffic_bytes
+            gather.max_exec_s = fetched.max_exec_s
+        else:
+            gather = folded = self.engine.fold(query, plan, local,
+                                               self.executor)
         charge_legs(plan, gather.reports, self.rpc)
         gather.model_time_s = model_response_time(
             plan, gather.reports, gather.merge_s, self.rpc)
         if trace:
             for host, report in gather.reports.items():
                 report.stages = host_stages.get(host, {})
-            fold = gather.wall_s - sum(report.exec_s
-                                       for report in gather.reports.values())
+            fold = folded.wall_s - sum(report.exec_s
+                                       for report in folded.reports.values())
             gather.stages = self._stages(gather, fetched)
             gather.stages[None] = {"fold": micros(fold)}
-        if fetched is not None:
-            gather.warnings = fetched.warnings
-            gather.wall_s += fetched.wall_s
-            gather.duplicate_traffic_bytes += fetched.duplicate_traffic_bytes
-            gather.max_exec_s = fetched.max_exec_s
-            gather.model_time_s += fetched.max_exec_s
         return gather
 
     @staticmethod
@@ -1243,43 +1276,37 @@ class QueryCluster:
                 if gather is not None
                 for name, report in gather.reports.items() if report.stages}
 
-    def _fetch(self, query: Query, request: bytes, hosts: Sequence[str],
+    def _fetch(self, query: Query, request: bytes, cut: ShardCut,
                trace: bool = False) -> GatherResult:
-        """Fetch every host's partial from the workers: one
-        ``MSG_GROUP_BATCH`` envelope per group touched, each entry the
-        same ``request`` frame, so a group decodes it once (a host no
-        worker serves is a leaf of its own and fails like a dead agent),
-        through :meth:`_scatter_groups` - so timeouts, retries and
-        supervision act per group, the failure domain.  The gather's value
-        is ``{host: partial}``.  Piggybacked alarms go to the bus in
-        ``hosts`` order (:class:`_AlarmCollector`), as the serial fold
-        raises them - and a reply the scatter gives up on still surrenders
-        its alarms."""
+        """Fetch the fold units' partials from the workers: one
+        ``MSG_GROUP_BATCH`` envelope per group touched, holding one shard
+        query entry - the bare ``request`` and the group's units - (a host
+        no worker serves is a group of its own and fails like a dead
+        agent), through :meth:`_scatter_groups`, so timeouts, retries and
+        supervision act per group.  The gather's value is ``{group key:
+        shard result}``.  Piggybacked alarms go to the bus in plan order
+        (:class:`_AlarmCollector`), as the serial fold raises them - and a
+        reply the scatter gives up on still surrenders its alarms."""
         pool = self._process_pool
-        leaves: Dict[str, List[Tuple[str, bytes]]] = {}
-        for key, run_hosts in pool.runs(hosts):
-            leaves.setdefault(key, []).extend(
-                (host, request) for host in run_hosts)
-        sink = _AlarmCollector(self, latch=False, order=hosts)
-
-        def take_alarms(results: List[Tuple[str, QueryResult]],
-                        capture) -> Dict[str, QueryResult]:
-            for host, result in results:
-                capture(host, result.alarms)
-                result.alarms = ()
-            return dict(results)
+        leaves = {key: [(wire.EVERY_HOST,
+                         wire.encode_shard_query(request, part.encoded))]
+                  for key, part in cut.parts.items()}
+        sink = _AlarmCollector(self, latch=False, order=cut.hosts)
 
         def consume(exchange: Exchange, deadline: Optional[float]):
+            part = cut.parts[exchange.key]
+            ask = functools.partial(pool.group_query, exchange, query,
+                                    part.hosts, len(part.units))
             try:
-                results, reply_bytes, _sent = pool.group_query(
-                    exchange, query, deadline)
+                shard, reply_bytes, _sent = ask(deadline, sink.land)
             except DeadlineExceeded:
-                self._consume_late(lambda: take_alarms(
-                    pool.group_query(exchange, query)[0], sink.park))
+                self._consume_late(lambda: ask(on_hosts=sink.park))
                 raise
-            return take_alarms(results, sink.land), reply_bytes
+            return {exchange.key: shard}, reply_bytes
 
-        _plan, gather = self._scatter_groups(leaves, consume, trace)
+        _plan, gather = self._scatter_groups(
+            leaves, consume, trace,
+            {key: part.hosts for key, part in cut.parts.items()})
         sink.dispatch()
         return gather
 

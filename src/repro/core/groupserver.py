@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import wire
 from repro.core.alarms import Alarm
-from repro.core.executor import DeadlineExceeded, micros
+from repro.core.executor import DeadlineExceeded, PlanNode, micros
 from repro.core.monitor import MonitorSnapshot, TransferObservation
 from repro.core.query import QueryResult
 from repro.core.supervisor import GroupSeed, WorkerSeed
@@ -633,22 +633,12 @@ class GroupAgentPool:
             raise AgentServerError(f"no agent server for {name}")
         return slot
 
-    def runs(self, targets: Sequence[str]) -> List[Tuple[str, List[str]]]:
-        """``targets`` as ``(group key, hosts)`` runs of consecutive
-        same-group hosts (shards are contiguous: one run per group for the
-        canonical host order); a coalesced scatter gathers a group's runs
-        into its one envelope.  A target no worker serves is a run of its
-        own under its own name, which fails when asked, like any dead
-        agent."""
-        runs: List[Tuple[str, List[str]]] = []
-        for host in targets:
-            slot = self._slot_of_host.get(host)
-            key = host if slot is None else slot.key
-            if runs and runs[-1][0] == key:
-                runs[-1][1].append(host)
-            else:
-                runs.append((key, [host]))
-        return runs
+    def group_of(self, host: str) -> str:
+        """The key of the group serving ``host`` - or ``host`` itself when
+        no worker serves it: a group of its own, which fails when asked,
+        like any dead agent."""
+        slot = self._slot_of_host.get(host)
+        return host if slot is None else slot.key
 
     # ------------------------------------------------------- per-host client
     def add_records(self, host: str,
@@ -722,14 +712,25 @@ class GroupAgentPool:
             raise self._worker_failed(conn, str(error)) from error
 
     def query(self, host: str, query) -> QueryResult:
-        """Run ``query`` on ``host`` alone via its group's multiplexed
-        connection (a single-host probe; scatters use
-        :meth:`group_query`); returns the host's partial result, its
-        ``wire_bytes`` the measured inner reply frame length.  Alarms the
-        worker had pending ride the reply on ``result.alarms`` - the
-        caller is responsible for dispatching them to the alarm bus."""
-        conn, reply = self._ask(host, wire.encode_query_request(query, None))
-        return self._checked_decode(conn, reply, wire.decode_result, query)
+        """Run ``query`` on ``host`` alone (a single-host probe: a shard
+        query of one unit, one host); returns the host's partial result,
+        its ``wire_bytes`` the bytes the worker sized it at - alarms
+        included.  Alarms the worker had pending ride the reply on
+        ``result.alarms`` - the caller is responsible for dispatching them
+        to the alarm bus."""
+        unit = PlanNode(None, children=[PlanNode(host)])
+        exchange = self.send(self._slot(host).key, [(
+            wire.EVERY_HOST, wire.encode_shard_query(
+                wire.encode_query_request(query, None),
+                wire.encode_fold_units([unit])))])
+        alarms: List[Alarm] = []
+        answer, _reply_bytes, _sent = self.group_query(
+            exchange, query, [host], 1,
+            on_hosts=lambda per_host: alarms.extend(per_host[0][1]))
+        (_merge_s, result), = answer.partials
+        result.wire_bytes = answer.reports[0][3]
+        result.alarms = tuple(alarms)
+        return result
 
     def monitor_tick(self, host: str, now: float,
                      threshold: Optional[int] = None
@@ -825,7 +826,7 @@ class GroupAgentPool:
 
     def group_monitor_tick(self, exchange: Exchange,
                            deadline: Optional[float] = None,
-                           on_host=None
+                           on_hosts=None
                            ) -> Tuple[List[Tuple[str, List[Alarm]]],
                                       int, int]:
         """The consume step of one monitor sweep over a group: ``exchange``
@@ -838,35 +839,22 @@ class GroupAgentPool:
         ``deadline`` (a ``perf_counter`` stamp) bounds the wait: past it,
         :class:`~repro.core.executor.DeadlineExceeded` is raised and the
         exchange stays open, so a later call can still consume its reply.
-        ``on_host(host, alarms)`` is called once per member host, in shard
-        order, empty batches included, after the batch is decoded and
-        split by ``alarm.host``.  An alarm naming a host outside the shard,
-        or out of shard order, is a desync that condemns the group, like
-        an undecodable reply.  A traced exchange adds ``decode`` (the
-        batch's, and its split), ``deliver`` (the ``on_host`` calls) and
-        the worker's stages to its record.
+        ``on_hosts(per-host)`` is called with that list once the batch
+        is decoded and split by ``alarm.host``.  An alarm naming a host
+        outside the shard, or out of shard order, is a desync that
+        condemns the group, like an undecodable reply.  A traced exchange
+        adds ``decode`` (the batch's, and its split), ``deliver`` (the
+        ``on_hosts`` call) and the worker's stages to its record.
         """
         replies, reply_bytes, sent = self._consume(exchange, deadline)
         started = time.perf_counter()
         conn, hosts = exchange.conn, self._slots[exchange.key].hosts
-        per_host: List[Tuple[str, List[Alarm]]] = [
-            (host, []) for host in hosts]
-        at = 0
         batch = self._checked_decode(conn, replies[0],
                                      wire.decode_alarm_batch)
-        for alarm in batch:
-            while at < len(hosts) and hosts[at] != alarm.host:
-                at += 1
-            if at == len(hosts):
-                raise self._desynced(
-                    conn, f"agent server group {exchange.key} sent an alarm "
-                    f"for {alarm.host!r} outside its shard order; worker "
-                    f"killed")
-            per_host[at][1].append(alarm)
+        per_host = self._split_alarms(exchange, hosts, batch)
         decoded = time.perf_counter()
-        if on_host is not None:
-            for host, host_alarms in per_host:
-                on_host(host, host_alarms)
+        if on_hosts is not None:
+            on_hosts(per_host)
         stages = exchange.stages
         if stages is not None:
             stages["decode"] = micros(decoded - started)
@@ -874,31 +862,67 @@ class GroupAgentPool:
             stages.update(batch.stages)
         return per_host, reply_bytes, sent
 
-    def group_query(self, exchange: Exchange, query,
-                    deadline: Optional[float] = None
-                    ) -> Tuple[List[Tuple[str, QueryResult]], int, int]:
+    def group_query(self, exchange: Exchange, query, hosts: Sequence[str],
+                    units: int, deadline: Optional[float] = None,
+                    on_hosts=None) -> Tuple[wire.ShardResult, int, int]:
         """The consume step of ``query`` run on a group through one
-        coalesced envelope: ``exchange`` is what :meth:`send` wrote, one
-        request frame per target (the same bare query frame for every
-        host, under either mechanism: a multi-level edge's subtree spec
-        is priced by the plan, not shipped).  Returns ``(per-host (host,
-        result) in request order, reply envelope bytes, request envelope
-        bytes)``; each result's ``wire_bytes`` is its measured inner reply
-        frame length.  A host-level error reply fails the whole group
-        exchange (the group is the failure domain in coalesced scatters).
-        ``deadline`` is as in :meth:`group_monitor_tick`.  A traced
-        exchange adds ``decode`` to its record; each host's own stages
-        are on its result.
+        coalesced envelope: ``exchange`` is the one shard query entry
+        :meth:`send` wrote, naming ``hosts`` in plan order and holding
+        ``units`` fold units, and its reply one shard result.  Returns
+        ``(the decoded shard result, reply envelope bytes, request
+        envelope bytes)``: a report per host and a folded partial per
+        unit, each partial's ``wire_bytes`` its frame's length.
+
+        A reply whose reports name other hosts, or in another order, or
+        whose partials are not one per unit, contradicts its request: a
+        desync that condemns the group, like an undecodable reply - and so
+        is an alarm naming a host outside ``hosts`` or out of their order.
+        An error reply (a host's failure or a latched ingest error
+        anywhere in the shard) fails the whole group.  ``on_hosts`` gets
+        ``(host, alarms)`` per host, in order, empty batches included;
+        ``deadline`` is as in :meth:`group_monitor_tick`.  A
+        traced exchange adds ``decode`` (the reply's, partials included)
+        and the worker's stages to its record.
         """
         replies, reply_bytes, sent = self._consume(exchange, deadline)
         started = time.perf_counter()
-        results = [
-            (host, self._checked_decode(exchange.conn, reply,
-                                        wire.decode_result, query))
-            for host, reply in zip(exchange.hosts, replies)]
+        conn = exchange.conn
+        shard = self._checked_decode(conn, replies[0],
+                                     wire.decode_shard_result, query)
+        if [report[0] for report in shard.reports] != list(hosts) or \
+                len(shard.partials) != units:
+            raise self._desynced(
+                conn, f"agent server group {exchange.key} answered "
+                f"{len(shard.reports)} reports / {len(shard.partials)} "
+                f"partials that contradict the {len(hosts)} hosts / {units} "
+                f"units asked; worker killed")
+        per_host = self._split_alarms(exchange, hosts, shard.alarms)
         if exchange.stages is not None:
             exchange.stages["decode"] = micros(time.perf_counter() - started)
-        return results, reply_bytes, sent
+            exchange.stages.update(shard.stages)
+        if on_hosts is not None:
+            on_hosts(per_host)
+        return shard, reply_bytes, sent
+
+    def _split_alarms(self, exchange: Exchange, hosts: Sequence[str],
+                      alarms: Sequence[Alarm]
+                      ) -> List[Tuple[str, List[Alarm]]]:
+        """``alarms`` - a group's reply, host by host in ``hosts`` order -
+        split by ``alarm.host``; an alarm naming a host outside ``hosts``,
+        or out of their order, condemns the group."""
+        per_host: List[Tuple[str, List[Alarm]]] = [
+            (host, []) for host in hosts]
+        at = 0
+        for alarm in alarms:
+            while at < len(hosts) and hosts[at] != alarm.host:
+                at += 1
+            if at == len(hosts):
+                raise self._desynced(
+                    exchange.conn, f"agent server group {exchange.key} sent "
+                    f"an alarm for {alarm.host!r} outside its hosts' order; "
+                    f"worker killed")
+            per_host[at][1].append(alarm)
+        return per_host
 
     def group_ping_state(self, key: str) -> Dict[str, Tuple[int, int]]:
         """Coalesced startup/sync barrier: one ping envelope for every
@@ -949,10 +973,16 @@ class GroupAgentPool:
 
     def _frames(self, key: str, entries: Sequence[Tuple[str, bytes]]) -> int:
         """The per-host logical frames ``entries`` to or from group ``key``
-        stand for: an entry addressed to every host, one per host."""
-        width = len(self._slots[key].hosts)
-        return sum(width if host == wire.EVERY_HOST else 1
-                   for host, _frame in entries)
+        stand for: a shard query or result, one per host it names; any
+        other entry addressed to every host, one per host of the group."""
+        frames = 0
+        for host, frame in entries:
+            if host != wire.EVERY_HOST:
+                frames += 1
+                continue
+            named = wire.hosts_named(frame)
+            frames += len(self._slots[key].hosts) if named is None else named
+        return frames
 
     def reset_stats(self) -> None:
         """Zero the pool's frame/byte/envelope counters."""

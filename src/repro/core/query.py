@@ -29,6 +29,7 @@ scan_stats)``; every merger returns the merged payload.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -41,7 +42,8 @@ from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
 from repro.core import plan as planlib
 from repro.core import wire
 from repro.core.alarms import PC_FAIL
-from repro.core.executor import micros
+from repro.core.executor import (GatherResult, PlanNode, ScatterGatherExecutor,
+                                 micros)
 from repro.core.tib import LinkId, TierClock, normalise_time_range
 from repro.network.packet import FlowId
 from repro.storage.records import ScanSpec
@@ -108,6 +110,11 @@ _PLANNED = {
         params.get("time_range")), None, False),
     Q_PLAN: (lambda params: params["plan"], None, True),
 }
+
+
+#: The record fields whose values are floats: a key-wise sum of one does
+#: not survive regrouping (:meth:`QueryEngine.regroupable`).
+_FLOAT_FIELDS = ("stime", "etime")
 
 
 @_memoized
@@ -330,6 +337,48 @@ class QueryEngine:
         if measure_wire:
             result.wire_bytes = measured_result_wire_bytes(result)
         return result
+
+    def regroupable(self, query: Query) -> bool:
+        """Whether ``query``'s merge may take its arrivals in consecutive
+        runs - ``merge([merge(A), merge(B)]) == merge(A + B)``, byte for
+        byte - so that a worker may fold the runs of a plan lying in its
+        shard.  True of every built-in but a key-wise sum of a float field
+        (a plan summing ``stime`` or ``etime`` by key), whose additions
+        round differently when regrouped; counts, bytes and packets are
+        ints, exact in any grouping.  A custom merger is not known to be.
+        """
+        planned = _PLANNED.get(query.name)
+        if planned is None:
+            return self._mergers.get(query.name) in (None,
+                                                     planlib.merge_key_sums)
+        terminal = planned[0](query.params).ops[-1]
+        return not (isinstance(terminal, planlib.Aggregate)
+                    and terminal.func == planlib.AGG_SUM and terminal.by
+                    and terminal.fields[0] in _FLOAT_FIELDS)
+
+    def fold(self, query: Query, plan: PlanNode,
+             work: Callable[[str], QueryResult],
+             executor: Optional[ScatterGatherExecutor] = None
+             ) -> GatherResult:
+        """Fold ``query``'s partials over ``plan``: ``work(host)`` is each
+        host's partial, every node merges its arrivals in one
+        :meth:`merge` call, and what a node sends its parent is sized -
+        not encoded - where it is sent (the root's accumulator never
+        travels, so it is never sized).
+
+        The one fold of the query path: the cluster runs it over a
+        query's plan in process (``executor`` its deadline, retries and
+        transport) and over the partials a worker fetch returns, and a
+        worker runs it over each fold unit of its shard.
+        """
+        def response_bytes(result: QueryResult) -> int:
+            if not result.wire_bytes:  # an unmeasured merge accumulator
+                result.wire_bytes = measured_result_wire_bytes(result)
+            return result.wire_bytes
+
+        merge = functools.partial(self.merge, query, measure_wire=False)
+        return (executor or ScatterGatherExecutor()).run(
+            plan, work, merge, response_bytes=response_bytes)
 
     # -------------------------------------------------------------- handlers
     @staticmethod

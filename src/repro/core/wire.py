@@ -100,6 +100,32 @@ string the list has not defined yet is corruption (``WireError``), never
 a wrong alarm.  ``_w_alarms`` writes, ``alarms_wire_bytes`` sizes and
 ``_Reader.alarms`` reads - one of each.
 
+Shard queries
+-------------
+
+A served query asks a worker group once: one group-addressed entry
+holding the bare query request and the *fold units* of the plan that lie
+in the group's shard - each unit a forest of plan subtrees the worker
+folds into one partial - and the reply is one shard result::
+
+    shard query  := request:bytes fold-units
+    fold-units   := hosts:uvarint units:uvarint forest*
+    forest       := count:uvarint (host:str forest)*
+    shard result := hosts:uvarint report* units:uvarint
+                    (merge_s:double partial:bytes)* alarm-list span-tail
+    report       := host:str exec_s:double merge_s:double response:uvarint
+
+``hosts`` counts every host the frame names, so a reader learns a shard
+frame's width without walking it (:func:`hosts_named`).  A plan's fold
+units are encoded once (:func:`encode_fold_units`) and sent with every
+query over that plan.  The reports follow
+the query's host order (each unit's subtrees, pre-order): the host's
+execution time, its merge time (0.0 at a leaf) and the bytes of the
+response it sends its parent - its own result at a leaf, its
+accumulator at an interior node - sized, not encoded.  A partial is a
+``MSG_QUERY_RESULT`` frame with its unit's own merge time; the hosts'
+piggybacked alarms travel once, in the alarm list, each naming its host.
+
 What pins all of this from outside is in ``tests/test_wire.py``: a golden
 table (a frame per message type, one value per tag and width, hex
 generated by the previous implementation and compared byte for byte; every
@@ -125,7 +151,7 @@ from repro.codec import (DOUBLE, TRUNCATED, Reader, WireDecodeError,
                          uvarint_len, varint_len, w_flow_id, w_str,
                          w_uvarint, w_varint)
 from repro.core.alarms import Alarm
-from repro.core.executor import micros
+from repro.core.executor import PlanNode, micros
 from repro.core.monitor import (MonitorSnapshot, TcpFlowStats,
                                 TransferObservation)
 from repro.core import plan as _plan
@@ -172,8 +198,13 @@ from repro.storage.records import PathFlowRecord
 #: 7), a traced result's scan-stat map carries the worker's
 #: ``t.<stage>`` entries, and every alarm batch ends with the same
 #: ``str -> varint`` map (one ``0`` byte when the tick was not traced).
+#: Version 9: a served query reaches a worker as one shard query per group
+#: - the bare query request and the fold units of the plan that lie in
+#: the group's shard, its hosts in plan order - answered by one shard
+#: result: a report per host, one folded partial (a result frame) per
+#: unit, the hosts' alarms and the span tail (see *Shard queries*).
 MAGIC = b"PD"
-WIRE_VERSION = 8
+WIRE_VERSION = 9
 
 _HEADER = struct.Struct("<2sBB")
 #: Bytes of the fixed frame header.
@@ -199,12 +230,15 @@ MSG_RETENTION = 16
 MSG_GROUP_BATCH = 18
 MSG_CLOSE_TORN = 19
 MSG_MONITOR_REOPEN = 22
+MSG_SHARD_QUERY = 23
+MSG_SHARD_RESULT = 24
 
 #: The host of a group-addressed ``MSG_GROUP_BATCH`` entry: "every host of
-#: this worker", in shard order.  Only a monitor tick (answered by one
-#: alarm batch holding every host's alarms) and a monitor re-open may be
-#: addressed so; a worker answers any other frame addressed so with an
-#: error frame.
+#: this worker", in shard order - or, for a shard query, the hosts the
+#: frame itself names.  Only a monitor tick (answered by one alarm batch
+#: holding every host's alarms), a monitor re-open and a shard query
+#: (answered by one shard result) may be addressed so; a worker answers
+#: any other frame addressed so with an error frame.
 EVERY_HOST = ""
 
 #: Request flag bits: a query request's (bit 0: a subtree spec follows) and
@@ -367,6 +401,19 @@ def _w_spec(buf: bytearray, spec: SubtreeSpec) -> None:
     w_uvarint(buf, len(spec.hosts))
     for host in spec.hosts:
         w_str(buf, host)
+
+
+def _w_forest(buf: bytearray, nodes: Sequence[PlanNode],
+              hosts: List[str]) -> None:
+    """Append plan subtrees (see *Shard queries*), pre-order; their hosts
+    extend ``hosts``."""
+    w_uvarint(buf, len(nodes))
+    for node in nodes:
+        if node.host is None:
+            raise WireError("a fold unit's subtree has no host")
+        hosts.append(node.host)
+        w_str(buf, node.host)
+        _w_forest(buf, node.children, hosts)
 
 
 def _w_alarms(buf: bytearray, alarms: Sequence[Alarm]) -> None:
@@ -553,6 +600,9 @@ def alarms_wire_bytes(alarms: Sequence[Alarm]) -> int:
 # Reader
 # --------------------------------------------------------------------------
 _unpack_double = DOUBLE.unpack_from
+#: A shard report's ``exec_s`` and ``merge_s``, read in one call.
+_TIMES = struct.Struct("<dd")
+_unpack_times = _TIMES.unpack_from
 #: ``_new_tuple(FlowId, fields)``: a NamedTuple from its field sequence
 #: without the Python-level ``__new__`` call.
 _new_tuple: Callable[..., Any] = tuple.__new__
@@ -736,6 +786,33 @@ class _Reader(Reader):
         """A counted run of strings (a path, a host list)."""
         str_ = self.str_
         return tuple([str_() for _ in range(self.uvarint())])
+
+    def forest(self, hosts: List[str]) -> List[PlanNode]:
+        """Plan subtrees :func:`_w_forest` wrote; their hosts extend
+        ``hosts``."""
+        str_, forest = self.str_, self.forest
+        nodes: List[PlanNode] = []
+        for _ in range(self.uvarint()):
+            host = str_()
+            hosts.append(host)
+            nodes.append(PlanNode(host, children=forest(hosts)))
+        return nodes
+
+    def reports(self) -> List[Tuple[str, float, float, int]]:
+        """A shard result's counted reports, ``(host, exec_s, merge_s,
+        response bytes)`` each - two calls a host, the times one unpack."""
+        str_, uvarint, data = self.str_, self.uvarint, self.data
+        reports = []
+        for _ in range(uvarint()):
+            host = str_()
+            pos = self.pos
+            try:
+                exec_s, merge_s = _unpack_times(data, pos)
+            except struct.error:
+                raise WireError(TRUNCATED) from None
+            self.pos = pos + _TIMES.size
+            reports.append((host, exec_s, merge_s, uvarint()))
+        return reports
 
     def record(self) -> PathFlowRecord:
         return PathFlowRecord(self.flow_id(), self.strs(), self.double(),
@@ -1428,6 +1505,146 @@ def encode_monitor_reopen() -> bytes:
     result flow by flow.  ``reset_stats`` addresses one to
     :data:`EVERY_HOST` per worker."""
     return _frame(MSG_MONITOR_REOPEN)
+
+
+# ------------------------------------------------------------ shard queries
+class ShardQuery(NamedTuple):
+    """A decoded shard query (see *Shard queries*).
+
+    Attributes:
+        request: the bare ``MSG_QUERY_REQUEST`` frame every host answers.
+        units: one fold per partial to send back: a host-less root whose
+            children are the unit's plan subtrees, in plan order.
+        hosts: every host the units name, in plan order.
+    """
+
+    request: bytes
+    units: List[PlanNode]
+    hosts: List[str]
+
+
+def encode_fold_units(units: Sequence[PlanNode]) -> bytes:
+    """Encode the fold units of a shard query: each a host-less root over
+    plan subtrees that lie wholly in one group's shard, which the worker
+    folds into one partial (a direct plan's run of hosts, a multi-level
+    plan's run of sibling subtrees, or one host's own result)."""
+    body = bytearray()
+    hosts: List[str] = []
+    w_uvarint(body, len(units))
+    for unit in units:
+        _w_forest(body, unit.children, hosts)
+    head = bytearray()
+    w_uvarint(head, len(hosts))
+    return bytes(head + body)
+
+
+def encode_shard_query(request: bytes, units: bytes) -> bytes:
+    """Encode the one query entry a worker group is sent: the bare
+    ``request`` frame and the group's :func:`encode_fold_units`.
+    Addressed to :data:`EVERY_HOST`; the frame names its hosts."""
+    head = bytearray()
+    w_uvarint(head, len(request))
+    return _frame(MSG_SHARD_QUERY, bytes(head) + request + units)
+
+
+@_decoder(MSG_SHARD_QUERY)
+def decode_shard_query(reader: _Reader) -> ShardQuery:
+    """Inverse of :func:`encode_shard_query`."""
+    request = reader.bytes_()
+    width = reader.uvarint()
+    hosts: List[str] = []
+    units = []
+    for _ in range(reader.uvarint()):
+        subtrees = reader.forest(hosts)
+        if not subtrees:
+            raise WireError("empty fold unit in a shard query")
+        units.append(PlanNode(None, children=subtrees))
+    if len(hosts) != width:
+        raise WireError(f"shard query names {width} hosts but holds "
+                        f"{len(hosts)}")
+    return ShardQuery(request, units, hosts)
+
+
+class ShardResult(NamedTuple):
+    """A decoded shard result (see *Shard queries*).
+
+    Attributes:
+        reports: ``(host, exec_s, merge_s, response bytes)`` per host, in
+            the query's host order.
+        partials: ``(merge_s, QueryResult)`` per fold unit, in order: the
+            unit's own merge time and its folded partial.
+        alarms: every host's piggybacked alarms, in host order.
+        stages: the worker's span tail (empty when not traced).
+    """
+
+    reports: List[Tuple[str, float, float, int]]
+    partials: List[Tuple[float, Any]]
+    alarms: List[Alarm]
+    stages: Dict[str, int]
+
+
+def encode_shard_result(reports: Sequence[Tuple[str, float, float, int]],
+                        partials: Sequence[Tuple[float, Any]],
+                        alarms: Sequence[Alarm],
+                        stages: Optional[Dict[str, int]] = None) -> bytes:
+    """Encode a worker group's answer to a shard query: ``reports`` per
+    host, each fold unit's ``(merge_s, partial)`` - the partial a result
+    encoded by :func:`encode_result` (its own alarms are not written: the
+    hosts' ``alarms`` travel once, after the partials) - then the span
+    tail: a traced query's ``stages`` with ``t.encode`` (this encode,
+    tail aside) stamped here, or one ``0`` byte."""
+    started = time.perf_counter() if stages is not None else 0.0
+    body = bytearray()
+    w_uvarint(body, len(reports))
+    pack_times = _TIMES.pack
+    for host, exec_s, merge_s, response in reports:
+        w_str(body, host)
+        body += pack_times(exec_s, merge_s)
+        w_uvarint(body, response)
+    w_uvarint(body, len(partials))
+    for merge_s, partial in partials:
+        frame = encode_result(partial)
+        body += DOUBLE.pack(merge_s)
+        w_uvarint(body, len(frame))
+        body += frame
+    _w_alarms(body, alarms)
+    if stages is None:
+        body.append(0)
+    else:
+        stages["t.encode"] = micros(time.perf_counter() - started)
+        _w_counters(body, stages)
+    return _frame(MSG_SHARD_RESULT, bytes(body))
+
+
+@_decoder(MSG_SHARD_RESULT)
+def decode_shard_result(reader: _Reader, query: Any = None) -> ShardResult:
+    """Inverse of :func:`encode_shard_result`; each partial is decoded by
+    :func:`decode_result` (``query`` as there), its ``wire_bytes`` its
+    frame's length."""
+    reports = reader.reports()
+    partials = []
+    for _ in range(reader.uvarint()):
+        merge_s = reader.double()
+        partials.append((merge_s, decode_result(reader.bytes_(), query)))
+    alarms = reader.alarms()
+    _counters, stages, _stage_bytes = reader.counters()
+    return ShardResult(reports, partials, alarms, stages or {})
+
+
+def hosts_named(frame: bytes) -> Optional[int]:
+    """How many hosts a shard query or shard result names, read off its
+    head; ``None`` for any other frame, or one too short to say."""
+    kind = frame[HEADER_BYTES - 1] if len(frame) > HEADER_BYTES else None
+    if kind != MSG_SHARD_QUERY and kind != MSG_SHARD_RESULT:
+        return None
+    reader = Reader(frame, HEADER_BYTES)
+    try:
+        if kind == MSG_SHARD_QUERY:
+            request = reader.uvarint()
+            reader.pos += request  # past the request
+        return reader.uvarint()
+    except WireError:
+        return None
 
 
 # ----------------------------------------------------------- group transport

@@ -7,16 +7,21 @@ the end hosts themselves, so the worker owns its shard's per-host state
 :class:`FramedSocket`, the class the controller reads the other end with.
 No pickle crosses the wire.
 
-An envelope entry names the host it is for.  A monitor sweep and a
-re-open ask the same question of every host, so each is one entry for the
-whole shard (:func:`_serve_every_host`): a sweep's reply is one alarm
-batch holding the alarms of every host, in shard order.
+An envelope entry names the host it is for.  A monitor sweep, a re-open
+and a query ask every host they name the same question, so each is one
+entry for the group (:func:`_serve_every_host`): a sweep's reply is one
+alarm batch holding the alarms of every host, in shard order, and a
+query's is one shard result - the worker runs each host's partial and
+folds the units of the plan that lie in its shard itself
+(:func:`_answer_query`), so one partial per unit crosses the wire, not
+one per host.
 
 A traced request (its flag bit set) is answered with the worker's stages
-in the reply's span tail, whole microseconds on ``perf_counter``: a
-query's ``t.queue`` (the envelope's arrival until this entry is served),
-``t.decode``, the engine's ``t.compile`` / ``t.hot`` / ``t.cold`` /
-``t.fold`` and the codec's ``t.encode``; a tick's ``t.check`` and
+in the reply's span tail, whole microseconds on ``perf_counter``: one
+record per group - a query's ``t.queue`` (the envelope's arrival until
+its entry is served), ``t.decode``, the engine's ``t.compile`` /
+``t.hot`` / ``t.cold`` / ``t.fold`` summed over its hosts, ``t.slowest``,
+``t.merge`` and the codec's ``t.encode``; a tick's ``t.check`` and
 ``t.encode``.
 """
 
@@ -31,7 +36,7 @@ from repro.core import wire
 from repro.core.alarms import Alarm
 from repro.core.executor import micros
 from repro.core.monitor import ActiveMonitor
-from repro.core.query import Query, QueryEngine
+from repro.core.query import QueryEngine
 from repro.core.tib import Tib
 from repro.network.packet import FlowId
 
@@ -45,8 +50,7 @@ SERVED_QUERIES = QueryEngine().names()
 
 #: Request frames (answered; a latched ingest failure answers the next one
 #: instead).
-_REQUESTS = frozenset((wire.MSG_QUERY_REQUEST, wire.MSG_MONITOR_TICK,
-                       wire.MSG_MONITOR_PULL))
+_REQUESTS = frozenset((wire.MSG_MONITOR_TICK, wire.MSG_MONITOR_PULL))
 
 
 class EndpointClosed(Exception):
@@ -100,62 +104,32 @@ class FramedSocket:
             pass
 
 
-class _RequestMemo:
-    """The last query-request frame a worker decoded, and its query.
-
-    A query's envelope, direct or multi-level, carries the same bare
-    request bytes for every host of a group (a partial depends on the
-    query alone; the subtree spec the paper batches in is priced, not
-    shipped), so one remembered entry turns the group's M decodes into
-    one.  The hosts then share one :class:`~repro.core.query.Query`
-    object, as they do in serial mode - handlers only read it.  A frame
-    that differs (one carrying a spec, say) simply misses.
-    """
-
-    __slots__ = ("_last",)
-
-    def __init__(self) -> None:
-        self._last: Optional[Tuple[bytes, Query, bool]] = None
-
-    def query(self, frame: bytes) -> Tuple[Query, bool]:
-        """The query ``frame`` asks, and whether it is traced (raises
-        ``WireError`` on a corrupt frame, which is then not
-        remembered)."""
-        last = self._last
-        if last is None or last[0] != frame:
-            query, _spec, traced = wire.decode_query_request(frame)
-            self._last = last = (frame, query, traced)
-        return last[1], last[2]
-
-
 class _HostServer:
     """One host in a worker: its state (the ``tib``, ``monitor`` and
     ``alarm`` the query handlers read), and the frame switch
     ``frame -> reply``.
 
     :func:`group_server_main` owns one of these per host of its shard and
-    routes ``MSG_GROUP_BATCH`` entries to them; each serves everything in
-    :data:`SERVED_QUERIES` from its own :class:`Tib` and
-    :class:`ActiveMonitor`.  Record/observation batches, monitor-state
-    seeds, re-opens and retention caps are fire-and-forget (the stream's
-    FIFO ordering guarantees they are applied before any later query or
-    tick); an ingest failure is latched on ``pending_error`` and answers
-    the next request instead of being lost.  The worker's monitor is the
+    routes ``MSG_GROUP_BATCH`` entries to them; each answers everything in
+    :data:`SERVED_QUERIES` (for :func:`_answer_query`) from its own
+    :class:`Tib` and :class:`ActiveMonitor`.  Record/observation batches,
+    monitor-state seeds, re-opens and retention caps are fire-and-forget
+    (the stream's FIFO ordering guarantees they are applied before any
+    later query or tick); an ingest failure is latched on
+    ``pending_error`` and answers the next request instead of being lost.  The worker's monitor is the
     authoritative one in the worker modes: alarms raised host-side
     (periodic checks, ``alarm`` calls from query handlers) queue on
     ``pending_alarms`` and leave on the next reply that can carry them: a
-    monitor tick's alarm batch, or piggybacked on a query result.
+    monitor tick's alarm batch, or a shard result's alarm list.
     """
 
-    def __init__(self, host: str, requests: _RequestMemo) -> None:
+    def __init__(self, host: str) -> None:
         self.host = host
         self.tib = Tib(host)
         self.pending_alarms: List[Alarm] = []
         self.monitor = ActiveMonitor(host,
                                      alarm_sink=self.pending_alarms.append)
         self.engine = QueryEngine()
-        #: Shared by every host server of the worker process.
-        self.requests = requests
         self.pending_error: Optional[str] = None
 
     def alarm(self, flow_id: FlowId, reason: str,
@@ -191,12 +165,9 @@ class _HostServer:
             self.pending_error = (f"{what} failed: "
                                   f"{type(error).__name__}: {error}")
 
-    def serve(self, frame: bytes,
-              arrived: Optional[float] = None) -> Optional[bytes]:
-        """Serve one frame (``arrived``: the ``perf_counter`` stamp of its
-        envelope's arrival, where a traced query's ``t.queue`` starts);
-        returns the reply bytes, or ``None`` for a fire-and-forget
-        frame."""
+    def serve(self, frame: bytes) -> Optional[bytes]:
+        """Serve one frame addressed to this host; returns the reply
+        bytes, or ``None`` for a fire-and-forget frame."""
         try:
             kind, _reader = wire.open_frame(frame)
         except wire.WireError as error:
@@ -211,25 +182,6 @@ class _HostServer:
                 self.pending_error = None
                 return reply
             try:
-                if kind == wire.MSG_QUERY_REQUEST:
-                    started = time.perf_counter()
-                    query, traced = self.requests.query(frame)
-                    stages: Optional[Dict[str, int]] = None
-                    if traced:
-                        stages = {
-                            "t.queue": micros(started - (arrived or started)),
-                            "t.decode": micros(time.perf_counter() - started)}
-                    # measure_wire=False: the frame we are about to send
-                    # IS the measurement (encoding twice would double the
-                    # serialization cost on the hot path); the client sets
-                    # wire_bytes = len(frame) on decode.
-                    result = self.engine.execute(self, query,
-                                                 measure_wire=False,
-                                                 stages=stages)
-                    # Drain *after* executing: alarms the handler raised
-                    # ride this reply to the controller's bus.
-                    result.alarms = self.drain_alarms()
-                    return wire.encode_result(result, stages)
                 if kind == wire.MSG_MONITOR_TICK:
                     return _answer_tick((self,), frame)
                 return wire.encode_monitor_state(self.monitor.snapshot())
@@ -286,40 +238,127 @@ class _HostServer:
         return None
 
 
-def _serve_every_host(servers: Sequence[_HostServer],
-                      frame: bytes) -> Optional[bytes]:
-    """Serve one entry addressed to every host of the shard
-    (:data:`~repro.core.wire.EVERY_HOST`): ``servers`` in shard order.
+def _serve_every_host(servers: Dict[str, _HostServer], engine: QueryEngine,
+                      frame: bytes, arrived: float) -> Optional[bytes]:
+    """Serve one entry addressed to the group
+    (:data:`~repro.core.wire.EVERY_HOST`): ``servers`` by host, in shard
+    order, and ``arrived`` the envelope's arrival stamp.
 
-    A monitor tick first answers an ingest failure latched anywhere in the
-    shard - one error frame naming each latched host, every latch cleared,
-    no check run - as a per-host tick answers its own: checks run beside
-    it would latch their poor flows while the error fails the reply that
-    was to carry their alarms.  Otherwise every host runs its check and one
-    alarm batch carries all of their alarms, host by host.  A re-open runs
-    every monitor's ``reset_stats()`` (fire-and-forget).  Any other frame
-    is answered with an error frame.
+    A monitor tick and a shard query first answer an ingest failure
+    latched on any host they ask - one error frame naming each latched
+    host, those latches cleared, nothing run - as a per-host request
+    answers its own: work run beside it would drain alarms, or latch poor
+    flows, that the error then fails to carry.  Otherwise a tick runs
+    every host's check and one alarm batch carries all of their alarms,
+    host by host; a shard query is folded (:func:`_answer_query`).  A
+    re-open runs every monitor's ``reset_stats()`` (fire-and-forget).
+    Any other frame is answered with an error frame.
     """
     try:
         kind = wire.frame_type(frame)
         if kind == wire.MSG_MONITOR_REOPEN:
-            for server in servers:
+            for server in servers.values():
                 server.monitor.reset_stats()
             return None
+        if kind == wire.MSG_SHARD_QUERY:
+            return _answer_query(servers, engine, frame, arrived)
         if kind != wire.MSG_MONITOR_TICK:
             return wire.encode_error(
                 f"message type {kind} cannot be addressed to every host")
-        latched = [server for server in servers
-                   if server.pending_error is not None]
-        if latched:
-            detail = "; ".join(f"{server.host}: {server.pending_error}"
-                               for server in latched)
-            for server in latched:
-                server.pending_error = None
-            return wire.encode_error(detail)
-        return _answer_tick(servers, frame)
+        shard = tuple(servers.values())
+        return _latched(shard) or _answer_tick(shard, frame)
     except Exception as error:
         return wire.encode_error(f"{type(error).__name__}: {error}")
+
+
+def _latched(servers: Sequence[_HostServer]) -> Optional[bytes]:
+    """The error frame naming every ingest failure latched on
+    ``servers`` (their latches cleared), or ``None``."""
+    latched = [server for server in servers
+               if server.pending_error is not None]
+    if not latched:
+        return None
+    detail = "; ".join(f"{server.host}: {server.pending_error}"
+                       for server in latched)
+    for server in latched:
+        server.pending_error = None
+    return wire.encode_error(detail)
+
+
+#: The engine's stages a traced shard query sums over its hosts.
+_HOST_STAGES = ("t.compile", "t.hot", "t.cold", "t.fold")
+
+
+def _answer_query(servers: Dict[str, _HostServer], engine: QueryEngine,
+                  frame: bytes, arrived: float) -> bytes:
+    """The shard result answering a shard query: each host's partial,
+    folded unit by unit with :meth:`~repro.core.query.QueryEngine.fold` -
+    the fold the controller runs - and a report per host.
+
+    A host's result is sized with the alarms it drained, as a reply of
+    its own would carry them; the alarms then travel once, in the result's
+    alarm list.  A host that fails (its handler raised) fails the group:
+    one error frame naming it, every alarm drained so far put back on its
+    host's queue for the next reply.  Traced, the result's span tail is
+    one record for the group: ``t.queue`` (the envelope's arrival until
+    this entry is served), ``t.decode``, the engine's stages summed over
+    the hosts, ``t.slowest`` (the slowest host's execution), ``t.merge``
+    (every merge of the fold) and the codec's ``t.encode``.
+    """
+    started = time.perf_counter()
+    shard = wire.decode_shard_query(frame)
+    query, _spec, traced = wire.decode_query_request(shard.request)
+    decoded = time.perf_counter()
+    asked = []
+    for host in shard.hosts:
+        server = servers.get(host)
+        if server is None:
+            return wire.encode_error(f"host {host} is not in this group")
+        asked.append(server)
+    latched = _latched(asked)
+    if latched is not None:
+        return latched
+    drained: List[Tuple[_HostServer, Tuple[Alarm, ...]]] = []
+    stages: Dict[str, int] = {}
+
+    def work(host: str):
+        server = servers[host]
+        run: Optional[Dict[str, int]] = {} if traced else None
+        result = server.engine.execute(server, query, measure_wire=False,
+                                       stages=run)
+        result.alarms = server.drain_alarms()
+        drained.append((server, result.alarms))
+        for key, us in (run or {}).items():
+            stages[key] = stages.get(key, 0) + us
+        return result
+
+    reports: List[Tuple[str, float, float, int]] = []
+    partials: List[Tuple[float, object]] = []
+    merged = 0.0
+    for unit in shard.units:
+        gather = engine.fold(query, unit, work)
+        if gather.hosts_failed:
+            for server, alarms in drained:
+                server.pending_alarms[:0] = alarms
+            return wire.encode_error("; ".join(
+                f"{host}: {gather.reports[host].error}"
+                for host in gather.hosts_failed))
+        merge_s = gather.merge_s
+        reports += [(report.host, report.exec_s, merge_s[report.host],
+                     report.response_bytes or 0)
+                    for report in gather.reports.values()]
+        merged += sum(merge_s.values())
+        gather.value.alarms = ()  # they travel in the alarm list
+        partials.append((merge_s[None], gather.value))
+    alarms = [alarm for _server, raised in drained for alarm in raised]
+    if not traced:
+        return wire.encode_shard_result(reports, partials, alarms)
+    tail = {key: stages.get(key, 0) for key in _HOST_STAGES}
+    tail.update({"t.queue": micros(started - arrived),
+                 "t.decode": micros(decoded - started),
+                 "t.slowest": micros(max(report[1] for report in reports)),
+                 "t.merge": micros(merged)})
+    return wire.encode_shard_result(reports, partials, alarms, tail)
 
 
 def _answer_tick(servers: Sequence[_HostServer], frame: bytes) -> bytes:
@@ -355,10 +394,9 @@ def group_server_main(group_id: int, hosts: Sequence[str],
     corrupt frame: it dies loudly, as an EOF).
     """
     channel = FramedSocket(sock)
-    requests = _RequestMemo()
-    servers: Dict[str, _HostServer] = {
-        host: _HostServer(host, requests) for host in hosts}
-    shard = tuple(servers.values())
+    servers: Dict[str, _HostServer] = {host: _HostServer(host)
+                                       for host in hosts}
+    engine = QueryEngine()
     try:
         while True:
             try:
@@ -389,9 +427,9 @@ def group_server_main(group_id: int, hosts: Sequence[str],
             for host, inner in entries:
                 server = servers.get(host)
                 if server is not None:
-                    reply: Optional[bytes] = server.serve(inner, arrived)
+                    reply: Optional[bytes] = server.serve(inner)
                 elif host == wire.EVERY_HOST:
-                    reply = _serve_every_host(shard, inner)
+                    reply = _serve_every_host(servers, engine, inner, arrived)
                 else:
                     reply = wire.encode_error(
                         f"host {host} is not in group {group_id}")

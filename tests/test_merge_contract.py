@@ -41,8 +41,12 @@ def random_rows(rng):
             for _ in range(rng.choice((0, 0, 1, 3, 6)))]
 
 
-def random_sums(rng):
-    return {(rng.choice("xy"), rng.randrange(4)): rng.choice(NUMBERS)
+#: The ints of :data:`NUMBERS`: what counts, bytes and packets sum.
+INTS = tuple(number for number in NUMBERS if type(number) is int)
+
+
+def random_sums(rng, numbers=NUMBERS):
+    return {(rng.choice("xy"), rng.randrange(4)): rng.choice(numbers)
             for _ in range(rng.choice((0, 0, 1, 3, 8)))}
 
 
@@ -123,28 +127,45 @@ def test_cases_cover_every_merger_and_terminal_op():
     assert terminals == set(planlib.OPS)
 
 
-@pytest.mark.parametrize("query,kind,ranking", CASES,
-                         ids=[f"{query.name}-{index}" for index, (query, *_)
-                              in enumerate(CASES)])
+def random_results(rng, query, kind, ranking, sums=NUMBERS):
+    """A plan-ordered arrival list of partials of ``kind`` (a key-wise
+    sum's values drawn from ``sums``)."""
+    results = []
+    for index in range(rng.choice((2, 2, 3, 5, 9))):
+        if kind == CONCAT:
+            payload = random_rows(rng)
+        elif kind == KEY_SUM:
+            payload = random_sums(rng, sums)
+        elif kind == SPAN:
+            payload = random_span(rng)
+        else:
+            payload = random_ranking(rng, *ranking)
+        stats = {key: rng.randrange(5) for key in
+                 rng.sample(("hot", "cold", "pruned"), rng.randrange(3))}
+        results.append(QueryResult(query, payload, wire_bytes=0,
+                                   records_scanned=rng.randrange(9),
+                                   host=f"h{index}", scan_stats=stats))
+    return results
+
+
+def assert_same_merge(merged, other):
+    assert wire.encode_value(merged.payload) == \
+        wire.encode_value(other.payload)
+    assert merged.scan_stats == other.scan_stats
+    assert list(merged.scan_stats) == list(other.scan_stats)
+    assert merged.records_scanned == other.records_scanned
+
+
+CASE_IDS = [f"{query.name}-{index}" for index, (query, *_)
+            in enumerate(CASES)]
+
+
+@pytest.mark.parametrize("query,kind,ranking", CASES, ids=CASE_IDS)
 def test_merge_of_all_equals_the_pairwise_left_fold(query, kind, ranking):
     engine = QueryEngine()
     rng = random.Random(f"merge-contract-{query.name}-{kind}-{ranking}")
     for _ in range(150):
-        results = []
-        for index in range(rng.choice((2, 2, 3, 5, 9))):
-            if kind == CONCAT:
-                payload = random_rows(rng)
-            elif kind == KEY_SUM:
-                payload = random_sums(rng)
-            elif kind == SPAN:
-                payload = random_span(rng)
-            else:
-                payload = random_ranking(rng, *ranking)
-            stats = {key: rng.randrange(5) for key in
-                     rng.sample(("hot", "cold", "pruned"), rng.randrange(3))}
-            results.append(QueryResult(query, payload, wire_bytes=0,
-                                       records_scanned=rng.randrange(9),
-                                       host=f"h{index}", scan_stats=stats))
+        results = random_results(rng, query, kind, ranking)
         merged = engine.merge(query, results, measure_wire=False)
         folded = functools.reduce(
             lambda acc, value: engine.merge(query, [acc, value],
@@ -166,6 +187,74 @@ def test_merge_of_all_equals_the_pairwise_left_fold(query, kind, ranking):
                       max(end for _, end in spans)) if spans else ()
             assert wire.encode_value(merged.payload) == \
                 wire.encode_value(extent)
+
+
+@pytest.mark.parametrize("query,kind,ranking", CASES, ids=CASE_IDS)
+def test_merge_is_associative_at_every_split_point(query, kind, ranking):
+    """``merge([merge(A), merge(B)]) == merge(A + B)`` for every split of
+    a plan-ordered arrival list into a non-empty head and tail - and for
+    a random cut into consecutive runs: what lets a worker fold the runs
+    of a plan that lie in its shard and the controller fold the rest.
+    Every case is one the engine regroups; a key-wise sum holds it over
+    the ints these cases sum (counts, bytes), not over floats - see
+    :func:`test_a_float_key_sum_is_not_regrouped`."""
+    engine = QueryEngine()
+    assert engine.regroupable(query)
+
+    def merge(results):
+        return engine.merge(query, results, measure_wire=False)
+
+    rng = random.Random(f"merge-associative-{query.name}-{kind}-{ranking}")
+    for _ in range(120):
+        results = random_results(rng, query, kind, ranking, sums=INTS)
+        whole = merge(results)
+        for split in range(1, len(results)):
+            assert_same_merge(merge([merge(results[:split]),
+                                     merge(results[split:])]), whole)
+        cuts = sorted(rng.sample(range(1, len(results)),
+                                 rng.randrange(len(results))))
+        runs = [results[start:end] for start, end
+                in zip([0] + cuts, cuts + [len(results)])]
+        assert_same_merge(merge([merge(run) for run in runs]), whole)
+
+
+def test_a_float_key_sum_is_not_regrouped():
+    """A key-wise sum of floats fails the associativity contract - float
+    additions round differently when regrouped - so the one served query
+    that sums floats by key, a plan summing ``stime`` or ``etime``, is
+    never folded at the workers; the same sum over an int field is."""
+    engine = QueryEngine()
+    plans = {field: planlib.Plan(ops=(planlib.Aggregate(
+        func=planlib.AGG_SUM, fields=(field,), by=("flow",)),))
+        for field in planlib.NUMERIC_FIELDS}
+    query = Query(Q_PLAN, {"plan": plans["stime"]})
+    results = [QueryResult(query, {"f": value}, 0)
+               for value in (0.1, 0.2, 0.3)]
+    whole = engine.merge(query, results).payload
+    runs = engine.merge(query, [results[0],
+                                engine.merge(query, results[1:])]).payload
+    assert whole == {"f": 0.6000000000000001} and runs == {"f": 0.6}
+    assert {field: engine.regroupable(Query(Q_PLAN, {"plan": plan}))
+            for field, plan in plans.items()} == {
+        "stime": False, "etime": False, "bytes": True, "pkts": True}
+    ranked = planlib.Plan(ops=plans["stime"].ops + (planlib.TopK(k=3),))
+    assert engine.regroupable(Query(Q_PLAN, {"plan": ranked}))
+
+
+@pytest.mark.parametrize("split", [1, 2, 3])
+@pytest.mark.parametrize("tail", [1, 20])  # a sort, then a heap merge
+def test_ranked_ties_across_int_and_float_associate(split, tail):
+    """Equal-ranking pairs that encode differently keep their arrival
+    order when the list is merged in two runs, wherever it is split."""
+    query = Query(Q_TOP_K_FLOWS, {"k": 2})
+    engine = QueryEngine()
+    results = [QueryResult(query, payload, 0) for payload in
+               [[(5.0, "f")], [(5, "f")]] + [[(5, "f"), (1, "g")]] * tail]
+    whole = engine.merge(query, results).payload
+    assert [type(value) for value, _flow in whole] == [float, int]
+    runs = engine.merge(query, [engine.merge(query, results[:split]),
+                                engine.merge(query, results[split:])])
+    assert wire.encode_value(runs.payload) == wire.encode_value(whole)
 
 
 @pytest.mark.parametrize("tail", [1, 20])  # a sort, then a heap merge

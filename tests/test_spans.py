@@ -20,11 +20,13 @@ from repro.storage.archive import RetentionPolicy
 from test_event_plane import ALL_MODES, make_cluster
 from test_wire import golden_alarms
 
-#: What a host reports for a traced query in process; a worker adds the
-#: stages around the engine's, and leaves out any that took no whole
-#: microsecond.
+#: What a host reports for a traced query in process; a worker group
+#: reports one record for its shard - the engine's stages summed over its
+#: hosts, the slowest host's execution, its fold's merges and the stages
+#: around them.
 ENGINE_STAGES = {"t.compile", "t.hot", "t.cold", "t.fold", "t.encode"}
-WORKER_STAGES = ENGINE_STAGES | {"t.queue", "t.decode"}
+WORKER_STAGES = ENGINE_STAGES | {"t.queue", "t.decode", "t.slowest",
+                                 "t.merge"}
 EXCHANGE_STAGES = {"send", "wait", "decode"}
 
 PLAN_QUERY = Query(plan.PLAN_QUERY_NAME, {"plan": plan.Plan(ops=(
@@ -119,17 +121,17 @@ class TestTracedRuns:
                 assert traced.traffic_bytes == plain.traffic_bytes
                 assert traced.scan_stats == plain.scan_stats
                 stages = traced.stages
-                for host in cluster.hosts:
-                    if mode == MODE_SERIAL:
+                if mode == MODE_SERIAL:
+                    reporters = cluster.hosts
+                    for host in cluster.hosts:
                         assert stages[host].keys() == ENGINE_STAGES
-                    else:
-                        assert stages[host].keys() <= WORKER_STAGES
-                        assert "t.encode" in stages[host]
-                groups = ([] if mode == MODE_SERIAL
-                          else cluster.agent_servers.group_keys())
-                for key in groups:
-                    assert stages[key].keys() == EXCHANGE_STAGES
-                assert set(stages) == {None, *cluster.hosts, *groups}
+                else:  # one record per group, none per host
+                    reporters = cluster.agent_servers.group_keys()
+                    for key in reporters:
+                        assert stages[key].keys() == \
+                            EXCHANGE_STAGES | WORKER_STAGES
+                        assert stages[key]["t.slowest"] > 0
+                assert set(stages) == {None, *reporters}
                 assert stages[None].keys() == {"fold"}
                 assert on_thread_us(stages, mode) <= \
                     micros(traced.wall_clock_s) + 4 * len(stages)

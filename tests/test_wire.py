@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import Query, QueryEngine, QueryResult, plan, wire
 from repro.core.aggregation import AggregationTree
+from repro.core.executor import PlanNode
 from repro.core.alarms import Alarm, POOR_PERF, REASON_CODES
 from repro.core.monitor import (ActiveMonitor, MonitorSnapshot, TcpFlowStats,
                                 TransferObservation)
@@ -866,6 +867,61 @@ class TestGroupTransportFrames:
         assert len(frame) == wire.HEADER_BYTES
 
 
+class TestShardFrames:
+    """A served query's one entry per group and its one reply."""
+
+    def test_fold_units_round_trip_with_their_hosts(self):
+        rng = random.Random(20261019)
+        request = wire.encode_query_request(GOLDEN_TOPK_QUERY, None)
+        for _ in range(60):
+            count = iter(range(1000))
+
+            def subtree(depth):
+                return PlanNode(f"h{next(count)}", children=[
+                    subtree(depth + 1)
+                    for _ in range(rng.choice((0, 0, 1, 3)) if depth < 3
+                                   else 0)])
+
+            units = [PlanNode(None, children=[
+                subtree(0) for _ in range(rng.randrange(1, 4))])
+                for _ in range(rng.randrange(1, 5))]
+            frame = wire.encode_shard_query(request,
+                                            wire.encode_fold_units(units))
+            shard = wire.decode_shard_query(frame)
+            assert shard.request == request and shard.units == units
+            hosts = []
+            stack = [node for unit in reversed(units)
+                     for node in reversed(unit.children)]
+            while stack:
+                node = stack.pop()
+                hosts.append(node.host)
+                stack += reversed(node.children)
+            assert shard.hosts == hosts
+            assert wire.hosts_named(frame) == len(hosts)
+            reply = wire.encode_shard_result(
+                [(host, 0.0, 0.0, 1) for host in hosts],
+                [(0.0, golden_topk_result(pairs=1))] * len(units), [])
+            assert wire.hosts_named(reply) == len(hosts)
+            assert wire.hosts_named(golden_frame("group_tick")) is None
+            assert wire.hosts_named(frame[:wire.HEADER_BYTES]) is None
+
+    def test_a_shard_query_that_miscounts_its_hosts_is_rejected(self):
+        request = wire.encode_query_request(GOLDEN_TOPK_QUERY, None)
+        units = wire.encode_fold_units(golden_fold_units())
+        frame = bytearray(wire.encode_shard_query(request, units))
+        at = wire.HEADER_BYTES + 1 + len(request)
+        assert frame[at] == 5  # the five hosts the golden units name
+        frame[at] = 6
+        with pytest.raises(wire.WireError, match="names 6 hosts"):
+            wire.decode_shard_query(bytes(frame))
+        empty = wire.encode_shard_query(request, b"\x00\x01\x00")
+        with pytest.raises(wire.WireError, match="empty fold unit"):
+            wire.decode_shard_query(empty)
+        with pytest.raises(wire.WireError, match="has no host"):
+            wire.encode_fold_units([PlanNode(None, children=[
+                PlanNode(None)])])
+
+
 class TestStreamFraming:
     """The length-prefixed stream layer under every worker connection.
 
@@ -1087,6 +1143,16 @@ def _golden_frames():
         return (result.query.name, result.payload, result.records_scanned,
                 result.host, result.alarms, result.scan_stats)
 
+    request_frame = wire.encode_query_request(GOLDEN_TOPK_QUERY, None)
+    units = golden_fold_units()
+    shard = golden_shard_result()
+
+    def shard_fields(reply):
+        return (reply.reports,
+                [(merge_s, result_fields(partial))
+                 for merge_s, partial in reply.partials],
+                reply.alarms, reply.stages)
+
     return {
         "query_request": (
             wire.encode_query_request(request, GOLDEN_SPEC),
@@ -1148,7 +1214,48 @@ def _golden_frames():
                               wire.decode_group_batch, (1, group_alarms)),
         "group_reopen": (wire.encode_group_batch(0, group_reopen),
                          wire.decode_group_batch, (0, group_reopen)),
+        # A served query asks a group once: the bare request and the fold
+        # units that lie in its shard; the reply a report per host, a
+        # partial per unit and the hosts' alarms.
+        "shard_query": (
+            wire.encode_shard_query(request_frame,
+                                    wire.encode_fold_units(units)),
+            wire.decode_shard_query,
+            (request_frame, units, ["h0", "h1", UNICODE_HOST, "server-2",
+                                    "server-3"])),
+        "shard_result": (
+            wire.encode_shard_result(*shard),
+            lambda data: shard_fields(
+                wire.decode_shard_result(data, GOLDEN_TOPK_QUERY)),
+            (shard[0], [(merge_s, result_fields(partial))
+                        for merge_s, partial in shard[1]],
+             shard[2], {})),
     }
+
+
+def golden_fold_units():
+    """Two fold units: a subtree (a node over two leaves) beside a leaf,
+    and one host alone."""
+    return [PlanNode(None, children=[
+                PlanNode("h0", children=[PlanNode("h1"),
+                                         PlanNode(UNICODE_HOST)]),
+                PlanNode("server-2")]),
+            PlanNode(None, children=[PlanNode("server-3")])]
+
+
+def golden_shard_result():
+    """``encode_shard_result``'s arguments for :func:`golden_fold_units`:
+    a report per host (the times exact in binary), a folded partial per
+    unit - the second one host's own result - and the hosts' alarms."""
+    reports = [("h0", 0.5, 0.25, 300), ("h1", 0.125, 0.0, 128),
+               (UNICODE_HOST, 2.0 ** -20, 0.0, 0), ("server-2", 0.0, 0.0, 7),
+               ("server-3", 1.5, 0.0, 1 << 20)]
+    aggregate = golden_topk_result(pairs=3)
+    aggregate.host = "aggregate"
+    own = golden_topk_result(pairs=1)
+    own.host = "server-3"
+    own.scan_stats = {"hot_flow_routed": 2}
+    return reports, [(0.0625, aggregate), (0.0, own)], golden_alarms()
 
 
 #: One value per tag (and per interesting width of each).
@@ -1191,9 +1298,14 @@ GOLDEN_V7_ROWS = ("plan_request", "query_result", "group_tick",
 #: ``0`` byte in either version - so it keeps its version-7 bytes.)
 #: Every other row below was generated at version 6.
 GOLDEN_V8_ROWS = ("alarm_batch", "group_alarm_batch", "plan_result")
+#: The rows generated by the version-9 codec: the shard query and the
+#: shard result, the frame kinds version 9 added (their nested request
+#: and result frames carry version 9 too, which ``_reversioned`` leaves
+#: alone).
+GOLDEN_V9_ROWS = ("shard_query", "shard_result")
 
 # Generated by the codec of commit d1f8568 from the inputs above, except
-# GOLDEN_V7_ROWS, GOLDEN_V8_ROWS and the "plan" value.
+# GOLDEN_V7_ROWS, GOLDEN_V8_ROWS, GOLDEN_V9_ROWS and the "plan" value.
 GOLDEN_FRAME_HEX = {
     "query_request":
         "504406010b746f705f6b5f666c6f777304016b03640a74696d655f72616e6765"
@@ -1303,6 +1415,30 @@ GOLDEN_FRAME_HEX = {
         "727665722d3432000750435f4641494c000e68c3b473742de4b8ade5bf832d39"
         "000094a305a0010c000000000000d03f0203090005746f722d310a0000",
     "group_reopen": "504407120001000450440716",
+    "shard_query":
+        "5044091717504409010b746f705f6b5f666c6f777301016b0350000005020202"
+        "683002026831000e68c3b473742de4b8ade5bf832d3900087365727665722d32"
+        "0001087365727665722d3300",
+    "shard_result":
+        "5044091805026830000000000000e03f000000000000d03fac02026831000000"
+        "000000c03f000000000000000080010e68c3b473742de4b8ade5bf832d390000"
+        "00000000b03e000000000000000000087365727665722d320000000000000000"
+        "000000000000000007087365727665722d33000000000000f83f000000000000"
+        "000080804002000000000000b03f64504409040b746f705f6b5f666c6f777309"
+        "61676772656761746550070308020380897a050f68303a343030307c68313a38"
+        "307c36080203b6f979050f68313a343030317c68323a38307c36080203ece979"
+        "050f68323a343030327c68333a38307c36000000000000000000004650440904"
+        "0b746f705f6b5f666c6f7773087365727665722d3350070108020380897a050f"
+        "68303a343030307c68313a38307c3600010f686f745f666c6f775f726f757465"
+        "64040400087365727665722d3300087365727665722d390009504f4f525f5045"
+        "524601001c726574783d392c2073747265616b3d352c2074696d656f7574733d"
+        "3180f104a0010c0000000000002940000100097365727665722d31300301001d"
+        "726574783d31302c2073747265616b3d352c2074696d656f7574733d3182f104"
+        "a0010c0000000000002940000100097365727665722d31310301001d72657478"
+        "3d31312c2073747265616b3d352c2074696d656f7574733d3184f104a0010c00"
+        "0000000000294000000768c3b473742d6100097365727665722d343200075043"
+        "5f4641494c000e68c3b473742de4b8ade5bf832d39000094a305a0010c000000"
+        "000000d03f0203090005746f722d310a0000",
 }
 
 
@@ -1609,16 +1745,17 @@ class TestGoldenFrames:
         assert set(frames) == set(GOLDEN_FRAME_HEX)
         assert {wire.frame_type(frame) for frame, _, _ in frames.values()} \
             == set(_msg_types().values())
-        assert wire.WIRE_VERSION == 8
+        assert wire.WIRE_VERSION == 9
 
-    def test_only_the_version_7_and_8_rows_were_regenerated(self):
-        """Every row outside GOLDEN_V7_ROWS and GOLDEN_V8_ROWS is still
-        the version-6 hex (group-batch inner frames included), so the
-        frame tests below compare today's codec against the version-6
-        bytes themselves."""
+    def test_only_the_rows_of_later_versions_were_regenerated(self):
+        """Every row outside GOLDEN_V7_ROWS, GOLDEN_V8_ROWS and
+        GOLDEN_V9_ROWS is still the version-6 hex (group-batch inner
+        frames included), so the frame tests below compare today's codec
+        against the version-6 bytes themselves."""
         for name, text in GOLDEN_FRAME_HEX.items():
             data = bytes.fromhex(text)
-            version = (8 if name in GOLDEN_V8_ROWS
+            version = (9 if name in GOLDEN_V9_ROWS
+                       else 8 if name in GOLDEN_V8_ROWS
                        else 7 if name in GOLDEN_V7_ROWS else 6)
             assert _reversioned(data, version) == data, name
 
@@ -1664,11 +1801,15 @@ class TestGoldenFrames:
             with pytest.raises(wire.WireError, match="trailing"):
                 decoder(data + b"\x00")
 
-    def test_truncation_is_reported_as_truncation(self):
-        frame = golden_frame("alarm_batch")
+    @pytest.mark.parametrize("name,decode", [
+        ("alarm_batch", wire.decode_alarm_batch),
+        ("shard_query", wire.decode_shard_query),
+        ("shard_result", wire.decode_shard_result)])
+    def test_truncation_is_reported_as_truncation(self, name, decode):
+        frame = golden_frame(name)
         for cut in range(wire.HEADER_BYTES, len(frame)):
             with pytest.raises(wire.WireError, match="truncated frame"):
-                wire.decode_alarm_batch(frame[:cut])
+                decode(frame[:cut])
 
     def test_reader_rejections_survive(self):
         with pytest.raises(wire.WireError, match="invalid UTF-8"):
@@ -1700,6 +1841,17 @@ class TestGoldenFrames:
         assert _python_calls(
             lambda: wire.decode_result(result, GOLDEN_TOPK_QUERY)) <= 150
         assert _python_calls(lambda: wire.decode_alarm_batch(alarms)) <= 110
+
+    def test_shard_frame_decode_call_counts(self):
+        """What a served query costs each end per group: the worker
+        decodes one shard query (37 calls for the golden five hosts, two
+        units), the controller one shard result (125: five reports, two
+        partials and the golden alarm list)."""
+        query = golden_frame("shard_query")
+        reply = golden_frame("shard_result")
+        assert _python_calls(lambda: wire.decode_shard_query(query)) <= 60
+        assert _python_calls(lambda: wire.decode_shard_result(
+            reply, GOLDEN_TOPK_QUERY)) <= 170
 
 
 class TestExactSizes:

@@ -39,20 +39,26 @@ from repro.core import (AgentServerError, GroupAgentPool, MECHANISM_DIRECT,
                         Q_PATH_CONFORMANCE, Q_PLAN, Q_POOR_TCP_FLOWS,
                         Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX, Query, QueryCluster,
                         Supervisor, shard_hosts, wire)
+import repro.core.cluster as cluster_module
 from repro.core.aggregation import AggregationTree
 from repro.core.alarms import PC_FAIL
 from repro.core.executor import (W_HOST_FAILED, W_HOST_TIMEOUT,
-                                 W_MIRROR_DETACHED, W_WORKER_RESTARTED)
+                                 W_MIRROR_DETACHED, W_WORKER_RESTARTED,
+                                 PlanNode)
 from repro.core.groupserver import OUTBOX_FLUSH_BYTES
 from repro.core.monitor import MonitorSnapshot
 from repro.core.plan import (Aggregate, Filter, Plan, Project, TopK,
                              span_length)
+from repro.core.shards import cut_plan
 from repro.core.supervisor import EVENT_RESTARTED, ChaosPolicy, WorkerSeed
 from repro.core.worker import EndpointClosed, FramedSocket
 from repro.network import make_tcp_packet
 from repro.network.packet import FlowId, PROTO_TCP
-from repro.storage import PathFlowRecord
+from repro.storage import PathFlowRecord, flow_key
+from repro.topology import FatTreeTopology
 from test_event_plane import feed_workload
+from test_merge_contract import counted_merges
+from test_wire import golden_alarms
 from test_supervisor import (FAST, STARTUP_FRAMES, group_key, kill_and_wait,
                              pool_of, populate, sample_records,
                              small_topology)
@@ -360,22 +366,31 @@ class TestMeasuredTraffic:
     def test_direct_envelopes_reconcile_with_pool_counters(
             self, shaped_cluster):
         """The pool counts exactly: one request envelope per worker group
-        carrying every member's query frame, plus that group's reply
-        envelope carrying every member's measured result frame (no
-        estimates anywhere).  Under ``"process"`` that is one single-entry
-        envelope per host each way."""
+        holding one shard query for the whole shard, plus that group's
+        reply envelope holding one shard result - a fixed-width report per
+        host and the group's folded partial (no estimates anywhere).
+        Under ``"process"`` that is one envelope per host each way."""
         cluster = shaped_cluster
         pool = cluster.agent_servers
         query = Query(Q_TOP_K_FLOWS, {"k": 10})
         request = wire.encode_query_request(query, None)
         expected = 0
         for key in pool.group_keys():
-            hosts = pool.group_hosts(key)
-            replies = [(host, wire.encode_result(
-                cluster.agent(host).execute_query(query))) for host in hosts]
+            unit = PlanNode(None, children=[
+                PlanNode(host) for host in pool.group_hosts(key)])
+            local = cluster.engine.fold(
+                query, unit, lambda host: cluster.agent(host).execute_query(
+                    query))
+            reply = wire.encode_shard_result(
+                [(host, 0.0, 0.0, report.response_bytes)
+                 for host, report in local.reports.items()],
+                [(0.0, local.value)], [])
+            shard = wire.encode_shard_query(request,
+                                            wire.encode_fold_units([unit]))
             expected += len(wire.encode_group_batch(
-                1, [(host, request) for host in hosts]))
-            expected += len(wire.encode_group_batch(1, replies))
+                1, [(wire.EVERY_HOST, shard)]))
+            expected += len(wire.encode_group_batch(
+                1, [(wire.EVERY_HOST, reply)]))
         cluster.configure_executor(mode=cluster.worker_mode)
         pool.reset_stats()
         outcome = cluster.execute(query, mechanism=MECHANISM_DIRECT)
@@ -468,13 +483,14 @@ class TestFrameCoalescing:
                                            MECHANISM_MULTILEVEL])
     def test_queries_ship_one_envelope_per_group_touched(self, mechanism):
         """A query costs one request envelope per group touched, however
-        its targets interleave the groups, not one round trip per host -
-        and every entry is the same bare request frame, so both mechanisms
-        ship the same bytes.  What is *priced* differs: ``traffic_bytes``
-        is serial's, and a multi-level query's exceeds the direct one's by
-        exactly its edges' subtree specs (the paper's batched query+spec
-        request; six hosts under fan-out 7 make a one-level tree, so the
-        response legs are the direct query's)."""
+        its targets interleave the groups, not one round trip per host:
+        one shard query entry per group, holding a fold unit per run of
+        the group's targets - and a one-level tree cuts as the direct plan
+        does, so both mechanisms ship the same bytes.  What is *priced*
+        differs: ``traffic_bytes`` is serial's, and a multi-level query's
+        exceeds the direct one's by exactly its edges' subtree specs (the
+        paper's batched query+spec request; six hosts under fan-out 7 make
+        a one-level tree, so the response legs are the direct query's)."""
         query = Query(Q_TOP_K_FLOWS, {"k": 10})
         request = wire.encode_query_request(query, None)
         with worker_cluster() as cluster:
@@ -482,9 +498,16 @@ class TestFrameCoalescing:
             targets = cluster.hosts[::2] + cluster.hosts[1::2]
             tree = AggregationTree(targets)
             assert tree.depth() == 1
-            expected = sum(len(wire.encode_group_batch(1, [
-                (host, request) for host in pool.group_hosts(key)]))
-                for key in pool.group_keys())
+            h = cluster.hosts  # group-0 holds h[:3], group-1 h[3:]
+            runs = {"group-0": [[h[0], h[2]], [h[1]]],
+                    "group-1": [[h[4]], [h[3], h[5]]]}
+            expected = sum(len(wire.encode_group_batch(1, [(
+                wire.EVERY_HOST, wire.encode_shard_query(
+                    request, wire.encode_fold_units([
+                        PlanNode(None, children=[
+                            PlanNode(host) for host in run])
+                        for run in group_runs])))]))
+                for group_runs in runs.values())
             shipped = {}
             for each in (mechanism, MECHANISM_DIRECT):
                 pool.reset_stats()
@@ -755,73 +778,248 @@ class TestResetShipsTheOperation:
                 set(cluster.hosts) - dead
 
 
-class TestRequestMemo:
-    def test_a_group_decodes_a_shared_request_frame_once(self, monkeypatch):
-        from repro.core.worker import _HostServer, _RequestMemo
-        decoded = []
-        decode = wire.decode_query_request
-        monkeypatch.setattr(
-            wire, "decode_query_request",
-            lambda frame: decoded.append(frame) or decode(frame))
-        requests = _RequestMemo()
-        servers = [_HostServer(f"h{i}", requests) for i in range(4)]
-        query = Query(Q_TOP_K_FLOWS, {"k": 3})
-        bare = wire.encode_query_request(query, None)
-        for server in servers:  # a direct query: one frame for the group
-            result = wire.decode_result(server.serve(bytes(bare)), query)
-            assert result.host == server.host and result.payload == []
-        assert decoded == [bare]
-        # Frames that differ per host (each carrying its own subtree spec)
-        # are each decoded, and answered for the host that was asked.
-        for server in servers:
-            spec = wire.SubtreeSpec(server.host, (server.host,))
-            frame = wire.encode_query_request(query, spec)
-            assert wire.decode_result(server.serve(frame),
-                                      query).host == server.host
-        assert len(decoded) == 1 + len(servers)
-        # A corrupt frame is an error reply per host, never remembered.
-        for server in servers[:2]:
-            reply = server.serve(bare[:-2])
-            assert wire.frame_type(reply) == wire.MSG_ERROR
-        assert wire.frame_type(servers[0].serve(bare)) == \
-            wire.MSG_QUERY_RESULT
+#: Pathbench's fan-out shape: 128 hosts (a k=8 fat-tree) in two
+#: contiguous shards, queried directly or along the paper's (7, 4, 4) tree.
+FANOUT_GROUPS = 2
+
+#: What the controller decodes per query on that shape: a direct plan is
+#: one fold unit per group; the tree leaves 21 runs of whole subtrees and
+#: 22 hosts whose subtrees span both shards, each sending its own result.
+FANOUT_PARTIALS = {MECHANISM_DIRECT: FANOUT_GROUPS, MECHANISM_MULTILEVEL: 43}
+
+
+@pytest.fixture(scope="module")
+def fanout_cluster():
+    """A 128-host socket cluster of two groups, a record on every host."""
+    cluster = QueryCluster(FatTreeTopology(8), group_count=FANOUT_GROUPS)
+    hosts = cluster.hosts
+    for index, host in enumerate(hosts):
+        src = hosts[(index + 7) % len(hosts)]
+        cluster.agent(host).tib.add_record(PathFlowRecord(
+            FlowId(src, host, 30_000 + index, 80, PROTO_TCP), (src, host),
+            1.0, 2.0 + index % 9, 100 * (index % 13 + 1), 1))
+    cluster.configure_executor(mode=MODE_SOCKET)
+    yield cluster
+    cluster.close()
+
+
+def count_decodes(monkeypatch):
+    """The result frames ``wire.decode_result`` decodes from now on, in
+    this process: the controller's."""
+    decoded = []
+    decode = wire.decode_result
+
+    def decode_result(frame, query=None):
+        decoded.append(frame)
+        return decode(frame, query)
+
+    monkeypatch.setattr(wire, "decode_result", decode_result)
+    return decoded
+
+
+def _reshard(entries, change):
+    """Group-1's shard result entry with ``change(reports, partials,
+    alarms)`` applied, re-encoded."""
+    (host, frame), = entries
+    reply = wire.decode_shard_result(frame)
+    return [(host, wire.encode_shard_result(
+        *change(list(reply.reports), list(reply.partials),
+                list(reply.alarms))))]
+
+
+#: Group-1's shard result rewritten to contradict the query it answers: a
+#: report for another group's host, a report short, an extra partial, an
+#: alarm for another group's host, a truncated frame.
+QUERY_REPLY_DAMAGE = {
+    "wrong-host": lambda entries: _reshard(
+        entries, lambda reports, partials, alarms: (
+            [("server-0",) + reports[0][1:]] + reports[1:], partials,
+            alarms)),
+    "short-reports": lambda entries: _reshard(
+        entries, lambda reports, partials, alarms: (
+            reports[:-1], partials, alarms)),
+    "extra-partial": lambda entries: _reshard(
+        entries, lambda reports, partials, alarms: (
+            reports, partials + partials, alarms)),
+    "foreign-alarm": lambda entries: _reshard(
+        entries, lambda reports, partials, alarms: (
+            reports, partials, alarms + [dataclasses.replace(
+                golden_alarms()[0], host="server-0")])),
+    "truncated": lambda entries: [(entries[0][0], entries[0][1][:-1])],
+}
+
+
+class TestShardFold:
+    """Each worker group folds the units of the plan that lie in its shard
+    and sends one partial per unit: the controller decodes those and folds
+    what is left, and answers, prices and fails exactly as serial."""
 
     @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
                                            MECHANISM_MULTILEVEL])
-    def test_each_group_decodes_one_request_per_query(self, mechanism,
-                                                      monkeypatch):
-        """What a query's fetch ships, replayed through fresh workers'
-        memos: one decode per group touched under either mechanism - every
-        entry is the same bare request frame."""
-        from repro.core.worker import _HostServer, _RequestMemo
-        query = Query(Q_TOP_K_FLOWS, {"k": 3})
+    def test_the_cut_of_the_fanout_plan(self, fanout_cluster, mechanism):
+        cluster = fanout_cluster
+        pool = cluster.agent_servers
+        request = wire.encode_query_request(Query(Q_GET_FLOWS), None)
+        if mechanism == MECHANISM_DIRECT:
+            plan = PlanNode(None, children=[
+                PlanNode(host, (len(request),)) for host in cluster.hosts])
+        else:
+            plan = cluster._plan_from_tree(
+                AggregationTree(cluster.hosts).root, request)
+        cut = cut_plan(plan, pool.group_of)
+        units = [(key, unit) for key, part in cut.parts.items()
+                 for unit in part.units]
+        assert len(units) == FANOUT_PARTIALS[mechanism]
+        named = []
+        for key, unit in units:
+            stack = list(unit.children)
+            while stack:
+                node = stack.pop()
+                assert pool.group_of(node.host) == key  # wholly in a shard
+                named.append(node.host)
+                stack += node.children
+        assert sorted(named) == sorted(cluster.hosts)
+        assert sorted(cut.hosts) == sorted(cluster.hosts)
+        for key, part in cut.parts.items():
+            assert len(part.hosts) == len(set(part.hosts))
+            assert set(part.hosts) <= set(pool.group_hosts(key))
+
+    @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
+                                           MECHANISM_MULTILEVEL])
+    def test_the_controller_decodes_one_partial_per_fold_unit(
+            self, fanout_cluster, mechanism, monkeypatch):
+        """128 hosts in two groups: a direct query decodes one partial per
+        group and merges once, at the root; a multi-level one decodes 43.
+        Payload, traffic and channel counters are serial's."""
+        cluster = fanout_cluster
+        query = Query(Q_TOP_K_FLOWS, {"k": 20})
+        cluster.configure_executor(mode=MODE_SERIAL)
+        want = cluster.execute(query, mechanism=mechanism)
+        cluster.configure_executor(mode=MODE_SOCKET)
+        decoded = count_decodes(monkeypatch)
+        merges = counted_merges(cluster, monkeypatch)
+        result = cluster.execute(query, mechanism=mechanism)
+        assert not result.partial
+        assert len(decoded) == FANOUT_PARTIALS[mechanism]
+        if mechanism == MECHANISM_DIRECT:
+            assert merges == [FANOUT_GROUPS]
+        assert wire.encode_value(result.payload) == \
+            wire.encode_value(want.payload) != wire.encode_value([])
+        assert result.traffic_bytes == want.traffic_bytes
+
+    @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
+                                           MECHANISM_MULTILEVEL])
+    def test_groups_of_one_decode_one_partial_per_host(self, mechanism,
+                                                       monkeypatch):
+        with worker_cluster(MODE_PROCESS) as cluster:
+            decoded = count_decodes(monkeypatch)
+            result = cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 5}),
+                                     mechanism=mechanism)
+            assert not result.partial and result.payload
+            assert len(decoded) == NUM_HOSTS
+
+    @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
+                                           MECHANISM_MULTILEVEL])
+    def test_the_full_plan_is_priced_from_the_workers_reports(
+            self, fanout_cluster, mechanism, monkeypatch):
+        """Every plan host has a report - its worker's ``exec_s``, the
+        plan's priced request and the response bytes serial sizes - and
+        every plan node its ``merge_s``; the channel is charged serial's
+        legs."""
+        cluster = fanout_cluster
+        query = Query(Q_FLOW_SIZE_DISTRIBUTION, {"binsize": 100})
+        gathers = {}
+        price = cluster_module.model_response_time
+
+        def keep(plan, reports, merge_s, channel):
+            gathers[cluster.mode] = (reports, merge_s)
+            return price(plan, reports, merge_s, channel)
+
+        monkeypatch.setattr(cluster_module, "model_response_time", keep)
+        charged = {}
+        for mode in (MODE_SERIAL, MODE_SOCKET):
+            cluster.configure_executor(mode=mode)
+            cluster.rpc.stats.reset()
+            cluster.execute(query, mechanism=mechanism)
+            charged[mode] = (cluster.rpc.stats.messages,
+                             cluster.rpc.stats.bytes)
+        assert charged[MODE_SERIAL] == charged[MODE_SOCKET]
+        (serial, serial_merges), (socket_, socket_merges) = (
+            gathers[MODE_SERIAL], gathers[MODE_SOCKET])
+        assert list(socket_) == list(serial)
+        assert list(socket_merges) == list(serial_merges)
+        for host, report in socket_.items():
+            twin = serial[host]
+            assert report.ok and report.attempts == 1
+            assert (report.request_bytes, report.response_bytes) == \
+                (twin.request_bytes, twin.response_bytes)
+            assert report.exec_s > 0
+        interior = [host for host, seconds in serial_merges.items()
+                    if seconds > 0]
+        assert all(socket_merges[host] > 0 for host in interior)
+
+    @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
+                                           MECHANISM_MULTILEVEL])
+    def test_a_float_key_sum_is_folded_as_serial_folds_it(self, mechanism,
+                                                          monkeypatch):
+        """A plan summing ``stime`` by flow adds floats, which round
+        differently when regrouped: its hosts' results all travel, one
+        partial each, and the controller adds them in serial's order - on
+        a flow whose three records straddle the two shards."""
+        def feed(cluster):
+            populate(cluster)
+            for host, stime in zip(cluster.hosts[2:5], (0.1, 0.2, 0.3)):
+                cluster.agent(host).tib.add_record(PathFlowRecord(
+                    SPREAD_FLOW, ("server-9", host), stime, 9.0, 10, 1))
+
+        query = Query(Q_PLAN, {"plan": Plan(ops=(Aggregate(
+            func="sum", fields=("stime",), by=("flow",)),))})
+        want = reference_payload(query, mechanism, feed)
+        with worker_cluster(feed=feed) as cluster:
+            decoded = count_decodes(monkeypatch)
+            result = cluster.execute(query, mechanism=mechanism)
+            assert wire.encode_value(result.payload) == want
+            assert result.payload[flow_key(SPREAD_FLOW)] == \
+                0.6000000000000001
+            assert len(decoded) == NUM_HOSTS
+
+    def test_a_latched_ingest_error_fails_the_query_group(self):
+        """A corrupt record batch latches an ingest error on one host: the
+        next query's shard result is one error frame for its group (no
+        host of it runs), the group's hosts fail, and the query after it
+        answers serial's payload."""
+        query = Query(Q_GET_FLOWS, {})
+        want = reference_payload(query)
         with worker_cluster() as cluster:
             pool = cluster.agent_servers
-            shipped = []
-            send = pool.send
-            monkeypatch.setattr(
-                pool, "send", lambda key, entries, reseed=False, trace=False:
-                shipped.append((key, list(entries)))
-                or send(key, entries, reseed, trace))
-            assert not cluster.execute(query, mechanism=mechanism).partial
-            groups = {key: pool.group_hosts(key) for key in pool.group_keys()}
-        assert [key for key, _entries in shipped] == list(groups)
-        bare = wire.encode_query_request(query, None)
-        decoded = []
-        decode = wire.decode_query_request
-        monkeypatch.setattr(
-            wire, "decode_query_request",
-            lambda frame: decoded.append(frame) or decode(frame))
-        for key, entries in shipped:
-            requests = _RequestMemo()
-            servers = {host: _HostServer(host, requests)
-                       for host in groups[key]}
-            assert [host for host, _frame in entries] == list(groups[key])
-            for host, frame in entries:
-                assert frame == bare
-                assert wire.decode_result(servers[host].serve(frame),
-                                          query).host == host
-        assert decoded == [bare] * len(groups)
+            doomed = pool.group_hosts("group-1")
+            victim = doomed[1]
+            pool._post(victim, wire.encode_record_batch(
+                sample_records(victim))[:-1])
+            first = cluster.execute(query)
+            assert first.partial and first.hosts_failed == list(doomed)
+            assert [(warning.code, warning.host)
+                    for warning in first.warnings] == \
+                [(W_HOST_FAILED, "group-1")]
+            assert f"{victim}: record batch failed" in \
+                first.warnings[0].detail
+            second = cluster.execute(query)
+            assert not second.partial
+            assert wire.encode_value(second.payload) == want
+            assert pool.alive(victim) and pool.stats.decode_errors == 0
+
+    @pytest.mark.parametrize("damage", sorted(QUERY_REPLY_DAMAGE))
+    def test_a_reply_contradicting_its_query_condemns_the_group(
+            self, damage, monkeypatch):
+        with worker_cluster() as cluster:
+            pool = cluster.agent_servers
+            doomed = pool.group_hosts("group-1")
+            rewrite_next_reply(monkeypatch, "group-1",
+                               QUERY_REPLY_DAMAGE[damage])
+            result = cluster.execute(Query(Q_TOP_K_FLOWS, {"k": 5}))
+            assert pool.stats.decode_errors == 1
+            assert result.partial and result.hosts_failed == list(doomed)
+            assert not pool.alive("group-1") and pool.alive("group-0")
 
 
 #: Inner-reply damage: a corrupt magic, a wrong version, a corrupt magic
@@ -893,10 +1091,14 @@ class TestInnerReplyChecks:
             damage_next_reply(monkeypatch, "group-0", "error")
             if op == "query":
                 query = Query(Q_GET_FLOWS, {})
-                frame = wire.encode_query_request(query, None)
-                entries = [("a", frame), ("b", frame)]
-                consume = functools.partial(pool.group_query, query=query)
-                named = "agent server on a: injected"
+                units = [PlanNode(None, children=[PlanNode("a"),
+                                                  PlanNode("b")])]
+                entries = [(wire.EVERY_HOST, wire.encode_shard_query(
+                    wire.encode_query_request(query, None),
+                    wire.encode_fold_units(units)))]
+                consume = functools.partial(pool.group_query, query=query,
+                                            hosts=["a", "b"], units=1)
+                named = "agent server group group-0: injected"
             else:
                 entries = [(wire.EVERY_HOST, wire.encode_monitor_tick(1.0))]
                 consume = pool.group_monitor_tick
@@ -928,17 +1130,19 @@ TICK_REPLY_DAMAGE = {
 
 class TestGroupAddressedEntries:
     """An entry addressed to every host of a worker (``wire.EVERY_HOST``):
-    only a tick or a re-open may be, its reply is checked like any other,
-    and a tick answers an ingest failure latched anywhere in the shard."""
+    only a tick, a re-open or a shard query may be, its reply is checked
+    like any other, and a tick answers an ingest failure latched anywhere
+    in the shard."""
 
     def test_any_other_frame_type_is_answered_with_an_error_frame(self):
         from test_wire import _golden_frames, _msg_types
+        addressable = (wire.MSG_MONITOR_TICK, wire.MSG_MONITOR_REOPEN,
+                       wire.MSG_SHARD_QUERY)
         frames = [frame for frame, _decoder, _decoded
                   in _golden_frames().values()
-                  if wire.frame_type(frame) not in (
-                      wire.MSG_MONITOR_TICK, wire.MSG_MONITOR_REOPEN)]
+                  if wire.frame_type(frame) not in addressable]
         assert len({wire.frame_type(frame) for frame in frames}) == \
-            len(_msg_types()) - 2
+            len(_msg_types()) - len(addressable)
         with GroupAgentPool(["a", "b"], group_count=1) as pool:
             pool.add_records("a", sample_records("a"))
             exchange = pool.send("group-0", [(wire.EVERY_HOST, frame)
