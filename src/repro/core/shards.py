@@ -149,43 +149,43 @@ def splice(plan: PlanNode, cut: ShardCut, collapsed: GatherResult,
     duplicate traffic, as a failed attempt's) and sends nothing up unless
     it is a mixed node with surviving children.  Every report made one
     attempt: deadlines, retries and transport faults act on the groups'
-    fetch, not on the fold.  Warnings are the fetch's to set.
+    fetch, not on the fold.  The warnings and ``max_exec_s`` are the
+    fetch's to set.
     """
     reports: Dict[str, HostReport] = {}
-    merge_s: Dict[Optional[str], float] = {}
+    merge_s: Dict[Optional[str], float] = {
+        None: folds.get(None, 0.0) + collapsed.merge_s[None]}
+    failed: List[str] = []
     traffic = duplicate = 0
-    stack = [plan]
+    mixed, get_fact, get_fold = cut.mixed, facts.get, folds.get
+    stack = plan.children[::-1]
     while stack:
         node = stack.pop()
-        stack += reversed(node.children)
-        host = node.host
-        merge_s[host] = folds.get(host, 0.0)
-        if host is None:
-            merge_s[None] += collapsed.merge_s[None]
-            continue
-        report = reports[host] = HostReport(host, attempts=1)
-        sent = sum(node.request_parts)
-        fact = facts.get(host)
+        if node.children:
+            stack += node.children[::-1]
+        host: str = node.host  # type: ignore[assignment]
+        parts = node.request_parts
+        sent = sum(parts)
+        fact = get_fact(host)
         if fact is None:
             duplicate += sent
-            report.error = "no partial: its worker group failed"
-            report.response_bytes = 0
+            failed.append(host)
+            report = HostReport(host, False, 1, 0.0, None, 0,
+                                "no partial: its worker group failed")
+            merge = 0.0
         else:
-            report.ok = True
-            report.exec_s, merge, report.response_bytes = fact
-            merge_s[host] += merge
-            report.request_bytes = sent if node.request_parts else None
+            exec_s, merge, response = fact
+            report = HostReport(host, True, 1, exec_s,
+                                sent if parts else None, response)
             traffic += sent
-        if host in cut.mixed:
+        if host in mixed:
             report.response_bytes = collapsed.reports[host].response_bytes
-            merge_s[host] += collapsed.merge_s[host]
+            merge += collapsed.merge_s[host]
+        merge_s[host] = merge + get_fold(host, 0.0)
+        reports[host] = report
         traffic += report.response_bytes or 0
-    failed = [host for host, report in reports.items() if not report.ok]
     return GatherResult(
         value=collapsed.value, hosts_failed=failed, warnings=[],
         partial=bool(failed), wall_s=collapsed.wall_s, traffic_bytes=traffic,
         duplicate_traffic_bytes=duplicate, merge_s=merge_s,
-        root_merges=collapsed.root_merges,
-        max_exec_s=max((report.exec_s for report in reports.values()
-                        if report.ok), default=0.0),
-        reports=reports)
+        root_merges=collapsed.root_merges, max_exec_s=0.0, reports=reports)

@@ -800,18 +800,46 @@ class _Reader(Reader):
 
     def reports(self) -> List[Tuple[str, float, float, int]]:
         """A shard result's counted reports, ``(host, exec_s, merge_s,
-        response bytes)`` each - two calls a host, the times one unpack."""
-        str_, uvarint, data = self.str_, self.uvarint, self.data
+        response bytes)`` each - one per host of a group, so the leaves
+        are read inline, as in :meth:`values`."""
+        count = self.uvarint()
+        data = self.data
+        pos = self.pos
         reports = []
-        for _ in range(uvarint()):
-            host = str_()
-            pos = self.pos
-            try:
+        append = reports.append
+        try:
+            for _ in range(count):
+                size = data[pos]
+                if size > 0x7F:
+                    self.pos = pos
+                    host = self.str_()
+                    pos = self.pos
+                else:
+                    end = pos + 1 + size
+                    if end > len(data):
+                        raise WireError(TRUNCATED)
+                    host = str(data[pos + 1:end], "utf-8")
+                    pos = end
                 exec_s, merge_s = _unpack_times(data, pos)
-            except struct.error:
-                raise WireError(TRUNCATED) from None
-            self.pos = pos + _TIMES.size
-            reports.append((host, exec_s, merge_s, uvarint()))
+                pos += 16  # the two doubles
+                response = data[pos]
+                if response > 0x7F:
+                    response &= 0x7F
+                    shift = 7
+                    while True:
+                        pos += 1
+                        byte = data[pos]
+                        response |= (byte & 0x7F) << shift
+                        if byte <= 0x7F:
+                            break
+                        shift += 7
+                pos += 1
+                append((host, exec_s, merge_s, response))
+        except (IndexError, struct.error):
+            raise WireError(TRUNCATED) from None
+        except UnicodeDecodeError as error:
+            raise WireError(f"invalid UTF-8 string: {error}") from None
+        self.pos = pos
         return reports
 
     def record(self) -> PathFlowRecord:
