@@ -8,43 +8,38 @@ children's partial results (Section 3.2).  Figures 11 and 12 compare the two
 mechanisms on response time and generated network traffic.
 
 :class:`QueryCluster` owns the per-host agents, wires them to the fabric (or
-to the flow-level simulator), and runs every query - either mechanism,
-any mode - in two steps on the
-:class:`~repro.core.executor.ScatterGatherExecutor`:
+to the flow-level simulator), and runs every query - either mechanism, any
+mode - as one fold of a plan
+(:meth:`~repro.core.query.QueryEngine.fold`): a direct query's plan is one
+level (controller -> every host), a multi-level query's maps the
+aggregation tree onto it one to one, each edge priced as the query and the
+child's subtree description *batched* into one request.  Per-host
+execution and per-node merges are *measured*, every node merges all of its
+arrivals in one call, and the :class:`~repro.core.rpc.RpcChannel` model
+prices the plan's legs with those times
+(:func:`~repro.core.rpc.model_response_time`), reproducing the scaling the
+paper reports.  Dead, late or lossy hosts surface as structured warnings
+with ``partial=True`` instead of failing the whole query.
 
-* *fetch* one partial per host, then *fold* a plan over them: a direct
-  query's plan is one level (controller -> every host); a multi-level
-  query maps the aggregation tree onto the plan one to one, each edge
-  priced as the query and the child's subtree description *batched* into
-  one request (what travels to the workers is one bare query frame);
-* per-host execution and per-node merges are *measured* on the real
-  in-memory TIBs, and every node merges all of its arrivals in one call;
-* the :class:`~repro.core.rpc.RpcChannel` model counts the fold's legs
-  and prices them with the measured times over the plan tree
-  (:func:`~repro.core.rpc.model_response_time`), reproducing the scaling
-  behaviour the paper reports;
-* hosts that are dead, time out or lose messages surface as structured
-  warnings with ``partial=True`` instead of failing the whole query.
-
-The cluster defaults to *serial* mode - each host's partial fetched as
-the fold on the calling thread reaches it - so the figure benchmarks
-reproduce run to run; a worker mode (or
-:meth:`QueryCluster.configure_executor`) moves every host's TIB into an
+The cluster defaults to *serial* mode - the fold asks each local agent as
+it reaches the host, on the calling thread - so the figure benchmarks
+reproduce run to run.  A worker mode moves every host's TIB into an
 agent-server worker process (:mod:`repro.core.groupserver`): ingest
-streams encoded record batches to it, the fetch ships one envelope of
-query frames per worker group before the fold, and CPU-bound work
-escapes the GIL.  ``mode="socket"`` shards the hosts into worker groups;
-``mode="process"`` is the same plane with one host per group.  All modes
-fold the same plan, so payloads and traffic are byte-identical.
+streams encoded record batches to it, and a query is folded where its
+data is - each worker group folds the parts of the plan that lie in its
+shard and sends one partial per part (:mod:`repro.core.shards`), the
+controller folds the rest.  ``mode="socket"`` shards the hosts into worker
+groups; ``mode="process"`` is the same plane with one host per group.
+Payloads and traffic are byte-identical in every mode.
 
 The worker modes also carry the paper's *event plane* (Sections 3.2 and 4):
 transfer observations stream to the workers alongside record batches (the
 monitor's ``observation_sink`` mirror), :meth:`QueryCluster.run_monitors`
 scatters one monitor-tick entry per worker group, each answered by one
-alarm batch for the group's hosts, and alarms
-raised by worker-side query handlers piggyback on query replies - all
-decoded into the controller's :class:`AlarmBus`, so event-driven debugging
-applications run unchanged in every mode and see identical alarm streams.
+alarm batch for the group's hosts, and alarms raised by worker-side query
+handlers ride the query's replies - all decoded into the controller's
+:class:`AlarmBus`, so event-driven debugging applications run unchanged in
+every mode and see identical alarm streams.
 """
 
 from __future__ import annotations
@@ -72,7 +67,7 @@ from repro.core.supervisor import (ChaosPolicy, EVENT_CIRCUIT_OPEN,
 from repro.core.query import (Query, QueryEngine, QueryResult,  # noqa: F401
                               measured_result_wire_bytes)
 from repro.core.rpc import RpcChannel, charge_legs, model_response_time
-from repro.core.shards import Fact, ShardCut, cut_plan, splice
+from repro.core.shards import ShardCut, cut_plan, fold_shards
 from repro.core.trajectory import TrajectoryCache
 from repro.core.worker import SERVED_QUERIES
 from repro.network.simulator import Fabric
@@ -151,9 +146,10 @@ class DistributedQueryResult:
             hot-index routing + cold pruning work, summed key-wise across
             every partial); empty for legacy named queries.
         stages: a traced query's stages (``execute(..., trace=True)``),
-            whole microseconds, by reporter: each host's ``t.*`` stages,
-            each worker group's exchange (``send``, ``wait``, ``decode``)
-            and the controller's ``fold`` under ``None``.  The stages
+            whole microseconds, by reporter: in process each host's
+            ``t.*`` stages; in the worker modes one record per group, its
+            exchange (``send``, ``wait``, ``decode``) and its worker's
+            ``t.*``; the controller's ``fold`` under ``None``.  The stages
             without a ``t.`` prefix, plus in serial mode the hosts', run
             one after another on the calling thread: they add up to
             ``wall_clock_s``.  Empty when untraced.
@@ -375,15 +371,13 @@ class QueryCluster:
             one no transport is called.
         mode: execution mode - ``"serial"`` (a deterministic fold on the
             calling thread, the default, so figures reproduce),
-            ``"socket"`` (hosts sharded into agent-server
-            worker groups speaking the binary wire protocol, one
-            multiplexed stream connection per group, monitor ticks and
-            query scatters coalesced into one ``MSG_GROUP_BATCH``
-            envelope per group; CPU-bound scatters run genuinely in
-            parallel) or ``"process"`` (the same plane with one host per
-            group, i.e. a worker process per host; ``group_count`` is
-            ignored).  All modes produce byte-identical query payloads;
-            anything else raises ``ValueError``.
+            ``"socket"`` (hosts sharded into agent-server worker groups,
+            one multiplexed stream per group, each tick or query one
+            ``MSG_GROUP_BATCH`` envelope per group; CPU-bound work runs
+            in parallel) or ``"process"`` (the same plane with one host
+            per group; ``group_count`` is ignored).  All modes produce
+            byte-identical query payloads; anything else raises
+            ``ValueError``.
         group_count: socket mode only - number of worker groups the hosts
             are sharded into (deterministic contiguous shards; defaults to
             :data:`~repro.core.groupserver.DEFAULT_GROUP_COUNT`, clamped
@@ -393,12 +387,11 @@ class QueryCluster:
             ``AF_UNIX`` stream pair; anything else raises ``ValueError``.
         timeout_s: per-host query deadline, counted from the host's
             first attempt (see the executor docs); in the worker modes
-            each group leaf waits at most this long, counted from the
-            scatter's start.  A query the workers do not serve (a custom
-            handler registered on the in-process agents) runs locally on
-            the serial executor in the worker modes, as in ``"serial"``:
-            its deadline is checked after each handler returns, so a
-            handler that hangs blocks the caller.
+            each group leaf waits at most this long from the scatter's
+            start.  A query the workers do not serve (a custom handler on
+            the in-process agents) runs locally, as in ``"serial"``: its
+            deadline is checked after each handler returns, so a handler
+            that hangs blocks the caller.
         retries: bounded per-host retry budget for transport errors.
         retention: optional hot-tier bounds applied to every agent's TIB
             (two-tier mode: bounded hot memory, cold archive); in the
@@ -986,11 +979,11 @@ class QueryCluster:
 
         ``leaves`` maps each plan leaf - a group key - to its envelope
         entries, in plan order (``asked``: the hosts a query's leaf asks,
-        each of which needs an agent).  Every leaf's envelope is written first
-        (:meth:`GroupAgentPool.send`; one that cannot be sent keeps the
-        error for its first attempt); then the plan runs on
+        each of which needs an agent).  Every leaf's envelope is written
+        first (:meth:`GroupAgentPool.send`; one that cannot be sent keeps
+        the error for its first attempt); then the plan runs on
         :attr:`executor`, whose work for a leaf is ``consume(exchange,
-        deadline)`` -> ``({host: value}, reply envelope bytes)``, so
+        deadline)`` -> ``({name: value}, reply envelope bytes)``, so
         replies are consumed in plan order while later groups still
         answer.  Timeouts, retries (a retry re-sends) and supervision are
         the executor's: a leaf waits at most ``timeout_s`` from the
@@ -1005,7 +998,7 @@ class QueryCluster:
         Returns the plan - its legs the measured envelope lengths (the
         request at correlation id 1) - and its unpriced gather (a sweep
         charges it on :attr:`rpc`, a query's fetch does not), whose
-        ``value`` merges every answered leaf's ``{host: value}`` and whose
+        ``value`` merges every answered leaf's ``{name: value}`` and whose
         ``wall_s`` covers both phases.  ``trace`` traces every exchange,
         and each leaf's report gets its winning exchange's stages.
         """
@@ -1107,8 +1100,7 @@ class QueryCluster:
         The tree is kept for the next query over the same ``(targets,
         fanout)``, which builds only its plan nodes.  Each edge is priced
         as the paper's query + subtree description; the worker modes ship
-        every host the bare query frame, as a direct query does, since a
-        partial depends on the query alone.
+        each group the bare query frame and the subtrees it folds.
         """
         targets = self._targets(hosts)
         tree, shape = self._tree, (targets, tuple(fanout))
@@ -1172,45 +1164,38 @@ class QueryCluster:
                 shape: object, trace: bool = False) -> GatherResult:
         """Run ``query`` over ``plan`` (flat for direct, the tree for
         multi-level) - the one query path of every mode and both
-        mechanisms - and price it.  ``shape`` names the plan's layout (the
-        targets, or the tree): a cut along the shards is kept for the
-        next query of the same shape.
+        mechanisms - and price it.
 
-        In process the fold (:meth:`QueryEngine.fold`) runs ``plan``
-        itself, asking each host's agent as it reaches the host, under
-        :attr:`executor`'s transport, deadline and retries.  When the
-        workers serve the query (every built-in; a custom handler
-        registered on the in-process agents runs local), it is folded
-        where its data is: ``plan`` is cut along the shards
-        (:func:`~repro.core.shards.cut_plan`), :meth:`_fetch` asks each
-        group once for its fold units' partials, the same fold runs the
-        collapsed plan over them, and :func:`~repro.core.shards.splice`
-        rebuilds the full plan's gather from the workers' reports.
-
-        Faults in a shard-folded gather act per group, the failure
-        domain, in the fetch: a transport's drops and delays, the deadline
-        and the retries act on a group's exchange, and a failed group -
-        dead, timed out, or answering with one error frame because a host
-        it was asked for failed or had an ingest error latched, as a group
-        tick does - is one ``W_HOST_FAILED`` (``W_HOST_TIMEOUT``) naming
-        its key, whose hosts land in ``hosts_failed`` in plan order while
-        the survivors' subtrees still aggregate.  The fold has no
-        transport, so it adds no fault of its own.
+        In process the fold (:meth:`QueryEngine.fold`) runs ``plan``,
+        asking each agent as it reaches the host, under :attr:`executor`'s
+        transport, deadline and retries.  When the workers serve the query
+        (every built-in; a custom handler registered on the in-process
+        agents runs local), ``plan`` is cut along the shards (kept for the
+        next query of the same ``shape``: the targets, or the tree),
+        :meth:`_fetch` asks each group once for its fold units' partials,
+        and :func:`~repro.core.shards.fold_shards` folds the rest and
+        rebuilds the full plan's gather from the workers' reports.  Faults
+        act per group, the failure domain, in the fetch - drops, delays,
+        the deadline and retries hit a group's exchange; a group that
+        fails (dead, late, or answering one error frame because a host it
+        was asked for failed or had an ingest error latched, as a group
+        tick does) is one ``W_HOST_FAILED`` / ``W_HOST_TIMEOUT`` naming its
+        key, its hosts in ``hosts_failed`` in plan order, the survivors'
+        subtrees still aggregating.  The fold has no transport: it adds
+        no fault.
 
         Either way the full plan is priced: its legs - one request and one
-        response per plan host, with measured frame lengths - are counted
-        on :attr:`rpc`, and ``model_time_s`` is
-        :func:`~repro.core.rpc.model_response_time` over the measured
-        execution and merge times (the workers' own, in the worker modes).
-        So ``traffic_bytes`` and the channel counters are the same in
-        every mode.  A fetched gather's ``wall_s`` covers fetch and fold,
-        its ``duplicate_traffic_bytes`` adds the fetch's voided envelopes,
-        and the slowest group exchange is its ``max_exec_s``.
-
-        ``trace`` fills ``stages``: in process each host's own, in the
-        worker modes each group's exchange and its worker's record; and
-        the controller's fold under ``None`` - its wall less the host work
-        it ran.
+        response per plan host, measured frame lengths - are counted on
+        :attr:`rpc`, and ``model_time_s`` is
+        :func:`~repro.core.rpc.model_response_time` of the measured
+        execution and merge times (the workers' own, in the worker modes),
+        so ``traffic_bytes`` and the channel counters are every mode's.  A
+        fetched gather's ``wall_s`` covers fetch and fold, its
+        ``duplicate_traffic_bytes`` adds the fetch's voided envelopes, and
+        its ``max_exec_s`` is the slowest group exchange.  ``trace`` fills
+        ``stages``: each host's own in process, each group's exchange and
+        worker record in the worker modes, and the fold's under ``None``
+        - its wall less the host work it ran.
         """
         host_stages: Dict[str, Dict[str, int]] = {}
 
@@ -1233,22 +1218,8 @@ class QueryCluster:
                 cut = cut_plan(plan, self._process_pool.group_of, regroup)
                 self._cuts = [((shape, regroup), cut)] + self._cuts[:1]
             fetched = self._fetch(query, request, cut, trace)
-            partials: Dict[str, QueryResult] = {}
-            facts: Dict[str, Fact] = {}
-            folds: Dict[Optional[str], float] = {}
-            for key, shard in fetched.value.items():
-                part = cut.parts[key]
-                facts.update((host, (exec_s, merge_s, response)) for
-                             host, exec_s, merge_s, response in shard.reports)
-                for label, parent, (fold_s, partial) in zip(
-                        part.labels, part.parents, shard.partials):
-                    partials[label] = partial
-                    folds[parent] = folds.get(parent, 0.0) + fold_s
-            for host in cut.mixed & partials.keys():
-                # A mixed node's own result, sized as its worker sized it.
-                partials[host].wire_bytes = facts[host][2]
-            folded = self.engine.fold(query, cut.plan, partials.__getitem__)
-            gather = splice(plan, cut, folded, facts, folds)
+            gather, folded = fold_shards(self.engine, query, plan, cut,
+                                         fetched.value)
             gather.warnings = fetched.warnings
             gather.wall_s += fetched.wall_s
             gather.duplicate_traffic_bytes += fetched.duplicate_traffic_bytes

@@ -23,18 +23,18 @@ Everything a worker process runs lives in :mod:`~repro.core.worker`.
   request/reply envelopes tagged by correlation id, multiplexed by
   :class:`_GroupConn`: a scatter sends to every group before it waits on
   the first.
-* **Frame coalescing.** Ingest batches, re-seed streams and query
-  requests for all hosts of a group pack into a single
-  ``MSG_GROUP_BATCH`` envelope: one transport message where naive
-  per-host send pays M.  A question asked of the whole shard - a sweep's
-  monitor tick, a re-open - is one entry addressed to
-  :data:`~repro.core.wire.EVERY_HOST`, not M copies of one frame, and a
-  sweep's reply is one alarm batch for the shard, split by host here
-  (:meth:`GroupAgentPool.group_monitor_tick`).  Fire-and-forget frames
-  wait in the connection's outbox and leave ahead of the next request.
-  The inner frames are opaque here, and a plan travels as a parameter of
-  an ordinary query request - no group-transport change per new
-  question, ever.
+* **Frame coalescing.** Ingest batches and re-seed streams for all
+  hosts of a group pack into a single ``MSG_GROUP_BATCH`` envelope: one
+  transport message where naive per-host send pays M.  A question asked
+  of the whole shard is one entry addressed to
+  :data:`~repro.core.wire.EVERY_HOST`, not M copies of one frame: a
+  sweep's monitor tick (its reply one alarm batch for the shard, split by
+  host here - :meth:`GroupAgentPool.group_monitor_tick`), a re-open, and
+  a query's shard query (its reply one shard result: the worker folds
+  its part of the plan itself - :meth:`GroupAgentPool.group_query`).
+  Fire-and-forget frames wait in the connection's outbox and leave ahead
+  of the next request.  A plan travels as a parameter of an ordinary
+  query request - no group-transport change per new question, ever.
 * **Dead-agent failure semantics.** A dead/hung/undecodable group
   connection surfaces as :class:`AgentServerError`, which the executor
   reports like a dead in-process agent - for every host of the shard,
@@ -122,7 +122,8 @@ class GroupPoolStats(Counters):
 
     ``frames_*`` count *logical* per-host frames - a frame is a host
     addressed, so an entry addressed to every host of a group counts once
-    per host of it; ``envelopes_*`` count the physical transport messages
+    per host of it, and a shard query or result once per host it names;
+    ``envelopes_*`` count the physical transport messages
     that carried them, so ``frames_sent / envelopes_sent`` is the measured
     coalescing factor.
     The supervision counters, keyed per *group* worker, let callers tell

@@ -5,10 +5,10 @@ In the worker modes a served query is folded where its data is.
 :func:`cut_plan` splits a scatter plan into *fold units*, each lying
 wholly in one worker group's shard, which the group folds into one
 partial apiece, and the *collapsed* plan the controller folds over those
-partials.  :func:`splice` then rebuilds the gather of the full plan from
-the collapsed fold and the workers' per-host reports, so the full plan is
-priced - legs, failures, response time - as a fold of it on one thread
-would be.
+partials (:func:`fold_shards`); :func:`splice` then rebuilds the gather of
+the full plan from the collapsed fold and the workers' per-host reports,
+so the full plan is priced - legs, failures, response time - as a fold of
+it on one thread would be.
 
 A fold unit is either
 
@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core import wire
 from repro.core.executor import GatherResult, HostReport, PlanNode
+from repro.core.query import Query, QueryEngine, QueryResult
 
 #: A host's facts from its worker: ``(exec_s, merge_s, response bytes)``.
 Fact = Tuple[float, float, int]
@@ -132,6 +133,31 @@ def cut_plan(plan: PlanNode, group_of: Callable[[str], str],
     for part in parts.values():
         part.encoded = wire.encode_fold_units(part.units)
     return ShardCut(collapsed, parts, mixed, hosts)
+
+
+def fold_shards(engine: QueryEngine, query: Query, plan: PlanNode,
+                cut: ShardCut, answers: Mapping[str, wire.ShardResult]
+                ) -> Tuple[GatherResult, GatherResult]:
+    """Fold ``cut``'s collapsed plan over the partials the answered
+    groups sent (``answers`` by group key) - the fold every mode runs -
+    and rebuild ``plan``'s gather from it and the groups' reports:
+    ``(the full plan's gather, the collapsed fold's)``."""
+    partials: Dict[str, QueryResult] = {}
+    facts: Dict[str, Fact] = {}
+    folds: Dict[Optional[str], float] = {}
+    for key, answer in answers.items():
+        part = cut.parts[key]
+        facts.update((host, (exec_s, merge_s, response))
+                     for host, exec_s, merge_s, response in answer.reports)
+        for label, parent, (fold_s, partial) in zip(
+                part.labels, part.parents, answer.partials):
+            partials[label] = partial
+            folds[parent] = folds.get(parent, 0.0) + fold_s
+    for host in cut.mixed & partials.keys():
+        # A mixed node's own result, sized as its worker sized it.
+        partials[host].wire_bytes = facts[host][2]
+    collapsed = engine.fold(query, cut.plan, partials.__getitem__)
+    return splice(plan, cut, collapsed, facts, folds), collapsed
 
 
 def splice(plan: PlanNode, cut: ShardCut, collapsed: GatherResult,

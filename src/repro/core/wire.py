@@ -319,9 +319,30 @@ def _w_values(buf: bytearray, values: Iterable[Any]) -> None:
             count = len(value)
             if count > 0x7F:
                 w_uvarint(buf, count)
-            else:
-                append(count)
-            _w_values(buf, value)
+                _w_values(buf, value)
+                continue
+            append(count)
+            if kind is list:
+                _w_values(buf, value)
+                continue
+            for member in value:
+                # A short tuple's int and short ASCII-string members
+                # inline (a ranked pair, a path), any other through a call.
+                if type(member) is int:
+                    append(_V_INT)
+                    member = member << 1 if member >= 0 \
+                        else ((-member) << 1) - 1
+                    while member > 0x7F:
+                        append((member & 0x7F) | 0x80)
+                        member >>= 7
+                    append(member)
+                elif type(member) is str and member.isascii() \
+                        and len(member) <= 0x7F:
+                    append(_V_STR)
+                    append(len(member))
+                    buf += member.encode("ascii")
+                else:
+                    _w_values(buf, (member,))
         elif kind is FlowId:
             append(_V_FLOWID)
             w_flow_id(buf, value)
@@ -529,8 +550,24 @@ def _values_len(values: Iterable[Any]) -> int:
             count = len(value) if value.isascii() \
                 else len(value.encode("utf-8"))
             size += count + (2 if count <= 0x7F else 1 + uvarint_len(count))
-        elif kind is tuple or kind is list or kind is set \
-                or kind is frozenset:
+        elif kind is tuple:
+            # A tuple's int and ASCII-string members inline (a ranked
+            # pair, a path), any other member through a call.
+            count = len(value)
+            size += 2 if count <= 0x7F else 1 + uvarint_len(count)
+            for member in value:
+                if type(member) is int:
+                    member = member << 1 if member >= 0 \
+                        else ((-member) << 1) - 1
+                    size += 2 if member <= 0x7F \
+                        else 1 + (member.bit_length() + 6) // 7
+                elif type(member) is str and member.isascii():
+                    count = len(member)
+                    size += count + (2 if count <= 0x7F
+                                     else 1 + uvarint_len(count))
+                else:
+                    size += _values_len((member,))
+        elif kind is list or kind is set or kind is frozenset:
             # (A set's members are written sorted; the sizes add up alike.)
             count = len(value)
             size += (2 if count <= 0x7F else 1 + uvarint_len(count)) \
@@ -654,6 +691,41 @@ class _Reader(Reader):
                         raise WireError(TRUNCATED)
                     append(str(data[pos + 1:end], "utf-8"))
                     pos = end
+                elif tag == _V_TUPLE and data[pos] <= 0x7F:
+                    # A short tuple (a ranked pair, a path): its count and
+                    # its int and short-string members inline, any other
+                    # member through the cursor.
+                    members: List[Any] = []
+                    for _ in range(data[pos]):
+                        pos += 1
+                        tag = data[pos]
+                        if tag == _V_INT:
+                            pos += 1
+                            value = data[pos]
+                            if value > 0x7F:
+                                value &= 0x7F
+                                shift = 7
+                                while True:
+                                    pos += 1
+                                    byte = data[pos]
+                                    value |= (byte & 0x7F) << shift
+                                    if byte <= 0x7F:
+                                        break
+                                    shift += 7
+                            members.append(-((value + 1) >> 1) if value & 1
+                                           else value >> 1)
+                        elif tag == _V_STR and data[pos + 1] <= 0x7F:
+                            start = pos + 2
+                            pos = start + data[pos + 1] - 1
+                            if pos >= len(data):
+                                raise WireError(TRUNCATED)
+                            members.append(str(data[start:pos + 1], "utf-8"))
+                        else:
+                            self.pos = pos
+                            members += self.values(1)
+                            pos = self.pos - 1
+                    pos += 1
+                    append(tuple(members))
                 elif tag == _V_NONE:
                     append(None)
                 elif tag == _V_TRUE:

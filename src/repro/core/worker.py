@@ -116,11 +116,12 @@ class _HostServer:
     monitor-state seeds, re-opens and retention caps are fire-and-forget
     (the stream's FIFO ordering guarantees they are applied before any
     later query or tick); an ingest failure is latched on
-    ``pending_error`` and answers the next request instead of being lost.  The worker's monitor is the
-    authoritative one in the worker modes: alarms raised host-side
-    (periodic checks, ``alarm`` calls from query handlers) queue on
-    ``pending_alarms`` and leave on the next reply that can carry them: a
-    monitor tick's alarm batch, or a shard result's alarm list.
+    ``pending_error`` and answers the next request instead of being lost.
+    The worker's monitor is the authoritative one in the worker modes:
+    alarms raised host-side (periodic checks, ``alarm`` calls from query
+    handlers) queue on ``pending_alarms`` and leave on the next reply that
+    can carry them: a monitor tick's alarm batch, or a shard result's
+    alarm list.
     """
 
     def __init__(self, host: str) -> None:
