@@ -1684,15 +1684,15 @@ class ShardResult(NamedTuple):
 
 
 def encode_shard_result(reports: Sequence[Tuple[str, float, float, int]],
-                        partials: Sequence[Tuple[float, Any]],
+                        partials: Sequence[Tuple[float, bytes]],
                         alarms: Sequence[Alarm],
                         stages: Optional[Dict[str, int]] = None) -> bytes:
     """Encode a worker group's answer to a shard query: ``reports`` per
-    host, each fold unit's ``(merge_s, partial)`` - the partial a result
-    encoded by :func:`encode_result` (its own alarms are not written: the
-    hosts' ``alarms`` travel once, after the partials) - then the span
-    tail: a traced query's ``stages`` with ``t.encode`` (this encode,
-    tail aside) stamped here, or one ``0`` byte."""
+    host, each fold unit's ``(merge_s, partial)`` - the partial an
+    :func:`encode_result` frame carrying no alarm: the hosts' ``alarms``
+    travel once, after the partials - then the span tail: a traced
+    query's ``stages`` with ``t.encode`` (this encode, tail aside)
+    stamped here, or one ``0`` byte."""
     started = time.perf_counter() if stages is not None else 0.0
     body = bytearray()
     w_uvarint(body, len(reports))
@@ -1702,8 +1702,7 @@ def encode_shard_result(reports: Sequence[Tuple[str, float, float, int]],
         body += pack_times(exec_s, merge_s)
         w_uvarint(body, response)
     w_uvarint(body, len(partials))
-    for merge_s, partial in partials:
-        frame = encode_result(partial)
+    for merge_s, frame in partials:
         body += DOUBLE.pack(merge_s)
         w_uvarint(body, len(frame))
         body += frame

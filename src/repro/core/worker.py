@@ -298,7 +298,9 @@ def _answer_query(servers: Dict[str, _HostServer], engine: QueryEngine,
 
     A host's result is sized with the alarms it drained, as a reply of
     its own would carry them; the alarms then travel once, in the result's
-    alarm list.  A host that fails (its handler raised) fails the group:
+    alarm list.  A host that is a unit alone is sized by encoding it: its
+    frame is the unit's partial as well, unless it drained alarms, which
+    the partial leaves out.  A host that fails (its handler raised) fails the group:
     one error frame naming it, every alarm drained so far put back on its
     host's queue for the next reply.  Traced, the result's span tail is
     one record for the group: ``t.queue`` (the envelope's arrival until
@@ -321,6 +323,8 @@ def _answer_query(servers: Dict[str, _HostServer], engine: QueryEngine,
         return latched
     drained: List[Tuple[_HostServer, Tuple[Alarm, ...]]] = []
     stages: Dict[str, int] = {}
+    alone = {unit.children[0].host: b"" for unit in shard.units
+             if len(unit.children) == 1 and not unit.children[0].children}
 
     def work(host: str):
         server = servers[host]
@@ -329,12 +333,17 @@ def _answer_query(servers: Dict[str, _HostServer], engine: QueryEngine,
                                        stages=run)
         result.alarms = server.drain_alarms()
         drained.append((server, result.alarms))
+        if host in alone:
+            encoded = wire.encode_result(result)
+            result.wire_bytes = len(encoded)
+            if not result.alarms:
+                alone[host] = encoded
         for key, us in (run or {}).items():
             stages[key] = stages.get(key, 0) + us
         return result
 
     reports: List[Tuple[str, float, float, int]] = []
-    partials: List[Tuple[float, object]] = []
+    partials: List[Tuple[float, bytes]] = []
     merged = 0.0
     for unit in shard.units:
         gather = engine.fold(query, unit, work)
@@ -349,8 +358,11 @@ def _answer_query(servers: Dict[str, _HostServer], engine: QueryEngine,
                      report.response_bytes or 0)
                     for report in gather.reports.values()]
         merged += sum(merge_s.values())
-        gather.value.alarms = ()  # they travel in the alarm list
-        partials.append((merge_s[None], gather.value))
+        partial = alone.get(unit.children[0].host)
+        if not partial:
+            gather.value.alarms = ()  # they travel in the alarm list
+            partial = wire.encode_result(gather.value)
+        partials.append((merge_s[None], partial))
     alarms = [alarm for _server, raised in drained for alarm in raised]
     if not traced:
         return wire.encode_shard_result(reports, partials, alarms)

@@ -900,7 +900,8 @@ class TestShardFrames:
             assert wire.hosts_named(frame) == len(hosts)
             reply = wire.encode_shard_result(
                 [(host, 0.0, 0.0, 1) for host in hosts],
-                [(0.0, golden_topk_result(pairs=1))] * len(units), [])
+                [(0.0, wire.encode_result(golden_topk_result(pairs=1)))]
+                * len(units), [])
             assert wire.hosts_named(reply) == len(hosts)
             assert wire.hosts_named(golden_frame("group_tick")) is None
             assert wire.hosts_named(frame[:wire.HEADER_BYTES]) is None
@@ -1224,7 +1225,9 @@ def _golden_frames():
             (request_frame, units, ["h0", "h1", UNICODE_HOST, "server-2",
                                     "server-3"])),
         "shard_result": (
-            wire.encode_shard_result(*shard),
+            wire.encode_shard_result(
+                shard[0], [(merge_s, wire.encode_result(partial))
+                           for merge_s, partial in shard[1]], shard[2]),
             lambda data: shard_fields(
                 wire.decode_shard_result(data, GOLDEN_TOPK_QUERY)),
             (shard[0], [(merge_s, result_fields(partial))

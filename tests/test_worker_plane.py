@@ -384,7 +384,7 @@ class TestMeasuredTraffic:
             reply = wire.encode_shard_result(
                 [(host, 0.0, 0.0, report.response_bytes)
                  for host, report in local.reports.items()],
-                [(0.0, local.value)], [])
+                [(0.0, wire.encode_result(local.value))], [])
             shard = wire.encode_shard_query(request,
                                             wire.encode_fold_units([unit]))
             expected += len(wire.encode_group_batch(
@@ -822,9 +822,11 @@ def _reshard(entries, change):
     alarms)`` applied, re-encoded."""
     (host, frame), = entries
     reply = wire.decode_shard_result(frame)
+    reports, partials, alarms = change(
+        list(reply.reports), list(reply.partials), list(reply.alarms))
     return [(host, wire.encode_shard_result(
-        *change(list(reply.reports), list(reply.partials),
-                list(reply.alarms))))]
+        reports, [(merge_s, wire.encode_result(partial))
+                  for merge_s, partial in partials], alarms))]
 
 
 #: Group-1's shard result rewritten to contradict the query it answers: a
