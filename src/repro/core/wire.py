@@ -691,6 +691,34 @@ class _Reader(Reader):
                         raise WireError(TRUNCATED)
                     append(str(data[pos + 1:end], "utf-8"))
                     pos = end
+                elif tag == _V_TUPLE and data[pos] == 2 \
+                        and data[pos + 1] == _V_INT:
+                    # A ranked pair: an int, then (a short string inline)
+                    # any value - no member list.
+                    pos += 2
+                    value = data[pos]
+                    if value > 0x7F:
+                        value &= 0x7F
+                        shift = 7
+                        while True:
+                            pos += 1
+                            byte = data[pos]
+                            value |= (byte & 0x7F) << shift
+                            if byte <= 0x7F:
+                                break
+                            shift += 7
+                    pos += 1
+                    first = -((value + 1) >> 1) if value & 1 else value >> 1
+                    if data[pos] == _V_STR and data[pos + 1] <= 0x7F:
+                        end = pos + 2 + data[pos + 1]
+                        if end > len(data):
+                            raise WireError(TRUNCATED)
+                        append((first, str(data[pos + 2:end], "utf-8")))
+                        pos = end
+                    else:
+                        self.pos = pos
+                        append((first, self.values(1)[0]))
+                        pos = self.pos
                 elif tag == _V_TUPLE and data[pos] <= 0x7F:
                     # A short tuple (a ranked pair, a path): its count and
                     # its int and short-string members inline, any other
@@ -877,7 +905,7 @@ class _Reader(Reader):
         count = self.uvarint()
         data = self.data
         pos = self.pos
-        reports = []
+        reports: List[Tuple[str, float, float, int]] = []
         append = reports.append
         try:
             for _ in range(count):
@@ -1653,7 +1681,7 @@ def decode_shard_query(reader: _Reader) -> ShardQuery:
     request = reader.bytes_()
     width = reader.uvarint()
     hosts: List[str] = []
-    units = []
+    units: List[PlanNode] = []
     for _ in range(reader.uvarint()):
         subtrees = reader.forest(hosts)
         if not subtrees:
@@ -1721,7 +1749,7 @@ def decode_shard_result(reader: _Reader, query: Any = None) -> ShardResult:
     :func:`decode_result` (``query`` as there), its ``wire_bytes`` its
     frame's length."""
     reports = reader.reports()
-    partials = []
+    partials: List[Tuple[float, Any]] = []
     for _ in range(reader.uvarint()):
         merge_s = reader.double()
         partials.append((merge_s, decode_result(reader.bytes_(), query)))
