@@ -36,7 +36,7 @@ from repro.core import wire
 from repro.core.alarms import Alarm
 from repro.core.executor import micros
 from repro.core.monitor import ActiveMonitor
-from repro.core.query import QueryEngine
+from repro.core.query import QueryEngine, QueryResult
 from repro.core.tib import Tib
 from repro.network.packet import FlowId
 
@@ -326,7 +326,7 @@ def _answer_query(servers: Dict[str, _HostServer], engine: QueryEngine,
     alone = {unit.children[0].host: b"" for unit in shard.units
              if len(unit.children) == 1 and not unit.children[0].children}
 
-    def work(host: str):
+    def work(host: str) -> QueryResult:
         server = servers[host]
         run: Optional[Dict[str, int]] = {} if traced else None
         result = server.engine.execute(server, query, measure_wire=False,
