@@ -300,13 +300,14 @@ def _answer_query(servers: Dict[str, _HostServer], engine: QueryEngine,
     its own would carry them; the alarms then travel once, in the result's
     alarm list.  A host that is a unit alone is sized by encoding it: its
     frame is the unit's partial as well, unless it drained alarms, which
-    the partial leaves out.  A host that fails (its handler raised) fails the group:
-    one error frame naming it, every alarm drained so far put back on its
-    host's queue for the next reply.  Traced, the result's span tail is
-    one record for the group: ``t.queue`` (the envelope's arrival until
-    this entry is served), ``t.decode``, the engine's stages summed over
-    the hosts, ``t.slowest`` (the slowest host's execution), ``t.merge``
-    (every merge of the fold) and the codec's ``t.encode``.
+    the partial leaves out.  A host that fails (its handler raised) fails
+    the group: one error frame naming it, every alarm drained so far put
+    back on its host's queue for the next reply.  Traced, the result's
+    span tail is one record for the group: ``t.queue`` (the envelope's
+    arrival until this entry is served), ``t.decode``, the engine's
+    stages summed over the hosts, ``t.slowest`` (the slowest host's
+    execution), ``t.merge`` (every merge of the fold) and the codec's
+    ``t.encode``.
     """
     started = time.perf_counter()
     shard = wire.decode_shard_query(frame)
