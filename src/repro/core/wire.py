@@ -46,8 +46,9 @@ monitor-state snapshots/pulls, the payload-less re-open command behind
 ``reset_stats``), and the small control frames of the agent-server
 protocol (error, ping/pong, reset, sleep, shutdown).  Every frame to a
 worker rides a ``MSG_GROUP_BATCH`` envelope entry naming its host; a
-sweep's tick and a re-open name :data:`EVERY_HOST` instead, one entry for
-the whole shard.
+sweep's tick, a re-open and a served query's shard query (answered by a
+shard result, see *Shard queries*) name :data:`EVERY_HOST` instead, one
+entry for the whole shard.
 
 How the codec is written
 ------------------------
