@@ -320,30 +320,9 @@ def _w_values(buf: bytearray, values: Iterable[Any]) -> None:
             count = len(value)
             if count > 0x7F:
                 w_uvarint(buf, count)
-                _w_values(buf, value)
-                continue
-            append(count)
-            if kind is list:
-                _w_values(buf, value)
-                continue
-            for member in value:
-                # A short tuple's int and short ASCII-string members
-                # inline (a ranked pair, a path), any other through a call.
-                if type(member) is int:
-                    append(_V_INT)
-                    member = member << 1 if member >= 0 \
-                        else ((-member) << 1) - 1
-                    while member > 0x7F:
-                        append((member & 0x7F) | 0x80)
-                        member >>= 7
-                    append(member)
-                elif type(member) is str and member.isascii() \
-                        and len(member) <= 0x7F:
-                    append(_V_STR)
-                    append(len(member))
-                    buf += member.encode("ascii")
-                else:
-                    _w_values(buf, (member,))
+            else:
+                append(count)
+            _w_values(buf, value)
         elif kind is FlowId:
             append(_V_FLOWID)
             w_flow_id(buf, value)
@@ -551,24 +530,8 @@ def _values_len(values: Iterable[Any]) -> int:
             count = len(value) if value.isascii() \
                 else len(value.encode("utf-8"))
             size += count + (2 if count <= 0x7F else 1 + uvarint_len(count))
-        elif kind is tuple:
-            # A tuple's int and ASCII-string members inline (a ranked
-            # pair, a path), any other member through a call.
-            count = len(value)
-            size += 2 if count <= 0x7F else 1 + uvarint_len(count)
-            for member in value:
-                if type(member) is int:
-                    member = member << 1 if member >= 0 \
-                        else ((-member) << 1) - 1
-                    size += 2 if member <= 0x7F \
-                        else 1 + (member.bit_length() + 6) // 7
-                elif type(member) is str and member.isascii():
-                    count = len(member)
-                    size += count + (2 if count <= 0x7F
-                                     else 1 + uvarint_len(count))
-                else:
-                    size += _values_len((member,))
-        elif kind is list or kind is set or kind is frozenset:
+        elif kind is tuple or kind is list or kind is set \
+                or kind is frozenset:
             # (A set's members are written sorted; the sizes add up alike.)
             count = len(value)
             size += (2 if count <= 0x7F else 1 + uvarint_len(count)) \
@@ -638,9 +601,6 @@ def alarms_wire_bytes(alarms: Sequence[Alarm]) -> int:
 # Reader
 # --------------------------------------------------------------------------
 _unpack_double = DOUBLE.unpack_from
-#: A shard report's ``exec_s`` and ``merge_s``, read in one call.
-_TIMES = struct.Struct("<dd")
-_unpack_times = _TIMES.unpack_from
 #: ``_new_tuple(FlowId, fields)``: a NamedTuple from its field sequence
 #: without the Python-level ``__new__`` call.
 _new_tuple: Callable[..., Any] = tuple.__new__
@@ -692,69 +652,6 @@ class _Reader(Reader):
                         raise WireError(TRUNCATED)
                     append(str(data[pos + 1:end], "utf-8"))
                     pos = end
-                elif tag == _V_TUPLE and data[pos] == 2 \
-                        and data[pos + 1] == _V_INT:
-                    # A ranked pair: an int, then (a short string inline)
-                    # any value - no member list.
-                    pos += 2
-                    value = data[pos]
-                    if value > 0x7F:
-                        value &= 0x7F
-                        shift = 7
-                        while True:
-                            pos += 1
-                            byte = data[pos]
-                            value |= (byte & 0x7F) << shift
-                            if byte <= 0x7F:
-                                break
-                            shift += 7
-                    pos += 1
-                    first = -((value + 1) >> 1) if value & 1 else value >> 1
-                    if data[pos] == _V_STR and data[pos + 1] <= 0x7F:
-                        end = pos + 2 + data[pos + 1]
-                        if end > len(data):
-                            raise WireError(TRUNCATED)
-                        append((first, str(data[pos + 2:end], "utf-8")))
-                        pos = end
-                    else:
-                        self.pos = pos
-                        append((first, self.values(1)[0]))
-                        pos = self.pos
-                elif tag == _V_TUPLE and data[pos] <= 0x7F:
-                    # A short tuple (a ranked pair, a path): its count and
-                    # its int and short-string members inline, any other
-                    # member through the cursor.
-                    members: List[Any] = []
-                    for _ in range(data[pos]):
-                        pos += 1
-                        tag = data[pos]
-                        if tag == _V_INT:
-                            pos += 1
-                            value = data[pos]
-                            if value > 0x7F:
-                                value &= 0x7F
-                                shift = 7
-                                while True:
-                                    pos += 1
-                                    byte = data[pos]
-                                    value |= (byte & 0x7F) << shift
-                                    if byte <= 0x7F:
-                                        break
-                                    shift += 7
-                            members.append(-((value + 1) >> 1) if value & 1
-                                           else value >> 1)
-                        elif tag == _V_STR and data[pos + 1] <= 0x7F:
-                            start = pos + 2
-                            pos = start + data[pos + 1] - 1
-                            if pos >= len(data):
-                                raise WireError(TRUNCATED)
-                            members.append(str(data[start:pos + 1], "utf-8"))
-                        else:
-                            self.pos = pos
-                            members += self.values(1)
-                            pos = self.pos - 1
-                    pos += 1
-                    append(tuple(members))
                 elif tag == _V_NONE:
                     append(None)
                 elif tag == _V_TRUE:
@@ -901,47 +798,10 @@ class _Reader(Reader):
 
     def reports(self) -> List[Tuple[str, float, float, int]]:
         """A shard result's counted reports, ``(host, exec_s, merge_s,
-        response bytes)`` each - one per host of a group, so the leaves
-        are read inline, as in :meth:`values`."""
-        count = self.uvarint()
-        data = self.data
-        pos = self.pos
-        reports: List[Tuple[str, float, float, int]] = []
-        append = reports.append
-        try:
-            for _ in range(count):
-                size = data[pos]
-                if size > 0x7F:
-                    self.pos = pos
-                    host = self.str_()
-                    pos = self.pos
-                else:
-                    end = pos + 1 + size
-                    if end > len(data):
-                        raise WireError(TRUNCATED)
-                    host = str(data[pos + 1:end], "utf-8")
-                    pos = end
-                exec_s, merge_s = _unpack_times(data, pos)
-                pos += 16  # the two doubles
-                response = data[pos]
-                if response > 0x7F:
-                    response &= 0x7F
-                    shift = 7
-                    while True:
-                        pos += 1
-                        byte = data[pos]
-                        response |= (byte & 0x7F) << shift
-                        if byte <= 0x7F:
-                            break
-                        shift += 7
-                pos += 1
-                append((host, exec_s, merge_s, response))
-        except (IndexError, struct.error):
-            raise WireError(TRUNCATED) from None
-        except UnicodeDecodeError as error:
-            raise WireError(f"invalid UTF-8 string: {error}") from None
-        self.pos = pos
-        return reports
+        response bytes)`` each."""
+        str_, double, uvarint = self.str_, self.double, self.uvarint
+        return [(str_(), double(), double(), uvarint())
+                for _ in range(uvarint())]
 
     def record(self) -> PathFlowRecord:
         return PathFlowRecord(self.flow_id(), self.strs(), self.double(),
@@ -1725,10 +1585,10 @@ def encode_shard_result(reports: Sequence[Tuple[str, float, float, int]],
     started = time.perf_counter() if stages is not None else 0.0
     body = bytearray()
     w_uvarint(body, len(reports))
-    pack_times = _TIMES.pack
     for host, exec_s, merge_s, response in reports:
         w_str(body, host)
-        body += pack_times(exec_s, merge_s)
+        body += DOUBLE.pack(exec_s)
+        body += DOUBLE.pack(merge_s)
         w_uvarint(body, response)
     w_uvarint(body, len(partials))
     for merge_s, frame in partials:

@@ -1836,9 +1836,7 @@ class TestGoldenFrames:
         two frames are what a top-k query and an alarm sweep decode per
         host.  (1,083 and 245 calls before the cursor-local reader, 100
         and 86 with it; 96 and 65 at wire version 8, where each string
-        an alarm list defines costs a few calls and each repeat none; 16
-        and 65 at wire version 9, where a ranked pair and a short tuple's
-        leaves are read inline.)"""
+        an alarm list defines costs a few calls and each repeat none.)"""
         result = golden_frame("query_result")
         alarms = golden_frame("alarm_batch")
         assert len(wire.decode_result(result, GOLDEN_TOPK_QUERY).payload) \
@@ -1850,7 +1848,7 @@ class TestGoldenFrames:
     def test_shard_frame_decode_call_counts(self):
         """What a served query costs each end per group: the worker
         decodes one shard query (37 calls for the golden five hosts, two
-        units), the controller one shard result (106: five reports, two
+        units), the controller one shard result (135: five reports, two
         partials and the golden alarm list)."""
         query = golden_frame("shard_query")
         reply = golden_frame("shard_result")
