@@ -122,7 +122,9 @@ class GroupPoolStats(Counters):
 
     ``frames_*`` count *logical* per-host frames - a frame is a host
     addressed, so an entry addressed to every host of a group counts once
-    per host of it, and a shard query or result once per host it names;
+    per host of it, and a shard query once per host it names - and a
+    reply counts as the request it answers, so ``frames_received`` keeps
+    step with ``frames_sent`` when an error frame answers a whole entry;
     ``envelopes_*`` count the physical transport messages
     that carried them, so ``frames_sent / envelopes_sent`` is the measured
     coalescing factor.
@@ -163,11 +165,15 @@ class GroupPoolStats(Counters):
 class _Waiter:
     """One in-flight correlated exchange on a multiplexed connection."""
 
-    __slots__ = ("cid", "event", "replies", "reply_bytes", "landed", "error")
+    __slots__ = ("cid", "event", "replies", "reply_bytes", "landed", "error",
+                 "frames")
 
     def __init__(self, cid: int) -> None:
         self.cid = cid
         self.event = threading.Event()
+        #: The per-host frames the request counted: its reply, answering
+        #: it entry for entry (or with one error frame), counts as many.
+        self.frames = 0
         self.replies: Optional[List[Tuple[str, bytes]]] = None
         self.reply_bytes = 0
         #: ``perf_counter`` stamp the reader thread put on the reply.
@@ -462,10 +468,12 @@ class _GroupConn:
                            f"reply; worker killed: {error}")
                 self.kill()
                 return
-            pool._count_frames_received(pool._frames(self.key, entries))
             with self._lock:
                 waiter = self._pending.pop(cid, None)
                 closed = self.dead is not None
+            pool._count_frames_received(
+                pool._frames(self.key, entries) if waiter is None
+                else waiter.frames)
             if closed:
                 return  # a caller gave the connection up with this in flight
             if waiter is None:
@@ -817,7 +825,8 @@ class GroupAgentPool:
             # like a fresh failure so supervision still kicks in.
             waiter = conn.register()
             envelope = wire.encode_group_batch(waiter.cid, entries)
-            conn.send(envelope, self._frames(conn.key, entries), reseed)
+            waiter.frames = self._frames(conn.key, entries)
+            conn.send(envelope, waiter.frames, reseed)
         except AgentServerError as error:
             raise self._worker_failed(conn, str(error), reseed) from error
         stages = ({"send": micros(time.perf_counter() - sent_at)}
@@ -975,7 +984,10 @@ class GroupAgentPool:
     def _frames(self, key: str, entries: Sequence[Tuple[str, bytes]]) -> int:
         """The per-host logical frames ``entries`` to or from group ``key``
         stand for: a shard query or result, one per host it names; any
-        other entry addressed to every host, one per host of the group."""
+        other entry addressed to every host, one per host of the group.
+        (A reply is counted as its request was, whatever it holds - an
+        error frame answering a shard query included; only a reply no
+        exchange awaits is counted from its own entries.)"""
         frames = 0
         for host, frame in entries:
             if host != wire.EVERY_HOST:

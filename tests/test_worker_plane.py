@@ -1111,6 +1111,18 @@ class TestInnerReplyChecks:
             assert pool.stats.decode_errors == 0
             assert pool.ping("b") == 0  # an error reply is no desync
 
+    def test_an_error_reply_counts_as_the_request_it_answers(self,
+                                                            monkeypatch):
+        """One error frame answering a one-host probe of a three-host
+        group counts the one frame the probe sent, not the group's
+        width."""
+        with GroupAgentPool(["a", "b", "c"], group_count=1) as pool:
+            pool.reset_stats()
+            damage_next_reply(monkeypatch, "group-0", "error")
+            with pytest.raises(AgentServerError, match="injected"):
+                pool.query("a", Query(Q_GET_FLOWS, {}))
+            assert pool.stats.frames_sent == pool.stats.frames_received == 1
+
 
 #: Group-1's tick reply, rewritten to contradict the tick it answers: an
 #: entry too many or too few, the wrong host echo, a truncated alarm
