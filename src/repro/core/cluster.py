@@ -452,8 +452,9 @@ class QueryCluster:
         self.engine = QueryEngine()
         #: The last multi-level tree, kept for equal targets and fan-out.
         self._tree: Optional[AggregationTree] = None
-        #: The last two plans' cuts along the running pool's shards.
-        self._cuts: List[Tuple[object, ShardCut]] = []
+        #: Per mechanism, its last regroupable plan's shape (the targets, or
+        #: the kept tree) and cut along the running pool's shards.
+        self._cuts: Dict[str, Tuple[object, ShardCut]] = {}
         self._reconstructor = PathReconstructor(topo, self.assignment)
         self.retention = retention or RetentionPolicy()
         cache = TrajectoryCache() if shared_cache else None
@@ -633,7 +634,7 @@ class QueryCluster:
             pool.shutdown()
             raise
         self._process_pool, self._pool_shape = pool, shape
-        self._cuts = []
+        self._cuts = {}
         return pool
 
     def _attach_mirrors(self, pool: GroupAgentPool, host: str) -> None:
@@ -1077,7 +1078,8 @@ class QueryCluster:
         plan = PlanNode(host=None, children=[
             PlanNode(host=host, request_parts=(len(request),))
             for host in targets])
-        gather = self._gather(query, plan, request, tuple(targets), trace)
+        gather = self._gather(query, plan, request,
+                              (MECHANISM_DIRECT, tuple(targets)), trace)
         # The modelled legs of the slowest answered host (a direct plan is
         # one level deep).
         leg = self.rpc.leg_s
@@ -1108,7 +1110,7 @@ class QueryCluster:
             self._tree = tree = AggregationTree(targets, fanout=fanout)
         request = wire.encode_query_request(query, None, trace)
         gather = self._gather(query, self._plan_from_tree(tree.root, request),
-                              request, tree, trace)
+                              request, (MECHANISM_MULTILEVEL, tree), trace)
         return self._result(
             query, MECHANISM_MULTILEVEL, gather, len(targets),
             breakdown={"tree_depth": float(tree.depth()),
@@ -1161,7 +1163,7 @@ class QueryCluster:
         return walk(node)
 
     def _gather(self, query: Query, plan: PlanNode, request: bytes,
-                shape: object, trace: bool = False) -> GatherResult:
+                shape: tuple, trace: bool = False) -> GatherResult:
         """Run ``query`` over ``plan`` (flat for direct, the tree for
         multi-level) - the one query path of every mode and both
         mechanisms - and price it.
@@ -1170,8 +1172,9 @@ class QueryCluster:
         asking each agent as it reaches the host, under :attr:`executor`'s
         transport, deadline and retries.  When the workers serve the query
         (every built-in; a custom handler registered on the in-process
-        agents runs local), ``plan`` is cut along the shards (kept for the
-        next query of the same ``shape``: the targets, or the tree),
+        agents runs local), ``plan`` is cut along the shards (a
+        regroupable query's cut is kept for its mechanism's next plan of
+        the same ``shape``: ``(mechanism, the targets or the tree)``),
         :meth:`_fetch` asks each group once for its fold units' partials,
         and :func:`~repro.core.shards.fold_shards` folds the rest and
         rebuilds the full plan's gather from the workers' reports.  Faults
@@ -1212,18 +1215,15 @@ class QueryCluster:
         if (self.mode in _WORKER_MODES and self._process_pool is not None
                 and query.name in SERVED_QUERIES):
             regroup = self.engine.regroupable(query)
-            cut = next((kept for known, kept in self._cuts
-                        if known == (shape, regroup)), None)
-            if cut is None:
+            mechanism, key = shape
+            known, cut = self._cuts.get(mechanism, (None, None))
+            if not regroup or known != key:
                 cut = cut_plan(plan, self._process_pool.group_of, regroup)
-                self._cuts = [((shape, regroup), cut)] + self._cuts[:1]
+                if regroup:
+                    self._cuts[mechanism] = (key, cut)
             fetched = self._fetch(query, request, cut, trace)
             gather, folded = fold_shards(self.engine, query, plan, cut,
-                                         fetched.value)
-            gather.warnings = fetched.warnings
-            gather.wall_s += fetched.wall_s
-            gather.duplicate_traffic_bytes += fetched.duplicate_traffic_bytes
-            gather.max_exec_s = fetched.max_exec_s
+                                         fetched)
         else:
             gather = folded = self.engine.fold(query, plan, local,
                                                self.executor)
@@ -1249,15 +1249,14 @@ class QueryCluster:
 
     def _fetch(self, query: Query, request: bytes, cut: ShardCut,
                trace: bool = False) -> GatherResult:
-        """Fetch the fold units' partials from the workers: one
-        ``MSG_GROUP_BATCH`` envelope per group touched, holding one shard
-        query entry - the bare ``request`` and the group's units - (a host
-        no worker serves is a group of its own and fails like a dead
-        agent), through :meth:`_scatter_groups`, so timeouts, retries and
-        supervision act per group.  The gather's value is ``{group key:
-        shard result}``.  Piggybacked alarms go to the bus in plan order
-        (:class:`_AlarmCollector`), as the serial fold raises them - and a
-        reply the scatter gives up on still surrenders its alarms."""
+        """Fetch the fold units' partials: through :meth:`_scatter_groups`
+        (timeouts, retries and supervision act per group), one envelope per
+        group touched holding one shard query - the bare ``request`` and
+        the group's units (a host no worker serves is a group of its own,
+        failing like a dead agent).  The value is ``{group key: shard
+        result}``; piggybacked alarms reach the bus in plan order
+        (:class:`_AlarmCollector`), a reply given up on surrendering its
+        too."""
         pool = self._process_pool
         leaves = {key: [(wire.EVERY_HOST,
                          wire.encode_shard_query(request, part.encoded))]

@@ -42,15 +42,14 @@ Fact = Tuple[float, float, int]
 
 @dataclass
 class ShardPart:
-    """What one worker group is asked: its fold units in plan order, the
-    hosts they name (plan pre-order), per unit the label of the
-    collapsed-plan node its partial feeds and the full-plan node whose
+    """What one worker group is asked: its fold units in plan order (a
+    unit's partial feeds the collapsed-plan node of its first host), the
+    hosts they name (plan pre-order), per unit the full-plan node whose
     merge its own fold belongs to (``None``: the root), and the units
     encoded."""
 
     units: List[PlanNode] = field(default_factory=list)
     hosts: List[str] = field(default_factory=list)
-    labels: List[str] = field(default_factory=list)
     parents: List[Optional[str]] = field(default_factory=list)
     #: The units as a shard query carries them.
     encoded: bytes = b""
@@ -93,11 +92,10 @@ def cut_plan(plan: PlanNode, group_of: Callable[[str], str],
     parts: Dict[str, ShardPart] = {}
     mixed: Set[str] = set()
 
-    def unit(key: str, subtrees: List[PlanNode], label: str,
+    def unit(key: str, subtrees: List[PlanNode],
              parent: Optional[str]) -> None:
         part = parts.setdefault(key, ShardPart())
         part.units.append(PlanNode(None, children=subtrees))
-        part.labels.append(label)
         part.parents.append(parent)
         stack = list(reversed(subtrees))
         while stack:
@@ -110,14 +108,14 @@ def cut_plan(plan: PlanNode, group_of: Callable[[str], str],
         out = PlanNode(host)
         if host is not None:
             mixed.add(host)
-            unit(group_of(host), [PlanNode(host)], host, host)
+            unit(group_of(host), [PlanNode(host)], host)
         run: List[PlanNode] = []
         run_key: Optional[str] = None
         for child in node.children:
             key = owner[id(child)]
             if run and (key != run_key or not regroup):
                 out.children.append(PlanNode(run[0].host))
-                unit(run_key, run, run[0].host, host)  # type: ignore[arg-type]
+                unit(run_key, run, host)  # type: ignore[arg-type]
                 run = []
             if key is None:
                 out.children.append(collapse(child))
@@ -126,7 +124,7 @@ def cut_plan(plan: PlanNode, group_of: Callable[[str], str],
                 run_key = key
         if run:
             out.children.append(PlanNode(run[0].host))
-            unit(run_key, run, run[0].host, host)  # type: ignore[arg-type]
+            unit(run_key, run, host)  # type: ignore[arg-type]
         return out
 
     collapsed = collapse(plan)
@@ -136,28 +134,36 @@ def cut_plan(plan: PlanNode, group_of: Callable[[str], str],
 
 
 def fold_shards(engine: QueryEngine, query: Query, plan: PlanNode,
-                cut: ShardCut, answers: Mapping[str, wire.ShardResult]
+                cut: ShardCut, fetched: GatherResult
                 ) -> Tuple[GatherResult, GatherResult]:
     """Fold ``cut``'s collapsed plan over the partials the answered
-    groups sent (``answers`` by group key) - the fold every mode runs -
-    and rebuild ``plan``'s gather from it and the groups' reports:
-    ``(the full plan's gather, the collapsed fold's)``."""
+    groups sent (``fetched.value``: their shard results by group key) -
+    the fold every mode runs - and rebuild ``plan``'s gather from it and
+    the groups' reports: ``(the full plan's gather, the collapsed
+    fold's)``.  The fetch's warnings, wall, voided envelopes and slowest
+    exchange carry over to the full plan's gather."""
     partials: Dict[str, QueryResult] = {}
     facts: Dict[str, Fact] = {}
     folds: Dict[Optional[str], float] = {}
+    answers: Mapping[str, wire.ShardResult] = fetched.value
     for key, answer in answers.items():
         part = cut.parts[key]
         facts.update((host, (exec_s, merge_s, response))
                      for host, exec_s, merge_s, response in answer.reports)
-        for label, parent, (fold_s, partial) in zip(
-                part.labels, part.parents, answer.partials):
-            partials[label] = partial
+        for unit, parent, (fold_s, partial) in zip(
+                part.units, part.parents, answer.partials):
+            partials[unit.children[0].host] = partial  # type: ignore[index]
             folds[parent] = folds.get(parent, 0.0) + fold_s
     for host in cut.mixed & partials.keys():
         # A mixed node's own result, sized as its worker sized it.
         partials[host].wire_bytes = facts[host][2]
     collapsed = engine.fold(query, cut.plan, partials.__getitem__)
-    return splice(plan, cut, collapsed, facts, folds), collapsed
+    gather = splice(plan, cut, collapsed, facts, folds)
+    gather.warnings = fetched.warnings
+    gather.wall_s += fetched.wall_s
+    gather.duplicate_traffic_bytes += fetched.duplicate_traffic_bytes
+    gather.max_exec_s = fetched.max_exec_s
+    return gather, collapsed
 
 
 def splice(plan: PlanNode, cut: ShardCut, collapsed: GatherResult,
@@ -175,8 +181,8 @@ def splice(plan: PlanNode, cut: ShardCut, collapsed: GatherResult,
     duplicate traffic, as a failed attempt's) and sends nothing up unless
     it is a mixed node with surviving children.  Every report made one
     attempt: deadlines, retries and transport faults act on the groups'
-    fetch, not on the fold.  The warnings and ``max_exec_s`` are the
-    fetch's to set.
+    fetch, not on the fold (:func:`fold_shards` copies the fetch's
+    warnings and ``max_exec_s``).
     """
     reports: Dict[str, HostReport] = {}
     merge_s: Dict[Optional[str], float] = {
