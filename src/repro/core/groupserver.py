@@ -889,8 +889,8 @@ class GroupAgentPool:
         is an alarm naming a host outside ``hosts`` or out of their order.
         An error reply (a host's failure or a latched ingest error
         anywhere in the shard) fails the whole group.  ``on_hosts`` gets
-        ``(host, alarms)`` per host, in order, empty batches included;
-        ``deadline`` is as in :meth:`group_monitor_tick`.  A
+        the ``(host, alarms)`` list, in ``hosts`` order, empty batches
+        included; ``deadline`` is as in :meth:`group_monitor_tick`.  A
         traced exchange adds ``decode`` (the reply's, partials included)
         and the worker's stages to its record.
         """
