@@ -886,6 +886,31 @@ class TestShardFold:
             assert len(part.hosts) == len(set(part.hosts))
             assert set(part.hosts) <= set(pool.group_hosts(key))
 
+    def test_a_plan_is_cut_once_per_mechanism_and_shape(self, fanout_cluster,
+                                                        monkeypatch):
+        """Direct and multi-level queries taking turns over the same hosts
+        cut each plan once.  A float key sum, never regrouped, is cut at
+        every query and leaves the kept cuts alone; other targets replace
+        the direct one."""
+        cluster = fanout_cluster
+        cluster._cuts.clear()  # what earlier tests on this cluster kept
+        regrouped = []
+        cut = cluster_module.cut_plan
+        monkeypatch.setattr(
+            cluster_module, "cut_plan",
+            lambda plan, group_of, regroup: regrouped.append(regroup)
+            or cut(plan, group_of, regroup))
+        top_k = Query(Q_TOP_K_FLOWS, {"k": 5})
+        float_sum = Query(Q_PLAN, {"plan": Plan(ops=(Aggregate(
+            func="sum", fields=("stime",), by=("flow",)),))})
+        for query in (top_k, top_k, float_sum, float_sum, top_k):
+            for mechanism in (MECHANISM_DIRECT, MECHANISM_MULTILEVEL):
+                cluster.execute(query, mechanism=mechanism)
+        assert regrouped == [True, True] + [False] * 4
+        cluster.execute(top_k, hosts=cluster.hosts[:3])
+        cluster.execute(top_k)
+        assert regrouped == [True, True] + [False] * 4 + [True, True]
+
     @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
                                            MECHANISM_MULTILEVEL])
     def test_the_controller_decodes_one_partial_per_fold_unit(
