@@ -11,6 +11,8 @@ The benchmark uses k scaled with the records-per-host so the per-host result
 is, as in the paper, a sizeable fraction of its TIB.
 """
 
+import statistics
+
 from repro.analysis import format_table
 from repro.core import MECHANISM_DIRECT, MECHANISM_MULTILEVEL, Query
 from repro.core.query import Q_TOP_K_FLOWS
@@ -22,6 +24,8 @@ from query_testbed import HOST_COUNTS, RECORDS_PER_HOST, build_query_cluster
 #: paper, each host returns a k-sized partial result and the direct query
 #: forces the controller to merge k x n key-value pairs on its own.
 TOP_K = max(100, RECORDS_PER_HOST * 2 // 3)
+#: Direct queries per host count behind the slope assertion's merge time.
+MERGE_CALLS = 5
 
 
 def test_fig12_top_k_query(benchmark, report_writer):
@@ -62,12 +66,20 @@ def test_fig12_top_k_query(benchmark, report_writer):
               "response grows ~linearly with hosts, multi-level stays "
               "roughly flat; traffic similar)"))
 
+    def direct_merge_s(count):
+        """The direct query's controller merge over ``count`` hosts: the
+        median of MERGE_CALLS calls, since one sub-millisecond timing can
+        swing either way."""
+        return statistics.median(
+            cluster.execute(query, cluster.hosts[:count], MECHANISM_DIRECT)
+            .breakdown["controller_aggregation"]
+            for _ in range(MERGE_CALLS))
+
     first = rows[0]
     last = rows[-1]
     # The controller-side merge of the direct query grows roughly linearly
     # with the number of hosts (k x n pairs) - Figure 12a's direct slope.
-    assert last[1].breakdown["controller_aggregation"] > \
-        2 * first[1].breakdown["controller_aggregation"]
+    assert direct_merge_s(last[0]) > 2 * direct_merge_s(first[0])
     # Both mechanisms move a similar amount of traffic (Figure 12b).
     assert last[2].traffic_bytes < 3 * last[1].traffic_bytes
     # Same global answer from both mechanisms.

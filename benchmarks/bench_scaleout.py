@@ -18,10 +18,10 @@ Measured and asserted:
   the same multiplexed connections, compared on *amortized per-host
   tick cost* (the steady-state number a 200 ms monitoring loop pays).
 * **Multilevel is coalesced too**: a multi-level query ships exactly one
-  request envelope per worker group (its tree is folded at the
-  controller), and its socket wall stays within 2x of the same query
-  asked directly (best of ``RATIO_ROUNDS``, so one noisy run cannot
-  decide it).
+  request envelope per worker group (each group folds the whole
+  subtrees in its shard), and its socket wall stays within 2x of the
+  same query asked directly (best of ``RATIO_ROUNDS``, so one noisy run
+  cannot decide it).
 * **Deployment numbers** for the report: worker start-up + sync time,
   per-query wall clock and measured traffic at 1,024 hosts.
 

@@ -16,7 +16,7 @@ model need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import wire
 
@@ -55,9 +55,13 @@ class TreeNode:
 class AggregationTree:
     """A multi-level aggregation tree over a set of end hosts.
 
-    Built in two linear passes - hosts placed level by level, then one
-    pre-order walk setting every node's ``spec`` and ``spec_len`` - and
-    reusable by every query over the same hosts and fan-out.
+    Built in two linear passes - the shape level by level, then one
+    pre-order walk naming the hosts and setting every node's ``spec`` and
+    ``spec_len`` - and reusable by every query over the same hosts and
+    fan-out.  Hosts are named in pre-order, so every subtree is a
+    contiguous slice of ``hosts``: a worker group owning a contiguous
+    shard folds whole subtrees, and only a subtree straddling a shard
+    boundary spans groups.
 
     Args:
         hosts: the hosts participating in the query.
@@ -75,19 +79,20 @@ class AggregationTree:
         self.hosts = list(hosts)
         self.fanout = tuple(fanout)
         self.root = self._build()
-        order: List[str] = []  # the hosts, pre-order
+        named = 0
         for child in self.root.children:
-            self._describe(child, order)
-        self.root.spec = wire.SubtreeSpec("", tuple(order))
+            named = self._describe(child, named)[0]
+        self.root.spec = wire.SubtreeSpec("", tuple(self.hosts))
 
     # ------------------------------------------------------------------ build
     def _build(self) -> TreeNode:
-        """Assign hosts to tree positions level by level (breadth-first).
+        """The tree's shape, built level by level (breadth-first).
 
         Every tree node (except the controller root) is an end host that both
         executes the query locally and aggregates its children's results, so
-        hosts are consumed by interior levels first and remaining hosts
-        become leaves.
+        interior levels fill first, each parent taking up to its level's
+        fan-out, and the remaining positions become leaves.  The nodes are
+        unnamed here; :meth:`_describe` names them in pre-order.
         """
         root = TreeNode(host=None, level=0)
         frontier, placed, level = [root], 0, 0
@@ -95,26 +100,28 @@ class AggregationTree:
             fanout = self.fanout[min(level, len(self.fanout) - 1)]
             next_frontier: List[TreeNode] = []
             for parent in frontier:
-                parent.children = [
-                    TreeNode(host=host, level=level + 1)
-                    for host in self.hosts[placed:placed + fanout]]
-                placed += len(parent.children)
+                width = min(fanout, len(self.hosts) - placed)
+                parent.children = [TreeNode(host=None, level=level + 1)
+                                   for _ in range(width)]
+                placed += width
                 next_frontier += parent.children
             frontier = next_frontier
             level += 1
         self._depth = level
         return root
 
-    def _describe(self, node: TreeNode, order: List[str]) -> int:
-        """Set the ``spec`` and ``spec_len`` of host ``node``'s subtree,
-        whose hosts extend ``order``: their names' encoded length."""
-        first = len(order)
-        order.append(node.host)
-        names = wire.str_len(node.host) + sum(
-            self._describe(child, order) for child in node.children)
-        node.spec = wire.SubtreeSpec(node.host, tuple(order[first:]))
-        node.spec_len = wire.spec_len(node.host, len(node.spec.hosts), names)
-        return names
+    def _describe(self, node: TreeNode, first: int) -> Tuple[int, int]:
+        """Name ``node``'s subtree in pre-order from ``hosts[first]`` on and
+        set its nodes' ``spec`` and ``spec_len``.  Returns the index past
+        the subtree's slice and its names' encoded length."""
+        host = node.host = self.hosts[first]
+        end, names = first + 1, wire.str_len(host)
+        for child in node.children:
+            end, child_names = self._describe(child, end)
+            names += child_names
+        node.spec = wire.SubtreeSpec(host, tuple(self.hosts[first:end]))
+        node.spec_len = wire.spec_len(host, end - first, names)
+        return end, names
 
     # ------------------------------------------------------------------ views
     def depth(self) -> int:

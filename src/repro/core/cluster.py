@@ -232,9 +232,11 @@ class _AlarmCollector:
     contiguous and consumed in order, so the cursor only ever moves
     forward and an empty batch only advances it.  A query's piggybacked
     alarms (PC_FAIL) land the same way over the query's canonical host
-    order; a multi-level plan's order is not group-contiguous, so there
-    the cursor stops at the first host of a group not consumed yet and
-    :meth:`dispatch` delivers the rest after the gather.
+    order.  The aggregation tree names its hosts in pre-order, so a
+    multi-level plan over targets in shard order is group-contiguous too
+    and its alarms stream like a sweep's; over targets out of shard
+    order the cursor stops at the first host of a group not consumed yet
+    and :meth:`dispatch` delivers the rest after the gather.
 
     The agent -> controller alert channel is asynchronous while the wire
     protocol is request/reply, so alarms ride reply frames the scatter

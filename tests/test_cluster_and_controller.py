@@ -9,7 +9,10 @@ from repro.core import (AggregationTree, MECHANISM_DIRECT,
                         PathDumpController, Q_FLOW_SIZE_DISTRIBUTION,
                         Q_POOR_TCP_FLOWS, Q_TOP_K_FLOWS, Query, QueryCluster,
                         RpcChannel, ScatterGatherExecutor, wire)
+from repro.core.aggregation import PAPER_TREE_FANOUT
+from repro.core.groupserver import shard_hosts
 from repro.core.rpc import MESSAGE_OVERHEAD_BYTES
+from repro.core.shards import cut_plan
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import PathFlowRecord
 from repro.transport import FlowLevelSimulator
@@ -57,22 +60,29 @@ class TestAggregationTree:
             AggregationTree(["a"], fanout=(0,))
 
     def test_layout_and_specs_match_a_brute_force_build(self):
-        """Breadth-first placement, each parent taking the next hosts up
-        to its level's fan-out; every node's spec lists its subtree's
-        hosts in pre-order and ``spec_len`` is what it adds to a
-        request."""
+        """The shape fills breadth-first, each parent taking up to its
+        level's fan-out of the positions left; the hosts are then named
+        in pre-order.  Every node's spec lists its subtree's hosts in
+        pre-order and ``spec_len`` is what it adds to a request."""
         def reference_layout(hosts, fanout):
-            remaining, frontier, level = list(hosts), [(None, [])], 0
+            remaining, frontier, level = len(hosts), [[]], 0
             root = frontier[0]
             while remaining:
                 width = fanout[min(level, len(fanout) - 1)]
                 next_frontier = []
-                for _host, children in frontier:
+                for children in frontier:
                     while remaining and len(children) < width:
-                        children.append((remaining.pop(0), []))
+                        children.append([])
+                        remaining -= 1
                     next_frontier += children
                 frontier, level = next_frontier, level + 1
-            return root, level
+            names = iter(hosts)
+
+            def name(children):
+                return [(next(names), name(grandchildren))
+                        for grandchildren in children]
+
+            return (None, name(root)), level
 
         def layout(node):
             return node.host, [layout(child) for child in node.children]
@@ -100,6 +110,52 @@ class TestAggregationTree:
                 if node.host is not None:
                     assert node.spec_len == len(wire.encode_query_request(
                         query, node.spec)) - len(request)
+
+    def test_every_subtree_is_the_slice_of_hosts_it_starts(self):
+        """Pre-order naming: the node at position ``i`` of the pre-order
+        walk runs on ``hosts[i]`` and its subtree is ``hosts[i:i+len]``."""
+        rng = random.Random(43)
+        for _ in range(60):
+            hosts = [f"h{index}" for index in range(rng.randint(1, 300))]
+            fanout = rng.choice(((7, 4, 4), (1,), (2,), (3, 1), (1, 50)))
+            tree = AggregationTree(hosts, fanout)
+            assert tree.root.spec.hosts == tuple(hosts)
+            for index, node in enumerate(tree.host_nodes()):
+                assert node.host == hosts[index]
+                assert node.spec.hosts == tuple(
+                    hosts[index:index + len(node.spec.hosts)])
+
+    @staticmethod
+    def cut_over_shards(hosts, groups, fanout=PAPER_TREE_FANOUT):
+        """The tree over ``hosts`` and its plan cut along ``shard_hosts``'
+        ``groups`` contiguous shards."""
+        owner = {host: key for key, shard in enumerate(
+            shard_hosts(hosts, groups)) for host in shard}
+        tree = AggregationTree(hosts, fanout)
+        request = wire.encode_query_request(Query(Q_TOP_K_FLOWS, {}), None)
+        return tree, cut_plan(QueryCluster._plan_from_tree(
+            tree.root, request), owner.__getitem__)
+
+    def test_contiguous_shards_split_one_chain_per_boundary(self):
+        """Over contiguous shards a subtree spans shards only if its slice
+        holds a shard boundary: the nodes holding one boundary are a
+        chain of ancestors, at most one per level."""
+        rng = random.Random(47)
+        for _ in range(60):
+            hosts = [f"h{index}" for index in range(rng.randint(1, 1100))]
+            fanout = rng.choice(((7, 4, 4), (2,), (3, 1), (1, 50)))
+            groups = rng.randint(1, 9)
+            tree, cut = self.cut_over_shards(hosts, groups, fanout)
+            assert len(cut.mixed) <= 1 + (groups - 1) * tree.depth()
+
+    @pytest.mark.parametrize("host_count, groups, units, mixed", [
+        (128, 4, 13, 4), (1024, 8, 48, 17)])
+    def test_the_cut_of_the_paper_tree_over_contiguous_shards(
+            self, host_count, groups, units, mixed):
+        _tree, cut = self.cut_over_shards(
+            [f"h{index}" for index in range(host_count)], groups)
+        assert sum(len(part.units) for part in cut.parts.values()) == units
+        assert len(cut.mixed) == mixed
 
 
 @pytest.fixture()

@@ -32,6 +32,9 @@ from test_supervisor import kill_and_wait, small_topology
 
 NUM_HOSTS = 4
 ALL_MODES = (MODE_SERIAL, MODE_PROCESS, MODE_SOCKET)
+#: The hosts in an order that interleaves the two socket shards
+#: (server-0/1, server-2/3): a tree walk over it is not group-contiguous.
+WALK_ACROSS_SHARDS = ["server-0", "server-2", "server-3", "server-1"]
 
 
 def _flow(src, dst, port):
@@ -257,16 +260,18 @@ class TestAlarmStreamIdentity:
         streams = {}
         for mode in (MODE_SERIAL, MODE_PROCESS, MODE_SOCKET):
             with make_cluster(mode, group_count=2) as cluster:
-                # (2, 2): server-0 aggregates server-2/3, so the walk
-                # order differs from the host (and shard) order.
+                # The tree names its hosts in pre-order, so over the
+                # cluster's (shard) order the walk would be that order.
+                # Named out of it, (2, 2) has server-0 aggregate
+                # server-2/3, which lie in the other socket shard.
                 result = cluster.execute_multilevel(
                     Query(Q_PATH_CONFORMANCE, {"max_hops": 0}),
-                    fanout=(2, 2))
+                    hosts=WALK_ACROSS_SHARDS, fanout=(2, 2))
                 assert result.payload and not result.partial
                 alarms = cluster.alarm_bus.by_reason(PC_FAIL)
                 streams[mode] = alarm_stream_bytes(alarms)
         assert list(dict.fromkeys(alarm.host for alarm in alarms)) == \
-            ["server-0", "server-2", "server-3", "server-1"]
+            WALK_ACROSS_SHARDS
         assert streams[MODE_SERIAL] == streams[MODE_PROCESS]
         assert streams[MODE_SERIAL] == streams[MODE_SOCKET]
 

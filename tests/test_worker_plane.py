@@ -783,9 +783,10 @@ class TestResetShipsTheOperation:
 FANOUT_GROUPS = 2
 
 #: What the controller decodes per query on that shape: a direct plan is
-#: one fold unit per group; the tree leaves 21 runs of whole subtrees and
-#: 22 hosts whose subtrees span both shards, each sending its own result.
-FANOUT_PARTIALS = {MECHANISM_DIRECT: FANOUT_GROUPS, MECHANISM_MULTILEVEL: 43}
+#: one fold unit per group; the tree, named in pre-order, leaves 3 runs of
+#: whole subtrees and 1 host whose subtree spans both shards, sending its
+#: own result.
+FANOUT_PARTIALS = {MECHANISM_DIRECT: FANOUT_GROUPS, MECHANISM_MULTILEVEL: 4}
 
 
 @pytest.fixture(scope="module")
@@ -916,7 +917,7 @@ class TestShardFold:
     def test_the_controller_decodes_one_partial_per_fold_unit(
             self, fanout_cluster, mechanism, monkeypatch):
         """128 hosts in two groups: a direct query decodes one partial per
-        group and merges once, at the root; a multi-level one decodes 43.
+        group and merges once, at the root; a multi-level one decodes 4.
         Payload, traffic and channel counters are serial's."""
         cluster = fanout_cluster
         query = Query(Q_TOP_K_FLOWS, {"k": 20})
