@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.core import PathDumpController, QueryCluster
 from repro.network import Fabric, RoutingFabric
@@ -13,6 +16,15 @@ from repro.tracing import make_tagger
 #: Fixture projects of test_source_invariants.py deliberately contain
 #: violations; they are inputs to its checks, not tests.
 collect_ignore = ["lint_fixtures"]
+
+# Hypothesis profiles: ``tier1`` (the default) runs the same examples every
+# run and writes no example database; ``HYPOTHESIS_PROFILE=soak`` is for
+# long local runs - fresh examples, ten times as many, longer schedules.
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          database=None)
+settings.register_profile("soak", max_examples=1_000, deadline=None,
+                          stateful_step_count=100)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture(scope="session")

@@ -1,25 +1,17 @@
 """Tests for the cold-tier query engine behind the unified ScanSpec API.
 
 Covers: ScanSpec normalisation and its exact match predicate, the
-write-behind buffer and its flush barrier, pruning soundness (seeded fuzz
-comparing the column-filtered scan against a brute-force read of every row
-of every opened segment - a pruned segment or a column predicate must never
-hide a matching entry), the per-segment link postings and dead sets as
-structures (equal to a brute-force index of every row; link pruning skips
-exactly the segments without a row on the link; racing first reads number
-each link once), compaction round-trips with tight rewritten zone maps and
-postings, a seeded fuzz of reads interleaved with auto-compaction, scan
-results never aliasing promoted records, byte-equal segment blobs for
-equal streams, the order-free column read (``fold``) against the
-same brute-force read and against ``spec_records`` on a capped / uncapped
-pair, the two aggregate handlers built on it against the record loops they
-replaced, capped answers byte-identical to uncapped ones across serial /
-process / socket modes (including a kill while staged
-evictions are in flight), and the consolidated
-``controller.report(sections=...)``.
+write-behind buffer and its flush barrier, pinned pruning and index cases
+(direction and one-hop twins, unparseable flow keys, a superseded
+re-append, racing first reads), compaction keeping a garbage-free prefix,
+scan results never aliasing promoted records, byte-equal segment blobs for
+equal streams, the column read's surface, the aggregate handlers' edge
+cases, capped answers byte-identical to uncapped ones across serial /
+process / socket modes (including a kill while staged evictions are in
+flight), and the consolidated ``controller.report(sections=...)``.  The
+fuzzed properties are the state machine's, in ``test_tib_machine.py``.
 """
 
-import dataclasses
 import random
 import sys
 import threading
@@ -31,7 +23,7 @@ from repro.core import (AgentServerError, MODE_PROCESS, MODE_SERIAL,
                         MODE_SOCKET, PathDumpController,
                         Q_FLOW_SIZE_DISTRIBUTION, Q_GET_FLOWS, Q_TOP_K_FLOWS,
                         Q_TRAFFIC_MATRIX, Query, QueryCluster, Tib, wire)
-from repro.core.query import QueryEngine, _link_label
+from repro.core.query import QueryEngine
 from repro.core.supervisor import ChaosPolicy, Supervisor
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import ColdArchive, PathFlowRecord, RetentionPolicy, ScanSpec
@@ -174,57 +166,19 @@ class TestWriteBehind:
         assert tib.archive.staged_count == 0
 
 
-def every_row(archive):
-    """``(segment number, row, id, record)`` of every log row - each sealed
-    blob re-opened from its bytes alone, then the tail - with no predicate
-    pushdown and no pruning."""
+def brute_force(archive, spec):
+    """Reference scan: materialise *every* log row - each sealed blob
+    re-opened from its bytes alone, then the tail - keep the live ones,
+    filter with the spec's exact predicate.  Shares none of the fast
+    path's filtering."""
     archive.flush()
     sources = [(number, Segment(segment.rows.data))
                for number, segment in archive._segments.items()]
     sources.append((archive._tail_no, archive._tail))
-    for number, rows in sources:
-        for row, (record_id, record) in enumerate(rows.records()):
-            yield number, row, record_id, record
-
-
-def brute_force(archive, spec):
-    """Reference scan: materialise *every* log row, keep the live ones,
-    filter with the spec's exact predicate.  Shares none of the fast
-    path's filtering."""
-    return sorted(
-        ((record_id, record)
-         for number, row, record_id, record in every_row(archive)
-         if archive._locator.get(record_id) == number << 32 | row
-         and spec.matches(record)),
-        key=lambda pair: pair[0])
-
-
-def fuzz_specs(rng, records):
-    """A generous mix of windows, links, flow keys and conjunctions."""
-    sample = rng.choice(records)
-    a, b = sample.path[1], sample.path[2]
-    fkey = flow_key(sample.flow_id)
-    times = sorted((rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)))
-    return [
-        ScanSpec(),
-        ScanSpec(start=times[0], end=times[1]),
-        ScanSpec(start=times[1]),
-        ScanSpec(end=times[0]),
-        ScanSpec(links=((a, b),)),
-        ScanSpec(links=((b, a),)),
-        ScanSpec(links=((a, None),)),
-        ScanSpec(links=(("no-such-switch", None),)),
-        ScanSpec(links=((a, "no-such-switch"),)),
-        ScanSpec(flow_keys=frozenset((fkey,))),
-        ScanSpec(flow_keys=frozenset((fkey, "no:1|such:2|6"))),
-        ScanSpec(flow_keys=frozenset(("no:1|such:2|6",))),
-        ScanSpec(start=times[0], end=times[1], links=((a, b),)),
-        ScanSpec(start=times[0], end=times[1],
-                 flow_keys=frozenset((fkey,))),
-        ScanSpec(links=((a, b), (None, sample.path[0]))),
-        ScanSpec(start=times[0], end=times[1], links=((a, None),),
-                 flow_keys=frozenset((fkey,))),
-    ]
+    return sorted(((record_id, record) for number, rows in sources
+                   for row, (record_id, record) in enumerate(rows.records())
+                   if archive._locator.get(record_id) == number << 32 | row
+                   and spec.matches(record)), key=lambda pair: pair[0])
 
 
 def fuzz_archive(seed, **kwargs):
@@ -277,23 +231,8 @@ def assert_scan_is_brute_force(archive, spec):
 
 
 class TestPruningSoundnessFuzz:
-    """The acceptance property of zone-map/bloom pruning and of the column
-    predicates: neither may ever hide a matching entry.  Equality with the
-    brute-force read proves exactly that - any unsound prune or inexact
-    column test would lose (or invent) a hit."""
-
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_pruned_scan_matches_brute_force(self, seed):
-        rng, archive, records = fuzz_archive(seed)
-        archive.stats.reset()
-        for round_ in range(6):
-            for spec in fuzz_specs(rng, records):
-                assert_scan_is_brute_force(archive, spec)
-        # the test is not vacuous: pruning fired and rows were passed over
-        assert archive.stats.segments_skipped > 0
-        assert archive.stats.entries_skipped > 0
-        assert archive.stats.entries_decoded > 0
-        assert archive.stats.decode_cache_hits == 0  # no cache survives
+    """Pinned cases of pruning soundness: no prune or column predicate may
+    hide a matching entry."""
 
     def test_direction_and_one_hop_twins_are_told_apart(self):
         """Two rows that differ only in path direction both traverse the
@@ -337,29 +276,6 @@ class TestPruningSoundnessFuzz:
         assert archive.stats.entries_decoded == 0
 
 
-def hops(path):
-    """The undirected links a path traverses, each as ``(min, max)``."""
-    return {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
-
-
-def hop_rows(records):
-    """``{undirected hop: ascending rows whose path holds it}`` of a log
-    position holding ``records`` in row order - its postings, by brute
-    force."""
-    runs = {}
-    for row, record in enumerate(records):
-        for hop in hops(record.path):
-            runs.setdefault(hop, []).append(row)
-    return runs
-
-
-def postings_by_link(archive, postings):
-    """A position's postings keyed by the links themselves, not ordinals."""
-    links = {ordinal: link for link, ordinal in archive._link_ids.items()}
-    return {links[ordinal]: list(postings.run(ordinal))
-            for ordinal in postings.links}
-
-
 def positions(archive):
     """``(number, rows, postings, dead set)`` of every log position, the
     tail last - what the archive indexes, read without flushing."""
@@ -383,58 +299,8 @@ def assert_dead_sets_agree(archive):
 
 
 class TestSegmentIndex:
-    """The postings and dead sets as structures, not only through scans:
-    every position's index equals what brute force reads off its rows, and
-    link pruning skips exactly the segments holding no row on the link."""
-
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_postings_and_dead_sets_equal_brute_force(self, seed):
-        _, archive, _ = fuzz_archive(seed)
-        for compacted in (False, True):
-            held = {}
-            for number, _, _, record in every_row(archive):
-                held.setdefault(number, []).append(record)
-            assert len(held) > 2
-            for number, _, postings, _ in positions(archive):
-                assert postings_by_link(archive, postings) == \
-                    hop_rows(held.get(number, [])), number
-            assert_dead_sets_agree(archive)
-            assert any(dead for *_, dead in positions(archive)) != compacted
-            archive.compact()
-        # each node's incident links are exactly the links it ends
-        incident = {}
-        for link, ordinal in archive._link_ids.items():
-            for node in link:
-                incident.setdefault(node, set()).add(ordinal)
-        assert {node: set(ordinals) for node, ordinals
-                in archive._node_links.items()} == incident
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_link_pruning_is_exact(self, seed):
-        """A bloom false positive - or any inexact prune - would open a
-        segment without a row on the link and fail the count."""
-        _, archive, _ = fuzz_archive(seed)
-        held = {}
-        for number, _, _, record in every_row(archive):
-            if number != archive._tail_no:
-                held.setdefault(number, []).append(record.path)
-        links = sorted({hop for paths in held.values() for path in paths
-                        for hop in hops(path)})
-        nodes = sorted({node for a, b in links for node in (a, b)})
-        specs = [((a, b), lambda path, a=a, b=b: (a, b) in hops(path))
-                 for a, b in links]
-        specs += [((node, None), lambda path, node=node:
-                   len(path) >= 2 and node in path) for node in nodes]
-        specs.append((("s0", "no-such-switch"), lambda path: False))
-        for link, traverses in specs:
-            spec = ScanSpec(links=(link,))
-            archive.stats.reset()
-            assert_scan_is_brute_force(archive, spec)
-            empty = sum(not any(map(traverses, paths))
-                        for paths in held.values())
-            assert archive.stats.segments_skipped == empty, link
-            assert archive.stats.segment_decodes == len(held) - empty, link
-        assert len(links) > 5
+    """Pinned cases of the postings and dead sets: a re-appended id and
+    racing first reads."""
 
     def test_reappended_id_supersedes_its_live_row(self):
         """Appending an id whose row is still live moves the locator off
@@ -500,40 +366,9 @@ def fold_rows(chunks):
     return sorted(rows)
 
 
-#: What a fold advances exactly as a scan of the same spec does;
-#: ``entries_decoded`` counts rows *materialised*, so a fold leaves it be.
-PRUNING_COUNTERS = ("segments_skipped", "segment_decodes", "entries_skipped")
-
-
 class TestFoldSoundness:
-    """The order-free column read returns exactly the rows the record read
-    returns - the same pruning, column predicates and liveness - without
-    building one of them."""
-
-    @pytest.mark.parametrize("reopened", [False, True])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_archive_fold_matches_brute_force(self, seed, reopened):
-        rng, archive, records = fuzz_archive(seed)
-        assert archive._tail.count and archive.dead_ratio > 0.0
-        if reopened:
-            # from their bytes alone: both dictionaries get decoded
-            for segment in archive._segments.values():
-                segment.rows = Segment(segment.rows.data)
-        for _ in range(3):
-            for spec in fuzz_specs(rng, records):
-                want = sorted((r.bytes, r.path)
-                              for _, r in brute_force(archive, spec))
-                archive.stats.reset()
-                archive.scan(spec)
-                scanned = dataclasses.replace(archive.stats)
-                archive.stats.reset()
-                got = fold_rows(archive.fold(spec, ("bytes", "path")))
-                assert got == want, spec
-                assert scanned.entries_decoded == len(want)
-                assert archive.stats.entries_decoded == 0
-                for key in PRUNING_COUNTERS:
-                    assert getattr(archive.stats, key) == \
-                        getattr(scanned, key), (key, spec)
+    """The order-free column read's surface: every field from both tiers,
+    shared path objects, unknown fields."""
 
     def test_every_column_field_reads_back_from_both_tiers(self):
         assert COLUMN_FIELDS == ("path", "stime", "etime", "bytes", "pkts")
@@ -555,38 +390,6 @@ class TestFoldSoundness:
         (paths,), = archive.fold(ScanSpec(), ("path",))
         assert len({id(path) for path in paths}) == len(set(paths)) == 15
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_tib_fold_matches_spec_records_capped_and_uncapped(self, seed):
-        rng = random.Random(seed)
-        records = [make_record(i, rng=rng) for i in range(300)]
-        # merges onto archived keys: promotions, garbage, re-archival
-        stream = records + [make_record(i, rng=rng)
-                            for i in rng.sample(range(300), 80)]
-        plain = Tib("plain")
-        capped = Tib("capped", retention=RetentionPolicy(max_records=40),
-                     archive=ColdArchive(segment_records=16,
-                                         write_behind_records=32))
-        for record in stream:
-            plain.add_record(record)
-            capped.add_record(record)
-        assert capped.stats.promotions and capped.archive.segment_count > 4
-        assert capped.archive.staged_count  # the fold must flush first
-        for spec in fuzz_specs(rng, records):
-            want = sorted((r.bytes, r.path)
-                          for r in plain.spec_records(spec))
-            capped.reset_stats()
-            assert sorted((r.bytes, r.path)
-                          for r in capped.spec_records(spec)) == want, spec
-            scanned = capped.tier_stats()
-            capped.reset_stats()
-            for tib in (plain, capped):
-                assert fold_rows(
-                    tib.fold(spec, ("bytes", "path"))) == want, spec
-            folded = capped.tier_stats()
-            assert folded["entries_decoded"] == 0
-            for key in PRUNING_COUNTERS:
-                assert folded[key] == scanned[key], (key, spec)
-
     def test_unknown_fields_are_rejected_by_both_tiers(self):
         tib = Tib("h", retention=RetentionPolicy(max_records=4))
         for i in range(12):
@@ -598,56 +401,9 @@ class TestFoldSoundness:
                 list(tib.archive.fold(ScanSpec(), fields))
 
 
-def reference_fsd(tib, params):
-    """The record loop ``flow_size_distribution`` ran before it read
-    columns, kept here as its oracle - keys then sorted."""
-    links = params.get("links")
-    if links is None:
-        links = [params.get("link")]
-    binsize = params.get("binsize", 10_000)
-    histogram = {}
-    scanned = 0
-    for link in links:
-        label = _link_label(link)
-        for record in tib.records(link=link,
-                                  time_range=params.get("time_range")):
-            key = (label, record.bytes // binsize)
-            histogram[key] = histogram.get(key, 0) + 1
-            scanned += 1
-    return dict(sorted(histogram.items())), scanned
-
-
-def reference_matrix(tib, params):
-    """Likewise for ``traffic_matrix``."""
-    matrix = {}
-    records = tib.records(time_range=params.get("time_range"))
-    for record in records:
-        if len(record.path) < 3:
-            continue
-        key = (record.path[1], record.path[-2])
-        matrix[key] = matrix.get(key, 0) + record.bytes
-    return dict(sorted(matrix.items())), len(records)
-
-
 class TestAggregateHandlersReadColumns:
-    """``flow_size_distribution`` and ``traffic_matrix`` fold columns; what
-    they answer - payload bytes and ``records_scanned`` - is what the
-    record loops answered, whatever the tier split."""
-
-    A, B = make_record(0).path[1:3]
-    FSD_PARAMS = [
-        {},
-        {"link": (A, B), "binsize": 500},
-        {"links": [(A, B), None, (B, A)], "binsize": 1000},
-        {"links": [(A, B), (A, B)], "binsize": 700},
-        {"links": [None], "binsize": 300, "time_range": (10.0, 30.0)},
-        {"link": (A, None), "time_range": (None, 25.0)},
-        {"link": ("*", B), "binsize": 2.5},
-        {"link": ("no-such-switch", None)},
-        {"links": [[A, B]], "time_range": [10.0, 30.0]},  # decoded shapes
-    ]
-    MATRIX_PARAMS = [{}, {"time_range": (10.0, 30.0)},
-                     {"time_range": (1e6, None)}]
+    """``flow_size_distribution`` and ``traffic_matrix`` fold columns: a
+    reversed window, degenerate paths and a fully-cold TIB."""
 
     @pytest.fixture(scope="class")
     def tibs(self):
@@ -671,27 +427,6 @@ class TestAggregateHandlersReadColumns:
         assert spanning.stats.promotions and spanning.record_count()
         assert not tibs["fully-cold"].record_count()
         return tibs
-
-    @pytest.mark.parametrize("name,reference,param_sets", [
-        (Q_FLOW_SIZE_DISTRIBUTION, reference_fsd, FSD_PARAMS),
-        (Q_TRAFFIC_MATRIX, reference_matrix, MATRIX_PARAMS)])
-    def test_payload_and_scanned_equal_the_record_loop(
-            self, tibs, name, reference, param_sets):
-        engine = QueryEngine()
-        for params in param_sets:
-            answers = set()
-            for tier_mix, tib in tibs.items():
-                payload, scanned = reference(tib, params)
-                result = engine.execute(SimpleNamespace(host="h", tib=tib),
-                                        Query(name, params))
-                assert wire.encode_value(result.payload) == \
-                    wire.encode_value(payload), (tier_mix, params)
-                assert result.records_scanned == scanned, (tier_mix, params)
-                assert type(result.payload) is dict
-                answers.add((wire.encode_value(result.payload), scanned))
-            assert len(answers) == 1, params  # capped == uncapped
-        assert any(payload for payload, _ in
-                   (reference(tibs["hot-only"], p) for p in param_sets))
 
     def test_reversed_window_is_rejected(self, tibs):
         agent = SimpleNamespace(host="h", tib=tibs["spanning"])
@@ -721,36 +456,6 @@ class TestAggregateHandlersReadColumns:
 
 
 class TestCompaction:
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_round_trip_and_tight_zone_maps(self, seed):
-        rng, archive, records = fuzz_archive(seed)
-        keys = [(flow_key(r.flow_id), r.path) for r in records]
-        live = [key for key in keys if archive.lookup(key) is not None]
-        for key in rng.sample(live, len(live) // 3):
-            taken_id, taken = archive.take(key)
-            if rng.random() < 0.4:
-                archive.stage(taken_id, taken, key)
-        specs = [spec for _ in range(3) for spec in fuzz_specs(rng, records)]
-        before = [archive.scan(spec) for spec in specs]
-        garbage_bytes = archive.archive_bytes()
-        archive.compact()
-        assert archive.dead_ratio == 0.0
-        assert archive.archive_bytes() < garbage_bytes
-        for spec, want in zip(specs, before):
-            assert assert_scan_is_brute_force(archive, spec) == want, spec
-        # every sealed segment's zone map is recomputed, not inherited:
-        # it equals the extremes of the rows the segment now holds
-        rows = {}
-        for number, _, _, record in every_row(archive):
-            rows.setdefault(number, []).append(record)
-        assert len(archive._segments) > 1
-        for number, segment in archive._segments.items():
-            assert len(rows[number]) == archive.segment_records
-            assert segment.min_stime == min(r.stime for r in rows[number])
-            assert segment.max_etime == max(r.etime for r in rows[number])
-            assert postings_by_link(archive, segment.postings) == \
-                hop_rows(rows[number])
-
     def test_garbage_free_prefix_is_kept_as_it_is(self):
         archive = ColdArchive(segment_records=8, compact_dead_ratio=None)
         records = [make_record(i) for i in range(40)]
@@ -762,62 +467,6 @@ class TestCompaction:
         assert [archive._segments[n].rows.data for n in (0, 1)] == untouched
         assert [i for i, _ in archive.scan(ScanSpec())] == \
             [i for i in range(40) if i != 20]
-
-
-class TestCompactionFuzz:
-    """Reads interleaved with every mutation under the default compaction
-    ratio, so auto-compaction keeps resetting and rebuilding dead sets
-    under the reads: every scan and fold equals the brute-force read and
-    the model of what is live, and the liveness invariant holds after
-    every step."""
-
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_reads_through_auto_compaction(self, seed):
-        rng = random.Random(seed)
-        archive = ColdArchive(segment_records=16, write_behind_records=8)
-        pool = [make_record(i, rng=rng) for i in range(200)]
-        specs_from = pool[:]
-        pool.append(PathFlowRecord(  # traverses no link
-            FlowId("host-a0", "host-b", 50_000, 80, PROTO_TCP), ("host-b",),
-            5.0, 6.0, 10, 1))
-        keys = [(flow_key(r.flow_id), r.path) for r in pool]
-        live = {}  # pool index (= record id) -> the record archived for it
-        manual = 0
-        for step in range(1200):
-            # phases that grow the log, then churn it down
-            appends = 0.55 if step // 150 % 2 == 0 else 0.3
-            roll = rng.random()
-            if roll < appends:
-                i = rng.randrange(len(pool))
-                if i not in live:
-                    base = pool[i]
-                    live[i] = PathFlowRecord(
-                        base.flow_id, base.path,
-                        base.stime - rng.uniform(0.0, 5.0),
-                        base.etime + rng.uniform(0.0, 5.0),
-                        base.bytes + step, base.pkts)
-                    write = (archive.append if roll < appends / 2
-                             else archive.stage)
-                    write(i, live[i], keys[i])
-            elif roll < 0.78:
-                if live:
-                    i = rng.choice(sorted(live))
-                    assert archive.take(keys[i]) == (i, live.pop(i))
-            elif roll < 0.82:
-                archive.flush()
-            elif roll < 0.83:
-                archive.compact()
-                manual += 1
-            else:
-                spec = rng.choice(fuzz_specs(rng, specs_from))
-                want = assert_scan_is_brute_force(archive, spec)
-                assert want == sorted((i, r) for i, r in live.items()
-                                      if spec.matches(r)), spec
-                assert fold_rows(archive.fold(spec, ("bytes", "path"))) == \
-                    sorted((r.bytes, r.path) for _, r in want), spec
-            assert_dead_sets_agree(archive)
-        assert archive.stats.compactions > manual  # auto-compaction fired
-        assert archive.stats.takes > 100 and archive.stats.flushes
 
 
 class TestScanResultsNeverAlias:

