@@ -97,7 +97,7 @@ def bench_size(count: int, query_rounds: int = QUERY_ROUNDS) -> dict:
         state["i"] += 1
         tib.records(flow_id=flow)
 
-    time_query()  # prime the lazily rebuilt time index
+    time_query()  # warm-up read, not timed
     return {
         "records": count,
         "insert_ops_per_s": round(count / insert_s, 1),

@@ -25,8 +25,7 @@ from repro.core.alarms import INVALID_TRAJECTORY, Alarm
 from repro.core.monitor import ActiveMonitor
 from repro.core.query import Query, QueryEngine, QueryResult
 from repro.core.tib import (Flow, LinkId, Tib, TimeRange, distinct_flows,
-                            distinct_paths, link_matches,
-                            normalise_time_range, record_in_range)
+                            distinct_paths, read_spec)
 from repro.core.trajectory import (TrajectoryCache, TrajectoryConstructor,
                                    TrajectoryMemory)
 from repro.core.vswitch import EdgeVSwitch
@@ -169,23 +168,20 @@ class PathDumpAgent:
         """All matching per-path records (TIB plus, optionally, live memory).
 
         ``include_live`` corresponds to the IPC lookup of the trajectory
-        memory that alert-driven debugging uses for the freshest data.
+        memory that alert-driven debugging uses for the freshest data; the
+        live records are filtered with the read's own
+        :class:`~repro.storage.records.ScanSpec`.
         """
         results = self.tib.records(flow_id=flow_id, link=link,
                                    time_range=time_range)
         if include_live:
-            window = normalise_time_range(time_range)
+            spec = read_spec(flow_id, link, time_range)
             for memory_record in self.trajectory_memory.live_records():
                 if flow_id is not None and memory_record.flow_id != flow_id:
                     continue
                 record = self.constructor.construct(memory_record)
-                if record is None:
-                    continue
-                if not record_in_range(record, window):
-                    continue
-                if not link_matches(record, link):
-                    continue
-                results.append(record)
+                if record is not None and spec.matches(record):
+                    results.append(record)
         return results
 
     def get_flows(self, link: Optional[LinkId] = None,

@@ -22,10 +22,9 @@ provides, in one place:
   mix against;
 * the **pushdown executor** (:func:`execute_plan`): ``Filter`` compiles
   to a :class:`~repro.storage.records.ScanSpec` (:func:`scan_spec`), so
-  the hot tier's flow/link/time index routing and the cold tier's
-  segment pruning (zone maps, flow-key blooms, exact link postings) both
-  apply, and the pruning work saved is reported per plan via
-  ``scan_stats`` snapshots;
+  both tiers' flow and link postings and the cold tier's segment pruning
+  (zone maps, flow-key blooms) apply, and the pruning work saved is
+  reported per plan via ``scan_stats`` snapshots;
 * the **merge operators** (concat / histogram-merge / top-k-merge /
   span-merge) selected by the plan's *terminal* op
   (:func:`merge_operator`, :func:`merge_payloads`) - the generic
@@ -522,8 +521,8 @@ def _warnings(plan: Plan) -> Tuple[PlanWarning, ...]:
             if a is None or b is None:
                 warnings.append(PlanWarning(
                     PW_WILDCARD_LINK, filter_index,
-                    f"wildcard link endpoint ({a!r}, {b!r}) routes on the "
-                    "endpoint index, not the link index"))
+                    f"wildcard link endpoint ({a!r}, {b!r}) selects the "
+                    "union of the node's incident links' postings"))
     return tuple(warnings)
 
 
@@ -534,7 +533,7 @@ def scan_spec(filter_op: Optional[Filter]) -> ScanSpec:
     """Compile a plan ``Filter`` to the tiers' shared :class:`ScanSpec`.
 
     This is the pushdown seam: the hot tier routes the spec through its
-    flow/link/time indexes, the cold tier prunes segments with zone maps,
+    flow and link postings, the cold tier prunes segments with zone maps,
     flow-key blooms and link postings - exactly the machinery the keyword
     reads use.  The exact-path predicate does not push down (no tier
     indexes paths); the executor applies it residually.

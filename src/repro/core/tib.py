@@ -30,20 +30,17 @@ always-maintained indexes over it:
   delete + reinsert;
 * a **per-flow index** ``flow key -> record ids`` serves ``getPaths`` /
   ``getCount`` / ``getDuration``;
-* an **inverted link index** ``(u, v) -> record ids`` plus per-endpoint
-  postings serve ``getFlows(linkID)`` including wildcard endpoints;
-* a **sorted time index** (bisect over ``stime`` / ``etime``) narrows
-  ``records(time_range=...)`` to the records whose interval can overlap
-  the window.  Writes never re-sort it: new entries land in a *batched
-  insertion buffer* that the first time-constrained read sorts
-  (O(k log k) for k buffered entries) and merges into the sorted runs
-  (galloping merge, O(n) compares).  Merges that move a record's
-  ``stime``/``etime`` leave the old entry behind as a *stale* entry -
-  detected at read time because ``stime`` only ever decreases and
-  ``etime`` only ever increases - and a full rebuild runs only when the
-  stale fraction grows past a threshold;
+* **link postings** ``link ordinal -> record ids`` serve
+  ``getFlows(linkID)``.  Links are numbered undirected by the
+  :class:`~repro.storage.records.LinkNumbering` the TIB shares with its
+  cold archive, and both tiers pick a spec's link matches with the one
+  :func:`~repro.storage.records.select`: a wildcard endpoint is the union
+  of its node's incident links, a conjunction the intersection;
 * the **cached-record layer** keeps one :class:`PathFlowRecord` per row, so
-  queries return memoized objects;
+  queries return memoized objects.  A time window is applied to the
+  candidates the postings pick, and a window-only read walks the cached
+  records: an overlap bounds ``etime`` from below and ``stime`` from
+  above, so an index sorted on either bound cuts only one side of it;
 * incrementally maintained **per-flow aggregates** (bytes/packets per flow
   key) answer unconstrained ``getCount`` and whole-TIB byte rankings
   without touching any record;
@@ -97,10 +94,10 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple)
 
@@ -108,8 +105,8 @@ from repro.counters import Counters
 from repro.network.packet import FlowId
 from repro.storage.archive import ArchiveStats, ColdArchive, RetentionPolicy
 from repro.storage.docstore import DocumentStore
-from repro.storage.records import (PathFlowRecord, ScanSpec, flow_key,
-                                   is_wild)
+from repro.storage.records import (LinkNumbering, PathFlowRecord, ScanSpec,
+                                   flow_key, is_wild, select)
 
 #: Wildcard marker accepted in link IDs and time ranges.
 WILDCARD = "*"
@@ -124,10 +121,18 @@ TimeRange = Tuple[Optional[float], Optional[float]]
 #: A "Flow" in the paper's sense: a (flowID, Path) pair.
 Flow = Tuple[FlowId, Tuple[str, ...]]
 
-#: Upper sentinel for bisecting past all entries with an exact time value.
-_POS_INF = float("inf")
+_INF = float("inf")
 
 _EMPTY_IDS: FrozenSet[int] = frozenset()
+
+
+def _window(spec: ScanSpec) -> Tuple[float, float]:
+    """A spec's window with open bounds at infinity: a record overlaps it
+    iff ``not etime < low and not stime > high``, as ``ScanSpec.matches``
+    rejects."""
+    return (-_INF if spec.start is None else spec.start,
+            _INF if spec.end is None else spec.end)
+
 
 #: How an order-free column read takes each field it may name - the
 #: ``COLUMN_FIELDS`` of :mod:`repro.storage.records` - off the hot records
@@ -141,93 +146,51 @@ _HOT_COLUMNS = {
 }
 
 
-# Canonical wildcard test, shared with ScanSpec (see records.is_wild).
-_is_wild = is_wild
-
-
-@lru_cache(maxsize=1 << 14)
-def _path_topology(path: Tuple[str, ...]
-                   ) -> Tuple[Tuple[Tuple[str, str], ...], Tuple[str, ...]]:
-    """``(links, distinct nodes)`` of one path, memoized.
-
-    The fabric yields a small closed set of paths, so the per-record
-    link/endpoint index maintenance (insert, evict, promote) does one
-    dict hit instead of rebuilding the pair list and node set each time.
-    Degenerate (< 2 hop) paths traverse no link and index nothing.
-    """
-    if len(path) < 2:
-        return (), ()
-    return tuple(zip(path, path[1:])), tuple(set(path))
-
-
-def is_unconstrained_link(link: Optional[LinkId]) -> bool:
-    """Whether ``link`` constrains nothing (absent or fully wildcarded)."""
-    return link is None or (_is_wild(link[0]) and _is_wild(link[1]))
-
-
 def normalise_time_range(time_range: Optional[TimeRange]
                          ) -> Tuple[Optional[float], Optional[float]]:
     """Normalise a time range, mapping wildcards to ``None`` bounds."""
     if time_range is None:
         return (None, None)
     start, end = time_range
-    start = None if _is_wild(start) else float(start)
-    end = None if _is_wild(end) else float(end)
+    start = None if is_wild(start) else float(start)
+    end = None if is_wild(end) else float(end)
     if start is not None and end is not None and end < start:
         raise ValueError("time range end precedes start")
     return (start, end)
 
 
-def record_in_range(record: PathFlowRecord,
-                    time_range: Tuple[Optional[float], Optional[float]]
-                    ) -> bool:
-    """Whether a record's [stime, etime] interval overlaps the range."""
-    start, end = time_range
-    if start is not None and record.etime < start:
-        return False
-    if end is not None and record.stime > end:
-        return False
-    return True
-
-
-def link_matches(record: PathFlowRecord, link: Optional[LinkId]) -> bool:
-    """Whether a record's path traverses ``link`` (with wildcard support)."""
-    if link is None:
-        return True
-    a, b = link
-    wild_a = _is_wild(a)
-    wild_b = _is_wild(b)
-    if wild_a and wild_b:
-        return True
-    if wild_a or wild_b:
-        # One concrete endpoint: it matches when it is an endpoint of any
-        # link on the path, i.e. when it appears anywhere on a path that has
-        # at least one link.  (The path's nodes *are* the set of link
-        # endpoints, so no per-link double scan is needed.)
-        node = a if wild_b else b
-        path = record.path
-        return len(path) >= 2 and node in path
-    return record.traverses_link(a, b)
+def read_spec(flow_id: Optional[FlowId] = None,
+              link: Optional[LinkId] = None,
+              time_range: Optional[TimeRange] = None) -> ScanSpec:
+    """The :class:`ScanSpec` of a keyword read (``Tib.records``'
+    constraints); a reversed ``time_range`` raises :class:`ValueError`."""
+    start, end = normalise_time_range(time_range)
+    return ScanSpec(
+        start=start, end=end, links=() if link is None else (tuple(link),),
+        flow_keys=(None if flow_id is None
+                   else frozenset((flow_key(flow_id),))))
 
 
 @dataclass(slots=True)
 class TibStats(Counters):
     """Tier movement and hot-tier scan routing of one TIB.
 
-    The routing counters say which index served each hot read (flow
-    postings / link+endpoint indexes / sorted time index) or whether it
-    walked the whole cache; the plan executor diffs
-    :meth:`Tib.scan_stat_snapshot` around a plan to prove its pushed
-    filter actually routed through an index.
+    The routing counters say how each hot read found its candidates; the
+    plan executor diffs :meth:`Tib.scan_stat_snapshot` around a plan to
+    prove its pushed filter actually routed through an index.
     """
 
     #: Records aged hot -> cold (cold admissions and off-tier folds too).
     evictions: int = 0
     #: Archived records promoted back hot (off-tier folds too).
     promotions: int = 0
+    #: Reads served from the flow postings (links and window filter them).
     hot_flow_routed: int = 0
+    #: Reads with link constraints and no flow keys: the link postings.
     hot_link_routed: int = 0
+    #: Window-only reads, served by walking the hot records.
     hot_time_routed: int = 0
+    #: Unconstrained reads: every hot record.
     hot_full_scans: int = 0
 
 
@@ -273,20 +236,8 @@ class Tib:
         self._cache: Dict[int, PathFlowRecord] = {}
         self._flow_ids: Dict[str, List[int]] = {}
         self._flow_totals: Dict[str, List[int]] = {}
-        self._link_ids: Dict[Tuple[str, str], Set[int]] = {}
-        self._endpoint_ids: Dict[str, Set[int]] = {}
-        # Sorted time index + batched insertion buffers (see docstring).
-        self._by_stime: List[Tuple[float, int]] = []
-        self._by_etime: List[Tuple[float, int]] = []
-        self._pending_stime: List[Tuple[float, int]] = []
-        self._pending_etime: List[Tuple[float, int]] = []
-        self._stale_time_entries = 0
-        # Serialises the fold of the insertion buffers: read-only queries
-        # may run concurrently (any callers sharing this TIB, such as the
-        # scatter-gather executor's worker pool), and the fold is the one
-        # place a read mutates index state.  Writes must still not race
-        # with queries.
-        self._time_index_lock = threading.Lock()
+        # Link ordinal -> hot record ids (emptied sets stay, one per link).
+        self._link_postings: Dict[int, Set[int]] = {}
         # Flow ranking (see ranked_flow_bytes): ascending (bytes, flow key)
         # over _flow_totals as of the last ranked read, and the flows
         # written since - {flow key: bytes the ranking still holds for
@@ -301,6 +252,10 @@ class Tib:
         self.archive: Optional[ColdArchive] = archive
         if self.archive is None and self.retention.bounded:
             self.archive = ColdArchive()
+        # One link numbering for both tiers: the archive's, when there is
+        # one (an archive made later adopts this one while still empty).
+        self.links = (self.archive.links if self.archive is not None
+                      else LinkNumbering())
         # Min-heap of (etime, record id) driving oldest-first eviction;
         # entries go stale when a merge raises a record's etime (lazily
         # validated on pop).  Maintained only while retention is bounded.
@@ -308,16 +263,14 @@ class Tib:
         if self.retention.bounded:
             self._rebuild_evict_heap()
         # Promotions reinsert old ids: the cache's insertion order stops
-        # being id order, and the time index may briefly hold duplicate
-        # live entries for one id (cleared by the next full rebuild).
+        # being id order, so a walk of it must sort what it returns.
         self._cache_order_dirty = False
-        self._time_dup_possible = False
         self.stats = TibStats()
         #: Installed for one traced query's run (``QueryEngine.execute``):
         #: the tier-spanning reads add each tier's time to it.
         self.read_clock: Optional[TierClock] = None
 
-    # pathbench's tracer reads these two by name; ROADMAP item 2 removes
+    # pathbench's tracer reads these two by name; ROADMAP item 10 removes
     # them (code in src/ reads ``self.stats``).
     @property
     def evictions(self) -> int:
@@ -397,18 +350,11 @@ class Tib:
         with self._ranking_lock:
             self._ranking = []
         self._rank_stale.clear()
-        self._link_ids.clear()
-        self._endpoint_ids.clear()
-        self._by_stime = []
-        self._by_etime = []
-        self._pending_stime = []
-        self._pending_etime = []
-        self._stale_time_entries = 0
+        self._link_postings.clear()
         if self.archive is not None:
             self.archive.clear()
         self._evict_heap = []
         self._cache_order_dirty = False
-        self._time_dup_possible = False
 
     def _admit_cold(self, key: Tuple[str, Tuple[str, ...]],
                     record: PathFlowRecord) -> bool:
@@ -466,15 +412,19 @@ class Tib:
             self._rank_stale.setdefault(key[0], totals[0])
             totals[0] += record.bytes
             totals[1] += record.pkts
-        links, nodes = _path_topology(record.path)
-        for pair in links:
-            self._link_ids.setdefault(pair, set()).add(record_id)
-        for node in nodes:
-            self._endpoint_ids.setdefault(node, set()).add(record_id)
-        self._pending_stime.append((record.stime, record_id))
-        self._pending_etime.append((record.etime, record_id))
+        self._post_links(record_id, record.path)
         if self.retention.bounded:
             heappush(self._evict_heap, (record.etime, record_id))
+
+    def _post_links(self, record_id: int, path: Tuple[str, ...]) -> None:
+        """File a hot record under every link of its path."""
+        postings = self._link_postings
+        for ordinal in self.links.of_path(path):
+            ids = postings.get(ordinal)
+            if ids is None:
+                postings[ordinal] = {record_id}
+            else:
+                ids.add(record_id)
 
     def _merge_into(self, record_id: int, fkey: str,
                     record: PathFlowRecord) -> None:
@@ -485,18 +435,10 @@ class Tib:
         self._rank_stale.setdefault(fkey, totals[0])
         totals[0] += record.bytes
         totals[1] += record.pkts
-        # A moved bound strands the old index entry; since ``stime`` only
-        # ever decreases and ``etime`` only ever increases, the live entry
-        # is the one whose time equals the record's current bound, and
-        # reads skip the stale ones (compacted once they pile up).
         if record.stime < cached.stime:
             cached.stime = record.stime
-            self._pending_stime.append((cached.stime, record_id))
-            self._stale_time_entries += 1
         if record.etime > cached.etime:
             cached.etime = record.etime
-            self._pending_etime.append((cached.etime, record_id))
-            self._stale_time_entries += 1
             if self.retention.bounded:
                 heappush(self._evict_heap, (cached.etime, record_id))
 
@@ -514,6 +456,7 @@ class Tib:
         if self.retention.bounded:
             if self.archive is None:
                 self.archive = ColdArchive()
+                self.archive.links = self.links
             self._rebuild_evict_heap()
             self._enforce_retention()
 
@@ -549,24 +492,10 @@ class Tib:
                 del self._flow_ids[key[0]]
         # NOTE: _flow_totals deliberately spans both tiers (unconstrained
         # getCount / top-k stay exact and archive-free) - not decremented.
-        links, nodes = _path_topology(record.path)
-        for pair in links:
-            ids = self._link_ids.get(pair)
-            if ids is not None:
-                ids.discard(record_id)
-                if not ids:
-                    del self._link_ids[pair]
-        for node in nodes:
-            ids = self._endpoint_ids.get(node)
-            if ids is not None:
-                ids.discard(record_id)
-                if not ids:
-                    del self._endpoint_ids[node]
+        postings = self._link_postings
+        for ordinal in self.links.of_path(record.path):
+            postings[ordinal].discard(record_id)
         self._hot_bytes -= record.document_bytes()
-        # Its sorted-time entries are stranded; reads already validate
-        # against the cache when stale entries exist, and the next rebuild
-        # drops them.
-        self._stale_time_entries += 2
         # Write-behind: the eviction fast path pays a dict insert, not a
         # log append - the archive batches the appends and every read path
         # flushes first (see ColdArchive.stage).
@@ -641,31 +570,12 @@ class Tib:
         self._cache_order_dirty = True
         insort(self._flow_ids.setdefault(key[0], []), record_id)
         # _flow_totals already covers this record (it spans both tiers).
-        links, nodes = _path_topology(record.path)
-        for pair in links:
-            self._link_ids.setdefault(pair, set()).add(record_id)
-        for node in nodes:
-            self._endpoint_ids.setdefault(node, set()).add(record_id)
-        self._pending_stime.append((record.stime, record_id))
-        self._pending_etime.append((record.etime, record_id))
-        # The pre-eviction index entries may still be around with the very
-        # same (time, id) values - flag possible duplicates for reads.
-        self._time_dup_possible = True
+        self._post_links(record_id, record.path)
         if self.retention.bounded:
             heappush(self._evict_heap, (record.etime, record_id))
         self.stats.promotions += 1
 
     # ------------------------------------------------------------------ reads
-    @staticmethod
-    def _as_spec(flow_id: Optional[FlowId], link: Optional[LinkId],
-                 start: Optional[float], end: Optional[float]) -> ScanSpec:
-        """Compile the legacy keyword constraints into a :class:`ScanSpec`."""
-        return ScanSpec(
-            start=start, end=end,
-            links=() if is_unconstrained_link(link) else (tuple(link),),
-            flow_keys=(None if flow_id is None
-                       else frozenset((flow_key(flow_id),))))
-
     def records(self, flow_id: Optional[FlowId] = None,
                 link: Optional[LinkId] = None,
                 time_range: Optional[TimeRange] = None
@@ -679,8 +589,7 @@ class Tib:
         TIB's own memoized instances - treat them as read-only (archived
         matches are freshly materialised objects).
         """
-        start, end = normalise_time_range(time_range)
-        return self.spec_records(self._as_spec(flow_id, link, start, end))
+        return self.spec_records(read_spec(flow_id, link, time_range))
 
     def spec_records(self, spec: ScanSpec) -> List[PathFlowRecord]:
         """All records matching one :class:`ScanSpec`, both tiers merged.
@@ -752,31 +661,21 @@ class Tib:
         """The hot tier's matches in id order, without the ids - all of a
         read when the archive holds no live entry.
 
-        The unconstrained and time-only branches skip the ``(id, record)``
-        pair allocation entirely; everything else delegates to
-        :meth:`scan` - one copy of the index routing and filters, so
-        capped and uncapped reads can never diverge.
+        A window-only or unconstrained read of a cache still in id order
+        skips the ``(id, record)`` pairs; every other read is
+        :meth:`scan`'s, so capped and uncapped reads can never diverge.
         """
-        cache = self._cache
-        if spec.flow_keys is None and not spec.links:
-            if spec.start is None and spec.end is None:
-                self.stats.hot_full_scans += 1
-                if self._cache_order_dirty:
-                    # Promotions reinserted old ids at the dict's tail;
-                    # the deterministic result order is id order.
-                    return [record for _, record in sorted(cache.items())]
-                return list(cache.values())
-            self.stats.hot_time_routed += 1
-            return [cache[record_id]
-                    for record_id in self._ids_in_window(spec.start,
-                                                         spec.end)]
-        return [record for _, record in self.scan(spec)]
-
-    @staticmethod
-    def _links_match(record: PathFlowRecord,
-                     links: Tuple[LinkId, ...]) -> bool:
-        """Whether the record satisfies every link constraint of a spec."""
-        return all(link_matches(record, link) for link in links)
+        if spec.flow_keys is not None or spec.links or \
+                self._cache_order_dirty:
+            return [record for _, record in self.scan(spec)]
+        records = self._cache.values()
+        if spec.start is None and spec.end is None:
+            self.stats.hot_full_scans += 1
+            return list(records)
+        self.stats.hot_time_routed += 1
+        low, high = _window(spec)
+        return [record for record in records
+                if not record.etime < low and not record.stime > high]
 
     def scan(self, spec: ScanSpec) -> List[Tuple[int, PathFlowRecord]]:
         """The hot tier's matches for ``spec``: ``(id, record)`` pairs in
@@ -784,197 +683,50 @@ class Tib:
         (:meth:`ColdArchive.scan <repro.storage.archive.ColdArchive.scan>`
         is the cold half).
 
-        The index-routing core of every read: per-flow postings, the
-        inverted link/endpoint indexes, or the sorted time index pick the
-        candidate ids; the remaining constraints filter them.
-        :meth:`records` merges cold matches into the pairs by id for the
-        deterministic whole-TIB order.
+        The candidates are the flow postings' ids narrowed by the link
+        selection (:func:`~repro.storage.records.select` over the link
+        postings), or that selection alone, and the window filters them;
+        a read with neither walks the cached records.  :meth:`records`
+        merges cold matches into the pairs by id for the deterministic
+        whole-TIB order.
         """
         cache = self._cache
-        start = spec.start
-        end = spec.end
-        links = spec.links
-        pairs: List[Tuple[int, PathFlowRecord]] = []
-
+        low, high = _window(spec)
+        if spec.flow_keys is None and not spec.links:
+            if spec.start is None and spec.end is None:
+                self.stats.hot_full_scans += 1
+                pairs = list(cache.items())
+            else:
+                self.stats.hot_time_routed += 1
+                pairs = [(record_id, record)
+                         for record_id, record in cache.items()
+                         if not record.etime < low and not record.stime > high]
+            if self._cache_order_dirty:
+                # Promotions reinserted old ids at the dict's tail.
+                pairs.sort(key=itemgetter(0))
+            return pairs
+        postings = self._link_postings
+        constraints = self.links.constraints(spec.links)
         if spec.flow_keys is not None:
             self.stats.hot_flow_routed += 1
-            # Per-flow index; posting lists are already in id (insertion)
-            # order.  Multiple keys union their postings, then re-sort.
+            # Posting lists are in id order; several keys' union re-sorts.
             if len(spec.flow_keys) == 1:
-                candidate_ids: Iterable[int] = self._flow_ids.get(
+                ids: Iterable[int] = self._flow_ids.get(
                     next(iter(spec.flow_keys)), ())
             else:
-                merged: List[int] = []
-                for fkey in spec.flow_keys:
-                    merged.extend(self._flow_ids.get(fkey, ()))
-                merged.sort()
-                candidate_ids = merged
-            for record_id in candidate_ids:
-                record = cache[record_id]
-                if start is not None and record.etime < start:
-                    continue
-                if end is not None and record.stime > end:
-                    continue
-                if links and not self._links_match(record, links):
-                    continue
-                pairs.append((record_id, record))
-        elif links:
-            # Route on the first link constraint (the endpoint index for a
-            # wildcard endpoint, the inverted link index otherwise); any
-            # further constraints filter the candidates.
+                ids = sorted(record_id for fkey in spec.flow_keys
+                             for record_id in self._flow_ids.get(fkey, ()))
+            if constraints:
+                among = set(ids)  # a run then costs its smaller side only
+                ids = sorted(select(constraints, lambda ordinal: among & (
+                    postings.get(ordinal, _EMPTY_IDS))) or ())
+        else:
             self.stats.hot_link_routed += 1
-            a, b = links[0]
-            if a is None or b is None:
-                candidates: Iterable[int] = self._endpoint_ids.get(
-                    a if b is None else b, _EMPTY_IDS)
-            else:
-                forward = self._link_ids.get((a, b), _EMPTY_IDS)
-                backward = self._link_ids.get((b, a), _EMPTY_IDS)
-                candidates = forward | backward if backward else forward
-            rest = links[1:]
-            for record_id in sorted(candidates):
-                record = cache[record_id]
-                if start is not None and record.etime < start:
-                    continue
-                if end is not None and record.stime > end:
-                    continue
-                if rest and not self._links_match(record, rest):
-                    continue
-                pairs.append((record_id, record))
-        elif start is None and end is None:
-            self.stats.hot_full_scans += 1
-            pairs = sorted(cache.items())
-        else:
-            self.stats.hot_time_routed += 1
-            pairs = [(record_id, cache[record_id])
-                     for record_id in self._ids_in_window(start, end)]
-        return pairs
-
-    def _ids_in_window(self, start: Optional[float],
-                       end: Optional[float]) -> List[int]:
-        """Record ids whose [stime, etime] overlaps the window, id-ordered.
-
-        Overlap means ``etime >= start`` and ``stime <= end``; each bound is
-        a bisection over the corresponding sorted time index.  With both
-        bounds present the smaller candidate side is enumerated and the
-        other bound verified per record.  When merges have stranded stale
-        entries, each candidate is additionally checked against the
-        record's current bound (``stime`` strictly decreases and ``etime``
-        strictly increases on change, so exactly one entry per record
-        matches).
-        """
-        self._refresh_time_index()
-        cache = self._cache
-        # Stale entries exist after merges moved a bound *or* after records
-        # were aged into the archive (their ids are no longer in the cache
-        # at all); cache.get covers both.
-        stale = self._stale_time_entries > 0
-        if start is None:
-            cut = bisect_right(self._by_stime, (end, _POS_INF))
-            if stale:
-                ids = [record_id for stime, record_id in self._by_stime[:cut]
-                       if (record := cache.get(record_id)) is not None
-                       and record.stime == stime]
-            else:
-                ids = [record_id for _, record_id in self._by_stime[:cut]]
-        elif end is None:
-            lo = bisect_left(self._by_etime, (start,))
-            if stale:
-                ids = [record_id for etime, record_id in self._by_etime[lo:]
-                       if (record := cache.get(record_id)) is not None
-                       and record.etime == etime]
-            else:
-                ids = [record_id for _, record_id in self._by_etime[lo:]]
-        else:
-            lo = bisect_left(self._by_etime, (start,))
-            cut = bisect_right(self._by_stime, (end, _POS_INF))
-            if len(self._by_etime) - lo <= cut:
-                ids = [record_id for etime, record_id in self._by_etime[lo:]
-                       if (record := cache.get(record_id)) is not None
-                       and record.stime <= end
-                       and (not stale or record.etime == etime)]
-            else:
-                ids = [record_id for stime, record_id in self._by_stime[:cut]
-                       if (record := cache.get(record_id)) is not None
-                       and record.etime >= start
-                       and (not stale or record.stime == stime)]
-        ids.sort()
-        if self._time_dup_possible and ids:
-            # A promoted record's fresh index entry can coexist with its
-            # identical pre-eviction entry until the next rebuild.
-            deduped = [ids[0]]
-            for record_id in ids[1:]:
-                if record_id != deduped[-1]:
-                    deduped.append(record_id)
-            ids = deduped
-        return ids
-
-    #: Rebuild the time index outright once stale entries exceed this
-    #: fraction of it (and this many entries in absolute terms).
-    TIME_INDEX_STALE_RATIO = 0.5
-    TIME_INDEX_STALE_MIN = 64
-
-    def _refresh_time_index(self) -> None:
-        """Fold the insertion buffers into the sorted time index.
-
-        Writes only append to the pending buffers; the first
-        time-constrained query after a write burst sorts the buffer
-        (O(k log k) for k buffered entries) and concatenates it onto the
-        sorted run - Timsort's galloping merge then combines the two runs
-        in O(n) comparisons, replacing the old O(n log n) full re-sort.
-        When merges have stranded enough stale entries, the index is
-        rebuilt from the record cache instead, which also drops them.
-
-        Thread-safe against concurrent *queries* (the fold runs under a
-        lock, so concurrent callers can't fold the same buffer twice);
-        writes must not race with queries.
-        """
-        if not self._pending_stime and not self._pending_etime:
-            stale = self._stale_time_entries
-            if stale < self.TIME_INDEX_STALE_MIN or \
-                    stale <= len(self._by_stime) * self.TIME_INDEX_STALE_RATIO:
-                # Steady-state read path: everything already folded and no
-                # compaction due - skip the lock entirely.
-                return
-        with self._time_index_lock:
-            size = len(self._by_stime) + len(self._pending_stime)
-            if self._stale_time_entries >= self.TIME_INDEX_STALE_MIN and \
-                    self._stale_time_entries > \
-                    size * self.TIME_INDEX_STALE_RATIO:
-                self._rebuild_time_index()
-                return
-            # Fold into fresh lists (not in place) so a reader still
-            # enumerating the previous run keeps a stable snapshot.
-            if self._pending_stime:
-                self._pending_stime.sort()
-                merged = self._by_stime + self._pending_stime
-                merged.sort()
-                self._by_stime = merged
-                self._pending_stime = []
-            if self._pending_etime:
-                self._pending_etime.sort()
-                merged = self._by_etime + self._pending_etime
-                merged.sort()
-                self._by_etime = merged
-                self._pending_etime = []
-
-    def _rebuild_time_index(self) -> None:
-        """Full rebuild from the record cache (drops stale entries - both
-        merge-stranded ones and those of records aged into the archive -
-        and collapses any promotion duplicates)."""
-        by_stime = []
-        by_etime = []
-        for record_id, record in self._cache.items():
-            by_stime.append((record.stime, record_id))
-            by_etime.append((record.etime, record_id))
-        by_stime.sort()
-        by_etime.sort()
-        self._by_stime = by_stime
-        self._by_etime = by_etime
-        self._pending_stime = []
-        self._pending_etime = []
-        self._stale_time_entries = 0
-        self._time_dup_possible = False
+            ids = sorted(select(constraints, lambda ordinal: postings.get(
+                ordinal, _EMPTY_IDS)) or ())
+        return [(record_id, record) for record_id in ids
+                if not (record := cache[record_id]).etime < low
+                and not record.stime > high]
 
     def record_count(self) -> int:
         """Number of records in the **hot tier** (the bounded quantity)."""

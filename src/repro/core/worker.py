@@ -27,6 +27,7 @@ its entry is served), ``t.decode``, the engine's ``t.compile`` /
 
 from __future__ import annotations
 
+import gc
 import socket
 import time
 from contextlib import contextmanager, suppress
@@ -407,6 +408,11 @@ def group_server_main(group_id: int, hosts: Sequence[str],
     exits when the controller goes away or the stream cannot be trusted (a
     corrupt frame: it dies loudly, as an EOF).
     """
+    # The fork handed this process the controller's whole heap, which it
+    # never frees: frozen, a full collection here walks the worker's own
+    # objects only (unfrozen, one took ~70 ms after a 128-host set-up on
+    # a 2-core box).
+    gc.freeze()
     channel = FramedSocket(sock)
     servers: Dict[str, _HostServer] = {host: _HostServer(host)
                                        for host in hosts}

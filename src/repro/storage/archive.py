@@ -34,10 +34,9 @@ carries its pruning metadata, none of it in the blob:
 * a **flow-key bloom** (crc32-salted, so it means the same thing in every
   worker process);
 * exact **link postings** - for every undirected link its rows traverse,
-  those row numbers, ascending.  Links are numbered per archive (an
-  ordinal per link, the incident links of every node and each path's
-  links are remembered as they are first seen, so a path's hops are
-  walked once per archive, not once per segment), and a segment stores
+  those row numbers, ascending.  Links are numbered by the
+  :class:`~repro.storage.records.LinkNumbering` the archive shares with
+  its TIB's hot tier (:attr:`ColdArchive.links`), and a segment stores
   its postings CSR-style in three typed arrays built once, at seal time.
 
 :meth:`scan` - the cold half of the tiers' shared
@@ -45,12 +44,11 @@ carries its pruning metadata, none of it in the blob:
 link conjunction into link ordinals, skips every segment whose zone map,
 flow-key bloom or postings rule it out (the postings exactly: a segment
 survives a link constraint only if some row of it satisfies the whole
-conjunction), and takes the rows the postings select - a concrete link's
-run, the union of a wildcard node's incident links' runs, intersected
-across the conjunction - as the starting set.  The remaining predicates
-run *on columns* over the rows still in play: the time window on the two
-time columns alone, flow keys on the five flow-id columns after one
-dictionary lookup per key.  Every predicate is exact, so a scan
+conjunction), and takes the rows the postings select
+(:func:`~repro.storage.records.select`, the hot tier's selection too) as
+the starting set.  The remaining predicates run *on columns* over the
+rows still in play: the time window on the two time columns alone, flow
+keys on the five flow-id columns after one dictionary lookup per key.  Every predicate is exact, so a scan
 materialises only its results - two dictionary lookups and two
 constructors a row - and the unsealed tail is scanned the same way over
 its lists, with postings rebuilt by the first read after it grows.
@@ -114,8 +112,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.counters import Counters
 from repro.network.packet import FlowId
-from repro.storage.records import (PathFlowRecord, ScanSpec, flow_key,
-                                   parse_flow_key)
+from repro.storage.records import (LinkNumbering, PathFlowRecord, ScanSpec,
+                                   flow_key, parse_flow_key, select)
 from repro.storage.segment import (FIELD_COLUMNS, SEG_BYTES, SEG_DST,
                                    SEG_DST_PORT, SEG_ETIME, SEG_ID, SEG_PATH,
                                    SEG_PKTS, SEG_PROTOCOL, SEG_SRC,
@@ -208,7 +206,7 @@ class ArchiveStats(Counters):
     entries_decoded: int = 0
     entries_skipped: int = 0
     #: Always 0 (no decode cache survives); kept because pathbench's
-    #: tracer reads it by name - ROADMAP item 2 removes it.
+    #: tracer reads it by name - ROADMAP item 10 removes it.
     decode_cache_hits: int = 0
     flushes: int = 0
     flushed_records: int = 0
@@ -217,11 +215,6 @@ class ArchiveStats(Counters):
 #: Row bits of a locator position ``segment number << _ROW_BITS | row``.
 _ROW_BITS = 32
 _ROW_MASK = (1 << _ROW_BITS) - 1
-
-#: A compiled link conjunction: per constraint, the link ordinals any one
-#: of which satisfies it (a concrete link's own ordinal, a wildcard node's
-#: incident links; none when the archive never saw such a link).
-LinkConstraints = Sequence[Tuple[int, ...]]
 
 
 def _live_rows(candidates: Sequence[int], dead: Set[int]) -> Sequence[int]:
@@ -262,23 +255,6 @@ class _Postings:
             return ()
         return self.rows[self.offsets[i]:self.offsets[i + 1]]
 
-    def select(self, constraints: LinkConstraints
-               ) -> Optional[Sequence[int]]:
-        """The rows satisfying every constraint, ascending - empty when
-        none does, ``None`` when there is no constraint."""
-        selected: Optional[Sequence[int]] = None
-        for ordinals in constraints:
-            if len(ordinals) == 1:
-                rows: Sequence[int] = self.run(ordinals[0])
-            else:
-                rows = sorted(set().union(*map(self.run, ordinals)))
-            if selected is not None:
-                rows = sorted(set(selected).intersection(rows))
-            if not rows:
-                return ()
-            selected = rows
-        return selected
-
 
 class _Segment:
     """One sealed segment - the immutable blob, opened, with the two
@@ -314,10 +290,10 @@ class _Segment:
         """Zone-map + flow-key-bloom pruning: can this segment hold a
         match?  ``fkey_masks`` is the flow-key disjunction against the
         bloom.  False negatives are impossible: a pruned segment provably
-        holds no matching entry (the pruning-soundness fuzz test asserts
-        exactly this against a brute-force read of every row).  Link
-        constraints prune on the postings instead, exactly
-        (:meth:`_Postings.select`)."""
+        holds no matching entry (the ``scan`` rule of the TIB state
+        machine, ``tests/test_tib_machine.py``, asserts exactly this
+        against a brute-force read of every row).  Link constraints prune
+        on the postings instead, exactly (:func:`select`)."""
         if start is not None and self.max_etime < start:
             return False
         if end is not None and self.min_stime > end:
@@ -367,6 +343,9 @@ class ColdArchive:
         # drain and the tail's postings (whose build numbers new links).
         self._flush_lock = threading.Lock()
         self.stats = ArchiveStats()
+        #: The link numbering behind the postings, shared with the TIB's
+        #: hot tier, so :meth:`clear` never resets it.
+        self.links = LinkNumbering()
         self.clear()
 
     def clear(self) -> None:
@@ -383,13 +362,6 @@ class ColdArchive:
         self._locator: Dict[int, int] = {}
         #: Rows in the log, garbage included.
         self._total_rows = 0
-        # Link numbering behind the postings, bounded by the distinct
-        # links and paths this archive has seen: an ordinal per undirected
-        # link ``(min, max)``, each node's incident link ordinals, and each
-        # path's link ordinals.
-        self._link_ids: Dict[Tuple[str, str], int] = {}
-        self._node_links: Dict[str, List[int]] = {}
-        self._path_links: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
 
     def _open_tail(self, number: int) -> None:
         """Start an empty unsealed tail that will seal under ``number``."""
@@ -499,25 +471,6 @@ class ColdArchive:
         return segment.rows, segment.dead
 
     # ------------------------------------------------------------ link index
-    def _links_of(self, path: Tuple[str, ...]) -> Tuple[int, ...]:
-        """The ordinals of the undirected links ``path`` traverses (none
-        for a path of fewer than two nodes), numbering links the archive
-        has not seen before; memoized per path."""
-        links = self._path_links.get(path)
-        if links is None:
-            link_ids = self._link_ids
-            ordinals: Set[int] = set()
-            for a, b in zip(path, path[1:]):
-                link = (a, b) if a <= b else (b, a)
-                ordinal = link_ids.get(link)
-                if ordinal is None:
-                    ordinal = link_ids[link] = len(link_ids)
-                    for node in dict.fromkeys(link):
-                        self._node_links.setdefault(node, []).append(ordinal)
-                ordinals.add(ordinal)
-            links = self._path_links[path] = tuple(ordinals)
-        return links
-
     def _postings(self, rows: Any) -> _Postings:
         """The link postings of one log position's rows: rows grouped by
         path index, each group filed under every link of its path."""
@@ -531,7 +484,7 @@ class ColdArchive:
         paths = rows.paths()
         runs: Dict[int, List[int]] = {}
         for index, group in by_path.items():
-            for link in self._links_of(paths[index]):
+            for link in self.links.of_path(paths[index]):
                 runs.setdefault(link, []).extend(group)
         return _Postings(runs, rows.count)
 
@@ -544,24 +497,6 @@ class ColdArchive:
             with self._flush_lock:
                 cached = self._tail_index = (count, self._postings(self._tail))
         return cached[1]
-
-    def _link_constraints(self, links: Sequence[Tuple[Optional[str],
-                                                      Optional[str]]]
-                          ) -> LinkConstraints:
-        """A spec's link conjunction in link ordinals (see
-        :data:`LinkConstraints`)."""
-        constraints: List[Tuple[int, ...]] = []
-        for a, b in links:
-            if a is None:
-                a, b = b, a  # a wildcard endpoint goes second
-            if a is None:
-                continue  # fully wild: constrains nothing
-            if b is None:
-                constraints.append(tuple(self._node_links.get(a, ())))
-            else:
-                ordinal = self._link_ids.get((a, b) if a <= b else (b, a))
-                constraints.append(() if ordinal is None else (ordinal,))
-        return constraints
 
     def take(self, key: ArchiveKey) -> Tuple[int, PathFlowRecord]:
         """Remove and return the live entry for ``key`` (promotion path).
@@ -683,7 +618,7 @@ class ColdArchive:
         # only there, which the spec's constraints must be able to name.
         tail_links = (self._tail_postings() if tail.count and spec.links
                       else None)
-        links = self._link_constraints(spec.links)
+        links = self.links.constraints(spec.links)
         flows: Optional[Set[FlowId]] = None
         fkey_masks: Optional[List[int]] = None
         if spec.flow_keys is not None:
@@ -699,7 +634,7 @@ class ColdArchive:
         candidates: List[Tuple[Any, Set[int], Optional[Sequence[int]]]] = []
         for segment in self._segments.values():
             if segment.may_match(spec.start, spec.end, fkey_masks):
-                on_links = segment.postings.select(links)
+                on_links = select(links, segment.postings.run)
                 if on_links is None or on_links:
                     candidates.append((segment.rows, segment.dead, on_links))
                     continue
@@ -707,7 +642,7 @@ class ColdArchive:
         stats.segment_decodes += len(candidates)
         if tail.count:
             candidates.append((tail, self._tail_dead, None if tail_links
-                               is None else tail_links.select(links)))
+                               is None else select(links, tail_links.run)))
         for rows, dead, on_links in candidates:
             matching = self._matching_rows(rows, dead, on_links, spec, flows)
             stats.entries_skipped += rows.count - len(matching)

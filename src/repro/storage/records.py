@@ -13,13 +13,19 @@ size of that document under the Section 5.3 storage accounting
 footprint as a running sum of it and stores no documents).  A record's wire
 size is the frame codec's to measure (``repro.core.wire.record_wire_bytes``;
 this package imports nothing from ``repro.core``).
+
+Both storage tiers read through what follows the schema: one read request
+(:class:`ScanSpec`), one numbering of undirected links
+(:class:`LinkNumbering`) that both tiers' link postings are keyed by, and
+one link selection over those postings (:func:`select`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import (Any, Callable, Collection, Dict, FrozenSet, List,
+                    Optional, Sequence, Tuple, TypeVar, Union)
 
 from repro.network.packet import FlowId
 
@@ -28,8 +34,8 @@ def is_wild(value: Any) -> bool:
     """Whether a link-endpoint / time-bound value is a wildcard.
 
     The canonical wildcard test of the query API (``None``, ``"*"`` or
-    ``"?"``), shared by :class:`ScanSpec` and the TIB's constraint helpers
-    so the two can never diverge.
+    ``"?"``), shared by :class:`ScanSpec`, the plan ``Filter`` and the
+    TIB's time-range normalisation so they can never diverge.
     """
     return value is None or value in ("*", "?")
 
@@ -239,8 +245,7 @@ class ScanSpec:
     Attributes:
         start: inclusive window start, or ``None`` for open-ended.  A record
             matches when its *observed interval* overlaps the window
-            (``etime >= start and stime <= end``), same as the TIB's
-            ``record_in_range``.
+            (``etime >= start and stime <= end``).
         end: inclusive window end, or ``None``.
         links: conjunction of link constraints ``(a, b)``.  An endpoint may
             be a wildcard (``None``/``"*"``/``"?"``, normalised to ``None``),
@@ -285,11 +290,11 @@ class ScanSpec:
     def matches(self, record: PathFlowRecord) -> bool:
         """Exact predicate — the reference semantics for the pruned scan.
 
-        Index-routed and pruned scan paths (the hot tier's indexes, the
-        cold tier's zone maps, flow-key blooms and link postings) may only
-        ever *skip* work this predicate would reject, and every row they
-        return satisfies it (the pruning-soundness fuzz test checks
-        exactly this equivalence).
+        Index-routed and pruned scan paths (both tiers' link postings, the
+        cold tier's zone maps and flow-key blooms) may only ever *skip*
+        work this predicate would reject, and every row they return
+        satisfies it (the ``scan`` rule of the TIB state machine,
+        ``tests/test_tib_machine.py``, checks exactly this equivalence).
         """
         if self.start is not None and record.etime < self.start:
             return False
@@ -306,3 +311,90 @@ class ScanSpec:
             elif not record.traverses_link(a, b):
                 return False
         return True
+
+
+#: A compiled link conjunction: per constraint, the link ordinals any one
+#: of which satisfies it (a concrete link's own ordinal, a wildcard node's
+#: incident links; none when no path seen so far traverses such a link).
+LinkConstraints = Sequence[Tuple[int, ...]]
+
+
+class LinkNumbering:
+    """Ordinals of undirected links, shared by a TIB's two tiers.
+
+    A link ``(a, b)`` is numbered as ``(min, max)`` the first time a path
+    traverses it; :attr:`incident` keeps every node's link ordinals and
+    each path's ordinals are memoized, so a path's hops are walked once.
+    The numbering only grows (bounded by the distinct links and paths
+    seen): both tiers' postings hold its ordinals, so it is never reset.
+    """
+
+    __slots__ = ("ordinal", "incident", "_paths")
+
+    def __init__(self) -> None:
+        #: ``(min, max)`` node pair -> the link's ordinal.
+        self.ordinal: Dict[Tuple[str, str], int] = {}
+        #: node -> the ordinals of its incident links, in numbering order.
+        self.incident: Dict[str, List[int]] = {}
+        self._paths: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
+
+    def of_path(self, path: Tuple[str, ...]) -> Tuple[int, ...]:
+        """The distinct ordinals of the links ``path`` traverses (none for
+        a path of fewer than two nodes), numbering links not seen before."""
+        links = self._paths.get(path)
+        if links is None:
+            ordinals: Dict[int, None] = {}
+            for a, b in zip(path, path[1:]):
+                link = (a, b) if a <= b else (b, a)
+                ordinal = self.ordinal.get(link)
+                if ordinal is None:
+                    ordinal = self.ordinal[link] = len(self.ordinal)
+                    for node in dict.fromkeys(link):
+                        self.incident.setdefault(node, []).append(ordinal)
+                ordinals[ordinal] = None
+            links = self._paths[path] = tuple(ordinals)
+        return links
+
+    def constraints(self, links: Sequence[Tuple[Optional[str],
+                                                Optional[str]]]
+                    ) -> LinkConstraints:
+        """A :class:`ScanSpec`'s link conjunction in ordinals (see
+        :data:`LinkConstraints`); numbers nothing."""
+        compiled: List[Tuple[int, ...]] = []
+        for a, b in links:
+            if a is None:
+                a, b = b, a  # a wildcard endpoint goes second
+            if a is None:
+                continue  # fully wild: constrains nothing
+            if b is None:
+                compiled.append(tuple(self.incident.get(a, ())))
+            else:
+                ordinal = self.ordinal.get((a, b) if a <= b else (b, a))
+                compiled.append(() if ordinal is None else (ordinal,))
+        return compiled
+
+
+_Run = TypeVar("_Run", bound=Collection[int])
+
+
+def select(constraints: LinkConstraints, run: Callable[[int], _Run]
+           ) -> Union[None, _Run, List[int]]:
+    """The ids satisfying every constraint, where ``run(ordinal)`` gives
+    the ids on one link: per constraint the union of its ordinals' runs (a
+    wildcard node is on any of its links), then the intersection across
+    the conjunction.  Empty when no id does, ``None`` when there is no
+    constraint.  A lone run comes back as ``run`` gave it; anything
+    combined is an ascending list."""
+    selected: Union[None, _Run, List[int]] = None
+    for ordinals in constraints:
+        ids: Union[_Run, List[int]]
+        if len(ordinals) == 1:
+            ids = run(ordinals[0])
+        else:
+            ids = sorted(set().union(*map(run, ordinals)))
+        if selected is not None:
+            ids = sorted(set(selected).intersection(ids))
+        if not ids:
+            return []
+        selected = ids
+    return selected

@@ -54,6 +54,32 @@ class TestHostApi:
         nbytes, _ = agent.get_count(_flow(7), include_live=True)
         assert nbytes == 123
 
+    @pytest.mark.parametrize("link, window, matched", [
+        (("agg-0-0", "core-0-0"), None, 2), (("core-0-0", "agg-0-0"), None, 2),
+        (("*", "agg-0-0"), None, 3), (("core-1-0", "?"), None, 3),
+        (("nowhere", None), None, 0), ((None, "agg-0-0"), (3.0, 3.0), 2),
+        ((None, "agg-0-0"), (None, 0.5), 1), (("agg-2-0", "*"), (5.0, "*"), 1)],
+        ids=["concrete", "reversed", "wildcard-first", "wildcard-second",
+             "unknown-node", "etime-at-start-stime-at-end", "before-live",
+             "last-instant"])
+    def test_live_records_filter_like_tib_records(
+            self, agent, fattree4_assignment, link, window, matched):
+        """A live read keeps exactly what the TIB keeps once the memory is
+        flushed into it: links undirected, wildcard endpoints, closed
+        windows."""
+        for sport, (a, b), when in ((7, ("agg-0-0", "core-0-0"), 1.0),
+                                    (8, ("agg-0-1", "core-1-0"), 2.0),
+                                    (9, ("core-0-1", "agg-2-0"), 3.0)):
+            link_id = fattree4_assignment.lookup(a, b)
+            for offset in (0.0, 2.0):
+                agent.trajectory_memory.update(_flow(sport), [link_id], 100,
+                                               when=when + offset)
+        live = agent.records(link=link, time_range=window, include_live=True)
+        agent.flush()
+        flushed = agent.records(link=link, time_range=window)
+        assert len(flushed) == matched
+        assert sorted(map(repr, live)) == sorted(map(repr, flushed))
+
     @pytest.mark.parametrize("max_records", [None, 1])
     def test_include_live_is_a_no_op_on_empty_trajectory_memory(
             self, agent, max_records):

@@ -608,7 +608,7 @@ class TestPushdownCounters:
         assert execution.scan_stats["hot_link_routed"] == 1
         assert execution.scan_stats["hot_full_scans"] == 0
 
-    def test_time_plan_routes_on_time_index(self):
+    def test_time_plan_walks_hot_records(self):
         tib = hot_tib()
         plan = Plan(ops=(Filter(start=10.0, end=20.0),))
         execution = planlib.execute_plan(tib, plan)

@@ -24,9 +24,6 @@ subject (a wrong root must not pass by scanning nothing):
   ``datetime.now()``, ...) and no process-global or unseeded ``random``
   in ``core/`` or ``storage/``; ``perf_counter`` / ``monotonic`` /
   ``sleep`` and ``random.Random(seed)`` stay legal.
-* **ScanSpec soundness.**  Both tier scans (``tib.py`` and
-  ``archive.py``) read every ``ScanSpec`` field, and every ``spec.X``
-  read there names a real ``ScanSpec`` attribute.
 * **Layering.**  ``storage/`` and the ``codec.py`` leaf import nothing
   from ``repro.core``.
 
@@ -38,7 +35,6 @@ that mimic the real layout and are never part of a repo scan.
 """
 
 import ast
-import dataclasses
 import functools
 import io
 import re
@@ -46,8 +42,6 @@ import tokenize
 from pathlib import Path
 
 import pytest
-
-from repro.storage.records import ScanSpec
 
 TESTS_DIR = Path(__file__).resolve().parent
 REPO_ROOT = TESTS_DIR.parent
@@ -355,99 +349,9 @@ def determinism(files):
     return findings, visited
 
 
-# ------------------------------------------------------- ScanSpec soundness
-#: Each module must read every ScanSpec field: (file, preferred package,
-#: the scan it holds).
-SCAN_CONSUMERS = (("tib.py", "core", "Tib.scan"),
-                  ("archive.py", "storage", "ColdArchive.scan"))
-
-
-def _named(files, name, package):
-    """The file called ``name``; of several, the one under ``package``."""
-    candidates = [file for file in files if file.name == name]
-    preferred = [file for file in candidates if package in file.parts]
-    return (preferred or candidates or [None])[0]
-
-
-def _scanspec_surface(tree):
-    """``({field: line}, every attribute name)`` of class ``ScanSpec``."""
-    fields, attrs = {}, set()
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.ClassDef) and node.name == "ScanSpec"):
-            continue
-        for item in node.body:
-            if isinstance(item, ast.AnnAssign) and \
-                    isinstance(item.target, ast.Name):
-                if not item.target.id.startswith("_"):
-                    fields[item.target.id] = item.lineno
-                attrs.add(item.target.id)
-            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                attrs.add(item.name)
-    return fields, attrs
-
-
-def _spec_params(func):
-    """Parameters annotated ``ScanSpec`` or named ``spec``."""
-    args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
-    return {arg.arg for arg in args
-            if arg.arg == "spec" or
-            (isinstance(arg.annotation, ast.Name) and
-             arg.annotation.id == "ScanSpec") or
-            (isinstance(arg.annotation, ast.Constant) and
-             arg.annotation.value == "ScanSpec") or
-            (isinstance(arg.annotation, ast.Attribute) and
-             arg.annotation.attr == "ScanSpec")}
-
-
-def _spec_reads(tree):
-    """``{attr: [lines]}`` of every ``<spec param>.attr`` read."""
-    reads = {}
-    for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        params = _spec_params(func)
-        if not params:
-            continue
-        for node in ast.walk(func):
-            if isinstance(node, ast.Attribute) and \
-                    isinstance(node.value, ast.Name) and \
-                    node.value.id in params:
-                reads.setdefault(node.attr, []).append(node.lineno)
-    return reads
-
-
-def scanspec_soundness(files):
-    """Findings, and the ScanSpec field names checked."""
-    records = _named(files, "records.py", "storage")
-    if records is None:
-        return [], set()
-    fields, attrs = _scanspec_surface(records.tree)
-    if not fields:
-        return [], set()
-    findings = []
-    for name, package, label in SCAN_CONSUMERS:
-        consumer = _named(files, name, package)
-        if consumer is None:
-            continue
-        reads = _spec_reads(consumer.tree)
-        findings += [records.at(line, f"ScanSpec.{field} is never consumed "
-                                      f"by {label} ({consumer.rel}); the "
-                                      f"tiers would disagree on this "
-                                      f"predicate")
-                     for field, line in sorted(fields.items())
-                     if field not in reads]
-        findings += [consumer.at(lines[0], f"spec.{attr} read in "
-                                           f"{consumer.rel} but ScanSpec has "
-                                           f"no attribute {attr!r} (typo'd "
-                                           f"predicate?)")
-                     for attr, lines in sorted(reads.items())
-                     if attr not in attrs and not attr.startswith("__")]
-    return findings, set(fields)
-
-
 # -------------------------------------------------------------------- tests
 CHECKS = {"R3": lock_discipline, "R4": no_serializer_on_query_path,
-          "R5": determinism, "R7": scanspec_soundness}
+          "R5": determinism}
 
 #: Fixture dir -> (positive finding count, message fragments that must each
 #: appear in some positive finding).
@@ -456,8 +360,6 @@ POSITIVE_EXPECTATIONS = {
     "R4": (2, ["import of 'pickle'", "call into serializer"]),
     "R5": (4, ["time.time()", "datetime.now()", "random.random()",
                "without a seed"]),
-    "R7": (2, ["ScanSpec.links is never consumed by ColdArchive.scan",
-               "spec.lnks"]),
 }
 
 
@@ -507,12 +409,6 @@ def test_payload_code_reads_no_wall_clock_or_global_random(repo):
     assert {path.relative_to(REPO_ROOT).as_posix()
             for sub in ("core", "storage")
             for path in (package / sub).rglob("*.py")} <= set(visited)
-
-
-def test_both_tiers_read_every_scanspec_field(repo):
-    findings, fields = scanspec_soundness(repo)
-    assert findings == []
-    assert fields == {field.name for field in dataclasses.fields(ScanSpec)}
 
 
 def test_fixtures_are_excluded_from_repo_scans(repo):
@@ -592,19 +488,6 @@ def test_storage_is_in_determinism_scope_and_a_keyword_seed_is_a_seed(
         "tools/gen.py": "import time\nstamp = time.time()\n"}))
     assert visited == ["storage/seg.py"]
     assert len(findings) == 1 and "seg.py:3: wall-clock" in findings[0]
-
-
-@pytest.mark.parametrize("tier", [name for name, _, _ in SCAN_CONSUMERS])
-def test_scanspec_field_dropped_by_either_tier_is_found(tmp_path, tier):
-    negative = FIXTURES / "R7" / "negative"
-    for path in negative.glob("*.py"):
-        text = path.read_text()
-        (tmp_path / path.name).write_text(
-            text.replace("spec.links, ", "") if path.name == tier else text)
-    findings, _ = scanspec_soundness(sources(tmp_path))
-    label = dict((name, scan) for name, _, scan in SCAN_CONSUMERS)[tier]
-    assert len(findings) == 1
-    assert f"ScanSpec.links is never consumed by {label}" in findings[0]
 
 
 def test_storage_and_codec_import_nothing_from_core():

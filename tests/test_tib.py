@@ -7,10 +7,9 @@ import threading
 import pytest
 
 from repro.core import plan as planlib
-from repro.core.tib import (Tib, link_matches, normalise_time_range,
-                            record_in_range)
+from repro.core.tib import Tib, normalise_time_range
 from repro.network.packet import FlowId, PROTO_TCP
-from repro.storage import PathFlowRecord
+from repro.storage import PathFlowRecord, ScanSpec
 
 
 def _flow(src="h-0-0-0", dst="h-2-0-0", sport=1000):
@@ -57,15 +56,14 @@ class TestHelpers:
         with pytest.raises(ValueError):
             normalise_time_range((5, 1))
 
-    def test_link_matches_wildcards(self):
+    def test_link_constraint_wildcards(self):
         record = _record(_flow(), PATH_A)
-        assert link_matches(record, None)
-        assert link_matches(record, ("*", "*"))
-        assert link_matches(record, ("agg-0-0", "core-0-0"))
-        assert link_matches(record, ("core-0-0", "agg-0-0"))
-        assert link_matches(record, ("?", "core-0-0"))
-        assert link_matches(record, ("agg-0-0", "*"))
-        assert not link_matches(record, ("agg-0-1", "core-1-0"))
+        assert ScanSpec().matches(record)
+        for link in (("*", "*"), ("agg-0-0", "core-0-0"),
+                     ("core-0-0", "agg-0-0"), ("?", "core-0-0"),
+                     ("agg-0-0", "*")):
+            assert ScanSpec(links=(link,)).matches(record), link
+        assert not ScanSpec(links=(("agg-0-1", "core-1-0"),)).matches(record)
 
 
 class TestTib:
@@ -114,8 +112,8 @@ class TestTib:
         assert tib.record_count() == 0
 
 
-class TestTimeIndex:
-    """Boundary behaviour of the sorted time index."""
+class TestWindow:
+    """Boundary behaviour of time-window reads."""
 
     def _tib(self):
         tib = Tib("h")
@@ -148,7 +146,7 @@ class TestTimeIndex:
                 if start is not None and end is not None and end < start:
                     continue
                 expected = [r for r in full
-                            if record_in_range(r, (start, end))]
+                            if ScanSpec(start, end).matches(r)]
                 assert tib.records(time_range=(start, end)) == expected
 
     def test_point_range_and_instant_record(self):
@@ -176,58 +174,6 @@ class TestTimeIndex:
         assert not tib.records(time_range=(0.0, 2.0 - 1e-9))
 
 
-class TestTimeIndexInsertionBuffer:
-    """The batched insertion buffer behind the sorted time index."""
-
-    def test_stale_entries_do_not_duplicate_records(self):
-        """Merges that move stime/etime leave stale index entries behind;
-        reads must see each record exactly once."""
-        tib = Tib("h")
-        flow = _flow()
-        tib.add_record(_record(flow, PATH_A, 5.0, 6.0))
-        tib.records(time_range=(0.0, 100.0))  # fold into the sorted run
-        # Move both bounds outward (stime down, etime up) via merges.
-        tib.add_record(_record(flow, PATH_A, 2.0, 8.0))
-        tib.add_record(_record(flow, PATH_A, 1.0, 9.0))
-        assert tib._stale_time_entries > 0
-        # The record must appear exactly once in any overlapping window -
-        # including windows only its *old* bounds would have matched.
-        for window in [(0.0, 100.0), (0.5, 1.5), (8.5, 9.5), (5.0, 6.0)]:
-            assert len(tib.records(time_range=window)) == 1
-        # A window before the current stime must not match stale entries.
-        assert tib.records(time_range=(0.0, 0.5)) == []
-        assert tib.records(time_range=(9.5, 10.0)) == []
-
-    def test_stale_threshold_triggers_rebuild(self):
-        tib = Tib("h")
-        flows = [_flow(sport=sport) for sport in range(80)]
-        for index, flow in enumerate(flows):
-            tib.add_record(_record(flow, PATH_A, 10.0 + index, 11.0 + index))
-        tib.records(time_range=(0.0, 1000.0))
-        # Every merge moves both bounds -> two stale entries per record.
-        for index, flow in enumerate(flows):
-            tib.add_record(_record(flow, PATH_A, 1.0 + index, 20.0 + index))
-        assert tib._stale_time_entries == 160
-        got = tib.records(time_range=(0.0, 1000.0))
-        assert len(got) == len(flows)
-        assert tib._stale_time_entries == 0  # compaction ran
-        assert len(tib._by_stime) == len(flows)
-
-    def test_no_full_resort_between_bursts(self):
-        """The pending buffer is merged into the sorted run, so the main
-        run object only changes by extension (no per-read rebuild)."""
-        tib = Tib("h")
-        for sport in range(50):
-            tib.add_record(_record(_flow(sport=sport), PATH_A,
-                                   float(sport), float(sport) + 0.5))
-        tib.records(time_range=(0.0, 10.0))
-        assert len(tib._by_stime) == 50 and not tib._pending_stime
-        tib.add_record(_record(_flow(sport=99), PATH_A, 7.25, 7.5))
-        assert len(tib._pending_stime) == 1  # buffered, not sorted in
-        assert len(tib.records(time_range=(7.0, 8.0))) == 3
-        assert len(tib._by_stime) == 51 and not tib._pending_stime
-
-
 class TestLinkIndex:
     def _tib(self):
         tib = Tib("h")
@@ -249,13 +195,14 @@ class TestLinkIndex:
         assert len(tib.records(link=("*", "nowhere"))) == 0
         assert len(tib.records(link=("*", "*"))) == 2
 
-    def test_matches_link_matches_predicate(self):
+    def test_matches_scanspec_predicate(self):
         tib = self._tib()
         full = tib.records()
         for link in [("agg-0-0", "core-0-0"), ("*", "agg-2-1"),
                      ("tor-2-0", "*"), ("h-0-0-0", "tor-0-0"),
                      ("nowhere", "*"), ("*", "*")]:
-            expected = [r for r in full if link_matches(r, link)]
+            expected = [r for r in full
+                        if ScanSpec(links=(link,)).matches(r)]
             assert tib.records(link=link) == expected
 
     def test_index_reset_on_clear(self):

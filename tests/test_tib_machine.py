@@ -49,11 +49,11 @@ FLOWS = tuple(FlowId(src, "d", 1000 + port, 80, PROTO_TCP)
 
 
 def paths_of(src):
-    """Direction twins, a one-hop-apart twin, a longer path, and paths of
-    one hop and of none."""
+    """Direction twins, a one-hop-apart twin, a longer path, paths of one
+    hop and of none, and one through a single switch."""
     return ((src, "s0", "s1", "d"), (src, "s1", "s0", "d"),
             (src, "s0", "s9", "d"), (src, "s0", "s1", "s2", "d"),
-            (src, "d"), ("d",), ())
+            (src, "d"), ("d",), (), (src, "s0", "d"))
 
 
 FLOW_PATHS = st.sampled_from(tuple((flow, path) for flow in FLOWS
@@ -171,6 +171,25 @@ def ruled_out(spec, rows):
             or spec.end is not None and min(stimes) > spec.end
             or not any(on_links(PathFlowRecord(FLOWS[0], path, 0.0, 0.0))
                        for path in set(paths)))
+
+
+def filter_rows(op, records):
+    """The records a ``Filter`` keeps, read off its own fields (not through
+    ``scan_spec``): window overlap, any flow key, the exact path, and every
+    link - a concrete one as an undirected hop, a wildcard endpoint as a
+    node on some hop."""
+    def keeps(record):
+        hops = {frozenset(hop) for hop in zip(record.path, record.path[1:])}
+        return ((op.start is None or record.etime >= op.start)
+                and (op.end is None or record.stime <= op.end)
+                and (not op.flow_keys or flow_key(record.flow_id)
+                     in op.flow_keys)
+                and (op.path is None or record.path == op.path)
+                and all(frozenset(link) in hops if None not in link
+                        else any(node in hop for hop in hops
+                                 for node in link if node is not None)
+                        for link in op.links))
+    return list(filter(keeps, records))
 
 
 def on(params, link):
@@ -430,6 +449,13 @@ class TibMachine(RuleBasedStateMachine):
         assert [wire.encode_value(execution.payload)
                 for execution in got] == [want, want], plan
         assert got[0].records_scanned == got[1].records_scanned
+        if plan.aggregate is None and plan.filter is not None:
+            # A listing's rows against the Filter's own fields: the
+            # reference filters through the same scan_spec as the tiers.
+            assert want == wire.encode_value(planlib.reference_evaluate(
+                filter_rows(plan.filter, records), Plan(tuple(
+                    Filter() if op is plan.filter else op
+                    for op in plan.ops)))), plan
         if plan.topk is None:  # top-k merges re-select, so they differ
             # Two hosts' partials merge to the reference over their union,
             # up to key order.
@@ -489,10 +515,11 @@ class TibMachine(RuleBasedStateMachine):
     @invariant()
     def hot_indexes_are_consistent(self):
         """The ranking holds every flow's total as of the last ranked read
-        (a written flow's held total is in ``_rank_stale``), and the time
-        index holds each hot record's current bounds, duplicates only
-        where flagged and stale entries only where counted - read without
-        folding anything."""
+        (a written flow's held total is in ``_rank_stale``), and the link
+        postings hold each hot record under every undirected hop of its
+        path, in the numbering the capped TIB shares with its archive -
+        read without folding anything."""
+        assert self.capped.links is self.capped.archive.links
         for tib in self.tibs:
             held = {fkey: totals[0]
                     for fkey, totals in tib._flow_totals.items()}
@@ -500,23 +527,21 @@ class TibMachine(RuleBasedStateMachine):
             assert tib._ranking == sorted(
                 (nbytes, fkey) for fkey, nbytes in held.items()
                 if nbytes is not None)
-            for bound, entries in (
-                    ("stime", tib._by_stime + tib._pending_stime),
-                    ("etime", tib._by_etime + tib._pending_etime)):
-                live = Counter(
-                    (time, i) for time, i in entries if i in tib._cache
-                    and getattr(tib._cache[i], bound) == time)
-                assert live.keys() == {(getattr(record, bound), i)
-                                       for i, record in tib._cache.items()}
-                assert tib._time_dup_possible or len(live) == live.total()
-                assert tib._stale_time_entries or live.total() == len(entries)
+            postings = {}
+            for i, record in tib._cache.items():
+                for hop in zip(record.path, record.path[1:]):
+                    ordinal = tib.links.ordinal[min(hop), max(hop)]
+                    postings.setdefault(ordinal, set()).add(i)
+            assert {ordinal: ids for ordinal, ids
+                    in tib._link_postings.items() if ids} == postings
 
     @invariant()
     def cold_indexes_are_brute_force(self):
         """Every log position's dead set and (once built) link postings,
         and the key index - read without flushing or building anything."""
         archive = self.capped.archive
-        links = {ordinal: link for link, ordinal in archive._link_ids.items()}
+        links = {ordinal: link
+                 for link, ordinal in archive.links.ordinal.items()}
         built = archive._tail_index
         positions = [(number, segment.rows, segment.postings, segment.dead)
                      for number, segment in archive._segments.items()]
@@ -544,11 +569,11 @@ class TibMachine(RuleBasedStateMachine):
         assert sorted(archive._key_index.values()) == sorted(
             [*archive._locator, *archive._staged])
         incident = {}
-        for link, ordinal in archive._link_ids.items():
+        for link, ordinal in archive.links.ordinal.items():
             for node in link:
                 incident.setdefault(node, set()).add(ordinal)
         assert incident == {node: set(ordinals) for node, ordinals
-                            in archive._node_links.items()}
+                            in archive.links.incident.items()}
 
 
 TestTibMachine = TibMachine.TestCase
@@ -585,10 +610,10 @@ SCHEDULES = {
         ("add_records", [rec(0, 6, 1), rec(6, 0, 0), rec(8, 0, 8)], False)),
     "tail-pruned-under-a-window": (
         ("start", 0, [rec(0, 0, 0)], 8), ("keyword_read", ("*", 4.0))),
-    "window-start-bisects-right": (
+    "hot-walk-drops-etime-at-start": (
         ("start", 0, [], 8), ("add_records", [rec(0, 0, 3)], False),
         ("scan", ScanSpec(start=3.0), ["pkts"])),
-    "window-end-bisects-left": (
+    "hot-walk-drops-stime-at-end": (
         ("start", 0, [rec(0, 0, 4)], 8), ("keyword_read", ("*", 4.0))),
     "promotion-skips-hot-bytes": (
         ("start", 0, [], 8),
@@ -645,10 +670,10 @@ SCHEDULES = {
         ("add_record", rec(0, 6, 0), False)),
     "eviction-skips-hot-bytes": (
         ("start", 0, [rec(0, 0, 0)], 8),),
-    "lowered-stime-not-indexed": (
+    "eviction-keeps-link-posting": (
         ("start", 0, [], 8),
         ("add_records", [rec(3, 0, 2), rec(3, 0, 0)], False)),
-    "promotion-leaves-duplicates-unflagged": (
+    "promotion-skips-link-postings": (
         ("start", 1, [], 8), ("add_records", [rec(6, 2, 0)], False),
         ("add_records", [rec(0, 0, 0), rec(6, 2, 7)], False)),
     "zone-map-prunes-stime-at-end": (
@@ -682,17 +707,9 @@ SCHEDULES = {
         ("start", 0, [rec(2, 4, 0), rec(2, 4, 0)], 8),),
     "merge-drops-flow-bytes": (
         ("start", 0, [rec(2, 4, 0), rec(2, 4, 0, 0, 100)], 8),),
-    "lowered-stime-not-counted-stale": (
-        ("start", 0, [], 2),
-        ("add_records", [rec(4, 2, 3), rec(4, 2, 0)], False)),
-    "raised-etime-not-counted-stale": (
-        ("start", 0, [], 8), ("add_record", rec(8, 0, 0), False),
-        ("add_record", rec(8, 0, 6), False)),
     "raised-etime-not-evictable": (
         ("start", 0, [rec(2, 1, 0)], 2),
         ("add_records", [rec(2, 1, 7)], False)),
-    "merge-indexes-unmoved-etime": (
-        ("start", 0, [rec(2, 4, 7, 3), rec(2, 4, 10)], 8),),
     "merge-never-raises-etime": (
         ("start", 0, [], 8),
         ("add_records", [rec(11, 2, 0), rec(11, 2, 4)], False),
@@ -733,10 +750,6 @@ SCHEDULES = {
         ("add_records", [rec(0, 0, 6), rec(3, 1, 0)], False),
         ("add_records", [rec(3, 1, 3, 3)], False),
         ("builtin", query(Q_TOP_K_FLOWS, link=("s1", "s0")))),
-    "promotion-skips-stime-entry": (
-        ("start", 0, [], 2), ("configure_retention", 1, None),
-        ("add_records", [rec(0, 0, 8)], False),
-        ("add_records", [rec(5, 0, 0), rec(5, 0, 8)], False)),
     "promotion-not-evictable": (
         ("start", 0, [], 2), ("add_records", [rec(0, 0, 0)], False),
         ("add_records", [rec(0, 0, 0)], False)),
@@ -773,14 +786,10 @@ SCHEDULES = {
     "window-drops-etime-at-start": (
         ("start", 0, [rec(0, 0, 2), rec(0, 5, 9)], 8),
         ("scan", ScanSpec(start=2.0, end=8.0), ["etime"])),
-    "window-keeps-promotion-duplicates": (
+    "scan-walk-drops-etime-at-start": (
         ("start", 0, [rec(8, 2, 8)], 2), ("configure_retention", None, None),
         ("add_records", [rec(8, 2, 0)], False),
         ("scan", ScanSpec(start=8.0), ["pkts"])),
-    "etime-index-left-unsorted": (
-        ("start", 0, [], 8), ("add_record", rec(0, 0, 2), False),
-        ("scan", ScanSpec(start=3.0), ["pkts"]),
-        ("add_records", [rec(0, 6, 0)], False), ("keyword_read", (2.0, "*"))),
     "descending-rank-reversed": (
         ("start", 0, [], 8),
         ("add_records", [rec(0, 0, 0), rec(6, 0, 0)], False),
@@ -853,11 +862,6 @@ SCHEDULES = {
         ("builtin",
          query(Q_FLOW_SIZE_DISTRIBUTION,
                links=[("no-such", None), ["s0", "s1"]]))),
-    "stime-index-left-unsorted": (
-        ("start", 0, [rec(0, 0, 6)], 2),
-        ("scan", ScanSpec(end=7.0), ["bytes"]),
-        ("add_record", rec(0, 6, 0), False),
-        ("scan", ScanSpec(end=5.0), ["pkts"])),
     "total-count-hot-only": (
         ("start", 0, [], 8), ("add_record", rec(0, 0, 0), False),
         ("plan", planlib.compile_top_k_flows(4))),
@@ -886,6 +890,19 @@ SCHEDULES = {
     "fsd-bins-one-wider": (
         ("start", 0, [rec(0, 0, 0, 0, 100)], 8),
         ("builtin", query(Q_FLOW_SIZE_DISTRIBUTION))),
+    "scan-walk-drops-stime-at-end": (
+        ("start", 1, [rec(0, 0, 4)], 8), ("scan", ScanSpec(end=4.0), ["pkts"])),
+    "window-walk-ignores-cache-order": (
+        ("start", 1, [rec(0, 0, 0), rec(1, 0, 5)], 2),
+        ("configure_retention", None, None),
+        ("add_record", rec(0, 0, 1), False), ("scan", ScanSpec(start=0.0),
+                                               ["bytes"])),
+    "scan-spec-keeps-first-flow-key": (
+        ("start", 0, [rec(0, 0, 0), rec(1, 0, 0)], 8),
+        ("plan", Plan((Filter(flow_keys=(flow_key(FLOWS[0]),
+                                         flow_key(FLOWS[1]))),)))),
+    "matrix-skips-one-switch-paths": (
+        ("start", 0, [rec(0, 7, 0)], 8), ("builtin", query(Q_TRAFFIC_MATRIX))),
     "get-paths-ignores-link": (
         ("start", 0, [], 2), ("add_records", [rec(1, 0, 0)], False),
         ("builtin",

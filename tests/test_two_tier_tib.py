@@ -82,6 +82,7 @@ class TestRetentionBounds:
             tib.add_record(make_record(i))
         assert tib.archive is None
         tib.configure_retention(max_records=10)
+        assert tib.archive.links is tib.links  # one numbering, both tiers
         assert tib.record_count() <= 10
         assert tib.total_record_count() == 30
 
