@@ -221,7 +221,7 @@ class PathDumpAgent:
         the TIB, or evaluated by brute force over the flow's TIB records
         plus the live trajectory memory's."""
         if not include_live:
-            return planlib.execute_plan(self.tib, plan).payload
+            return planlib.answer(self.tib, plan)[0]
         flow_id = flow if isinstance(flow, FlowId) else flow[0]
         return planlib.reference_evaluate(
             self.records(flow_id=flow_id, time_range=time_range,

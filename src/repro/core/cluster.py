@@ -454,8 +454,8 @@ class QueryCluster:
         self.engine = QueryEngine()
         #: The last multi-level tree, kept for equal targets and fan-out.
         self._tree: Optional[AggregationTree] = None
-        #: Per mechanism, its last regroupable plan's shape (the targets, or
-        #: the kept tree) and cut along the running pool's shards.
+        #: Per mechanism, its last plan's shape (the targets, or the kept
+        #: tree) and cut along the running pool's shards.
         self._cuts: Dict[str, Tuple[object, ShardCut]] = {}
         self._reconstructor = PathReconstructor(topo, self.assignment)
         self.retention = retention or RetentionPolicy()
@@ -1174,9 +1174,9 @@ class QueryCluster:
         asking each agent as it reaches the host, under :attr:`executor`'s
         transport, deadline and retries.  When the workers serve the query
         (every built-in; a custom handler registered on the in-process
-        agents runs local), ``plan`` is cut along the shards (a
-        regroupable query's cut is kept for its mechanism's next plan of
-        the same ``shape``: ``(mechanism, the targets or the tree)``),
+        agents runs local), ``plan`` is cut along the shards (the cut is
+        kept for its mechanism's next plan of the same ``shape``:
+        ``(mechanism, the targets or the tree)``),
         :meth:`_fetch` asks each group once for its fold units' partials,
         and :func:`~repro.core.shards.fold_shards` folds the rest and
         rebuilds the full plan's gather from the workers' reports.  Faults
@@ -1216,13 +1216,11 @@ class QueryCluster:
         fetched = None
         if (self.mode in _WORKER_MODES and self._process_pool is not None
                 and query.name in SERVED_QUERIES):
-            regroup = self.engine.regroupable(query)
             mechanism, key = shape
             known, cut = self._cuts.get(mechanism, (None, None))
-            if not regroup or known != key:
-                cut = cut_plan(plan, self._process_pool.group_of, regroup)
-                if regroup:
-                    self._cuts[mechanism] = (key, cut)
+            if known != key:
+                cut = cut_plan(plan, self._process_pool.group_of)
+                self._cuts[mechanism] = (key, cut)
             fetched = self._fetch(query, request, cut, trace)
             gather, folded = fold_shards(self.engine, query, plan, cut,
                                          fetched)

@@ -1,9 +1,7 @@
 """Declarative query plans: one frozen IR from the wire to both tiers.
 
-Every built-in question used to cost a hand-written ``QueryEngine``
-handler plus bespoke wire plumbing (a ``Q_*`` constant, a per-query merge
-function, sometimes a new frame).  This module replaces that treadmill
-with a small declarative plan IR::
+A built-in question is a small declarative plan, not a hand-written
+``QueryEngine`` handler with bespoke wire plumbing::
 
     Filter(time / link / flow-key / path predicates)
         -> Project(fields)
@@ -23,16 +21,16 @@ provides, in one place:
 * the **pushdown executor** (:func:`execute_plan`): ``Filter`` compiles
   to a :class:`~repro.storage.records.ScanSpec` (:func:`scan_spec`), so
   both tiers' flow and link postings and the cold tier's segment pruning
-  (zone maps, flow-key blooms) apply, and the pruning work saved is
-  reported per plan via ``scan_stats`` snapshots;
+  (zone maps, flow-key blooms) apply, keyed aggregates fold columns, and
+  the pruning work saved is reported per plan via ``scan_stats``;
 * the **merge operators** (concat / histogram-merge / top-k-merge /
   span-merge) selected by the plan's *terminal* op
   (:func:`merge_operator`, :func:`merge_payloads`) - the generic
-  reductions the executor's ordered fold runs;
+  reductions the executor's ordered fold runs, each regroupable;
 * **built-in compilations** (:func:`compile_get_count`,
-  :func:`compile_get_duration`, :func:`compile_top_k_flows`): the one
-  definition of each, checked against :func:`reference_evaluate` in
-  every mode.
+  :func:`compile_get_duration`, :func:`compile_top_k_flows`,
+  :func:`compile_traffic_matrix`, :func:`compile_flow_size_distribution`):
+  the one definition of each, checked in every mode.
 
 :data:`OPS` is the only op table, in pipeline order: each op class
 carries its wire ``code``, its ``merge`` operator and its executor leg
@@ -49,15 +47,18 @@ imports only the record/ScanSpec layer - never ``wire``, ``query`` or
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import attrgetter
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Set, Tuple, Union)
+from functools import cached_property
+from itertools import chain, islice, repeat
+from operator import attrgetter, floordiv
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from repro.network.packet import FlowId
-from repro.storage.records import (RECORD_FIELDS, PathFlowRecord, ScanSpec,
-                                   flow_key, is_wild, record_field)
+from repro.storage.records import (COLUMN_FIELDS, RECORD_FIELDS,
+                                   PathFlowRecord, ScanSpec, flow_key,
+                                   is_wild, record_field)
 
 #: The query name plan queries travel under (``Query(name=PLAN_QUERY_NAME,
 #: params={"plan": <Plan>})``); re-exported as ``Q_PLAN`` by
@@ -80,6 +81,13 @@ AGG_FUNCS = (AGG_SUM, AGG_COUNT, AGG_HISTOGRAM, AGG_SPAN)
 
 #: Record fields a sum/histogram may aggregate over.
 NUMERIC_FIELDS = ("stime", "etime", "bytes", "pkts")
+#: The float ones: a key-wise sum of one would not regroup exactly.
+FLOAT_FIELDS = ("stime", "etime")
+#: Group keys derived from a record field: name -> (the field, the keys of
+#: a column of it; ``None`` is no group), ``tor_pair`` a path's two ToRs.
+DERIVED_KEYS: Dict[str, Tuple[str, Callable[[Sequence[Any]], List[Any]]]] = {
+    "tor_pair": ("path", lambda paths: [
+        (path[1], path[-2]) if len(path) >= 3 else None for path in paths])}
 
 #: TopK rank dimension: rank by the aggregated value (pairs are
 #: ``(value, group)``, the legacy top-k shape) or by the group key
@@ -237,8 +245,9 @@ class Aggregate:
     ``binsize``-wide bin of one numeric field), or :data:`AGG_SPAN` (no
     fields or key: see :func:`_clamped_span`).  ``by`` groups: empty
     means a scalar payload (a tuple, one slot per func output); one field
-    keys the payload dict by that field's bare value; several key it by
-    the value tuple.  A histogram appends the bin to the group key.
+    keys the payload dict by that field's bare value (or derived key's,
+    :data:`DERIVED_KEYS`); several key it by the value tuple.  A histogram
+    appends ``int(value // binsize)``; keys sort unless a ``TopK`` ranks.
     """
 
     func: str = AGG_COUNT
@@ -266,24 +275,16 @@ class Aggregate:
                 for slot, name in enumerate(self.fields):
                     sums[slot] += record_field(record, name)
             return tuple(sums)
+        # The top-k input shape (sum one field by one key) is the hot loop
+        # of every ranked query; count and histogram count group members.
         grouped: Dict[Any, Any] = {}
-        if self.func == AGG_SUM and len(self.by) == 1:
-            # The top-k input shape (sum one field by one key) is the hot
-            # loop of every ranked query - hoist the field dispatch out.
-            key_of = _field_reader(self.by[0])
-            value_of = _field_reader(self.fields[0])
-            for record in records:
-                key = key_of(record)
-                grouped[key] = grouped.get(key, 0) + value_of(record)
-            return grouped
+        key_of = _key_reader(self)
+        value_of = (_field_reader(self.fields[0]) if self.func == AGG_SUM
+                    else lambda record: 1)
         for record in records:
-            key = _group_key(self, record)
-            if self.func == AGG_SUM:
-                grouped[key] = grouped.get(key, 0) + \
-                    record_field(record, self.fields[0])
-            else:  # count / histogram both count members per group key
-                grouped[key] = grouped.get(key, 0) + 1
-        return grouped
+            key = key_of(record)
+            grouped[key] = grouped.get(key, 0) + value_of(record)
+        return _emit_groups(self, plan, grouped)
 
 
 @dataclass(frozen=True)
@@ -336,19 +337,19 @@ class Plan:
                 return op
         return None
 
-    @property
+    @cached_property
     def filter(self) -> Optional[Filter]:
         return self._op(Filter)
 
-    @property
+    @cached_property
     def project(self) -> Optional[Project]:
         return self._op(Project)
 
-    @property
+    @cached_property
     def aggregate(self) -> Optional[Aggregate]:
         return self._op(Aggregate)
 
-    @property
+    @cached_property
     def topk(self) -> Optional[TopK]:
         return self._op(TopK)
 
@@ -456,7 +457,8 @@ def _validate_aggregate(plan: Plan, index: int,
                                 f"unknown aggregate func {op.func!r}"))
         return issues
     for name in op.fields + op.by:
-        if name not in RECORD_FIELDS:
+        if name not in RECORD_FIELDS and (name in op.fields
+                                          or name not in DERIVED_KEYS):
             issues.append(PlanIssue(PE_FIELD, index,
                                     f"unknown record field {name!r}"))
     if op.func == AGG_SUM:
@@ -465,6 +467,9 @@ def _validate_aggregate(plan: Plan, index: int,
         if op.by and len(op.fields) != 1:
             issues.append(PlanIssue(
                 PE_FUNC, index, "a keyed sum aggregates exactly one field"))
+        elif op.by and op.fields[0] in FLOAT_FIELDS and plan.topk is None:
+            issues.append(PlanIssue(PE_FUNC, index, "a keyed float sum "
+                                    "would not regroup: rank it (TopK)"))
         bad = [f for f in op.fields if f in RECORD_FIELDS
                and f not in NUMERIC_FIELDS]
         if bad:
@@ -493,7 +498,7 @@ def _validate_aggregate(plan: Plan, index: int,
     project = plan.project
     if project is not None:
         reads = (("stime", "etime") if op.func == AGG_SPAN
-                 else op.fields + op.by)
+                 else _read_fields(op))
         missing = [f for f in reads if f not in project.fields]
         if missing:
             issues.append(PlanIssue(
@@ -550,25 +555,87 @@ def scan_spec(filter_op: Optional[Filter]) -> ScanSpec:
 # Executor helpers (the ops' ``execute`` legs are shared by the reference
 # evaluator and the pushdown executor's residual tail)
 # --------------------------------------------------------------------------
-def _field_reader(name: str) -> Any:
+def _field_reader(name: str) -> Callable[[PathFlowRecord], Any]:
     """Per-field accessor with the name dispatch hoisted out of scan
-    loops; same semantics as :func:`record_field` field by field."""
+    loops; same semantics as :func:`record_field` field by field, and a
+    :data:`DERIVED_KEYS` one derives its key off its field."""
     if name == "flow":
         return lambda record: flow_key(record.flow_id)
+    if name in DERIVED_KEYS:
+        field, derive = DERIVED_KEYS[name]
+        read = attrgetter(field)
+        return lambda record: derive([read(record)])[0]
     return attrgetter(name)
 
 
-def _group_key(op: Aggregate, record: PathFlowRecord) -> Any:
-    """The payload-dict key one record lands under: a bare value for a
-    single ``by`` field, a tuple for several; a histogram appends the
-    bin (and bins bare when not grouped at all)."""
-    parts = tuple(record_field(record, name) for name in op.by)
+def _key_reader(op: Aggregate) -> Callable[[PathFlowRecord], Any]:
+    """The payload-dict key of one record (as :func:`_group` keys a row)."""
+    if len(op.by) == 1 and op.func != AGG_HISTOGRAM:
+        return _field_reader(op.by[0])
+    parts = [_field_reader(name) for name in op.by]
     if op.func == AGG_HISTOGRAM:
-        bin_ = int(record_field(record, op.fields[0]) // op.binsize)
-        if not parts:
-            return bin_
-        return parts + (bin_,)
-    return parts[0] if len(parts) == 1 else parts
+        value_of, size = _field_reader(op.fields[0]), op.binsize
+        parts.append(lambda record: int(value_of(record) // size))
+    if len(parts) == 1:
+        return parts[0]
+    return lambda record: tuple([part(record) for part in parts])
+
+
+def _read_fields(op: Aggregate) -> Tuple[str, ...]:
+    """The record fields a keyed aggregate reads (a derived key's own)."""
+    keys = [DERIVED_KEYS[name][0] if name in DERIVED_KEYS else name
+            for name in op.by]
+    return tuple(dict.fromkeys(keys + list(op.fields)))
+
+
+def _group(op: Aggregate, fields: Tuple[str, ...],
+           chunks: Iterable[Sequence[Sequence[Any]]]
+           ) -> Tuple[Dict[Any, Any], int]:
+    """A keyed aggregate's groups over chunks of ``fields`` columns, and
+    the rows read: one ``Counter`` update a chunk, or one dict update a
+    row; a key is a bare value for one ``by`` field, else a tuple."""
+    grouped: Any = {}
+    rows = 0
+    for chunk in chunks:
+        column = dict(zip(fields, chunk))
+        rows += len(chunk[0])
+        parts: List[Iterable[Any]] = [
+            DERIVED_KEYS[name][1](column[DERIVED_KEYS[name][0]])
+            if name in DERIVED_KEYS else column[name] for name in op.by]
+        if op.func == AGG_HISTOGRAM:
+            bins: Iterable[Any] = map(floordiv, column[op.fields[0]],
+                                      repeat(op.binsize))
+            # An int field floor-divided by an int is int already.
+            if type(op.binsize) is not int or op.fields[0] in FLOAT_FIELDS:
+                bins = map(int, bins)
+            parts.append(bins)
+        keys = parts[0] if len(parts) == 1 else zip(*parts)
+        if op.func == AGG_SUM:
+            for key, value in zip(keys, column[op.fields[0]]):
+                grouped[key] = grouped.get(key, 0) + value
+        elif grouped:
+            grouped.update(keys)
+        else:  # no Counter for the many hosts with no row to count
+            grouped = Counter(keys)
+    return grouped, rows
+
+
+def _emit_groups(op: Aggregate, plan: Plan, grouped: Dict[Any, Any],
+                 label: Optional[str] = None) -> Dict[Any, Any]:
+    """A keyed aggregate's groups, sorted unless a TopK ranks them, without
+    a derived ``None`` key, and each ``k`` as ``(label, k)`` if labelled."""
+    if not DERIVED_KEYS.keys().isdisjoint(op.by):
+        grouped.pop(None, None)  # a bare key, or one part of a key tuple
+        if len(op.by) > 1 or op.func == AGG_HISTOGRAM:
+            grouped = {key: value for key, value in grouped.items()
+                       if None not in key}
+    if not grouped:
+        return {}
+    if plan.topk is not None:
+        return grouped
+    if label is None:
+        return {key: grouped[key] for key in sorted(grouped)}
+    return {(label, key): grouped[key] for key in sorted(grouped)}
 
 
 def _clamped_span(records: Sequence[PathFlowRecord],
@@ -677,22 +744,12 @@ def reference_evaluate(records: Sequence[PathFlowRecord],
 # --------------------------------------------------------------------------
 # Pushdown execution against a TIB
 # --------------------------------------------------------------------------
-@dataclass
-class PlanExecution:
+class PlanExecution(NamedTuple):
     """One host's plan execution: the payload plus its accounting."""
 
     payload: Any
     records_scanned: int
     scan_stats: Dict[str, int]
-
-
-#: The per-plan scan stats of an execution that scanned nothing: every
-#: key of ``Tib.scan_stat_snapshot()`` (the same set with and without a
-#: cold tier; a test pins the two equal), all zero.  Copied per execution.
-_NO_SCAN_STATS: Dict[str, int] = dict.fromkeys((
-    "hot_flow_routed", "hot_link_routed", "hot_time_routed",
-    "hot_full_scans", "cold_segments_skipped", "cold_entries_skipped",
-    "cold_entries_decoded"), 0)
 
 
 def _scalar_flow_sum(plan: Plan) -> Optional[Tuple[str, Tuple[str, ...]]]:
@@ -727,25 +784,48 @@ def _keyed_flow_byte_sum(plan: Plan) -> bool:
 
 
 def execute_plan(tib: Any, plan: Plan) -> PlanExecution:
-    """Execute a plan against one host's TIB with full pushdown.
+    """:func:`answer` a plan, with ``scan_stats`` the difference of the
+    TIB's scan-stat snapshots around it: how the hot tier routed, and how
+    much decode work cold pruning avoided, for *this* plan."""
+    before = tib.scan_stat_snapshot()
+    payload, scanned = answer(tib, plan)
+    after = tib.scan_stat_snapshot()
+    return PlanExecution(payload, scanned,
+                         {key: after[key] - before[key] for key in after})
 
-    The ``Filter`` compiles to a :class:`ScanSpec` served by both tiers
-    (hot index routing + cold segment pruning); two aggregate
-    shapes short-circuit onto the maintained per-flow totals, and an
-    unconstrained value-ranked top-k onto the TIB's flow ranking
-    (``Tib.ranked_flow_bytes``).  ``scan_stats`` is the difference of
-    the TIB's scan-stat snapshots around the execution: how the hot tier
-    routed, and how much decode work cold pruning avoided, for *this*
-    plan.
-    """
-    validate(plan)
-    # The pushdown classification (which fast path, the compiled
-    # ScanSpec, the residual predicate) is a pure function of the frozen
-    # plan - memoized on the instance so repeat executions of a cached
-    # plan jump straight to the storage calls.
-    shape: Any = plan.__dict__.get("_pushdown_shape")
-    if shape is None:
+
+#: Keyed plans of stored columns answered as one payload, each under a
+#: label (as :func:`compile_flow_size_distribution` builds them).
+Labelled = Tuple[Tuple[str, Plan], ...]
+
+
+def answer(tib: Any, plan: Union[Plan, Labelled]) -> Tuple[Any, int]:
+    """A plan's payload on one host's TIB and the rows it scanned - or
+    labelled plans': key ``k`` as ``(label, k)``, summed in plan order."""
+    if isinstance(plan, Plan):
+        return _answer(tib, plan)
+    payload: Dict[Any, Any] = {}
+    scanned = 0
+    for label, one in plan:
+        groups, rows = _answer(tib, one, label)  # sorted
+        scanned += rows
+        payload = merge_key_sums(None, [payload, groups]) if payload \
+            else groups
+    if len(plan) > 1:
+        payload = dict(sorted(payload.items()))
+    return payload, scanned
+
+
+def _answer(tib: Any, plan: Plan,
+            label: Optional[str] = None) -> Tuple[Any, int]:
+    """:func:`answer` of one plan, by its pushdown shape (memoized on the
+    frozen plan): maintained per-flow totals, a ``Tib.fold`` of stored
+    columns for a keyed aggregate of them, else ``Tib.spec_records``."""
+    shape = plan.__dict__.get("_pushdown_shape")
+    if shape is None:  # only a valid plan has one
+        validate(plan)
         scalar_shape = _scalar_flow_sum(plan)
+        op, filter_op = plan.aggregate, plan.filter
         if scalar_shape is not None:
             shape = ("scalar",) + scalar_shape
         elif _keyed_flow_byte_sum(plan):
@@ -753,57 +833,49 @@ def execute_plan(tib: Any, plan: Plan) -> PlanExecution:
             if topk is not None and topk.key == RANK_VALUE:
                 shape = ("ranked", topk.k, topk.order != ORDER_ASC)
             else:
-                aggregate = plan.aggregate
-                tail_from = plan.ops.index(aggregate) + 1 \
-                    if aggregate is not None else 0
-                shape = ("keyed", plan.ops[tail_from:])
+                shape = ("keyed", op)
+        # A keyed aggregate (or histogram) of stored fields folds columns,
+        # unless a residual path must see records or a float sum would add
+        # in the tiers' row order.
+        elif (op is not None and (bool(op.by) or op.func == AGG_HISTOGRAM)
+              and (filter_op is None or filter_op.path is None)
+              and not (op.func == AGG_SUM and op.fields[0] in FLOAT_FIELDS)
+              and set(_read_fields(op)) <= set(COLUMN_FIELDS)):
+            shape = ("fold", scan_spec(filter_op), _read_fields(op), op)
         else:
-            filter_op = plan.filter
             shape = ("general", scan_spec(filter_op),
                      filter_op.path if filter_op is not None else None)
         object.__setattr__(plan, "_pushdown_shape", shape)
-    if shape[0] == "scalar":
-        # Served from the maintained per-flow totals - no scan on either
-        # tier, so the per-plan stats are zero by construction.
-        fkey, fields = shape[1], shape[2]
-        totals = tib.flow_totals(fkey)
+    kind = shape[0]
+    if kind == "fold":
+        grouped, scanned = _group(shape[3], shape[2],
+                                  tib.fold(shape[1], shape[2]))
+    elif kind == "keyed":
+        grouped, scanned = tib.flow_byte_totals(), tib.total_record_count()
+    elif kind == "scalar":  # one maintained aggregate row, like getCount
+        totals = tib.flow_totals(shape[1])
         by_name = {"bytes": totals[0], "pkts": totals[1]}
-        payload: Any = tuple(by_name[name] for name in fields)
-        scanned = 1  # one maintained aggregate row, like getCount
-        scan_stats = dict(_NO_SCAN_STATS)
-    elif shape[0] == "ranked":
-        # A slice of the TIB's maintained flow ranking: rank_select over
-        # the per-flow totals' pairs, without visiting every flow.
-        payload = tib.ranked_flow_bytes(shape[1], shape[2])
-        scanned = tib.total_record_count()
-        scan_stats = dict(_NO_SCAN_STATS)
-    elif shape[0] == "keyed":
-        payload = tib.flow_byte_totals()
-        scanned = tib.total_record_count()
-        for op in shape[1]:
-            payload = op.execute(payload, plan)
-        scan_stats = dict(_NO_SCAN_STATS)
+        return tuple(by_name[name] for name in shape[2]), 1
+    elif kind == "ranked":  # a slice of the TIB's flow ranking
+        return (tib.ranked_flow_bytes(shape[1], shape[2]),
+                tib.total_record_count())
     else:
-        before = tib.scan_stat_snapshot()
-        spec, residual_path = shape[1], shape[2]
-        rows = tib.spec_records(spec)
+        rows = tib.spec_records(shape[1])
         scanned = len(rows)
-        if residual_path is not None:
-            rows = [record for record in rows
-                    if record.path == residual_path]
-        payload = _run_pipeline(plan, rows, skip_filter=True)
-        after = tib.scan_stat_snapshot()
-        scan_stats = {key: after[key] - before[key] for key in after}
-    return PlanExecution(payload=payload, records_scanned=scanned,
-                         scan_stats=scan_stats)
+        if shape[2] is not None:
+            rows = [record for record in rows if record.path == shape[2]]
+        return _run_pipeline(plan, rows, skip_filter=True), scanned
+    payload = _emit_groups(shape[-1], plan, grouped, label)
+    topk = plan.topk
+    return (payload if topk is None else topk.execute(payload, plan)), scanned
 
 
 # --------------------------------------------------------------------------
 # Merge operators (the aggregation-tree reduction, selected by terminal op)
 # --------------------------------------------------------------------------
-# The concat and key-sum reductions also merge the hand-written query
-# handlers' payloads (:mod:`repro.core.query`), which is why their first
-# argument - the plan, or the query there - goes unused.
+# The concat reduction also merges the hand-written query handlers'
+# payloads, and the key sum results' scan stats (:mod:`repro.core.query`),
+# which is why the first argument goes unused.
 def merge_concat(_: Any, payloads: Sequence[Any]) -> List[Any]:
     """Concatenate listing rows / scalar tuples (the un-merged reduction:
     per-host scalar tuples flatten into one list, exactly as ``getCount``
@@ -841,7 +913,7 @@ def _merge_top_k(plan: Plan, payloads: Sequence[Any]) -> Any:
     return merge_ranked(payloads, op.k, op.order)
 
 
-_MERGE_FUNCTIONS: Dict[str, Callable[[Plan, Sequence[Any]], Any]] = {
+_MERGE_FUNCTIONS: Dict[str, Callable[[Any, Sequence[Any]], Any]] = {
     MERGE_CONCAT: merge_concat,
     MERGE_HISTOGRAM: merge_key_sums,
     MERGE_TOP_K: _merge_top_k,
@@ -849,10 +921,12 @@ _MERGE_FUNCTIONS: Dict[str, Callable[[Plan, Sequence[Any]], Any]] = {
 }
 
 
-def merge_operator(plan: Plan) -> str:
+def merge_operator(plan: Union[Plan, Labelled]) -> str:
     """The generic merge operator the plan's terminal op selects: its
     ``merge``, except that a scalar ``Aggregate`` (no group key)
-    concat-merges, or span-merges a span."""
+    concat-merges, or span-merges a span (labelled plans key-sum)."""
+    if not isinstance(plan, Plan):
+        return MERGE_HISTOGRAM
     terminal = plan.ops[-1]
     if isinstance(terminal, Aggregate) and not terminal.by:
         if terminal.func == AGG_SPAN:
@@ -862,7 +936,8 @@ def merge_operator(plan: Plan) -> str:
     return terminal.merge
 
 
-def merge_payloads(plan: Plan, payloads: Sequence[Any]) -> Any:
+def merge_payloads(plan: Union[Plan, Labelled],
+                   payloads: Sequence[Any]) -> Any:
     """Merge partial plan payloads (one aggregation-tree reduction)."""
     return _MERGE_FUNCTIONS[merge_operator(plan)](plan, payloads)
 
@@ -912,3 +987,31 @@ def compile_top_k_flows(k: int = 1000, link: Any = None,
         Aggregate(func=AGG_SUM, fields=("bytes",), by=("flow",)),
         TopK(k=k, key=RANK_VALUE, order=ORDER_DESC),
     ))
+
+
+def compile_traffic_matrix(time_range: Optional[Tuple[Any, Any]] = None
+                           ) -> Plan:
+    """``traffic_matrix(timeRange)`` (Section 2.3) as a plan.  Payload:
+    bytes by (source ToR, destination ToR), sorted."""
+    start, end = time_range if time_range is not None else (None, None)
+    return Plan(ops=(Filter(start=start, end=end), Aggregate(
+        func=AGG_SUM, fields=("bytes",), by=("tor_pair",))))
+
+
+def compile_flow_size_distribution(
+        links: Optional[Sequence[Any]] = None, link: Any = None,
+        time_range: Optional[Tuple[Any, Any]] = None,
+        binsize: int = 10_000) -> Labelled:
+    """``flow_size_distribution`` (Section 2.3): a ``bytes`` histogram for
+    each of ``links``, else the one ``link``, labelled ``"a-b"`` as given
+    (an empty endpoint ``*``, no link ``"*-*"``).  Payload: counts by
+    ``(label, bin)``, sorted."""
+    start, end = time_range if time_range is not None else (None, None)
+    labelled: List[Tuple[str, Plan]] = []
+    for link in links if links is not None else (link,):
+        a, b = ("*", "*") if link is None else link
+        labelled.append((f"{a or '*'}-{b or '*'}", Plan(ops=(
+            Filter(start=start, end=end, links=((a, b),)),
+            Aggregate(func=AGG_HISTOGRAM, fields=("bytes",),
+                      binsize=binsize)))))
+    return tuple(labelled)

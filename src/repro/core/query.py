@@ -15,12 +15,12 @@ This module defines:
   its measured serialized size (the length of its :mod:`repro.core.wire`
   frame), so query traffic can be accounted;
 * the plan-built queries - ``get_count``, ``get_duration`` (whose
-  payload is the clamped ``(start, end)`` span), ``top_k_flows`` and raw
-  ``plan`` - in one name -> plan table, each executed by
-  :func:`~repro.core.plan.execute_plan` and merged by
-  :func:`~repro.core.plan.merge_payloads`;
+  payload is the clamped ``(start, end)`` span), ``top_k_flows``,
+  ``traffic_matrix``, ``flow_size_distribution`` and raw ``plan`` - in
+  one name -> plan table, answered by :func:`~repro.core.plan.answer`
+  and merged by :func:`~repro.core.plan.merge_payloads`;
 * the hand-written handlers of the paper's other applications, merged by
-  concatenation unless a ``_mergers`` entry says otherwise.
+  concatenation (a registered handler may bring its own merger).
 
 Every aggregation node merges all of its arrivals in one call.  Every
 handler, built-in or registered, returns ``(payload, records_scanned,
@@ -31,11 +31,8 @@ from __future__ import annotations
 
 import functools
 import time
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
-from itertools import repeat
-from operator import floordiv
+from functools import lru_cache
 from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple)
 
@@ -44,9 +41,8 @@ from repro.core import wire
 from repro.core.alarms import PC_FAIL
 from repro.core.executor import (GatherResult, PlanNode, ScatterGatherExecutor,
                                  micros)
-from repro.core.tib import LinkId, TierClock, normalise_time_range
+from repro.core.tib import TierClock
 from repro.network.packet import FlowId
-from repro.storage.records import ScanSpec
 
 #: Built-in query names.
 Q_GET_FLOWS = "get_flows"
@@ -65,39 +61,35 @@ Q_SUBFLOW_IMBALANCE = "subflow_imbalance"
 Q_PLAN = planlib.PLAN_QUERY_NAME
 
 
-def _memoized(build: Callable) -> Callable:
-    """One shared ``build(*params)`` object per distinct parameter shape.
-
-    Every host of a sweep is asked the same question, and compiling a plan
-    (or building + normalising a ``ScanSpec``) costs as much as reading a
-    40-record TIB; the results are frozen, so equal shapes can share one -
-    a cached plan also keeps its memoized validation and pushdown shape.
-    List parameters count as tuples; a shape that is still unhashable (a
-    list path inside a flow pair) is built fresh every time.
-    """
-    cached = lru_cache(maxsize=1024)(build)
-
-    @wraps(build)
-    def shared(*params: Any) -> Any:
-        params = tuple(tuple(param) if isinstance(param, list) else param
-                       for param in params)
-        try:
-            return cached(*params)
-        except TypeError:  # unhashable parameter shape
-            return build(*params)
-    return shared
+def _hashable(param: List[Any]) -> Tuple[Any, ...]:
+    return tuple([_hashable(item) if type(item) is list else item
+                  for item in param])
 
 
-@_memoized
-def _compiled(constructor: str, *params: Any) -> "planlib.Plan":
-    """``planlib.<constructor>(*params)``.  The constructor is looked up
-    when called, so a wrapped one (a tracer's) is the one that runs."""
+@lru_cache(maxsize=1024)
+def _shared(constructor: str, *params: Any) -> Any:
     return getattr(planlib, constructor)(*params)
 
 
-#: The plan-built queries: name -> (the plan a query's params ask, the
-#: ``records_scanned`` of a point read or ``None`` for ``execute_plan``'s
-#: count, and whether the result carries the per-plan scan stats).
+def _compiled(constructor: str, *params: Any) -> Any:
+    """``planlib.<constructor>(*params)``, one per parameter shape: every
+    host of a sweep asks the same question, and compiling costs as much as
+    reading a 40-record TIB.  Plans are frozen, so equal shapes share one
+    (and its memoized validation and pushdown shape); lists count as
+    tuples, and a shape still unhashable (a list path inside a flow pair)
+    is built afresh.  A wrapped constructor (a tracer's) is the one run."""
+    params = tuple([_hashable(param) if type(param) is list else param
+                    for param in params])
+    try:
+        return _shared(constructor, *params)
+    except TypeError:  # unhashable parameter shape
+        return getattr(planlib, constructor)(*params)
+
+
+#: The plan-built queries: name -> (the plan - or labelled plans - a
+#: query's params ask, the ``records_scanned`` of a point read or
+#: ``None`` for the execution's count, and whether the result carries the
+#: per-plan scan stats).
 _PLANNED = {
     Q_GET_COUNT: (lambda params: _compiled(
         "compile_get_count", params["flow"], params.get("time_range")),
@@ -108,21 +100,14 @@ _PLANNED = {
     Q_TOP_K_FLOWS: (lambda params: _compiled(
         "compile_top_k_flows", params.get("k", 1000), params.get("link"),
         params.get("time_range")), None, False),
+    Q_TRAFFIC_MATRIX: (lambda params: _compiled(
+        "compile_traffic_matrix", params.get("time_range")), None, False),
+    Q_FLOW_SIZE_DISTRIBUTION: (lambda params: _compiled(
+        "compile_flow_size_distribution", params.get("links"),
+        params.get("link"), params.get("time_range"),
+        params.get("binsize", 10_000)), None, False),
     Q_PLAN: (lambda params: params["plan"], None, True),
 }
-
-
-#: The record fields whose values are floats: a key-wise sum of one does
-#: not survive regrouping (:meth:`QueryEngine.regroupable`).
-_FLOAT_FIELDS = ("stime", "etime")
-
-
-@_memoized
-def _fold_spec(link: Any, time_range: Any) -> ScanSpec:
-    """The read an aggregate handler folds."""
-    start, end = normalise_time_range(time_range)
-    return ScanSpec(start=start, end=end,
-                    links=() if link is None else (link,))
 
 
 @dataclass
@@ -218,15 +203,11 @@ class QueryEngine:
             Q_GET_FLOWS: self._run_get_flows,
             Q_GET_PATHS: self._run_get_paths,
             Q_POOR_TCP_FLOWS: self._run_poor_tcp_flows,
-            Q_FLOW_SIZE_DISTRIBUTION: self._run_flow_size_distribution,
-            Q_TRAFFIC_MATRIX: self._run_traffic_matrix,
             Q_PATH_CONFORMANCE: self._run_path_conformance,
             Q_SUBFLOW_IMBALANCE: self._run_subflow_imbalance,
         }
-        self._mergers: Dict[str, Callable] = {
-            Q_FLOW_SIZE_DISTRIBUTION: planlib.merge_key_sums,
-            Q_TRAFFIC_MATRIX: planlib.merge_key_sums,
-        }
+        #: Registered handlers' own mergers.
+        self._mergers: Dict[str, Callable] = {}
 
     def names(self) -> FrozenSet[str]:
         """Every query name this engine answers."""
@@ -283,11 +264,14 @@ class QueryEngine:
                 plan = build(query.params)
                 if clock is not None:
                     compiled = time.perf_counter()
-                execution = planlib.execute_plan(agent.tib, plan)
-                payload = execution.payload
-                scanned = (execution.records_scanned if point_read is None
-                           else point_read)
-                scan_stats = execution.scan_stats if with_stats else {}
+                if with_stats:
+                    payload, scanned, scan_stats = planlib.execute_plan(
+                        agent.tib, plan)
+                else:
+                    (payload, scanned), scan_stats = planlib.answer(
+                        agent.tib, plan), {}
+                if point_read is not None:
+                    scanned = point_read
             else:
                 handler = self._handlers.get(query.name)
                 if handler is None:
@@ -338,24 +322,6 @@ class QueryEngine:
             result.wire_bytes = measured_result_wire_bytes(result)
         return result
 
-    def regroupable(self, query: Query) -> bool:
-        """Whether ``query``'s merge may take its arrivals in consecutive
-        runs - ``merge([merge(A), merge(B)]) == merge(A + B)``, byte for
-        byte - so that a worker may fold the runs of a plan lying in its
-        shard.  True of every built-in but a key-wise sum of a float field
-        (a plan summing ``stime`` or ``etime`` by key), whose additions
-        round differently when regrouped; counts, bytes and packets are
-        ints, exact in any grouping.  A custom merger is not known to be.
-        """
-        planned = _PLANNED.get(query.name)
-        if planned is None:
-            return self._mergers.get(query.name) in (None,
-                                                     planlib.merge_key_sums)
-        terminal = planned[0](query.params).ops[-1]
-        return not (isinstance(terminal, planlib.Aggregate)
-                    and terminal.func == planlib.AGG_SUM and terminal.by
-                    and terminal.fields[0] in _FLOAT_FIELDS)
-
     def fold(self, query: Query, plan: PlanNode,
              work: Callable[[str], QueryResult],
              executor: Optional[ScatterGatherExecutor] = None
@@ -400,56 +366,6 @@ class QueryEngine:
     def _run_poor_tcp_flows(agent, params):
         flows = agent.monitor.get_poor_tcp_flows(params.get("threshold"))
         return flows, len(agent.monitor.flows), {}
-
-    @staticmethod
-    def _run_flow_size_distribution(agent, params):
-        """Histogram of flow sizes on a link (the Section 2.3 example).
-
-        The TIB keeps exactly one record per (flow, path), so each row's
-        byte count already is the pair's ``getCount`` total: the histogram
-        is binned straight off the ``bytes`` column of both tiers
-        (:meth:`Tib.fold <repro.core.tib.Tib.fold>`) - no cold row is
-        materialised for it.  A fold has no row order, so the keys are
-        emitted sorted: one canonical payload whatever the tier split.
-        """
-        links = params.get("links")
-        if links is None:
-            links = [params.get("link")]
-        time_range = params.get("time_range")
-        binsize = params.get("binsize", 10_000)
-        per_label: Dict[str, Counter] = {}
-        for link in links:
-            label = _link_label(link)
-            for (nbytes,) in agent.tib.fold(_fold_spec(link, time_range),
-                                            ("bytes",)):
-                binned = map(floordiv, nbytes, repeat(binsize))
-                if label in per_label:
-                    per_label[label].update(binned)
-                else:  # most hosts hold no row of a narrow window
-                    per_label[label] = Counter(binned)
-        histogram = {(label, size_bin): bins[size_bin]
-                     for label, bins in sorted(per_label.items())
-                     for size_bin in sorted(bins)}
-        return histogram, sum(histogram.values()), {}
-
-    @staticmethod
-    def _run_traffic_matrix(agent, params):
-        """Bytes between (source ToR, destination ToR) pairs seen locally,
-        summed off the ``bytes`` and ``path`` columns of both tiers
-        (:meth:`Tib.fold <repro.core.tib.Tib.fold>`).  Keys are emitted
-        sorted, like :meth:`_run_flow_size_distribution`'s.
-        """
-        matrix: Dict[Tuple[str, str], int] = {}
-        scanned = 0
-        for nbytes, paths in agent.tib.fold(
-                _fold_spec(None, params.get("time_range")),
-                ("bytes", "path")):
-            scanned += len(paths)
-            for path, count in zip(paths, nbytes):
-                if len(path) >= 3:
-                    key = (path[1], path[-2])
-                    matrix[key] = matrix.get(key, 0) + count
-        return dict(sorted(matrix.items())), scanned, {}
 
     @staticmethod
     def _run_path_conformance(agent, params):
@@ -498,7 +414,7 @@ class QueryEngine:
         per_flow: Dict[FlowId, List[Tuple[Tuple[str, ...], int]]] = {}
         for flow_id, path in flows:
             plan = planlib.compile_get_count((flow_id, path), time_range)
-            nbytes, _ = planlib.execute_plan(agent.tib, plan).payload
+            (nbytes, _), _ = planlib.answer(agent.tib, plan)
             per_flow.setdefault(flow_id, []).append((path, nbytes))
         offenders = []
         for flow_id, entries in per_flow.items():
@@ -511,10 +427,3 @@ class QueryEngine:
                 offenders.append((flow_id, entries))
         return offenders, len(flows), {}
 
-
-def _link_label(link: Optional[LinkId]) -> str:
-    """Readable label for a link parameter (used as histogram key prefix)."""
-    if link is None:
-        return "*-*"
-    a, b = link
-    return f"{a or '*'}-{b or '*'}"

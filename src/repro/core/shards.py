@@ -24,7 +24,8 @@ A fold unit is either
 The root (the controller) is always mixed and has no local result.
 Every merge the two folds make is one the full plan's fold makes, or a
 regrouping of consecutive arrivals of one, which the merge contract
-(``tests/test_merge_contract.py``) holds byte-identical.
+(``tests/test_merge_contract.py``) holds byte-identical for every served
+query (the plan validator rejects a terminal key-wise float sum).
 """
 
 from __future__ import annotations
@@ -68,13 +69,10 @@ class ShardCut:
     hosts: List[str]
 
 
-def cut_plan(plan: PlanNode, group_of: Callable[[str], str],
-             regroup: bool = True) -> ShardCut:
+def cut_plan(plan: PlanNode, group_of: Callable[[str], str]) -> ShardCut:
     """Cut ``plan`` into fold units along the shards ``group_of(host)``
     names (a host no worker serves is a group of its own, which fails
-    when asked).  Without ``regroup`` (a merge that must see its
-    arrivals one by one) every unit is one host's own result, and the
-    collapsed plan is ``plan`` itself."""
+    when asked)."""
     owner: Dict[int, Optional[str]] = {}  # id(node) -> its subtree's group
     hosts: List[str] = []
 
@@ -82,7 +80,7 @@ def cut_plan(plan: PlanNode, group_of: Callable[[str], str],
         hosts.append(node.host)  # type: ignore[arg-type]
         key: Optional[str] = group_of(node.host)  # type: ignore[arg-type]
         for child in node.children:
-            if whole(child) != key or not regroup:
+            if whole(child) != key:
                 key = None
         owner[id(node)] = key
         return key
@@ -113,7 +111,7 @@ def cut_plan(plan: PlanNode, group_of: Callable[[str], str],
         run_key: Optional[str] = None
         for child in node.children:
             key = owner[id(child)]
-            if run and (key != run_key or not regroup):
+            if run and key != run_key:
                 out.children.append(PlanNode(run[0].host))
                 unit(run_key, run, host)  # type: ignore[arg-type]
                 run = []

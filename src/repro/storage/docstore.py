@@ -185,18 +185,6 @@ class Collection:
                 insort(entries, (value, position))
         return doc["_id"]
 
-    def reserve_id(self) -> int:
-        """Allocate and return the next auto ``_id`` without inserting.
-
-        For callers that route a logical row somewhere other than this
-        collection (the two-tier TIB's cold-admission path) but must keep
-        the id sequence identical to what :meth:`insert` would have
-        assigned.  The reserved id is consumed permanently.
-        """
-        doc_id = self._next_id
-        self._next_id += 1
-        return doc_id
-
     def insert_many(self, documents: Iterable[Dict[str, Any]]) -> int:
         """Insert many documents; returns the number inserted."""
         count = 0

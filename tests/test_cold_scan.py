@@ -25,7 +25,8 @@ from repro.core import (AgentServerError, MODE_PROCESS, MODE_SERIAL,
                         MODE_SOCKET, PathDumpController,
                         Q_FLOW_SIZE_DISTRIBUTION, Q_GET_FLOWS, Q_TOP_K_FLOWS,
                         Q_TRAFFIC_MATRIX, Query, QueryCluster, Tib, wire)
-from repro.core.query import QueryEngine
+from repro.core.plan import Aggregate, Filter, Plan, reference_evaluate
+from repro.core.query import Q_PLAN, QueryEngine
 from repro.core.supervisor import ChaosPolicy, Supervisor
 from repro.network.packet import FlowId, PROTO_TCP
 from repro.storage import ColdArchive, PathFlowRecord, RetentionPolicy, ScanSpec
@@ -430,8 +431,9 @@ class TestFoldSoundness:
 
 
 class TestAggregateHandlersReadColumns:
-    """``flow_size_distribution`` and ``traffic_matrix`` fold columns: a
-    reversed window, degenerate paths and a fully-cold TIB."""
+    """``flow_size_distribution``, ``traffic_matrix`` and any keyed plan
+    of stored columns fold them: a reversed window, degenerate paths and
+    a fully-cold TIB."""
 
     @pytest.fixture(scope="class")
     def tibs(self):
@@ -481,6 +483,22 @@ class TestAggregateHandlersReadColumns:
         stats = tib.tier_stats()
         assert stats["segment_decodes"] > 0
         assert stats["entries_decoded"] == 0
+
+    def test_a_plan_sum_by_path_decodes_no_cold_entry(self, tibs):
+        """The per-path byte read of a load-imbalance diagnosis, as a
+        ``Q_PLAN``: answered off the columns, sorted by path, with its
+        per-plan stats saying no cold entry was decoded."""
+        tib = tibs["fully-cold"]
+        tib.reset_stats()
+        plan = Plan(ops=(Filter(start=0.0), Aggregate(
+            func="sum", fields=("bytes",), by=("path",))))
+        result = QueryEngine().execute(SimpleNamespace(host="h", tib=tib),
+                                       Query(Q_PLAN, {"plan": plan}))
+        assert result.scan_stats["cold_entries_decoded"] == 0
+        assert tib.tier_stats()["entries_decoded"] == 0
+        assert result.records_scanned == tib.total_record_count() == 303
+        want = reference_evaluate(tib.records(), plan)
+        assert list(result.payload.items()) == sorted(want.items())
 
 
 class TestCompaction:

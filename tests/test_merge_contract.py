@@ -113,9 +113,7 @@ CASES = list(cases())
 
 
 def test_cases_cover_every_merger_and_terminal_op():
-    engine = QueryEngine()
     named = {query.name for query, _kind, _ranking in CASES}
-    assert set(engine._mergers) <= named
     assert SERVED_QUERIES <= named
     operators = {planlib.merge_operator(query.params["plan"])
                  for query, _kind, _ranking in CASES
@@ -194,12 +192,11 @@ def test_merge_is_associative_at_every_split_point(query, kind, ranking):
     """``merge([merge(A), merge(B)]) == merge(A + B)`` for every split of
     a plan-ordered arrival list into a non-empty head and tail - and for
     a random cut into consecutive runs: what lets a worker fold the runs
-    of a plan that lie in its shard and the controller fold the rest.
-    Every case is one the engine regroups; a key-wise sum holds it over
-    the ints these cases sum (counts, bytes), not over floats - see
-    :func:`test_a_float_key_sum_is_not_regrouped`."""
+    of a plan that lie in its shard and the controller fold the rest, for
+    every served query.  A key-wise sum holds it over the ints these
+    cases sum (counts, bytes), not over floats - see
+    :func:`test_a_terminal_float_key_sum_is_rejected`."""
     engine = QueryEngine()
-    assert engine.regroupable(query)
 
     def merge(results):
         return engine.merge(query, results, measure_wire=False)
@@ -218,27 +215,30 @@ def test_merge_is_associative_at_every_split_point(query, kind, ranking):
         assert_same_merge(merge([merge(run) for run in runs]), whole)
 
 
-def test_a_float_key_sum_is_not_regrouped():
+def test_a_terminal_float_key_sum_is_rejected():
     """A key-wise sum of floats fails the associativity contract - float
-    additions round differently when regrouped - so the one served query
-    that sums floats by key, a plan summing ``stime`` or ``etime``, is
-    never folded at the workers; the same sum over an int field is."""
-    engine = QueryEngine()
+    additions round differently when regrouped - so the validator rejects
+    the one plan whose payload it would be, a terminal sum of ``stime``
+    or ``etime`` by key; the same sum over an int field, or ranked by a
+    ``TopK`` (whose merge re-selects and adds nothing), is served."""
     plans = {field: planlib.Plan(ops=(planlib.Aggregate(
         func=planlib.AGG_SUM, fields=(field,), by=("flow",)),))
         for field in planlib.NUMERIC_FIELDS}
-    query = Query(Q_PLAN, {"plan": plans["stime"]})
-    results = [QueryResult(query, {"f": value}, 0)
-               for value in (0.1, 0.2, 0.3)]
-    whole = engine.merge(query, results).payload
-    runs = engine.merge(query, [results[0],
-                                engine.merge(query, results[1:])]).payload
+    results = [{"f": value} for value in (0.1, 0.2, 0.3)]
+    whole = planlib.merge_payloads(plans["stime"], results)
+    runs = planlib.merge_payloads(plans["stime"], [
+        results[0], planlib.merge_payloads(plans["stime"], results[1:])])
     assert whole == {"f": 0.6000000000000001} and runs == {"f": 0.6}
-    assert {field: engine.regroupable(Query(Q_PLAN, {"plan": plan}))
-            for field, plan in plans.items()} == {
-        "stime": False, "etime": False, "bytes": True, "pkts": True}
+    rejected = {}
+    for field, plan in plans.items():
+        try:
+            planlib.validate(plan)
+        except planlib.PlanError as error:
+            rejected[field] = [issue.code for issue in error.issues]
+    assert rejected == {"stime": [planlib.PE_FUNC],
+                        "etime": [planlib.PE_FUNC]}
     ranked = planlib.Plan(ops=plans["stime"].ops + (planlib.TopK(k=3),))
-    assert engine.regroupable(Query(Q_PLAN, {"plan": ranked}))
+    planlib.validate(ranked)
 
 
 @pytest.mark.parametrize("split", [1, 2, 3])

@@ -380,8 +380,8 @@ class TestSharedShapes:
 
     def test_equal_top_k_calls_execute_the_same_plan(self, monkeypatch):
         executed = []
-        execute = planlib.execute_plan
-        monkeypatch.setattr(planlib, "execute_plan", lambda tib, plan: (
+        execute = planlib.answer
+        monkeypatch.setattr(planlib, "answer", lambda tib, plan: (
             executed.append(plan) or execute(tib, plan)))
         agent = _LocalAgent(hot_tib())
         sample = make_record(3)
@@ -392,19 +392,27 @@ class TestSharedShapes:
             QueryEngine().execute(agent, Query(Q_TOP_K_FLOWS, params))
         assert len(executed) == 2 and executed[0] is executed[1]
 
-    def test_equal_fsd_calls_fold_the_same_spec(self, monkeypatch):
+    def test_equal_fsd_calls_share_one_compiled_plan(self, monkeypatch):
+        """A list link (a decoded frame's) and a tuple one answer one
+        compiled set of labelled plans, and fold one ``ScanSpec``, under
+        ``link`` and under ``links``."""
         tib = spanning_tib()
-        folded = []
-        fold = tib.fold
+        executed, folded = [], []
+        execute, fold = planlib.answer, tib.fold
+        monkeypatch.setattr(planlib, "answer", lambda tib, plan: (
+            executed.append(plan) or execute(tib, plan)))
         monkeypatch.setattr(tib, "fold", lambda spec, fields: (
             folded.append(spec) or fold(spec, fields)))
         sample = make_record(3)
-        for link in ([sample.path[1], sample.path[2]],
-                     (sample.path[1], sample.path[2])):
+        hop = [sample.path[1], sample.path[2]]
+        for params in ({"link": hop}, {"link": tuple(hop)},
+                       {"links": [hop]}, {"links": (tuple(hop),)}):
             QueryEngine().execute(_LocalAgent(tib), Query(
-                Q_FLOW_SIZE_DISTRIBUTION,
-                {"link": link, "time_range": [0.0, 40.0]}))
-        assert len(folded) == 2 and folded[0] is folded[1]
+                Q_FLOW_SIZE_DISTRIBUTION, dict(params,
+                                               time_range=[0.0, 40.0])))
+        for shared in (executed, folded):
+            assert len(shared) == 4
+            assert shared[0] is shared[1] and shared[2] is shared[3]
 
     def test_unhashable_shape_still_runs(self):
         agent = _LocalAgent(spanning_tib())
@@ -508,7 +516,10 @@ def random_plan(rng, containing=None):
                 rng, Project).fields))
         if aggregate is not None:
             ops.append(aggregate)
-            if aggregate.by and rng.random() < 0.6:
+            # A keyed float sum is valid only ranked (it would not regroup).
+            if aggregate.by and (rng.random() < 0.6 or (
+                    aggregate.func == planlib.AGG_SUM
+                    and aggregate.fields[0] in planlib.FLOAT_FIELDS)):
                 ops.append(_random_op(rng, TopK))
         plan = Plan(ops=tuple(ops) or (Filter(),))
         if containing is None or any(type(op) is containing
@@ -648,19 +659,17 @@ class TestPushdownCounters:
     @pytest.mark.parametrize("tib_factory", [hot_tib, spanning_tib])
     def test_scanless_shapes_report_the_snapshot_keys_zeroed(self,
                                                              tib_factory):
-        """The two shapes served from the maintained totals copy a zero
-        template instead of snapshotting the tiers: its keys are exactly
-        ``scan_stat_snapshot()``'s, single-tier and two-tier alike, and
-        every execution gets a dict of its own."""
+        """The two shapes served from the maintained totals scan nothing:
+        their stats are exactly ``scan_stat_snapshot()``'s keys, in its
+        order, all zero, single-tier and two-tier alike, and every
+        execution gets a dict of its own."""
         tib = tib_factory()
         zeros = dict.fromkeys(tib.scan_stat_snapshot(), 0)
-        assert planlib._NO_SCAN_STATS == zeros
-        assert list(planlib._NO_SCAN_STATS) == list(zeros)
         flow = tib.records()[0].flow_id
         for plan in (planlib.compile_get_count(flow),
                      planlib.compile_top_k_flows(5)):
             first = planlib.execute_plan(tib, plan).scan_stats
-            assert first == zeros
+            assert first == zeros and list(first) == list(zeros)
             first["hot_full_scans"] = 99
             assert planlib.execute_plan(tib, plan).scan_stats == zeros
 

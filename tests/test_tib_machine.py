@@ -9,10 +9,10 @@ in a dict in first-arrival order (a key's position is its record id),
 merged with ``PathFlowRecord.update`` and read by brute force only -
 ``ScanSpec.matches``, ``planlib.reference_evaluate``,
 ``planlib.rank_select`` and the record loops the flow-size histogram and
-the traffic matrix ran before they read columns.  Every read rule asks
-all three and compares payloads under ``wire.encode_value`` and record
-ids; the invariants hold the ids, the per-flow totals, the hot bytes and
-every index to brute force after each step.  A failing schedule shrinks
+the traffic matrix ran before they became column-folding plans.  Every
+read rule asks all three and compares payloads under ``wire.encode_value``
+and record ids; the invariants hold the ids, the per-flow totals, the hot
+bytes and every index to brute force after each step.  A failing schedule shrinks
 to a minimal op list; ``SCHEDULES`` keeps such lists, one per known
 fault, and replays them as written.
 """
@@ -34,7 +34,7 @@ from repro.core.query import (Q_FLOW_SIZE_DISTRIBUTION, Q_GET_COUNT,
                               Q_GET_DURATION, Q_GET_FLOWS, Q_GET_PATHS,
                               Q_PATH_CONFORMANCE, Q_SUBFLOW_IMBALANCE,
                               Q_TOP_K_FLOWS, Q_TRAFFIC_MATRIX, Query,
-                              QueryEngine, _link_label)
+                              QueryEngine)
 from repro.core.tib import Tib
 from repro.network.packet import PROTO_TCP, FlowId
 from repro.storage import ColdArchive, PathFlowRecord, RetentionPolicy
@@ -198,9 +198,20 @@ def on(params, link):
     return ScanSpec(start, end, () if link is None else (link,)).matches
 
 
+def link_label(link):
+    """A histogram's label for a link parameter: ``"a-b"``, a ``None`` or
+    empty endpoint read as ``*``."""
+    if link is None:
+        return "*-*"
+    a, b = link
+    return f"{a or '*'}-{b or '*'}"
+
+
 def record_loop_fsd(records, params):
+    """Rows on each link counted by ``(label, int(bytes // binsize))``: a
+    plan histogram's bin, an int for a float binsize too."""
     histogram = Counter(
-        (_link_label(link), record.bytes // params["binsize"])
+        (link_label(link), int(record.bytes // params["binsize"]))
         for link in params["links"] or [params["link"]]
         for record in filter(on(params, link), records))
     return dict(sorted(histogram.items())), sum(histogram.values())
@@ -338,6 +349,27 @@ class TibMachine(RuleBasedStateMachine):
           max_bytes=st.none() | st.integers(0, 1_500))
     def configure_retention(self, max_records, max_bytes):
         self.capped.configure_retention(max_records, max_bytes)
+
+    @precondition(lambda self: self.capped.archive.live_count)
+    @rule()
+    def promote_archived(self):
+        """Lift the cap and write to every archived key again, newest id
+        first: each promotion puts an old id at the tail of the hot cache
+        and of its flow's posting, and the archive is left empty, so the
+        reads that follow - the whole TIB, then each promoted flow alone -
+        are the hot tier's and must put the ids back in order."""
+        capped = self.capped
+        capped.configure_retention(None, None)
+        ids = {key: i for i, key in enumerate(self.model)}
+        keys = sorted(capped.archive._key_index, key=ids.__getitem__,
+                      reverse=True)
+        self.add([(record.flow_id, record.path, record.stime, record.etime,
+                   0, 1) for record in map(self.model.__getitem__, keys)],
+                 False, lambda tib, records: tib.add_records(records))
+        assert not capped.archive.live_count
+        self.check_scan(ScanSpec(), ["bytes"])
+        for fkey in dict.fromkeys(fkey for fkey, _path in keys):
+            self.check_scan(ScanSpec(flow_keys=frozenset({fkey})), ["bytes"])
 
     @rule(report=st.booleans())
     def flush_archive(self, report):

@@ -47,8 +47,8 @@ from repro.core.executor import (W_HOST_FAILED, W_HOST_TIMEOUT,
                                  PlanNode)
 from repro.core.groupserver import OUTBOX_FLUSH_BYTES
 from repro.core.monitor import MonitorSnapshot
-from repro.core.plan import (Aggregate, Filter, Plan, Project, TopK,
-                             span_length)
+from repro.core.plan import (PE_FUNC, Aggregate, Filter, Plan, Project,
+                             TopK, span_length)
 from repro.core.shards import cut_plan
 from repro.core.supervisor import EVENT_RESTARTED, ChaosPolicy, WorkerSeed
 from repro.core.worker import EndpointClosed, FramedSocket
@@ -890,27 +890,29 @@ class TestShardFold:
     def test_a_plan_is_cut_once_per_mechanism_and_shape(self, fanout_cluster,
                                                         monkeypatch):
         """Direct and multi-level queries taking turns over the same hosts
-        cut each plan once.  A float key sum, never regrouped, is cut at
-        every query and leaves the kept cuts alone; other targets replace
-        the direct one."""
+        cut each plan once, whatever the query - every served merge
+        regroups; a float key sum the validator rejects fails its hosts
+        and leaves the kept cuts alone; other targets replace the direct
+        cut."""
         cluster = fanout_cluster
         cluster._cuts.clear()  # what earlier tests on this cluster kept
-        regrouped = []
+        cuts = []
         cut = cluster_module.cut_plan
         monkeypatch.setattr(
             cluster_module, "cut_plan",
-            lambda plan, group_of, regroup: regrouped.append(regroup)
-            or cut(plan, group_of, regroup))
+            lambda plan, group_of: cuts.append(plan) or cut(plan, group_of))
         top_k = Query(Q_TOP_K_FLOWS, {"k": 5})
+        matrix = Query(Q_TRAFFIC_MATRIX, {})
         float_sum = Query(Q_PLAN, {"plan": Plan(ops=(Aggregate(
             func="sum", fields=("stime",), by=("flow",)),))})
-        for query in (top_k, top_k, float_sum, float_sum, top_k):
+        for query in (top_k, top_k, matrix, float_sum, top_k):
             for mechanism in (MECHANISM_DIRECT, MECHANISM_MULTILEVEL):
-                cluster.execute(query, mechanism=mechanism)
-        assert regrouped == [True, True] + [False] * 4
+                result = cluster.execute(query, mechanism=mechanism)
+                assert result.partial == (query is float_sum)
+        assert len(cuts) == 2
         cluster.execute(top_k, hosts=cluster.hosts[:3])
         cluster.execute(top_k)
-        assert regrouped == [True, True] + [False] * 4 + [True, True]
+        assert len(cuts) == 4
 
     @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
                                            MECHANISM_MULTILEVEL])
@@ -988,28 +990,42 @@ class TestShardFold:
 
     @pytest.mark.parametrize("mechanism", [MECHANISM_DIRECT,
                                            MECHANISM_MULTILEVEL])
-    def test_a_float_key_sum_is_folded_as_serial_folds_it(self, mechanism,
-                                                          monkeypatch):
-        """A plan summing ``stime`` by flow adds floats, which round
-        differently when regrouped: its hosts' results all travel, one
-        partial each, and the controller adds them in serial's order - on
-        a flow whose three records straddle the two shards."""
+    def test_a_terminal_float_key_sum_is_rejected_in_every_mode(
+            self, mechanism, monkeypatch):
+        """A plan summing ``stime`` by flow would add floats across hosts,
+        which round differently when regrouped: serial and the workers
+        both reject it, every host failed on the validator's
+        ``bad-aggregate`` issue.  Ranked by a ``TopK`` (on a flow whose
+        three records straddle the two shards) the sum is folded at the
+        workers, one partial a fold unit, to serial's bytes."""
         def feed(cluster):
             populate(cluster)
             for host, stime in zip(cluster.hosts[2:5], (0.1, 0.2, 0.3)):
                 cluster.agent(host).tib.add_record(PathFlowRecord(
                     SPREAD_FLOW, ("server-9", host), stime, 9.0, 10, 1))
 
-        query = Query(Q_PLAN, {"plan": Plan(ops=(Aggregate(
-            func="sum", fields=("stime",), by=("flow",)),))})
-        want = reference_payload(query, mechanism, feed)
-        with worker_cluster(feed=feed) as cluster:
+        summed = Aggregate(func="sum", fields=("stime",), by=("flow",))
+        rejected = Query(Q_PLAN, {"plan": Plan(ops=(summed,))})
+        ranked = Query(Q_PLAN, {"plan": Plan(ops=(
+            summed, TopK(k=40, order="asc")))})
+        want = reference_payload(ranked, mechanism, feed)
+        with QueryCluster(small_topology(NUM_HOSTS)) as serial, \
+                worker_cluster(feed=feed) as workers:
+            feed(serial)
+            for cluster in (serial, workers):
+                result = cluster.execute(rejected, mechanism=mechanism)
+                assert result.payload == {}
+                assert result.hosts_failed == cluster.hosts
+                assert result.warnings and all(
+                    f"[{PE_FUNC}@op0]" in warning.detail
+                    for warning in result.warnings)
             decoded = count_decodes(monkeypatch)
-            result = cluster.execute(query, mechanism=mechanism)
+            result = workers.execute(ranked, mechanism=mechanism)
+            assert not result.partial
             assert wire.encode_value(result.payload) == want
-            assert result.payload[flow_key(SPREAD_FLOW)] == \
-                0.6000000000000001
-            assert len(decoded) == NUM_HOSTS
+            assert all((stime, flow_key(SPREAD_FLOW)) in result.payload
+                       for stime in (0.1, 0.2, 0.3))
+            assert len(decoded) < NUM_HOSTS
 
     def test_a_latched_ingest_error_fails_the_query_group(self):
         """A corrupt record batch latches an ingest error on one host: the
